@@ -10,15 +10,19 @@
 
 use std::sync::Arc;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::bloom::BloomFilter;
+use crate::checksum;
 use crate::error::{LsmError, Result};
 use crate::record::{Key, OpKind, Record};
 
 /// Bytes of block header: magic (4) + record count (4) + checksum (4) +
 /// reserved (4).
 pub const BLOCK_HEADER_LEN: usize = 16;
+
+/// Bytes of per-record header: key (8) + op (1) + payload length (4).
+const RECORD_HEADER_LEN: usize = 13;
 
 const BLOCK_MAGIC: u32 = 0x4C_53_4D_42; // "LSMB"
 
@@ -73,75 +77,114 @@ impl DataBlock {
         self.records.binary_search_by_key(&key, |r| r.key).ok().map(|i| &self.records[i])
     }
 
-    /// Serialize into a frame of exactly `block_size` bytes.
+    /// Serialize into a frame of exactly `block_size` bytes: one buffer,
+    /// written once.
+    ///
+    /// Layout (little-endian): `magic u32 | count u32 | checksum u32 |
+    /// reserved u32 (zero)`, then per record `key u64 | op u8 | payload_len
+    /// u32 | payload`, then zero padding up to `block_size`.
     pub fn encode(&self, block_size: usize) -> Result<Bytes> {
         let body_len: usize = self.records.iter().map(Record::encoded_len).sum();
         if BLOCK_HEADER_LEN + body_len > block_size {
             return Err(LsmError::RecordTooLarge {
                 record_bytes: body_len,
-                block_payload_bytes: block_size - BLOCK_HEADER_LEN,
+                block_payload_bytes: block_size.saturating_sub(BLOCK_HEADER_LEN),
             });
         }
-        let mut buf = BytesMut::with_capacity(block_size);
-        buf.put_u32_le(BLOCK_MAGIC);
-        buf.put_u32_le(self.records.len() as u32);
-        buf.put_u32_le(0); // checksum patched below
-        buf.put_u32_le(0); // reserved
+        let count = self.records.len() as u32;
+        let mut buf = vec![0u8; block_size];
+        buf[0..4].copy_from_slice(&BLOCK_MAGIC.to_le_bytes());
+        buf[4..8].copy_from_slice(&count.to_le_bytes());
+        let mut off = BLOCK_HEADER_LEN;
         for r in &self.records {
-            buf.put_u64_le(r.key);
-            buf.put_u8(match r.op {
+            let payload_at = off + RECORD_HEADER_LEN;
+            let head = &mut buf[off..payload_at];
+            head[0..8].copy_from_slice(&r.key.to_le_bytes());
+            head[8] = match r.op {
                 OpKind::Put => 0,
                 OpKind::Delete => 1,
-            });
-            buf.put_u32_le(r.payload.len() as u32);
-            buf.put_slice(&r.payload);
+            };
+            head[9..13].copy_from_slice(&(r.payload.len() as u32).to_le_bytes());
+            off = payload_at + r.payload.len();
+            buf[payload_at..off].copy_from_slice(&r.payload);
         }
-        let checksum = fnv1a(&buf[BLOCK_HEADER_LEN..]);
-        buf.resize(block_size, 0);
-        buf[8..12].copy_from_slice(&checksum.to_le_bytes());
-        Ok(buf.freeze())
+        let sum = frame_checksum(count, &buf);
+        buf[8..12].copy_from_slice(&sum.to_le_bytes());
+        Ok(Bytes::from(buf))
+    }
+
+    /// [`encode`](DataBlock::encode), then re-point every payload at the
+    /// frame just written. The returned block owns exactly that one buffer:
+    /// whatever its payloads viewed before (the input frames of a merge, a
+    /// caller's put buffers) is released.
+    pub fn seal(mut self, block_size: usize) -> Result<(Bytes, DataBlock)> {
+        let frame = self.encode(block_size)?;
+        let mut off = BLOCK_HEADER_LEN;
+        for r in &mut self.records {
+            let payload_at = off + RECORD_HEADER_LEN;
+            off = payload_at + r.payload.len();
+            r.payload = frame.slice(payload_at..off);
+        }
+        Ok((frame, self))
     }
 
     /// Decode a frame previously produced by [`DataBlock::encode`].
-    pub fn decode(frame: &[u8]) -> Result<DataBlock> {
-        if frame.len() < BLOCK_HEADER_LEN {
+    ///
+    /// Zero-copy: every payload of the returned block is a view into
+    /// `frame`, so the block (and any payload cloned out of it) keeps that
+    /// one buffer alive and allocates nothing per record.
+    ///
+    /// Any single-bit flip anywhere in the frame is rejected: the magic and
+    /// the reserved word are compared exactly, a flip in the stored checksum
+    /// no longer matches the computed one, and the record count (as the
+    /// seed) and every byte after the header (as the data) enter the
+    /// checksum, which by the argument in [`crate::checksum`] changes. The
+    /// bytes after the last record must additionally be zero — checked
+    /// unconditionally, not through the checksum.
+    pub fn decode(frame: &Bytes) -> Result<DataBlock> {
+        let data: &[u8] = frame;
+        if data.len() < BLOCK_HEADER_LEN {
             return Err(LsmError::Codec("frame shorter than header".into()));
         }
-        let magic = u32::from_le_bytes(frame[0..4].try_into().unwrap());
+        let magic = le_u32(&data[0..4]);
         if magic != BLOCK_MAGIC {
             return Err(LsmError::Codec(format!("bad magic 0x{magic:08x}")));
         }
-        let count = u32::from_le_bytes(frame[4..8].try_into().unwrap()) as usize;
-        let stored_sum = u32::from_le_bytes(frame[8..12].try_into().unwrap());
-        if frame[12..16] != [0, 0, 0, 0] {
+        let count = le_u32(&data[4..8]);
+        if data[12..16] != [0, 0, 0, 0] {
             return Err(LsmError::Codec("reserved header bytes not zero".into()));
+        }
+        if frame_checksum(count, data) != le_u32(&data[8..12]) {
+            return Err(LsmError::Codec("checksum mismatch".into()));
+        }
+        // The count comes from the frame: bound it by what the frame could
+        // hold before sizing anything by it.
+        let count = count as usize;
+        if count > (data.len() - BLOCK_HEADER_LEN) / RECORD_HEADER_LEN {
+            return Err(LsmError::Codec(format!("record count {count} exceeds frame")));
         }
         let mut records = Vec::with_capacity(count);
         let mut off = BLOCK_HEADER_LEN;
         for _ in 0..count {
-            if off + 13 > frame.len() {
+            let Some(head) = data.get(off..off + RECORD_HEADER_LEN) else {
                 return Err(LsmError::Codec("truncated record header".into()));
-            }
-            let key = u64::from_le_bytes(frame[off..off + 8].try_into().unwrap());
-            let op = match frame[off + 8] {
+            };
+            let key = u64::from_le_bytes(head[0..8].try_into().expect("8 bytes"));
+            let op = match head[8] {
                 0 => OpKind::Put,
                 1 => OpKind::Delete,
                 other => return Err(LsmError::Codec(format!("bad op tag {other}"))),
             };
-            let plen = u32::from_le_bytes(frame[off + 9..off + 13].try_into().unwrap()) as usize;
-            off += 13;
-            if off + plen > frame.len() {
+            let plen = le_u32(&head[9..13]) as usize;
+            off += RECORD_HEADER_LEN;
+            if plen > data.len() - off {
                 return Err(LsmError::Codec("truncated payload".into()));
             }
-            let payload = Bytes::copy_from_slice(&frame[off..off + plen]);
+            records.push(Record { key, op, payload: frame.slice(off..off + plen) });
             off += plen;
-            records.push(Record { key, op, payload });
         }
-        // The checksum covers the record bytes; the padding after them must
-        // be all zeros, so a flipped bit anywhere in the frame is caught.
-        let body_sum = checksum_frame(&frame[BLOCK_HEADER_LEN..off], &frame[off..]);
-        if body_sum != stored_sum {
-            return Err(LsmError::Codec("checksum mismatch".into()));
+        if data[off..].iter().any(|&b| b != 0) {
+            return Err(LsmError::Codec("padding after the last record not zero".into()));
         }
         if !records.windows(2).all(|w| w[0].key < w[1].key) {
             return Err(LsmError::Codec("records not sorted/unique".into()));
@@ -150,23 +193,14 @@ impl DataBlock {
     }
 }
 
-/// FNV-1a over a byte slice.
-fn fnv1a(data: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in data {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().expect("4 bytes"))
 }
 
-/// Checksum of the record body; the zero padding after it must indeed be
-/// zero, otherwise we force a mismatch (corrupted padding is corruption).
-fn checksum_frame(body: &[u8], padding: &[u8]) -> u32 {
-    if !padding.iter().all(|&b| b == 0) {
-        return !fnv1a(body);
-    }
-    fnv1a(body)
+/// The checksum stored in a frame's header: seeded with the record count,
+/// over every byte after the header (records and padding).
+fn frame_checksum(count: u32, frame: &[u8]) -> u32 {
+    checksum::sum32(count, &frame[BLOCK_HEADER_LEN..])
 }
 
 /// In-memory fence entry for one on-SSD data block.
@@ -224,6 +258,15 @@ impl BlockHandle {
     }
 }
 
+/// True when `inner` lies wholly inside `outer`'s memory — how the aliasing
+/// tests (here, in `store` and in `merge`) tell a view from a copy.
+#[cfg(test)]
+pub(crate) fn lies_within(inner: &[u8], outer: &[u8]) -> bool {
+    let (lo, hi) = (outer.as_ptr() as usize, outer.as_ptr() as usize + outer.len());
+    let at = inner.as_ptr() as usize;
+    lo <= at && at + inner.len() <= hi
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +278,29 @@ mod tests {
             Record::delete(5),
             Record::put(9, vec![0xB; 2]),
         ])
+    }
+
+    /// Decode `bytes` as a frame of its own (tests mutate frames as vectors).
+    fn decode_vec(bytes: Vec<u8>) -> Result<DataBlock> {
+        DataBlock::decode(&Bytes::from(bytes))
+    }
+
+    /// A full paper-geometry block: 36 records of 113 B in a 4 KiB frame.
+    fn full_block() -> DataBlock {
+        DataBlock::new(
+            (0..36u64).map(|k| Record::put(k * 3 + 1, vec![k as u8 ^ 0x5A; 100])).collect(),
+        )
+    }
+
+    /// Every single-bit flip of `frame` must be rejected.
+    fn assert_every_bit_flip_rejected(frame: &Bytes) {
+        let mut bad = frame.to_vec();
+        for bit in 0..frame.len() * 8 {
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(decode_vec(bad.clone()).is_err(), "flip of bit {bit} undetected");
+            bad[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(&bad[..], &frame[..]);
     }
 
     #[test]
@@ -251,18 +317,96 @@ mod tests {
         let b = sample_block();
         let mut frame = b.encode(128).unwrap().to_vec();
         frame[0] ^= 0xFF;
-        assert!(DataBlock::decode(&frame).is_err());
+        assert!(decode_vec(frame).is_err());
     }
 
     #[test]
-    fn decode_rejects_flipped_bits() {
-        let b = sample_block();
-        let frame = b.encode(256).unwrap();
-        for pos in [20usize, 40, 200, 255] {
-            let mut bad = frame.to_vec();
-            bad[pos] ^= 0x01;
-            assert!(DataBlock::decode(&bad).is_err(), "bit flip at {pos} undetected");
+    fn every_bit_flip_of_a_full_4k_frame_is_rejected() {
+        let frame = full_block().encode(4096).unwrap();
+        assert_eq!(frame.len() * 8, 32_768);
+        assert!(DataBlock::decode(&frame).is_ok());
+        assert_every_bit_flip_rejected(&frame);
+    }
+
+    #[test]
+    fn every_bit_flip_of_a_short_padded_frame_is_rejected() {
+        // Three records, mostly padding: flips in the padding, and flips of
+        // the count that would re-read padding as records, must all fail.
+        let frame = sample_block().encode(4096).unwrap();
+        assert_every_bit_flip_rejected(&frame);
+        // An all-zero record (key 0, Put, empty payload) is indistinguishable
+        // from padding byte-wise; the count still protects it.
+        let zero = DataBlock::new(vec![Record::put(0, vec![])]).encode(64).unwrap();
+        assert_every_bit_flip_rejected(&zero);
+        assert_every_bit_flip_rejected(&DataBlock::default().encode(64).unwrap());
+    }
+
+    #[test]
+    fn nonzero_padding_is_rejected_even_with_a_matching_checksum() {
+        // Regression: the padding check used to be folded into the checksum
+        // comparison (`!fnv1a(body)` on dirty padding), so a frame storing
+        // exactly the value the check produced decoded with garbage in its
+        // padding. Build the strongest such frame — dirty padding *and* a
+        // checksum recomputed to match — and require a codec error.
+        let block = sample_block();
+        let mut frame = block.encode(256).unwrap().to_vec();
+        let body_end =
+            BLOCK_HEADER_LEN + block.records.iter().map(Record::encoded_len).sum::<usize>();
+        for pos in [body_end, body_end + 1, 255] {
+            let mut bad = frame.clone();
+            bad[pos] = 0x80;
+            let sum = frame_checksum(block.len() as u32, &bad);
+            bad[8..12].copy_from_slice(&sum.to_le_bytes());
+            match decode_vec(bad) {
+                Err(LsmError::Codec(msg)) => assert!(msg.contains("padding"), "{msg}"),
+                other => panic!("dirty padding at {pos} must be a codec error, got {other:?}"),
+            }
         }
+        // The old bypass value itself (the complement of the stored sum).
+        frame[255] = 1;
+        let stored = le_u32(&frame[8..12]);
+        frame[8..12].copy_from_slice(&(!stored).to_le_bytes());
+        assert!(matches!(decode_vec(frame), Err(LsmError::Codec(_))));
+    }
+
+    #[test]
+    fn hostile_record_count_is_rejected_before_allocating() {
+        // A header asking for 2^32 - 1 records, with a checksum that matches:
+        // decode must refuse by the frame-size bound, not try to reserve
+        // 4 Gi records.
+        let mut frame = sample_block().encode(128).unwrap().to_vec();
+        for count in [u32::MAX, 1 << 31, 9, 4] {
+            frame[4..8].copy_from_slice(&count.to_le_bytes());
+            let sum = frame_checksum(count, &frame);
+            frame[8..12].copy_from_slice(&sum.to_le_bytes());
+            assert!(
+                matches!(decode_vec(frame.clone()), Err(LsmError::Codec(_))),
+                "count {count} accepted"
+            );
+        }
+        // Frames shorter than a header, or with no room for a checksum.
+        for len in 0..BLOCK_HEADER_LEN {
+            assert!(decode_vec(vec![0u8; len]).is_err());
+        }
+    }
+
+    #[test]
+    fn decode_is_zero_copy_and_seal_rebacks_onto_the_new_frame() {
+        let frame = full_block().encode(4096).unwrap();
+        let decoded = DataBlock::decode(&frame).unwrap();
+        for r in &decoded.records {
+            assert!(lies_within(&r.payload, &frame), "decoded payload was copied");
+        }
+        // Re-encode records whose payloads are views into `frame` (what a
+        // merge does): the sealed block must view only the new frame.
+        let (frame2, sealed) = decoded.clone().seal(4096).unwrap();
+        assert_eq!(sealed, decoded);
+        assert_eq!(frame2, frame);
+        for r in &sealed.records {
+            assert!(lies_within(&r.payload, &frame2));
+            assert!(!lies_within(&r.payload, &frame), "sealed block still pins its input");
+        }
+        assert_eq!(DataBlock::decode(&frame2).unwrap(), decoded);
     }
 
     #[test]

@@ -33,12 +33,18 @@ impl BloomFilter {
     /// The number of hash functions is the standard optimum
     /// `k ≈ bits_per_key · ln 2`, clamped to `[1, 30]`.
     pub fn build(keys: &[Key], bits_per_key: usize) -> Self {
+        Self::from_keys(keys.iter().copied(), bits_per_key)
+    }
+
+    /// [`build`](BloomFilter::build) over keys read straight out of
+    /// whatever holds them (a block's records), with no key vector between.
+    pub fn from_keys(keys: impl ExactSizeIterator<Item = Key>, bits_per_key: usize) -> Self {
         let bits_per_key = bits_per_key.max(1);
         let num_bits = (keys.len().max(1) * bits_per_key).max(64);
         let num_hashes =
             ((bits_per_key as f64 * std::f64::consts::LN_2).round() as u32).clamp(1, 30);
         let mut f = BloomFilter { bits: vec![0u64; num_bits.div_ceil(64)], num_bits, num_hashes };
-        for &k in keys {
+        for k in keys {
             f.insert(k);
         }
         f

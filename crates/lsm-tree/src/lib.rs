@@ -39,6 +39,7 @@
 pub mod api;
 pub mod block;
 pub mod bloom;
+pub mod checksum;
 pub mod config;
 pub mod error;
 pub mod history;

@@ -11,8 +11,9 @@
 //! `LsmTree::checkpoint` writes the manifest to a sidecar file;
 //! `LsmTree::restore` reopens a device against one. The format is a
 //! hand-rolled little-endian binary layout (no serialization-format
-//! dependency), guarded by a magic, a version, and an FNV-1a checksum over
-//! the entire body.
+//! dependency), guarded by a magic, a version, and a 64-bit
+//! [`crate::checksum`] over the entire body (version 2; version 1 carried a
+//! byte-at-a-time FNV-1a sum and is no longer read).
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -23,6 +24,7 @@ use bytes::{BufMut, BytesMut};
 use sim_ssd::{BlockDevice, BlockId};
 
 use crate::block::BlockHandle;
+use crate::checksum;
 use crate::config::LsmConfig;
 use crate::error::{LsmError, Result};
 use crate::level::Level;
@@ -32,7 +34,7 @@ use crate::store::Store;
 use crate::tree::{LsmTree, TreeOptions};
 
 const MANIFEST_MAGIC: u32 = 0x4C_53_4D_4D; // "LSMM"
-const MANIFEST_VERSION: u32 = 1;
+const MANIFEST_VERSION: u32 = 2;
 
 /// Everything needed to reopen an index: geometry, level fence tables,
 /// waste bookkeeping, cursors, and the L0 contents.
@@ -158,7 +160,7 @@ impl Manifest {
         let mut out = Vec::with_capacity(body.len() + 16);
         out.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
         out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&body).to_le_bytes());
+        out.extend_from_slice(&checksum::sum64(&body).to_le_bytes());
         out.extend_from_slice(&body);
         out
     }
@@ -174,8 +176,8 @@ impl Manifest {
         if version != MANIFEST_VERSION {
             return Err(LsmError::Codec(format!("unsupported manifest version {version}")));
         }
-        let checksum = r.u64()?;
-        if fnv1a64(&bytes[r.pos..]) != checksum {
+        let stored_sum = r.u64()?;
+        if checksum::sum64(&bytes[r.pos..]) != stored_sum {
             return Err(LsmError::Codec("manifest checksum mismatch".into()));
         }
         let config = LsmConfig {
@@ -244,15 +246,6 @@ fn put_opt_key(body: &mut BytesMut, k: Option<Key>) {
         }
         None => body.put_u8(0),
     }
-}
-
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 struct Reader<'a> {

@@ -783,7 +783,9 @@ impl<'a> MergeEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::lies_within;
     use crate::record::OpKind;
+    use sim_ssd::{BlockDevice, MemDevice};
 
     // Geometry for tests: 256-byte blocks, 4-byte payloads.
     // record = 8+1+4+4 = 17 bytes; B = (256-16)/17 = 14. Use explicit B.
@@ -837,6 +839,45 @@ mod tests {
         assert_eq!(target.records(), 30);
         assert_eq!(read_all_keys(&s, &target), (0..30u64).collect::<Vec<_>>());
         assert!(target.validate(B, EPS).is_ok());
+    }
+
+    #[test]
+    fn merged_blocks_in_cache_do_not_pin_the_input_frames() {
+        // Zero-copy decode makes every record read from an input block a
+        // view into that block's frame. The output blocks a merge seeds the
+        // cache with must own their own frames: an input frame is freed
+        // with its block, not kept alive by the cache.
+        let dev = Arc::new(MemDevice::with_block_size(4096, BS));
+        let s = Store::new(Arc::clone(&dev) as Arc<dyn BlockDevice>, 64, 0);
+        let eng = MergeEngine::new(&s, B, EPS, false);
+        let mut target = level_of(&s, &[puts((0..28u64).step_by(2)), puts((28..56u64).step_by(2))]);
+        let source = level_of(&s, &[puts((1..29u64).step_by(2)), puts((29..57u64).step_by(2))]);
+        let inputs: Vec<BlockHandle> =
+            target.handles().iter().chain(source.handles()).cloned().collect();
+        // Holding the input frames keeps their addresses from being reused,
+        // so "outside every input frame" below cannot pass by accident.
+        let input_frames: Vec<bytes::Bytes> =
+            inputs.iter().map(|h| dev.read(h.id).unwrap()).collect();
+
+        let src = MergeSource::Blocks(source.handles().to_vec());
+        let out = eng.merge_into(&mut target, &[], src).unwrap();
+        assert_eq!(out.preserved, 0, "every input block is rewritten");
+        for h in &inputs {
+            assert!(dev.read(h.id).is_err(), "input block {} was not freed", h.id);
+        }
+        let reads = s.io_snapshot().reads;
+        for h in target.handles() {
+            let cached = s.read_block(h).unwrap();
+            for r in &cached.records {
+                assert!(
+                    !input_frames.iter().any(|frame| lies_within(&r.payload, frame)),
+                    "cached output block {} views a freed input frame",
+                    h.id
+                );
+            }
+        }
+        assert_eq!(s.io_snapshot().reads, reads, "the checked blocks were the cached ones");
+        assert_eq!(read_all_keys(&s, &target), (0..56u64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -24,6 +24,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use observe::{Event, SinkCell};
 use parking_lot::Mutex;
 
@@ -177,28 +178,60 @@ impl Store {
         }
     }
 
+    /// The one place a block of records becomes an on-device block: encode
+    /// → allocate an id → `land` the frame → Bloom filter → fence handle →
+    /// cache seed. [`write_block`](Store::write_block) lands the frame on
+    /// the device at once, [`WriteBatch::stage`] queues it for a batched
+    /// write; if `land` fails the id is released and nothing is published.
+    ///
+    /// The cache is seeded with a block [sealed](DataBlock::seal) onto the
+    /// frame just encoded. With zero-copy decode a payload keeps its whole
+    /// frame alive, so this is the rule that bounds cache memory by
+    /// capacity × block size: a cached block pins exactly its own frame,
+    /// never the input frames of the merge that produced it.
+    fn admit(
+        &self,
+        records: Vec<Record>,
+        land: impl FnOnce(BlockId, Bytes) -> Result<()>,
+    ) -> Result<BlockHandle> {
+        debug_assert!(!records.is_empty(), "refusing to write an empty data block");
+        let (frame, block) = DataBlock::new(records).seal(self.device.block_size())?;
+        let id = self.alloc.alloc()?;
+        if let Err(e) = land(id, frame) {
+            self.alloc.free(id);
+            return Err(e);
+        }
+        let bloom = (self.bloom_bits_per_key > 0).then(|| {
+            let keys = block.records.iter().map(|r| r.key);
+            Arc::new(BloomFilter::from_keys(keys, self.bloom_bits_per_key))
+        });
+        let handle = BlockHandle::describe(id, &block, bloom);
+        self.cache.lock().insert(id, Arc::new(block));
+        Ok(handle)
+    }
+
     /// Allocate, encode, and write a new data block; returns its fence
     /// entry. Exactly one device write when no fault fires; transient write
     /// errors are retried against the *same* block id, so the physical
     /// layout of a faulty-but-recovered run matches the fault-free run.
     pub fn write_block(&self, records: Vec<Record>) -> Result<BlockHandle> {
-        debug_assert!(!records.is_empty(), "refusing to write an empty data block");
-        let block = DataBlock::new(records);
-        let frame = block.encode(self.device.block_size())?;
-        let id = self.alloc.alloc()?;
-        if let Err(e) = self.with_retries(|| self.device.write(id, &frame)) {
-            self.alloc.free(id);
-            return Err(e.into());
+        self.admit(records, |id, frame| Ok(self.with_retries(|| self.device.write(id, &frame))?))
+    }
+
+    /// Decode a frame the device returned and cache the block. The block's
+    /// payloads are views into `frame` — the device's buffer is the cached
+    /// block's buffer. A frame that fails its integrity check quarantines
+    /// the block.
+    fn adopt_frame(&self, handle: &BlockHandle, frame: &Bytes) -> Result<Arc<DataBlock>> {
+        match DataBlock::decode(frame) {
+            Ok(block) => {
+                let block = Arc::new(block);
+                self.cache.lock().insert(handle.id, Arc::clone(&block));
+                Ok(block)
+            }
+            Err(LsmError::Codec(_)) => Err(self.quarantine(handle)),
+            Err(e) => Err(e),
         }
-        let bloom = if self.bloom_bits_per_key > 0 {
-            let keys: Vec<u64> = block.records.iter().map(|r| r.key).collect();
-            Some(Arc::new(BloomFilter::build(&keys, self.bloom_bits_per_key)))
-        } else {
-            None
-        };
-        let handle = BlockHandle::describe(id, &block, bloom);
-        self.cache.lock().insert(id, Arc::new(block));
-        Ok(handle)
     }
 
     /// Read a block through the cache. Transient device errors are retried;
@@ -208,18 +241,11 @@ impl Store {
         if let Some(hit) = self.cache.lock().get(&handle.id) {
             return Ok(hit);
         }
-        let frame = match self.with_retries(|| self.device.read(handle.id)) {
-            Ok(frame) => frame,
-            Err(sim_ssd::DeviceError::Corrupt(_)) => return Err(self.quarantine(handle)),
-            Err(e) => return Err(e.into()),
-        };
-        let block = match DataBlock::decode(&frame) {
-            Ok(b) => Arc::new(b),
-            Err(LsmError::Codec(_)) => return Err(self.quarantine(handle)),
-            Err(e) => return Err(e),
-        };
-        self.cache.lock().insert(handle.id, Arc::clone(&block));
-        Ok(block)
+        match self.with_retries(|| self.device.read(handle.id)) {
+            Ok(frame) => self.adopt_frame(handle, &frame),
+            Err(sim_ssd::DeviceError::Corrupt(_)) => Err(self.quarantine(handle)),
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Continue a retry ladder whose first attempt (made through a batched
@@ -232,7 +258,7 @@ impl Store {
         &self,
         id: BlockId,
         first: sim_ssd::DeviceError,
-    ) -> sim_ssd::Result<bytes::Bytes> {
+    ) -> sim_ssd::Result<Bytes> {
         let mut attempt = 0u32;
         let mut err = first;
         loop {
@@ -318,15 +344,7 @@ impl Store {
                     Err(e) => self.finish_read_retries(handle.id, e),
                 };
                 out[i] = Some(match frame {
-                    Ok(frame) => match DataBlock::decode(&frame) {
-                        Ok(b) => {
-                            let block = Arc::new(b);
-                            self.cache.lock().insert(handle.id, Arc::clone(&block));
-                            Ok(block)
-                        }
-                        Err(LsmError::Codec(_)) => Err(self.quarantine(handle)),
-                        Err(e) => Err(e),
-                    },
+                    Ok(frame) => self.adopt_frame(handle, &frame),
                     Err(sim_ssd::DeviceError::Corrupt(_)) => Err(self.quarantine(handle)),
                     Err(e) => Err(e.into()),
                 });
@@ -447,12 +465,12 @@ impl Store {
 
 /// Batches [`Store::write_block`] calls into coalesced device writes.
 ///
-/// `stage` does everything `write_block` does *except* touch the device:
-/// allocate the id, encode the frame, build the fence handle and bloom,
-/// seed the cache. `flush` then lands every staged frame with one
-/// [`BlockDevice::write_many`] call (adjacent ids coalesce into single
-/// syscalls on a file backend) and re-runs the per-block retry ladder for
-/// any transient failure, against the same id, exactly like `write_block`.
+/// `stage` does everything `write_block` does *except* touch the device
+/// (both go through the store's one admit sequence). `flush` then lands
+/// every staged frame with one [`BlockDevice::write_many`] call (adjacent
+/// ids coalesce into single syscalls on a file backend) and re-runs the
+/// per-block retry ladder for any transient failure, against the same id,
+/// exactly like `write_block`.
 ///
 /// **Discipline:** a staged block's frame does not exist on the device
 /// until `flush`. Callers must flush before (a) freeing a staged block,
@@ -462,7 +480,7 @@ impl Store {
 /// the frames never reached the device, so the handles must die with it.
 pub struct WriteBatch<'a> {
     store: &'a Store,
-    staged: Vec<(BlockId, bytes::Bytes)>,
+    staged: Vec<(BlockId, Bytes)>,
 }
 
 impl WriteBatch<'_> {
@@ -470,20 +488,11 @@ impl WriteBatch<'_> {
     /// allocated and the cache seeded now; the device write lands at
     /// [`flush`](WriteBatch::flush).
     pub fn stage(&mut self, records: Vec<Record>) -> Result<BlockHandle> {
-        debug_assert!(!records.is_empty(), "refusing to stage an empty data block");
-        let block = DataBlock::new(records);
-        let frame = block.encode(self.store.device.block_size())?;
-        let id = self.store.alloc.alloc()?;
-        let bloom = if self.store.bloom_bits_per_key > 0 {
-            let keys: Vec<u64> = block.records.iter().map(|r| r.key).collect();
-            Some(Arc::new(BloomFilter::build(&keys, self.store.bloom_bits_per_key)))
-        } else {
-            None
-        };
-        let handle = BlockHandle::describe(id, &block, bloom);
-        self.store.cache.lock().insert(id, Arc::new(block));
-        self.staged.push((id, frame));
-        Ok(handle)
+        let staged = &mut self.staged;
+        self.store.admit(records, |id, frame| {
+            staged.push((id, frame));
+            Ok(())
+        })
     }
 
     /// Number of staged-but-unflushed blocks.
@@ -545,6 +554,7 @@ impl Drop for WriteBatch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::lies_within;
     use crate::record::Record;
     use observe::SinkHandle;
     use sim_ssd::{FaultDevice, FaultPlan};
@@ -793,6 +803,62 @@ mod tests {
         }
         assert_eq!(s.live_blocks(), 0, "staged ids must not leak");
         assert_eq!(s.io_snapshot().writes, 0);
+    }
+
+    /// The block's payloads sit exactly where one encoded frame of
+    /// `block_size` bytes would hold them — 13 header bytes apart, in order —
+    /// so together they lie inside a single `block_size` buffer.
+    fn assert_backed_by_one_frame(block: &DataBlock, block_size: usize) {
+        let first = block.records[0].payload.as_ptr() as usize;
+        let mut expect = first;
+        for r in &block.records {
+            assert_eq!(r.payload.as_ptr() as usize, expect, "payloads are not one frame's");
+            expect += r.payload.len() + 13;
+        }
+        assert!(expect - 13 - first <= block_size - 16 - 13);
+    }
+
+    #[test]
+    fn cached_blocks_are_backed_by_exactly_one_frame() {
+        let dev = Arc::new(MemDevice::with_block_size(64, 256));
+        let s = Store::new(Arc::clone(&dev) as Arc<dyn BlockDevice>, 2, 0);
+        // Payloads that come in as views of one big foreign buffer: the
+        // seeded block must not keep viewing it.
+        let foreign = Bytes::from(vec![7u8; 1024]);
+        let records = |base: u64| -> Vec<Record> {
+            (0..10)
+                .map(|i| Record::put(base + i, foreign.slice(i as usize * 4..i as usize * 4 + 4)))
+                .collect()
+        };
+
+        // Seeded by write_block.
+        let h1 = s.write_block(records(0)).unwrap();
+        let seeded = s.read_block(&h1).unwrap();
+        assert_backed_by_one_frame(&seeded, 256);
+        assert!(seeded.records.iter().all(|r| !lies_within(&r.payload, &foreign)));
+
+        // Seeded by stage: after the flush the MemDevice holds the very
+        // buffer the cached block views — one buffer for image and cache.
+        let mut batch = s.write_batch();
+        let h2 = batch.stage(records(100)).unwrap();
+        batch.flush().unwrap();
+        drop(batch);
+        let staged = s.read_block(&h2).unwrap();
+        assert_backed_by_one_frame(&staged, 256);
+        let image = dev.read(h2.id).unwrap();
+        assert!(staged.records.iter().all(|r| lies_within(&r.payload, &image)));
+
+        // Read back through a cache miss: h1 was evicted by now (capacity
+        // 2, and h2 plus one more block are newer). The decoded block views
+        // the frame the device returned, nothing else.
+        let _h3 = s.write_block(records(200)).unwrap();
+        let reads = s.io_snapshot().reads;
+        let missed = s.read_block(&h1).unwrap();
+        assert_eq!(s.io_snapshot().reads, reads + 1, "expected a cache miss");
+        assert_backed_by_one_frame(&missed, 256);
+        let image = dev.read(h1.id).unwrap();
+        assert!(missed.records.iter().all(|r| lies_within(&r.payload, &image)));
+        assert_eq!(*missed, *seeded);
     }
 
     #[test]

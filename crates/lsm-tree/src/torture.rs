@@ -30,6 +30,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -176,14 +177,21 @@ fn tiny_cfg() -> LsmConfig {
     }
 }
 
+/// A scratch path no other cycle uses: `<tmp>/<stem>-<pid>-<seed>-<n>`,
+/// `n` a process-wide call counter. Pid and seed alone are not enough —
+/// `cargo test` runs cycles with the same seed on parallel threads of one
+/// process, and each cycle deletes its scratch files when it ends. The
+/// path never reaches a report or bundle, so those stay byte-identical
+/// per seed.
+fn scratch_path(stem: &str, seed: u64) -> PathBuf {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let n = CALLS.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("{stem}-{}-{seed}-{n}", std::process::id()))
+}
+
 fn temp_paths(seed: u64) -> (PathBuf, PathBuf, PathBuf) {
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    (
-        dir.join(format!("lsm-torture-{pid}-{seed}.manifest")),
-        dir.join(format!("lsm-torture-{pid}-{seed}.wal")),
-        dir.join(format!("lsm-torture-{pid}-{seed}.dev")),
-    )
+    let base = scratch_path("lsm-torture", seed);
+    (base.with_extension("manifest"), base.with_extension("wal"), base.with_extension("dev"))
 }
 
 /// One logged request: key plus `Some(payload)` for a put, `None` for a
@@ -632,8 +640,7 @@ pub fn run_concurrent_crash_cycle(
     use crate::wal::WalFaultPlan;
 
     assert!(cfg.writers >= 1 && cfg.shards >= 1, "need at least one writer and shard");
-    let wal_dir =
-        std::env::temp_dir().join(format!("lsm-ctorture-{}-{}", std::process::id(), cfg.seed));
+    let wal_dir = scratch_path("lsm-ctorture", cfg.seed);
     let cleanup = || {
         std::fs::remove_dir_all(&wal_dir).ok();
     };
@@ -1032,11 +1039,9 @@ mod tests {
 
     #[test]
     fn same_seed_bundles_are_byte_identical() {
-        let base = std::env::temp_dir().join(format!("lsm-bundle-det-{}", std::process::id()));
+        let base = scratch_path("lsm-bundle-det", 9001);
         let dir_a = base.join("a");
         let dir_b = base.join("b");
-        // A seed no other test in this module touches, so concurrent test
-        // threads never share the cycle's temp manifest/WAL files.
         let mut cfg = TortureConfig::for_seed(9001);
         cfg.always_dump = true;
         cfg.bundle_dir = Some(dir_a.clone());

@@ -375,6 +375,11 @@ impl LsmTree {
 
     /// Point lookup: newest visible version of `key`, if any.
     ///
+    /// Lifetime: a value found in an on-SSD block is a zero-copy *view* of
+    /// that block's frame and keeps the whole frame (`block_size` bytes)
+    /// alive while held — as does every `Bytes` a range scan yields. Copy
+    /// it out (`Bytes::copy_from_slice`) to keep it long-term.
+    ///
     /// Caching contract: any block probed on the way down goes through the
     /// buffer cache, refreshing its LRU recency and counting toward cache
     /// hit/miss statistics — exactly like [`LsmTree::peek`]. `get`

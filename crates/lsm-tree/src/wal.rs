@@ -12,8 +12,8 @@
 //! recover():    manifest.restore → WAL.replay (tolerating a torn tail)
 //! ```
 //!
-//! Frame format (little-endian): `len u32 | fnv1a32(payload) u32 |
-//! payload`, payload = `op u8 | key u64 [| plen u32 | payload bytes]`.
+//! Frame format (little-endian): `len u32 | checksum::sum32(0, payload) u32
+//! | payload`, payload = `op u8 | key u64 [| plen u32 | payload bytes]`.
 //! Replay stops cleanly at the first truncated or corrupt frame, which is
 //! exactly the torn-write behaviour of a crash mid-append.
 
@@ -26,6 +26,7 @@ use bytes::Bytes;
 
 use sim_ssd::{BlockDevice, DeviceError, FaultKind, SplitMix64};
 
+use crate::checksum;
 use crate::error::Result;
 use crate::record::{Key, Request};
 use crate::tree::{LsmTree, TreeOptions};
@@ -62,15 +63,6 @@ impl WalFaultPlan {
         self.fail_sync_at = Some(nth);
         self
     }
-}
-
-fn fnv1a32(data: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in data {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
 }
 
 /// An append-only request log.
@@ -166,7 +158,7 @@ impl WriteAheadLog {
                 break; // torn tail
             }
             let payload = &bytes[start..end];
-            if fnv1a32(payload) != sum {
+            if checksum::sum32(0, payload) != sum {
                 break; // corrupt tail
             }
             match Self::decode_request(payload) {
@@ -229,7 +221,7 @@ impl WriteAheadLog {
         let payload = Self::encode_request(req);
         self.writer
             .write_all(&(payload.len() as u32).to_le_bytes())
-            .and_then(|()| self.writer.write_all(&fnv1a32(&payload).to_le_bytes()))
+            .and_then(|()| self.writer.write_all(&checksum::sum32(0, &payload).to_le_bytes()))
             .and_then(|()| self.writer.write_all(&payload))
             .map_err(DeviceError::Io)?;
         self.appended += 1;

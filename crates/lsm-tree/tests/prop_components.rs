@@ -43,19 +43,66 @@ proptest! {
         let needed: usize = 16 + block.records.iter().map(Record::encoded_len).sum::<usize>();
         let frame = block.encode(needed.max(64)).unwrap();
         let back = DataBlock::decode(&frame).unwrap();
-        prop_assert_eq!(back, block);
+        prop_assert_eq!(&back, &block);
+        // Second generation: `back`'s payloads are views into `frame` — what
+        // a merge feeds the encoder. Re-encoding them, after the frame they
+        // view has been dropped by everyone else, must give the same frame,
+        // and sealing must move every payload onto the new one.
+        let first = frame.to_vec();
+        drop(frame);
+        let (frame2, sealed) = back.clone().seal(first.len()).unwrap();
+        prop_assert_eq!(&frame2[..], &first[..]);
+        prop_assert_eq!(&sealed, &block);
+        let (lo, hi) = (frame2.as_ptr() as usize, frame2.as_ptr() as usize + frame2.len());
+        for (r, old) in sealed.records.iter().zip(&back.records) {
+            let at = r.payload.as_ptr() as usize;
+            prop_assert!(lo <= at && at + r.payload.len() <= hi);
+            prop_assert!(r.payload.is_empty() || at != old.payload.as_ptr() as usize);
+        }
+        prop_assert_eq!(DataBlock::decode(&frame2).unwrap(), block);
     }
 
     #[test]
-    fn codec_detects_any_single_bit_flip(run in arb_run(8), bit in 0usize..512) {
+    fn codec_detects_any_single_bit_flip(run in arb_run(8), bit in 0usize..4096) {
         let block = DataBlock::new(run);
         let frame = block.encode(512).unwrap();
         let mut bad = frame.to_vec();
         let byte = bit / 8;
         bad[byte] ^= 1 << (bit % 8);
-        // Either decoding fails, or the flip was in a dont-care position —
-        // but there are none: header, records and padding are all covered.
-        prop_assert!(DataBlock::decode(&bad).is_err());
+        // There are no dont-care positions: header, records and padding are
+        // all covered.
+        prop_assert!(DataBlock::decode(&Bytes::from(bad)).is_err());
+    }
+
+    #[test]
+    fn decode_of_arbitrary_bytes_is_an_error_never_a_panic(
+        junk in prop::collection::vec(any::<u8>(), 0..600),
+        magic_first in any::<bool>(),
+    ) {
+        // Raw noise, and noise behind a valid magic and zeroed reserved word
+        // so the parser proper (count bound, record walk) is reached.
+        let mut bytes = junk;
+        if magic_first && bytes.len() >= 16 {
+            bytes[0..4].copy_from_slice(&0x4C53_4D42u32.to_le_bytes());
+            bytes[12..16].fill(0);
+        }
+        prop_assert!(DataBlock::decode(&Bytes::from(bytes)).is_err());
+    }
+
+    #[test]
+    fn decode_of_an_edited_frame_is_an_error_never_a_panic(
+        run in arb_run(10),
+        edits in prop::collection::vec((0usize..512, 1u16..256), 1..6),
+    ) {
+        let block = DataBlock::new(run);
+        let frame = block.encode(512).unwrap();
+        let mut bad = frame.to_vec();
+        for (pos, xor) in edits {
+            bad[pos] ^= xor as u8;
+        }
+        let unchanged = bad[..] == frame[..]; // edits at one position can cancel
+        let result = DataBlock::decode(&Bytes::from(bad));
+        prop_assert_eq!(result.is_ok(), unchanged);
     }
 
     #[test]

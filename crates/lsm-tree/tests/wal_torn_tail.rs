@@ -32,9 +32,11 @@ fn temp_path(tag: &str) -> PathBuf {
 }
 
 /// Write `reqs` through the real appender and return the raw log bytes
-/// plus the byte offset at which each frame ends.
-fn build_log(reqs: &[Request]) -> (Vec<u8>, Vec<usize>) {
-    let path = temp_path("build");
+/// plus the byte offset at which each frame ends. `tag` names the calling
+/// test: the tests run on parallel threads of one process, so each needs a
+/// scratch file of its own.
+fn build_log(reqs: &[Request], tag: &str) -> (Vec<u8>, Vec<usize>) {
+    let path = temp_path(&format!("build-{tag}"));
     let mut wal = WriteAheadLog::create(&path).unwrap();
     let mut frame_ends = Vec::with_capacity(reqs.len());
     let mut pos = 0usize;
@@ -64,7 +66,7 @@ fn replay(path: &PathBuf) -> Vec<Request> {
 #[test]
 fn truncation_at_every_byte_offset_yields_the_intact_prefix() {
     let reqs = requests();
-    let (bytes, frame_ends) = build_log(&reqs);
+    let (bytes, frame_ends) = build_log(&reqs, "trunc");
     let path = temp_path("trunc");
     for offset in 0..=bytes.len() {
         std::fs::File::create(&path).unwrap().write_all(&bytes[..offset]).unwrap();
@@ -84,7 +86,7 @@ fn truncation_at_every_byte_offset_yields_the_intact_prefix() {
 #[test]
 fn corruption_at_every_byte_offset_yields_a_clean_prefix() {
     let reqs = requests();
-    let (bytes, frame_ends) = build_log(&reqs);
+    let (bytes, frame_ends) = build_log(&reqs, "flip");
     let path = temp_path("flip");
     for offset in 0..bytes.len() {
         let mut torn = bytes.clone();
@@ -109,7 +111,7 @@ fn corruption_at_every_byte_offset_yields_a_clean_prefix() {
 #[test]
 fn replay_rewrites_the_file_to_the_intact_prefix() {
     let reqs = requests();
-    let (bytes, frame_ends) = build_log(&reqs);
+    let (bytes, frame_ends) = build_log(&reqs, "rewrite");
     let path = temp_path("rewrite");
     // Cut mid-frame: the file on disk after replay must hold exactly the
     // intact frames, fsynced, so a second crash cannot lose them again.

@@ -65,9 +65,14 @@ const O_DIRECT: i32 = 0o200000;
 /// logical-block-size requirement Linux enforces).
 const DIRECT_ALIGN: usize = 4096;
 
-/// Longest run of adjacent blocks moved by a single coalesced syscall
-/// (bounds the transfer buffer; 256 × 4 KiB = 1 MiB).
-const MAX_EXTENT_BLOCKS: usize = 256;
+/// Longest run of adjacent blocks moved by a single coalesced syscall:
+/// 16 × 4 KiB = 64 KiB. That already divides the per-syscall cost by 16,
+/// and it keeps every transfer buffer under the allocator's 128 KiB
+/// mmap/trim thresholds. Measured in a live heap, 128 KiB and larger
+/// extents cost 1.3–1.5 µs per block read against 0.8–0.9 µs at 64 KiB
+/// (a single-block read: 0.9 µs) — the "fewer syscalls, slower wall-clock"
+/// of the first batched-I/O baseline.
+const MAX_EXTENT_BLOCKS: usize = 16;
 
 /// Options for creating or opening a [`FileDevice`].
 #[derive(Debug, Clone, Copy)]
@@ -156,6 +161,8 @@ pub struct FileDevice {
     capacity: u64,
     direct: bool,
     valid: Mutex<Vec<bool>>,
+    /// Reusable transfer buffer, see [`FileDevice::with_scratch`].
+    scratch: Mutex<Vec<u8>>,
     poisoned: AtomicBool,
     #[cfg(test)]
     fail_next_sync: AtomicBool,
@@ -200,6 +207,7 @@ impl FileDevice {
             capacity,
             direct: opts.direct,
             valid: Mutex::new(vec![false; capacity as usize]),
+            scratch: Mutex::new(Vec::new()),
             poisoned: AtomicBool::new(false),
             #[cfg(test)]
             fail_next_sync: AtomicBool::new(false),
@@ -237,6 +245,7 @@ impl FileDevice {
             capacity,
             direct: opts.direct,
             valid: Mutex::new(vec![true; capacity as usize]),
+            scratch: Mutex::new(Vec::new()),
             poisoned: AtomicBool::new(false),
             #[cfg(test)]
             fail_next_sync: AtomicBool::new(false),
@@ -295,27 +304,70 @@ impl FileDevice {
         }
     }
 
-    /// One pread covering `blocks` frames starting at `first`, into a
-    /// fresh buffer (aligned in O_DIRECT mode). Returns the buffer and the
-    /// offset of the first frame inside it.
-    fn pread_extent(&self, first: BlockId, blocks: usize) -> std::io::Result<(Vec<u8>, usize)> {
-        let len = blocks * self.block_size;
-        let (mut buf, off) = if self.direct {
-            aligned_vec(len, DIRECT_ALIGN.max(self.block_size))
-        } else {
-            (vec![0u8; len], 0)
-        };
+    /// One pread filling `buf` (any whole number of frames) from `first`.
+    fn pread_at(&self, first: BlockId, buf: &mut [u8]) -> std::io::Result<()> {
         #[cfg(unix)]
-        self.file.read_exact_at(&mut buf[off..off + len], self.offset(first))?;
+        self.file.read_exact_at(buf, self.offset(first))?;
         #[cfg(not(unix))]
         {
             use std::io::{Read, Seek, SeekFrom};
             let mut f = &self.file;
             f.seek(SeekFrom::Start(self.offset(first)))?;
-            f.read_exact(&mut buf[off..off + len])?;
+            f.read_exact(buf)?;
         }
         self.preads.fetch_add(1, Ordering::SeqCst);
-        Ok((buf, off))
+        Ok(())
+    }
+
+    /// Run `f` over a `len`-byte window (aligned in O_DIRECT mode) of the
+    /// device's reusable transfer buffer. A buffer per call would cost an
+    /// allocation and a zero-fill of the whole extent every time; this one
+    /// grows to the largest extent seen and stays.
+    fn with_scratch<T>(&self, len: usize, f: impl FnOnce(&mut [u8]) -> T) -> T {
+        let align = if self.direct { DIRECT_ALIGN.max(self.block_size) } else { 1 };
+        let mut buf = self.scratch.lock();
+        if buf.len() < len + align {
+            buf.resize(len + align, 0);
+        }
+        let off = (align - buf.as_ptr() as usize % align) % align;
+        f(&mut buf[off..off + len])
+    }
+
+    /// Read one (already validated) block into a buffer of its own, which
+    /// becomes the returned `Bytes` without a copy. O_DIRECT needs an
+    /// aligned transfer buffer, so there the frame is copied out of the
+    /// scratch window instead.
+    fn read_frame(&self, id: BlockId) -> std::io::Result<Bytes> {
+        if self.direct {
+            return self.with_scratch(self.block_size, |window| {
+                self.pread_at(id, window)?;
+                Ok(Bytes::copy_from_slice(window))
+            });
+        }
+        let mut frame = vec![0u8; self.block_size];
+        self.pread_at(id, &mut frame)?;
+        Ok(Bytes::from(frame))
+    }
+
+    /// One pread for the adjacent, already validated `ids`, one result per
+    /// id into `out`. Each block is copied *out* of the extent into a buffer
+    /// of its own: a cached block must never keep a whole extent alive.
+    fn read_extent(
+        &self,
+        ids: &[BlockId],
+        out: &mut [Option<Result<Bytes>>],
+    ) -> std::io::Result<()> {
+        self.with_scratch(ids.len() * self.block_size, |window| {
+            self.pread_at(ids[0], window)?;
+            for ((slot, id), frame) in
+                out.iter_mut().zip(ids).zip(window.chunks_exact(self.block_size))
+            {
+                self.stats.record_read();
+                self.sink.emit_with(|| Event::DeviceRead { block: id.0 });
+                *slot = Some(Ok(Bytes::copy_from_slice(frame)));
+            }
+            Ok(())
+        })
     }
 
     /// One pwrite of `data` (any whole number of frames) starting at
@@ -382,14 +434,10 @@ impl BlockDevice for FileDevice {
         if !self.valid.lock()[idx] {
             return Err(DeviceError::Unwritten(id.0));
         }
-        let (buf, off) = self.pread_extent(id, 1)?;
+        let frame = self.read_frame(id)?;
         self.stats.record_read();
         self.sink.emit_with(|| Event::DeviceRead { block: id.0 });
-        Ok(if off == 0 && buf.len() == self.block_size {
-            Bytes::from(buf)
-        } else {
-            Bytes::copy_from_slice(&buf[off..off + self.block_size])
-        })
+        Ok(frame)
     }
 
     fn write(&self, id: BlockId, frame: &[u8]) -> Result<()> {
@@ -434,22 +482,13 @@ impl BlockDevice for FileDevice {
             {
                 j += 1;
             }
-            match self.pread_extent(ids[i], j - i) {
-                Ok((buf, off)) => {
-                    for (k, slot) in out[i..j].iter_mut().enumerate() {
-                        let lo = off + k * self.block_size;
-                        self.stats.record_read();
-                        self.sink.emit_with(|| Event::DeviceRead { block: ids[i + k].0 });
-                        *slot = Some(Ok(Bytes::copy_from_slice(&buf[lo..lo + self.block_size])));
-                    }
-                }
-                Err(_) => {
-                    // Torn extent read (EINTR and friends): fall back to
-                    // block-at-a-time so each block gets the outcome the
-                    // single-op loop would have produced.
-                    for k in i..j {
-                        out[k] = Some(self.read(ids[k]));
-                    }
+            let coalesced = j - i > 1 && self.read_extent(&ids[i..j], &mut out[i..j]).is_ok();
+            if !coalesced {
+                // A run of one, or a torn extent read (EINTR and friends):
+                // block-at-a-time, so each block gets the outcome the
+                // single-op loop would have produced.
+                for k in i..j {
+                    out[k] = Some(self.read(ids[k]));
                 }
             }
             i = j;

@@ -104,6 +104,19 @@ impl MemDevice {
         }
         Ok(id.0 as usize)
     }
+
+    /// One program operation: validate, store the frame, count it.
+    fn program(&self, id: BlockId, len: usize, frame: impl FnOnce() -> Bytes) -> Result<()> {
+        let idx = self.check_range(id)?;
+        if len != self.block_size {
+            return Err(DeviceError::BadFrameSize { got: len, expected: self.block_size });
+        }
+        self.frames.write()[idx] = Some(frame());
+        self.wear.lock()[idx] += 1;
+        self.stats.record_write();
+        self.sink.emit_with(|| Event::DeviceWrite { block: id.0 });
+        Ok(())
+    }
 }
 
 /// Aggregate wear numbers for a [`MemDevice`].
@@ -244,15 +257,16 @@ impl BlockDevice for MemDevice {
     }
 
     fn write(&self, id: BlockId, frame: &[u8]) -> Result<()> {
-        let idx = self.check_range(id)?;
-        if frame.len() != self.block_size {
-            return Err(DeviceError::BadFrameSize { got: frame.len(), expected: self.block_size });
-        }
-        self.frames.write()[idx] = Some(Bytes::copy_from_slice(frame));
-        self.wear.lock()[idx] += 1;
-        self.stats.record_write();
-        self.sink.emit_with(|| Event::DeviceWrite { block: id.0 });
-        Ok(())
+        self.program(id, frame.len(), || Bytes::copy_from_slice(frame))
+    }
+
+    /// Keeps each `Bytes` it is handed instead of copying it: the buffer a
+    /// frame was encoded into serves as device image, and later as the
+    /// buffer every reader of that block shares. (A frame that is a view
+    /// into a larger buffer keeps that buffer alive; the store hands over
+    /// exact `block_size` buffers.)
+    fn write_many(&self, batch: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
+        batch.iter().map(|(id, frame)| self.program(*id, frame.len(), || frame.clone())).collect()
     }
 
     fn trim(&self, id: BlockId) -> Result<()> {

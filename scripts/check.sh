@@ -12,6 +12,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== vendored bytes stand-in (slice views; not a workspace member) =="
+cargo test -q --offline --manifest-path vendor/bytes/Cargo.toml --target-dir target/vendor-bytes
+
+echo "== benchmark crate: unit tests + smoke run against the frozen engine surface =="
+# perf/ is a crate of its own that calls the engine only through the
+# functions listed in perf/README.md (Frozen engine surface); its smoke run
+# also checks every emitted metric name against BENCHMARK.json. A change
+# that breaks that surface must fail here, not at the benchmark gate.
+cargo test -q --release --offline --manifest-path perf/Cargo.toml
+
 echo "== crash-torture smoke (64 seeded power cuts) =="
 cargo run --release -q -p lsm-bench --bin lsm_crash -- --seeds=64
 # Full soak (thousands of seeds), not part of the gate:
