@@ -1,7 +1,6 @@
 //! The unified write-path interface: [`WriteApi`] + [`WriteBatch`].
 //!
 //! Every front-end — [`LsmTree`](crate::LsmTree),
-//! [`SharedLsmTree`](crate::SharedLsmTree),
 //! [`ShardedLsmTree`](crate::ShardedLsmTree),
 //! [`SteppedMergeTree`](crate::SteppedMergeTree), and
 //! [`DurableLsmTree`](crate::DurableLsmTree) — speaks the same five-verb
@@ -108,10 +107,9 @@ impl IntoIterator for WriteBatch {
 /// The write path every front-end implements.
 ///
 /// Methods take `&mut self` so single-threaded front-ends implement the
-/// trait without interior mutability; the concurrent wrappers
-/// ([`SharedLsmTree`](crate::SharedLsmTree),
-/// [`ShardedLsmTree`](crate::ShardedLsmTree)) are `Clone`, so callers that
-/// need shared `&self` writes keep using their inherent methods and hand
+/// trait without interior mutability; the concurrent front-end
+/// ([`ShardedLsmTree`](crate::ShardedLsmTree)) is `Clone`, so callers that
+/// need shared `&self` writes keep using its inherent methods and hand
 /// each thread its own clone for trait-generic code.
 ///
 /// `put` takes `impl Into<Bytes>`, so the trait is not object-safe; use it
@@ -197,11 +195,11 @@ mod tests {
         drive(&mut stepped);
         assert_eq!(stepped.get(7).unwrap(), None);
 
-        let mut shared = crate::SharedLsmTree::new(
-            LsmTree::with_mem_device(tiny_cfg(), TreeOptions::default(), 1 << 16).unwrap(),
-        );
-        drive(&mut shared);
-        assert_eq!(shared.get(7).unwrap(), None);
+        let opts = TreeOptions::default();
+        let mut one_shard =
+            crate::ShardedLsmTree::with_mem_devices(tiny_cfg(), opts, 1, 1 << 16).unwrap();
+        drive(&mut one_shard);
+        assert_eq!(one_shard.get(7).unwrap(), None);
     }
 
     #[test]

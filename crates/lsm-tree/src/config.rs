@@ -129,9 +129,9 @@ impl LsmConfig {
 /// harness, the shard twin tests — rely on that and run in this mode.
 ///
 /// `Background` moves the same work onto a worker pool owned by the
-/// concurrent front-ends ([`crate::SharedLsmTree`],
-/// [`crate::ShardedLsmTree`]): `put` seals the overflowing memtable,
-/// hands it to the [`crate::scheduler::MergeScheduler`], and returns.
+/// concurrent front-end ([`crate::ShardedLsmTree`]): `put` seals the
+/// overflowing memtable, hands it to the
+/// [`crate::scheduler::MergeScheduler`], and returns.
 /// A bare [`crate::LsmTree`] has no threads of its own, so it treats
 /// `Background` as "buffer and let the owner drive maintenance" only when
 /// wrapped; used directly it behaves like `Inline`.

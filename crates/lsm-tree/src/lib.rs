@@ -53,8 +53,8 @@ pub mod policy;
 pub mod postmortem;
 pub mod record;
 pub mod scheduler;
+mod shard;
 pub mod sharded;
-pub mod shared;
 pub mod sim;
 pub mod stats;
 pub mod stepped;
@@ -81,7 +81,6 @@ pub use postmortem::PostMortem;
 pub use record::{Key, OpKind, Record, Request, RequestSource};
 pub use scheduler::{set_watchdog_timeout_ms, MergeScheduler, SchedulerBackend, SchedulerSnapshot};
 pub use sharded::ShardedLsmTree;
-pub use shared::SharedLsmTree;
 pub use sim::SimExecutor;
 pub use stats::{LevelStats, MergeKind, TreeStats};
 pub use stepped::SteppedMergeTree;

@@ -6,7 +6,7 @@
 //! state and easy to break silently — a refactor that calls
 //! [`MergeScheduler::notify`](crate::MergeScheduler) from inside a shard
 //! critical section compiles fine and deadlocks only under load. This
-//! module makes the rule executable: the front-ends mark their tree-lock
+//! module makes the rule executable: a shard marks its tree-lock
 //! critical sections with a [`TreeLockGuard`], and the scheduler calls
 //! [`assert_no_tree_lock`] before taking its state lock. In debug builds a
 //! violation panics at the offending call site; in release builds

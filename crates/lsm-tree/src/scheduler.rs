@@ -19,12 +19,12 @@
 //!   at most one merge per (shard, level) is ever in flight.
 //! * **Admission control**: writers that find the sealed-memtable backlog
 //!   at [`BackgroundPolicy::max_imm_memtables`] release their shard lock
-//!   and block in [`MergeScheduler::wait_for_room`] (emitting
+//!   and block in [`SchedulerBackend::wait_for_room`] (emitting
 //!   [`Event::Backpressure`]) until a worker drains a memtable. The wait
 //!   happens strictly *outside* the tree lock — a stalled writer never
 //!   blocks the worker that will unstall it.
 //! * **Clean shutdown**: dropping the scheduler (or calling
-//!   [`MergeScheduler::drain`]) finishes every queued job before workers
+//!   [`SchedulerBackend::drain`]) finishes every queued job before workers
 //!   exit, so no sealed memtable is abandoned in memory.
 //!
 //! The scheduler never holds a tree lock and a scheduler lock at the same
@@ -45,7 +45,7 @@ use crate::config::BackgroundPolicy;
 use crate::error::{LsmError, Result};
 use crate::lockorder;
 
-/// Watchdog budget for a hung [`MergeScheduler::drain`] or group-commit
+/// Watchdog budget for a hung [`SchedulerBackend::drain`] or group-commit
 /// rendezvous, in milliseconds. When a wait exceeds it, the waiter panics
 /// with the scheduler's job queue in the message (and, when
 /// `LSM_WATCHDOG_BUNDLE_DIR` is set, in a post-mortem bundle) — a hang
@@ -124,7 +124,7 @@ impl SchedulerSnapshot {
     }
 }
 
-/// The scheduling interface the concurrent front-ends program against.
+/// The scheduling interface the concurrent front-end programs against.
 /// Two implementations exist: [`MergeScheduler`] (a real worker pool,
 /// production) and [`crate::sim::SimExecutor`] (a single-threaded,
 /// seed-driven executor the concurrency-torture harness injects so every
@@ -210,7 +210,7 @@ struct SchedInner {
 }
 
 /// A worker pool that drains flush/merge maintenance jobs for one or more
-/// shards. Created by the concurrent front-ends when their tree is built
+/// shards. Created by the concurrent front-end when its trees are built
 /// with [`Scheduler::Background`](crate::Scheduler); see the module docs
 /// for the scheduling rules.
 pub struct MergeScheduler {
@@ -259,142 +259,6 @@ impl MergeScheduler {
     /// The policy this scheduler runs under.
     pub fn policy(&self) -> BackgroundPolicy {
         self.inner.policy
-    }
-
-    /// Register a maintenance target, returning its shard id (used in
-    /// [`MergeScheduler::notify`] / [`MergeScheduler::wait_for_room`] and
-    /// reported in scheduler events).
-    pub fn register(&self, target: Arc<dyn MaintainTarget>) -> usize {
-        // Probe before taking the state lock (lock-order rule), so
-        // `wait_for_room` is honest from the moment of registration.
-        let backlog = target.backlog();
-        lockorder::assert_no_tree_lock("MergeScheduler::register");
-        let mut s = self.inner.state.lock();
-        let id = s.targets.len();
-        s.targets.push(target);
-        s.queued.push(false);
-        s.running.push(false);
-        s.requeue.push(false);
-        s.backlogs.push(Arc::new(AtomicUsize::new(backlog)));
-        id
-    }
-
-    /// Tell the scheduler `shard` has pending work and a sealed-memtable
-    /// backlog of `backlog`. Callers must NOT hold the shard's tree lock.
-    pub fn notify(&self, shard: usize, backlog: usize) {
-        lockorder::assert_no_tree_lock("MergeScheduler::notify");
-        let mut s = self.inner.state.lock();
-        s.backlogs[shard].store(backlog, Ordering::Release);
-        if !s.queued[shard] {
-            s.queued[shard] = true;
-            s.queue.push_back(shard);
-            self.inner.work_cv.notify_one();
-        }
-    }
-
-    /// Block until `shard`'s sealed-memtable backlog drops below
-    /// [`BackgroundPolicy::max_imm_memtables`]. Emits one
-    /// [`Event::Backpressure`] per stall. If the scheduler shuts down
-    /// while the backlog is still at the bound, returns
-    /// [`LsmError::Shutdown`] — a stalled writer must error out, never
-    /// hang on a pool that will not drain. Callers must NOT hold the
-    /// shard's tree lock — that lock is exactly what the draining worker
-    /// needs.
-    pub fn wait_for_room(&self, shard: usize) -> Result<()> {
-        lockorder::assert_no_tree_lock("MergeScheduler::wait_for_room");
-        let max = self.inner.policy.max_imm_memtables.max(1);
-        let mut s = self.inner.state.lock();
-        let backlog = s.backlogs[shard].load(Ordering::Acquire);
-        if backlog < max {
-            return Ok(());
-        }
-        self.inner.sink.emit_with(|| Event::Backpressure { shard, backlog });
-        while s.backlogs[shard].load(Ordering::Acquire) >= max {
-            if self.inner.shutdown.load(Ordering::Acquire) {
-                return Err(LsmError::Shutdown(format!(
-                    "writer stalled at backlog {} on shard {shard} while the \
-                     merge scheduler shut down",
-                    s.backlogs[shard].load(Ordering::Acquire)
-                )));
-            }
-            s = self.inner.room_cv.wait(s);
-        }
-        Ok(())
-    }
-
-    /// Wait until every registered target is quiescent (no queued jobs, no
-    /// running jobs, nothing pending on any tree), then surface the first
-    /// background error if one occurred. Foreground writers should be
-    /// paused while draining, or this may lawfully chase a moving target.
-    ///
-    /// A drain that makes no progress for the [`watchdog_timeout`] budget
-    /// panics with the job-queue dump (see [`set_watchdog_timeout_ms`]) —
-    /// the hung-rendezvous guardrail.
-    pub fn drain(&self) -> Result<()> {
-        lockorder::assert_no_tree_lock("MergeScheduler::drain");
-        let mut waited = Duration::ZERO;
-        loop {
-            let targets: Vec<(usize, Arc<dyn MaintainTarget>)> = {
-                let s = self.inner.state.lock();
-                s.targets.iter().cloned().enumerate().collect()
-            };
-            // Probe trees outside the scheduler lock (lock-order rule).
-            let pending: Vec<usize> =
-                targets.iter().filter(|(_, t)| t.has_pending()).map(|(i, _)| *i).collect();
-            let mut s = self.inner.state.lock();
-            for &shard in &pending {
-                if !s.queued[shard] && !s.running[shard] {
-                    s.queued[shard] = true;
-                    s.queue.push_back(shard);
-                    self.inner.work_cv.notify_one();
-                }
-            }
-            let busy = !s.queue.is_empty() || s.running.iter().any(|&r| r);
-            if pending.is_empty() && !busy {
-                return match s.pending_err.take() {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                };
-            }
-            match watchdog_timeout() {
-                None => {
-                    let _s = self.inner.idle_cv.wait(s);
-                }
-                Some(budget) => {
-                    let slice = budget.min(Duration::from_millis(50)).max(Duration::from_millis(1));
-                    let (s, res) = self.inner.idle_cv.wait_timeout(s, slice);
-                    drop(s);
-                    waited = if res.timed_out() { waited + slice } else { Duration::ZERO };
-                    if waited >= budget {
-                        watchdog_fire("MergeScheduler::drain", self.snapshot().to_json());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Take the first background maintenance error, if any (also surfaced
-    /// by [`MergeScheduler::drain`]).
-    pub fn take_error(&self) -> Option<LsmError> {
-        lockorder::assert_no_tree_lock("MergeScheduler::take_error");
-        self.inner.state.lock().pending_err.take()
-    }
-
-    /// Dump the job queue (see [`SchedulerSnapshot`]).
-    pub fn snapshot(&self) -> SchedulerSnapshot {
-        lockorder::assert_no_tree_lock("MergeScheduler::snapshot");
-        let s = self.inner.state.lock();
-        SchedulerSnapshot {
-            queued: s.queue.iter().copied().collect(),
-            running: (0..s.running.len()).filter(|&i| s.running[i]).collect(),
-            requeue: (0..s.requeue.len()).filter(|&i| s.requeue[i]).collect(),
-            backlogs: s.backlogs.iter().map(|b| b.load(Ordering::Acquire)).collect(),
-            max_imm_memtables: self.inner.policy.max_imm_memtables.max(1),
-            workers: self.inner.policy.workers.max(1),
-            shutdown: self.inner.shutdown.load(Ordering::Acquire),
-            pending_err: s.pending_err.as_ref().map(ToString::to_string),
-            sim_steps: None,
-        }
     }
 
     fn worker_loop(inner: &Arc<SchedInner>) {
@@ -484,31 +348,128 @@ impl Drop for MergeScheduler {
 
 impl SchedulerBackend for MergeScheduler {
     fn register(&self, target: Arc<dyn MaintainTarget>) -> usize {
-        MergeScheduler::register(self, target)
+        // Probe before taking the state lock (lock-order rule), so
+        // `wait_for_room` is honest from the moment of registration.
+        let backlog = target.backlog();
+        lockorder::assert_no_tree_lock("MergeScheduler::register");
+        let mut s = self.inner.state.lock();
+        let id = s.targets.len();
+        s.targets.push(target);
+        s.queued.push(false);
+        s.running.push(false);
+        s.requeue.push(false);
+        s.backlogs.push(Arc::new(AtomicUsize::new(backlog)));
+        id
     }
 
     fn notify(&self, shard: usize, backlog: usize) {
-        MergeScheduler::notify(self, shard, backlog);
+        lockorder::assert_no_tree_lock("MergeScheduler::notify");
+        let mut s = self.inner.state.lock();
+        s.backlogs[shard].store(backlog, Ordering::Release);
+        if !s.queued[shard] {
+            s.queued[shard] = true;
+            s.queue.push_back(shard);
+            self.inner.work_cv.notify_one();
+        }
     }
 
+    /// Emits one [`Event::Backpressure`] per stall. The shard's tree lock
+    /// is exactly what the draining worker needs, hence the caller rule.
     fn wait_for_room(&self, shard: usize) -> Result<()> {
-        MergeScheduler::wait_for_room(self, shard)
+        lockorder::assert_no_tree_lock("MergeScheduler::wait_for_room");
+        let max = self.inner.policy.max_imm_memtables.max(1);
+        let mut s = self.inner.state.lock();
+        let backlog = s.backlogs[shard].load(Ordering::Acquire);
+        if backlog < max {
+            return Ok(());
+        }
+        self.inner.sink.emit_with(|| Event::Backpressure { shard, backlog });
+        while s.backlogs[shard].load(Ordering::Acquire) >= max {
+            if self.inner.shutdown.load(Ordering::Acquire) {
+                return Err(LsmError::Shutdown(format!(
+                    "writer stalled at backlog {} on shard {shard} while the \
+                     merge scheduler shut down",
+                    s.backlogs[shard].load(Ordering::Acquire)
+                )));
+            }
+            s = self.inner.room_cv.wait(s);
+        }
+        Ok(())
     }
 
+    /// Quiescent means no queued jobs, no running jobs, nothing pending on
+    /// any tree. Foreground writers should be paused while draining, or
+    /// this may lawfully chase a moving target.
+    ///
+    /// A drain that makes no progress for the [`watchdog_timeout`] budget
+    /// panics with the job-queue dump (see [`set_watchdog_timeout_ms`]) —
+    /// the hung-rendezvous guardrail.
     fn drain(&self) -> Result<()> {
-        MergeScheduler::drain(self)
+        lockorder::assert_no_tree_lock("MergeScheduler::drain");
+        let mut waited = Duration::ZERO;
+        loop {
+            let targets: Vec<(usize, Arc<dyn MaintainTarget>)> = {
+                let s = self.inner.state.lock();
+                s.targets.iter().cloned().enumerate().collect()
+            };
+            // Probe trees outside the scheduler lock (lock-order rule).
+            let pending: Vec<usize> =
+                targets.iter().filter(|(_, t)| t.has_pending()).map(|(i, _)| *i).collect();
+            let mut s = self.inner.state.lock();
+            for &shard in &pending {
+                if !s.queued[shard] && !s.running[shard] {
+                    s.queued[shard] = true;
+                    s.queue.push_back(shard);
+                    self.inner.work_cv.notify_one();
+                }
+            }
+            let busy = !s.queue.is_empty() || s.running.iter().any(|&r| r);
+            if pending.is_empty() && !busy {
+                return match s.pending_err.take() {
+                    Some(e) => Err(e),
+                    None => Ok(()),
+                };
+            }
+            match watchdog_timeout() {
+                None => {
+                    let _s = self.inner.idle_cv.wait(s);
+                }
+                Some(budget) => {
+                    let slice = budget.min(Duration::from_millis(50)).max(Duration::from_millis(1));
+                    let (s, res) = self.inner.idle_cv.wait_timeout(s, slice);
+                    drop(s);
+                    waited = if res.timed_out() { waited + slice } else { Duration::ZERO };
+                    if waited >= budget {
+                        watchdog_fire("MergeScheduler::drain", self.snapshot().to_json());
+                    }
+                }
+            }
+        }
     }
 
     fn take_error(&self) -> Option<LsmError> {
-        MergeScheduler::take_error(self)
+        lockorder::assert_no_tree_lock("MergeScheduler::take_error");
+        self.inner.state.lock().pending_err.take()
+    }
+
+    fn snapshot(&self) -> SchedulerSnapshot {
+        lockorder::assert_no_tree_lock("MergeScheduler::snapshot");
+        let s = self.inner.state.lock();
+        SchedulerSnapshot {
+            queued: s.queue.iter().copied().collect(),
+            running: (0..s.running.len()).filter(|&i| s.running[i]).collect(),
+            requeue: (0..s.requeue.len()).filter(|&i| s.requeue[i]).collect(),
+            backlogs: s.backlogs.iter().map(|b| b.load(Ordering::Acquire)).collect(),
+            max_imm_memtables: self.inner.policy.max_imm_memtables.max(1),
+            workers: self.inner.policy.workers.max(1),
+            shutdown: self.inner.shutdown.load(Ordering::Acquire),
+            pending_err: s.pending_err.as_ref().map(ToString::to_string),
+            sim_steps: None,
+        }
     }
 
     fn max_imm_memtables(&self) -> usize {
         self.inner.policy.max_imm_memtables.max(1)
-    }
-
-    fn snapshot(&self) -> SchedulerSnapshot {
-        MergeScheduler::snapshot(self)
     }
 }
 

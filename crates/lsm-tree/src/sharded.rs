@@ -1,16 +1,22 @@
 //! Sharded concurrent front-end: N key-hash shards, each a full tree.
 //!
-//! [`crate::shared::SharedLsmTree`] gives the single-writer design safe
-//! concurrent access, but every modification still serializes on one write
-//! lock and every merge still walks one (tall) tree. This module scales the
-//! front-end the way the paper's availability argument suggests: since
-//! `ChooseBest` merges are short and bounded (Theorem 2), running N
-//! *independent* trees — each over its own device region, with its own
-//! write lock, WAL, and a 1/N slice of the cache budget — keeps every
-//! shard's write stalls bounded while writers to different shards never
-//! contend at all. Each shard also holds ~1/N of the keys, so it stabilises
-//! at a lower height (fewer levels ⇒ fewer merge hops per record), which
-//! reduces write amplification even on a single core.
+//! A single tree behind one reader-writer lock gives the paper's
+//! single-writer design safe concurrent access, but every modification
+//! serializes on that lock and every merge walks one (tall) tree. This
+//! module scales the front-end the way the paper's availability argument
+//! suggests: since `ChooseBest` merges are short and bounded (Theorem 2),
+//! running N *independent* trees — each over its own device region, with
+//! its own write lock, WAL, and a 1/N slice of the cache budget — keeps
+//! every shard's write stalls bounded while writers to different shards
+//! never contend at all. Each shard also holds ~1/N of the keys, so it
+//! stabilises at a lower height (fewer levels ⇒ fewer merge hops per
+//! record), which reduces write amplification even on a single core. With
+//! N = 1 this *is* the single-lock arrangement: concurrent readers,
+//! serialized writers.
+//!
+//! [`ShardedLsmTree`] only routes, fans out and constructs; everything a
+//! shard decides for itself — the write loop, the group-commit rendezvous,
+//! the maintenance step — lives in `shard.rs`.
 //!
 //! Keys are routed with a fixed splittable hash (SplitMix64 finalizer), so
 //! the key→shard map is deterministic across restarts — a WAL written by
@@ -26,19 +32,18 @@
 //! the `Event` type growing a shard field on every variant.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::sync::Arc;
 
 use bytes::Bytes;
-use observe::{Event, EventSink, Json, SinkHandle};
-use parking_lot::{Condvar, Mutex, RwLock};
-use sim_ssd::{BlockDevice, DeviceError};
+use observe::{Event, Json, SinkHandle};
+use sim_ssd::BlockDevice;
 
-use crate::config::{CommitMode, LsmConfig};
+use crate::api::WriteBatch;
+use crate::config::LsmConfig;
 use crate::error::Result;
-use crate::lockorder;
 use crate::record::{Key, Request};
-use crate::scheduler::{MaintainTarget, MergeScheduler, SchedulerBackend};
+use crate::scheduler::{MergeScheduler, SchedulerBackend};
+use crate::shard::{Shard, ShardTarget};
 use crate::stats::TreeStats;
 use crate::tree::{LsmTree, TreeOptions};
 use crate::wal::{WalFaultPlan, WriteAheadLog};
@@ -54,102 +59,11 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Forwards every event of one shard's tree to the user sink, and follows
-/// each [`Event::MergeFinish`] with a shard-tagged
-/// [`Event::ShardMergeFinish`].
-struct ShardTagSink {
-    shard: usize,
-    inner: Arc<dyn EventSink>,
-}
-
-impl EventSink for ShardTagSink {
-    fn emit(&self, event: &Event) {
-        self.inner.emit(event);
-        if let Event::MergeFinish { target_level, full, writes, .. } = *event {
-            self.inner.emit(&Event::ShardMergeFinish {
-                shard: self.shard,
-                target_level,
-                full,
-                writes,
-            });
-        }
-    }
-
-    fn span_begin(&self, op: &observe::SpanOp) -> Option<observe::SpanId> {
-        self.inner.span_begin(&op.with_shard(self.shard))
-    }
-
-    fn span_end(&self, id: observe::SpanId, op: &observe::SpanOp) {
-        self.inner.span_end(id, &op.with_shard(self.shard));
-    }
-
-    fn flush(&self) {
-        self.inner.flush();
-    }
-}
-
-/// One shard: an independent tree plus its (optional) write-ahead log.
-struct Shard {
-    tree: LsmTree,
-    wal: Option<WriteAheadLog>,
-}
-
-/// The scheduler's handle onto one shard. Holds a `Weak` on the shard
-/// vector so the scheduler never keeps the trees alive.
-struct ShardTarget {
-    shards: Weak<Vec<RwLock<Shard>>>,
-    idx: usize,
-}
-
-impl MaintainTarget for ShardTarget {
-    fn maintenance_step(&self) -> Result<bool> {
-        match self.shards.upgrade() {
-            Some(shards) => {
-                let mut guard = shards[self.idx].write();
-                let _tree_lock = lockorder::tree_lock_held();
-                guard.tree.maintenance_step()
-            }
-            None => Ok(false),
-        }
-    }
-
-    fn backlog(&self) -> usize {
-        self.shards.upgrade().map_or(0, |s| s[self.idx].read().tree.imm_count())
-    }
-
-    fn has_pending(&self) -> bool {
-        self.shards.upgrade().is_some_and(|s| s[self.idx].read().tree.maintenance_pending())
-    }
-}
-
-/// Leader/follower group-commit state of one shard (only consulted under
-/// [`CommitMode::Group`]). Writers append under the shard lock, release
-/// it, then rendezvous here: the first waiter becomes the leader and
-/// issues one fsync covering every append buffered so far; the rest ride
-/// along on the leader's fsync.
-struct GroupCommit {
-    state: Mutex<GroupState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct GroupState {
-    /// WAL byte offset known crash-durable.
-    synced_seq: u64,
-    /// A leader is currently fsyncing.
-    leader_running: bool,
-    /// A leader's fsync failed. The WAL underneath is poisoned (see
-    /// [`WriteAheadLog::sync`]), so every rendezvous participant whose
-    /// offset is not already durable must error — a follower may never be
-    /// acked on the strength of an fsync that failed. Cleared only by
-    /// recovery (a fresh handle), mirroring the WAL's own poison.
-    poisoned: bool,
-}
-
-impl GroupCommit {
-    fn new() -> Self {
-        GroupCommit { state: Mutex::new(GroupState::default()), cv: Condvar::new() }
-    }
+/// One fresh in-memory simulated SSD per shard.
+fn mem_devices(cfg: &LsmConfig, shards: usize, blocks: u64) -> Vec<Arc<dyn BlockDevice>> {
+    (0..shards)
+        .map(|_| Arc::new(sim_ssd::MemDevice::with_block_size(blocks, cfg.block_size)) as _)
+        .collect()
 }
 
 /// A thread-safe, sharded handle over N independent [`LsmTree`]s. Cloning
@@ -158,18 +72,19 @@ impl GroupCommit {
 /// With [`Scheduler::background`](crate::Scheduler::background) in the
 /// tree options the handle owns a [`MergeScheduler`]: writers seal full
 /// memtables and return, the worker pool runs flushes and merges, and
-/// writers stall only at the sealed-memtable backlog bound. With
-/// [`CommitMode::Group`] N concurrent writers to a WAL-backed shard share
-/// one fsync (see [`GroupCommit`] internals); with
-/// [`CommitMode::PerRequest`] every apply fsyncs before returning.
+/// writers stall only at the sealed-memtable backlog bound; with the
+/// default [`Scheduler::Inline`](crate::Scheduler::Inline) every shard
+/// behaves exactly like a bare [`LsmTree`] fed the same requests. With
+/// [`CommitMode::Group`](crate::CommitMode::Group) N concurrent writers to
+/// a WAL-backed shard share one fsync; with
+/// [`CommitMode::PerRequest`](crate::CommitMode::PerRequest) every apply
+/// fsyncs before returning.
 #[derive(Clone)]
 pub struct ShardedLsmTree {
     // Declared before `shards` so the last clone drops (and drains) the
     // scheduler while the shard trees are still alive.
     scheduler: Option<Arc<dyn SchedulerBackend>>,
-    shards: Arc<Vec<RwLock<Shard>>>,
-    group: Arc<Vec<GroupCommit>>,
-    commit: CommitMode,
+    shards: Arc<Vec<Shard>>,
     /// User sink: receives `ShardRouted` from the router (the per-shard
     /// trees report through their own tagging sinks).
     sink: SinkHandle,
@@ -186,7 +101,8 @@ impl ShardedLsmTree {
         shards: usize,
         device_blocks_per_shard: u64,
     ) -> Result<Self> {
-        Self::build(cfg, opts, shards, device_blocks_per_shard, None)
+        let devices = mem_devices(&cfg, shards, device_blocks_per_shard);
+        Self::with_backend(cfg, opts, devices, None, None)
     }
 
     /// Like [`ShardedLsmTree::with_mem_devices`], plus one write-ahead log
@@ -200,7 +116,8 @@ impl ShardedLsmTree {
         device_blocks_per_shard: u64,
         wal_dir: impl AsRef<Path>,
     ) -> Result<Self> {
-        Self::build(cfg, opts, shards, device_blocks_per_shard, Some(wal_dir.as_ref()))
+        let devices = mem_devices(&cfg, shards, device_blocks_per_shard);
+        Self::with_backend(cfg, opts, devices, Some(wal_dir.as_ref()), None)
     }
 
     /// Recover a WAL-backed sharded tree: fresh shards, then replay each
@@ -214,62 +131,16 @@ impl ShardedLsmTree {
         device_blocks_per_shard: u64,
         wal_dir: impl AsRef<Path>,
     ) -> Result<Self> {
-        let user_sink = opts.sink.clone();
-        let this = Self::build_trees(cfg, opts, shards, device_blocks_per_shard)?;
-        for (i, slot) in this.shards.iter().enumerate() {
-            let (wal, requests) =
-                WriteAheadLog::open_and_replay(Self::wal_path(wal_dir.as_ref(), i))?;
-            let replayed = requests.len() as u64;
-            let mut shard = slot.write();
-            // Span through the shard's tagging sink so replay work carries
-            // the shard index.
-            let span = shard.tree.sink().span(observe::SpanOp::recovery());
-            for req in requests {
-                shard.tree.apply(req)?;
-            }
-            drop(span);
-            shard.wal = Some(wal);
-            user_sink.emit_with(|| Event::Recovery { replayed });
+        let this = Self::with_mem_devices(cfg, opts, shards, device_blocks_per_shard)?;
+        for (i, shard) in this.shards.iter().enumerate() {
+            let replayed = shard.recover(&Self::wal_path(wal_dir.as_ref(), i))?;
+            this.sink.emit_with(|| Event::Recovery { replayed });
         }
         Ok(this)
     }
 
     pub(crate) fn wal_path(dir: &Path, shard: usize) -> PathBuf {
         dir.join(format!("shard-{shard}.wal"))
-    }
-
-    fn build(
-        cfg: LsmConfig,
-        opts: TreeOptions,
-        shards: usize,
-        device_blocks_per_shard: u64,
-        wal_dir: Option<&Path>,
-    ) -> Result<Self> {
-        let this = Self::build_trees(cfg, opts, shards, device_blocks_per_shard)?;
-        if let Some(dir) = wal_dir {
-            for (i, slot) in this.shards.iter().enumerate() {
-                slot.write().wal = Some(WriteAheadLog::create(Self::wal_path(dir, i))?);
-            }
-        }
-        Ok(this)
-    }
-
-    fn build_trees(
-        cfg: LsmConfig,
-        opts: TreeOptions,
-        shards: usize,
-        device_blocks_per_shard: u64,
-    ) -> Result<Self> {
-        assert!(shards >= 1, "need at least one shard");
-        let devices = (0..shards)
-            .map(|_| {
-                Arc::new(sim_ssd::MemDevice::with_block_size(
-                    device_blocks_per_shard,
-                    cfg.block_size,
-                )) as Arc<dyn BlockDevice>
-            })
-            .collect();
-        Self::with_devices(cfg, opts, devices)
     }
 
     /// Build one shard per entry of `devices` — the constructor to use when
@@ -295,53 +166,35 @@ impl ShardedLsmTree {
     /// exactly as a worker pool would (seal-and-return, backpressure at
     /// the bound) regardless of `opts.scheduler`.
     pub fn with_backend(
-        cfg: LsmConfig,
+        mut cfg: LsmConfig,
         opts: TreeOptions,
         devices: Vec<Arc<dyn BlockDevice>>,
         wal_dir: Option<&Path>,
         scheduler: Option<Arc<dyn SchedulerBackend>>,
     ) -> Result<Self> {
-        let shards = devices.len();
-        assert!(shards >= 1, "need at least one shard");
-        let user_sink = opts.sink.clone();
-        let mut shard_cfg = cfg;
-        shard_cfg.cache_blocks = (shard_cfg.cache_blocks / shards).max(1);
-        let mut vec = Vec::with_capacity(shards);
-        for (i, device) in devices.into_iter().enumerate() {
-            let mut shard_opts = opts.clone();
-            shard_opts.sink = match user_sink.as_arc() {
-                Some(inner) => SinkHandle::of(ShardTagSink { shard: i, inner }),
-                None => SinkHandle::none(),
-            };
-            let tree = LsmTree::new(shard_cfg.clone(), shard_opts, device)?;
-            let wal = match wal_dir {
-                Some(dir) => Some(WriteAheadLog::create(Self::wal_path(dir, i))?),
-                None => None,
-            };
-            vec.push(RwLock::new(Shard { tree, wal }));
-        }
-        let shards_arc = Arc::new(vec);
-        let scheduler: Option<Arc<dyn SchedulerBackend>> = scheduler.or_else(|| {
-            opts.scheduler.background_policy().map(|policy| {
-                Arc::new(MergeScheduler::new(policy, user_sink.clone()))
-                    as Arc<dyn SchedulerBackend>
+        assert!(!devices.is_empty(), "need at least one shard");
+        cfg.cache_blocks = (cfg.cache_blocks / devices.len()).max(1);
+        let shards = devices
+            .into_iter()
+            .enumerate()
+            .map(|(i, device)| {
+                let wal = wal_dir.map(|dir| Self::wal_path(dir, i));
+                Shard::new(i, cfg.clone(), opts.clone(), device, wal.as_deref())
             })
+            .collect::<Result<Vec<_>>>()?;
+        let shards = Arc::new(shards);
+        let scheduler = scheduler.or_else(|| {
+            let policy = opts.scheduler.background_policy()?;
+            Some(Arc::new(MergeScheduler::new(policy, opts.sink.clone())) as _)
         });
         if let Some(sched) = &scheduler {
-            for idx in 0..shards {
-                let id = sched
-                    .register(Arc::new(ShardTarget { shards: Arc::downgrade(&shards_arc), idx }));
+            for idx in 0..shards.len() {
+                let id =
+                    sched.register(Arc::new(ShardTarget { shards: Arc::downgrade(&shards), idx }));
                 debug_assert_eq!(id, idx, "scheduler ids follow shard order");
             }
         }
-        let group = Arc::new((0..shards).map(|_| GroupCommit::new()).collect::<Vec<_>>());
-        Ok(ShardedLsmTree {
-            scheduler,
-            shards: shards_arc,
-            group,
-            commit: opts.commit,
-            sink: user_sink,
-        })
+        Ok(ShardedLsmTree { scheduler, shards, sink: opts.sink })
     }
 
     /// Number of shards.
@@ -358,6 +211,13 @@ impl ShardedLsmTree {
         ((u128::from(h) * self.shards.len() as u128) >> 64) as usize
     }
 
+    /// [`ShardedLsmTree::shard_of`], announced on the user sink.
+    fn route(&self, key: Key) -> usize {
+        let idx = self.shard_of(key);
+        self.sink.emit_with(|| Event::ShardRouted { shard: idx });
+        idx
+    }
+
     /// Insert or update `key` (exclusive on its shard only).
     pub fn put(&self, key: Key, payload: impl Into<Bytes>) -> Result<()> {
         self.apply(Request::Put(key, payload.into()))
@@ -370,238 +230,67 @@ impl ShardedLsmTree {
 
     /// Apply a request to the shard that owns its key. If the shard is
     /// WAL-backed the request is logged before it is applied, with the
-    /// configured [`CommitMode`] deciding when the log bytes become
-    /// durable. In background-scheduler mode a full memtable is sealed and
-    /// handed to the worker pool instead of merged inline; the writer
-    /// stalls only when the sealed backlog hits the policy bound.
+    /// configured [`CommitMode`](crate::CommitMode) deciding when the log
+    /// bytes become durable. In background-scheduler mode a full memtable
+    /// is sealed and handed to the worker pool instead of merged inline;
+    /// the writer stalls only when the sealed backlog hits the policy
+    /// bound.
     pub fn apply(&self, req: Request) -> Result<()> {
-        let key = match &req {
-            Request::Put(k, _) => *k,
-            Request::Delete(k) => *k,
-        };
-        let idx = self.shard_of(key);
-        self.sink.emit_with(|| Event::ShardRouted { shard: idx });
-        self.apply_routed(idx, req, true)
+        let shard = &self.shards[self.route(req.key())];
+        shard.apply(req, self.scheduler.as_deref(), |durable_at| match durable_at {
+            Some(seq) => shard.group_wait(seq, &|| self.scheduler_section_json()),
+            None => Ok(()),
+        })
     }
 
-    /// The routed write path. `group_wait` is false for
-    /// [`WriteApi::write_batch`](crate::WriteApi), which defers the group
-    /// fsync to one rendezvous per batch, and for the concurrency-torture
-    /// harness, which acks group writes from its own seeded sync steps.
-    pub(crate) fn apply_routed(&self, idx: usize, req: Request, group_wait: bool) -> Result<()> {
-        /// What happened under the shard lock.
-        enum Applied {
-            Done {
-                group_seq: Option<u64>,
-                sealed_backlog: Option<usize>,
-            },
-            /// Backlog at the bound; wait (lock released) and retry.
-            Stall(usize),
-        }
-        // One put span covers the whole front-end write; its children
-        // (lock wait, WAL append, group-commit wait, backpressure stall,
-        // inline cascade) partition the latency, and uncovered time is the
-        // memtable insert itself.
-        let _put = self.sink.span(observe::SpanOp::put().with_shard(idx));
-        let mut req = Some(req);
-        loop {
-            let outcome = {
-                let mut guard = {
-                    let _lock_wait = self.sink.span(observe::SpanOp::lock_wait().with_shard(idx));
-                    self.shards[idx].write()
-                };
-                let _tree_lock = lockorder::tree_lock_held();
-                let shard = &mut *guard;
-                let stall = self.scheduler.as_ref().is_some_and(|s| {
-                    shard.tree.mem_at_capacity() && shard.tree.imm_count() >= s.max_imm_memtables()
-                });
-                if stall {
-                    Applied::Stall(shard.tree.imm_count())
-                } else {
-                    let r = req.take().expect("request applied exactly once");
-                    let mut group_seq = None;
-                    if let Some(wal) = shard.wal.as_mut() {
-                        let _span = shard.tree.sink().span(observe::SpanOp::wal_append());
-                        let bytes = wal.append(&r)? as u64;
-                        match self.commit {
-                            CommitMode::PerRequest => wal.sync()?,
-                            CommitMode::Group => group_seq = Some(wal.len_bytes()),
-                            CommitMode::Buffered => {}
-                        }
-                        // `synced` reports durable-by-return: group-commit
-                        // appends are fsynced before apply returns.
-                        let synced = self.commit != CommitMode::Buffered;
-                        self.sink.emit_with(|| Event::WalAppend { bytes, synced });
-                    }
-                    let mut sealed_backlog = None;
-                    if let Some(s) = &self.scheduler {
-                        shard.tree.apply_buffered(r)?;
-                        // Seal only while the immutable queue has room;
-                        // otherwise leave the memtable at capacity so the
-                        // next write stalls at the admission check above —
-                        // sealing past the bound would grow the backlog
-                        // without ever exerting backpressure.
-                        if shard.tree.mem_at_capacity()
-                            && shard.tree.imm_count() < s.max_imm_memtables()
-                        {
-                            shard.tree.seal_memtable();
-                            sealed_backlog = Some(shard.tree.imm_count());
-                        }
-                    } else {
-                        // The put span is already open here; the tree's own
-                        // wrapper would nest a second one.
-                        shard.tree.apply_unspanned(r)?;
-                    }
-                    Applied::Done { group_seq, sealed_backlog }
-                }
-            };
-            // Everything below runs with the shard lock released — the
-            // scheduler lock-order rule, and fsync-wait off the lock.
-            match outcome {
-                Applied::Done { group_seq, sealed_backlog } => {
-                    if let (Some(sched), Some(backlog)) = (&self.scheduler, sealed_backlog) {
-                        sched.notify(idx, backlog);
-                    }
-                    if let (Some(seq), true) = (group_seq, group_wait) {
-                        self.group_commit_wait(idx, seq)?;
-                    }
-                    return Ok(());
-                }
-                Applied::Stall(backlog) => {
-                    let sched =
-                        self.scheduler.as_ref().expect("stall only occurs in background mode");
-                    sched.notify(idx, backlog);
-                    let _stall =
-                        self.sink.span(observe::SpanOp::backpressure_wait().with_shard(idx));
-                    sched.wait_for_room(idx)?;
-                }
-            }
-        }
+    /// Apply `req` on shard `idx` and return without waiting for its group
+    /// commit: the WAL offset that must be durable before the request may
+    /// be acked (`Some` only under [`CommitMode::Group`](crate::CommitMode))
+    /// goes back to the caller — [`ShardedLsmTree::write_batch`], which
+    /// waits once per batch, and the concurrency-torture harness, which
+    /// acks from its own seeded sync steps.
+    pub(crate) fn apply_unacked(&self, idx: usize, req: Request) -> Result<Option<u64>> {
+        self.shards[idx].apply(req, self.scheduler.as_deref(), Ok)
     }
 
-    /// Wait until WAL offset `my_seq` of `idx` is fsynced: become the
-    /// leader (one fsync covers every append buffered so far) or ride on
-    /// the current leader's fsync. Never called with the shard lock held.
-    ///
-    /// Failure contract: when a leader's fsync fails, *every* participant
-    /// whose offset is not already durable errors out — the leader with
-    /// the fsync error itself, followers with [`DeviceError::Poisoned`].
-    /// The WAL poisons itself on the failed fsync (see
-    /// [`WriteAheadLog::sync`]), so a follower retrying leadership would
-    /// only dress the same failure up as success-after-the-fact; instead
-    /// the rendezvous stays poisoned until recovery builds a fresh handle.
-    fn group_commit_wait(&self, idx: usize, my_seq: u64) -> Result<()> {
-        lockorder::assert_no_tree_lock("ShardedLsmTree::group_commit_wait");
-        // Covers the whole rendezvous — follower waits and the leader's
-        // fsync alike. A child of the put span under `apply`; a root span
-        // for `write_batch`'s one-rendezvous-per-batch calls.
-        let _wait = self.sink.span(observe::SpanOp::group_commit_wait().with_shard(idx));
-        let gc = &self.group[idx];
-        let mut waited = Duration::ZERO;
-        let mut s = gc.state.lock();
-        loop {
-            if s.synced_seq >= my_seq {
-                return Ok(());
-            }
-            if s.poisoned {
-                return Err(DeviceError::Poisoned.into());
-            }
-            if s.leader_running {
-                // A follower stuck here past the watchdog budget means the
-                // rendezvous hung: panic with the scheduler state rather
-                // than wait forever (see `scheduler::set_watchdog_timeout_ms`).
-                match crate::scheduler::watchdog_timeout() {
-                    None => s = gc.cv.wait(s),
-                    Some(budget) => {
-                        let slice =
-                            budget.min(Duration::from_millis(50)).max(Duration::from_millis(1));
-                        let (guard, res) = gc.cv.wait_timeout(s, slice);
-                        s = guard;
-                        waited = if res.timed_out() { waited + slice } else { Duration::ZERO };
-                        if waited >= budget {
-                            drop(s);
-                            crate::scheduler::watchdog_fire(
-                                "group-commit rendezvous",
-                                self.scheduler_section_json(),
-                            );
-                        }
-                    }
-                }
-                continue;
-            }
-            s.leader_running = true;
-            drop(s);
-            let res = {
-                let mut guard = self.shards[idx].write();
-                let _tree_lock = lockorder::tree_lock_held();
-                match guard.wal.as_mut() {
-                    Some(wal) => wal.sync().map(|()| wal.synced_len()),
-                    // WAL vanished (no-WAL build): nothing to make durable.
-                    None => Ok(u64::MAX),
-                }
-            };
-            s = gc.state.lock();
-            s.leader_running = false;
-            match res {
-                Ok(synced) => {
-                    s.synced_seq = s.synced_seq.max(synced);
-                    gc.cv.notify_all();
-                }
-                Err(e) => {
-                    // Poison the rendezvous so every waiting (and future)
-                    // follower errors instead of retrying leadership
-                    // against a WAL that just poisoned itself.
-                    s.poisoned = true;
-                    gc.cv.notify_all();
-                    return Err(e);
-                }
+    /// Apply the batch in order; under
+    /// [`CommitMode::Group`](crate::CommitMode::Group) the whole batch
+    /// commits with one group-commit rendezvous per touched shard — on the
+    /// offset its own last append to that shard returned — instead of one
+    /// per request. `&self` so concurrent writer threads can batch without
+    /// exclusive access.
+    pub fn write_batch(&self, batch: WriteBatch) -> Result<()> {
+        let mut commit_at: Vec<Option<u64>> = vec![None; self.shards.len()];
+        for req in batch {
+            let idx = self.route(req.key());
+            if let Some(seq) = self.apply_unacked(idx, req)? {
+                commit_at[idx] = Some(seq);
             }
         }
+        for (shard, seq) in self.shards.iter().zip(commit_at) {
+            if let Some(seq) = seq {
+                shard.group_wait(seq, &|| self.scheduler_section_json())?;
+            }
+        }
+        Ok(())
     }
 
     /// One seeded group-sync step for the concurrency-torture harness:
     /// unconditionally act as the group-commit leader for `idx` — fsync
     /// the WAL, publish the new durable offset, wake any followers — and
     /// return the offset now known durable. An fsync failure poisons the
-    /// rendezvous exactly like a leader failure in
-    /// [`ShardedLsmTree::group_commit_wait`].
+    /// rendezvous exactly like a leader failure inside
+    /// [`ShardedLsmTree::apply`] (it is the same code).
     pub fn group_sync_step(&self, idx: usize) -> Result<u64> {
-        let gc = &self.group[idx];
-        {
-            let s = gc.state.lock();
-            if s.poisoned {
-                return Err(DeviceError::Poisoned.into());
-            }
-        }
-        let res = {
-            let mut guard = self.shards[idx].write();
-            let _tree_lock = lockorder::tree_lock_held();
-            match guard.wal.as_mut() {
-                Some(wal) => wal.sync().map(|()| wal.synced_len()),
-                None => Ok(u64::MAX),
-            }
-        };
-        let mut s = gc.state.lock();
-        match res {
-            Ok(synced) => {
-                s.synced_seq = s.synced_seq.max(synced);
-                gc.cv.notify_all();
-                Ok(synced)
-            }
-            Err(e) => {
-                s.poisoned = true;
-                gc.cv.notify_all();
-                Err(e)
-            }
-        }
+        self.shards[idx].group_sync_step()
     }
 
     /// Point lookup (shared on its shard; concurrent with everything on
-    /// other shards). Counted in [`TreeStats`] like [`LsmTree::get`].
+    /// other shards). Counted in [`TreeStats`] like [`LsmTree::get`]: the
+    /// read-path counters are relaxed atomics, so concurrent gets under
+    /// the read lock are all accounted.
     pub fn get(&self, key: Key) -> Result<Option<Bytes>> {
-        let idx = self.shard_of(key);
-        self.sink.emit_with(|| Event::ShardRouted { shard: idx });
-        self.shards[idx].read().tree.get(key)
+        self.shards[self.route(key)].read().tree.get(key)
     }
 
     /// Point lookup without touching [`TreeStats`] — the no-stats path,
@@ -615,15 +304,14 @@ impl ShardedLsmTree {
     /// fans out: each shard's ordered scan is collected under its read
     /// lock, then the (disjoint) results are merged into one ordered run.
     ///
-    /// Shards are visited one after another, so the result is not an
-    /// atomic snapshot across shards — same contract as interleaved
-    /// readers on [`crate::shared::SharedLsmTree`], per shard.
+    /// Shards are visited one after another, so the result is an atomic
+    /// snapshot per shard, not across shards.
     pub fn scan_collect(&self, lo: Key, hi: Key) -> Result<Vec<(Key, Bytes)>> {
         let mut runs: Vec<Vec<(Key, Bytes)>> = Vec::with_capacity(self.shards.len());
-        for slot in self.shards.iter() {
-            let shard = slot.read();
-            let _span = shard.tree.sink().span(observe::SpanOp::scan());
-            runs.push(shard.tree.scan(lo, hi).collect::<Result<_>>()?);
+        for shard in self.shards.iter() {
+            let state = shard.read();
+            let _span = state.tree.sink().span(observe::SpanOp::scan());
+            runs.push(state.tree.scan(lo, hi).collect::<Result<_>>()?);
         }
         Ok(merge_ordered(runs))
     }
@@ -631,8 +319,8 @@ impl ShardedLsmTree {
     /// Aggregated counters: every shard's [`TreeStats`] absorbed into one.
     pub fn stats(&self) -> TreeStats {
         let mut total = TreeStats::default();
-        for slot in self.shards.iter() {
-            total.absorb(slot.read().tree.stats());
+        for shard in self.shards.iter() {
+            total.absorb(shard.read().tree.stats());
         }
         total
     }
@@ -654,50 +342,35 @@ impl ShardedLsmTree {
 
     /// Fsync every shard's WAL (no-op for shards without one).
     pub fn sync_wals(&self) -> Result<()> {
-        for slot in self.shards.iter() {
-            if let Some(wal) = slot.write().wal.as_mut() {
-                wal.sync()?;
-            }
-        }
-        Ok(())
+        self.shards.iter().try_for_each(Shard::sync_wal)
     }
 
     /// Total fsyncs issued across every shard's WAL — the group-commit
     /// economy metric (N writers sharing a leader's fsync count once).
     pub fn wal_fsyncs(&self) -> u64 {
-        self.shards.iter().map(|s| s.read().wal.as_ref().map_or(0, WriteAheadLog::syncs)).sum()
+        self.shards.iter().filter_map(|s| s.wal(WriteAheadLog::syncs)).sum()
     }
 
-    /// Appended WAL length per shard, in bytes (0 without a WAL). In
-    /// group-commit mode this is the offset a just-applied request must
-    /// see durable before it may be acked.
+    /// Appended WAL length per shard, in bytes (0 without a WAL).
     pub fn wal_lens(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.read().wal.as_ref().map_or(0, WriteAheadLog::len_bytes))
-            .collect()
+        self.shards.iter().map(|s| s.wal(WriteAheadLog::len_bytes).unwrap_or(0)).collect()
     }
 
     /// Crash-durable WAL length per shard, in bytes (0 without a WAL).
     pub fn wal_synced_lens(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.read().wal.as_ref().map_or(0, WriteAheadLog::synced_len))
-            .collect()
+        self.shards.iter().map(|s| s.wal(WriteAheadLog::synced_len).unwrap_or(0)).collect()
     }
 
     /// Whether `shard`'s WAL is poisoned by a failed fsync (always false
     /// without a WAL).
     pub fn wal_poisoned(&self, shard: usize) -> bool {
-        self.shards[shard].read().wal.as_ref().is_some_and(WriteAheadLog::is_poisoned)
+        self.shards[shard].wal(WriteAheadLog::is_poisoned).unwrap_or(false)
     }
 
     /// Arm deterministic fsync-fault injection on `shard`'s WAL (no-op
     /// without a WAL). See [`WalFaultPlan`].
     pub fn set_wal_fault_plan(&self, shard: usize, plan: WalFaultPlan, seed: u64) {
-        if let Some(wal) = self.shards[shard].write().wal.as_mut() {
-            wal.set_fault_plan(plan, seed);
-        }
+        self.shards[shard].set_wal_fault_plan(plan, seed);
     }
 
     /// The post-mortem `scheduler` section: the backend's job-queue
@@ -709,21 +382,7 @@ impl ShardedLsmTree {
             Some(Json::Obj(pairs)) => pairs,
             _ => vec![("backend".to_string(), Json::from("inline"))],
         };
-        let rendezvous = Json::arr(self.group.iter().enumerate().map(|(i, gc)| {
-            let (appended, synced) = {
-                let shard = self.shards[i].read();
-                shard.wal.as_ref().map_or((0, 0), |w| (w.len_bytes(), w.synced_len()))
-            };
-            let s = gc.state.lock();
-            Json::obj([
-                ("shard", Json::from(i)),
-                ("synced_seq", Json::from(s.synced_seq)),
-                ("leader_running", Json::from(s.leader_running)),
-                ("poisoned", Json::from(s.poisoned)),
-                ("wal_appended", Json::from(appended)),
-                ("wal_synced", Json::from(synced)),
-            ])
-        }));
+        let rendezvous = Json::arr(self.shards.iter().map(Shard::rendezvous_json));
         pairs.push(("rendezvous".to_string(), rendezvous));
         Json::Obj(pairs)
     }
@@ -736,8 +395,8 @@ impl ShardedLsmTree {
         match &self.scheduler {
             Some(s) => s.drain()?,
             None => {
-                for slot in self.shards.iter() {
-                    slot.write().tree.drain_maintenance()?;
+                for shard in self.shards.iter() {
+                    while shard.maintain()? {}
                 }
             }
         }
@@ -753,38 +412,9 @@ impl ShardedLsmTree {
     /// ([`crate::verify::check_tree`]); `deep` additionally re-reads every
     /// block. Errors are tagged with the failing shard.
     pub fn deep_verify(&self, deep: bool) -> std::result::Result<(), String> {
-        for (i, slot) in self.shards.iter().enumerate() {
-            let shard = slot.read();
-            crate::verify::check_tree(&shard.tree, deep).map_err(|e| format!("shard {i}: {e}"))?;
-        }
-        Ok(())
-    }
-}
-
-impl ShardedLsmTree {
-    /// Apply the batch in order; under [`CommitMode::Group`] the whole
-    /// batch commits with one group-commit rendezvous per touched shard
-    /// instead of one per request. `&self` so concurrent writer threads
-    /// can batch without exclusive access.
-    pub fn write_batch(&self, batch: crate::api::WriteBatch) -> Result<()> {
-        let mut last_seq: Vec<Option<u64>> = vec![None; self.shards.len()];
-        for req in batch {
-            let key = match &req {
-                Request::Put(k, _) => *k,
-                Request::Delete(k) => *k,
-            };
-            let idx = self.shard_of(key);
-            self.sink.emit_with(|| Event::ShardRouted { shard: idx });
-            self.apply_routed(idx, req, false)?;
-            if self.commit == CommitMode::Group {
-                last_seq[idx] =
-                    Some(self.shards[idx].read().wal.as_ref().map_or(0, |w| w.len_bytes()));
-            }
-        }
-        for (idx, seq) in last_seq.into_iter().enumerate() {
-            if let Some(seq) = seq {
-                self.group_commit_wait(idx, seq)?;
-            }
+        for (i, shard) in self.shards.iter().enumerate() {
+            crate::verify::check_tree(&shard.read().tree, deep)
+                .map_err(|e| format!("shard {i}: {e}"))?;
         }
         Ok(())
     }
@@ -799,7 +429,7 @@ impl crate::api::WriteApi for ShardedLsmTree {
         ShardedLsmTree::flush(self)
     }
 
-    fn write_batch(&mut self, batch: crate::api::WriteBatch) -> Result<()> {
+    fn write_batch(&mut self, batch: WriteBatch) -> Result<()> {
         ShardedLsmTree::write_batch(self, batch)
     }
 }
@@ -838,8 +468,11 @@ fn merge_ordered(mut runs: Vec<Vec<(Key, Bytes)>>) -> Vec<(Key, Bytes)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CommitMode;
+    use crate::error::LsmError;
     use crate::policy::PolicySpec;
     use observe::CountingSink;
+    use sim_ssd::DeviceError;
 
     fn small_cfg() -> LsmConfig {
         LsmConfig {
@@ -912,92 +545,122 @@ mod tests {
 
     #[test]
     fn equivalent_to_independent_trees_on_the_same_routing() {
-        // A sharded tree must behave exactly like N independent trees fed
-        // the same routed requests: same per-shard stats, same contents.
-        let n = 4;
-        let t = sharded(n);
-        let mut solo: Vec<LsmTree> = (0..n)
-            .map(|_| {
-                let mut cfg = small_cfg();
-                cfg.cache_blocks = (cfg.cache_blocks / n).max(1);
-                LsmTree::with_mem_device(
-                    cfg,
-                    TreeOptions::builder().policy(PolicySpec::ChooseBest).build(),
-                    1 << 16,
-                )
-                .unwrap()
-            })
-            .collect();
-        let mut x = 0xdead_beefu64;
-        for _ in 0..4_000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let k = (x >> 16) % 1_500;
-            let req = if x.is_multiple_of(5) {
-                Request::Delete(k)
-            } else {
-                Request::Put(k, Bytes::from(vec![(k % 251) as u8; 4]))
-            };
-            solo[t.shard_of(k)].apply(req.clone()).unwrap();
-            t.apply(req).unwrap();
-        }
-        for (i, solo_tree) in solo.iter().enumerate() {
-            let shard_stats = t.with_shard_read(i, |tree| tree.stats().clone());
-            assert_eq!(&shard_stats, solo_tree.stats(), "shard {i} stats diverged");
-            assert_eq!(
-                t.with_shard_read(i, LsmTree::record_count),
-                solo_tree.record_count(),
-                "shard {i} contents diverged"
-            );
+        // A sharded tree under `Scheduler::Inline` must behave exactly like
+        // N independent trees fed the same routed requests — same per-shard
+        // stats, same device traffic, same contents — down to N = 1, where
+        // the whole front-end is one bare `LsmTree` behind a lock.
+        for n in [1, 4] {
+            let t = sharded(n);
+            let mut solo: Vec<LsmTree> = (0..n)
+                .map(|_| {
+                    let mut cfg = small_cfg();
+                    cfg.cache_blocks = (cfg.cache_blocks / n).max(1);
+                    LsmTree::with_mem_device(
+                        cfg,
+                        TreeOptions::builder().policy(PolicySpec::ChooseBest).build(),
+                        1 << 16,
+                    )
+                    .unwrap()
+                })
+                .collect();
+            let mut x = 0xdead_beefu64;
+            for _ in 0..4_000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let k = (x >> 16) % 1_500;
+                let req = if x.is_multiple_of(5) {
+                    Request::Delete(k)
+                } else {
+                    Request::Put(k, Bytes::from(vec![(k % 251) as u8; 4]))
+                };
+                solo[t.shard_of(k)].apply(req.clone()).unwrap();
+                t.apply(req).unwrap();
+            }
+            t.flush().unwrap(); // a no-op inline: nothing may be left pending
+            for (i, solo_tree) in solo.iter().enumerate() {
+                t.with_shard_read(i, |tree| {
+                    assert_eq!(tree.stats(), solo_tree.stats(), "{n} shards: shard {i} stats");
+                    assert_eq!(
+                        tree.store().io_snapshot(),
+                        solo_tree.store().io_snapshot(),
+                        "{n} shards: shard {i} device counts"
+                    );
+                    let scan =
+                        |t: &LsmTree| t.scan(0, u64::MAX).collect::<Result<Vec<_>>>().unwrap();
+                    assert_eq!(scan(tree), scan(solo_tree), "{n} shards: shard {i} contents");
+                });
+            }
         }
     }
 
     #[test]
-    fn concurrent_writers_and_readers_across_shards() {
-        let t = sharded(4);
-        // Stable prefix every reader can verify throughout.
-        for k in 0..2_000u64 {
-            t.put(k, vec![(k % 251) as u8; 4]).unwrap();
-        }
-        let readers_ok = std::sync::atomic::AtomicBool::new(true);
-        std::thread::scope(|s| {
-            // 4 writers over disjoint key ranges (which hash across all
-            // shards — disjointness is about keys, not shards).
-            for w in 0..4u64 {
-                let t = &t;
-                s.spawn(move || {
-                    let base = 1_000_000 * (w + 1);
-                    for i in 0..4_000u64 {
-                        t.put(base + (i * 13 % 3_000), vec![(w % 251) as u8; 4]).unwrap();
-                        if i % 4 == 0 {
-                            t.delete(base + (i * 7 % 3_000)).unwrap();
-                        }
-                    }
-                });
+    fn one_shard_is_the_shared_access_wrapper() {
+        // Concurrent readers / serialized writers over one tree: `peek` is
+        // the no-stats path and clones share the index.
+        let a = sharded(1);
+        let b = a.clone();
+        a.put(1, vec![1u8; 4]).unwrap();
+        a.put(2, vec![2u8; 4]).unwrap();
+        a.delete(1).unwrap();
+        assert_eq!(b.get(1).unwrap(), None);
+        assert_eq!(b.get(2).unwrap().as_deref(), Some(&[2u8; 4][..]));
+        assert_eq!(b.stats().lookups(), 2, "gets under the read lock are counted");
+        assert_eq!(b.peek(2).unwrap().as_deref(), Some(&[2u8; 4][..]));
+        assert_eq!(a.stats().lookups(), 2, "peek is the no-stats path");
+        assert_eq!(b.stats().puts, 2, "clones share the index");
+        assert_eq!(b.scan_collect(0, 10).unwrap().len(), 1);
+        assert_eq!((b.height(), b.shard_count()), (2, 1));
+    }
+
+    #[test]
+    fn concurrent_writers_and_readers_on_one_lock_and_across_shards() {
+        // One shard: every reader shares its lock with every writer.
+        for shards in [1, 4] {
+            let t = sharded(shards);
+            // Stable prefix every reader can verify throughout.
+            for k in 0..2_000u64 {
+                t.put(k, vec![(k % 251) as u8; 4]).unwrap();
             }
-            // 2 readers verifying the stable prefix.
-            for r in 0..2u64 {
-                let readers_ok = &readers_ok;
-                let t = &t;
-                s.spawn(move || {
-                    for i in 0..4_000u64 {
-                        let k = (i * (r + 3)) % 2_000;
-                        match t.get(k) {
-                            Ok(Some(v)) if v[..] == [(k % 251) as u8; 4][..] => {}
-                            other => {
-                                eprintln!("reader saw {other:?} for key {k}");
-                                readers_ok.store(false, std::sync::atomic::Ordering::Relaxed);
-                                return;
+            let readers_ok = std::sync::atomic::AtomicBool::new(true);
+            std::thread::scope(|s| {
+                // 4 writers over disjoint key ranges (which hash across all
+                // shards — disjointness is about keys, not shards).
+                for w in 0..4u64 {
+                    let t = &t;
+                    s.spawn(move || {
+                        let base = 1_000_000 * (w + 1);
+                        for i in 0..4_000u64 {
+                            t.put(base + (i * 13 % 3_000), vec![(w % 251) as u8; 4]).unwrap();
+                            if i % 4 == 0 {
+                                t.delete(base + (i * 7 % 3_000)).unwrap();
                             }
                         }
-                    }
-                });
-            }
-        });
-        assert!(readers_ok.load(std::sync::atomic::Ordering::Relaxed));
-        // Every concurrent lookup was counted (2 readers × 4000).
-        assert_eq!(t.stats().lookups(), 8_000);
-        // Every shard structurally sound, blocks re-read and re-checked.
-        t.deep_verify(true).unwrap();
+                    });
+                }
+                // 2 readers verifying the stable prefix.
+                for r in 0..2u64 {
+                    let readers_ok = &readers_ok;
+                    let t = &t;
+                    s.spawn(move || {
+                        for i in 0..4_000u64 {
+                            let k = (i * (r + 3)) % 2_000;
+                            match t.get(k) {
+                                Ok(Some(v)) if v[..] == [(k % 251) as u8; 4][..] => {}
+                                other => {
+                                    eprintln!("reader saw {other:?} for key {k}");
+                                    readers_ok.store(false, std::sync::atomic::Ordering::Relaxed);
+                                    return;
+                                }
+                            }
+                        }
+                    });
+                }
+            });
+            assert!(readers_ok.load(std::sync::atomic::Ordering::Relaxed));
+            // Every concurrent lookup was counted (2 readers × 4000).
+            assert_eq!(t.stats().lookups(), 8_000);
+            // Every shard structurally sound, blocks re-read and re-checked.
+            t.deep_verify(true).unwrap();
+        }
     }
 
     #[test]
@@ -1057,6 +720,64 @@ mod tests {
         }
         t.deep_verify(true).unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn wal_tree(tag: &str, commit: CommitMode) -> (ShardedLsmTree, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("lsm-sharded-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = TreeOptions::builder().group_commit(commit).build();
+        (ShardedLsmTree::with_wal_dir(small_cfg(), opts, 1, 1 << 16, &dir).unwrap(), dir)
+    }
+
+    #[test]
+    fn refused_put_never_reaches_the_log() {
+        // Regression: the request was appended to the WAL before the tree
+        // checked its size, so a put refused to the caller stayed in the
+        // log and replay aborted recovery on it — losing every acked write
+        // after it.
+        let (t, dir) = wal_tree("refused", CommitMode::PerRequest);
+        t.put(1, vec![1u8; 4]).unwrap();
+        let logged = t.wal_lens();
+        let err = t.put(2, vec![0u8; 4096]).unwrap_err();
+        assert!(matches!(err, LsmError::RecordTooLarge { .. }), "{err}");
+        assert_eq!(t.wal_lens(), logged, "a refused request must not grow the log");
+        t.put(3, vec![3u8; 4]).unwrap();
+        std::mem::forget(t); // crash
+        let r =
+            ShardedLsmTree::recover_with_wal(small_cfg(), TreeOptions::default(), 1, 1 << 16, &dir)
+                .expect("recovery must not trip over the refused put");
+        assert_eq!(r.get(1).unwrap().as_deref(), Some(&[1u8; 4][..]));
+        assert_eq!(r.get(2).unwrap(), None);
+        assert_eq!(r.get(3).unwrap().as_deref(), Some(&[3u8; 4][..]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn leader_and_sync_step_poison_identically() {
+        // One leader section behind both entry points: whichever hits the
+        // injected fsync fault gets the fault itself, poisons WAL and
+        // rendezvous, and leaves both entry points refusing with Poisoned.
+        for via_step in [false, true] {
+            let (t, dir) = wal_tree("poison", CommitMode::Group);
+            t.set_wal_fault_plan(0, WalFaultPlan::none().fail_sync_at(0), 7);
+            let err = if via_step {
+                assert_eq!(t.apply_unacked(0, Request::Delete(1)).unwrap(), Some(17));
+                t.group_sync_step(0).map(|_| ()).unwrap_err()
+            } else {
+                t.put(1, vec![1u8; 4]).unwrap_err()
+            };
+            let is = |e: &LsmError, want: fn(&DeviceError) -> bool| matches!(e, LsmError::Device(d) if want(d));
+            assert!(is(&err, |d| matches!(d, DeviceError::Injected { .. })), "{via_step}: {err}");
+            assert!(t.wal_poisoned(0), "{via_step}: WAL not poisoned");
+            let section = t.scheduler_section_json().render();
+            assert!(section.contains("\"poisoned\":true"), "{via_step}: {section}");
+            assert!(section.contains("\"leader_running\":false"), "{via_step}: {section}");
+            let poisoned = |d: &DeviceError| matches!(d, DeviceError::Poisoned);
+            assert!(is(&t.put(2, vec![2u8; 4]).unwrap_err(), poisoned), "{via_step}: put");
+            assert!(is(&t.group_sync_step(0).unwrap_err(), poisoned), "{via_step}: step");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! Write-path counters (puts, deletes, per-level merge costs) are plain
 //! integers mutated under `&mut self` — the tree has a single writer.
 //! Read-path counters (lookups, per-lookup probe costs) are relaxed
-//! atomics so *concurrent* readers holding only `&LsmTree` (e.g. through
-//! [`crate::shared::SharedLsmTree`] or a shard of
-//! [`crate::sharded::ShardedLsmTree`]) are still counted instead of being
-//! silently dropped.
+//! atomics so *concurrent* readers holding only `&LsmTree` (e.g. through a
+//! shard of [`crate::sharded::ShardedLsmTree`]) are still counted instead
+//! of being silently dropped.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

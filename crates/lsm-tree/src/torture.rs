@@ -781,19 +781,17 @@ pub fn run_concurrent_crash_cycle(
             let idx = tree.shard_of(key);
             let req = to_request(&(key, value.clone()));
             issued += 1;
-            match tree.apply_routed(idx, req, false) {
-                Ok(()) => {
-                    let status = if !group_commit || cfg.inject_ack_bug {
-                        // PerRequest fsyncs inline before returning; the
-                        // injected bug acks group writes here, unsynced.
-                        AckStatus::Acked
-                    } else {
-                        AckStatus::Pending
-                    };
+            match tree.apply_unacked(idx, req) {
+                Ok(durable_at) => {
+                    // PerRequest fsyncs inline before returning (nothing to
+                    // wait for); the injected bug acks group writes here,
+                    // unsynced.
+                    let pending = durable_at.filter(|_| !cfg.inject_ack_bug);
+                    let status =
+                        if pending.is_some() { AckStatus::Pending } else { AckStatus::Acked };
                     let rec =
                         histories[idx].append(HistoryRecord { writer: w, key, value, status });
-                    if group_commit && !cfg.inject_ack_bug {
-                        let seq = tree.wal_lens()[idx];
+                    if let Some(seq) = pending {
                         pending_group[idx].push((rec, seq));
                     }
                 }

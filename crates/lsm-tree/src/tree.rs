@@ -63,7 +63,7 @@ pub struct TreeOptions {
     /// How flush/merge maintenance runs: inline on the triggering request
     /// (the default — deterministic, byte-identical to the historical
     /// behaviour) or on a background worker pool owned by the concurrent
-    /// front-ends. See [`Scheduler`].
+    /// front-end. See [`Scheduler`].
     pub scheduler: Scheduler,
     /// WAL commit discipline for WAL-backed front-ends. See [`CommitMode`].
     pub commit: CommitMode,
@@ -152,7 +152,7 @@ impl TreeOptionsBuilder {
 
     /// Choose how flush/merge maintenance runs (default:
     /// [`Scheduler::Inline`]). [`Scheduler::background`] moves merges onto
-    /// the worker pool of the concurrent front-ends.
+    /// the worker pool of the concurrent front-end.
     pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
         self.opts.scheduler = scheduler;
         self
@@ -219,7 +219,6 @@ pub struct LsmTree {
     stats: TreeStats,
     sink: SinkHandle,
     ledger: Option<Arc<DecisionLedger>>,
-    scheduler: Scheduler,
     commit: CommitMode,
 }
 
@@ -254,7 +253,6 @@ impl LsmTree {
             stats: TreeStats::default(),
             sink: opts.sink,
             ledger: opts.ledger,
-            scheduler: opts.scheduler,
             commit: opts.commit,
         })
     }
@@ -294,7 +292,6 @@ impl LsmTree {
             stats: TreeStats::default(),
             sink: opts.sink,
             ledger: opts.ledger,
-            scheduler: opts.scheduler,
             commit: opts.commit,
         }
     }
@@ -325,34 +322,21 @@ impl LsmTree {
     /// front-end latency into memtable-insert time plus cascade time.
     pub fn apply(&mut self, req: Request) -> Result<()> {
         let _span = self.sink.span(SpanOp::put());
-        self.apply_unspanned(req)
-    }
-
-    /// [`LsmTree::apply`] without the enclosing put span — for front-ends
-    /// (the shared and sharded wrappers) that already opened one covering
-    /// their lock wait and WAL work, so the tree must not nest a second.
-    pub(crate) fn apply_unspanned(&mut self, req: Request) -> Result<()> {
-        self.note_request(&req)?;
-        self.mem.apply(req);
+        self.apply_buffered(req)?;
         self.run_cascade()
     }
 
-    /// Validate and count one request (shared by the inline and buffered
-    /// write paths).
-    fn note_request(&mut self, req: &Request) -> Result<()> {
-        match req {
-            Request::Put(_, payload) => {
-                let record_bytes = 13 + payload.len();
-                let room = self.cfg.block_size - BLOCK_HEADER_LEN;
-                if record_bytes > room {
-                    return Err(LsmError::RecordTooLarge {
-                        record_bytes,
-                        block_payload_bytes: room,
-                    });
-                }
-                self.stats.puts += 1;
+    /// Whether the tree would accept `req` (a put's record must fit one
+    /// block). WAL-backed front-ends ask *before* logging: a refused
+    /// request that reached the log would be refused again by replay and
+    /// abort recovery, losing every acknowledged write after it.
+    pub(crate) fn check_request(&self, req: &Request) -> Result<()> {
+        if let Request::Put(_, payload) = req {
+            let record_bytes = 13 + payload.len();
+            let room = self.cfg.block_size - BLOCK_HEADER_LEN;
+            if record_bytes > room {
+                return Err(LsmError::RecordTooLarge { record_bytes, block_payload_bytes: room });
             }
-            Request::Delete(_) => self.stats.deletes += 1,
         }
         Ok(())
     }
@@ -364,7 +348,11 @@ impl LsmTree {
     /// [`LsmTree::mem_at_capacity`] and driving [`LsmTree::maintenance_step`]
     /// from its worker pool.
     pub fn apply_buffered(&mut self, req: Request) -> Result<()> {
-        self.note_request(&req)?;
+        self.check_request(&req)?;
+        match req {
+            Request::Put(..) => self.stats.puts += 1,
+            Request::Delete(_) => self.stats.deletes += 1,
+        }
         self.mem.apply(req);
         Ok(())
     }
@@ -385,8 +373,8 @@ impl LsmTree {
     /// hit/miss statistics — exactly like [`LsmTree::peek`]. `get`
     /// additionally updates the tree's own [`TreeStats`] lookup counters.
     /// Those counters are relaxed atomics, so `get` takes `&self` and
-    /// concurrent readers (e.g. through [`crate::shared::SharedLsmTree`])
-    /// are all accounted rather than silently dropped.
+    /// concurrent readers (e.g. through [`crate::ShardedLsmTree`]) are all
+    /// accounted rather than silently dropped.
     pub fn get(&self, key: Key) -> Result<Option<Bytes>> {
         let _span = self.sink.span(SpanOp::lookup());
         self.stats.note_lookup();
@@ -546,14 +534,6 @@ impl LsmTree {
     // Background-write-path primitives (memtable handoff)
     // ------------------------------------------------------------------
 
-    /// The configured maintenance scheduler (see [`Scheduler`]). The tree
-    /// itself never spawns threads; concurrent front-ends read this to
-    /// decide whether to wrap the tree in a
-    /// [`crate::scheduler::MergeScheduler`].
-    pub fn scheduler_spec(&self) -> Scheduler {
-        self.scheduler
-    }
-
     /// The configured WAL commit discipline (see [`CommitMode`]).
     pub fn commit_mode(&self) -> CommitMode {
         self.commit
@@ -595,11 +575,25 @@ impl LsmTree {
     /// Whether any maintenance is pending: a sealed memtable to flush or
     /// an overflowing level to merge.
     pub fn maintenance_pending(&self) -> bool {
-        if self.imm.iter().any(|m| !m.is_empty()) {
-            return true;
+        self.imm.iter().any(|m| !m.is_empty()) || self.overflowing_level().is_some()
+    }
+
+    /// The shallowest on-SSD level at or over capacity, as an index into
+    /// `levels` — the one place the overflow condition of §II-A is spelled.
+    fn overflowing_level(&self) -> Option<usize> {
+        (0..self.levels.len())
+            .find(|&i| self.levels[i].num_blocks() >= self.cfg.level_capacity_blocks(i + 1))
+    }
+
+    /// Relieve overflowing `levels[vec_idx]`: the bottom level grows the
+    /// tree, every other merges one policy-chosen unit down.
+    fn step_level(&mut self, vec_idx: usize) -> Result<()> {
+        if vec_idx + 1 == self.levels.len() {
+            self.grow();
+            Ok(())
+        } else {
+            self.merge_from_level(vec_idx)
         }
-        let h = self.levels.len();
-        (0..h).any(|i| self.levels[i].num_blocks() >= self.cfg.level_capacity_blocks(i + 1))
     }
 
     /// Run **one** bounded maintenance step: one policy-chosen merge out of
@@ -625,20 +619,10 @@ impl LsmTree {
             }
             return Ok(true);
         }
-        let h = self.levels.len();
-        for vec_idx in 0..h {
-            let paper = vec_idx + 1;
-            if self.levels[vec_idx].num_blocks() >= self.cfg.level_capacity_blocks(paper) {
-                let _span = self.sink.span(SpanOp::cascade());
-                if vec_idx + 1 == h {
-                    self.grow();
-                } else {
-                    self.merge_from_level(vec_idx)?;
-                }
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        let Some(vec_idx) = self.overflowing_level() else { return Ok(false) };
+        let _span = self.sink.span(SpanOp::cascade());
+        self.step_level(vec_idx)?;
+        Ok(true)
     }
 
     /// Run maintenance steps until the tree is quiescent (no sealed
@@ -653,35 +637,22 @@ impl LsmTree {
     // Merge machinery
     // ------------------------------------------------------------------
 
-    /// Run merges until no level overflows (§II-A).
-    fn run_cascade(&mut self) -> Result<()> {
+    /// Run merges until no level overflows (§II-A) — the inline half of
+    /// [`LsmTree::apply`], which a front-end holding its own put span runs
+    /// after [`LsmTree::apply_buffered`].
+    pub(crate) fn run_cascade(&mut self) -> Result<()> {
         // The cascade span opens lazily on the first action, so the common
         // no-op call (most requests trigger nothing) traces nothing.
         let mut cascade: Option<SpanGuard> = None;
         loop {
-            if self.mem.len() >= self.cfg.l0_capacity_records() {
+            if self.mem_at_capacity() {
                 cascade.get_or_insert_with(|| self.sink.span(SpanOp::cascade()));
                 self.merge_from_mem(MemSlot::Active)?;
                 continue;
             }
-            let h = self.levels.len();
-            let mut acted = false;
-            for vec_idx in 0..h {
-                let paper = vec_idx + 1;
-                if self.levels[vec_idx].num_blocks() >= self.cfg.level_capacity_blocks(paper) {
-                    cascade.get_or_insert_with(|| self.sink.span(SpanOp::cascade()));
-                    if vec_idx + 1 == h {
-                        self.grow();
-                    } else {
-                        self.merge_from_level(vec_idx)?;
-                    }
-                    acted = true;
-                    break;
-                }
-            }
-            if !acted {
-                return Ok(());
-            }
+            let Some(vec_idx) = self.overflowing_level() else { return Ok(()) };
+            cascade.get_or_insert_with(|| self.sink.span(SpanOp::cascade()));
+            self.step_level(vec_idx)?;
         }
     }
 

@@ -27,6 +27,7 @@ use bytes::Bytes;
 use sim_ssd::{BlockDevice, DeviceError, FaultKind, SplitMix64};
 
 use crate::checksum;
+use crate::config::CommitMode;
 use crate::error::Result;
 use crate::record::{Key, Request};
 use crate::tree::{LsmTree, TreeOptions};
@@ -245,6 +246,29 @@ impl WriteAheadLog {
         Ok(())
     }
 
+    /// The log step of one request, shared by every WAL-backed front-end:
+    /// append, fsync at once under [`CommitMode::PerRequest`], report the
+    /// append (`wal_append` span, [`observe::Event::WalAppend`]). Returns
+    /// the log length after the append — the offset the request must see
+    /// durable before it may be acknowledged. The caller validates `req`
+    /// first: a request the tree would refuse must never reach the log, or
+    /// replay refuses it too and recovery aborts.
+    pub(crate) fn log_request(
+        &mut self,
+        req: &Request,
+        commit: CommitMode,
+        sink: &observe::SinkHandle,
+    ) -> Result<u64> {
+        let _span = sink.span(observe::SpanOp::wal_append());
+        let bytes = self.append(req)? as u64;
+        let synced = commit == CommitMode::PerRequest;
+        if synced {
+            self.sync()?;
+        }
+        sink.emit_with(|| observe::Event::WalAppend { bytes, synced });
+        Ok(self.len)
+    }
+
     /// The injection-aware fsync shared by [`sync`](WriteAheadLog::sync)
     /// and [`truncate`](WriteAheadLog::truncate): counts the attempt,
     /// consults the fault plan, and poisons the log on any failure.
@@ -322,10 +346,6 @@ pub struct DurableLsmTree {
     tree: LsmTree,
     wal: WriteAheadLog,
     manifest_path: PathBuf,
-    /// Fsync the WAL on every request (safest, slowest). When false, the
-    /// WAL is fsynced only at checkpoints — a crash may lose the most
-    /// recent requests but never corrupts the index (group-commit style).
-    pub sync_every_request: bool,
 }
 
 impl DurableLsmTree {
@@ -338,14 +358,9 @@ impl DurableLsmTree {
         wal_path: P,
     ) -> Result<Self> {
         let tree = LsmTree::new(cfg, opts, device)?;
-        let sync_every_request = tree.commit_mode() == crate::config::CommitMode::PerRequest;
         let wal = WriteAheadLog::create(wal_path)?;
-        let durable = DurableLsmTree {
-            tree,
-            wal,
-            manifest_path: manifest_path.as_ref().to_path_buf(),
-            sync_every_request,
-        };
+        let durable =
+            DurableLsmTree { tree, wal, manifest_path: manifest_path.as_ref().to_path_buf() };
         durable.tree.checkpoint(&durable.manifest_path)?;
         Ok(durable)
     }
@@ -366,26 +381,17 @@ impl DurableLsmTree {
             tree.apply(req)?;
         }
         tree.sink().emit_with(|| observe::Event::Recovery { replayed });
-        let sync_every_request = tree.commit_mode() == crate::config::CommitMode::PerRequest;
-        Ok(DurableLsmTree {
-            tree,
-            wal,
-            manifest_path: manifest_path.as_ref().to_path_buf(),
-            sync_every_request,
-        })
+        Ok(DurableLsmTree { tree, wal, manifest_path: manifest_path.as_ref().to_path_buf() })
     }
 
-    /// Apply one request durably (WAL first, then the index).
+    /// Apply one request durably (validated, WAL first, then the index).
+    /// The log is fsynced per request under [`CommitMode::PerRequest`];
+    /// otherwise at [`DurableLsmTree::sync`], batch ends and checkpoints —
+    /// a crash may lose the most recent requests but never corrupts the
+    /// index.
     pub fn apply(&mut self, req: Request) -> Result<()> {
-        let span = self.tree.sink().span(observe::SpanOp::wal_append());
-        let bytes = self.wal.append(&req)? as u64;
-        if self.sync_every_request {
-            self.wal.sync()?;
-        }
-        self.tree
-            .sink()
-            .emit_with(|| observe::Event::WalAppend { bytes, synced: self.sync_every_request });
-        drop(span); // the index work that follows is not WAL time
+        self.tree.check_request(&req)?;
+        self.wal.log_request(&req, self.tree.commit_mode(), self.tree.sink())?;
         self.tree.apply(req)
     }
 
@@ -406,7 +412,7 @@ impl DurableLsmTree {
 
     /// Make every applied request crash-durable now (fsync the WAL).
     /// Group-commit callers invoke this at transaction boundaries instead
-    /// of setting [`DurableLsmTree::sync_every_request`].
+    /// of running under [`CommitMode::PerRequest`].
     pub fn sync(&mut self) -> Result<()> {
         self.wal.sync()
     }
@@ -467,15 +473,15 @@ impl crate::api::WriteApi for DurableLsmTree {
         self.tree.drain_maintenance()
     }
 
-    /// Apply the whole batch, then — under [`CommitMode::Group`]
-    /// (crate::CommitMode::Group) — make it durable with a *single* fsync
+    /// Apply the whole batch, then — under [`CommitMode::Group`] — make it
+    /// durable with a *single* fsync
     /// (the single-writer form of group commit; the sharded front-end does
     /// the multi-writer leader/follower form).
     fn write_batch(&mut self, batch: crate::api::WriteBatch) -> Result<()> {
         for req in batch {
             DurableLsmTree::apply(self, req)?;
         }
-        if self.tree.commit_mode() == crate::config::CommitMode::Group {
+        if self.tree.commit_mode() == CommitMode::Group {
             self.wal.sync()?;
         }
         Ok(())
@@ -684,6 +690,37 @@ mod tests {
         }
         crate::verify::check_tree(t.tree(), true).unwrap();
         for p in [&man, &wal, &dev_path] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn refused_put_never_reaches_the_log() {
+        // Regression: `apply` logged before the tree checked the record
+        // size, so a refused put stayed in the WAL and recovery aborted on
+        // it — losing every acked write after it.
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let man = dir.join(format!("lsm-dur3-{pid}.manifest"));
+        let wal = dir.join(format!("lsm-dur3-{pid}.wal"));
+        let cfg = LsmConfig { block_size: 256, payload_size: 4, ..LsmConfig::default() };
+        let dev = Arc::new(sim_ssd::MemDevice::with_block_size(1 << 13, 256));
+        let mut t =
+            DurableLsmTree::create(cfg, TreeOptions::default(), dev.clone(), &man, &wal).unwrap();
+        t.put(1, vec![1u8; 4]).unwrap();
+        let logged = t.wal_len_bytes();
+        let err = t.put(2, vec![0u8; 4096]).unwrap_err();
+        assert!(matches!(err, crate::LsmError::RecordTooLarge { .. }), "{err}");
+        assert_eq!(t.wal_len_bytes(), logged, "a refused request must not grow the log");
+        t.put(3, vec![3u8; 4]).unwrap();
+        t.sync().unwrap();
+        std::mem::forget(t); // crash
+        let mut r = DurableLsmTree::recover(TreeOptions::default(), dev, &man, &wal)
+            .expect("recovery must not trip over the refused put");
+        assert_eq!(r.get(1).unwrap().as_deref(), Some(&[1u8; 4][..]));
+        assert_eq!(r.get(2).unwrap(), None);
+        assert_eq!(r.get(3).unwrap().as_deref(), Some(&[3u8; 4][..]));
+        for p in [&man, &wal] {
             std::fs::remove_file(p).ok();
         }
     }

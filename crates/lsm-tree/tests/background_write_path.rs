@@ -14,8 +14,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use lsm_tree::observe::SinkHandle;
 use lsm_tree::{
-    BackgroundPolicy, CommitMode, Key, LsmConfig, LsmTree, PolicySpec, Request, Scheduler,
-    ShardedLsmTree, SharedLsmTree, TreeOptions, WriteBatch,
+    BackgroundPolicy, CommitMode, Key, LsmConfig, PolicySpec, Request, Scheduler, ShardedLsmTree,
+    TreeOptions, WriteBatch,
 };
 
 fn cfg() -> LsmConfig {
@@ -67,13 +67,12 @@ fn model_of(ops: &[Request]) -> BTreeMap<Key, Bytes> {
 
 /// Tentpole invariant: background scheduling changes *when* merges run,
 /// never *what* the index contains. Same ops, inline vs background, same
-/// scan.
+/// scan — on one shard, i.e. one tree behind one lock.
 #[test]
-fn shared_background_matches_inline_content() {
+fn one_shard_background_matches_inline_content() {
     let ops = mixed_ops(0xBEEF, 20_000, 4_096);
     let run = |sched: Scheduler| {
-        let tree =
-            SharedLsmTree::new(LsmTree::with_mem_device(cfg(), opts(sched), 1 << 16).unwrap());
+        let tree = ShardedLsmTree::with_mem_devices(cfg(), opts(sched), 1, 1 << 16).unwrap();
         for op in &ops {
             tree.apply(op.clone()).unwrap();
         }
@@ -237,6 +236,82 @@ fn group_commit_halves_fsyncs_at_4_writers_with_identical_recovery() {
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// `write_batch` under group commit waits on the WAL offsets *its own*
+/// appends returned: the moment a batch returns, the logs cut to their
+/// synced lengths must already hold every request of that batch — however
+/// the other three writers' appends interleave. Each writer snapshots the
+/// synced lengths right after its last batch; recovery from logs cut there
+/// must contain that writer's whole history, and the cut at the end the
+/// model of all four. The fsync economy holds: ≤ 2000 fsyncs for 4000 puts.
+#[test]
+fn group_batches_are_durable_when_write_batch_returns() {
+    let dir = std::env::temp_dir().join(format!("lsm-group-own-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let (writers, batches, batch_size, shards) = (4u64, 25u64, 40u64, 2usize);
+    let build_opts = || {
+        TreeOptions::builder()
+            .policy(PolicySpec::ChooseBest)
+            .scheduler(Scheduler::background())
+            .group_commit(CommitMode::Group)
+            .build()
+    };
+    let writer_ops = |w: u64| -> Vec<Request> {
+        mixed_ops(w + 1, batches * batch_size, 900)
+            .into_iter()
+            .map(|r| match r {
+                Request::Put(k, v) => Request::Put(500_000 * (w + 1) + k, v),
+                Request::Delete(k) => Request::Delete(500_000 * (w + 1) + k),
+            })
+            .collect()
+    };
+    let tree = ShardedLsmTree::with_wal_dir(cfg(), build_opts(), shards, 1 << 16, &dir).unwrap();
+    let acked_at: Vec<Vec<u64>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..writers)
+            .map(|w| {
+                let tree = &tree;
+                s.spawn(move || {
+                    for batch in writer_ops(w).chunks(batch_size as usize) {
+                        tree.write_batch(batch.iter().cloned().collect()).unwrap();
+                    }
+                    tree.wal_synced_lens()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(tree.wal_fsyncs() <= 2_000, "group commit lost its economy: {}", tree.wal_fsyncs());
+    let final_cut = tree.wal_synced_lens();
+    std::mem::forget(tree); // crash: no flush, no final sync
+
+    // Recover from a copy of the logs cut to `lens`; return the content.
+    let recover_cut = |lens: &[u64], sub: &str| {
+        let cut = dir.join(sub);
+        std::fs::create_dir_all(&cut).unwrap();
+        for (i, &len) in lens.iter().enumerate() {
+            let name = format!("shard-{i}.wal");
+            let bytes = std::fs::read(dir.join(&name)).unwrap();
+            assert!(bytes.len() as u64 >= len, "synced length beyond the file");
+            std::fs::write(cut.join(&name), &bytes[..len as usize]).unwrap();
+        }
+        let r = ShardedLsmTree::recover_with_wal(cfg(), build_opts(), shards, 1 << 16, &cut)
+            .expect("recover from the cut logs");
+        r.flush().unwrap();
+        r.scan_collect(0, u64::MAX).unwrap().into_iter().collect::<BTreeMap<_, _>>()
+    };
+    let mut everything = BTreeMap::new();
+    for (w, lens) in acked_at.iter().enumerate() {
+        let mine = model_of(&writer_ops(w as u64));
+        let got = recover_cut(lens, &format!("cut-{w}"));
+        for (k, v) in &mine {
+            assert_eq!(got.get(k), Some(v), "writer {w}: acked key {k} lost at its own cut");
+        }
+        everything.extend(mine);
+    }
+    assert_eq!(recover_cut(&final_cut, "cut-final"), everything, "final cut diverged");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The scheduler's event vocabulary is live: a sustained workload under a
 /// tight immutable-memtable bound seals memtables (`FlushEnqueued`) and
 /// the worker picks them up (`JobStart`).
@@ -249,7 +324,7 @@ fn scheduler_events_are_emitted() {
         .scheduler(Scheduler::Background(BackgroundPolicy { workers: 1, max_imm_memtables: 1 }))
         .sink(SinkHandle::new(Arc::clone(&counting) as _))
         .build();
-    let tree = SharedLsmTree::new(LsmTree::with_mem_device(cfg(), tree_opts, 1 << 16).unwrap());
+    let tree = ShardedLsmTree::with_mem_devices(cfg(), tree_opts, 1, 1 << 16).unwrap();
     for op in mixed_ops(0xF00D, 30_000, 8_192) {
         tree.apply(op).unwrap();
     }

@@ -134,22 +134,20 @@ fn exporters_have_no_observer_effect() {
 /// acknowledged — and no span may leak past the drained run.
 #[test]
 fn exporters_have_no_observer_effect_with_scheduler() {
-    use lsm_tree::{Scheduler, SharedLsmTree};
+    use lsm_tree::Scheduler;
     let run = |sink: SinkHandle| {
         let device = Arc::new(MemDevice::with_block_size(1 << 16, cfg().block_size));
-        let tree = SharedLsmTree::new(
-            LsmTree::new(
-                cfg(),
-                TreeOptions::builder()
-                    .policy(PolicySpec::ChooseBest)
-                    .preserve_blocks(true)
-                    .scheduler(Scheduler::background())
-                    .sink(sink)
-                    .build(),
-                device as Arc<dyn BlockDevice>,
-            )
-            .unwrap(),
-        );
+        let tree = ShardedLsmTree::with_devices(
+            cfg(),
+            TreeOptions::builder()
+                .policy(PolicySpec::ChooseBest)
+                .preserve_blocks(true)
+                .scheduler(Scheduler::background())
+                .sink(sink)
+                .build(),
+            vec![device as Arc<dyn BlockDevice>],
+        )
+        .unwrap();
         let mut x = 0x243F_6A88_85A3_08D3u64;
         for i in 0..12_000u64 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);

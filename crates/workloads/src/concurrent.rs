@@ -3,7 +3,7 @@
 //!
 //! The single-threaded drivers in [`crate::driver`] measure amortized
 //! *device* costs; this module measures the front-end itself — how many
-//! operations per second N threads push through a concurrent index, and
+//! operations per second N threads push through a [`ShardedLsmTree`], and
 //! what the request-latency tail looks like while merges run inline.
 //! Closed loop means every thread issues its next request as soon as the
 //! previous one completes: offered load equals served load, so ops/s is a
@@ -17,56 +17,11 @@
 
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use lsm_tree::{Key, Request, RequestSource, Result, ShardedLsmTree, SharedLsmTree, WriteBatch};
+use lsm_tree::{Key, Request, RequestSource, Result, ShardedLsmTree, WriteBatch};
 
 use crate::driver::Workload;
 use crate::histogram::LatencyHistogram;
 use crate::InsertRatio;
-
-/// An index that serves concurrent writers and readers through `&self` —
-/// implemented by both front-ends ([`SharedLsmTree`]'s single lock,
-/// [`ShardedLsmTree`]'s lock per shard). This is the concurrent face of
-/// [`lsm_tree::WriteApi`]: same request/batch vocabulary, shared `&self`
-/// receivers so writer threads need no external lock.
-pub trait ConcurrentIndex: Sync {
-    /// Apply one modification.
-    fn apply(&self, req: Request) -> Result<()>;
-    /// Point lookup.
-    fn get(&self, key: Key) -> Result<Option<Bytes>>;
-    /// Apply every request of `batch` in order. Front-ends with a WAL
-    /// override this to share one fsync across the batch (group commit).
-    fn write_batch(&self, batch: WriteBatch) -> Result<()> {
-        for req in batch {
-            self.apply(req)?;
-        }
-        Ok(())
-    }
-}
-
-impl ConcurrentIndex for SharedLsmTree {
-    fn apply(&self, req: Request) -> Result<()> {
-        SharedLsmTree::apply(self, req)
-    }
-    fn get(&self, key: Key) -> Result<Option<Bytes>> {
-        SharedLsmTree::get(self, key)
-    }
-    fn write_batch(&self, batch: WriteBatch) -> Result<()> {
-        SharedLsmTree::write_batch(self, batch)
-    }
-}
-
-impl ConcurrentIndex for ShardedLsmTree {
-    fn apply(&self, req: Request) -> Result<()> {
-        ShardedLsmTree::apply(self, req)
-    }
-    fn get(&self, key: Key) -> Result<Option<Bytes>> {
-        ShardedLsmTree::get(self, key)
-    }
-    fn write_batch(&self, batch: WriteBatch) -> Result<()> {
-        ShardedLsmTree::write_batch(self, batch)
-    }
-}
 
 /// Wraps a workload so every key is shifted by a fixed offset — the
 /// standard way to hand each writer thread its own disjoint key range
@@ -219,14 +174,13 @@ pub enum RequestKind {
 /// per-writer seed and key offset to keep writers disjoint);
 /// `read_key(r, i)` yields reader `r`'s `i`-th probe key. The first error
 /// from any thread aborts the run.
-pub fn run_closed_loop<I, W, MW, RK>(
-    index: &I,
+pub fn run_closed_loop<W, MW, RK>(
+    index: &ShardedLsmTree,
     plan: ThreadPlan,
     make_workload: MW,
     read_key: RK,
 ) -> Result<ClosedLoopReport>
 where
-    I: ConcurrentIndex,
     W: Workload + Send,
     MW: Fn(usize) -> W,
     RK: Fn(u64, u64) -> Key + Sync,
@@ -239,15 +193,14 @@ where
 /// windowed consumer (e.g. `observe::HealthSink`) sees the latency stream
 /// as it happens instead of one merged histogram at the end. The observer
 /// runs inside the timed loop — keep it cheap.
-pub fn run_closed_loop_observed<I, W, MW, RK, O>(
-    index: &I,
+pub fn run_closed_loop_observed<W, MW, RK, O>(
+    index: &ShardedLsmTree,
     plan: ThreadPlan,
     make_workload: MW,
     read_key: RK,
     observe: O,
 ) -> Result<ClosedLoopReport>
 where
-    I: ConcurrentIndex,
     W: Workload + Send,
     MW: Fn(usize) -> W,
     RK: Fn(u64, u64) -> Key + Sync,
@@ -262,7 +215,6 @@ where
     std::thread::scope(|s| -> Result<()> {
         let mut writer_handles = Vec::with_capacity(plan.writers);
         for mut wl in workloads {
-            let index = &index;
             let observe = &observe;
             writer_handles.push(s.spawn(move || -> Result<(LatencyHistogram, u64)> {
                 let mut hist = LatencyHistogram::new();
@@ -299,7 +251,6 @@ where
         }
         let mut reader_handles = Vec::with_capacity(plan.readers);
         for r in 0..plan.readers as u64 {
-            let index = &index;
             let read_key = &read_key;
             let observe = &observe;
             reader_handles.push(s.spawn(move || -> Result<LatencyHistogram> {
@@ -347,7 +298,7 @@ where
 mod tests {
     use super::*;
     use crate::{payload_for, Uniform};
-    use lsm_tree::{LsmConfig, LsmTree, TreeOptions};
+    use lsm_tree::{LsmConfig, TreeOptions};
 
     fn small_cfg() -> LsmConfig {
         LsmConfig {
@@ -373,7 +324,7 @@ mod tests {
         }
     }
 
-    fn drive<I: ConcurrentIndex>(index: &I) -> ClosedLoopReport {
+    fn drive(index: &ShardedLsmTree) -> ClosedLoopReport {
         run_closed_loop(
             index,
             plan(),
@@ -389,32 +340,21 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_drives_a_shared_tree() {
-        let t = SharedLsmTree::new(
-            LsmTree::with_mem_device(small_cfg(), TreeOptions::default(), 1 << 16).unwrap(),
-        );
-        let r = drive(&t);
-        assert_eq!(r.writes, 4_500);
-        assert_eq!(r.reads, 2_000);
-        assert_eq!(r.write_latency_ns.count(), 4_500);
-        assert!(r.write_ops_per_sec() > 0.0);
-        assert!(r.write_latency_ns.quantile(0.99) >= r.write_latency_ns.quantile(0.5));
-        let s = t.stats();
-        assert_eq!(s.puts, 4_500);
-        assert_eq!(s.lookups(), 2_000);
-    }
-
-    #[test]
-    fn closed_loop_drives_a_sharded_tree() {
-        let t = ShardedLsmTree::with_mem_devices(small_cfg(), TreeOptions::default(), 4, 1 << 16)
-            .unwrap();
-        let r = drive(&t);
-        assert_eq!(r.writes, 4_500);
-        assert_eq!(r.reads, 2_000);
-        let s = t.stats();
-        assert_eq!(s.puts, 4_500);
-        assert_eq!(s.lookups(), 2_000);
-        t.deep_verify(true).unwrap();
+    fn closed_loop_drives_one_lock_and_one_lock_per_shard() {
+        for shards in [1, 4] {
+            let opts = TreeOptions::default();
+            let t = ShardedLsmTree::with_mem_devices(small_cfg(), opts, shards, 1 << 16).unwrap();
+            let r = drive(&t);
+            assert_eq!(r.writes, 4_500);
+            assert_eq!(r.reads, 2_000);
+            assert_eq!(r.write_latency_ns.count(), 4_500);
+            assert!(r.write_ops_per_sec() > 0.0);
+            assert!(r.write_latency_ns.quantile(0.99) >= r.write_latency_ns.quantile(0.5));
+            let s = t.stats();
+            assert_eq!(s.puts, 4_500);
+            assert_eq!(s.lookups(), 2_000);
+            t.deep_verify(true).unwrap();
+        }
     }
 
     #[test]

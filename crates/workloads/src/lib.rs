@@ -28,8 +28,8 @@ pub mod uniform;
 pub mod zipf;
 
 pub use concurrent::{
-    run_closed_loop, run_closed_loop_observed, ClosedLoopReport, ConcurrentIndex, OffsetKeys,
-    PrebuiltRequests, RequestKind, ThreadPlan,
+    run_closed_loop, run_closed_loop_observed, ClosedLoopReport, OffsetKeys, PrebuiltRequests,
+    RequestKind, ThreadPlan,
 };
 pub use driver::{
     fill_to_bytes, reach_steady_state, run_requests, volume_requests, CostMeter, CostReading,

@@ -2,6 +2,9 @@
 # Repo-wide hygiene gate: formatting, lints, tests. Run before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# One scratch directory for every stage that writes files.
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check
@@ -11,6 +14,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test =="
 cargo test -q --workspace
+
+echo "== cargo doc (deny broken intra-doc links) =="
+# Deleting or renaming a public item leaves dangling [`path`] links that
+# nothing else catches.
+RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" \
+    cargo doc --no-deps --offline -q -p lsm-tree -p sim-ssd -p observe -p workloads
 
 echo "== vendored bytes stand-in (slice views; not a workspace member) =="
 cargo test -q --offline --manifest-path vendor/bytes/Cargo.toml --target-dir target/vendor-bytes
@@ -43,8 +52,8 @@ echo "== observer-effect regression, inline and with the scheduler enabled =="
 cargo test -q -p lsm-tree --test trace_spans -- observer_effect
 
 echo "== post-mortem smoke (fault-injected torture cycle -> bundle -> reader) =="
-pm_dir="$(mktemp -d)"
-trap 'rm -rf "$pm_dir"' EXIT
+pm_dir="$work/pm"
+mkdir "$pm_dir"
 # One torture cycle (FaultDevice power cut mid-workload) with an
 # unconditional dump; the bundle must exist and validate.
 cargo run --release -q -p lsm-bench --bin lsm_crash -- --seeds=1 --seed-base=9001 \
@@ -54,8 +63,8 @@ test -s "$bundle" || { echo "missing post-mortem bundle $bundle"; exit 1; }
 cargo run --release -q -p lsm-bench --bin lsm_postmortem -- "$bundle" > /dev/null
 
 echo "== trace exporter smoke (Chrome trace + Prometheus + time series) =="
-obs_dir="$(mktemp -d)"
-trap 'rm -rf "$pm_dir" "$obs_dir"' EXIT
+obs_dir="$work/obs"
+mkdir "$obs_dir"
 cargo run --release -q -p lsm-bench --bin lsm_throughput -- --smoke --shards=2 \
     --trace-out="$obs_dir/trace.json" --prom-out="$obs_dir/metrics.prom" \
     --series-out="$obs_dir/series.csv"
@@ -72,8 +81,8 @@ cargo run --release -q -p lsm-bench --bin lsm_crash -- --seeds=16 --seed-base=50
     --backend=file
 
 echo "== file-backend batching smoke (syscall coalescing + schema check) =="
-fileio_dir="$(mktemp -d)"
-trap 'rm -rf "$pm_dir" "$obs_dir" "$fileio_dir"' EXIT
+fileio_dir="$work/fileio"
+mkdir "$fileio_dir"
 # Fresh smoke report in a temp dir (the committed BENCH_fileio.json at the
 # repo root is a full-size run; CI must not clobber it), then both the
 # temp report and the committed one go through the doctor's validator.
@@ -84,8 +93,8 @@ cargo run --release -q -p lsm-bench --bin lsm_doctor -- \
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- --check-fileio=BENCH_fileio.json
 
 echo "== windowed health smoke (report, validator, doctor reconciliation, lsm_top) =="
-health_dir="$(mktemp -d)"
-trap 'rm -rf "$pm_dir" "$obs_dir" "$fileio_dir" "$health_dir"' EXIT
+health_dir="$work/health"
+mkdir "$health_dir"
 # A traced smoke run writes a validated lsm-health/v1 report plus the
 # health gauges in the Prometheus exposition; the doctor re-validates it.
 cargo run --release -q -p lsm-bench --bin lsm_throughput -- --smoke --shards=2 \
@@ -105,8 +114,8 @@ cargo run --release -q -p lsm-bench --bin lsm_doctor -- \
     --compare=BENCH_fileio.json,BENCH_fileio.json > /dev/null
 
 echo "== tail anatomy smoke (report, validator, doctor blame table, lsm_top --json) =="
-tail_dir="$(mktemp -d)"
-trap 'rm -rf "$pm_dir" "$obs_dir" "$fileio_dir" "$health_dir" "$tail_dir"' EXIT
+tail_dir="$work/tail"
+mkdir "$tail_dir"
 # A traced smoke run writes a validated lsm-tail/v1 report plus the tail
 # gauges in the Prometheus exposition; the doctor re-validates it and the
 # committed baseline.
