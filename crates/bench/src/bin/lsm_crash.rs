@@ -233,6 +233,11 @@ fn concurrent(
         "avg scheduler steps".into(),
         fmt_f(avg(reports.iter().map(|r| r.sim_steps).sum()), 1),
     ]);
+    table.row(["avg checked reads".into(), fmt_f(avg(reports.iter().map(|r| r.reads).sum()), 1)]);
+    table.row([
+        "avg requests between a compute and its install".into(),
+        fmt_f(avg(reports.iter().map(|r| r.ops_between_halves).sum()), 1),
+    ]);
     table.row([
         "avg group fsyncs".into(),
         fmt_f(avg(reports.iter().map(|r| r.group_syncs).sum()), 1),

@@ -121,42 +121,15 @@ impl Level {
         self.handles.push(handle);
     }
 
-    /// Remove and return the blocks at `range` (bulk delete).
-    pub fn remove_range(&mut self, range: std::ops::Range<usize>) -> Vec<BlockHandle> {
-        let removed: Vec<BlockHandle> = self.handles.drain(range).collect();
-        let removed_records: u64 = removed.iter().map(|h| u64::from(h.count)).sum();
-        self.records -= removed_records;
-        removed
-    }
-
-    /// Insert `blocks` starting at index `at` (bulk insert). The caller
-    /// guarantees key-order validity.
-    pub fn insert_at(&mut self, at: usize, blocks: Vec<BlockHandle>) {
-        let added: u64 = blocks.iter().map(|h| u64::from(h.count)).sum();
-        self.records += added;
-        self.handles.splice(at..at, blocks);
-    }
-
-    /// Replace the handle at `idx` with `replacement` (used by pairwise
-    /// waste fix-ups, which fuse two neighbours into one block).
-    pub fn replace_pair_with(&mut self, idx: usize, replacement: BlockHandle) {
-        debug_assert!(idx + 1 < self.handles.len());
-        let removed = u64::from(self.handles[idx].count) + u64::from(self.handles[idx + 1].count);
-        debug_assert_eq!(removed, u64::from(replacement.count));
-        self.handles.splice(idx..idx + 2, [replacement]);
-    }
-
-    /// Drop all handles, returning them (compaction rewrites everything).
-    pub fn take_all(&mut self) -> Vec<BlockHandle> {
-        self.records = 0;
-        std::mem::take(&mut self.handles)
-    }
-
-    /// Reset compaction-cycle bookkeeping (after compacting this level).
-    pub fn reset_waste_accounting(&mut self) {
-        self.merges_since_compaction = 0;
-        self.slack_budget = 0.0;
-        self.waste_delta = 0;
+    /// Install `edit` — built against this level by a [`LevelDraft`] — as
+    /// one splice plus the bookkeeping it carries.
+    pub(crate) fn apply(&mut self, edit: LevelEdit) {
+        self.handles.splice(edit.range, edit.insert);
+        self.records = edit.records;
+        self.merges_since_compaction = edit.merges_since_compaction;
+        self.slack_budget = edit.slack_budget;
+        self.waste_delta = edit.waste_delta;
+        self.rr_cursor = edit.rr_cursor;
     }
 
     /// Check all structural invariants; returns a description of the first
@@ -212,6 +185,103 @@ impl Level {
             return Err(format!("level-wise waste {:.4} exceeds eps {eps}", self.waste_factor(b)));
         }
         Ok(())
+    }
+}
+
+/// One level's share of a maintenance step's outcome: `handles[range]` is
+/// replaced by `insert` and the bookkeeping takes the values carried here.
+/// Always one contiguous splice — a merge rewrites one key range, and a
+/// seam fix or compaction only ever widens it.
+#[derive(Debug)]
+pub(crate) struct LevelEdit {
+    range: std::ops::Range<usize>,
+    insert: Vec<BlockHandle>,
+    records: u64,
+    pub(crate) merges_since_compaction: u64,
+    pub(crate) slack_budget: f64,
+    pub(crate) waste_delta: i64,
+    pub(crate) rr_cursor: Option<Key>,
+}
+
+/// An immutable level read *through* an edit in progress: what the merge
+/// engine works on, so a step never copies (or locks) the level it plans
+/// to change. Indices are those the level will have once the edit is
+/// [applied](Level::apply).
+pub(crate) struct LevelDraft<'a> {
+    base: &'a Level,
+    pub(crate) edit: LevelEdit,
+}
+
+impl<'a> LevelDraft<'a> {
+    /// `base`, unedited.
+    pub(crate) fn new(base: &'a Level) -> Self {
+        let edit = LevelEdit {
+            range: 0..0,
+            insert: Vec::new(),
+            records: base.records,
+            merges_since_compaction: base.merges_since_compaction,
+            slack_budget: base.slack_budget,
+            waste_delta: base.waste_delta,
+            rr_cursor: base.rr_cursor,
+        };
+        LevelDraft { base, edit }
+    }
+
+    /// The level underneath, without the edit.
+    pub(crate) fn base(&self) -> &'a Level {
+        self.base
+    }
+
+    pub(crate) fn num_blocks(&self) -> usize {
+        self.base.handles.len() - self.edit.range.len() + self.edit.insert.len()
+    }
+
+    pub(crate) fn records(&self) -> u64 {
+        self.edit.records
+    }
+
+    pub(crate) fn get(&self, idx: usize) -> &BlockHandle {
+        let (start, inserted) = (self.edit.range.start, self.edit.insert.len());
+        if idx < start {
+            &self.base.handles[idx]
+        } else if idx < start + inserted {
+            &self.edit.insert[idx - start]
+        } else {
+            &self.base.handles[idx - inserted + self.edit.range.len()]
+        }
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &BlockHandle> {
+        let e = &self.edit;
+        self.base.handles[..e.range.start]
+            .iter()
+            .chain(&e.insert)
+            .chain(&self.base.handles[e.range.end..])
+    }
+
+    /// Replace blocks `view` (in edited indices) by `with`. `view` must
+    /// overlap or touch what the edit already replaced, so the edit stays
+    /// one splice.
+    pub(crate) fn replace(&mut self, view: std::ops::Range<usize>, with: Vec<BlockHandle>) {
+        let removed: u64 = view.clone().map(|i| u64::from(self.get(i).count)).sum();
+        let added: u64 = with.iter().map(|h| u64::from(h.count)).sum();
+        let e = &mut self.edit;
+        if e.range.is_empty() && e.insert.is_empty() {
+            e.range = view.start..view.start;
+        }
+        let (ins_start, ins_end) = (e.range.start, e.range.start + e.insert.len());
+        debug_assert!(view.start <= ins_end && view.end >= ins_start, "edit would split in two");
+        let lo = view.start.max(ins_start) - ins_start;
+        let hi = view.end.min(ins_end) - ins_start;
+        e.insert.splice(lo..hi, with);
+        e.range.start -= ins_start.saturating_sub(view.start);
+        e.range.end += view.end.saturating_sub(ins_end);
+        e.records = e.records - removed + added;
+    }
+
+    /// The finished edit, detached from the level it was drafted on.
+    pub(crate) fn finish(self) -> LevelEdit {
+        self.edit
     }
 }
 
@@ -277,26 +347,55 @@ mod tests {
         assert!(!l.key_in_range_of_some_block(20));
     }
 
+    /// What a draft shows and what applying its edit leaves must both equal
+    /// the same replacements made on a plain vector.
     #[test]
-    fn remove_and_insert_ranges() {
-        let mut l = sample_level();
-        let removed = l.remove_range(1..2);
-        assert_eq!(removed.len(), 1);
-        assert_eq!(l.records(), 8);
-        assert_eq!(l.num_blocks(), 2);
-        l.insert_at(1, vec![h(5, 12, 18, 4)]);
-        assert_eq!(l.records(), 12);
-        assert_eq!(l.handles()[1].id, BlockId(5));
-        assert!(l.validate(4, 0.2).is_ok());
-    }
-
-    #[test]
-    fn replace_pair_merges_neighbours() {
-        let mut l = sample_level();
-        l.replace_pair_with(0, h(9, 0, 19, 7));
-        assert_eq!(l.num_blocks(), 2);
-        assert_eq!(l.records(), 11);
-        assert_eq!(l.handles()[0].max, 19);
+    fn draft_reads_and_applies_like_the_vector_it_edits() {
+        let fresh = |id: u64| h(100 + id, 1_000 + id, 1_000 + id, 2);
+        // Each case: replacements as (edited-index range, number of new blocks).
+        let cases: [&[(std::ops::Range<usize>, u64)]; 6] = [
+            &[(1..2, 0), (0..2, 1)],            // remove, then fuse across the hole
+            &[(1..1, 2), (0..2, 1), (1..3, 1)], // insert, fix front seam, fix back seam
+            &[(3..3, 1), (2..4, 1)],            // append, fuse with the old tail
+            &[(0..3, 0)],                       // everything out
+            &[(1..2, 3), (0..5, 2)],            // rewrite, then compact the lot
+            &[(2..2, 0), (1..3, 1)],            // empty merge, seam fused anyway
+        ];
+        for case in cases {
+            let base = sample_level();
+            let mut model: Vec<BlockHandle> = base.handles().to_vec();
+            let mut draft = LevelDraft::new(&base);
+            let mut next = 0;
+            for (view, n) in case {
+                let with: Vec<BlockHandle> = (0..*n)
+                    .map(|_| {
+                        next += 1;
+                        fresh(next)
+                    })
+                    .collect();
+                model.splice(view.clone(), with.clone());
+                draft.replace(view.clone(), with);
+                assert!(draft.iter().map(|h| h.id).eq(model.iter().map(|h| h.id)), "{case:?}");
+                assert_eq!(draft.num_blocks(), model.len());
+                for (i, m) in model.iter().enumerate() {
+                    assert_eq!(draft.get(i).id, m.id, "{case:?} index {i}");
+                }
+                let records: u64 = model.iter().map(|h| u64::from(h.count)).sum();
+                assert_eq!(draft.records(), records, "{case:?}");
+            }
+            draft.edit.waste_delta = 7;
+            draft.edit.rr_cursor = Some(9);
+            let edit = draft.finish();
+            let mut applied = base.clone();
+            applied.apply(edit);
+            assert_eq!(
+                applied.handles().iter().map(|h| h.id).collect::<Vec<_>>(),
+                model.iter().map(|h| h.id).collect::<Vec<_>>(),
+                "{case:?}"
+            );
+            assert_eq!(applied.records(), model.iter().map(|h| u64::from(h.count)).sum::<u64>());
+            assert_eq!((applied.waste_delta, applied.rr_cursor), (7, Some(9)));
+        }
     }
 
     #[test]
@@ -346,21 +445,5 @@ mod tests {
         let mut l = Level::new();
         l.push(h(0, 0, 10, 1));
         assert!(l.validate(4, 0.2).is_ok());
-    }
-
-    #[test]
-    fn take_all_and_reset() {
-        let mut l = sample_level();
-        l.merges_since_compaction = 3;
-        l.slack_budget = 10.0;
-        l.waste_delta = 5;
-        let all = l.take_all();
-        assert_eq!(all.len(), 3);
-        assert!(l.is_empty());
-        assert_eq!(l.records(), 0);
-        l.reset_waste_accounting();
-        assert_eq!(l.merges_since_compaction, 0);
-        assert_eq!(l.slack_budget, 0.0);
-        assert_eq!(l.waste_delta, 0);
     }
 }

@@ -103,23 +103,25 @@ impl Memtable {
         map.into_values().collect()
     }
 
-    /// Remove and return the records of virtual blocks
-    /// `[start_block, start_block + num_blocks)` given chunk size `b`,
-    /// in key order.
-    pub fn extract_window(
-        &mut self,
-        start_block: usize,
-        num_blocks: usize,
-        b: usize,
-    ) -> Vec<Record> {
-        let start = start_block * b;
-        let len = num_blocks * b;
-        let keys: Vec<Key> = self.map.keys().skip(start).take(len).copied().collect();
-        let mut out = Vec::with_capacity(keys.len());
-        for k in keys {
-            out.push(self.map.remove(&k).expect("key collected from map"));
+    /// The records of virtual blocks `[start_block, start_block +
+    /// num_blocks)` given chunk size `b`, in key order. A flush merges
+    /// these down while the memtable stays as it was; the keys come out
+    /// ([`remove_keys`](Memtable::remove_keys)) only when the merge is
+    /// installed.
+    pub fn window(&self, start_block: usize, num_blocks: usize, b: usize) -> Vec<Record> {
+        self.map.values().skip(start_block * b).take(num_blocks * b).cloned().collect()
+    }
+
+    /// Remove `keys` — a flushed window, or with every key the whole
+    /// table.
+    pub fn remove_keys(&mut self, keys: &[Key]) {
+        if keys.len() == self.map.len() {
+            self.map.clear();
+            return;
         }
-        out
+        for k in keys {
+            self.map.remove(k);
+        }
     }
 }
 
@@ -195,27 +197,22 @@ mod tests {
     }
 
     #[test]
-    fn extract_window_takes_positional_chunk() {
+    fn window_is_a_positional_chunk_and_leaves_the_table_alone() {
         let mut m = Memtable::new();
         for k in 0..10u64 {
             m.apply(put(k));
         }
         // blocks of 3: [0,1,2][3,4,5][6,7,8][9]; take blocks 1..3
-        let recs = m.extract_window(1, 2, 3);
-        assert_eq!(recs.iter().map(|r| r.key).collect::<Vec<_>>(), vec![3, 4, 5, 6, 7, 8]);
-        assert_eq!(m.len(), 4);
+        let recs = m.window(1, 2, 3);
+        let keys: Vec<Key> = recs.iter().map(|r| r.key).collect();
+        assert_eq!(keys, vec![3, 4, 5, 6, 7, 8]);
+        assert_eq!(m.len(), 10);
+        m.remove_keys(&keys);
         let left: Vec<Key> = m.iter().map(|r| r.key).collect();
         assert_eq!(left, vec![0, 1, 2, 9]);
-    }
-
-    #[test]
-    fn extract_window_clamps_at_end() {
-        let mut m = Memtable::new();
-        for k in 0..5u64 {
-            m.apply(put(k));
-        }
-        let recs = m.extract_window(1, 5, 2); // far past the end
-        assert_eq!(recs.len(), 3);
-        assert_eq!(m.len(), 2);
+        // Far past the end: clamped.
+        assert_eq!(m.window(1, 5, 2).len(), 2);
+        m.remove_keys(&left);
+        assert!(m.is_empty());
     }
 }

@@ -19,13 +19,24 @@
 //!    seams are repaired by fusing neighbouring blocks (at most one extra
 //!    write per seam); a level whose overall waste exceeds ε is compacted
 //!    in one pass.
+//!
+//! None of this touches the level it works on. The engine reads the level
+//! through a `LevelDraft` and leaves behind one splice (`Y`'s range out,
+//! `Z` in, widened by whatever the seam fixes and a compaction replaced)
+//! plus two lists of blocks — written, and no longer referenced
+//! (`StepBlocks`). Whoever owns the level installs the splice and frees
+//! the second list afterwards, or, if the merge failed, frees the first
+//! and installs nothing. [`MergeEngine::merge_into`] does exactly that on a
+//! `&mut Level`; the tree does it per maintenance step, with its lock
+//! released for everything but the install.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::block::{BlockHandle, DataBlock};
 use crate::error::{LsmError, Result};
-use crate::level::Level;
+use crate::level::{Level, LevelDraft};
 use crate::record::{consolidate, Key, Record};
 use crate::store::{Store, WriteBatch};
 
@@ -133,6 +144,56 @@ pub struct CompactOutcome {
     pub reads: u64,
 }
 
+/// The blocks one maintenance step touched, kept apart from the levels it
+/// edits so nothing is released while a reader could still follow a fence
+/// to it. Exactly one list is ever released
+/// ([`Store::free_all`]): `retired` once the step's edits are installed,
+/// `created` if they never are.
+#[derive(Debug, Default)]
+pub(crate) struct StepBlocks {
+    /// Blocks the step wrote that are on the device.
+    pub(crate) created: Vec<BlockHandle>,
+    /// Blocks the step's edits leave unreferenced: consumed inputs, lost
+    /// (quarantined) blocks, and blocks the step itself wrote and then
+    /// superseded.
+    pub(crate) retired: Vec<BlockHandle>,
+}
+
+/// The write side of a merge or compaction: output blocks are staged and
+/// landed in coalesced device writes (adjacent ids become single syscalls
+/// on a file backend), and the ones that landed are entered in `created`.
+struct Landing<'a, 'b> {
+    batch: WriteBatch<'a>,
+    /// Staged since the last flush.
+    staged: Vec<BlockHandle>,
+    created: &'b mut Vec<BlockHandle>,
+}
+
+impl<'a, 'b> Landing<'a, 'b> {
+    fn new(store: &'a Store, created: &'b mut Vec<BlockHandle>) -> Self {
+        Landing { batch: store.write_batch(), staged: Vec::new(), created }
+    }
+
+    fn stage(&mut self, records: Vec<Record>) -> Result<BlockHandle> {
+        let h = self.batch.stage(records)?;
+        self.staged.push(h.clone());
+        // Bound staged memory; ids are allocated in order, so a chunk of
+        // consecutive stages still coalesces into few syscalls.
+        if self.batch.pending() >= WRITE_CHUNK {
+            self.flush()?;
+        }
+        Ok(h)
+    }
+
+    /// A failed flush released everything it covered, so nothing staged
+    /// since the last successful one is ever entered.
+    fn flush(&mut self) -> Result<()> {
+        self.batch.flush()?;
+        self.created.append(&mut self.staged);
+        Ok(())
+    }
+}
+
 /// One stream of records entering a merge: either an owned record run or a
 /// lazily-opened sequence of blocks. Blocks are only read when their
 /// records are actually needed, so preservation decisions cost no I/O —
@@ -154,11 +215,11 @@ struct Stream<'a> {
     /// Blocks already fetched by a batched read, queued ahead of `hpos`.
     /// Front entry always belongs to `handles[hpos]`.
     pending: VecDeque<Result<Arc<DataBlock>>>,
-    /// Blocks that were opened (their storage is released after the merge).
+    /// Blocks that were opened (retired by the merge).
     opened: Vec<BlockHandle>,
     /// Blocks that failed their integrity check while being opened: their
-    /// records are lost. The merge drops them from the structure (read
-    /// repair) and never frees their ids.
+    /// records are lost. The merge drops them from the structure, which
+    /// is their read repair.
     lost: Vec<BlockHandle>,
 }
 
@@ -288,7 +349,7 @@ impl<'a> Stream<'a> {
     }
 }
 
-/// The merge engine: all block-level mutation of levels goes through here.
+/// The merge engine: every block-level change to a level is computed here.
 pub struct MergeEngine<'a> {
     store: &'a Store,
     /// `B` — records per block.
@@ -325,26 +386,71 @@ impl<'a> MergeEngine<'a> {
     /// and repairs pairwise-waste violations at the seams, but the caller
     /// remains responsible for the level-wise waste check (compaction) and
     /// for source-side fix-ups.
+    ///
+    /// Compute, then install, then free: the merge runs against `target`
+    /// as it stands, the result goes in as one splice, and only then are
+    /// the consumed blocks released. On an error `target` is untouched and
+    /// every block the merge had written is released.
     pub fn merge_into(
         &self,
         target: &mut Level,
         below: &[Level],
         src: MergeSource,
     ) -> Result<MergeOutcome> {
+        self.on_level(target, |draft, blocks| self.merge(draft, below, src, blocks))
+    }
+
+    /// Run `compute` against a draft of `level`, then install its edit and
+    /// free what it replaced — or, if it failed, free what it wrote.
+    fn on_level<T>(
+        &self,
+        level: &mut Level,
+        compute: impl FnOnce(&mut LevelDraft<'_>, &mut StepBlocks) -> Result<T>,
+    ) -> Result<T> {
+        let mut blocks = StepBlocks::default();
+        let mut draft = LevelDraft::new(level);
+        match compute(&mut draft, &mut blocks) {
+            Ok(outcome) => {
+                let edit = draft.finish();
+                level.apply(edit);
+                self.store.free_all(&blocks.retired)?;
+                Ok(outcome)
+            }
+            Err(e) => {
+                let _ = self.store.free_all(&blocks.created);
+                Err(e)
+            }
+        }
+    }
+
+    /// The compute half of [`merge_into`](MergeEngine::merge_into): merge
+    /// `src` into the (unedited) draft of the target level, reading the
+    /// level but changing only the draft. Blocks written and blocks left
+    /// unreferenced are entered in `blocks`; nothing is freed.
+    pub(crate) fn merge<L: Borrow<Level>>(
+        &self,
+        target: &mut LevelDraft<'_>,
+        below: &[L],
+        src: MergeSource,
+        blocks: &mut StepBlocks,
+    ) -> Result<MergeOutcome> {
         let Some((kmin, kmax)) = src.key_span() else {
             return Ok(MergeOutcome::default());
         };
         let src_records = src.record_count();
+        let StepBlocks { created, retired } = blocks;
 
-        // Bulk-delete the overlapping run Y from the target.
-        let yrange = target.overlap_indices(kmin, kmax);
+        // The overlapping run Y leaves the target.
+        let base = target.base();
+        let yrange = base.overlap_indices(kmin, kmax);
         let insert_pos = yrange.start;
-        let y_handles = target.remove_range(yrange);
+        let y_handles = base.handles()[yrange.clone()].to_vec();
 
         // Waste bookkeeping for the preservation budget (§II-B): this
         // merge earns ε · (records merged in) of slack.
-        target.merges_since_compaction += 1;
-        target.slack_budget += self.eps * src_records as f64;
+        target.edit.merges_since_compaction += 1;
+        target.edit.slack_budget += self.eps * src_records as f64;
+        let slack_budget = target.edit.slack_budget;
 
         let is_bottom = below.is_empty();
 
@@ -365,16 +471,15 @@ impl<'a> MergeEngine<'a> {
         let mut out: Vec<BlockHandle> = Vec::new();
         let mut buffer: Vec<Record> = Vec::new();
         let mut outcome = MergeOutcome { max_key: kmax, ..MergeOutcome::default() };
-        let mut w = target.waste_delta;
+        let mut w = target.edit.waste_delta;
 
         let prev_target_count: Option<u32> =
-            insert_pos.checked_sub(1).map(|i| target.handles()[i].count);
+            insert_pos.checked_sub(1).map(|i| base.handles()[i].count);
 
-        let may_exist_below = |key: Key| below.iter().any(|l| l.key_in_range_of_some_block(key));
+        let may_exist_below =
+            |key: Key| below.iter().any(|l| l.borrow().key_in_range_of_some_block(key));
 
-        // Output blocks are staged and landed in coalesced device writes;
-        // adjacent ids become single syscalls on a file backend.
-        let mut batch = self.store.write_batch();
+        let mut landing = Landing::new(self.store, created);
 
         // Index into `ys.opened` up to which empty slots have been
         // subtracted from `w`. The paper updates w by "subtracting those in
@@ -401,7 +506,7 @@ impl<'a> MergeEngine<'a> {
                         // A lost Y block simply contributes no older record.
                         let lower = ys.next_record()?;
                         if let Some(r) = consolidate(upper, lower, may_exist_below(x)) {
-                            self.push_record(&mut buffer, &mut out, r, &mut outcome, &mut batch)?;
+                            self.push_record(&mut buffer, &mut out, r, &mut outcome, &mut landing)?;
                         }
                         continue;
                     } else if x < y {
@@ -424,7 +529,7 @@ impl<'a> MergeEngine<'a> {
                             out.last(),
                             prev_target_count,
                             w,
-                            target.slack_budget,
+                            slack_budget,
                             from_x,
                             is_bottom,
                         )
@@ -433,7 +538,7 @@ impl<'a> MergeEngine<'a> {
                         if !buffer.is_empty() {
                             let flushed = std::mem::take(&mut buffer);
                             w += (self.b - flushed.len()) as i64;
-                            self.write_out(flushed, &mut out, &mut outcome, &mut batch)?;
+                            self.write_out(flushed, &mut out, &mut outcome, &mut landing)?;
                         }
                         let h = if from_x { xs.take_block() } else { ys.take_block() };
                         if from_x {
@@ -455,7 +560,7 @@ impl<'a> MergeEngine<'a> {
                 continue; // The head block was lost; re-evaluate the heads.
             };
             if let Some(keep) = consolidate(r, None, may_exist_below(key)) {
-                self.push_record(&mut buffer, &mut out, keep, &mut outcome, &mut batch)?;
+                self.push_record(&mut buffer, &mut out, keep, &mut outcome, &mut landing)?;
             }
         }
         while ys_subtracted < ys.opened.len() {
@@ -477,9 +582,9 @@ impl<'a> MergeEngine<'a> {
                 };
             if !prev_ok && !out.is_empty() {
                 // The previous output block may still be staged; it is
-                // about to be read back and freed, both of which need its
-                // frame on the device.
-                batch.flush()?;
+                // about to be read back, which needs its frame on the
+                // device.
+                landing.flush()?;
                 let prev = out.pop().expect("checked non-empty");
                 match self.store.read_block(&prev) {
                     Ok(prev_block) => {
@@ -488,12 +593,11 @@ impl<'a> MergeEngine<'a> {
                         let fused_from_buffer = buffer.len() as u64;
                         fused.append(&mut buffer);
                         w -= prev.empty_slots(self.b) as i64;
-                        self.store.free_block(&prev)?;
                         w += (self.b - fused.len()) as i64;
                         // write_out re-counts prev's records; compensate so
                         // out_records stays the number of surviving records.
                         outcome.out_records -= fused.len() as u64 - fused_from_buffer;
-                        self.write_out(fused, &mut out, &mut outcome, &mut batch)?;
+                        self.write_out(fused, &mut out, &mut outcome, &mut landing)?;
                     }
                     Err(LsmError::Degraded { .. }) => {
                         // A freshly adopted block turned out corrupt: drop
@@ -501,24 +605,24 @@ impl<'a> MergeEngine<'a> {
                         // its own. The pairwise seam no longer exists.
                         outcome.out_records -= u64::from(prev.count);
                         w -= prev.empty_slots(self.b) as i64;
-                        self.store.note_read_repair(prev.id.raw());
                         let flushed = std::mem::take(&mut buffer);
                         w += (self.b - flushed.len()) as i64;
-                        self.write_out(flushed, &mut out, &mut outcome, &mut batch)?;
+                        self.write_out(flushed, &mut out, &mut outcome, &mut landing)?;
                     }
                     Err(e) => return Err(e),
                 }
+                retired.push(prev);
             } else {
                 let flushed = std::mem::take(&mut buffer);
                 w += (self.b - flushed.len()) as i64;
-                self.write_out(flushed, &mut out, &mut outcome, &mut batch)?;
+                self.write_out(flushed, &mut out, &mut outcome, &mut landing)?;
             }
         }
 
         // Land every remaining staged output block before the handles are
-        // published into the level (and before input blocks are freed —
-        // freeing must never race ahead of the writes that replace them).
-        batch.flush()?;
+        // handed to the draft.
+        landing.flush()?;
+        drop(landing);
 
         // Subtract the empty slots of every Y block whose records were
         // consumed (they left the target).
@@ -532,19 +636,17 @@ impl<'a> MergeEngine<'a> {
         }
         outcome.reads += xs.logical_reads + ys.logical_reads;
 
-        // Release consumed input blocks. Lost blocks are *not* freed —
-        // their ids stay quarantined — but dropping them from the structure
-        // is the read repair, which we record here.
-        for h in xs.opened.iter().chain(ys.opened.iter()) {
-            self.store.free_block(h)?;
-        }
-        for h in xs.lost.iter().chain(ys.lost.iter()) {
-            self.store.note_read_repair(h.id.raw());
+        // Consumed and lost input blocks are in neither level once this
+        // merge is installed.
+        for stream in [xs, ys] {
+            retired.extend(stream.opened);
+            retired.extend(stream.lost);
         }
 
         // Splice Z into the target where Y was.
         let z_len = out.len();
-        target.insert_at(insert_pos, out);
+        target.replace(yrange, out);
+        target.edit.waste_delta = w;
 
         // Seam repairs (§II-B cases 1 & 3, applied at both ends of Z). The
         // preservation checks already guarantee pairwise validity *inside*
@@ -553,24 +655,22 @@ impl<'a> MergeEngine<'a> {
         // one extra write each.
         if z_len == 0 {
             // Everything consolidated away: Y's removal left one new seam.
-            if let Some(fix) = self.fix_pair_if_needed(target, insert_pos, &mut w)? {
+            if let Some(fix) = self.fix_pair_if_needed(target, insert_pos, blocks)? {
                 outcome.writes += fix.writes;
                 outcome.reads += fix.reads;
             }
         } else {
             let mut end = insert_pos + z_len; // index of first block after Z
-            if let Some(fix) = self.fix_pair_if_needed(target, insert_pos, &mut w)? {
+            if let Some(fix) = self.fix_pair_if_needed(target, insert_pos, blocks)? {
                 outcome.writes += fix.writes;
                 outcome.reads += fix.reads;
                 end -= 1; // front fuse shifted everything left by one
             }
-            if let Some(fix) = self.fix_pair_if_needed(target, end, &mut w)? {
+            if let Some(fix) = self.fix_pair_if_needed(target, end, blocks)? {
                 outcome.writes += fix.writes;
                 outcome.reads += fix.reads;
             }
         }
-
-        target.waste_delta = w;
         Ok(outcome)
     }
 
@@ -631,13 +731,13 @@ impl<'a> MergeEngine<'a> {
         out: &mut Vec<BlockHandle>,
         r: Record,
         outcome: &mut MergeOutcome,
-        batch: &mut WriteBatch<'_>,
+        landing: &mut Landing<'_, '_>,
     ) -> Result<()> {
         buffer.push(r);
         if buffer.len() == self.b {
             let flushed = std::mem::take(buffer);
             // A full block adds zero empty slots; no change to w.
-            self.write_out(flushed, out, outcome, batch)?;
+            self.write_out(flushed, out, outcome, landing)?;
         }
         Ok(())
     }
@@ -647,33 +747,27 @@ impl<'a> MergeEngine<'a> {
         records: Vec<Record>,
         out: &mut Vec<BlockHandle>,
         outcome: &mut MergeOutcome,
-        batch: &mut WriteBatch<'_>,
+        landing: &mut Landing<'_, '_>,
     ) -> Result<()> {
         outcome.out_records += records.len() as u64;
-        let h = batch.stage(records)?;
+        out.push(landing.stage(records)?);
         outcome.writes += 1;
-        out.push(h);
-        // Bound staged memory; ids are allocated in order, so a chunk of
-        // consecutive stages still coalesces into few syscalls.
-        if batch.pending() >= WRITE_CHUNK {
-            batch.flush()?;
-        }
         Ok(())
     }
 
-    /// If blocks `idx-1` and `idx` of `level` violate the pairwise waste
-    /// constraint, fuse them into one block. Used for the seams created by
-    /// bulk deletes and inserts.
-    pub fn fix_pair_if_needed(
+    /// If blocks `idx-1` and `idx` of the drafted level violate the
+    /// pairwise waste constraint, fuse them into one block. Used for the
+    /// seams created by bulk deletes and inserts; adjusts the draft's `w`.
+    pub(crate) fn fix_pair_if_needed(
         &self,
-        level: &mut Level,
+        level: &mut LevelDraft<'_>,
         idx: usize,
-        w: &mut i64,
+        blocks: &mut StepBlocks,
     ) -> Result<Option<CompactOutcome>> {
         if !self.pairwise || idx == 0 || idx >= level.num_blocks() {
             return Ok(None);
         }
-        let (a, b) = (&level.handles()[idx - 1], &level.handles()[idx]);
+        let (a, b) = (level.get(idx - 1), level.get(idx));
         if (a.count as usize) + (b.count as usize) > self.b {
             return Ok(None);
         }
@@ -682,101 +776,104 @@ impl<'a> MergeEngine<'a> {
         // drop the corrupt block from the level instead (read repair). The
         // level shrinks by one either way, so callers' index arithmetic
         // stays valid.
-        let block_a = match self.store.read_block(&a) {
-            Ok(block) => block,
-            Err(LsmError::Degraded { .. }) => {
-                level.remove_range(idx - 1..idx);
-                self.store.note_read_repair(a.id.raw());
-                *w -= a.empty_slots(self.b) as i64;
-                return Ok(Some(CompactOutcome { writes: 0, reads: 0 }));
+        let mut pair = Vec::with_capacity(2);
+        for (at, h) in [(idx - 1, &a), (idx, &b)] {
+            match self.store.read_block(h) {
+                Ok(block) => pair.push(block),
+                Err(LsmError::Degraded { .. }) => {
+                    level.replace(at..at + 1, Vec::new());
+                    level.edit.waste_delta -= h.empty_slots(self.b) as i64;
+                    blocks.retired.push(h.clone());
+                    return Ok(Some(CompactOutcome { writes: 0, reads: 0 }));
+                }
+                Err(e) => return Err(e),
             }
-            Err(e) => return Err(e),
-        };
-        let block_b = match self.store.read_block(&b) {
-            Ok(block) => block,
-            Err(LsmError::Degraded { .. }) => {
-                level.remove_range(idx..idx + 1);
-                self.store.note_read_repair(b.id.raw());
-                *w -= b.empty_slots(self.b) as i64;
-                return Ok(Some(CompactOutcome { writes: 0, reads: 0 }));
-            }
-            Err(e) => return Err(e),
-        };
-        let mut records = Vec::with_capacity(block_a.len() + block_b.len());
-        records.extend(block_a.records.iter().cloned());
-        records.extend(block_b.records.iter().cloned());
+        }
+        let mut records = Vec::with_capacity(pair.iter().map(|block| block.len()).sum());
+        for block in &pair {
+            records.extend(block.records.iter().cloned());
+        }
         let fused = self.store.write_block(records)?;
-        *w += fused.empty_slots(self.b) as i64;
-        *w -= a.empty_slots(self.b) as i64;
-        *w -= b.empty_slots(self.b) as i64;
-        self.store.free_block(&a)?;
-        self.store.free_block(&b)?;
-        level.replace_pair_with(idx - 1, fused);
+        blocks.created.push(fused.clone());
+        level.edit.waste_delta += fused.empty_slots(self.b) as i64
+            - a.empty_slots(self.b) as i64
+            - b.empty_slots(self.b) as i64;
+        blocks.retired.extend([a, b]);
+        level.replace(idx - 1..idx + 1, vec![fused]);
         Ok(Some(CompactOutcome { writes: 1, reads: 2 }))
     }
 
     /// Rewrite `level` compactly in one pass (§II-B compaction), resetting
-    /// its waste bookkeeping. Returns the I/O spent.
+    /// its waste bookkeeping. Returns the I/O spent. Like
+    /// [`merge_into`](MergeEngine::merge_into): compute, install, free; an
+    /// error leaves `level` as it was.
     pub fn compact_level(&self, level: &mut Level) -> Result<CompactOutcome> {
-        let old = level.take_all();
+        self.on_level(level, |draft, blocks| self.compact(draft, blocks))
+    }
+
+    /// The compute half of [`compact_level`](MergeEngine::compact_level),
+    /// on a level draft.
+    pub(crate) fn compact(
+        &self,
+        level: &mut LevelDraft<'_>,
+        blocks: &mut StepBlocks,
+    ) -> Result<CompactOutcome> {
+        // Every handle is about to be retired, so this copy is the list
+        // of retired blocks, not an extra.
+        let old: Vec<BlockHandle> = level.iter().cloned().collect();
         let mut outcome = CompactOutcome::default();
         let mut buffer: Vec<Record> = Vec::with_capacity(self.b);
         let mut new_handles: Vec<BlockHandle> = Vec::with_capacity(old.len());
-        let mut lost: Vec<&BlockHandle> = Vec::new();
-        let mut batch = self.store.write_batch();
+        let mut landing = Landing::new(self.store, &mut blocks.created);
         // Every block is read unconditionally, so reads batch freely;
         // chunking bounds how much of the level is resident at once.
         for chunk in old.chunks(COMPACT_BATCH) {
-            for (h, result) in chunk.iter().zip(self.store.read_blocks(chunk)) {
+            for result in self.store.read_blocks(chunk) {
                 let block = match result {
                     Ok(block) => block,
-                    Err(LsmError::Degraded { .. }) => {
-                        // The block's records are lost; compaction drops it
-                        // from the level (read repair) and keeps going.
-                        lost.push(h);
-                        continue;
-                    }
+                    // The block's records are lost; compaction drops it
+                    // from the level (read repair) and keeps going.
+                    Err(LsmError::Degraded { .. }) => continue,
                     Err(e) => return Err(e),
                 };
                 outcome.reads += 1;
                 for r in &block.records {
                     buffer.push(r.clone());
                     if buffer.len() == self.b {
-                        new_handles.push(batch.stage(std::mem::take(&mut buffer))?);
+                        new_handles.push(landing.stage(std::mem::take(&mut buffer))?);
                         outcome.writes += 1;
-                        if batch.pending() >= WRITE_CHUNK {
-                            batch.flush()?;
-                        }
                     }
                 }
             }
         }
         if !buffer.is_empty() {
-            new_handles.push(batch.stage(buffer)?);
+            new_handles.push(landing.stage(buffer)?);
             outcome.writes += 1;
         }
-        // Land the rewritten blocks before the old ones are released.
-        batch.flush()?;
-        for h in &old {
-            if lost.iter().any(|l| l.id == h.id) {
-                self.store.note_read_repair(h.id.raw());
-                continue;
-            }
-            self.store.free_block(h)?;
-        }
-        level.insert_at(0, new_handles);
-        level.reset_waste_accounting();
+        landing.flush()?;
+        blocks.retired.extend(old);
+        level.replace(0..level.num_blocks(), new_handles);
+        level.edit.merges_since_compaction = 0;
+        level.edit.slack_budget = 0.0;
+        level.edit.waste_delta = 0;
         Ok(outcome)
     }
 
     /// Does `level` currently need a compaction? True when its waste factor
     /// exceeds ε *and* compaction would actually reduce its block count.
     pub fn needs_compaction(&self, level: &Level) -> bool {
-        if level.num_blocks() < 2 {
+        self.wasteful(level.num_blocks(), level.records())
+    }
+
+    /// [`needs_compaction`](MergeEngine::needs_compaction) of a level of
+    /// `num_blocks` blocks holding `records` records.
+    pub(crate) fn wasteful(&self, num_blocks: usize, records: u64) -> bool {
+        if num_blocks < 2 {
             return false;
         }
-        let minimal = (level.records() as usize).div_ceil(self.b);
-        level.num_blocks() > minimal && level.waste_factor(self.b) > self.eps
+        let minimal = (records as usize).div_ceil(self.b);
+        let slots = (num_blocks * self.b) as u64;
+        num_blocks > minimal && (slots - records) as f64 / slots as f64 > self.eps
     }
 }
 

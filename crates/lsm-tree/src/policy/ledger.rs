@@ -10,7 +10,7 @@
 //! of the world right, and how much did its choices cost versus the best
 //! candidate in hindsight?".
 //!
-//! **Predicted cost** mirrors [`LsmTree::predicted_writes`]: a window of
+//! **Predicted cost** mirrors `predicted_writes` in `tree.rs`: a window of
 //! `w` blocks overlapping `v` target blocks rewrites `w + v` blocks; a
 //! full merge of `n` source over `m` target blocks rewrites `n + m`.
 //! **Regret** of one decision is `predicted(chosen) − min over candidates
@@ -26,7 +26,6 @@
 //! when absent the tree does not even enumerate candidates, so the device
 //! image and stats are untouched either way.
 //!
-//! [`LsmTree::predicted_writes`]: crate::tree::LsmTree::predicted_writes
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;

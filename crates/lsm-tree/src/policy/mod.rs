@@ -56,12 +56,14 @@ pub struct MergeCtx<'a> {
 
 /// A merge policy. Implementations must be deterministic functions of the
 /// context — all cross-merge state (RR cursors) lives in the tree so that
-/// it survives level relabelling.
+/// it survives level relabelling. That is also why `choose` takes `&self`:
+/// a maintenance step consults the policy from its unlocked half, sharing
+/// it with the tree by `Arc`, with no lock of the policy's own.
 pub trait MergePolicy: Send + Sync {
     /// Short name for reports ("Full", "RR", "ChooseBest", "Mixed", …).
     fn name(&self) -> &'static str;
     /// Choose what to merge out of the overflowing source.
-    fn choose(&mut self, ctx: &MergeCtx<'_>) -> MergeChoice;
+    fn choose(&self, ctx: &MergeCtx<'_>) -> MergeChoice;
 }
 
 /// The original LSM policy: always merge the whole level (§III-A).
@@ -72,7 +74,7 @@ impl MergePolicy for FullPolicy {
     fn name(&self) -> &'static str {
         "Full"
     }
-    fn choose(&mut self, _ctx: &MergeCtx<'_>) -> MergeChoice {
+    fn choose(&self, _ctx: &MergeCtx<'_>) -> MergeChoice {
         MergeChoice::Full
     }
 }
@@ -85,7 +87,7 @@ impl MergePolicy for RrPolicy {
     fn name(&self) -> &'static str {
         "RR"
     }
-    fn choose(&mut self, ctx: &MergeCtx<'_>) -> MergeChoice {
+    fn choose(&self, ctx: &MergeCtx<'_>) -> MergeChoice {
         MergeChoice::Window(rr_window(ctx.src_runs, ctx.src_rr_cursor, ctx.window_blocks))
     }
 }
@@ -101,7 +103,7 @@ impl MergePolicy for ChooseBestAlignedPolicy {
     fn name(&self) -> &'static str {
         "ChooseBestAligned"
     }
-    fn choose(&mut self, ctx: &MergeCtx<'_>) -> MergeChoice {
+    fn choose(&self, ctx: &MergeCtx<'_>) -> MergeChoice {
         MergeChoice::Window(choose_best_aligned_window(
             ctx.src_runs,
             ctx.target.handles(),
@@ -118,7 +120,7 @@ impl MergePolicy for ChooseBestPolicy {
     fn name(&self) -> &'static str {
         "ChooseBest"
     }
-    fn choose(&mut self, ctx: &MergeCtx<'_>) -> MergeChoice {
+    fn choose(&self, ctx: &MergeCtx<'_>) -> MergeChoice {
         MergeChoice::Window(choose_best_window(
             ctx.src_runs,
             ctx.target.handles(),
@@ -192,7 +194,7 @@ impl MergePolicy for MixedPolicy {
         "Mixed"
     }
 
-    fn choose(&mut self, ctx: &MergeCtx<'_>) -> MergeChoice {
+    fn choose(&self, ctx: &MergeCtx<'_>) -> MergeChoice {
         let partial = || {
             MergeChoice::Window(choose_best_window(
                 ctx.src_runs,
@@ -343,7 +345,7 @@ mod tests {
     fn mixed_always_partial_into_l1() {
         let src = runs(&[(0, 9), (10, 19)]);
         let t = level(&[]);
-        let mut m = MixedPolicy::new(MixedParams {
+        let m = MixedPolicy::new(MixedParams {
             thresholds: BTreeMap::new(),
             default_tau: 1.0, // would force Full anywhere else
             beta: true,
@@ -356,9 +358,9 @@ mod tests {
     fn mixed_beta_controls_bottom() {
         let src = runs(&[(0, 9), (10, 19)]);
         let t = level(&[(0, 50)]);
-        let mut on = MixedPolicy::new(MixedParams { beta: true, ..MixedParams::default() });
+        let on = MixedPolicy::new(MixedParams { beta: true, ..MixedParams::default() });
         assert_eq!(on.choose(&ctx(&src, &t, 1, 3, 100, true)), MergeChoice::Full);
-        let mut off = MixedPolicy::new(MixedParams { beta: false, ..MixedParams::default() });
+        let off = MixedPolicy::new(MixedParams { beta: false, ..MixedParams::default() });
         assert!(matches!(off.choose(&ctx(&src, &t, 1, 3, 100, true)), MergeChoice::Window(_)));
     }
 
@@ -367,7 +369,7 @@ mod tests {
         let src = runs(&[(0, 9), (10, 19)]);
         let mut params = MixedParams::default();
         params.thresholds.insert(2, 0.5);
-        let mut m = MixedPolicy::new(params);
+        let m = MixedPolicy::new(params);
         // Target has 1 block, capacity 10 → S < τK (1 < 5) → Full.
         let small = level(&[(0, 50)]);
         assert_eq!(m.choose(&ctx(&src, &small, 1, 2, 10, false)), MergeChoice::Full);
@@ -391,7 +393,7 @@ mod tests {
     fn test_mixed_is_choosebest_plus_full_bottom() {
         let src = runs(&[(0, 9), (10, 19)]);
         let t = level(&[(0, 50)]);
-        let mut m = MixedPolicy::new(MixedParams::test_mixed());
+        let m = MixedPolicy::new(MixedParams::test_mixed());
         // Internal level with τ=0: S < 0 never holds → partial.
         assert!(matches!(m.choose(&ctx(&src, &t, 1, 2, 100, false)), MergeChoice::Window(_)));
         // Bottom: β = true → Full.

@@ -7,22 +7,29 @@
 //! [`Scheduler::Background`](crate::Scheduler) a `put` that fills the
 //! memtable *seals* it — swaps in a fresh one and queues the immutable one
 //! — and returns; the actual flush and any cascade of level merges run
-//! here, one bounded [`LsmTree::maintenance_step`](crate::LsmTree) per
-//! tree-lock acquisition so writers interleave between steps.
+//! here, one bounded step at a time, each in two halves
+//! ([`MaintainTarget`]): the step is **computed** against a snapshot with
+//! the tree lock released — every device read and write happens there —
+//! and then **installed** under the lock, in memory only. What a request
+//! can wait for is one install, not one step: puts and gets run beside a
+//! merge, not between merges.
 //!
 //! Mechanics:
 //!
 //! * **Jobs** are shard ids. A shard appears in the queue at most once
 //!   (dedup bit) and is worked by at most one worker at a time (running
-//!   token). Because each shard's tree serializes under its own lock, this
-//!   also yields the per-level merge exclusivity the scheduler promises:
-//!   at most one merge per (shard, level) is ever in flight.
+//!   token). One maintainer per shard is also what lets a step skip
+//!   re-validation at install: nothing else changes the levels or drains
+//!   the oldest sealed memtable while it computes. It yields the per-level
+//!   merge exclusivity the scheduler promises, too: at most one merge per
+//!   (shard, level) is ever in flight.
 //! * **Admission control**: writers that find the sealed-memtable backlog
 //!   at [`BackgroundPolicy::max_imm_memtables`] release their shard lock
 //!   and block in [`SchedulerBackend::wait_for_room`] (emitting
 //!   [`Event::Backpressure`]) until a worker drains a memtable. The wait
 //!   happens strictly *outside* the tree lock — a stalled writer never
-//!   blocks the worker that will unstall it.
+//!   blocks the worker that will unstall it — and ends with the
+//!   maintenance error if the step that would have made room failed.
 //! * **Clean shutdown**: dropping the scheduler (or calling
 //!   [`SchedulerBackend::drain`]) finishes every queued job before workers
 //!   exit, so no sealed memtable is abandoned in memory.
@@ -140,8 +147,9 @@ pub trait SchedulerBackend: Send + Sync {
     /// Block (or, in the simulated executor, run maintenance steps) until
     /// `shard`'s backlog drops below the admission bound. Errors with
     /// [`LsmError::Shutdown`] instead of hanging when the scheduler shuts
-    /// down while the backlog is still full. Callers must NOT hold the
-    /// shard's tree lock.
+    /// down while the backlog is still full, and with the maintenance
+    /// error when the step that would have made room failed. Callers must
+    /// NOT hold the shard's tree lock.
     fn wait_for_room(&self, shard: usize) -> Result<()>;
 
     /// Run every target to quiescence, surfacing the first background
@@ -163,10 +171,30 @@ pub trait SchedulerBackend: Send + Sync {
 /// reference to the tree so a scheduler outliving its trees degrades to a
 /// no-op instead of keeping them alive.
 pub trait MaintainTarget: Send + Sync {
-    /// Run **one** bounded maintenance step (flush one sealed-memtable
-    /// window, or one level merge), acquiring and releasing the tree lock
-    /// inside. Returns whether any work was done.
-    fn maintenance_step(&self) -> Result<bool>;
+    /// First half of **one** bounded maintenance step (flush one
+    /// sealed-memtable window, or one level merge): snapshot the tree,
+    /// then do all the step's device reads and writes with the tree lock
+    /// released. Returns whether there was work; if so the outcome stays
+    /// with the target until [`install`](MaintainTarget::install). A
+    /// target computes one step at a time.
+    fn compute(&self) -> Result<bool>;
+
+    /// Second half: put the computed step into the tree under its lock
+    /// (memory only), then free the blocks it replaced. Does nothing when
+    /// nothing was computed. A computed step that is never installed —
+    /// shutdown, crash — gives back the blocks it wrote when the target
+    /// drops it.
+    fn install(&self) -> Result<()>;
+
+    /// Both halves back to back — what a worker thread runs. Returns
+    /// whether any work was done.
+    fn maintenance_step(&self) -> Result<bool> {
+        if !self.compute()? {
+            return Ok(false);
+        }
+        self.install()?;
+        Ok(true)
+    }
 
     /// Sealed memtables currently queued on the tree (the backpressure
     /// signal).
@@ -194,12 +222,14 @@ struct SchedState {
     backlogs: Vec<Arc<AtomicUsize>>,
     /// First background maintenance error, surfaced by `drain`.
     pending_err: Option<LsmError>,
+    /// Worker threads alive: working, or about to look at the queue.
+    live: usize,
+    /// Their handles (finished ones are joined as new ones are spawned).
+    handles: Vec<JoinHandle<()>>,
 }
 
 struct SchedInner {
     state: Mutex<SchedState>,
-    /// Workers wait here for jobs.
-    work_cv: Condvar,
     /// Backpressured writers wait here for a backlog slot.
     room_cv: Condvar,
     /// `drain` waits here for quiescence.
@@ -215,12 +245,11 @@ struct SchedInner {
 /// for the scheduling rules.
 pub struct MergeScheduler {
     inner: Arc<SchedInner>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl MergeScheduler {
-    /// Spawn `policy.workers` (at least one) maintenance workers.
-    /// Scheduler events ([`Event::JobStart`], [`Event::Backpressure`])
+    /// A pool of up to `policy.workers` (at least one) maintenance
+    /// workers, spawned when there is work. Scheduler events ([`Event::JobStart`], [`Event::Backpressure`])
     /// flow to `sink`.
     ///
     /// Queue delay is derivable from the event stream without a dedicated
@@ -239,21 +268,44 @@ impl MergeScheduler {
                 targets: Vec::new(),
                 backlogs: Vec::new(),
                 pending_err: None,
+                live: 0,
+                handles: Vec::new(),
             }),
-            work_cv: Condvar::new(),
             room_cv: Condvar::new(),
             idle_cv: Condvar::new(),
             policy,
             sink,
             shutdown: AtomicBool::new(false),
         });
-        let workers = (0..policy.workers.max(1))
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || Self::worker_loop(&inner))
-            })
-            .collect();
-        MergeScheduler { inner, workers: Mutex::new(workers) }
+        MergeScheduler { inner }
+    }
+
+    /// Called with the state lock held, after putting a shard on the
+    /// queue: make sure a worker will look at it, spawning one if fewer
+    /// than the pool size are alive. Workers are born with the work and
+    /// exit when the queue is empty rather than park on a condition
+    /// variable, because of where the kernel puts them. A thread that is
+    /// *woken* resumes on the core it last ran on or on its waker's — for
+    /// a worker that last ran while the writer slept in `flush`, and is
+    /// woken by that writer, both are the writer's core — and two busy
+    /// threads sharing a core are pulled apart only by periodic load
+    /// balancing, which (measured: two-core box, 4 ms tick) often takes
+    /// longer than a whole job; meanwhile they alternate in tick-long
+    /// slices and the other core idles. A thread that is *created* is
+    /// placed on the idlest core there is.
+    fn summon(inner: &Arc<SchedInner>, s: &mut SchedState) {
+        if s.live >= inner.policy.workers.max(1) {
+            return;
+        }
+        let (done, running): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut s.handles).into_iter().partition(JoinHandle::is_finished);
+        s.handles = running;
+        for h in done {
+            let _ = h.join();
+        }
+        s.live += 1;
+        let inner = Arc::clone(inner);
+        s.handles.push(std::thread::spawn(move || Self::worker_loop(&inner)));
     }
 
     /// The policy this scheduler runs under.
@@ -263,8 +315,8 @@ impl MergeScheduler {
 
     fn worker_loop(inner: &Arc<SchedInner>) {
         loop {
-            // Dequeue one shard (or exit once shut down with an empty
-            // queue — shutdown drains, it does not abandon).
+            // Dequeue one shard, or exit: an empty queue ends the worker
+            // (so shutdown drains, it does not abandon).
             let (shard, target, backlog_cell, depth) = {
                 let mut s = inner.state.lock();
                 loop {
@@ -281,15 +333,13 @@ impl MergeScheduler {
                         let b = Arc::clone(&s.backlogs[shard]);
                         break (shard, t, b, s.queue.len());
                     }
-                    if inner.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    s = inner.work_cv.wait(s);
+                    s.live -= 1;
+                    return;
                 }
             };
             inner.sink.emit_with(|| Event::JobStart { shard, queued: depth });
-            // Step until dry. Each step takes and releases the tree lock
-            // internally, so foreground writers interleave freely.
+            // Step until dry. A step holds the tree lock only to install
+            // its result, so requests run beside it.
             loop {
                 match target.maintenance_step() {
                     Ok(true) => {
@@ -309,6 +359,10 @@ impl MergeScheduler {
                     }
                 }
             }
+            // A writer's `notify` may have recorded a backlog this job
+            // found already drained: leave the true one behind, or that
+            // writer waits for room that is there.
+            backlog_cell.store(target.backlog(), Ordering::Release);
             let mut s = inner.state.lock();
             s.running[shard] = false;
             if s.requeue[shard] {
@@ -316,7 +370,6 @@ impl MergeScheduler {
                 if !s.queued[shard] {
                     s.queued[shard] = true;
                     s.queue.push_back(shard);
-                    inner.work_cv.notify_one();
                 }
             }
             inner.room_cv.notify_all();
@@ -324,16 +377,16 @@ impl MergeScheduler {
         }
     }
 
-    /// Finish every queued job, stop the workers, and join them. Called by
-    /// `Drop`; idempotent.
+    /// Let the workers finish every queued job and join them; writers
+    /// stalled at the backlog bound error out. Called by `Drop`;
+    /// idempotent.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Release);
-        {
-            let _s = self.inner.state.lock();
-            self.inner.work_cv.notify_all();
+        let workers = {
+            let mut s = self.inner.state.lock();
             self.inner.room_cv.notify_all();
-        }
-        let workers = std::mem::take(&mut *self.workers.lock());
+            std::mem::take(&mut s.handles)
+        };
         for w in workers {
             let _ = w.join();
         }
@@ -369,7 +422,7 @@ impl SchedulerBackend for MergeScheduler {
         if !s.queued[shard] {
             s.queued[shard] = true;
             s.queue.push_back(shard);
-            self.inner.work_cv.notify_one();
+            Self::summon(&self.inner, &mut s);
         }
     }
 
@@ -391,6 +444,18 @@ impl SchedulerBackend for MergeScheduler {
                      merge scheduler shut down",
                     s.backlogs[shard].load(Ordering::Acquire)
                 )));
+            }
+            // Nobody is working on the shard although its backlog is full:
+            // the job that would have made room failed. The writer takes
+            // the error (its retry re-enqueues the shard); if someone else
+            // already took it, re-enqueue here rather than wait forever.
+            if !s.queued[shard] && !s.running[shard] {
+                if let Some(e) = s.pending_err.take() {
+                    return Err(e);
+                }
+                s.queued[shard] = true;
+                s.queue.push_back(shard);
+                Self::summon(&self.inner, &mut s);
             }
             s = self.inner.room_cv.wait(s);
         }
@@ -420,7 +485,7 @@ impl SchedulerBackend for MergeScheduler {
                 if !s.queued[shard] && !s.running[shard] {
                     s.queued[shard] = true;
                     s.queue.push_back(shard);
-                    self.inner.work_cv.notify_one();
+                    Self::summon(&self.inner, &mut s);
                 }
             }
             let busy = !s.queue.is_empty() || s.running.iter().any(|&r| r);
@@ -496,7 +561,10 @@ mod tests {
     }
 
     impl MaintainTarget for FakeTarget {
-        fn maintenance_step(&self) -> Result<bool> {
+        fn install(&self) -> Result<()> {
+            Ok(())
+        }
+        fn compute(&self) -> Result<bool> {
             self.steps.fetch_add(1, Ordering::SeqCst);
             let prev = self
                 .work
@@ -554,7 +622,10 @@ mod tests {
     }
 
     impl MaintainTarget for GatedTarget {
-        fn maintenance_step(&self) -> Result<bool> {
+        fn install(&self) -> Result<()> {
+            Ok(())
+        }
+        fn compute(&self) -> Result<bool> {
             let mut open = self.open.lock();
             while !*open {
                 open = self.gate_cv.wait(open);
@@ -601,6 +672,52 @@ mod tests {
         waiter.join().unwrap();
         assert!(released.load(Ordering::SeqCst));
         assert!(t.backlog() < 2);
+    }
+
+    /// A writer can record a backlog the worker has already drained (it
+    /// read the count, then lost the CPU before `notify`). The dry job its
+    /// notify starts must leave the true backlog behind, or the writer
+    /// waits for room that is already there.
+    #[test]
+    fn a_stale_backlog_report_does_not_strand_the_writer() {
+        let sched = MergeScheduler::new(
+            BackgroundPolicy { workers: 1, max_imm_memtables: 2 },
+            SinkHandle::none(),
+        );
+        let t = FakeTarget::with_work(0, 0);
+        let id = sched.register(Arc::clone(&t) as Arc<dyn MaintainTarget>);
+        sched.notify(id, 3);
+        sched.wait_for_room(id).unwrap();
+        assert_eq!(sched.snapshot().backlogs, vec![0]);
+    }
+
+    /// A writer waiting for room learns that the step that would have made
+    /// it failed: it gets that error instead of waiting on an idle queue.
+    #[test]
+    fn a_failed_job_hands_its_error_to_the_stalled_writer() {
+        struct Failing;
+        impl MaintainTarget for Failing {
+            fn compute(&self) -> Result<bool> {
+                Err(LsmError::Invariant("injected".into()))
+            }
+            fn install(&self) -> Result<()> {
+                Ok(())
+            }
+            fn backlog(&self) -> usize {
+                2
+            }
+            fn has_pending(&self) -> bool {
+                true
+            }
+        }
+        let sched = MergeScheduler::new(
+            BackgroundPolicy { workers: 1, max_imm_memtables: 2 },
+            SinkHandle::none(),
+        );
+        let id = sched.register(Arc::new(Failing));
+        sched.notify(id, 2);
+        let err = sched.wait_for_room(id).unwrap_err();
+        assert!(matches!(err, LsmError::Invariant(_)), "{err}");
     }
 
     /// Satellite contract: a writer stalled at the backlog bound while the

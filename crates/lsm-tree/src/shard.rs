@@ -16,11 +16,29 @@
 //!           └─ ack ──────────── caller's step: group-commit wait, or defer it
 //! ```
 //!
-//! The shard lock is taken for writing in three places: the write path
-//! above, [`Shard::maintain`] (one bounded flush or merge step per
-//! acquisition), and the group-commit leader's fsync
-//! (`Shard::lead_sync`). It is never held across a scheduler call or the
-//! rendezvous — [`crate::lockorder`] asserts that in debug builds.
+//! and of one maintenance step ([`Shard::compute`], [`Shard::install`]), which the write path
+//! above and every get run *beside*, not behind:
+//!
+//! ```text
+//! compute ─┬─ read lock ──── snapshot: clone the level and memtable `Arc`s ─ unlock
+//!          └─ no lock ────── policy choice, device reads, merge, device writes
+//! install ─┬─ write lock ─── drop the flushed window, splice the levels (no I/O) ─ unlock
+//!          └─ no lock ────── free the blocks the step replaced
+//! ```
+//!
+//! The shard lock is taken for writing in three places: the write path,
+//! the install, and the group-commit leader's fsync (`Shard::lead_sync`).
+//! It is never held across a scheduler call or the rendezvous, and with a
+//! background scheduler none of the three touches the device under it
+//! (only the inline cascade does) — [`crate::lockorder`] asserts both in
+//! debug builds. What a put or get can wait for is therefore one
+//! install (a splice and a handful of map removals), not one merge.
+//!
+//! Block lifetime: gets and scans hold the read lock for as long as they
+//! follow fences, so no reader outlives an install; the blocks an install
+//! unlinked are freed right after it, through [`Store::free_block`].
+//!
+//! [`Store::free_block`]: crate::Store::free_block
 
 use std::path::Path;
 use std::sync::{Arc, Weak};
@@ -35,7 +53,7 @@ use crate::error::Result;
 use crate::lockorder::{self, TreeLockGuard};
 use crate::record::Request;
 use crate::scheduler::{self, MaintainTarget, SchedulerBackend};
-use crate::tree::{LsmTree, TreeOptions};
+use crate::tree::{LsmTree, StepOutcome, TreeOptions};
 use crate::wal::{WalFaultPlan, WriteAheadLog};
 
 /// Forwards every event of one shard's tree to the user sink, tags every
@@ -107,6 +125,9 @@ pub(crate) struct Shard {
     /// kept outside the lock so wait-state spans open without the tree.
     sink: SinkHandle,
     commit: CommitMode,
+    /// A maintenance step between its halves: computed, not yet installed.
+    /// The scheduler runs one maintainer per shard, so at most one.
+    computed: Mutex<Option<StepOutcome>>,
 }
 
 impl Shard {
@@ -134,6 +155,7 @@ impl Shard {
             group_cv: Condvar::new(),
             sink,
             commit,
+            computed: Mutex::new(None),
         })
     }
 
@@ -158,8 +180,15 @@ impl Shard {
     }
 
     /// The shard lock, exclusive, marked for the lock-order assertions.
-    fn lock(&self) -> (RwLockWriteGuard<'_, ShardState>, TreeLockGuard) {
-        (self.state.write(), lockorder::tree_lock_held())
+    /// `device_io` says whether the section may touch the device: only the
+    /// inline cascade does.
+    fn lock(&self, device_io: bool) -> (RwLockWriteGuard<'_, ShardState>, TreeLockGuard) {
+        let guard = self.state.write();
+        let held = match device_io {
+            true => lockorder::tree_lock_held(),
+            false => lockorder::tree_lock_held_no_io(),
+        };
+        (guard, held)
     }
 
     /// The write path (module docs draw it). `sched` is the background
@@ -185,7 +214,7 @@ impl Shard {
         let admitted = loop {
             let held = {
                 let _lock_wait = self.sink.span(SpanOp::lock_wait());
-                self.lock()
+                self.lock(background.is_none())
             };
             let tree = &held.0.tree;
             let Some((s, max)) = background else { break held };
@@ -236,10 +265,37 @@ impl Shard {
         ack(durable_at)
     }
 
-    /// One bounded maintenance step (flush one sealed-memtable window, or
-    /// one level merge) under the shard lock. Returns whether it did work.
-    pub(crate) fn maintain(&self) -> Result<bool> {
-        self.lock().0.tree.maintenance_step()
+    /// First half of a step (module docs draw it): snapshot under the read
+    /// lock, then choose, read, merge and write with no lock at all.
+    /// Returns whether there was work; if so its outcome now awaits
+    /// [`Shard::install`]. An error leaves the tree as it was.
+    pub(crate) fn compute(&self) -> Result<bool> {
+        lockorder::assert_no_tree_lock("Shard::compute");
+        let Some(snapshot) = self.read().tree.snapshot_step() else { return Ok(false) };
+        let _cascade = self.sink.span(SpanOp::cascade());
+        let outcome = snapshot.compute()?;
+        let earlier = self.computed.lock().replace(outcome);
+        debug_assert!(earlier.is_none(), "two maintainers on one shard");
+        Ok(true)
+    }
+
+    /// Second half: install the computed step under the write lock — no
+    /// device I/O in there — then free the blocks it replaced with the
+    /// lock released. No-op when nothing was computed.
+    pub(crate) fn install(&self) -> Result<()> {
+        let Some(mut outcome) = self.computed.lock().take() else { return Ok(()) };
+        self.lock(false).0.tree.install(&mut outcome);
+        outcome.release()
+    }
+
+    /// Seal the memtable if it is full, returning the backlog if it was. A
+    /// put that fills the memtable while the backlog sits at the bound
+    /// leaves it unsealed for the next put to stall on; `flush` must not
+    /// leave it behind.
+    pub(crate) fn seal_if_full(&self) -> Option<usize> {
+        let (mut state, _held) = self.lock(false);
+        let tree = &mut state.tree;
+        (tree.mem_at_capacity() && tree.seal_memtable()).then(|| tree.imm_count())
     }
 
     /// Wait until WAL offset `my_seq` is fsynced: become the leader (one
@@ -302,7 +358,7 @@ impl Shard {
     /// errors instead of retrying leadership against a WAL that just
     /// poisoned itself.
     fn lead_sync(&self) -> Result<u64> {
-        let res = match self.lock().0.wal.as_mut() {
+        let res = match self.lock(false).0.wal.as_mut() {
             Some(wal) => wal.sync().map(|()| wal.synced_len()),
             // No WAL: nothing to make durable.
             None => Ok(u64::MAX),
@@ -333,12 +389,12 @@ impl Shard {
 
     /// Fsync the WAL (no-op without one).
     pub(crate) fn sync_wal(&self) -> Result<()> {
-        self.lock().0.wal.as_mut().map_or(Ok(()), WriteAheadLog::sync)
+        self.lock(false).0.wal.as_mut().map_or(Ok(()), WriteAheadLog::sync)
     }
 
     /// Arm fsync-fault injection on the WAL (no-op without one).
     pub(crate) fn set_wal_fault_plan(&self, plan: WalFaultPlan, seed: u64) {
-        if let Some(wal) = self.lock().0.wal.as_mut() {
+        if let Some(wal) = self.lock(false).0.wal.as_mut() {
             wal.set_fault_plan(plan, seed);
         }
     }
@@ -366,8 +422,12 @@ pub(crate) struct ShardTarget {
 }
 
 impl MaintainTarget for ShardTarget {
-    fn maintenance_step(&self) -> Result<bool> {
-        self.shards.upgrade().map_or(Ok(false), |s| s[self.idx].maintain())
+    fn compute(&self) -> Result<bool> {
+        self.shards.upgrade().map_or(Ok(false), |s| s[self.idx].compute())
+    }
+
+    fn install(&self) -> Result<()> {
+        self.shards.upgrade().map_or(Ok(()), |s| s[self.idx].install())
     }
 
     fn backlog(&self) -> usize {

@@ -393,10 +393,25 @@ impl ShardedLsmTree {
     /// applied request is crash-durable.
     pub fn flush(&self) -> Result<()> {
         match &self.scheduler {
-            Some(s) => s.drain()?,
+            Some(s) => loop {
+                s.drain()?;
+                // Memtables left full behind a full backlog are work too.
+                let mut sealed = false;
+                for (idx, shard) in self.shards.iter().enumerate() {
+                    if let Some(backlog) = shard.seal_if_full() {
+                        s.notify(idx, backlog);
+                        sealed = true;
+                    }
+                }
+                if !sealed {
+                    break;
+                }
+            },
             None => {
                 for shard in self.shards.iter() {
-                    while shard.maintain()? {}
+                    while shard.compute()? {
+                        shard.install()?;
+                    }
                 }
             }
         }

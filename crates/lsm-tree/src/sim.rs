@@ -6,12 +6,15 @@
 //! and the failure evaporates. [`SimExecutor`] is the same
 //! [`SchedulerBackend`] contract implemented as an *explicitly stepped*
 //! executor: nothing runs until someone calls [`SimExecutor::step`], and
-//! each step performs exactly one bounded maintenance step on a shard
-//! chosen by a seeded RNG from the queue. The concurrency-torture harness
+//! each step performs exactly one *half* of a bounded maintenance step —
+//! the unlocked compute, or the install — on a shard chosen by a seeded
+//! RNG from the queue. The concurrency-torture harness
 //! ([`crate::torture::run_concurrent_crash_cycle`]) interleaves these
-//! steps with seeded writer operations, group-commit fsyncs, and injected
-//! faults — so every interleaving, including the failing ones, replays
-//! byte-for-byte from a single `u64` seed.
+//! steps with seeded writer operations, reads, group-commit fsyncs, and
+//! injected faults — so whatever a real worker's unlocked compute can
+//! overlap with lands between a compute and its install here too, and
+//! every interleaving, including the failing ones, replays byte-for-byte
+//! from a single `u64` seed.
 //!
 //! The executor is single-threaded by design: "worker threads" are just
 //! step invocations, and backpressure ([`SimExecutor::wait_for_room`])
@@ -38,6 +41,8 @@ struct SimState {
     queue: VecDeque<usize>,
     /// Dedup bit per shard, mirroring the real scheduler.
     queued: Vec<bool>,
+    /// Per shard: a step has been computed and awaits its install.
+    computed: Vec<bool>,
     targets: Vec<Arc<dyn MaintainTarget>>,
     /// Sealed-memtable backlog per shard, as last reported/probed.
     backlogs: Vec<usize>,
@@ -65,6 +70,7 @@ impl SimExecutor {
             state: Mutex::new(SimState {
                 queue: VecDeque::new(),
                 queued: Vec::new(),
+                computed: Vec::new(),
                 targets: Vec::new(),
                 backlogs: Vec::new(),
                 shutdown: false,
@@ -77,12 +83,14 @@ impl SimExecutor {
     }
 
     /// Run one scheduling step: pick a seeded shard off the queue, run one
-    /// bounded maintenance step on it, and re-enqueue it if it still has
-    /// pending work. Returns whether the step did any work (`Ok(false)`
-    /// when the queue was empty or the chosen shard turned out dry).
+    /// half of a bounded maintenance step on it — the install if the
+    /// shard has a computed step waiting, a compute otherwise — and
+    /// re-enqueue it if it still has pending work. Returns whether the
+    /// step did any work (`Ok(false)` when the queue was empty or the
+    /// chosen shard turned out dry).
     pub fn step(&self) -> Result<bool> {
         lockorder::assert_no_tree_lock("SimExecutor::step");
-        let (shard, target) = {
+        let (shard, target, install) = {
             let mut s = self.state.lock();
             s.steps += 1;
             if s.queue.is_empty() {
@@ -93,14 +101,21 @@ impl SimExecutor {
             s.queued[shard] = false;
             let depth = s.queue.len();
             self.sink.emit_with(|| Event::JobStart { shard, queued: depth });
-            (shard, Arc::clone(&s.targets[shard]))
+            let install = std::mem::take(&mut s.computed[shard]);
+            (shard, Arc::clone(&s.targets[shard]), install)
         };
         // Tree work happens strictly outside the scheduler state lock —
         // the same lock-order rule the real worker pool lives by.
-        let did = target.maintenance_step()?;
+        let did = if install {
+            target.install()?;
+            true
+        } else {
+            target.compute()?
+        };
         let backlog = target.backlog();
         let pending = target.has_pending();
         let mut s = self.state.lock();
+        s.computed[shard] = did && !install;
         s.backlogs[shard] = backlog;
         if pending && !s.queued[shard] {
             s.queued[shard] = true;
@@ -119,6 +134,12 @@ impl SimExecutor {
     pub fn steps_taken(&self) -> u64 {
         self.state.lock().steps
     }
+
+    /// Shards whose step is computed and not yet installed — whatever runs
+    /// now runs in the window a real worker's unlocked compute leaves open.
+    pub fn awaiting_install(&self) -> usize {
+        self.state.lock().computed.iter().filter(|&&c| c).count()
+    }
 }
 
 impl SchedulerBackend for SimExecutor {
@@ -129,6 +150,7 @@ impl SchedulerBackend for SimExecutor {
         let id = s.targets.len();
         s.targets.push(target);
         s.queued.push(false);
+        s.computed.push(false);
         s.backlogs.push(backlog);
         id
     }
@@ -231,7 +253,8 @@ impl SchedulerBackend for SimExecutor {
         let s = self.state.lock();
         SchedulerSnapshot {
             queued: s.queue.iter().copied().collect(),
-            running: Vec::new(),
+            // In flight here means computed, awaiting install.
+            running: (0..s.computed.len()).filter(|&i| s.computed[i]).collect(),
             requeue: Vec::new(),
             backlogs: s.backlogs.clone(),
             max_imm_memtables: self.max_imm_memtables,
@@ -254,7 +277,10 @@ mod tests {
     }
 
     impl MaintainTarget for FakeTarget {
-        fn maintenance_step(&self) -> Result<bool> {
+        fn compute(&self) -> Result<bool> {
+            Ok(self.work.load(Ordering::SeqCst) > 0)
+        }
+        fn install(&self) -> Result<()> {
             let prev = self
                 .work
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |w| Some(w.saturating_sub(1)))
@@ -262,7 +288,7 @@ mod tests {
             if prev <= 1 {
                 self.backlog.store(0, Ordering::SeqCst);
             }
-            Ok(prev > 0)
+            Ok(())
         }
         fn backlog(&self) -> usize {
             self.backlog.load(Ordering::SeqCst)
@@ -284,7 +310,9 @@ mod tests {
         sim.notify(id, 1);
         assert!(t.has_pending(), "registration and notify must not run work");
         assert!(sim.step().unwrap());
-        assert_eq!(t.work.load(Ordering::SeqCst), 2, "one step, one unit");
+        assert_eq!(t.work.load(Ordering::SeqCst), 3, "a compute installs nothing");
+        assert!(sim.step().unwrap());
+        assert_eq!(t.work.load(Ordering::SeqCst), 2, "two steps — two halves — one unit");
     }
 
     #[test]

@@ -33,6 +33,7 @@ use sim_ssd::{BlockAllocator, BlockDevice, BlockId, LruCache, MemDevice};
 use crate::block::{BlockHandle, DataBlock};
 use crate::bloom::BloomFilter;
 use crate::error::{LsmError, Result};
+use crate::lockorder;
 use crate::record::{Key, Record};
 
 /// Bounded retry-with-backoff for transient device errors.
@@ -161,6 +162,7 @@ impl Store {
 
     /// Run `op`, retrying transient device errors per the [`RetryPolicy`].
     fn with_retries<T>(&self, mut op: impl FnMut() -> sim_ssd::Result<T>) -> sim_ssd::Result<T> {
+        lockorder::assert_io_allowed("a device operation");
         let mut attempt = 0u32;
         loop {
             match op() {
@@ -336,6 +338,7 @@ impl Store {
             // follows allocation order, which key order scrambles.
             miss_idx.sort_by_key(|&i| handles[i].id.raw());
             let ids: Vec<BlockId> = miss_idx.iter().map(|&i| handles[i].id).collect();
+            lockorder::assert_io_allowed("a batched device read");
             let frames = self.device.read_many(&ids);
             for (&i, first) in miss_idx.iter().zip(frames) {
                 let handle = &handles[i];
@@ -370,23 +373,41 @@ impl Store {
         LsmError::Degraded { ranges: vec![(handle.min, handle.max)] }
     }
 
-    /// Release a block: TRIM on the device, id back to the allocator,
-    /// cached copy dropped. Quarantined blocks are never released (their
-    /// ids leak by design — reusing a suspect frame risks silent aliasing),
-    /// and blocks the last durable manifest references are only released
-    /// after the next checkpoint commits.
+    /// Release a block the index no longer references: TRIM on the device,
+    /// id back to the allocator, cached copy dropped. Quarantined blocks
+    /// are never released (their ids leak by design — reusing a suspect
+    /// frame risks silent aliasing); the structure letting go of one *is*
+    /// its read repair, recorded here. Blocks the last durable manifest
+    /// references are only released after the next checkpoint commits.
     pub fn free_block(&self, handle: &BlockHandle) -> Result<()> {
         self.cache.lock().remove(&handle.id);
-        if self.quarantined.lock().contains_key(&handle.id.raw()) {
+        let id = handle.id.raw();
+        if self.quarantined.lock().contains_key(&id) {
+            if self.repaired.lock().insert(id) {
+                self.sink.emit_with(|| Event::ReadRepair { block: id });
+            }
             return Ok(());
         }
-        if self.protected.lock().contains(&handle.id.raw()) {
+        if self.protected.lock().contains(&id) {
             self.deferred_free.lock().push(handle.id);
             return Ok(());
         }
         self.with_retries(|| self.device.trim(handle.id))?;
         self.alloc.free(handle.id);
         Ok(())
+    }
+
+    /// [`free_block`](Store::free_block) every handle; the first error is
+    /// returned once all have been attempted.
+    pub fn free_all(&self, handles: &[BlockHandle]) -> Result<()> {
+        let mut first_err = Ok(());
+        for h in handles {
+            let freed = self.free_block(h);
+            if first_err.is_ok() {
+                first_err = freed;
+            }
+        }
+        first_err
     }
 
     /// Flush the device, retrying transient sync errors.
@@ -415,14 +436,6 @@ impl Store {
             self.alloc.free(id);
         }
         Ok(())
-    }
-
-    /// A merge or compaction dropped quarantined block `id` from its level:
-    /// the structure no longer references it.
-    pub fn note_read_repair(&self, id: u64) {
-        if self.quarantined.lock().contains_key(&id) && self.repaired.lock().insert(id) {
-            self.sink.emit_with(|| Event::ReadRepair { block: id });
-        }
     }
 
     /// Key ranges that may have been lost to quarantined blocks, in block
@@ -501,10 +514,12 @@ impl WriteBatch<'_> {
     }
 
     /// Land every staged frame on the device with one batched call,
-    /// retrying transient per-block failures on the same id. On a
-    /// permanent failure the failed block's id is released and its cache
-    /// entry dropped (as `write_block` would), and the first error is
-    /// returned after every block has been attempted.
+    /// retrying transient per-block failures on the same id. All or
+    /// nothing: on a permanent failure every block of this flush — the
+    /// ones that landed too — is released (id, cache entry, frame), and
+    /// the first error is returned after every block has been attempted.
+    /// A caller therefore owns exactly the blocks of its successful
+    /// flushes.
     pub fn flush(&mut self) -> Result<()> {
         if self.staged.is_empty() {
             return Ok(());
@@ -516,25 +531,33 @@ impl WriteBatch<'_> {
         // descending order, and sorting turns those back into the
         // ascending extents `write_many` can coalesce.
         staged.sort_by_key(|(id, _)| id.raw());
+        lockorder::assert_io_allowed("a batched device write");
         let results = self.store.device.write_many(&staged);
         let mut first_err: Option<LsmError> = None;
+        let mut landed: Vec<BlockId> = Vec::with_capacity(staged.len());
         for ((id, frame), result) in staged.into_iter().zip(results) {
             let result = match result {
                 Ok(()) => Ok(()),
                 Err(first) => self.store.finish_write_retries(id, &frame, first),
             };
-            if let Err(e) = result {
-                self.store.cache.lock().remove(&id);
-                self.store.alloc.free(id);
-                if first_err.is_none() {
-                    first_err = Some(e.into());
+            match result {
+                Ok(()) => landed.push(id),
+                Err(e) => {
+                    self.store.cache.lock().remove(&id);
+                    self.store.alloc.free(id);
+                    first_err.get_or_insert(e.into());
                 }
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
+        let Some(e) = first_err else { return Ok(()) };
+        for id in landed {
+            self.store.cache.lock().remove(&id);
+            // Best effort: the id goes back either way, and a frame left
+            // behind under a free id is overwritten by its next owner.
+            let _ = self.store.device.trim(id);
+            self.store.alloc.free(id);
         }
+        Err(e)
     }
 }
 
@@ -870,7 +893,7 @@ mod tests {
             s.write_block(recs(&[100 + k])).unwrap();
         }
         assert!(s.read_block(&bad).is_err());
-        s.note_read_repair(bad.id.raw());
+        s.free_block(&bad).unwrap();
         assert_eq!(s.repaired_ids(), vec![bad.id.raw()]);
         // Repair does not clear the degraded range — the data is still lost.
         assert_eq!(s.degraded_ranges(), vec![(5, 9)]);

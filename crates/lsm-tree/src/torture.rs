@@ -602,8 +602,14 @@ pub struct ConcurrentTortureReport {
     pub issued: u64,
     /// Requests acknowledged durable before the crash.
     pub acked: u64,
-    /// Scheduler interleaving steps the simulated executor ran.
+    /// Scheduler interleaving steps the simulated executor ran (each one
+    /// half of a maintenance step: a compute or an install).
     pub sim_steps: u64,
+    /// Seeded point reads checked against the model of applied writes.
+    pub reads: u64,
+    /// Writes, reads and fsync steps that ran while some shard had a step
+    /// computed but not yet installed.
+    pub ops_between_halves: u64,
     /// Seeded group-commit fsync steps that ran.
     pub group_syncs: u64,
     /// Whether this cycle drew group commit (vs per-request fsync).
@@ -617,12 +623,14 @@ pub struct ConcurrentTortureReport {
 }
 
 /// Run one seeded *concurrent* crash cycle: M seeded writers interleaved
-/// with a [`SimExecutor`](crate::SimExecutor)'s maintenance steps and
-/// seeded group-commit fsyncs, over per-shard
+/// with a [`SimExecutor`](crate::SimExecutor)'s maintenance half-steps
+/// (a compute or an install each), seeded reads checked against a model
+/// of the applied writes, and seeded group-commit fsyncs, over per-shard
 /// [`FaultDevice`]s and fsync-fault-armed WALs; then a power cut, WAL
 /// tail truncation, recovery, and the per-shard
 /// [`HistoryChecker`](crate::HistoryChecker) prefix-durability check plus
-/// the deep structural verifier.
+/// the deep structural verifier. Writes, seals, reads, fsyncs, faults and
+/// the cut itself all land between a step's compute and its install.
 ///
 /// Everything — the interleaving included — derives from `cfg.seed`, so a
 /// failing cycle replays byte-for-byte. Failures carry the seed and, when
@@ -709,8 +717,12 @@ pub fn run_concurrent_crash_cycle(
         .sink(sink)
         .ledger(Arc::clone(&ledger))
         .build();
+    // A one-block L0: a few dozen requests seal several memtables per
+    // shard, so flushes, level merges and growth all happen — in halves —
+    // before the cut.
+    let tree_cfg = LsmConfig { k0_blocks: 1, ..tiny_cfg() };
     let tree = ShardedLsmTree::with_backend(
-        tiny_cfg(),
+        tree_cfg.clone(),
         opts,
         faults.iter().map(|f| Arc::clone(f) as Arc<dyn BlockDevice>).collect(),
         Some(&wal_dir),
@@ -751,8 +763,9 @@ pub fn run_concurrent_crash_cycle(
 
     // ------------------------------------------------------------------
     // Phase 1: the interleaved workload. Every iteration makes one seeded
-    // choice: a writer op, a scheduler maintenance step, or a group-commit
-    // fsync step. The first fault (or the soft cut) ends the workload.
+    // choice: a writer op, a scheduler maintenance half-step, a read, or a
+    // group-commit fsync step. The first fault (or the soft cut) ends the
+    // workload.
     // ------------------------------------------------------------------
     let mut writer_rngs: Vec<SplitMix64> = (0..cfg.writers)
         .map(|w| SplitMix64::new(cfg.seed ^ (w as u64 + 1).wrapping_mul(0xB0B0_0000_CAFE_F00D)))
@@ -762,7 +775,13 @@ pub fn run_concurrent_crash_cycle(
     // Per shard: (history index, WAL offset) of group writes awaiting an
     // fsync that covers them.
     let mut pending_group: Vec<Vec<(usize, u64)>> = vec![Vec::new(); cfg.shards];
+    // What a read must return: the last write applied per key. One thread
+    // makes every call, so "applied" is simply "returned `Ok`" — whatever
+    // the scheduler has computed or installed in between.
+    let mut model: HashMap<u64, Option<Vec<u8>>> = HashMap::new();
     let mut issued = 0u64;
+    let mut reads = 0u64;
+    let mut ops_between_halves = 0u64;
     let mut group_syncs = 0u64;
     let mut cut_mid_workload = false;
     let mut tick = 0u64;
@@ -773,7 +792,12 @@ pub fn run_concurrent_crash_cycle(
             cut_mid_workload = true;
             break;
         }
-        let choice = rng.gen_range(cfg.writers as u64 + 3);
+        let choice = rng.gen_range(cfg.writers as u64 + 4);
+        let half_step = (cfg.writers as u64..cfg.writers as u64 + 2).contains(&choice)
+            || (choice == cfg.writers as u64 + 2 && !group_commit);
+        if !half_step && sim.awaiting_install() > 0 {
+            ops_between_halves += 1;
+        }
         if choice < cfg.writers as u64 {
             // One writer op.
             let w = choice as usize;
@@ -783,6 +807,7 @@ pub fn run_concurrent_crash_cycle(
             issued += 1;
             match tree.apply_unacked(idx, req) {
                 Ok(durable_at) => {
+                    model.insert(key, value.clone());
                     // PerRequest fsyncs inline before returning (nothing to
                     // wait for); the injected bug acks group writes here,
                     // unsynced.
@@ -809,8 +834,33 @@ pub fn run_concurrent_crash_cycle(
                     break;
                 }
             }
-        } else if choice < cfg.writers as u64 + 2 || !group_commit {
-            // One scheduler maintenance step.
+        } else if choice == cfg.writers as u64 + 3 {
+            // One read, against the model.
+            let key = rng.gen_range(cfg.key_space);
+            reads += 1;
+            match tree.get(key) {
+                Ok(got) => {
+                    let want = model.get(&key).cloned().flatten();
+                    if got.as_deref() != want.as_deref() {
+                        let msg = format!(
+                            "read of key {key} returned {got:?}, the model of applied writes has \
+                             {want:?} (after {issued} writes, {} half-steps)",
+                            sim.steps_taken()
+                        );
+                        let section = tree.scheduler_section_json();
+                        let bundle =
+                            dump("concurrent torture failure: read", Some(&msg), Some(&section));
+                        cleanup();
+                        return Err(fail(msg, bundle));
+                    }
+                }
+                Err(_) => {
+                    cut_mid_workload = true;
+                    break;
+                }
+            }
+        } else if half_step {
+            // One half of a scheduler maintenance step.
             if sim.step().is_err() {
                 cut_mid_workload = true;
                 break;
@@ -889,8 +939,8 @@ pub fn run_concurrent_crash_cycle(
         .retry(RetryPolicy { max_attempts: 4, base_backoff_us: 0 })
         .build();
     let recovered =
-        ShardedLsmTree::recover_with_wal(tiny_cfg(), r_opts, cfg.shards, 1 << 14, &wal_dir)
-            .map_err(|e| {
+        ShardedLsmTree::recover_with_wal(tree_cfg, r_opts, cfg.shards, 1 << 14, &wal_dir).map_err(
+            |e| {
                 let msg = format!("recovery failed: {e}");
                 let bundle = dump(
                     "concurrent torture failure: recovery",
@@ -899,7 +949,8 @@ pub fn run_concurrent_crash_cycle(
                 );
                 cleanup();
                 fail(msg, bundle)
-            })?;
+            },
+        )?;
 
     let mut matched_prefixes = Vec::with_capacity(cfg.shards);
     let mut recovered_keys = 0u64;
@@ -983,6 +1034,8 @@ pub fn run_concurrent_crash_cycle(
         issued,
         acked,
         sim_steps,
+        reads,
+        ops_between_halves,
         group_syncs,
         group_commit,
         cut_mid_workload,

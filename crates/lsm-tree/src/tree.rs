@@ -11,14 +11,14 @@ use sim_ssd::BlockDevice;
 use crate::block::BLOCK_HEADER_LEN;
 use crate::config::{CommitMode, LsmConfig, Scheduler};
 use crate::error::{LsmError, Result};
-use crate::level::Level;
-use crate::memtable::Memtable;
-use crate::merge::{MergeEngine, MergeSource};
+use crate::level::{Level, LevelDraft, LevelEdit};
+use crate::memtable::{Memtable, RunMeta};
+use crate::merge::{MergeEngine, MergeSource, StepBlocks};
 use crate::policy::ledger::{enumerate_candidates, DecisionLedger};
 use crate::policy::window::{runs_of_handles, window_overlap};
 use crate::policy::{MergeChoice, MergeCtx, MergePolicy, PolicySpec};
 use crate::record::{Key, OpKind, Request};
-use crate::stats::{MergeKind, TreeStats};
+use crate::stats::{LevelStats, MergeKind, TreeStats};
 use crate::store::{RetryPolicy, Store};
 
 /// Behavioural options of a tree, orthogonal to the data geometry.
@@ -178,13 +178,14 @@ impl TreeOptionsBuilder {
     }
 }
 
-/// Which memtable a flush-merge drains from (see `merge_from_mem`).
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// Which memtable a flush drains a window of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MemSlot {
-    /// The live memtable — the inline cascade path.
+    /// The live memtable — the inline cascade.
     Active,
-    /// The oldest sealed memtable on the immutable queue — the
-    /// background-maintenance path.
+    /// The oldest sealed memtable on the immutable queue — a maintenance
+    /// step. Sealed memtables drain oldest-first, so newest-wins shadowing
+    /// across the queue is preserved.
     ImmOldest,
 }
 
@@ -198,28 +199,62 @@ struct LookupProbe {
     block_reads: u64,
 }
 
-/// An LSM-tree over a block device.
-pub struct LsmTree {
+/// Everything a maintenance step reads besides the data: shared or cheap
+/// to copy, so a step holds its own and needs no lock on the tree.
+#[derive(Clone)]
+struct StepEnv {
     cfg: LsmConfig,
     preserve_blocks: bool,
     enforce_pairwise: bool,
     enforce_level_waste: bool,
-    store: Store,
-    mem: Memtable,
-    /// Sealed memtables awaiting a background flush, oldest first. Always
-    /// empty under [`Scheduler::Inline`] (the inline cascade never seals).
-    imm: VecDeque<Memtable>,
-    /// On-SSD levels; `levels[i]` is paper-level `L_{i+1}`.
-    levels: Vec<Level>,
-    policy: Box<dyn MergePolicy>,
+    store: Arc<Store>,
+    policy: Arc<dyn MergePolicy>,
     policy_name: &'static str,
+    sink: SinkHandle,
+    ledger: Option<Arc<DecisionLedger>>,
+}
+
+impl StepEnv {
+    fn new(cfg: LsmConfig, opts: TreeOptions, store: Store) -> Self {
+        store.set_sink(opts.sink.clone());
+        let policy: Arc<dyn MergePolicy> = Arc::from(opts.policy.build());
+        StepEnv {
+            cfg,
+            preserve_blocks: opts.preserve_blocks,
+            enforce_pairwise: opts.enforce_pairwise,
+            enforce_level_waste: opts.enforce_level_waste,
+            store: Arc::new(store),
+            policy_name: policy.name(),
+            policy,
+            sink: opts.sink,
+            ledger: opts.ledger,
+        }
+    }
+}
+
+/// An LSM-tree over a block device.
+///
+/// Everything maintenance reads is immutable and behind an `Arc` — each
+/// level, each memtable — so a flush or merge is computed against a
+/// snapshot and changes the tree only when its outcome is installed
+/// (`snapshot → compute → install`, see "Maintenance" below).
+pub struct LsmTree {
+    env: StepEnv,
+    mem: Arc<Memtable>,
+    /// Sealed memtables awaiting a background flush, oldest first, never
+    /// an empty one. Always empty under [`Scheduler::Inline`] (the inline
+    /// cascade never seals).
+    imm: VecDeque<Arc<Memtable>>,
+    /// On-SSD levels; `levels[i]` is paper-level `L_{i+1}`.
+    levels: Vec<Arc<Level>>,
     /// RR cursor for merges out of L0 (cursors of on-SSD levels live in
     /// the levels themselves).
     mem_rr_cursor: Option<Key>,
     stats: TreeStats,
-    sink: SinkHandle,
-    ledger: Option<Arc<DecisionLedger>>,
     commit: CommitMode,
+    /// Step outcomes installed so far: a snapshot records it, and an
+    /// outcome may only be installed on the state it was computed from.
+    installs: u64,
 }
 
 impl LsmTree {
@@ -235,26 +270,7 @@ impl LsmTree {
         }
         let store =
             Store::new(device, cfg.cache_blocks, cfg.bloom_bits_per_key).with_retry(opts.retry);
-        store.set_sink(opts.sink.clone());
-        let policy = opts.policy.build();
-        let policy_name = policy.name();
-        Ok(LsmTree {
-            cfg,
-            preserve_blocks: opts.preserve_blocks,
-            enforce_pairwise: opts.enforce_pairwise,
-            enforce_level_waste: opts.enforce_level_waste,
-            store,
-            mem: Memtable::new(),
-            imm: VecDeque::new(),
-            levels: vec![Level::new()],
-            policy,
-            policy_name,
-            mem_rr_cursor: None,
-            stats: TreeStats::default(),
-            sink: opts.sink,
-            ledger: opts.ledger,
-            commit: opts.commit,
-        })
+        Ok(Self::assemble(cfg, opts, store, Memtable::new(), vec![Level::new()], None))
     }
 
     /// Create a tree over a fresh in-memory simulated SSD of
@@ -274,25 +290,16 @@ impl LsmTree {
         mem_rr_cursor: Option<Key>,
     ) -> Self {
         debug_assert!(!levels.is_empty());
-        store.set_sink(opts.sink.clone());
-        let policy = opts.policy.build();
-        let policy_name = policy.name();
+        let commit = opts.commit;
         LsmTree {
-            cfg,
-            preserve_blocks: opts.preserve_blocks,
-            enforce_pairwise: opts.enforce_pairwise,
-            enforce_level_waste: opts.enforce_level_waste,
-            store,
-            mem,
+            env: StepEnv::new(cfg, opts, store),
+            mem: Arc::new(mem),
             imm: VecDeque::new(),
-            levels,
-            policy,
-            policy_name,
+            levels: levels.into_iter().map(Arc::new).collect(),
             mem_rr_cursor,
             stats: TreeStats::default(),
-            sink: opts.sink,
-            ledger: opts.ledger,
-            commit: opts.commit,
+            commit,
+            installs: 0,
         }
     }
 
@@ -321,7 +328,7 @@ impl LsmTree {
     /// memtable overflowed) nests inside it, so a trace partitions the
     /// front-end latency into memtable-insert time plus cascade time.
     pub fn apply(&mut self, req: Request) -> Result<()> {
-        let _span = self.sink.span(SpanOp::put());
+        let _span = self.env.sink.span(SpanOp::put());
         self.apply_buffered(req)?;
         self.run_cascade()
     }
@@ -333,7 +340,7 @@ impl LsmTree {
     pub(crate) fn check_request(&self, req: &Request) -> Result<()> {
         if let Request::Put(_, payload) = req {
             let record_bytes = 13 + payload.len();
-            let room = self.cfg.block_size - BLOCK_HEADER_LEN;
+            let room = self.env.cfg.block_size - BLOCK_HEADER_LEN;
             if record_bytes > room {
                 return Err(LsmError::RecordTooLarge { record_bytes, block_payload_bytes: room });
             }
@@ -353,7 +360,7 @@ impl LsmTree {
             Request::Put(..) => self.stats.puts += 1,
             Request::Delete(_) => self.stats.deletes += 1,
         }
-        self.mem.apply(req);
+        Arc::make_mut(&mut self.mem).apply(req);
         Ok(())
     }
 
@@ -376,7 +383,7 @@ impl LsmTree {
     /// concurrent readers (e.g. through [`crate::ShardedLsmTree`]) are all
     /// accounted rather than silently dropped.
     pub fn get(&self, key: Key) -> Result<Option<Bytes>> {
-        let _span = self.sink.span(SpanOp::lookup());
+        let _span = self.env.sink.span(SpanOp::lookup());
         self.stats.note_lookup();
         let (value, probe) = self.lookup(key)?;
         self.stats.note_lookup_costs(probe.block_reads, probe.bloom_skips);
@@ -427,7 +434,7 @@ impl LsmTree {
                     continue;
                 }
             }
-            let block = self.store.read_block(handle)?;
+            let block = self.env.store.read_block(handle)?;
             probe.block_reads += 1;
             if let Some(r) = block.find(key) {
                 let value = match r.op {
@@ -446,7 +453,7 @@ impl LsmTree {
 
     /// Static configuration.
     pub fn config(&self) -> &LsmConfig {
-        &self.cfg
+        &self.env.cfg
     }
 
     /// Height `h` — number of levels including L0.
@@ -455,7 +462,7 @@ impl LsmTree {
     }
 
     /// The on-SSD levels; index `i` is paper-level `L_{i+1}`.
-    pub fn levels(&self) -> &[Level] {
+    pub fn levels(&self) -> &[Arc<Level>] {
         &self.levels
     }
 
@@ -466,7 +473,7 @@ impl LsmTree {
 
     /// Storage services (device counters, cache statistics).
     pub fn store(&self) -> &Store {
-        &self.store
+        &self.env.store
     }
 
     /// Cost counters.
@@ -476,7 +483,7 @@ impl LsmTree {
 
     /// Name of the active policy.
     pub fn policy_name(&self) -> &'static str {
-        self.policy_name
+        self.env.policy_name
     }
 
     /// Total records in the index (upper bound: shadowed versions and
@@ -484,42 +491,42 @@ impl LsmTree {
     pub fn record_count(&self) -> u64 {
         self.mem.len() as u64
             + self.imm.iter().map(|m| m.len() as u64).sum::<u64>()
-            + self.levels.iter().map(Level::records).sum::<u64>()
+            + self.levels.iter().map(|l| l.records()).sum::<u64>()
     }
 
     /// Approximate logical size in bytes.
     pub fn approx_bytes(&self) -> u64 {
-        self.record_count() * self.cfg.record_size() as u64
+        self.record_count() * self.env.cfg.record_size() as u64
     }
 
     /// Replace the merge policy (the Mixed learner uses this between
     /// measurements; data and statistics are unaffected).
     pub fn set_policy(&mut self, policy: Box<dyn MergePolicy>) {
-        self.policy_name = policy.name();
-        self.policy = policy;
+        self.env.policy_name = policy.name();
+        self.env.policy = Arc::from(policy);
     }
 
     /// Register (or detach, with [`SinkHandle::none`]) the event sink. The
     /// registration propagates to every layer: tree-level merge events plus
     /// the store's cache and device events all flow to the same sink.
     pub fn set_sink(&mut self, sink: SinkHandle) {
-        self.store.set_sink(sink.clone());
-        self.sink = sink;
+        self.env.store.set_sink(sink.clone());
+        self.env.sink = sink;
     }
 
     /// The currently registered sink (detached by default).
     pub fn sink(&self) -> &SinkHandle {
-        &self.sink
+        &self.env.sink
     }
 
     /// The attached decision ledger, if any.
     pub fn ledger(&self) -> Option<&Arc<DecisionLedger>> {
-        self.ledger.as_ref()
+        self.env.ledger.as_ref()
     }
 
     /// Is block preservation active?
     pub fn preserves_blocks(&self) -> bool {
-        self.preserve_blocks
+        self.env.preserve_blocks
     }
 
     /// Key ranges that may have been lost to unrecoverable block
@@ -527,7 +534,7 @@ impl LsmTree {
     /// may have returned [`LsmError::Degraded`]; everything outside them is
     /// unaffected.
     pub fn degraded_ranges(&self) -> Vec<(Key, Key)> {
-        self.store.degraded_ranges()
+        self.env.store.degraded_ranges()
     }
 
     // ------------------------------------------------------------------
@@ -542,7 +549,7 @@ impl LsmTree {
     /// Whether the active memtable has reached L0 capacity (the overflow
     /// condition the inline cascade acts on).
     pub fn mem_at_capacity(&self) -> bool {
-        self.mem.len() >= self.cfg.l0_capacity_records()
+        self.mem.len() >= self.env.cfg.l0_capacity_records()
     }
 
     /// Seal the active memtable: swap in a fresh one and push the full one
@@ -557,7 +564,7 @@ impl LsmTree {
         let records = sealed.len() as u64;
         self.imm.push_back(sealed);
         let backlog = self.imm.len();
-        self.sink.emit_with(|| Event::FlushEnqueued { records, backlog });
+        self.env.sink.emit_with(|| Event::FlushEnqueued { records, backlog });
         true
     }
 
@@ -569,60 +576,52 @@ impl LsmTree {
     /// Iterate the sealed memtables, oldest first (checkpointing folds
     /// them into the manifest; scans merge them with the active memtable).
     pub fn imm_memtables(&self) -> impl Iterator<Item = &Memtable> {
-        self.imm.iter()
+        self.imm.iter().map(|m| &**m)
     }
 
     /// Whether any maintenance is pending: a sealed memtable to flush or
     /// an overflowing level to merge.
     pub fn maintenance_pending(&self) -> bool {
-        self.imm.iter().any(|m| !m.is_empty()) || self.overflowing_level().is_some()
+        !self.imm.is_empty() || overflowing_level(&self.env.cfg, &self.levels).is_some()
     }
 
-    /// The shallowest on-SSD level at or over capacity, as an index into
-    /// `levels` — the one place the overflow condition of §II-A is spelled.
-    fn overflowing_level(&self) -> Option<usize> {
-        (0..self.levels.len())
-            .find(|&i| self.levels[i].num_blocks() >= self.cfg.level_capacity_blocks(i + 1))
-    }
-
-    /// Relieve overflowing `levels[vec_idx]`: the bottom level grows the
-    /// tree, every other merges one policy-chosen unit down.
-    fn step_level(&mut self, vec_idx: usize) -> Result<()> {
-        if vec_idx + 1 == self.levels.len() {
-            self.grow();
-            Ok(())
-        } else {
-            self.merge_from_level(vec_idx)
-        }
-    }
+    // ------------------------------------------------------------------
+    // Maintenance: snapshot → compute → install → release
+    // ------------------------------------------------------------------
+    //
+    // A step never works on the tree. It works on a `StepSnapshot` (the
+    // levels and the memtable it drains, by `Arc`), produces a
+    // `StepOutcome` (an edit per touched level, the flushed keys, counter
+    // deltas, the blocks written and the blocks replaced), and only
+    // `install` changes the tree — in memory, with no device I/O. The
+    // halves run back to back here under `&mut self`; a shard runs them
+    // with its lock released in between (`Shard::compute`, `Shard::install`). That is safe
+    // without re-validation because requests only touch the active
+    // memtable and push sealed ones to the *back* of `imm`, and each tree
+    // has one maintainer at a time: what a snapshot saw of the levels and
+    // of the oldest sealed memtable is still there at install.
 
     /// Run **one** bounded maintenance step: one policy-chosen merge out of
     /// the oldest sealed memtable if any, otherwise one merge (or level
     /// growth) for the shallowest overflowing level. Returns whether
-    /// anything was done.
+    /// anything was done. An error leaves the tree as it was.
     ///
-    /// This is the unit of work a background worker performs per lock
-    /// acquisition — foreground writers interleave between steps, which is
-    /// what bounds their tail latency (the inline cascade instead charges
-    /// the whole cascade to the triggering request).
+    /// This is what a background worker does per job iteration, except
+    /// that the worker holds the tree's lock only for the install.
     pub fn maintenance_step(&mut self) -> Result<bool> {
-        while self.imm.front().is_some_and(Memtable::is_empty) {
-            self.imm.pop_front();
-        }
-        if !self.imm.is_empty() {
-            // Each step is its own (short) cascade span, so merge spans
-            // keep nesting under a cascade exactly as in inline mode.
-            let _span = self.sink.span(SpanOp::cascade());
-            self.merge_from_mem(MemSlot::ImmOldest)?;
-            while self.imm.front().is_some_and(Memtable::is_empty) {
-                self.imm.pop_front();
-            }
-            return Ok(true);
-        }
-        let Some(vec_idx) = self.overflowing_level() else { return Ok(false) };
-        let _span = self.sink.span(SpanOp::cascade());
-        self.step_level(vec_idx)?;
+        let Some(snapshot) = self.snapshot_step() else { return Ok(false) };
+        // Each step is its own (short) cascade span, so merge spans keep
+        // nesting under a cascade exactly as in inline mode.
+        let _span = self.env.sink.span(SpanOp::cascade());
+        self.run_step(snapshot)?;
         Ok(true)
+    }
+
+    /// Both halves of a step and its release, back to back.
+    fn run_step(&mut self, snapshot: StepSnapshot) -> Result<()> {
+        let mut outcome = snapshot.compute()?;
+        self.install(&mut outcome);
+        outcome.release()
     }
 
     /// Run maintenance steps until the tree is quiescent (no sealed
@@ -633,248 +632,368 @@ impl LsmTree {
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Merge machinery
-    // ------------------------------------------------------------------
-
     /// Run merges until no level overflows (§II-A) — the inline half of
     /// [`LsmTree::apply`], which a front-end holding its own put span runs
-    /// after [`LsmTree::apply_buffered`].
+    /// after [`LsmTree::apply_buffered`]. The same steps as
+    /// [`LsmTree::maintenance_step`], draining the live memtable.
     pub(crate) fn run_cascade(&mut self) -> Result<()> {
         // The cascade span opens lazily on the first action, so the common
         // no-op call (most requests trigger nothing) traces nothing.
         let mut cascade: Option<SpanGuard> = None;
-        loop {
-            if self.mem_at_capacity() {
-                cascade.get_or_insert_with(|| self.sink.span(SpanOp::cascade()));
-                self.merge_from_mem(MemSlot::Active)?;
-                continue;
-            }
-            let Some(vec_idx) = self.overflowing_level() else { return Ok(()) };
-            cascade.get_or_insert_with(|| self.sink.span(SpanOp::cascade()));
-            self.step_level(vec_idx)?;
+        while let Some(snapshot) = self.snapshot(MemSlot::Active) {
+            cascade.get_or_insert_with(|| self.env.sink.span(SpanOp::cascade()));
+            self.run_step(snapshot)?;
         }
-    }
-
-    /// The overflowing bottom level `L_{h-1}` becomes `L_h`; an empty
-    /// level takes its place (§II-A).
-    fn grow(&mut self) {
-        let at = self.levels.len() - 1;
-        self.levels.insert(at, Level::new());
-        let new_height = self.height();
-        self.sink.emit_with(|| Event::LevelAdded { new_height });
-    }
-
-    /// Blocks the policy's choice is expected to write: the selected source
-    /// blocks plus every overlapping target block (none are preserved in
-    /// the pessimistic prediction). Compared to the actual `writes` of the
-    /// matching merge, this evaluates the policy's cost model.
-    fn predicted_writes(
-        runs: &[crate::memtable::RunMeta],
-        target: &Level,
-        choice: MergeChoice,
-    ) -> u64 {
-        match choice {
-            MergeChoice::Full => (runs.len() + target.num_blocks()) as u64,
-            MergeChoice::Window(w) => (w.len + window_overlap(runs, target.handles(), w)) as u64,
-        }
-    }
-
-    /// Flush one policy-chosen unit (window or all) of a memtable into L1.
-    /// `MemSlot::Active` is the inline path (the cascade flushes the live
-    /// memtable in place); `MemSlot::ImmOldest` is the background path
-    /// (a sealed memtable drains oldest-first so newest-wins shadowing
-    /// across the queue is preserved). Event and span order is identical
-    /// for both slots.
-    fn merge_from_mem(&mut self, slot: MemSlot) -> Result<()> {
-        let b = self.cfg.block_capacity();
-        let runs = match slot {
-            MemSlot::Active => self.mem.virtual_blocks(b),
-            MemSlot::ImmOldest => match self.imm.front() {
-                Some(m) => m.virtual_blocks(b),
-                None => return Ok(()),
-            },
-        };
-        if runs.is_empty() {
-            return Ok(());
-        }
-        let ctx = MergeCtx {
-            src_runs: &runs,
-            target: &self.levels[0],
-            window_blocks: self.cfg.merge_window_blocks(0),
-            target_paper_level: 1,
-            target_capacity: self.cfg.level_capacity_blocks(1),
-            target_is_bottom: self.levels.len() == 1,
-            src_rr_cursor: self.mem_rr_cursor,
-        };
-        let window_blocks = ctx.window_blocks;
-        let choice = self.policy.choose(&ctx);
-        let predicted = Self::predicted_writes(&runs, &self.levels[0], choice);
-        // Covers record extraction and the L1 merge; the merge span in
-        // `do_merge` nests underneath.
-        let _flush_span = self.sink.span(SpanOp::flush(choice == MergeChoice::Full));
-        self.sink.emit_with(|| Event::PolicyDecision {
-            target_level: 1,
-            full: choice == MergeChoice::Full,
-            predicted_writes: predicted,
-        });
-        let ledger_token = self.ledger.as_ref().map(|l| {
-            let cands = enumerate_candidates(&runs, self.levels[0].handles(), window_blocks);
-            l.open(self.policy_name, 1, cands, choice, predicted)
-        });
-        let src_mem = match slot {
-            MemSlot::Active => &mut self.mem,
-            MemSlot::ImmOldest => self.imm.front_mut().expect("checked above"),
-        };
-        let (records, kind) = match choice {
-            MergeChoice::Full => (src_mem.extract_all(), MergeKind::Full),
-            MergeChoice::Window(w) => {
-                (src_mem.extract_window(w.start, w.len, b), MergeKind::Partial)
-            }
-        };
-        let src_records = records.len() as u64;
-        self.sink.emit_with(|| Event::MemtableFlush {
-            records: src_records,
-            full: kind == MergeKind::Full,
-        });
-        self.do_merge(0, MergeSource::Records(records), src_records, kind, ledger_token)?;
         Ok(())
     }
 
-    fn merge_from_level(&mut self, src_vec_idx: usize) -> Result<()> {
-        debug_assert!(src_vec_idx + 1 < self.levels.len(), "bottom level never merges down");
-        let src_paper = src_vec_idx + 1;
-        let runs = runs_of_handles(self.levels[src_vec_idx].handles());
-        if runs.is_empty() {
-            return Ok(());
-        }
-        let ctx = MergeCtx {
-            src_runs: &runs,
-            target: &self.levels[src_vec_idx + 1],
-            window_blocks: self.cfg.merge_window_blocks(src_paper),
-            target_paper_level: src_paper + 1,
-            target_capacity: self.cfg.level_capacity_blocks(src_paper + 1),
-            target_is_bottom: src_vec_idx + 2 == self.levels.len(),
-            src_rr_cursor: self.levels[src_vec_idx].rr_cursor,
+    /// What the next maintenance step would work from, or `None` when
+    /// nothing is pending. Cheap (a few `Arc` clones): a shard takes it
+    /// under its read lock.
+    pub(crate) fn snapshot_step(&self) -> Option<StepSnapshot> {
+        self.snapshot(MemSlot::ImmOldest)
+    }
+
+    fn snapshot(&self, slot: MemSlot) -> Option<StepSnapshot> {
+        let flush = match slot {
+            MemSlot::Active => self.mem_at_capacity().then(|| Arc::clone(&self.mem)),
+            MemSlot::ImmOldest => self.imm.front().cloned(),
         };
-        let window_blocks = ctx.window_blocks;
-        let choice = self.policy.choose(&ctx);
-        let predicted = Self::predicted_writes(&runs, &self.levels[src_vec_idx + 1], choice);
-        self.sink.emit_with(|| Event::PolicyDecision {
-            target_level: src_paper + 1,
+        if flush.is_none() && overflowing_level(&self.env.cfg, &self.levels).is_none() {
+            return None;
+        }
+        Some(StepSnapshot {
+            env: self.env.clone(),
+            levels: self.levels.clone(),
+            flush: flush.map(|mem| (slot, mem)),
+            mem_rr_cursor: self.mem_rr_cursor,
+            base: self.installs,
+        })
+    }
+
+    /// Make a computed step part of the tree: drop the flushed window from
+    /// its memtable, splice the edited levels in, fold counters and
+    /// cursors. Memory only — this is the section a shard runs under its
+    /// write lock, so a reader sees every record in exactly one of
+    /// {memtable, level} before and after. The caller
+    /// [releases](StepOutcome::release) the outcome afterwards.
+    pub(crate) fn install(&mut self, outcome: &mut StepOutcome) {
+        assert_eq!(outcome.base, self.installs, "step computed from a state since changed");
+        self.installs += 1;
+        if outcome.grow {
+            self.levels.insert(self.levels.len() - 1, Arc::new(Level::new()));
+        }
+        if let Some((slot, keys)) = outcome.flushed.take() {
+            match slot {
+                MemSlot::Active => Arc::make_mut(&mut self.mem).remove_keys(&keys),
+                MemSlot::ImmOldest => {
+                    let oldest = self.imm.front_mut().expect("the flushed memtable is queued");
+                    Arc::make_mut(oldest).remove_keys(&keys);
+                    if oldest.is_empty() {
+                        self.imm.pop_front();
+                    }
+                }
+            }
+        }
+        if outcome.mem_rr_cursor.is_some() {
+            self.mem_rr_cursor = outcome.mem_rr_cursor;
+        }
+        for (vec_idx, edit) in outcome.edits.drain(..) {
+            Arc::make_mut(&mut self.levels[vec_idx]).apply(edit);
+        }
+        for (paper_level, delta) in outcome.stats.drain(..) {
+            self.stats.level_mut(paper_level).absorb(&delta);
+        }
+        outcome.installed = true;
+    }
+}
+
+/// The shallowest on-SSD level at or over capacity, as an index into
+/// `levels` — the one place the overflow condition of §II-A is spelled.
+fn overflowing_level(cfg: &LsmConfig, levels: &[Arc<Level>]) -> Option<usize> {
+    (0..levels.len()).find(|&i| levels[i].num_blocks() >= cfg.level_capacity_blocks(i + 1))
+}
+
+/// Blocks the policy's choice is expected to write: the selected source
+/// blocks plus every overlapping target block (none are preserved in
+/// the pessimistic prediction). Compared to the actual `writes` of the
+/// matching merge, this evaluates the policy's cost model.
+fn predicted_writes(runs: &[RunMeta], target: &Level, choice: MergeChoice) -> u64 {
+    match choice {
+        MergeChoice::Full => (runs.len() + target.num_blocks()) as u64,
+        MergeChoice::Window(w) => (w.len + window_overlap(runs, target.handles(), w)) as u64,
+    }
+}
+
+/// What one maintenance step works from: the tree's levels and the
+/// memtable it flushes, shared by `Arc`, plus the step environment.
+/// Consumed by [`compute`](StepSnapshot::compute), so the `Arc`s are gone
+/// before the outcome is installed and the install edits in place.
+pub(crate) struct StepSnapshot {
+    env: StepEnv,
+    levels: Vec<Arc<Level>>,
+    /// The memtable to flush a window of; `None` when the step relieves
+    /// an overflowing level instead.
+    flush: Option<(MemSlot, Arc<Memtable>)>,
+    mem_rr_cursor: Option<Key>,
+    base: u64,
+}
+
+/// What a maintenance step computed, waiting to be
+/// [installed](LsmTree::install): an *edit* of the tree, not a copy.
+///
+/// It owns the step's blocks until [`release`](StepOutcome::release):
+/// installed, the blocks its edits replaced are freed; never installed —
+/// the compute failed half-way, or the tree went away between the halves
+/// — the blocks it wrote are. Dropping it releases too, so no path leaves
+/// a block both referenced and free, or neither.
+pub(crate) struct StepOutcome {
+    store: Arc<Store>,
+    base: u64,
+    /// Insert an empty level above the bottom one (§II-A growth).
+    grow: bool,
+    /// Keys of the flushed window and the memtable they leave.
+    flushed: Option<(MemSlot, Vec<Key>)>,
+    mem_rr_cursor: Option<Key>,
+    /// Per touched level (index into `levels`): the splice and bookkeeping.
+    edits: Vec<(usize, LevelEdit)>,
+    /// Per paper level: counter deltas.
+    stats: Vec<(usize, LevelStats)>,
+    blocks: StepBlocks,
+    installed: bool,
+}
+
+impl StepOutcome {
+    fn stats(&mut self, paper_level: usize) -> &mut LevelStats {
+        let at = match self.stats.iter().position(|(p, _)| *p == paper_level) {
+            Some(at) => at,
+            None => {
+                self.stats.push((paper_level, LevelStats::default()));
+                self.stats.len() - 1
+            }
+        };
+        &mut self.stats[at].1
+    }
+
+    /// Free the blocks this step leaves unreferenced (see the type docs).
+    /// Device I/O: call it with no lock held. Idempotent.
+    pub(crate) fn release(&mut self) -> Result<()> {
+        let blocks = std::mem::take(&mut self.blocks);
+        self.store.free_all(if self.installed { &blocks.retired } else { &blocks.created })
+    }
+}
+
+impl Drop for StepOutcome {
+    fn drop(&mut self) {
+        // Errors have nowhere to go from here; callers that care call
+        // `release` themselves first.
+        let _ = self.release();
+    }
+}
+
+impl StepSnapshot {
+    /// The unlocked half of a step: choose, read, merge, write. Events
+    /// and spans are emitted here, in the order the inline cascade always
+    /// emitted them. An `Err` releases every block written so far.
+    pub(crate) fn compute(self) -> Result<StepOutcome> {
+        let mut out = StepOutcome {
+            store: Arc::clone(&self.env.store),
+            base: self.base,
+            grow: false,
+            flushed: None,
+            mem_rr_cursor: None,
+            edits: Vec::new(),
+            stats: Vec::new(),
+            blocks: StepBlocks::default(),
+            installed: false,
+        };
+        match &self.flush {
+            Some((slot, mem)) => self.flush_window(*slot, mem, &mut out)?,
+            None => {
+                let vec_idx = overflowing_level(&self.env.cfg, &self.levels)
+                    .expect("a snapshot is only taken with work pending");
+                if vec_idx + 1 == self.levels.len() {
+                    // The overflowing bottom level `L_{h-1}` becomes `L_h`;
+                    // an empty level takes its place (§II-A).
+                    out.grow = true;
+                    let new_height = self.levels.len() + 2;
+                    self.env.sink.emit_with(|| Event::LevelAdded { new_height });
+                } else {
+                    self.merge_level(vec_idx, &mut out)?;
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    fn engine(&self) -> MergeEngine<'_> {
+        let env = &self.env;
+        MergeEngine::new(
+            &env.store,
+            env.cfg.block_capacity(),
+            env.cfg.waste_eps,
+            env.preserve_blocks,
+        )
+        .with_pairwise(env.enforce_pairwise)
+    }
+
+    /// Ask the policy what to merge out of `runs` into `levels[target_idx]`.
+    fn choose(
+        &self,
+        runs: &[RunMeta],
+        target_idx: usize,
+        src_rr_cursor: Option<Key>,
+    ) -> MergeChoice {
+        let cfg = &self.env.cfg;
+        self.env.policy.choose(&MergeCtx {
+            src_runs: runs,
+            target: &self.levels[target_idx],
+            // δ·K of the source, which sits one above the target.
+            window_blocks: cfg.merge_window_blocks(target_idx),
+            target_paper_level: target_idx + 1,
+            target_capacity: cfg.level_capacity_blocks(target_idx + 1),
+            target_is_bottom: target_idx + 1 == self.levels.len(),
+            src_rr_cursor,
+        })
+    }
+
+    /// Announce `choice` (event, ledger row with its candidate table);
+    /// returns the ledger token the merge closes.
+    fn announce(&self, runs: &[RunMeta], target_idx: usize, choice: MergeChoice) -> Option<u64> {
+        let (env, target) = (&self.env, &*self.levels[target_idx]);
+        let predicted = predicted_writes(runs, target, choice);
+        env.sink.emit_with(|| Event::PolicyDecision {
+            target_level: target_idx + 1,
             full: choice == MergeChoice::Full,
             predicted_writes: predicted,
         });
-        let ledger_token = self.ledger.as_ref().map(|l| {
-            let cands =
-                enumerate_candidates(&runs, self.levels[src_vec_idx + 1].handles(), window_blocks);
-            l.open(self.policy_name, src_paper + 1, cands, choice, predicted)
+        env.ledger.as_ref().map(|l| {
+            let window_blocks = env.cfg.merge_window_blocks(target_idx);
+            let cands = enumerate_candidates(runs, target.handles(), window_blocks);
+            l.open(env.policy_name, target_idx + 1, cands, choice, predicted)
+        })
+    }
+
+    /// Flush one policy-chosen unit (window or all) of `mem` into L1.
+    fn flush_window(&self, slot: MemSlot, mem: &Memtable, out: &mut StepOutcome) -> Result<()> {
+        let b = self.env.cfg.block_capacity();
+        let runs = mem.virtual_blocks(b);
+        debug_assert!(!runs.is_empty(), "flush of an empty memtable");
+        let choice = self.choose(&runs, 0, self.mem_rr_cursor);
+        // Covers the window copy and the L1 merge; the merge span nests
+        // underneath.
+        let _flush_span = self.env.sink.span(SpanOp::flush(choice == MergeChoice::Full));
+        let ledger_token = self.announce(&runs, 0, choice);
+        let (window, kind) = match choice {
+            MergeChoice::Full => (0..runs.len(), MergeKind::Full),
+            MergeChoice::Window(w) => (w.start..w.start + w.len, MergeKind::Partial),
+        };
+        // The memtable keeps the window until the merge is installed.
+        let records = mem.window(window.start, window.len(), b);
+        let src_records = records.len() as u64;
+        out.flushed = Some((slot, records.iter().map(|r| r.key).collect()));
+        self.env.sink.emit_with(|| Event::MemtableFlush {
+            records: src_records,
+            full: kind == MergeKind::Full,
         });
+        let src = MergeSource::Records(records);
+        let max_key = self.merge_down(0, src, src_records, kind, ledger_token, out)?;
+        out.mem_rr_cursor = Some(max_key);
+        Ok(())
+    }
+
+    /// Merge one policy-chosen unit of overflowing `levels[src_idx]` one
+    /// level down, with the source-side waste maintenance of §II-B.
+    fn merge_level(&self, src_idx: usize, out: &mut StepOutcome) -> Result<()> {
+        debug_assert!(src_idx + 1 < self.levels.len(), "bottom level never merges down");
+        let src_paper = src_idx + 1;
+        let src = &*self.levels[src_idx];
+        let runs = runs_of_handles(src.handles());
+        let choice = self.choose(&runs, src_idx + 1, src.rr_cursor);
+        let ledger_token = self.announce(&runs, src_idx + 1, choice);
         let (range, kind) = match choice {
             MergeChoice::Full => (0..runs.len(), MergeKind::Full),
             MergeChoice::Window(w) => (w.start..w.start + w.len, MergeKind::Partial),
         };
-        let range_start = range.start;
-        let x = self.levels[src_vec_idx].remove_range(range);
+        let x = src.handles()[range.clone()].to_vec();
         let src_records: u64 = x.iter().map(|h| u64::from(h.count)).sum();
+        let mut src_draft = LevelDraft::new(src);
+        src_draft.replace(range.clone(), Vec::new());
 
         // Source-side waste maintenance (§II-B cases 1 & 2).
-        let engine = MergeEngine::new(
-            &self.store,
-            self.cfg.block_capacity(),
-            self.cfg.waste_eps,
-            self.preserve_blocks,
-        )
-        .with_pairwise(self.enforce_pairwise);
+        let engine = self.engine();
         {
             // The seam fix is its own span (not part of the merge below), so
             // its writes never pollute merge-span attribution.
-            let _span = self.sink.span(SpanOp::pairwise_fix(src_paper));
-            let src_level = &mut self.levels[src_vec_idx];
-            let mut w = src_level.waste_delta;
-            let seam_fix = engine.fix_pair_if_needed(src_level, range_start, &mut w)?;
-            src_level.waste_delta = w;
-            if let Some(fix) = seam_fix {
-                let ls = self.stats.level_mut(src_paper);
+            let _span = self.env.sink.span(SpanOp::pairwise_fix(src_paper));
+            let fix = engine.fix_pair_if_needed(&mut src_draft, range.start, &mut out.blocks)?;
+            if let Some(fix) = fix {
+                let ls = out.stats(src_paper);
                 ls.pairwise_fixes += 1;
                 ls.blocks_written += fix.writes;
                 ls.blocks_read += fix.reads;
-                self.sink.emit_with(|| Event::PairwiseFix {
+                self.env.sink.emit_with(|| Event::PairwiseFix {
                     level: src_paper,
                     writes: fix.writes,
                     reads: fix.reads,
                 });
             }
         }
-        if self.enforce_level_waste && self.engine().needs_compaction(&self.levels[src_vec_idx]) {
-            self.compact(src_vec_idx)?;
-        }
+        self.compact_if_wasteful(src_paper, &mut src_draft, out)?;
 
-        self.do_merge(src_vec_idx + 1, MergeSource::Blocks(x), src_records, kind, ledger_token)?;
+        let src = MergeSource::Blocks(x);
+        let max_key = self.merge_down(src_idx + 1, src, src_records, kind, ledger_token, out)?;
+        src_draft.edit.rr_cursor = Some(max_key);
+        out.edits.push((src_idx, src_draft.finish()));
         Ok(())
     }
 
-    /// Merge `src` into `levels[target_vec_idx]` and do target-side
-    /// maintenance, statistics, and events.
-    fn do_merge(
-        &mut self,
-        target_vec_idx: usize,
+    /// Merge `src` into `levels[target_idx]` and do target-side
+    /// maintenance, statistics, and events. Returns the largest key of the
+    /// merged range — the source's new round-robin cursor.
+    fn merge_down(
+        &self,
+        target_idx: usize,
         src: MergeSource,
         src_records: u64,
         kind: MergeKind,
         ledger_token: Option<u64>,
-    ) -> Result<()> {
-        let target_paper = target_vec_idx + 1;
-        // Every device operation of `merge_into` — including in-merge
+        out: &mut StepOutcome,
+    ) -> Result<Key> {
+        let sink = &self.env.sink;
+        let target_paper = target_idx + 1;
+        let full = kind == MergeKind::Full;
+        // Every device operation of the merge — including in-merge
         // pairwise fixes, whose writes `MergeFinish` folds into `writes` —
         // lands inside this span; target-side compaction opens a child span
         // of its own, keeping merge-span attribution equal to
         // `MergeFinish::writes` exactly.
-        let _merge_span = self.sink.span(SpanOp::merge(target_paper, kind == MergeKind::Full));
-        self.sink.emit_with(|| Event::MergeStart {
-            target_level: target_paper,
-            full: kind == MergeKind::Full,
-        });
-        let engine = MergeEngine::new(
-            &self.store,
-            self.cfg.block_capacity(),
-            self.cfg.waste_eps,
-            self.preserve_blocks,
-        )
-        .with_pairwise(self.enforce_pairwise);
-        let (target_slice, below) = self.levels[target_vec_idx..].split_at_mut(1);
-        let target = &mut target_slice[0];
-        let outcome = engine.merge_into(target, below, src)?;
+        let _merge_span = sink.span(SpanOp::merge(target_paper, full));
+        sink.emit_with(|| Event::MergeStart { target_level: target_paper, full });
+        let mut target = LevelDraft::new(&self.levels[target_idx]);
+        let below = &self.levels[target_idx + 1..];
+        let merged = self.engine().merge(&mut target, below, src, &mut out.blocks)?;
 
-        // Cursor of the *source* (one above the target).
-        if target_vec_idx == 0 {
-            self.mem_rr_cursor = Some(outcome.max_key);
-        } else {
-            self.levels[target_vec_idx - 1].rr_cursor = Some(outcome.max_key);
-        }
-
-        {
-            let ls = self.stats.level_mut(target_paper);
-            ls.merges_in += 1;
-            ls.blocks_written += outcome.writes;
-            ls.blocks_read += outcome.reads;
-            ls.blocks_preserved += outcome.preserved;
-            ls.records_in += src_records;
-        }
-        self.sink.emit_with(|| Event::MergeFinish {
+        let ls = out.stats(target_paper);
+        ls.merges_in += 1;
+        ls.blocks_written += merged.writes;
+        ls.blocks_read += merged.reads;
+        ls.blocks_preserved += merged.preserved;
+        ls.records_in += src_records;
+        sink.emit_with(|| Event::MergeFinish {
             target_level: target_paper,
-            full: kind == MergeKind::Full,
+            full,
             src_records,
-            writes: outcome.writes,
-            reads: outcome.reads,
-            preserved: outcome.preserved,
-            max_key: outcome.max_key,
+            writes: merged.writes,
+            reads: merged.reads,
+            preserved: merged.preserved,
+            max_key: merged.max_key,
         });
         // Reconcile the ledger row with the same `writes` the MergeFinish
         // above reported, then surface the closed decision as an event.
-        if let (Some(ledger), Some(token)) = (self.ledger.as_ref(), ledger_token) {
-            if let Some(closed) = ledger.close(token, outcome.writes) {
-                self.sink.emit_with(|| Event::LedgerOutcome {
+        if let (Some(ledger), Some(token)) = (self.env.ledger.as_ref(), ledger_token) {
+            if let Some(closed) = ledger.close(token, merged.writes) {
+                sink.emit_with(|| Event::LedgerOutcome {
                     target_level: closed.target_level,
                     full: closed.full,
                     candidates: closed.candidates,
@@ -886,40 +1005,32 @@ impl LsmTree {
         }
 
         // Target-side level-wise waste check (§II-B case 4).
-        if self.enforce_level_waste && self.engine().needs_compaction(&self.levels[target_vec_idx])
-        {
-            self.compact(target_vec_idx)?;
+        self.compact_if_wasteful(target_paper, &mut target, out)?;
+        out.edits.push((target_idx, target.finish()));
+        Ok(merged.max_key)
+    }
+
+    /// The level-wise waste constraint (§II-B): compact the drafted level
+    /// if its waste factor exceeds ε.
+    fn compact_if_wasteful(
+        &self,
+        paper_level: usize,
+        level: &mut LevelDraft<'_>,
+        out: &mut StepOutcome,
+    ) -> Result<()> {
+        let engine = self.engine();
+        if !self.env.enforce_level_waste || !engine.wasteful(level.num_blocks(), level.records()) {
+            return Ok(());
         }
-        Ok(())
-    }
-
-    fn compact(&mut self, vec_idx: usize) -> Result<()> {
-        let paper = vec_idx + 1;
-        let _span = self.sink.span(SpanOp::compaction(paper));
-        let engine = MergeEngine::new(
-            &self.store,
-            self.cfg.block_capacity(),
-            self.cfg.waste_eps,
-            self.preserve_blocks,
-        );
-        let out = engine.compact_level(&mut self.levels[vec_idx])?;
-        let ls = self.stats.level_mut(paper);
+        let _span = self.env.sink.span(SpanOp::compaction(paper_level));
+        let done = engine.compact(level, &mut out.blocks)?;
+        let ls = out.stats(paper_level);
         ls.compactions += 1;
-        ls.compaction_writes += out.writes;
-        ls.blocks_written += out.writes;
-        ls.blocks_read += out.reads;
-        self.sink.emit_with(|| Event::Compaction { level: paper, writes: out.writes });
+        ls.compaction_writes += done.writes;
+        ls.blocks_written += done.writes;
+        ls.blocks_read += done.reads;
+        self.env.sink.emit_with(|| Event::Compaction { level: paper_level, writes: done.writes });
         Ok(())
-    }
-
-    fn engine(&self) -> MergeEngine<'_> {
-        MergeEngine::new(
-            &self.store,
-            self.cfg.block_capacity(),
-            self.cfg.waste_eps,
-            self.preserve_blocks,
-        )
-        .with_pairwise(self.enforce_pairwise)
     }
 }
 
@@ -1129,6 +1240,55 @@ mod tests {
         // Detached trees never touch a ledger.
         let bare = tree_with(PolicySpec::Full);
         assert!(bare.ledger().is_none());
+    }
+
+    /// A computed step owns its blocks until it is released, installed or
+    /// not: dropped between the halves (shutdown, crash) it gives back what
+    /// it wrote; installed, what it replaced. Never both, never neither.
+    #[test]
+    fn a_computed_step_releases_its_blocks_installed_or_not() {
+        let mut t = tree_with(PolicySpec::ChooseBest);
+        let referenced =
+            |t: &LsmTree| t.levels().iter().map(|l| l.num_blocks() as u64).sum::<u64>();
+        let buffer_and_seal = |t: &mut LsmTree, base: u64| {
+            let mut k = base;
+            while !t.mem_at_capacity() {
+                t.apply_buffered(Request::Put(k * 7, Bytes::from(payload(k)))).unwrap();
+                k += 1;
+            }
+            assert!(t.seal_memtable());
+        };
+        // A tree with some depth, then one more sealed memtable to flush.
+        for round in 0..40 {
+            buffer_and_seal(&mut t, round * 31);
+            t.drain_maintenance().unwrap();
+        }
+        assert!(t.height() >= 3);
+        buffer_and_seal(&mut t, 5);
+        assert_eq!(t.store().live_blocks(), referenced(&t));
+        let ids = |t: &LsmTree| -> Vec<Vec<_>> {
+            t.levels().iter().map(|l| l.handles().iter().map(|h| h.id).collect()).collect()
+        };
+        let before = ids(&t);
+
+        // Computed, never installed.
+        let outcome = t.snapshot_step().unwrap().compute().unwrap();
+        assert!(t.store().live_blocks() > referenced(&t), "the step wrote its output");
+        drop(outcome);
+        assert_eq!(t.store().live_blocks(), referenced(&t), "uninstalled output not released");
+        assert_eq!(before, ids(&t), "an uninstalled step changed the tree");
+        crate::verify::check_tree(&t, true).expect("every referenced block still reads back");
+
+        // Computed and installed; a second release (the drop) frees nothing more.
+        let mut outcome = t.snapshot_step().unwrap().compute().unwrap();
+        t.install(&mut outcome);
+        outcome.release().unwrap();
+        assert_eq!(t.store().live_blocks(), referenced(&t), "replaced blocks not released");
+        drop(outcome);
+        assert_eq!(t.store().live_blocks(), referenced(&t));
+        t.drain_maintenance().unwrap();
+        crate::verify::check_tree(&t, true).unwrap();
+        assert_eq!(t.store().live_blocks(), referenced(&t));
     }
 
     #[test]

@@ -333,3 +333,117 @@ fn scheduler_events_are_emitted() {
     assert!(s.flushes_enqueued > 0, "workload never sealed a memtable");
     assert!(s.job_starts > 0, "scheduler never started a job");
 }
+
+/// The read side of the unlocked merge: gets and scans run *beside* the
+/// worker's compute and between its installs, hundreds of them per shard.
+/// One writer bumps per-key versions; two readers check that a get never
+/// misses a live key and never returns a version older than the last one
+/// acknowledged before the get began, and that a scan is sorted,
+/// duplicate-free and complete for the keys that are never deleted.
+#[test]
+fn reads_stay_correct_across_hundreds_of_installs() {
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+
+    const KEYS: u64 = 400;
+    let version_of = |v: &Bytes| u32::from_le_bytes(v[..4].try_into().unwrap());
+    // Even keys are only ever overwritten; odd keys are also deleted, so
+    // tombstones travel down beside the records the readers check.
+    let stable = |k: Key| k.is_multiple_of(2);
+
+    for (shards, ops) in [(1usize, 8_000u64), (4, 30_000)] {
+        let policy = BackgroundPolicy { workers: 2, max_imm_memtables: 2 };
+        let tree = ShardedLsmTree::with_mem_devices(
+            LsmConfig { k0_blocks: 1, ..cfg() }, // 14 records: a seal every few puts
+            opts(Scheduler::Background(policy)),
+            shards,
+            1 << 16,
+        )
+        .unwrap();
+        for k in 0..KEYS {
+            tree.put(k, 0u32.to_le_bytes().to_vec()).unwrap();
+        }
+        let acked: Vec<AtomicU32> = (0..KEYS).map(|_| AtomicU32::new(0)).collect();
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(3);
+
+        std::thread::scope(|s| {
+            let (tree, acked, done, start) = (&tree, &acked, &done, &start);
+            s.spawn(move || {
+                start.wait();
+                let mut x = 0xA11CE_u64;
+                for _ in 0..ops {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let k = (x >> 24) % KEYS;
+                    if !stable(k) && (x >> 8).is_multiple_of(5) {
+                        tree.delete(k).unwrap();
+                        continue;
+                    }
+                    let v = acked[k as usize].load(Ordering::Relaxed) + 1;
+                    tree.put(k, v.to_le_bytes().to_vec()).unwrap();
+                    acked[k as usize].store(v, Ordering::Release);
+                }
+                done.store(true, Ordering::Release);
+            });
+            for r in 0..2u64 {
+                s.spawn(move || {
+                    start.wait();
+                    let mut x = 0xBEE5 + r;
+                    let mut round = 0u64;
+                    while !done.load(Ordering::Acquire) {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        let k = ((x >> 24) % (KEYS / 2)) * 2;
+                        let floor = acked[k as usize].load(Ordering::Acquire);
+                        let got =
+                            tree.get(k).unwrap().unwrap_or_else(|| panic!("live key {k} missed"));
+                        assert!(
+                            version_of(&got) >= floor,
+                            "key {k}: read {} after {floor} was acked",
+                            version_of(&got)
+                        );
+
+                        round += 1;
+                        if round.is_multiple_of(64) {
+                            let floors: Vec<u32> =
+                                acked.iter().map(|a| a.load(Ordering::Acquire)).collect();
+                            let scan = tree.scan_collect(0, u64::MAX).unwrap();
+                            assert!(
+                                scan.windows(2).all(|w| w[0].0 < w[1].0),
+                                "scan out of order or duplicated"
+                            );
+                            let mut stable_seen = 0;
+                            for (k, v) in &scan {
+                                if stable(*k) {
+                                    stable_seen += 1;
+                                    assert!(
+                                        version_of(v) >= floors[*k as usize],
+                                        "scan: key {k} went back in time"
+                                    );
+                                }
+                            }
+                            assert_eq!(
+                                stable_seen,
+                                KEYS / 2,
+                                "scan missed a key that is never deleted"
+                            );
+                        }
+                    }
+                });
+            }
+        });
+
+        tree.flush().unwrap();
+        tree.deep_verify(true).unwrap();
+        for (i, stats) in tree.shard_stats().iter().enumerate() {
+            let installs: u64 = stats.levels.iter().map(|l| l.merges_in).sum();
+            assert!(installs >= 200, "{shards} shards: shard {i} saw only {installs} installs");
+        }
+        for k in (0..KEYS).step_by(2) {
+            let got = tree.get(k).unwrap().expect("stable key");
+            assert_eq!(
+                version_of(&got),
+                acked[k as usize].load(Ordering::Relaxed),
+                "key {k} final version"
+            );
+        }
+    }
+}

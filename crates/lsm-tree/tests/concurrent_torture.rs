@@ -39,13 +39,25 @@ fn tiny_cfg() -> LsmConfig {
 #[test]
 fn two_hundred_concurrent_seeds_survive() {
     let mut failures = Vec::new();
+    let (mut between_halves, mut reads) = (0, 0);
     for seed in 0..200u64 {
         let cfg = ConcurrentTortureConfig::for_seed(seed);
-        if let Err(f) = lsm_tree::run_concurrent_crash_cycle(&cfg) {
-            failures.push(f.to_string());
+        match lsm_tree::run_concurrent_crash_cycle(&cfg) {
+            Ok(report) => {
+                between_halves += report.ops_between_halves;
+                reads += report.reads;
+            }
+            Err(f) => failures.push(f.to_string()),
         }
     }
     assert!(failures.is_empty(), "{} failing seeds:\n{}", failures.len(), failures.join("\n"));
+    // The sweep is only worth its name if requests really do land between
+    // a step's compute and its install, and reads really are checked.
+    assert!(
+        between_halves >= 1_000,
+        "only {between_halves} requests ran between a compute and its install"
+    );
+    assert!(reads >= 1_000, "only {reads} reads were checked against the model");
 }
 
 /// Replaying a seed reproduces the cycle exactly: issued/acked counts,
@@ -208,6 +220,76 @@ fn stalled_writer_errors_instead_of_hanging_on_shutdown() {
         }
     }
     assert_eq!(shutdown_errors, 1, "writer at the max_imm bound never saw the shutdown error");
+}
+
+/// A put that fills the memtable while the sealed backlog sits at the
+/// bound cannot seal it; the memtable stays full for the next put to stall
+/// on. `flush` promises a quiescent tree, so it must seal and drain that
+/// one too.
+#[test]
+fn flush_leaves_no_full_memtable_behind_a_full_backlog() {
+    let sim = Arc::new(SimExecutor::new(1, 7, lsm_tree::observe::SinkHandle::none()));
+    let opts = TreeOptions::builder().policy(PolicySpec::ChooseBest).build();
+    let tree = ShardedLsmTree::with_backend(
+        tiny_cfg(),
+        opts,
+        vec![Arc::new(sim_ssd::MemDevice::with_block_size(1 << 14, 256)) as _],
+        None,
+        Some(Arc::clone(&sim) as Arc<dyn SchedulerBackend>),
+    )
+    .expect("create");
+    // Nothing steps the executor: the first full memtable seals and fills
+    // the backlog (bound 1), the second fills up behind it.
+    let cap = tiny_cfg().l0_capacity_records() as u64;
+    for k in 0..2 * cap {
+        tree.put(k, vec![(k % 251) as u8; 4]).unwrap();
+    }
+    assert_eq!(sim.steps_taken(), 0, "no put stalled, so nothing was flushed yet");
+    tree.flush().unwrap();
+    tree.deep_verify(true).expect("a quiescent tree has no full memtable");
+    assert_eq!(tree.scan_collect(0, u64::MAX).unwrap().len() as u64, 2 * cap);
+}
+
+/// A step has two halves and the simulated executor runs one per step, so
+/// a shutdown (or a crash) can fall between them. The computed step then
+/// dies with its shard, and must take the blocks it wrote with it: after
+/// the tree is gone the device holds exactly the blocks it held before the
+/// compute.
+#[test]
+fn shutdown_between_compute_and_install_frees_the_computed_blocks() {
+    let dev = Arc::new(sim_ssd::MemDevice::with_block_size(1 << 14, 256));
+    let sim = Arc::new(SimExecutor::new(2, 11, lsm_tree::observe::SinkHandle::none()));
+    let opts = TreeOptions::builder().policy(PolicySpec::ChooseBest).build();
+    let tree = ShardedLsmTree::with_backend(
+        tiny_cfg(),
+        opts,
+        vec![Arc::clone(&dev) as _],
+        None,
+        Some(Arc::clone(&sim) as Arc<dyn SchedulerBackend>),
+    )
+    .expect("create");
+    // Some installed levels first, then a freshly sealed memtable.
+    for k in 0..300u64 {
+        tree.put(k * 3, vec![(k % 251) as u8; 4]).unwrap();
+    }
+    tree.flush().unwrap();
+    for k in 0..56u64 {
+        tree.put(k * 5 + 1, vec![7; 4]).unwrap();
+    }
+    let live = |t: &ShardedLsmTree| t.with_shard_read(0, |t| t.store().live_blocks());
+    let installed = live(&tree);
+    let io = || sim_ssd::BlockDevice::io_snapshot(&*dev);
+    let before = io();
+
+    assert!(sim.step().unwrap(), "the sealed memtable gives the compute half work");
+    let written = io().writes - before.writes;
+    assert!(written > 0, "the compute half writes the step's output");
+    assert_eq!(live(&tree), installed + written, "computed blocks are allocated, not installed");
+    assert_eq!(tree.get(1).unwrap().as_deref(), Some(&[7u8; 4][..]), "reads see the old state");
+
+    sim.request_shutdown();
+    drop(tree);
+    assert_eq!(io().trims - before.trims, written, "the computed step's blocks were not freed");
 }
 
 /// Longer soak for manual runs: `cargo test -p lsm-tree --test

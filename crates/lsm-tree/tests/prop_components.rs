@@ -149,8 +149,8 @@ proptest! {
             m.apply(Request::Put(k, Bytes::new()));
         }
         let all: Vec<u64> = m.iter().map(|r| r.key).collect();
-        let taken = m.extract_window(start, len, b);
-        let taken_keys: Vec<u64> = taken.iter().map(|r| r.key).collect();
+        let taken_keys: Vec<u64> = m.window(start, len, b).iter().map(|r| r.key).collect();
+        m.remove_keys(&taken_keys);
         let left: Vec<u64> = m.iter().map(|r| r.key).collect();
         // The extracted window is exactly the positional slice, and the
         // remainder is everything else, both in order.

@@ -1,0 +1,122 @@
+#!/usr/bin/env bash
+# A/B one BENCHMARK.json workload: a parent commit against the working tree.
+#
+#   scripts/ab.sh <parent-ref> <workload> [pairs=10] [seed=7]
+#
+# Extracts <parent-ref> into a temporary directory, builds the benchmark
+# there and here, then runs BENCHMARK.json's command on both sides in
+# alternating order (choosing-metrics §8: at least ten pairs, the side that
+# goes first alternates). Per end-to-end metric it prints both medians, the
+# parent's quartiles, the pairs the change won, and the verdict:
+#
+#   better     change wins >= 9/10 of the pairs (ties count for neither) and
+#              the medians differ by more than the parent's own quartile spread
+#   worse      the change's median is worse by more than the metric's bound
+#   unresolved the parent's quartile spread is wider than the bound and the
+#              runs of the two sides overlap
+#   same       none of the above
+#
+# Reads BENCHMARK.json and perf/; writes neither. Every run's JSON line is
+# kept under $AB_OUT (default: a temporary directory, printed at the end).
+# $AB_PARENT names a directory that already holds the parent's tree (say,
+# from an earlier workload's run): it is used, and kept, instead of a fresh
+# extraction. Needs python3 for the JSON and the statistics.
+set -euo pipefail
+
+if [ "$#" -lt 2 ]; then
+    sed -n '2,5p' "$0" | sed 's/^# \{0,1\}//'
+    exit 2
+fi
+ref="$1"
+workload="$2"
+pairs="${3:-10}"
+seed="${4:-7}"
+
+root="$(cd "$(dirname "$0")/.." && pwd)"
+cd "$root"
+work="$(mktemp -d)"
+out="${AB_OUT:-$(mktemp -d)}"
+mkdir -p "$out"
+trap 'rm -rf "$work"' EXIT
+
+read_json() { python3 -c "import json,sys; b=json.load(open('BENCHMARK.json')); print($1)"; }
+mapfile -t command < <(read_json "'\n'.join(b['command'])")
+seconds="$(read_json "b['run_seconds']")"
+read_json "'$workload' in [w['name'] for w in b['workloads']] or sys.exit('no workload $workload in BENCHMARK.json')" >/dev/null
+
+parent="${AB_PARENT:-$work/parent}"
+if [ ! -d "$parent" ]; then
+    echo "== parent $ref -> $parent"
+    mkdir -p "$parent"
+    git archive "$ref" | tar -x -C "$parent"
+fi
+
+# `cargo run` in BENCHMARK.json's command builds on first use; build both
+# sides up front so no run pays for it.
+echo "== build parent, then the working tree"
+(cd "$parent" && cargo build --release --offline --quiet --manifest-path perf/Cargo.toml)
+cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
+
+run() { # <side-dir> <out-file>
+    (cd "$1" && "${command[@]}" --workload "$workload" --seed "$seed" \
+        --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1) >"$2"
+}
+
+for i in $(seq 1 "$pairs"); do
+    if [ $((i % 2)) -eq 1 ]; then
+        run "$parent" "$out/$workload.parent.$i.json"
+        run "$root" "$out/$workload.change.$i.json"
+    else
+        run "$root" "$out/$workload.change.$i.json"
+        run "$parent" "$out/$workload.parent.$i.json"
+    fi
+    echo "pair $i/$pairs done"
+done
+
+python3 - "$out" "$workload" "$pairs" <<'EOF'
+import json, statistics, sys
+
+out, workload, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+bench = json.load(open("BENCHMARK.json"))
+
+def load(side, i):
+    doc = json.load(open(f"{out}/{workload}.{side}.{i}.json"))
+    values = {k: (v["value"] if isinstance(v, dict) else v) for k, v in doc["metrics"].items()}
+    return values, doc["failed"] / max(doc["attempted"], 1), doc["correct"]
+
+parent = [load("parent", i) for i in range(1, pairs + 1)]
+change = [load("change", i) for i in range(1, pairs + 1)]
+
+def quartiles(xs):
+    q = statistics.quantiles(xs, n=4, method="inclusive")
+    return q[0], q[2]
+
+print(f"\n{workload}: {pairs} alternating pairs")
+print(f"{'metric':22}{'parent med':>12}{'[q1':>11}{'q3]':>11}{'change med':>12}{'won':>7}  verdict")
+for m in bench["end_to_end"]:
+    name, lower, bound = m["name"], m["better"] == "lower", m["bound"]
+    p = [r[0][name] for r in parent]
+    c = [r[0][name] for r in change]
+    better = (lambda a, b: a < b) if lower else (lambda a, b: a > b)
+    won = sum(better(ci, pi) for ci, pi in zip(c, p))
+    lost = sum(better(pi, ci) for ci, pi in zip(c, p))
+    pm, cm = statistics.median(p), statistics.median(c)
+    q1, q3 = quartiles(p)
+    gain = (pm - cm) if lower else (cm - pm)          # > 0: change is better
+    if won >= 0.9 * pairs and gain > (q3 - q1):
+        verdict = "better"
+    elif pm != 0 and -gain / abs(pm) > bound:
+        verdict = "worse"
+    elif pm != 0 and (q3 - q1) / abs(pm) > bound and not all(better(ci, pi) for ci in c for pi in p):
+        verdict = "unresolved"
+    else:
+        verdict = "same"
+    print(f"{name:22}{pm:12.4f}{q1:11.4f}{q3:11.4f}{cm:12.4f}{won:4d}/{won + lost:<2d}  {verdict}")
+
+pf, cf = max(r[1] for r in parent), max(r[1] for r in change)
+print(f"failed/attempted (worst run): parent {pf:.6f}  change {cf:.6f}"
+      + ("   <-- more failures" if cf > pf else ""))
+if not all(r[2] for r in parent + change):
+    print("a run reported correct=false")
+print(f"every run: {out}/")
+EOF
