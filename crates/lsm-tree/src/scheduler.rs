@@ -30,6 +30,11 @@
 //!   happens strictly *outside* the tree lock — a stalled writer never
 //!   blocks the worker that will unstall it — and ends with the
 //!   maintenance error if the step that would have made room failed.
+//! * **Failed jobs**: a failed step installs nothing, so its work stays
+//!   pending. The worker parks the error on that shard and stops; a writer
+//!   stalled on the shard or the next [`SchedulerBackend::drain`] takes
+//!   it. `drain` does not re-run a shard whose error nobody has taken, so
+//!   it returns while a fault lasts instead of retrying until it clears.
 //! * **Clean shutdown**: dropping the scheduler (or calling
 //!   [`SchedulerBackend::drain`]) finishes every queued job before workers
 //!   exit, so no sealed memtable is abandoned in memory.
@@ -152,8 +157,9 @@ pub trait SchedulerBackend: Send + Sync {
     /// NOT hold the shard's tree lock.
     fn wait_for_room(&self, shard: usize) -> Result<()>;
 
-    /// Run every target to quiescence, surfacing the first background
-    /// maintenance error.
+    /// Run every target to quiescence, or until the targets that are not
+    /// quiescent are the ones whose maintenance failed; surfaces the first
+    /// background maintenance error. Never retries a failed target itself.
     fn drain(&self) -> Result<()>;
 
     /// Take the first background maintenance error, if any.
@@ -220,16 +226,16 @@ struct SchedState {
     /// Sealed-memtable backlog per shard, mirrored here so backpressure
     /// waits never touch a tree lock while holding the scheduler lock.
     backlogs: Vec<Arc<AtomicUsize>>,
-    /// First background maintenance error, surfaced by `drain`.
-    pending_err: Option<LsmError>,
-    /// Worker threads alive: working, or about to look at the queue.
-    live: usize,
-    /// Their handles (finished ones are joined as new ones are spawned).
-    handles: Vec<JoinHandle<()>>,
+    /// Per shard, the first error of a failed job nobody has been told of
+    /// yet. A writer stalled on the shard takes its own; `drain` takes
+    /// them all. While one is parked `drain` does not re-run the shard.
+    errs: Vec<Option<LsmError>>,
 }
 
 struct SchedInner {
     state: Mutex<SchedState>,
+    /// Workers wait here for jobs.
+    work_cv: Condvar,
     /// Backpressured writers wait here for a backlog slot.
     room_cv: Condvar,
     /// `drain` waits here for quiescence.
@@ -245,11 +251,12 @@ struct SchedInner {
 /// for the scheduling rules.
 pub struct MergeScheduler {
     inner: Arc<SchedInner>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl MergeScheduler {
-    /// A pool of up to `policy.workers` (at least one) maintenance
-    /// workers, spawned when there is work. Scheduler events ([`Event::JobStart`], [`Event::Backpressure`])
+    /// Spawn `policy.workers` (at least one) maintenance workers.
+    /// Scheduler events ([`Event::JobStart`], [`Event::Backpressure`])
     /// flow to `sink`.
     ///
     /// Queue delay is derivable from the event stream without a dedicated
@@ -267,45 +274,22 @@ impl MergeScheduler {
                 requeue: Vec::new(),
                 targets: Vec::new(),
                 backlogs: Vec::new(),
-                pending_err: None,
-                live: 0,
-                handles: Vec::new(),
+                errs: Vec::new(),
             }),
+            work_cv: Condvar::new(),
             room_cv: Condvar::new(),
             idle_cv: Condvar::new(),
             policy,
             sink,
             shutdown: AtomicBool::new(false),
         });
-        MergeScheduler { inner }
-    }
-
-    /// Called with the state lock held, after putting a shard on the
-    /// queue: make sure a worker will look at it, spawning one if fewer
-    /// than the pool size are alive. Workers are born with the work and
-    /// exit when the queue is empty rather than park on a condition
-    /// variable, because of where the kernel puts them. A thread that is
-    /// *woken* resumes on the core it last ran on or on its waker's — for
-    /// a worker that last ran while the writer slept in `flush`, and is
-    /// woken by that writer, both are the writer's core — and two busy
-    /// threads sharing a core are pulled apart only by periodic load
-    /// balancing, which (measured: two-core box, 4 ms tick) often takes
-    /// longer than a whole job; meanwhile they alternate in tick-long
-    /// slices and the other core idles. A thread that is *created* is
-    /// placed on the idlest core there is.
-    fn summon(inner: &Arc<SchedInner>, s: &mut SchedState) {
-        if s.live >= inner.policy.workers.max(1) {
-            return;
-        }
-        let (done, running): (Vec<_>, Vec<_>) =
-            std::mem::take(&mut s.handles).into_iter().partition(JoinHandle::is_finished);
-        s.handles = running;
-        for h in done {
-            let _ = h.join();
-        }
-        s.live += 1;
-        let inner = Arc::clone(inner);
-        s.handles.push(std::thread::spawn(move || Self::worker_loop(&inner)));
+        let workers = (0..policy.workers.max(1))
+            .map(|_| {
+                let inner = Arc::clone(&inner);
+                std::thread::spawn(move || Self::worker_loop(&inner))
+            })
+            .collect();
+        MergeScheduler { inner, workers: Mutex::new(workers) }
     }
 
     /// The policy this scheduler runs under.
@@ -315,8 +299,8 @@ impl MergeScheduler {
 
     fn worker_loop(inner: &Arc<SchedInner>) {
         loop {
-            // Dequeue one shard, or exit: an empty queue ends the worker
-            // (so shutdown drains, it does not abandon).
+            // Dequeue one shard (or exit once shut down with an empty
+            // queue — shutdown drains, it does not abandon).
             let (shard, target, backlog_cell, depth) = {
                 let mut s = inner.state.lock();
                 loop {
@@ -333,8 +317,10 @@ impl MergeScheduler {
                         let b = Arc::clone(&s.backlogs[shard]);
                         break (shard, t, b, s.queue.len());
                     }
-                    s.live -= 1;
-                    return;
+                    if inner.shutdown.load(Ordering::Acquire) {
+                        return;
+                    }
+                    s = inner.work_cv.wait(s);
                 }
             };
             inner.sink.emit_with(|| Event::JobStart { shard, queued: depth });
@@ -351,10 +337,7 @@ impl MergeScheduler {
                     }
                     Ok(false) => break,
                     Err(e) => {
-                        let mut s = inner.state.lock();
-                        if s.pending_err.is_none() {
-                            s.pending_err = Some(e);
-                        }
+                        inner.state.lock().errs[shard].get_or_insert(e);
                         break;
                     }
                 }
@@ -370,6 +353,7 @@ impl MergeScheduler {
                 if !s.queued[shard] {
                     s.queued[shard] = true;
                     s.queue.push_back(shard);
+                    inner.work_cv.notify_one();
                 }
             }
             inner.room_cv.notify_all();
@@ -377,16 +361,17 @@ impl MergeScheduler {
         }
     }
 
-    /// Let the workers finish every queued job and join them; writers
+    /// Finish every queued job, stop the workers, and join them; writers
     /// stalled at the backlog bound error out. Called by `Drop`;
     /// idempotent.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Release);
-        let workers = {
-            let mut s = self.inner.state.lock();
+        {
+            let _s = self.inner.state.lock();
+            self.inner.work_cv.notify_all();
             self.inner.room_cv.notify_all();
-            std::mem::take(&mut s.handles)
-        };
+        }
+        let workers = std::mem::take(&mut *self.workers.lock());
         for w in workers {
             let _ = w.join();
         }
@@ -412,6 +397,7 @@ impl SchedulerBackend for MergeScheduler {
         s.running.push(false);
         s.requeue.push(false);
         s.backlogs.push(Arc::new(AtomicUsize::new(backlog)));
+        s.errs.push(None);
         id
     }
 
@@ -422,7 +408,7 @@ impl SchedulerBackend for MergeScheduler {
         if !s.queued[shard] {
             s.queued[shard] = true;
             s.queue.push_back(shard);
-            Self::summon(&self.inner, &mut s);
+            self.inner.work_cv.notify_one();
         }
     }
 
@@ -447,24 +433,27 @@ impl SchedulerBackend for MergeScheduler {
             }
             // Nobody is working on the shard although its backlog is full:
             // the job that would have made room failed. The writer takes
-            // the error (its retry re-enqueues the shard); if someone else
-            // already took it, re-enqueue here rather than wait forever.
+            // this shard's error (its retry re-enqueues the shard); if a
+            // `drain` already took it, re-enqueue here rather than wait
+            // forever.
             if !s.queued[shard] && !s.running[shard] {
-                if let Some(e) = s.pending_err.take() {
+                if let Some(e) = s.errs[shard].take() {
                     return Err(e);
                 }
                 s.queued[shard] = true;
                 s.queue.push_back(shard);
-                Self::summon(&self.inner, &mut s);
+                self.inner.work_cv.notify_one();
             }
             s = self.inner.room_cv.wait(s);
         }
         Ok(())
     }
 
-    /// Quiescent means no queued jobs, no running jobs, nothing pending on
-    /// any tree. Foreground writers should be paused while draining, or
-    /// this may lawfully chase a moving target.
+    /// Quiescent means no queued jobs, no running jobs, and nothing pending
+    /// on any tree whose last job did not fail; a failed job's error is
+    /// returned, with its work still pending, rather than retried here for
+    /// as long as the fault lasts. Foreground writers should be paused
+    /// while draining, or this may lawfully chase a moving target.
     ///
     /// A drain that makes no progress for the [`watchdog_timeout`] budget
     /// panics with the job-queue dump (see [`set_watchdog_timeout_ms`]) —
@@ -482,18 +471,20 @@ impl SchedulerBackend for MergeScheduler {
                 targets.iter().filter(|(_, t)| t.has_pending()).map(|(i, _)| *i).collect();
             let mut s = self.inner.state.lock();
             for &shard in &pending {
-                if !s.queued[shard] && !s.running[shard] {
+                // A shard whose job failed is not run again from here: its
+                // work stays pending and its error is this drain's result
+                // (the caller's next drain retries it).
+                if !s.queued[shard] && !s.running[shard] && s.errs[shard].is_none() {
                     s.queued[shard] = true;
                     s.queue.push_back(shard);
-                    Self::summon(&self.inner, &mut s);
+                    self.inner.work_cv.notify_one();
                 }
             }
             let busy = !s.queue.is_empty() || s.running.iter().any(|&r| r);
-            if pending.is_empty() && !busy {
-                return match s.pending_err.take() {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                };
+            if !busy && pending.iter().all(|&shard| s.errs[shard].is_some()) {
+                // Take every shard's error, report the first.
+                let first = s.errs.iter_mut().filter_map(Option::take).reduce(|first, _| first);
+                return first.map_or(Ok(()), Err);
             }
             match watchdog_timeout() {
                 None => {
@@ -514,7 +505,7 @@ impl SchedulerBackend for MergeScheduler {
 
     fn take_error(&self) -> Option<LsmError> {
         lockorder::assert_no_tree_lock("MergeScheduler::take_error");
-        self.inner.state.lock().pending_err.take()
+        self.inner.state.lock().errs.iter_mut().find_map(Option::take)
     }
 
     fn snapshot(&self) -> SchedulerSnapshot {
@@ -528,7 +519,7 @@ impl SchedulerBackend for MergeScheduler {
             max_imm_memtables: self.inner.policy.max_imm_memtables.max(1),
             workers: self.inner.policy.workers.max(1),
             shutdown: self.inner.shutdown.load(Ordering::Acquire),
-            pending_err: s.pending_err.as_ref().map(ToString::to_string),
+            pending_err: s.errs.iter().flatten().next().map(ToString::to_string),
             sim_steps: None,
         }
     }
@@ -717,6 +708,100 @@ mod tests {
         let id = sched.register(Arc::new(Failing));
         sched.notify(id, 2);
         let err = sched.wait_for_room(id).unwrap_err();
+        assert!(matches!(err, LsmError::Invariant(_)), "{err}");
+    }
+
+    /// Fails every compute while `broken`, then has one unit of work.
+    struct Flaky {
+        broken: AtomicBool,
+        work: AtomicU64,
+        computes: AtomicU64,
+    }
+
+    impl MaintainTarget for Flaky {
+        fn compute(&self) -> Result<bool> {
+            self.computes.fetch_add(1, Ordering::SeqCst);
+            if self.broken.load(Ordering::SeqCst) {
+                return Err(LsmError::Invariant("injected".into()));
+            }
+            Ok(self.work.swap(0, Ordering::SeqCst) > 0)
+        }
+        fn install(&self) -> Result<()> {
+            Ok(())
+        }
+        fn backlog(&self) -> usize {
+            self.work.load(Ordering::SeqCst) as usize
+        }
+        fn has_pending(&self) -> bool {
+            self.work.load(Ordering::SeqCst) > 0
+        }
+    }
+
+    /// A failed job installs nothing, so its work stays pending. `drain`
+    /// must return the error instead of re-running the job for as long as
+    /// the fault lasts, and must finish the work once it has cleared.
+    #[test]
+    fn drain_returns_a_persistent_failure_and_recovers_when_it_clears() {
+        let sched = MergeScheduler::new(
+            BackgroundPolicy { workers: 2, max_imm_memtables: 2 },
+            SinkHandle::none(),
+        );
+        let t = Arc::new(Flaky {
+            broken: AtomicBool::new(true),
+            work: AtomicU64::new(1),
+            computes: AtomicU64::new(0),
+        });
+        let id = sched.register(Arc::clone(&t) as Arc<dyn MaintainTarget>);
+        sched.notify(id, 1);
+        for attempt in 1..=3 {
+            let err = sched.drain().unwrap_err();
+            assert!(matches!(err, LsmError::Invariant(_)), "{err}");
+            // One job per drain (the first drain may find the notify's job
+            // already failed and run none).
+            assert!(t.computes.load(Ordering::SeqCst) <= attempt, "drain {attempt} spun");
+        }
+        assert!(t.has_pending());
+        t.broken.store(false, Ordering::SeqCst);
+        sched.drain().unwrap();
+        assert!(!t.has_pending(), "the work survives the failures and is done after them");
+        assert_eq!(sched.snapshot().pending_err, None);
+    }
+
+    /// Errors are kept per shard: a writer stalled on one shard is not
+    /// handed (and does not consume) another shard's failure.
+    #[test]
+    fn a_stalled_writer_does_not_take_another_shards_error() {
+        let sched = Arc::new(MergeScheduler::new(
+            BackgroundPolicy { workers: 2, max_imm_memtables: 2 },
+            SinkHandle::none(),
+        ));
+        let bad = Arc::new(Flaky {
+            broken: AtomicBool::new(true),
+            work: AtomicU64::new(1),
+            computes: AtomicU64::new(0),
+        });
+        let gated = Arc::new(GatedTarget {
+            open: Mutex::new(false),
+            gate_cv: parking_lot::Condvar::new(),
+            work: AtomicU64::new(3), // backlog 3 ≥ bound 2
+        });
+        let bad_id = sched.register(Arc::clone(&bad) as Arc<dyn MaintainTarget>);
+        let gated_id = sched.register(Arc::clone(&gated) as Arc<dyn MaintainTarget>);
+        sched.notify(bad_id, 1);
+        while bad.computes.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        sched.notify(gated_id, 3);
+        let waiter = {
+            let sched = Arc::clone(&sched);
+            std::thread::spawn(move || sched.wait_for_room(gated_id))
+        };
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        assert!(!waiter.is_finished(), "the writer must still be waiting for its own shard");
+        *gated.open.lock() = true;
+        gated.gate_cv.notify_all();
+        waiter.join().unwrap().expect("the gated shard's job succeeds");
+        let err = sched.drain().unwrap_err();
         assert!(matches!(err, LsmError::Invariant(_)), "{err}");
     }
 

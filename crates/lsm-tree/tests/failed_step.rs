@@ -324,3 +324,70 @@ fn failed_pair_fix_installs_nothing() {
         ..Case::new(SpanKind::PairwiseFix, 1, 1)
     });
 }
+
+/// A fault that *lasts*: every retry of the failed step fails too, and
+/// since a failed step installs nothing its work stays pending. `flush()`
+/// must come back with the error each time it is asked (not re-run the
+/// step until the device heals), lose nothing meanwhile, and finish the
+/// work on the first call after the fault clears.
+#[test]
+fn flush_returns_a_persistent_fault_and_succeeds_once_it_clears() {
+    let case = Case::new(SpanKind::MemtableFlush, 0, 1);
+    let policy = BackgroundPolicy { workers: 2, max_imm_memtables: 2 };
+    let opts = TreeOptions::builder()
+        .retry(RetryPolicy::none())
+        .scheduler(Scheduler::Background(policy))
+        .build();
+    let devs: Vec<Arc<FaultDevice>> = (0..2)
+        .map(|i| Arc::new(FaultDevice::new(Arc::new(MemDevice::with_block_size(1 << 14, 256)), i)))
+        .collect();
+    let devices = devs.iter().map(|d| Arc::clone(d) as Arc<dyn BlockDevice>).collect();
+    let tree = Arc::new(ShardedLsmTree::with_devices(case.cfg(), opts, devices).unwrap());
+    // Some depth first, so the failing steps include level merges.
+    let mut acked = Model::new();
+    for req in case.workload().into_iter().take(2_000) {
+        tree.apply(req.clone()).unwrap();
+        note(&mut acked, &req);
+    }
+    tree.flush().unwrap();
+
+    for dev in &devs {
+        dev.set_plan(FaultPlan::none().write_error_rate(1.0));
+    }
+    // One sealed memtable per shard: below the backlog bound, so no put
+    // has to wait for (and be failed by) the step that cannot succeed.
+    let cap = case.cfg().l0_capacity_records() as u64;
+    for k in 0..3 * cap {
+        let req = Request::Put(10_000 + k, Bytes::from(vec![7u8; 4]));
+        tree.apply(req.clone()).unwrap();
+        note(&mut acked, &req);
+    }
+    for attempt in 0..3 {
+        // On a thread, so that a flush that never returns fails the test
+        // instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let flusher = Arc::clone(&tree);
+        std::thread::spawn(move || tx.send(flusher.flush()));
+        let res = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .unwrap_or_else(|_| panic!("flush {attempt} did not return while the fault lasted"));
+        assert!(matches!(res, Err(LsmError::Device(_))), "flush {attempt}: {res:?}");
+        for (k, v) in &acked {
+            assert_eq!(&tree.get(*k).unwrap(), v, "key {k} after failed flush {attempt}");
+        }
+    }
+
+    for dev in &devs {
+        dev.set_plan(FaultPlan::none());
+    }
+    tree.flush().expect("the first flush after the fault cleared");
+    for (k, v) in &acked {
+        assert_eq!(&tree.get(*k).unwrap(), v, "key {k} at the end");
+    }
+    tree.deep_verify(true).unwrap();
+    for shard in 0..tree.shard_count() {
+        let (live, referenced) =
+            tree.with_shard_read(shard, |t| (t.store().live_blocks(), referenced_blocks(t)));
+        assert_eq!(live, referenced, "shard {shard}: leaked blocks");
+    }
+}
