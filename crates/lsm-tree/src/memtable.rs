@@ -103,13 +103,18 @@ impl Memtable {
         map.into_values().collect()
     }
 
-    /// The records of virtual blocks `[start_block, start_block +
-    /// num_blocks)` given chunk size `b`, in key order. A flush merges
-    /// these down while the memtable stays as it was; the keys come out
+    /// The records of `blocks` — consecutive entries of what
+    /// [`virtual_blocks`](Memtable::virtual_blocks) returned for this table
+    /// — in key order, reached through the first block's `min`: the cost
+    /// is the window's, not the table's. A flush merges these down while
+    /// the memtable stays as it was; the keys come out
     /// ([`remove_keys`](Memtable::remove_keys)) only when the merge is
     /// installed.
-    pub fn window(&self, start_block: usize, num_blocks: usize, b: usize) -> Vec<Record> {
-        self.map.values().skip(start_block * b).take(num_blocks * b).cloned().collect()
+    pub fn window(&self, blocks: &[RunMeta]) -> Vec<Record> {
+        let (Some(first), Some(last)) = (blocks.first(), blocks.last()) else { return Vec::new() };
+        let mut out = Vec::with_capacity(blocks.iter().map(|b| b.count as usize).sum());
+        out.extend(self.map.range(first.min..=last.max).map(|(_, r)| r.clone()));
+        out
     }
 
     /// Remove `keys` — a flushed window, or with every key the whole
@@ -203,16 +208,45 @@ mod tests {
             m.apply(put(k));
         }
         // blocks of 3: [0,1,2][3,4,5][6,7,8][9]; take blocks 1..3
-        let recs = m.window(1, 2, 3);
+        let recs = m.window(&m.virtual_blocks(3)[1..3]);
         let keys: Vec<Key> = recs.iter().map(|r| r.key).collect();
         assert_eq!(keys, vec![3, 4, 5, 6, 7, 8]);
         assert_eq!(m.len(), 10);
         m.remove_keys(&keys);
         let left: Vec<Key> = m.iter().map(|r| r.key).collect();
         assert_eq!(left, vec![0, 1, 2, 9]);
-        // Far past the end: clamped.
-        assert_eq!(m.window(1, 5, 2).len(), 2);
+        assert!(m.window(&[]).is_empty());
         m.remove_keys(&left);
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn window_matches_the_positional_walk_on_random_tables() {
+        // The reference is the form `window` replaced: skip to the start
+        // block from the front of the table.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        for _ in 0..200 {
+            let mut m = Memtable::new();
+            for _ in 0..next(120) {
+                match next(4) {
+                    0 => m.apply(Request::Delete(next(500))),
+                    _ => m.apply(put(next(500))),
+                }
+            }
+            let b = 1 + next(9) as usize;
+            let blocks = m.virtual_blocks(b);
+            // Every window of every table, the last short block included.
+            for start in 0..blocks.len() {
+                for end in start + 1..=blocks.len() {
+                    let by_walk: Vec<Record> =
+                        m.iter().skip(start * b).take((end - start) * b).cloned().collect();
+                    assert_eq!(m.window(&blocks[start..end]), by_walk, "b {b} [{start}, {end})");
+                }
+            }
+        }
     }
 }

@@ -3,17 +3,31 @@
 //! the group-commit rendezvous, and the maintenance step the scheduler
 //! runs. [`crate::ShardedLsmTree`] is a router over a `Vec<Shard>`.
 //!
-//! The write path of one request ([`Shard::apply`]), lock regions drawn
-//! once:
+//! The write path of one run of requests ([`Shard::apply`]: a batch's
+//! share of this shard, or a single put as a run of one), lock regions
+//! drawn once:
 //!
 //! ```text
-//! put span ─┬─ admission ──── lock ─ full memtable and backlog at the bound? ─ unlock
-//!           │   (background)          └ yes: notify, wait_for_room (no lock), retry
-//!           ├─ under the lock ─ validate → WAL append (+fsync if PerRequest)
-//!           │                   → memtable insert
-//!           │                   → inline: cascade │ background: seal if room
-//!           ├─ lock released ── notify the scheduler of a seal
+//! put span ─┬─ no lock ──────── validate the whole run (nothing is logged if any request is refused)
+//!           ├─ per chunk of at most MAX_REQUESTS_PER_HOLD requests:
+//!           │   ├─ no lock ──── encode the chunk's WAL frames, checksums included
+//!           │   ├─ lock ─────── per segment (ends where the memtable can first be full):
+//!           │   │                 background: full memtable and backlog at the bound? ─ stall
+//!           │   │                 one WAL write of the segment's frames → memtable inserts
+//!           │   │                 → inline: cascade │ background: seal if room ─ unlock
+//!           │   │               PerRequest (chunks of one): flush and note the length
+//!           │   └─ unlock ───── notify the scheduler of a seal; stall: wait_for_room, retry;
+//!           │                   PerRequest: fsync, publish the noted length
 //!           └─ ack ──────────── caller's step: group-commit wait, or defer it
+//! ```
+//!
+//! of the group-commit leader ([`Shard::group_wait`]), which fsyncs beside
+//! the other writers' chunks, not between them:
+//!
+//! ```text
+//! lead ─┬─ lock ─────── flush the log's buffer, note its length ─ unlock
+//!       ├─ no lock ──── fsync (the other writers append meanwhile)
+//!       └─ group state ─ publish the *noted* length, wake the followers
 //! ```
 //!
 //! and of one maintenance step ([`Shard::compute`], [`Shard::install`]), which the write path
@@ -26,13 +40,14 @@
 //!          └─ no lock ────── free the blocks the step replaced
 //! ```
 //!
-//! The shard lock is taken for writing in three places: the write path,
-//! the install, and the group-commit leader's fsync (`Shard::lead_sync`).
-//! It is never held across a scheduler call or the rendezvous, and with a
-//! background scheduler none of the three touches the device under it
-//! (only the inline cascade does) — [`crate::lockorder`] asserts both in
-//! debug builds. What a put or get can wait for is therefore one
-//! install (a splice and a handful of map removals), not one merge.
+//! The shard lock is taken for writing by the write path (a chunk) and by
+//! the install, plus the few instructions in which a sync flushes the
+//! log's buffer and notes its length. It is never held across a scheduler
+//! call, the rendezvous or an fsync, and with a background scheduler
+//! nothing touches the device under it (only the inline cascade does) —
+//! [`crate::lockorder`] asserts all three in debug builds. What a put or
+//! get can wait for is therefore one chunk or one install (a splice and a
+//! handful of map removals), not one commit, one fsync or one merge.
 //!
 //! Block lifetime: gets and scans hold the read lock for as long as they
 //! follow fences, so no reader outlives an install; the blocks an install
@@ -40,7 +55,9 @@
 //!
 //! [`Store::free_block`]: crate::Store::free_block
 
+use std::cell::Cell;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -53,8 +70,46 @@ use crate::error::Result;
 use crate::lockorder::{self, TreeLockGuard};
 use crate::record::Request;
 use crate::scheduler::{self, MaintainTarget, SchedulerBackend};
-use crate::tree::{LsmTree, StepOutcome, TreeOptions};
-use crate::wal::{WalFaultPlan, WriteAheadLog};
+use crate::tree::{self, LsmTree, StepOutcome, TreeOptions};
+use crate::wal::{PendingSync, WalFaultPlan, WriteAheadLog};
+
+/// The most requests one hold of the shard lock applies: a get or scan
+/// beside a commit of any size waits for one chunk, not for the commit.
+///
+/// A constant, not an option; no caller wants another value. Measured on
+/// the `durable` write phase (one shard, two writers × 8 192-put group
+/// commits, 121-byte frames, both cores up; the per-put lock of before
+/// read 325–381 kput/s): 16 → 455–577, 64 → 404–677, **256 → 582–708**,
+/// 1 024 → 631–725, 8 192 (a commit per hold) → 762–913 kput/s. A hold
+/// of 256 is 0.2–0.3 ms — under the ≈ 1 ms inline flush step that a get
+/// could already meet — and a get beside one writer waits 2.4–2.7 ms at
+/// p99 at 16 and at 256 alike, 8–9 ms at 8 192. Below 256 the lock
+/// changes hands (and the memtable changes cores) too often; above it
+/// the few percent gained are paid in what a get waits for.
+pub(crate) const MAX_REQUESTS_PER_HOLD: usize = 256;
+
+/// How many times a writer yields to readers waiting for the lock before it
+/// takes its turn regardless.
+const READER_TURN_YIELDS: usize = 1 << 10;
+
+thread_local! {
+    /// The calling writer's frame buffer — one chunk's WAL frames at a
+    /// time — kept between calls, so that a put allocates nothing.
+    static FRAMES: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// [`FRAMES`], taken for the length of one [`Shard::apply`] (empty, and
+/// not put back, on a shard that does not log).
+struct Frames(Vec<u8>);
+
+impl Drop for Frames {
+    fn drop(&mut self) {
+        if self.0.capacity() > 0 {
+            // Not there while the thread is being torn down: drop the buffer.
+            let _ = FRAMES.try_with(|cell| cell.set(std::mem::take(&mut self.0)));
+        }
+    }
+}
 
 /// Forwards every event of one shard's tree to the user sink, tags every
 /// span with the shard index, and follows each [`Event::MergeFinish`] with
@@ -94,6 +149,11 @@ impl EventSink for ShardTagSink {
 pub(crate) struct ShardState {
     pub(crate) tree: LsmTree,
     pub(crate) wal: Option<WriteAheadLog>,
+    /// An inline cascade failed part-way: a level may still overflow, so
+    /// the next request runs the cascade whether or not it fills the
+    /// memtable. Otherwise no level overflows outside a cascade, and only
+    /// a request that fills the memtable can start one.
+    cascade_owed: bool,
 }
 
 /// Leader/follower group-commit state (only consulted under
@@ -125,9 +185,21 @@ pub(crate) struct Shard {
     /// kept outside the lock so wait-state spans open without the tree.
     sink: SinkHandle,
     commit: CommitMode,
+    /// Whether the shard has a WAL: fixed before the shard is shared, so
+    /// the write path knows without the lock whether to encode frames.
+    logged: bool,
+    /// The tree's block size, for validating a run without the lock.
+    block_size: usize,
+    /// Readers that found the lock taken and wait for it ([`Shard::read`]).
+    readers_waiting: AtomicUsize,
     /// A maintenance step between its halves: computed, not yet installed.
     /// The scheduler runs one maintainer per shard, so at most one.
     computed: Mutex<Option<StepOutcome>>,
+    /// A seeded group sync between its halves ([`Shard::group_sync_step`]).
+    begun_sync: Mutex<Option<PendingSync>>,
+    /// The most requests any one hold of the lock has applied.
+    #[cfg(test)]
+    longest_hold: AtomicUsize,
 }
 
 impl Shard {
@@ -146,43 +218,70 @@ impl Shard {
         };
         opts.sink = sink.clone();
         let commit = opts.commit;
+        let block_size = cfg.block_size;
         let tree = LsmTree::new(cfg, opts, device)?;
         let wal = wal_path.map(WriteAheadLog::create).transpose()?;
         Ok(Shard {
             idx,
-            state: RwLock::new(ShardState { tree, wal }),
+            logged: wal.is_some(),
+            state: RwLock::new(ShardState { tree, wal, cascade_owed: false }),
             group: Mutex::new(GroupState::default()),
             group_cv: Condvar::new(),
             sink,
             commit,
+            block_size,
+            readers_waiting: AtomicUsize::new(0),
             computed: Mutex::new(None),
+            begun_sync: Mutex::new(None),
+            #[cfg(test)]
+            longest_hold: AtomicUsize::new(0),
         })
     }
 
-    /// Replay the intact prefix of the log at `path` into this (fresh)
-    /// shard and adopt the log. Returns the number of requests replayed.
-    pub(crate) fn recover(&self, path: &Path) -> Result<u64> {
+    /// Replay the intact prefix of the log at `path` into this (fresh, not
+    /// yet shared) shard and adopt the log. Returns the number of requests
+    /// replayed.
+    pub(crate) fn recover(&mut self, path: &Path) -> Result<u64> {
         let (wal, requests) = WriteAheadLog::open_and_replay(path)?;
         let replayed = requests.len() as u64;
-        let mut state = self.state.write();
+        let state = self.state.get_mut();
         let span = self.sink.span(SpanOp::recovery());
         for req in requests {
             state.tree.apply(req)?;
         }
         drop(span);
         state.wal = Some(wal);
+        self.logged = true;
         Ok(replayed)
     }
 
     /// The shard lock, shared: lookups, scans, probes.
     pub(crate) fn read(&self) -> RwLockReadGuard<'_, ShardState> {
-        self.state.read()
+        if let Some(guard) = self.state.try_read() {
+            return guard;
+        }
+        // Writers come back for the lock chunk after chunk, and the lock
+        // lets a waiting writer in before a waiting reader: say that a
+        // reader waits, and they stand back between two chunks.
+        self.readers_waiting.fetch_add(1, Ordering::SeqCst);
+        let guard = self.state.read();
+        self.readers_waiting.fetch_sub(1, Ordering::SeqCst);
+        guard
     }
 
     /// The shard lock, exclusive, marked for the lock-order assertions.
     /// `device_io` says whether the section may touch the device: only the
     /// inline cascade does.
     fn lock(&self, device_io: bool) -> (RwLockWriteGuard<'_, ShardState>, TreeLockGuard) {
+        // Let a reader that found the lock taken go first (see `read`): it
+        // gets in as soon as no writer holds the lock or queues for it.
+        // Bounded, so that readers can delay a writer but never stop it.
+        for _ in 0..READER_TURN_YIELDS {
+            if self.readers_waiting.load(Ordering::SeqCst) == 0 {
+                break;
+            }
+            std::thread::yield_now();
+        }
         let guard = self.state.write();
         let held = match device_io {
             true => lockorder::tree_lock_held(),
@@ -191,78 +290,147 @@ impl Shard {
         (guard, held)
     }
 
-    /// The write path (module docs draw it). `sched` is the background
-    /// scheduler, if any: with one a full memtable is sealed and handed
-    /// over instead of merged inline, and the writer stalls only while the
-    /// sealed backlog sits at the bound. `ack` runs last, inside the put
-    /// span and with the lock released, on the WAL offset the request must
-    /// see durable before it may be acknowledged (`Some` only under
+    /// Whether the shard's tree accepts `req`: its block size never changes,
+    /// so no lock is needed to say.
+    pub(crate) fn check(&self, req: &Request) -> Result<()> {
+        tree::check_request(self.block_size, req)
+    }
+
+    /// The write path of a run of requests (module docs draw it); a single
+    /// put is a run of one. The requests are moved out of `run`. `sched` is
+    /// the background scheduler, if any: with one a full memtable is sealed
+    /// and handed over instead of merged inline, and the writer stalls only
+    /// while the sealed backlog sits at the bound. `ack` runs last, inside
+    /// the put span and with the lock released, on the WAL offset the run
+    /// must see durable before it may be acknowledged (`Some` only under
     /// [`CommitMode::Group`]): [`Shard::group_wait`] on it, or hand it
     /// back (`Ok`) to wait once per batch.
     ///
+    /// The run is validated whole, so a refused request fails the call
+    /// with nothing logged or applied. A later error (the log, the inline
+    /// cascade, a scheduler shutting down) leaves a prefix of the run
+    /// applied, and exactly that prefix logged.
+    ///
     /// The whole call is one root `put` span whose children partition it:
     /// `lock_wait`, `backpressure_wait`, `wal_append`, `cascade`, whatever
-    /// `ack` opens; uncovered time is the memtable insert.
+    /// `ack` opens; uncovered time is frame encoding and memtable inserts.
     pub(crate) fn apply<T>(
         &self,
-        req: Request,
+        run: &mut [Request],
         sched: Option<&dyn SchedulerBackend>,
         ack: impl FnOnce(Option<u64>) -> Result<T>,
     ) -> Result<T> {
         let _put = self.sink.span(SpanOp::put());
+        // A request the tree refuses must not reach the log, or replay
+        // would refuse it too and abort recovery.
+        run.iter().try_for_each(|req| self.check(req))?;
         let background = sched.map(|s| (s, s.max_imm_memtables()));
-        let admitted = loop {
-            let held = {
-                let _lock_wait = self.sink.span(SpanOp::lock_wait());
-                self.lock(background.is_none())
-            };
-            let tree = &held.0.tree;
-            let Some((s, max)) = background else { break held };
-            let backlog = tree.imm_count();
-            if !(tree.mem_at_capacity() && backlog >= max) {
-                break held;
-            }
-            // The check held the lock, the wait must not: a stalled writer
-            // may never block the worker that will unstall it.
-            drop(held);
-            s.notify(self.idx, backlog);
-            let _stall = self.sink.span(SpanOp::backpressure_wait());
-            s.wait_for_room(self.idx)?;
-        };
-        let (durable_at, sealed_backlog) = {
-            let (mut guard, _held) = admitted;
-            let ShardState { tree, wal } = &mut *guard;
-            let durable_at = match wal {
-                Some(wal) => {
-                    // A request the tree refuses must not reach the log,
-                    // or replay would refuse it too and abort recovery.
-                    tree.check_request(&req)?;
-                    let offset = wal.log_request(&req, self.commit, &self.sink)?;
-                    (self.commit == CommitMode::Group).then_some(offset)
+        // Under PerRequest every request has an fsync of its own, and no
+        // fsync runs under the lock: one request per hold.
+        let fsync_each = self.logged && self.commit == CommitMode::PerRequest;
+        let per_hold = if fsync_each { 1 } else { MAX_REQUESTS_PER_HOLD };
+        let mut frames = Frames(if self.logged { FRAMES.take() } else { Vec::new() });
+        let mut durable_at = None;
+        let mut rest = run;
+        // The encoded chunk: its requests not yet applied, and where their
+        // frames start in `frames`.
+        let mut chunk: &mut [Request] = &mut [];
+        let mut at = 0;
+        loop {
+            if chunk.is_empty() {
+                if rest.is_empty() {
+                    break;
                 }
-                None => None,
-            };
-            tree.apply_buffered(req)?;
-            let mut sealed_backlog = None;
-            match background {
-                None => tree.run_cascade()?,
-                // Seal only while the immutable queue has room; otherwise
-                // leave the memtable at capacity so the next write stalls
-                // at admission — sealing past the bound would grow the
-                // backlog without ever exerting backpressure.
-                Some((_, max)) => {
-                    if tree.mem_at_capacity() && tree.imm_count() < max {
-                        tree.seal_memtable();
-                        sealed_backlog = Some(tree.imm_count());
+                let n = rest.len().min(per_hold);
+                (chunk, rest) = rest.split_at_mut(n);
+                frames.0.clear();
+                at = 0;
+                if self.logged {
+                    chunk.iter().for_each(|req| WriteAheadLog::encode_frame(req, &mut frames.0));
+                }
+            }
+            let (mut sealed_backlog, mut stalled_at, mut fsync) = (None, None, None);
+            {
+                let (mut guard, _held) = {
+                    let _lock_wait = self.sink.span(SpanOp::lock_wait());
+                    self.lock(background.is_none())
+                };
+                let ShardState { tree, wal, cascade_owed } = &mut *guard;
+                let mut applied = 0;
+                while !chunk.is_empty() {
+                    if let Some((_, max)) = background {
+                        let backlog = tree.imm_count();
+                        if tree.mem_at_capacity() && backlog >= max {
+                            // The check held the lock, the wait must not: a
+                            // stalled writer may never block the worker
+                            // that will unstall it.
+                            stalled_at = Some(backlog);
+                            break;
+                        }
+                    }
+                    // A segment ends where the memtable can first be full,
+                    // so everything decided on a full memtable is decided
+                    // after the same request as when requests come one by
+                    // one — and after a request both logged and inserted.
+                    let room = tree.mem_room();
+                    let n = room.clamp(1, chunk.len());
+                    let segment;
+                    (segment, chunk) = chunk.split_at_mut(n);
+                    if let Some(wal) = wal {
+                        let len: usize = segment.iter().map(WriteAheadLog::frame_len).sum();
+                        let bytes = &frames.0[at..at + len];
+                        durable_at = Some(wal.log_run(segment, bytes, fsync_each, &self.sink)?);
+                        at += len;
+                    }
+                    tree.buffer_run(segment);
+                    applied += n;
+                    if n < room && !*cascade_owed {
+                        // Not full: nothing to decide (see `cascade_owed`).
+                        debug_assert!(!tree.mem_at_capacity());
+                        debug_assert!(background.is_some() || !tree.maintenance_pending());
+                        continue;
+                    }
+                    match background {
+                        None => {
+                            *cascade_owed = true;
+                            tree.run_cascade()?;
+                            *cascade_owed = false;
+                        }
+                        // Seal only while the immutable queue has room;
+                        // otherwise leave the memtable at capacity so the
+                        // next request stalls — sealing past the bound would
+                        // grow the backlog without ever exerting
+                        // backpressure. The scheduler hears of a seal with
+                        // the lock released.
+                        Some((_, max)) => {
+                            if tree.mem_at_capacity() && tree.imm_count() < max {
+                                tree.seal_memtable();
+                                sealed_backlog = Some(tree.imm_count());
+                                break;
+                            }
+                        }
                     }
                 }
+                if let (true, Some(wal)) = (fsync_each && applied > 0, wal) {
+                    fsync = Some(wal.begin_sync()?);
+                }
+                #[cfg(test)]
+                self.longest_hold.fetch_max(applied, Ordering::Relaxed);
             }
-            (durable_at, sealed_backlog)
-        };
-        if let (Some((s, _)), Some(backlog)) = (background, sealed_backlog) {
-            s.notify(self.idx, backlog);
+            // A hold ends at a seal or at a stall, never both.
+            if let (Some((s, _)), Some(backlog)) = (background, sealed_backlog.or(stalled_at)) {
+                s.notify(self.idx, backlog);
+            }
+            if let Some(fsync) = fsync {
+                let _fsync = self.sink.span(SpanOp::wal_append());
+                fsync.finish()?;
+            }
+            if let (Some((s, _)), Some(_)) = (background, stalled_at) {
+                let _stall = self.sink.span(SpanOp::backpressure_wait());
+                s.wait_for_room(self.idx)?;
+            }
         }
-        ack(durable_at)
+        ack(durable_at.filter(|_| self.commit == CommitMode::Group))
     }
 
     /// First half of a step (module docs draw it): snapshot under the read
@@ -299,8 +467,8 @@ impl Shard {
     }
 
     /// Wait until WAL offset `my_seq` is fsynced: become the leader (one
-    /// fsync covers every append buffered so far) or ride on the current
-    /// leader's fsync. Never called with the shard lock held.
+    /// fsync covers every append made before it began) or ride on the
+    /// current leader's fsync. Never called with the shard lock held.
     ///
     /// Failure contract: when a leader's fsync fails, *every* participant
     /// whose offset is not already durable errors out — the leader with
@@ -330,7 +498,7 @@ impl Shard {
             if !s.leader_running {
                 s.leader_running = true;
                 drop(s);
-                if self.lead_sync()? >= my_seq {
+                if self.finish_sync(self.begin_sync())? >= my_seq {
                     return Ok(());
                 }
                 s = self.group.lock();
@@ -352,17 +520,21 @@ impl Shard {
         }
     }
 
-    /// The group-commit leader section: fsync the WAL under the shard
-    /// lock, then publish the offset now durable and wake the followers —
-    /// or poison the rendezvous, so every waiting (and future) follower
-    /// errors instead of retrying leadership against a WAL that just
-    /// poisoned itself.
-    fn lead_sync(&self) -> Result<u64> {
-        let res = match self.lock(false).0.wal.as_mut() {
-            Some(wal) => wal.sync().map(|()| wal.synced_len()),
-            // No WAL: nothing to make durable.
-            None => Ok(u64::MAX),
-        };
+    /// First half of a sync of this shard's WAL (`None` without one): the
+    /// only part that needs the shard lock, and short — flush the log's
+    /// buffer, note its length.
+    fn begin_sync(&self) -> Result<Option<PendingSync>> {
+        self.lock(false).0.wal.as_mut().map(WriteAheadLog::begin_sync).transpose()
+    }
+
+    /// Second half, with the lock released: fsync, and publish to the
+    /// rendezvous the offset now durable — the length *noted* when the
+    /// sync began, whatever was appended since — or poison it, so every
+    /// waiting (and future) follower errors instead of retrying leadership
+    /// against a WAL that just poisoned itself. Wakes the followers.
+    fn finish_sync(&self, begun: Result<Option<PendingSync>>) -> Result<u64> {
+        // No WAL: nothing to make durable.
+        let res = begun.and_then(|wal| wal.map_or(Ok(u64::MAX), PendingSync::finish));
         let mut s = self.group.lock();
         s.leader_running = false;
         match &res {
@@ -373,13 +545,26 @@ impl Shard {
         res
     }
 
-    /// Act as the group-commit leader unconditionally (the torture
-    /// harness's seeded sync step): returns the offset now durable.
-    pub(crate) fn group_sync_step(&self) -> Result<u64> {
+    /// One half of a group sync per call (the torture harness's seeded
+    /// sync step; whatever is applied between two calls lands between a
+    /// leader's flush and its fsync): begin one and return `None`, or
+    /// finish the one begun and return the offset now durable.
+    pub(crate) fn group_sync_step(&self) -> Result<Option<u64>> {
         if self.group.lock().poisoned {
             return Err(DeviceError::Poisoned.into());
         }
-        self.lead_sync()
+        let begun = self.begun_sync.lock().take();
+        match begun {
+            Some(sync) => self.finish_sync(Ok(Some(sync))).map(Some),
+            None => match self.begin_sync() {
+                Ok(Some(sync)) => {
+                    *self.begun_sync.lock() = Some(sync);
+                    Ok(None)
+                }
+                // Nothing to wait for in the second half.
+                begun => self.finish_sync(begun).map(Some),
+            },
+        }
     }
 
     /// Read something off the WAL (`None` without one).
@@ -389,7 +574,13 @@ impl Shard {
 
     /// Fsync the WAL (no-op without one).
     pub(crate) fn sync_wal(&self) -> Result<()> {
-        self.lock(false).0.wal.as_mut().map_or(Ok(()), WriteAheadLog::sync)
+        self.begin_sync()?.map_or(Ok(()), |sync| sync.finish().map(drop))
+    }
+
+    /// The most requests any one hold of the shard lock has applied.
+    #[cfg(test)]
+    pub(crate) fn longest_hold(&self) -> usize {
+        self.longest_hold.load(Ordering::Relaxed)
     }
 
     /// Arm fsync-fault injection on the WAL (no-op without one).

@@ -59,6 +59,15 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// What a constructor does with the per-shard log files in its WAL directory.
+#[derive(Clone, Copy)]
+enum Wal {
+    /// Start empty logs.
+    Create,
+    /// Replay each log's intact prefix into its shard, then append to it.
+    Replay,
+}
+
 /// One fresh in-memory simulated SSD per shard.
 fn mem_devices(cfg: &LsmConfig, shards: usize, blocks: u64) -> Vec<Arc<dyn BlockDevice>> {
     (0..shards)
@@ -102,7 +111,7 @@ impl ShardedLsmTree {
         device_blocks_per_shard: u64,
     ) -> Result<Self> {
         let devices = mem_devices(&cfg, shards, device_blocks_per_shard);
-        Self::with_backend(cfg, opts, devices, None, None)
+        Self::build(cfg, opts, devices, None, None)
     }
 
     /// Like [`ShardedLsmTree::with_mem_devices`], plus one write-ahead log
@@ -117,7 +126,7 @@ impl ShardedLsmTree {
         wal_dir: impl AsRef<Path>,
     ) -> Result<Self> {
         let devices = mem_devices(&cfg, shards, device_blocks_per_shard);
-        Self::with_backend(cfg, opts, devices, Some(wal_dir.as_ref()), None)
+        Self::build(cfg, opts, devices, Some((wal_dir.as_ref(), Wal::Create)), None)
     }
 
     /// Recover a WAL-backed sharded tree: fresh shards, then replay each
@@ -131,12 +140,8 @@ impl ShardedLsmTree {
         device_blocks_per_shard: u64,
         wal_dir: impl AsRef<Path>,
     ) -> Result<Self> {
-        let this = Self::with_mem_devices(cfg, opts, shards, device_blocks_per_shard)?;
-        for (i, shard) in this.shards.iter().enumerate() {
-            let replayed = shard.recover(&Self::wal_path(wal_dir.as_ref(), i))?;
-            this.sink.emit_with(|| Event::Recovery { replayed });
-        }
-        Ok(this)
+        let devices = mem_devices(&cfg, shards, device_blocks_per_shard);
+        Self::build(cfg, opts, devices, Some((wal_dir.as_ref(), Wal::Replay)), None)
     }
 
     pub(crate) fn wal_path(dir: &Path, shard: usize) -> PathBuf {
@@ -153,7 +158,7 @@ impl ShardedLsmTree {
         opts: TreeOptions,
         devices: Vec<Arc<dyn BlockDevice>>,
     ) -> Result<Self> {
-        Self::with_backend(cfg, opts, devices, None, None)
+        Self::build(cfg, opts, devices, None, None)
     }
 
     /// The full-control constructor: explicit devices, an optional WAL
@@ -166,10 +171,23 @@ impl ShardedLsmTree {
     /// exactly as a worker pool would (seal-and-return, backpressure at
     /// the bound) regardless of `opts.scheduler`.
     pub fn with_backend(
-        mut cfg: LsmConfig,
+        cfg: LsmConfig,
         opts: TreeOptions,
         devices: Vec<Arc<dyn BlockDevice>>,
         wal_dir: Option<&Path>,
+        scheduler: Option<Arc<dyn SchedulerBackend>>,
+    ) -> Result<Self> {
+        Self::build(cfg, opts, devices, wal_dir.map(|dir| (dir, Wal::Create)), scheduler)
+    }
+
+    /// Every constructor ends here. A shard's log is created or replayed
+    /// before the shard is shared: whether a shard logs is fixed from then
+    /// on, which is what lets its write path encode without the lock.
+    fn build(
+        mut cfg: LsmConfig,
+        opts: TreeOptions,
+        devices: Vec<Arc<dyn BlockDevice>>,
+        wal: Option<(&Path, Wal)>,
         scheduler: Option<Arc<dyn SchedulerBackend>>,
     ) -> Result<Self> {
         assert!(!devices.is_empty(), "need at least one shard");
@@ -178,8 +196,17 @@ impl ShardedLsmTree {
             .into_iter()
             .enumerate()
             .map(|(i, device)| {
-                let wal = wal_dir.map(|dir| Self::wal_path(dir, i));
-                Shard::new(i, cfg.clone(), opts.clone(), device, wal.as_deref())
+                let log = wal.map(|(dir, what)| (Self::wal_path(dir, i), what));
+                let create = match &log {
+                    Some((path, Wal::Create)) => Some(path.as_path()),
+                    _ => None,
+                };
+                let mut shard = Shard::new(i, cfg.clone(), opts.clone(), device, create)?;
+                if let Some((path, Wal::Replay)) = &log {
+                    let replayed = shard.recover(path)?;
+                    opts.sink.emit_with(|| Event::Recovery { replayed });
+                }
+                Ok(shard)
             })
             .collect::<Result<Vec<_>>>()?;
         let shards = Arc::new(shards);
@@ -237,7 +264,7 @@ impl ShardedLsmTree {
     /// bound.
     pub fn apply(&self, req: Request) -> Result<()> {
         let shard = &self.shards[self.route(req.key())];
-        shard.apply(req, self.scheduler.as_deref(), |durable_at| match durable_at {
+        shard.apply(&mut [req], self.scheduler.as_deref(), |durable_at| match durable_at {
             Some(seq) => shard.group_wait(seq, &|| self.scheduler_section_json()),
             None => Ok(()),
         })
@@ -246,25 +273,52 @@ impl ShardedLsmTree {
     /// Apply `req` on shard `idx` and return without waiting for its group
     /// commit: the WAL offset that must be durable before the request may
     /// be acked (`Some` only under [`CommitMode::Group`](crate::CommitMode))
-    /// goes back to the caller — [`ShardedLsmTree::write_batch`], which
-    /// waits once per batch, and the concurrency-torture harness, which
+    /// goes back to the caller — the concurrency-torture harness, which
     /// acks from its own seeded sync steps.
     pub(crate) fn apply_unacked(&self, idx: usize, req: Request) -> Result<Option<u64>> {
-        self.shards[idx].apply(req, self.scheduler.as_deref(), Ok)
+        self.shards[idx].apply(&mut [req], self.scheduler.as_deref(), Ok)
     }
 
-    /// Apply the batch in order; under
-    /// [`CommitMode::Group`](crate::CommitMode::Group) the whole batch
-    /// commits with one group-commit rendezvous per touched shard — on the
-    /// offset its own last append to that shard returned — instead of one
-    /// per request. `&self` so concurrent writer threads can batch without
-    /// exclusive access.
+    /// Apply the batch: each shard's share of it (its *run*: the batch's
+    /// requests for that shard, in batch order) goes through that shard's
+    /// write path in one pass — frames encoded and checksummed before the
+    /// shard lock is taken, the lock held for a bounded chunk of requests
+    /// at a time, so a get beside a large batch waits for a chunk, not for
+    /// the batch — and under [`CommitMode::Group`](crate::CommitMode::Group)
+    /// the whole batch commits with one group-commit rendezvous per touched
+    /// shard, on the offset its own last append to that shard returned,
+    /// instead of one per request. `&self` so concurrent writer threads can
+    /// batch without exclusive access.
+    ///
+    /// Shards are independent, so the result is what applying the requests
+    /// one by one gives. Errors: the batch is validated whole — one refused
+    /// request (say [`LsmError::RecordTooLarge`](crate::LsmError)) fails
+    /// the call with nothing logged or applied. On any later error (a
+    /// failed fsync, a device fault in an inline merge) what has been
+    /// applied is a prefix of each shard's run, none of it acknowledged.
     pub fn write_batch(&self, batch: WriteBatch) -> Result<()> {
+        let mut runs: Vec<Vec<Request>> = Vec::with_capacity(self.shards.len());
+        if self.shards.len() == 1 {
+            // One shard: its run is the batch, and its write path checks it.
+            if self.sink.is_enabled() {
+                batch
+                    .requests()
+                    .iter()
+                    .for_each(|_| self.sink.emit(Event::ShardRouted { shard: 0 }));
+            }
+            runs.push(batch.into_requests());
+        } else {
+            runs.resize_with(self.shards.len(), Vec::new);
+            for req in batch {
+                let idx = self.route(req.key());
+                self.shards[idx].check(&req)?;
+                runs[idx].push(req);
+            }
+        }
         let mut commit_at: Vec<Option<u64>> = vec![None; self.shards.len()];
-        for req in batch {
-            let idx = self.route(req.key());
-            if let Some(seq) = self.apply_unacked(idx, req)? {
-                commit_at[idx] = Some(seq);
+        for ((shard, run), seq) in self.shards.iter().zip(&mut runs).zip(&mut commit_at) {
+            if !run.is_empty() {
+                *seq = shard.apply(run, self.scheduler.as_deref(), Ok)?;
             }
         }
         for (shard, seq) in self.shards.iter().zip(commit_at) {
@@ -275,13 +329,16 @@ impl ShardedLsmTree {
         Ok(())
     }
 
-    /// One seeded group-sync step for the concurrency-torture harness:
-    /// unconditionally act as the group-commit leader for `idx` — fsync
-    /// the WAL, publish the new durable offset, wake any followers — and
-    /// return the offset now known durable. An fsync failure poisons the
+    /// One seeded group-sync step for the concurrency-torture harness: one
+    /// *half* of a group-commit leader's work on shard `idx` per call.
+    /// The first call flushes the log's buffer and notes its length
+    /// (`Ok(None)`); the second fsyncs, publishes the noted length as
+    /// durable, wakes any followers and returns it. Requests applied
+    /// between the two land where a real leader's fsync leaves room for
+    /// them, and are not covered by it. An fsync failure poisons the
     /// rendezvous exactly like a leader failure inside
     /// [`ShardedLsmTree::apply`] (it is the same code).
-    pub fn group_sync_step(&self, idx: usize) -> Result<u64> {
+    pub fn group_sync_step(&self, idx: usize) -> Result<Option<u64>> {
         self.shards[idx].group_sync_step()
     }
 
@@ -737,12 +794,28 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    fn wal_tree(tag: &str, commit: CommitMode) -> (ShardedLsmTree, PathBuf) {
+    fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lsm-sharded-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn wal_tree(tag: &str, commit: CommitMode, shards: usize) -> (ShardedLsmTree, PathBuf) {
+        let dir = scratch_dir(tag);
         let opts = TreeOptions::builder().group_commit(commit).build();
-        (ShardedLsmTree::with_wal_dir(small_cfg(), opts, 1, 1 << 16, &dir).unwrap(), dir)
+        (ShardedLsmTree::with_wal_dir(small_cfg(), opts, shards, 1 << 16, &dir).unwrap(), dir)
+    }
+
+    /// A WAL-backed tree whose maintenance only runs when the (seeded)
+    /// simulated scheduler is stepped: no threads, so every interleaving
+    /// below is the one written down.
+    fn sim_tree(dir: &Path, commit: CommitMode, shards: usize) -> ShardedLsmTree {
+        let sim = crate::sim::SimExecutor::new(2, 7, SinkHandle::none());
+        let devices = mem_devices(&small_cfg(), shards, 1 << 16);
+        let opts = TreeOptions::builder().group_commit(commit).build();
+        ShardedLsmTree::with_backend(small_cfg(), opts, devices, Some(dir), Some(Arc::new(sim)))
+            .unwrap()
     }
 
     #[test]
@@ -750,22 +823,44 @@ mod tests {
         // Regression: the request was appended to the WAL before the tree
         // checked its size, so a put refused to the caller stayed in the
         // log and replay aborted recovery on it — losing every acked write
-        // after it.
-        let (t, dir) = wal_tree("refused", CommitMode::PerRequest);
-        t.put(1, vec![1u8; 4]).unwrap();
-        let logged = t.wal_lens();
-        let err = t.put(2, vec![0u8; 4096]).unwrap_err();
-        assert!(matches!(err, LsmError::RecordTooLarge { .. }), "{err}");
-        assert_eq!(t.wal_lens(), logged, "a refused request must not grow the log");
-        t.put(3, vec![3u8; 4]).unwrap();
-        std::mem::forget(t); // crash
-        let r =
-            ShardedLsmTree::recover_with_wal(small_cfg(), TreeOptions::default(), 1, 1 << 16, &dir)
-                .expect("recovery must not trip over the refused put");
-        assert_eq!(r.get(1).unwrap().as_deref(), Some(&[1u8; 4][..]));
-        assert_eq!(r.get(2).unwrap(), None);
-        assert_eq!(r.get(3).unwrap().as_deref(), Some(&[3u8; 4][..]));
-        std::fs::remove_dir_all(&dir).ok();
+        // after it. A batch is refused whole: one over-size record, and
+        // none of it is logged or applied, on any shard.
+        for shards in [1, 3] {
+            let (t, dir) = wal_tree("refused", CommitMode::PerRequest, shards);
+            t.put(1, vec![1u8; 4]).unwrap();
+            let logged = t.wal_lens();
+            let err = t.put(2, vec![0u8; 4096]).unwrap_err();
+            assert!(matches!(err, LsmError::RecordTooLarge { .. }), "{err}");
+            assert_eq!(t.wal_lens(), logged, "a refused request must not grow the log");
+            let mut batch = WriteBatch::new();
+            for k in 10..40u64 {
+                batch.put(k, vec![if k == 33 { 0u8 } else { 7 }; if k == 33 { 4096 } else { 4 }]);
+            }
+            let err = t.write_batch(batch).unwrap_err();
+            assert!(matches!(err, LsmError::RecordTooLarge { .. }), "{err}");
+            assert_eq!(t.wal_lens(), logged, "a refused batch must not grow any log");
+            assert_eq!(t.stats().puts, 1, "a refused batch applies nothing");
+            assert_eq!(t.scan_collect(0, u64::MAX).unwrap().len(), 1);
+            t.put(3, vec![3u8; 4]).unwrap();
+            std::mem::forget(t); // crash
+            let r = ShardedLsmTree::recover_with_wal(
+                small_cfg(),
+                TreeOptions::default(),
+                shards,
+                1 << 16,
+                &dir,
+            )
+            .expect("recovery must not trip over the refused put");
+            assert_eq!(r.get(1).unwrap().as_deref(), Some(&[1u8; 4][..]));
+            assert_eq!(r.get(2).unwrap(), None);
+            assert_eq!(r.get(3).unwrap().as_deref(), Some(&[3u8; 4][..]));
+            assert_eq!(r.scan_collect(0, u64::MAX).unwrap().len(), 2);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    fn is(e: &LsmError, want: fn(&DeviceError) -> bool) -> bool {
+        matches!(e, LsmError::Device(d) if want(d))
     }
 
     #[test]
@@ -773,26 +868,212 @@ mod tests {
         // One leader section behind both entry points: whichever hits the
         // injected fsync fault gets the fault itself, poisons WAL and
         // rendezvous, and leaves both entry points refusing with Poisoned.
+        // Through the step the sync runs in its halves with a second
+        // writer's append in between: the failure errors that writer too.
         for via_step in [false, true] {
-            let (t, dir) = wal_tree("poison", CommitMode::Group);
+            let (t, dir) = wal_tree("poison", CommitMode::Group, 1);
             t.set_wal_fault_plan(0, WalFaultPlan::none().fail_sync_at(0), 7);
             let err = if via_step {
                 assert_eq!(t.apply_unacked(0, Request::Delete(1)).unwrap(), Some(17));
+                assert_eq!(t.group_sync_step(0).unwrap(), None, "begun: flushed, length noted");
+                assert_eq!(t.apply_unacked(0, Request::Delete(2)).unwrap(), Some(34));
                 t.group_sync_step(0).map(|_| ()).unwrap_err()
             } else {
                 t.put(1, vec![1u8; 4]).unwrap_err()
             };
-            let is = |e: &LsmError, want: fn(&DeviceError) -> bool| matches!(e, LsmError::Device(d) if want(d));
             assert!(is(&err, |d| matches!(d, DeviceError::Injected { .. })), "{via_step}: {err}");
             assert!(t.wal_poisoned(0), "{via_step}: WAL not poisoned");
+            assert_eq!(t.wal_synced_lens(), [0], "{via_step}: a failed fsync publishes nothing");
             let section = t.scheduler_section_json().render();
             assert!(section.contains("\"poisoned\":true"), "{via_step}: {section}");
             assert!(section.contains("\"leader_running\":false"), "{via_step}: {section}");
             let poisoned = |d: &DeviceError| matches!(d, DeviceError::Poisoned);
+            for waiter in [17, 34] {
+                let err = t.shards[0].group_wait(waiter, &|| Json::Null).unwrap_err();
+                assert!(is(&err, poisoned), "{via_step}: the writer at {waiter} must error");
+            }
             assert!(is(&t.put(2, vec![2u8; 4]).unwrap_err(), poisoned), "{via_step}: put");
             assert!(is(&t.group_sync_step(0).unwrap_err(), poisoned), "{via_step}: step");
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn a_sync_covers_what_was_logged_when_it_began_and_nothing_after() {
+        // Writer A's leader flushes and notes the length, writer B commits,
+        // A's fsync finishes: A is acked and B is not, whatever the fsync
+        // happened to carry to disk, and a power cut there keeps A alone.
+        let dir = scratch_dir("split-sync");
+        let t = sim_tree(&dir, CommitMode::Group, 1);
+        let commit = |keys: std::ops::Range<u64>| {
+            let mut run: Vec<Request> =
+                keys.map(|k| Request::Put(k, Bytes::from(vec![k as u8; 4]))).collect();
+            t.shards[0].apply(&mut run, t.scheduler.as_deref(), Ok).unwrap().unwrap()
+        };
+        let a = commit(0..3);
+        assert_eq!(t.group_sync_step(0).unwrap(), None);
+        let b = commit(10..12);
+        assert!(a < b);
+        assert_eq!(t.wal_synced_lens(), [0], "nothing is durable until the fsync returns");
+        assert_eq!(t.group_sync_step(0).unwrap(), Some(a), "the noted length, not the current");
+        assert_eq!(t.wal_synced_lens(), [a]);
+        assert_eq!(t.wal_lens(), [b]);
+        assert_eq!(t.wal_fsyncs(), 1);
+        // A's rendezvous is over; B's would have to lead a sync of its own.
+        t.shards[0].group_wait(a, &|| Json::Null).unwrap();
+        assert!(t.scheduler_section_json().render().contains(&format!("\"synced_seq\":{a}")));
+        std::mem::forget(t); // power cut: only what is known synced survives
+        let log = ShardedLsmTree::wal_path(&dir, 0);
+        std::fs::OpenOptions::new().write(true).open(&log).unwrap().set_len(a).unwrap();
+        let r =
+            ShardedLsmTree::recover_with_wal(small_cfg(), TreeOptions::default(), 1, 1 << 16, &dir)
+                .unwrap();
+        let keys: Vec<Key> = r.scan_collect(0, u64::MAX).unwrap().iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, [0, 1, 2], "exactly A's commit");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A tape with updates and deletes of keys still in L0 (so memtable
+    /// fills end at odd requests), long enough to fill L0 many times over.
+    fn tape(n: usize) -> Vec<Request> {
+        let mut x = 0x5eed_cafeu64;
+        (0..n)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let k = (x >> 20) % 700;
+                match x % 7 {
+                    0 => Request::Delete(k),
+                    _ => Request::Put(k, Bytes::from(vec![(x >> 8) as u8; 4])),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_batch_is_its_requests_one_by_one() {
+        // One write path: whatever way a tape is cut into batches, every
+        // shard logs the same bytes, seals, stalls and merges after the same
+        // requests, and ends in the same state as when each request is a
+        // run of its own. The simulated scheduler makes the background side
+        // repeat exactly: it only ever runs inside a writer's call.
+        use crate::shard::MAX_REQUESTS_PER_HOLD as CHUNK;
+        let tape = tape(10 * CHUNK + 77);
+        let state = |t: &ShardedLsmTree, dir: &Path| {
+            t.flush().unwrap();
+            t.deep_verify(true).unwrap();
+            let logs: Vec<Vec<u8>> = (0..t.shard_count())
+                .map(|i| std::fs::read(ShardedLsmTree::wal_path(dir, i)).unwrap())
+                .collect();
+            let io: Vec<_> = (0..t.shard_count())
+                .map(|i| t.with_shard_read(i, |tree| tree.store().io_snapshot()))
+                .collect();
+            (logs, t.shard_stats(), io, t.scan_collect(0, u64::MAX).unwrap())
+        };
+        for shards in [1, 4] {
+            for background in [false, true] {
+                let build = |dir: &Path| match background {
+                    true => sim_tree(dir, CommitMode::Group, shards),
+                    false => {
+                        let opts = TreeOptions::builder().group_commit(CommitMode::Group).build();
+                        ShardedLsmTree::with_wal_dir(small_cfg(), opts, shards, 1 << 16, dir)
+                            .unwrap()
+                    }
+                };
+                for size in [1, CHUNK - 1, CHUNK, CHUNK + 1, 10 * CHUNK] {
+                    // The reference takes each batch shard by shard, as
+                    // `write_batch` does: shards are independent, but the
+                    // simulated scheduler draws from one seed for all.
+                    let ref_dir = scratch_dir("one-by-one");
+                    let t = build(&ref_dir);
+                    for batch in tape.chunks(size) {
+                        for shard in 0..shards {
+                            for req in batch.iter().filter(|r| t.shard_of(r.key()) == shard) {
+                                t.apply_unacked(shard, req.clone()).unwrap();
+                            }
+                        }
+                    }
+                    let one_by_one = state(&t, &ref_dir);
+                    assert!(
+                        one_by_one.1.iter().all(|s| s.level(1).merges_in > 10),
+                        "L0 must fill many times"
+                    );
+                    let dir = scratch_dir("batched");
+                    let t = build(&dir);
+                    for batch in tape.chunks(size) {
+                        t.write_batch(batch.iter().cloned().collect()).unwrap();
+                    }
+                    let what =
+                        format!("{shards} shards, background {background}, batches of {size}");
+                    let batched = state(&t, &dir);
+                    assert!(batched.0 == one_by_one.0, "{what}: WAL bytes differ");
+                    assert_eq!(batched.1, one_by_one.1, "{what}: stats");
+                    assert_eq!(batched.2, one_by_one.2, "{what}: device counts");
+                    assert_eq!(batched.3, one_by_one.3, "{what}: contents");
+                    std::fs::remove_dir_all(&dir).ok();
+                    std::fs::remove_dir_all(&ref_dir).ok();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cascade_that_failed_part_way_is_finished_by_the_next_request() {
+        // The write path only looks for merge work after a request that
+        // fills the memtable — unless an inline cascade failed between its
+        // steps: the flush is in, a level still overflows, the memtable has
+        // room. The next request, whatever it is, must finish the cascade.
+        use sim_ssd::{FaultDevice, FaultPlan, MemDevice};
+        let mut left_a_level_overflowing = 0;
+        for nth in 1..400u64 {
+            let dev =
+                Arc::new(FaultDevice::new(Arc::new(MemDevice::with_block_size(1 << 14, 256)), nth));
+            let opts = TreeOptions::builder().retry(crate::RetryPolicy::none()).build();
+            let t =
+                ShardedLsmTree::with_devices(small_cfg(), opts, vec![dev.clone() as _]).unwrap();
+            dev.set_plan(FaultPlan::none().fail_write_at(nth));
+            let mut tape = tape(3_000).into_iter();
+            let Some(failed) = tape.by_ref().find(|req| t.apply(req.clone()).is_err()) else {
+                break; // the workload has fewer writes than that
+            };
+            let (pending, full) =
+                t.with_shard_read(0, |tree| (tree.maintenance_pending(), tree.mem_at_capacity()));
+            left_a_level_overflowing += u32::from(pending && !full);
+            // The fault was one write: the next request goes through, and
+            // leaves nothing pending behind it.
+            t.apply(failed).unwrap();
+            assert!(!t.with_shard_read(0, LsmTree::maintenance_pending), "write {nth}");
+            tape.for_each(|req| t.apply(req).unwrap());
+            t.deep_verify(true).unwrap();
+        }
+        assert!(left_a_level_overflowing > 10, "only {left_a_level_overflowing} such failures");
+    }
+
+    #[test]
+    fn a_lock_hold_is_bounded_and_a_get_does_not_wait_for_the_batch() {
+        use crate::shard::MAX_REQUESTS_PER_HOLD as CHUNK;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let t = sharded(1);
+        t.put(u64::MAX, vec![9u8; 4]).unwrap();
+        let batch: WriteBatch =
+            (0..100_000u64).map(|k| Request::Put(k, Bytes::from(vec![k as u8; 4]))).collect();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                t.write_batch(batch).unwrap();
+                done.store(true, Ordering::SeqCst);
+            });
+            // Reads get the lock between two chunks: first to see that the
+            // batch is under way, then the get itself — long before its end.
+            while t.stats().puts < 2 {
+                std::hint::spin_loop();
+            }
+            assert_eq!(t.get(u64::MAX).unwrap().as_deref(), Some(&[9u8; 4][..]));
+            let applied = t.stats().puts;
+            assert!(!done.load(Ordering::SeqCst), "the get waited for the whole batch");
+            assert!(applied < 100_000, "the get came back after {applied} puts");
+        });
+        assert_eq!(t.stats().puts, 100_001);
+        assert_eq!(t.shards[0].longest_hold(), CHUNK, "a hold is a chunk, never more");
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //! the unlocked compute, or the install — on a shard chosen by a seeded
 //! RNG from the queue. The concurrency-torture harness
 //! ([`crate::torture::run_concurrent_crash_cycle`]) interleaves these
-//! steps with seeded writer operations, reads, group-commit fsyncs, and
-//! injected faults — so whatever a real worker's unlocked compute can
-//! overlap with lands between a compute and its install here too, and
+//! steps with seeded writer operations, reads, group-commit fsyncs — in
+//! halves as well, [`crate::ShardedLsmTree::group_sync_step`]: note the
+//! log's length, then fsync and publish it — and injected faults. So
+//! whatever a real worker's unlocked compute can overlap with lands
+//! between a compute and its install here too, whatever a leader's
+//! unlocked fsync can overlap with lands between a sync's halves, and
 //! every interleaving, including the failing ones, replays byte-for-byte
 //! from a single `u64` seed.
 //!

@@ -610,8 +610,12 @@ pub struct ConcurrentTortureReport {
     /// Writes, reads and fsync steps that ran while some shard had a step
     /// computed but not yet installed.
     pub ops_between_halves: u64,
-    /// Seeded group-commit fsync steps that ran.
+    /// Seeded group-commit fsyncs that ran to their end (each two steps: the
+    /// flush that notes the log's length, then the fsync that publishes it).
     pub group_syncs: u64,
+    /// Writes that ran while their shard had a group sync begun but not
+    /// yet finished: logged after the length was noted, so not covered.
+    pub writes_between_sync_halves: u64,
     /// Whether this cycle drew group commit (vs per-request fsync).
     pub group_commit: bool,
     /// Whether a fault ended the workload early (vs the forced cut).
@@ -625,12 +629,14 @@ pub struct ConcurrentTortureReport {
 /// Run one seeded *concurrent* crash cycle: M seeded writers interleaved
 /// with a [`SimExecutor`](crate::SimExecutor)'s maintenance half-steps
 /// (a compute or an install each), seeded reads checked against a model
-/// of the applied writes, and seeded group-commit fsyncs, over per-shard
+/// of the applied writes, and seeded group-commit fsyncs — in halves too:
+/// flush and note the length, then fsync and publish it — over per-shard
 /// [`FaultDevice`]s and fsync-fault-armed WALs; then a power cut, WAL
 /// tail truncation, recovery, and the per-shard
 /// [`HistoryChecker`](crate::HistoryChecker) prefix-durability check plus
 /// the deep structural verifier. Writes, seals, reads, fsyncs, faults and
-/// the cut itself all land between a step's compute and its install.
+/// the cut itself all land between a step's compute and its install, and
+/// writes between a sync's two halves.
 ///
 /// Everything — the interleaving included — derives from `cfg.seed`, so a
 /// failing cycle replays byte-for-byte. Failures carry the seed and, when
@@ -783,6 +789,9 @@ pub fn run_concurrent_crash_cycle(
     let mut reads = 0u64;
     let mut ops_between_halves = 0u64;
     let mut group_syncs = 0u64;
+    // Per shard: a group sync has begun and not finished.
+    let mut sync_begun = vec![false; cfg.shards];
+    let mut writes_between_sync_halves = 0u64;
     let mut cut_mid_workload = false;
     let mut tick = 0u64;
 
@@ -805,6 +814,7 @@ pub fn run_concurrent_crash_cycle(
             let idx = tree.shard_of(key);
             let req = to_request(&(key, value.clone()));
             issued += 1;
+            writes_between_sync_halves += u64::from(sync_begun[idx]);
             match tree.apply_unacked(idx, req) {
                 Ok(durable_at) => {
                     model.insert(key, value.clone());
@@ -866,12 +876,15 @@ pub fn run_concurrent_crash_cycle(
                 break;
             }
         } else {
-            // One group-commit fsync step on a seeded shard: everything
-            // appended so far becomes durable (and acked), or the fsync
-            // fails and poisons the shard's WAL and rendezvous.
+            // One half of a group-commit fsync on a seeded shard. The first
+            // notes the log's length; the second makes everything appended
+            // up to there durable (and acked) — not what was appended in
+            // between — or fails and poisons the shard's WAL and rendezvous.
             let s = rng.gen_range(cfg.shards as u64) as usize;
             match tree.group_sync_step(s) {
-                Ok(synced) => {
+                Ok(None) => sync_begun[s] = true,
+                Ok(Some(synced)) => {
+                    sync_begun[s] = false;
                     group_syncs += 1;
                     pending_group[s].retain(|&(rec, seq)| {
                         if seq <= synced {
@@ -1037,6 +1050,7 @@ pub fn run_concurrent_crash_cycle(
         reads,
         ops_between_halves,
         group_syncs,
+        writes_between_sync_halves,
         group_commit,
         cut_mid_workload,
         matched_prefixes,

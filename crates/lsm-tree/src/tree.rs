@@ -241,6 +241,9 @@ impl StepEnv {
 pub struct LsmTree {
     env: StepEnv,
     mem: Arc<Memtable>,
+    /// `cfg.l0_capacity_records()`, which divides: the write path asks how
+    /// full the memtable is on every request.
+    l0_capacity: usize,
     /// Sealed memtables awaiting a background flush, oldest first, never
     /// an empty one. Always empty under [`Scheduler::Inline`] (the inline
     /// cascade never seals).
@@ -255,6 +258,21 @@ pub struct LsmTree {
     /// Step outcomes installed so far: a snapshot records it, and an
     /// outcome may only be installed on the state it was computed from.
     installs: u64,
+}
+
+/// Whether a tree of `block_size`-byte blocks accepts `req` (a put's record
+/// must fit one block). WAL-backed front-ends ask *before* logging: a
+/// refused request that reached the log would be refused again by replay
+/// and abort recovery, losing every acknowledged write after it.
+pub(crate) fn check_request(block_size: usize, req: &Request) -> Result<()> {
+    if let Request::Put(_, payload) = req {
+        let record_bytes = 13 + payload.len();
+        let room = block_size - BLOCK_HEADER_LEN;
+        if record_bytes > room {
+            return Err(LsmError::RecordTooLarge { record_bytes, block_payload_bytes: room });
+        }
+    }
+    Ok(())
 }
 
 impl LsmTree {
@@ -292,6 +310,7 @@ impl LsmTree {
         debug_assert!(!levels.is_empty());
         let commit = opts.commit;
         LsmTree {
+            l0_capacity: cfg.l0_capacity_records(),
             env: StepEnv::new(cfg, opts, store),
             mem: Arc::new(mem),
             imm: VecDeque::new(),
@@ -333,19 +352,9 @@ impl LsmTree {
         self.run_cascade()
     }
 
-    /// Whether the tree would accept `req` (a put's record must fit one
-    /// block). WAL-backed front-ends ask *before* logging: a refused
-    /// request that reached the log would be refused again by replay and
-    /// abort recovery, losing every acknowledged write after it.
+    /// Whether the tree would accept `req`; see [`check_request`].
     pub(crate) fn check_request(&self, req: &Request) -> Result<()> {
-        if let Request::Put(_, payload) = req {
-            let record_bytes = 13 + payload.len();
-            let room = self.env.cfg.block_size - BLOCK_HEADER_LEN;
-            if record_bytes > room {
-                return Err(LsmError::RecordTooLarge { record_bytes, block_payload_bytes: room });
-            }
-        }
-        Ok(())
+        check_request(self.env.cfg.block_size, req)
     }
 
     /// Apply one request to the active memtable *without* running merges —
@@ -356,12 +365,21 @@ impl LsmTree {
     /// from its worker pool.
     pub fn apply_buffered(&mut self, req: Request) -> Result<()> {
         self.check_request(&req)?;
-        match req {
-            Request::Put(..) => self.stats.puts += 1,
-            Request::Delete(_) => self.stats.deletes += 1,
-        }
-        Arc::make_mut(&mut self.mem).apply(req);
+        self.buffer_run(&mut [req]);
         Ok(())
+    }
+
+    /// [`LsmTree::apply_buffered`] for a run the caller has validated. The
+    /// requests are moved out of `run`; what stays behind are placeholders.
+    pub(crate) fn buffer_run(&mut self, run: &mut [Request]) {
+        let mem = Arc::make_mut(&mut self.mem);
+        for req in run {
+            match req {
+                Request::Put(..) => self.stats.puts += 1,
+                Request::Delete(_) => self.stats.deletes += 1,
+            }
+            mem.apply(std::mem::replace(req, Request::Delete(0)));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -549,7 +567,13 @@ impl LsmTree {
     /// Whether the active memtable has reached L0 capacity (the overflow
     /// condition the inline cascade acts on).
     pub fn mem_at_capacity(&self) -> bool {
-        self.mem.len() >= self.env.cfg.l0_capacity_records()
+        self.mem_room() == 0
+    }
+
+    /// Records the active memtable takes before it reaches L0 capacity: no
+    /// fewer requests than that can fill it, whatever their keys.
+    pub(crate) fn mem_room(&self) -> usize {
+        self.l0_capacity.saturating_sub(self.mem.len())
     }
 
     /// Seal the active memtable: swap in a fresh one and push the full one
@@ -889,7 +913,7 @@ impl StepSnapshot {
             MergeChoice::Window(w) => (w.start..w.start + w.len, MergeKind::Partial),
         };
         // The memtable keeps the window until the merge is installed.
-        let records = mem.window(window.start, window.len(), b);
+        let records = mem.window(&runs[window]);
         let src_records = records.len() as u64;
         out.flushed = Some((slot, records.iter().map(|r| r.key).collect()));
         self.env.sink.emit_with(|| Event::MemtableFlush {

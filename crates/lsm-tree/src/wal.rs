@@ -16,10 +16,18 @@
 //! | payload`, payload = `op u8 | key u64 [| plen u32 | payload bytes]`.
 //! Replay stops cleanly at the first truncated or corrupt frame, which is
 //! exactly the torn-write behaviour of a crash mid-append.
+//!
+//! A sync comes in two halves so that a concurrent front-end never fsyncs
+//! under the lock that guards the log: `WriteAheadLog::begin_sync`
+//! flushes the userspace buffer and *notes* the length (`&mut self`, so
+//! under that lock), `PendingSync::finish` fsyncs on a handle of its own
+//! — appends go on meanwhile — and publishes the noted length, never the
+//! length at completion. [`WriteAheadLog::sync`] is the two back to back.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -66,31 +74,90 @@ impl WalFaultPlan {
     }
 }
 
+/// What a sync in flight shares with the log it syncs: the fsync handle
+/// and everything the fsync's outcome decides. Atomics, because the second
+/// half of a sync runs without the lock that guards the log.
+struct Durable {
+    /// A second handle on the log file (same open file description as the
+    /// writer's), so an fsync needs no access to the writer.
+    file: File,
+    /// Bytes known crash-durable (flushed *and* fsynced). Crash simulators
+    /// truncate the file anywhere in `[synced_len, len]` to model what a
+    /// host power cut can leave behind.
+    synced_len: AtomicU64,
+    /// Fsyncs issued over the log's lifetime (not reset by truncation) —
+    /// the denominator of the group-commit economy: N writers sharing one
+    /// fsync show up here as 1, not N.
+    syncs: AtomicU64,
+    /// A sync failed; every later append/sync fails until re-open. Retrying
+    /// a failed fsync is unsound (the kernel may have dropped the dirty
+    /// pages), so the log refuses to pretend otherwise.
+    poisoned: AtomicBool,
+}
+
 /// An append-only request log.
 pub struct WriteAheadLog {
     writer: BufWriter<File>,
+    durable: Arc<Durable>,
     path: PathBuf,
     appended: u64,
     /// Bytes appended since creation/truncation (some may still sit in the
     /// userspace buffer or the page cache).
     len: u64,
-    /// Bytes known crash-durable (flushed *and* fsynced). Crash simulators
-    /// truncate the file anywhere in `[synced_len, len]` to model what a
-    /// host power cut can leave behind.
-    synced_len: u64,
-    /// Fsyncs issued over the log's lifetime (not reset by truncation) —
-    /// the denominator of the group-commit economy: N writers sharing one
-    /// fsync show up here as 1, not N.
-    syncs: u64,
     /// Sync attempts that reached the fsync path (successful or injected),
     /// the ordinal [`WalFaultPlan::fail_sync_at`] counts against.
     sync_attempts: u64,
-    /// A sync failed; every later append/sync fails until re-open. Retrying
-    /// a failed fsync is unsound (the kernel may have dropped the dirty
-    /// pages), so the log refuses to pretend otherwise.
-    poisoned: bool,
     /// Injected-fault plan plus its seeded RNG, when installed.
     fault: Option<(WalFaultPlan, SplitMix64)>,
+    /// Reused by [`WriteAheadLog::log_one`] to encode its frame.
+    frame: Vec<u8>,
+}
+
+/// A sync between its halves (module docs): the buffer is flushed, the
+/// length noted and the fault-injection decision taken, in attempt order,
+/// by [`WriteAheadLog::begin_sync`]; [`PendingSync::finish`] does the rest
+/// with no access to the log.
+#[must_use = "a begun sync makes nothing durable until it is finished"]
+pub(crate) struct PendingSync {
+    durable: Arc<Durable>,
+    /// The log's length when the sync began: what `finish` publishes.
+    len: u64,
+    fsync: Fsync,
+}
+
+/// What the second half of a sync has to do.
+enum Fsync {
+    /// Nothing: everything appended was durable already.
+    NotNeeded,
+    Real,
+    /// The fault plan fails this attempt (its ordinal inside): the failure
+    /// fires *instead of* the real `sync_data`.
+    Injected(u64),
+}
+
+impl PendingSync {
+    /// Fsync and publish the noted length as durable, or poison the log.
+    /// Returns the length now known durable. Never under a tree lock.
+    pub(crate) fn finish(self) -> Result<u64> {
+        let d = &self.durable;
+        crate::lockorder::assert_no_tree_lock("WAL fsync");
+        let res = match self.fsync {
+            Fsync::NotNeeded => return Ok(d.synced_len.load(Ordering::SeqCst)),
+            Fsync::Injected(op) => Err(DeviceError::Injected { kind: FaultKind::Sync, op }),
+            Fsync::Real => d.file.sync_data().map_err(DeviceError::Io),
+        };
+        match res {
+            Ok(()) => {
+                d.syncs.fetch_add(1, Ordering::SeqCst);
+                // Syncs that overlap may finish in either order.
+                Ok(d.synced_len.fetch_max(self.len, Ordering::SeqCst).max(self.len))
+            }
+            Err(e) => {
+                d.poisoned.store(true, Ordering::SeqCst);
+                Err(e.into())
+            }
+        }
+    }
 }
 
 impl WriteAheadLog {
@@ -106,16 +173,27 @@ impl WriteAheadLog {
         // creation must not leave a WAL whose file vanishes with the
         // unsynced directory, or recovery would silently skip replay.
         sim_ssd::fsync_parent_dir(path.as_ref()).map_err(DeviceError::Io)?;
+        Self::over(file, path.as_ref(), 0, 0)
+    }
+
+    /// A log over `file`, positioned at its end: `appended` requests in
+    /// `len` bytes, none of them known durable yet.
+    fn over(file: File, path: &Path, appended: u64, len: u64) -> Result<Self> {
+        let durable = Durable {
+            file: file.try_clone().map_err(DeviceError::Io)?,
+            synced_len: AtomicU64::new(0),
+            syncs: AtomicU64::new(0),
+            poisoned: AtomicBool::new(false),
+        };
         Ok(WriteAheadLog {
             writer: BufWriter::new(file),
-            path: path.as_ref().to_path_buf(),
-            appended: 0,
-            len: 0,
-            synced_len: 0,
-            syncs: 0,
+            durable: Arc::new(durable),
+            path: path.to_path_buf(),
+            appended,
+            len,
             sync_attempts: 0,
-            poisoned: false,
             fault: None,
+            frame: Vec::new(),
         })
     }
 
@@ -127,27 +205,34 @@ impl WriteAheadLog {
 
     /// Whether a failed sync has poisoned the log (re-open to clear).
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+        self.durable.poisoned.load(Ordering::SeqCst)
     }
 
     fn check_poisoned(&self) -> Result<()> {
-        if self.poisoned {
+        if self.is_poisoned() {
             return Err(DeviceError::Poisoned.into());
         }
         Ok(())
     }
 
     /// Read every intact frame of the log at `path` (stopping at the
-    /// first torn/corrupt frame), then reopen it for appending.
+    /// first torn/corrupt frame), then reopen it for appending, cutting
+    /// only the torn tail: the intact prefix is never rewritten, so a
+    /// failure or a second crash in here loses nothing the log held.
     pub fn open_and_replay<P: AsRef<Path>>(path: P) -> Result<(Self, Vec<Request>)> {
-        let mut bytes = Vec::new();
-        match File::open(path.as_ref()) {
-            Ok(mut f) => {
-                f.read_to_end(&mut bytes).map_err(DeviceError::Io)?;
+        Self::recover(path.as_ref(), None)
+    }
+
+    /// [`WriteAheadLog::open_and_replay`], with a fault plan armed for the
+    /// fsync that closes the recovery.
+    fn recover(path: &Path, fault: Option<(WalFaultPlan, u64)>) -> Result<(Self, Vec<Request>)> {
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Ok((Self::create(path)?, Vec::new()));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(DeviceError::Io(e).into()),
-        }
+        };
         let mut requests = Vec::new();
         let mut pos = 0usize;
         while pos + 8 <= bytes.len() {
@@ -168,33 +253,53 @@ impl WriteAheadLog {
             }
             pos = end;
         }
-        // Reopen preserving only the intact prefix: rewrite it so future
-        // appends extend a clean log.
-        let mut wal = Self::create(path.as_ref())?;
-        for req in &requests {
-            wal.append(req)?;
+        let mut file = OpenOptions::new().write(true).open(path).map_err(DeviceError::Io)?;
+        if pos < bytes.len() {
+            file.set_len(pos as u64).map_err(DeviceError::Io)?;
         }
-        wal.sync()?;
+        file.seek(SeekFrom::End(0)).map_err(DeviceError::Io)?;
+        let mut wal = Self::over(file, path, requests.len() as u64, pos as u64)?;
+        if let Some((plan, seed)) = fault {
+            wal.set_fault_plan(plan, seed);
+        }
+        // The cut is file metadata, and after a process crash the prefix
+        // itself may have been page cache only: one fsync before either is
+        // reported as synced.
+        wal.note_sync().finish()?;
         Ok((wal, requests))
     }
 
-    fn encode_request(req: &Request) -> Vec<u8> {
+    /// Bytes `req` takes in the log, framing included.
+    pub(crate) fn frame_len(req: &Request) -> usize {
+        match req {
+            Request::Put(_, payload) => 8 + 13 + payload.len(),
+            Request::Delete(_) => 8 + 9,
+        }
+    }
+
+    /// Append `req`'s frame to `out` (module docs give the format). Needs
+    /// nothing of a log, so a front-end encodes — and checksums — a run
+    /// before it takes the lock that guards the log.
+    pub(crate) fn encode_frame(req: &Request, out: &mut Vec<u8>) {
+        let frame = out.len();
+        out.extend_from_slice(&[0u8; 8]);
         match req {
             Request::Put(k, payload) => {
-                let mut out = Vec::with_capacity(13 + payload.len());
                 out.push(0u8);
                 out.extend_from_slice(&k.to_le_bytes());
                 out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
                 out.extend_from_slice(payload);
-                out
             }
             Request::Delete(k) => {
-                let mut out = Vec::with_capacity(9);
                 out.push(1u8);
                 out.extend_from_slice(&k.to_le_bytes());
-                out
             }
         }
+        let payload = frame + 8;
+        let len = (out.len() - payload) as u32;
+        let sum = checksum::sum32(0, &out[payload..]);
+        out[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
+        out[frame + 4..payload].copy_from_slice(&sum.to_le_bytes());
     }
 
     fn decode_request(payload: &[u8]) -> Option<Request> {
@@ -218,61 +323,64 @@ impl WriteAheadLog {
     /// it crash-durable). Returns the number of bytes appended, framing
     /// included.
     pub fn append(&mut self, req: &Request) -> Result<usize> {
+        self.log_one(req, false, &observe::SinkHandle::none())?;
+        Ok(Self::frame_len(req))
+    }
+
+    /// [`WriteAheadLog::log_run`] for one request, encoded here into a
+    /// buffer the log keeps: the callers that have no run to encode ahead.
+    pub(crate) fn log_one(
+        &mut self,
+        req: &Request,
+        synced: bool,
+        sink: &observe::SinkHandle,
+    ) -> Result<u64> {
+        let mut frame = std::mem::take(&mut self.frame);
+        frame.clear();
+        Self::encode_frame(req, &mut frame);
+        let res = self.log_run(std::slice::from_ref(req), &frame, synced, sink);
+        self.frame = frame;
+        res
+    }
+
+    /// Append the already encoded frames of `requests` requests: one
+    /// `write_all`, which the buffer passes straight to the file when the
+    /// run is larger than it.
+    fn append_frames(&mut self, frames: &[u8], requests: u64) -> Result<()> {
         self.check_poisoned()?;
-        let payload = Self::encode_request(req);
-        self.writer
-            .write_all(&(payload.len() as u32).to_le_bytes())
-            .and_then(|()| self.writer.write_all(&checksum::sum32(0, &payload).to_le_bytes()))
-            .and_then(|()| self.writer.write_all(&payload))
-            .map_err(DeviceError::Io)?;
-        self.appended += 1;
-        self.len += 8 + payload.len() as u64;
-        Ok(8 + payload.len())
+        self.writer.write_all(frames).map_err(DeviceError::Io)?;
+        self.appended += requests;
+        self.len += frames.len() as u64;
+        Ok(())
     }
 
     /// Flush and fsync. A no-op (no fsync issued or counted) when
     /// everything appended is already durable.
     pub fn sync(&mut self) -> Result<()> {
+        self.begin_sync()?.finish().map(drop)
+    }
+
+    /// First half of a sync (module docs): flush the userspace buffer and
+    /// note the length the second half will publish. The fault-injection
+    /// decision is taken here, so attempts are numbered in the order the
+    /// syncs began, whatever order they finish in.
+    pub(crate) fn begin_sync(&mut self) -> Result<PendingSync> {
         self.check_poisoned()?;
-        if self.synced_len == self.len {
-            return Ok(());
+        if self.synced_len() == self.len {
+            return Ok(self.pending(Fsync::NotNeeded));
         }
         // Flush userspace buffers first: an injected fsync failure models
         // the kernel losing dirty pages, not the process losing its own
         // buffer, so the bytes must be on the file (torn-tail material).
         self.writer.flush().map_err(DeviceError::Io)?;
-        self.fsync_now()?;
-        self.synced_len = self.len;
-        Ok(())
+        Ok(self.note_sync())
     }
 
-    /// The log step of one request, shared by every WAL-backed front-end:
-    /// append, fsync at once under [`CommitMode::PerRequest`], report the
-    /// append (`wal_append` span, [`observe::Event::WalAppend`]). Returns
-    /// the log length after the append — the offset the request must see
-    /// durable before it may be acknowledged. The caller validates `req`
-    /// first: a request the tree would refuse must never reach the log, or
-    /// replay refuses it too and recovery aborts.
-    pub(crate) fn log_request(
-        &mut self,
-        req: &Request,
-        commit: CommitMode,
-        sink: &observe::SinkHandle,
-    ) -> Result<u64> {
-        let _span = sink.span(observe::SpanOp::wal_append());
-        let bytes = self.append(req)? as u64;
-        let synced = commit == CommitMode::PerRequest;
-        if synced {
-            self.sync()?;
-        }
-        sink.emit_with(|| observe::Event::WalAppend { bytes, synced });
-        Ok(self.len)
-    }
-
-    /// The injection-aware fsync shared by [`sync`](WriteAheadLog::sync)
-    /// and [`truncate`](WriteAheadLog::truncate): counts the attempt,
-    /// consults the fault plan, and poisons the log on any failure.
-    fn fsync_now(&mut self) -> Result<()> {
+    /// Count a sync attempt over everything written to the file so far and
+    /// consult the fault plan for it; shared by
+    /// [`begin_sync`](WriteAheadLog::begin_sync),
+    /// [`truncate`](WriteAheadLog::truncate) and recovery.
+    fn note_sync(&mut self) -> PendingSync {
         let attempt = self.sync_attempts;
         self.sync_attempts += 1;
         let injected = match &mut self.fault {
@@ -282,16 +390,41 @@ impl WriteAheadLog {
             }
             None => false,
         };
-        if injected {
-            self.poisoned = true;
-            return Err(DeviceError::Injected { kind: FaultKind::Sync, op: attempt }.into());
+        let fsync = if injected { Fsync::Injected(attempt) } else { Fsync::Real };
+        self.pending(fsync)
+    }
+
+    fn pending(&self, fsync: Fsync) -> PendingSync {
+        PendingSync { durable: Arc::clone(&self.durable), len: self.len, fsync }
+    }
+
+    /// The log step of a run of requests, shared by every WAL-backed
+    /// front-end: append `frames` — the run's frames, from
+    /// [`WriteAheadLog::encode_frame`] — in one write and report each
+    /// request's append (one `wal_append` span, one
+    /// [`observe::Event::WalAppend`] per request; `synced` says whether
+    /// the caller fsyncs — under a `wal_append` span of its own — before
+    /// it acknowledges). Returns the log length after the run: the offset
+    /// its requests must see durable before they may be acknowledged. The
+    /// caller validates the run first: a request the tree would refuse
+    /// must never reach the log, or replay refuses it too and recovery
+    /// aborts.
+    pub(crate) fn log_run(
+        &mut self,
+        run: &[Request],
+        frames: &[u8],
+        synced: bool,
+        sink: &observe::SinkHandle,
+    ) -> Result<u64> {
+        debug_assert_eq!(run.iter().map(Self::frame_len).sum::<usize>(), frames.len());
+        let _span = sink.span(observe::SpanOp::wal_append());
+        self.append_frames(frames, run.len() as u64)?;
+        if sink.is_enabled() {
+            for req in run {
+                sink.emit(observe::Event::WalAppend { bytes: Self::frame_len(req) as u64, synced });
+            }
         }
-        if let Err(e) = self.writer.get_ref().sync_data() {
-            self.poisoned = true;
-            return Err(DeviceError::Io(e).into());
-        }
-        self.syncs += 1;
-        Ok(())
+        Ok(self.len)
     }
 
     /// Discard everything (after a checkpoint made it redundant).
@@ -305,12 +438,12 @@ impl WriteAheadLog {
         // the fresh manifest. The fsync goes through the same injection
         // and poison logic as `sync` — a failed truncate leaves the log
         // unusable until re-open, never half-truncated-but-trusted.
-        self.fsync_now()?;
-        let file = OpenOptions::new().write(true).open(&self.path).map_err(DeviceError::Io)?;
-        self.writer = BufWriter::new(file);
+        self.note_sync().finish()?;
+        // Back to offset 0, or the next append would leave a hole.
+        self.writer.seek(SeekFrom::Start(0)).map_err(DeviceError::Io)?;
         self.appended = 0;
         self.len = 0;
-        self.synced_len = 0;
+        self.durable.synced_len.store(0, Ordering::SeqCst);
         Ok(())
     }
 
@@ -325,14 +458,14 @@ impl WriteAheadLog {
     }
 
     /// Bytes of the log known crash-durable (appended before the last
-    /// [`WriteAheadLog::sync`]).
+    /// [`WriteAheadLog::sync`] began).
     pub fn synced_len(&self) -> u64 {
-        self.synced_len
+        self.durable.synced_len.load(Ordering::SeqCst)
     }
 
     /// Fsyncs issued over the log's lifetime.
     pub fn syncs(&self) -> u64 {
-        self.syncs
+        self.durable.syncs.load(Ordering::SeqCst)
     }
 
     /// Path of the log file.
@@ -391,7 +524,12 @@ impl DurableLsmTree {
     /// index.
     pub fn apply(&mut self, req: Request) -> Result<()> {
         self.tree.check_request(&req)?;
-        self.wal.log_request(&req, self.tree.commit_mode(), self.tree.sink())?;
+        let synced = self.tree.commit_mode() == CommitMode::PerRequest;
+        self.wal.log_one(&req, synced, self.tree.sink())?;
+        if synced {
+            let _fsync = self.tree.sink().span(observe::SpanOp::wal_append());
+            self.wal.sync()?;
+        }
         self.tree.apply(req)
     }
 
@@ -546,6 +684,81 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         let (_, replayed) = WriteAheadLog::open_and_replay(&path).unwrap();
         assert_eq!(replayed, vec![put(1, 1)]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn recovery_cuts_the_torn_tail_and_rewrites_nothing() {
+        // Regression: recovery used to truncate the log to zero, re-append
+        // every request and fsync — a crash or a failed fsync inside that
+        // window lost every acknowledged request, and a clean recovery
+        // rewrote the whole log for nothing.
+        let path = wal_path("recover-in-place");
+        let acked = {
+            let mut wal = WriteAheadLog::create(&path).unwrap();
+            for k in 0..5u64 {
+                wal.append(&put(k, k as u8)).unwrap();
+            }
+            wal.sync().unwrap();
+            wal.append(&Request::Delete(9)).unwrap();
+            wal.synced_len()
+        }; // dropped: the unsynced delete is flushed, never fsynced
+        let intact = std::fs::read(&path).unwrap();
+        assert_eq!(intact.len() as u64, acked + 17);
+        let mut torn = intact.clone();
+        torn.extend_from_slice(&intact[..11]); // a frame the crash cut short
+        std::fs::write(&path, &torn).unwrap();
+
+        // The fsync that closes the recovery fails: nothing but the torn
+        // tail may have gone.
+        let failing = Some((WalFaultPlan::none().fail_sync_at(0), 3));
+        assert!(WriteAheadLog::recover(&path, failing).is_err());
+        assert!(std::fs::read(&path).unwrap() == intact, "recovery touched the intact prefix");
+        // The host dies with it; what was known synced comes back.
+        OpenOptions::new().write(true).open(&path).unwrap().set_len(acked).unwrap();
+        let (wal, replayed) = WriteAheadLog::open_and_replay(&path).unwrap();
+        assert_eq!(replayed, (0..5u64).map(|k| put(k, k as u8)).collect::<Vec<_>>());
+        assert_eq!((wal.appended(), wal.len_bytes(), wal.synced_len()), (5, acked, acked));
+        drop(wal);
+
+        // A clean recovery does not write to the file at all (its mtime
+        // stays), and appends go on from the end.
+        let long_ago = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(86_400);
+        OpenOptions::new().write(true).open(&path).unwrap().set_modified(long_ago).unwrap();
+        let (mut wal, _) = WriteAheadLog::open_and_replay(&path).unwrap();
+        assert!(std::fs::read(&path).unwrap() == intact[..acked as usize]);
+        assert_eq!(std::fs::metadata(&path).unwrap().modified().unwrap(), long_ago);
+        wal.append(&put(7, 7)).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let (_, replayed) = WriteAheadLog::open_and_replay(&path).unwrap();
+        assert_eq!(replayed.len(), 6);
+        assert_eq!(replayed[5], put(7, 7));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_sync_publishes_the_length_it_noted() {
+        let path = wal_path("noted");
+        let mut wal = WriteAheadLog::create(&path).unwrap();
+        wal.append(&put(1, 1)).unwrap();
+        let first = wal.begin_sync().unwrap();
+        let noted = wal.len_bytes();
+        wal.append(&put(2, 2)).unwrap();
+        let second = wal.begin_sync().unwrap();
+        assert_eq!(wal.synced_len(), 0, "a sync only begun makes nothing durable");
+        // Syncs that overlap may finish in either order.
+        assert_eq!(second.finish().unwrap(), wal.len_bytes());
+        assert_eq!(first.finish().unwrap(), wal.len_bytes(), "durable already, beyond its note");
+        assert_eq!((wal.synced_len(), wal.syncs()), (wal.len_bytes(), 2));
+        wal.append(&put(3, 3)).unwrap();
+        let third = wal.begin_sync().unwrap();
+        wal.append(&put(4, 4)).unwrap();
+        assert_eq!(third.finish().unwrap(), noted * 3, "the noted length, not the current one");
+        assert_eq!(wal.begin_sync().unwrap().finish().unwrap(), noted * 4);
+        assert_eq!(wal.syncs(), 4);
+        wal.sync().unwrap();
+        assert_eq!(wal.syncs(), 4, "nothing new: no fsync");
         std::fs::remove_file(&path).ok();
     }
 

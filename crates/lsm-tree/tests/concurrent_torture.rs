@@ -39,12 +39,13 @@ fn tiny_cfg() -> LsmConfig {
 #[test]
 fn two_hundred_concurrent_seeds_survive() {
     let mut failures = Vec::new();
-    let (mut between_halves, mut reads) = (0, 0);
+    let (mut between_halves, mut between_sync_halves, mut reads) = (0, 0, 0);
     for seed in 0..200u64 {
         let cfg = ConcurrentTortureConfig::for_seed(seed);
         match lsm_tree::run_concurrent_crash_cycle(&cfg) {
             Ok(report) => {
                 between_halves += report.ops_between_halves;
+                between_sync_halves += report.writes_between_sync_halves;
                 reads += report.reads;
             }
             Err(f) => failures.push(f.to_string()),
@@ -58,6 +59,12 @@ fn two_hundred_concurrent_seeds_survive() {
         "only {between_halves} requests ran between a compute and its install"
     );
     assert!(reads >= 1_000, "only {reads} reads were checked against the model");
+    // Likewise for the fsync off the lock: writes must land between a group
+    // sync's flush and its fsync, where only the noted length may be acked.
+    assert!(
+        between_sync_halves >= 500,
+        "only {between_sync_halves} writes ran between the halves of a group sync"
+    );
 }
 
 /// Replaying a seed reproduces the cycle exactly: issued/acked counts,

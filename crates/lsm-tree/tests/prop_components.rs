@@ -149,7 +149,9 @@ proptest! {
             m.apply(Request::Put(k, Bytes::new()));
         }
         let all: Vec<u64> = m.iter().map(|r| r.key).collect();
-        let taken_keys: Vec<u64> = m.window(start, len, b).iter().map(|r| r.key).collect();
+        let blocks = m.virtual_blocks(b);
+        let window = start.min(blocks.len())..(start + len).min(blocks.len());
+        let taken_keys: Vec<u64> = m.window(&blocks[window]).iter().map(|r| r.key).collect();
         m.remove_keys(&taken_keys);
         let left: Vec<u64> = m.iter().map(|r| r.key).collect();
         // The extracted window is exactly the positional slice, and the

@@ -16,6 +16,15 @@
 #              runs of the two sides overlap
 #   same       none of the above
 #
+# Every run also records how far each of cpu0/cpu1 moved in /proc/stat
+# while it ran, and every pair is tagged `one-core` or `two-core`: this
+# sandbox parks its second vCPU when idle (see .claude/skills/verify), and a
+# workload with two busy threads (`mixed`, `durable`) reads very differently
+# in the two states. A pair whose sides ran in different states compares the
+# machine, not the commits; it is flagged, and so is a mixed set of pairs.
+# (The tag is the machine's state, not the workload's: a one-thread workload
+# runs the same in both, and its flags can be ignored.)
+#
 # Reads BENCHMARK.json and perf/; writes neither. Every run's JSON line is
 # kept under $AB_OUT (default: a temporary directory, printed at the end).
 # $AB_PARENT names a directory that already holds the parent's tree (say,
@@ -57,9 +66,25 @@ echo "== build parent, then the working tree"
 (cd "$parent" && cargo build --release --offline --quiet --manifest-path perf/Cargo.toml)
 cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
 
-run() { # <side-dir> <out-file>
+busy() { # busy ticks of cpu0 and cpu1 so far (0 for a CPU that is not there)
+    awk '$1 == "cpu0" || $1 == "cpu1" { b[$1] = $2 + $3 + $4 + $7 + $8 }
+         END { print b["cpu0"] + 0, b["cpu1"] + 0 }' /proc/stat
+}
+
+run() { # <side-dir> <out-file>; also writes <out-file>.cpu: "<cpu0 delta> <cpu1 delta> <tag>"
+    local a0 b0 a1 b1
+    read -r a0 b0 < <(busy)
     (cd "$1" && "${command[@]}" --workload "$workload" --seed "$seed" \
         --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1) >"$2"
+    read -r a1 b1 < <(busy)
+    # One core did the run when the other moved by under a twentieth of it.
+    awk -v a=$((a1 - a0)) -v b=$((b1 - b0)) 'BEGIN {
+        lo = a < b ? a : b; hi = a < b ? b : a
+        print a, b, (lo * 20 < hi ? "one-core" : "two-core") }' >"$2.cpu"
+}
+
+cores() { # <out-file> -> "two-core (cpu0 +1054 cpu1 +393)"
+    awk '{ printf "%s (cpu0 +%d cpu1 +%d)", $3, $1, $2 }' "$1.cpu"
 }
 
 for i in $(seq 1 "$pairs"); do
@@ -70,7 +95,13 @@ for i in $(seq 1 "$pairs"); do
         run "$root" "$out/$workload.change.$i.json"
         run "$parent" "$out/$workload.parent.$i.json"
     fi
-    echo "pair $i/$pairs done"
+    line="pair $i/$pairs done   parent: $(cores "$out/$workload.parent.$i.json")"
+    line="$line   change: $(cores "$out/$workload.change.$i.json")"
+    if [ "$(cut -d' ' -f3 "$out/$workload.parent.$i.json.cpu")" != \
+         "$(cut -d' ' -f3 "$out/$workload.change.$i.json.cpu")" ]; then
+        line="$line   <-- WARNING: the two sides ran on different core counts"
+    fi
+    echo "$line"
 done
 
 python3 - "$out" "$workload" "$pairs" <<'EOF'
@@ -112,6 +143,22 @@ for m in bench["end_to_end"]:
     else:
         verdict = "same"
     print(f"{name:22}{pm:12.4f}{q1:11.4f}{q3:11.4f}{cm:12.4f}{won:4d}/{won + lost:<2d}  {verdict}")
+
+def core_tags(side):
+    return [open(f"{out}/{workload}.{side}.{i}.json.cpu").read().split()[2]
+            for i in range(1, pairs + 1)]
+
+ptags, ctags = core_tags("parent"), core_tags("change")
+print("cores: " + ", ".join(f"{n} {side} runs {tag}" for side, tags in
+      (("parent", ptags), ("change", ctags)) for tag in sorted(set(tags))
+      for n in [tags.count(tag)]))
+split = [i + 1 for i, (p, c) in enumerate(zip(ptags, ctags)) if p != c]
+if split:
+    print(f"WARNING: pairs {split} ran their two sides on different core counts;"
+          " if the workload keeps two threads busy, they show the machine, not the commits")
+elif len(set(ptags)) > 1:
+    print("WARNING: the pairs are a mix of one-core and two-core runs; the medians"
+          " and quartiles above span both states")
 
 pf, cf = max(r[1] for r in parent), max(r[1] for r in change)
 print(f"failed/attempted (worst run): parent {pf:.6f}  change {cf:.6f}"
