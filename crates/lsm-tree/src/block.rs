@@ -1,13 +1,20 @@
 //! Data blocks — the B+tree leaves of every on-SSD level.
 //!
-//! A data block is a fixed-size frame holding a sorted run of records. A
-//! [`BlockHandle`] is the in-memory fence entry describing one block: its
+//! A data block is a fixed-size frame holding a sorted run of records, and
+//! a decoded block *is* its frame: a [`DataBlock`] is the verified bytes
+//! plus a small index of each record's key and offset. [`DataBlock::decode`]
+//! checks and indexes, a lookup slices the one payload it hits, and a
+//! [`FrameBuilder`] makes the next frame by appending records as bytes —
+//! whole runs of an input block with one copy — then sealing it once.
+//!
+//! A [`BlockHandle`] is the in-memory fence entry describing one block: its
 //! physical id, key range, and record counts. The ordered list of handles
 //! for a level plays the role of the paper's cached internal B+tree nodes
 //! (§II-A: "in practice, the internal B+tree nodes of these levels are
 //! cached in main memory"); handle metadata is all a merge policy needs to
 //! select ranges (§III-C: "there is no need to scan actual data").
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -26,125 +33,147 @@ const RECORD_HEADER_LEN: usize = 13;
 
 const BLOCK_MAGIC: u32 = 0x4C_53_4D_42; // "LSMB"
 
-/// A decoded data block: records sorted by key, unique keys.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Op tag of a tombstone (a put is 0).
+const OP_DELETE: u8 = 1;
+
+/// One record in a block's index: its key, where it starts in the frame,
+/// and whether it is a tombstone — what a search or a merge asks about a
+/// record, answered without touching the frame's 4 KiB.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    key: Key,
+    at: u32,
+    tombstone: bool,
+}
+
+/// A decoded data block: one verified frame and an index of the records in
+/// it; records sorted by key, keys unique. The frame is the only buffer a
+/// block's bytes live in; a [`Record`] read out of it carries a payload
+/// that is a view into that frame and keeps it alive.
+#[derive(Debug, Clone)]
 pub struct DataBlock {
-    /// The records, in strictly increasing key order.
-    pub records: Vec<Record>,
+    /// Header, records, zero padding: what the device holds.
+    frame: Bytes,
+    /// One slot per record, then one for where the last record ends.
+    index: Vec<Slot>,
 }
 
 impl DataBlock {
-    /// Build a block from records that must already be sorted and unique.
+    /// Build a block from records that must already be sorted and unique,
+    /// in a frame of exactly the size they need.
     pub fn new(records: Vec<Record>) -> Self {
         debug_assert!(
             records.windows(2).all(|w| w[0].key < w[1].key),
             "records must be sorted and unique"
         );
-        DataBlock { records }
+        let size = BLOCK_HEADER_LEN + records.iter().map(Record::encoded_len).sum::<usize>();
+        FrameBuilder::of_records(&records, size).and_then(FrameBuilder::seal).expect("sized to fit")
     }
 
     /// Number of records.
     #[inline]
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.index.len() - 1
     }
 
     /// True when the block has no records.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
+    }
+
+    /// The frame this block is: exactly what is (to be) on the device.
+    #[inline]
+    pub fn frame(&self) -> &Bytes {
+        &self.frame
+    }
+
+    /// Key of record `i` (panics when out of range).
+    #[inline]
+    pub fn key(&self, i: usize) -> Key {
+        self.index[..self.len()][i].key
+    }
+
+    /// Record `i`, its payload a view into the frame.
+    pub fn record(&self, i: usize) -> Record {
+        let (slot, end) = (self.index[i], self.index[i + 1].at as usize);
+        let op = if slot.tombstone { OpKind::Delete } else { OpKind::Put };
+        let payload = self.frame.slice(slot.at as usize + RECORD_HEADER_LEN..end);
+        Record { key: slot.key, op, payload }
+    }
+
+    /// `(key, is it a tombstone)` of every record from `from` on.
+    pub fn heads(&self, from: usize) -> impl ExactSizeIterator<Item = (Key, bool)> + '_ {
+        self.index[from..self.len()].iter().map(|slot| (slot.key, slot.tombstone))
+    }
+
+    /// Every key, in order.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = Key> + '_ {
+        self.heads(0).map(|(key, _)| key)
+    }
+
+    /// Every record, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Record> + '_ {
+        (0..self.len()).map(|i| self.record(i))
     }
 
     /// Smallest key (panics on empty block).
     #[inline]
     pub fn min_key(&self) -> Key {
-        self.records[0].key
+        self.key(0)
     }
 
     /// Largest key (panics on empty block).
     #[inline]
     pub fn max_key(&self) -> Key {
-        self.records[self.records.len() - 1].key
+        self.key(self.len() - 1)
     }
 
     /// Number of tombstone records.
     pub fn tombstones(&self) -> u32 {
-        self.records.iter().filter(|r| r.is_tombstone()).count() as u32
+        self.heads(0).filter(|&(_, tombstone)| tombstone).count() as u32
     }
 
-    /// Binary-search a key within the block.
-    pub fn find(&self, key: Key) -> Option<&Record> {
-        self.records.binary_search_by_key(&key, |r| r.key).ok().map(|i| &self.records[i])
+    /// Index of the first record whose key is at least `key`.
+    pub fn lower_bound(&self, key: Key) -> usize {
+        self.index[..self.len()].partition_point(|slot| slot.key < key)
     }
 
-    /// Serialize into a frame of exactly `block_size` bytes: one buffer,
-    /// written once.
+    /// Binary-search a key within the block; a hit slices its one payload.
+    pub fn find(&self, key: Key) -> Option<Record> {
+        let i = self.lower_bound(key);
+        (i < self.len() && self.index[i].key == key).then(|| self.record(i))
+    }
+
+    /// The records in a fresh frame of `block_size` bytes.
     ///
     /// Layout (little-endian): `magic u32 | count u32 | checksum u32 |
     /// reserved u32 (zero)`, then per record `key u64 | op u8 | payload_len
     /// u32 | payload`, then zero padding up to `block_size`.
     pub fn encode(&self, block_size: usize) -> Result<Bytes> {
-        let body_len: usize = self.records.iter().map(Record::encoded_len).sum();
-        if BLOCK_HEADER_LEN + body_len > block_size {
-            return Err(LsmError::RecordTooLarge {
-                record_bytes: body_len,
-                block_payload_bytes: block_size.saturating_sub(BLOCK_HEADER_LEN),
-            });
-        }
-        let count = self.records.len() as u32;
-        let mut buf = vec![0u8; block_size];
-        buf[0..4].copy_from_slice(&BLOCK_MAGIC.to_le_bytes());
-        buf[4..8].copy_from_slice(&count.to_le_bytes());
-        let mut off = BLOCK_HEADER_LEN;
-        for r in &self.records {
-            let payload_at = off + RECORD_HEADER_LEN;
-            let head = &mut buf[off..payload_at];
-            head[0..8].copy_from_slice(&r.key.to_le_bytes());
-            head[8] = match r.op {
-                OpKind::Put => 0,
-                OpKind::Delete => 1,
-            };
-            head[9..13].copy_from_slice(&(r.payload.len() as u32).to_le_bytes());
-            off = payload_at + r.payload.len();
-            buf[payload_at..off].copy_from_slice(&r.payload);
-        }
-        let sum = frame_checksum(count, &buf);
-        buf[8..12].copy_from_slice(&sum.to_le_bytes());
-        Ok(Bytes::from(buf))
+        let mut builder = FrameBuilder::new(block_size);
+        builder.extend(self, 0..self.len())?;
+        Ok(builder.seal()?.frame)
     }
 
-    /// [`encode`](DataBlock::encode), then re-point every payload at the
-    /// frame just written. The returned block owns exactly that one buffer:
-    /// whatever its payloads viewed before (the input frames of a merge, a
-    /// caller's put buffers) is released.
-    pub fn seal(mut self, block_size: usize) -> Result<(Bytes, DataBlock)> {
-        let frame = self.encode(block_size)?;
-        let mut off = BLOCK_HEADER_LEN;
-        for r in &mut self.records {
-            let payload_at = off + RECORD_HEADER_LEN;
-            off = payload_at + r.payload.len();
-            r.payload = frame.slice(payload_at..off);
-        }
-        Ok((frame, self))
-    }
-
-    /// Decode a frame previously produced by [`DataBlock::encode`].
+    /// Check a frame and index its records.
     ///
-    /// Zero-copy: every payload of the returned block is a view into
-    /// `frame`, so the block (and any payload cloned out of it) keeps that
-    /// one buffer alive and allocates nothing per record.
+    /// Zero-copy: the returned block *is* `frame` (one reference to its
+    /// buffer) plus one index slot per record; no payload is touched.
     ///
     /// Any single-bit flip anywhere in the frame is rejected: the magic and
     /// the reserved word are compared exactly, a flip in the stored checksum
     /// no longer matches the computed one, and the record count (as the
     /// seed) and every byte after the header (as the data) enter the
     /// checksum, which by the argument in [`crate::checksum`] changes. The
-    /// bytes after the last record must additionally be zero — checked
-    /// unconditionally, not through the checksum.
+    /// record walk then bounds every header and payload by the frame,
+    /// refuses unknown op tags and keys out of strict order, and the bytes
+    /// after the last record must be zero — checked unconditionally, not
+    /// through the checksum.
     pub fn decode(frame: &Bytes) -> Result<DataBlock> {
         let data: &[u8] = frame;
-        if data.len() < BLOCK_HEADER_LEN {
-            return Err(LsmError::Codec("frame shorter than header".into()));
+        if data.len() < BLOCK_HEADER_LEN || data.len() > u32::MAX as usize {
+            return Err(LsmError::Codec(format!("frame of {} bytes", data.len())));
         }
         let magic = le_u32(&data[0..4]);
         if magic != BLOCK_MAGIC {
@@ -163,34 +192,160 @@ impl DataBlock {
         if count > (data.len() - BLOCK_HEADER_LEN) / RECORD_HEADER_LEN {
             return Err(LsmError::Codec(format!("record count {count} exceeds frame")));
         }
-        let mut records = Vec::with_capacity(count);
+        let mut index = Vec::with_capacity(count + 1);
         let mut off = BLOCK_HEADER_LEN;
+        let mut prev: Option<Key> = None;
         for _ in 0..count {
             let Some(head) = data.get(off..off + RECORD_HEADER_LEN) else {
                 return Err(LsmError::Codec("truncated record header".into()));
             };
-            let key = u64::from_le_bytes(head[0..8].try_into().expect("8 bytes"));
-            let op = match head[8] {
-                0 => OpKind::Put,
-                1 => OpKind::Delete,
-                other => return Err(LsmError::Codec(format!("bad op tag {other}"))),
-            };
+            let key = key_at(head, 0);
+            if prev.is_some_and(|p| p >= key) {
+                return Err(LsmError::Codec("records not sorted/unique".into()));
+            }
+            prev = Some(key);
+            if head[8] > OP_DELETE {
+                return Err(LsmError::Codec(format!("bad op tag {}", head[8])));
+            }
             let plen = le_u32(&head[9..13]) as usize;
+            index.push(Slot { key, at: off as u32, tombstone: head[8] == OP_DELETE });
             off += RECORD_HEADER_LEN;
             if plen > data.len() - off {
                 return Err(LsmError::Codec("truncated payload".into()));
             }
-            records.push(Record { key, op, payload: frame.slice(off..off + plen) });
             off += plen;
         }
+        index.push(Slot { key: 0, at: off as u32, tombstone: false });
         if data[off..].iter().any(|&b| b != 0) {
             return Err(LsmError::Codec("padding after the last record not zero".into()));
         }
-        if !records.windows(2).all(|w| w[0].key < w[1].key) {
-            return Err(LsmError::Codec("records not sorted/unique".into()));
-        }
-        Ok(DataBlock { records })
+        Ok(DataBlock { frame: frame.clone(), index })
     }
+}
+
+/// Builds a frame — the only way one is made. Records are appended as
+/// bytes, one from memory or a run of an existing block's with one copy;
+/// [`finish`](FrameBuilder::finish) pads, counts and checksums once.
+#[derive(Debug)]
+pub struct FrameBuilder {
+    /// Header space, then the records so far; padded to size when sealed.
+    buf: Vec<u8>,
+    /// One slot per record so far.
+    index: Vec<Slot>,
+    block_size: usize,
+}
+
+impl FrameBuilder {
+    /// An empty frame of `block_size` bytes.
+    pub fn new(block_size: usize) -> Self {
+        FrameBuilder::with_capacity(block_size, 0)
+    }
+
+    /// An empty frame of `block_size` bytes with an index sized for
+    /// `records` records: the index outlives the builder in the block.
+    pub fn with_capacity(block_size: usize, records: usize) -> Self {
+        let mut buf = Vec::with_capacity(block_size.max(BLOCK_HEADER_LEN));
+        buf.resize(BLOCK_HEADER_LEN, 0);
+        FrameBuilder { buf, index: Vec::with_capacity(records + 1), block_size }
+    }
+
+    /// A frame of `block_size` bytes holding `records` (sorted, unique).
+    pub fn of_records(records: &[Record], block_size: usize) -> Result<Self> {
+        let mut builder = FrameBuilder::with_capacity(block_size, records.len());
+        records.iter().try_for_each(|r| builder.push(r))?;
+        Ok(builder)
+    }
+
+    /// Records appended so far.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// True when no record has been appended.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// Refuse `more` record bytes that would not fit the frame.
+    fn fits(&self, more: usize) -> Result<()> {
+        if self.buf.len() + more <= self.block_size {
+            return Ok(());
+        }
+        Err(LsmError::RecordTooLarge {
+            record_bytes: self.buf.len() - BLOCK_HEADER_LEN + more,
+            block_payload_bytes: self.block_size.saturating_sub(BLOCK_HEADER_LEN),
+        })
+    }
+
+    /// Append one record; its key must exceed every key appended so far.
+    pub fn push(&mut self, r: &Record) -> Result<()> {
+        self.fits(r.encoded_len())?;
+        let tombstone = r.is_tombstone();
+        self.index.push(Slot { key: r.key, at: self.buf.len() as u32, tombstone });
+        self.buf.extend_from_slice(&r.key.to_le_bytes());
+        self.buf.push(if tombstone { OP_DELETE } else { 0 });
+        self.buf.extend_from_slice(&(r.payload.len() as u32).to_le_bytes());
+        self.buf.extend_from_slice(&r.payload);
+        Ok(())
+    }
+
+    /// Append records `range` of `block` — their bytes move with one copy.
+    /// The first key must exceed every key appended so far.
+    pub fn extend(&mut self, block: &DataBlock, range: Range<usize>) -> Result<()> {
+        let (from, to) = (block.index[range.start].at, block.index[range.end].at);
+        self.splice(&block.frame[from as usize..to as usize], &block.index[range])
+    }
+
+    /// Append `bytes`: whole records, indexed by `slots` in the coordinates
+    /// of wherever they come from (`slots[0]` starts at `bytes[0]`).
+    fn splice(&mut self, bytes: &[u8], slots: &[Slot]) -> Result<()> {
+        self.fits(bytes.len())?;
+        if let Some(origin) = slots.first().map(|slot| slot.at) {
+            let base = self.buf.len() as u32;
+            self.index.extend(slots.iter().map(|s| Slot { at: s.at - origin + base, ..*s }));
+            self.buf.extend_from_slice(bytes);
+        }
+        Ok(())
+    }
+
+    /// Put `block`'s records in front of the ones appended so far.
+    pub fn prepend(&mut self, block: &DataBlock) -> Result<()> {
+        let mut fused = FrameBuilder::new(self.block_size);
+        fused.extend(block, 0..block.len())?;
+        fused.splice(&self.buf[BLOCK_HEADER_LEN..], &self.index)?;
+        *self = fused;
+        Ok(())
+    }
+
+    /// Seal the frame into the block it is. A block with no records is
+    /// refused: nothing may allocate an id or touch a device for one.
+    pub fn finish(self) -> Result<DataBlock> {
+        if self.is_empty() {
+            return Err(LsmError::Invariant("refusing to build an empty data block".into()));
+        }
+        self.seal()
+    }
+
+    /// Pad to size, then write count and checksum — once.
+    fn seal(mut self) -> Result<DataBlock> {
+        self.fits(0)?; // a block size below the header's fits nothing
+        let count = self.index.len() as u32;
+        self.index.push(Slot { key: 0, at: self.buf.len() as u32, tombstone: false });
+        self.buf.resize(self.block_size, 0);
+        self.buf[0..4].copy_from_slice(&BLOCK_MAGIC.to_le_bytes());
+        self.buf[4..8].copy_from_slice(&count.to_le_bytes());
+        let sum = frame_checksum(count, &self.buf);
+        self.buf[8..12].copy_from_slice(&sum.to_le_bytes());
+        Ok(DataBlock { frame: Bytes::from(self.buf), index: self.index })
+    }
+}
+
+/// The key of the record that starts at `at`.
+#[inline]
+fn key_at(data: &[u8], at: usize) -> Key {
+    u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"))
 }
 
 fn le_u32(b: &[u8]) -> u32 {
@@ -272,12 +427,16 @@ mod tests {
     use super::*;
     use sim_ssd::BlockId;
 
+    fn sample_records() -> Vec<Record> {
+        vec![Record::put(1, vec![0xA; 4]), Record::delete(5), Record::put(9, vec![0xB; 2])]
+    }
+
     fn sample_block() -> DataBlock {
-        DataBlock::new(vec![
-            Record::put(1, vec![0xA; 4]),
-            Record::delete(5),
-            Record::put(9, vec![0xB; 2]),
-        ])
+        DataBlock::new(sample_records())
+    }
+
+    fn records(block: &DataBlock) -> Vec<Record> {
+        block.iter().collect()
     }
 
     /// Decode `bytes` as a frame of its own (tests mutate frames as vectors).
@@ -286,10 +445,8 @@ mod tests {
     }
 
     /// A full paper-geometry block: 36 records of 113 B in a 4 KiB frame.
-    fn full_block() -> DataBlock {
-        DataBlock::new(
-            (0..36u64).map(|k| Record::put(k * 3 + 1, vec![k as u8 ^ 0x5A; 100])).collect(),
-        )
+    fn full_records() -> Vec<Record> {
+        (0..36u64).map(|k| Record::put(k * 3 + 1, vec![k as u8 ^ 0x5A; 100])).collect()
     }
 
     /// Every single-bit flip of `frame` must be rejected.
@@ -309,7 +466,31 @@ mod tests {
         let frame = b.encode(128).unwrap();
         assert_eq!(frame.len(), 128);
         let d = DataBlock::decode(&frame).unwrap();
-        assert_eq!(d, b);
+        assert_eq!(records(&d), sample_records());
+        assert_eq!(records(&b), sample_records());
+    }
+
+    #[test]
+    fn a_built_frame_is_byte_identical_to_new_then_encode() {
+        for (records, bs) in [(sample_records(), 128), (full_records(), 4096)] {
+            let built = FrameBuilder::of_records(&records, bs).unwrap().finish().unwrap();
+            assert_eq!(built.frame(), &DataBlock::new(records.clone()).encode(bs).unwrap());
+            // Run copies out of a decoded block give the same bytes again,
+            // whichever way the records are cut into runs.
+            let mut by_runs = FrameBuilder::new(bs);
+            let cut = records.len() / 3;
+            by_runs.extend(&built, 0..cut).unwrap();
+            by_runs.push(&built.record(cut)).unwrap();
+            by_runs.extend(&built, cut + 1..built.len()).unwrap();
+            assert_eq!(by_runs.finish().unwrap().frame(), built.frame());
+        }
+    }
+
+    #[test]
+    fn prepend_puts_a_block_in_front() {
+        let mut tail = FrameBuilder::of_records(&sample_records()[1..], 128).unwrap();
+        tail.prepend(&DataBlock::new(sample_records()[..1].to_vec())).unwrap();
+        assert_eq!(records(&tail.finish().unwrap()), sample_records());
     }
 
     #[test]
@@ -322,7 +503,7 @@ mod tests {
 
     #[test]
     fn every_bit_flip_of_a_full_4k_frame_is_rejected() {
-        let frame = full_block().encode(4096).unwrap();
+        let frame = DataBlock::new(full_records()).encode(4096).unwrap();
         assert_eq!(frame.len() * 8, 32_768);
         assert!(DataBlock::decode(&frame).is_ok());
         assert_every_bit_flip_rejected(&frame);
@@ -338,7 +519,7 @@ mod tests {
         // from padding byte-wise; the count still protects it.
         let zero = DataBlock::new(vec![Record::put(0, vec![])]).encode(64).unwrap();
         assert_every_bit_flip_rejected(&zero);
-        assert_every_bit_flip_rejected(&DataBlock::default().encode(64).unwrap());
+        assert_every_bit_flip_rejected(&DataBlock::new(vec![]).encode(64).unwrap());
     }
 
     #[test]
@@ -350,8 +531,7 @@ mod tests {
         // checksum recomputed to match — and require a codec error.
         let block = sample_block();
         let mut frame = block.encode(256).unwrap().to_vec();
-        let body_end =
-            BLOCK_HEADER_LEN + block.records.iter().map(Record::encoded_len).sum::<usize>();
+        let body_end = block.index[block.len()].at as usize;
         for pos in [body_end, body_end + 1, 255] {
             let mut bad = frame.clone();
             bad[pos] = 0x80;
@@ -373,7 +553,7 @@ mod tests {
     fn hostile_record_count_is_rejected_before_allocating() {
         // A header asking for 2^32 - 1 records, with a checksum that matches:
         // decode must refuse by the frame-size bound, not try to reserve
-        // 4 Gi records.
+        // 4 Gi offsets.
         let mut frame = sample_block().encode(128).unwrap().to_vec();
         for count in [u32::MAX, 1 << 31, 9, 4] {
             frame[4..8].copy_from_slice(&count.to_le_bytes());
@@ -391,28 +571,31 @@ mod tests {
     }
 
     #[test]
-    fn decode_is_zero_copy_and_seal_rebacks_onto_the_new_frame() {
-        let frame = full_block().encode(4096).unwrap();
+    fn a_decoded_block_and_what_is_read_out_of_it_view_one_frame() {
+        let frame = DataBlock::new(full_records()).encode(4096).unwrap();
         let decoded = DataBlock::decode(&frame).unwrap();
-        for r in &decoded.records {
-            assert!(lies_within(&r.payload, &frame), "decoded payload was copied");
+        assert!(lies_within(decoded.frame(), &frame), "decode copied the frame");
+        for r in decoded.iter().chain(decoded.find(4)) {
+            assert!(lies_within(&r.payload, &frame), "payload was copied");
         }
-        // Re-encode records whose payloads are views into `frame` (what a
-        // merge does): the sealed block must view only the new frame.
-        let (frame2, sealed) = decoded.clone().seal(4096).unwrap();
-        assert_eq!(sealed, decoded);
-        assert_eq!(frame2, frame);
-        for r in &sealed.records {
-            assert!(lies_within(&r.payload, &frame2));
-            assert!(!lies_within(&r.payload, &frame), "sealed block still pins its input");
+        // Records moved into the next frame (what a merge does) leave the
+        // old one behind: the new block views only its own buffer.
+        let mut next = FrameBuilder::new(4096);
+        next.extend(&decoded, 0..decoded.len()).unwrap();
+        let next = next.finish().unwrap();
+        assert_eq!(next.frame(), &frame);
+        for r in next.iter() {
+            assert!(lies_within(&r.payload, next.frame()));
+            assert!(!lies_within(&r.payload, &frame), "built block still pins its input");
         }
-        assert_eq!(DataBlock::decode(&frame2).unwrap(), decoded);
     }
 
     #[test]
     fn encode_rejects_overflow() {
         let b = DataBlock::new(vec![Record::put(1, vec![0; 1000])]);
         assert!(matches!(b.encode(128), Err(LsmError::RecordTooLarge { .. })));
+        assert!(matches!(b.encode(8), Err(LsmError::RecordTooLarge { .. })));
+        assert!(matches!(FrameBuilder::new(8).finish(), Err(LsmError::Invariant(_))));
     }
 
     #[test]
@@ -420,10 +603,16 @@ mod tests {
         let b = sample_block();
         assert_eq!((b.min_key(), b.max_key(), b.len()), (1, 9, 3));
         assert_eq!(b.tombstones(), 1);
+        assert_eq!(b.keys().collect::<Vec<_>>(), vec![1, 5, 9]);
         assert!(b.find(5).unwrap().is_tombstone());
-        assert!(b.find(2).is_none());
+        assert_eq!(b.find(9), Some(Record::put(9, vec![0xB; 2])));
+        assert!(b.find(2).is_none() && b.find(0).is_none() && b.find(10).is_none());
+        assert_eq!(
+            (b.lower_bound(0), b.lower_bound(5), b.lower_bound(6), b.lower_bound(10)),
+            (0, 1, 2, 3)
+        );
         assert!(!b.is_empty());
-        assert!(DataBlock::default().is_empty());
+        assert!(DataBlock::new(vec![]).is_empty());
     }
 
     #[test]
@@ -441,18 +630,25 @@ mod tests {
 
     #[test]
     fn empty_block_round_trip() {
-        let b = DataBlock::default();
-        let frame = b.encode(64).unwrap();
-        assert_eq!(DataBlock::decode(&frame).unwrap(), b);
+        let frame = DataBlock::new(vec![]).encode(64).unwrap();
+        assert!(DataBlock::decode(&frame).unwrap().is_empty());
     }
 
     #[test]
-    fn decode_rejects_unsorted() {
-        // Hand-build a frame with out-of-order keys but a valid checksum by
-        // encoding then swapping records through the public API guard.
-        let rec = vec![Record::put(9, vec![]), Record::put(1, vec![])];
-        let block = DataBlock { records: rec };
-        let frame = block.encode(64).unwrap();
-        assert!(DataBlock::decode(&frame).is_err());
+    fn decode_rejects_unsorted_and_bad_op_tags() {
+        // The builder trusts its caller with the order; the decoder does not.
+        for keys in [[9, 1], [4, 4]] {
+            let records = keys.map(|k| Record::put(k, vec![]));
+            let frame = FrameBuilder::of_records(&records, 64).unwrap().finish().unwrap();
+            assert!(DataBlock::decode(frame.frame()).is_err());
+        }
+        let mut frame = sample_block().encode(64).unwrap().to_vec();
+        frame[BLOCK_HEADER_LEN + 8] = 2;
+        let sum = frame_checksum(3, &frame);
+        frame[8..12].copy_from_slice(&sum.to_le_bytes());
+        match decode_vec(frame) {
+            Err(LsmError::Codec(msg)) => assert!(msg.contains("op tag"), "{msg}"),
+            other => panic!("op tag 2 must be a codec error, got {other:?}"),
+        }
     }
 }

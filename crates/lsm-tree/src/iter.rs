@@ -34,7 +34,7 @@ impl<'a> LevelCursor<'a> {
     fn settle(&mut self) -> Result<()> {
         loop {
             if let Some(block) = &self.current {
-                if self.cpos < block.len() && block.records[self.cpos].key <= self.hi {
+                if self.cpos < block.len() && block.key(self.cpos) <= self.hi {
                     return Ok(());
                 }
                 if self.cpos < block.len() {
@@ -55,7 +55,7 @@ impl<'a> LevelCursor<'a> {
             }
             let block = self.store.read_block(h)?;
             // First record ≥ lo within the block.
-            let start = block.records.partition_point(|r| r.key < self.lo);
+            let start = block.lower_bound(self.lo);
             self.current = Some(block);
             self.cpos = start;
         }
@@ -66,15 +66,15 @@ impl<'a> LevelCursor<'a> {
         Ok(self
             .current
             .as_ref()
-            .and_then(|b| b.records.get(self.cpos))
-            .filter(|r| r.key <= self.hi)
-            .map(|r| r.key))
+            .filter(|b| self.cpos < b.len())
+            .map(|b| b.key(self.cpos))
+            .filter(|&k| k <= self.hi))
     }
 
     fn next_record(&mut self) -> Result<Record> {
         self.settle()?;
         let block = self.current.as_ref().expect("peek said Some");
-        let r = block.records[self.cpos].clone();
+        let r = block.record(self.cpos);
         self.cpos += 1;
         Ok(r)
     }

@@ -7,9 +7,12 @@
 //!
 //! 1. `Y` is the minimal run of target blocks whose key ranges intersect
 //!    `X`'s key span; it is bulk-deleted from the target.
-//! 2. Records of `X` and `Y` are merged in one pass. Records sharing a key
-//!    are consolidated to their net effect; tombstones are dropped once no
-//!    deeper level can hold the key.
+//! 2. `X` and `Y` are merged in one pass, as bytes: the loop compares the
+//!    two heads and moves the longest run of one side that precedes the
+//!    other side's head — never past the end of the input block it is in —
+//!    into the output frame with one copy ([`FrameBuilder`]); no `Record`
+//!    is taken out of a block. Where both hold a key, `X`'s (newer) record
+//!    stands; a tombstone is dropped once no deeper level can hold its key.
 //! 3. **Block preservation**: whenever the next record to output begins an
 //!    input block whose whole key range fits before the next record of the
 //!    other input, the block can be adopted into `Z` unmodified — zero
@@ -34,10 +37,10 @@ use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::block::{BlockHandle, DataBlock};
+use crate::block::{BlockHandle, DataBlock, FrameBuilder};
 use crate::error::{LsmError, Result};
 use crate::level::{Level, LevelDraft};
-use crate::record::{consolidate, Key, Record};
+use crate::record::{Key, Record};
 use crate::store::{Store, WriteBatch};
 
 /// Longest run of definitely-read blocks fetched by one batched store
@@ -102,20 +105,8 @@ impl MergeSource {
     /// Key span `[min, max]` of the source (None when empty).
     pub fn key_span(&self) -> Option<(Key, Key)> {
         match self {
-            MergeSource::Records(r) => {
-                if r.is_empty() {
-                    None
-                } else {
-                    Some((r[0].key, r[r.len() - 1].key))
-                }
-            }
-            MergeSource::Blocks(hs) => {
-                if hs.is_empty() {
-                    None
-                } else {
-                    Some((hs[0].min, hs[hs.len() - 1].max))
-                }
-            }
+            MergeSource::Records(r) => Some((r.first()?.key, r.last()?.key)),
+            MergeSource::Blocks(hs) => Some((hs.first()?.min, hs.last()?.max)),
         }
     }
 }
@@ -159,55 +150,111 @@ pub(crate) struct StepBlocks {
     pub(crate) retired: Vec<BlockHandle>,
 }
 
-/// The write side of a merge or compaction: output blocks are staged and
-/// landed in coalesced device writes (adjacent ids become single syscalls
-/// on a file backend), and the ones that landed are entered in `created`.
-struct Landing<'a, 'b> {
+/// The write side of a merge or compaction. Records arrive as bytes in the
+/// frame being filled; a frame that reaches `b` records is sealed, staged
+/// and landed in coalesced device writes (adjacent ids become single
+/// syscalls on a file backend); blocks that landed are entered in `created`.
+struct Output<'a, 'b> {
+    store: &'a Store,
+    /// `B` — records per output block.
+    b: usize,
+    /// The block being filled.
+    frame: FrameBuilder,
+    /// The output run so far: sealed blocks, and whatever the caller adopts.
+    handles: Vec<BlockHandle>,
+    /// Blocks sealed.
+    writes: u64,
     batch: WriteBatch<'a>,
     /// Staged since the last flush.
     staged: Vec<BlockHandle>,
     created: &'b mut Vec<BlockHandle>,
 }
 
-impl<'a, 'b> Landing<'a, 'b> {
-    fn new(store: &'a Store, created: &'b mut Vec<BlockHandle>) -> Self {
-        Landing { batch: store.write_batch(), staged: Vec::new(), created }
+impl<'a, 'b> Output<'a, 'b> {
+    fn new(store: &'a Store, b: usize, created: &'b mut Vec<BlockHandle>) -> Self {
+        let (frame, batch) = (store.frame_builder(b), store.write_batch());
+        Output {
+            store,
+            b,
+            frame,
+            handles: Vec::new(),
+            writes: 0,
+            batch,
+            staged: Vec::new(),
+            created,
+        }
     }
 
-    fn stage(&mut self, records: Vec<Record>) -> Result<BlockHandle> {
-        let h = self.batch.stage(records)?;
+    fn push(&mut self, r: &Record) -> Result<()> {
+        self.frame.push(r)?;
+        if self.frame.len() == self.b {
+            self.seal()?;
+        }
+        Ok(())
+    }
+
+    /// Records `range` of `block`, cut where an output block fills up.
+    fn append(&mut self, block: &DataBlock, mut range: std::ops::Range<usize>) -> Result<()> {
+        while !range.is_empty() {
+            let cut = range.end.min(range.start + self.b - self.frame.len());
+            self.frame.extend(block, range.start..cut)?;
+            range.start = cut;
+            if self.frame.len() == self.b {
+                self.seal()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Close the block being filled, if it holds anything: its frame is
+    /// staged and its handle joins the run. Returns the empty slots it adds
+    /// to the level.
+    fn seal(&mut self) -> Result<usize> {
+        if self.frame.is_empty() {
+            return Ok(0);
+        }
+        let frame = std::mem::replace(&mut self.frame, self.store.frame_builder(self.b));
+        let h = self.batch.stage_frame(frame.finish()?)?;
         self.staged.push(h.clone());
         // Bound staged memory; ids are allocated in order, so a chunk of
         // consecutive stages still coalesces into few syscalls.
         if self.batch.pending() >= WRITE_CHUNK {
             self.flush()?;
         }
-        Ok(h)
+        self.writes += 1;
+        let empty = h.empty_slots(self.b);
+        self.handles.push(h);
+        Ok(empty)
     }
 
-    /// A failed flush released everything it covered, so nothing staged
-    /// since the last successful one is ever entered.
+    /// Land what is staged. A failed flush released everything it covered,
+    /// so nothing staged since the last successful one is ever entered.
     fn flush(&mut self) -> Result<()> {
         self.batch.flush()?;
         self.created.append(&mut self.staged);
         Ok(())
     }
+
+    /// Land everything; the output run and the number of blocks written.
+    fn finish(mut self) -> Result<(Vec<BlockHandle>, u64)> {
+        self.flush()?;
+        Ok((self.handles, self.writes))
+    }
 }
 
-/// One stream of records entering a merge: either an owned record run or a
-/// lazily-opened sequence of blocks. Blocks are only read when their
-/// records are actually needed, so preservation decisions cost no I/O —
-/// they are made from fence metadata alone (§III-C).
-struct Stream<'a> {
-    store: &'a Store,
+/// One input of a merge: a record run in memory, or a sequence of blocks
+/// opened lazily — a block is only read when its records are needed, so
+/// preservation decisions cost no I/O; they are made from fence metadata
+/// alone (§III-C). Whichever it is, the other kind's fields stay empty.
+#[derive(Default)]
+struct Stream {
     recs: Vec<Record>,
     rpos: usize,
     handles: Vec<BlockHandle>,
     hpos: usize,
+    /// The open block, `handles[hpos]`, and the next record in it.
     current: Option<Arc<DataBlock>>,
     cpos: usize,
-    is_blocks: bool,
-    logical_reads: u64,
     /// Per-handle definite-read flags (see [`mark_definite_reads`]); a
     /// `true` run starting at the stream head may be fetched in one
     /// batched store call without ever touching a preservable block.
@@ -215,7 +262,7 @@ struct Stream<'a> {
     /// Blocks already fetched by a batched read, queued ahead of `hpos`.
     /// Front entry always belongs to `handles[hpos]`.
     pending: VecDeque<Result<Arc<DataBlock>>>,
-    /// Blocks that were opened (retired by the merge).
+    /// Blocks that were opened (retired by the merge): the logical reads.
     opened: Vec<BlockHandle>,
     /// Blocks that failed their integrity check while being opened: their
     /// records are lost. The merge drops them from the structure, which
@@ -223,55 +270,23 @@ struct Stream<'a> {
     lost: Vec<BlockHandle>,
 }
 
-impl<'a> Stream<'a> {
-    fn from_source(store: &'a Store, src: MergeSource) -> Self {
+impl Stream {
+    fn new(src: MergeSource, definite: Vec<bool>) -> Self {
         match src {
-            MergeSource::Records(recs) => Stream {
-                store,
-                recs,
-                rpos: 0,
-                handles: Vec::new(),
-                hpos: 0,
-                current: None,
-                cpos: 0,
-                is_blocks: false,
-                logical_reads: 0,
-                definite: Vec::new(),
-                pending: VecDeque::new(),
-                opened: Vec::new(),
-                lost: Vec::new(),
-            },
-            MergeSource::Blocks(handles) => Stream {
-                store,
-                recs: Vec::new(),
-                rpos: 0,
-                definite: vec![false; handles.len()],
-                handles,
-                hpos: 0,
-                current: None,
-                cpos: 0,
-                is_blocks: true,
-                logical_reads: 0,
-                pending: VecDeque::new(),
-                opened: Vec::new(),
-                lost: Vec::new(),
-            },
+            MergeSource::Records(recs) => Stream { recs, ..Stream::default() },
+            MergeSource::Blocks(handles) => Stream { handles, definite, ..Stream::default() },
         }
     }
 
-    fn set_definite(&mut self, flags: Vec<bool>) {
-        debug_assert_eq!(flags.len(), self.handles.len());
-        self.definite = flags;
-    }
-
+    /// Key of the head record — for an unopened block its fence minimum,
+    /// which is that record's key and costs no read.
     fn peek_key(&self) -> Option<Key> {
-        if self.is_blocks {
-            match &self.current {
-                Some(block) => Some(block.records[self.cpos].key),
-                None => self.handles.get(self.hpos).map(|h| h.min),
-            }
-        } else {
-            self.recs.get(self.rpos).map(|r| r.key)
+        match &self.current {
+            Some(block) => Some(block.key(self.cpos)),
+            None => self
+                .handles
+                .get(self.hpos)
+                .map_or_else(|| self.recs.get(self.rpos).map(|r| r.key), |h| Some(h.min)),
         }
     }
 
@@ -281,71 +296,92 @@ impl<'a> Stream<'a> {
     /// a definitely-read block can never pass the adoption test anyway, so
     /// the guard costs nothing when the definite-read bound is correct).
     fn block_at_start(&self) -> Option<&BlockHandle> {
-        if self.is_blocks && self.current.is_none() && self.pending.is_empty() {
-            self.handles.get(self.hpos)
-        } else {
-            None
-        }
+        let unopened = self.current.is_none() && self.pending.is_empty();
+        unopened.then(|| self.handles.get(self.hpos)).flatten()
     }
 
-    /// Consume the upcoming block wholesale (preservation). Caller must
-    /// have verified `block_at_start()` is `Some`.
-    fn take_block(&mut self) -> BlockHandle {
-        debug_assert!(self.current.is_none() && self.pending.is_empty());
+    /// Make the head record readable, opening the head block if the stream
+    /// stands at its start. `false` when that block turned out to be
+    /// corrupt: the stream has skipped past it (its records are lost) and
+    /// the caller must re-evaluate the stream heads.
+    fn open(&mut self, store: &Store) -> Result<bool> {
+        if self.current.is_some() || self.handles.is_empty() {
+            return Ok(true);
+        }
+        if self.pending.is_empty() {
+            // Fetch the head block plus the run of definitely-read blocks
+            // behind it in one batched store call. Blocks whose flag is
+            // false might still be adopted, so the run stops there —
+            // preservation must keep costing zero reads.
+            let mut end = self.hpos + 1;
+            while end < self.handles.len() && end - self.hpos < PREFETCH_MAX && self.definite[end] {
+                end += 1;
+            }
+            self.pending.extend(store.read_blocks(&self.handles[self.hpos..end]));
+        }
         let h = self.handles[self.hpos].clone();
-        self.hpos += 1;
-        h
+        match self.pending.pop_front().expect("queue was just filled") {
+            Ok(block) => {
+                self.opened.push(h);
+                self.current = Some(block);
+                self.cpos = 0;
+                Ok(true)
+            }
+            Err(LsmError::Degraded { .. }) => {
+                self.lost.push(h);
+                self.hpos += 1;
+                Ok(false)
+            }
+            Err(e) => Err(e),
+        }
     }
 
-    /// The next record, or `Ok(None)` when the block that was about to be
-    /// opened turned out to be corrupt: the stream skips past it (its
-    /// records are lost) and the caller must re-evaluate the stream heads.
-    fn next_record(&mut self) -> Result<Option<Record>> {
-        if !self.is_blocks {
-            let r = self.recs[self.rpos].clone();
-            self.rpos += 1;
-            return Ok(Some(r));
-        }
-        if self.current.is_none() {
-            if self.pending.is_empty() {
-                // Fetch the head block plus the run of definitely-read
-                // blocks behind it in one batched store call. Blocks whose
-                // flag is false might still be adopted, so the run stops
-                // there — preservation must keep costing zero reads.
-                let mut end = self.hpos + 1;
-                while end < self.handles.len()
-                    && end - self.hpos < PREFETCH_MAX
-                    && self.definite[end]
-                {
-                    end += 1;
-                }
-                self.pending.extend(self.store.read_blocks(&self.handles[self.hpos..end]));
-            }
-            let h = self.handles[self.hpos].clone();
-            match self.pending.pop_front().expect("queue was just filled") {
-                Ok(block) => {
-                    self.logical_reads += 1;
-                    self.opened.push(h);
-                    self.current = Some(block);
-                    self.cpos = 0;
-                }
-                Err(LsmError::Degraded { .. }) => {
-                    self.lost.push(h);
-                    self.hpos += 1;
-                    return Ok(None);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let block = self.current.as_ref().expect("just opened");
-        let r = block.records[self.cpos].clone();
-        self.cpos += 1;
-        if self.cpos == block.len() {
-            self.current = None;
-            self.cpos = 0;
+    /// Put the open block back with record `next` at the head — or move on
+    /// to the next block when it is used up.
+    fn resume(&mut self, block: Arc<DataBlock>, next: usize) {
+        if next < block.len() {
+            (self.current, self.cpos) = (Some(block), next);
+        } else {
             self.hpos += 1;
         }
-        Ok(Some(r))
+    }
+
+    /// Drop the head record of the open block.
+    fn skip(&mut self) {
+        let block = self.current.take().expect("an open block");
+        self.resume(block, self.cpos + 1);
+    }
+
+    /// Move the head run — the records with keys up to `last`, to the end
+    /// of the open block at most — into `out`, minus the tombstones
+    /// `rides_down` refuses; each stretch of a block's records that stays
+    /// moves with one copy. The stream must be [`open`](Stream::open).
+    fn drain(
+        &mut self,
+        last: Key,
+        rides_down: &mut impl FnMut(Key) -> bool,
+        out: &mut Output<'_, '_>,
+    ) -> Result<()> {
+        let Some(block) = self.current.take() else {
+            while let Some(r) = self.recs.get(self.rpos).filter(|r| r.key <= last) {
+                if !r.is_tombstone() || rides_down(r.key) {
+                    out.push(r)?;
+                }
+                self.rpos += 1;
+            }
+            return Ok(());
+        };
+        let (mut kept, mut i) = (self.cpos, self.cpos);
+        for (key, tombstone) in block.heads(i).take_while(|&(key, _)| key <= last) {
+            if tombstone && !rides_down(key) {
+                out.append(&block, kept..i)?;
+                kept = i + 1;
+            }
+            i += 1;
+        }
+        out.append(&block, kept..i)?;
+        self.resume(block, i);
+        Ok(())
     }
 }
 
@@ -457,184 +493,155 @@ impl<'a> MergeEngine<'a> {
         // Known key points of each side, for the definite-read bound: a
         // record source exposes every key; a block source exposes its
         // fence endpoints (which are real keys). Both are already sorted.
-        let x_keys: Vec<Key> = match &src {
-            MergeSource::Records(recs) => recs.iter().map(|r| r.key).collect(),
-            MergeSource::Blocks(hs) => hs.iter().flat_map(|h| [h.min, h.max]).collect(),
+        let (x_keys, x_handles): (Vec<Key>, &[BlockHandle]) = match &src {
+            MergeSource::Records(recs) => (recs.iter().map(|r| r.key).collect(), &[]),
+            MergeSource::Blocks(hs) => (hs.iter().flat_map(|h| [h.min, h.max]).collect(), hs),
         };
         let y_keys: Vec<Key> = y_handles.iter().flat_map(|h| [h.min, h.max]).collect();
+        // Y's first block may start before X does.
+        let first_key = y_keys.first().map_or(kmin, |&k| k.min(kmin));
+        let x_definite = mark_definite_reads(x_handles, &y_keys, !self.preserve, is_bottom);
+        let y_definite = mark_definite_reads(&y_handles, &x_keys, !self.preserve, is_bottom);
+        let mut xs = Stream::new(src, x_definite);
+        let mut ys = Stream::new(MergeSource::Blocks(y_handles), y_definite);
 
-        let mut xs = Stream::from_source(self.store, src);
-        let mut ys = Stream::from_source(self.store, MergeSource::Blocks(y_handles));
-        xs.set_definite(mark_definite_reads(&xs.handles, &y_keys, !self.preserve, is_bottom));
-        ys.set_definite(mark_definite_reads(&ys.handles, &x_keys, !self.preserve, is_bottom));
-
-        let mut out: Vec<BlockHandle> = Vec::new();
-        let mut buffer: Vec<Record> = Vec::new();
         let mut outcome = MergeOutcome { max_key: kmax, ..MergeOutcome::default() };
         let mut w = target.edit.waste_delta;
 
         let prev_target_count: Option<u32> =
             insert_pos.checked_sub(1).map(|i| base.handles()[i].count);
 
-        let may_exist_below =
-            |key: Key| below.iter().any(|l| l.borrow().key_in_range_of_some_block(key));
+        // Only a tombstone's fate depends on what lies below the target: it
+        // rides down while some deeper level could still hold its key.
+        // Merge keys ascend from `first_key`, so each deeper level's fences
+        // are walked by a cursor that only moves forward.
+        let mut deeper: Vec<(&[BlockHandle], usize)> = below
+            .iter()
+            .map(|l| l.borrow().handles())
+            .map(|fences| (fences, fences.partition_point(|h| h.max < first_key)))
+            .collect();
+        let mut rides_down = |key: Key| {
+            deeper.iter_mut().any(|(fences, at)| {
+                while fences.get(*at).is_some_and(|h| h.max < key) {
+                    *at += 1;
+                }
+                fences.get(*at).is_some_and(|h| h.min <= key)
+            })
+        };
 
-        let mut landing = Landing::new(self.store, created);
+        let mut out = Output::new(self.store, self.b, created);
 
-        // Index into `ys.opened` up to which empty slots have been
-        // subtracted from `w`. The paper updates w by "subtracting those in
-        // the Y blocks already processed", i.e. at open time.
-        let mut ys_subtracted = 0usize;
+        // The paper updates w by "subtracting those in the Y blocks already
+        // processed", i.e. at open time: `ys.opened[..y_seen]` are in.
+        let empty_slots =
+            |hs: &[BlockHandle]| hs.iter().map(|h| h.empty_slots(self.b) as i64).sum::<i64>();
+        let mut y_seen = 0usize;
 
         loop {
-            while ys_subtracted < ys.opened.len() {
-                w -= ys.opened[ys_subtracted].empty_slots(self.b) as i64;
-                ys_subtracted += 1;
-            }
-            let xk = xs.peek_key();
-            let yk = ys.peek_key();
-            let (from_x, key) = match (xk, yk) {
+            w -= empty_slots(&ys.opened[y_seen..]);
+            y_seen = ys.opened.len();
+            let (xk, yk) = (xs.peek_key(), ys.peek_key());
+            let from_x = match (xk, yk) {
                 (None, None) => break,
-                (Some(x), None) => (true, x),
-                (None, Some(y)) => (false, y),
-                (Some(x), Some(y)) => {
-                    if x == y {
-                        // Consolidate the colliding pair: X is the newer level.
-                        let Some(upper) = xs.next_record()? else {
-                            continue; // X's block was lost; Y untouched.
-                        };
-                        // A lost Y block simply contributes no older record.
-                        let lower = ys.next_record()?;
-                        if let Some(r) = consolidate(upper, lower, may_exist_below(x)) {
-                            self.push_record(&mut buffer, &mut out, r, &mut outcome, &mut landing)?;
+                (Some(x), Some(y)) if x == y => {
+                    // X is the newer level: its record stands for the pair.
+                    // A lost X block leaves Y untouched; a lost Y block
+                    // simply contributes no older record.
+                    if xs.open(self.store)? {
+                        if ys.open(self.store)? {
+                            ys.skip();
                         }
-                        continue;
-                    } else if x < y {
-                        (true, x)
-                    } else {
-                        (false, y)
+                        xs.drain(x, &mut rides_down, &mut out)?;
                     }
+                    continue;
                 }
+                (Some(x), Some(y)) => x < y,
+                (x, _) => x.is_some(),
             };
-            let other_next = if from_x { yk } else { xk };
+            let (side, other_next) = if from_x { (&mut xs, yk) } else { (&mut ys, xk) };
 
             // Preservation opportunity?
-            if self.preserve {
-                let side = if from_x { &xs } else { &ys };
-                if let Some(h) = side.block_at_start() {
-                    if other_next.is_none_or(|k| h.max < k)
+            let adopt = self.preserve
+                && side.block_at_start().is_some_and(|h| {
+                    other_next.is_none_or(|k| h.max < k)
                         && self.preservation_allowed(
                             h,
-                            &buffer,
-                            out.last(),
+                            out.frame.len(),
+                            out.handles.last(),
                             prev_target_count,
                             w,
                             slack_budget,
                             from_x,
                             is_bottom,
                         )
-                    {
-                        // Flush the buffered output, then adopt the block.
-                        if !buffer.is_empty() {
-                            let flushed = std::mem::take(&mut buffer);
-                            w += (self.b - flushed.len()) as i64;
-                            self.write_out(flushed, &mut out, &mut outcome, &mut landing)?;
-                        }
-                        let h = if from_x { xs.take_block() } else { ys.take_block() };
-                        if from_x {
-                            // An adopted X block adds its empty slots to the
-                            // target's waste; an adopted Y block is net zero
-                            // (its slots were already part of the target).
-                            w += h.empty_slots(self.b) as i64;
-                        }
-                        outcome.preserved += 1;
-                        outcome.out_records += u64::from(h.count);
-                        out.push(h);
-                        continue;
-                    }
+                });
+            if adopt {
+                // Close the block being filled, then adopt the input block.
+                w += out.seal()? as i64;
+                let h = side.handles[side.hpos].clone();
+                side.hpos += 1;
+                if from_x {
+                    // An adopted X block adds its empty slots to the
+                    // target's waste; an adopted Y block is net zero (its
+                    // slots were already part of the target).
+                    w += h.empty_slots(self.b) as i64;
                 }
+                outcome.preserved += 1;
+                out.handles.push(h);
+                continue;
             }
 
-            // Ordinary path: stream one record.
-            let Some(r) = (if from_x { xs.next_record()? } else { ys.next_record()? }) else {
-                continue; // The head block was lost; re-evaluate the heads.
-            };
-            if let Some(keep) = consolidate(r, None, may_exist_below(key)) {
-                self.push_record(&mut buffer, &mut out, keep, &mut outcome, &mut landing)?;
+            // Ordinary path: the head run of this side — everything before
+            // the other side's head, to the end of its input block at most
+            // (the next block gets its own adoption test). A lost head
+            // block just means re-evaluating the heads.
+            if side.open(self.store)? {
+                side.drain(other_next.map_or(Key::MAX, |k| k - 1), &mut rides_down, &mut out)?;
             }
         }
-        while ys_subtracted < ys.opened.len() {
-            w -= ys.opened[ys_subtracted].empty_slots(self.b) as i64;
-            ys_subtracted += 1;
-        }
+        w -= empty_slots(&ys.opened[y_seen..]);
 
         // Final partial block. If it would violate the pairwise constraint
         // against the previous output block, fuse the two instead (at most
         // one extra write — the §II-B bound).
-        if !buffer.is_empty() {
-            let prev_ok = !self.pairwise
-                || match out.last() {
-                    Some(prev) => (prev.count as usize) + buffer.len() > self.b,
-                    None => match prev_target_count {
-                        Some(c) => (c as usize) + buffer.len() > self.b,
-                        None => true,
-                    },
-                };
-            if !prev_ok && !out.is_empty() {
+        if !out.frame.is_empty() {
+            let prev_count = out.handles.last().map(|h| h.count).or(prev_target_count);
+            let prev_ok =
+                !self.pairwise || prev_count.is_none_or(|c| c as usize + out.frame.len() > self.b);
+            if !prev_ok && !out.handles.is_empty() {
                 // The previous output block may still be staged; it is
                 // about to be read back, which needs its frame on the
                 // device.
-                landing.flush()?;
-                let prev = out.pop().expect("checked non-empty");
+                out.flush()?;
+                let prev = out.handles.pop().expect("checked non-empty");
+                w -= prev.empty_slots(self.b) as i64;
                 match self.store.read_block(&prev) {
                     Ok(prev_block) => {
                         outcome.reads += 1;
-                        let mut fused: Vec<Record> = prev_block.records.clone();
-                        let fused_from_buffer = buffer.len() as u64;
-                        fused.append(&mut buffer);
-                        w -= prev.empty_slots(self.b) as i64;
-                        w += (self.b - fused.len()) as i64;
-                        // write_out re-counts prev's records; compensate so
-                        // out_records stays the number of surviving records.
-                        outcome.out_records -= fused.len() as u64 - fused_from_buffer;
-                        self.write_out(fused, &mut out, &mut outcome, &mut landing)?;
+                        out.frame.prepend(&prev_block)?;
                     }
-                    Err(LsmError::Degraded { .. }) => {
-                        // A freshly adopted block turned out corrupt: drop
-                        // it (its records are lost) and flush the buffer on
-                        // its own. The pairwise seam no longer exists.
-                        outcome.out_records -= u64::from(prev.count);
-                        w -= prev.empty_slots(self.b) as i64;
-                        let flushed = std::mem::take(&mut buffer);
-                        w += (self.b - flushed.len()) as i64;
-                        self.write_out(flushed, &mut out, &mut outcome, &mut landing)?;
-                    }
+                    // A freshly adopted block turned out corrupt: drop it
+                    // (its records are lost) and flush the buffer on its
+                    // own. The pairwise seam no longer exists.
+                    Err(LsmError::Degraded { .. }) => {}
                     Err(e) => return Err(e),
                 }
                 retired.push(prev);
-            } else {
-                let flushed = std::mem::take(&mut buffer);
-                w += (self.b - flushed.len()) as i64;
-                self.write_out(flushed, &mut out, &mut outcome, &mut landing)?;
             }
+            w += out.seal()? as i64;
         }
 
         // Land every remaining staged output block before the handles are
         // handed to the draft.
-        landing.flush()?;
-        drop(landing);
+        let (out, writes) = out.finish()?;
+        outcome.writes = writes;
+        outcome.out_records = out.iter().map(|h| u64::from(h.count)).sum();
 
         // Subtract the empty slots of every Y block whose records were
-        // consumed (they left the target).
-        for h in &ys.opened {
-            w -= h.empty_slots(self.b) as i64;
-        }
-        // A lost Y block also left the target, taking its empty slots (and,
-        // regrettably, its records) with it.
-        for h in &ys.lost {
-            w -= h.empty_slots(self.b) as i64;
-        }
-        outcome.reads += xs.logical_reads + ys.logical_reads;
+        // consumed (they left the target). A lost Y block also left it,
+        // taking its empty slots (and, regrettably, its records) with it.
+        w -= empty_slots(&ys.opened) + empty_slots(&ys.lost);
+        outcome.reads += (xs.opened.len() + ys.opened.len()) as u64;
 
         // Consumed and lost input blocks are in neither level once this
         // merge is installed.
@@ -648,27 +655,20 @@ impl<'a> MergeEngine<'a> {
         target.replace(yrange, out);
         target.edit.waste_delta = w;
 
-        // Seam repairs (§II-B cases 1 & 3, applied at both ends of Z). The
+        // Seam repairs (§II-B cases 1 & 3): at the front of Z — or, when
+        // everything consolidated away, at the one seam Y's removal left —
+        // then at its back, which a front fuse has shifted left by one. The
         // preservation checks already guarantee pairwise validity *inside*
         // Z and against the preceding block in the common case; these
         // checks catch the degenerate small-merge cases, costing at most
         // one extra write each.
-        if z_len == 0 {
-            // Everything consolidated away: Y's removal left one new seam.
-            if let Some(fix) = self.fix_pair_if_needed(target, insert_pos, blocks)? {
+        let mut fused = 0;
+        for seam in [Some(insert_pos), (z_len > 0).then_some(insert_pos + z_len)] {
+            let Some(seam) = seam else { continue };
+            if let Some(fix) = self.fix_pair_if_needed(target, seam - fused, blocks)? {
                 outcome.writes += fix.writes;
                 outcome.reads += fix.reads;
-            }
-        } else {
-            let mut end = insert_pos + z_len; // index of first block after Z
-            if let Some(fix) = self.fix_pair_if_needed(target, insert_pos, blocks)? {
-                outcome.writes += fix.writes;
-                outcome.reads += fix.reads;
-                end -= 1; // front fuse shifted everything left by one
-            }
-            if let Some(fix) = self.fix_pair_if_needed(target, end, blocks)? {
-                outcome.writes += fix.writes;
-                outcome.reads += fix.reads;
+                fused += 1;
             }
         }
         Ok(outcome)
@@ -679,7 +679,7 @@ impl<'a> MergeEngine<'a> {
     fn preservation_allowed(
         &self,
         h: &BlockHandle,
-        buffer: &[Record],
+        buffered: usize,
         last_out: Option<&BlockHandle>,
         prev_target_count: Option<u32>,
         w: i64,
@@ -692,67 +692,27 @@ impl<'a> MergeEngine<'a> {
         if is_bottom && h.tombstones > 0 {
             return false;
         }
-        let prev_count: Option<u32> =
-            if self.pairwise { last_out.map(|b| b.count).or(prev_target_count) } else { None };
-        if buffer.is_empty() {
-            // No buffered block will be written; check prev vs h directly.
-            if let Some(pc) = prev_count {
-                if (pc as usize) + (h.count as usize) <= self.b {
-                    return false;
-                }
-            }
-        } else {
-            // The buffer becomes a (possibly non-full) block b≺: check
-            // prev vs b≺ and b≺ vs h.
-            if let Some(pc) = prev_count {
-                if (pc as usize) + buffer.len() <= self.b {
-                    return false;
-                }
-            }
-            if self.pairwise && buffer.len() + (h.count as usize) <= self.b {
+        // The buffer, if any, becomes a (possibly non-full) block b≺
+        // between the previous block and h: check prev vs b≺ and b≺ vs h,
+        // or prev vs h directly.
+        if self.pairwise {
+            let prev = last_out.map(|b| b.count).or(prev_target_count).map(|c| c as usize);
+            let run = [prev, (buffered > 0).then_some(buffered), Some(h.count as usize)];
+            let run: Vec<usize> = run.into_iter().flatten().collect();
+            if run.windows(2).any(|pair| pair[0] + pair[1] <= self.b) {
                 return false;
             }
         }
         // Slack budget: the flush of b≺ adds its empty slots; adopting an
         // X block adds the block's own empty slots (a Y block is net zero).
         let mut prospective = w;
-        if !buffer.is_empty() {
-            prospective += (self.b - buffer.len()) as i64;
+        if buffered > 0 {
+            prospective += (self.b - buffered) as i64;
         }
         if from_x {
             prospective += h.empty_slots(self.b) as i64;
         }
         (prospective as f64) <= slack_budget - (self.b as f64 - 1.0)
-    }
-
-    fn push_record(
-        &self,
-        buffer: &mut Vec<Record>,
-        out: &mut Vec<BlockHandle>,
-        r: Record,
-        outcome: &mut MergeOutcome,
-        landing: &mut Landing<'_, '_>,
-    ) -> Result<()> {
-        buffer.push(r);
-        if buffer.len() == self.b {
-            let flushed = std::mem::take(buffer);
-            // A full block adds zero empty slots; no change to w.
-            self.write_out(flushed, out, outcome, landing)?;
-        }
-        Ok(())
-    }
-
-    fn write_out(
-        &self,
-        records: Vec<Record>,
-        out: &mut Vec<BlockHandle>,
-        outcome: &mut MergeOutcome,
-        landing: &mut Landing<'_, '_>,
-    ) -> Result<()> {
-        outcome.out_records += records.len() as u64;
-        out.push(landing.stage(records)?);
-        outcome.writes += 1;
-        Ok(())
     }
 
     /// If blocks `idx-1` and `idx` of the drafted level violate the
@@ -776,10 +736,10 @@ impl<'a> MergeEngine<'a> {
         // drop the corrupt block from the level instead (read repair). The
         // level shrinks by one either way, so callers' index arithmetic
         // stays valid.
-        let mut pair = Vec::with_capacity(2);
+        let mut fused = self.store.frame_builder(self.b);
         for (at, h) in [(idx - 1, &a), (idx, &b)] {
             match self.store.read_block(h) {
-                Ok(block) => pair.push(block),
+                Ok(block) => fused.extend(&block, 0..block.len())?,
                 Err(LsmError::Degraded { .. }) => {
                     level.replace(at..at + 1, Vec::new());
                     level.edit.waste_delta -= h.empty_slots(self.b) as i64;
@@ -789,11 +749,7 @@ impl<'a> MergeEngine<'a> {
                 Err(e) => return Err(e),
             }
         }
-        let mut records = Vec::with_capacity(pair.iter().map(|block| block.len()).sum());
-        for block in &pair {
-            records.extend(block.records.iter().cloned());
-        }
-        let fused = self.store.write_block(records)?;
+        let fused = self.store.write_frame(fused.finish()?)?;
         blocks.created.push(fused.clone());
         level.edit.waste_delta += fused.empty_slots(self.b) as i64
             - a.empty_slots(self.b) as i64
@@ -821,42 +777,32 @@ impl<'a> MergeEngine<'a> {
         // Every handle is about to be retired, so this copy is the list
         // of retired blocks, not an extra.
         let old: Vec<BlockHandle> = level.iter().cloned().collect();
-        let mut outcome = CompactOutcome::default();
-        let mut buffer: Vec<Record> = Vec::with_capacity(self.b);
-        let mut new_handles: Vec<BlockHandle> = Vec::with_capacity(old.len());
-        let mut landing = Landing::new(self.store, &mut blocks.created);
+        let mut reads = 0;
+        let mut out = Output::new(self.store, self.b, &mut blocks.created);
         // Every block is read unconditionally, so reads batch freely;
         // chunking bounds how much of the level is resident at once.
         for chunk in old.chunks(COMPACT_BATCH) {
             for result in self.store.read_blocks(chunk) {
-                let block = match result {
-                    Ok(block) => block,
+                match result {
+                    Ok(block) => {
+                        reads += 1;
+                        out.append(&block, 0..block.len())?;
+                    }
                     // The block's records are lost; compaction drops it
                     // from the level (read repair) and keeps going.
-                    Err(LsmError::Degraded { .. }) => continue,
+                    Err(LsmError::Degraded { .. }) => {}
                     Err(e) => return Err(e),
-                };
-                outcome.reads += 1;
-                for r in &block.records {
-                    buffer.push(r.clone());
-                    if buffer.len() == self.b {
-                        new_handles.push(landing.stage(std::mem::take(&mut buffer))?);
-                        outcome.writes += 1;
-                    }
                 }
             }
         }
-        if !buffer.is_empty() {
-            new_handles.push(landing.stage(buffer)?);
-            outcome.writes += 1;
-        }
-        landing.flush()?;
+        out.seal()?;
+        let (new_handles, writes) = out.finish()?;
         blocks.retired.extend(old);
         level.replace(0..level.num_blocks(), new_handles);
         level.edit.merges_since_compaction = 0;
         level.edit.slack_budget = 0.0;
         level.edit.waste_delta = 0;
-        Ok(outcome)
+        Ok(CompactOutcome { writes, reads })
     }
 
     /// Does `level` currently need a compaction? True when its waste factor
@@ -916,7 +862,7 @@ mod tests {
         let mut out = Vec::new();
         for h in level.handles() {
             let b = store.read_block(h).unwrap();
-            out.extend(b.records.iter().map(|r| r.key));
+            out.extend(b.keys());
         }
         out
     }
@@ -965,7 +911,7 @@ mod tests {
         let reads = s.io_snapshot().reads;
         for h in target.handles() {
             let cached = s.read_block(h).unwrap();
-            for r in &cached.records {
+            for r in cached.iter() {
                 assert!(
                     !input_frames.iter().any(|frame| lies_within(&r.payload, frame)),
                     "cached output block {} views a freed input frame",
@@ -987,7 +933,7 @@ mod tests {
         assert_eq!(target.records(), 10);
         for h in target.handles() {
             let b = s.read_block(h).unwrap();
-            for r in &b.records {
+            for r in b.iter() {
                 assert_eq!(&r.payload[..], &[0xFF; 4], "upper version must win");
             }
         }
@@ -1017,7 +963,7 @@ mod tests {
         assert_eq!(target.records(), 2, "tombstones kept for deeper levels");
         let h = &target.handles()[0];
         let blk = s.read_block(h).unwrap();
-        assert!(blk.records.iter().all(|r| r.op == OpKind::Delete));
+        assert!(blk.iter().all(|r| r.op == OpKind::Delete));
     }
 
     #[test]

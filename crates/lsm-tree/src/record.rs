@@ -104,37 +104,6 @@ impl<T: RequestSource + ?Sized> RequestSource for Box<T> {
     }
 }
 
-/// Merge-time consolidation of two records with the same key, where `upper`
-/// is from the higher (newer) level. Returns the surviving record, if any.
-///
-/// Rules (§II-A: "only their net effect (if any) will be produced"):
-/// * Put over anything → the new Put.
-/// * Delete over Put → both disappear if it is safe to drop the tombstone
-///   (no older version can exist below, or we are merging into the bottom
-///   level); otherwise the tombstone survives and continues downward.
-/// * Delete over Delete → the single (newer) tombstone.
-///
-/// `may_exist_below` tells whether some level *below the merge target*
-/// could still hold this key; the caller computes it from fence metadata.
-pub fn consolidate(upper: Record, lower: Option<Record>, may_exist_below: bool) -> Option<Record> {
-    match upper.op {
-        OpKind::Put => Some(upper),
-        OpKind::Delete => {
-            let cancelled_something = lower.is_some();
-            if may_exist_below {
-                // Older versions may lurk deeper: the tombstone must ride on.
-                Some(upper)
-            } else if cancelled_something {
-                // Net effect of (delete, insert) is nothing.
-                None
-            } else {
-                // Lone tombstone with nothing below to cancel: drop it.
-                None
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,44 +119,6 @@ mod tests {
         assert!(d.is_tombstone());
         assert!(d.payload.is_empty());
         assert_eq!(d.encoded_len(), 13);
-    }
-
-    #[test]
-    fn put_always_wins() {
-        let up = Record::put(1, vec![9]);
-        let low = Record::put(1, vec![1]);
-        let out = consolidate(up.clone(), Some(low), true).unwrap();
-        assert_eq!(out.payload[..], [9]);
-        let out2 = consolidate(up.clone(), None, false).unwrap();
-        assert_eq!(out2, up);
-    }
-
-    #[test]
-    fn delete_cancels_put_when_safe() {
-        let up = Record::delete(1);
-        let low = Record::put(1, vec![1]);
-        assert_eq!(consolidate(up, Some(low), false), None);
-    }
-
-    #[test]
-    fn delete_survives_when_key_may_exist_below() {
-        let up = Record::delete(1);
-        let low = Record::put(1, vec![1]);
-        let out = consolidate(up, Some(low), true).unwrap();
-        assert!(out.is_tombstone());
-    }
-
-    #[test]
-    fn lone_delete_dropped_at_safe_depth() {
-        assert_eq!(consolidate(Record::delete(3), None, false), None);
-        assert!(consolidate(Record::delete(3), None, true).unwrap().is_tombstone());
-    }
-
-    #[test]
-    fn delete_over_delete_keeps_one() {
-        let out = consolidate(Record::delete(4), Some(Record::delete(4)), true).unwrap();
-        assert!(out.is_tombstone());
-        assert_eq!(consolidate(Record::delete(4), Some(Record::delete(4)), false), None);
     }
 
     #[test]

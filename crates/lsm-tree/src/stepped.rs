@@ -247,8 +247,7 @@ impl SteppedMergeTree {
             }
             cursors.push(Cursor { blocks, bpos: 0, rpos: 0 });
         }
-        let peek =
-            |c: &Cursor| -> Option<Key> { c.blocks.get(c.bpos).map(|b| b.records[c.rpos].key) };
+        let peek = |c: &Cursor| -> Option<Key> { c.blocks.get(c.bpos).map(|b| b.key(c.rpos)) };
         let advance = |c: &mut Cursor| {
             c.rpos += 1;
             if c.rpos >= c.blocks[c.bpos].len() {
@@ -269,7 +268,7 @@ impl SteppedMergeTree {
             let mut winner: Option<Record> = None;
             for c in cursors.iter_mut().rev() {
                 if peek(c) == Some(key) {
-                    let r = c.blocks[c.bpos].records[c.rpos].clone();
+                    let r = c.blocks[c.bpos].record(c.rpos);
                     if winner.is_none() {
                         winner = Some(r);
                     }
@@ -307,7 +306,7 @@ impl SteppedMergeTree {
                 self.stats.note_lookup_costs(1, 0);
                 if let Some(r) = block.find(key) {
                     return Ok(match r.op {
-                        OpKind::Put => Some(r.payload.clone()),
+                        OpKind::Put => Some(r.payload),
                         OpKind::Delete => None,
                     });
                 }

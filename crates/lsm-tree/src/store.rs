@@ -1,9 +1,13 @@
 //! The tree's private view of the storage substrate: allocation + codec +
 //! caching in one place.
 //!
-//! Every data-block write in the whole index funnels through
-//! [`Store::write_block`], so the device's write counter is exactly the
-//! paper's cost metric.
+//! Every data-block write in the whole index is a finished frame
+//! ([`crate::block::FrameBuilder`]) passing through the store's one admit
+//! sequence — [`Store::write_frame`] or a [`WriteBatch`] — so the device's
+//! write counter is exactly the paper's cost metric. Reads come in two
+//! kinds: [`Store::read_block`] caches what it fetches (gets, scans),
+//! [`Store::read_blocks`] does not (merge inputs, which the reading step
+//! frees).
 //!
 //! The store is also where device failures are absorbed:
 //!
@@ -30,7 +34,7 @@ use parking_lot::Mutex;
 
 use sim_ssd::{BlockAllocator, BlockDevice, BlockId, LruCache, MemDevice};
 
-use crate::block::{BlockHandle, DataBlock};
+use crate::block::{BlockHandle, DataBlock, FrameBuilder};
 use crate::bloom::BloomFilter;
 use crate::error::{LsmError, Result};
 use crate::lockorder;
@@ -163,75 +167,94 @@ impl Store {
     /// Run `op`, retrying transient device errors per the [`RetryPolicy`].
     fn with_retries<T>(&self, mut op: impl FnMut() -> sim_ssd::Result<T>) -> sim_ssd::Result<T> {
         lockorder::assert_io_allowed("a device operation");
-        let mut attempt = 0u32;
-        loop {
-            match op() {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_transient() && attempt + 1 < self.retry.max_attempts => {
-                    attempt += 1;
-                    self.sink.emit_with(|| Event::RetryAttempt { attempt });
-                    if self.retry.base_backoff_us > 0 {
-                        let us = self.retry.base_backoff_us << (attempt - 1).min(16);
-                        std::thread::sleep(std::time::Duration::from_micros(us));
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let first = op();
+        self.finish_retries(first, op)
     }
 
-    /// The one place a block of records becomes an on-device block: encode
-    /// → allocate an id → `land` the frame → Bloom filter → fence handle →
-    /// cache seed. [`write_block`](Store::write_block) lands the frame on
-    /// the device at once, [`WriteBatch::stage`] queues it for a batched
-    /// write; if `land` fails the id is released and nothing is published.
+    /// The retry ladder after a first attempt — made by the caller, through
+    /// a batched device call if it likes — came back as `result`: the same
+    /// attempt budget, events and backoff whoever made that attempt.
+    fn finish_retries<T>(
+        &self,
+        mut result: sim_ssd::Result<T>,
+        mut op: impl FnMut() -> sim_ssd::Result<T>,
+    ) -> sim_ssd::Result<T> {
+        let mut attempt = 0u32;
+        while matches!(&result, Err(e) if e.is_transient() && attempt + 1 < self.retry.max_attempts)
+        {
+            attempt += 1;
+            self.sink.emit_with(|| Event::RetryAttempt { attempt });
+            if self.retry.base_backoff_us > 0 {
+                let us = self.retry.base_backoff_us << (attempt - 1).min(16);
+                std::thread::sleep(std::time::Duration::from_micros(us));
+            }
+            result = op();
+        }
+        result
+    }
+
+    /// An empty frame of this store's block size, expecting `records`.
+    pub fn frame_builder(&self, records: usize) -> FrameBuilder {
+        FrameBuilder::with_capacity(self.device.block_size(), records)
+    }
+
+    /// The one place a finished frame becomes an on-device block: allocate
+    /// an id → `land` the frame → Bloom filter → fence handle → cache seed.
+    /// [`write_frame`](Store::write_frame) lands the frame on the device at
+    /// once, [`WriteBatch::stage_frame`] queues it for a batched write; if
+    /// `land` fails the id is released and nothing is published.
     ///
-    /// The cache is seeded with a block [sealed](DataBlock::seal) onto the
-    /// frame just encoded. With zero-copy decode a payload keeps its whole
-    /// frame alive, so this is the rule that bounds cache memory by
-    /// capacity × block size: a cached block pins exactly its own frame,
-    /// never the input frames of the merge that produced it.
+    /// The cache is seeded with the block itself — the frame that lands and
+    /// its offsets. A block is one buffer by construction, so cache memory
+    /// is bounded by capacity × block size: a cached block can pin nothing
+    /// of the merge inputs its bytes were copied from.
     fn admit(
         &self,
-        records: Vec<Record>,
+        block: DataBlock,
         land: impl FnOnce(BlockId, Bytes) -> Result<()>,
     ) -> Result<BlockHandle> {
-        debug_assert!(!records.is_empty(), "refusing to write an empty data block");
-        let (frame, block) = DataBlock::new(records).seal(self.device.block_size())?;
+        debug_assert_eq!(block.frame().len(), self.device.block_size());
         let id = self.alloc.alloc()?;
-        if let Err(e) = land(id, frame) {
+        if let Err(e) = land(id, block.frame().clone()) {
             self.alloc.free(id);
             return Err(e);
         }
-        let bloom = (self.bloom_bits_per_key > 0).then(|| {
-            let keys = block.records.iter().map(|r| r.key);
-            Arc::new(BloomFilter::from_keys(keys, self.bloom_bits_per_key))
-        });
+        let bloom = (self.bloom_bits_per_key > 0)
+            .then(|| Arc::new(BloomFilter::from_keys(block.keys(), self.bloom_bits_per_key)));
         let handle = BlockHandle::describe(id, &block, bloom);
         self.cache.lock().insert(id, Arc::new(block));
         Ok(handle)
     }
 
     /// Allocate, encode, and write a new data block; returns its fence
-    /// entry. Exactly one device write when no fault fires; transient write
-    /// errors are retried against the *same* block id, so the physical
-    /// layout of a faulty-but-recovered run matches the fault-free run.
+    /// entry. [`write_frame`](Store::write_frame) over a frame built from
+    /// `records`; an empty block is refused before anything is allocated.
     pub fn write_block(&self, records: Vec<Record>) -> Result<BlockHandle> {
-        self.admit(records, |id, frame| Ok(self.with_retries(|| self.device.write(id, &frame))?))
+        self.write_frame(FrameBuilder::of_records(&records, self.device.block_size())?.finish()?)
     }
 
-    /// Decode a frame the device returned and cache the block. The block's
-    /// payloads are views into `frame` — the device's buffer is the cached
-    /// block's buffer. A frame that fails its integrity check quarantines
-    /// the block.
-    fn adopt_frame(&self, handle: &BlockHandle, frame: &Bytes) -> Result<Arc<DataBlock>> {
-        match DataBlock::decode(frame) {
-            Ok(block) => {
-                let block = Arc::new(block);
-                self.cache.lock().insert(handle.id, Arc::clone(&block));
-                Ok(block)
+    /// Write a finished frame as a new data block. Exactly one device write
+    /// when no fault fires; transient write errors are retried against the
+    /// *same* block id, so the physical layout of a faulty-but-recovered
+    /// run matches the fault-free run.
+    pub fn write_frame(&self, block: DataBlock) -> Result<BlockHandle> {
+        self.admit(block, |id, frame| Ok(self.with_retries(|| self.device.write(id, &frame))?))
+    }
+
+    /// Decode what a device read of `handle` returned: the block is that
+    /// frame — the device's buffer is the block's buffer. Device-level
+    /// corruption or a frame that fails its integrity check quarantines the
+    /// block.
+    fn adopt_frame(
+        &self,
+        handle: &BlockHandle,
+        frame: sim_ssd::Result<Bytes>,
+    ) -> Result<Arc<DataBlock>> {
+        match frame.map_err(LsmError::from).and_then(|frame| DataBlock::decode(&frame)) {
+            Ok(block) => Ok(Arc::new(block)),
+            Err(LsmError::Codec(_) | LsmError::Device(sim_ssd::DeviceError::Corrupt(_))) => {
+                Err(self.quarantine(handle))
             }
-            Err(LsmError::Codec(_)) => Err(self.quarantine(handle)),
             Err(e) => Err(e),
         }
     }
@@ -243,94 +266,30 @@ impl Store {
         if let Some(hit) = self.cache.lock().get(&handle.id) {
             return Ok(hit);
         }
-        match self.with_retries(|| self.device.read(handle.id)) {
-            Ok(frame) => self.adopt_frame(handle, &frame),
-            Err(sim_ssd::DeviceError::Corrupt(_)) => Err(self.quarantine(handle)),
-            Err(e) => Err(e.into()),
-        }
+        let block = self.adopt_frame(handle, self.with_retries(|| self.device.read(handle.id)))?;
+        self.cache.lock().insert(handle.id, Arc::clone(&block));
+        Ok(block)
     }
 
-    /// Continue a retry ladder whose first attempt (made through a batched
-    /// device call) already failed with `first`. Mirrors [`with_retries`]
-    /// exactly — same attempt budget, same events, same backoff — with the
-    /// initial attempt accounted to the batch.
+    /// Batched read for the merge stream and compaction: fetch several
+    /// blocks with (at most) one coalesced device call for all cache
+    /// misses, returning one result per handle, in order.
     ///
-    /// [`with_retries`]: Store::with_retries
-    fn finish_read_retries(
-        &self,
-        id: BlockId,
-        first: sim_ssd::DeviceError,
-    ) -> sim_ssd::Result<Bytes> {
-        let mut attempt = 0u32;
-        let mut err = first;
-        loop {
-            if !err.is_transient() || attempt + 1 >= self.retry.max_attempts {
-                return Err(err);
-            }
-            attempt += 1;
-            self.sink.emit_with(|| Event::RetryAttempt { attempt });
-            if self.retry.base_backoff_us > 0 {
-                let us = self.retry.base_backoff_us << (attempt - 1).min(16);
-                std::thread::sleep(std::time::Duration::from_micros(us));
-            }
-            match self.device.read(id) {
-                Ok(frame) => return Ok(frame),
-                Err(e) => err = e,
-            }
-        }
-    }
-
-    /// Write-side twin of [`finish_read_retries`](Store::finish_read_retries).
-    fn finish_write_retries(
-        &self,
-        id: BlockId,
-        frame: &[u8],
-        first: sim_ssd::DeviceError,
-    ) -> sim_ssd::Result<()> {
-        let mut attempt = 0u32;
-        let mut err = first;
-        loop {
-            if !err.is_transient() || attempt + 1 >= self.retry.max_attempts {
-                return Err(err);
-            }
-            attempt += 1;
-            self.sink.emit_with(|| Event::RetryAttempt { attempt });
-            if self.retry.base_backoff_us > 0 {
-                let us = self.retry.base_backoff_us << (attempt - 1).min(16);
-                std::thread::sleep(std::time::Duration::from_micros(us));
-            }
-            match self.device.write(id, frame) {
-                Ok(()) => return Ok(()),
-                Err(e) => err = e,
-            }
-        }
-    }
-
-    /// Batched [`read_block`]: fetch several blocks with (at most) one
-    /// coalesced device call for all cache misses, returning one result
-    /// per handle, in order.
-    ///
-    /// Per-block semantics are identical to calling `read_block` in a
-    /// loop — cache hits and insertions, transient-error retries,
-    /// corruption quarantine, `Degraded` errors — only the number of
-    /// device calls (and on `FileDevice`, syscalls) shrinks.
+    /// Per block this is [`read_block`] — cache hits, transient-error
+    /// retries, corruption quarantine, `Degraded` errors — except that a
+    /// miss is *not* inserted into the cache. Every block a merge or a
+    /// compaction decodes is retired by that same step and dropped from the
+    /// cache by [`free_all`](Store::free_all); caching it would only evict
+    /// the output blocks the step seeds, which the next merge and the next
+    /// get do want.
     ///
     /// [`read_block`]: Store::read_block
     pub fn read_blocks(&self, handles: &[BlockHandle]) -> Vec<Result<Arc<DataBlock>>> {
-        let mut out: Vec<Option<Result<Arc<DataBlock>>>> = Vec::with_capacity(handles.len());
-        let mut miss_idx: Vec<usize> = Vec::new();
-        {
+        let mut out: Vec<Option<Result<Arc<DataBlock>>>> = {
             let mut cache = self.cache.lock();
-            for (i, h) in handles.iter().enumerate() {
-                match cache.get(&h.id) {
-                    Some(hit) => out.push(Some(Ok(hit))),
-                    None => {
-                        out.push(None);
-                        miss_idx.push(i);
-                    }
-                }
-            }
-        }
+            handles.iter().map(|h| cache.get(&h.id).map(Ok)).collect()
+        };
+        let mut miss_idx: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_none()).collect();
         if !miss_idx.is_empty() {
             // Reads within a batch are mutually unordered, so issue the
             // misses to the device sorted by id: handles arrive in key
@@ -341,16 +300,8 @@ impl Store {
             lockorder::assert_io_allowed("a batched device read");
             let frames = self.device.read_many(&ids);
             for (&i, first) in miss_idx.iter().zip(frames) {
-                let handle = &handles[i];
-                let frame = match first {
-                    Ok(frame) => Ok(frame),
-                    Err(e) => self.finish_read_retries(handle.id, e),
-                };
-                out[i] = Some(match frame {
-                    Ok(frame) => self.adopt_frame(handle, &frame),
-                    Err(sim_ssd::DeviceError::Corrupt(_)) => Err(self.quarantine(handle)),
-                    Err(e) => Err(e.into()),
-                });
+                let frame = self.finish_retries(first, || self.device.read(handles[i].id));
+                out[i] = Some(self.adopt_frame(&handles[i], frame));
             }
         }
         out.into_iter().map(|r| r.expect("every slot filled")).collect()
@@ -373,38 +324,50 @@ impl Store {
         LsmError::Degraded { ranges: vec![(handle.min, handle.max)] }
     }
 
-    /// Release a block the index no longer references: TRIM on the device,
-    /// id back to the allocator, cached copy dropped. Quarantined blocks
+    /// [`free_all`](Store::free_all) of one block.
+    pub fn free_block(&self, handle: &BlockHandle) -> Result<()> {
+        self.free_all(std::slice::from_ref(handle))
+    }
+
+    /// Release blocks the index no longer references: cached copy dropped,
+    /// TRIM on the device, id back to the allocator. Quarantined blocks
     /// are never released (their ids leak by design — reusing a suspect
     /// frame risks silent aliasing); the structure letting go of one *is*
     /// its read repair, recorded here. Blocks the last durable manifest
     /// references are only released after the next checkpoint commits.
-    pub fn free_block(&self, handle: &BlockHandle) -> Result<()> {
-        self.cache.lock().remove(&handle.id);
-        let id = handle.id.raw();
-        if self.quarantined.lock().contains_key(&id) {
-            if self.repaired.lock().insert(id) {
-                self.sink.emit_with(|| Event::ReadRepair { block: id });
-            }
-            return Ok(());
-        }
-        if self.protected.lock().contains(&id) {
-            self.deferred_free.lock().push(handle.id);
-            return Ok(());
-        }
-        self.with_retries(|| self.device.trim(handle.id))?;
-        self.alloc.free(handle.id);
-        Ok(())
-    }
-
-    /// [`free_block`](Store::free_block) every handle; the first error is
-    /// returned once all have been attempted.
+    ///
+    /// Each of the cache, the quarantine list and the protected set is
+    /// locked once per call, not once per block, and none is held across a
+    /// device call. Every block is attempted; the first error is returned.
     pub fn free_all(&self, handles: &[BlockHandle]) -> Result<()> {
+        {
+            let mut cache = self.cache.lock();
+            for h in handles {
+                cache.remove(&h.id);
+            }
+        }
+        let mut trim: Vec<BlockId> = Vec::with_capacity(handles.len());
+        {
+            let quarantined = self.quarantined.lock();
+            let protected = self.protected.lock();
+            for h in handles {
+                let id = h.id.raw();
+                if quarantined.contains_key(&id) {
+                    if self.repaired.lock().insert(id) {
+                        self.sink.emit_with(|| Event::ReadRepair { block: id });
+                    }
+                } else if protected.contains(&id) {
+                    self.deferred_free.lock().push(h.id);
+                } else {
+                    trim.push(h.id);
+                }
+            }
+        }
         let mut first_err = Ok(());
-        for h in handles {
-            let freed = self.free_block(h);
+        for id in trim {
+            let freed = self.with_retries(|| self.device.trim(id)).map(|()| self.alloc.free(id));
             if first_err.is_ok() {
-                first_err = freed;
+                first_err = freed.map_err(LsmError::from);
             }
         }
         first_err
@@ -497,12 +460,19 @@ pub struct WriteBatch<'a> {
 }
 
 impl WriteBatch<'_> {
-    /// Stage one block, returning its fence handle immediately. The id is
-    /// allocated and the cache seeded now; the device write lands at
-    /// [`flush`](WriteBatch::flush).
+    /// [`stage_frame`](WriteBatch::stage_frame) over a frame built from
+    /// `records`; an empty block is refused before anything is allocated.
     pub fn stage(&mut self, records: Vec<Record>) -> Result<BlockHandle> {
+        let block_size = self.store.device.block_size();
+        self.stage_frame(FrameBuilder::of_records(&records, block_size)?.finish()?)
+    }
+
+    /// Stage one finished frame, returning its fence handle immediately.
+    /// The id is allocated and the cache seeded now; the device write lands
+    /// at [`flush`](WriteBatch::flush).
+    pub fn stage_frame(&mut self, block: DataBlock) -> Result<BlockHandle> {
         let staged = &mut self.staged;
-        self.store.admit(records, |id, frame| {
+        self.store.admit(block, |id, frame| {
             staged.push((id, frame));
             Ok(())
         })
@@ -536,11 +506,7 @@ impl WriteBatch<'_> {
         let mut first_err: Option<LsmError> = None;
         let mut landed: Vec<BlockId> = Vec::with_capacity(staged.len());
         for ((id, frame), result) in staged.into_iter().zip(results) {
-            let result = match result {
-                Ok(()) => Ok(()),
-                Err(first) => self.store.finish_write_retries(id, &frame, first),
-            };
-            match result {
+            match self.store.finish_retries(result, || self.store.device.write(id, &frame)) {
                 Ok(()) => landed.push(id),
                 Err(e) => {
                     self.store.cache.lock().remove(&id);
@@ -749,30 +715,46 @@ mod tests {
         dev.set_plan(FaultPlan::none().bit_flip_rate(1.0));
         let bad = s.write_block(recs(&[10, 20])).unwrap();
         dev.set_plan(FaultPlan::none());
-        let b = s.write_block(recs(&[30])).unwrap();
-        // Evict a and bad (cache of 4), keep b cached.
+        // Evict a and bad (cache of 4).
         for k in 0..4u64 {
             s.write_block(recs(&[100 + k])).unwrap();
         }
         let c = s.write_block(recs(&[40])).unwrap(); // cached for sure
-        let reads_before = s.io_snapshot().reads;
+        let (reads_before, cache_before) = (s.io_snapshot().reads, s.cache_stats());
         let results = s.read_blocks(&[a.clone(), bad.clone(), c.clone()]);
         assert_eq!(results.len(), 3);
-        assert_eq!(results[0].as_ref().unwrap().records[0].key, 1);
+        assert_eq!(results[0].as_ref().unwrap().min_key(), 1);
         match &results[1] {
             Err(LsmError::Degraded { ranges }) => assert_eq!(ranges, &vec![(10, 20)]),
             other => panic!("expected Degraded, got {other:?}"),
         }
-        assert_eq!(results[2].as_ref().unwrap().records[0].key, 40);
+        assert_eq!(results[2].as_ref().unwrap().min_key(), 40);
         // c was a cache hit; a and bad went to the device, but the corrupt
         // read errors out before the device counts it — only a's counts.
         assert_eq!(s.io_snapshot().reads - reads_before, 1);
         assert_eq!(s.quarantined_ids(), vec![bad.id.raw()]);
-        // a is now cached: re-reading costs nothing.
-        let reads_mid = s.io_snapshot().reads;
+        // The hit was served by the cache; the misses were not put into it
+        // (the cache is full: an insertion would have evicted something),
+        // so reading a again goes to the device again.
+        let cache_after = s.cache_stats();
+        assert_eq!(cache_after.hits, cache_before.hits + 1);
+        assert_eq!(cache_after.evictions, cache_before.evictions, "a batched miss was cached");
         assert!(s.read_block(&a).is_ok());
-        assert_eq!(s.io_snapshot().reads, reads_mid);
-        drop(b);
+        assert_eq!(s.io_snapshot().reads - reads_before, 2);
+    }
+
+    #[test]
+    fn an_empty_block_is_refused_before_anything_is_allocated() {
+        let s = store();
+        let h = s.write_block(recs(&[1])).unwrap();
+        let (live, writes) = (s.live_blocks(), s.io_snapshot().writes);
+        assert!(matches!(s.write_block(vec![]), Err(LsmError::Invariant(_))));
+        let mut batch = s.write_batch();
+        assert!(matches!(batch.stage(vec![]), Err(LsmError::Invariant(_))));
+        assert_eq!(batch.pending(), 0);
+        batch.flush().unwrap();
+        assert_eq!((s.live_blocks(), s.io_snapshot().writes), (live, writes));
+        assert!(s.read_block(&h).is_ok());
     }
 
     #[test]
@@ -791,7 +773,7 @@ mod tests {
         assert_eq!(s.io_snapshot().writes, 2);
         // Staged blocks are readable after flush even with a cold cache.
         let s2_frame_check = s.read_block(&h1).unwrap();
-        assert_eq!(s2_frame_check.records[0].key, 1);
+        assert_eq!(s2_frame_check.min_key(), 1);
     }
 
     #[test]
@@ -832,9 +814,9 @@ mod tests {
     /// `block_size` bytes would hold them — 13 header bytes apart, in order —
     /// so together they lie inside a single `block_size` buffer.
     fn assert_backed_by_one_frame(block: &DataBlock, block_size: usize) {
-        let first = block.records[0].payload.as_ptr() as usize;
+        let first = block.record(0).payload.as_ptr() as usize;
         let mut expect = first;
-        for r in &block.records {
+        for r in block.iter() {
             assert_eq!(r.payload.as_ptr() as usize, expect, "payloads are not one frame's");
             expect += r.payload.len() + 13;
         }
@@ -858,7 +840,7 @@ mod tests {
         let h1 = s.write_block(records(0)).unwrap();
         let seeded = s.read_block(&h1).unwrap();
         assert_backed_by_one_frame(&seeded, 256);
-        assert!(seeded.records.iter().all(|r| !lies_within(&r.payload, &foreign)));
+        assert!(seeded.iter().all(|r| !lies_within(&r.payload, &foreign)));
 
         // Seeded by stage: after the flush the MemDevice holds the very
         // buffer the cached block views — one buffer for image and cache.
@@ -869,7 +851,7 @@ mod tests {
         let staged = s.read_block(&h2).unwrap();
         assert_backed_by_one_frame(&staged, 256);
         let image = dev.read(h2.id).unwrap();
-        assert!(staged.records.iter().all(|r| lies_within(&r.payload, &image)));
+        assert!(staged.iter().all(|r| lies_within(&r.payload, &image)));
 
         // Read back through a cache miss: h1 was evicted by now (capacity
         // 2, and h2 plus one more block are newer). The decoded block views
@@ -880,8 +862,8 @@ mod tests {
         assert_eq!(s.io_snapshot().reads, reads + 1, "expected a cache miss");
         assert_backed_by_one_frame(&missed, 256);
         let image = dev.read(h1.id).unwrap();
-        assert!(missed.records.iter().all(|r| lies_within(&r.payload, &image)));
-        assert_eq!(*missed, *seeded);
+        assert!(missed.iter().all(|r| lies_within(&r.payload, &image)));
+        assert!(missed.iter().eq(seeded.iter()));
     }
 
     #[test]

@@ -456,7 +456,7 @@ impl LsmTree {
             probe.block_reads += 1;
             if let Some(r) = block.find(key) {
                 let value = match r.op {
-                    OpKind::Put => Some(r.payload.clone()),
+                    OpKind::Put => Some(r.payload),
                     OpKind::Delete => None,
                 };
                 return Ok((value, probe));

@@ -101,7 +101,7 @@ fn deep_check_level(tree: &LsmTree, vec_idx: usize) -> std::result::Result<(), S
                 block.tombstones()
             ));
         }
-        if !block.records.windows(2).all(|w| w[0].key < w[1].key) {
+        if !block.keys().zip(block.keys().skip(1)).all(|(a, b)| a < b) {
             return Err(format!("block {i}: records not strictly sorted"));
         }
     }

@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use lsm_tree::block::BlockHandle;
+use lsm_tree::block::{BlockHandle, FrameBuilder};
 use lsm_tree::memtable::{Memtable, RunMeta};
 use lsm_tree::policy::window::{choose_best_window, window_overlap, Window};
 use lsm_tree::{BloomFilter, DataBlock, MergeEngine, MergeSource, OpKind, Record, Request, Store};
@@ -39,27 +39,37 @@ proptest! {
 
     #[test]
     fn codec_round_trips(run in arb_run(12)) {
-        let block = DataBlock::new(run);
-        let needed: usize = 16 + block.records.iter().map(Record::encoded_len).sum::<usize>();
+        let block = DataBlock::new(run.clone());
+        let needed: usize = 16 + run.iter().map(Record::encoded_len).sum::<usize>();
         let frame = block.encode(needed.max(64)).unwrap();
         let back = DataBlock::decode(&frame).unwrap();
-        prop_assert_eq!(&back, &block);
-        // Second generation: `back`'s payloads are views into `frame` — what
-        // a merge feeds the encoder. Re-encoding them, after the frame they
-        // view has been dropped by everyone else, must give the same frame,
-        // and sealing must move every payload onto the new one.
-        let first = frame.to_vec();
-        drop(frame);
-        let (frame2, sealed) = back.clone().seal(first.len()).unwrap();
-        prop_assert_eq!(&frame2[..], &first[..]);
-        prop_assert_eq!(&sealed, &block);
-        let (lo, hi) = (frame2.as_ptr() as usize, frame2.as_ptr() as usize + frame2.len());
-        for (r, old) in sealed.records.iter().zip(&back.records) {
-            let at = r.payload.as_ptr() as usize;
-            prop_assert!(lo <= at && at + r.payload.len() <= hi);
-            prop_assert!(r.payload.is_empty() || at != old.payload.as_ptr() as usize);
+        prop_assert_eq!(back.iter().collect::<Vec<_>>(), run.clone());
+        prop_assert_eq!(block.iter().collect::<Vec<_>>(), run.clone());
+        // The builder gives the very bytes `new` + `encode` give — except
+        // that it refuses to finish a block with nothing in it.
+        let built = FrameBuilder::of_records(&run, frame.len()).unwrap().finish();
+        if run.is_empty() {
+            prop_assert!(built.is_err());
+        } else {
+            prop_assert_eq!(built.unwrap().frame(), &frame);
+            // Second generation: `back` is a view of `frame` — what a merge
+            // feeds the builder. Moving its records into the next frame must
+            // give the same bytes in a buffer of its own, and what is read
+            // out of the new block must view only that buffer.
+            let first = frame.to_vec();
+            let mut next = FrameBuilder::new(first.len());
+            next.extend(&back, 0..back.len()).unwrap();
+            drop((frame, back));
+            let next = next.finish().unwrap();
+            let frame2 = next.frame();
+            prop_assert_eq!(&frame2[..], &first[..]);
+            let (lo, hi) = (frame2.as_ptr() as usize, frame2.as_ptr() as usize + frame2.len());
+            for r in next.iter() {
+                let at = r.payload.as_ptr() as usize;
+                prop_assert!(lo <= at && at + r.payload.len() <= hi);
+            }
+            prop_assert_eq!(DataBlock::decode(frame2).unwrap().iter().collect::<Vec<_>>(), run);
         }
-        prop_assert_eq!(DataBlock::decode(&frame2).unwrap(), block);
     }
 
     #[test]
@@ -219,7 +229,7 @@ proptest! {
         let mut got = Vec::new();
         for h in target.handles() {
             let block = store.read_block(h).unwrap();
-            got.extend(block.records.iter().cloned());
+            got.extend(block.iter());
         }
         let want: Vec<Record> = model.into_values().collect();
         prop_assert_eq!(got, want);

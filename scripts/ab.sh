@@ -26,7 +26,12 @@
 # runs the same in both, and its flags can be ignored.)
 #
 # Reads BENCHMARK.json and perf/; writes neither. Every run's JSON line is
-# kept under $AB_OUT (default: a temporary directory, printed at the end).
+# kept under $AB_OUT (default: a temporary directory, printed at the end),
+# and the session — commit, parent, workload, seed, pairs, and per end-to-end
+# metric both medians, the parent's quartiles, pairs won and the verdict,
+# with the core tags of its runs — is appended as one JSON line to the
+# committed BENCH_history.jsonl, so a later reader has the trajectory in a
+# file rather than in prose.
 # $AB_PARENT names a directory that already holds the parent's tree (say,
 # from an earlier workload's run): it is used, and kept, instead of a fresh
 # extraction. Needs python3 for the JSON and the statistics.
@@ -104,10 +109,17 @@ for i in $(seq 1 "$pairs"); do
     echo "$line"
 done
 
-python3 - "$out" "$workload" "$pairs" <<'EOF'
+# What was measured: HEAD (marked when the working tree differs from it)
+# against the parent ref, by commit id.
+commit="$(git rev-parse --short HEAD)$(git diff --quiet HEAD 2>/dev/null || echo +dirty)"
+parent_commit="$(git rev-parse --short "$ref" 2>/dev/null || echo "$ref")"
+
+python3 - "$out" "$workload" "$pairs" "$seed" "$commit" "$parent_commit" <<'EOF'
 import json, statistics, sys
 
-out, workload, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+out, workload, pairs, seed = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+session = {"commit": sys.argv[5], "parent": sys.argv[6], "workload": workload, "seed": seed,
+           "pairs": pairs, "metrics": {}}
 bench = json.load(open("BENCHMARK.json"))
 
 def load(side, i):
@@ -143,12 +155,15 @@ for m in bench["end_to_end"]:
     else:
         verdict = "same"
     print(f"{name:22}{pm:12.4f}{q1:11.4f}{q3:11.4f}{cm:12.4f}{won:4d}/{won + lost:<2d}  {verdict}")
+    session["metrics"][name] = {"parent_median": pm, "parent_q1": q1, "parent_q3": q3,
+                                "change_median": cm, "won": won, "lost": lost, "verdict": verdict}
 
 def core_tags(side):
     return [open(f"{out}/{workload}.{side}.{i}.json.cpu").read().split()[2]
             for i in range(1, pairs + 1)]
 
 ptags, ctags = core_tags("parent"), core_tags("change")
+session["cores"] = {"parent": ptags, "change": ctags}
 print("cores: " + ", ".join(f"{n} {side} runs {tag}" for side, tags in
       (("parent", ptags), ("change", ctags)) for tag in sorted(set(tags))
       for n in [tags.count(tag)]))
@@ -165,5 +180,9 @@ print(f"failed/attempted (worst run): parent {pf:.6f}  change {cf:.6f}"
       + ("   <-- more failures" if cf > pf else ""))
 if not all(r[2] for r in parent + change):
     print("a run reported correct=false")
-print(f"every run: {out}/")
+session["failed_frac"] = {"parent": pf, "change": cf}
+session["correct"] = all(r[2] for r in parent + change)
+with open("BENCH_history.jsonl", "a") as history:
+    history.write(json.dumps(session) + "\n")
+print(f"every run: {out}/   session appended to BENCH_history.jsonl")
 EOF
