@@ -15,7 +15,6 @@
 //! select ranges (§III-C: "there is no need to scan actual data").
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -372,17 +371,16 @@ pub struct BlockHandle {
     /// Number of tombstones among them (needed to decide whether the block
     /// may be preserved as-is when merging into the bottom level).
     pub tombstones: u32,
-    /// Optional per-block Bloom filter over the keys.
-    pub bloom: Option<Arc<BloomFilter>>,
+    /// Optional per-block Bloom filter over the keys. The level holding
+    /// this handle packs a copy of its words into its search index, which
+    /// is what a get probes; the filter travels here so that a preserved
+    /// block takes it along to the level it moves to.
+    pub bloom: Option<BloomFilter>,
 }
 
 impl BlockHandle {
     /// Fence entry describing `block` stored at `id`.
-    pub fn describe(
-        id: sim_ssd::BlockId,
-        block: &DataBlock,
-        bloom: Option<Arc<BloomFilter>>,
-    ) -> Self {
+    pub fn describe(id: sim_ssd::BlockId, block: &DataBlock, bloom: Option<BloomFilter>) -> Self {
         assert!(!block.is_empty(), "cannot describe an empty block");
         BlockHandle {
             id,

@@ -8,15 +8,20 @@
 //! blocks that cannot contain the key. Filters never touch the device and
 //! therefore never affect the write counts the paper measures.
 
+use std::sync::Arc;
+
 use crate::record::Key;
 
 /// A classic Bloom filter over `u64` keys using double hashing
 /// (Kirsch–Mitzenmacher): `h_i(k) = h1(k) + i · h2(k)`.
+///
+/// One allocation, shared by every clone of the fence entry that carries
+/// it: word 0 is the geometry (bit count and probes per key), the rest the
+/// bit array. A level packs these same words, geometry first, into its
+/// search index ([`crate::level::Level`]), so [`probe`] answers for both.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
-    bits: Vec<u64>,
-    num_bits: usize,
-    num_hashes: u32,
+    words: Arc<[u64]>,
 }
 
 /// 64-bit finalizer from SplitMix64 — good avalanche, cheap, dependency-free.
@@ -26,6 +31,40 @@ fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
+}
+
+/// The probes per key sit in the geometry word's top byte, above the bit
+/// count.
+const HASHES_SHIFT: u32 = 56;
+
+/// The bit count in a geometry word.
+#[inline]
+fn bit_count(geometry: u64) -> u64 {
+    geometry & ((1 << HASHES_SHIFT) - 1)
+}
+
+/// The positions `key` sets or tests in a filter of this geometry.
+#[inline]
+fn bit_positions(geometry: u64, key: Key) -> impl Iterator<Item = usize> {
+    let num_bits = bit_count(geometry);
+    let h1 = mix64(key);
+    let h2 = mix64(key ^ 0xdead_beef_cafe_f00d) | 1;
+    (0..geometry >> HASHES_SHIFT)
+        .map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % num_bits) as usize)
+}
+
+/// Words a filter of this geometry takes, the geometry word included.
+#[inline]
+pub(crate) fn len_in_words(geometry: u64) -> usize {
+    1 + bit_count(geometry).div_ceil(64) as usize
+}
+
+/// May `key` be in the set whose filter is `words` (geometry word first)?
+/// False negatives never occur.
+#[inline]
+pub(crate) fn probe(words: &[u64], key: Key) -> bool {
+    let bits = &words[1..];
+    bit_positions(words[0], key).all(|bit| bits[bit / 64] & (1u64 << (bit % 64)) != 0)
 }
 
 impl BloomFilter {
@@ -41,47 +80,40 @@ impl BloomFilter {
     pub fn from_keys(keys: impl ExactSizeIterator<Item = Key>, bits_per_key: usize) -> Self {
         let bits_per_key = bits_per_key.max(1);
         let num_bits = (keys.len().max(1) * bits_per_key).max(64);
+        assert!((num_bits as u64) < 1 << HASHES_SHIFT, "filter of {num_bits} bits");
         let num_hashes =
-            ((bits_per_key as f64 * std::f64::consts::LN_2).round() as u32).clamp(1, 30);
-        let mut f = BloomFilter { bits: vec![0u64; num_bits.div_ceil(64)], num_bits, num_hashes };
-        for k in keys {
-            f.insert(k);
+            ((bits_per_key as f64 * std::f64::consts::LN_2).round() as u64).clamp(1, 30);
+        let geometry = num_hashes << HASHES_SHIFT | num_bits as u64;
+        // Collected from an iterator of known length: allocated once, in place.
+        let mut words: Arc<[u64]> = std::iter::repeat_n(0, 1 + num_bits.div_ceil(64)).collect();
+        let filter = Arc::get_mut(&mut words).expect("not shared yet");
+        filter[0] = geometry;
+        for key in keys {
+            for bit in bit_positions(geometry, key) {
+                filter[1 + bit / 64] |= 1u64 << (bit % 64);
+            }
         }
-        f
-    }
-
-    fn insert(&mut self, key: Key) {
-        let h1 = mix64(key);
-        let h2 = mix64(key ^ 0xdead_beef_cafe_f00d) | 1;
-        for i in 0..self.num_hashes {
-            let bit =
-                (h1.wrapping_add(u64::from(i).wrapping_mul(h2)) % self.num_bits as u64) as usize;
-            self.bits[bit / 64] |= 1u64 << (bit % 64);
-        }
+        BloomFilter { words }
     }
 
     /// May `key` be in the set? False negatives never occur.
     pub fn may_contain(&self, key: Key) -> bool {
-        let h1 = mix64(key);
-        let h2 = mix64(key ^ 0xdead_beef_cafe_f00d) | 1;
-        for i in 0..self.num_hashes {
-            let bit =
-                (h1.wrapping_add(u64::from(i).wrapping_mul(h2)) % self.num_bits as u64) as usize;
-            if self.bits[bit / 64] & (1u64 << (bit % 64)) == 0 {
-                return false;
-            }
-        }
-        true
+        probe(&self.words, key)
+    }
+
+    /// The filter as a level's index stores it: geometry word, then bits.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Size of the bit array in bits.
     pub fn num_bits(&self) -> usize {
-        self.num_bits
+        bit_count(self.words[0]) as usize
     }
 
     /// Number of hash probes per operation.
     pub fn num_hashes(&self) -> u32 {
-        self.num_hashes
+        (self.words[0] >> HASHES_SHIFT) as u32
     }
 }
 

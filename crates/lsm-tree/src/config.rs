@@ -29,7 +29,7 @@ pub struct LsmConfig {
     /// δ — merge rate: fraction of a level selected by each partial merge.
     /// Paper defaults: 0.07 (0.05 for the largest runs).
     pub merge_rate: f64,
-    /// Data-block LRU cache capacity in blocks. Fence metadata (the
+    /// Data-block buffer cache capacity in blocks. Fence metadata (the
     /// "internal B+tree nodes") is always memory-resident and is *not*
     /// charged against this budget, matching the paper's pinning setup.
     pub cache_blocks: usize,

@@ -32,7 +32,7 @@ use bytes::Bytes;
 use observe::{Event, SinkCell};
 use parking_lot::Mutex;
 
-use sim_ssd::{BlockAllocator, BlockDevice, BlockId, LruCache, MemDevice};
+use sim_ssd::{BlockAllocator, BlockDevice, BlockId, MemDevice, SieveCache};
 
 use crate::block::{BlockHandle, DataBlock, FrameBuilder};
 use crate::bloom::BloomFilter;
@@ -67,7 +67,7 @@ impl RetryPolicy {
 pub struct Store {
     device: Arc<dyn BlockDevice>,
     alloc: BlockAllocator,
-    cache: Mutex<LruCache<sim_ssd::BlockId, Arc<DataBlock>>>,
+    cache: Mutex<SieveCache<sim_ssd::BlockId, Arc<DataBlock>>>,
     bloom_bits_per_key: usize,
     retry: RetryPolicy,
     /// Blocks that failed an integrity check: id → lost key range. Their
@@ -83,7 +83,7 @@ pub struct Store {
 }
 
 impl Store {
-    /// Wrap a device. `cache_blocks` is the LRU capacity in blocks;
+    /// Wrap a device. `cache_blocks` is the buffer cache's capacity in blocks;
     /// `bloom_bits_per_key == 0` disables per-block Bloom filters.
     pub fn new(
         device: Arc<dyn BlockDevice>,
@@ -127,7 +127,7 @@ impl Store {
         Store {
             device,
             alloc,
-            cache: Mutex::new(LruCache::new(cache_blocks.max(1))),
+            cache: Mutex::new(SieveCache::new(cache_blocks.max(1))),
             bloom_bits_per_key,
             retry: RetryPolicy::default(),
             quarantined: Mutex::new(BTreeMap::new()),
@@ -220,7 +220,7 @@ impl Store {
             return Err(e);
         }
         let bloom = (self.bloom_bits_per_key > 0)
-            .then(|| Arc::new(BloomFilter::from_keys(block.keys(), self.bloom_bits_per_key)));
+            .then(|| BloomFilter::from_keys(block.keys(), self.bloom_bits_per_key));
         let handle = BlockHandle::describe(id, &block, bloom);
         self.cache.lock().insert(id, Arc::new(block));
         Ok(handle)

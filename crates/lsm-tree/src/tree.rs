@@ -11,7 +11,7 @@ use sim_ssd::BlockDevice;
 use crate::block::BLOCK_HEADER_LEN;
 use crate::config::{CommitMode, LsmConfig, Scheduler};
 use crate::error::{LsmError, Result};
-use crate::level::{Level, LevelDraft, LevelEdit};
+use crate::level::{BlockProbe, Level, LevelDraft, LevelEdit};
 use crate::memtable::{Memtable, RunMeta};
 use crate::merge::{MergeEngine, MergeSource, StepBlocks};
 use crate::policy::ledger::{enumerate_candidates, DecisionLedger};
@@ -394,7 +394,7 @@ impl LsmTree {
     /// it out (`Bytes::copy_from_slice`) to keep it long-term.
     ///
     /// Caching contract: any block probed on the way down goes through the
-    /// buffer cache, refreshing its LRU recency and counting toward cache
+    /// buffer cache, marking it visited there and counting toward cache
     /// hit/miss statistics — exactly like [`LsmTree::peek`]. `get`
     /// additionally updates the tree's own [`TreeStats`] lookup counters.
     /// Those counters are relaxed atomics, so `get` takes `&self` and
@@ -413,7 +413,7 @@ impl LsmTree {
     /// measurement (doctors, verifiers, learner probes).
     ///
     /// Caching contract: identical block-probing path as [`LsmTree::get`]
-    /// (blocks read through the buffer cache touch LRU recency and cache
+    /// (blocks read through the buffer cache are marked visited and count in cache
     /// statistics); only the per-tree lookup counters are skipped.
     pub fn peek(&self, key: Key) -> Result<Option<Bytes>> {
         self.lookup(key).map(|(value, _)| value)
@@ -445,13 +445,14 @@ impl LsmTree {
             }
         }
         for level in &self.levels {
-            let Some(handle) = level.find_block_for(key) else { continue };
-            if let Some(bloom) = &handle.bloom {
-                if !bloom.may_contain(key) {
+            let handle = match level.probe(key) {
+                BlockProbe::NoBlock => continue,
+                BlockProbe::FilteredOut => {
                     probe.bloom_skips += 1;
                     continue;
                 }
-            }
+                BlockProbe::Candidate(handle) => handle,
+            };
             let block = self.env.store.read_block(handle)?;
             probe.block_reads += 1;
             if let Some(r) = block.find(key) {

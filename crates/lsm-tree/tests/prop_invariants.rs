@@ -4,13 +4,15 @@
 //! every quiescent point.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
 use lsm_tree::policy::MixedParams;
 use lsm_tree::verify::check_tree;
-use lsm_tree::{LsmConfig, LsmTree, PolicySpec, Request, TreeOptions};
+use lsm_tree::{LsmConfig, LsmTree, PolicySpec, Record, Request, TreeOptions};
+use sim_ssd::{BlockDevice, MemDevice};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -25,8 +27,8 @@ fn op_strategy(key_space: u64) -> impl Strategy<Value = Op> {
     ]
 }
 
-fn tiny_tree(policy: PolicySpec, preserve: bool) -> LsmTree {
-    let cfg = LsmConfig {
+fn tiny_cfg() -> LsmConfig {
+    LsmConfig {
         block_size: 256,
         payload_size: 4,
         k0_blocks: 2, // merges fire constantly: B = 14, L0 holds 28 records
@@ -34,9 +36,12 @@ fn tiny_tree(policy: PolicySpec, preserve: bool) -> LsmTree {
         cache_blocks: 32,
         merge_rate: 0.4,
         ..LsmConfig::default()
-    };
+    }
+}
+
+fn tiny_tree(policy: PolicySpec, preserve: bool) -> LsmTree {
     LsmTree::with_mem_device(
-        cfg,
+        tiny_cfg(),
         TreeOptions::builder().policy(policy).preserve_blocks(preserve).build(),
         1 << 16,
     )
@@ -184,4 +189,99 @@ proptest! {
             prop_assert_eq!(tree.get(k).unwrap().is_some(), model.contains_key(&k));
         }
     }
+
+    /// A get through the level's packed index finds, reads and skips
+    /// exactly what a walk over the handles themselves does.
+    #[test]
+    fn get_probes_what_a_walk_over_the_handles_would(
+        bloom_bits_per_key in prop_oneof![Just(0usize), Just(10)],
+        ops in prop::collection::vec(lookup_op(), 300..900),
+    ) {
+        let cfg = LsmConfig { cache_blocks: 8, bloom_bits_per_key, ..tiny_cfg() };
+        let opts = || TreeOptions::builder().policy(PolicySpec::ChooseBest).build();
+        let device: Arc<dyn BlockDevice> = Arc::new(MemDevice::with_block_size(1 << 14, 256));
+        let mut tree = LsmTree::new(cfg, opts(), Arc::clone(&device)).unwrap();
+        // Every other key of 100..1100: four levels, and gaps everywhere.
+        for i in 0..500u64 {
+            tree.put(100 + 2 * i, payload(i as u8)).unwrap();
+        }
+        prop_assert!(tree.height() >= 4, "height {}", tree.height());
+        let manifest = std::env::temp_dir()
+            .join(format!("lsm-prop-lookup-{}-{bloom_bits_per_key}.manifest", std::process::id()));
+
+        let check_get = |tree: &LsmTree, key: u64| {
+            let (want, reads, skips) = walk_the_handles(tree, key);
+            let stats = tree.stats();
+            let before = (stats.lookups(), stats.lookup_block_reads(), stats.bloom_skips());
+            prop_assert_eq!(tree.get(key).unwrap(), want, "get({})", key);
+            prop_assert_eq!(
+                (stats.lookups(), stats.lookup_block_reads(), stats.bloom_skips()),
+                (before.0 + 1, before.1 + reads, before.2 + skips),
+                "lookups / block reads / bloom skips of get({})", key
+            );
+        };
+        for op in ops {
+            match op {
+                LookupOp::Put(k, v) => tree.put(k, payload(v)).unwrap(),
+                LookupOp::Delete(k) => tree.delete(k).unwrap(),
+                LookupOp::Get(k) => check_get(&tree, k),
+                // Handles come back from a manifest without their filters;
+                // blocks written from here on bring theirs.
+                LookupOp::Reopen => {
+                    tree.checkpoint(&manifest).unwrap();
+                    tree = LsmTree::restore(&manifest, opts(), Arc::clone(&device)).unwrap();
+                }
+            }
+        }
+        check_tree(&tree, true).unwrap();
+        // Below the first block, every gap, above the last block.
+        for key in 0..1_300 {
+            check_get(&tree, key);
+        }
+        let _ = std::fs::remove_file(&manifest);
+    }
+}
+
+#[derive(Debug, Clone)]
+enum LookupOp {
+    Put(u64, u8),
+    Delete(u64),
+    Get(u64),
+    Reopen,
+}
+
+fn lookup_op() -> impl Strategy<Value = LookupOp> {
+    prop_oneof![
+        50 => (90u64..1_150, any::<u8>()).prop_map(|(k, v)| LookupOp::Put(k, v)),
+        15 => (90u64..1_150).prop_map(LookupOp::Delete),
+        40 => (0u64..1_300).prop_map(LookupOp::Get),
+        1 => Just(LookupOp::Reopen),
+    ]
+}
+
+/// The lookup as it was before levels had a search index: binary search
+/// over the handles, each handle's own filter. Returns the visible value,
+/// the blocks read and the filter skips.
+fn walk_the_handles(tree: &LsmTree, key: u64) -> (Option<Bytes>, u64, u64) {
+    let visible = |r: &Record| (!r.is_tombstone()).then(|| r.payload.clone());
+    let sealed: Vec<_> = tree.imm_memtables().collect();
+    let mut buffered = std::iter::once(tree.memtable()).chain(sealed.into_iter().rev());
+    if let Some(r) = buffered.find_map(|mem| mem.get(key)) {
+        return (visible(r), 0, 0);
+    }
+    let (mut reads, mut skips) = (0, 0);
+    for level in tree.levels() {
+        let handles = level.handles();
+        let idx = handles.partition_point(|h| h.max < key);
+        let Some(handle) = handles.get(idx).filter(|h| h.min <= key) else { continue };
+        if handle.bloom.as_ref().is_some_and(|f| !f.may_contain(key)) {
+            skips += 1;
+            continue;
+        }
+        reads += 1;
+        if let Some(r) = tree.store().read_block(handle).unwrap().find(key) {
+            return (visible(&r), reads, skips);
+        }
+    }
+    (None, reads, skips)
 }

@@ -81,12 +81,8 @@ pub enum Event {
     CacheHit,
     /// A cache lookup missed.
     CacheMiss,
-    /// An unpinned entry was evicted to make room.
+    /// An entry was evicted to make room.
     CacheEviction,
-    /// An entry was pinned (exempt from eviction).
-    CachePin,
-    /// An entry was unpinned.
-    CacheUnpin,
     /// Records were extracted from the memtable to feed a merge into L1.
     MemtableFlush {
         /// Number of records extracted.
@@ -327,8 +323,6 @@ impl Event {
             Event::CacheHit => "cache_hit",
             Event::CacheMiss => "cache_miss",
             Event::CacheEviction => "cache_eviction",
-            Event::CachePin => "cache_pin",
-            Event::CacheUnpin => "cache_unpin",
             Event::MemtableFlush { .. } => "memtable_flush",
             Event::PolicyDecision { .. } => "policy_decision",
             Event::MergeStart { .. } => "merge_start",
@@ -361,12 +355,7 @@ impl Event {
             Event::DeviceRead { block }
             | Event::DeviceWrite { block }
             | Event::DeviceTrim { block } => put("block", Json::from(block)),
-            Event::DeviceSync
-            | Event::CacheHit
-            | Event::CacheMiss
-            | Event::CacheEviction
-            | Event::CachePin
-            | Event::CacheUnpin => {}
+            Event::DeviceSync | Event::CacheHit | Event::CacheMiss | Event::CacheEviction => {}
             Event::MemtableFlush { records, full } => {
                 put("records", Json::from(records));
                 put("full", Json::from(full));
@@ -688,10 +677,6 @@ pub struct CountingSnapshot {
     pub cache_misses: u64,
     /// Cache evictions.
     pub cache_evictions: u64,
-    /// Cache pins.
-    pub cache_pins: u64,
-    /// Cache unpins.
-    pub cache_unpins: u64,
     /// Memtable flush extractions.
     pub memtable_flushes: u64,
     /// Policy decisions taken.
@@ -749,8 +734,6 @@ pub struct CountingSink {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_evictions: AtomicU64,
-    cache_pins: AtomicU64,
-    cache_unpins: AtomicU64,
     memtable_flushes: AtomicU64,
     policy_decisions: AtomicU64,
     merges: AtomicU64,
@@ -792,8 +775,6 @@ impl CountingSink {
             cache_hits: get(&self.cache_hits),
             cache_misses: get(&self.cache_misses),
             cache_evictions: get(&self.cache_evictions),
-            cache_pins: get(&self.cache_pins),
-            cache_unpins: get(&self.cache_unpins),
             memtable_flushes: get(&self.memtable_flushes),
             policy_decisions: get(&self.policy_decisions),
             merges: get(&self.merges),
@@ -833,8 +814,6 @@ impl EventSink for CountingSink {
             Event::CacheHit => bump(&self.cache_hits),
             Event::CacheMiss => bump(&self.cache_misses),
             Event::CacheEviction => bump(&self.cache_evictions),
-            Event::CachePin => bump(&self.cache_pins),
-            Event::CacheUnpin => bump(&self.cache_unpins),
             Event::MemtableFlush { .. } => bump(&self.memtable_flushes),
             Event::PolicyDecision { .. } => bump(&self.policy_decisions),
             Event::MergeStart { .. } => {}
@@ -945,8 +924,6 @@ impl EventSink for MetricsSink {
             Event::CacheHit => m.incr("cache.hits"),
             Event::CacheMiss => m.incr("cache.misses"),
             Event::CacheEviction => m.incr("cache.evictions"),
-            Event::CachePin => m.incr("cache.pins"),
-            Event::CacheUnpin => m.incr("cache.unpins"),
             Event::MemtableFlush { records, .. } => {
                 m.incr("memtable.flushes");
                 m.observe("memtable.flush_records", records);

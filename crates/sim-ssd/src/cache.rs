@@ -1,13 +1,21 @@
-//! Generic LRU buffer cache with pinning.
+//! Generic buffer cache, evicting by SIEVE.
 //!
 //! The paper's setup gives each index an LRU buffer cache in addition to the
-//! memory-resident top level, and for partial-merge policies the internal
-//! B+tree nodes of the lower levels are *pinned* in memory (§V). This cache
-//! supports both behaviours: plain LRU residency for data blocks and pinned
-//! entries that are never evicted.
+//! memory-resident top level (§V). What the paper measures is block
+//! *writes*, which no replacement policy can change, so the policy here is
+//! chosen for the read path instead: SIEVE (Zhang et al., "SIEVE is Simpler
+//! than LRU", NSDI 2024). A hit sets the entry's `visited` bit and relinks
+//! nothing; an eviction walks a hand from the oldest entry towards the
+//! newest, clearing visited bits and taking the first entry it finds
+//! unvisited; new entries go in at the head, where the hand gets to last.
+//! One-touch entries (a scan, a merge's outputs) are sifted out on the
+//! hand's next pass while entries that are read again stay, which is what a
+//! Zipf reader needs and LRU does not give it.
 //!
-//! The implementation is an intrusive doubly-linked list over a slab of
-//! entries plus a hash index — O(1) lookup, insert, touch and eviction.
+//! The implementation is an intrusive doubly-linked list over a dense slab
+//! of entries plus a hash index — O(1) lookup, insert and removal, and
+//! amortised O(1) eviction (every step of the hand clears a bit that a hit
+//! had set).
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -19,9 +27,9 @@ const NIL: usize = usize::MAX;
 struct Entry<K, V> {
     key: K,
     value: V,
-    pins: u32,
-    prev: usize,
-    next: usize,
+    visited: bool,
+    prev: usize, // towards the head (newer)
+    next: usize, // towards the tail (older)
 }
 
 /// Cache statistics.
@@ -47,51 +55,55 @@ impl CacheStats {
     }
 }
 
-/// An LRU cache mapping `K` to `V`, with at most `capacity` resident
-/// entries. Pinned entries count against capacity but are never evicted;
-/// if every resident entry is pinned, inserts of new keys are refused.
-pub struct LruCache<K, V> {
+/// A cache mapping `K` to `V` with at most `capacity` resident entries,
+/// evicting by SIEVE. An entry that leaves — evicted, removed or replaced —
+/// is dropped at once: the slab is dense, so no vacated slot keeps a value
+/// alive.
+pub struct SieveCache<K, V> {
     capacity: usize,
     slab: Vec<Entry<K, V>>,
-    free: Vec<usize>,
     index: HashMap<K, usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
+    head: usize, // newest
+    tail: usize, // oldest
+    /// Where the next eviction starts looking; `NIL` means at the tail.
+    hand: usize,
     stats: CacheStats,
     sink: SinkHandle,
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
+/// The name the cache had while it evicted by LRU; `perf/` imports it.
+pub type LruCache<K, V> = SieveCache<K, V>;
+
+impl<K: Eq + Hash + Clone, V: Clone> SieveCache<K, V> {
     /// Create a cache holding up to `capacity` entries (must be ≥ 1).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "cache capacity must be at least 1");
-        LruCache {
+        SieveCache {
             capacity,
             slab: Vec::with_capacity(capacity.min(1024)),
-            free: Vec::new(),
             index: HashMap::with_capacity(capacity.min(1024)),
             head: NIL,
             tail: NIL,
+            hand: NIL,
             stats: CacheStats::default(),
             sink: SinkHandle::none(),
         }
     }
 
-    /// Register an event sink: the cache reports hits, misses, evictions,
-    /// pins and unpins as [`observe::Event`]s. Pass `SinkHandle::none()` to
-    /// detach.
+    /// Register an event sink: the cache reports hits, misses and evictions
+    /// as [`observe::Event`]s. Pass `SinkHandle::none()` to detach.
     pub fn set_sink(&mut self, sink: SinkHandle) {
         self.sink = sink;
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.slab.len()
     }
 
     /// True when nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.slab.is_empty()
     }
 
     /// Configured capacity.
@@ -104,8 +116,12 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.stats
     }
 
+    /// Take `idx` out of the list; the hand steps off it towards the head.
     fn unlink(&mut self, idx: usize) {
         let (prev, next) = (self.slab[idx].prev, self.slab[idx].next);
+        if self.hand == idx {
+            self.hand = prev;
+        }
         if prev != NIL {
             self.slab[prev].next = next;
         } else {
@@ -116,8 +132,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         } else {
             self.tail = prev;
         }
-        self.slab[idx].prev = NIL;
-        self.slab[idx].next = NIL;
     }
 
     fn push_front(&mut self, idx: usize) {
@@ -132,40 +146,35 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
-    fn touch(&mut self, idx: usize) {
-        if self.head != idx {
-            self.unlink(idx);
-            self.push_front(idx);
-        }
-    }
-
-    /// Evict the least recently used unpinned entry. Returns false when all
-    /// residents are pinned.
-    fn evict_one(&mut self) -> bool {
-        let mut cur = self.tail;
-        while cur != NIL {
-            if self.slab[cur].pins == 0 {
-                let key = self.slab[cur].key.clone();
-                self.unlink(cur);
-                self.index.remove(&key);
-                self.free.push(cur);
-                self.stats.evictions += 1;
-                self.sink.emit_with(|| Event::CacheEviction);
-                return true;
-            }
+    /// Unlink the entry the hand settles on and return its slot, still
+    /// holding the victim, for the caller to overwrite. The cache must not
+    /// be empty.
+    fn evict_one(&mut self) -> usize {
+        let mut cur = if self.hand == NIL { self.tail } else { self.hand };
+        while self.slab[cur].visited {
+            self.slab[cur].visited = false;
             cur = self.slab[cur].prev;
+            if cur == NIL {
+                cur = self.tail;
+            }
         }
-        false
+        self.hand = cur;
+        self.unlink(cur);
+        self.index.remove(&self.slab[cur].key);
+        self.stats.evictions += 1;
+        self.sink.emit_with(|| Event::CacheEviction);
+        cur
     }
 
-    /// Look up `key`, marking it most recently used on a hit.
+    /// Look up `key`; a hit marks the entry visited and moves nothing.
     pub fn get(&mut self, key: &K) -> Option<V> {
-        match self.index.get(key).copied() {
-            Some(idx) => {
-                self.touch(idx);
+        match self.index.get(key) {
+            Some(&idx) => {
+                let entry = &mut self.slab[idx];
+                entry.visited = true;
                 self.stats.hits += 1;
                 self.sink.emit_with(|| Event::CacheHit);
-                Some(self.slab[idx].value.clone())
+                Some(entry.value.clone())
             }
             None => {
                 self.stats.misses += 1;
@@ -175,92 +184,69 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
-    /// Peek without affecting recency or statistics.
+    /// Peek without affecting the visited bit or statistics.
     pub fn peek(&self, key: &K) -> Option<&V> {
         self.index.get(key).map(|&idx| &self.slab[idx].value)
     }
 
-    /// Insert or replace `key`. Returns `false` if the entry could not be
-    /// made resident because every slot is pinned.
-    pub fn insert(&mut self, key: K, value: V) -> bool {
+    /// Insert `key` at the head, evicting one entry if the cache is full.
+    /// Replacing a resident key's value counts as a visit and keeps its
+    /// place.
+    pub fn insert(&mut self, key: K, value: V) {
         if let Some(&idx) = self.index.get(&key) {
-            self.slab[idx].value = value;
-            self.touch(idx);
-            return true;
+            let entry = &mut self.slab[idx];
+            entry.value = value;
+            entry.visited = true;
+            return;
         }
-        if self.index.len() >= self.capacity && !self.evict_one() {
-            return false;
-        }
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.slab[i] = Entry { key: key.clone(), value, pins: 0, prev: NIL, next: NIL };
-                i
-            }
-            None => {
-                self.slab.push(Entry { key: key.clone(), value, pins: 0, prev: NIL, next: NIL });
-                self.slab.len() - 1
-            }
+        let entry = Entry { key: key.clone(), value, visited: false, prev: NIL, next: NIL };
+        let idx = if self.slab.len() >= self.capacity {
+            let idx = self.evict_one();
+            self.slab[idx] = entry;
+            idx
+        } else {
+            self.slab.push(entry);
+            self.slab.len() - 1
         };
         self.index.insert(key, idx);
         self.push_front(idx);
-        true
     }
 
-    /// Drop `key` if resident (even if pinned — caller owns pin discipline).
+    /// Drop `key` if resident, handing back its value.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let idx = self.index.remove(key)?;
         self.unlink(idx);
-        self.free.push(idx);
-        Some(self.slab[idx].value.clone())
-    }
-
-    /// Pin a resident entry so it cannot be evicted. Returns false if the
-    /// key is not resident.
-    pub fn pin(&mut self, key: &K) -> bool {
-        match self.index.get(key).copied() {
-            Some(idx) => {
-                self.slab[idx].pins += 1;
-                self.sink.emit_with(|| Event::CachePin);
-                true
+        let removed = self.slab.swap_remove(idx);
+        // The slab stays dense: its last entry now sits at `idx`, so
+        // whatever named it by its old position is pointed here.
+        let moved_from = self.slab.len();
+        if idx != moved_from {
+            let (prev, next) = (self.slab[idx].prev, self.slab[idx].next);
+            match prev {
+                NIL => self.head = idx,
+                p => self.slab[p].next = idx,
             }
-            None => false,
-        }
-    }
-
-    /// Release one pin. Returns false if the key is not resident or not
-    /// pinned.
-    pub fn unpin(&mut self, key: &K) -> bool {
-        match self.index.get(key).copied() {
-            Some(idx) if self.slab[idx].pins > 0 => {
-                self.slab[idx].pins -= 1;
-                self.sink.emit_with(|| Event::CacheUnpin);
-                true
+            match next {
+                NIL => self.tail = idx,
+                n => self.slab[n].prev = idx,
             }
-            _ => false,
+            if self.hand == moved_from {
+                self.hand = idx;
+            }
+            *self.index.get_mut(&self.slab[idx].key).expect("resident entries are indexed") = idx;
         }
-    }
-
-    /// Remove every unpinned entry.
-    pub fn clear_unpinned(&mut self) {
-        let keys: Vec<K> = self
-            .index
-            .iter()
-            .filter(|&(_, &idx)| self.slab[idx].pins == 0)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in keys {
-            self.remove(&k);
-        }
+        Some(removed.value)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn basic_hit_and_miss() {
-        let mut c: LruCache<u32, &str> = LruCache::new(2);
+        let mut c: SieveCache<u32, &str> = SieveCache::new(2);
         assert_eq!(c.get(&1), None);
         c.insert(1, "one");
         assert_eq!(c.get(&1), Some("one"));
@@ -269,21 +255,32 @@ mod tests {
     }
 
     #[test]
-    fn evicts_least_recently_used() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
+    fn evicts_the_oldest_unvisited_entry() {
+        let mut c: SieveCache<u32, u32> = SieveCache::new(3);
         c.insert(1, 10);
         c.insert(2, 20);
-        c.get(&1); // 2 is now LRU
         c.insert(3, 30);
-        assert_eq!(c.get(&2), None);
-        assert_eq!(c.get(&1), Some(10));
-        assert_eq!(c.get(&3), Some(30));
-        assert_eq!(c.stats().evictions, 1);
+        c.get(&1); // the oldest entry is visited: the hand passes over it
+        c.insert(4, 40);
+        assert_eq!(c.peek(&2), None, "2 was the oldest unvisited entry");
+        assert_eq!(c.peek(&1), Some(&10));
+        // The hand stands at 3 with 1 behind it, its bit cleared. Visit
+        // everything in front of the hand: it clears 3 and 4, reaches the
+        // head, wraps around to the tail and takes 1.
+        c.get(&3);
+        c.get(&4);
+        c.insert(5, 50);
+        assert_eq!(c.peek(&1), None);
+        // 3 is where the hand stands again, unvisited since the last pass.
+        c.insert(6, 60);
+        assert_eq!(c.peek(&3), None);
+        assert_eq!((c.peek(&4), c.peek(&5), c.peek(&6)), (Some(&40), Some(&50), Some(&60)));
+        assert_eq!(c.stats().evictions, 3);
     }
 
     #[test]
     fn replace_updates_value_without_eviction() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
+        let mut c: SieveCache<u32, u32> = SieveCache::new(2);
         c.insert(1, 10);
         c.insert(1, 11);
         assert_eq!(c.len(), 1);
@@ -292,56 +289,130 @@ mod tests {
     }
 
     #[test]
-    fn pinned_entries_survive_pressure() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
+    fn capacity_one_evicts_its_only_entry_visited_or_not() {
+        let mut c: SieveCache<u32, u32> = SieveCache::new(1);
         c.insert(1, 10);
-        assert!(c.pin(&1));
+        c.get(&1);
         c.insert(2, 20);
-        c.insert(3, 30); // must evict 2, not pinned 1
-        assert_eq!(c.get(&1), Some(10));
-        assert_eq!(c.get(&2), None);
-        assert_eq!(c.get(&3), Some(30));
+        assert_eq!((c.peek(&1), c.peek(&2)), (None, Some(&20)));
+        c.insert(3, 30);
+        assert_eq!((c.peek(&2), c.peek(&3), c.len()), (None, Some(&30), 1));
     }
 
     #[test]
-    fn insert_fails_when_everything_pinned() {
-        let mut c: LruCache<u32, u32> = LruCache::new(1);
-        c.insert(1, 10);
-        c.pin(&1);
-        assert!(!c.insert(2, 20));
-        assert!(c.unpin(&1));
-        assert!(c.insert(2, 20));
-        assert_eq!(c.get(&1), None);
-    }
-
-    #[test]
-    fn remove_and_clear_unpinned() {
-        let mut c: LruCache<u32, u32> = LruCache::new(4);
-        for i in 0..4 {
-            c.insert(i, i * 10);
+    fn the_hand_survives_removal_of_the_entry_it_points_at() {
+        let mut c: SieveCache<u32, u32> = SieveCache::new(4);
+        for k in 1..=4 {
+            c.insert(k, k);
         }
-        c.pin(&2);
-        assert_eq!(c.remove(&0), Some(0));
-        c.clear_unpinned();
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.peek(&2), Some(&20));
+        c.get(&1);
+        c.insert(5, 5); // passes 1, evicts 2: the hand now points at 3
+        assert_eq!(c.remove(&3), Some(3));
+        assert_eq!(c.remove(&3), None);
+        c.insert(6, 6); // room for one
+        c.insert(7, 7); // the hand moved on to 4
+        assert_eq!(c.peek(&4), None);
+        for k in [1, 5, 6, 7] {
+            assert_eq!(c.peek(&k), Some(&k), "{k} resident");
+        }
     }
 
+    /// A cached block is released the moment the cache lets go of it, not
+    /// when its slot is next reused.
     #[test]
-    fn nested_pins_require_matching_unpins() {
-        let mut c: LruCache<u32, u32> = LruCache::new(1);
-        c.insert(1, 10);
-        c.pin(&1);
-        c.pin(&1);
-        c.unpin(&1);
-        assert!(!c.insert(2, 20), "still pinned once");
-        c.unpin(&1);
-        assert!(c.insert(2, 20));
+    fn removed_and_evicted_values_are_released_at_once() {
+        let mut c: SieveCache<u32, Arc<[u8; 4096]>> = SieveCache::new(2);
+        let (a, b) = (Arc::new([0u8; 4096]), Arc::new([1u8; 4096]));
+        c.insert(1, Arc::clone(&a));
+        c.insert(2, Arc::clone(&b));
+        assert_eq!((Arc::strong_count(&a), Arc::strong_count(&b)), (2, 2));
+        drop(c.remove(&2));
+        assert_eq!(Arc::strong_count(&b), 1, "removed: the slot keeps nothing");
+        c.insert(3, Arc::new([3u8; 4096]));
+        c.insert(4, Arc::new([4u8; 4096]));
+        assert_eq!(c.peek(&1), None);
+        assert_eq!(Arc::strong_count(&a), 1, "evicted: dropped with the eviction");
+    }
+
+    /// How many gets of `trace` an LRU cache of `capacity` would have hit:
+    /// last-use ticks, the oldest out first.
+    fn lru_hits(trace: &[u32], capacity: usize) -> usize {
+        let mut last_use: HashMap<u32, usize> = HashMap::new();
+        let mut by_age: std::collections::BTreeMap<usize, u32> = Default::default();
+        let mut hits = 0;
+        for (tick, &k) in trace.iter().enumerate() {
+            match last_use.insert(k, tick) {
+                Some(before) => {
+                    hits += 1;
+                    by_age.remove(&before);
+                }
+                None if last_use.len() > capacity => {
+                    let (_, oldest) = by_age.pop_first().expect("a full cache has an oldest entry");
+                    last_use.remove(&oldest);
+                }
+                None => {}
+            }
+            by_age.insert(tick, k);
+        }
+        hits
+    }
+
+    /// The `read` workload's shape: Zipf(0.99) over 14 000 blocks, room for
+    /// 1 024. What SIEVE keeps that LRU throws out is worth at least five
+    /// points of hit rate.
+    #[test]
+    fn zipf_trace_beats_lru_by_five_points() {
+        const KEYS: usize = 14_000;
+        const CAPACITY: usize = 1_024;
+        const GETS: usize = 400_000;
+        let mut cdf: Vec<f64> = Vec::with_capacity(KEYS);
+        let mut sum = 0.0;
+        for rank in 1..=KEYS {
+            sum += (rank as f64).powf(-0.99);
+            cdf.push(sum);
+        }
+        let mut rng = crate::SplitMix64::new(7);
+        let trace: Vec<u32> = (0..GETS)
+            .map(|_| {
+                let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * sum;
+                cdf.partition_point(|&c| c < u).min(KEYS - 1) as u32
+            })
+            .collect();
+        let mut c: SieveCache<u32, ()> = SieveCache::new(CAPACITY);
+        for &k in &trace {
+            if c.get(&k).is_none() {
+                c.insert(k, ());
+            }
+        }
+        let sieve = c.stats().hit_rate();
+        let lru = lru_hits(&trace, CAPACITY) as f64 / GETS as f64;
+        assert!(sieve >= lru + 0.05, "SIEVE {sieve:.3} vs LRU {lru:.3}");
+    }
+
+    /// A scan four times the cache's size does not wash out a hot set that
+    /// was being re-read when it began.
+    #[test]
+    fn a_scan_leaves_the_hot_set_resident() {
+        const CAPACITY: u32 = 64;
+        let hot = 0..CAPACITY / 4;
+        let mut c: SieveCache<u32, u32> = SieveCache::new(CAPACITY as usize);
+        let read = |c: &mut SieveCache<u32, u32>, k: u32| {
+            if c.get(&k).is_none() {
+                c.insert(k, k);
+            }
+        };
+        for _ in 0..2 {
+            hot.clone().for_each(|k| read(&mut c, k));
+        }
+        (1_000..1_000 + 4 * CAPACITY).for_each(|k| read(&mut c, k));
+        let misses_before = c.stats().misses;
+        hot.clone().for_each(|k| read(&mut c, k));
+        assert_eq!(c.stats().misses, misses_before, "every hot key was still resident");
     }
 
     #[test]
     fn slab_reuse_after_eviction_is_consistent() {
-        let mut c: LruCache<u32, u32> = LruCache::new(3);
+        let mut c: SieveCache<u32, u32> = SieveCache::new(3);
         for i in 0..100u32 {
             c.insert(i, i);
         }
@@ -354,12 +425,12 @@ mod tests {
 
     #[test]
     fn hit_rate_reporting() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
+        let mut c: SieveCache<u32, u32> = SieveCache::new(2);
         c.insert(1, 1);
         c.get(&1);
         c.get(&2);
         assert!((c.stats().hit_rate() - 0.5).abs() < 1e-9);
-        let empty: LruCache<u32, u32> = LruCache::new(2);
+        let empty: SieveCache<u32, u32> = SieveCache::new(2);
         assert_eq!(empty.stats().hit_rate(), 0.0);
     }
 }

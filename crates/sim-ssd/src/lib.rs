@@ -17,9 +17,11 @@
 //!   design may occupy non-contiguous physical blocks (§II-B of the paper
 //!   relaxes sequential level storage because SSD random reads are cheap),
 //!   so allocation is fully dynamic.
-//! * [`LruCache`] — a generic LRU buffer cache with pin support. The paper
-//!   pins internal B+tree nodes for partial-merge policies and gives the
-//!   rest to an LRU data-block cache.
+//! * [`SieveCache`] — a generic buffer cache that evicts by SIEVE. The paper
+//!   gives each index an LRU data-block cache; its metric is block writes,
+//!   which a replacement policy cannot change, so the policy serves reads.
+//!   (The internal B+tree nodes the paper pins are, here, the fences every
+//!   level keeps in memory — never cache entries.)
 //! * [`CostModel`] — an SSD time/energy model used to convert I/O counts
 //!   into estimated device time (the paper's secondary metric).
 //! * [`FaultDevice`] — a deterministic, seeded fault-injection decorator
@@ -44,7 +46,7 @@ pub mod mem;
 pub mod stats;
 
 pub use alloc::BlockAllocator;
-pub use cache::LruCache;
+pub use cache::{LruCache, SieveCache};
 pub use cost::CostModel;
 pub use device::{BlockDevice, BlockId, DEFAULT_BLOCK_SIZE};
 pub use error::{DeviceError, FaultKind, Result};

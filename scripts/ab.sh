@@ -35,6 +35,11 @@
 # $AB_PARENT names a directory that already holds the parent's tree (say,
 # from an earlier workload's run): it is used, and kept, instead of a fresh
 # extraction. Needs python3 for the JSON and the statistics.
+# $AB_LAYERS lists per-layer metric names ("cache.hit_rate device.reads"):
+# after the pairs, each side makes one `--trace 1` run, and those metrics'
+# values from it are printed and go on the session's line under "layers" —
+# a claim's mechanism on file next to its medians. One run a side: counts
+# repeat exactly, timings do not, so name counts and ratios of counts.
 set -euo pipefail
 
 if [ "$#" -lt 2 ]; then
@@ -76,11 +81,11 @@ busy() { # busy ticks of cpu0 and cpu1 so far (0 for a CPU that is not there)
          END { print b["cpu0"] + 0, b["cpu1"] + 0 }' /proc/stat
 }
 
-run() { # <side-dir> <out-file>; also writes <out-file>.cpu: "<cpu0 delta> <cpu1 delta> <tag>"
+run() { # <side-dir> <out-file> [trace=0]; also writes <out-file>.cpu: "<cpu0 delta> <cpu1 delta> <tag>"
     local a0 b0 a1 b1
     read -r a0 b0 < <(busy)
     (cd "$1" && "${command[@]}" --workload "$workload" --seed "$seed" \
-        --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1) >"$2"
+        --seconds "$seconds" --trace "${3:-0}" 2>/dev/null | tail -n 1) >"$2"
     read -r a1 b1 < <(busy)
     # One core did the run when the other moved by under a twentieth of it.
     awk -v a=$((a1 - a0)) -v b=$((b1 - b0)) 'BEGIN {
@@ -109,12 +114,18 @@ for i in $(seq 1 "$pairs"); do
     echo "$line"
 done
 
+if [ -n "${AB_LAYERS:-}" ]; then
+    run "$parent" "$out/$workload.parent.trace.json" 1
+    run "$root" "$out/$workload.change.trace.json" 1
+    echo "traced run per side done"
+fi
+
 # What was measured: HEAD (marked when the working tree differs from it)
 # against the parent ref, by commit id.
 commit="$(git rev-parse --short HEAD)$(git diff --quiet HEAD 2>/dev/null || echo +dirty)"
 parent_commit="$(git rev-parse --short "$ref" 2>/dev/null || echo "$ref")"
 
-python3 - "$out" "$workload" "$pairs" "$seed" "$commit" "$parent_commit" <<'EOF'
+python3 - "$out" "$workload" "$pairs" "$seed" "$commit" "$parent_commit" "${AB_LAYERS:-}" <<'EOF'
 import json, statistics, sys
 
 out, workload, pairs, seed = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
@@ -126,6 +137,9 @@ def load(side, i):
     doc = json.load(open(f"{out}/{workload}.{side}.{i}.json"))
     values = {k: (v["value"] if isinstance(v, dict) else v) for k, v in doc["metrics"].items()}
     return values, doc["failed"] / max(doc["attempted"], 1), doc["correct"]
+
+layers = sys.argv[7].split()
+traced = {side: load(side, "trace") for side in ("parent", "change")} if layers else {}
 
 parent = [load("parent", i) for i in range(1, pairs + 1)]
 change = [load("change", i) for i in range(1, pairs + 1)]
@@ -158,6 +172,15 @@ for m in bench["end_to_end"]:
     session["metrics"][name] = {"parent_median": pm, "parent_q1": q1, "parent_q3": q3,
                                 "change_median": cm, "won": won, "lost": lost, "verdict": verdict}
 
+if layers:
+    print(f"\nper-layer, one --trace 1 run per side\n{'metric':28}{'parent':>16}{'change':>16}")
+    session["layers"] = {}
+    for name in layers:
+        p, c = (traced[side][0].get(name) for side in ("parent", "change"))
+        shown = ["-" if v is None else f"{v:.0f}" if float(v).is_integer() else f"{v:.6g}" for v in (p, c)]
+        print(f"{name:28}{shown[0]:>16}{shown[1]:>16}")
+        session["layers"][name] = {"parent": p, "change": c}
+
 def core_tags(side):
     return [open(f"{out}/{workload}.{side}.{i}.json.cpu").read().split()[2]
             for i in range(1, pairs + 1)]
@@ -178,10 +201,11 @@ elif len(set(ptags)) > 1:
 pf, cf = max(r[1] for r in parent), max(r[1] for r in change)
 print(f"failed/attempted (worst run): parent {pf:.6f}  change {cf:.6f}"
       + ("   <-- more failures" if cf > pf else ""))
-if not all(r[2] for r in parent + change):
+runs = parent + change + list(traced.values())
+if not all(r[2] for r in runs):
     print("a run reported correct=false")
 session["failed_frac"] = {"parent": pf, "change": cf}
-session["correct"] = all(r[2] for r in parent + change)
+session["correct"] = all(r[2] for r in runs)
 with open("BENCH_history.jsonl", "a") as history:
     history.write(json.dumps(session) + "\n")
 print(f"every run: {out}/   session appended to BENCH_history.jsonl")
