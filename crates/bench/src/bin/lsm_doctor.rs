@@ -5,34 +5,34 @@
 //!
 //! ```text
 //! cargo run --release --bin lsm_doctor -- [--policy=choosebest|full|rr|testmixed] \
-//!     [--size-mb=20] [--workload=uniform|normal|tpc] [--manifest=path] \
+//!     [--size-mb=20] [--workload=uniform|normal|tpc] [--out=results/lsm_doctor.json] \
 //!     [--trace-out=t.json] [--prom-out=m.prom] [--series-out=s.csv] \
 //!     [--series-every=1000] [--tick-clock] [--ledger] [--health] \
-//!     [--tail] [--tail-out=tail.json] [--tail-stall] \
-//!     [--check-fileio=BENCH_fileio.json] [--check-health=h.json] \
-//!     [--check-tail=tail.json] \
-//!     [--compare=old.json,new.json] [--compare-threshold=0.2]
+//!     [--tail] [--tail-out=tail.json] [--tail-stall]
+//! cargo run --release --bin lsm_doctor -- check <file>...
 //! ```
 //!
-//! `--check-fileio=PATH` skips the doctor workload and instead validates a
-//! `BENCH_fileio.json` report written by the `lsm_fileio` bench: schema
-//! (both cells present with every counter), conservation (both cells moved
-//! identical blocks), and the batching claim itself (the batched cell must
-//! have issued strictly fewer syscalls). Exits non-zero on any violation,
-//! so CI can gate on a committed report staying honest.
+//! `check <file>...` skips the doctor workload and is the one reader of
+//! everything the binaries export: each file is dispatched on what it is —
+//! a JSON object on its `schema` string (`lsm-health/v1` →
+//! [`observe::validate_health`], `lsm-tail/v1` → [`observe::validate_tail`],
+//! including the per-exemplar invariant that phases sum to within 1% of
+//! the measured put duration, `lsm-postmortem/v1` →
+//! [`lsm_tree::postmortem::validate_bundle`]), a top-level JSON array as a
+//! Chrome `trace_event` trace (objects carrying a `ph` phase, at least one
+//! complete `"X"` span with `name`/`pid`/`tid`/`ts`/`dur`), `*.prom` as a
+//! Prometheus text exposition (strict line validator, at least one
+//! sample), `*.csv` as an amplification time series (header row, constant
+//! width, monotone device-op counts). Every problem of every file is
+//! printed; any problem exits non-zero.
 //!
-//! `--check-health=PATH` validates an `lsm-health/v1` report (as written by
-//! `--health-out` anywhere) against [`observe::validate_health`] and exits
-//! non-zero on any problem.
-//!
-//! `--check-tail=PATH` does the same for an `lsm-tail/v1` tail-anatomy
-//! report (as written by `--tail-out` anywhere) against
-//! [`observe::validate_tail`] — including the per-exemplar invariant that
-//! wait-state phases sum to within 1% of the measured put duration.
+//! `--out=PATH` is where the merged JSON report goes (default
+//! `results/lsm_doctor.json`, a committed full-size run — smoke runs pass
+//! a scratch path).
 //!
 //! `--tail` attaches the tail-anatomy engine beside the doctor's registry,
 //! prints the critical-path blame table after the workload, embeds the
-//! `lsm-tail/v1` report in `results/lsm_doctor.json`, and cross-checks the
+//! `lsm-tail/v1` report in the merged JSON report, and cross-checks the
 //! engine's completed-span counts against the tree's own put/delete/lookup
 //! counters *exactly* — every front-end request opens exactly one root
 //! span, so any disagreement is a bug and exits non-zero.
@@ -44,18 +44,9 @@
 //! the report validates and names `backpressure_wait` as the dominant
 //! phase on a stalled shard.
 //!
-//! `--compare=OLD,NEW` is the bench-regression comparator: both files are
-//! parsed, every numeric field is flattened to a dotted key
-//! (`cells.0.put_kops`), and keys present in both reports are compared
-//! with a direction-aware threshold (default 20 %, `--compare-threshold`):
-//! throughput-like keys regress when NEW falls below OLD, latency/IO-like
-//! keys regress when NEW rises above OLD, and identity keys (geometry,
-//! record counts) are reported as drift without failing. Any regression
-//! exits non-zero, so CI can hold a committed report against a fresh run.
-//!
 //! `--health` attaches the windowed health engine beside the doctor's
 //! registry, prints the rolling-window table after the workload, embeds
-//! the `lsm-health/v1` report in `results/lsm_doctor.json`, and
+//! the `lsm-health/v1` report in the merged JSON report, and
 //! cross-checks the engine's cumulative counters against the metrics
 //! registry *exactly* — both consume the same event stream through
 //! independent paths, so any disagreement is a bug and exits non-zero.
@@ -66,15 +57,16 @@
 //! the per-level predicted-vs-actual table with the policy's cumulative
 //! regret against the best candidate in hindsight.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lsm_bench::report::{fmt_f, merged_json};
 use lsm_bench::{Args, ObsPipeline, PolicyCase, Table, WorkloadKind};
+use lsm_tree::observe::metrics::validate_prometheus;
 use lsm_tree::observe::{
-    ExemplarConfig, ExemplarSink, FanoutSink, Json, MetricsSink, SinkHandle, TickClock, TraceSink,
-    Tracer,
+    validate_health, validate_tail, ExemplarConfig, ExemplarSink, Json, MetricsSink, SinkHandle,
+    TickClock,
 };
+use lsm_tree::postmortem::validate_bundle;
 use lsm_tree::{
     DecisionLedger, LsmConfig, LsmTree, PolicySpec, SchedulerBackend, ShardedLsmTree, SimExecutor,
     TreeOptions,
@@ -100,246 +92,114 @@ fn num(v: &Json) -> Option<f64> {
     }
 }
 
-/// Validate a `BENCH_fileio.json` report; returns every violation found.
-fn check_fileio(doc: &Json) -> Vec<String> {
-    let mut errs = Vec::new();
-    match field(doc, "experiment") {
-        Some(Json::Str(s)) if s == "lsm_fileio" => {}
-        other => errs.push(format!("experiment must be \"lsm_fileio\", got {other:?}")),
-    }
-    for key in ["records", "block_size", "payload_size", "pread_reduction", "pwrite_reduction"] {
-        if field(doc, key).and_then(num).is_none() {
-            errs.push(format!("missing or non-numeric field {key:?}"));
-        }
-    }
-    if !matches!(field(doc, "direct"), Some(Json::Bool(_))) {
-        errs.push("missing boolean field \"direct\"".into());
-    }
-    let cells = match field(doc, "cells") {
-        Some(Json::Arr(cells)) if cells.len() == 2 => cells,
-        _ => {
-            errs.push("\"cells\" must be an array of exactly 2 cells".into());
-            return errs;
-        }
-    };
-    let mut by_mode = BTreeMap::new();
-    for cell in cells {
-        let mode = match field(cell, "mode") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => {
-                errs.push("cell missing string field \"mode\"".into());
-                continue;
-            }
+/// Problems of a Chrome `trace_event` document (a top-level array).
+fn check_trace(events: &[Json]) -> Vec<String> {
+    let mut problems = Vec::new();
+    let mut complete = 0u64;
+    for (i, ev) in events.iter().enumerate() {
+        let Some(Json::Str(ph)) = field(ev, "ph") else {
+            problems.push(format!("event {i} has no \"ph\" phase"));
+            continue;
         };
-        let mut counters = BTreeMap::new();
-        for key in [
-            "elapsed_ms",
-            "put_kops",
-            "blocks_read",
-            "blocks_written",
-            "preads",
-            "pwrites",
-            "blocks_per_pread",
-            "blocks_per_pwrite",
-        ] {
-            match field(cell, key).and_then(num) {
-                Some(v) => {
-                    counters.insert(key, v);
+        if ph == "X" {
+            complete += 1;
+            for key in ["name", "pid", "tid", "ts", "dur"] {
+                if field(ev, key).is_none() {
+                    problems.push(format!("complete event {i} lacks \"{key}\""));
                 }
-                None => errs.push(format!("cell {mode:?}: missing or non-numeric {key:?}")),
             }
         }
-        by_mode.insert(mode, counters);
     }
-    let (Some(unb), Some(bat)) = (by_mode.get("unbatched"), by_mode.get("batched")) else {
-        errs.push("cells must cover modes \"unbatched\" and \"batched\"".into());
-        return errs;
+    if complete == 0 {
+        problems.push("no complete (\"X\") span events".into());
+    }
+    problems
+}
+
+/// Problems of an amplification time-series CSV.
+fn check_series(text: &str) -> Vec<String> {
+    let mut lines = text.lines();
+    let Some(header) = lines.next().filter(|h| h.starts_with("op,")) else {
+        return vec!["header row does not start with \"op,\"".into()];
     };
-    for key in ["blocks_read", "blocks_written"] {
-        if unb.get(key) != bat.get(key) {
-            errs.push(format!(
-                "conservation: {key} differs between cells ({:?} vs {:?})",
-                unb.get(key),
-                bat.get(key)
-            ));
+    let width = header.split(',').count();
+    let mut problems = Vec::new();
+    let mut last_op = 0u64;
+    let mut rows = 0u64;
+    for (i, line) in lines.enumerate() {
+        rows += 1;
+        let cells: Vec<&str> = line.split(',').collect();
+        if cells.len() != width {
+            problems.push(format!("row {i} has {} cells, header has {width}", cells.len()));
+        }
+        match cells[0].parse::<u64>() {
+            Ok(op) if op >= last_op => last_op = op,
+            Ok(_) => problems.push(format!("row {i} device-op count went backwards")),
+            Err(_) => problems.push(format!("row {i} op is not a number: {}", cells[0])),
         }
     }
-    for key in ["preads", "pwrites"] {
-        if let (Some(u), Some(b)) = (unb.get(key), bat.get(key)) {
-            if b >= u {
-                errs.push(format!("batched cell must issue fewer {key} ({b} vs {u})"));
-            }
-        }
+    if rows == 0 {
+        problems.push("no data rows".into());
     }
-    errs
+    problems
 }
 
-/// Flatten every numeric field of `doc` into dotted keys
-/// (`cells.0.put_kops`), the shared coordinate system of `--compare`.
-fn flatten_numbers(doc: &Json, prefix: &str, out: &mut BTreeMap<String, f64>) {
-    match doc {
-        Json::Obj(pairs) => {
-            for (k, v) in pairs {
-                let key = if prefix.is_empty() { k.clone() } else { format!("{prefix}.{k}") };
-                flatten_numbers(v, &key, out);
-            }
-        }
-        Json::Arr(items) => {
-            for (i, v) in items.iter().enumerate() {
-                flatten_numbers(v, &format!("{prefix}.{i}"), out);
-            }
-        }
-        other => {
-            if let Some(n) = num(other) {
-                out.insert(prefix.to_string(), n);
-            }
-        }
-    }
-}
-
-/// How a metric's delta should be judged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    /// Bigger is better (throughput, reductions, hit rates): regression
-    /// when NEW drops below OLD.
-    HigherBetter,
-    /// Smaller is better (latency, syscalls, amplification): regression
-    /// when NEW rises above OLD.
-    LowerBetter,
-    /// Identity/configuration keys: drift is reported, never a failure —
-    /// but it means the two reports may not be comparable.
-    Identity,
-}
-
-/// Classify a dotted key by its last segment and well-known substrings.
-fn direction_of(key: &str) -> Direction {
-    let leaf = key.rsplit('.').next().unwrap_or(key);
-    let identity = [
-        "records",
-        "block_size",
-        "payload_size",
-        "shards",
-        "writers",
-        "readers",
-        "requests_per_writer",
-        "reads_per_reader",
-        "seed",
-        "height",
-        "gamma",
-        "k0_blocks",
-    ];
-    if identity.contains(&leaf) {
-        return Direction::Identity;
-    }
-    let higher = ["kops", "ops_per_sec", "reduction", "hit_rate", "speedup", "blocks_per"];
-    if higher.iter().any(|s| leaf.contains(s)) {
-        return Direction::HigherBetter;
-    }
-    // Everything else that benches emit measures cost: latencies (`_us`,
-    // `p99`, ...), syscall and block counters, elapsed time, amplification.
-    Direction::LowerBetter
-}
-
-/// One comparator verdict line.
-struct Delta {
-    key: String,
-    old: f64,
-    new: f64,
-    regressed: bool,
-}
-
-/// Compare two flattened reports; only keys present in both participate.
-fn compare_reports(
-    old: &BTreeMap<String, f64>,
-    new: &BTreeMap<String, f64>,
-    threshold: f64,
-) -> Vec<Delta> {
-    let mut out = Vec::new();
-    for (key, &o) in old {
-        let Some(&n) = new.get(key) else { continue };
-        let rel = if o == 0.0 {
-            if n == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            (n - o) / o.abs()
+/// What `path` holds and everything wrong with it, dispatching on the
+/// extension, then on the JSON document's shape and `schema` string.
+fn check_file(path: &str) -> (String, Vec<String>) {
+    let raw = match std::fs::read_to_string(path) {
+        Ok(raw) => raw,
+        Err(e) => return ("unreadable file".into(), vec![e.to_string()]),
+    };
+    if path.ends_with(".prom") {
+        let problems = match validate_prometheus(&raw) {
+            Ok(0) => vec!["no samples".into()],
+            Ok(_) => Vec::new(),
+            Err(e) => vec![e],
         };
-        let regressed = match direction_of(key) {
-            Direction::HigherBetter => rel < -threshold,
-            Direction::LowerBetter => rel > threshold,
-            Direction::Identity => false,
-        };
-        if regressed || rel.abs() > threshold {
-            out.push(Delta { key: key.clone(), old: o, new: n, regressed });
-        }
+        return ("Prometheus exposition".into(), problems);
     }
-    out
+    if path.ends_with(".csv") {
+        return ("amplification time series".into(), check_series(&raw));
+    }
+    let doc = match Json::parse(&raw) {
+        Ok(doc) => doc,
+        Err(e) => return ("JSON document".into(), vec![format!("invalid JSON: {e}")]),
+    };
+    if let Json::Arr(events) = &doc {
+        return ("Chrome trace".into(), check_trace(events));
+    }
+    let schema = match field(&doc, "schema") {
+        Some(Json::Str(s)) => s.clone(),
+        _ => return ("JSON document".into(), vec!["no \"schema\" string to dispatch on".into()]),
+    };
+    let problems = match schema.as_str() {
+        "lsm-health/v1" => validate_health(&doc),
+        "lsm-tail/v1" => validate_tail(&doc),
+        "lsm-postmortem/v1" => validate_bundle(&doc),
+        _ => vec!["no validator for this schema".into()],
+    };
+    (format!("{schema} report"), problems)
 }
 
-/// The `--compare=OLD,NEW` mode: never returns.
-fn run_compare(spec: &str, threshold: f64) -> ! {
-    let Some((old_path, new_path)) = spec.split_once(',') else {
-        eprintln!("--compare expects two comma-separated paths: --compare=old.json,new.json");
+/// The `check <file>...` subcommand: never returns.
+fn run_check(paths: &[String]) -> ! {
+    if paths.is_empty() {
+        eprintln!("usage: lsm_doctor check <file>...");
         std::process::exit(2);
-    };
-    let load = |path: &str| -> BTreeMap<String, f64> {
-        let raw = std::fs::read_to_string(path.trim()).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        let doc = Json::parse(&raw).unwrap_or_else(|e| {
-            eprintln!("{path}: invalid JSON: {e}");
-            std::process::exit(1);
-        });
-        let mut flat = BTreeMap::new();
-        flatten_numbers(&doc, "", &mut flat);
-        flat
-    };
-    let old = load(old_path);
-    let new = load(new_path);
-    let shared = old.keys().filter(|k| new.contains_key(*k)).count();
-    if shared == 0 {
-        eprintln!("--compare: the reports share no numeric keys — nothing to judge");
-        std::process::exit(1);
     }
-    let deltas = compare_reports(&old, &new, threshold);
-    println!(
-        "compared {} shared numeric keys at ±{:.0}% threshold ({} over threshold)",
-        shared,
-        threshold * 100.0,
-        deltas.len()
-    );
-    let mut regressions = 0;
-    if !deltas.is_empty() {
-        let mut table = Table::new(["key", "old", "new", "delta%", "verdict"]);
-        for d in &deltas {
-            let rel = if d.old == 0.0 { f64::INFINITY } else { 100.0 * (d.new - d.old) / d.old };
-            let verdict = if d.regressed {
-                regressions += 1;
-                "REGRESSED"
-            } else if direction_of(&d.key) == Direction::Identity {
-                "config drift"
-            } else {
-                "improved/ok"
-            };
-            table.row([
-                d.key.clone(),
-                fmt_f(d.old, 3),
-                fmt_f(d.new, 3),
-                fmt_f(rel, 1),
-                verdict.to_string(),
-            ]);
+    let mut failed = false;
+    for path in paths {
+        let (what, problems) = check_file(path);
+        if problems.is_empty() {
+            println!("{path}: valid {what}.");
         }
-        table.print();
+        for p in &problems {
+            failed = true;
+            eprintln!("{path}: {what}: {p}");
+        }
     }
-    if regressions > 0 {
-        println!("COMPARISON: {regressions} regression(s) beyond the threshold.");
-        std::process::exit(1);
-    }
-    println!("COMPARISON: no regressions.");
-    std::process::exit(0);
+    std::process::exit(i32::from(failed));
 }
 
 /// Render the critical-path blame table of an `lsm-tail/v1` report, plus
@@ -410,11 +270,9 @@ fn tail_stall_scenario(seed: u64) -> Arc<ExemplarSink> {
         window_puts: 64,
         percentile: 0.95,
         min_samples: 16,
-        clock: Arc::new(TickClock::new()),
     }));
-    let tracer = Tracer::with_clock(Arc::new(TickClock::new()))
-        .trace_to(Arc::clone(&exemplars) as Arc<dyn TraceSink>);
-    let handle = SinkHandle::of(tracer);
+    let handle =
+        SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&exemplars) as _);
     let sim = Arc::new(SimExecutor::new(1, seed, handle.clone()));
     let cfg = LsmConfig {
         block_size: 256,
@@ -455,7 +313,7 @@ fn run_tail_stall(args: &Args) -> ! {
     if report.render() != replay.render() {
         failures.push("replay with the same seed produced a different report".to_string());
     }
-    for p in lsm_tree::observe::validate_tail(&report) {
+    for p in validate_tail(&report) {
         failures.push(format!("invalid report: {p}"));
     }
     print_tail_report(&report);
@@ -493,70 +351,13 @@ fn run_tail_stall(args: &Args) -> ! {
 }
 
 fn main() {
-    let args = Args::from_env();
-    if let Some(spec) = args.get("compare") {
-        let threshold: f64 = args.get_or("compare-threshold", 0.2);
-        run_compare(spec, threshold);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().is_some_and(|a| a == "check") {
+        run_check(&argv[1..]);
     }
-    if let Some(path) = args.get("check-health") {
-        let raw = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        let doc = Json::parse(&raw).unwrap_or_else(|e| {
-            eprintln!("{path}: invalid JSON: {e}");
-            std::process::exit(1);
-        });
-        let problems = lsm_tree::observe::validate_health(&doc);
-        if problems.is_empty() {
-            println!("{path}: valid lsm-health/v1 report.");
-            std::process::exit(0);
-        }
-        for p in &problems {
-            eprintln!("{path}: {p}");
-        }
-        std::process::exit(1);
-    }
-    if let Some(path) = args.get("check-tail") {
-        let raw = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        let doc = Json::parse(&raw).unwrap_or_else(|e| {
-            eprintln!("{path}: invalid JSON: {e}");
-            std::process::exit(1);
-        });
-        let problems = lsm_tree::observe::validate_tail(&doc);
-        if problems.is_empty() {
-            println!("{path}: valid lsm-tail/v1 report.");
-            std::process::exit(0);
-        }
-        for p in &problems {
-            eprintln!("{path}: {p}");
-        }
-        std::process::exit(1);
-    }
+    let args = Args::parse_from(argv);
     if args.flag("tail-stall") {
         run_tail_stall(&args);
-    }
-    if let Some(path) = args.get("check-fileio") {
-        let raw = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        let doc = Json::parse(&raw).unwrap_or_else(|e| {
-            eprintln!("{path}: invalid JSON: {e}");
-            std::process::exit(1);
-        });
-        let errs = check_fileio(&doc);
-        if errs.is_empty() {
-            println!("{path}: valid lsm_fileio report (batched cell issues fewer syscalls).");
-            std::process::exit(0);
-        }
-        for e in &errs {
-            eprintln!("{path}: {e}");
-        }
-        std::process::exit(1);
     }
     let size_mb: u64 = args.get_or("size-mb", 20);
     let seed: u64 = args.get_or("seed", 1);
@@ -588,13 +389,9 @@ fn main() {
         &[("policy", &policy_str), ("workload", kind.name())],
     )
     .expect("open observability exporters");
-    // The doctor's own registry (merged into the JSON report) always runs;
-    // the exporter stack fans in beside it when requested. Spans route to
-    // the pipeline's tracer — the plain registry sink ignores them.
-    let sink = match obs.sink().as_arc() {
-        Some(extra) => SinkHandle::of(FanoutSink::new(vec![metrics_sink as _, extra])),
-        None => SinkHandle::new(metrics_sink as _),
-    };
+    // The doctor's own registry (merged into the JSON report) always runs,
+    // on the same handle as whatever exporters were requested.
+    let sink = obs.sink().and(metrics_sink);
     let ledger = args.flag("ledger").then(|| Arc::new(DecisionLedger::new(1024)));
     let mut opts_builder =
         TreeOptions::builder().policy(policy).preserve_blocks(case.preserve).sink(sink);
@@ -915,8 +712,10 @@ fn main() {
     }
     println!("all §II-B invariants verified (deep check).");
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = std::path::Path::new("results").join("lsm_doctor.json");
+    let path = std::path::PathBuf::from(args.get("out").unwrap_or("results/lsm_doctor.json"));
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).expect("create report dir");
+    }
     std::fs::write(&path, doc.render_pretty()).expect("write json report");
     println!("wrote {}", path.display());
 }

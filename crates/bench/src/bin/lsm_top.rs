@@ -20,13 +20,13 @@
 //! tables: one object with the `lsm-health/v1` and `lsm-tail/v1` reports
 //! embedded whole, for scripts that want the dashboard's numbers.
 //!
-//! The dashboard observes through a [`Tracer`] fanning into two sinks:
+//! The dashboard observes through one [`SinkHandle`] with two consumers:
 //! the [`HealthSink`] (rolling windows, detectors, SLO burn) and an
 //! [`ExemplarSink`] (tail anatomy — each shard row carries a `blame`
 //! column naming the wait-state phase that dominates its slowest captured
 //! puts). Put latencies are fed with [`HealthSink::record_put`] (tagged
 //! with the owning shard), while puts, gets, and WAL appends also arrive
-//! as `Put` / `Lookup` / `WalAppend` span trees through the tracer.
+//! as `Put` / `Lookup` / `WalAppend` span trees through the handle.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -35,9 +35,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use lsm_bench::report::fmt_f;
 use lsm_bench::{Args, Table};
-use lsm_tree::observe::{
-    ExemplarConfig, ExemplarSink, HealthConfig, HealthSink, Json, SinkHandle, TraceSink, Tracer,
-};
+use lsm_tree::observe::{ExemplarConfig, ExemplarSink, HealthConfig, HealthSink, Json, SinkHandle};
 use lsm_tree::{LsmConfig, ShardedLsmTree, TreeOptions};
 
 /// Keys cycle through a bounded space so a duration-bounded run reaches a
@@ -204,12 +202,8 @@ fn main() {
         window_puts: args.get_or("window-ops", 500),
         ..tail_defaults
     }));
-    // One tracer in front of both analytics sinks: it issues the spans,
-    // they each consume the same event stream independently.
-    let tracer = Tracer::new()
-        .trace_to(Arc::clone(&health) as Arc<dyn TraceSink>)
-        .trace_to(Arc::clone(&exemplar) as Arc<dyn TraceSink>);
-    let sink = SinkHandle::of(tracer);
+    // Both analytics sinks consume the same stamped stream independently.
+    let sink = SinkHandle::new(Arc::clone(&health) as _).and(Arc::clone(&exemplar) as _);
 
     let cfg = LsmConfig {
         block_size: 1024,

@@ -26,16 +26,16 @@
 //!   exemplars kept per shard, puts per capture window, and rolling ring
 //!   depth (defaults 4 / 512 / 8).
 //!
-//! [`ObsPipeline::from_args`] assembles the matching sink stack — a
-//! [`Tracer`] in front when anything needs spans, a plain fan-out
-//! otherwise — and [`ObsPipeline::finish`] flushes every exporter to disk.
+//! [`ObsPipeline::from_args`] attaches every requested consumer to one
+//! [`SinkHandle`] stamping from one clock, and [`ObsPipeline::finish`]
+//! writes every exporter to disk.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use observe::{
-    ChromeTraceSink, EventSink, ExemplarConfig, ExemplarSink, FanoutSink, HealthConfig, HealthSink,
-    Metrics, SinkHandle, TextExpositionSink, TickClock, TimeseriesSink, Tracer,
+    ChromeTraceSink, Clock, EventSink, ExemplarConfig, ExemplarSink, HealthConfig, HealthSink,
+    Metrics, SinkHandle, TextExpositionSink, TickClock, TimeseriesSink, WallClock,
 };
 
 use crate::Args;
@@ -72,41 +72,25 @@ impl ObsPipeline {
         let series_every: u64 = args.get_or("series-every", 1_000);
         let health_path = args.get("health-out").map(PathBuf::from);
 
-        let health = if health_path.is_some() || args.flag("health") {
+        let health = (health_path.is_some() || args.flag("health")).then(|| {
             let defaults = HealthConfig::default();
-            let clock: Arc<dyn observe::Clock> = if args.flag("tick-clock") {
-                Arc::new(TickClock::new())
-            } else {
-                Arc::clone(&defaults.clock)
-            };
-            Some(Arc::new(HealthSink::new(HealthConfig {
+            Arc::new(HealthSink::new(HealthConfig {
                 window_ops: args.get_or("health-window-ops", defaults.window_ops),
                 windows: args.get_or("health-windows", defaults.windows as u64) as usize,
-                clock,
                 ..defaults
-            })))
-        } else {
-            None
-        };
+            }))
+        });
 
         let tail_path = args.get("tail-out").map(PathBuf::from);
-        let tail = if tail_path.is_some() || args.flag("tail") {
+        let tail = (tail_path.is_some() || args.flag("tail")).then(|| {
             let defaults = ExemplarConfig::default();
-            let clock: Arc<dyn observe::Clock> = if args.flag("tick-clock") {
-                Arc::new(TickClock::new())
-            } else {
-                Arc::clone(&defaults.clock)
-            };
-            Some(Arc::new(ExemplarSink::new(ExemplarConfig {
+            Arc::new(ExemplarSink::new(ExemplarConfig {
                 per_shard: args.get_or("tail-per-shard", defaults.per_shard as u64) as usize,
                 window_puts: args.get_or("tail-window-puts", defaults.window_puts),
                 windows: args.get_or("tail-windows", defaults.windows as u64) as usize,
-                clock,
                 ..defaults
-            })))
-        } else {
-            None
-        };
+            }))
+        });
 
         let text =
             prom_path.as_ref().map(|p| Arc::new(TextExpositionSink::new(p.clone(), global_labels)));
@@ -118,57 +102,31 @@ impl ObsPipeline {
             None => None,
         };
 
-        // Plain event consumers, fed either through the tracer (so their
-        // events carry span context) or directly.
-        let mut consumers: Vec<Arc<dyn EventSink>> = Vec::new();
-        if let Some(t) = &text {
-            consumers.push(Arc::clone(t) as Arc<dyn EventSink>);
-        }
-        if let Some(s) = &series {
-            consumers.push(Arc::clone(s) as Arc<dyn EventSink>);
-        }
-
-        // A tracer goes in front whenever spans matter: to feed the Chrome
-        // trace, to time spans into the Prometheus registry, or to hand
-        // the exemplar sink complete span trees.
-        let handle = if chrome.is_some() || text.is_some() || tail.is_some() {
-            let mut tracer = if args.flag("tick-clock") {
-                Tracer::with_clock(Arc::new(TickClock::new()))
-            } else {
-                Tracer::new()
-            };
-            if let Some(c) = &chrome {
-                tracer = tracer.trace_to(Arc::clone(c) as _);
-            }
-            if let Some(h) = &health {
-                // Behind the tracer the health engine sees span begins and
-                // ends — WAL-append and lookup durations, plus per-shard
-                // attribution from the span ops.
-                tracer = tracer.trace_to(Arc::clone(h) as _);
-            }
-            if let Some(x) = &tail {
-                // Behind the tracer the exemplar sink reassembles whole
-                // put/lookup span trees (with timestamps from the tracer's
-                // clock) and captures the slowest per shard.
-                tracer = tracer.trace_to(Arc::clone(x) as _);
-            }
-            if let Some(t) = &text {
-                tracer = tracer.time_spans_into(t.metrics());
-            }
-            for c in consumers {
-                tracer = tracer.forward_events_to(c);
-            }
-            SinkHandle::of(tracer)
+        // One handle, one clock: every consumer sees the same stamped
+        // stream — spans included — whichever subset was asked for.
+        let consumers: Vec<Arc<dyn EventSink>> = [
+            chrome.clone().map(|c| c as _),
+            health.clone().map(|h| h as _),
+            tail.clone().map(|x| x as _),
+            text.clone().map(|t| t as _),
+            series.clone().map(|s| s as _),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        let handle = if consumers.is_empty() {
+            SinkHandle::none()
         } else {
-            // No tracer: the health sink times spans itself through its
-            // configured clock (its EventSink span hooks).
-            if let Some(h) = &health {
-                consumers.push(Arc::clone(h) as Arc<dyn EventSink>);
-            }
-            match consumers.len() {
-                0 => SinkHandle::none(),
-                1 => SinkHandle::new(consumers.pop().expect("len checked")),
-                _ => SinkHandle::of(FanoutSink::new(consumers)),
+            let clock: Arc<dyn Clock> = if args.flag("tick-clock") {
+                Arc::new(TickClock::new())
+            } else {
+                Arc::new(WallClock::new())
+            };
+            let handle = consumers.into_iter().fold(SinkHandle::with_clock(clock), |h, c| h.and(c));
+            // Span durations land in the Prometheus registry too.
+            match &text {
+                Some(t) => handle.time_spans_into(t.metrics()),
+                None => handle,
             }
         };
 
@@ -226,7 +184,6 @@ impl ObsPipeline {
 
     /// Flush every exporter to disk and return the files written.
     pub fn finish(&self) -> std::io::Result<Vec<PathBuf>> {
-        self.handle.flush();
         let mut written = Vec::new();
         // Health gauges go into the registry before the Prometheus text
         // is rendered, so every windowed series appears in the exposition.

@@ -28,7 +28,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use observe::{Event, FanoutSink, SinkHandle, VecSink};
+use observe::{Event, VecSink};
 
 use crate::error::Result;
 use crate::policy::{ForcedMode, MixedParams, MixedPolicy};
@@ -282,17 +282,12 @@ fn measure_cycles<S: RequestSource + ?Sized>(
     max_requests: u64,
 ) -> Result<Option<(f64, u64)>> {
     // Attach a probe sink for the duration of the measurement. Any sink the
-    // caller had registered keeps receiving every event via a fanout; the
-    // original handle is restored before returning.
+    // caller had registered keeps receiving every event — the probe rides
+    // on the same handle — and the original handle is restored before
+    // returning.
     let prev = tree.sink().clone();
     let probe = Arc::new(VecSink::new());
-    let layered = match prev.as_arc() {
-        Some(user) => SinkHandle::of(FanoutSink::new(vec![
-            user,
-            Arc::clone(&probe) as Arc<dyn observe::EventSink>,
-        ])),
-        None => SinkHandle::new(Arc::clone(&probe) as Arc<dyn observe::EventSink>),
-    };
+    let layered = prev.and(Arc::clone(&probe) as _);
     tree.set_sink(layered);
     let out = measure_cycles_inner(
         tree,

@@ -304,7 +304,7 @@ mod tests {
     use crate::config::LsmConfig;
     use crate::policy::PolicySpec;
     use crate::tree::TreeOptions;
-    use observe::{Event, EventSink};
+    use observe::{Event, SinkHandle};
 
     fn small_tree() -> LsmTree {
         let cfg = LsmConfig {
@@ -332,8 +332,8 @@ mod tests {
     #[test]
     fn bundle_renders_and_validates() {
         let tree = small_tree();
-        let recorder = FlightRecorderSink::new(8);
-        recorder.emit(&Event::CacheHit);
+        let recorder = Arc::new(FlightRecorderSink::new(8));
+        SinkHandle::new(recorder.clone()).emit(Event::CacheHit);
         let pm = PostMortem::new("unit test")
             .seed(7)
             .repro("cargo test -p lsm-tree postmortem")
@@ -354,9 +354,9 @@ mod tests {
 
     #[test]
     fn health_section_is_validated_when_present() {
-        let health = observe::HealthSink::with_defaults();
+        let health = Arc::new(observe::HealthSink::with_defaults());
         health.record_put(Some(0), 1_000);
-        health.emit(&Event::DeviceSync);
+        SinkHandle::new(health.clone()).emit(Event::DeviceSync);
         let recorder = FlightRecorderSink::new(8);
         let pm = PostMortem::new("health test").flight(&recorder).health(&health);
         let doc = Json::parse(&pm.to_json().render()).expect("bundle parses");
@@ -370,10 +370,8 @@ mod tests {
 
     #[test]
     fn tail_section_is_validated_when_present() {
-        let exemplars = observe::ExemplarSink::new(observe::ExemplarConfig::default());
-        if let Some(id) = exemplars.span_begin(&observe::SpanOp::put()) {
-            exemplars.span_end(id, &observe::SpanOp::put());
-        }
+        let exemplars = Arc::new(observe::ExemplarSink::new(observe::ExemplarConfig::default()));
+        drop(SinkHandle::new(exemplars.clone()).span(observe::SpanOp::put()));
         let recorder = FlightRecorderSink::new(8);
         let pm = PostMortem::new("tail test").flight(&recorder).tail(&exemplars);
         let doc = Json::parse(&pm.to_json().render()).expect("bundle parses");

@@ -61,7 +61,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use observe::{Event, EventSink, Json, SinkHandle, SpanOp};
+use observe::{Json, SinkHandle, SpanOp};
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sim_ssd::{BlockDevice, DeviceError};
 
@@ -111,40 +111,6 @@ impl Drop for Frames {
     }
 }
 
-/// Forwards every event of one shard's tree to the user sink, tags every
-/// span with the shard index, and follows each [`Event::MergeFinish`] with
-/// a shard-tagged [`Event::ShardMergeFinish`].
-struct ShardTagSink {
-    shard: usize,
-    inner: Arc<dyn EventSink>,
-}
-
-impl EventSink for ShardTagSink {
-    fn emit(&self, event: &Event) {
-        self.inner.emit(event);
-        if let Event::MergeFinish { target_level, full, writes, .. } = *event {
-            self.inner.emit(&Event::ShardMergeFinish {
-                shard: self.shard,
-                target_level,
-                full,
-                writes,
-            });
-        }
-    }
-
-    fn span_begin(&self, op: &SpanOp) -> Option<observe::SpanId> {
-        self.inner.span_begin(&op.with_shard(self.shard))
-    }
-
-    fn span_end(&self, id: observe::SpanId, op: &SpanOp) {
-        self.inner.span_end(id, &op.with_shard(self.shard));
-    }
-
-    fn flush(&self) {
-        self.inner.flush();
-    }
-}
-
 /// What the shard lock protects.
 pub(crate) struct ShardState {
     pub(crate) tree: LsmTree,
@@ -181,8 +147,9 @@ pub(crate) struct Shard {
     state: RwLock<ShardState>,
     group: Mutex<GroupState>,
     group_cv: Condvar,
-    /// The shard's tagging sink (the tree reports through a clone of it),
-    /// kept outside the lock so wait-state spans open without the tree.
+    /// The user's handle tagged with this shard's index (the tree reports
+    /// through a clone of it), kept outside the lock so wait-state spans
+    /// open without the tree.
     sink: SinkHandle,
     commit: CommitMode,
     /// Whether the shard has a WAL: fixed before the shard is shared, so
@@ -203,8 +170,8 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Build shard `idx` over `device`; `opts.sink` is the user sink the
-    /// shard's tagging sink forwards to.
+    /// Build shard `idx` over `device`; `opts.sink` is the user's handle,
+    /// which the shard and its tree report through tagged with `idx`.
     pub(crate) fn new(
         idx: usize,
         cfg: LsmConfig,
@@ -212,10 +179,7 @@ impl Shard {
         device: Arc<dyn BlockDevice>,
         wal_path: Option<&Path>,
     ) -> Result<Self> {
-        let sink = match opts.sink.as_arc() {
-            Some(inner) => SinkHandle::of(ShardTagSink { shard: idx, inner }),
-            None => SinkHandle::none(),
-        };
+        let sink = opts.sink.with_shard(idx);
         opts.sink = sink.clone();
         let commit = opts.commit;
         let block_size = cfg.block_size;

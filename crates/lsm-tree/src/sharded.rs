@@ -26,10 +26,11 @@
 //! one logical view with [`TreeStats::absorb`].
 //!
 //! Observability: the handle emits [`Event::ShardRouted`] for every routed
-//! request, and each shard's tree reports through a tagging sink that
-//! follows every `MergeFinish` with an [`Event::ShardMergeFinish`] carrying
-//! the shard index — so a single sink sees which shard is merging without
-//! the `Event` type growing a shard field on every variant.
+//! request, and each shard's tree reports through the user's handle tagged
+//! with the shard index ([`SinkHandle::with_shard`]), which follows every
+//! `MergeFinish` with an [`Event::ShardMergeFinish`] carrying that index —
+//! so a single sink sees which shard is merging without the `Event` type
+//! growing a shard field on every variant.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -95,7 +96,7 @@ pub struct ShardedLsmTree {
     scheduler: Option<Arc<dyn SchedulerBackend>>,
     shards: Arc<Vec<Shard>>,
     /// User sink: receives `ShardRouted` from the router (the per-shard
-    /// trees report through their own tagging sinks).
+    /// trees report through shard-tagged derivations of it).
     sink: SinkHandle,
 }
 
@@ -543,7 +544,7 @@ mod tests {
     use crate::config::CommitMode;
     use crate::error::LsmError;
     use crate::policy::PolicySpec;
-    use observe::CountingSink;
+    use observe::MetricsSink;
     use sim_ssd::DeviceError;
 
     fn small_cfg() -> LsmConfig {
@@ -737,12 +738,13 @@ mod tests {
 
     #[test]
     fn shard_events_reach_the_sink() {
-        let counter = Arc::new(CountingSink::new());
+        let counter = Arc::new(MetricsSink::new());
+        let counts = counter.metrics();
         let t = ShardedLsmTree::with_mem_devices(
             small_cfg(),
             TreeOptions::builder()
                 .policy(PolicySpec::ChooseBest)
-                .sink(SinkHandle::new(counter.clone()))
+                .sink(SinkHandle::new(counter))
                 .build(),
             2,
             1 << 16,
@@ -752,11 +754,11 @@ mod tests {
             t.put(k, vec![1u8; 4]).unwrap();
         }
         let _ = t.get(7).unwrap();
-        let snap = counter.snapshot();
-        assert_eq!(snap.shard_routed, 2_001, "every routed request is announced");
-        assert!(snap.merges > 0, "fill must trigger merges");
+        assert_eq!(counts.counter("shard.routed"), 2_001, "every routed request is announced");
+        assert!(counts.counter("merge.count") > 0, "fill must trigger merges");
         assert_eq!(
-            snap.shard_merges, snap.merges,
+            counts.counter("shard.merges"),
+            counts.counter("merge.count"),
             "every MergeFinish is followed by a shard-tagged twin"
         );
     }

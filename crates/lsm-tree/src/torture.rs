@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use observe::{FlightRecorderSink, Json, SinkHandle, TickClock, TraceSink, Tracer};
+use observe::{FlightRecorderSink, Json, SinkHandle, TickClock};
 use sim_ssd::{BlockDevice, FaultDevice, FaultPlan, MemDevice, SplitMix64};
 
 use crate::config::LsmConfig;
@@ -221,7 +221,7 @@ fn to_request(op: &LoggedOp) -> Request {
 /// path of the post-mortem bundle the failure wrote.
 ///
 /// Every cycle runs with a black box attached: a deterministic
-/// [`Tracer`] ([`TickClock`]) feeding a [`FlightRecorderSink`], plus a
+/// [`SinkHandle`] ([`TickClock`]) feeding a [`FlightRecorderSink`], plus a
 /// [`DecisionLedger`] on the tree. On failure — or on success with
 /// [`TortureConfig::always_dump`] — their contents are serialized into a
 /// bundle at [`bundle_path`]. Bundles are deterministic: two runs of the
@@ -257,16 +257,13 @@ pub fn run_crash_cycle(cfg: &TortureConfig) -> Result<TortureReport, TortureFail
     };
     let fault = Arc::new(FaultDevice::new(Arc::clone(&inner), cfg.seed));
 
-    // The black box: deterministic tracer → flight recorder, and a
+    // The black box: tick-clock handle → flight recorder, and a
     // decision ledger on the tree. Sinks cannot perturb the cycle (the
     // observer-effect contract), and TickClock keeps the bundle free of
     // wall-clock time, so determinism per seed is preserved.
     let recorder = Arc::new(FlightRecorderSink::new(512));
     let ledger = Arc::new(DecisionLedger::new(256));
-    let sink = SinkHandle::of(
-        Tracer::with_clock(Arc::new(TickClock::new()))
-            .trace_to(Arc::clone(&recorder) as Arc<dyn TraceSink>),
-    );
+    let sink = SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&recorder) as _);
 
     // Writes a bundle if a directory is configured; returns its path.
     let dump = |reason: &str, error: Option<&str>, tree_json: Option<Json>| -> Option<PathBuf> {
@@ -664,14 +661,11 @@ pub fn run_concurrent_crash_cycle(
     let mut rng = SplitMix64::new(cfg.seed ^ 0xC04C_0441_57EE_DEAD);
     let group_commit = cfg.inject_ack_bug || rng.chance(0.7);
 
-    // The black box, as in the single-writer harness: deterministic
-    // tracer → flight recorder, decision ledger shared by every shard.
+    // The black box, as in the single-writer harness: tick-clock handle →
+    // flight recorder, decision ledger shared by every shard.
     let recorder = Arc::new(FlightRecorderSink::new(512));
     let ledger = Arc::new(DecisionLedger::new(256));
-    let sink = SinkHandle::of(
-        Tracer::with_clock(Arc::new(TickClock::new()))
-            .trace_to(Arc::clone(&recorder) as Arc<dyn TraceSink>),
-    );
+    let sink = SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&recorder) as _);
 
     let dump = |reason: &str, error: Option<&str>, scheduler: Option<&Json>| -> Option<PathBuf> {
         let dir = cfg.bundle_dir.as_deref()?;

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use lsm_tree::observe::{Event, EventSink, SinkHandle, SpanId, SpanKind, SpanOp};
+use lsm_tree::observe::{Event, EventSink, SinkHandle, SpanKind, TraceEvent, TraceEventKind};
 use lsm_tree::{
     BackgroundPolicy, Key, LsmConfig, LsmError, LsmTree, PolicySpec, Request, RetryPolicy,
     Scheduler, ShardedLsmTree, TreeOptions,
@@ -106,16 +106,15 @@ struct FailIn {
 }
 
 impl EventSink for FailIn {
-    fn emit(&self, event: &Event) {
-        if matches!(event, Event::FaultInjected { .. }) {
-            self.fired.store(true, Ordering::SeqCst);
-        }
-    }
-
-    fn span_begin(&self, op: &SpanOp) -> Option<SpanId> {
-        if self.fired.load(Ordering::SeqCst) {
-            return None;
-        }
+    fn accept(&self, entry: &TraceEvent) {
+        let op = match entry.kind {
+            TraceEventKind::Emit(Event::FaultInjected { .. }) => {
+                self.fired.store(true, Ordering::SeqCst);
+                return;
+            }
+            TraceEventKind::Begin { op, .. } if !self.fired.load(Ordering::SeqCst) => op,
+            _ => return,
+        };
         let wanted = op.kind == self.kind && op.level.is_none_or(|l| l >= self.min_level);
         if wanted && !self.armed.load(Ordering::SeqCst) {
             let skipped =
@@ -129,7 +128,6 @@ impl EventSink for FailIn {
             // not leak into the merge that follows: wait for the next seam.
             self.dev.set_plan(FaultPlan::none());
         }
-        None
     }
 }
 

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use lsm_tree::observe::{
-    validate_health, Event, EventSink, HealthConfig, HealthDetector, HealthSink, HealthState, Json,
+    validate_health, Event, HealthConfig, HealthDetector, HealthSink, HealthState, Json,
     SinkHandle, TickClock, TransitionRecord,
 };
 use lsm_tree::{LsmConfig, PolicySpec, SchedulerBackend, ShardedLsmTree, SimExecutor, TreeOptions};
@@ -49,7 +49,6 @@ fn scenario_config() -> HealthConfig {
         slo_target: 0.9,
         slo_objective: 1_000,
         slo_burn_limit: 1.0,
-        clock: Arc::new(TickClock::new()),
     }
 }
 
@@ -71,7 +70,7 @@ struct ScenarioResult {
 /// syncs while healthy 10 ns puts drain the ring.
 fn run_scenario(seed: u64) -> ScenarioResult {
     let health = Arc::new(HealthSink::new(scenario_config()));
-    let handle = SinkHandle::new(Arc::clone(&health) as Arc<dyn EventSink>);
+    let handle = SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&health) as _);
     let sim = Arc::new(SimExecutor::new(1, seed, handle.clone()));
     let opts = TreeOptions::builder().policy(PolicySpec::ChooseBest).sink(handle.clone()).build();
     let devices =

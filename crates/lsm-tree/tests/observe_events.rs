@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use lsm_tree::observe::{CountingSink, Event, NullSink, SinkHandle, VecSink};
+use lsm_tree::observe::{Event, MetricsSink, NullSink, SinkHandle, VecSink};
 use lsm_tree::record::Record;
 use lsm_tree::{LsmConfig, LsmTree, PolicySpec, Store, TreeOptions};
 use sim_ssd::{BlockDevice, MemDevice};
@@ -108,10 +108,11 @@ fn flush_and_merge_events_arrive_in_order() {
 /// counters agree with the device's own accounting.
 #[test]
 fn cache_counters_match_scripted_access() {
-    let counts = Arc::new(CountingSink::new());
+    let registry = Arc::new(MetricsSink::new());
+    let counts = registry.metrics();
     let device = Arc::new(MemDevice::with_block_size(64, 256));
     let store = Store::new(Arc::clone(&device) as _, 1, 0); // one-block cache
-    store.set_sink(SinkHandle::new(Arc::clone(&counts) as _));
+    store.set_sink(SinkHandle::new(registry));
 
     let recs = |k: u64| vec![Record::put(k, vec![k as u8; 4])];
     let a = store.write_block(recs(1)).unwrap(); // seeds cache with A
@@ -122,18 +123,20 @@ fn cache_counters_match_scripted_access() {
     store.read_block(&a).unwrap(); // hit
     store.read_block(&b).unwrap(); // miss → device read, evicts A
 
-    let s = counts.snapshot();
-    assert_eq!(s.cache_hits, 2, "script has exactly two hits");
-    assert_eq!(s.cache_misses, 2, "script has exactly two misses");
-    assert_eq!(s.cache_evictions, 3, "B evicts A, A evicts B, B evicts A");
-    assert_eq!(s.device_writes, 2);
-    assert_eq!(s.device_reads, 2, "only the misses touch the device");
+    assert_eq!(counts.counter("cache.hits"), 2, "script has exactly two hits");
+    assert_eq!(counts.counter("cache.misses"), 2, "script has exactly two misses");
+    assert_eq!(counts.counter("cache.evictions"), 3, "B evicts A, A evicts B, B evicts A");
+    assert_eq!(counts.counter("device.writes"), 2);
+    assert_eq!(counts.counter("device.reads"), 2, "only the misses touch the device");
     let io = device.io_snapshot();
-    assert_eq!((io.writes, io.reads), (s.device_writes, s.device_reads));
+    assert_eq!(
+        (io.writes, io.reads),
+        (counts.counter("device.writes"), counts.counter("device.reads"))
+    );
 }
 
 /// Observability is inert: the same workload run with no sink, with a
-/// [`NullSink`], and with a full [`CountingSink`] produces identical
+/// [`NullSink`], and with the counting [`MetricsSink`] produces identical
 /// tree statistics and identical device I/O.
 #[test]
 fn null_sink_run_is_byte_identical() {
@@ -154,7 +157,7 @@ fn null_sink_run_is_byte_identical() {
 
     let bare = run(SinkHandle::none());
     let null = run(SinkHandle::of(NullSink));
-    let counted = run(SinkHandle::of(CountingSink::new()));
+    let counted = run(SinkHandle::of(MetricsSink::new()));
     assert_eq!(bare, null, "NullSink must not perturb the run");
-    assert_eq!(bare, counted, "CountingSink must not perturb the run");
+    assert_eq!(bare, counted, "MetricsSink must not perturb the run");
 }

@@ -1,6 +1,6 @@
 //! Deterministic end-to-end exercise of the tail-anatomy engine
 //! (ISSUE 10): a seeded [`SimExecutor`]-backed sharded tree is driven
-//! into backpressure through a tick-clock [`Tracer`], and the attached
+//! into backpressure through a tick-clock [`SinkHandle`], and the attached
 //! [`ExemplarSink`] must (a) capture the stalled puts as exemplars whose
 //! wait-state phases sum *exactly* to the measured put duration, (b) name
 //! `backpressure_wait` as the dominant phase of the critical-path blame
@@ -10,9 +10,7 @@
 
 use std::sync::Arc;
 
-use lsm_tree::observe::{
-    validate_tail, ExemplarConfig, ExemplarSink, Json, SinkHandle, TickClock, TraceSink, Tracer,
-};
+use lsm_tree::observe::{validate_tail, ExemplarConfig, ExemplarSink, Json, SinkHandle, TickClock};
 use lsm_tree::{LsmConfig, PolicySpec, SchedulerBackend, ShardedLsmTree, SimExecutor, TreeOptions};
 
 fn tiny_cfg() -> LsmConfig {
@@ -39,11 +37,9 @@ fn run_scenario(seed: u64) -> Arc<ExemplarSink> {
         window_puts: 64,
         percentile: 0.95,
         min_samples: 16,
-        clock: Arc::new(TickClock::new()),
     }));
-    let tracer = Tracer::with_clock(Arc::new(TickClock::new()))
-        .trace_to(Arc::clone(&exemplars) as Arc<dyn TraceSink>);
-    let handle = SinkHandle::of(tracer);
+    let handle =
+        SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&exemplars) as _);
     let sim = Arc::new(SimExecutor::new(1, seed, handle.clone()));
     let opts = TreeOptions::builder().policy(PolicySpec::ChooseBest).sink(handle.clone()).build();
     let devices =

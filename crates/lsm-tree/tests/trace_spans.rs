@@ -2,8 +2,8 @@
 //!
 //! Three pillars:
 //!
-//! 1. **Observer effect** — attaching the full exporter pipeline (tracer,
-//!    Chrome trace, Prometheus registry, time series) must not change a
+//! 1. **Observer effect** — attaching the full exporter pipeline (Chrome
+//!    trace, Prometheus registry, time series, …) must not change a
 //!    single device frame or tree counter relative to an untraced run.
 //! 2. **Conservation** — every device write either carries a span
 //!    attribution or is explicitly unattributed, and the two buckets sum
@@ -18,7 +18,7 @@ use lsm_tree::observe::trace::TraceEventKind;
 use lsm_tree::observe::{
     ChromeTraceSink, Event, ExemplarConfig, ExemplarSink, FlightEntry, FlightRecorderSink,
     HealthSink, NullSink, SinkHandle, SpanKind, TextExpositionSink, TickClock, TimeseriesSink,
-    Tracer, VecTraceSink,
+    VecSink,
 };
 use lsm_tree::{LsmConfig, LsmTree, PolicySpec, ShardedLsmTree, TreeOptions};
 use sim_ssd::{BlockDevice, MemDevice};
@@ -65,6 +65,23 @@ fn build(device: Arc<MemDevice>, sink: SinkHandle) -> LsmTree {
     .unwrap()
 }
 
+/// Every consumer the crate ships, on one tick-clock handle.
+fn full_pipeline(
+    recorder: &Arc<FlightRecorderSink>,
+    health: &Arc<HealthSink>,
+    exemplars: &Arc<ExemplarSink>,
+    prom_path: &std::path::Path,
+) -> SinkHandle {
+    SinkHandle::with_clock(Arc::new(TickClock::new()))
+        .and(Arc::new(VecSink::new()))
+        .and(Arc::new(ChromeTraceSink::new(std::io::sink())))
+        .and(Arc::clone(recorder) as _)
+        .and(Arc::clone(health) as _)
+        .and(Arc::clone(exemplars) as _)
+        .and(Arc::new(TimeseriesSink::new(64, 14)))
+        .and(Arc::new(TextExpositionSink::new(prom_path, &[])))
+}
+
 /// Satellite 1: no sink, a [`NullSink`], and the full exporter pipeline
 /// must produce byte-identical device images and identical tree counters
 /// on the same seeded workload.
@@ -83,16 +100,7 @@ fn exporters_have_no_observer_effect() {
     let recorder = Arc::new(FlightRecorderSink::new(256));
     let health = Arc::new(HealthSink::with_defaults());
     let exemplars = Arc::new(ExemplarSink::new(ExemplarConfig::default()));
-    let full = run(SinkHandle::of(
-        Tracer::with_clock(Arc::new(TickClock::new()))
-            .trace_to(Arc::new(VecTraceSink::new()))
-            .trace_to(Arc::new(ChromeTraceSink::new(std::io::sink())))
-            .trace_to(Arc::clone(&recorder) as _)
-            .trace_to(Arc::clone(&health) as _)
-            .trace_to(Arc::clone(&exemplars) as _)
-            .forward_events_to(Arc::new(TimeseriesSink::new(64, 14)))
-            .forward_events_to(Arc::new(TextExpositionSink::new(&prom_path, &[]))),
-    ));
+    let full = run(full_pipeline(&recorder, &health, &exemplars, &prom_path));
 
     assert_eq!(bare.0, null.0, "NullSink changed the device image");
     assert_eq!(bare.0, full.0, "exporter pipeline changed the device image");
@@ -171,16 +179,7 @@ fn exporters_have_no_observer_effect_with_scheduler() {
     let health = Arc::new(HealthSink::with_defaults());
     let exemplars = Arc::new(ExemplarSink::new(ExemplarConfig::default()));
     let prom_path = std::env::temp_dir().join("trace_spans_observer_effect_sched.prom");
-    let full = run(SinkHandle::of(
-        Tracer::with_clock(Arc::new(TickClock::new()))
-            .trace_to(Arc::new(VecTraceSink::new()))
-            .trace_to(Arc::new(ChromeTraceSink::new(std::io::sink())))
-            .trace_to(Arc::clone(&recorder) as _)
-            .trace_to(Arc::clone(&health) as _)
-            .trace_to(Arc::clone(&exemplars) as _)
-            .forward_events_to(Arc::new(TimeseriesSink::new(64, 14)))
-            .forward_events_to(Arc::new(TextExpositionSink::new(&prom_path, &[]))),
-    ));
+    let full = run(full_pipeline(&recorder, &health, &exemplars, &prom_path));
 
     assert_eq!(bare, null, "NullSink changed the scheduled run");
     assert_eq!(bare, full, "exporter pipeline changed the scheduled run");
@@ -203,6 +202,60 @@ fn exporters_have_no_observer_effect_with_scheduler() {
     std::fs::remove_file(&prom_path).ok();
 }
 
+/// One handle, several span consumers, nothing in front of them: the
+/// health engine, the exemplar engine and two recorders hang off the same
+/// handle, and each sees every begin, end and event exactly once — same
+/// ids, same stamps, same order. (A fan-out that hands spans to the first
+/// span-aware sink only would leave the engines behind it blind.)
+#[test]
+fn every_consumer_of_one_handle_sees_the_whole_stream() {
+    let (first, last) = (Arc::new(VecSink::new()), Arc::new(VecSink::new()));
+    let health = Arc::new(HealthSink::with_defaults());
+    let exemplars = Arc::new(ExemplarSink::new(ExemplarConfig::default()));
+    let sink = SinkHandle::with_clock(Arc::new(TickClock::new()))
+        .and(Arc::clone(&first) as _)
+        .and(Arc::clone(&health) as _)
+        .and(Arc::clone(&exemplars) as _)
+        .and(Arc::clone(&last) as _);
+    let device = Arc::new(MemDevice::with_block_size(1 << 16, cfg().block_size));
+    let mut tree = build(device, sink);
+    drive(&mut tree, 6_000);
+
+    let entries = first.entries();
+    assert_eq!(entries, last.entries(), "first and last consumer disagree");
+    assert!(
+        entries.iter().enumerate().all(|(i, e)| e.at_us == i as u64),
+        "one clock reading per entry, in order"
+    );
+    let mut open = std::collections::HashSet::new();
+    let (mut put_roots, mut lookup_roots) = (0u64, 0u64);
+    for e in &entries {
+        match e.kind {
+            TraceEventKind::Begin { id, .. } => assert!(open.insert(id), "{id} issued twice"),
+            TraceEventKind::End { id, op } => {
+                assert!(open.remove(&id), "{id} ended without a begin");
+                match (e.span, op.kind) {
+                    (None, SpanKind::Put) => put_roots += 1,
+                    (None, SpanKind::Lookup) => lookup_roots += 1,
+                    _ => {}
+                }
+            }
+            TraceEventKind::Emit(_) => {}
+        }
+    }
+    assert!(open.is_empty(), "spans leaked past the run");
+    assert_eq!(put_roots + lookup_roots, 6_000);
+
+    // Both engines, sitting between the recorders, saw the same spans.
+    assert_eq!(exemplars.completed_puts(), put_roots);
+    assert_eq!(exemplars.completed_lookups(), lookup_roots);
+    let report = health.report().render();
+    assert!(
+        report.contains(&format!("\"cumulative\":{{\"puts\":0,\"gets\":{lookup_roots},")),
+        "health engine counted other lookups than the stream holds: {report}"
+    );
+}
+
 /// Satellite: the flight recorder as the shared sink of a sharded tree
 /// under concurrent writers — no deadlock, per-shard emission order is
 /// preserved in the retained window, and the drop count on wrap is exact.
@@ -210,13 +263,13 @@ fn exporters_have_no_observer_effect_with_scheduler() {
 fn flight_recorder_under_sharded_concurrent_writers() {
     let shards = 4usize;
     let recorder = Arc::new(FlightRecorderSink::new(4_096));
-    let vec_sink = Arc::new(VecTraceSink::new());
-    let tracer = Tracer::with_clock(Arc::new(TickClock::new()))
-        .trace_to(Arc::clone(&recorder) as _)
-        .trace_to(Arc::clone(&vec_sink) as _);
+    let vec_sink = Arc::new(VecSink::new());
+    let sink = SinkHandle::with_clock(Arc::new(TickClock::new()))
+        .and(Arc::clone(&recorder) as _)
+        .and(Arc::clone(&vec_sink) as _);
     let tree = ShardedLsmTree::with_mem_devices(
         cfg(),
-        TreeOptions::builder().policy(PolicySpec::ChooseBest).sink(SinkHandle::of(tracer)).build(),
+        TreeOptions::builder().policy(PolicySpec::ChooseBest).sink(sink).build(),
         shards,
         1 << 16,
     )
@@ -239,10 +292,10 @@ fn flight_recorder_under_sharded_concurrent_writers() {
         }
     });
 
-    // Exact drop accounting: the tracer's full event stream (mirrored by
-    // the VecTraceSink) dwarfs the ring, and every emitted event was either
+    // Exact drop accounting: the handle's full event stream (mirrored by
+    // the VecSink) dwarfs the ring, and every emitted event was either
     // retained or counted as dropped — nothing lost, nothing double-counted.
-    let events = vec_sink.events();
+    let events = vec_sink.entries();
     let emitted =
         events.iter().filter(|e| matches!(e.kind, TraceEventKind::Emit(_))).count() as u64;
     assert!(emitted > recorder.capacity() as u64, "workload too small to wrap the ring");
@@ -315,15 +368,14 @@ fn flight_recorder_under_sharded_concurrent_writers() {
 #[test]
 fn sharded_device_writes_conserve_per_shard() {
     let shards = 3usize;
-    let vec_sink = Arc::new(VecTraceSink::new());
-    let tracer =
-        Tracer::with_clock(Arc::new(TickClock::new())).trace_to(Arc::clone(&vec_sink) as _);
+    let vec_sink = Arc::new(VecSink::new());
+    let sink = SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&vec_sink) as _);
     let devices: Vec<Arc<MemDevice>> = (0..shards)
         .map(|_| Arc::new(MemDevice::with_block_size(1 << 16, cfg().block_size)))
         .collect();
     let tree = ShardedLsmTree::with_devices(
         cfg(),
-        TreeOptions::builder().policy(PolicySpec::ChooseBest).sink(SinkHandle::of(tracer)).build(),
+        TreeOptions::builder().policy(PolicySpec::ChooseBest).sink(sink).build(),
         devices.iter().map(|d| Arc::clone(d) as Arc<dyn BlockDevice>).collect(),
     )
     .unwrap();
@@ -336,7 +388,7 @@ fn sharded_device_writes_conserve_per_shard() {
 
     // Map every span id to its op, then attribute each DeviceWrite to the
     // shard of its innermost enclosing span.
-    let events = vec_sink.events();
+    let events = vec_sink.entries();
     let mut op_of = std::collections::HashMap::new();
     let mut attributed = vec![0u64; shards];
     let mut unattributed = 0u64;
@@ -380,14 +432,13 @@ fn sharded_device_writes_conserve_per_shard() {
 /// compactions excluded (they run in their own spans).
 #[test]
 fn merge_finish_writes_match_span_attribution() {
-    let vec_sink = Arc::new(VecTraceSink::new());
-    let tracer =
-        Tracer::with_clock(Arc::new(TickClock::new())).trace_to(Arc::clone(&vec_sink) as _);
+    let vec_sink = Arc::new(VecSink::new());
+    let sink = SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&vec_sink) as _);
     let device = Arc::new(MemDevice::with_block_size(1 << 16, cfg().block_size));
-    let mut tree = build(device, SinkHandle::of(tracer));
+    let mut tree = build(device, sink);
     drive(&mut tree, 15_000);
 
-    let events = vec_sink.events();
+    let events = vec_sink.entries();
     let mut op_of = std::collections::HashMap::new();
     let mut writes_of = std::collections::HashMap::new();
     for ev in &events {
@@ -440,10 +491,9 @@ fn tick_clock_chrome_traces_are_byte_identical() {
     let run = || {
         let out = Shared::default();
         let chrome = Arc::new(ChromeTraceSink::new(out.clone()));
-        let tracer =
-            Tracer::with_clock(Arc::new(TickClock::new())).trace_to(Arc::clone(&chrome) as _);
+        let sink = SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&chrome) as _);
         let device = Arc::new(MemDevice::with_block_size(1 << 16, cfg().block_size));
-        let mut tree = build(device, SinkHandle::of(tracer));
+        let mut tree = build(device, sink);
         drive(&mut tree, 8_000);
         chrome.finish();
         let bytes = out.0.lock().clone();

@@ -2,18 +2,18 @@
 //!
 //! Histograms ([`crate::windowed`]) say *how slow* the p99.9 put was;
 //! they cannot say *where the time went*. This module keeps the evidence:
-//! an [`ExemplarSink`] watches the span stream (either behind a
-//! [`Tracer`](crate::Tracer) as a [`TraceSink`], or standalone as an
-//! [`EventSink`] timing spans with its own clock) and retains a bounded
+//! an [`ExemplarSink`] watches the span stream and retains a bounded
 //! top-K reservoir of the slowest *complete* `Put` / `Lookup` span trees
 //! per shard — Prometheus-exemplar style, except the exemplar is the whole
 //! causal tree, not just a trace id.
 //!
 //! A completed root's direct children partition its latency into *phases*
 //! (`lock_wait`, `wal_append`, `group_commit_wait`, `backpressure_wait`,
-//! `cascade`, …); whatever the children leave uncovered is the operation's
-//! own work (`memtable_insert` for a put). Phases therefore sum to the
-//! root's duration *by construction* — exactly, under any monotonic clock.
+//! `cascade`, …); whatever the children leave uncovered is `unattributed`
+//! for a put (frame encoding, memtable inserts, anything no child span
+//! covers) and the operation's own name otherwise. Phases therefore sum to
+//! the root's duration *by construction* — exactly, under any monotonic
+//! clock.
 //!
 //! The capture threshold tracks the rolling percentile
 //! ([`ExemplarConfig::percentile`]) of a [`WindowedHistogram`] that
@@ -34,14 +34,12 @@
 //! tail. [`validate_tail`] checks any such document, including that every
 //! exemplar's phases sum to within 1% of its duration.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::json::Json;
 use crate::metrics::{Histogram, Metrics};
-use crate::trace::{Clock, SpanId, SpanKind, SpanOp, TraceEvent, TraceEventKind, TraceSink};
+use crate::trace::{SpanKind, SpanOp, TraceEvent, TraceEventKind};
 use crate::windowed::WindowedHistogram;
 use crate::{Event, EventSink};
 
@@ -49,7 +47,7 @@ use crate::{Event, EventSink};
 pub const TAIL_SCHEMA: &str = "lsm-tail/v1";
 
 /// Tuning for an [`ExemplarSink`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ExemplarConfig {
     /// Reservoir capacity: slowest spans kept per shard *per kind*.
     pub per_shard: usize,
@@ -63,9 +61,6 @@ pub struct ExemplarConfig {
     /// Capture unconditionally until this many roots of the kind have
     /// completed (the threshold is noise before that).
     pub min_samples: u64,
-    /// Clock used only when the sink times spans itself (standalone
-    /// [`EventSink`] mode); behind a tracer, trace timestamps are used.
-    pub clock: Arc<dyn Clock>,
 }
 
 impl Default for ExemplarConfig {
@@ -76,20 +71,7 @@ impl Default for ExemplarConfig {
             window_puts: 512,
             percentile: 0.95,
             min_samples: 32,
-            clock: Arc::new(crate::trace::WallClock::new()),
         }
-    }
-}
-
-impl std::fmt::Debug for ExemplarConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExemplarConfig")
-            .field("per_shard", &self.per_shard)
-            .field("windows", &self.windows)
-            .field("window_puts", &self.window_puts)
-            .field("percentile", &self.percentile)
-            .field("min_samples", &self.min_samples)
-            .finish_non_exhaustive()
     }
 }
 
@@ -109,8 +91,8 @@ pub struct ExemplarSpan {
 impl ExemplarSpan {
     /// Partition this span's duration into named phases: direct children
     /// aggregated by kind, plus a residual phase for the time no child
-    /// covers (`memtable_insert` for a put, the kind's own name
-    /// otherwise). The phase values always sum to `duration_us` exactly.
+    /// covers (`unattributed` for a put, the kind's own name otherwise).
+    /// The phase values always sum to `duration_us` exactly.
     pub fn phases(&self) -> Vec<(&'static str, u64)> {
         let mut by: BTreeMap<&'static str, u64> = BTreeMap::new();
         for child in &self.children {
@@ -118,7 +100,7 @@ impl ExemplarSpan {
         }
         let child_sum: u64 = by.values().sum();
         let residual_name = match self.op.kind {
-            SpanKind::Put => "memtable_insert",
+            SpanKind::Put => "unattributed",
             other => other.name(),
         };
         let mut out: Vec<(&'static str, u64)> = by.into_iter().collect();
@@ -174,10 +156,6 @@ struct OpenNode {
 
 struct Inner {
     open: HashMap<u64, OpenNode>,
-    /// Next standalone-minted span id. Offset past both the tracer's ids
-    /// and the health sink's standalone range so a fanout peer's end
-    /// calls can never collide.
-    next_span: u64,
     completed_put: u64,
     completed_lookup: u64,
     roots_in_window: u64,
@@ -193,20 +171,10 @@ struct Inner {
     lookups: BTreeMap<Option<usize>, Vec<ExemplarSpan>>,
 }
 
-thread_local! {
-    /// Per-thread stack of spans opened in standalone mode, tagged with
-    /// the owning sink so two sinks on one thread cannot adopt each
-    /// other's spans as parents (mirrors the tracer's span stack).
-    static EXEMPLAR_STACK: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
-}
-
-static NEXT_EXEMPLAR_TAG: AtomicU64 = AtomicU64::new(1);
-
 /// Captures the slowest complete `Put`/`Lookup` span trees per shard and
 /// renders them as an `lsm-tail/v1` blame report. See the module docs.
 pub struct ExemplarSink {
     config: ExemplarConfig,
-    tag: u64,
     inner: Mutex<Inner>,
 }
 
@@ -222,10 +190,8 @@ impl ExemplarSink {
         let windows = config.windows.max(1);
         ExemplarSink {
             config,
-            tag: NEXT_EXEMPLAR_TAG.fetch_add(1, Ordering::Relaxed),
             inner: Mutex::new(Inner {
                 open: HashMap::new(),
-                next_span: 1 << 33,
                 completed_put: 0,
                 completed_lookup: 0,
                 roots_in_window: 0,
@@ -548,7 +514,7 @@ fn hist_json(h: &Histogram) -> Json {
     ])
 }
 
-impl TraceSink for ExemplarSink {
+impl EventSink for ExemplarSink {
     fn accept(&self, event: &TraceEvent) {
         let mut inner = self.lock();
         match event.kind {
@@ -572,47 +538,6 @@ impl TraceSink for ExemplarSink {
                 self.on_event(&mut inner, &ev, shard, event.at_us);
             }
         }
-    }
-}
-
-impl EventSink for ExemplarSink {
-    fn emit(&self, event: &Event) {
-        let at = self.config.clock.now_us();
-        let enclosing = EXEMPLAR_STACK.with(|s| {
-            s.borrow().iter().rev().find(|&&(tag, _)| tag == self.tag).map(|&(_, id)| id)
-        });
-        let mut inner = self.lock();
-        let shard = enclosing.and_then(|id| inner.open.get(&id)).and_then(|node| node.op.shard);
-        self.on_event(&mut inner, event, shard, at);
-    }
-
-    fn span_begin(&self, op: &SpanOp) -> Option<SpanId> {
-        let at = self.config.clock.now_us();
-        let parent = EXEMPLAR_STACK.with(|s| {
-            s.borrow().iter().rev().find(|&&(tag, _)| tag == self.tag).map(|&(_, id)| id)
-        });
-        let mut inner = self.lock();
-        inner.next_span += 1;
-        let id = inner.next_span;
-        inner.open.insert(id, OpenNode { op: *op, begin: at, parent, children: Vec::new() });
-        drop(inner);
-        EXEMPLAR_STACK.with(|s| s.borrow_mut().push((self.tag, id)));
-        Some(SpanId::from_raw(id))
-    }
-
-    fn span_end(&self, id: SpanId, _op: &SpanOp) {
-        let at = self.config.clock.now_us();
-        EXEMPLAR_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            if let Some(pos) =
-                stack.iter().rposition(|&(tag, sid)| tag == self.tag && sid == id.as_u64())
-            {
-                stack.remove(pos);
-            }
-        });
-        let mut inner = self.lock();
-        // Foreign ids (a fanout peer's spans) are not in `open`: ignored.
-        self.on_end(&mut inner, id.as_u64(), at);
     }
 }
 
@@ -764,25 +689,26 @@ fn check_exemplar(prefix: &str, exemplar: &Json, problems: &mut Vec<String>) {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::trace::{TickClock, Tracer};
+    use crate::trace::TickClock;
     use crate::SinkHandle;
 
     fn test_config() -> ExemplarConfig {
-        ExemplarConfig {
-            per_shard: 2,
-            windows: 2,
-            window_puts: 8,
-            percentile: 0.5,
-            min_samples: 4,
-            clock: Arc::new(TickClock::new()),
-        }
+        ExemplarConfig { per_shard: 2, windows: 2, window_puts: 8, percentile: 0.5, min_samples: 4 }
+    }
+
+    /// An exemplar sink behind a tick-clock handle.
+    fn attached(config: ExemplarConfig) -> (Arc<ExemplarSink>, SinkHandle) {
+        let sink = Arc::new(ExemplarSink::new(config));
+        let handle = SinkHandle::with_clock(Arc::new(TickClock::new())).and(sink.clone());
+        (sink, handle)
     }
 
     #[test]
-    fn standalone_spans_build_phase_partitions() {
-        let sink = Arc::new(ExemplarSink::new(test_config()));
-        let handle = SinkHandle::new(Arc::clone(&sink) as Arc<dyn EventSink>);
+    fn spans_build_phase_partitions() {
+        let (sink, handle) = attached(test_config());
         {
             let _put = handle.span(SpanOp::put().with_shard(1));
             let _lw = handle.span(SpanOp::lock_wait().with_shard(1));
@@ -793,19 +719,16 @@ mod tests {
         assert!(validate_tail(&doc).is_empty(), "{:?}", validate_tail(&doc));
         // The tick clock advances once per reading: the put span covers 3
         // ticks (begin put, begin lw, end lw, end put ⇒ duration 3), the
-        // lock wait 1; the residual is memtable_insert.
+        // lock wait 1; the residual is unattributed.
         let rendered = doc.render();
-        assert!(rendered.contains("\"lock_wait\""), "{rendered}");
-        assert!(rendered.contains("\"memtable_insert\""), "{rendered}");
+        assert!(rendered.contains("{\"phase\":\"lock_wait\",\"us\":1}"), "{rendered}");
+        assert!(rendered.contains("{\"phase\":\"unattributed\",\"us\":2}"), "{rendered}");
+        assert!(!rendered.contains("memtable_insert"), "{rendered}");
     }
 
     #[test]
     fn traced_roots_fold_children_and_blame_the_dominant_phase() {
-        let sink = Arc::new(ExemplarSink::new(test_config()));
-        let handle = SinkHandle::of(
-            Tracer::with_clock(Arc::new(TickClock::new()))
-                .trace_to(Arc::clone(&sink) as Arc<dyn TraceSink>),
-        );
+        let (sink, handle) = attached(test_config());
         for _ in 0..3 {
             let _put = handle.span(SpanOp::put().with_shard(0));
             let bp = handle.span(SpanOp::backpressure_wait().with_shard(0));
@@ -823,8 +746,7 @@ mod tests {
 
     #[test]
     fn queue_delay_pairs_enqueue_with_job_start() {
-        let sink = Arc::new(ExemplarSink::new(test_config()));
-        let handle = SinkHandle::new(Arc::clone(&sink) as Arc<dyn EventSink>);
+        let (sink, handle) = attached(test_config());
         handle.emit(Event::FlushEnqueued { records: 10, backlog: 1 });
         handle.emit(Event::JobStart { shard: 0, queued: 0 });
         let doc = sink.report();
@@ -849,9 +771,7 @@ mod tests {
         config.per_shard = 2;
         config.min_samples = 0;
         config.percentile = 0.0;
-        let sink = Arc::new(ExemplarSink::new(config));
-        let clock = Arc::new(TickClock::new());
-        let handle = SinkHandle::of(Tracer::with_clock(clock).trace_to(Arc::clone(&sink) as _));
+        let (sink, handle) = attached(config);
         for spin in [1u64, 5, 3, 9, 2] {
             let put = handle.span(SpanOp::put().with_shard(0));
             for block in 0..spin {
@@ -876,11 +796,7 @@ mod tests {
     #[test]
     fn reports_are_byte_identical_across_replays() {
         let run = || {
-            let sink = Arc::new(ExemplarSink::new(test_config()));
-            let handle = SinkHandle::of(
-                Tracer::with_clock(Arc::new(TickClock::new()))
-                    .trace_to(Arc::clone(&sink) as Arc<dyn TraceSink>),
-            );
+            let (sink, handle) = attached(test_config());
             for shard in [0usize, 1, 0] {
                 let put = handle.span(SpanOp::put().with_shard(shard));
                 let lw = handle.span(SpanOp::lock_wait().with_shard(shard));

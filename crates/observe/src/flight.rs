@@ -1,22 +1,13 @@
 //! Flight recorder: a fixed-capacity ring buffer of recent events.
 //!
-//! A [`FlightRecorderSink`] retains the last N events with the span that
-//! caused each one (when attached behind a [`Tracer`](crate::Tracer)), plus
-//! an exact count of how many older events the ring has dropped. It is the
-//! black box a [post-mortem bundle] serializes after a failure: cheap
-//! enough to leave attached in every run, bounded so it can never blow up
-//! memory, and — like every sink — incapable of touching the device image
-//! or the tree's own counters.
-//!
-//! Two attachment modes:
-//!
-//! - As a plain [`EventSink`]: events are recorded without span ids or
-//!   timestamps (`SinkHandle::of(FlightRecorderSink::new(256))`).
-//! - As a [`TraceSink`] behind a tracer
-//!   (`Tracer::with_clock(...).trace_to(recorder)`): every entry carries
-//!   the tracer's timestamp and innermost span id, and the recorder also
-//!   tracks the stack of spans still open — the "where was everyone when
-//!   it happened" of a crash dump.
+//! A [`FlightRecorderSink`] retains the last N events, each with the
+//! handle's timestamp and the span that caused it, plus an exact count of
+//! how many older events the ring has dropped. It also tracks the stack of
+//! spans still open — the "where was everyone when it happened" of a crash
+//! dump. It is the black box a [post-mortem bundle] serializes after a
+//! failure: cheap enough to leave attached in every run, bounded so it can
+//! never blow up memory, and — like every sink — incapable of touching the
+//! device image or the tree's own counters.
 //!
 //! The ring is a `Mutex<VecDeque>` with a small critical section (one
 //! push, at most one pop); per-thread event order is preserved because
@@ -28,7 +19,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use crate::json::Json;
-use crate::trace::{SpanId, SpanOp, TraceEvent, TraceEventKind, TraceSink};
+use crate::trace::{SpanId, SpanOp, TraceEvent, TraceEventKind};
 use crate::{Event, EventSink};
 
 /// One retained event: the payload plus where and when it happened.
@@ -37,21 +28,20 @@ pub struct FlightEntry {
     /// Global arrival index (0-based, never reset): `seq` of the oldest
     /// retained entry equals the number of dropped events.
     pub seq: u64,
-    /// Tracer clock reading, when recorded through a tracer; `None` when
-    /// the recorder is attached as a plain event sink.
-    pub at_us: Option<u64>,
-    /// Innermost open span when the event fired, if traced.
+    /// The handle's clock reading when the event fired.
+    pub at_us: u64,
+    /// Innermost open span when the event fired, if any.
     pub span: Option<SpanId>,
     /// The event itself.
     pub event: Event,
 }
 
 impl FlightEntry {
-    /// Render as a JSON object (`span`/`at_us` are `null` when untraced).
+    /// Render as a JSON object (`span` is `null` outside any span).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("seq", Json::from(self.seq)),
-            ("at_us", self.at_us.map(Json::from).unwrap_or(Json::Null)),
+            ("at_us", Json::from(self.at_us)),
             ("span", self.span.map(|s| Json::from(s.as_u64())).unwrap_or(Json::Null)),
             ("event", self.event.to_json()),
         ])
@@ -115,7 +105,7 @@ impl FlightRecorderSink {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn record(&self, at_us: Option<u64>, span: Option<SpanId>, event: Event) {
+    fn record(&self, at_us: u64, span: Option<SpanId>, event: Event) {
         let mut state = self.lock();
         let seq = state.total;
         state.total += 1;
@@ -165,7 +155,6 @@ impl FlightRecorderSink {
     }
 
     /// The spans currently open (begun but not ended), outermost first.
-    /// Only populated when the recorder consumes trace events.
     pub fn open_spans(&self) -> Vec<OpenSpan> {
         self.lock().open.clone()
     }
@@ -195,15 +184,9 @@ impl FlightRecorderSink {
 }
 
 impl EventSink for FlightRecorderSink {
-    fn emit(&self, event: &Event) {
-        self.record(None, None, *event);
-    }
-}
-
-impl TraceSink for FlightRecorderSink {
     fn accept(&self, event: &TraceEvent) {
         match event.kind {
-            TraceEventKind::Emit(ev) => self.record(Some(event.at_us), event.span, ev),
+            TraceEventKind::Emit(ev) => self.record(event.at_us, event.span, ev),
             TraceEventKind::Begin { id, parent, op } => {
                 self.lock().open.push(OpenSpan { id, parent, op });
             }
@@ -222,14 +205,21 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::trace::{TickClock, Tracer};
+    use crate::trace::TickClock;
     use crate::SinkHandle;
+
+    /// A recorder behind a tick-clock handle.
+    fn attached(capacity: usize) -> (Arc<FlightRecorderSink>, SinkHandle) {
+        let rec = Arc::new(FlightRecorderSink::new(capacity));
+        let handle = SinkHandle::with_clock(Arc::new(TickClock::new())).and(rec.clone());
+        (rec, handle)
+    }
 
     #[test]
     fn ring_retains_last_n_and_counts_drops_exactly() {
-        let rec = FlightRecorderSink::new(3);
+        let (rec, handle) = attached(3);
         for block in 0..7u64 {
-            rec.emit(&Event::DeviceWrite { block });
+            handle.emit(Event::DeviceWrite { block });
         }
         assert_eq!(rec.total(), 7);
         assert_eq!(rec.len(), 3);
@@ -244,15 +234,12 @@ mod tests {
             .collect();
         assert_eq!(blocks, vec![4, 5, 6]);
         assert_eq!(entries[0].seq, 4, "oldest seq equals the drop count");
-        assert!(entries[0].at_us.is_none() && entries[0].span.is_none(), "plain mode is untagged");
+        assert_eq!((entries[0].at_us, entries[0].span), (4, None), "stamped, outside any span");
     }
 
     #[test]
     fn traced_entries_carry_span_ids_and_open_stack_tracks_begin_end() {
-        let rec = Arc::new(FlightRecorderSink::new(16));
-        let handle = SinkHandle::of(
-            Tracer::with_clock(Arc::new(TickClock::new())).trace_to(Arc::clone(&rec) as _),
-        );
+        let (rec, handle) = attached(16);
         let outer = handle.span(SpanOp::cascade());
         let inner = handle.span(SpanOp::merge(2, false));
         handle.emit(Event::DeviceWrite { block: 9 });
@@ -266,7 +253,7 @@ mod tests {
         let entries = rec.snapshot();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].span, inner.id(), "event attributed to innermost span");
-        assert!(entries[0].at_us.is_some());
+        assert_eq!(entries[0].at_us, 2, "stamped after the two span begins");
 
         drop(inner);
         assert_eq!(rec.open_spans().len(), 1);
@@ -276,10 +263,10 @@ mod tests {
 
     #[test]
     fn json_rendering_round_trips() {
-        let rec = FlightRecorderSink::new(2);
-        rec.emit(&Event::CacheHit);
-        rec.emit(&Event::DeviceSync);
-        rec.emit(&Event::CacheMiss);
+        let (rec, handle) = attached(2);
+        handle.emit(Event::CacheHit);
+        handle.emit(Event::DeviceSync);
+        handle.emit(Event::CacheMiss);
         let doc = rec.to_json().render();
         let parsed = Json::parse(&doc).expect("flight JSON parses");
         let Json::Obj(pairs) = parsed else { panic!("not an object") };
@@ -293,9 +280,9 @@ mod tests {
 
     #[test]
     fn clear_resets_everything() {
-        let rec = FlightRecorderSink::new(1);
-        rec.emit(&Event::CacheHit);
-        rec.emit(&Event::CacheHit);
+        let (rec, handle) = attached(1);
+        handle.emit(Event::CacheHit);
+        handle.emit(Event::CacheHit);
         assert_eq!(rec.dropped(), 1);
         rec.clear();
         assert_eq!((rec.total(), rec.len(), rec.dropped()), (0, 0, 0));
@@ -304,8 +291,8 @@ mod tests {
 
     #[test]
     fn capacity_is_at_least_one() {
-        let rec = FlightRecorderSink::new(0);
-        rec.emit(&Event::CacheHit);
+        let (rec, handle) = attached(0);
+        handle.emit(Event::CacheHit);
         assert_eq!(rec.capacity(), 1);
         assert_eq!(rec.len(), 1);
     }

@@ -1,20 +1,13 @@
 //! The windowed health engine: rolling-window detectors, SLO tracking,
 //! and the versioned `lsm-health/v1` report.
 //!
-//! [`HealthSink`] consumes the event/span stream the stack already emits —
-//! it adds **no new instrumentation call sites on hot paths**. Attach it
-//! one of two ways:
-//!
-//! - **Behind a tracer** (`tracer.trace_to(health)`): it receives
-//!   [`TraceEvent`]s, so plain events arrive attributed to their enclosing
-//!   span and the sink can bucket device/cache activity per shard (the
-//!   sharded front-end stamps `SpanOp::shard`) and turn WAL-append /
-//!   lookup span durations into fsync / read latency windows.
-//! - **Standalone** (in a [`FanoutSink`](crate::FanoutSink) with no tracer
-//!   present): it implements [`EventSink`] directly and issues its own
-//!   span ids, timed by the injectable [`Clock`]. Do not attach it
-//!   standalone *alongside* a tracer — the fanout would hand spans to
-//!   whichever sink is listed first.
+//! [`HealthSink`] consumes the stamped event/span stream the stack already
+//! emits — it adds **no new instrumentation call sites on hot paths**.
+//! Attach it to a [`SinkHandle`] like any other [`EventSink`]: plain events
+//! arrive attributed to their enclosing span, so the sink buckets
+//! device/cache activity per shard (the sharded front-end's handles stamp
+//! `SpanOp::shard`) and turns WAL-append / lookup span durations into
+//! fsync / read latency windows.
 //!
 //! Workload drivers report end-to-end request latency through
 //! [`HealthSink::record_put`] / [`HealthSink::record_get`] (the stack has
@@ -32,13 +25,11 @@
 //! the put-latency [`SloTracker`] (multi-window error-budget burn).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::json::Json;
 use crate::metrics::Metrics;
-use crate::trace::{
-    Clock, SpanId, SpanKind, SpanOp, TraceEvent, TraceEventKind, TraceSink, WallClock,
-};
+use crate::trace::{SpanKind, SpanOp, TraceEvent, TraceEventKind};
 use crate::windowed::{RateWindow, WindowedHistogram};
 use crate::{Event, EventSink, SinkHandle};
 
@@ -136,7 +127,7 @@ impl TransitionRecord {
 /// Tuning for the health engine. Latency limits are in the units the
 /// caller records (nanoseconds for real runs, ticks under
 /// [`TickClock`](crate::TickClock)).
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct HealthConfig {
     /// Device operations (reads + writes + trims + syncs) per window.
     pub window_ops: u64,
@@ -169,9 +160,6 @@ pub struct HealthConfig {
     /// SLO: burn rate (bad fraction ÷ error budget) above which both the
     /// short and long windows must sit for the SLO to alert.
     pub slo_burn_limit: f64,
-    /// Clock used to time spans in standalone mode (ignored behind a
-    /// tracer, whose own clock stamps the trace events).
-    pub clock: Arc<dyn Clock>,
 }
 
 impl Default for HealthConfig {
@@ -191,20 +179,7 @@ impl Default for HealthConfig {
             slo_target: 0.999,
             slo_objective: 10_000_000,
             slo_burn_limit: 2.0,
-            clock: Arc::new(WallClock::new()),
         }
-    }
-}
-
-impl std::fmt::Debug for HealthConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HealthConfig")
-            .field("window_ops", &self.window_ops)
-            .field("windows", &self.windows)
-            .field("put_p99_limit", &self.put_p99_limit)
-            .field("trip_after", &self.trip_after)
-            .field("clear_after", &self.clear_after)
-            .finish_non_exhaustive()
     }
 }
 
@@ -391,12 +366,8 @@ struct Inner {
     detectors: Vec<DetectorSlot>,
     slo: SloTracker,
     transitions: Vec<TransitionRecord>,
-    /// Open spans: raw id → (op, begin timestamp). Fed by the tracer in
-    /// trace mode, by our own `span_begin` in standalone mode.
+    /// Open spans: raw id → (op, begin timestamp).
     open: HashMap<u64, (SpanOp, u64)>,
-    /// Next raw span id for standalone mode. Starts far above anything a
-    /// tracer issues so a misconfigured double attachment cannot collide.
-    next_span: u64,
 }
 
 /// The health engine. See the [module docs](self) for how to attach it.
@@ -447,7 +418,6 @@ impl HealthSink {
                 slo,
                 transitions: Vec::new(),
                 open: HashMap::new(),
-                next_span: 1 << 32,
             }),
             config,
             transitions_to: SinkHandle::none(),
@@ -461,7 +431,7 @@ impl HealthSink {
 
     /// Route [`Event::HealthTransition`]s into `sink` (builder style).
     /// The transition stream is separate from the stream this sink
-    /// consumes, so wiring it back into the same fanout cannot recurse:
+    /// consumes, so wiring it back into the same handle cannot recurse:
     /// incoming `HealthTransition`s are ignored.
     pub fn emit_transitions_to(mut self, sink: SinkHandle) -> Self {
         self.transitions_to = sink;
@@ -513,8 +483,8 @@ impl HealthSink {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Fold one event in. `shard` is the span-attributed shard when known
-    /// (trace mode); events that carry their own shard override it.
+    /// Fold one event in. `shard` is the shard of the enclosing span when
+    /// known; events that carry their own shard override it.
     fn on_event(&self, event: &Event, shard: Option<usize>) {
         let fired = {
             let mut inner = self.lock();
@@ -795,52 +765,19 @@ fn series(inner: &mut Inner, shard: usize, windows: usize) -> &mut SeriesSet {
 }
 
 impl EventSink for HealthSink {
-    fn emit(&self, event: &Event) {
-        // Standalone mode: no span attribution for plain events beyond
-        // what the event itself carries.
-        self.on_event(event, None);
-    }
-
-    fn span_begin(&self, op: &SpanOp) -> Option<SpanId> {
-        let at = self.config.clock.now_us();
-        let mut inner = self.lock();
-        inner.next_span += 1;
-        let id = inner.next_span;
-        inner.open.insert(id, (*op, at));
-        Some(SpanId::from_raw(id))
-    }
-
-    fn span_end(&self, id: SpanId, op: &SpanOp) {
-        let begin = {
-            let mut inner = self.lock();
-            inner.open.remove(&id.as_u64())
-        };
-        if let Some((_, at)) = begin {
-            let end = self.config.clock.now_us();
-            self.on_span_end(op, end.saturating_sub(at));
-        }
-    }
-}
-
-impl TraceSink for HealthSink {
     fn accept(&self, event: &TraceEvent) {
         match event.kind {
             TraceEventKind::Begin { id, op, .. } => {
-                let mut inner = self.lock();
-                inner.open.insert(id.as_u64(), (op, event.at_us));
+                self.lock().open.insert(id.as_u64(), (op, event.at_us));
             }
             TraceEventKind::Emit(inner_event) => {
                 let shard = event.span.and_then(|span| {
-                    let inner = self.lock();
-                    inner.open.get(&span.as_u64()).and_then(|(op, _)| op.shard)
+                    self.lock().open.get(&span.as_u64()).and_then(|(op, _)| op.shard)
                 });
                 self.on_event(&inner_event, shard);
             }
             TraceEventKind::End { id, op } => {
-                let begin = {
-                    let mut inner = self.lock();
-                    inner.open.remove(&id.as_u64())
-                };
+                let begin = self.lock().open.remove(&id.as_u64());
                 if let Some((_, at)) = begin {
                     self.on_span_end(&op, event.at_us.saturating_sub(at));
                 }
@@ -951,9 +888,11 @@ pub fn validate_health(doc: &Json) -> Vec<String> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::metrics::validate_prometheus;
-    use crate::trace::{TickClock, Tracer};
+    use crate::trace::TickClock;
     use crate::VecSink;
 
     /// Tiny windows so tests cross boundaries fast: 10 device ops per
@@ -970,29 +909,36 @@ mod tests {
             slo_objective: 1_000,
             slo_target: 0.9,
             slo_burn_limit: 1.0,
-            clock: Arc::new(TickClock::new()),
             ..HealthConfig::default()
         }
     }
 
+    /// A health sink behind a tick-clock handle.
+    fn attached(sink: HealthSink) -> (Arc<HealthSink>, SinkHandle) {
+        let sink = Arc::new(sink);
+        let handle = SinkHandle::with_clock(Arc::new(TickClock::new())).and(sink.clone());
+        (sink, handle)
+    }
+
     /// Advance `n` device ops (syncs tick the window counter).
-    fn ticks(sink: &HealthSink, n: u64) {
+    fn ticks(handle: &SinkHandle, n: u64) {
         for _ in 0..n {
-            sink.emit(&Event::DeviceSync);
+            handle.emit(Event::DeviceSync);
         }
     }
 
     #[test]
     fn write_stall_trips_within_one_window_and_hysteresis_clears() {
         let downstream = Arc::new(VecSink::new());
-        let sink =
-            HealthSink::new(test_config()).emit_transitions_to(SinkHandle::new(downstream.clone()));
+        let (sink, handle) = attached(
+            HealthSink::new(test_config()).emit_transitions_to(SinkHandle::new(downstream.clone())),
+        );
 
         // Window 0: slow puts breach the p99 limit at the first boundary.
         for _ in 0..8 {
             sink.record_put(Some(0), 5_000);
         }
-        ticks(&sink, 10);
+        ticks(&handle, 10);
         assert_eq!(sink.state(HealthDetector::WriteStall), HealthState::Alerting);
         let fired = sink.transitions();
         assert_eq!(fired.len(), 1, "exactly the stall detector fired: {fired:?}");
@@ -1012,16 +958,16 @@ mod tests {
 
         // Window 1: the breaching epoch is still inside the 2-epoch ring,
         // so the rolling p99 still breaches — no clear yet.
-        ticks(&sink, 10);
+        ticks(&handle, 10);
         assert_eq!(sink.state(HealthDetector::WriteStall), HealthState::Alerting);
 
         // Window 2: the bad epoch aged out — first healthy window, but
         // clear_after = 2 keeps the alert up (hysteresis).
-        ticks(&sink, 10);
+        ticks(&handle, 10);
         assert_eq!(sink.state(HealthDetector::WriteStall), HealthState::Alerting);
 
         // Window 3: second consecutive healthy window clears it.
-        ticks(&sink, 10);
+        ticks(&handle, 10);
         assert_eq!(sink.state(HealthDetector::WriteStall), HealthState::Healthy);
         let fired = sink.transitions();
         assert_eq!(fired.len(), 2);
@@ -1031,37 +977,37 @@ mod tests {
 
     #[test]
     fn backpressure_storm_counts_per_window() {
-        let sink = HealthSink::new(test_config());
+        let (sink, handle) = attached(HealthSink::new(test_config()));
         for _ in 0..5 {
-            sink.emit(&Event::Backpressure { shard: 1, backlog: 4 });
+            handle.emit(Event::Backpressure { shard: 1, backlog: 4 });
         }
-        ticks(&sink, 10);
+        ticks(&handle, 10);
         assert_eq!(sink.state(HealthDetector::BackpressureStorm), HealthState::Alerting);
         // Two quiet windows clear it.
-        ticks(&sink, 20);
+        ticks(&handle, 20);
         assert_eq!(sink.state(HealthDetector::BackpressureStorm), HealthState::Healthy);
         // Stalls at or under the limit never trip.
-        let calm = HealthSink::new(test_config());
+        let (calm, calm_handle) = attached(HealthSink::new(test_config()));
         for _ in 0..2 {
-            calm.emit(&Event::Backpressure { shard: 0, backlog: 4 });
+            calm_handle.emit(Event::Backpressure { shard: 0, backlog: 4 });
         }
-        ticks(&calm, 10);
+        ticks(&calm_handle, 10);
         assert_eq!(calm.state(HealthDetector::BackpressureStorm), HealthState::Healthy);
     }
 
     #[test]
     fn hit_rate_collapse_needs_enough_lookups() {
-        let sink = HealthSink::new(test_config());
+        let (sink, handle) = attached(HealthSink::new(test_config()));
         // Only 2 lookups (< min_window_lookups): not judged.
-        sink.emit(&Event::CacheMiss);
-        sink.emit(&Event::CacheMiss);
-        ticks(&sink, 10);
+        handle.emit(Event::CacheMiss);
+        handle.emit(Event::CacheMiss);
+        ticks(&handle, 10);
         assert_eq!(sink.state(HealthDetector::HitRateCollapse), HealthState::Healthy);
         // A real collapse: all misses.
         for _ in 0..8 {
-            sink.emit(&Event::CacheMiss);
+            handle.emit(Event::CacheMiss);
         }
-        ticks(&sink, 10);
+        ticks(&handle, 10);
         assert_eq!(sink.state(HealthDetector::HitRateCollapse), HealthState::Alerting);
     }
 
@@ -1069,21 +1015,21 @@ mod tests {
     fn write_amp_drift_compares_against_baseline() {
         let mut config = test_config();
         config.windows = 1; // rolling == last window, so old epochs age out fast
-        let sink = HealthSink::new(config);
+        let (sink, handle) = attached(HealthSink::new(config));
         // Establish a healthy baseline: 1 device write per wal append,
         // three full windows of it.
         for block in 0..30 {
-            sink.emit(&Event::WalAppend { bytes: 32, synced: false });
-            sink.emit(&Event::DeviceWrite { block });
+            handle.emit(Event::WalAppend { bytes: 32, synced: false });
+            handle.emit(Event::DeviceWrite { block });
         }
         assert_eq!(sink.windows_completed(), 3);
         assert_eq!(sink.state(HealthDetector::WriteAmpDrift), HealthState::Healthy);
         // Now 9 writes per append: the next window's rolling amp (~5×)
         // is far above twice the baseline (~1.25×).
         for round in 0..2u64 {
-            sink.emit(&Event::WalAppend { bytes: 32, synced: false });
+            handle.emit(Event::WalAppend { bytes: 32, synced: false });
             for block in 0..9 {
-                sink.emit(&Event::DeviceWrite { block: 100 + round * 16 + block });
+                handle.emit(Event::DeviceWrite { block: 100 + round * 16 + block });
             }
         }
         assert_eq!(sink.windows_completed(), 4);
@@ -1109,16 +1055,16 @@ mod tests {
     #[test]
     fn report_is_byte_identical_across_same_runs_and_validates() {
         let run = || {
-            let sink = HealthSink::new(test_config());
+            let (sink, handle) = attached(HealthSink::new(test_config()));
             for i in 0..40 {
                 sink.record_put(Some(i % 2), if i % 7 == 0 { 5_000 } else { 100 });
-                sink.emit(&Event::WalAppend { bytes: 48, synced: true });
-                sink.emit(&Event::DeviceWrite { block: i as u64 });
-                sink.emit(&Event::CacheHit);
+                handle.emit(Event::WalAppend { bytes: 48, synced: true });
+                handle.emit(Event::DeviceWrite { block: i as u64 });
+                handle.emit(Event::CacheHit);
                 if i % 3 == 0 {
-                    sink.emit(&Event::CacheMiss);
+                    handle.emit(Event::CacheMiss);
                 }
-                sink.emit(&Event::DeviceSync);
+                handle.emit(Event::DeviceSync);
             }
             sink.report().render()
         };
@@ -1138,11 +1084,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_mode_attributes_shards_and_span_durations() {
-        let health = Arc::new(HealthSink::new(test_config()));
-        let trace_out: Arc<dyn TraceSink> = health.clone();
-        let tracer = Tracer::with_clock(Arc::new(TickClock::new())).trace_to(trace_out);
-        let handle = SinkHandle::of(tracer);
+    fn spans_attribute_shards_and_durations() {
+        let (health, handle) = attached(HealthSink::new(test_config()));
 
         // A wal-append span on shard 1 containing a device write.
         {
@@ -1160,34 +1103,26 @@ mod tests {
         // Shard 1 exists and saw the attributed wal append + device write.
         assert!(report.contains("\"shards\":[{\"shard\":0"), "{report}");
         assert!(report.contains("{\"shard\":1"), "{report}");
-        // Span durations landed in the latency windows.
+        // Span durations landed in the latency windows, stamped by the
+        // handle's clock: begin, two events, end ⇒ 3 ticks.
         let inner = health.lock();
         assert_eq!(inner.fsync_latency.cumulative().count(), 1);
+        assert_eq!(inner.fsync_latency.cumulative().max(), 3);
         assert_eq!(inner.get_latency.cumulative().count(), 1);
         assert_eq!(inner.shards[1].wal_appends.total(), 1);
         assert_eq!(inner.shards[1].device_writes.total(), 1);
         assert_eq!(inner.shards[0].cache_hits.total(), 1);
-    }
-
-    #[test]
-    fn standalone_spans_time_with_injected_clock() {
-        let sink = HealthSink::new(test_config());
-        let id = sink.span_begin(&SpanOp::wal_append()).expect("standalone sink issues spans");
-        sink.span_end(id, &SpanOp::wal_append());
-        // TickClock: begin=0, end=1 → duration 1.
-        let inner = sink.lock();
-        assert_eq!(inner.fsync_latency.cumulative().count(), 1);
-        assert_eq!(inner.fsync_latency.cumulative().max(), 1);
+        assert!(inner.open.is_empty(), "closed spans leave nothing behind");
     }
 
     #[test]
     fn gauges_export_and_render() {
-        let sink = HealthSink::new(test_config());
+        let (sink, handle) = attached(HealthSink::new(test_config()));
         sink.record_put(Some(0), 500);
-        sink.emit(&Event::CacheHit);
-        sink.emit(&Event::WalAppend { bytes: 8, synced: false });
-        sink.emit(&Event::DeviceWrite { block: 0 });
-        ticks(&sink, 9);
+        handle.emit(Event::CacheHit);
+        handle.emit(Event::WalAppend { bytes: 8, synced: false });
+        handle.emit(Event::DeviceWrite { block: 0 });
+        ticks(&handle, 9);
         let metrics = Metrics::new();
         sink.export_gauges(&metrics);
         assert_eq!(metrics.gauge("health.windows_completed"), Some(1.0));

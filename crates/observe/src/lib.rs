@@ -1,28 +1,34 @@
 //! Observability for the LSM-on-SSD stack.
 //!
 //! Every layer of the stack — the simulated SSD, its block cache, the LSM
-//! tree's merge machinery, the WAL — reports what it does as [`Event`]s
-//! pushed into an [`EventSink`]. Components hold a [`SinkHandle`] (or a
-//! [`SinkCell`] where interior mutability is needed) and emit through it;
-//! when no sink is registered the emit path is a single branch on an
-//! `Option`, and the closure that would build the event is never run, so
-//! disabled observability costs nothing measurable.
+//! tree's merge machinery, the WAL — reports what it does through a
+//! [`SinkHandle`] (or a [`SinkCell`] where interior mutability is needed):
+//! plain [`Event`]s with `emit_with`, timed nested spans with `span`. When
+//! nothing is attached either call is a single branch on an `Option`, and
+//! the closure that would build the event is never run, so disabled
+//! observability costs nothing measurable.
+//!
+//! An attached handle is the one place that *stamps*: it reads the clock,
+//! issues span ids, keeps the per-thread stack of open spans, and hands
+//! every resulting [`TraceEvent`] — `Begin`, `End` or `Emit`, each with its
+//! timestamp and the innermost open span — to each attached [`EventSink`],
+//! the one consumer trait. See [`trace`] for the span vocabulary.
 //!
 //! Provided sinks:
 //!
-//! - [`NullSink`] — discards everything (equivalent to no sink; useful to
-//!   prove the absence of observer effects).
-//! - [`VecSink`] — buffers events in order for tests and offline analysis.
-//! - [`CountingSink`] — lock-free per-category counters.
-//! - [`StreamSink`] — one JSON object per line to any `Write` target.
+//! - [`NullSink`] — discards everything (useful to prove the absence of
+//!   observer effects).
+//! - [`VecSink`] — buffers entries in order for tests and offline analysis.
+//! - [`StreamSink`] — one JSON object per event, one per line, to any
+//!   `Write` target.
 //! - [`MetricsSink`] — folds events into a shared [`Metrics`] registry of
-//!   counters and histograms.
-//! - [`FanoutSink`] — broadcasts to several sinks at once.
-//!
-//! The [`trace`] module layers *causality* on top: a [`Tracer`] is an
-//! `EventSink` that opens timed, nested spans (see
-//! [`SinkHandle::span`]) and tags every event with the span that caused
-//! it, feeding Chrome-trace, Prometheus, and time-series exporters.
+//!   counters and histograms; [`TextExpositionSink`] renders it as
+//!   Prometheus text.
+//! - [`ChromeTraceSink`], [`TimeseriesSink`] — Chrome-trace and
+//!   amplification time-series exporters.
+//! - [`HealthSink`], [`ExemplarSink`], [`FlightRecorderSink`] — the
+//!   windowed health engine, tail-latency exemplars and the flight
+//!   recorder.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -45,12 +51,12 @@ pub use json::Json;
 pub use metrics::{Histogram, Metrics, TextExpositionSink};
 pub use trace::{
     ChromeTraceSink, Clock, SpanGuard, SpanId, SpanKind, SpanOp, TickClock, TimeseriesSink,
-    TraceEvent, TraceEventKind, TraceSink, Tracer, VecTraceSink, WallClock,
+    TraceEvent, TraceEventKind, WallClock,
 };
 pub use windowed::{RateWindow, WindowedHistogram};
 
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// One observable action somewhere in the stack.
@@ -455,72 +461,118 @@ impl Event {
     }
 }
 
-/// Receiver of [`Event`]s. Implementations must be thread-safe: the shared
-/// tree and the device emit from whatever thread touches them.
+/// Consumer of the stamped event stream — the one trait every sink
+/// implements.
+///
+/// A [`SinkHandle`] stamps whatever the stack reports — a span opening, a
+/// span closing, a plain [`Event`] — with its clock and the innermost span
+/// open on the reporting thread, and hands each [`TraceEvent`] to every
+/// consumer attached to it, in attachment order. What a consumer may
+/// assume:
+///
+/// - it sees every entry exactly once, with the same id, stamp and span
+///   every other consumer of the handle sees;
+/// - entries produced by one thread arrive in that thread's program
+///   order, so a span's `Begin` precedes everything attributed to it and
+///   its `End` follows, and spans of one thread nest;
+/// - entries of different threads interleave in no particular order
+///   (`accept` is called inline on whichever thread reports, possibly
+///   concurrently — implementations lock for themselves).
+///
+/// Consumers that do not care about causality match on
+/// [`TraceEventKind::Emit`] and ignore the rest.
 pub trait EventSink: Send + Sync {
-    /// Consume one event. Called inline on the hot path — keep it cheap.
-    fn emit(&self, event: &Event);
-
-    /// Flush any buffered output. Default: no-op.
-    fn flush(&self) {}
-
-    /// Open a causal span covering the operation described by `op`.
-    ///
-    /// Sinks that do not track causality keep the default and return
-    /// `None` — callers use [`SinkHandle::span`], whose guard then does
-    /// nothing on drop, so span-annotated code paths cost one virtual
-    /// call when a plain sink is attached and nothing when none is.
-    /// [`trace::Tracer`] overrides this to allocate a real [`trace::SpanId`].
-    fn span_begin(&self, _op: &trace::SpanOp) -> Option<trace::SpanId> {
-        None
-    }
-
-    /// Close a span previously opened by [`EventSink::span_begin`].
-    /// Implementations must ignore ids they did not issue.
-    fn span_end(&self, _id: trace::SpanId, _op: &trace::SpanOp) {}
+    /// Consume one entry. Called inline on the hot path — keep it cheap.
+    fn accept(&self, entry: &TraceEvent);
 }
 
-/// A cloneable, possibly-absent reference to an [`EventSink`].
+/// A cloneable, possibly-absent connection to a set of [`EventSink`]s,
+/// and the one place that stamps.
 ///
-/// This is the type components store. The disabled state (`SinkHandle::none`,
-/// also the `Default`) makes [`SinkHandle::emit_with`] a single branch, and
-/// the event-building closure is never invoked.
+/// This is the type components store. The disabled state
+/// (`SinkHandle::none`, also the `Default`) makes
+/// [`SinkHandle::emit_with`] and [`SinkHandle::span`] a single branch: the
+/// event-building closure is never invoked, no clock is read, no
+/// thread-local is touched, nothing is allocated.
+///
+/// An attached handle owns the span-id counter, the clock and the
+/// per-thread stack of open spans for everything reported through it, its
+/// clones, and the handles derived from it with [`SinkHandle::and`],
+/// [`SinkHandle::with_shard`] and [`SinkHandle::time_spans_into`]: a span
+/// opened on one of them is the parent of whatever another reports on the
+/// same thread.
 #[derive(Clone, Default)]
 pub struct SinkHandle {
-    sink: Option<Arc<dyn EventSink>>,
+    core: Option<Arc<trace::Core>>,
 }
 
 impl std::fmt::Debug for SinkHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("SinkHandle").field(&self.sink.is_some()).finish()
+        f.debug_tuple("SinkHandle").field(&self.core.is_some()).finish()
     }
 }
 
 impl SinkHandle {
-    /// The disabled handle: emits are no-ops.
+    /// The disabled handle: emits and spans are no-ops.
     pub fn none() -> Self {
-        SinkHandle { sink: None }
+        SinkHandle { core: None }
     }
 
-    /// Wrap an already-shared sink.
+    /// A wall-clock handle feeding one already-shared sink.
     pub fn new(sink: Arc<dyn EventSink>) -> Self {
-        SinkHandle { sink: Some(sink) }
+        SinkHandle::none().and(sink)
     }
 
-    /// Wrap a concrete sink value.
+    /// A wall-clock handle feeding one concrete sink value.
     pub fn of(sink: impl EventSink + 'static) -> Self {
-        SinkHandle { sink: Some(Arc::new(sink)) }
+        Self::new(Arc::new(sink))
     }
 
-    /// Whether a sink is attached.
+    /// An attached handle stamping from `clock`, with no consumer yet
+    /// (add them with [`SinkHandle::and`]).
+    pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
+        SinkHandle { core: Some(Arc::new(trace::Core::new(clock))) }
+    }
+
+    /// This handle plus one more consumer: same clock, same span ids, same
+    /// span stack. On a disabled handle, a fresh wall-clock one.
+    pub fn and(&self, sink: Arc<dyn EventSink>) -> Self {
+        let mut core = match &self.core {
+            Some(core) => trace::Core::clone(core),
+            None => trace::Core::new(Arc::new(WallClock::new())),
+        };
+        core.consumers.push(sink);
+        SinkHandle { core: Some(Arc::new(core)) }
+    }
+
+    /// A handle sharing this one's stamper with one field of its core
+    /// changed; a disabled handle stays disabled.
+    fn derive(&self, change: impl FnOnce(&mut trace::Core)) -> Self {
+        let core = self.core.as_ref().map(|shared| {
+            let mut core = trace::Core::clone(shared);
+            change(&mut core);
+            Arc::new(core)
+        });
+        SinkHandle { core }
+    }
+
+    /// This handle, also recording every span's duration as a histogram
+    /// (`"span.merge_us"`, …) into `metrics`.
+    pub fn time_spans_into(&self, metrics: Metrics) -> Self {
+        self.derive(|core| core.span_metrics = Some(metrics))
+    }
+
+    /// This handle for shard `shard` of a sharded front-end: every span
+    /// opened through it is stamped with the shard index, and every
+    /// [`Event::MergeFinish`] is followed by a shard-tagged
+    /// [`Event::ShardMergeFinish`].
+    pub fn with_shard(&self, shard: usize) -> Self {
+        self.derive(|core| core.shard = Some(shard))
+    }
+
+    /// Whether anything is attached.
     pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// The attached sink, if any — useful for layering (e.g. wrapping the
-    /// current sink together with a probe in a [`FanoutSink`]).
-    pub fn as_arc(&self) -> Option<Arc<dyn EventSink>> {
-        self.sink.clone()
+        self.core.is_some()
     }
 
     /// Emit the event produced by `build`, if a sink is attached. `build`
@@ -528,40 +580,29 @@ impl SinkHandle {
     /// observability is off.
     #[inline]
     pub fn emit_with(&self, build: impl FnOnce() -> Event) {
-        if let Some(sink) = &self.sink {
-            sink.emit(&build());
+        if let Some(core) = &self.core {
+            core.emit(build());
         }
     }
 
     /// Emit an already-built event, if a sink is attached.
     #[inline]
     pub fn emit(&self, event: Event) {
-        if let Some(sink) = &self.sink {
-            sink.emit(&event);
-        }
-    }
-
-    /// Flush the attached sink, if any.
-    pub fn flush(&self) {
-        if let Some(sink) = &self.sink {
-            sink.flush();
+        if let Some(core) = &self.core {
+            core.emit(event);
         }
     }
 
     /// Open a causal span; the returned guard ends it on drop.
     ///
-    /// Inert (and nearly free) when the handle is disabled or the sink
-    /// does not trace; a real timed span when a [`trace::Tracer`] is
-    /// attached. Spans must be dropped on the thread that opened them.
+    /// Inert when the handle is disabled. Spans must be dropped on the
+    /// thread that opened them.
     #[inline]
-    pub fn span(&self, op: trace::SpanOp) -> trace::SpanGuard {
-        trace::SpanGuard::begin(self.sink.clone(), op)
-    }
-}
-
-impl From<Arc<dyn EventSink>> for SinkHandle {
-    fn from(sink: Arc<dyn EventSink>) -> Self {
-        SinkHandle::new(sink)
+    pub fn span(&self, op: SpanOp) -> SpanGuard {
+        match &self.core {
+            Some(core) => trace::Core::begin(core, op),
+            None => SpanGuard::disabled(),
+        }
     }
 }
 
@@ -609,21 +650,22 @@ impl SinkCell {
     }
 }
 
-/// Discards every event. Registering a `NullSink` exercises the full emit
-/// path (closures run, the sink is called) while changing nothing — useful
-/// for demonstrating the absence of observer effects.
+/// Discards every entry. Registering a `NullSink` exercises the full
+/// stamping path (closures run, the clock is read, the sink is called)
+/// while changing nothing — useful for demonstrating the absence of
+/// observer effects.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 
 impl EventSink for NullSink {
-    fn emit(&self, _event: &Event) {}
+    fn accept(&self, _entry: &TraceEvent) {}
 }
 
-/// Buffers events in arrival order. Intended for tests and offline
+/// Buffers every entry in arrival order. Intended for tests and offline
 /// analysis; keep runs bounded, the buffer grows without limit.
 #[derive(Debug, Default)]
 pub struct VecSink {
-    events: Mutex<Vec<Event>>,
+    entries: Mutex<Vec<TraceEvent>>,
 }
 
 impl VecSink {
@@ -632,19 +674,28 @@ impl VecSink {
         Self::default()
     }
 
-    /// Take all buffered events, leaving the buffer empty.
-    pub fn drain(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.events.lock().unwrap_or_else(|e| e.into_inner()))
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<TraceEvent>> {
+        self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Copy of the buffered events without clearing them.
+    /// Copy of the buffered entries — span begins and ends included.
+    pub fn entries(&self) -> Vec<TraceEvent> {
+        self.lock().clone()
+    }
+
+    /// Copy of the buffered plain events, without clearing them.
     pub fn events(&self) -> Vec<Event> {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        plain_events(&self.lock())
     }
 
-    /// Number of buffered events.
+    /// Empty the buffer and return the plain events it held.
+    pub fn drain(&self) -> Vec<Event> {
+        plain_events(&std::mem::take(&mut *self.lock()))
+    }
+
+    /// Number of buffered entries.
     pub fn len(&self) -> usize {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.lock().len()
     }
 
     /// Whether the buffer is empty.
@@ -653,193 +704,19 @@ impl VecSink {
     }
 }
 
+fn plain_events(entries: &[TraceEvent]) -> Vec<Event> {
+    entries
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceEventKind::Emit(event) => Some(event),
+            _ => None,
+        })
+        .collect()
+}
+
 impl EventSink for VecSink {
-    fn emit(&self, event: &Event) {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).push(*event);
-    }
-}
-
-/// Per-category event totals, visible while the workload is still running.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct CountingSnapshot {
-    /// Device blocks read.
-    pub device_reads: u64,
-    /// Device blocks written.
-    pub device_writes: u64,
-    /// Device blocks trimmed.
-    pub device_trims: u64,
-    /// Device syncs.
-    pub device_syncs: u64,
-    /// Cache hits.
-    pub cache_hits: u64,
-    /// Cache misses.
-    pub cache_misses: u64,
-    /// Cache evictions.
-    pub cache_evictions: u64,
-    /// Memtable flush extractions.
-    pub memtable_flushes: u64,
-    /// Policy decisions taken.
-    pub policy_decisions: u64,
-    /// Merges completed.
-    pub merges: u64,
-    /// Blocks written by completed merges.
-    pub merge_writes: u64,
-    /// Blocks preserved (not rewritten) by completed merges.
-    pub merge_preserved: u64,
-    /// Pairwise seam fixes.
-    pub pairwise_fixes: u64,
-    /// Whole-level compactions.
-    pub compactions: u64,
-    /// Levels added.
-    pub levels_added: u64,
-    /// WAL appends.
-    pub wal_appends: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Recoveries performed.
-    pub recoveries: u64,
-    /// Faults fired by a fault-injection device.
-    pub faults_injected: u64,
-    /// Transient-error retries attempted.
-    pub retry_attempts: u64,
-    /// Blocks quarantined after integrity failures.
-    pub blocks_quarantined: u64,
-    /// Quarantined blocks dropped from the structure (read repairs).
-    pub read_repairs: u64,
-    /// Requests routed to a shard of a sharded front-end.
-    pub shard_routed: u64,
-    /// Shard-tagged merge completions.
-    pub shard_merges: u64,
-    /// Decision-ledger outcomes reconciled.
-    pub ledger_outcomes: u64,
-    /// Memtables sealed and enqueued for background flush.
-    pub flushes_enqueued: u64,
-    /// Background maintenance jobs started.
-    pub job_starts: u64,
-    /// Writers stalled by admission control.
-    pub backpressure_stalls: u64,
-    /// Health detector state transitions.
-    pub health_transitions: u64,
-}
-
-/// Counts events per category with relaxed atomics — no locking, safe to
-/// leave attached in perf-sensitive runs.
-#[derive(Debug, Default)]
-pub struct CountingSink {
-    device_reads: AtomicU64,
-    device_writes: AtomicU64,
-    device_trims: AtomicU64,
-    device_syncs: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
-    memtable_flushes: AtomicU64,
-    policy_decisions: AtomicU64,
-    merges: AtomicU64,
-    merge_writes: AtomicU64,
-    merge_preserved: AtomicU64,
-    pairwise_fixes: AtomicU64,
-    compactions: AtomicU64,
-    levels_added: AtomicU64,
-    wal_appends: AtomicU64,
-    checkpoints: AtomicU64,
-    recoveries: AtomicU64,
-    faults_injected: AtomicU64,
-    retry_attempts: AtomicU64,
-    blocks_quarantined: AtomicU64,
-    read_repairs: AtomicU64,
-    shard_routed: AtomicU64,
-    shard_merges: AtomicU64,
-    ledger_outcomes: AtomicU64,
-    flushes_enqueued: AtomicU64,
-    job_starts: AtomicU64,
-    backpressure_stalls: AtomicU64,
-    health_transitions: AtomicU64,
-}
-
-impl CountingSink {
-    /// A sink with all counters at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Read every counter at once.
-    pub fn snapshot(&self) -> CountingSnapshot {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        CountingSnapshot {
-            device_reads: get(&self.device_reads),
-            device_writes: get(&self.device_writes),
-            device_trims: get(&self.device_trims),
-            device_syncs: get(&self.device_syncs),
-            cache_hits: get(&self.cache_hits),
-            cache_misses: get(&self.cache_misses),
-            cache_evictions: get(&self.cache_evictions),
-            memtable_flushes: get(&self.memtable_flushes),
-            policy_decisions: get(&self.policy_decisions),
-            merges: get(&self.merges),
-            merge_writes: get(&self.merge_writes),
-            merge_preserved: get(&self.merge_preserved),
-            pairwise_fixes: get(&self.pairwise_fixes),
-            compactions: get(&self.compactions),
-            levels_added: get(&self.levels_added),
-            wal_appends: get(&self.wal_appends),
-            checkpoints: get(&self.checkpoints),
-            recoveries: get(&self.recoveries),
-            faults_injected: get(&self.faults_injected),
-            retry_attempts: get(&self.retry_attempts),
-            blocks_quarantined: get(&self.blocks_quarantined),
-            read_repairs: get(&self.read_repairs),
-            shard_routed: get(&self.shard_routed),
-            shard_merges: get(&self.shard_merges),
-            ledger_outcomes: get(&self.ledger_outcomes),
-            flushes_enqueued: get(&self.flushes_enqueued),
-            job_starts: get(&self.job_starts),
-            backpressure_stalls: get(&self.backpressure_stalls),
-            health_transitions: get(&self.health_transitions),
-        }
-    }
-}
-
-impl EventSink for CountingSink {
-    fn emit(&self, event: &Event) {
-        let bump = |c: &AtomicU64| {
-            c.fetch_add(1, Ordering::Relaxed);
-        };
-        match *event {
-            Event::DeviceRead { .. } => bump(&self.device_reads),
-            Event::DeviceWrite { .. } => bump(&self.device_writes),
-            Event::DeviceTrim { .. } => bump(&self.device_trims),
-            Event::DeviceSync => bump(&self.device_syncs),
-            Event::CacheHit => bump(&self.cache_hits),
-            Event::CacheMiss => bump(&self.cache_misses),
-            Event::CacheEviction => bump(&self.cache_evictions),
-            Event::MemtableFlush { .. } => bump(&self.memtable_flushes),
-            Event::PolicyDecision { .. } => bump(&self.policy_decisions),
-            Event::MergeStart { .. } => {}
-            Event::MergeFinish { writes, preserved, .. } => {
-                bump(&self.merges);
-                self.merge_writes.fetch_add(writes, Ordering::Relaxed);
-                self.merge_preserved.fetch_add(preserved, Ordering::Relaxed);
-            }
-            Event::PairwiseFix { .. } => bump(&self.pairwise_fixes),
-            Event::Compaction { .. } => bump(&self.compactions),
-            Event::LevelAdded { .. } => bump(&self.levels_added),
-            Event::WalAppend { .. } => bump(&self.wal_appends),
-            Event::Checkpoint { .. } => bump(&self.checkpoints),
-            Event::Recovery { .. } => bump(&self.recoveries),
-            Event::FaultInjected { .. } => bump(&self.faults_injected),
-            Event::RetryAttempt { .. } => bump(&self.retry_attempts),
-            Event::BlockQuarantined { .. } => bump(&self.blocks_quarantined),
-            Event::ReadRepair { .. } => bump(&self.read_repairs),
-            Event::ShardRouted { .. } => bump(&self.shard_routed),
-            Event::ShardMergeFinish { .. } => bump(&self.shard_merges),
-            Event::LedgerOutcome { .. } => bump(&self.ledger_outcomes),
-            Event::FlushEnqueued { .. } => bump(&self.flushes_enqueued),
-            Event::JobStart { .. } => bump(&self.job_starts),
-            Event::Backpressure { .. } => bump(&self.backpressure_stalls),
-            Event::HealthTransition { .. } => bump(&self.health_transitions),
-        }
+    fn accept(&self, entry: &TraceEvent) {
+        self.lock().push(*entry);
     }
 }
 
@@ -872,19 +749,21 @@ impl StreamSink {
         let file = std::fs::File::create(path)?;
         Ok(Self::new(std::io::BufWriter::new(file)))
     }
+
+    /// Flush buffered lines to the target (dropping the sink does too).
+    pub fn flush(&self) {
+        let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
+        let _ = out.flush();
+    }
 }
 
 impl EventSink for StreamSink {
-    fn emit(&self, event: &Event) {
+    fn accept(&self, entry: &TraceEvent) {
+        let TraceEventKind::Emit(event) = entry.kind else { return };
         let mut line = event.to_json().render();
         line.push('\n');
         let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
         let _ = out.write_all(line.as_bytes());
-    }
-
-    fn flush(&self) {
-        let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = out.flush();
     }
 }
 
@@ -914,9 +793,10 @@ impl MetricsSink {
 }
 
 impl EventSink for MetricsSink {
-    fn emit(&self, event: &Event) {
+    fn accept(&self, entry: &TraceEvent) {
+        let TraceEventKind::Emit(event) = entry.kind else { return };
         let m = &self.metrics;
-        match *event {
+        match event {
             Event::DeviceRead { .. } => m.incr("device.reads"),
             Event::DeviceWrite { .. } => m.incr("device.writes"),
             Event::DeviceTrim { .. } => m.incr("device.trims"),
@@ -1014,57 +894,6 @@ impl EventSink for MetricsSink {
     }
 }
 
-/// Broadcasts each event to every inner sink, in registration order.
-#[derive(Default)]
-pub struct FanoutSink {
-    sinks: Vec<Arc<dyn EventSink>>,
-}
-
-impl std::fmt::Debug for FanoutSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("FanoutSink").field(&self.sinks.len()).finish()
-    }
-}
-
-impl FanoutSink {
-    /// Fan out to the given sinks.
-    pub fn new(sinks: Vec<Arc<dyn EventSink>>) -> Self {
-        FanoutSink { sinks }
-    }
-
-    /// Append another sink.
-    pub fn push(&mut self, sink: Arc<dyn EventSink>) {
-        self.sinks.push(sink);
-    }
-}
-
-impl EventSink for FanoutSink {
-    fn emit(&self, event: &Event) {
-        for sink in &self.sinks {
-            sink.emit(event);
-        }
-    }
-
-    fn flush(&self) {
-        for sink in &self.sinks {
-            sink.flush();
-        }
-    }
-
-    /// Spans go to the first inner sink that accepts them (i.e. the first
-    /// [`trace::Tracer`]); at most one tracer per fanout sees spans. Plain
-    /// events still reach every sink.
-    fn span_begin(&self, op: &trace::SpanOp) -> Option<trace::SpanId> {
-        self.sinks.iter().find_map(|sink| sink.span_begin(op))
-    }
-
-    fn span_end(&self, id: trace::SpanId, op: &trace::SpanOp) {
-        for sink in &self.sinks {
-            sink.span_end(id, op);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1079,6 +908,8 @@ mod tests {
         });
         assert!(!built);
         assert!(!handle.is_enabled());
+        assert!(handle.span(SpanOp::lookup()).id().is_none(), "detached spans are inert");
+        assert!(!handle.with_shard(3).is_enabled(), "tagging a detached handle attaches nothing");
     }
 
     #[test]
@@ -1096,30 +927,6 @@ mod tests {
     }
 
     #[test]
-    fn counting_sink_buckets_by_category() {
-        let sink = CountingSink::new();
-        sink.emit(&Event::DeviceWrite { block: 1 });
-        sink.emit(&Event::DeviceWrite { block: 2 });
-        sink.emit(&Event::CacheEviction);
-        sink.emit(&Event::MergeFinish {
-            target_level: 1,
-            full: true,
-            src_records: 10,
-            writes: 4,
-            reads: 2,
-            preserved: 1,
-            max_key: 99,
-        });
-        let snap = sink.snapshot();
-        assert_eq!(snap.device_writes, 2);
-        assert_eq!(snap.cache_evictions, 1);
-        assert_eq!(snap.merges, 1);
-        assert_eq!(snap.merge_writes, 4);
-        assert_eq!(snap.merge_preserved, 1);
-        assert_eq!(snap.device_reads, 0);
-    }
-
-    #[test]
     fn stream_sink_writes_json_lines() {
         #[derive(Clone, Default)]
         struct Shared(Arc<Mutex<Vec<u8>>>);
@@ -1133,9 +940,12 @@ mod tests {
             }
         }
         let buffer = Shared::default();
-        let sink = StreamSink::new(buffer.clone());
-        sink.emit(&Event::WalAppend { bytes: 21, synced: false });
-        sink.emit(&Event::CacheHit);
+        let sink = Arc::new(StreamSink::new(buffer.clone()));
+        let handle = SinkHandle::new(sink.clone());
+        handle.emit(Event::WalAppend { bytes: 21, synced: false });
+        // Span begins and ends are not events: the stream skips them.
+        drop(handle.span(SpanOp::lookup()));
+        handle.emit(Event::CacheHit);
         sink.flush();
         let text = String::from_utf8(buffer.0.lock().unwrap().clone()).unwrap();
         assert_eq!(
@@ -1146,11 +956,14 @@ mod tests {
 
     #[test]
     fn metrics_sink_folds_counters_and_histograms() {
-        let sink = MetricsSink::new();
+        let sink = Arc::new(MetricsSink::new());
         let metrics = sink.metrics();
-        sink.emit(&Event::CacheHit);
-        sink.emit(&Event::CacheHit);
-        sink.emit(&Event::MergeFinish {
+        let handle = SinkHandle::new(sink);
+        handle.emit(Event::CacheHit);
+        handle.emit(Event::CacheHit);
+        handle.emit(Event::DeviceWrite { block: 1 });
+        handle.emit(Event::CacheEviction);
+        handle.emit(Event::MergeFinish {
             target_level: 2,
             full: false,
             src_records: 5,
@@ -1160,6 +973,9 @@ mod tests {
             max_key: 7,
         });
         assert_eq!(metrics.counter("cache.hits"), 2);
+        assert_eq!(metrics.counter("device.writes"), 1);
+        assert_eq!(metrics.counter("cache.evictions"), 1);
+        assert_eq!(metrics.counter("device.reads"), 0);
         assert_eq!(metrics.counter("merge.count"), 1);
         assert_eq!(metrics.counter("merge.writes_total"), 3);
         let writes = metrics.histogram("merge.writes").unwrap();
@@ -1168,13 +984,87 @@ mod tests {
     }
 
     #[test]
-    fn fanout_reaches_every_sink() {
-        let a = Arc::new(CountingSink::new());
+    fn every_consumer_sees_the_same_entries() {
+        let a = Arc::new(VecSink::new());
         let b = Arc::new(VecSink::new());
-        let fan = FanoutSink::new(vec![a.clone(), b.clone()]);
-        fan.emit(&Event::DeviceTrim { block: 9 });
-        assert_eq!(a.snapshot().device_trims, 1);
-        assert_eq!(b.events(), vec![Event::DeviceTrim { block: 9 }]);
+        let handle =
+            SinkHandle::with_clock(Arc::new(TickClock::new())).and(a.clone()).and(b.clone());
+        {
+            let _span = handle.span(SpanOp::flush(true));
+            handle.emit(Event::DeviceTrim { block: 9 });
+        }
+        assert_eq!(a.events(), vec![Event::DeviceTrim { block: 9 }]);
+        assert_eq!(a.len(), 3, "begin, emit, end");
+        assert_eq!(a.entries(), b.entries(), "same ids, same stamps, same order");
+    }
+
+    #[test]
+    fn derived_handles_share_one_span_stack_and_one_id_space() {
+        let buffer = Arc::new(VecSink::new());
+        let extra = Arc::new(VecSink::new());
+        let base = SinkHandle::with_clock(Arc::new(TickClock::new())).and(buffer.clone());
+        let clone = base.clone();
+        let shard = base.with_shard(2);
+        let wider = base.and(extra.clone());
+
+        let outer = base.span(SpanOp::put());
+        clone.emit(Event::CacheHit);
+        let inner = shard.span(SpanOp::lock_wait());
+        wider.emit(Event::CacheMiss);
+        drop(inner);
+        drop(outer);
+
+        let (outer_id, inner_id) = (SpanId::from_raw(1), SpanId::from_raw(2));
+        let entries = buffer.entries();
+        let kinds: Vec<(Option<SpanId>, TraceEventKind)> =
+            entries.iter().map(|e| (e.span, e.kind)).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                (None, TraceEventKind::Begin { id: outer_id, parent: None, op: SpanOp::put() }),
+                (Some(outer_id), TraceEventKind::Emit(Event::CacheHit)),
+                (
+                    Some(outer_id),
+                    TraceEventKind::Begin {
+                        id: inner_id,
+                        parent: Some(outer_id),
+                        op: SpanOp::lock_wait().with_shard(2)
+                    }
+                ),
+                (Some(inner_id), TraceEventKind::Emit(Event::CacheMiss)),
+                (
+                    Some(outer_id),
+                    TraceEventKind::End { id: inner_id, op: SpanOp::lock_wait().with_shard(2) }
+                ),
+                (None, TraceEventKind::End { id: outer_id, op: SpanOp::put() }),
+            ]
+        );
+        let stamps: Vec<u64> = entries.iter().map(|e| e.at_us).collect();
+        assert_eq!(stamps, vec![0, 1, 2, 3, 4, 5], "one clock stamps every entry once");
+        // The wider handle's extra consumer saw only what went through it.
+        assert_eq!(extra.events(), vec![Event::CacheMiss]);
+        assert_eq!(extra.entries()[0].span, Some(inner_id));
+    }
+
+    #[test]
+    fn shard_tag_follows_merge_finish_with_its_tagged_twin() {
+        let buffer = Arc::new(VecSink::new());
+        let handle = SinkHandle::new(buffer.clone()).with_shard(1);
+        handle.emit(Event::MergeFinish {
+            target_level: 2,
+            full: true,
+            src_records: 5,
+            writes: 3,
+            reads: 1,
+            preserved: 0,
+            max_key: 7,
+        });
+        let events = buffer.events();
+        assert_eq!(events.len(), 2);
+        assert_eq!(
+            events[1],
+            Event::ShardMergeFinish { shard: 1, target_level: 2, full: true, writes: 3 }
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
-use crate::{Event, EventSink, MetricsSink};
+use crate::{EventSink, MetricsSink, TraceEvent};
 
 const SUB_BITS: u32 = 4;
 const SUB: u64 = 1 << SUB_BITS;
@@ -553,7 +553,8 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
 
 /// An [`EventSink`] that folds events into a [`Metrics`] registry (via
 /// [`MetricsSink`]) and writes the Prometheus text rendering to a file on
-/// every flush — the "pull a fresh scrape off disk" exporter.
+/// every [`TextExpositionSink::write`] — the "pull a fresh scrape off
+/// disk" exporter.
 pub struct TextExpositionSink {
     inner: MetricsSink,
     path: std::path::PathBuf,
@@ -615,12 +616,8 @@ impl TextExpositionSink {
 }
 
 impl EventSink for TextExpositionSink {
-    fn emit(&self, event: &Event) {
-        self.inner.emit(event);
-    }
-
-    fn flush(&self) {
-        let _ = self.write();
+    fn accept(&self, entry: &TraceEvent) {
+        self.inner.accept(entry);
     }
 }
 
@@ -893,13 +890,13 @@ mod tests {
     }
 
     #[test]
-    fn text_exposition_sink_writes_on_flush() {
+    fn text_exposition_sink_writes_the_registry() {
         let dir = std::env::temp_dir().join(format!("obs_prom_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("metrics.prom");
-        let sink = TextExpositionSink::new(&path, &[("policy", "test")]);
-        sink.emit(&Event::DeviceWrite { block: 1 });
-        sink.flush();
+        let sink = std::sync::Arc::new(TextExpositionSink::new(&path, &[("policy", "test")]));
+        crate::SinkHandle::new(sink.clone()).emit(crate::Event::DeviceWrite { block: 1 });
+        sink.write().unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("lsm_device_writes{policy=\"test\"} 1"), "{text}");
         validate_prometheus(&text).unwrap();

@@ -1,6 +1,6 @@
 //! Causal tracing: timed, nested spans layered over the flat event stream.
 //!
-//! The flat [`Event`](crate::Event) stream says *what* happened; it cannot
+//! The flat [`Event`] stream says *what* happened; it cannot
 //! say *why*. A burst of `DeviceWrite`s could be a memtable flush, a
 //! pairwise seam fix, or a whole-level compaction — the paper's cost models
 //! (§III–§IV) are all about attributing exactly that. This module adds the
@@ -8,24 +8,22 @@
 //!
 //! - A [`SpanOp`] describes one logical operation (a merge into L2, a WAL
 //!   append, a lookup, ...).
-//! - A [`Tracer`] is an [`EventSink`] that allocates [`SpanId`]s, keeps a
-//!   per-thread stack of open spans, and re-emits everything as
-//!   [`TraceEvent`]s: span begins, span ends, and every plain event tagged
-//!   with the innermost open span at the moment it fired.
+//! - An attached [`SinkHandle`](crate::SinkHandle) allocates [`SpanId`]s,
+//!   keeps a per-thread stack of open spans, and turns everything reported
+//!   through it into [`TraceEvent`]s: span begins, span ends, and every
+//!   plain event tagged with the innermost open span at the moment it
+//!   fired.
 //! - Timestamps come from an injectable [`Clock`]; the deterministic
 //!   [`TickClock`] makes traces byte-identical across runs, so the
 //!   torture/twin tests can assert on them.
 //!
-//! Consumers implement [`TraceSink`]:
+//! Exporters defined here (both [`EventSink`]s):
 //!
 //! - [`ChromeTraceSink`] — Chrome `trace_event` JSON, loadable in
 //!   `chrome://tracing` or <https://ui.perfetto.dev> (one pid per shard,
 //!   one tid per operation class).
 //! - [`TimeseriesSink`] — samples cumulative write amplification, cache hit
-//!   rate, and max wear every N device ops (an [`EventSink`], usable with
-//!   or without a tracer).
-//! - [`VecTraceSink`] — buffers trace events for tests and offline
-//!   analysis (the conservation tests are built on it).
+//!   rate, and max wear every N device ops.
 //!
 //! Spans must begin and end on the same thread (the [`SpanGuard`] returned
 //! by [`SinkHandle::span`](crate::SinkHandle::span) enforces this by
@@ -42,7 +40,8 @@ use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::{Event, EventSink};
 
-/// Identifier of one span, unique within the [`Tracer`] that allocated it.
+/// Identifier of one span, unique among the handles that share a stamper
+/// (a [`SinkHandle`](crate::SinkHandle), its clones and derivations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpanId(u64);
 
@@ -52,8 +51,8 @@ impl SpanId {
         self.0
     }
 
-    /// Build an id from a raw value. Crate-internal: only span-issuing
-    /// sinks (the tracer, the standalone health sink) mint ids.
+    /// Build an id from a raw value (crate tests name expected ids).
+    #[cfg(test)]
     pub(crate) fn from_raw(raw: u64) -> SpanId {
         SpanId(raw)
     }
@@ -187,8 +186,8 @@ span_kinds! {
     Scan => ("scan", 10),
     /// One front-end write, lock wait to ack. Its children partition the
     /// latency into the wait states below plus WAL append and (inline
-    /// mode) cascade time; whatever they leave uncovered is memtable
-    /// insert time.
+    /// mode) cascade time; whatever they leave uncovered is reported as
+    /// `unattributed` (frame encoding, memtable inserts, anything else).
     Put => ("put", 11),
     /// Time parked on the tree / shard write lock.
     LockWait => ("lock_wait", 12),
@@ -350,249 +349,156 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// Receiver of [`TraceEvent`]s produced by a [`Tracer`].
-pub trait TraceSink: Send + Sync {
-    /// Consume one trace event. Called inline — keep it cheap.
-    fn accept(&self, event: &TraceEvent);
-
-    /// Flush any buffered output. Default: no-op.
-    fn flush(&self) {}
-}
-
 thread_local! {
-    /// Per-thread stack of open spans, tagged with the owning tracer so
-    /// two tracers alive on the same thread (common in tests) cannot see
-    /// each other's spans as parents.
+    /// Per-thread stack of open spans, tagged with the owning stamper so
+    /// two unrelated handles alive on the same thread (common in tests)
+    /// cannot see each other's spans as parents.
     static SPAN_STACK: RefCell<Vec<(u64, SpanId)>> = const { RefCell::new(Vec::new()) };
 }
 
-static NEXT_TRACER_TAG: AtomicU64 = AtomicU64::new(1);
+static NEXT_STAMPER_TAG: AtomicU64 = AtomicU64::new(1);
 
-/// The span-allocating [`EventSink`].
-///
-/// Components keep emitting flat events exactly as before; when their
-/// `SinkHandle` points at a `Tracer`, `span()` calls start real spans and
-/// every event emitted while one is open is tagged with it. Plain sinks
-/// (counters, metrics, streams) can ride along via
-/// [`Tracer::forward_events_to`] so a single handle feeds everything.
-pub struct Tracer {
+/// What stamps: the clock and the span-id counter, shared by a handle,
+/// its clones and every handle derived from it.
+struct Stamper {
     tag: u64,
     clock: Arc<dyn Clock>,
     next_id: AtomicU64,
-    outs: Vec<Arc<dyn TraceSink>>,
-    forward: Vec<Arc<dyn EventSink>>,
-    metrics: Option<Metrics>,
-    open: Mutex<HashMap<u64, u64>>,
 }
 
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("trace_sinks", &self.outs.len())
-            .field("forward_sinks", &self.forward.len())
-            .finish()
+impl Stamper {
+    /// The innermost span this stamper has open on the calling thread.
+    fn current_span(&self, stack: &[(u64, SpanId)]) -> Option<SpanId> {
+        stack.iter().rev().find(|&&(tag, _)| tag == self.tag).map(|&(_, id)| id)
     }
 }
 
-impl Default for Tracer {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The attached state behind a [`SinkHandle`](crate::SinkHandle): the
+/// shared stamper plus what this particular handle adds — its consumers,
+/// its shard tag, its span-duration registry.
+#[derive(Clone)]
+pub(crate) struct Core {
+    stamper: Arc<Stamper>,
+    pub(crate) consumers: Vec<Arc<dyn EventSink>>,
+    pub(crate) shard: Option<usize>,
+    pub(crate) span_metrics: Option<Metrics>,
 }
 
-impl Tracer {
-    /// A tracer on the wall clock with no consumers yet.
-    pub fn new() -> Self {
-        Self::with_clock(Arc::new(WallClock::new()))
-    }
-
-    /// A tracer reading timestamps from `clock`.
-    pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
-        Tracer {
-            tag: NEXT_TRACER_TAG.fetch_add(1, Ordering::Relaxed),
-            clock,
-            next_id: AtomicU64::new(0),
-            outs: Vec::new(),
-            forward: Vec::new(),
-            metrics: None,
-            open: Mutex::new(HashMap::new()),
+impl Core {
+    pub(crate) fn new(clock: Arc<dyn Clock>) -> Core {
+        let tag = NEXT_STAMPER_TAG.fetch_add(1, Ordering::Relaxed);
+        Core {
+            stamper: Arc::new(Stamper { tag, clock, next_id: AtomicU64::new(0) }),
+            consumers: Vec::new(),
+            shard: None,
+            span_metrics: None,
         }
     }
 
-    /// Add a trace consumer.
-    pub fn trace_to(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.outs.push(sink);
-        self
-    }
-
-    /// Also forward every plain event, untagged, to `sink` (e.g. a
-    /// [`MetricsSink`](crate::MetricsSink) or
-    /// [`TimeseriesSink`]) so one handle feeds both worlds.
-    pub fn forward_events_to(mut self, sink: Arc<dyn EventSink>) -> Self {
-        self.forward.push(sink);
-        self
-    }
-
-    /// Record span durations as histograms (`"span.merge_us"`, …) into
-    /// `metrics`.
-    pub fn time_spans_into(mut self, metrics: Metrics) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// The innermost span this tracer has open on the calling thread.
-    pub fn current_span(&self) -> Option<SpanId> {
-        SPAN_STACK
-            .with(|s| s.borrow().iter().rev().find(|&&(tag, _)| tag == self.tag).map(|&(_, id)| id))
-    }
-
-    fn dispatch(&self, event: TraceEvent) {
-        for out in &self.outs {
-            out.accept(&event);
+    fn dispatch(&self, entry: TraceEvent) {
+        for consumer in &self.consumers {
+            consumer.accept(&entry);
         }
     }
-}
 
-impl EventSink for Tracer {
-    fn emit(&self, event: &Event) {
-        for sink in &self.forward {
-            sink.emit(event);
+    fn emit_one(&self, event: Event) {
+        let at_us = self.stamper.clock.now_us();
+        let span = SPAN_STACK.with(|s| self.stamper.current_span(&s.borrow()));
+        self.dispatch(TraceEvent { at_us, span, kind: TraceEventKind::Emit(event) });
+    }
+
+    pub(crate) fn emit(&self, event: Event) {
+        self.emit_one(event);
+        if let (Some(shard), Event::MergeFinish { target_level, full, writes, .. }) =
+            (self.shard, event)
+        {
+            self.emit_one(Event::ShardMergeFinish { shard, target_level, full, writes });
         }
-        let entry = TraceEvent {
-            at_us: self.clock.now_us(),
-            span: self.current_span(),
-            kind: TraceEventKind::Emit(*event),
+    }
+
+    pub(crate) fn begin(core: &Arc<Core>, op: SpanOp) -> SpanGuard {
+        let op = match core.shard {
+            Some(shard) => op.with_shard(shard),
+            None => op,
         };
-        self.dispatch(entry);
-    }
-
-    fn flush(&self) {
-        for sink in &self.forward {
-            sink.flush();
-        }
-        for out in &self.outs {
-            out.flush();
-        }
-    }
-
-    fn span_begin(&self, op: &SpanOp) -> Option<SpanId> {
-        let id = SpanId(self.next_id.fetch_add(1, Ordering::Relaxed) + 1);
-        let parent = self.current_span();
-        let at = self.clock.now_us();
-        SPAN_STACK.with(|s| s.borrow_mut().push((self.tag, id)));
-        self.open.lock().unwrap_or_else(|e| e.into_inner()).insert(id.0, at);
-        self.dispatch(TraceEvent {
-            at_us: at,
-            span: parent,
-            kind: TraceEventKind::Begin { id, parent, op: *op },
-        });
-        Some(id)
-    }
-
-    fn span_end(&self, id: SpanId, op: &SpanOp) {
-        // Ignore ids we never issued (e.g. a fanout peer's span).
-        let Some(began) = self.open.lock().unwrap_or_else(|e| e.into_inner()).remove(&id.0) else {
-            return;
-        };
-        SPAN_STACK.with(|s| {
+        let stamper = &core.stamper;
+        let id = SpanId(stamper.next_id.fetch_add(1, Ordering::Relaxed) + 1);
+        let began_us = stamper.clock.now_us();
+        let parent = SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
-            if let Some(pos) = stack.iter().rposition(|&(tag, sid)| tag == self.tag && sid == id) {
+            let parent = stamper.current_span(&stack);
+            stack.push((stamper.tag, id));
+            parent
+        });
+        core.dispatch(TraceEvent {
+            at_us: began_us,
+            span: parent,
+            kind: TraceEventKind::Begin { id, parent, op },
+        });
+        SpanGuard(Some(OpenSpan { core: Arc::clone(core), id, op, began_us }))
+    }
+
+    fn end(&self, id: SpanId, op: SpanOp, began_us: u64) {
+        let stamper = &self.stamper;
+        let span = SPAN_STACK.with(|s| {
+            let mut stack = s.borrow_mut();
+            if let Some(pos) = stack.iter().rposition(|&entry| entry == (stamper.tag, id)) {
                 stack.remove(pos);
             }
+            stamper.current_span(&stack)
         });
-        let at = self.clock.now_us();
-        if let Some(metrics) = &self.metrics {
-            metrics.observe(&format!("span.{}_us", op.kind.name()), at.saturating_sub(began));
+        let at_us = stamper.clock.now_us();
+        if let Some(metrics) = &self.span_metrics {
+            metrics.observe(&format!("span.{}_us", op.kind.name()), at_us.saturating_sub(began_us));
         }
-        self.dispatch(TraceEvent {
-            at_us: at,
-            span: self.current_span(),
-            kind: TraceEventKind::End { id, op: *op },
-        });
+        self.dispatch(TraceEvent { at_us, span, kind: TraceEventKind::End { id, op } });
     }
+}
+
+/// What a live [`SpanGuard`] carries: everything its end needs, so nobody
+/// keeps a table of open spans on its behalf.
+struct OpenSpan {
+    core: Arc<Core>,
+    id: SpanId,
+    op: SpanOp,
+    began_us: u64,
 }
 
 /// RAII handle for an open span; ends the span when dropped.
 ///
 /// Obtained from [`SinkHandle::span`](crate::SinkHandle::span). When the
-/// handle is disabled or the sink does not trace, the guard is inert and
-/// costs one `Option` check on drop.
+/// handle is disabled the guard is inert and costs one `Option` check on
+/// drop.
 #[must_use = "dropping the guard ends the span immediately"]
-pub struct SpanGuard {
-    sink: Option<Arc<dyn EventSink>>,
-    id: Option<SpanId>,
-    op: SpanOp,
-}
+pub struct SpanGuard(Option<OpenSpan>);
 
 impl std::fmt::Debug for SpanGuard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanGuard").field("id", &self.id).field("op", &self.op).finish()
+        let open = self.0.as_ref();
+        f.debug_struct("SpanGuard")
+            .field("id", &open.map(|o| o.id))
+            .field("op", &open.map(|o| o.op))
+            .finish()
     }
 }
 
 impl SpanGuard {
-    /// Begin a span on `sink` (if present and tracing).
-    pub fn begin(sink: Option<Arc<dyn EventSink>>, op: SpanOp) -> Self {
-        let id = sink.as_ref().and_then(|s| s.span_begin(&op));
-        SpanGuard { sink, id, op }
-    }
-
     /// An inert guard (no sink, no span).
-    pub fn disabled(op: SpanOp) -> Self {
-        SpanGuard { sink: None, id: None, op }
+    pub fn disabled() -> Self {
+        SpanGuard(None)
     }
 
-    /// The span id, if a tracer actually opened one.
+    /// The span id, if a span was actually opened.
     pub fn id(&self) -> Option<SpanId> {
-        self.id
+        self.0.as_ref().map(|open| open.id)
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let (Some(sink), Some(id)) = (&self.sink, self.id) {
-            sink.span_end(id, &self.op);
+        if let Some(open) = self.0.take() {
+            open.core.end(open.id, open.op, open.began_us);
         }
-    }
-}
-
-/// Buffers every [`TraceEvent`] in arrival order, for tests and offline
-/// attribution analysis. Unbounded — keep runs small.
-#[derive(Debug, Default)]
-pub struct VecTraceSink {
-    events: Mutex<Vec<TraceEvent>>,
-}
-
-impl VecTraceSink {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Copy of the buffered entries.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    /// Take all buffered entries, leaving the buffer empty.
-    pub fn drain(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Number of buffered entries.
-    pub fn len(&self) -> usize {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl TraceSink for VecTraceSink {
-    fn accept(&self, event: &TraceEvent) {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).push(*event);
     }
 }
 
@@ -719,7 +625,7 @@ impl ChromeTraceSink {
     }
 }
 
-impl TraceSink for ChromeTraceSink {
+impl EventSink for ChromeTraceSink {
     fn accept(&self, event: &TraceEvent) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         match event.kind {
@@ -777,11 +683,6 @@ impl TraceSink for ChromeTraceSink {
             }
         }
     }
-
-    fn flush(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = state.out.flush();
-    }
 }
 
 impl Drop for ChromeTraceSink {
@@ -838,9 +739,7 @@ struct TimeseriesState {
 
 /// Samples cumulative amplification statistics every N device ops.
 ///
-/// A plain [`EventSink`]: attach it directly, inside a
-/// [`FanoutSink`](crate::FanoutSink), or behind a [`Tracer`] via
-/// [`Tracer::forward_events_to`]. Rows accumulate in memory; render them
+/// Consumes plain events only. Rows accumulate in memory; render them
 /// with [`TimeseriesSink::to_csv`] / [`TimeseriesSink::to_json`].
 ///
 /// Write amplification is `device_writes / (flushed_records / block_capacity)`
@@ -963,10 +862,11 @@ impl TimeseriesSink {
 }
 
 impl EventSink for TimeseriesSink {
-    fn emit(&self, event: &Event) {
+    fn accept(&self, entry: &TraceEvent) {
+        let TraceEventKind::Emit(event) = entry.kind else { return };
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let mut device_op = false;
-        match *event {
+        match event {
             Event::DeviceWrite { block } => {
                 device_op = true;
                 state.device_writes += 1;
@@ -1012,16 +912,16 @@ impl EventSink for TimeseriesSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SinkHandle;
+    use crate::{SinkHandle, VecSink};
 
-    fn tracer_with(buffer: Arc<VecTraceSink>) -> SinkHandle {
-        SinkHandle::of(Tracer::with_clock(Arc::new(TickClock::new())).trace_to(buffer))
+    fn ticking(buffer: Arc<VecSink>) -> SinkHandle {
+        SinkHandle::with_clock(Arc::new(TickClock::new())).and(buffer)
     }
 
     #[test]
     fn spans_nest_and_tag_events() {
-        let buffer = Arc::new(VecTraceSink::new());
-        let handle = tracer_with(buffer.clone());
+        let buffer = Arc::new(VecSink::new());
+        let handle = ticking(buffer.clone());
 
         let outer = handle.span(SpanOp::cascade());
         let outer_id = outer.id().unwrap();
@@ -1034,7 +934,7 @@ mod tests {
         drop(outer);
         handle.emit(Event::DeviceSync);
 
-        let events = buffer.events();
+        let events = buffer.entries();
         let spans: Vec<Option<SpanId>> = events
             .iter()
             .filter_map(|e| match e.kind {
@@ -1057,66 +957,56 @@ mod tests {
     #[test]
     fn tick_clock_makes_traces_deterministic() {
         let run = || {
-            let buffer = Arc::new(VecTraceSink::new());
-            let handle = tracer_with(buffer.clone());
+            let buffer = Arc::new(VecSink::new());
+            let handle = ticking(buffer.clone());
             let guard = handle.span(SpanOp::merge(1, true));
             handle.emit(Event::DeviceWrite { block: 7 });
             drop(guard);
-            buffer.events()
+            buffer.entries()
         };
         assert_eq!(run(), run());
     }
 
     #[test]
-    fn plain_sinks_ignore_spans() {
-        let handle = SinkHandle::of(crate::NullSink);
-        let guard = handle.span(SpanOp::lookup());
-        assert!(guard.id().is_none());
+    fn unrelated_handles_on_one_thread_do_not_adopt_each_others_spans() {
+        let (a, b) = (Arc::new(VecSink::new()), Arc::new(VecSink::new()));
+        let (ha, hb) = (ticking(a.clone()), ticking(b.clone()));
+        let _outer = ha.span(SpanOp::cascade());
+        hb.emit(Event::CacheHit);
+        let inner = hb.span(SpanOp::lookup());
+        assert_eq!(b.entries()[0].span, None, "a's span is not b's context");
+        assert!(matches!(b.entries()[1].kind, TraceEventKind::Begin { parent: None, .. }));
+        drop(inner);
+        ha.emit(Event::CacheMiss);
+        assert!(a.entries()[1].span.is_some(), "a still sees its own open span");
     }
 
     #[test]
-    fn disabled_handle_spans_are_inert() {
-        let handle = SinkHandle::none();
-        let guard = handle.span(SpanOp::lookup());
-        assert!(guard.id().is_none());
-    }
-
-    #[test]
-    fn fanout_routes_spans_to_the_tracer() {
-        let buffer = Arc::new(VecTraceSink::new());
-        let tracer =
-            Arc::new(Tracer::with_clock(Arc::new(TickClock::new())).trace_to(buffer.clone()));
-        let counter = Arc::new(crate::CountingSink::new());
-        let handle = SinkHandle::of(crate::FanoutSink::new(vec![counter.clone(), tracer.clone()]));
-
-        let guard = handle.span(SpanOp::flush(true));
-        assert!(guard.id().is_some());
-        handle.emit(Event::DeviceWrite { block: 0 });
-        drop(guard);
-
-        assert_eq!(counter.snapshot().device_writes, 1);
-        let kinds: Vec<bool> = buffer
-            .events()
+    fn out_of_order_drops_leave_the_stack_consistent() {
+        let buffer = Arc::new(VecSink::new());
+        let handle = ticking(buffer.clone());
+        let outer = handle.span(SpanOp::cascade());
+        let inner = handle.span(SpanOp::merge(1, true));
+        let inner_id = inner.id();
+        drop(outer);
+        handle.emit(Event::CacheHit);
+        drop(inner);
+        handle.emit(Event::CacheMiss);
+        let spans: Vec<Option<SpanId>> = buffer
+            .entries()
             .iter()
-            .map(|e| matches!(e.kind, TraceEventKind::Begin { .. } | TraceEventKind::End { .. }))
+            .filter(|e| matches!(e.kind, TraceEventKind::Emit(_)))
+            .map(|e| e.span)
             .collect();
-        assert_eq!(kinds, vec![true, false, true]);
-    }
-
-    #[test]
-    fn foreign_span_end_is_ignored() {
-        let tracer = Tracer::with_clock(Arc::new(TickClock::new()));
-        // An id this tracer never issued must not underflow or panic.
-        tracer.span_end(SpanId(999), &SpanOp::lookup());
-        assert!(tracer.current_span().is_none());
+        assert_eq!(spans, vec![inner_id, None]);
     }
 
     #[test]
     fn span_durations_feed_metrics() {
         let metrics = Metrics::new();
-        let handle = SinkHandle::of(
-            Tracer::with_clock(Arc::new(TickClock::new())).time_spans_into(metrics.clone()),
-        );
+        let handle = SinkHandle::with_clock(Arc::new(TickClock::new()))
+            .and(Arc::new(crate::NullSink))
+            .time_spans_into(metrics.clone());
         let guard = handle.span(SpanOp::merge(3, true));
         handle.emit(Event::DeviceWrite { block: 1 });
         drop(guard);
@@ -1140,8 +1030,7 @@ mod tests {
         }
         let buffer = Shared::default();
         let chrome = Arc::new(ChromeTraceSink::new(buffer.clone()));
-        let handle =
-            SinkHandle::of(Tracer::with_clock(Arc::new(TickClock::new())).trace_to(chrome.clone()));
+        let handle = SinkHandle::with_clock(Arc::new(TickClock::new())).and(chrome.clone());
         let guard = handle.span(SpanOp::merge(2, false).with_shard(1));
         handle.emit(Event::DeviceWrite { block: 4 });
         handle.emit(Event::DeviceRead { block: 5 });
@@ -1167,13 +1056,14 @@ mod tests {
 
     #[test]
     fn timeseries_samples_every_n_device_ops() {
-        let series = TimeseriesSink::new(2, 4);
+        let series = Arc::new(TimeseriesSink::new(2, 4));
+        let handle = SinkHandle::new(series.clone());
         for block in 0..5 {
-            series.emit(&Event::DeviceWrite { block });
+            handle.emit(Event::DeviceWrite { block });
         }
-        series.emit(&Event::MemtableFlush { records: 8, full: true });
-        series.emit(&Event::CacheHit);
-        series.emit(&Event::CacheMiss);
+        handle.emit(Event::MemtableFlush { records: 8, full: true });
+        handle.emit(Event::CacheHit);
+        handle.emit(Event::CacheMiss);
 
         let rows = series.samples();
         // 5 device ops at every=2 → samples at op 2 and 4, plus the final row.
@@ -1195,11 +1085,12 @@ mod tests {
 
     #[test]
     fn timeseries_wear_tracks_hottest_block() {
-        let series = TimeseriesSink::new(100, 1);
+        let series = Arc::new(TimeseriesSink::new(100, 1));
+        let handle = SinkHandle::new(series.clone());
         for _ in 0..3 {
-            series.emit(&Event::DeviceWrite { block: 9 });
+            handle.emit(Event::DeviceWrite { block: 9 });
         }
-        series.emit(&Event::DeviceWrite { block: 1 });
+        handle.emit(Event::DeviceWrite { block: 1 });
         assert_eq!(series.samples().last().unwrap().max_wear, 3);
     }
 

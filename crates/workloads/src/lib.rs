@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod concurrent;
 pub mod driver;
 pub mod histogram;
 pub mod keyset;
@@ -27,10 +26,6 @@ pub mod tpc;
 pub mod uniform;
 pub mod zipf;
 
-pub use concurrent::{
-    run_closed_loop, run_closed_loop_observed, ClosedLoopReport, OffsetKeys, PrebuiltRequests,
-    RequestKind, ThreadPlan,
-};
 pub use driver::{
     fill_to_bytes, reach_steady_state, run_requests, volume_requests, CostMeter, CostReading,
     Workload,

@@ -5,6 +5,7 @@ cd "$(dirname "$0")/.."
 # One scratch directory for every stage that writes files.
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
+tree_before="$(git status --porcelain)"
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check
@@ -42,101 +43,93 @@ cargo run --release -q -p lsm-bench --bin lsm_crash -- --scheduler=background \
 # Longer soak (more seeds, longer histories), not part of the gate:
 #   cargo test --release -p lsm-tree --test concurrent_torture -- --ignored
 
-echo "== sharded front-end throughput smoke =="
-cargo run --release -q -p lsm-bench --bin lsm_throughput -- --smoke
-
-echo "== stall-free certification (background scheduler vs inline) =="
-cargo run --release -q -p lsm-bench --bin lsm_throughput -- --smoke --certify-stall-free
-
 echo "== observer-effect regression, inline and with the scheduler enabled =="
 cargo test -q -p lsm-tree --test trace_spans -- observer_effect
 
-echo "== post-mortem smoke (fault-injected torture cycle -> bundle -> reader) =="
+echo "== post-mortem smoke (fault-injected torture cycle -> bundle -> reader -> validator) =="
 pm_dir="$work/pm"
 mkdir "$pm_dir"
 # One torture cycle (FaultDevice power cut mid-workload) with an
-# unconditional dump; the bundle must exist and validate.
+# unconditional dump; the bundle must exist, render and validate.
 cargo run --release -q -p lsm-bench --bin lsm_crash -- --seeds=1 --seed-base=9001 \
     --bundle-dir="$pm_dir" --always-dump
 bundle="$pm_dir/lsm_crash_seed_9001.postmortem.json"
 test -s "$bundle" || { echo "missing post-mortem bundle $bundle"; exit 1; }
 cargo run --release -q -p lsm-bench --bin lsm_postmortem -- "$bundle" > /dev/null
+cargo run --release -q -p lsm-bench --bin lsm_doctor -- check "$bundle"
 
 echo "== trace exporter smoke (Chrome trace + Prometheus + time series) =="
 obs_dir="$work/obs"
 mkdir "$obs_dir"
-cargo run --release -q -p lsm-bench --bin lsm_throughput -- --smoke --shards=2 \
+# Every doctor run of the gate writes its merged report under $work: the
+# committed results/lsm_doctor.json is a full-size run.
+cargo run --release -q -p lsm-bench --bin lsm_doctor -- --size-mb=2 --out="$obs_dir/doctor.json" \
     --trace-out="$obs_dir/trace.json" --prom-out="$obs_dir/metrics.prom" \
-    --series-out="$obs_dir/series.csv"
-cargo run --release -q -p lsm-bench --bin trace_check -- \
-    --trace="$obs_dir/trace.json" --prom="$obs_dir/metrics.prom" \
-    --series="$obs_dir/series.csv"
-
-echo "== file-backend smoke (sharded throughput on real backing files) =="
-cargo run --release -q -p lsm-bench --bin lsm_throughput -- --smoke --backend=file \
-    --shards=1,2 --repeat=1
+    --series-out="$obs_dir/series.csv" > /dev/null
+cargo run --release -q -p lsm-bench --bin lsm_doctor -- check \
+    "$obs_dir/trace.json" "$obs_dir/metrics.prom" "$obs_dir/series.csv"
 
 echo "== file-backend crash torture (16 power cuts over a real backing file) =="
 cargo run --release -q -p lsm-bench --bin lsm_crash -- --seeds=16 --seed-base=5000 \
     --backend=file
 
-echo "== file-backend batching smoke (syscall coalescing + schema check) =="
-fileio_dir="$work/fileio"
-mkdir "$fileio_dir"
-# Fresh smoke report in a temp dir (the committed BENCH_fileio.json at the
-# repo root is a full-size run; CI must not clobber it), then both the
-# temp report and the committed one go through the doctor's validator.
-cargo run --release -q -p lsm-bench --bin lsm_fileio -- --smoke \
-    --out="$fileio_dir/BENCH_fileio.json"
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- \
-    --check-fileio="$fileio_dir/BENCH_fileio.json"
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- --check-fileio=BENCH_fileio.json
-
 echo "== windowed health smoke (report, validator, doctor reconciliation, lsm_top) =="
 health_dir="$work/health"
 mkdir "$health_dir"
 # A traced smoke run writes a validated lsm-health/v1 report plus the
-# health gauges in the Prometheus exposition; the doctor re-validates it.
-cargo run --release -q -p lsm-bench --bin lsm_throughput -- --smoke --shards=2 \
-    --health-out="$health_dir/health.json" --prom-out="$health_dir/metrics.prom"
+# health gauges in the Prometheus exposition, and reconciles the engine's
+# rolling windows exactly against the cumulative metrics registry (exits 1
+# on mismatch); the reader re-validates both files.
+cargo run --release -q -p lsm-bench --bin lsm_doctor -- --size-mb=2 \
+    --out="$health_dir/doctor.json" --health-out="$health_dir/health.json" \
+    --prom-out="$health_dir/metrics.prom" > /dev/null
 grep -q "lsm_health_windows_completed" "$health_dir/metrics.prom" \
     || { echo "health gauges missing from exposition"; exit 1; }
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- \
-    --check-health="$health_dir/health.json"
-# The doctor's own health section must reconcile its rolling windows
-# exactly against the cumulative metrics registry (exits 1 on mismatch).
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- --size-mb=2 --health > /dev/null
+cargo run --release -q -p lsm-bench --bin lsm_doctor -- check \
+    "$health_dir/health.json" "$health_dir/metrics.prom"
 # One dashboard frame over a live sharded workload.
 cargo run --release -q -p lsm-bench --bin lsm_top -- --once --windows=4 --window-ops=200 \
     > /dev/null
-# The bench comparator must see a report as equal to itself.
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- \
-    --compare=BENCH_fileio.json,BENCH_fileio.json > /dev/null
 
 echo "== tail anatomy smoke (report, validator, doctor blame table, lsm_top --json) =="
 tail_dir="$work/tail"
 mkdir "$tail_dir"
-# A traced smoke run writes a validated lsm-tail/v1 report plus the tail
-# gauges in the Prometheus exposition; the doctor re-validates it and the
-# committed baseline.
-cargo run --release -q -p lsm-bench --bin lsm_throughput -- --smoke --shards=2 \
-    --tick-clock --tail-out="$tail_dir/tail.json" --prom-out="$tail_dir/metrics.prom"
+# A tick-clock smoke run writes a validated lsm-tail/v1 report plus the
+# tail gauges in the Prometheus exposition, and reconciles completed-span
+# counts exactly against the tree's request counters (exits 1 on
+# mismatch); the reader re-validates the report, phase sums included.
+cargo run --release -q -p lsm-bench --bin lsm_doctor -- --size-mb=2 --tick-clock \
+    --out="$tail_dir/doctor.json" --tail-out="$tail_dir/tail.json" \
+    --prom-out="$tail_dir/metrics.prom" > /dev/null
 grep -q "lsm_tail_windows_completed" "$tail_dir/metrics.prom" \
     || { echo "tail gauges missing from exposition"; exit 1; }
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- \
-    --check-tail="$tail_dir/tail.json"
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- --check-tail=BENCH_tail.json
-# The doctor's own tail section must reconcile completed-span counts
-# exactly against the tree's request counters (exits 1 on mismatch).
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- --size-mb=2 --tail > /dev/null
+cargo run --release -q -p lsm-bench --bin lsm_doctor -- check "$tail_dir/tail.json"
 # The seeded stall scenario: blame must name backpressure_wait, twice
 # over the same seed, byte-identically.
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- --tail-stall > /dev/null
 # One machine-readable dashboard frame (health + tail reports embedded).
 cargo run --release -q -p lsm-bench --bin lsm_top -- --once --json --windows=4 \
     --window-ops=200 > /dev/null
-# The comparator self-check holds for the tail baseline too.
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- \
-    --compare=BENCH_tail.json,BENCH_tail.json > /dev/null
+
+echo "== deleted names stay deleted =="
+# What lsm_perf and the one-trait sink plane replaced may not creep back
+# into code, scripts or docs (history files and the frozen benchmark crate
+# may keep naming them).
+gone='lsm_throughput|lsm_fileio|BENCH_fileio|BENCH_tail|trace_check|\bTraceSink\b|FanoutSink|CountingSink'
+if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
+    ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
+    echo "deleted names are back (see above)"
+    exit 1
+fi
+
+echo "== the gate leaves the checkout as it found it =="
+# No stage may write into the repository (a smoke run once overwrote a
+# committed full-size report): on a clean checkout this is an empty
+# `git status --porcelain`.
+if [ "$(git status --porcelain)" != "$tree_before" ]; then
+    echo "check.sh changed the working tree:"
+    git status --porcelain
+    exit 1
+fi
 
 echo "All checks passed."
