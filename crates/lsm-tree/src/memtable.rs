@@ -8,7 +8,7 @@
 //! records, so partial-merge window selection works uniformly across all
 //! levels.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 
 use crate::record::{Key, OpKind, Record, Request};
 
@@ -62,13 +62,14 @@ impl Memtable {
         self.map.get(&key)
     }
 
-    /// Iterate records with keys in `[lo, hi]` (empty when `lo > hi`).
-    pub fn range(&self, lo: Key, hi: Key) -> impl Iterator<Item = &Record> {
-        // BTreeMap::range panics on inverted bounds; clamp to a valid
-        // range and filter everything out instead.
-        let valid = lo <= hi;
-        let (lo, hi) = if valid { (lo, hi) } else { (0, 0) };
-        self.map.range(lo..=hi).filter(move |_| valid).map(|(_, r)| r)
+    /// Iterate the entries with keys in `[lo, hi]` (none when `lo > hi`).
+    pub fn range(&self, lo: Key, hi: Key) -> btree_map::Range<'_, Key, Record> {
+        // BTreeMap::range panics on inverted bounds: ask for an empty one.
+        if lo > hi {
+            self.map.range(lo..lo)
+        } else {
+            self.map.range(lo..=hi)
+        }
     }
 
     /// Iterate all records in key order.
@@ -95,12 +96,6 @@ impl Memtable {
             remaining -= take;
         }
         out
-    }
-
-    /// Remove and return every record, in key order.
-    pub fn extract_all(&mut self) -> Vec<Record> {
-        let map = std::mem::take(&mut self.map);
-        map.into_values().collect()
     }
 
     /// The records of `blocks` — consecutive entries of what
@@ -157,6 +152,7 @@ mod tests {
         let mut m = Memtable::new();
         m.apply(Request::Put(3, bytes::Bytes::new()));
         assert_eq!(m.range(5, 2).count(), 0);
+        assert_eq!(m.range(u64::MAX, 0).count(), 0);
     }
 
     #[test]
@@ -167,7 +163,7 @@ mod tests {
         }
         let keys: Vec<Key> = m.iter().map(|r| r.key).collect();
         assert_eq!(keys, vec![1, 3, 5, 7, 9]);
-        let mid: Vec<Key> = m.range(3, 7).map(|r| r.key).collect();
+        let mid: Vec<Key> = m.range(3, 7).map(|(_, r)| r.key).collect();
         assert_eq!(mid, vec![3, 5, 7]);
     }
 
@@ -188,17 +184,6 @@ mod tests {
     fn virtual_blocks_of_empty_table() {
         let m = Memtable::new();
         assert!(m.virtual_blocks(4).is_empty());
-    }
-
-    #[test]
-    fn extract_all_empties_in_order() {
-        let mut m = Memtable::new();
-        for k in [4u64, 2, 8] {
-            m.apply(put(k));
-        }
-        let recs = m.extract_all();
-        assert_eq!(recs.iter().map(|r| r.key).collect::<Vec<_>>(), vec![2, 4, 8]);
-        assert!(m.is_empty());
     }
 
     #[test]

@@ -48,6 +48,16 @@ impl Record {
         self.op == OpKind::Delete
     }
 
+    /// What a reader sees of a key whose newest version this is: the
+    /// payload of a put, nothing of a tombstone.
+    #[inline]
+    pub(crate) fn into_value(self) -> Option<Bytes> {
+        match self.op {
+            OpKind::Put => Some(self.payload),
+            OpKind::Delete => None,
+        }
+    }
+
     /// Serialized size of this record inside a data block:
     /// `key (8) + op (1) + payload_len (4) + payload`.
     #[inline]

@@ -21,38 +21,16 @@ use observe::{Event, SinkHandle, SpanOp};
 
 use sim_ssd::BlockDevice;
 
-use crate::block::BlockHandle;
 use crate::config::LsmConfig;
 use crate::error::{LsmError, Result};
+use crate::iter::{lookup, Merge, Source};
+use crate::level::Level;
 use crate::memtable::Memtable;
-use crate::record::{Key, OpKind, Record, Request};
+use crate::merge::StepBlocks;
+use crate::record::{Key, Record, Request};
 use crate::stats::TreeStats;
 use crate::store::Store;
 use crate::tree::TreeOptions;
-
-/// One immutable sorted run.
-#[derive(Debug, Clone, Default)]
-pub struct Run {
-    handles: Vec<BlockHandle>,
-    records: u64,
-}
-
-impl Run {
-    /// Blocks in the run.
-    pub fn num_blocks(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Records in the run.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    fn find_block_for(&self, key: Key) -> Option<&BlockHandle> {
-        let idx = self.handles.partition_point(|h| h.max < key);
-        self.handles.get(idx).filter(|h| h.min <= key)
-    }
-}
 
 /// A Stepped-Merge index: levels of up to `k` runs each.
 pub struct SteppedMergeTree {
@@ -61,8 +39,10 @@ pub struct SteppedMergeTree {
     k: usize,
     store: Store,
     mem: Memtable,
-    /// `levels[i]` holds the runs of on-SSD level `i+1`, newest last.
-    levels: Vec<Vec<Run>>,
+    /// `levels[i]` holds the runs of on-SSD level `i+1`, newest last. A run
+    /// is a [`Level`] built by `push`: sorted disjoint blocks and the
+    /// packed search index a lookup probes.
+    levels: Vec<Vec<Level>>,
     stats: TreeStats,
     sink: SinkHandle,
 }
@@ -143,176 +123,92 @@ impl SteppedMergeTree {
         }
         self.mem.apply(req);
         if self.mem.len() >= self.cfg.l0_capacity_records() {
-            let _cascade = self.sink.span(SpanOp::cascade());
-            let records = self.mem.extract_all();
-            self.flush_run_into(0, records)?;
+            self.flush_memtable()?;
         }
         Ok(())
     }
 
-    /// Write `records` as a new run of `levels[idx]`, then cascade merges.
-    fn flush_run_into(&mut self, idx: usize, records: Vec<Record>) -> Result<()> {
-        if self.levels.len() <= idx {
-            self.levels.resize_with(idx + 1, Vec::new);
+    /// Force the (possibly non-full) memtable out as a run, cascading any
+    /// level merges it triggers. A no-op when the memtable is empty. All or
+    /// nothing: the cascade is written, then installed (memory only), then
+    /// its inputs are freed; an error frees what was written instead.
+    pub fn flush_memtable(&mut self) -> Result<()> {
+        if self.mem.is_empty() {
+            return Ok(());
         }
-        let run = if idx == 0 {
-            // The L0→L1 run write is the memtable flush; deeper run writes
-            // are merge output and stay inside their merge span.
-            let _span = self.sink.span(SpanOp::flush(true));
-            let records_flushed = records.len() as u64;
-            self.sink.emit_with(|| Event::MemtableFlush { records: records_flushed, full: true });
-            self.write_run(idx, records)?
-        } else {
-            self.write_run(idx, records)?
-        };
-        if run.records > 0 {
-            self.levels[idx].push(run);
+        let _cascade = self.sink.span(SpanOp::cascade());
+        let mut blocks = StepBlocks::default();
+        match self.write_cascade(&mut blocks) {
+            Ok((depth, run)) => {
+                self.levels.resize_with(self.levels.len().max(depth + 1), Vec::new);
+                self.levels[..depth].iter_mut().for_each(Vec::clear);
+                if !run.is_empty() {
+                    self.levels[depth].push(run);
+                }
+                self.mem = Memtable::new();
+                self.store.free_all(&blocks.retired)
+            }
+            Err(e) => {
+                let _ = self.store.free_all(&blocks.created);
+                Err(e)
+            }
         }
-        if self.levels[idx].len() >= self.k {
-            self.merge_level_down(idx)?;
-        }
-        Ok(())
     }
 
-    fn write_run(&mut self, idx: usize, records: Vec<Record>) -> Result<Run> {
+    /// Write the memtable as a run of `levels[0]`; while the run is the
+    /// k-th of its level, merge-sort all k into one run a level down.
+    /// Returns `(depth, run)`: `levels[..depth]` are merged away and `run`
+    /// joins `levels[depth]`. Changes only `blocks` and the counters.
+    fn write_cascade(&mut self, blocks: &mut StepBlocks) -> Result<(usize, Level)> {
         let b = self.cfg.block_capacity();
-        let mut run = Run::default();
-        let paper_level = idx + 1;
-        for chunk in records.chunks(b) {
-            let handle = self.store.write_block(chunk.to_vec())?;
-            run.records += u64::from(handle.count);
-            run.handles.push(handle);
-            self.stats.level_mut(paper_level).blocks_written += 1;
-        }
-        self.stats.level_mut(paper_level).merges_in += 1;
-        self.stats.level_mut(paper_level).records_in += run.records;
-        Ok(run)
-    }
-
-    /// Merge-sort all runs of `levels[idx]` into one run at `idx + 1`.
-    fn merge_level_down(&mut self, idx: usize) -> Result<()> {
-        let target_paper = idx + 2;
-        // Stepped merges are always "full" (all k runs at once); a deeper
-        // cascade triggered by the output run nests as a child span.
-        let _span = self.sink.span(SpanOp::merge(target_paper, true));
-        self.sink.emit_with(|| Event::MergeStart { target_level: target_paper, full: true });
-        let runs = std::mem::take(&mut self.levels[idx]);
-        let src_records: u64 = runs.iter().map(Run::records).sum();
-        // Tombstones can be dropped when merging out of the deepest
-        // populated level (nothing below to cancel).
-        let is_deepest = self.levels.iter().skip(idx + 1).all(Vec::is_empty);
-        let reads: u64 = runs.iter().map(|r| r.num_blocks() as u64).sum();
-        let merged = self.merge_runs(&runs, idx + 1, !is_deepest)?;
-        for run in &runs {
-            for h in &run.handles {
-                self.store.free_block(h)?;
-            }
-        }
-        let max_key = merged.last().map_or(0, |r| r.key);
-        let writes_before = self.stats.level(target_paper).blocks_written;
-        self.flush_run_into(idx + 1, merged)?;
-        let writes = self.stats.level(target_paper).blocks_written - writes_before;
-        self.sink.emit_with(|| Event::MergeFinish {
-            target_level: target_paper,
-            full: true,
-            src_records,
-            writes,
-            reads,
-            preserved: 0,
-            max_key,
-        });
-        Ok(())
-    }
-
-    /// K-way merge with newest-run-wins consolidation. Counts one logical
-    /// read per input block.
-    fn merge_runs(
-        &mut self,
-        runs: &[Run],
-        target_paper_level: usize,
-        keep_tombstones: bool,
-    ) -> Result<Vec<Record>> {
-        // Cursors: (run_priority, handle_idx, record_idx, decoded block).
-        struct Cursor {
-            blocks: Vec<Arc<crate::block::DataBlock>>,
-            bpos: usize,
-            rpos: usize,
-        }
-        let mut cursors = Vec::with_capacity(runs.len());
-        for run in runs {
-            let mut blocks = Vec::with_capacity(run.handles.len());
-            for h in &run.handles {
-                blocks.push(self.store.read_block(h)?);
-                self.stats.level_mut(target_paper_level).blocks_read += 1;
-            }
-            cursors.push(Cursor { blocks, bpos: 0, rpos: 0 });
-        }
-        let peek = |c: &Cursor| -> Option<Key> { c.blocks.get(c.bpos).map(|b| b.key(c.rpos)) };
-        let advance = |c: &mut Cursor| {
-            c.rpos += 1;
-            if c.rpos >= c.blocks[c.bpos].len() {
-                c.rpos = 0;
-                c.bpos += 1;
-            }
+        let mut run = {
+            let _span = self.sink.span(SpanOp::flush(true));
+            let records = self.mem.len() as u64;
+            self.sink.emit_with(|| Event::MemtableFlush { records, full: true });
+            let records = self.mem.iter().cloned().map(Ok);
+            write_run(&self.store, &mut self.stats, b, 1, records, blocks)?
         };
-        let mut out: Vec<Record> = Vec::new();
-        loop {
-            // Smallest key across cursors; newest run (highest index) wins.
-            let mut min_key: Option<Key> = None;
-            for c in cursors.iter() {
-                if let Some(k) = peek(c) {
-                    min_key = Some(min_key.map_or(k, |m: Key| m.min(k)));
-                }
-            }
-            let Some(key) = min_key else { break };
-            let mut winner: Option<Record> = None;
-            for c in cursors.iter_mut().rev() {
-                if peek(c) == Some(key) {
-                    let r = c.blocks[c.bpos].record(c.rpos);
-                    if winner.is_none() {
-                        winner = Some(r);
-                    }
-                    advance(c);
-                }
-            }
-            let winner = winner.expect("frontier key came from some cursor");
-            if winner.op == OpKind::Put || keep_tombstones {
-                out.push(winner);
-            }
+        let mut depth = 0;
+        while !run.is_empty() && self.levels.get(depth).map_or(0, Vec::len) + 1 >= self.k {
+            let target_paper = depth + 2;
+            // Stepped merges are always "full": all k runs at once.
+            let _span = self.sink.span(SpanOp::merge(target_paper, true));
+            self.sink.emit_with(|| Event::MergeStart { target_level: target_paper, full: true });
+            // Newest first: the run just written, then the level's, youngest to oldest.
+            let inputs: Vec<&Level> =
+                std::iter::once(&run).chain(self.levels[depth].iter().rev()).collect();
+            let src_records: u64 = inputs.iter().map(|r| r.records()).sum();
+            let reads: u64 = inputs.iter().map(|r| r.num_blocks() as u64).sum();
+            // Tombstones can be dropped when merging into the deepest
+            // populated level (nothing below to cancel).
+            let is_deepest = self.levels.iter().skip(depth + 1).all(Vec::is_empty);
+            let sources =
+                inputs.iter().map(|r| Source::blocks(&self.store, r.handles(), 0, Key::MAX));
+            let merged = Merge::new(sources.collect())
+                .filter(|r| !matches!(r, Ok(r) if is_deepest && r.is_tombstone()));
+            let output = write_run(&self.store, &mut self.stats, b, target_paper, merged, blocks)?;
+            // Reads are counted at the level they came out of.
+            self.stats.level_mut(depth + 1).blocks_read += reads;
+            inputs.iter().for_each(|r| blocks.retired.extend_from_slice(r.handles()));
+            self.sink.emit_with(|| Event::MergeFinish {
+                target_level: target_paper,
+                full: true,
+                src_records,
+                writes: output.num_blocks() as u64,
+                reads,
+                preserved: 0,
+                max_key: output.max_key().unwrap_or(0),
+            });
+            (run, depth) = (output, depth + 1);
         }
-        Ok(out)
+        Ok((depth, run))
     }
 
     /// Point lookup: memtable, then every level's runs newest-first.
     pub fn get(&self, key: Key) -> Result<Option<Bytes>> {
         let _span = self.sink.span(SpanOp::lookup());
-        self.stats.note_lookup();
-        if let Some(r) = self.mem.get(key) {
-            return Ok(match r.op {
-                OpKind::Put => Some(r.payload.clone()),
-                OpKind::Delete => None,
-            });
-        }
-        for level in &self.levels {
-            for run in level.iter().rev() {
-                let Some(handle) = run.find_block_for(key) else { continue };
-                if let Some(bloom) = &handle.bloom {
-                    if !bloom.may_contain(key) {
-                        self.stats.note_lookup_costs(0, 1);
-                        continue;
-                    }
-                }
-                let block = self.store.read_block(handle)?;
-                self.stats.note_lookup_costs(1, 0);
-                if let Some(r) = block.find(key) {
-                    return Ok(match r.op {
-                        OpKind::Put => Some(r.payload),
-                        OpKind::Delete => None,
-                    });
-                }
-            }
-        }
-        Ok(None)
+        let runs = self.levels.iter().flat_map(|level| level.iter().rev());
+        lookup([&self.mem], &self.store, runs, key, Some(&self.stats))
     }
 
     /// Cost counters (same shape as the LSM-tree's).
@@ -337,20 +233,36 @@ impl SteppedMergeTree {
 
     /// Total records (shadowed versions included).
     pub fn record_count(&self) -> u64 {
-        self.mem.len() as u64
-            + self.levels.iter().flat_map(|l| l.iter().map(Run::records)).sum::<u64>()
+        self.mem.len() as u64 + self.levels.iter().flatten().map(Level::records).sum::<u64>()
     }
+}
 
-    /// Force the (possibly non-full) memtable out as a run, cascading any
-    /// level merges it triggers. A no-op when the memtable is empty.
-    pub fn flush_memtable(&mut self) -> Result<()> {
-        if self.mem.is_empty() {
-            return Ok(());
+/// Write `records` — ordered, keys unique — as one run of `paper_level`,
+/// `b` to a block, and count it there. Blocks that reached the device are
+/// in `blocks.created`, also when this fails.
+fn write_run(
+    store: &Store,
+    stats: &mut TreeStats,
+    b: usize,
+    paper_level: usize,
+    mut records: impl Iterator<Item = Result<Record>>,
+    blocks: &mut StepBlocks,
+) -> Result<Level> {
+    let mut run = Level::new();
+    loop {
+        let chunk: Vec<Record> = records.by_ref().take(b).collect::<Result<_>>()?;
+        if chunk.is_empty() {
+            break;
         }
-        let _cascade = self.sink.span(SpanOp::cascade());
-        let records = self.mem.extract_all();
-        self.flush_run_into(0, records)
+        let handle = store.write_block(chunk)?;
+        blocks.created.push(handle.clone());
+        run.push(handle);
     }
+    let ls = stats.level_mut(paper_level);
+    ls.blocks_written += run.num_blocks() as u64;
+    ls.merges_in += 1;
+    ls.records_in += run.records();
+    Ok(run)
 }
 
 impl crate::api::WriteApi for SteppedMergeTree {
@@ -463,6 +375,76 @@ mod tests {
         assert!(w_sm < w_lsm, "stepped-merge {w_sm} should write less than leveled {w_lsm}");
         // …and the price: more runs to probe per lookup.
         assert!(sm.lookup_fanout() >= 2);
+    }
+
+    /// A flush or a merge that fails part-way — the memtable's run written
+    /// or not, some of the merged run written, an input block unreadable —
+    /// changes nothing: not the runs, not what a get sees, and no block is
+    /// left allocated that no run references. The next request finishes it.
+    #[test]
+    fn a_failed_flush_or_merge_loses_nothing_and_leaks_nothing() {
+        use crate::store::RetryPolicy;
+        use sim_ssd::{FaultDevice, FaultPlan, MemDevice};
+        let tape: Vec<Request> = (0..1_500u64)
+            .map(|i| match i.wrapping_mul(2_654_435_761) % 900 {
+                k if i % 7 == 3 => Request::Delete(k),
+                k => Request::Put(k, Bytes::from(vec![i as u8; 4])),
+            })
+            .collect();
+        let (mut failed_flushes, mut failed_merges) = (0, 0);
+        for (nth, reads) in (1..120u64).flat_map(|nth| [(nth, false), (nth * 3, true)]) {
+            let dev =
+                Arc::new(FaultDevice::new(Arc::new(MemDevice::with_block_size(1 << 12, 256)), nth));
+            // A cache of one block: merges read their inputs from the device.
+            let cfg = LsmConfig { cache_blocks: 1, ..tiny().cfg };
+            let opts = TreeOptions::builder().stepped_fan_in(3).retry(RetryPolicy::none()).build();
+            let mut t = SteppedMergeTree::new(cfg, opts, dev.clone()).unwrap();
+            dev.set_plan(match reads {
+                true => FaultPlan::none().fail_read_at(nth),
+                false => FaultPlan::none().fail_write_at(nth),
+            });
+            let mut model = std::collections::BTreeMap::new();
+            let mut failures = 0;
+            for req in &tape {
+                let before = t.run_counts();
+                let outcome = t.apply(req.clone());
+                // Buffered either way: the flush comes after the memtable.
+                match req {
+                    Request::Put(k, v) => model.insert(*k, Some(v.clone())),
+                    Request::Delete(k) => model.insert(*k, None),
+                };
+                if outcome.is_ok() {
+                    continue;
+                }
+                failures += 1;
+                let merging = before.first().is_some_and(|&runs| runs + 1 >= 3);
+                (failed_flushes, failed_merges) =
+                    (failed_flushes + u32::from(!merging), failed_merges + u32::from(merging));
+                assert_eq!(t.run_counts(), before, "{nth} {reads}: runs changed");
+                let referenced: usize = t.levels.iter().flatten().map(Level::num_blocks).sum();
+                assert_eq!(t.store().live_blocks(), referenced as u64, "{nth} {reads}: leak");
+                for (k, v) in &model {
+                    assert_eq!(t.get(*k).unwrap(), *v, "{nth} {reads}: key {k} after the error");
+                }
+            }
+            assert!(failures <= 1, "{nth} {reads}: one fault, {failures} errors");
+            dev.set_plan(FaultPlan::none()); // a fault the tape never reached
+            for (k, v) in &model {
+                assert_eq!(t.get(*k).unwrap(), *v, "{nth} {reads}: key {k} at the end");
+            }
+            let referenced: usize = t.levels.iter().flatten().map(Level::num_blocks).sum();
+            assert_eq!(
+                t.store().live_blocks(),
+                referenced as u64,
+                "{nth} {reads}: leak at the end"
+            );
+            assert!(
+                t.run_counts().iter().all(|&runs| runs < 3),
+                "{nth} {reads}: {:?}",
+                t.run_counts()
+            );
+        }
+        assert!(failed_flushes > 20 && failed_merges > 100, "{failed_flushes} / {failed_merges}");
     }
 
     #[test]

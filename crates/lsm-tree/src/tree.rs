@@ -11,13 +11,14 @@ use sim_ssd::BlockDevice;
 use crate::block::BLOCK_HEADER_LEN;
 use crate::config::{CommitMode, LsmConfig, Scheduler};
 use crate::error::{LsmError, Result};
-use crate::level::{BlockProbe, Level, LevelDraft, LevelEdit};
+use crate::iter::lookup;
+use crate::level::{Level, LevelDraft, LevelEdit};
 use crate::memtable::{Memtable, RunMeta};
 use crate::merge::{MergeEngine, MergeSource, StepBlocks};
 use crate::policy::ledger::{enumerate_candidates, DecisionLedger};
 use crate::policy::window::{runs_of_handles, window_overlap};
 use crate::policy::{MergeChoice, MergeCtx, MergePolicy, PolicySpec};
-use crate::record::{Key, OpKind, Request};
+use crate::record::{Key, Request};
 use crate::stats::{LevelStats, MergeKind, TreeStats};
 use crate::store::{RetryPolicy, Store};
 
@@ -187,16 +188,6 @@ enum MemSlot {
     /// step. Sealed memtables drain oldest-first, so newest-wins shadowing
     /// across the queue is preserved.
     ImmOldest,
-}
-
-/// What a single lookup cost: counted by the shared lookup path and folded
-/// into [`TreeStats`] by [`LsmTree::get`] (discarded by [`LsmTree::peek`]).
-/// The fold goes through relaxed atomics, so `get` works through `&self`
-/// and concurrent readers are all counted.
-#[derive(Debug, Clone, Copy, Default)]
-struct LookupProbe {
-    bloom_skips: u64,
-    block_reads: u64,
 }
 
 /// Everything a maintenance step reads besides the data: shared or cheap
@@ -402,10 +393,7 @@ impl LsmTree {
     /// accounted rather than silently dropped.
     pub fn get(&self, key: Key) -> Result<Option<Bytes>> {
         let _span = self.env.sink.span(SpanOp::lookup());
-        self.stats.note_lookup();
-        let (value, probe) = self.lookup(key)?;
-        self.stats.note_lookup_costs(probe.block_reads, probe.bloom_skips);
-        Ok(value)
+        self.lookup(key, Some(&self.stats))
     }
 
     /// Read-only point lookup that leaves [`TreeStats`] untouched — the
@@ -416,54 +404,18 @@ impl LsmTree {
     /// (blocks read through the buffer cache are marked visited and count in cache
     /// statistics); only the per-tree lookup counters are skipped.
     pub fn peek(&self, key: Key) -> Result<Option<Bytes>> {
-        self.lookup(key).map(|(value, _)| value)
+        self.lookup(key, None)
     }
 
     /// The one lookup path behind [`LsmTree::get`] and [`LsmTree::peek`]:
-    /// memtable first, then each level top-down, consulting per-block Bloom
-    /// filters and reading candidate blocks through the cache. Returns the
-    /// visible value plus the probe counts for the caller to account (or
-    /// discard).
-    fn lookup(&self, key: Key) -> Result<(Option<Bytes>, LookupProbe)> {
-        let mut probe = LookupProbe::default();
-        if let Some(r) = self.mem.get(key) {
-            let value = match r.op {
-                OpKind::Put => Some(r.payload.clone()),
-                OpKind::Delete => None,
-            };
-            return Ok((value, probe));
-        }
-        // Sealed memtables are older than the active one but newer than
-        // every on-SSD level: probe newest-first.
-        for imm in self.imm.iter().rev() {
-            if let Some(r) = imm.get(key) {
-                let value = match r.op {
-                    OpKind::Put => Some(r.payload.clone()),
-                    OpKind::Delete => None,
-                };
-                return Ok((value, probe));
-            }
-        }
-        for level in &self.levels {
-            let handle = match level.probe(key) {
-                BlockProbe::NoBlock => continue,
-                BlockProbe::FilteredOut => {
-                    probe.bloom_skips += 1;
-                    continue;
-                }
-                BlockProbe::Candidate(handle) => handle,
-            };
-            let block = self.env.store.read_block(handle)?;
-            probe.block_reads += 1;
-            if let Some(r) = block.find(key) {
-                let value = match r.op {
-                    OpKind::Put => Some(r.payload),
-                    OpKind::Delete => None,
-                };
-                return Ok((value, probe));
-            }
-        }
-        Ok((None, probe))
+    /// the live memtable, the sealed ones newest first (all of them newer
+    /// than any level), then the levels top-down. `get` has it counted in
+    /// the tree's statistics — through relaxed atomics, so concurrent
+    /// readers are all counted — and `peek` has not.
+    fn lookup(&self, key: Key, stats: Option<&TreeStats>) -> Result<Option<Bytes>> {
+        let memtables = std::iter::once(&self.mem).chain(self.imm.iter().rev());
+        let levels = self.levels.iter().map(|level| &**level);
+        lookup(memtables.map(|mem| &**mem), &self.env.store, levels, key, stats)
     }
 
     // ------------------------------------------------------------------

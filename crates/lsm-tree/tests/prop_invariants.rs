@@ -9,9 +9,12 @@ use std::sync::Arc;
 use bytes::Bytes;
 use proptest::prelude::*;
 
+use lsm_tree::observe::SinkHandle;
 use lsm_tree::policy::MixedParams;
 use lsm_tree::verify::check_tree;
-use lsm_tree::{LsmConfig, LsmTree, PolicySpec, Record, Request, TreeOptions};
+use lsm_tree::{
+    LsmConfig, LsmTree, PolicySpec, Record, Request, ShardedLsmTree, SimExecutor, TreeOptions,
+};
 use sim_ssd::{BlockDevice, MemDevice};
 
 #[derive(Debug, Clone)]
@@ -187,6 +190,114 @@ proptest! {
         check_tree(&tree, true).unwrap();
         for k in 0..n as u64 {
             prop_assert_eq!(tree.get(k).unwrap().is_some(), model.contains_key(&k));
+        }
+    }
+
+    /// Bounded scans with every kind of source holding versions of the same
+    /// keys — the live memtable, sealed memtables (some partly flushed) and
+    /// at least two levels — agree with `BTreeMap::range`, on one tree and
+    /// merged across three shards.
+    #[test]
+    fn bounded_scans_match_model_with_every_source_present(
+        settled in prop::collection::vec(op_strategy(400), 500..1_200),
+        sealed in prop::collection::vec(op_strategy(400), 30..150),
+        steps in 0usize..6,
+        recent in prop::collection::vec(op_strategy(400), 4..40),
+        bounds in prop::collection::vec((0u64..440, 0u64..440, 0u8..6), 24..25),
+        seed in any::<u64>(),
+    ) {
+        let mut tree = tiny_tree(PolicySpec::ChooseBest, true);
+        let mut model: BTreeMap<u64, u8> = BTreeMap::new();
+        let mut buffer = |tree: &mut LsmTree, op: &Op| match *op {
+            Op::Put(k, v) => {
+                tree.apply_buffered(Request::Put(k, Bytes::from(payload(v)))).unwrap();
+                model.insert(k, v);
+            }
+            Op::Delete(k) => {
+                tree.apply_buffered(Request::Delete(k)).unwrap();
+                model.remove(&k);
+            }
+        };
+        // All the way down: the levels.
+        for op in &settled {
+            buffer(&mut tree, op);
+            if tree.mem_at_capacity() {
+                tree.seal_memtable();
+                tree.drain_maintenance().unwrap();
+            }
+        }
+        // Sealed, and flushed a few windows at most.
+        for op in &sealed {
+            buffer(&mut tree, op);
+            if tree.mem_at_capacity() {
+                tree.seal_memtable();
+            }
+        }
+        for _ in 0..steps {
+            tree.maintenance_step().unwrap();
+        }
+        // One more sealed memtable, never flushed, and a live one.
+        let (older, newer) = recent.split_at(recent.len() / 2);
+        older.iter().for_each(|op| buffer(&mut tree, op));
+        prop_assert!(tree.seal_memtable());
+        newer.iter().for_each(|op| buffer(&mut tree, op));
+        prop_assert!(tree.imm_count() >= 1 && !tree.memtable().is_empty());
+        prop_assert!(tree.levels().iter().filter(|l| !l.is_empty()).count() >= 2);
+
+        // Anywhere, inverted, one key, open above, and on the fences.
+        let fences: Vec<u64> = tree
+            .levels()
+            .iter()
+            .flat_map(|l| l.handles().iter().flat_map(|h| [h.min, h.max]))
+            .collect();
+        let fence = |i: u64| fences[i as usize % fences.len()];
+        let bounds: Vec<(u64, u64)> = bounds
+            .into_iter()
+            .map(|(a, b, kind)| match kind {
+                0 => (a, b),
+                1 => (a.max(b), a.min(b)),
+                2 => (a, a),
+                3 => (a, u64::MAX),
+                4 => (fence(a), fence(a).max(fence(b))),
+                _ => (a.min(fence(b)), fence(b)),
+            })
+            .collect();
+        let expect = |lo: u64, hi: u64| -> Vec<(u64, Vec<u8>)> {
+            if lo > hi {
+                return Vec::new();
+            }
+            model.range(lo..=hi).map(|(&k, &v)| (k, payload(v))).collect()
+        };
+        for &(lo, hi) in &bounds {
+            let got: Vec<(u64, Vec<u8>)> =
+                tree.scan(lo, hi).map(|r| r.map(|(k, v)| (k, v.to_vec())).unwrap()).collect();
+            prop_assert_eq!(got, expect(lo, hi), "scan({}, {})", lo, hi);
+        }
+
+        // The same tapes through three shards whose maintenance a seeded
+        // executor runs inside the writers' calls: sealed memtables come
+        // and go, and every scan is merged across the shards.
+        let devices = (0..3)
+            .map(|_| Arc::new(MemDevice::with_block_size(1 << 14, 256)) as Arc<dyn BlockDevice>)
+            .collect();
+        let sim = Arc::new(SimExecutor::new(2, seed, SinkHandle::none()));
+        let sharded =
+            ShardedLsmTree::with_backend(tiny_cfg(), TreeOptions::default(), devices, None, Some(sim))
+                .unwrap();
+        for op in settled.iter().chain(&sealed).chain(&recent) {
+            match *op {
+                Op::Put(k, v) => sharded.put(k, payload(v)).unwrap(),
+                Op::Delete(k) => sharded.delete(k).unwrap(),
+            }
+        }
+        for &(lo, hi) in &bounds {
+            let got: Vec<(u64, Vec<u8>)> = sharded
+                .scan_collect(lo, hi)
+                .unwrap()
+                .into_iter()
+                .map(|(k, v)| (k, v.to_vec()))
+                .collect();
+            prop_assert_eq!(got, expect(lo, hi), "scan_collect({}, {})", lo, hi);
         }
     }
 

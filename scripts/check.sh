@@ -112,10 +112,11 @@ cargo run --release -q -p lsm-bench --bin lsm_top -- --once --json --windows=4 \
     --window-ops=200 > /dev/null
 
 echo "== deleted names stay deleted =="
-# What lsm_perf and the one-trait sink plane replaced may not creep back
-# into code, scripts or docs (history files and the frozen benchmark crate
-# may keep naming them).
+# What lsm_perf, the one-trait sink plane and the one ordered merge
+# (`iter.rs`) replaced may not creep back into code, scripts or docs
+# (history files and the frozen benchmark crate may keep naming them).
 gone='lsm_throughput|lsm_fileio|BENCH_fileio|BENCH_tail|trace_check|\bTraceSink\b|FanoutSink|CountingSink'
+gone="$gone"'|\bmerge_ordered\b|fn merge_runs|struct Run\b'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"
