@@ -23,8 +23,10 @@
 //! complete `"X"` span with `name`/`pid`/`tid`/`ts`/`dur`), `*.prom` as a
 //! Prometheus text exposition (strict line validator, at least one
 //! sample), `*.csv` as an amplification time series (header row, constant
-//! width, monotone device-op counts). Every problem of every file is
-//! printed; any problem exits non-zero.
+//! width, monotone device-op counts), and a JSON object with an
+//! `experiment` string and no `schema` as the doctor's own merged report
+//! (the buffer cache's resident bytes within its capacity). Every problem
+//! of every file is printed; any problem exits non-zero.
 //!
 //! `--out=PATH` is where the merged JSON report goes (default
 //! `results/lsm_doctor.json`, a committed full-size run — smoke runs pass
@@ -144,6 +146,19 @@ fn check_series(text: &str) -> Vec<String> {
     problems
 }
 
+/// Problems of a merged report ([`merged_json`]): the buffer cache states
+/// its budget and is within it.
+fn check_report(doc: &Json) -> Vec<String> {
+    let cache = |key| field(doc, "cache").and_then(|c| field(c, key)).and_then(num);
+    match (cache("resident_bytes"), cache("capacity_bytes")) {
+        (Some(resident), Some(capacity)) if resident <= capacity => Vec::new(),
+        (Some(resident), Some(capacity)) => {
+            vec![format!("cache holds {resident} bytes, over its capacity of {capacity}")]
+        }
+        _ => vec!["cache section lacks resident_bytes / capacity_bytes".into()],
+    }
+}
+
 /// What `path` holds and everything wrong with it, dispatching on the
 /// extension, then on the JSON document's shape and `schema` string.
 fn check_file(path: &str) -> (String, Vec<String>) {
@@ -169,8 +184,9 @@ fn check_file(path: &str) -> (String, Vec<String>) {
     if let Json::Arr(events) = &doc {
         return ("Chrome trace".into(), check_trace(events));
     }
-    let schema = match field(&doc, "schema") {
-        Some(Json::Str(s)) => s.clone(),
+    let schema = match (field(&doc, "schema"), field(&doc, "experiment")) {
+        (Some(Json::Str(s)), _) => s.clone(),
+        (None, Some(Json::Str(_))) => return ("merged report".into(), check_report(&doc)),
         _ => return ("JSON document".into(), vec!["no \"schema\" string to dispatch on".into()]),
     };
     let problems = match schema.as_str() {

@@ -157,6 +157,8 @@ pub fn merged_json(
                 ("misses", Json::from(cache.misses)),
                 ("evictions", Json::from(cache.evictions)),
                 ("hit_rate", Json::from(cache.hit_rate())),
+                ("resident_bytes", Json::from(cache.resident)),
+                ("capacity_bytes", Json::from(cache.capacity)),
             ]),
         ),
         (

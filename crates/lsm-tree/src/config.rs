@@ -29,9 +29,15 @@ pub struct LsmConfig {
     /// δ — merge rate: fraction of a level selected by each partial merge.
     /// Paper defaults: 0.07 (0.05 for the largest runs).
     pub merge_rate: f64,
-    /// Data-block buffer cache capacity in blocks. Fence metadata (the
-    /// "internal B+tree nodes") is always memory-resident and is *not*
-    /// charged against this budget, matching the paper's pinning setup.
+    /// The buffer cache's budget, stated in blocks: `cache_blocks ×
+    /// block_size` bytes. Charged to it are a cached block's frame
+    /// (`block_size`; not its index of 16 B a record) and, for a record a
+    /// get kept instead of its block, the payload plus
+    /// [`RECORD_ENTRY_OVERHEAD`](crate::store::RECORD_ENTRY_OVERHEAD) —
+    /// so a cache the data does not fit in holds more than `cache_blocks`
+    /// entries, most of them records. Fence metadata (the "internal B+tree
+    /// nodes") is always memory-resident and is *not* charged against this
+    /// budget, matching the paper's pinning setup.
     pub cache_blocks: usize,
     /// Bloom-filter bits per key for per-block filters; 0 disables blooms.
     pub bloom_bits_per_key: usize,

@@ -26,8 +26,10 @@ use crate::tree::LsmTree;
 
 /// What a reader sees of `key`: the value of its newest version — the
 /// first found in `memtables`, then `levels`, each listed newest first —
-/// unless that is a tombstone. At most one block a level is read, through
-/// the cache. Counted in `stats`, if given.
+/// unless that is a tombstone. At most one block a level is asked for the
+/// key's record, through the cache ([`Store::read_record`]): that is one
+/// block read whatever the cache answered from. Counted in `stats`, if
+/// given.
 pub(crate) fn lookup<'a>(
     memtables: impl IntoIterator<Item = &'a Memtable>,
     store: &Store,
@@ -45,7 +47,7 @@ pub(crate) fn lookup<'a>(
             BlockProbe::NoBlock => {}
             BlockProbe::FilteredOut => bloom_skips += 1,
             BlockProbe::Candidate(handle) => {
-                found = store.read_block(handle)?.find(key);
+                found = store.read_record(handle, key)?;
                 block_reads += 1;
                 if found.is_some() {
                     break;

@@ -447,6 +447,47 @@ mod tests {
         assert!(failed_flushes > 20 && failed_merges > 100, "{failed_flushes} / {failed_merges}");
     }
 
+    /// What a merge does to the block ids of its inputs, by hand so that
+    /// the ids are known: the run that held key 2 is freed and the next run
+    /// written takes its id over, covering key 2 again. The record a get
+    /// cached for the old run's block must not answer for the new one's.
+    #[test]
+    fn a_get_is_not_answered_by_a_record_of_the_run_that_had_the_block_id_before() {
+        let cfg = LsmConfig { block_size: 1024, cache_blocks: 3, ..tiny().cfg };
+        let opts = TreeOptions::builder().stepped_fan_in(3).build();
+        let mut t = SteppedMergeTree::with_mem_device(cfg, opts, 64).unwrap();
+        let block = |t: &SteppedMergeTree, keys: &[Key], version: u8| {
+            let records = keys.iter().map(|&k| Record::put(k, vec![version; 4])).collect();
+            t.store.write_block(records).unwrap()
+        };
+        let run_of = |handle: &crate::BlockHandle| {
+            let mut run = Level::new();
+            run.push(handle.clone());
+            vec![vec![run]]
+        };
+        let old = block(&t, &[1, 2, 3], 1);
+        t.levels = run_of(&old);
+        // A cache of three blocks, full of other blocks: the get reads the
+        // device and keeps the record; the next get finds that.
+        (10..13).for_each(|k| drop(block(&t, &[k], 0)));
+        assert_eq!(t.get(2).unwrap().as_deref(), Some(&[1u8; 4][..]));
+        assert_eq!(t.get(2).unwrap().as_deref(), Some(&[1u8; 4][..]));
+        assert_eq!(t.store.io_snapshot().reads, 1);
+        t.store.free_block(&old).unwrap();
+        let new = block(&t, &[2, 5], 2);
+        assert_eq!(new.id, old.id);
+        t.levels = run_of(&new);
+        // The new block's cache seed is pushed out; the old run's record,
+        // visited, is still there (`store.rs` runs these steps with the
+        // cache open and checks that it is).
+        (20..22).for_each(|k| drop(block(&t, &[k], 0)));
+        assert_eq!(t.get(2).unwrap().as_deref(), Some(&[2u8; 4][..]));
+        assert_eq!(t.get(3).unwrap(), None);
+        assert_eq!(t.get(5).unwrap().as_deref(), Some(&[2u8; 4][..]));
+        assert_eq!(t.store.io_snapshot().reads, 4, "one pressed miss a get");
+        assert_eq!(t.stats().lookup_block_reads(), 5, "a cached record is a block read too");
+    }
+
     #[test]
     fn rejects_bad_fan_in() {
         let cfg = LsmConfig { block_size: 256, payload_size: 4, ..LsmConfig::default() };

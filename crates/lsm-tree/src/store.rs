@@ -4,10 +4,17 @@
 //! Every data-block write in the whole index is a finished frame
 //! ([`crate::block::FrameBuilder`]) passing through the store's one admit
 //! sequence — [`Store::write_frame`] or a [`WriteBatch`] — so the device's
-//! write counter is exactly the paper's cost metric. Reads come in two
-//! kinds: [`Store::read_block`] caches what it fetches (gets, scans),
-//! [`Store::read_blocks`] does not (merge inputs, which the reading step
-//! frees).
+//! write counter is exactly the paper's cost metric. Reads come in three
+//! kinds: [`Store::read_block`] caches the block it fetches (scans),
+//! [`Store::read_record`] wants one record of a block and, when the cache
+//! has no room for the block, keeps only that (gets), and
+//! [`Store::read_blocks`] caches nothing (merge inputs, which the reading
+//! step frees).
+//!
+//! The buffer cache is one [`SieveCache`] under one byte budget,
+//! `cache_blocks × block_size`, holding two kinds of entry: a whole block,
+//! charged its frame's `block_size`, and one record of a block, charged its
+//! payload plus [`RECORD_ENTRY_OVERHEAD`].
 //!
 //! The store is also where device failures are absorbed:
 //!
@@ -63,11 +70,67 @@ impl RetryPolicy {
     }
 }
 
+/// What a cached record is charged on top of its payload: everything else
+/// the entry allocates, as measured by `tests/cache_budget.rs` — two caches
+/// of different budgets filled with records, the difference in live heap
+/// (counted in malloc chunks) over the difference in entries. With 100-byte
+/// payloads an entry occupies 301–405 B, depending on where the cache's two
+/// doubling containers stand: 96 B of slab entry at a fill of 0.5–1, a
+/// 33-byte bucket of the hash index at a load under 7/8, and 160 B for the
+/// payload's buffer and its count (`Bytes` is an `Arc<Vec<u8>>`: two
+/// allocations with their headers). 100 + 250 is the middle of that range:
+/// what the cache holds in records is its budget give or take 15 %. A
+/// cached block is charged its frame alone; its index of 16 B a record and
+/// its entry (a fifth more) are not.
+pub const RECORD_ENTRY_OVERHEAD: usize = 250;
+
+/// What a buffer-cache entry is of.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum CacheKey {
+    /// The whole block at this id.
+    Block(BlockId),
+    /// One record of the block that held `id` at `generation`.
+    Record { id: BlockId, generation: u32, key: Key },
+}
+
+#[derive(Clone)]
+enum Cached {
+    Block(Arc<DataBlock>),
+    /// A copy: it views no frame.
+    Record(Record),
+}
+
+/// The buffer cache and what dates its record entries.
+struct BufferCache {
+    entries: SieveCache<CacheKey, Cached>,
+    /// How often each id has gone back to the allocator (none yet for an
+    /// id past the end). A record entry is keyed by its block's id *and*
+    /// generation, so when an id is released every record cached under it
+    /// stops matching — it is valid exactly as long as the cached block
+    /// would have been — and ages out unvisited; the block that gets the
+    /// id next starts with none.
+    generations: Vec<u32>,
+    /// What a block entry weighs: the device's block size.
+    block_weight: usize,
+}
+
+impl BufferCache {
+    /// Cache `block` as the block at `id`, evicting whatever has to go.
+    fn insert_block(&mut self, id: BlockId, block: Arc<DataBlock>) {
+        self.entries.insert_weighted(CacheKey::Block(id), Cached::Block(block), self.block_weight);
+    }
+
+    fn record_key(&self, id: BlockId, key: Key) -> CacheKey {
+        let generation = self.generations.get(id.raw() as usize).copied().unwrap_or(0);
+        CacheKey::Record { id, generation, key }
+    }
+}
+
 /// Storage services for one LSM index.
 pub struct Store {
     device: Arc<dyn BlockDevice>,
     alloc: BlockAllocator,
-    cache: Mutex<SieveCache<sim_ssd::BlockId, Arc<DataBlock>>>,
+    cache: Mutex<BufferCache>,
     bloom_bits_per_key: usize,
     retry: RetryPolicy,
     /// Blocks that failed an integrity check: id → lost key range. Their
@@ -83,8 +146,9 @@ pub struct Store {
 }
 
 impl Store {
-    /// Wrap a device. `cache_blocks` is the buffer cache's capacity in blocks;
-    /// `bloom_bits_per_key == 0` disables per-block Bloom filters.
+    /// Wrap a device. The buffer cache's budget is `cache_blocks` (at least
+    /// one) times the device's block size, in bytes; `bloom_bits_per_key ==
+    /// 0` disables per-block Bloom filters.
     pub fn new(
         device: Arc<dyn BlockDevice>,
         cache_blocks: usize,
@@ -124,10 +188,15 @@ impl Store {
         bloom_bits_per_key: usize,
         protected: HashSet<u64>,
     ) -> Self {
+        let block_weight = device.block_size();
         Store {
             device,
             alloc,
-            cache: Mutex::new(SieveCache::new(cache_blocks.max(1))),
+            cache: Mutex::new(BufferCache {
+                entries: SieveCache::new(cache_blocks.max(1) * block_weight),
+                generations: Vec::new(),
+                block_weight,
+            }),
             bloom_bits_per_key,
             retry: RetryPolicy::default(),
             quarantined: Mutex::new(BTreeMap::new()),
@@ -160,7 +229,7 @@ impl Store {
     /// and read repairs, all into the same sink.
     pub fn set_sink(&self, sink: observe::SinkHandle) {
         self.device.set_sink(sink.clone());
-        self.cache.lock().set_sink(sink.clone());
+        self.cache.lock().entries.set_sink(sink.clone());
         self.sink.set(sink);
     }
 
@@ -205,9 +274,9 @@ impl Store {
     /// `land` fails the id is released and nothing is published.
     ///
     /// The cache is seeded with the block itself — the frame that lands and
-    /// its offsets. A block is one buffer by construction, so cache memory
-    /// is bounded by capacity × block size: a cached block can pin nothing
-    /// of the merge inputs its bytes were copied from.
+    /// its offsets — charged `block_size`. A block is one buffer by
+    /// construction: a cached block can pin nothing of the merge inputs its
+    /// bytes were copied from.
     fn admit(
         &self,
         block: DataBlock,
@@ -216,13 +285,13 @@ impl Store {
         debug_assert_eq!(block.frame().len(), self.device.block_size());
         let id = self.alloc.alloc()?;
         if let Err(e) = land(id, block.frame().clone()) {
-            self.alloc.free(id);
+            self.release(id);
             return Err(e);
         }
         let bloom = (self.bloom_bits_per_key > 0)
             .then(|| BloomFilter::from_keys(block.keys(), self.bloom_bits_per_key));
         let handle = BlockHandle::describe(id, &block, bloom);
-        self.cache.lock().insert(id, Arc::new(block));
+        self.cache.lock().insert_block(id, Arc::new(block));
         Ok(handle)
     }
 
@@ -261,23 +330,75 @@ impl Store {
 
     /// Read a block through the cache. Transient device errors are retried;
     /// corruption (device ECC or codec checksum) quarantines the block and
-    /// surfaces as [`LsmError::Degraded`] naming the lost key range.
+    /// surfaces as [`LsmError::Degraded`] naming the lost key range. Only a
+    /// cached block is a hit — cached records of it are no use to a reader
+    /// of the whole — and a miss caches the block.
     pub fn read_block(&self, handle: &BlockHandle) -> Result<Arc<DataBlock>> {
-        if let Some(hit) = self.cache.lock().get(&handle.id) {
+        if let Some(Cached::Block(hit)) = self.cache.lock().entries.get(&CacheKey::Block(handle.id))
+        {
             return Ok(hit);
         }
         let block = self.adopt_frame(handle, self.with_retries(|| self.device.read(handle.id)))?;
-        self.cache.lock().insert(handle.id, Arc::clone(&block));
+        self.cache.lock().insert_block(handle.id, Arc::clone(&block));
         Ok(block)
+    }
+
+    /// `key`'s record in the block at `handle`, if it has one: what a get
+    /// wants of a block. One cache lookup — a hit when the cached block
+    /// answers or, failing that, a cached record of it — and on a miss one
+    /// device read, decoded and checked like [`read_block`]'s. What the miss
+    /// leaves behind depends on room: while the whole block fits without
+    /// evicting anything it is cached, as `read_block` would; once the
+    /// cache is full only the record found is — a copy of its payload,
+    /// charged that plus [`RECORD_ENTRY_OVERHEAD`] — and the frame is
+    /// dropped, so the returned record pins nothing. A key the block does
+    /// not hold leaves nothing. (Where a record would be charged no less
+    /// than its block — blocks of a few hundred bytes, payloads that fill
+    /// one — the block is what a found key leaves, at any fill.)
+    ///
+    /// [`read_block`]: Store::read_block
+    pub fn read_record(&self, handle: &BlockHandle, key: Key) -> Result<Option<Record>> {
+        let record_key = {
+            let mut cache = self.cache.lock();
+            if let Some(Cached::Block(block)) = cache.entries.hit(&CacheKey::Block(handle.id)) {
+                drop(cache);
+                return Ok(block.find(key));
+            }
+            let record_key = cache.record_key(handle.id, key);
+            if let Some(Cached::Record(record)) = cache.entries.get(&record_key) {
+                return Ok(Some(record));
+            }
+            record_key
+        };
+        let block = self.adopt_frame(handle, self.with_retries(|| self.device.read(handle.id)))?;
+        let found = block.find(key);
+        let mut cache = self.cache.lock();
+        let pressed = cache.entries.weight() + cache.block_weight > cache.entries.capacity();
+        let record_weight = |r: &Record| r.payload.len() + RECORD_ENTRY_OVERHEAD;
+        match found {
+            Some(record) if pressed && record_weight(&record) < cache.block_weight => {
+                let copy = Record { payload: Bytes::copy_from_slice(&record.payload), ..record };
+                let entry = Cached::Record(copy.clone());
+                cache.entries.insert_weighted(record_key, entry, record_weight(&copy));
+                Ok(Some(copy))
+            }
+            None if pressed => Ok(None),
+            // Room for the block — or a record so large, or a block so
+            // small, that the block is the lighter of the two.
+            found => {
+                cache.insert_block(handle.id, block);
+                Ok(found)
+            }
+        }
     }
 
     /// Batched read for the merge stream and compaction: fetch several
     /// blocks with (at most) one coalesced device call for all cache
     /// misses, returning one result per handle, in order.
     ///
-    /// Per block this is [`read_block`] — cache hits, transient-error
-    /// retries, corruption quarantine, `Degraded` errors — except that a
-    /// miss is *not* inserted into the cache. Every block a merge or a
+    /// Per block this is [`read_block`] — whole cached blocks as hits,
+    /// transient-error retries, corruption quarantine, `Degraded` errors —
+    /// except that a miss is *not* inserted into the cache. Every block a merge or a
     /// compaction decodes is retired by that same step and dropped from the
     /// cache by [`free_all`](Store::free_all); caching it would only evict
     /// the output blocks the step seeds, which the next merge and the next
@@ -287,7 +408,11 @@ impl Store {
     pub fn read_blocks(&self, handles: &[BlockHandle]) -> Vec<Result<Arc<DataBlock>>> {
         let mut out: Vec<Option<Result<Arc<DataBlock>>>> = {
             let mut cache = self.cache.lock();
-            handles.iter().map(|h| cache.get(&h.id).map(Ok)).collect()
+            let mut cached = |h: &BlockHandle| match cache.entries.get(&CacheKey::Block(h.id)) {
+                Some(Cached::Block(block)) => Some(Ok(block)),
+                _ => None,
+            };
+            handles.iter().map(&mut cached).collect()
         };
         let mut miss_idx: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_none()).collect();
         if !miss_idx.is_empty() {
@@ -324,6 +449,21 @@ impl Store {
         LsmError::Degraded { ranges: vec![(handle.min, handle.max)] }
     }
 
+    /// The one way an id goes back to the allocator: its generation moves
+    /// on first, so no record cached for the block that had the id can
+    /// answer for the next block to get it.
+    fn release(&self, id: BlockId) {
+        {
+            let generations = &mut self.cache.lock().generations;
+            let at = id.raw() as usize;
+            if generations.len() <= at {
+                generations.resize(at + 1, 0);
+            }
+            generations[at] = generations[at].wrapping_add(1);
+        }
+        self.alloc.free(id);
+    }
+
     /// [`free_all`](Store::free_all) of one block.
     pub fn free_block(&self, handle: &BlockHandle) -> Result<()> {
         self.free_all(std::slice::from_ref(handle))
@@ -343,7 +483,7 @@ impl Store {
         {
             let mut cache = self.cache.lock();
             for h in handles {
-                cache.remove(&h.id);
+                cache.entries.remove(&CacheKey::Block(h.id));
             }
         }
         let mut trim: Vec<BlockId> = Vec::with_capacity(handles.len());
@@ -365,12 +505,19 @@ impl Store {
         }
         let mut first_err = Ok(());
         for id in trim {
-            let freed = self.with_retries(|| self.device.trim(id)).map(|()| self.alloc.free(id));
+            let freed = self.with_retries(|| self.device.trim(id)).map(|()| self.release(id));
             if first_err.is_ok() {
                 first_err = freed.map_err(LsmError::from);
             }
         }
         first_err
+    }
+
+    /// Take back a block that was admitted but is not to be: its cache seed
+    /// and its id.
+    fn discard(&self, id: BlockId) {
+        self.cache.lock().entries.remove(&CacheKey::Block(id));
+        self.release(id);
     }
 
     /// Flush the device, retrying transient sync errors.
@@ -382,7 +529,9 @@ impl Store {
     /// A checkpoint manifest referencing `ids` just became durable
     /// (renamed into place): those blocks are now the protected set, and
     /// every deferred free whose block the new manifest no longer
-    /// references can finally be trimmed and recycled.
+    /// references can finally be trimmed and recycled. Every one of them
+    /// is attempted; those whose trim failed stay deferred for the next
+    /// checkpoint, and the first error is returned.
     pub fn finish_checkpoint<I: IntoIterator<Item = u64>>(&self, ids: I) -> Result<()> {
         let new_protected: HashSet<u64> = ids.into_iter().collect();
         let pending = {
@@ -394,11 +543,19 @@ impl Store {
             *deferred = keep;
             free_now
         };
+        let mut first_err = Ok(());
         for id in pending {
-            self.with_retries(|| self.device.trim(id))?;
-            self.alloc.free(id);
+            match self.with_retries(|| self.device.trim(id)) {
+                Ok(()) => self.release(id),
+                Err(e) => {
+                    self.deferred_free.lock().push(id);
+                    if first_err.is_ok() {
+                        first_err = Err(e.into());
+                    }
+                }
+            }
         }
-        Ok(())
+        first_err
     }
 
     /// Key ranges that may have been lost to quarantined blocks, in block
@@ -425,7 +582,7 @@ impl Store {
 
     /// Buffer-cache statistics.
     pub fn cache_stats(&self) -> sim_ssd::cache::CacheStats {
-        self.cache.lock().stats()
+        self.cache.lock().entries.stats()
     }
 
     /// Blocks currently allocated to the index.
@@ -509,19 +666,17 @@ impl WriteBatch<'_> {
             match self.store.finish_retries(result, || self.store.device.write(id, &frame)) {
                 Ok(()) => landed.push(id),
                 Err(e) => {
-                    self.store.cache.lock().remove(&id);
-                    self.store.alloc.free(id);
+                    self.store.discard(id);
                     first_err.get_or_insert(e.into());
                 }
             }
         }
         let Some(e) = first_err else { return Ok(()) };
         for id in landed {
-            self.store.cache.lock().remove(&id);
             // Best effort: the id goes back either way, and a frame left
             // behind under a free id is overwritten by its next owner.
             let _ = self.store.device.trim(id);
-            self.store.alloc.free(id);
+            self.store.discard(id);
         }
         Err(e)
     }
@@ -534,8 +689,7 @@ impl Drop for WriteBatch<'_> {
         // releasing the ids here keeps the allocator exactly where a
         // failed `write_block` would have left it.
         for (id, _) in self.staged.drain(..) {
-            self.store.cache.lock().remove(&id);
-            self.store.alloc.free(id);
+            self.store.discard(id);
         }
     }
 }
@@ -706,6 +860,148 @@ mod tests {
         s.finish_checkpoint([]).unwrap();
         assert_eq!(s.io_snapshot().trims, trims_before + 1);
         assert_eq!(s.live_blocks(), 0);
+    }
+
+    /// `free_all`'s contract: one trim that keeps failing costs that id's
+    /// release, not every id after it. (The loop returned on the first
+    /// error with the rest already drained out of the deferred list:
+    /// neither freed nor deferred, leaked for good.)
+    #[test]
+    fn a_failed_trim_at_a_checkpoint_keeps_that_id_deferred_and_frees_the_rest() {
+        let (dev, s) = faulty_store(FaultPlan::none(), RetryPolicy::none());
+        let blocks: Vec<BlockHandle> =
+            (0..4u64).map(|k| s.write_block(recs(&[k])).unwrap()).collect();
+        s.finish_checkpoint(blocks.iter().map(|h| h.id.raw())).unwrap();
+        s.free_all(&blocks).unwrap();
+        assert_eq!((s.live_blocks(), s.io_snapshot().trims), (4, 0), "all four deferred");
+        // The next manifest references none of them; the second one's trim
+        // fails however often it is tried.
+        dev.set_plan(FaultPlan::none().fail_trim_of(blocks[1].id.raw()));
+        let err = s.finish_checkpoint([]).unwrap_err();
+        assert!(matches!(err, LsmError::Device(_)), "{err:?}");
+        assert_eq!(s.live_blocks(), 1, "the three whose trim went through are free");
+        assert_eq!(s.io_snapshot().trims, 3);
+        // The fault clears: the next checkpoint finishes the job.
+        dev.set_plan(FaultPlan::none());
+        s.finish_checkpoint([]).unwrap();
+        assert_eq!((s.live_blocks(), s.io_snapshot().trims), (0, 4));
+    }
+
+    /// 1 KiB blocks, so that a record entry (4-byte payloads) is the lighter
+    /// thing to keep, and a cache of three of them.
+    fn pressed_store() -> (Arc<FaultDevice>, Store) {
+        let inner = Arc::new(MemDevice::with_block_size(64, 1024));
+        let dev = Arc::new(FaultDevice::new(inner, 1));
+        let s = Store::new(Arc::clone(&dev) as Arc<dyn BlockDevice>, 3, 0)
+            .with_retry(RetryPolicy::none());
+        (dev, s)
+    }
+
+    fn versioned(keys: &[u64], version: u8) -> Vec<Record> {
+        keys.iter().map(|&k| Record::put(k, vec![version; 4])).collect()
+    }
+
+    #[test]
+    fn a_pressed_miss_keeps_the_record_and_a_miss_with_room_the_block() {
+        let (_dev, s) = pressed_store();
+        // Four blocks through a cache of three: the first is pushed out and
+        // the cache is left full.
+        let a = s.write_block(versioned(&[1, 2, 3], 1)).unwrap();
+        let others: Vec<BlockHandle> =
+            (10..13u64).map(|k| s.write_block(versioned(&[k], 1)).unwrap()).collect();
+        let b = &others[2];
+        let (frame_a, frame_b) = (s.device.read(a.id).unwrap(), s.device.read(b.id).unwrap());
+        let (reads_before, before) = (s.io_snapshot().reads, s.cache_stats());
+        let reads = || s.io_snapshot().reads - reads_before;
+
+        let found = s.read_record(&a, 2).unwrap().expect("present");
+        assert_eq!((reads(), &found.payload[..]), (1, &[1u8; 4][..]));
+        assert!(!lies_within(&found.payload, &frame_a), "a pressed miss returns a copy");
+        // What stayed is that record: it answers again, its neighbour does not.
+        assert_eq!(s.read_record(&a, 2).unwrap(), Some(found));
+        assert_eq!(reads(), 1);
+        assert_eq!(s.read_record(&a, 3).unwrap(), Some(Record::put(3, vec![1u8; 4])));
+        assert_eq!(reads(), 2);
+        // A key the block does not hold leaves nothing behind.
+        let resident = s.cache_stats().resident;
+        assert_eq!(s.read_record(&a, 7).unwrap(), None);
+        assert_eq!((reads(), s.cache_stats().resident), (3, resident));
+        // One lookup a call, whatever answered it.
+        let after = s.cache_stats();
+        assert_eq!((after.hits - before.hits, after.misses - before.misses), (1, 3));
+        assert!(after.resident <= after.capacity);
+        // A whole-block reader gets nothing out of cached records.
+        assert_eq!(s.read_block(&a).unwrap().len(), 3);
+        assert_eq!(reads(), 4);
+
+        // Room again — three blocks freed: the next miss keeps its block,
+        // which then answers for every key, found or not.
+        s.free_all(&others[..2]).unwrap();
+        s.free_block(&a).unwrap();
+        s.cache.lock().entries.remove(&CacheKey::Block(b.id));
+        let found = s.read_record(b, 12).unwrap().expect("present");
+        assert_eq!(reads(), 5);
+        assert!(lies_within(&found.payload, &frame_b), "a view of the cached block's frame");
+        assert_eq!(s.read_record(b, 13).unwrap(), None);
+        assert_eq!(reads(), 5);
+    }
+
+    /// The allocator reuses ids LIFO. A record cached for the block that
+    /// had an id must not answer for the block that has it next, although
+    /// nothing visits the cache's records when a block is freed.
+    #[test]
+    fn a_record_cached_for_a_freed_block_does_not_answer_for_the_next_block_at_its_id() {
+        let (_dev, s) = pressed_store();
+        let old = s.write_block(versioned(&[1, 2, 3], 1)).unwrap();
+        for k in 10..13u64 {
+            s.write_block(versioned(&[k], 1)).unwrap();
+        }
+        assert_eq!(s.read_record(&old, 2).unwrap().unwrap().payload[..], [1u8; 4]);
+        assert_eq!(s.read_record(&old, 2).unwrap().unwrap().payload[..], [1u8; 4]);
+        assert_eq!(s.io_snapshot().reads, 1, "the second came from the cached record");
+        s.free_block(&old).unwrap();
+        let new = s.write_block(versioned(&[2, 5], 2)).unwrap();
+        assert_eq!(new.id, old.id, "the freed id is the next one handed out");
+        // Push the new block's seed out of the cache; the old block's
+        // record, visited, outlasts it.
+        for k in 20..22u64 {
+            s.write_block(versioned(&[k], 1)).unwrap();
+        }
+        let stale = CacheKey::Record { id: old.id, generation: 0, key: 2 };
+        {
+            let cache = s.cache.lock();
+            assert!(cache.entries.peek(&CacheKey::Block(new.id)).is_none(), "seed still cached");
+            assert!(cache.entries.peek(&stale).is_some(), "the stale record is gone: no test");
+        }
+        let reads = s.io_snapshot().reads;
+        assert_eq!(s.read_record(&new, 2).unwrap().unwrap().payload[..], [2u8; 4]);
+        assert_eq!(s.io_snapshot().reads, reads + 1, "answered by the device, not the cache");
+        assert_eq!(s.read_record(&new, 2).unwrap().unwrap().payload[..], [2u8; 4]);
+        assert_eq!(s.io_snapshot().reads, reads + 1, "and cached under the id's new generation");
+    }
+
+    /// A corrupt frame behind `read_record` is handled as behind
+    /// `read_block`: quarantined, reported with its key range.
+    #[test]
+    fn a_corrupt_frame_behind_read_record_quarantines_and_degrades() {
+        let sink = Arc::new(observe::VecSink::new());
+        let (dev, s) = pressed_store();
+        s.set_sink(SinkHandle::new(sink.clone()));
+        dev.set_plan(FaultPlan::none().bit_flip_rate(1.0));
+        let bad = s.write_block(versioned(&[40, 60], 1)).unwrap();
+        dev.set_plan(FaultPlan::none());
+        let good: Vec<BlockHandle> =
+            (0..3u64).map(|k| s.write_block(versioned(&[k], 1)).unwrap()).collect();
+        match s.read_record(&bad, 40) {
+            Err(LsmError::Degraded { ranges }) => assert_eq!(ranges, vec![(40, 60)]),
+            other => panic!("expected Degraded, got {other:?}"),
+        }
+        assert_eq!(s.quarantined_ids(), vec![bad.id.raw()]);
+        assert!(sink.drain().iter().any(|e| matches!(e, Event::BlockQuarantined { .. })));
+        assert!(s.read_record(&good[0], 0).unwrap().is_some(), "healthy blocks unaffected");
+        let live = s.live_blocks();
+        s.free_block(&bad).unwrap();
+        assert_eq!(s.live_blocks(), live, "quarantined id must not be recycled");
     }
 
     #[test]

@@ -379,18 +379,24 @@ impl LsmTree {
 
     /// Point lookup: newest visible version of `key`, if any.
     ///
-    /// Lifetime: a value found in an on-SSD block is a zero-copy *view* of
-    /// that block's frame and keeps the whole frame (`block_size` bytes)
-    /// alive while held — as does every `Bytes` a range scan yields. Copy
-    /// it out (`Bytes::copy_from_slice`) to keep it long-term.
+    /// Lifetime: a value found in an on-SSD block that the buffer cache
+    /// holds (or had room for) is a zero-copy *view* of that block's frame
+    /// and keeps the whole frame (`block_size` bytes) alive while held — as
+    /// does every `Bytes` a range scan yields; copy it out
+    /// (`Bytes::copy_from_slice`) to keep it long-term. A value read past a
+    /// full cache is a copy of its own and pins nothing.
     ///
-    /// Caching contract: any block probed on the way down goes through the
-    /// buffer cache, marking it visited there and counting toward cache
-    /// hit/miss statistics — exactly like [`LsmTree::peek`]. `get`
-    /// additionally updates the tree's own [`TreeStats`] lookup counters.
-    /// Those counters are relaxed atomics, so `get` takes `&self` and
-    /// concurrent readers (e.g. through [`crate::ShardedLsmTree`]) are all
-    /// accounted rather than silently dropped.
+    /// Caching contract: each level asked costs one buffer-cache lookup
+    /// ([`Store::read_record`]) — a hit if the cached block, or a cached
+    /// record of it, answers — and a miss reads the device. The miss leaves
+    /// the block in the cache while there is room for it without evicting
+    /// anything, and only the record found once the cache is full. Exactly
+    /// like [`LsmTree::peek`]. `get` additionally updates the tree's own
+    /// [`TreeStats`] lookup counters, where a block asked counts as a block
+    /// read whatever answered. Those counters are relaxed atomics, so `get`
+    /// takes `&self` and concurrent readers (e.g. through
+    /// [`crate::ShardedLsmTree`]) are all accounted rather than silently
+    /// dropped.
     pub fn get(&self, key: Key) -> Result<Option<Bytes>> {
         let _span = self.env.sink.span(SpanOp::lookup());
         self.lookup(key, Some(&self.stats))
@@ -400,9 +406,10 @@ impl LsmTree {
     /// documented no-stats path for probes that must not perturb the
     /// measurement (doctors, verifiers, learner probes).
     ///
-    /// Caching contract: identical block-probing path as [`LsmTree::get`]
-    /// (blocks read through the buffer cache are marked visited and count in cache
-    /// statistics); only the per-tree lookup counters are skipped.
+    /// Caching contract: identical probing path as [`LsmTree::get`] (what
+    /// answers is marked visited in the buffer cache and counts in its
+    /// statistics, and a miss leaves the block or the record behind); only
+    /// the per-tree lookup counters are skipped.
     pub fn peek(&self, key: Key) -> Result<Option<Bytes>> {
         self.lookup(key, None)
     }

@@ -351,6 +351,66 @@ proptest! {
         }
         let _ = std::fs::remove_file(&manifest);
     }
+
+    /// What the buffer cache holds — whole blocks where the data fits,
+    /// mostly single records where it does not — changes no answer and no
+    /// logical cost: a lookup counts a block read for every block it asks,
+    /// whatever answered.
+    #[test]
+    fn the_cache_budget_changes_no_answer_and_no_logical_cost(
+        ops in prop::collection::vec(tape_op(), 300..900),
+    ) {
+        const BUDGETS: [usize; 3] = [1, 8, 4_096];
+        // 1 KiB blocks: a cached record of a 4-byte payload is lighter than
+        // a block, so a get that misses a full cache keeps the record.
+        let block_size = 1_024;
+        let opts = || TreeOptions::builder().policy(PolicySpec::ChooseBest).build();
+        let mut trees: Vec<(LsmTree, Arc<dyn BlockDevice>, std::path::PathBuf)> = BUDGETS
+            .iter()
+            .map(|&cache_blocks| {
+                let cfg =
+                    LsmConfig { block_size, cache_blocks, bloom_bits_per_key: 10, ..tiny_cfg() };
+                let device: Arc<dyn BlockDevice> =
+                    Arc::new(MemDevice::with_block_size(1 << 12, block_size));
+                let manifest = std::env::temp_dir().join(format!(
+                    "lsm-prop-budget-{}-{cache_blocks}.manifest",
+                    std::process::id()
+                ));
+                (LsmTree::new(cfg, opts(), Arc::clone(&device)).unwrap(), device, manifest)
+            })
+            .collect();
+        let mut held_a_record = [false; 3];
+        let preload = (0..500u64).map(|i| LookupOp::Put(100 + 2 * i, i as u8)).map(TapeOp::Point);
+        for op in preload.chain(ops) {
+            let mut outcomes = Vec::new();
+            for (i, (tree, device, manifest)) in trees.iter_mut().enumerate() {
+                let mut answer: Vec<(u64, Option<Bytes>)> = Vec::new();
+                match &op {
+                    TapeOp::Point(LookupOp::Put(k, v)) => tree.put(*k, payload(*v)).unwrap(),
+                    TapeOp::Point(LookupOp::Delete(k)) => tree.delete(*k).unwrap(),
+                    TapeOp::Point(LookupOp::Get(k)) => answer.push((*k, tree.get(*k).unwrap())),
+                    TapeOp::Point(LookupOp::Reopen) => {
+                        tree.checkpoint(&*manifest).unwrap();
+                        *tree = LsmTree::restore(&*manifest, opts(), Arc::clone(device)).unwrap();
+                    }
+                    TapeOp::Scan(lo, hi) => {
+                        answer.extend(tree.scan(*lo, *hi).map(|kv| kv.unwrap()).map(|(k, v)| (k, Some(v))))
+                    }
+                }
+                let (stats, cache) = (tree.stats(), tree.store().cache_stats());
+                prop_assert!(cache.resident <= cache.capacity);
+                held_a_record[i] |= cache.resident % block_size as u64 != 0;
+                outcomes.push((answer, stats.lookups(), stats.lookup_block_reads(), stats.bloom_skips()));
+            }
+            prop_assert_eq!(&outcomes[0], &outcomes[1], "budgets 1 and 8 at {:?}", op);
+            prop_assert_eq!(&outcomes[0], &outcomes[2], "budgets 1 and 4096 at {:?}", op);
+        }
+        prop_assert_eq!(held_a_record, [true, true, false], "what the three caches held");
+        for (tree, _, manifest) in &trees {
+            check_tree(tree, true).unwrap();
+            let _ = std::fs::remove_file(manifest);
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -367,6 +427,20 @@ fn lookup_op() -> impl Strategy<Value = LookupOp> {
         15 => (90u64..1_150).prop_map(LookupOp::Delete),
         40 => (0u64..1_300).prop_map(LookupOp::Get),
         1 => Just(LookupOp::Reopen),
+    ]
+}
+
+/// A point operation, or a scan of `[lo, hi]`.
+#[derive(Debug, Clone)]
+enum TapeOp {
+    Point(LookupOp),
+    Scan(u64, u64),
+}
+
+fn tape_op() -> impl Strategy<Value = TapeOp> {
+    prop_oneof![
+        20 => lookup_op().prop_map(TapeOp::Point),
+        1 => (0u64..1_300, 0u64..120).prop_map(|(lo, width)| TapeOp::Scan(lo, lo + width)),
     ]
 }
 

@@ -1,4 +1,4 @@
-//! Generic buffer cache, evicting by SIEVE.
+//! Generic buffer cache, evicting by SIEVE, its capacity a sum of weights.
 //!
 //! The paper's setup gives each index an LRU buffer cache in addition to the
 //! memory-resident top level (§V). What the paper measures is block
@@ -11,6 +11,11 @@
 //! One-touch entries (a scan, a merge's outputs) are sifted out on the
 //! hand's next pass while entries that are read again stay, which is what a
 //! Zipf reader needs and LRU does not give it.
+//!
+//! Every entry has a weight and the capacity bounds their sum, so one cache
+//! can hold entries of different sizes under one budget: an insert evicts,
+//! in the hand's order, until the new entry fits. [`SieveCache::insert`]
+//! weighs 1 — a capacity in entries.
 //!
 //! The implementation is an intrusive doubly-linked list over a dense slab
 //! of entries plus a hash index — O(1) lookup, insert and removal, and
@@ -27,6 +32,7 @@ const NIL: usize = usize::MAX;
 struct Entry<K, V> {
     key: K,
     value: V,
+    weight: usize,
     visited: bool,
     prev: usize, // towards the head (newer)
     next: usize, // towards the tail (older)
@@ -41,6 +47,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
+    /// Sum of the resident entries' weights, never above `capacity`.
+    pub resident: u64,
+    /// The bound on `resident`.
+    pub capacity: u64,
 }
 
 impl CacheStats {
@@ -55,12 +65,14 @@ impl CacheStats {
     }
 }
 
-/// A cache mapping `K` to `V` with at most `capacity` resident entries,
-/// evicting by SIEVE. An entry that leaves — evicted, removed or replaced —
-/// is dropped at once: the slab is dense, so no vacated slot keeps a value
-/// alive.
+/// A cache mapping `K` to `V` whose resident entries weigh at most
+/// `capacity` together, evicting by SIEVE. An entry that leaves — evicted,
+/// removed or replaced — is dropped at once: the slab is dense, so no
+/// vacated slot keeps a value alive.
 pub struct SieveCache<K, V> {
     capacity: usize,
+    /// Sum of the resident entries' weights.
+    weight: usize,
     slab: Vec<Entry<K, V>>,
     index: HashMap<K, usize>,
     head: usize, // newest
@@ -75,11 +87,12 @@ pub struct SieveCache<K, V> {
 pub type LruCache<K, V> = SieveCache<K, V>;
 
 impl<K: Eq + Hash + Clone, V: Clone> SieveCache<K, V> {
-    /// Create a cache holding up to `capacity` entries (must be ≥ 1).
+    /// Create a cache holding up to `capacity` of weight (must be ≥ 1).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "cache capacity must be at least 1");
         SieveCache {
             capacity,
+            weight: 0,
             slab: Vec::with_capacity(capacity.min(1024)),
             index: HashMap::with_capacity(capacity.min(1024)),
             head: NIL,
@@ -111,9 +124,14 @@ impl<K: Eq + Hash + Clone, V: Clone> SieveCache<K, V> {
         self.capacity
     }
 
+    /// Sum of the resident entries' weights.
+    pub fn weight(&self) -> usize {
+        self.weight
+    }
+
     /// Cache statistics so far.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        CacheStats { resident: self.weight as u64, capacity: self.capacity as u64, ..self.stats }
     }
 
     /// Take `idx` out of the list; the hand steps off it towards the head.
@@ -147,11 +165,13 @@ impl<K: Eq + Hash + Clone, V: Clone> SieveCache<K, V> {
     }
 
     /// Unlink the entry the hand settles on and return its slot, still
-    /// holding the victim, for the caller to overwrite. The cache must not
-    /// be empty.
-    fn evict_one(&mut self) -> usize {
+    /// holding the victim, for the caller to overwrite or
+    /// [`vacate`](Self::vacate). The hand passes over `keep` (`NIL`: no
+    /// such entry) as over a visited entry. There must be an entry other
+    /// than `keep`.
+    fn evict_one(&mut self, keep: usize) -> usize {
         let mut cur = if self.hand == NIL { self.tail } else { self.hand };
-        while self.slab[cur].visited {
+        while self.slab[cur].visited || cur == keep {
             self.slab[cur].visited = false;
             cur = self.slab[cur].prev;
             if cur == NIL {
@@ -161,64 +181,17 @@ impl<K: Eq + Hash + Clone, V: Clone> SieveCache<K, V> {
         self.hand = cur;
         self.unlink(cur);
         self.index.remove(&self.slab[cur].key);
+        self.weight -= self.slab[cur].weight;
         self.stats.evictions += 1;
         self.sink.emit_with(|| Event::CacheEviction);
         cur
     }
 
-    /// Look up `key`; a hit marks the entry visited and moves nothing.
-    pub fn get(&mut self, key: &K) -> Option<V> {
-        match self.index.get(key) {
-            Some(&idx) => {
-                let entry = &mut self.slab[idx];
-                entry.visited = true;
-                self.stats.hits += 1;
-                self.sink.emit_with(|| Event::CacheHit);
-                Some(entry.value.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                self.sink.emit_with(|| Event::CacheMiss);
-                None
-            }
-        }
-    }
-
-    /// Peek without affecting the visited bit or statistics.
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        self.index.get(key).map(|&idx| &self.slab[idx].value)
-    }
-
-    /// Insert `key` at the head, evicting one entry if the cache is full.
-    /// Replacing a resident key's value counts as a visit and keeps its
-    /// place.
-    pub fn insert(&mut self, key: K, value: V) {
-        if let Some(&idx) = self.index.get(&key) {
-            let entry = &mut self.slab[idx];
-            entry.value = value;
-            entry.visited = true;
-            return;
-        }
-        let entry = Entry { key: key.clone(), value, visited: false, prev: NIL, next: NIL };
-        let idx = if self.slab.len() >= self.capacity {
-            let idx = self.evict_one();
-            self.slab[idx] = entry;
-            idx
-        } else {
-            self.slab.push(entry);
-            self.slab.len() - 1
-        };
-        self.index.insert(key, idx);
-        self.push_front(idx);
-    }
-
-    /// Drop `key` if resident, handing back its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let idx = self.index.remove(key)?;
-        self.unlink(idx);
-        let removed = self.slab.swap_remove(idx);
-        // The slab stays dense: its last entry now sits at `idx`, so
-        // whatever named it by its old position is pointed here.
+    /// Drop the unlinked, unindexed entry in slot `idx` and hand it back.
+    /// The slab stays dense: its last entry moves to `idx`, and whatever
+    /// named it by its old position is pointed here.
+    fn vacate(&mut self, idx: usize) -> Entry<K, V> {
+        let gone = self.slab.swap_remove(idx);
         let moved_from = self.slab.len();
         if idx != moved_from {
             let (prev, next) = (self.slab[idx].prev, self.slab[idx].next);
@@ -235,7 +208,89 @@ impl<K: Eq + Hash + Clone, V: Clone> SieveCache<K, V> {
             }
             *self.index.get_mut(&self.slab[idx].key).expect("resident entries are indexed") = idx;
         }
-        Some(removed.value)
+        gone
+    }
+
+    /// Look up `key`; a hit marks the entry visited and moves nothing.
+    pub fn get(&mut self, key: &K) -> Option<V> {
+        let found = self.hit(key);
+        if found.is_none() {
+            self.stats.misses += 1;
+            self.sink.emit_with(|| Event::CacheMiss);
+        }
+        found
+    }
+
+    /// [`get`](Self::get) for a caller that has another key to try before
+    /// its lookup is a miss: a resident `key` is a hit, an absent one
+    /// counts as nothing.
+    pub fn hit(&mut self, key: &K) -> Option<V> {
+        let entry = &mut self.slab[*self.index.get(key)?];
+        entry.visited = true;
+        self.stats.hits += 1;
+        self.sink.emit_with(|| Event::CacheHit);
+        Some(entry.value.clone())
+    }
+
+    /// Peek without affecting the visited bit or statistics.
+    pub fn peek(&self, key: &K) -> Option<&V> {
+        self.index.get(key).map(|&idx| &self.slab[idx].value)
+    }
+
+    /// [`insert_weighted`](Self::insert_weighted) at weight 1.
+    pub fn insert(&mut self, key: K, value: V) {
+        self.insert_weighted(key, value, 1);
+    }
+
+    /// Insert `key` at the head, evicting entries until it fits. Replacing
+    /// a resident key's value counts as a visit and keeps its place; its
+    /// new weight counts, and other entries make room for it. An entry
+    /// heavier than the capacity is refused (`false`) and changes nothing.
+    pub fn insert_weighted(&mut self, key: K, value: V, weight: usize) -> bool {
+        if weight > self.capacity {
+            return false;
+        }
+        if let Some(&idx) = self.index.get(&key) {
+            let entry = &mut self.slab[idx];
+            self.weight = self.weight - entry.weight + weight;
+            (entry.value, entry.weight, entry.visited) = (value, weight, true);
+            let mut keep = idx;
+            while self.weight > self.capacity {
+                let victim = self.evict_one(keep);
+                if keep == self.slab.len() - 1 {
+                    keep = victim; // where `vacate` moves the last entry
+                }
+                self.vacate(victim);
+            }
+            return true;
+        }
+        let entry = Entry { key: key.clone(), value, weight, visited: false, prev: NIL, next: NIL };
+        // Every victim but the last vacates its slot; the last one's slot
+        // takes the new entry.
+        let idx = loop {
+            if self.weight + weight <= self.capacity {
+                self.slab.push(entry);
+                break self.slab.len() - 1;
+            }
+            let victim = self.evict_one(NIL);
+            if self.weight + weight <= self.capacity {
+                self.slab[victim] = entry;
+                break victim;
+            }
+            self.vacate(victim);
+        };
+        self.weight += weight;
+        self.index.insert(key, idx);
+        self.push_front(idx);
+        true
+    }
+
+    /// Drop `key` if resident, handing back its value.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let idx = self.index.remove(key)?;
+        self.unlink(idx);
+        self.weight -= self.slab[idx].weight;
+        Some(self.vacate(idx).value)
     }
 }
 

@@ -17,6 +17,8 @@ pub enum FaultKind {
     Write,
     /// A sync returned a transient error (buffered writes kept, not durable).
     Sync,
+    /// A trim returned an error (the block keeps its content).
+    Trim,
     /// The device is powered off: all unsynced state is gone and the device
     /// rejects mutations until power is restored.
     PowerCut,
@@ -29,6 +31,7 @@ impl FaultKind {
             FaultKind::Read => "read",
             FaultKind::Write => "write",
             FaultKind::Sync => "sync",
+            FaultKind::Trim => "trim",
             FaultKind::PowerCut => "power_cut",
         }
     }

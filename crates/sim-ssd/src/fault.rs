@@ -2,7 +2,8 @@
 //!
 //! [`FaultDevice`] decorates any [`BlockDevice`] (memory- or file-backed)
 //! and executes a [`FaultPlan`]: transient read/write/sync errors fired by
-//! probability or at scheduled operation counts, bit-flip corruption that a
+//! probability or at scheduled operation counts, trims of named blocks that
+//! fail every time, bit-flip corruption that a
 //! later read reports as [`DeviceError::Corrupt`] (modelling per-frame ECC),
 //! torn writes where only a prefix of the frame lands, dropped syncs where
 //! the device *acks* durability it did not provide, and a power cut that
@@ -100,6 +101,9 @@ pub struct FaultPlan {
     pub fail_read_at: BTreeSet<u64>,
     /// Write ordinals (1-based, per-type, since plan install) that must fail.
     pub fail_write_at: BTreeSet<u64>,
+    /// Raw block ids whose trim fails every time while the plan is
+    /// installed: retrying does not help.
+    pub fail_trim_of: BTreeSet<u64>,
     /// Cut power the moment the global device-op counter (reads + writes +
     /// trims + syncs) reaches this value. Fires once.
     pub power_cut_at: Option<u64>,
@@ -158,6 +162,12 @@ impl FaultPlan {
     pub fn fail_write_at(mut self, nth: u64) -> Self {
         assert!(nth >= 1);
         self.fail_write_at.insert(nth);
+        self
+    }
+
+    /// Fail every trim of block `id`.
+    pub fn fail_trim_of(mut self, id: u64) -> Self {
+        self.fail_trim_of.insert(id);
         self
     }
 
@@ -412,6 +422,9 @@ impl BlockDevice for FaultDevice {
             return Err(DeviceError::Injected { kind: FaultKind::PowerCut, op });
         }
         self.check_range(id)?;
+        if self.plan.lock().fail_trim_of.contains(&id.0) {
+            return Err(DeviceError::Injected { kind: FaultKind::Trim, op });
+        }
         self.overlay.lock().insert(id.0, OverlayEntry::Trimmed);
         self.stats.record_trim();
         self.sink.emit_with(|| Event::DeviceTrim { block: id.0 });

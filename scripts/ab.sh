@@ -35,11 +35,13 @@
 # $AB_PARENT names a directory that already holds the parent's tree (say,
 # from an earlier workload's run): it is used, and kept, instead of a fresh
 # extraction. Needs python3 for the JSON and the statistics.
-# $AB_LAYERS lists per-layer metric names ("cache.hit_rate device.reads"):
-# after the pairs, each side makes one `--trace 1` run, and those metrics'
-# values from it are printed and go on the session's line under "layers" —
-# a claim's mechanism on file next to its medians. One run a side: counts
-# repeat exactly, timings do not, so name counts and ratios of counts.
+# $AB_LAYERS lists per-layer metric names (default: "device.reads
+# cache.hit_rate bloom.skip_rate store.block_reads_per_get"; set it empty to
+# skip): after the pairs, each side makes one `--trace 1` run, and those
+# metrics' values from it are printed and go on the session's line under
+# "layers" — the mechanism on file next to the medians of every session.
+# One run a side: counts repeat exactly, timings do not, so name counts and
+# ratios of counts.
 set -euo pipefail
 
 if [ "$#" -lt 2 ]; then
@@ -50,6 +52,7 @@ ref="$1"
 workload="$2"
 pairs="${3:-10}"
 seed="${4:-7}"
+layers="${AB_LAYERS-device.reads cache.hit_rate bloom.skip_rate store.block_reads_per_get}"
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"
@@ -114,7 +117,7 @@ for i in $(seq 1 "$pairs"); do
     echo "$line"
 done
 
-if [ -n "${AB_LAYERS:-}" ]; then
+if [ -n "$layers" ]; then
     run "$parent" "$out/$workload.parent.trace.json" 1
     run "$root" "$out/$workload.change.trace.json" 1
     echo "traced run per side done"
@@ -125,7 +128,7 @@ fi
 commit="$(git rev-parse --short HEAD)$(git diff --quiet HEAD 2>/dev/null || echo +dirty)"
 parent_commit="$(git rev-parse --short "$ref" 2>/dev/null || echo "$ref")"
 
-python3 - "$out" "$workload" "$pairs" "$seed" "$commit" "$parent_commit" "${AB_LAYERS:-}" <<'EOF'
+python3 - "$out" "$workload" "$pairs" "$seed" "$commit" "$parent_commit" "$layers" <<'EOF'
 import json, statistics, sys
 
 out, workload, pairs, seed = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])

@@ -66,7 +66,7 @@ mkdir "$obs_dir"
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- --size-mb=2 --out="$obs_dir/doctor.json" \
     --trace-out="$obs_dir/trace.json" --prom-out="$obs_dir/metrics.prom" \
     --series-out="$obs_dir/series.csv" > /dev/null
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- check \
+cargo run --release -q -p lsm-bench --bin lsm_doctor -- check "$obs_dir/doctor.json" \
     "$obs_dir/trace.json" "$obs_dir/metrics.prom" "$obs_dir/series.csv"
 
 echo "== file-backend crash torture (16 power cuts over a real backing file) =="

@@ -113,6 +113,38 @@ fn run_with_cache(cache_blocks: usize) -> (Vec<u64>, u64) {
     (live, tree.store().io_snapshot().reads - before)
 }
 
+/// Room for the block means the block is kept: a cold cache the data fits
+/// in never holds a single record, and a get-only pass costs one device read
+/// for every block it touches — the second pass none.
+#[test]
+fn a_cold_cache_with_room_reads_every_block_once_and_keeps_it_whole() {
+    // 1 KiB blocks: a cached record would be the lighter entry, were the
+    // cache ever pressed.
+    let c = LsmConfig { block_size: 1024, cache_blocks: 4_096, ..cfg() };
+    let device: Arc<dyn BlockDevice> = Arc::new(MemDevice::with_block_size(1 << 12, c.block_size));
+    let manifest = temp_path("cold-cache").with_extension("manifest");
+    let mut tree = LsmTree::new(c.clone(), TreeOptions::default(), Arc::clone(&device)).unwrap();
+    let keys: Vec<u64> = (0..6_000u64).map(|k| k * 7 % 100_000).collect();
+    for &k in &keys {
+        tree.put(k, payload_for(k, 20)).unwrap();
+    }
+    tree.checkpoint(&manifest).unwrap();
+    let tree = LsmTree::restore(&manifest, TreeOptions::default(), device).unwrap();
+    let _ = std::fs::remove_file(&manifest);
+    let pass = || {
+        let before = tree.store().io_snapshot().reads;
+        let found = keys.iter().filter(|&&k| tree.get(k).unwrap().is_some()).count();
+        (found, tree.store().io_snapshot().reads - before)
+    };
+    let (found, first) = pass();
+    let cache = tree.store().cache_stats();
+    assert!(found > 5_000 && first > 50, "{found} keys found with {first} device reads");
+    assert!(first <= tree.store().live_blocks());
+    assert_eq!(cache.resident, first * c.block_size as u64, "every block read is cached, whole");
+    assert_eq!(pass(), (found, 0), "and answers from then on");
+    assert_eq!(tree.store().cache_stats().resident, cache.resident);
+}
+
 #[test]
 fn injected_write_failure_surfaces_as_error() {
     let dev = Arc::new(FaultDevice::new(Arc::new(MemDevice::with_block_size(1 << 14, 512)), 11));
