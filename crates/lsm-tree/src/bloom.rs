@@ -13,7 +13,8 @@ use std::sync::Arc;
 use crate::record::Key;
 
 /// A classic Bloom filter over `u64` keys using double hashing
-/// (Kirsch–Mitzenmacher): `h_i(k) = h1(k) + i · h2(k)`.
+/// (Kirsch–Mitzenmacher) from one hash: `h_i(k) = h(k) + i · step(k)`, the
+/// step being `h(k)` with its halves swapped, made odd.
 ///
 /// One allocation, shared by every clone of the fence entry that carries
 /// it: word 0 is the geometry (bit count and probes per key), the rest the
@@ -43,14 +44,18 @@ fn bit_count(geometry: u64) -> u64 {
     geometry & ((1 << HASHES_SHIFT) - 1)
 }
 
-/// The positions `key` sets or tests in a filter of this geometry.
+/// The positions `key` sets or tests in a filter of this geometry. Each
+/// 64-bit value is brought into `[0, num_bits)` by taking the high word of
+/// its product with `num_bits` — a multiplication where `%` is a division.
 #[inline]
 fn bit_positions(geometry: u64, key: Key) -> impl Iterator<Item = usize> {
-    let num_bits = bit_count(geometry);
-    let h1 = mix64(key);
-    let h2 = mix64(key ^ 0xdead_beef_cafe_f00d) | 1;
-    (0..geometry >> HASHES_SHIFT)
-        .map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % num_bits) as usize)
+    let num_bits = u128::from(bit_count(geometry));
+    let h = mix64(key);
+    let step = h.rotate_left(32) | 1;
+    (0..geometry >> HASHES_SHIFT).map(move |i| {
+        let x = h.wrapping_add(i.wrapping_mul(step));
+        ((u128::from(x) * num_bits) >> 64) as usize
+    })
 }
 
 /// Words a filter of this geometry takes, the geometry word included.
@@ -144,6 +149,78 @@ mod tests {
         }
         // 10 bits/key gives ~1% theoretical FPR; allow generous slack.
         assert!(fp < probes / 20, "false positive rate too high: {fp}/{probes}");
+    }
+
+    /// SplitMix64 as a stream.
+    fn stream(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed;
+        move || {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            mix64(x)
+        }
+    }
+
+    #[test]
+    fn no_false_negative_over_ten_thousand_block_sized_sets() {
+        let mut next = stream(1);
+        for _ in 0..10_000 {
+            let keys: Vec<Key> = (0..36).map(|_| next()).collect();
+            let f = BloomFilter::build(&keys, 10);
+            assert!(keys.iter().all(|&k| f.may_contain(k)), "false negative among {keys:?}");
+        }
+    }
+
+    #[test]
+    fn positions_stay_in_range_for_any_bit_count() {
+        let mut next = stream(2);
+        for num_bits in [64u64, 360, 361, (1 << 40) + 1] {
+            for _ in 0..10_000 {
+                let key = next();
+                for bit in bit_positions(30 << HASHES_SHIFT | num_bits, key) {
+                    assert!((bit as u64) < num_bits, "{bit} of {num_bits} bits, key {key}");
+                }
+            }
+        }
+        // The extremes of the hash land on the first and the last bit.
+        assert_eq!(((u128::from(u64::MAX) * 360) >> 64) as usize, 359);
+    }
+
+    #[test]
+    fn false_positive_rate_at_block_geometry_matches_the_modulo_positions() {
+        // The filter a 36-record block gets (360 bits, 7 probes), against
+        // the positions this filter took before: two hashes, reduced by `%`.
+        let modulo_positions = |num_bits: u64, key: Key| {
+            let h1 = mix64(key);
+            let h2 = mix64(key ^ 0xdead_beef_cafe_f00d) | 1;
+            (0..7u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % num_bits) as usize)
+        };
+        let mut next = stream(3);
+        let (filters, probes) = (2_000, 500);
+        let (mut fp, mut fp_modulo) = (0u32, 0u32);
+        for _ in 0..filters {
+            let keys: Vec<Key> = (0..36).map(|_| next()).collect();
+            let f = BloomFilter::build(&keys, 10);
+            assert_eq!((f.num_bits(), f.num_hashes()), (360, 7));
+            let mut reference = [0u64; 6];
+            for &k in &keys {
+                modulo_positions(360, k).for_each(|bit| reference[bit / 64] |= 1 << (bit % 64));
+            }
+            for _ in 0..probes {
+                let absent = next(); // one of 2^64: not among the 36
+                fp += u32::from(f.may_contain(absent));
+                fp_modulo += u32::from(
+                    modulo_positions(360, absent)
+                        .all(|bit| reference[bit / 64] >> (bit % 64) & 1 == 1),
+                );
+            }
+        }
+        let total = f64::from(filters * probes);
+        let (rate, rate_modulo) = (f64::from(fp) / total, f64::from(fp_modulo) / total);
+        assert!(rate <= 0.011, "false-positive rate {rate}");
+        assert!(
+            (rate - rate_modulo).abs() <= 0.15 * rate_modulo,
+            "false-positive rate {rate}, with `%` positions {rate_modulo}"
+        );
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! consumer's to know; [`RangeScan`] is the consumer that wants none.
 //! Every point lookup is [`lookup`].
 
-use std::collections::btree_map;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -18,7 +17,7 @@ use bytes::Bytes;
 use crate::block::{BlockHandle, DataBlock};
 use crate::error::Result;
 use crate::level::{BlockProbe, Level};
-use crate::memtable::Memtable;
+use crate::memtable::{self, Memtable};
 use crate::record::{Key, Record};
 use crate::stats::TreeStats;
 use crate::store::Store;
@@ -62,7 +61,7 @@ pub(crate) fn lookup<'a>(
 /// One ordered input of a [`Merge`].
 pub(crate) enum Source<'a> {
     /// A key range of a memtable.
-    Mem(btree_map::Range<'a, Key, Record>),
+    Mem(memtable::Range<'a>),
     /// Blocks with ascending, disjoint key ranges — a level or a stepped
     /// run — each read through the cache when the source reaches it.
     Blocks {
@@ -87,7 +86,7 @@ impl<'a> Source<'a> {
     #[inline(always)]
     fn next(&mut self) -> Result<Option<Record>> {
         match self {
-            Source::Mem(range) => Ok(range.next().map(|(_, r)| r.clone())),
+            Source::Mem(range) => Ok(range.next().cloned()),
             Source::Owned(pairs) => Ok(pairs.next().map(|(key, value)| Record::put(key, value))),
             Source::Blocks { store, handles, at, lo, hi } => loop {
                 if let Some((block, pos)) = at {

@@ -697,9 +697,12 @@ impl<'a> MergeEngine<'a> {
         // or prev vs h directly.
         if self.pairwise {
             let prev = last_out.map(|b| b.count).or(prev_target_count).map(|c| c as usize);
-            let run = [prev, (buffered > 0).then_some(buffered), Some(h.count as usize)];
-            let run: Vec<usize> = run.into_iter().flatten().collect();
-            if run.windows(2).any(|pair| pair[0] + pair[1] <= self.b) {
+            let next = h.count as usize;
+            // What comes right before h, and what (if anything) before that.
+            let (before, earlier) =
+                if buffered > 0 { (Some(buffered), prev) } else { (prev, None) };
+            let fit_one_block = |a: Option<usize>, b: usize| a.is_some_and(|a| a + b <= self.b);
+            if fit_one_block(before, next) || fit_one_block(earlier, buffered) {
                 return false;
             }
         }

@@ -34,8 +34,117 @@ fn arb_run(max_len: usize) -> impl Strategy<Value = Vec<Record>> {
     })
 }
 
+/// One step of a memtable tape (`memtable_matches_a_btreemap_model`).
+#[derive(Debug, Clone)]
+enum MemOp {
+    Put(u64, u8),
+    Delete(u64),
+    Get(u64),
+    /// `range(lo, hi)`, inverted and empty ranges included.
+    Range(u64, u64),
+    /// `virtual_blocks(b)` and the `window` of its run ranges.
+    Blocks(usize),
+    /// `remove_keys` of the window of `len` runs of `b` records (clipped to
+    /// the table) that starts `start` fortieths of the way through.
+    RemoveWindow {
+        b: usize,
+        start: usize,
+        len: usize,
+    },
+    RemoveEverything,
+    RemoveNothing,
+}
+
+fn arb_mem_op() -> impl Strategy<Value = MemOp> {
+    // Keys from a space the tape fills densely enough to split leaves and
+    // to overwrite; run lengths 1..=9 and the paper's 36.
+    let key = || 0u64..1200;
+    let b = || prop_oneof![1usize..10, Just(36usize)];
+    prop_oneof![
+        24 => (key(), any::<u8>()).prop_map(|(k, v)| MemOp::Put(k, v)),
+        6 => key().prop_map(MemOp::Delete),
+        2 => key().prop_map(MemOp::Get),
+        2 => (key(), key()).prop_map(|(lo, hi)| MemOp::Range(lo, hi)),
+        1 => b().prop_map(MemOp::Blocks),
+        1 => (b(), 0usize..40, 1usize..12)
+            .prop_map(|(b, start, len)| MemOp::RemoveWindow { b, start, len }),
+        1 => prop_oneof![12 => Just(MemOp::RemoveNothing), 1 => Just(MemOp::RemoveEverything)],
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The leaf-array memtable against a `BTreeMap`, with the leaf
+    /// structure checked after every step.
+    #[test]
+    fn memtable_matches_a_btreemap_model(tape in prop::collection::vec(arb_mem_op(), 0..900)) {
+        use std::collections::BTreeMap;
+        let mut mem = Memtable::new();
+        let mut model: BTreeMap<u64, Record> = BTreeMap::new();
+        let keys_of = |records: &[Record]| records.iter().map(|r| r.key).collect::<Vec<u64>>();
+        for op in tape {
+            match op {
+                MemOp::Put(k, v) => {
+                    let payload = Bytes::from(vec![v]);
+                    mem.apply(Request::Put(k, payload.clone()));
+                    model.insert(k, Record { key: k, op: OpKind::Put, payload });
+                }
+                MemOp::Delete(k) => {
+                    mem.apply(Request::Delete(k));
+                    model.insert(k, Record::delete(k));
+                }
+                MemOp::Get(k) => prop_assert_eq!(mem.get(k), model.get(&k)),
+                MemOp::Range(lo, hi) => {
+                    let want: Vec<&Record> = if lo > hi {
+                        Vec::new()
+                    } else {
+                        model.range(lo..=hi).map(|(_, r)| r).collect()
+                    };
+                    prop_assert_eq!(mem.range(lo, hi).collect::<Vec<_>>(), want);
+                }
+                MemOp::Blocks(b) => {
+                    let all: Vec<Record> = model.values().cloned().collect();
+                    let blocks = mem.virtual_blocks(b);
+                    let want: Vec<RunMeta> = all
+                        .chunks(b)
+                        .map(|c| RunMeta { min: c[0].key, max: c[c.len() - 1].key, count: c.len() as u32 })
+                        .collect();
+                    prop_assert_eq!(&blocks, &want);
+                    // Every run range of a short table; of a long one, every
+                    // range that starts at the front or ends at the (short)
+                    // last block, and every single run.
+                    let n = blocks.len();
+                    for start in 0..n {
+                        for end in start + 1..=n {
+                            if n <= 24 || start == 0 || end == n || end == start + 1 {
+                                let want = &all[start * b..(end * b).min(all.len())];
+                                prop_assert_eq!(&mem.window(&blocks[start..end])[..], want);
+                            }
+                        }
+                    }
+                    prop_assert!(mem.window(&[]).is_empty());
+                }
+                MemOp::RemoveWindow { b, start, len } => {
+                    let blocks = mem.virtual_blocks(b);
+                    let start = start * blocks.len() / 40;
+                    let window = &blocks[start..(start + len).min(blocks.len())];
+                    let keys = keys_of(&mem.window(window));
+                    mem.remove_keys(&keys);
+                    keys.iter().for_each(|k| { model.remove(k); });
+                }
+                MemOp::RemoveEverything => {
+                    mem.remove_keys(&model.keys().copied().collect::<Vec<u64>>());
+                    model.clear();
+                }
+                MemOp::RemoveNothing => mem.remove_keys(&[]),
+            }
+            mem.validate().unwrap();
+            prop_assert_eq!(mem.len(), model.len());
+            prop_assert_eq!(mem.is_empty(), model.is_empty());
+            prop_assert!(mem.iter().eq(model.values()));
+        }
+    }
 
     #[test]
     fn codec_round_trips(run in arb_run(12)) {

@@ -111,6 +111,28 @@ cargo run --release -q -p lsm-bench --bin lsm_doctor -- --tail-stall > /dev/null
 cargo run --release -q -p lsm-bench --bin lsm_top -- --once --json --windows=4 \
     --window-ops=200 > /dev/null
 
+echo "== unwrap/expect outside tests: no more than the committed baseline =="
+# A panic inside a chunk or an install leaves a shard half-applied behind a
+# lock that never poisons (ROADMAP item 10c): the count of `.unwrap(` and
+# `.expect(` above each file's `mod tests` may fall, never rise. When it
+# falls, lower scripts/panic_sites.baseline with it.
+panic_sites() { # <dir>
+    find "$1" -name '*.rs' -print0 | sort -z | xargs -0 awk '
+        FNR == 1 { tests = 0 }
+        /^mod tests/ { tests = 1 }
+        tests || /^[[:space:]]*\/\// { next }
+        { n += gsub(/\.(unwrap|expect)\(/, "&") }
+        END { print n + 0 }'
+}
+while read -r dir baseline; do
+    now="$(panic_sites "$dir")"
+    echo "$dir: $now (baseline $baseline)"
+    if [ "$now" -gt "$baseline" ]; then
+        echo "$dir has $((now - baseline)) more unwrap/expect sites outside tests than the baseline"
+        exit 1
+    fi
+done < scripts/panic_sites.baseline
+
 echo "== deleted names stay deleted =="
 # What lsm_perf, the one-trait sink plane and the one ordered merge
 # (`iter.rs`) replaced may not creep back into code, scripts or docs
