@@ -1,11 +1,14 @@
 //! A tiny `--key=value` command-line parser (no external dependencies).
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Parsed command-line flags: `--key=value` or bare `--flag`.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     values: BTreeMap<String, String>,
+    /// Every key a caller has asked for, given or not.
+    asked: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -27,12 +30,45 @@ impl Args {
                 None => values.insert(stripped.to_string(), "true".to_string()),
             };
         }
-        Args { values }
+        Args { values, asked: RefCell::default() }
     }
 
     /// String value of a flag.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.asked.borrow_mut().insert(key.to_string());
         self.values.get(key).map(String::as_str)
+    }
+
+    /// The value `--key` names in `choices` (`default` when the flag is
+    /// absent), or a message listing the accepted names.
+    pub fn one_of<T: Clone>(
+        &self,
+        key: &str,
+        default: &str,
+        choices: &[(&str, T)],
+    ) -> Result<T, String> {
+        let given = self.get(key).unwrap_or(default);
+        choices.iter().find(|(name, _)| *name == given).map(|(_, v)| v.clone()).ok_or_else(|| {
+            let names: Vec<&str> = choices.iter().map(|(name, _)| *name).collect();
+            format!("unknown --{key}={given} (expected {})", names.join("|"))
+        })
+    }
+
+    /// The flags that were given but that nothing has asked for so far.
+    pub fn unread(&self) -> Vec<&str> {
+        let asked = self.asked.borrow();
+        self.values.keys().filter(|k| !asked.contains(*k)).map(String::as_str).collect()
+    }
+
+    /// End of argument handling: a flag nothing has read is a typo or
+    /// belongs to another mode, so say which and exit 2 instead of running
+    /// the whole workload without it.
+    pub fn done(&self) {
+        let unread = self.unread();
+        if !unread.is_empty() {
+            eprintln!("unknown or unused flag(s): --{}", unread.join(", --"));
+            std::process::exit(2);
+        }
     }
 
     /// Boolean flag: present (or `=true`) means true.
@@ -97,6 +133,25 @@ mod tests {
         let a = args(&["--sizes=1,2, 3"]);
         assert_eq!(a.list_or("sizes", &[9u64]), vec![1, 2, 3]);
         assert_eq!(a.list_or("absent", &[9u64]), vec![9]);
+    }
+
+    #[test]
+    fn a_flag_nobody_reads_is_reported() {
+        let a = args(&["--helth-out=h.json", "--seed=3", "--tick-clock"]);
+        assert_eq!(a.unread(), vec!["helth-out", "seed", "tick-clock"]);
+        let _: u64 = a.get_or("seed", 1);
+        assert!(a.flag("tick-clock"));
+        assert!(a.get("health-out").is_none(), "asking for an absent flag is not a complaint");
+        assert_eq!(a.unread(), vec!["helth-out"]);
+    }
+
+    #[test]
+    fn one_of_names_the_accepted_values() {
+        let choices = [("full", 1), ("rr", 2)];
+        assert_eq!(args(&[]).one_of("policy", "rr", &choices), Ok(2));
+        assert_eq!(args(&["--policy=full"]).one_of("policy", "rr", &choices), Ok(1));
+        let err = args(&["--policy=ful"]).one_of("policy", "rr", &choices).unwrap_err();
+        assert_eq!(err, "unknown --policy=ful (expected full|rr)");
     }
 
     #[test]

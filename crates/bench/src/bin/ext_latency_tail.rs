@@ -16,8 +16,9 @@ use std::time::Instant;
 
 use lsm_bench::report::fmt_f;
 use lsm_bench::{prepared_tree, Args, Csv, ExperimentScale, PolicyCase, Table, WorkloadKind};
+use lsm_tree::observe::Histogram;
 use lsm_tree::PolicySpec;
-use workloads::{volume_requests, LatencyHistogram};
+use workloads::volume_requests;
 
 fn main() {
     let args = Args::from_env();
@@ -49,7 +50,7 @@ fn main() {
     for case in &cases {
         let (mut tree, mut wl) =
             prepared_tree(&cfg, case, WorkloadKind::Uniform, seed, scale.dataset_bytes(size_mb));
-        let mut hist = LatencyHistogram::new();
+        let mut hist = Histogram::new();
         for _ in 0..requests {
             let req = wl.next_request();
             let t0 = Instant::now();

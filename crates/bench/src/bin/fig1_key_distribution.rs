@@ -38,17 +38,28 @@ fn histogram(tree: &LsmTree, level_idx: usize, buckets: usize, domain: u64) -> V
     counts
 }
 
+/// The `--policy` the figure is drawn for; an unknown name is an error
+/// naming the accepted ones (the name labels the table and the CSV).
+fn policy_case(args: &Args) -> Result<PolicyCase, String> {
+    let cases = [
+        ("rr", PolicyCase { name: "RR", spec: PolicySpec::RoundRobin, preserve: true }),
+        (
+            "choosebest",
+            PolicyCase { name: "ChooseBest", spec: PolicySpec::ChooseBest, preserve: true },
+        ),
+    ];
+    args.one_of("policy", "rr", &cases)
+}
+
 fn main() {
     let args = Args::from_env();
     let size_mb: u64 = args.get_or("size-mb", 20);
     let buckets: usize = args.get_or("buckets", 100);
     let seed: u64 = args.get_or("seed", 1);
-    let policy = match args.get("policy").unwrap_or("rr") {
-        "choosebest" => {
-            PolicyCase { name: "ChooseBest", spec: PolicySpec::ChooseBest, preserve: true }
-        }
-        _ => PolicyCase { name: "RR", spec: PolicySpec::RoundRobin, preserve: true },
-    };
+    let policy = policy_case(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
 
     let scale = ExperimentScale::small();
     let cfg = scale.config(100);
@@ -103,4 +114,19 @@ fn main() {
     println!("L2 max/mean bucket frequency: {:.2}  (≈1 — uniform, like the workload)", spread(&l2));
     let path = csv.write().expect("write csv");
     println!("wrote {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unknown_policy_is_an_error_not_round_robin() {
+        let parse =
+            |flags: &[&str]| policy_case(&Args::parse_from(flags.iter().map(|f| f.to_string())));
+        assert_eq!(parse(&[]).unwrap().name, "RR");
+        assert_eq!(parse(&["--policy=choosebest"]).unwrap().name, "ChooseBest");
+        let err = parse(&["--policy=choose_best"]).unwrap_err();
+        assert_eq!(err, "unknown --policy=choose_best (expected rr|choosebest)");
+    }
 }

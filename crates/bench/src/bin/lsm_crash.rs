@@ -93,6 +93,7 @@ fn single(
             std::process::exit(2);
         }
     };
+    args.done();
     eprintln!(
         "crash torture: {seeds} seeds from {seed_base}, up to {ops} requests each \
          ({} backend) ...",
@@ -182,6 +183,7 @@ fn concurrent(
     let ops: u64 = args.get_or("ops", defaults.ops);
     let writers: usize = args.get_or("writers", defaults.writers);
     let shards: usize = args.get_or("shards", defaults.shards);
+    args.done();
     eprintln!(
         "concurrent crash torture: {seeds} seeds from {seed_base}, {writers} writers \
          over {shards} shards, up to {ops} requests each ..."

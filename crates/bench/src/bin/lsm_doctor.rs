@@ -4,13 +4,16 @@
 //! Useful for eyeballing what a policy does to the physical layout:
 //!
 //! ```text
-//! cargo run --release --bin lsm_doctor -- [--policy=choosebest|full|rr|testmixed] \
+//! cargo run --release --bin lsm_doctor -- [--policy=choosebest|full|rr|testmixed|aligned] \
 //!     [--size-mb=20] [--workload=uniform|normal|tpc] [--out=results/lsm_doctor.json] \
 //!     [--trace-out=t.json] [--prom-out=m.prom] [--series-out=s.csv] \
 //!     [--series-every=1000] [--tick-clock] [--ledger] [--health] \
 //!     [--tail] [--tail-out=tail.json] [--tail-stall]
 //! cargo run --release --bin lsm_doctor -- check <file>...
 //! ```
+//!
+//! An unknown `--policy` or `--workload` value, or a flag nothing reads,
+//! exits 2 naming what is accepted.
 //!
 //! `check <file>...` skips the doctor workload and is the one reader of
 //! everything the binaries export: each file is dispatched on what it is —
@@ -32,12 +35,17 @@
 //! `results/lsm_doctor.json`, a committed full-size run — smoke runs pass
 //! a scratch path).
 //!
-//! `--tail` attaches the tail-anatomy engine beside the doctor's registry,
-//! prints the critical-path blame table after the workload, embeds the
-//! `lsm-tail/v1` report in the merged JSON report, and cross-checks the
-//! engine's completed-span counts against the tree's own put/delete/lookup
-//! counters *exactly* — every front-end request opens exactly one root
-//! span, so any disagreement is a bug and exits non-zero.
+//! `--tail` and `--health` attach the tail-anatomy and windowed health
+//! engines beside the doctor's registry, print each report's text form
+//! after the workload, embed the `lsm-tail/v1` / `lsm-health/v1` report in
+//! the merged JSON report, and cross-check each engine's request counts
+//! against the tree's own put/delete/lookup counters *exactly* — every
+//! front-end request opens exactly one root span, so any disagreement is
+//! a bug and exits non-zero. The health engine's cumulative counters are
+//! also reconciled exactly against the metrics registry (the same event
+//! stream through independent paths), and a health report that judged no
+//! window or counted no put exits non-zero too: lower
+//! `--health-window-ops` until the run rotates one.
 //!
 //! `--tail-stall` runs a seeded, deterministic backpressure-stall scenario
 //! instead of the doctor workload (a `SimExecutor`-backed sharded tree
@@ -45,13 +53,6 @@
 //! stall repeatedly), prints its blame table, and exits non-zero unless
 //! the report validates and names `backpressure_wait` as the dominant
 //! phase on a stalled shard.
-//!
-//! `--health` attaches the windowed health engine beside the doctor's
-//! registry, prints the rolling-window table after the workload, embeds
-//! the `lsm-health/v1` report in the merged JSON report, and
-//! cross-checks the engine's cumulative counters against the metrics
-//! registry *exactly* — both consume the same event stream through
-//! independent paths, so any disagreement is a bug and exits non-zero.
 //!
 //! `--ledger` attaches a [`DecisionLedger`] to the tree: every merge
 //! decision is recorded with its full candidate set and reconciled against
@@ -61,8 +62,8 @@
 
 use std::sync::Arc;
 
-use lsm_bench::report::{fmt_f, merged_json};
-use lsm_bench::{Args, ObsPipeline, PolicyCase, Table, WorkloadKind};
+use lsm_bench::report::{fmt_f, merged_json, render_health, render_ledger, render_tail};
+use lsm_bench::{Args, ObsPipeline, Table, WorkloadKind};
 use lsm_tree::observe::metrics::validate_prometheus;
 use lsm_tree::observe::{
     validate_health, validate_tail, ExemplarConfig, ExemplarSink, Json, MetricsSink, SinkHandle,
@@ -76,37 +77,19 @@ use lsm_tree::{
 use sim_ssd::{BlockDevice, CostModel, MemDevice};
 use workloads::{fill_to_bytes, reach_steady_state, InsertRatio};
 
-/// Field of an object, if it is one.
-fn field<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
-    match v {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-/// Numeric value of any JSON number variant.
-fn num(v: &Json) -> Option<f64> {
-    match v {
-        Json::U64(n) => Some(*n as f64),
-        Json::I64(n) => Some(*n as f64),
-        Json::F64(f) => Some(*f),
-        _ => None,
-    }
-}
-
 /// Problems of a Chrome `trace_event` document (a top-level array).
 fn check_trace(events: &[Json]) -> Vec<String> {
     let mut problems = Vec::new();
     let mut complete = 0u64;
     for (i, ev) in events.iter().enumerate() {
-        let Some(Json::Str(ph)) = field(ev, "ph") else {
+        let Some(ph) = ev.get("ph").as_str() else {
             problems.push(format!("event {i} has no \"ph\" phase"));
             continue;
         };
         if ph == "X" {
             complete += 1;
             for key in ["name", "pid", "tid", "ts", "dur"] {
-                if field(ev, key).is_none() {
+                if ev.get(key) == &Json::Null {
                     problems.push(format!("complete event {i} lacks \"{key}\""));
                 }
             }
@@ -149,7 +132,7 @@ fn check_series(text: &str) -> Vec<String> {
 /// Problems of a merged report ([`merged_json`]): the buffer cache states
 /// its budget and is within it.
 fn check_report(doc: &Json) -> Vec<String> {
-    let cache = |key| field(doc, "cache").and_then(|c| field(c, key)).and_then(num);
+    let cache = |key| doc.get("cache").get(key).as_f64();
     match (cache("resident_bytes"), cache("capacity_bytes")) {
         (Some(resident), Some(capacity)) if resident <= capacity => Vec::new(),
         (Some(resident), Some(capacity)) => {
@@ -184,12 +167,12 @@ fn check_file(path: &str) -> (String, Vec<String>) {
     if let Json::Arr(events) = &doc {
         return ("Chrome trace".into(), check_trace(events));
     }
-    let schema = match (field(&doc, "schema"), field(&doc, "experiment")) {
-        (Some(Json::Str(s)), _) => s.clone(),
-        (None, Some(Json::Str(_))) => return ("merged report".into(), check_report(&doc)),
+    let schema = match (doc.get("schema"), doc.get("experiment")) {
+        (Json::Str(s), _) => s.as_str(),
+        (Json::Null, Json::Str(_)) => return ("merged report".into(), check_report(&doc)),
         _ => return ("JSON document".into(), vec!["no \"schema\" string to dispatch on".into()]),
     };
-    let problems = match schema.as_str() {
+    let problems = match schema {
         "lsm-health/v1" => validate_health(&doc),
         "lsm-tail/v1" => validate_tail(&doc),
         "lsm-postmortem/v1" => validate_bundle(&doc),
@@ -216,61 +199,6 @@ fn run_check(paths: &[String]) -> ! {
         }
     }
     std::process::exit(i32::from(failed));
-}
-
-/// Render the critical-path blame table of an `lsm-tail/v1` report, plus
-/// the dominant phase and per-shard verdicts. Shared by `--tail` and
-/// `--tail-stall`.
-fn print_tail_report(report: &Json) {
-    let completed = field(report, "completed");
-    let puts = completed.and_then(|c| field(c, "put")).and_then(num).unwrap_or(0.0);
-    let lookups = completed.and_then(|c| field(c, "lookup")).and_then(num).unwrap_or(0.0);
-    let windows = field(report, "windows_completed").and_then(num).unwrap_or(0.0);
-    println!(
-        "\n=== tail anatomy ({puts:.0} puts, {lookups:.0} lookups, {windows:.0} windows completed) ==="
-    );
-    let mut t = Table::new(["phase", "total us", "count", "share%", "p99 share%", "p99.9 share%"]);
-    if let Some(Json::Arr(rows)) = field(report, "blame") {
-        for row in rows {
-            let get = |k: &str| field(row, k).and_then(num).unwrap_or(0.0);
-            let phase = match field(row, "phase") {
-                Some(Json::Str(s)) => s.clone(),
-                _ => "?".into(),
-            };
-            t.row([
-                phase,
-                fmt_f(get("total_us"), 0),
-                fmt_f(get("count"), 0),
-                fmt_f(100.0 * get("share"), 1),
-                fmt_f(100.0 * get("share_p99"), 1),
-                fmt_f(100.0 * get("share_p999"), 1),
-            ]);
-        }
-    }
-    t.print();
-    let dominant = match field(report, "dominant_phase") {
-        Some(Json::Str(s)) => s.clone(),
-        _ => "none".into(),
-    };
-    let mut shard_verdicts = Vec::new();
-    if let Some(Json::Arr(shards)) = field(report, "shards") {
-        for sec in shards {
-            let idx = field(sec, "shard").and_then(num).unwrap_or(-1.0);
-            let dom = match field(sec, "dominant_phase") {
-                Some(Json::Str(s)) => s.clone(),
-                _ => "none".into(),
-            };
-            let n = match field(sec, "exemplars") {
-                Some(Json::Arr(xs)) => xs.len(),
-                _ => 0,
-            };
-            shard_verdicts.push(format!("shard {idx:.0}: {dom} ({n} exemplars)"));
-        }
-    }
-    println!("dominant phase: {dominant}");
-    if !shard_verdicts.is_empty() {
-        println!("per shard: {}", shard_verdicts.join(" | "));
-    }
 }
 
 /// One seeded stall run for `--tail-stall`: a two-shard tree over a
@@ -323,6 +251,7 @@ fn tail_stall_scenario(seed: u64) -> Arc<ExemplarSink> {
 /// the dominant phase globally and on at least one shard.
 fn run_tail_stall(args: &Args) -> ! {
     let seed: u64 = args.get_or("seed", 42);
+    args.done();
     let report = tail_stall_scenario(seed).report();
     let replay = tail_stall_scenario(seed).report();
     let mut failures = Vec::new();
@@ -332,25 +261,20 @@ fn run_tail_stall(args: &Args) -> ! {
     for p in validate_tail(&report) {
         failures.push(format!("invalid report: {p}"));
     }
-    print_tail_report(&report);
-    let puts =
-        field(&report, "completed").and_then(|c| field(c, "put")).and_then(num).unwrap_or(0.0);
-    if puts != 600.0 {
-        failures.push(format!("expected 600 completed put spans, engine saw {puts}"));
+    print!("{}", render_tail(&report));
+    let puts = report.get("completed").get("put").as_u64();
+    if puts != Some(600) {
+        failures.push(format!("expected 600 completed put spans, engine saw {puts:?}"));
     }
-    match field(&report, "dominant_phase") {
-        Some(Json::Str(s)) if s == "backpressure_wait" => {}
-        other => failures.push(format!(
-            "dominant phase should be backpressure_wait for the induced stall, got {other:?}"
-        )),
+    let blames_stall =
+        |scope: &Json| scope.get("dominant_phase").as_str() == Some("backpressure_wait");
+    if !blames_stall(&report) {
+        failures.push(format!(
+            "dominant phase should be backpressure_wait for the induced stall, got {:?}",
+            report.get("dominant_phase")
+        ));
     }
-    let stalled_shard = match field(&report, "shards") {
-        Some(Json::Arr(shards)) => shards.iter().any(|sec| {
-            matches!(field(sec, "dominant_phase"), Some(Json::Str(s)) if s == "backpressure_wait")
-        }),
-        _ => false,
-    };
-    if !stalled_shard {
+    if !report.get("shards").items().iter().any(blames_stall) {
         failures.push("no shard blames backpressure_wait for the induced stall".to_string());
     }
     if failures.is_empty() {
@@ -366,6 +290,28 @@ fn run_tail_stall(args: &Args) -> ! {
     std::process::exit(1);
 }
 
+/// The `--policy` and `--workload` of a doctor run. An unknown name is an
+/// error naming the accepted ones: the typed strings label every
+/// Prometheus sample, so a silent default would mislabel the run.
+fn policy_and_workload(args: &Args) -> Result<(PolicySpec, WorkloadKind), String> {
+    let policies = [
+        ("choosebest", PolicySpec::ChooseBest),
+        ("full", PolicySpec::Full),
+        ("rr", PolicySpec::RoundRobin),
+        ("testmixed", PolicySpec::TestMixed),
+        ("aligned", PolicySpec::ChooseBestAligned),
+    ];
+    let workloads = [
+        ("uniform", WorkloadKind::Uniform),
+        ("normal", WorkloadKind::normal_default()),
+        ("tpc", WorkloadKind::Tpc),
+    ];
+    Ok((
+        args.one_of("policy", "choosebest", &policies)?,
+        args.one_of("workload", "uniform", &workloads)?,
+    ))
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().is_some_and(|a| a == "check") {
@@ -377,23 +323,16 @@ fn main() {
     }
     let size_mb: u64 = args.get_or("size-mb", 20);
     let seed: u64 = args.get_or("seed", 1);
-    let policy_str = args.get("policy").unwrap_or("choosebest").to_string();
-    let policy = match policy_str.as_str() {
-        "full" => PolicySpec::Full,
-        "rr" => PolicySpec::RoundRobin,
-        "testmixed" => PolicySpec::TestMixed,
-        "aligned" => PolicySpec::ChooseBestAligned,
-        _ => PolicySpec::ChooseBest,
-    };
-    let kind = match args.get("workload").unwrap_or("uniform") {
-        "normal" => WorkloadKind::normal_default(),
-        "tpc" => WorkloadKind::Tpc,
-        _ => WorkloadKind::Uniform,
-    };
+    let (policy, kind) = policy_and_workload(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let policy_label = args.get("policy").unwrap_or("choosebest");
+    let out = std::path::PathBuf::from(args.get("out").unwrap_or("results/lsm_doctor.json"));
+    let ledger = args.flag("ledger").then(|| Arc::new(DecisionLedger::new(1024)));
 
     let scale = lsm_bench::ExperimentScale::small();
     let cfg = scale.config(100);
-    let case = PolicyCase { name: "doctor", spec: policy.clone(), preserve: true };
 
     let device_blocks = (size_mb * 1024 * 1024 / cfg.block_size as u64) * 6;
     let device = Arc::new(MemDevice::with_block_size(device_blocks.max(8192), cfg.block_size));
@@ -402,15 +341,14 @@ fn main() {
     let obs = ObsPipeline::from_args(
         &args,
         cfg.block_capacity() as u64,
-        &[("policy", &policy_str), ("workload", kind.name())],
+        &[("policy", policy_label), ("workload", kind.name())],
     )
     .expect("open observability exporters");
+    args.done();
     // The doctor's own registry (merged into the JSON report) always runs,
     // on the same handle as whatever exporters were requested.
     let sink = obs.sink().and(metrics_sink);
-    let ledger = args.flag("ledger").then(|| Arc::new(DecisionLedger::new(1024)));
-    let mut opts_builder =
-        TreeOptions::builder().policy(policy).preserve_blocks(case.preserve).sink(sink);
+    let mut opts_builder = TreeOptions::builder().policy(policy).preserve_blocks(true).sink(sink);
     if let Some(l) = &ledger {
         opts_builder = opts_builder.ledger(Arc::clone(l));
     }
@@ -476,39 +414,7 @@ fn main() {
 
     if let Some(ledger) = &ledger {
         let totals = ledger.totals();
-        println!("\n=== decision ledger ({} policy) ===", tree.policy_name());
-        println!(
-            "{} decisions ({} full), {} reconciled | predicted {} vs actual {} blocks \
-             | cumulative regret {} blocks, model error {} blocks",
-            totals.decisions,
-            totals.full_merges,
-            totals.closed,
-            totals.predicted,
-            totals.actual,
-            totals.regret,
-            totals.model_error,
-        );
-        let mut t = Table::new([
-            "level",
-            "decisions",
-            "full",
-            "predicted",
-            "actual",
-            "regret",
-            "model err",
-        ]);
-        for (level, tot) in ledger.per_level() {
-            t.row([
-                format!("L{level}"),
-                tot.decisions.to_string(),
-                tot.full_merges.to_string(),
-                tot.predicted.to_string(),
-                tot.actual.to_string(),
-                tot.regret.to_string(),
-                tot.model_error.to_string(),
-            ]);
-        }
-        t.print();
+        print!("{}", render_ledger(&ledger.to_json()));
         // The ledger and the metrics registry hear about outcomes through
         // independent paths (the ledger's own mutex vs `LedgerOutcome`
         // events through the sink); the doctor cross-checks them exactly.
@@ -581,75 +487,38 @@ fn main() {
         }
         t.print();
     }
-    // Windowed health: the rolling view of the run's tail, plus an exact
+    // Both engines fold the same span stream the tree's own counters
+    // describe: every front-end put/delete opens exactly one root `Put`
+    // span and every get one `Lookup` span, so each engine's request
+    // counts must equal the tree's to the unit.
+    let stats = tree.stats();
+    let requests = [("put", stats.puts + stats.deletes), ("lookup", stats.lookups())];
+    let reconcile = |engine: &str, counted: [u64; 2]| {
+        for ((what, expected), counted) in requests.into_iter().zip(counted) {
+            if counted != expected {
+                println!(
+                    "{} MISMATCH: engine completed {counted} {what} spans, \
+                     tree counted {expected} requests",
+                    engine.to_uppercase()
+                );
+                std::process::exit(1);
+            }
+        }
+        println!(
+            "tree agrees with the {engine} engine: {} put spans, {} lookup spans (exact match).",
+            requests[0].1, requests[1].1
+        );
+    };
+    // Windowed health: the rolling view of the run's tail, plus a second
     // reconciliation — the health engine and the metrics registry consumed
     // the same event stream through independent paths, so their cumulative
     // counters must agree to the unit.
     if let Some(health) = obs.health() {
         let report = health.report();
-        let cfg_sec = field(&report, "config");
-        let window_ops = cfg_sec.and_then(|c| field(c, "window_ops")).and_then(num).unwrap_or(0.0);
-        let windows = cfg_sec.and_then(|c| field(c, "windows")).and_then(num).unwrap_or(0.0);
-        println!(
-            "\n=== windowed health (rolling {} windows × {} device ops, {} completed) ===",
-            windows,
-            window_ops,
-            health.windows_completed()
-        );
-        let mut t = Table::new([
-            "series",
-            "put p99.9 ns",
-            "fsync p99 ns",
-            "write amp",
-            "cache hit%",
-            "stalls",
-        ]);
-        let row_of = |label: String, sec: &Json, fsync_p99: f64| {
-            let get = |k: &str| field(sec, k).and_then(num).unwrap_or(0.0);
-            let lat = |k: &str, q: &str| {
-                field(sec, k).and_then(|l| field(l, q)).and_then(num).unwrap_or(0.0)
-            };
-            [
-                label,
-                fmt_f(lat("put_latency", "p999"), 0),
-                fmt_f(fsync_p99, 0),
-                fmt_f(get("write_amp"), 2),
-                fmt_f(100.0 * get("cache_hit_rate"), 1),
-                fmt_f(get("backpressure"), 0),
-            ]
-        };
-        if let Some(rolling) = field(&report, "rolling") {
-            let fsync = field(rolling, "fsync_latency")
-                .and_then(|l| field(l, "p99"))
-                .and_then(num)
-                .unwrap_or(0.0);
-            t.row(row_of("global".into(), rolling, fsync));
-        }
-        if let Some(Json::Arr(shards)) = field(&report, "shards") {
-            for sec in shards {
-                let idx = field(sec, "shard").and_then(num).unwrap_or(-1.0);
-                t.row(row_of(format!("shard {idx}"), sec, 0.0));
-            }
-        }
-        t.print();
-        if let Some(Json::Arr(detectors)) = field(&report, "detectors") {
-            let states: Vec<String> = detectors
-                .iter()
-                .map(|d| {
-                    let name = match field(d, "detector") {
-                        Some(Json::Str(s)) => s.clone(),
-                        _ => "?".into(),
-                    };
-                    let state = match field(d, "state") {
-                        Some(Json::Str(s)) => s.clone(),
-                        _ => "?".into(),
-                    };
-                    format!("{name}={state}")
-                })
-                .collect();
-            println!("detectors: {}", states.join(", "));
-        }
-        let cumulative = field(&report, "cumulative").expect("health report has cumulative");
+        print!("{}", render_health(&report));
+        let cumulative = report.get("cumulative");
+        let count = |key: &str| cumulative.get(key).as_u64().unwrap_or(u64::MAX);
+        reconcile("health", [count("puts"), count("gets")]);
         let checks = [
             ("device.writes", "device_writes"),
             ("cache.hits", "cache_hits"),
@@ -659,8 +528,7 @@ fn main() {
         ];
         let mut mismatch = false;
         for (counter, key) in checks {
-            let registry = metrics.counter(counter) as f64;
-            let engine = field(cumulative, key).and_then(num).unwrap_or(f64::NAN);
+            let (registry, engine) = (metrics.counter(counter), count(key));
             if engine != registry {
                 println!(
                     "HEALTH MISMATCH: engine counted {engine} {key}, registry {counter} = {registry}"
@@ -677,40 +545,27 @@ fn main() {
             metrics.counter("cache.hits"),
             metrics.counter("scheduler.backpressure_stalls"),
         );
+        // A report that judged no window, or saw no put, says "healthy"
+        // about a run it did not look at.
+        if health.windows_completed() == 0 || count("puts") == 0 {
+            println!(
+                "HEALTH BLIND: {} windows completed, {} puts counted — \
+                 lower --health-window-ops for a run this size",
+                health.windows_completed(),
+                count("puts")
+            );
+            std::process::exit(1);
+        }
         if let Json::Obj(pairs) = &mut doc {
             pairs.push(("health".into(), report));
         }
     }
     // Tail anatomy: the critical-path blame table over the slowest
-    // captured puts, plus an exact reconciliation — every front-end
-    // put/delete opens exactly one root `Put` span and every get one
-    // `Lookup` span, so the engine's completed-span counts must equal the
-    // tree's own request counters to the unit.
+    // captured puts.
     if let Some(tail) = obs.tail() {
         let report = tail.report();
-        print_tail_report(&report);
-        let stats = tree.stats();
-        let expect_puts = stats.puts + stats.deletes;
-        let expect_lookups = stats.lookups();
-        let mut mismatch = false;
-        for (what, engine, expected) in [
-            ("put", tail.completed_puts(), expect_puts),
-            ("lookup", tail.completed_lookups(), expect_lookups),
-        ] {
-            if engine != expected {
-                println!(
-                    "TAIL MISMATCH: engine completed {engine} {what} spans, \
-                     tree counted {expected} requests"
-                );
-                mismatch = true;
-            }
-        }
-        if mismatch {
-            std::process::exit(1);
-        }
-        println!(
-            "tree agrees: {expect_puts} put spans, {expect_lookups} lookup spans (exact match)."
-        );
+        print!("{}", render_tail(&report));
+        reconcile("tail", [tail.completed_puts(), tail.completed_lookups()]);
         if let Json::Obj(pairs) = &mut doc {
             pairs.push(("tail".into(), report));
         }
@@ -728,10 +583,29 @@ fn main() {
     }
     println!("all §II-B invariants verified (deep check).");
 
-    let path = std::path::PathBuf::from(args.get("out").unwrap_or("results/lsm_doctor.json"));
-    if let Some(dir) = path.parent() {
+    if let Some(dir) = out.parent() {
         std::fs::create_dir_all(dir).expect("create report dir");
     }
-    std::fs::write(&path, doc.render_pretty()).expect("write json report");
-    println!("wrote {}", path.display());
+    std::fs::write(&out, doc.render_pretty()).expect("write json report");
+    println!("wrote {}", out.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unknown_policy_or_workload_is_an_error_not_the_default() {
+        let parse = |flags: &[&str]| {
+            policy_and_workload(&Args::parse_from(flags.iter().map(|f| f.to_string())))
+        };
+        assert_eq!(parse(&[]), Ok((PolicySpec::ChooseBest, WorkloadKind::Uniform)));
+        assert_eq!(
+            parse(&["--policy=full", "--workload=tpc"]),
+            Ok((PolicySpec::Full, WorkloadKind::Tpc))
+        );
+        let err = parse(&["--policy=choose_best"]).unwrap_err();
+        assert!(err.contains("choose_best") && err.contains("choosebest|full|rr"), "{err}");
+        assert!(parse(&["--workload=unifrom"]).unwrap_err().contains("uniform|normal|tpc"));
+    }
 }

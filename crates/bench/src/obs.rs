@@ -34,8 +34,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use observe::{
-    ChromeTraceSink, Clock, EventSink, ExemplarConfig, ExemplarSink, HealthConfig, HealthSink,
-    Metrics, SinkHandle, TextExpositionSink, TickClock, TimeseriesSink, WallClock,
+    validate_health, validate_tail, ChromeTraceSink, Clock, EventSink, ExemplarConfig,
+    ExemplarSink, HealthConfig, HealthSink, Metrics, MetricsSink, SinkHandle, TickClock,
+    TimeseriesSink, WallClock,
 };
 
 use crate::Args;
@@ -44,142 +45,113 @@ use crate::Args;
 /// observability flags were given.
 pub struct ObsPipeline {
     handle: SinkHandle,
-    chrome: Option<Arc<ChromeTraceSink>>,
-    text: Option<Arc<TextExpositionSink>>,
-    series: Option<Arc<TimeseriesSink>>,
-    health: Option<Arc<HealthSink>>,
-    tail: Option<Arc<ExemplarSink>>,
-    trace_path: Option<PathBuf>,
-    prom_path: Option<PathBuf>,
-    series_path: Option<PathBuf>,
-    health_path: Option<PathBuf>,
-    tail_path: Option<PathBuf>,
+    chrome: Option<(Arc<ChromeTraceSink>, PathBuf)>,
+    /// The Prometheus registry and the file its text form goes to, with
+    /// `global_labels` stamped onto every sample.
+    prom: Option<(Metrics, PathBuf)>,
+    global_labels: Vec<(String, String)>,
+    series: Option<(Arc<TimeseriesSink>, PathBuf)>,
+    health: Option<(Arc<HealthSink>, Option<PathBuf>)>,
+    tail: Option<(Arc<ExemplarSink>, Option<PathBuf>)>,
 }
 
 impl ObsPipeline {
     /// Build the pipeline the flags ask for. `block_capacity` is records
     /// per block (the time series expresses write amplification in
     /// blocks); `global_labels` are stamped onto every Prometheus sample
-    /// (e.g. `[("policy", "choose_best")]`).
+    /// (e.g. `[("policy", "choosebest")]`).
     pub fn from_args(
         args: &Args,
         block_capacity: u64,
         global_labels: &[(&str, &str)],
     ) -> std::io::Result<ObsPipeline> {
-        let trace_path = args.get("trace-out").map(PathBuf::from);
-        let prom_path = args.get("prom-out").map(PathBuf::from);
-        let series_path = args.get("series-out").map(PathBuf::from);
+        // Every flag is read whether or not its exporter is on, so that
+        // `Args::done` complains about typos only.
+        let path = |key: &str| args.get(key).map(PathBuf::from);
+        let defaults = HealthConfig::default();
+        let health_config = HealthConfig {
+            window_ops: args.get_or("health-window-ops", defaults.window_ops),
+            windows: args.get_or("health-windows", defaults.windows),
+            ..defaults
+        };
+        let health_path = path("health-out");
+        let health = (args.flag("health") || health_path.is_some())
+            .then(|| (Arc::new(HealthSink::new(health_config)), health_path));
+
+        let defaults = ExemplarConfig::default();
+        let tail_config = ExemplarConfig {
+            per_shard: args.get_or("tail-per-shard", defaults.per_shard),
+            window_puts: args.get_or("tail-window-puts", defaults.window_puts),
+            windows: args.get_or("tail-windows", defaults.windows),
+            ..defaults
+        };
+        let tail_path = path("tail-out");
+        let tail = (args.flag("tail") || tail_path.is_some())
+            .then(|| (Arc::new(ExemplarSink::new(tail_config)), tail_path));
+
+        let global_labels =
+            global_labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+        let prom = path("prom-out").map(|p| (Metrics::new(), p));
         let series_every: u64 = args.get_or("series-every", 1_000);
-        let health_path = args.get("health-out").map(PathBuf::from);
-
-        let health = (health_path.is_some() || args.flag("health")).then(|| {
-            let defaults = HealthConfig::default();
-            Arc::new(HealthSink::new(HealthConfig {
-                window_ops: args.get_or("health-window-ops", defaults.window_ops),
-                windows: args.get_or("health-windows", defaults.windows as u64) as usize,
-                ..defaults
-            }))
-        });
-
-        let tail_path = args.get("tail-out").map(PathBuf::from);
-        let tail = (tail_path.is_some() || args.flag("tail")).then(|| {
-            let defaults = ExemplarConfig::default();
-            Arc::new(ExemplarSink::new(ExemplarConfig {
-                per_shard: args.get_or("tail-per-shard", defaults.per_shard as u64) as usize,
-                window_puts: args.get_or("tail-window-puts", defaults.window_puts),
-                windows: args.get_or("tail-windows", defaults.windows as u64) as usize,
-                ..defaults
-            }))
-        });
-
-        let text =
-            prom_path.as_ref().map(|p| Arc::new(TextExpositionSink::new(p.clone(), global_labels)));
-        let series = series_path
-            .as_ref()
-            .map(|_| Arc::new(TimeseriesSink::new(series_every, block_capacity)));
-        let chrome = match &trace_path {
-            Some(p) => Some(Arc::new(ChromeTraceSink::to_file(p)?)),
+        let series = path("series-out")
+            .map(|p| (Arc::new(TimeseriesSink::new(series_every, block_capacity)), p));
+        let chrome = match path("trace-out") {
+            Some(p) => Some((Arc::new(ChromeTraceSink::to_file(&p)?), p)),
             None => None,
         };
 
         // One handle, one clock: every consumer sees the same stamped
         // stream — spans included — whichever subset was asked for.
         let consumers: Vec<Arc<dyn EventSink>> = [
-            chrome.clone().map(|c| c as _),
-            health.clone().map(|h| h as _),
-            tail.clone().map(|x| x as _),
-            text.clone().map(|t| t as _),
-            series.clone().map(|s| s as _),
+            chrome.as_ref().map(|(c, _)| Arc::clone(c) as _),
+            health.as_ref().map(|(h, _)| Arc::clone(h) as _),
+            tail.as_ref().map(|(t, _)| Arc::clone(t) as _),
+            prom.as_ref().map(|(m, _)| Arc::new(MetricsSink::into_registry(m.clone())) as _),
+            series.as_ref().map(|(s, _)| Arc::clone(s) as _),
         ]
         .into_iter()
         .flatten()
         .collect();
+        let clock: Arc<dyn Clock> = if args.flag("tick-clock") {
+            Arc::new(TickClock::new())
+        } else {
+            Arc::new(WallClock::new())
+        };
         let handle = if consumers.is_empty() {
             SinkHandle::none()
         } else {
-            let clock: Arc<dyn Clock> = if args.flag("tick-clock") {
-                Arc::new(TickClock::new())
-            } else {
-                Arc::new(WallClock::new())
-            };
             let handle = consumers.into_iter().fold(SinkHandle::with_clock(clock), |h, c| h.and(c));
             // Span durations land in the Prometheus registry too.
-            match &text {
-                Some(t) => handle.time_spans_into(t.metrics()),
+            match &prom {
+                Some((metrics, _)) => handle.time_spans_into(metrics.clone()),
                 None => handle,
             }
         };
-
-        Ok(ObsPipeline {
-            handle,
-            chrome,
-            text,
-            series,
-            health,
-            tail,
-            trace_path,
-            prom_path,
-            series_path,
-            health_path,
-            tail_path,
-        })
-    }
-
-    /// Whether any exporter was requested.
-    pub fn active(&self) -> bool {
-        self.handle.is_enabled()
+        Ok(ObsPipeline { handle, chrome, prom, global_labels, series, health, tail })
     }
 
     /// The sink to install into the tree (via
-    /// [`TreeOptions`](lsm_tree::TreeOptions) or `set_sink`).
+    /// [`TreeOptions`](lsm_tree::TreeOptions) or `set_sink`); disabled when
+    /// no exporter was requested.
     pub fn sink(&self) -> SinkHandle {
         self.handle.clone()
     }
 
-    /// The Prometheus registry, when `--prom-out` was given.
-    pub fn metrics(&self) -> Option<Metrics> {
-        self.text.as_ref().map(|t| t.metrics())
-    }
-
     /// The amplification time series, when `--series-out` was given.
     pub fn series(&self) -> Option<&TimeseriesSink> {
-        self.series.as_deref()
+        self.series.as_ref().map(|(series, _)| &**series)
     }
 
     /// The windowed health engine, when `--health-out` or `--health` was
-    /// given. Drivers feed put latencies into it directly
-    /// ([`HealthSink::record_put`]) — the one request-level observation
-    /// the event stream does not carry (gets arrive as `Lookup` span
-    /// durations through the sink itself).
+    /// given. Like the tail engine it feeds itself entirely from the span
+    /// stream.
     pub fn health(&self) -> Option<&Arc<HealthSink>> {
-        self.health.as_ref()
+        self.health.as_ref().map(|(health, _)| health)
     }
 
     /// The tail-anatomy engine, when `--tail-out` or `--tail` was given.
-    /// It feeds itself entirely from the span stream — `Put` spans opened
-    /// by the tree front-ends carry everything it needs.
     pub fn tail(&self) -> Option<&Arc<ExemplarSink>> {
-        self.tail.as_ref()
+        self.tail.as_ref().map(|(tail, _)| tail)
     }
 
     /// Flush every exporter to disk and return the files written.
@@ -187,65 +159,46 @@ impl ObsPipeline {
         let mut written = Vec::new();
         // Health gauges go into the registry before the Prometheus text
         // is rendered, so every windowed series appears in the exposition.
-        if let (Some(health), Some(text)) = (&self.health, &self.text) {
-            health.export_gauges(&text.metrics());
+        if let Some((metrics, _)) = &self.prom {
+            if let Some(health) = self.health() {
+                health.export_gauges(metrics);
+            }
+            if let Some(tail) = self.tail() {
+                tail.export_gauges(metrics);
+            }
         }
-        if let (Some(health), Some(path)) = (&self.health, &self.health_path) {
-            let doc = health.report();
-            let problems = observe::validate_health(&doc);
+        let health = self.health.as_ref().map(|(h, path)| ("health", h.report(), path));
+        let tail = self.tail.as_ref().map(|(t, path)| ("tail", t.report(), path));
+        for (name, doc, path) in [health, tail].into_iter().flatten() {
+            let Some(path) = path else { continue };
+            let problems =
+                if name == "health" { validate_health(&doc) } else { validate_tail(&doc) };
             if !problems.is_empty() {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
-                    format!("health report failed validation: {}", problems.join("; ")),
+                    format!("{name} report failed validation: {}", problems.join("; ")),
                 ));
             }
             std::fs::write(path, doc.render() + "\n")?;
             written.push(path.clone());
         }
-        if let (Some(tail), Some(text)) = (&self.tail, &self.text) {
-            tail.export_gauges(&text.metrics());
-        }
-        if let (Some(tail), Some(path)) = (&self.tail, &self.tail_path) {
-            let doc = tail.report();
-            let problems = observe::validate_tail(&doc);
-            if !problems.is_empty() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("tail report failed validation: {}", problems.join("; ")),
-                ));
-            }
-            std::fs::write(path, doc.render() + "\n")?;
-            written.push(path.clone());
-        }
-        if let (Some(chrome), Some(path)) = (&self.chrome, &self.trace_path) {
+        if let Some((chrome, path)) = &self.chrome {
             chrome.finish();
             written.push(path.clone());
         }
-        if let (Some(text), Some(path)) = (&self.text, &self.prom_path) {
-            text.write()?;
+        if let Some((metrics, path)) = &self.prom {
+            let labels: Vec<(&str, &str)> =
+                self.global_labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+            std::fs::write(path, metrics.render_prometheus(&labels))?;
             written.push(path.clone());
         }
-        if let (Some(series), Some(path)) = (&self.series, &self.series_path) {
-            if path.extension().is_some_and(|e| e == "json") {
-                series.write_json(path)?;
-            } else {
-                series.write_csv(path)?;
-            }
+        if let Some((series, path)) = &self.series {
+            let json = path.extension().is_some_and(|e| e == "json");
+            let text = if json { series.to_json().render_pretty() } else { series.to_csv() };
+            std::fs::write(path, text)?;
             written.push(path.clone());
         }
         Ok(written)
-    }
-}
-
-impl std::fmt::Debug for ObsPipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObsPipeline")
-            .field("trace", &self.trace_path)
-            .field("prom", &self.prom_path)
-            .field("series", &self.series_path)
-            .field("health", &self.health_path)
-            .field("tail", &self.tail_path)
-            .finish()
     }
 }
 
@@ -257,8 +210,7 @@ mod tests {
     fn inactive_without_flags() {
         let args = Args::parse_from(Vec::new());
         let p = ObsPipeline::from_args(&args, 32, &[]).unwrap();
-        assert!(!p.active());
-        assert!(p.metrics().is_none());
+        assert!(!p.sink().is_enabled());
         assert!(p.finish().unwrap().is_empty());
     }
 
@@ -277,7 +229,7 @@ mod tests {
             "--tick-clock".into(),
         ]);
         let p = ObsPipeline::from_args(&args, 32, &[("policy", "test")]).unwrap();
-        assert!(p.active());
+        assert!(p.sink().is_enabled());
         {
             let sink = p.sink();
             let _span = sink.span(observe::SpanOp::merge(1, true));
@@ -312,8 +264,8 @@ mod tests {
         let health = Arc::clone(p.health().expect("health sink attached"));
         let sink = p.sink();
         for block in 0..20u64 {
+            let _put = sink.span(observe::SpanOp::put());
             sink.emit(observe::Event::DeviceWrite { block });
-            health.record_put(None, 100);
         }
         assert!(health.windows_completed() >= 4, "windows must rotate at the configured pace");
         let written = p.finish().unwrap();

@@ -101,6 +101,172 @@ pub fn fmt_f(value: f64, digits: usize) -> String {
     format!("{value:.digits$}")
 }
 
+/// What a report printer shows for `v`: its value if it is a number of
+/// any JSON variant, 0 otherwise.
+pub fn number(v: &Json) -> f64 {
+    v.as_f64().unwrap_or(0.0)
+}
+
+/// The one text form of an `lsm-health/v1` report: window header, detector
+/// states, SLO burn, the rolling series globally and per shard, and the
+/// detector transitions.
+pub fn render_health(report: &Json) -> String {
+    let config = report.get("config");
+    let mut out = format!(
+        "\n=== windowed health (rolling {} windows × {} device ops, {} completed, {} device ops) ===\n",
+        number(config.get("windows")),
+        number(config.get("window_ops")),
+        number(report.get("windows_completed")),
+        number(report.get("device_ops")),
+    );
+    let states: Vec<String> = report
+        .get("detectors")
+        .items()
+        .iter()
+        .map(|d| {
+            format!(
+                "{}={}({})",
+                d.get("detector").as_str().unwrap_or("?"),
+                d.get("state").as_str().unwrap_or("?"),
+                number(d.get("trips"))
+            )
+        })
+        .collect();
+    let _ = writeln!(out, "detectors: {}", states.join("  "));
+    let slo = report.get("slo");
+    let _ = writeln!(
+        out,
+        "slo: good {} bad {} | burn short {:.2} long {:.2} | alerting {}",
+        number(slo.get("good")),
+        number(slo.get("bad")),
+        number(slo.get("short_burn")),
+        number(slo.get("long_burn")),
+        slo.get("alerting") == &Json::Bool(true),
+    );
+    let rolling = report.get("rolling");
+    let mut table =
+        Table::new(["series", "puts", "put p50", "put p99", "put p99.9", "wamp", "hit %", "bp"]);
+    let shards = report.get("shards").items().iter();
+    let rows = shards.map(|set| (format!("shard {}", number(set.get("shard"))), set));
+    for (label, set) in std::iter::once(("all".to_string(), rolling)).chain(rows) {
+        let put = set.get("put_latency");
+        table.row([
+            label,
+            fmt_f(number(put.get("count")), 0),
+            fmt_f(number(put.get("p50")), 0),
+            fmt_f(number(put.get("p99")), 0),
+            fmt_f(number(put.get("p999")), 0),
+            fmt_f(number(set.get("write_amp")), 2),
+            fmt_f(100.0 * number(set.get("cache_hit_rate")), 1),
+            fmt_f(number(set.get("backpressure")), 0),
+        ]);
+    }
+    out.push_str(&table.render());
+    let _ = writeln!(
+        out,
+        "rolling: ops {} | get p99 {:.0} | fsync p99 {:.0}",
+        number(rolling.get("ops")),
+        number(rolling.get("get_latency").get("p99")),
+        number(rolling.get("fsync_latency").get("p99")),
+    );
+    let transitions = report.get("transitions").items();
+    let _ = writeln!(out, "{} detector transition(s)", transitions.len());
+    for t in transitions {
+        let _ = writeln!(
+            out,
+            "  window {}: {} {} -> {}",
+            number(t.get("window")),
+            t.get("detector").as_str().unwrap_or("?"),
+            t.get("from").as_str().unwrap_or("?"),
+            t.get("to").as_str().unwrap_or("?"),
+        );
+    }
+    out
+}
+
+/// The one text form of an `lsm-tail/v1` report: the critical-path blame
+/// table, the dominant phase, and the per-shard verdicts.
+pub fn render_tail(report: &Json) -> String {
+    let completed = report.get("completed");
+    let mut out = format!(
+        "\n=== tail anatomy ({:.0} puts, {:.0} lookups, {:.0} windows completed) ===\n",
+        number(completed.get("put")),
+        number(completed.get("lookup")),
+        number(report.get("windows_completed")),
+    );
+    let mut t = Table::new(["phase", "total us", "count", "share%", "p99 share%", "p99.9 share%"]);
+    for row in report.get("blame").items() {
+        t.row([
+            row.get("phase").as_str().unwrap_or("?").to_string(),
+            fmt_f(number(row.get("total_us")), 0),
+            fmt_f(number(row.get("count")), 0),
+            fmt_f(100.0 * number(row.get("share")), 1),
+            fmt_f(100.0 * number(row.get("share_p99")), 1),
+            fmt_f(100.0 * number(row.get("share_p999")), 1),
+        ]);
+    }
+    out.push_str(&t.render());
+    let dominant =
+        |scope: &Json| scope.get("dominant_phase").as_str().unwrap_or("none").to_string();
+    let _ = writeln!(out, "dominant phase: {}", dominant(report));
+    let verdicts: Vec<String> = report
+        .get("shards")
+        .items()
+        .iter()
+        .map(|sec| {
+            format!(
+                "shard {:.0}: {} ({} exemplars)",
+                number(sec.get("shard")),
+                dominant(sec),
+                sec.get("exemplars").items().len()
+            )
+        })
+        .collect();
+    if !verdicts.is_empty() {
+        let _ = writeln!(out, "per shard: {}", verdicts.join(" | "));
+    }
+    out
+}
+
+/// The one text form of a decision ledger's JSON
+/// ([`DecisionLedger::to_json`](lsm_tree::DecisionLedger::to_json)):
+/// totals, then predicted against actual writes per level.
+pub fn render_ledger(ledger: &Json) -> String {
+    let totals = ledger.get("totals");
+    let mut out = format!(
+        "\n=== decision ledger ===\n\
+         {} decisions ({} full merges), {} reconciled | ring keeps {}, {} rows evicted\n\
+         predicted {} blocks, actual {} blocks | cumulative regret {} blocks, model error {} blocks\n",
+        number(totals.get("decisions")),
+        number(totals.get("full_merges")),
+        number(totals.get("closed")),
+        number(ledger.get("keep")),
+        number(ledger.get("dropped_rows")),
+        number(totals.get("predicted")),
+        number(totals.get("actual")),
+        number(totals.get("regret")),
+        number(totals.get("model_error")),
+    );
+    if let Json::Obj(levels) = ledger.get("per_level") {
+        let columns = ["decisions", "full_merges", "predicted", "actual", "regret", "model_error"];
+        let mut t = Table::new([
+            "level",
+            "decisions",
+            "full",
+            "predicted",
+            "actual",
+            "regret",
+            "model err",
+        ]);
+        for (level, tot) in levels {
+            let cells = columns.iter().map(|key| number(tot.get(key)).to_string());
+            t.row(std::iter::once(format!("L{level}")).chain(cells));
+        }
+        out.push_str(&t.render());
+    }
+    out
+}
+
 /// One merged JSON document describing an experiment's end state: device
 /// I/O counters ⊕ buffer-cache statistics ⊕ per-level tree counters, plus
 /// an optional wear summary and an optional [`Metrics`] registry (as fed
@@ -213,6 +379,23 @@ mod tests {
         let mut c = Csv::new("test-tmp", &["x", "y"]);
         c.row(&["1", "2"]);
         assert_eq!(c.lines, vec!["x,y".to_string(), "1,2".to_string()]);
+    }
+
+    #[test]
+    fn reports_with_nothing_in_them_still_render() {
+        use lsm_tree::observe::{ExemplarConfig, ExemplarSink, HealthSink};
+        // Fresh engines: no shards, no exemplars, no transitions.
+        let health = render_health(&HealthSink::with_defaults().report());
+        assert!(health.contains("0 completed, 0 device ops"), "{health}");
+        assert!(health.contains("write_stall=healthy(0)"), "{health}");
+        assert!(health.contains("0 detector transition(s)"), "{health}");
+        assert_eq!(health.matches("shard ").count(), 0, "{health}");
+        let tail = render_tail(&ExemplarSink::new(ExemplarConfig::default()).report());
+        assert!(tail.contains("(0 puts, 0 lookups, 0 windows completed)"), "{tail}");
+        assert!(tail.ends_with("dominant phase: none\n"), "{tail}");
+        // Not a report at all: every lookup defaults, nothing panics.
+        assert!(render_health(&Json::Null).contains("0 detector transition(s)"));
+        assert!(render_tail(&Json::from(3u64)).contains("dominant phase: none"));
     }
 
     #[test]

@@ -121,11 +121,6 @@ pub fn policy_matrix() -> Vec<PolicyCase> {
     ]
 }
 
-/// The four policies of the TPC plot (Figure 6c).
-pub fn policy_matrix_preserving() -> Vec<PolicyCase> {
-    policy_matrix().into_iter().filter(|c| c.preserve).collect()
-}
-
 /// Which workload drives the experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorkloadKind {
@@ -175,17 +170,6 @@ impl WorkloadKind {
 /// Build a tree for `dataset_bytes` of data: the device is provisioned
 /// with comfortable headroom over the dataset plus all level capacities.
 pub fn make_tree(cfg: &LsmConfig, case: &PolicyCase, dataset_bytes: u64) -> LsmTree {
-    make_tree_with_sink(cfg, case, dataset_bytes, observe::SinkHandle::none())
-}
-
-/// [`make_tree`] with an event sink registered from the start, so the
-/// fill/steady-state phases are observable too.
-pub fn make_tree_with_sink(
-    cfg: &LsmConfig,
-    case: &PolicyCase,
-    dataset_bytes: u64,
-    sink: observe::SinkHandle,
-) -> LsmTree {
     // Peak usage happens when a full merge holds both the old and the new
     // copy of the two largest levels at once (just after a level-count
     // transition): ~4× the dataset. Capacity is cheap on the simulated
@@ -194,11 +178,7 @@ pub fn make_tree_with_sink(
     let device_blocks = (blocks_needed * 6).max(8192);
     LsmTree::with_mem_device(
         cfg.clone(),
-        TreeOptions::builder()
-            .policy(case.spec.clone())
-            .preserve_blocks(case.preserve)
-            .sink(sink)
-            .build(),
+        TreeOptions::builder().policy(case.spec.clone()).preserve_blocks(case.preserve).build(),
         device_blocks,
     )
     .expect("valid experiment configuration")
@@ -257,7 +237,6 @@ mod tests {
     fn policy_matrix_is_the_papers_seven() {
         let names: Vec<&str> = policy_matrix().iter().map(|c| c.name).collect();
         assert_eq!(names, ["Full-P", "Full", "RR-P", "RR", "ChooseBest-P", "ChooseBest", "Mixed"]);
-        assert!(policy_matrix_preserving().iter().all(|c| c.preserve));
     }
 
     #[test]

@@ -156,11 +156,6 @@ impl Scheduler {
         Scheduler::Background(BackgroundPolicy::default())
     }
 
-    /// Whether this is a background configuration.
-    pub fn is_background(&self) -> bool {
-        matches!(self, Scheduler::Background(_))
-    }
-
     /// The background policy, if any.
     pub fn background_policy(&self) -> Option<BackgroundPolicy> {
         match self {

@@ -22,7 +22,7 @@
 use std::io::Write as _;
 use std::path::Path;
 
-use observe::{FlightRecorderSink, Json};
+use observe::{FlightRecorderSink, Json, Shape};
 use sim_ssd::{IoSnapshot, WearSnapshot};
 
 use crate::policy::ledger::DecisionLedger;
@@ -228,70 +228,45 @@ impl PostMortem {
 /// correct schema tag, a reason, and at least one forensic section.
 /// Returns the list of problems (empty means valid).
 pub fn validate_bundle(doc: &Json) -> Vec<String> {
+    const HEAD: Shape = Shape::Obj(&[("schema", Shape::OneOf(&[SCHEMA])), ("reason", Shape::Str)]);
     let mut problems = Vec::new();
-    let Json::Obj(pairs) = doc else {
-        return vec!["bundle is not a JSON object".to_string()];
-    };
-    let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    match get("schema") {
-        Some(Json::Str(s)) if s == SCHEMA => {}
-        Some(other) => problems.push(format!("schema is {other:?}, expected \"{SCHEMA}\"")),
-        None => problems.push("missing schema".to_string()),
-    }
-    if !matches!(get("reason"), Some(Json::Str(_))) {
-        problems.push("missing reason".to_string());
-    }
+    doc.check(&HEAD, "bundle", &mut problems);
     let forensic = ["flight", "ledger", "tree", "wear", "device_io", "health", "tail"];
-    if !forensic.iter().any(|k| get(k).is_some()) {
+    if forensic.iter().all(|k| doc.get(k) == &Json::Null) {
         problems.push(format!("no forensic section (expected one of {forensic:?})"));
     }
-    if let Some(Json::Obj(flight)) = get("flight") {
-        for key in ["capacity", "total", "dropped", "open_spans", "events"] {
-            if !flight.iter().any(|(k, _)| k == key) {
-                problems.push(format!("flight section missing {key}"));
+    // A section that is present must be an object with these members.
+    let mut section = |name: &str, members: &[&str]| match doc.get(name) {
+        Json::Null => {}
+        section @ Json::Obj(_) => {
+            for key in members.iter().filter(|key| section.get(key) == &Json::Null) {
+                problems.push(format!("{name} section missing {key}"));
             }
         }
+        _ => problems.push(format!("{name} section is not an object")),
+    };
+    section("flight", &["capacity", "total", "dropped", "open_spans", "events"]);
+    // Inline (no background backend) dumps carry only the backend tag; a
+    // real backend snapshot must expose its queue state.
+    if doc.get("scheduler").get("backend").as_str() == Some("inline") {
+        section("scheduler", &["rendezvous"]);
+    } else {
+        let queue =
+            ["rendezvous", "queued", "running", "backlogs", "max_imm_memtables", "shutdown"];
+        section("scheduler", &queue);
     }
-    // An embedded health section must itself be a valid lsm-health/v1
-    // report (absent is fine — not every producer runs the engine).
-    match get("health") {
-        Some(health @ Json::Obj(_)) => {
-            for problem in observe::health::validate_health(health) {
-                problems.push(format!("health section: {problem}"));
-            }
+    // Embedded health and tail sections must themselves be valid reports
+    // (absent is fine — not every producer runs the engines).
+    section("health", &[]);
+    section("tail", &[]);
+    for name in ["health", "tail"] {
+        if let report @ Json::Obj(_) = doc.get(name) {
+            let found = match name {
+                "health" => observe::validate_health(report),
+                _ => observe::validate_tail(report),
+            };
+            problems.extend(found.into_iter().map(|p| format!("{name} section: {p}")));
         }
-        Some(_) => problems.push("health section is not an object".to_string()),
-        None => {}
-    }
-    // Likewise for an embedded tail-anatomy report.
-    match get("tail") {
-        Some(tail @ Json::Obj(_)) => {
-            for problem in observe::exemplar::validate_tail(tail) {
-                problems.push(format!("tail section: {problem}"));
-            }
-        }
-        Some(_) => problems.push("tail section is not an object".to_string()),
-        None => {}
-    }
-    match get("scheduler") {
-        Some(Json::Obj(sched)) => {
-            let field = |key: &str| sched.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            if field("rendezvous").is_none() {
-                problems.push("scheduler section missing rendezvous".to_string());
-            }
-            // Inline (no background backend) dumps carry only the backend
-            // tag; a real backend snapshot must expose its queue state.
-            let inline = matches!(field("backend"), Some(Json::Str(s)) if s == "inline");
-            if !inline {
-                for key in ["queued", "running", "backlogs", "max_imm_memtables", "shutdown"] {
-                    if field(key).is_none() {
-                        problems.push(format!("scheduler section missing {key}"));
-                    }
-                }
-            }
-        }
-        Some(_) => problems.push("scheduler section is not an object".to_string()),
-        None => {}
     }
     problems
 }
@@ -355,8 +330,9 @@ mod tests {
     #[test]
     fn health_section_is_validated_when_present() {
         let health = Arc::new(observe::HealthSink::with_defaults());
-        health.record_put(Some(0), 1_000);
-        SinkHandle::new(health.clone()).emit(Event::DeviceSync);
+        let handle = SinkHandle::new(health.clone());
+        drop(handle.span(observe::SpanOp::put().with_shard(0)));
+        handle.emit(Event::DeviceSync);
         let recorder = FlightRecorderSink::new(8);
         let pm = PostMortem::new("health test").flight(&recorder).health(&health);
         let doc = Json::parse(&pm.to_json().render()).expect("bundle parses");
@@ -414,11 +390,9 @@ mod tests {
     #[test]
     fn tree_section_reflects_topology() {
         let tree = small_tree();
-        let Json::Obj(pairs) = PostMortem::tree_json(&tree) else { panic!() };
-        let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
-        assert_eq!(get("policy"), Some(Json::from("ChooseBest")));
-        let Some(Json::Arr(levels)) = get("levels") else { panic!("missing levels") };
-        assert_eq!(levels.len(), tree.levels().len());
-        assert_eq!(get("height"), Some(Json::from(tree.height())));
+        let doc = PostMortem::tree_json(&tree);
+        assert_eq!(doc.get("policy").as_str(), Some("ChooseBest"));
+        assert_eq!(doc.get("levels").items().len(), tree.levels().len());
+        assert_eq!(doc.get("height").as_u64(), Some(tree.height() as u64));
     }
 }

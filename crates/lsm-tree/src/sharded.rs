@@ -27,10 +27,10 @@
 //!
 //! Observability: the handle emits [`Event::ShardRouted`] for every routed
 //! request, and each shard's tree reports through the user's handle tagged
-//! with the shard index ([`SinkHandle::with_shard`]), which follows every
-//! `MergeFinish` with an [`Event::ShardMergeFinish`] carrying that index —
-//! so a single sink sees which shard is merging without the `Event` type
-//! growing a shard field on every variant.
+//! with the shard index ([`SinkHandle::with_shard`]), so every entry a sink
+//! receives carries its shard ([`observe::TraceEvent::shard`]) — a single
+//! sink sees which shard is merging without the `Event` type growing a
+//! shard field on every variant.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -151,8 +151,8 @@ impl ShardedLsmTree {
     }
 
     /// Build one shard per entry of `devices` — the constructor to use when
-    /// shards should run over decorated devices ([`sim_ssd::LatencyDevice`],
-    /// [`sim_ssd::FaultDevice`], file-backed, ...). Shard `i` owns
+    /// shards should run over decorated devices ([`sim_ssd::FaultDevice`],
+    /// file-backed, ...). Shard `i` owns
     /// `devices[i]`; cache budget splits as in
     /// [`ShardedLsmTree::with_mem_devices`].
     pub fn with_devices(

@@ -48,12 +48,6 @@ pub struct LevelStats {
 }
 
 impl LevelStats {
-    /// All block writes charged to this level (merges + compactions +
-    /// pairwise fixes are already inside `blocks_written`).
-    pub fn total_writes(&self) -> u64 {
-        self.blocks_written
-    }
-
     /// Add every counter of `other` into `self` (shard aggregation).
     pub fn absorb(&mut self, other: &LevelStats) {
         self.merges_in += other.merges_in;

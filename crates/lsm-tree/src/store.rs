@@ -213,11 +213,6 @@ impl Store {
         self
     }
 
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// The underlying device.
     pub fn device(&self) -> &Arc<dyn BlockDevice> {
         &self.device

@@ -1118,13 +1118,11 @@ mod tests {
         assert!(problems.is_empty(), "invalid bundle: {problems:?}");
         // The bundle names its seed and an exact repro command, and carries
         // the black box: flight events, ledger, wear, and the tree section.
-        let Json::Obj(pairs) = doc else { panic!("bundle not an object") };
-        let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
-        assert_eq!(get("seed"), Some(Json::from(9001u64)));
-        let Some(Json::Str(repro)) = get("repro") else { panic!("missing repro") };
+        assert_eq!(doc.get("seed").as_u64(), Some(9001));
+        let repro = doc.get("repro").as_str().expect("missing repro");
         assert!(repro.contains("--seed-base=9001"), "repro names the seed: {repro}");
         for key in ["flight", "ledger", "wear", "device_io", "tree"] {
-            assert!(get(key).is_some(), "bundle missing {key} section");
+            assert!(doc.get(key) != &Json::Null, "bundle missing {key} section");
         }
         std::fs::remove_dir_all(&base).ok();
     }

@@ -502,11 +502,6 @@ impl LsmTree {
         self.env.ledger.as_ref()
     }
 
-    /// Is block preservation active?
-    pub fn preserves_blocks(&self) -> bool {
-        self.env.preserve_blocks
-    }
-
     /// Key ranges that may have been lost to unrecoverable block
     /// corruption (empty on a healthy tree). Lookups inside these ranges
     /// may have returned [`LsmError::Degraded`]; everything outside them is

@@ -592,12 +592,6 @@ impl DurableLsmTree {
     pub fn wal_len_bytes(&self) -> u64 {
         self.wal.len_bytes()
     }
-
-    /// Fsyncs issued on the WAL over its lifetime (see
-    /// [`WriteAheadLog::syncs`]).
-    pub fn wal_syncs(&self) -> u64 {
-        self.wal.syncs()
-    }
 }
 
 impl crate::api::WriteApi for DurableLsmTree {

@@ -1,35 +1,28 @@
 //! Deterministic end-to-end exercise of the windowed health engine
 //! (ISSUE 9): a seeded [`SimExecutor`]-backed sharded tree is driven into
-//! backpressure while scripted put latencies breach the write-stall bound,
-//! and the [`HealthSink`] consuming the tree's ordinary event stream must
-//! trip both detectors within one window of the induced stall — then clear
-//! them once the stall ends, proving the hysteresis path. The whole run is
+//! backpressure, so that the puts which stall breach the write-stall
+//! bound, and the [`HealthSink`] consuming the tree's ordinary span stream
+//! — nothing is fed by hand — must trip both detectors within one window
+//! of the induced stall, then clear them once the stall ends, proving the
+//! hysteresis path. The whole run is
 //! single-threaded and seeded, so the rendered `lsm-health/v1` report is
 //! asserted byte-identical across replays.
+
+mod common;
 
 use std::sync::Arc;
 
 use lsm_tree::observe::{
     validate_health, Event, HealthConfig, HealthDetector, HealthSink, HealthState, Json,
-    SinkHandle, TickClock, TransitionRecord,
+    SinkHandle, SpanOp, TickClock, TransitionRecord,
 };
-use lsm_tree::{LsmConfig, PolicySpec, SchedulerBackend, ShardedLsmTree, SimExecutor, TreeOptions};
-
-fn tiny_cfg() -> LsmConfig {
-    LsmConfig {
-        block_size: 256,
-        payload_size: 4,
-        k0_blocks: 4,
-        gamma: 4,
-        cache_blocks: 16,
-        merge_rate: 0.25,
-        ..LsmConfig::default()
-    }
-}
 
 /// Tight windows so the scenario completes in a handful of device ops:
 /// 32 device ops per window, 4-window rolling ring, alert after one
-/// breaching window, clear after two healthy ones. The drift and hit-rate
+/// breaching window, clear after two healthy ones. Latencies are ticks: a
+/// put that finds room takes under ten, one that stalls behind a flush
+/// and its merges about ninety, and the write-stall bound and the SLO
+/// objective sit between the two. The drift and hit-rate
 /// detectors are parked out of range — this scenario scripts a stall, and
 /// an unrelated detector firing would make the transition log
 /// seed-dependent in ways the test does not control.
@@ -37,7 +30,7 @@ fn scenario_config() -> HealthConfig {
     HealthConfig {
         window_ops: 32,
         windows: 4,
-        put_p99_limit: 1_000,
+        put_p99_limit: 32,
         fsync_p99_limit: u64::MAX,
         backpressure_limit: 4,
         write_amp_drift: 1e12,
@@ -47,7 +40,7 @@ fn scenario_config() -> HealthConfig {
         trip_after: 1,
         clear_after: 2,
         slo_target: 0.9,
-        slo_objective: 1_000,
+        slo_objective: 32,
         slo_burn_limit: 1.0,
     }
 }
@@ -65,34 +58,20 @@ struct ScenarioResult {
 }
 
 /// One seeded run: a stall phase (puts against a `max_imm = 1` simulated
-/// executor, each put scripted at 5 µs — five times the write-stall
-/// bound), then a quiet phase that keeps the window clock ticking with
-/// syncs while healthy 10 ns puts drain the ring.
+/// executor — the `lsm_doctor --tail-stall` scenario — whose stalled puts
+/// run several times over the write-stall bound), then a quiet phase that
+/// keeps the window clock ticking with syncs while healthy one-tick puts
+/// drain the ring.
 fn run_scenario(seed: u64) -> ScenarioResult {
     let health = Arc::new(HealthSink::new(scenario_config()));
     let handle = SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&health) as _);
-    let sim = Arc::new(SimExecutor::new(1, seed, handle.clone()));
-    let opts = TreeOptions::builder().policy(PolicySpec::ChooseBest).sink(handle.clone()).build();
-    let devices =
-        (0..2).map(|_| Arc::new(sim_ssd::MemDevice::with_block_size(1 << 14, 256)) as _).collect();
-    let tree = ShardedLsmTree::with_backend(
-        tiny_cfg(),
-        opts,
-        devices,
-        None,
-        Some(Arc::clone(&sim) as Arc<dyn SchedulerBackend>),
-    )
-    .expect("create");
 
     let windows_before_stall = health.windows_completed();
     // Stall phase: enough puts to seal memtables past the bound over and
     // over; every stalled seal emits Event::Backpressure from the
     // executor's wait-for-room loop, and the flush/merge work it runs
     // inline emits the device ops that advance the window clock.
-    for k in 0..600u64 {
-        tree.put(k, vec![(k % 251) as u8; 4]).expect("put");
-        health.record_put(Some(tree.shard_of(k)), 5_000);
-    }
+    let (tree, sim) = common::stalled_tree(seed, &handle);
     let windows_after_stall = health.windows_completed();
     let mid_report = health.report().render();
 
@@ -101,7 +80,7 @@ fn run_scenario(seed: u64) -> ScenarioResult {
     // the breaching epochs age out of the rolling ring and the
     // clear-after hysteresis runs its course.
     while health.windows_completed() < windows_after_stall + 12 {
-        health.record_put(None, 10);
+        drop(handle.span(SpanOp::put()));
         handle.emit(Event::DeviceSync);
     }
     drop(tree);
@@ -169,6 +148,15 @@ fn induced_stall_trips_and_clears_both_detectors() {
     }
     assert_eq!(r.final_write_stall, HealthState::Healthy);
     assert_eq!(r.final_backpressure, HealthState::Healthy);
+
+    // The bound sits between a put that found room and one that stalled:
+    // it is the stalled puts' own spans that tripped the detector.
+    let mid = Json::parse(&r.mid_report).expect("parses");
+    let put = mid.get("cumulative").get("put_latency");
+    assert_eq!(mid.get("cumulative").get("puts").as_u64(), Some(600), "every put was seen");
+    let limit = scenario_config().put_p99_limit as f64;
+    assert!(put.get("p50").as_f64().unwrap() < limit, "{put:?}");
+    assert!(put.get("max").as_f64().unwrap() > 2.0 * limit, "{put:?}");
 }
 
 #[test]
@@ -194,18 +182,11 @@ fn report_attributes_backpressure_to_the_stalled_shards() {
     let r = run_scenario(42);
     // The mid-run snapshot still has the stall inside its rolling ring.
     let doc = Json::parse(&r.mid_report).expect("parses");
-    let Json::Obj(pairs) = &doc else { panic!("not an object") };
-    let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let Some(Json::Arr(shards)) = get("shards") else { panic!("missing shards section") };
+    let shards = doc.get("shards").items();
     assert_eq!(shards.len(), 2, "both shards must appear");
-    let mut total = 0u64;
-    for shard in shards {
-        let Json::Obj(fields) = shard else { panic!("shard entry not an object") };
-        let bp = fields.iter().find(|(k, _)| k == "backpressure").map(|(_, v)| match v {
-            Json::U64(n) => *n,
-            other => panic!("shard backpressure is not a count: {other:?}"),
-        });
-        total += bp.expect("shard backpressure present");
-    }
+    let total: u64 = shards
+        .iter()
+        .map(|shard| shard.get("backpressure").as_u64().expect("shard backpressure is a count"))
+        .sum();
     assert!(total > 0, "stalls must be attributed to shards, not only the global series");
 }

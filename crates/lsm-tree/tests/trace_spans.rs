@@ -17,8 +17,7 @@ use std::sync::Arc;
 use lsm_tree::observe::trace::TraceEventKind;
 use lsm_tree::observe::{
     ChromeTraceSink, Event, ExemplarConfig, ExemplarSink, FlightEntry, FlightRecorderSink,
-    HealthSink, NullSink, SinkHandle, SpanKind, TextExpositionSink, TickClock, TimeseriesSink,
-    VecSink,
+    HealthSink, MetricsSink, NullSink, SinkHandle, SpanKind, TickClock, TimeseriesSink, VecSink,
 };
 use lsm_tree::{LsmConfig, LsmTree, PolicySpec, ShardedLsmTree, TreeOptions};
 use sim_ssd::{BlockDevice, MemDevice};
@@ -70,7 +69,6 @@ fn full_pipeline(
     recorder: &Arc<FlightRecorderSink>,
     health: &Arc<HealthSink>,
     exemplars: &Arc<ExemplarSink>,
-    prom_path: &std::path::Path,
 ) -> SinkHandle {
     SinkHandle::with_clock(Arc::new(TickClock::new()))
         .and(Arc::new(VecSink::new()))
@@ -79,7 +77,7 @@ fn full_pipeline(
         .and(Arc::clone(health) as _)
         .and(Arc::clone(exemplars) as _)
         .and(Arc::new(TimeseriesSink::new(64, 14)))
-        .and(Arc::new(TextExpositionSink::new(prom_path, &[])))
+        .and(Arc::new(MetricsSink::new()))
 }
 
 /// Satellite 1: no sink, a [`NullSink`], and the full exporter pipeline
@@ -96,11 +94,10 @@ fn exporters_have_no_observer_effect() {
 
     let bare = run(SinkHandle::none());
     let null = run(SinkHandle::of(NullSink));
-    let prom_path = std::env::temp_dir().join("trace_spans_observer_effect.prom");
     let recorder = Arc::new(FlightRecorderSink::new(256));
     let health = Arc::new(HealthSink::with_defaults());
     let exemplars = Arc::new(ExemplarSink::new(ExemplarConfig::default()));
-    let full = run(full_pipeline(&recorder, &health, &exemplars, &prom_path));
+    let full = run(full_pipeline(&recorder, &health, &exemplars));
 
     assert_eq!(bare.0, null.0, "NullSink changed the device image");
     assert_eq!(bare.0, full.0, "exporter pipeline changed the device image");
@@ -132,7 +129,6 @@ fn exporters_have_no_observer_effect() {
     let report = health.report().render();
     let doc = lsm_tree::observe::Json::parse(&report).unwrap();
     assert!(lsm_tree::observe::validate_health(&doc).is_empty(), "{report}");
-    std::fs::remove_file(&prom_path).ok();
 }
 
 /// The observer-effect contract with the background scheduler enabled.
@@ -178,8 +174,7 @@ fn exporters_have_no_observer_effect_with_scheduler() {
     let recorder = Arc::new(FlightRecorderSink::new(256));
     let health = Arc::new(HealthSink::with_defaults());
     let exemplars = Arc::new(ExemplarSink::new(ExemplarConfig::default()));
-    let prom_path = std::env::temp_dir().join("trace_spans_observer_effect_sched.prom");
-    let full = run(full_pipeline(&recorder, &health, &exemplars, &prom_path));
+    let full = run(full_pipeline(&recorder, &health, &exemplars));
 
     assert_eq!(bare, null, "NullSink changed the scheduled run");
     assert_eq!(bare, full, "exporter pipeline changed the scheduled run");
@@ -199,7 +194,6 @@ fn exporters_have_no_observer_effect_with_scheduler() {
         "{:?}",
         lsm_tree::observe::validate_tail(&exemplars.report())
     );
-    std::fs::remove_file(&prom_path).ok();
 }
 
 /// One handle, several span consumers, nothing in front of them: the
@@ -232,7 +226,7 @@ fn every_consumer_of_one_handle_sees_the_whole_stream() {
     for e in &entries {
         match e.kind {
             TraceEventKind::Begin { id, .. } => assert!(open.insert(id), "{id} issued twice"),
-            TraceEventKind::End { id, op } => {
+            TraceEventKind::End { id, op, .. } => {
                 assert!(open.remove(&id), "{id} ended without a begin");
                 match (e.span, op.kind) {
                     (None, SpanKind::Put) => put_roots += 1,
@@ -251,8 +245,8 @@ fn every_consumer_of_one_handle_sees_the_whole_stream() {
     assert_eq!(exemplars.completed_lookups(), lookup_roots);
     let report = health.report().render();
     assert!(
-        report.contains(&format!("\"cumulative\":{{\"puts\":0,\"gets\":{lookup_roots},")),
-        "health engine counted other lookups than the stream holds: {report}"
+        report.contains(&format!("\"cumulative\":{{\"puts\":{put_roots},\"gets\":{lookup_roots},")),
+        "health engine counted other requests than the stream holds: {report}"
     );
 }
 

@@ -37,8 +37,8 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Mutex, MutexGuard};
 
-use crate::json::Json;
-use crate::metrics::{Histogram, Metrics};
+use crate::json::{Json, Shape};
+use crate::metrics::Metrics;
 use crate::trace::{SpanKind, SpanOp, TraceEvent, TraceEventKind};
 use crate::windowed::WindowedHistogram;
 use crate::{Event, EventSink};
@@ -126,13 +126,7 @@ impl ExemplarSpan {
     fn to_json(&self) -> Json {
         Json::obj([
             ("kind", Json::from(self.op.kind.name())),
-            (
-                "shard",
-                match self.op.shard {
-                    Some(s) => Json::from(s),
-                    None => Json::Null,
-                },
-            ),
+            ("shard", self.op.shard.map_or(Json::Null, Json::from)),
             ("start_us", Json::from(self.start_us)),
             ("duration_us", Json::from(self.duration_us)),
             (
@@ -146,16 +140,11 @@ impl ExemplarSpan {
     }
 }
 
-/// A span currently open, accumulating its completed children.
-struct OpenNode {
-    op: SpanOp,
-    begin: u64,
-    parent: Option<u64>,
-    children: Vec<ExemplarSpan>,
-}
-
 struct Inner {
-    open: HashMap<u64, OpenNode>,
+    /// Completed children of every span still open, by raw span id — the
+    /// table trees are built in. What a span was and when it began comes
+    /// back on its `End`.
+    open: HashMap<u64, Vec<ExemplarSpan>>,
     completed_put: u64,
     completed_lookup: u64,
     roots_in_window: u64,
@@ -230,8 +219,7 @@ impl ExemplarSink {
     /// Exemplar trees currently held across all reservoirs.
     pub fn captured(&self) -> usize {
         let inner = self.lock();
-        inner.puts.values().map(Vec::len).sum::<usize>()
-            + inner.lookups.values().map(Vec::len).sum::<usize>()
+        inner.puts.values().chain(inner.lookups.values()).map(Vec::len).sum()
     }
 
     /// The phase with the largest share of captured put latency, if any
@@ -243,20 +231,8 @@ impl ExemplarSink {
         dominant
     }
 
-    fn on_end(&self, inner: &mut Inner, id: u64, at: u64) {
-        let Some(node) = inner.open.remove(&id) else { return };
-        let span = ExemplarSpan {
-            op: node.op,
-            start_us: node.begin,
-            duration_us: at.saturating_sub(node.begin),
-            children: node.children,
-        };
-        match node.parent.and_then(|p| inner.open.get_mut(&p)) {
-            Some(parent) => parent.children.push(span),
-            None => self.on_root(inner, span),
-        }
-    }
-
+    /// A root span closed ([`TraceEvent::closes_root`]): count it, and keep
+    /// its tree if it is slow enough.
     fn on_root(&self, inner: &mut Inner, span: ExemplarSpan) {
         let kind = span.op.kind;
         if !matches!(kind, SpanKind::Put | SpanKind::Lookup) {
@@ -392,19 +368,13 @@ impl ExemplarSink {
             (
                 "cumulative",
                 Json::obj([
-                    ("put_latency", hist_json(inner.put_latency.cumulative())),
-                    ("lookup_latency", hist_json(inner.lookup_latency.cumulative())),
-                    ("queue_delay", hist_json(inner.queue_delay.cumulative())),
+                    ("put_latency", inner.put_latency.cumulative().tail_json()),
+                    ("lookup_latency", inner.lookup_latency.cumulative().tail_json()),
+                    ("queue_delay", inner.queue_delay.cumulative().tail_json()),
                 ]),
             ),
             ("blame", global_blame),
-            (
-                "dominant_phase",
-                match global_dominant {
-                    Some(name) => Json::from(name),
-                    None => Json::Null,
-                },
-            ),
+            ("dominant_phase", global_dominant.map_or(Json::Null, Json::from)),
             ("shards", shards),
             ("unsharded", unsharded),
         ])
@@ -417,8 +387,7 @@ impl ExemplarSink {
         metrics.set_gauge("tail.windows_completed", inner.windows_completed as f64);
         metrics.set_gauge("tail.completed.put", inner.completed_put as f64);
         metrics.set_gauge("tail.completed.lookup", inner.completed_lookup as f64);
-        let captured = inner.puts.values().map(Vec::len).sum::<usize>()
-            + inner.lookups.values().map(Vec::len).sum::<usize>();
+        let captured: usize = inner.puts.values().chain(inner.lookups.values()).map(Vec::len).sum();
         metrics.set_gauge("tail.exemplars", captured as f64);
         metrics.set_gauge("tail.queue_delay.count", inner.queue_delay.cumulative().count() as f64);
     }
@@ -441,13 +410,7 @@ fn scope_json(
     exemplars.sort_by(|a, b| b.duration_us.cmp(&a.duration_us).then(a.start_us.cmp(&b.start_us)));
     vec![
         ("blame".to_string(), blame_table),
-        (
-            "dominant_phase".to_string(),
-            match dominant {
-                Some(name) => Json::from(name),
-                None => Json::Null,
-            },
-        ),
+        ("dominant_phase".to_string(), dominant.map_or(Json::Null, Json::from)),
         ("exemplars".to_string(), Json::arr(exemplars.into_iter().map(ExemplarSpan::to_json))),
     ]
 }
@@ -504,42 +467,66 @@ fn blame(spans: &[&ExemplarSpan], p99: f64, p999: f64) -> (Json, Option<&'static
     (table, dominant)
 }
 
-fn hist_json(h: &Histogram) -> Json {
-    Json::obj([
-        ("count", Json::from(h.count())),
-        ("p50", Json::from(h.percentile(0.50))),
-        ("p99", Json::from(h.percentile(0.99))),
-        ("p999", Json::from(h.percentile(0.999))),
-        ("max", Json::from(h.max())),
-    ])
-}
-
 impl EventSink for ExemplarSink {
-    fn accept(&self, event: &TraceEvent) {
+    fn accept(&self, entry: &TraceEvent) {
         let mut inner = self.lock();
-        match event.kind {
-            TraceEventKind::Begin { id, parent, op } => {
-                inner.open.insert(
-                    id.as_u64(),
-                    OpenNode {
-                        op,
-                        begin: event.at_us,
-                        parent: parent.map(|p| p.as_u64()),
-                        children: Vec::new(),
-                    },
-                );
+        match entry.kind {
+            TraceEventKind::Begin { id, .. } => {
+                inner.open.insert(id.as_u64(), Vec::new());
             }
-            TraceEventKind::End { id, .. } => self.on_end(&mut inner, id.as_u64(), event.at_us),
-            TraceEventKind::Emit(ev) => {
-                let shard = event
-                    .span
-                    .and_then(|s| inner.open.get(&s.as_u64()))
-                    .and_then(|node| node.op.shard);
-                self.on_event(&mut inner, &ev, shard, event.at_us);
+            TraceEventKind::End { id, op, began_us } => {
+                let Some(children) = inner.open.remove(&id.as_u64()) else { return };
+                let span = ExemplarSpan {
+                    op,
+                    start_us: began_us,
+                    duration_us: entry.at_us.saturating_sub(began_us),
+                    children,
+                };
+                // After a close the entry's span is the parent.
+                match entry.span.and_then(|p| inner.open.get_mut(&p.as_u64())) {
+                    Some(siblings) => siblings.push(span),
+                    None => self.on_root(&mut inner, span),
+                }
             }
+            TraceEventKind::Emit(ev) => self.on_event(&mut inner, &ev, entry.shard, entry.at_us),
         }
     }
 }
+
+const BLAME: Shape = Shape::Arr(&Shape::Obj(&[
+    ("phase", Shape::Str),
+    ("total_us", Shape::Num),
+    ("count", Shape::Num),
+    ("share", Shape::Num),
+    ("share_p99", Shape::Num),
+    ("share_p999", Shape::Num),
+]));
+const EXEMPLARS: Shape = Shape::Arr(&Shape::Obj(&[
+    ("duration_us", Shape::Num),
+    ("phases", Shape::Arr(&Shape::Obj(&[("us", Shape::Num)]))),
+]));
+
+/// Members and types of an `lsm-tail/v1` document.
+const TAIL_SHAPE: Shape = Shape::Obj(&[
+    ("schema", Shape::OneOf(&[TAIL_SCHEMA])),
+    ("config", Shape::Obj(&[])),
+    ("completed", Shape::Obj(&[("put", Shape::Num), ("lookup", Shape::Num)])),
+    ("windows_completed", Shape::Int),
+    ("threshold", Shape::Obj(&[])),
+    ("rolling", Shape::Obj(&[])),
+    ("cumulative", Shape::Obj(&[])),
+    ("blame", BLAME),
+    ("dominant_phase", Shape::Nullable(&Shape::Str)),
+    (
+        "shards",
+        Shape::Arr(&Shape::Obj(&[
+            ("shard", Shape::Num),
+            ("blame", BLAME),
+            ("exemplars", EXEMPLARS),
+        ])),
+    ),
+    ("unsharded", Shape::Obj(&[("blame", BLAME), ("exemplars", EXEMPLARS)])),
+]);
 
 /// Check an `lsm-tail/v1` document. Returns every problem found (empty =
 /// valid): schema string, required sections, blame-table shape, and —
@@ -547,144 +534,35 @@ impl EventSink for ExemplarSink {
 /// its measured duration.
 pub fn validate_tail(doc: &Json) -> Vec<String> {
     let mut problems = Vec::new();
-    let Json::Obj(pairs) = doc else {
-        return vec!["tail report is not an object".to_string()];
-    };
-    let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-
-    match get("schema") {
-        Some(Json::Str(s)) if s == TAIL_SCHEMA => {}
-        Some(Json::Str(s)) => problems.push(format!("schema is {s:?}, expected {TAIL_SCHEMA:?}")),
-        _ => problems.push("missing schema string".to_string()),
-    }
-    if !matches!(get("windows_completed"), Some(Json::U64(_) | Json::I64(_))) {
-        problems.push("windows_completed is not an integer".to_string());
-    }
-    match get("completed") {
-        Some(completed @ Json::Obj(_)) => {
-            for key in ["put", "lookup"] {
-                if number_field(completed, key).is_none() {
-                    problems.push(format!("completed.{key} is not a number"));
+    doc.check(&TAIL_SHAPE, "tail", &mut problems);
+    let shards = doc.get("shards").items().iter().enumerate();
+    let scopes = shards
+        .map(|(i, shard)| (format!("shards[{i}]"), shard))
+        .chain([("unsharded".to_string(), doc.get("unsharded")), ("tail".to_string(), doc)]);
+    for (scope_name, scope) in scopes {
+        for (i, row) in scope.get("blame").items().iter().enumerate() {
+            for key in ["share", "share_p99", "share_p999"] {
+                if row.get(key).as_f64().is_some_and(|x| !(0.0..=1.0).contains(&x)) {
+                    problems.push(format!("{scope_name}.blame[{i}].{key} outside [0, 1]"));
                 }
             }
         }
-        _ => problems.push("missing completed object".to_string()),
-    }
-    for key in ["config", "threshold", "rolling", "cumulative"] {
-        if !matches!(get(key), Some(Json::Obj(_))) {
-            problems.push(format!("missing {key} object"));
-        }
-    }
-    match get("dominant_phase") {
-        Some(Json::Str(_) | Json::Null) => {}
-        _ => problems.push("dominant_phase is neither a string nor null".to_string()),
-    }
-    match get("blame") {
-        Some(b @ Json::Arr(_)) => check_blame("blame", b, &mut problems),
-        _ => problems.push("missing blame array".to_string()),
-    }
-    match get("shards") {
-        Some(Json::Arr(shards)) => {
-            for (i, shard) in shards.iter().enumerate() {
-                let prefix = format!("shards[{i}]");
-                if number_field(shard, "shard").is_none() {
-                    problems.push(format!("{prefix}.shard is not a number"));
-                }
-                check_scope(&prefix, shard, &mut problems);
+        for (i, exemplar) in scope.get("exemplars").items().iter().enumerate() {
+            let Some(duration) = exemplar.get("duration_us").as_f64() else { continue };
+            let phases = exemplar.get("phases").items();
+            let sum: f64 = phases.iter().filter_map(|p| p.get("us").as_f64()).sum();
+            // The acceptance bound: phases account for the whole measured
+            // duration to within 1% (or 1 µs for sub-100 µs spans).
+            let slack = (duration / 100.0).max(1.0);
+            if (sum - duration).abs() > slack {
+                problems.push(format!(
+                    "{scope_name}.exemplars[{i}]: phases sum to {sum} but duration_us is \
+                     {duration} (slack {slack})"
+                ));
             }
         }
-        _ => problems.push("missing shards array".to_string()),
-    }
-    match get("unsharded") {
-        Some(scope @ Json::Obj(_)) => check_scope("unsharded", scope, &mut problems),
-        _ => problems.push("missing unsharded object".to_string()),
     }
     problems
-}
-
-fn number_field(doc: &Json, key: &str) -> Option<f64> {
-    let Json::Obj(pairs) = doc else { return None };
-    match pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v) {
-        Some(Json::U64(n)) => Some(*n as f64),
-        Some(Json::I64(n)) => Some(*n as f64),
-        Some(Json::F64(x)) => Some(*x),
-        _ => None,
-    }
-}
-
-fn check_blame(prefix: &str, table: &Json, problems: &mut Vec<String>) {
-    let Json::Arr(rows) = table else {
-        problems.push(format!("{prefix} is not an array"));
-        return;
-    };
-    for (i, row) in rows.iter().enumerate() {
-        let Json::Obj(pairs) = row else {
-            problems.push(format!("{prefix}[{i}] is not an object"));
-            continue;
-        };
-        if !pairs.iter().any(|(k, v)| k == "phase" && matches!(v, Json::Str(_))) {
-            problems.push(format!("{prefix}[{i}].phase is not a string"));
-        }
-        for key in ["total_us", "count", "share", "share_p99", "share_p999"] {
-            match number_field(row, key) {
-                Some(x) if key.starts_with("share") && !(0.0..=1.0).contains(&x) => {
-                    problems.push(format!("{prefix}[{i}].{key} = {x} outside [0, 1]"));
-                }
-                Some(_) => {}
-                None => problems.push(format!("{prefix}[{i}].{key} is not a number")),
-            }
-        }
-    }
-}
-
-fn check_scope(prefix: &str, scope: &Json, problems: &mut Vec<String>) {
-    let Json::Obj(pairs) = scope else {
-        problems.push(format!("{prefix} is not an object"));
-        return;
-    };
-    let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    match get("blame") {
-        Some(b) => check_blame(&format!("{prefix}.blame"), b, problems),
-        None => problems.push(format!("{prefix} has no blame table")),
-    }
-    match get("exemplars") {
-        Some(Json::Arr(exemplars)) => {
-            for (i, exemplar) in exemplars.iter().enumerate() {
-                check_exemplar(&format!("{prefix}.exemplars[{i}]"), exemplar, problems);
-            }
-        }
-        _ => problems.push(format!("{prefix} has no exemplars array")),
-    }
-}
-
-fn check_exemplar(prefix: &str, exemplar: &Json, problems: &mut Vec<String>) {
-    let Some(duration) = number_field(exemplar, "duration_us") else {
-        problems.push(format!("{prefix}.duration_us is not a number"));
-        return;
-    };
-    let Json::Obj(pairs) = exemplar else { unreachable!("number_field checked") };
-    let phases = match pairs.iter().find(|(k, _)| k == "phases").map(|(_, v)| v) {
-        Some(Json::Arr(phases)) => phases,
-        _ => {
-            problems.push(format!("{prefix}.phases is not an array"));
-            return;
-        }
-    };
-    let mut sum = 0.0;
-    for (i, phase) in phases.iter().enumerate() {
-        match number_field(phase, "us") {
-            Some(us) => sum += us,
-            None => problems.push(format!("{prefix}.phases[{i}].us is not a number")),
-        }
-    }
-    // The acceptance bound: phases account for the whole measured
-    // duration to within 1% (or 1 µs for sub-100 µs spans).
-    let slack = (duration / 100.0).max(1.0);
-    if (sum - duration).abs() > slack {
-        problems.push(format!(
-            "{prefix}: phases sum to {sum} but duration_us is {duration} (slack {slack})"
-        ));
-    }
 }
 
 #[cfg(test)]
@@ -750,19 +628,7 @@ mod tests {
         handle.emit(Event::FlushEnqueued { records: 10, backlog: 1 });
         handle.emit(Event::JobStart { shard: 0, queued: 0 });
         let doc = sink.report();
-        let Json::Obj(pairs) = &doc else { panic!() };
-        let cumulative = pairs.iter().find(|(k, _)| k == "cumulative").map(|(_, v)| v).unwrap();
-        assert_eq!(
-            number_field(
-                match cumulative {
-                    Json::Obj(c) => c.iter().find(|(k, _)| k == "queue_delay").map(|(_, v)| v),
-                    _ => None,
-                }
-                .unwrap(),
-                "count"
-            ),
-            Some(1.0)
-        );
+        assert_eq!(doc.get("cumulative").get("queue_delay").get("count").as_u64(), Some(1));
     }
 
     #[test]
@@ -821,42 +687,15 @@ mod tests {
         let problems = validate_tail(&doc);
         assert!(problems.iter().any(|p| p.contains("schema")), "{problems:?}");
         // An exemplar whose phases do not sum to its duration.
-        let bad = Json::obj([
-            ("schema", Json::from(TAIL_SCHEMA)),
-            ("windows_completed", Json::from(0u64)),
-            ("completed", Json::obj([("put", Json::from(1u64)), ("lookup", Json::from(0u64))])),
-            ("config", Json::Obj(Vec::new())),
-            ("threshold", Json::Obj(Vec::new())),
-            ("rolling", Json::Obj(Vec::new())),
-            ("cumulative", Json::Obj(Vec::new())),
-            ("blame", Json::Arr(Vec::new())),
-            ("dominant_phase", Json::Null),
-            (
-                "shards",
-                Json::arr([Json::obj([
-                    ("shard", Json::from(0u64)),
-                    ("blame", Json::Arr(Vec::new())),
-                    (
-                        "exemplars",
-                        Json::arr([Json::obj([
-                            ("duration_us", Json::from(1_000u64)),
-                            (
-                                "phases",
-                                Json::arr([Json::obj([
-                                    ("phase", Json::from("lock_wait")),
-                                    ("us", Json::from(10u64)),
-                                ])]),
-                            ),
-                        ])]),
-                    ),
-                ])]),
-            ),
-            (
-                "unsharded",
-                Json::obj([("blame", Json::Arr(Vec::new())), ("exemplars", Json::Arr(Vec::new()))]),
-            ),
-        ]);
-        let problems = validate_tail(&bad);
+        let (sink, handle) = attached(test_config());
+        {
+            let _put = handle.span(SpanOp::put().with_shard(0));
+            let _wait = handle.span(SpanOp::lock_wait().with_shard(0));
+        }
+        let good = sink.report().render();
+        let bad = good.replacen("\"lock_wait\",\"us\":1}", "\"lock_wait\",\"us\":1000}", 1);
+        assert_ne!(good, bad, "the exemplar's phase was not found: {good}");
+        let problems = validate_tail(&Json::parse(&bad).unwrap());
         assert!(problems.iter().any(|p| p.contains("phases sum")), "{problems:?}");
     }
 

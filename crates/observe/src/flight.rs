@@ -137,18 +137,6 @@ impl FlightRecorderSink {
         state.total - state.ring.len() as u64
     }
 
-    /// Export the recorder's occupancy as gauges into `metrics`
-    /// (`flight.capacity`, `flight.total`, `flight.dropped`), so ring
-    /// pressure is visible in the Prometheus exposition instead of only
-    /// via direct struct access.
-    pub fn export_metrics(&self, metrics: &crate::metrics::Metrics) {
-        let state = self.lock();
-        let dropped = state.total - state.ring.len() as u64;
-        metrics.set_gauge("flight.capacity", self.capacity as f64);
-        metrics.set_gauge("flight.total", state.total as f64);
-        metrics.set_gauge("flight.dropped", dropped as f64);
-    }
-
     /// Copy of the retained events, oldest first.
     pub fn snapshot(&self) -> Vec<FlightEntry> {
         self.lock().ring.iter().copied().collect()
@@ -269,13 +257,10 @@ mod tests {
         handle.emit(Event::CacheMiss);
         let doc = rec.to_json().render();
         let parsed = Json::parse(&doc).expect("flight JSON parses");
-        let Json::Obj(pairs) = parsed else { panic!("not an object") };
-        let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
-        assert_eq!(get("capacity"), Some(Json::from(2u64)));
-        assert_eq!(get("total"), Some(Json::from(3u64)));
-        assert_eq!(get("dropped"), Some(Json::from(1u64)));
-        let Some(Json::Arr(events)) = get("events") else { panic!("missing events") };
-        assert_eq!(events.len(), 2);
+        assert_eq!(parsed.get("capacity").as_u64(), Some(2));
+        assert_eq!(parsed.get("total").as_u64(), Some(3));
+        assert_eq!(parsed.get("dropped").as_u64(), Some(1));
+        assert_eq!(parsed.get("events").items().len(), 2);
     }
 
     #[test]

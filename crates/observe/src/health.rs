@@ -2,16 +2,17 @@
 //! and the versioned `lsm-health/v1` report.
 //!
 //! [`HealthSink`] consumes the stamped event/span stream the stack already
-//! emits — it adds **no new instrumentation call sites on hot paths**.
-//! Attach it to a [`SinkHandle`] like any other [`EventSink`]: plain events
-//! arrive attributed to their enclosing span, so the sink buckets
-//! device/cache activity per shard (the sharded front-end's handles stamp
-//! `SpanOp::shard`) and turns WAL-append / lookup span durations into
-//! fsync / read latency windows.
-//!
-//! Workload drivers report end-to-end request latency through
-//! [`HealthSink::record_put`] / [`HealthSink::record_get`] (the stack has
-//! no put span — a put is memtable-only on the happy path).
+//! emits — it adds **no new instrumentation call sites on hot paths** and
+//! nothing feeds it by hand. Attach it to a
+//! [`SinkHandle`](crate::SinkHandle) like any other [`EventSink`]: every
+//! entry arrives stamped with its shard, so the sink buckets device/cache
+//! activity per shard, and every span's `End` carries its opening stamp,
+//! so request latency is read off the stream: a put is the `End` of a
+//! *root* `Put` span ([`TraceEvent::closes_root`] — the rule the tail engine
+//! counts requests by), a get the `End` of a `Lookup` span, an fsync the
+//! `End` of a `WalAppend` span. Latencies are in the handle's clock units
+//! like every other span: microseconds under the wall clock, ticks under
+//! [`TickClock`](crate::TickClock).
 //!
 //! Windows rotate every [`HealthConfig::window_ops`] *device operations*
 //! (reads + writes + trims + syncs), not wall time, so rotation is a pure
@@ -20,18 +21,17 @@
 //! report. At each boundary the sink evaluates five detectors with
 //! hysteresis ([`HealthConfig::trip_after`] breaching windows to alert,
 //! [`HealthConfig::clear_after`] healthy windows to clear), records every
-//! state change as a [`TransitionRecord`], re-emits it as
-//! [`Event::HealthTransition`] into an optional downstream sink, and feeds
-//! the put-latency [`SloTracker`] (multi-window error-budget burn).
+//! state change as a [`TransitionRecord`] ([`HealthSink::transitions`], the
+//! report's `transitions` array), and feeds the put-latency [`SloTracker`]
+//! (multi-window error-budget burn).
 
-use std::collections::HashMap;
 use std::sync::Mutex;
 
-use crate::json::Json;
+use crate::json::{Json, Shape};
 use crate::metrics::Metrics;
-use crate::trace::{SpanKind, SpanOp, TraceEvent, TraceEventKind};
+use crate::trace::{SpanKind, TraceEvent, TraceEventKind};
 use crate::windowed::{RateWindow, WindowedHistogram};
-use crate::{Event, EventSink, SinkHandle};
+use crate::{Event, EventSink};
 
 /// One of the built-in health detectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,16 +51,15 @@ pub enum HealthDetector {
     FsyncSpike,
 }
 
+/// [`HealthDetector::name`] by declaration order; also the names a report
+/// may carry.
+const DETECTOR_NAMES: [&str; 5] =
+    ["write_stall", "backpressure_storm", "write_amp_drift", "hit_rate_collapse", "fsync_spike"];
+
 impl HealthDetector {
     /// Short machine-readable name (used in JSON and metric labels).
     pub fn name(&self) -> &'static str {
-        match self {
-            HealthDetector::WriteStall => "write_stall",
-            HealthDetector::BackpressureStorm => "backpressure_storm",
-            HealthDetector::WriteAmpDrift => "write_amp_drift",
-            HealthDetector::HitRateCollapse => "hit_rate_collapse",
-            HealthDetector::FsyncSpike => "fsync_spike",
-        }
+        DETECTOR_NAMES[*self as usize]
     }
 
     /// Every detector, in report order.
@@ -124,8 +123,8 @@ impl TransitionRecord {
     }
 }
 
-/// Tuning for the health engine. Latency limits are in the units the
-/// caller records (nanoseconds for real runs, ticks under
+/// Tuning for the health engine. Latency limits are in the handle's clock
+/// units (microseconds for real runs, ticks under
 /// [`TickClock`](crate::TickClock)).
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
@@ -167,8 +166,8 @@ impl Default for HealthConfig {
         HealthConfig {
             window_ops: 2000,
             windows: 8,
-            put_p99_limit: 50_000_000,
-            fsync_p99_limit: 20_000_000,
+            put_p99_limit: 50_000,
+            fsync_p99_limit: 20_000,
             backpressure_limit: 8,
             write_amp_drift: 2.0,
             hit_rate_floor: 0.10,
@@ -177,7 +176,7 @@ impl Default for HealthConfig {
             trip_after: 1,
             clear_after: 2,
             slo_target: 0.999,
-            slo_objective: 10_000_000,
+            slo_objective: 10_000,
             slo_burn_limit: 2.0,
         }
     }
@@ -356,8 +355,6 @@ struct DetectorSlot {
 struct Inner {
     device_ops: u64,
     windows_completed: u64,
-    puts: u64,
-    gets: u64,
     global: SeriesSet,
     get_latency: WindowedHistogram,
     fsync_latency: WindowedHistogram,
@@ -366,15 +363,12 @@ struct Inner {
     detectors: Vec<DetectorSlot>,
     slo: SloTracker,
     transitions: Vec<TransitionRecord>,
-    /// Open spans: raw id → (op, begin timestamp).
-    open: HashMap<u64, (SpanOp, u64)>,
 }
 
 /// The health engine. See the [module docs](self) for how to attach it.
 pub struct HealthSink {
     config: HealthConfig,
     inner: Mutex<Inner>,
-    transitions_to: SinkHandle,
 }
 
 impl std::fmt::Debug for HealthSink {
@@ -384,7 +378,7 @@ impl std::fmt::Debug for HealthSink {
 }
 
 impl HealthSink {
-    /// A health sink with the given tuning, emitting transitions nowhere.
+    /// A health sink with the given tuning.
     pub fn new(config: HealthConfig) -> Self {
         let windows = config.windows.max(1);
         let detectors = HealthDetector::all()
@@ -407,8 +401,6 @@ impl HealthSink {
             inner: Mutex::new(Inner {
                 device_ops: 0,
                 windows_completed: 0,
-                puts: 0,
-                gets: 0,
                 global: SeriesSet::new(windows),
                 get_latency: WindowedHistogram::new(windows),
                 fsync_latency: WindowedHistogram::new(windows),
@@ -417,46 +409,14 @@ impl HealthSink {
                 detectors,
                 slo,
                 transitions: Vec::new(),
-                open: HashMap::new(),
             }),
             config,
-            transitions_to: SinkHandle::none(),
         }
     }
 
     /// Defaults.
     pub fn with_defaults() -> Self {
         Self::new(HealthConfig::default())
-    }
-
-    /// Route [`Event::HealthTransition`]s into `sink` (builder style).
-    /// The transition stream is separate from the stream this sink
-    /// consumes, so wiring it back into the same handle cannot recurse:
-    /// incoming `HealthTransition`s are ignored.
-    pub fn emit_transitions_to(mut self, sink: SinkHandle) -> Self {
-        self.transitions_to = sink;
-        self
-    }
-
-    /// Record one end-to-end put latency (units = the caller's clock),
-    /// optionally attributed to a shard. Also feeds the SLO tracker.
-    pub fn record_put(&self, shard: Option<usize>, latency: u64) {
-        let mut inner = self.lock();
-        inner.puts += 1;
-        inner.ops.incr();
-        inner.global.put_latency.record(latency);
-        inner.slo.record(latency);
-        if let Some(shard) = shard {
-            series(&mut inner, shard, self.config.windows).put_latency.record(latency);
-        }
-    }
-
-    /// Record one end-to-end get latency.
-    pub fn record_get(&self, _shard: Option<usize>, latency: u64) {
-        let mut inner = self.lock();
-        inner.gets += 1;
-        inner.ops.incr();
-        inner.get_latency.record(latency);
     }
 
     /// Windows completed so far.
@@ -471,87 +431,50 @@ impl HealthSink {
 
     /// Current state of one detector.
     pub fn state(&self, detector: HealthDetector) -> HealthState {
-        self.lock()
-            .detectors
-            .iter()
-            .find(|slot| slot.detector == detector)
-            .map(|slot| slot.state)
-            .unwrap_or(HealthState::Healthy)
+        self.lock().detectors[detector as usize].state
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Fold one event in. `shard` is the shard of the enclosing span when
-    /// known; events that carry their own shard override it.
-    fn on_event(&self, event: &Event, shard: Option<usize>) {
-        let fired = {
-            let mut inner = self.lock();
-            let windows = self.config.windows;
-            let mut tick = false;
-            match *event {
-                Event::DeviceRead { .. } | Event::DeviceTrim { .. } | Event::DeviceSync => {
-                    tick = true;
-                }
-                Event::DeviceWrite { .. } => {
-                    tick = true;
-                    inner.global.device_writes.incr();
-                    if let Some(s) = shard {
-                        series(&mut inner, s, windows).device_writes.incr();
-                    }
-                }
-                Event::CacheHit => {
-                    inner.global.cache_hits.incr();
-                    if let Some(s) = shard {
-                        series(&mut inner, s, windows).cache_hits.incr();
-                    }
-                }
-                Event::CacheMiss => {
-                    inner.global.cache_misses.incr();
-                    if let Some(s) = shard {
-                        series(&mut inner, s, windows).cache_misses.incr();
-                    }
-                }
-                Event::WalAppend { .. } => {
-                    inner.global.wal_appends.incr();
-                    if let Some(s) = shard {
-                        series(&mut inner, s, windows).wal_appends.incr();
-                    }
-                }
-                Event::Backpressure { shard: s, .. } => {
-                    inner.global.backpressure.incr();
-                    series(&mut inner, s, windows).backpressure.incr();
-                }
-                // Our own output stream looping back must not feed the
-                // engine (or recurse); everything else carries no windowed
-                // signal.
-                _ => {}
-            }
-            if tick {
-                inner.device_ops += 1;
-                if inner.device_ops.is_multiple_of(self.config.window_ops) {
-                    self.close_window(&mut inner)
-                } else {
-                    Vec::new()
-                }
-            } else {
-                Vec::new()
-            }
+    /// Fold one plain event in: a device op ticks the window clock, and
+    /// the events with a rolling counter bump it globally and for their
+    /// shard — the entry's stamp, or the one a `Backpressure` names itself.
+    fn on_event(&self, inner: &mut Inner, event: &Event, shard: Option<usize>) {
+        type Counter = fn(&mut SeriesSet) -> &mut RateWindow;
+        let (counter, shard): (Option<Counter>, _) = match *event {
+            Event::DeviceWrite { .. } => (Some(|s| &mut s.device_writes), shard),
+            Event::CacheHit => (Some(|s| &mut s.cache_hits), shard),
+            Event::CacheMiss => (Some(|s| &mut s.cache_misses), shard),
+            Event::WalAppend { .. } => (Some(|s| &mut s.wal_appends), shard),
+            Event::Backpressure { shard, .. } => (Some(|s| &mut s.backpressure), Some(shard)),
+            _ => (None, shard),
         };
-        for t in fired {
-            self.transitions_to.emit(Event::HealthTransition {
-                detector: t.detector,
-                from: t.from,
-                to: t.to,
-                window: t.window,
-            });
+        if let Some(counter) = counter {
+            counter(&mut inner.global).incr();
+            if let Some(shard) = shard {
+                counter(series(inner, shard, self.config.windows)).incr();
+            }
+        }
+        let device_op = matches!(
+            event,
+            Event::DeviceRead { .. }
+                | Event::DeviceWrite { .. }
+                | Event::DeviceTrim { .. }
+                | Event::DeviceSync
+        );
+        if device_op {
+            inner.device_ops += 1;
+            if inner.device_ops.is_multiple_of(self.config.window_ops) {
+                self.close_window(inner);
+            }
         }
     }
 
     /// A window just filled: judge every detector on the pre-rotation
     /// rolling view, record transitions, then rotate every ring.
-    fn close_window(&self, inner: &mut Inner) -> Vec<TransitionRecord> {
+    fn close_window(&self, inner: &mut Inner) {
         let cfg = &self.config;
         let window = inner.windows_completed;
 
@@ -572,7 +495,6 @@ impl HealthSink {
                 && fsync.percentile(0.99) > cfg.fsync_p99_limit as f64,
         ];
 
-        let mut fired = Vec::new();
         for (slot, &breach) in inner.detectors.iter_mut().zip(breaches.iter()) {
             let next = if breach {
                 slot.healthy_streak = 0;
@@ -592,16 +514,18 @@ impl HealthSink {
                 }
             };
             if let Some(to) = next {
-                let record =
-                    TransitionRecord { window, detector: slot.detector, from: slot.state, to };
+                inner.transitions.push(TransitionRecord {
+                    window,
+                    detector: slot.detector,
+                    from: slot.state,
+                    to,
+                });
                 slot.state = to;
                 if to.is_alerting() {
                     slot.trips += 1;
                 }
-                fired.push(record);
             }
         }
-        inner.transitions.extend(fired.iter().copied());
 
         inner.slo.rotate();
         inner.global.rotate();
@@ -612,33 +536,12 @@ impl HealthSink {
             shard.rotate();
         }
         inner.windows_completed += 1;
-        fired
-    }
-
-    /// Handle a span close: WAL-append spans feed the fsync-latency
-    /// window, lookup spans the read-latency window.
-    fn on_span_end(&self, op: &SpanOp, duration: u64) {
-        let mut inner = self.lock();
-        match op.kind {
-            SpanKind::WalAppend => inner.fsync_latency.record(duration),
-            SpanKind::Lookup => {
-                // A lookup span is a served get: count it here so trees
-                // that report through spans need no record_get call (and
-                // callers who use record_get must not also be traced, or
-                // they would double-count).
-                inner.gets += 1;
-                inner.ops.incr();
-                inner.get_latency.record(duration);
-            }
-            _ => {}
-        }
     }
 
     /// The versioned `lsm-health/v1` report. Pure function of the events
     /// consumed — byte-identical across same-seed deterministic runs.
     pub fn report(&self) -> Json {
         let inner = self.lock();
-        let cumulative = inner.global.put_latency.cumulative();
         let shards: Vec<Json> = inner
             .shards
             .iter()
@@ -689,24 +592,15 @@ impl HealthSink {
             (
                 "cumulative",
                 Json::obj([
-                    ("puts", Json::from(inner.puts)),
-                    ("gets", Json::from(inner.gets)),
+                    ("puts", Json::from(inner.global.put_latency.cumulative().count())),
+                    ("gets", Json::from(inner.get_latency.cumulative().count())),
                     ("device_writes", Json::from(inner.global.device_writes.total())),
                     ("cache_hits", Json::from(inner.global.cache_hits.total())),
                     ("cache_misses", Json::from(inner.global.cache_misses.total())),
                     ("wal_appends", Json::from(inner.global.wal_appends.total())),
                     ("backpressure_stalls", Json::from(inner.global.backpressure.total())),
                     ("write_amp", Json::from(inner.global.baseline_write_amp())),
-                    (
-                        "put_latency",
-                        Json::obj([
-                            ("count", Json::from(cumulative.count())),
-                            ("p50", Json::from(cumulative.percentile(0.50))),
-                            ("p99", Json::from(cumulative.percentile(0.99))),
-                            ("p999", Json::from(cumulative.percentile(0.999))),
-                            ("max", Json::from(cumulative.max())),
-                        ]),
-                    ),
+                    ("put_latency", inner.global.put_latency.cumulative().tail_json()),
                 ]),
             ),
             ("detectors", Json::Arr(detectors)),
@@ -765,23 +659,32 @@ fn series(inner: &mut Inner, shard: usize, windows: usize) -> &mut SeriesSet {
 }
 
 impl EventSink for HealthSink {
-    fn accept(&self, event: &TraceEvent) {
-        match event.kind {
-            TraceEventKind::Begin { id, op, .. } => {
-                self.lock().open.insert(id.as_u64(), (op, event.at_us));
-            }
-            TraceEventKind::Emit(inner_event) => {
-                let shard = event.span.and_then(|span| {
-                    self.lock().open.get(&span.as_u64()).and_then(|(op, _)| op.shard)
-                });
-                self.on_event(&inner_event, shard);
-            }
-            TraceEventKind::End { id, op } => {
-                let begin = self.lock().open.remove(&id.as_u64());
-                if let Some((_, at)) = begin {
-                    self.on_span_end(&op, event.at_us.saturating_sub(at));
+    /// Plain events go to [`HealthSink::on_event`]; a closing span is a
+    /// latency sample: a root `Put` is a served put (global and per-shard
+    /// windows, the SLO), a `Lookup` a served get, a `WalAppend` an fsync.
+    fn accept(&self, entry: &TraceEvent) {
+        let mut inner = self.lock();
+        let (kind, began_us) = match entry.kind {
+            TraceEventKind::Begin { .. } => return,
+            TraceEventKind::Emit(event) => return self.on_event(&mut inner, &event, entry.shard),
+            TraceEventKind::End { op, began_us, .. } => (op.kind, began_us),
+        };
+        let latency = entry.at_us.saturating_sub(began_us);
+        match kind {
+            SpanKind::Put if entry.closes_root() => {
+                inner.ops.incr();
+                inner.global.put_latency.record(latency);
+                inner.slo.record(latency);
+                if let Some(shard) = entry.shard {
+                    series(&mut inner, shard, self.config.windows).put_latency.record(latency);
                 }
             }
+            SpanKind::Lookup => {
+                inner.ops.incr();
+                inner.get_latency.record(latency);
+            }
+            SpanKind::WalAppend => inner.fsync_latency.record(latency),
+            _ => {}
         }
     }
 }
@@ -789,99 +692,52 @@ impl EventSink for HealthSink {
 /// Schema tag of the health report.
 pub const HEALTH_SCHEMA: &str = "lsm-health/v1";
 
+const DETECTOR: Shape = Shape::OneOf(&DETECTOR_NAMES);
+const STATE: Shape = Shape::OneOf(&["healthy", "alerting"]);
+
+/// Members and types of an `lsm-health/v1` document.
+const HEALTH_SHAPE: Shape = Shape::Obj(&[
+    ("schema", Shape::OneOf(&[HEALTH_SCHEMA])),
+    ("config", Shape::Obj(&[("window_ops", Shape::Int), ("windows", Shape::Int)])),
+    ("device_ops", Shape::Int),
+    ("windows_completed", Shape::Int),
+    ("rolling", Shape::Obj(&[])),
+    ("cumulative", Shape::Obj(&[("puts", Shape::Int)])),
+    ("detectors", Shape::Arr(&Shape::Obj(&[("detector", DETECTOR), ("state", STATE)]))),
+    ("slo", Shape::Obj(&[])),
+    (
+        "transitions",
+        Shape::Arr(&Shape::Obj(&[
+            ("window", Shape::Int),
+            ("detector", DETECTOR),
+            ("from", STATE),
+            ("to", STATE),
+        ])),
+    ),
+    ("shards", Shape::Arr(&Shape::Obj(&[("shard", Shape::Int)]))),
+]);
+
 /// Validate a parsed `lsm-health/v1` document. Returns every problem
 /// found (empty = valid), mirroring `validate_bundle`.
 pub fn validate_health(doc: &Json) -> Vec<String> {
     let mut problems = Vec::new();
-    let Json::Obj(pairs) = doc else {
-        return vec!["health report is not a JSON object".to_string()];
-    };
-    let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    match get("schema") {
-        Some(Json::Str(s)) if s == HEALTH_SCHEMA => {}
-        Some(Json::Str(s)) => problems.push(format!("schema is {s:?}, expected {HEALTH_SCHEMA:?}")),
-        _ => problems.push("missing string field \"schema\"".to_string()),
+    doc.check(&HEALTH_SHAPE, "health", &mut problems);
+    let detectors = doc.get("detectors").items().len();
+    if detectors != DETECTOR_NAMES.len() {
+        problems.push(format!(
+            "detectors array has {detectors} entries, expected {}",
+            DETECTOR_NAMES.len()
+        ));
     }
-    for key in ["device_ops", "windows_completed"] {
-        match get(key) {
-            Some(Json::U64(_)) => {}
-            _ => problems.push(format!("missing numeric field {key:?}")),
+    for (i, transition) in doc.get("transitions").items().iter().enumerate() {
+        if transition.get("from") == transition.get("to") {
+            problems.push(format!("transitions[{i}] does not change state"));
         }
     }
-    for key in ["config", "rolling", "cumulative", "slo"] {
-        match get(key) {
-            Some(Json::Obj(_)) => {}
-            _ => problems.push(format!("missing object field {key:?}")),
+    for (i, shard) in doc.get("shards").items().iter().enumerate() {
+        if shard.get("shard").as_u64() != Some(i as u64) {
+            problems.push(format!("shards[{i}] mismatched shard index"));
         }
-    }
-    let valid_detector =
-        |name: &str| HealthDetector::all().iter().any(|detector| detector.name() == name);
-    let valid_state = |name: &str| name == "healthy" || name == "alerting";
-    match get("detectors") {
-        Some(Json::Arr(items)) => {
-            if items.len() != HealthDetector::all().len() {
-                problems.push(format!(
-                    "detectors array has {} entries, expected {}",
-                    items.len(),
-                    HealthDetector::all().len()
-                ));
-            }
-            for (i, item) in items.iter().enumerate() {
-                let Json::Obj(fields) = item else {
-                    problems.push(format!("detectors[{i}] is not an object"));
-                    continue;
-                };
-                let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-                match field("detector") {
-                    Some(Json::Str(name)) if valid_detector(name) => {}
-                    other => problems.push(format!("detectors[{i}] has bad name: {other:?}")),
-                }
-                match field("state") {
-                    Some(Json::Str(state)) if valid_state(state) => {}
-                    other => problems.push(format!("detectors[{i}] has bad state: {other:?}")),
-                }
-            }
-        }
-        _ => problems.push("missing array field \"detectors\"".to_string()),
-    }
-    match get("transitions") {
-        Some(Json::Arr(items)) => {
-            for (i, item) in items.iter().enumerate() {
-                let Json::Obj(fields) = item else {
-                    problems.push(format!("transitions[{i}] is not an object"));
-                    continue;
-                };
-                let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-                if !matches!(field("window"), Some(Json::U64(_))) {
-                    problems.push(format!("transitions[{i}] missing window"));
-                }
-                match (field("from"), field("to")) {
-                    (Some(Json::Str(from)), Some(Json::Str(to)))
-                        if valid_state(from) && valid_state(to) && from != to => {}
-                    _ => problems.push(format!("transitions[{i}] has bad from/to states")),
-                }
-                match field("detector") {
-                    Some(Json::Str(name)) if valid_detector(name) => {}
-                    other => problems.push(format!("transitions[{i}] has bad detector: {other:?}")),
-                }
-            }
-        }
-        _ => problems.push("missing array field \"transitions\"".to_string()),
-    }
-    match get("shards") {
-        Some(Json::Arr(items)) => {
-            for (i, item) in items.iter().enumerate() {
-                match item {
-                    Json::Obj(fields)
-                        if matches!(
-                            fields.iter().find(|(k, _)| k == "shard").map(|(_, v)| v),
-                            Some(Json::U64(n)) if *n == i as u64
-                        ) => {}
-                    _ => problems.push(format!("shards[{i}] missing or mismatched shard index")),
-                }
-            }
-        }
-        _ => problems.push("missing array field \"shards\"".to_string()),
     }
     problems
 }
@@ -892,8 +748,8 @@ mod tests {
 
     use super::*;
     use crate::metrics::validate_prometheus;
-    use crate::trace::TickClock;
-    use crate::VecSink;
+    use crate::trace::{SpanId, SpanOp, TickClock};
+    use crate::SinkHandle;
 
     /// Tiny windows so tests cross boundaries fast: 10 device ops per
     /// window, 2-epoch ring, trip after 1 breach, clear after 2 healthy.
@@ -920,6 +776,16 @@ mod tests {
         (sink, handle)
     }
 
+    /// One served put of `latency` on `shard`, as the stamper reports it:
+    /// the `Begin` and `End` of a root `Put` span.
+    fn put(sink: &HealthSink, shard: Option<usize>, latency: u64) {
+        let (id, op) = (SpanId::from_raw(1), SpanOp { shard, ..SpanOp::put() });
+        let begin = TraceEventKind::Begin { id, parent: None, op };
+        sink.accept(&TraceEvent { at_us: 7, span: None, shard, kind: begin });
+        let end = TraceEventKind::End { id, op, began_us: 7 };
+        sink.accept(&TraceEvent { at_us: 7 + latency, span: None, shard, kind: end });
+    }
+
     /// Advance `n` device ops (syncs tick the window counter).
     fn ticks(handle: &SinkHandle, n: u64) {
         for _ in 0..n {
@@ -929,14 +795,11 @@ mod tests {
 
     #[test]
     fn write_stall_trips_within_one_window_and_hysteresis_clears() {
-        let downstream = Arc::new(VecSink::new());
-        let (sink, handle) = attached(
-            HealthSink::new(test_config()).emit_transitions_to(SinkHandle::new(downstream.clone())),
-        );
+        let (sink, handle) = attached(HealthSink::new(test_config()));
 
         // Window 0: slow puts breach the p99 limit at the first boundary.
         for _ in 0..8 {
-            sink.record_put(Some(0), 5_000);
+            put(&sink, Some(0), 5_000);
         }
         ticks(&handle, 10);
         assert_eq!(sink.state(HealthDetector::WriteStall), HealthState::Alerting);
@@ -945,16 +808,6 @@ mod tests {
         assert_eq!(fired[0].window, 0, "tripped within one window of the stall");
         assert_eq!(fired[0].detector, HealthDetector::WriteStall);
         assert!(fired[0].to.is_alerting());
-
-        // The transition also reached the downstream sink as an event.
-        let events = downstream.events();
-        assert!(
-            matches!(
-                events.as_slice(),
-                [Event::HealthTransition { detector: HealthDetector::WriteStall, window: 0, .. }]
-            ),
-            "{events:?}"
-        );
 
         // Window 1: the breaching epoch is still inside the 2-epoch ring,
         // so the rolling p99 still breaches — no clear yet.
@@ -973,6 +826,28 @@ mod tests {
         assert_eq!(fired.len(), 2);
         assert_eq!(fired[1].to, HealthState::Healthy);
         assert_eq!(fired[1].window, 3);
+    }
+
+    #[test]
+    fn only_root_put_spans_are_requests() {
+        let (sink, handle) = attached(HealthSink::new(test_config()));
+        {
+            // A batch: one root put whose inner tree opens a put of its own.
+            let _request = handle.span(SpanOp::put().with_shard(1));
+            drop(handle.span(SpanOp::put().with_shard(1)));
+            drop(handle.span(SpanOp::wal_append().with_shard(1)));
+        }
+        let report = sink.report();
+        assert_eq!(report.get("cumulative").get("puts").as_u64(), Some(1));
+        let slo = report.get("slo");
+        assert_eq!((slo.get("good").as_u64(), slo.get("bad").as_u64()), (Some(1), Some(0)));
+        assert_eq!(
+            report.get("shards").items()[1].get("put_latency").get("count").as_u64(),
+            Some(1)
+        );
+        // Tick clock: the root put spans begin..end of both children.
+        assert_eq!(report.get("cumulative").get("put_latency").get("max").as_u64(), Some(5));
+        assert_eq!(report.get("rolling").get("fsync_latency").get("count").as_u64(), Some(1));
     }
 
     #[test]
@@ -1057,7 +932,7 @@ mod tests {
         let run = || {
             let (sink, handle) = attached(HealthSink::new(test_config()));
             for i in 0..40 {
-                sink.record_put(Some(i % 2), if i % 7 == 0 { 5_000 } else { 100 });
+                put(&sink, Some(i % 2), if i % 7 == 0 { 5_000 } else { 100 });
                 handle.emit(Event::WalAppend { bytes: 48, synced: true });
                 handle.emit(Event::DeviceWrite { block: i as u64 });
                 handle.emit(Event::CacheHit);
@@ -1112,13 +987,12 @@ mod tests {
         assert_eq!(inner.shards[1].wal_appends.total(), 1);
         assert_eq!(inner.shards[1].device_writes.total(), 1);
         assert_eq!(inner.shards[0].cache_hits.total(), 1);
-        assert!(inner.open.is_empty(), "closed spans leave nothing behind");
     }
 
     #[test]
     fn gauges_export_and_render() {
         let (sink, handle) = attached(HealthSink::new(test_config()));
-        sink.record_put(Some(0), 500);
+        put(&sink, Some(0), 500);
         handle.emit(Event::CacheHit);
         handle.emit(Event::WalAppend { bytes: 8, synced: false });
         handle.emit(Event::DeviceWrite { block: 0 });

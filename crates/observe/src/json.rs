@@ -72,6 +72,83 @@ impl Json {
         Ok(value)
     }
 
+    /// Member `key` of an object; `Null` when there is none or this is not
+    /// an object, so lookups chain: `doc.get("slo").get("good").as_u64()`.
+    pub fn get(&self, key: &str) -> &Json {
+        match self {
+            Json::Obj(pairs) => {
+                pairs.iter().find(|(k, _)| k == key).map_or(&Json::Null, |(_, v)| v)
+            }
+            _ => &Json::Null,
+        }
+    }
+
+    /// The value of an unsigned integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::U64(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value of any number variant.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::U64(n) => Some(*n as f64),
+            Json::I64(n) => Some(*n as f64),
+            Json::F64(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// The text of a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The elements of an array; empty for anything else.
+    pub fn items(&self) -> &[Json] {
+        match self {
+            Json::Arr(items) => items,
+            _ => &[],
+        }
+    }
+
+    /// Append to `problems` every way this value departs from `shape`,
+    /// each named by its path from `path` (`"tail.shards[1].blame"`).
+    pub fn check(&self, shape: &Shape, path: &str, problems: &mut Vec<String>) {
+        let ok = match (shape, self) {
+            (Shape::Num, Json::U64(_) | Json::I64(_) | Json::F64(_))
+            | (Shape::Int, Json::U64(_))
+            | (Shape::Str, Json::Str(_))
+            | (Shape::Nullable(_), Json::Null) => true,
+            (Shape::OneOf(names), Json::Str(s)) => names.contains(&s.as_str()),
+            (Shape::Nullable(inner), _) => return self.check(inner, path, problems),
+            (Shape::Arr(item), Json::Arr(items)) => {
+                for (i, element) in items.iter().enumerate() {
+                    element.check(item, &format!("{path}[{i}]"), problems);
+                }
+                true
+            }
+            (Shape::Obj(members), Json::Obj(pairs)) => {
+                for (key, member) in *members {
+                    match pairs.iter().find(|(k, _)| k == key) {
+                        Some((_, v)) => v.check(member, &format!("{path}.{key}"), problems),
+                        None => problems.push(format!("{path}: missing {key}")),
+                    }
+                }
+                true
+            }
+            _ => false,
+        };
+        if !ok {
+            problems.push(format!("{path} is {}, expected {shape:?}", self.render()));
+        }
+    }
+
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -148,6 +225,27 @@ impl Json {
             other => other.write(out),
         }
     }
+}
+
+/// What a validator requires of a value ([`Json::check`]): one table per
+/// schema says which members a document must have and of what type; the
+/// few checks that compare values with each other stay code.
+#[derive(Debug, Clone, Copy)]
+pub enum Shape {
+    /// Any number.
+    Num,
+    /// An unsigned integer.
+    Int,
+    /// A string.
+    Str,
+    /// One of these strings.
+    OneOf(&'static [&'static str]),
+    /// `null`, or the inner shape.
+    Nullable(&'static Shape),
+    /// An array whose every element has this shape.
+    Arr(&'static Shape),
+    /// An object with at least these members (others are not looked at).
+    Obj(&'static [(&'static str, Shape)]),
 }
 
 struct Parser<'a> {
@@ -485,6 +583,42 @@ mod tests {
         assert_eq!(Json::parse("\"\\ud83d\\ude00\"").unwrap(), Json::from("😀"));
         assert_eq!(Json::parse("\"\\u00e9\"").unwrap(), Json::from("é"));
         assert!(Json::parse("\"\\ud83d\"").is_err(), "lone surrogate rejected");
+    }
+
+    #[test]
+    fn accessors_chain_through_absent_members() {
+        let doc = Json::obj([
+            ("slo", Json::obj([("good", Json::from(7u64)), ("burn", Json::from(0.5))])),
+            ("shards", Json::arr([Json::from("a")])),
+        ]);
+        assert_eq!(doc.get("slo").get("good").as_u64(), Some(7));
+        assert_eq!(doc.get("slo").get("burn").as_u64(), None, "a float is not an integer");
+        assert_eq!(doc.get("slo").get("burn").as_f64(), Some(0.5));
+        assert_eq!(doc.get("shards").items()[0].as_str(), Some("a"));
+        assert_eq!(doc.get("nope").get("deeper"), &Json::Null);
+        assert!(doc.get("slo").items().is_empty(), "an object has no items");
+    }
+
+    #[test]
+    fn check_names_every_departure_by_path() {
+        const ROW: Shape = Shape::Obj(&[("state", Shape::OneOf(&["up", "down"]))]);
+        const DOC: Shape = Shape::Obj(&[
+            ("n", Shape::Int),
+            ("rows", Shape::Arr(&ROW)),
+            ("why", Shape::Nullable(&Shape::Str)),
+        ]);
+        let check = |text: &str| {
+            let mut problems = Vec::new();
+            Json::parse(text).unwrap().check(&DOC, "doc", &mut problems);
+            problems
+        };
+        assert!(check(r#"{"n":1,"rows":[{"state":"up","extra":2}],"why":null}"#).is_empty());
+        let problems = check(r#"{"n":-1,"rows":[{"state":"up"},{"state":"sideways"},{}]}"#);
+        assert_eq!(problems.len(), 4, "{problems:?}");
+        assert!(problems[0].starts_with("doc.n is -1, expected Int"), "{problems:?}");
+        assert!(problems[1].starts_with("doc.rows[1].state is \"sideways\""), "{problems:?}");
+        assert_eq!(problems[2], "doc.rows[2]: missing state");
+        assert_eq!(problems[3], "doc: missing why");
     }
 
     #[test]

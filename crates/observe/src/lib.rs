@@ -11,8 +11,8 @@
 //! An attached handle is the one place that *stamps*: it reads the clock,
 //! issues span ids, keeps the per-thread stack of open spans, and hands
 //! every resulting [`TraceEvent`] — `Begin`, `End` or `Emit`, each with its
-//! timestamp and the innermost open span — to each attached [`EventSink`],
-//! the one consumer trait. See [`trace`] for the span vocabulary.
+//! timestamp, the innermost open span and its shard — to each attached
+//! [`EventSink`], the one consumer trait. See [`trace`] for the span vocabulary.
 //!
 //! Provided sinks:
 //!
@@ -22,8 +22,8 @@
 //! - [`StreamSink`] — one JSON object per event, one per line, to any
 //!   `Write` target.
 //! - [`MetricsSink`] — folds events into a shared [`Metrics`] registry of
-//!   counters and histograms; [`TextExpositionSink`] renders it as
-//!   Prometheus text.
+//!   counters and histograms ([`Metrics::render_prometheus`] is its
+//!   Prometheus text form).
 //! - [`ChromeTraceSink`], [`TimeseriesSink`] — Chrome-trace and
 //!   amplification time-series exporters.
 //! - [`HealthSink`], [`ExemplarSink`], [`FlightRecorderSink`] — the
@@ -47,8 +47,8 @@ pub use health::{
     validate_health, HealthConfig, HealthDetector, HealthSink, HealthState, SloTracker,
     TransitionRecord,
 };
-pub use json::Json;
-pub use metrics::{Histogram, Metrics, TextExpositionSink};
+pub use json::{Json, Shape};
+pub use metrics::{Histogram, Metrics};
 pub use trace::{
     ChromeTraceSink, Clock, SpanGuard, SpanId, SpanKind, SpanOp, TickClock, TimeseriesSink,
     TraceEvent, TraceEventKind, WallClock,
@@ -201,20 +201,6 @@ pub enum Event {
         /// Zero-based shard index the key hashed to.
         shard: usize,
     },
-    /// A merge completed inside a shard of a sharded front-end. Emitted by
-    /// the shard's tagging sink right after the (untagged)
-    /// [`Event::MergeFinish`] of the shard's own tree, so per-shard merge
-    /// activity can be attributed without guessing from interleaving.
-    ShardMergeFinish {
-        /// Zero-based shard index the merge ran in.
-        shard: usize,
-        /// Paper-numbered target level within that shard's tree.
-        target_level: usize,
-        /// `true` for a full merge.
-        full: bool,
-        /// Blocks written into the target level.
-        writes: u64,
-    },
     /// A decision ledger reconciled one merge decision against its actual
     /// cost: emitted right after the matching [`Event::MergeFinish`], once
     /// the candidate set, the chosen candidate's predicted cost, the best
@@ -263,21 +249,6 @@ pub enum Event {
         shard: usize,
         /// Immutable memtables pending at stall time.
         backlog: usize,
-    },
-    /// A health detector changed state at a window boundary. Emitted by
-    /// [`HealthSink`] into its transition stream (never back into the
-    /// stream it consumes), so alerting pipelines can subscribe to state
-    /// changes without polling the report.
-    HealthTransition {
-        /// Which detector transitioned.
-        detector: HealthDetector,
-        /// State before the window boundary.
-        from: HealthState,
-        /// State after the window boundary.
-        to: HealthState,
-        /// Zero-based index of the window at whose close the transition
-        /// fired.
-        window: u64,
     },
 }
 
@@ -344,12 +315,10 @@ impl Event {
             Event::BlockQuarantined { .. } => "block_quarantined",
             Event::ReadRepair { .. } => "read_repair",
             Event::ShardRouted { .. } => "shard_routed",
-            Event::ShardMergeFinish { .. } => "shard_merge_finish",
             Event::LedgerOutcome { .. } => "ledger_outcome",
             Event::FlushEnqueued { .. } => "flush_enqueued",
             Event::JobStart { .. } => "job_start",
             Event::Backpressure { .. } => "backpressure",
-            Event::HealthTransition { .. } => "health_transition",
         }
     }
 
@@ -417,12 +386,6 @@ impl Event {
                 put("block", Json::from(block))
             }
             Event::ShardRouted { shard } => put("shard", Json::from(shard)),
-            Event::ShardMergeFinish { shard, target_level, full, writes } => {
-                put("shard", Json::from(shard));
-                put("target_level", Json::from(target_level));
-                put("full", Json::from(full));
-                put("writes", Json::from(writes));
-            }
             Event::LedgerOutcome {
                 target_level,
                 full,
@@ -449,12 +412,6 @@ impl Event {
             Event::Backpressure { shard, backlog } => {
                 put("shard", Json::from(shard));
                 put("backlog", Json::from(backlog));
-            }
-            Event::HealthTransition { detector, from, to, window } => {
-                put("detector", Json::from(detector.name()));
-                put("from", Json::from(from.name()));
-                put("to", Json::from(to.name()));
-                put("window", Json::from(window));
             }
         }
         Json::Obj(pairs)
@@ -563,9 +520,8 @@ impl SinkHandle {
     }
 
     /// This handle for shard `shard` of a sharded front-end: every span
-    /// opened through it is stamped with the shard index, and every
-    /// [`Event::MergeFinish`] is followed by a shard-tagged
-    /// [`Event::ShardMergeFinish`].
+    /// opened through it is stamped with the shard index, and so is every
+    /// event it reports outside any span ([`TraceEvent::shard`]).
     pub fn with_shard(&self, shard: usize) -> Self {
         self.derive(|core| core.shard = Some(shard))
     }
@@ -738,11 +694,6 @@ impl StreamSink {
         StreamSink { out: Mutex::new(Box::new(out)) }
     }
 
-    /// Stream to standard error.
-    pub fn to_stderr() -> Self {
-        Self::new(std::io::stderr())
-    }
-
     /// Stream to a file at `path`, created or truncated, behind a
     /// `BufWriter`.
     pub fn to_file(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
@@ -822,6 +773,15 @@ impl EventSink for MetricsSink {
                 m.observe("merge.reads", reads);
                 m.observe("merge.preserved", preserved);
                 m.observe("merge.src_records", src_records);
+                if let Some(shard) = entry.shard {
+                    m.incr("shard.merges");
+                    m.observe("shard.merge_writes", writes);
+                    m.add_with(
+                        "shard.merge_writes_total",
+                        &[("shard", &shard.to_string())],
+                        writes,
+                    );
+                }
             }
             Event::PairwiseFix { writes, .. } => {
                 m.incr("constraint.pairwise_fixes");
@@ -860,11 +820,6 @@ impl EventSink for MetricsSink {
             Event::BlockQuarantined { .. } => m.incr("degraded.blocks_quarantined"),
             Event::ReadRepair { .. } => m.incr("degraded.read_repairs"),
             Event::ShardRouted { .. } => m.incr("shard.routed"),
-            Event::ShardMergeFinish { shard, writes, .. } => {
-                m.incr("shard.merges");
-                m.observe("shard.merge_writes", writes);
-                m.add_with("shard.merge_writes_total", &[("shard", &shard.to_string())], writes);
-            }
             Event::LedgerOutcome { predicted, best_predicted, actual, .. } => {
                 m.incr("policy.ledger_outcomes");
                 m.add("policy.regret_blocks", predicted.saturating_sub(best_predicted));
@@ -882,13 +837,6 @@ impl EventSink for MetricsSink {
             Event::Backpressure { backlog, .. } => {
                 m.incr("scheduler.backpressure_stalls");
                 m.observe("scheduler.stall_backlog", backlog as u64);
-            }
-            Event::HealthTransition { detector, to, .. } => {
-                m.incr("health.transitions");
-                m.add_with("health.detector_transitions", &[("detector", detector.name())], 1);
-                if to.is_alerting() {
-                    m.incr("health.alerts");
-                }
             }
         }
     }
@@ -1034,10 +982,20 @@ mod tests {
                 (Some(inner_id), TraceEventKind::Emit(Event::CacheMiss)),
                 (
                     Some(outer_id),
-                    TraceEventKind::End { id: inner_id, op: SpanOp::lock_wait().with_shard(2) }
+                    TraceEventKind::End {
+                        id: inner_id,
+                        op: SpanOp::lock_wait().with_shard(2),
+                        began_us: 2
+                    }
                 ),
-                (None, TraceEventKind::End { id: outer_id, op: SpanOp::put() }),
+                (None, TraceEventKind::End { id: outer_id, op: SpanOp::put(), began_us: 0 }),
             ]
+        );
+        let shards: Vec<Option<usize>> = entries.iter().map(|e| e.shard).collect();
+        assert_eq!(
+            shards,
+            vec![None, None, Some(2), Some(2), Some(2), None],
+            "a span's own shard on its begin and end, the innermost span's on an emit"
         );
         let stamps: Vec<u64> = entries.iter().map(|e| e.at_us).collect();
         assert_eq!(stamps, vec![0, 1, 2, 3, 4, 5], "one clock stamps every entry once");
@@ -1047,10 +1005,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_tag_follows_merge_finish_with_its_tagged_twin() {
+    fn a_merge_finish_carries_its_shard_with_or_without_a_span() {
         let buffer = Arc::new(VecSink::new());
-        let handle = SinkHandle::new(buffer.clone()).with_shard(1);
-        handle.emit(Event::MergeFinish {
+        let sink = Arc::new(MetricsSink::new());
+        let metrics = sink.metrics();
+        let base = SinkHandle::new(buffer.clone()).and(sink);
+        let finish = Event::MergeFinish {
             target_level: 2,
             full: true,
             src_records: 5,
@@ -1058,13 +1018,24 @@ mod tests {
             reads: 1,
             preserved: 0,
             max_key: 7,
-        });
-        let events = buffer.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(
-            events[1],
-            Event::ShardMergeFinish { shard: 1, target_level: 2, full: true, writes: 3 }
-        );
+        };
+        // Outside any span the handle's own tag; inside one, the span's.
+        base.with_shard(1).emit(finish);
+        {
+            let _merge = base.with_shard(0).span(SpanOp::merge(2, true));
+            base.emit(finish);
+        }
+        base.emit(finish);
+        let shards: Vec<Option<usize>> = buffer
+            .entries()
+            .iter()
+            .filter(|e| matches!(e.kind, TraceEventKind::Emit(_)))
+            .map(|e| e.shard)
+            .collect();
+        assert_eq!(shards, vec![Some(1), Some(0), None], "one entry per merge, no tagged twin");
+        assert_eq!(metrics.counter("merge.count"), 3);
+        assert_eq!(metrics.counter("shard.merges"), 2);
+        assert_eq!(metrics.counter("shard.merge_writes_total{shard=\"1\"}"), 3);
     }
 
     #[test]

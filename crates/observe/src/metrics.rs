@@ -11,7 +11,6 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
-use crate::{EventSink, MetricsSink, TraceEvent};
 
 const SUB_BITS: u32 = 4;
 const SUB: u64 = 1 << SUB_BITS;
@@ -218,6 +217,18 @@ impl Histogram {
             .collect()
     }
 
+    /// The summary the windowed reports carry: count, interpolated
+    /// p50/p99/p999, exact max.
+    pub fn tail_json(&self) -> Json {
+        Json::obj([
+            ("count", Json::from(self.count())),
+            ("p50", Json::from(self.percentile(0.50))),
+            ("p99", Json::from(self.percentile(0.99))),
+            ("p999", Json::from(self.percentile(0.999))),
+            ("max", Json::from(self.max())),
+        ])
+    }
+
     /// Render as a JSON object of summary statistics.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -406,11 +417,6 @@ impl Metrics {
         });
     }
 
-    /// Record `value` into the labeled histogram `name{labels}`.
-    pub fn observe_with(&self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.observe(&labeled(name, labels), value);
-    }
-
     /// Current value of the counter `name` (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.with_registry(|reg| reg.counters.get(name).copied().unwrap_or(0))
@@ -549,76 +555,6 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
         samples += 1;
     }
     Ok(samples)
-}
-
-/// An [`EventSink`] that folds events into a [`Metrics`] registry (via
-/// [`MetricsSink`]) and writes the Prometheus text rendering to a file on
-/// every [`TextExpositionSink::write`] — the "pull a fresh scrape off
-/// disk" exporter.
-pub struct TextExpositionSink {
-    inner: MetricsSink,
-    path: std::path::PathBuf,
-    global_labels: Vec<(String, String)>,
-}
-
-impl std::fmt::Debug for TextExpositionSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TextExpositionSink").field("path", &self.path).finish()
-    }
-}
-
-impl TextExpositionSink {
-    /// Expose the registry at `path`, stamping `global_labels` onto every
-    /// sample (e.g. `[("policy", "choose_best")]`).
-    pub fn new(path: impl Into<std::path::PathBuf>, global_labels: &[(&str, &str)]) -> Self {
-        TextExpositionSink {
-            inner: MetricsSink::new(),
-            path: path.into(),
-            global_labels: global_labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-        }
-    }
-
-    /// Same, but folding into an existing registry.
-    pub fn into_registry(
-        metrics: Metrics,
-        path: impl Into<std::path::PathBuf>,
-        global_labels: &[(&str, &str)],
-    ) -> Self {
-        TextExpositionSink {
-            inner: MetricsSink::into_registry(metrics),
-            path: path.into(),
-            global_labels: global_labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-        }
-    }
-
-    /// Handle on the registry this sink feeds.
-    pub fn metrics(&self) -> Metrics {
-        self.inner.metrics()
-    }
-
-    /// The Prometheus text rendering, as it would be written to the file.
-    pub fn render(&self) -> String {
-        let labels: Vec<(&str, &str)> =
-            self.global_labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-        self.metrics().render_prometheus(&labels)
-    }
-
-    /// Write the current rendering to the configured path.
-    pub fn write(&self) -> std::io::Result<()> {
-        std::fs::write(&self.path, self.render())
-    }
-}
-
-impl EventSink for TextExpositionSink {
-    fn accept(&self, entry: &TraceEvent) {
-        self.inner.accept(entry);
-    }
 }
 
 #[cfg(test)]
@@ -887,19 +823,5 @@ mod tests {
         assert!(validate_prometheus("lsm_x{le=3} 1\n").is_err(), "unquoted label value");
         assert!(validate_prometheus("lsm_x{} nope\n").is_err(), "non-numeric value");
         assert!(validate_prometheus("9leading 1\n").is_err());
-    }
-
-    #[test]
-    fn text_exposition_sink_writes_the_registry() {
-        let dir = std::env::temp_dir().join(format!("obs_prom_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("metrics.prom");
-        let sink = std::sync::Arc::new(TextExpositionSink::new(&path, &[("policy", "test")]));
-        crate::SinkHandle::new(sink.clone()).emit(crate::Event::DeviceWrite { block: 1 });
-        sink.write().unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("lsm_device_writes{policy=\"test\"} 1"), "{text}");
-        validate_prometheus(&text).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

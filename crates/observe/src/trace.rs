@@ -325,12 +325,15 @@ pub enum TraceEventKind {
         /// What the span covers.
         op: SpanOp,
     },
-    /// A span closed. Carries its op so sinks need not remember it.
+    /// A span closed. Carries its op and its opening stamp, so no consumer
+    /// keeps a table of open spans to learn what closed or how long it took.
     End {
         /// The closing span.
         id: SpanId,
         /// What the span covered.
         op: SpanOp,
+        /// Clock reading of the matching `Begin` (its `at_us`).
+        began_us: u64,
     },
     /// A plain event fired, attributed to the innermost open span (if any).
     Emit(Event),
@@ -345,15 +348,30 @@ pub struct TraceEvent {
     /// parent (the new span is in the payload); for `End` it is the span
     /// that becomes current after the close.
     pub span: Option<SpanId>,
+    /// Shard the entry belongs to: for `Begin` and `End` the span's own
+    /// (`op.shard`); for `Emit` the shard of the innermost open span, or,
+    /// outside any span, the tag of the handle that reported it
+    /// ([`SinkHandle::with_shard`](crate::SinkHandle::with_shard)).
+    pub shard: Option<usize>,
     /// The payload.
     pub kind: TraceEventKind,
 }
 
+impl TraceEvent {
+    /// Whether this entry closes a *root* span: an `End` after which the
+    /// thread has no span open. One front-end request is one root span, so
+    /// this is the rule by which every consumer counts and times requests.
+    pub fn closes_root(&self) -> bool {
+        matches!(self.kind, TraceEventKind::End { .. }) && self.span.is_none()
+    }
+}
+
 thread_local! {
-    /// Per-thread stack of open spans, tagged with the owning stamper so
-    /// two unrelated handles alive on the same thread (common in tests)
-    /// cannot see each other's spans as parents.
-    static SPAN_STACK: RefCell<Vec<(u64, SpanId)>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread stack of open spans — (stamper tag, id, shard) — tagged
+    /// with the owning stamper so two unrelated handles alive on the same
+    /// thread (common in tests) cannot see each other's spans as parents.
+    static SPAN_STACK: RefCell<Vec<(u64, SpanId, Option<usize>)>> =
+        const { RefCell::new(Vec::new()) };
 }
 
 static NEXT_STAMPER_TAG: AtomicU64 = AtomicU64::new(1);
@@ -367,9 +385,13 @@ struct Stamper {
 }
 
 impl Stamper {
-    /// The innermost span this stamper has open on the calling thread.
-    fn current_span(&self, stack: &[(u64, SpanId)]) -> Option<SpanId> {
-        stack.iter().rev().find(|&&(tag, _)| tag == self.tag).map(|&(_, id)| id)
+    /// The innermost span this stamper has open on the calling thread,
+    /// and that span's shard.
+    fn current_span(
+        &self,
+        stack: &[(u64, SpanId, Option<usize>)],
+    ) -> Option<(SpanId, Option<usize>)> {
+        stack.iter().rev().find(|&&(tag, ..)| tag == self.tag).map(|&(_, id, shard)| (id, shard))
     }
 }
 
@@ -401,19 +423,14 @@ impl Core {
         }
     }
 
-    fn emit_one(&self, event: Event) {
-        let at_us = self.stamper.clock.now_us();
-        let span = SPAN_STACK.with(|s| self.stamper.current_span(&s.borrow()));
-        self.dispatch(TraceEvent { at_us, span, kind: TraceEventKind::Emit(event) });
-    }
-
     pub(crate) fn emit(&self, event: Event) {
-        self.emit_one(event);
-        if let (Some(shard), Event::MergeFinish { target_level, full, writes, .. }) =
-            (self.shard, event)
-        {
-            self.emit_one(Event::ShardMergeFinish { shard, target_level, full, writes });
-        }
+        let at_us = self.stamper.clock.now_us();
+        let current = SPAN_STACK.with(|s| self.stamper.current_span(&s.borrow()));
+        let (span, shard) = match current {
+            Some((id, shard)) => (Some(id), shard),
+            None => (None, self.shard),
+        };
+        self.dispatch(TraceEvent { at_us, span, shard, kind: TraceEventKind::Emit(event) });
     }
 
     pub(crate) fn begin(core: &Arc<Core>, op: SpanOp) -> SpanGuard {
@@ -426,13 +443,14 @@ impl Core {
         let began_us = stamper.clock.now_us();
         let parent = SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
-            let parent = stamper.current_span(&stack);
-            stack.push((stamper.tag, id));
+            let parent = stamper.current_span(&stack).map(|(id, _)| id);
+            stack.push((stamper.tag, id, op.shard));
             parent
         });
         core.dispatch(TraceEvent {
             at_us: began_us,
             span: parent,
+            shard: op.shard,
             kind: TraceEventKind::Begin { id, parent, op },
         });
         SpanGuard(Some(OpenSpan { core: Arc::clone(core), id, op, began_us }))
@@ -442,16 +460,19 @@ impl Core {
         let stamper = &self.stamper;
         let span = SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
-            if let Some(pos) = stack.iter().rposition(|&entry| entry == (stamper.tag, id)) {
+            if let Some(pos) =
+                stack.iter().rposition(|&(tag, open, _)| (tag, open) == (stamper.tag, id))
+            {
                 stack.remove(pos);
             }
-            stamper.current_span(&stack)
+            stamper.current_span(&stack).map(|(id, _)| id)
         });
         let at_us = stamper.clock.now_us();
         if let Some(metrics) = &self.span_metrics {
             metrics.observe(&format!("span.{}_us", op.kind.name()), at_us.saturating_sub(began_us));
         }
-        self.dispatch(TraceEvent { at_us, span, kind: TraceEventKind::End { id, op } });
+        let kind = TraceEventKind::End { id, op, began_us };
+        self.dispatch(TraceEvent { at_us, span, shard: op.shard, kind });
     }
 }
 
@@ -502,8 +523,9 @@ impl Drop for SpanGuard {
     }
 }
 
+/// Device and cache activity attributed to one open span.
+#[derive(Default)]
 struct OpenChromeSpan {
-    start_us: u64,
     writes: u64,
     reads: u64,
     trims: u64,
@@ -631,17 +653,7 @@ impl EventSink for ChromeTraceSink {
         match event.kind {
             TraceEventKind::Begin { id, op, .. } => {
                 Self::ensure_names(&mut state, &op);
-                state.open.insert(
-                    id.as_u64(),
-                    OpenChromeSpan {
-                        start_us: event.at_us,
-                        writes: 0,
-                        reads: 0,
-                        trims: 0,
-                        cache_hits: 0,
-                        cache_misses: 0,
-                    },
-                );
+                state.open.insert(id.as_u64(), OpenChromeSpan::default());
             }
             TraceEventKind::Emit(ev) => {
                 let Some(id) = event.span else { return };
@@ -655,7 +667,7 @@ impl EventSink for ChromeTraceSink {
                     _ => {}
                 }
             }
-            TraceEventKind::End { id, op } => {
+            TraceEventKind::End { id, op, began_us } => {
                 let Some(open) = state.open.remove(&id.as_u64()) else { return };
                 let mut args: Vec<(String, Json)> = Vec::new();
                 if let Some(level) = op.level {
@@ -673,8 +685,8 @@ impl EventSink for ChromeTraceSink {
                     ("name", Json::from(op.label())),
                     ("cat", Json::from(op.kind.name())),
                     ("ph", Json::from("X")),
-                    ("ts", Json::from(open.start_us)),
-                    ("dur", Json::from(event.at_us.saturating_sub(open.start_us))),
+                    ("ts", Json::from(began_us)),
+                    ("dur", Json::from(event.at_us.saturating_sub(began_us))),
                     ("pid", Json::from(Self::pid_of(&op))),
                     ("tid", Json::from(op.kind.lane())),
                     ("args", Json::Obj(args)),
@@ -848,16 +860,6 @@ impl TimeseriesSink {
                 ),
             ])
         }))
-    }
-
-    /// Write the CSV rendering to `path`.
-    pub fn write_csv(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_csv())
-    }
-
-    /// Write the JSON rendering to `path`.
-    pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json().render_pretty())
     }
 }
 
@@ -1039,19 +1041,15 @@ mod tests {
 
         let text = String::from_utf8(buffer.0.lock().unwrap().clone()).unwrap();
         let doc = Json::parse(&text).expect("chrome trace parses");
-        let Json::Arr(entries) = doc else { panic!("not an array: {text}") };
-        let complete: Vec<&Json> = entries
-            .iter()
-            .filter(|e| matches!(e, Json::Obj(pairs) if pairs.iter().any(|(k, v)| k == "ph" && *v == Json::from("X"))))
-            .collect();
+        let complete: Vec<&Json> =
+            doc.items().iter().filter(|e| e.get("ph").as_str() == Some("X")).collect();
         assert_eq!(complete.len(), 1);
-        let Json::Obj(pairs) = complete[0] else { unreachable!() };
-        let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
-        assert_eq!(get("name"), Some(Json::from("merge L2 partial")));
-        assert_eq!(get("pid"), Some(Json::from(2u64)), "shard 1 maps to pid 2");
-        let Some(Json::Obj(args)) = get("args") else { panic!("missing args") };
-        assert!(args.contains(&("writes".to_string(), Json::from(1u64))));
-        assert!(args.contains(&("reads".to_string(), Json::from(1u64))));
+        let span = complete[0];
+        assert_eq!(span.get("name").as_str(), Some("merge L2 partial"));
+        assert_eq!(span.get("pid").as_u64(), Some(2), "shard 1 maps to pid 2");
+        assert_eq!((span.get("ts").as_u64(), span.get("dur").as_u64()), (Some(0), Some(3)));
+        assert_eq!(span.get("args").get("writes").as_u64(), Some(1));
+        assert_eq!(span.get("args").get("reads").as_u64(), Some(1));
     }
 
     #[test]

@@ -80,17 +80,9 @@ impl WindowedHistogram {
         &self.cumulative
     }
 
-    /// Summary of the rolling view as JSON (count, p50/p99/p999
-    /// interpolated percentiles, max).
+    /// Summary of the rolling view as JSON ([`Histogram::tail_json`]).
     pub fn to_json(&self) -> Json {
-        let r = self.rolling();
-        Json::obj([
-            ("count", Json::from(r.count())),
-            ("p50", Json::from(r.percentile(0.50))),
-            ("p99", Json::from(r.percentile(0.99))),
-            ("p999", Json::from(r.percentile(0.999))),
-            ("max", Json::from(r.max())),
-        ])
+        self.rolling().tail_json()
     }
 }
 

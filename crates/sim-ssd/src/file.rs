@@ -104,17 +104,6 @@ pub struct FileSyscalls {
     pub pwrites: u64,
 }
 
-impl FileSyscalls {
-    /// Export the counters as gauges into `metrics` (`file.preads`,
-    /// `file.pwrites`), tagged with `labels` — so the syscall level shows
-    /// up in a Prometheus exposition next to the block-level I/O counters
-    /// it should be divided by.
-    pub fn export_metrics(&self, metrics: &observe::Metrics, labels: &[(&str, &str)]) {
-        metrics.set_gauge_with("file.preads", labels, self.preads as f64);
-        metrics.set_gauge_with("file.pwrites", labels, self.pwrites as f64);
-    }
-}
-
 /// Best-effort probe: can `dir` host an O_DIRECT [`FileDevice`]? Creates
 /// and removes a tiny probe file. Benches and tests use this to fall back
 /// to buffered mode on filesystems (tmpfs, overlayfs) without O_DIRECT.

@@ -27,9 +27,6 @@
 //! * [`FaultDevice`] — a deterministic, seeded fault-injection decorator
 //!   over any device: scripted transient errors, bit flips, torn writes,
 //!   dropped syncs, and power cuts, for crash / error-path testing.
-//! * [`LatencyDevice`] — a decorator that charges a [`CostModel`]'s
-//!   per-operation latency inline (as a sleep), so wall-clock experiments
-//!   are I/O-dominated the way they would be on the real device.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,7 +38,6 @@ pub mod device;
 pub mod error;
 pub mod fault;
 pub mod file;
-pub mod latency;
 pub mod mem;
 pub mod stats;
 
@@ -54,6 +50,5 @@ pub use fault::{FaultDevice, FaultPlan, SplitMix64};
 pub use file::{
     dir_syncs, fsync_parent_dir, probe_direct, FileDevice, FileDeviceOptions, FileSyscalls,
 };
-pub use latency::LatencyDevice;
 pub use mem::{MemDevice, WearCell, WearSnapshot, WearSummary};
 pub use stats::{IoSnapshot, IoStats};

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use observe::{Event, SinkHandle, VecSink};
 use sim_ssd::{
-    BlockDevice, BlockId, CostModel, FaultDevice, FaultPlan, FileDevice, FileDeviceOptions,
-    LatencyDevice, MemDevice, SplitMix64,
+    BlockDevice, BlockId, FaultDevice, FaultPlan, FileDevice, FileDeviceOptions, MemDevice,
+    SplitMix64,
 };
 
 const CAPACITY: u64 = 64;
@@ -200,23 +200,6 @@ fn fault_device_over_file_batched_ops_match_loop() {
             },
             seed,
             "fault(file)",
-        );
-    }
-}
-
-#[test]
-fn latency_device_batched_ops_match_loop() {
-    // Zero-cost model: the stall is a no-op, the forwarding is what is
-    // under test.
-    let zero = CostModel { read_us: 0.0, write_us: 0.0, trim_us: 0.0, read_uj: 0.0, write_uj: 0.0 };
-    for seed in 0..8u64 {
-        assert_equivalent(
-            || {
-                let inner = Arc::new(MemDevice::with_block_size(CAPACITY, 256));
-                Arc::new(LatencyDevice::new(inner, zero))
-            },
-            seed,
-            "latency(mem)",
         );
     }
 }

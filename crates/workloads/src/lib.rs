@@ -19,7 +19,6 @@
 #![forbid(unsafe_code)]
 
 pub mod driver;
-pub mod histogram;
 pub mod keyset;
 pub mod normal;
 pub mod tpc;
@@ -30,7 +29,6 @@ pub use driver::{
     fill_to_bytes, reach_steady_state, run_requests, volume_requests, CostMeter, CostReading,
     Workload,
 };
-pub use histogram::LatencyHistogram;
 pub use keyset::KeySet;
 pub use normal::Normal;
 pub use tpc::Tpc;

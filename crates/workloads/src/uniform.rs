@@ -39,11 +39,6 @@ impl Uniform {
         self.live.len()
     }
 
-    /// Is `key` currently indexed according to the generator's model?
-    pub fn is_live(&self, key: Key) -> bool {
-        self.live.contains(key)
-    }
-
     /// Change the insert/delete mix (drivers switch from insert-only fill
     /// to the 50/50 steady state).
     pub fn set_ratio(&mut self, ratio: InsertRatio) {

@@ -58,58 +58,46 @@ test -s "$bundle" || { echo "missing post-mortem bundle $bundle"; exit 1; }
 cargo run --release -q -p lsm-bench --bin lsm_postmortem -- "$bundle" > /dev/null
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- check "$bundle"
 
-echo "== trace exporter smoke (Chrome trace + Prometheus + time series) =="
-obs_dir="$work/obs"
-mkdir "$obs_dir"
-# Every doctor run of the gate writes its merged report under $work: the
-# committed results/lsm_doctor.json is a full-size run.
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- --size-mb=2 --out="$obs_dir/doctor.json" \
-    --trace-out="$obs_dir/trace.json" --prom-out="$obs_dir/metrics.prom" \
-    --series-out="$obs_dir/series.csv" > /dev/null
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- check "$obs_dir/doctor.json" \
-    "$obs_dir/trace.json" "$obs_dir/metrics.prom" "$obs_dir/series.csv"
-
 echo "== file-backend crash torture (16 power cuts over a real backing file) =="
 cargo run --release -q -p lsm-bench --bin lsm_crash -- --seeds=16 --seed-base=5000 \
     --backend=file
 
-echo "== windowed health smoke (report, validator, doctor reconciliation, lsm_top) =="
-health_dir="$work/health"
-mkdir "$health_dir"
-# A traced smoke run writes a validated lsm-health/v1 report plus the
-# health gauges in the Prometheus exposition, and reconciles the engine's
-# rolling windows exactly against the cumulative metrics registry (exits 1
-# on mismatch); the reader re-validates both files.
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- --size-mb=2 \
-    --out="$health_dir/doctor.json" --health-out="$health_dir/health.json" \
-    --prom-out="$health_dir/metrics.prom" > /dev/null
-grep -q "lsm_health_windows_completed" "$health_dir/metrics.prom" \
-    || { echo "health gauges missing from exposition"; exit 1; }
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- check \
-    "$health_dir/health.json" "$health_dir/metrics.prom"
-# One dashboard frame over a live sharded workload.
+echo "== doctor smoke: one traced run, all five exporters, one validator pass =="
+obs_dir="$work/obs"
+mkdir "$obs_dir"
+# One tick-clock run writes the Chrome trace, the Prometheus exposition
+# (health and tail gauges included), the time series, a validated
+# lsm-health/v1 report and a validated lsm-tail/v1 report, beside its
+# merged report — all under $work: the committed results/lsm_doctor.json
+# is a full-size run. The doctor reconciles both engines' request counts
+# exactly against the tree's counters and the health engine's cumulative
+# counters against the metrics registry, and exits 1 on a mismatch or on
+# a health report that judged no window or counted no put — hence the
+# window small enough for a 2 MB run to close several.
+cargo run --release -q -p lsm-bench --bin lsm_doctor -- --size-mb=2 --tick-clock \
+    --out="$obs_dir/doctor.json" --trace-out="$obs_dir/trace.json" \
+    --prom-out="$obs_dir/metrics.prom" --series-out="$obs_dir/series.csv" \
+    --health-out="$obs_dir/health.json" --health-window-ops=64 \
+    --tail-out="$obs_dir/tail.json" > /dev/null
+for gauge in lsm_health_windows_completed lsm_tail_windows_completed; do
+    grep -q "$gauge" "$obs_dir/metrics.prom" \
+        || { echo "$gauge missing from exposition"; exit 1; }
+done
+# The reader re-validates every file, per-exemplar phase sums included.
+cargo run --release -q -p lsm-bench --bin lsm_doctor -- check "$obs_dir/doctor.json" \
+    "$obs_dir/trace.json" "$obs_dir/metrics.prom" "$obs_dir/series.csv" \
+    "$obs_dir/health.json" "$obs_dir/tail.json"
+
+echo "== dashboard and stall smokes (lsm_top frame, lsm_top --json, --tail-stall) =="
+# One dashboard frame over a live sharded workload, as text and as JSON
+# (health + tail reports embedded).
 cargo run --release -q -p lsm-bench --bin lsm_top -- --once --windows=4 --window-ops=200 \
     > /dev/null
-
-echo "== tail anatomy smoke (report, validator, doctor blame table, lsm_top --json) =="
-tail_dir="$work/tail"
-mkdir "$tail_dir"
-# A tick-clock smoke run writes a validated lsm-tail/v1 report plus the
-# tail gauges in the Prometheus exposition, and reconciles completed-span
-# counts exactly against the tree's request counters (exits 1 on
-# mismatch); the reader re-validates the report, phase sums included.
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- --size-mb=2 --tick-clock \
-    --out="$tail_dir/doctor.json" --tail-out="$tail_dir/tail.json" \
-    --prom-out="$tail_dir/metrics.prom" > /dev/null
-grep -q "lsm_tail_windows_completed" "$tail_dir/metrics.prom" \
-    || { echo "tail gauges missing from exposition"; exit 1; }
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- check "$tail_dir/tail.json"
+cargo run --release -q -p lsm-bench --bin lsm_top -- --once --json --windows=4 \
+    --window-ops=200 > /dev/null
 # The seeded stall scenario: blame must name backpressure_wait, twice
 # over the same seed, byte-identically.
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- --tail-stall > /dev/null
-# One machine-readable dashboard frame (health + tail reports embedded).
-cargo run --release -q -p lsm-bench --bin lsm_top -- --once --json --windows=4 \
-    --window-ops=200 > /dev/null
 
 echo "== unwrap/expect outside tests: no more than the committed baseline =="
 # A panic inside a chunk or an install leaves a shard half-applied behind a
@@ -134,11 +122,14 @@ while read -r dir baseline; do
 done < scripts/panic_sites.baseline
 
 echo "== deleted names stay deleted =="
-# What lsm_perf, the one-trait sink plane and the one ordered merge
-# (`iter.rs`) replaced may not creep back into code, scripts or docs
-# (history files and the frozen benchmark crate may keep naming them).
+# What lsm_perf, the one-trait sink plane, the one ordered merge
+# (`iter.rs`) and the stamped span stream replaced may not creep back into
+# code, scripts or docs (history files and the frozen benchmark crate may
+# keep naming them).
 gone='lsm_throughput|lsm_fileio|BENCH_fileio|BENCH_tail|trace_check|\bTraceSink\b|FanoutSink|CountingSink'
 gone="$gone"'|\bmerge_ordered\b|fn merge_runs|struct Run\b'
+gone="$gone"'|record_put|record_get|LatencyDevice|LatencyHistogram|TextExpositionSink'
+gone="$gone"'|ShardMergeFinish|HealthTransition|emit_transitions_to'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"
