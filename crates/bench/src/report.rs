@@ -156,7 +156,7 @@ pub fn render_health(report: &Json) -> String {
             fmt_f(number(put.get("p50")), 0),
             fmt_f(number(put.get("p99")), 0),
             fmt_f(number(put.get("p999")), 0),
-            fmt_f(number(set.get("write_amp")), 2),
+            fmt_f(number(set.get("write_amp")), 3),
             fmt_f(100.0 * number(set.get("cache_hit_rate")), 1),
             fmt_f(number(set.get("backpressure")), 0),
         ]);

@@ -23,14 +23,16 @@ use crate::checksum;
 use crate::error::{LsmError, Result};
 use crate::record::{Key, OpKind, Record};
 
-/// Bytes of block header: magic (4) + record count (4) + checksum (4) +
-/// reserved (4).
+/// Bytes of block header: magic (4) + record count (4) + checksum (8).
 pub const BLOCK_HEADER_LEN: usize = 16;
 
 /// Bytes of per-record header: key (8) + op (1) + payload length (4).
 const RECORD_HEADER_LEN: usize = 13;
 
-const BLOCK_MAGIC: u32 = 0x4C_53_4D_42; // "LSMB"
+/// "LSB2": frames of the second format, whose header carries a 64-bit sum.
+/// The first format's ("LSMB": a 32-bit sum, then a reserved zero word) is
+/// refused by its magic, before any of it is read as something else.
+const BLOCK_MAGIC: u32 = 0x4C53_4232;
 
 /// Op tag of a tombstone (a put is 0).
 const OP_DELETE: u8 = 1;
@@ -146,9 +148,9 @@ impl DataBlock {
 
     /// The records in a fresh frame of `block_size` bytes.
     ///
-    /// Layout (little-endian): `magic u32 | count u32 | checksum u32 |
-    /// reserved u32 (zero)`, then per record `key u64 | op u8 | payload_len
-    /// u32 | payload`, then zero padding up to `block_size`.
+    /// Layout (little-endian): `magic u32 | count u32 | checksum u64`, then
+    /// per record `key u64 | op u8 | payload_len u32 | payload`, then zero
+    /// padding up to `block_size`.
     pub fn encode(&self, block_size: usize) -> Result<Bytes> {
         let mut builder = FrameBuilder::new(block_size);
         builder.extend(self, 0..self.len())?;
@@ -160,11 +162,11 @@ impl DataBlock {
     /// Zero-copy: the returned block *is* `frame` (one reference to its
     /// buffer) plus one index slot per record; no payload is touched.
     ///
-    /// Any single-bit flip anywhere in the frame is rejected: the magic and
-    /// the reserved word are compared exactly, a flip in the stored checksum
-    /// no longer matches the computed one, and the record count (as the
-    /// seed) and every byte after the header (as the data) enter the
-    /// checksum, which by the argument in [`crate::checksum`] changes. The
+    /// Any single-bit flip anywhere in the frame is rejected: the magic is
+    /// compared exactly, a flip in the stored checksum no longer matches
+    /// the computed one, and the record count (as the seed) and every byte
+    /// after the header (as the data) enter the checksum, which by the
+    /// argument in [`crate::checksum`] changes. The
     /// record walk then bounds every header and payload by the frame,
     /// refuses unknown op tags and keys out of strict order, and the bytes
     /// after the last record must be zero — checked unconditionally, not
@@ -179,10 +181,7 @@ impl DataBlock {
             return Err(LsmError::Codec(format!("bad magic 0x{magic:08x}")));
         }
         let count = le_u32(&data[4..8]);
-        if data[12..16] != [0, 0, 0, 0] {
-            return Err(LsmError::Codec("reserved header bytes not zero".into()));
-        }
-        if frame_checksum(count, data) != le_u32(&data[8..12]) {
+        if frame_checksum(count, data).to_le_bytes() != data[8..16] {
             return Err(LsmError::Codec("checksum mismatch".into()));
         }
         // The count comes from the frame: bound it by what the frame could
@@ -248,7 +247,10 @@ impl FrameBuilder {
     /// An empty frame of `block_size` bytes with an index sized for
     /// `records` records: the index outlives the builder in the block.
     pub fn with_capacity(block_size: usize, records: usize) -> Self {
-        let mut buf = Vec::with_capacity(block_size.max(BLOCK_HEADER_LEN));
+        // A recycled frame when the thread has one, stale bytes and all:
+        // everything past the header is appended or, in `seal`, zeroed.
+        let mut buf = bytes::pool::take(block_size.max(BLOCK_HEADER_LEN));
+        buf.clear();
         buf.resize(BLOCK_HEADER_LEN, 0);
         FrameBuilder { buf, index: Vec::with_capacity(records + 1), block_size }
     }
@@ -341,7 +343,7 @@ impl FrameBuilder {
         self.buf[0..4].copy_from_slice(&BLOCK_MAGIC.to_le_bytes());
         self.buf[4..8].copy_from_slice(&count.to_le_bytes());
         let sum = frame_checksum(count, &self.buf);
-        self.buf[8..12].copy_from_slice(&sum.to_le_bytes());
+        self.buf[8..16].copy_from_slice(&sum.to_le_bytes());
         Ok(DataBlock { frame: Bytes::from(self.buf), index: self.index })
     }
 }
@@ -358,8 +360,8 @@ fn le_u32(b: &[u8]) -> u32 {
 
 /// The checksum stored in a frame's header: seeded with the record count,
 /// over every byte after the header (records and padding).
-fn frame_checksum(count: u32, frame: &[u8]) -> u32 {
-    checksum::sum32(count, &frame[BLOCK_HEADER_LEN..])
+fn frame_checksum(count: u32, frame: &[u8]) -> u64 {
+    checksum::sum64(count.into(), &frame[BLOCK_HEADER_LEN..])
 }
 
 /// In-memory fence entry for one on-SSD data block.
@@ -505,6 +507,41 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_of_the_first_format_is_refused_by_its_magic() {
+        // Format 1: "LSMB", the count, a 32-bit sum, a reserved zero word.
+        // Whatever its sum was, the refusal must name the magic — before
+        // the old sum and the zero word are read as one 64-bit sum.
+        let mut old = sample_block().encode(128).unwrap().to_vec();
+        old[0..4].copy_from_slice(&0x4C_53_4D_42u32.to_le_bytes());
+        old[8..12].copy_from_slice(&0x5DBE_4E99u32.to_le_bytes());
+        old[12..16].fill(0);
+        match decode_vec(old) {
+            Err(LsmError::Codec(msg)) => assert!(msg.contains("bad magic 0x4c534d42"), "{msg}"),
+            other => panic!("a format-1 frame must be a codec error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_frame_built_in_a_recycled_buffer_has_zero_padding_and_decodes() {
+        // The buffer the builder gets is the one this thread dropped last,
+        // with all of its 0xFF bytes still in it.
+        let stale = Bytes::from({
+            let mut buf = bytes::pool::take(4096);
+            buf.clear();
+            buf.resize(4096, 0xFF);
+            buf
+        });
+        let at = stale.as_ptr() as usize;
+        drop(stale);
+        let built = FrameBuilder::of_records(&sample_records(), 4096).unwrap().finish().unwrap();
+        assert_eq!(built.frame().as_ptr() as usize, at, "the builder did not take the buffer");
+        let body_end = built.index[built.len()].at as usize;
+        assert!(built.frame()[body_end..].iter().all(|&b| b == 0), "stale bytes in the padding");
+        assert_eq!(built.frame(), &DataBlock::new(sample_records()).encode(4096).unwrap());
+        assert_eq!(records(&DataBlock::decode(built.frame()).unwrap()), sample_records());
+    }
+
+    #[test]
     fn every_bit_flip_of_a_full_4k_frame_is_rejected() {
         let frame = DataBlock::new(full_records()).encode(4096).unwrap();
         assert_eq!(frame.len() * 8, 32_768);
@@ -539,7 +576,7 @@ mod tests {
             let mut bad = frame.clone();
             bad[pos] = 0x80;
             let sum = frame_checksum(block.len() as u32, &bad);
-            bad[8..12].copy_from_slice(&sum.to_le_bytes());
+            bad[8..16].copy_from_slice(&sum.to_le_bytes());
             match decode_vec(bad) {
                 Err(LsmError::Codec(msg)) => assert!(msg.contains("padding"), "{msg}"),
                 other => panic!("dirty padding at {pos} must be a codec error, got {other:?}"),
@@ -547,8 +584,8 @@ mod tests {
         }
         // The old bypass value itself (the complement of the stored sum).
         frame[255] = 1;
-        let stored = le_u32(&frame[8..12]);
-        frame[8..12].copy_from_slice(&(!stored).to_le_bytes());
+        let stored = u64::from_le_bytes(frame[8..16].try_into().unwrap());
+        frame[8..16].copy_from_slice(&(!stored).to_le_bytes());
         assert!(matches!(decode_vec(frame), Err(LsmError::Codec(_))));
     }
 
@@ -567,7 +604,7 @@ mod tests {
                     let mut bad = frame.to_vec();
                     bad[pos] = byte;
                     let sum = frame_checksum(block.len() as u32, &bad);
-                    bad[8..12].copy_from_slice(&sum.to_le_bytes());
+                    bad[8..16].copy_from_slice(&sum.to_le_bytes());
                     match decode_vec(bad) {
                         Err(LsmError::Codec(msg)) => assert!(msg.contains("padding"), "{msg}"),
                         other => panic!("padding {padding}, byte {pos}: got {other:?}"),
@@ -586,7 +623,7 @@ mod tests {
         for count in [u32::MAX, 1 << 31, 9, 4] {
             frame[4..8].copy_from_slice(&count.to_le_bytes());
             let sum = frame_checksum(count, &frame);
-            frame[8..12].copy_from_slice(&sum.to_le_bytes());
+            frame[8..16].copy_from_slice(&sum.to_le_bytes());
             assert!(
                 matches!(decode_vec(frame.clone()), Err(LsmError::Codec(_))),
                 "count {count} accepted"
@@ -673,7 +710,7 @@ mod tests {
         let mut frame = sample_block().encode(64).unwrap().to_vec();
         frame[BLOCK_HEADER_LEN + 8] = 2;
         let sum = frame_checksum(3, &frame);
-        frame[8..12].copy_from_slice(&sum.to_le_bytes());
+        frame[8..16].copy_from_slice(&sum.to_le_bytes());
         match decode_vec(frame) {
             Err(LsmError::Codec(msg)) => assert!(msg.contains("op tag"), "{msg}"),
             other => panic!("op tag 2 must be a codec error, got {other:?}"),

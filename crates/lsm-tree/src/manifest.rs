@@ -12,8 +12,9 @@
 //! `LsmTree::restore` reopens a device against one. The format is a
 //! hand-rolled little-endian binary layout (no serialization-format
 //! dependency), guarded by a magic, a version, and a 64-bit
-//! [`crate::checksum`] over the entire body (version 2; version 1 carried a
-//! byte-at-a-time FNV-1a sum and is no longer read).
+//! [`crate::checksum`] over the entire body (version 3; version 2 summed
+//! with 32-bit lanes folded twice, version 1 with a byte-at-a-time FNV-1a,
+//! and neither is read: the version is checked before the sum is).
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -34,7 +35,7 @@ use crate::store::Store;
 use crate::tree::{LsmTree, TreeOptions};
 
 const MANIFEST_MAGIC: u32 = 0x4C_53_4D_4D; // "LSMM"
-const MANIFEST_VERSION: u32 = 2;
+const MANIFEST_VERSION: u32 = 3;
 
 /// Everything needed to reopen an index: geometry, level fence tables,
 /// waste bookkeeping, cursors, and the L0 contents.
@@ -160,7 +161,7 @@ impl Manifest {
         let mut out = Vec::with_capacity(body.len() + 16);
         out.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
         out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        out.extend_from_slice(&checksum::sum64(&body).to_le_bytes());
+        out.extend_from_slice(&checksum::sum64(0, &body).to_le_bytes());
         out.extend_from_slice(&body);
         out
     }
@@ -177,7 +178,7 @@ impl Manifest {
             return Err(LsmError::Codec(format!("unsupported manifest version {version}")));
         }
         let stored_sum = r.u64()?;
-        if checksum::sum64(&bytes[r.pos..]) != stored_sum {
+        if checksum::sum64(0, &bytes[r.pos..]) != stored_sum {
             return Err(LsmError::Codec("manifest checksum mismatch".into()));
         }
         let config = LsmConfig {
@@ -485,8 +486,17 @@ mod tests {
         let mut bytes = Manifest::capture(&tree).encode();
         bytes[0] ^= 0xFF;
         assert!(Manifest::decode(&bytes).is_err());
-        let mut bytes = Manifest::capture(&tree).encode();
-        bytes[4] = 99;
-        assert!(Manifest::decode(&bytes).is_err());
+        // A version-2 manifest (the same layout under the old sum): refused
+        // by its version, not reported as a checksum mismatch.
+        for version in [2, 99] {
+            let mut bytes = Manifest::capture(&tree).encode();
+            bytes[4] = version;
+            match Manifest::decode(&bytes) {
+                Err(LsmError::Codec(msg)) => {
+                    assert_eq!(msg, format!("unsupported manifest version {version}"))
+                }
+                other => panic!("version {version} must be a codec error, got {other:?}"),
+            }
+        }
     }
 }

@@ -520,6 +520,7 @@ mod tests {
     use crate::config::CommitMode;
     use crate::error::LsmError;
     use crate::policy::PolicySpec;
+    use crate::wal::WAL_HEADER_LEN;
     use observe::MetricsSink;
     use sim_ssd::DeviceError;
 
@@ -848,25 +849,31 @@ mod tests {
         // rendezvous, and leaves both entry points refusing with Poisoned.
         // Through the step the sync runs in its halves with a second
         // writer's append in between: the failure errors that writer too.
+        // Where the log ends after one delete (a 21-byte frame), and two.
+        let (first, second) = (WAL_HEADER_LEN + 21, WAL_HEADER_LEN + 42);
         for via_step in [false, true] {
             let (t, dir) = wal_tree("poison", CommitMode::Group, 1);
             t.set_wal_fault_plan(0, WalFaultPlan::none().fail_sync_at(0), 7);
             let err = if via_step {
-                assert_eq!(t.apply_unacked(0, Request::Delete(1)).unwrap(), Some(17));
+                assert_eq!(t.apply_unacked(0, Request::Delete(1)).unwrap(), Some(first));
                 assert_eq!(t.group_sync_step(0).unwrap(), None, "begun: flushed, length noted");
-                assert_eq!(t.apply_unacked(0, Request::Delete(2)).unwrap(), Some(34));
+                assert_eq!(t.apply_unacked(0, Request::Delete(2)).unwrap(), Some(second));
                 t.group_sync_step(0).map(|_| ()).unwrap_err()
             } else {
                 t.put(1, vec![1u8; 4]).unwrap_err()
             };
             assert!(is(&err, |d| matches!(d, DeviceError::Injected { .. })), "{via_step}: {err}");
             assert!(t.wal_poisoned(0), "{via_step}: WAL not poisoned");
-            assert_eq!(t.wal_synced_lens(), [0], "{via_step}: a failed fsync publishes nothing");
+            assert_eq!(
+                t.wal_synced_lens(),
+                [WAL_HEADER_LEN],
+                "{via_step}: a failed fsync publishes nothing"
+            );
             let section = t.scheduler_section_json().render();
             assert!(section.contains("\"poisoned\":true"), "{via_step}: {section}");
             assert!(section.contains("\"leader_running\":false"), "{via_step}: {section}");
             let poisoned = |d: &DeviceError| matches!(d, DeviceError::Poisoned);
-            for waiter in [17, 34] {
+            for waiter in [first, second] {
                 let err = t.shards[0].group_wait(waiter, &|| Json::Null).unwrap_err();
                 assert!(is(&err, poisoned), "{via_step}: the writer at {waiter} must error");
             }
@@ -892,7 +899,11 @@ mod tests {
         assert_eq!(t.group_sync_step(0).unwrap(), None);
         let b = commit(10..12);
         assert!(a < b);
-        assert_eq!(t.wal_synced_lens(), [0], "nothing is durable until the fsync returns");
+        assert_eq!(
+            t.wal_synced_lens(),
+            [WAL_HEADER_LEN],
+            "nothing is durable until the fsync returns"
+        );
         assert_eq!(t.group_sync_step(0).unwrap(), Some(a), "the noted length, not the current");
         assert_eq!(t.wal_synced_lens(), [a]);
         assert_eq!(t.wal_lens(), [b]);

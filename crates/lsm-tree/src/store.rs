@@ -77,11 +77,12 @@ impl RetryPolicy {
 /// payloads an entry occupies 301–405 B, depending on where the cache's two
 /// doubling containers stand: 96 B of slab entry at a fill of 0.5–1, a
 /// 33-byte bucket of the hash index at a load under 7/8, and 160 B for the
-/// payload's buffer and its count (`Bytes` is an `Arc<Vec<u8>>`: two
-/// allocations with their headers). 100 + 250 is the middle of that range:
-/// what the cache holds in records is its budget give or take 15 %. A
-/// cached block is charged its frame alone; its index of 16 B a record and
-/// its entry (a fifth more) are not.
+/// payload's buffer and its count (`Bytes` is an `Arc` of a `Vec<u8>` in
+/// the frame pool's wrapper, a newtype that adds no byte: two allocations
+/// with their headers, as measured again in PR 24). 100 + 250 is the middle
+/// of that range: what the cache holds in records is its budget give or
+/// take 15 %. A cached block is charged its frame alone; its index of 16 B
+/// a record and its entry (a fifth more) are not.
 pub const RECORD_ENTRY_OVERHEAD: usize = 250;
 
 /// What a buffer-cache entry is of.

@@ -12,10 +12,18 @@
 //! recover():    manifest.restore → WAL.replay (tolerating a torn tail)
 //! ```
 //!
-//! Frame format (little-endian): `len u32 | checksum::sum32(0, payload) u32
-//! | payload`, payload = `op u8 | key u64 [| plen u32 | payload bytes]`.
-//! Replay stops cleanly at the first truncated or corrupt frame, which is
-//! exactly the torn-write behaviour of a crash mid-append.
+//! File format (little-endian): an 8-byte header, `magic u32 "LSMW" |
+//! version u32`, written and fsynced when the log is created, then one
+//! frame per request: `len u32 | checksum::sum64(0, payload) u64 | payload`,
+//! payload = `op u8 | key u64 [| plen u32 | payload bytes]`. Replay stops
+//! cleanly at the first truncated or corrupt frame, which is exactly the
+//! torn-write behaviour of a crash mid-append. The header is what tells a
+//! log of another format from a torn one: version 1 had no header and
+//! 8-byte frame headers (a 32-bit sum), so its first frame would fail the
+//! 64-bit check and read as "torn at byte 0" — every request in it silently
+//! dropped. A file that does not start with this header is refused with a
+//! typed error instead; one cut short inside the header holds no frame and
+//! is a fresh log.
 //!
 //! A sync comes in two halves so that a concurrent front-end never fsyncs
 //! under the lock that guards the log: `WriteAheadLog::begin_sync`
@@ -36,7 +44,7 @@ use sim_ssd::{BlockDevice, DeviceError, FaultKind, SplitMix64};
 
 use crate::checksum;
 use crate::config::CommitMode;
-use crate::error::Result;
+use crate::error::{LsmError, Result};
 use crate::record::{Key, Request};
 use crate::tree::{LsmTree, TreeOptions};
 
@@ -95,14 +103,32 @@ struct Durable {
     poisoned: AtomicBool,
 }
 
+const WAL_MAGIC: u32 = 0x4C_53_4D_57; // "LSMW"
+const WAL_VERSION: u32 = 2;
+
+/// Bytes of file header; every length and offset the log reports is a file
+/// offset, so an empty log is this long.
+pub(crate) const WAL_HEADER_LEN: u64 = 8;
+
+/// Bytes of frame header: payload length (4) + checksum (8).
+const FRAME_HEADER_LEN: usize = 12;
+
+fn file_header() -> [u8; WAL_HEADER_LEN as usize] {
+    let mut header = [0; WAL_HEADER_LEN as usize];
+    header[..4].copy_from_slice(&WAL_MAGIC.to_le_bytes());
+    header[4..].copy_from_slice(&WAL_VERSION.to_le_bytes());
+    header
+}
+
 /// An append-only request log.
 pub struct WriteAheadLog {
     writer: BufWriter<File>,
     durable: Arc<Durable>,
     path: PathBuf,
     appended: u64,
-    /// Bytes appended since creation/truncation (some may still sit in the
-    /// userspace buffer or the page cache).
+    /// Where the log ends, as a file offset — the header, then every
+    /// frame appended since creation/truncation (some may still sit in
+    /// the userspace buffer or the page cache).
     len: u64,
     /// Sync attempts that reached the fsync path (successful or injected),
     /// the ordinal [`WalFaultPlan::fail_sync_at`] counts against.
@@ -161,27 +187,30 @@ impl PendingSync {
 }
 
 impl WriteAheadLog {
-    /// Create (truncate) a log at `path`.
+    /// Create (truncate) a log at `path`: the file header, fsynced, so
+    /// that whatever a crash leaves of the file later starts with it.
     pub fn create<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(true)
             .open(path.as_ref())
             .map_err(DeviceError::Io)?;
+        file.write_all(&file_header()).map_err(DeviceError::Io)?;
+        file.sync_data().map_err(DeviceError::Io)?;
         // Make the directory entry durable too: a crash right after
         // creation must not leave a WAL whose file vanishes with the
         // unsynced directory, or recovery would silently skip replay.
         sim_ssd::fsync_parent_dir(path.as_ref()).map_err(DeviceError::Io)?;
-        Self::over(file, path.as_ref(), 0, 0)
+        Self::over(file, path.as_ref(), 0, WAL_HEADER_LEN, WAL_HEADER_LEN)
     }
 
     /// A log over `file`, positioned at its end: `appended` requests in
-    /// `len` bytes, none of them known durable yet.
-    fn over(file: File, path: &Path, appended: u64, len: u64) -> Result<Self> {
+    /// `len` bytes, the first `synced_len` of them known durable.
+    fn over(file: File, path: &Path, appended: u64, len: u64, synced_len: u64) -> Result<Self> {
         let durable = Durable {
             file: file.try_clone().map_err(DeviceError::Io)?,
-            synced_len: AtomicU64::new(0),
+            synced_len: AtomicU64::new(synced_len),
             syncs: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
         };
@@ -228,37 +257,44 @@ impl WriteAheadLog {
     fn recover(path: &Path, fault: Option<(WalFaultPlan, u64)>) -> Result<(Self, Vec<Request>)> {
         let bytes = match std::fs::read(path) {
             Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok((Self::create(path)?, Vec::new()));
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(DeviceError::Io(e).into()),
         };
+        // No file, or one cut before its header was whole: no frame yet.
+        let Some((header, frames)) = bytes.split_first_chunk::<{ WAL_HEADER_LEN as usize }>()
+        else {
+            return Ok((Self::create(path)?, Vec::new()));
+        };
+        if *header != file_header() {
+            return Err(LsmError::Codec(format!(
+                "{}: not a write-ahead log of version {WAL_VERSION}: it starts {header:02x?} \
+                 (version 1 had no file header)",
+                path.display()
+            )));
+        }
         let mut requests = Vec::new();
-        let mut pos = 0usize;
-        while pos + 8 <= bytes.len() {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-            let sum = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-            let start = pos + 8;
-            let end = start + len;
-            if end > bytes.len() {
+        let mut rest = frames;
+        while let Some((head, tail)) = rest.split_first_chunk::<FRAME_HEADER_LEN>() {
+            let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+            let Some(payload) = tail.get(..len) else {
                 break; // torn tail
-            }
-            let payload = &bytes[start..end];
-            if checksum::sum32(0, payload) != sum {
+            };
+            if checksum::sum64(0, payload).to_le_bytes() != head[4..] {
                 break; // corrupt tail
             }
             match Self::decode_request(payload) {
                 Some(req) => requests.push(req),
                 None => break,
             }
-            pos = end;
+            rest = &tail[len..];
         }
+        let pos = bytes.len() - rest.len();
         let mut file = OpenOptions::new().write(true).open(path).map_err(DeviceError::Io)?;
         if pos < bytes.len() {
             file.set_len(pos as u64).map_err(DeviceError::Io)?;
         }
         file.seek(SeekFrom::End(0)).map_err(DeviceError::Io)?;
-        let mut wal = Self::over(file, path, requests.len() as u64, pos as u64)?;
+        let mut wal = Self::over(file, path, requests.len() as u64, pos as u64, 0)?;
         if let Some((plan, seed)) = fault {
             wal.set_fault_plan(plan, seed);
         }
@@ -272,8 +308,8 @@ impl WriteAheadLog {
     /// Bytes `req` takes in the log, framing included.
     pub(crate) fn frame_len(req: &Request) -> usize {
         match req {
-            Request::Put(_, payload) => 8 + 13 + payload.len(),
-            Request::Delete(_) => 8 + 9,
+            Request::Put(_, payload) => FRAME_HEADER_LEN + 13 + payload.len(),
+            Request::Delete(_) => FRAME_HEADER_LEN + 9,
         }
     }
 
@@ -282,7 +318,7 @@ impl WriteAheadLog {
     /// before it takes the lock that guards the log.
     pub(crate) fn encode_frame(req: &Request, out: &mut Vec<u8>) {
         let frame = out.len();
-        out.extend_from_slice(&[0u8; 8]);
+        out.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
         match req {
             Request::Put(k, payload) => {
                 out.push(0u8);
@@ -295,9 +331,9 @@ impl WriteAheadLog {
                 out.extend_from_slice(&k.to_le_bytes());
             }
         }
-        let payload = frame + 8;
+        let payload = frame + FRAME_HEADER_LEN;
         let len = (out.len() - payload) as u32;
-        let sum = checksum::sum32(0, &out[payload..]);
+        let sum = checksum::sum64(0, &out[payload..]);
         out[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
         out[frame + 4..payload].copy_from_slice(&sum.to_le_bytes());
     }
@@ -427,23 +463,24 @@ impl WriteAheadLog {
         Ok(self.len)
     }
 
-    /// Discard everything (after a checkpoint made it redundant).
+    /// Discard every frame (after a checkpoint made them redundant).
     pub fn truncate(&mut self) -> Result<()> {
         self.check_poisoned()?;
         self.writer.flush().map_err(DeviceError::Io)?;
-        self.writer.get_ref().set_len(0).map_err(DeviceError::Io)?;
-        // The zero length is file metadata: without an fsync the kernel
+        self.writer.get_ref().set_len(WAL_HEADER_LEN).map_err(DeviceError::Io)?;
+        // The new length is file metadata: without an fsync the kernel
         // may persist the *old* length across a power cut, resurrecting
         // pre-checkpoint frames that recovery would then replay on top of
         // the fresh manifest. The fsync goes through the same injection
         // and poison logic as `sync` — a failed truncate leaves the log
         // unusable until re-open, never half-truncated-but-trusted.
         self.note_sync().finish()?;
-        // Back to offset 0, or the next append would leave a hole.
-        self.writer.seek(SeekFrom::Start(0)).map_err(DeviceError::Io)?;
+        // Back to the end of the header, or the next append would leave a
+        // hole.
+        self.writer.seek(SeekFrom::Start(WAL_HEADER_LEN)).map_err(DeviceError::Io)?;
         self.appended = 0;
-        self.len = 0;
-        self.durable.synced_len.store(0, Ordering::SeqCst);
+        self.len = WAL_HEADER_LEN;
+        self.durable.synced_len.store(WAL_HEADER_LEN, Ordering::SeqCst);
         Ok(())
     }
 
@@ -452,7 +489,8 @@ impl WriteAheadLog {
         self.appended
     }
 
-    /// Bytes appended since creation/truncation (buffered included).
+    /// Length of the log as a file offset: the 8-byte file header plus
+    /// every frame appended since creation/truncation (buffered included).
     pub fn len_bytes(&self) -> u64 {
         self.len
     }
@@ -682,6 +720,45 @@ mod tests {
     }
 
     #[test]
+    fn a_log_of_another_format_is_refused_not_replayed_as_torn() {
+        let path = wal_path("format");
+        // Format 1: no file header, frames of `len u32 | sum u32 | payload`
+        // (the sum's value is beside the point: nothing may get that far).
+        let mut old = Vec::new();
+        for key in 0..3u64 {
+            old.extend_from_slice(&17u32.to_le_bytes());
+            old.extend_from_slice(&0x5DBE_4E99u32.to_le_bytes());
+            old.push(0);
+            old.extend_from_slice(&key.to_le_bytes());
+            old.extend_from_slice(&4u32.to_le_bytes());
+            old.extend_from_slice(&[key as u8; 4]);
+        }
+        let mut newer = file_header().to_vec();
+        newer[4] += 1;
+        for bytes in [&old, &newer] {
+            std::fs::write(&path, bytes).unwrap();
+            match WriteAheadLog::open_and_replay(&path) {
+                Err(LsmError::Codec(msg)) => assert!(msg.contains("version 2"), "{msg}"),
+                Err(other) => panic!("expected a codec error, got {other}"),
+                Ok((_, replayed)) => {
+                    panic!("replayed {} requests of a foreign log", replayed.len())
+                }
+            }
+            assert_eq!(&std::fs::read(&path).unwrap(), bytes, "a refused log is left as it was");
+        }
+        // Cut inside the header, nothing can have been appended: a fresh log.
+        for cut in 0..WAL_HEADER_LEN as usize {
+            std::fs::write(&path, &file_header()[..cut]).unwrap();
+            let (wal, replayed) = WriteAheadLog::open_and_replay(&path).unwrap();
+            assert!(replayed.is_empty());
+            assert_eq!((wal.len_bytes(), wal.synced_len()), (WAL_HEADER_LEN, WAL_HEADER_LEN));
+            drop(wal);
+            assert_eq!(std::fs::read(&path).unwrap(), file_header());
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn recovery_cuts_the_torn_tail_and_rewrites_nothing() {
         // Regression: recovery used to truncate the log to zero, re-append
         // every request and fsync — a crash or a failed fsync inside that
@@ -698,9 +775,10 @@ mod tests {
             wal.synced_len()
         }; // dropped: the unsynced delete is flushed, never fsynced
         let intact = std::fs::read(&path).unwrap();
-        assert_eq!(intact.len() as u64, acked + 17);
+        assert_eq!(intact.len() as u64, acked + 21);
         let mut torn = intact.clone();
-        torn.extend_from_slice(&intact[..11]); // a frame the crash cut short
+        // A frame the crash cut short, inside its 12-byte header.
+        torn.extend_from_slice(&intact[WAL_HEADER_LEN as usize..][..11]);
         std::fs::write(&path, &torn).unwrap();
 
         // The fsync that closes the recovery fails: nothing but the torn
@@ -737,10 +815,10 @@ mod tests {
         let mut wal = WriteAheadLog::create(&path).unwrap();
         wal.append(&put(1, 1)).unwrap();
         let first = wal.begin_sync().unwrap();
-        let noted = wal.len_bytes();
+        let frame = wal.len_bytes() - WAL_HEADER_LEN;
         wal.append(&put(2, 2)).unwrap();
         let second = wal.begin_sync().unwrap();
-        assert_eq!(wal.synced_len(), 0, "a sync only begun makes nothing durable");
+        assert_eq!(wal.synced_len(), WAL_HEADER_LEN, "a sync only begun makes nothing durable");
         // Syncs that overlap may finish in either order.
         assert_eq!(second.finish().unwrap(), wal.len_bytes());
         assert_eq!(first.finish().unwrap(), wal.len_bytes(), "durable already, beyond its note");
@@ -748,8 +826,9 @@ mod tests {
         wal.append(&put(3, 3)).unwrap();
         let third = wal.begin_sync().unwrap();
         wal.append(&put(4, 4)).unwrap();
-        assert_eq!(third.finish().unwrap(), noted * 3, "the noted length, not the current one");
-        assert_eq!(wal.begin_sync().unwrap().finish().unwrap(), noted * 4);
+        let after = |frames| WAL_HEADER_LEN + frames * frame;
+        assert_eq!(third.finish().unwrap(), after(3), "the noted length, not the current one");
+        assert_eq!(wal.begin_sync().unwrap().finish().unwrap(), after(4));
         assert_eq!(wal.syncs(), 4);
         wal.sync().unwrap();
         assert_eq!(wal.syncs(), 4, "nothing new: no fsync");
@@ -818,8 +897,8 @@ mod tests {
         // power cut could resurrect the old length — and replay stale
         // frames over a checkpoint that had already absorbed them.
         assert_eq!(wal.syncs(), syncs_before + 1, "truncate must fsync the new length");
-        assert_eq!(wal.synced_len(), 0);
-        assert_eq!(wal.len_bytes(), 0);
+        assert_eq!((wal.synced_len(), wal.len_bytes()), (WAL_HEADER_LEN, WAL_HEADER_LEN));
+        assert_eq!(std::fs::read(&path).unwrap(), file_header(), "the header stays");
         std::fs::remove_file(&path).ok();
     }
 

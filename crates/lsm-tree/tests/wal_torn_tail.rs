@@ -5,14 +5,17 @@
 //! checks the replay contract: [`WriteAheadLog::open_and_replay`] returns
 //! exactly the longest intact prefix of the original request sequence —
 //! never an error, never a panic, never a request that was not appended,
-//! and never a reordered or altered one.
+//! and never a reordered or altered one. The one exception is the 8-byte
+//! file header: a log cut inside it is an empty log, and a log whose header
+//! is damaged cannot be told from a file of another format and is refused
+//! with a typed error — it is never replayed as "torn at byte 0".
 
 use std::io::Write;
 use std::path::PathBuf;
 
 use bytes::Bytes;
 
-use lsm_tree::{Request, WriteAheadLog};
+use lsm_tree::{LsmError, Request, WriteAheadLog};
 
 /// A small but varied request sequence: puts with growing payloads
 /// (including an empty one) interleaved with deletes.
@@ -32,14 +35,16 @@ fn temp_path(tag: &str) -> PathBuf {
 }
 
 /// Write `reqs` through the real appender and return the raw log bytes
-/// plus the byte offset at which each frame ends. `tag` names the calling
+/// plus the byte offset at which each frame ends (the first starts where
+/// the file header ends). `tag` names the calling
 /// test: the tests run on parallel threads of one process, so each needs a
 /// scratch file of its own.
 fn build_log(reqs: &[Request], tag: &str) -> (Vec<u8>, Vec<usize>) {
     let path = temp_path(&format!("build-{tag}"));
     let mut wal = WriteAheadLog::create(&path).unwrap();
     let mut frame_ends = Vec::with_capacity(reqs.len());
-    let mut pos = 0usize;
+    let mut pos = wal.len_bytes() as usize;
+    assert_eq!(pos, 8, "a fresh log is its file header");
     for req in reqs {
         pos += wal.append(req).unwrap();
         frame_ends.push(pos);
@@ -92,6 +97,13 @@ fn corruption_at_every_byte_offset_yields_a_clean_prefix() {
         let mut torn = bytes.clone();
         torn[offset] ^= 0xFF;
         std::fs::File::create(&path).unwrap().write_all(&torn).unwrap();
+        if offset < 8 {
+            match WriteAheadLog::open_and_replay(&path) {
+                Err(LsmError::Codec(_)) => continue,
+                Err(e) => panic!("flip at header byte {offset}: {e}"),
+                Ok(_) => panic!("flip at header byte {offset}: a damaged header was accepted"),
+            }
+        }
         let replayed = replay(&path);
         // Frames wholly before the flipped byte are untouched; the frame
         // containing it fails its checksum (or its length field walks off
@@ -113,8 +125,9 @@ fn replay_rewrites_the_file_to_the_intact_prefix() {
     let reqs = requests();
     let (bytes, frame_ends) = build_log(&reqs, "rewrite");
     let path = temp_path("rewrite");
-    // Cut mid-frame: the file on disk after replay must hold exactly the
-    // intact frames, fsynced, so a second crash cannot lose them again.
+    // Cut mid-frame, inside the sixth frame's 12-byte header: the file on
+    // disk after replay must hold exactly the intact frames, fsynced, so a
+    // second crash cannot lose them again.
     let offset = frame_ends[4] + 3;
     std::fs::File::create(&path).unwrap().write_all(&bytes[..offset]).unwrap();
     let first = replay(&path);

@@ -278,6 +278,9 @@ struct SeriesSet {
     cache_hits: RateWindow,
     cache_misses: RateWindow,
     wal_appends: RateWindow,
+    /// Records flushed out of L0: what write amplification is per. Every
+    /// tree flushes; only a logged one appends to a WAL.
+    flushed_records: RateWindow,
     backpressure: RateWindow,
 }
 
@@ -289,6 +292,7 @@ impl SeriesSet {
             cache_hits: RateWindow::new(windows),
             cache_misses: RateWindow::new(windows),
             wal_appends: RateWindow::new(windows),
+            flushed_records: RateWindow::new(windows),
             backpressure: RateWindow::new(windows),
         }
     }
@@ -299,17 +303,20 @@ impl SeriesSet {
         self.cache_hits.rotate();
         self.cache_misses.rotate();
         self.wal_appends.rotate();
+        self.flushed_records.rotate();
         self.backpressure.rotate();
     }
 
-    /// Rolling write amplification: device blocks written per WAL append.
+    /// Rolling write amplification: device blocks written per record
+    /// flushed out of L0 (what `TimeseriesSink` divides by, short of the
+    /// block capacity, which a drift — a ratio of two of these — cancels).
     fn rolling_write_amp(&self) -> f64 {
-        ratio(self.device_writes.rolling(), self.wal_appends.rolling())
+        ratio(self.device_writes.rolling(), self.flushed_records.rolling())
     }
 
     /// All-time write amplification (the drift baseline).
     fn baseline_write_amp(&self) -> f64 {
-        ratio(self.device_writes.total(), self.wal_appends.total())
+        ratio(self.device_writes.total(), self.flushed_records.total())
     }
 
     /// Rolling cache hit rate, or 1.0 with no lookups (vacuously healthy).
@@ -328,6 +335,7 @@ impl SeriesSet {
             ("put_latency", self.put_latency.to_json()),
             ("device_writes", Json::from(self.device_writes.rolling())),
             ("wal_appends", Json::from(self.wal_appends.rolling())),
+            ("flushed_records", Json::from(self.flushed_records.rolling())),
             ("write_amp", Json::from(self.rolling_write_amp())),
             ("cache_hit_rate", Json::from(self.rolling_hit_rate())),
             ("backpressure", Json::from(self.backpressure.rolling())),
@@ -443,18 +451,20 @@ impl HealthSink {
     /// shard — the entry's stamp, or the one a `Backpressure` names itself.
     fn on_event(&self, inner: &mut Inner, event: &Event, shard: Option<usize>) {
         type Counter = fn(&mut SeriesSet) -> &mut RateWindow;
+        let amount = if let Event::MemtableFlush { records, .. } = *event { records } else { 1 };
         let (counter, shard): (Option<Counter>, _) = match *event {
             Event::DeviceWrite { .. } => (Some(|s| &mut s.device_writes), shard),
             Event::CacheHit => (Some(|s| &mut s.cache_hits), shard),
             Event::CacheMiss => (Some(|s| &mut s.cache_misses), shard),
             Event::WalAppend { .. } => (Some(|s| &mut s.wal_appends), shard),
+            Event::MemtableFlush { .. } => (Some(|s| &mut s.flushed_records), shard),
             Event::Backpressure { shard, .. } => (Some(|s| &mut s.backpressure), Some(shard)),
             _ => (None, shard),
         };
         if let Some(counter) = counter {
-            counter(&mut inner.global).incr();
+            counter(&mut inner.global).add(amount);
             if let Some(shard) = shard {
-                counter(series(inner, shard, self.config.windows)).incr();
+                counter(series(inner, shard, self.config.windows)).add(amount);
             }
         }
         let device_op = matches!(
@@ -487,7 +497,7 @@ impl HealthSink {
                 && put.percentile(0.99) > cfg.put_p99_limit as f64,
             inner.global.backpressure.current() > cfg.backpressure_limit,
             baseline_wa > 0.0
-                && inner.global.wal_appends.rolling() > 0
+                && inner.global.flushed_records.rolling() > 0
                 && inner.global.rolling_write_amp() > baseline_wa * cfg.write_amp_drift,
             lookups >= cfg.min_window_lookups
                 && inner.global.rolling_hit_rate() < cfg.hit_rate_floor,
@@ -598,6 +608,7 @@ impl HealthSink {
                     ("cache_hits", Json::from(inner.global.cache_hits.total())),
                     ("cache_misses", Json::from(inner.global.cache_misses.total())),
                     ("wal_appends", Json::from(inner.global.wal_appends.total())),
+                    ("flushed_records", Json::from(inner.global.flushed_records.total())),
                     ("backpressure_stalls", Json::from(inner.global.backpressure.total())),
                     ("write_amp", Json::from(inner.global.baseline_write_amp())),
                     ("put_latency", inner.global.put_latency.cumulative().tail_json()),
@@ -891,24 +902,57 @@ mod tests {
         let mut config = test_config();
         config.windows = 1; // rolling == last window, so old epochs age out fast
         let (sink, handle) = attached(HealthSink::new(config));
-        // Establish a healthy baseline: 1 device write per wal append,
+        // Establish a healthy baseline: 1 device write per flushed record,
         // three full windows of it.
         for block in 0..30 {
-            handle.emit(Event::WalAppend { bytes: 32, synced: false });
+            handle.emit(Event::MemtableFlush { records: 1, full: false });
             handle.emit(Event::DeviceWrite { block });
         }
         assert_eq!(sink.windows_completed(), 3);
         assert_eq!(sink.state(HealthDetector::WriteAmpDrift), HealthState::Healthy);
-        // Now 9 writes per append: the next window's rolling amp (~5×)
+        // Now 9 writes per record: the next window's rolling amp (~5×)
         // is far above twice the baseline (~1.25×).
         for round in 0..2u64 {
-            handle.emit(Event::WalAppend { bytes: 32, synced: false });
+            handle.emit(Event::MemtableFlush { records: 1, full: false });
             for block in 0..9 {
                 handle.emit(Event::DeviceWrite { block: 100 + round * 16 + block });
             }
         }
         assert_eq!(sink.windows_completed(), 4);
         assert_eq!(sink.state(HealthDetector::WriteAmpDrift), HealthState::Alerting);
+    }
+
+    #[test]
+    fn write_amp_drift_fires_on_a_tree_without_a_wal() {
+        // Regression: the ratio was device writes per *WAL append*, so on a
+        // tree that logs nothing it was 0 / 0 in every window and the
+        // detector could not fire. The stream of an unlogged tree: flushes
+        // of 36 records and the blocks its merges write, no `WalAppend`.
+        let mut config = test_config();
+        (config.windows, config.write_amp_drift) = (1, 1.5);
+        let (sink, handle) = attached(HealthSink::new(config));
+        let mut block = 0;
+        let mut flush_and_merge = |writes: u64| {
+            handle.emit(Event::MemtableFlush { records: 36, full: false });
+            for _ in 0..writes {
+                block += 1;
+                handle.emit(Event::DeviceWrite { block });
+            }
+        };
+        // Five blocks written per block's worth of records flushed, for
+        // six windows; then the merges start rewriting twice as much.
+        (0..12).for_each(|_| flush_and_merge(5));
+        assert_eq!(sink.windows_completed(), 6);
+        assert_eq!(sink.state(HealthDetector::WriteAmpDrift), HealthState::Healthy);
+        let report = sink.report();
+        assert_eq!(report.get("cumulative").get("wal_appends").as_u64(), Some(0));
+        assert_eq!(report.get("cumulative").get("flushed_records").as_u64(), Some(12 * 36));
+        assert_eq!(report.get("cumulative").get("write_amp").as_f64(), Some(5.0 / 36.0));
+        (0..2).for_each(|_| flush_and_merge(10));
+        assert_eq!(sink.windows_completed(), 8);
+        assert_eq!(sink.state(HealthDetector::WriteAmpDrift), HealthState::Alerting);
+        let fired = sink.transitions();
+        assert_eq!((fired.len(), fired[0].detector), (1, HealthDetector::WriteAmpDrift));
     }
 
     #[test]

@@ -21,9 +21,17 @@
 //! of entries plus a hash index — O(1) lookup, insert and removal, and
 //! amortised O(1) eviction (every step of the hand clears a bit that a hit
 //! had set).
+//!
+//! The index hashes with `MixHasher`, a fixed multiply–xorshift: a get
+//! looks its key up once or twice, and the keys — block ids, generations,
+//! user keys — are ones the engine already routes and Bloom-probes through
+//! unkeyed mixers. The standard library's keyed SipHash defends a table
+//! against keys chosen to collide; nothing outside the process chooses
+//! these, and a front-end that took keys from a network would want the
+//! keyed hash back.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use observe::{Event, SinkHandle};
 
@@ -36,6 +44,50 @@ struct Entry<K, V> {
     visited: bool,
     prev: usize, // towards the head (newer)
     next: usize, // towards the tail (older)
+}
+
+/// The index's hasher: one multiply–xorshift round per integer a key
+/// writes, and a finish (the splitmix64 finalizer) after which every input
+/// bit has reached every output bit — the table takes its bucket from the
+/// low bits and its tag from the high ones.
+#[derive(Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let x = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    /// Anything else — bytes, and the narrow integers no key here has:
+    /// eight bytes a round, the last round zero-extended (a `str` or a
+    /// slice writes its own terminator or length besides).
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut x = self.0;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
 }
 
 /// Cache statistics.
@@ -74,7 +126,7 @@ pub struct SieveCache<K, V> {
     /// Sum of the resident entries' weights.
     weight: usize,
     slab: Vec<Entry<K, V>>,
-    index: HashMap<K, usize>,
+    index: HashMap<K, usize, BuildHasherDefault<MixHasher>>,
     head: usize, // newest
     tail: usize, // oldest
     /// Where the next eviction starts looking; `NIL` means at the tail.
@@ -94,7 +146,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SieveCache<K, V> {
             capacity,
             weight: 0,
             slab: Vec::with_capacity(capacity.min(1024)),
-            index: HashMap::with_capacity(capacity.min(1024)),
+            index: HashMap::with_capacity_and_hasher(capacity.min(1024), Default::default()),
             head: NIL,
             tail: NIL,
             hand: NIL,
@@ -476,6 +528,46 @@ mod tests {
         assert_eq!(c.get(&98), Some(98));
         assert_eq!(c.get(&97), Some(97));
         assert_eq!(c.get(&0), None);
+    }
+
+    #[test]
+    fn the_index_hash_spreads_dense_keys_over_buckets_and_tags() {
+        // What the table uses of a hash: low bits for the bucket, the top
+        // seven for the tag. Keys as the store makes them — a variant, an
+        // id, a generation, a user key, each counting up from zero.
+        fn hash_of(key: &(impl Hash + ?Sized)) -> u64 {
+            let mut h = MixHasher::default();
+            key.hash(&mut h);
+            h.finish()
+        }
+        #[derive(Hash)]
+        enum Key {
+            Block(u64),
+            Record { id: u64, generation: u32, key: u64 },
+        }
+        const N: usize = 1 << 16;
+        let keys = (0..N as u64).map(|i| match i % 2 {
+            0 => Key::Block(i / 2),
+            _ => Key::Record { id: i / 512, generation: (i / 8 % 4) as u32, key: i * 3 },
+        });
+        let (mut buckets, mut tags) = (vec![0u32; 1 << 10], vec![0u32; 1 << 7]);
+        for key in keys {
+            let h = hash_of(&key);
+            buckets[h as usize % (1 << 10)] += 1;
+            tags[(h >> 57) as usize] += 1;
+        }
+        // Uniform would put 64 in a bucket and 512 under a tag.
+        assert!(buckets.iter().all(|&n| (32..=100).contains(&n)), "{buckets:?}");
+        assert!(tags.iter().all(|&n| (400..=640).contains(&n)), "{tags:?}");
+        // One flipped input bit moves about half of the output's.
+        for bit in 0..64 {
+            let moved = (hash_of(&Key::Block(12_345)) ^ hash_of(&Key::Block(12_345 ^ 1 << bit)))
+                .count_ones();
+            assert!((16..=48).contains(&moved), "id bit {bit}: {moved} output bits moved");
+        }
+        // A field that is not an integer goes through `write`.
+        assert_ne!(hash_of(&"block"), hash_of(&"blocl"));
+        assert_ne!(hash_of(&[1u8, 2, 3][..]), hash_of(&[1u8, 2, 3, 0][..]));
     }
 
     #[test]

@@ -323,17 +323,21 @@ impl FileDevice {
     }
 
     /// Read one (already validated) block into a buffer of its own, which
-    /// becomes the returned `Bytes` without a copy. O_DIRECT needs an
-    /// aligned transfer buffer, so there the frame is copied out of the
-    /// scratch window instead.
+    /// becomes the returned `Bytes` without a copy. The buffer is a
+    /// recycled frame when the thread has one ([`bytes::pool`]), stale
+    /// bytes and all: the pread fills every byte of it or fails, and a
+    /// failed read's buffer goes nowhere. O_DIRECT needs an aligned
+    /// transfer buffer, so there the frame is copied out of the scratch
+    /// window instead.
     fn read_frame(&self, id: BlockId) -> std::io::Result<Bytes> {
         if self.direct {
             return self.with_scratch(self.block_size, |window| {
                 self.pread_at(id, window)?;
-                Ok(Bytes::copy_from_slice(window))
+                Ok(bytes::pool::copy(window))
             });
         }
-        let mut frame = vec![0u8; self.block_size];
+        let mut frame = bytes::pool::take(self.block_size);
+        frame.resize(self.block_size, 0);
         self.pread_at(id, &mut frame)?;
         Ok(Bytes::from(frame))
     }
@@ -353,7 +357,7 @@ impl FileDevice {
             {
                 self.stats.record_read();
                 self.sink.emit_with(|| Event::DeviceRead { block: id.0 });
-                *slot = Some(Ok(Bytes::copy_from_slice(frame)));
+                *slot = Some(Ok(bytes::pool::copy(frame)));
             }
             Ok(())
         })

@@ -273,8 +273,10 @@ impl BlockDevice for MemDevice {
         frames
     }
 
+    /// The copy is made in a recycled frame when the thread has one
+    /// ([`bytes::pool`]), as the frame it overwrites becomes one.
     fn write(&self, id: BlockId, frame: &[u8]) -> Result<()> {
-        self.program(id, frame.len(), || Bytes::copy_from_slice(frame))
+        self.program(id, frame.len(), || bytes::pool::copy(frame))
     }
 
     /// Keeps each `Bytes` it is handed instead of copying it: the buffer a

@@ -22,7 +22,7 @@ echo "== cargo doc (deny broken intra-doc links) =="
 RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" \
     cargo doc --no-deps --offline -q -p lsm-tree -p sim-ssd -p observe -p workloads
 
-echo "== vendored bytes stand-in (slice views; not a workspace member) =="
+echo "== vendored bytes stand-in (slice views, the frame pool; not a workspace member) =="
 cargo test -q --offline --manifest-path vendor/bytes/Cargo.toml --target-dir target/vendor-bytes
 
 echo "== benchmark crate: unit tests + smoke run against the frozen engine surface =="
@@ -130,6 +130,8 @@ gone='lsm_throughput|lsm_fileio|BENCH_fileio|BENCH_tail|trace_check|\bTraceSink\
 gone="$gone"'|\bmerge_ordered\b|fn merge_runs|struct Run\b'
 gone="$gone"'|record_put|record_get|LatencyDevice|LatencyHistogram|TextExpositionSink'
 gone="$gone"'|ShardMergeFinish|HealthTransition|emit_transitions_to'
+# One checksum function, one stored width (PR 24).
+gone="$gone"'|\bsum32\b'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"

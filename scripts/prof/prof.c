@@ -4,16 +4,21 @@
 //   PROF_OUT=run.prof LD_PRELOAD=./prof.so ./perf/target/release/lsm_perf ...
 //
 // The constructor arms ITIMER_PROF at 1 ms of process CPU time; the SIGPROF
-// handler stores the interrupted thread's backtrace(); at exit the process's
-// /proc/self/maps and every stack go to $PROF_OUT, for report.py to rebase
-// and resolve. Nothing is written while the program runs.
+// handler stores the interrupted thread's backtrace(); at exit the profiled
+// binary's identity (path, size, mtime), the process's /proc/self/maps and
+// every stack go to $PROF_OUT, for report.py to rebase and resolve — against
+// that binary and no other: a rebuild moves every address, and a report over
+// kept dumps would name the wrong functions without complaint. Nothing is
+// written while the program runs.
 #define _GNU_SOURCE
 #include <execinfo.h>
 #include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/stat.h>
 #include <sys/time.h>
+#include <unistd.h>
 
 #define MAX_SAMPLES (1 << 17)
 #define MAX_DEPTH 48
@@ -43,8 +48,17 @@ static void dump(void) {
     FILE *out = path ? fopen(path, "w") : NULL;
     if (!out)
         return;
-    FILE *maps = fopen("/proc/self/maps", "r");
     char line[4096];
+    struct stat exe;
+    ssize_t len = readlink("/proc/self/exe", line, sizeof line - 1);
+    if (len < 0 || stat("/proc/self/exe", &exe) != 0) {
+        fclose(out);
+        return;
+    }
+    line[len] = 0;
+    fprintf(out, "BINARY %lld %lld.%09ld %s\n", (long long)exe.st_size,
+            (long long)exe.st_mtim.tv_sec, exe.st_mtim.tv_nsec, line);
+    FILE *maps = fopen("/proc/self/maps", "r");
     while (maps && fgets(line, sizeof line, maps))
         fputs(line, out);
     if (maps)

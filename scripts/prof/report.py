@@ -21,6 +21,10 @@ frames. Addresses elsewhere are named by their mapping (`[libc.so.6]`).
 `--within FN` keeps the samples with a function containing FN on the stack,
 `--without FN` drops them; both may repeat. Percentages are of the samples
 kept. Several files are several runs of one binary, merged.
+
+A dump starts with the size and mtime of the binary it profiled, and a
+`--binary` that is not that file — rebuilt since, or another build — is
+refused: its addresses would resolve, to the wrong functions.
 """
 import argparse
 import collections
@@ -35,6 +39,7 @@ def parse(path, binary):
     run's mappings as (start, end, base, name), base None outside `binary`."""
     spans, stacks, base = [], [], None
     with open(path) as f:
+        check_identity(path, f.readline(), binary)
         for line in f:
             if line.startswith("STACKS"):
                 break
@@ -52,6 +57,19 @@ def parse(path, binary):
     if base is None:
         sys.exit(f"{path}: no mapping of {binary}")
     return stacks, spans
+
+
+def check_identity(path, head, binary):
+    """Exit unless `head`, a dump's first line, names `binary` as it is now."""
+    fields = head.split(None, 3)
+    if len(fields) != 4 or fields[0] != "BINARY":
+        sys.exit(f"{path}: no BINARY line (a dump of an older prof.c): profile again")
+    size, mtime, profiled = int(fields[1]), fields[2], fields[3].rstrip("\n")
+    st = os.stat(binary)
+    now = f"{st.st_mtime_ns // 10**9}.{st.st_mtime_ns % 10**9:09d}"
+    if (size, mtime) != (st.st_size, now):
+        sys.exit(f"{path}: profiled {profiled} ({size} bytes, mtime {mtime}), but {binary} is "
+                 f"{st.st_size} bytes, mtime {now}: rebuilt since, or another build")
 
 
 def locate(addr, spans):
