@@ -9,9 +9,8 @@
 //! seeded writers over N shards interleaved with a simulated scheduler
 //! ([`lsm_tree::SimExecutor`]) and seeded group-commit fsyncs — the whole
 //! interleaving derives from the seed, so a failing cycle replays
-//! byte-for-byte. Recovery is checked with the per-shard durability
-//! history checker ([`lsm_tree::HistoryChecker`]) instead of the
-//! single-writer prefix check.
+//! byte-for-byte. Either way recovery is judged by the one durability
+//! history checker ([`lsm_tree::HistoryChecker`]), per shard here.
 //!
 //! With `--bundle-dir` every failing cycle also drops a post-mortem
 //! bundle (`lsm_crash_seed_<seed>.postmortem.json`) capturing the flight
@@ -219,14 +218,12 @@ fn concurrent(
     }
 
     let survived = reports.len() as u64;
-    let group = reports.iter().filter(|r| r.group_commit).count() as u64;
     let mid_cuts = reports.iter().filter(|r| r.cut_mid_workload).count() as u64;
     let avg = |sum: u64| if survived > 0 { sum as f64 / survived as f64 } else { 0.0 };
 
     let mut table = Table::new(["metric", "value"]);
     table.row(["cycles run".into(), seeds.to_string()]);
     table.row(["cycles survived".into(), survived.to_string()]);
-    table.row(["group-commit cycles".into(), group.to_string()]);
     table.row(["cuts mid-workload".into(), mid_cuts.to_string()]);
     table
         .row(["avg requests issued".into(), fmt_f(avg(reports.iter().map(|r| r.issued).sum()), 1)]);

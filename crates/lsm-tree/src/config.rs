@@ -89,13 +89,21 @@ impl LsmConfig {
         if self.cache_blocks == 0 {
             return Err(LsmError::Config("cache_blocks must be positive".into()));
         }
+        // A manifest carries the geometry: every size computed from it must
+        // be a number, not an overflow.
+        if [self.k0_blocks, self.cache_blocks]
+            .iter()
+            .any(|n| n.checked_mul(self.block_size).is_none())
+        {
+            return Err(LsmError::Config("k0_blocks or cache_blocks overflows in bytes".into()));
+        }
         Ok(self)
     }
 
     /// Serialized size of one record with the configured payload.
     #[inline]
     pub fn record_size(&self) -> usize {
-        8 + 1 + 4 + self.payload_size
+        (8 + 1 + 4usize).saturating_add(self.payload_size)
     }
 
     /// `B` — the number of records per block (§II-A).
@@ -194,15 +202,11 @@ pub enum CommitMode {
     /// historical default: fastest, loses the unsynced tail on a crash.
     #[default]
     Buffered,
-    /// Every append is followed by its own fsync. Safest and slowest —
-    /// N concurrent writers pay N fsyncs.
-    PerRequest,
-    /// Leader/follower group commit: each writer appends under the shard
-    /// lock, then waits for its append to be covered by an fsync. The
-    /// first waiter becomes the leader and issues one fsync covering every
-    /// append buffered so far; the rest ride along. Same durability as
-    /// [`CommitMode::PerRequest`] (apply returns only after the request is
-    /// on stable storage) at a fraction of the fsyncs.
+    /// An apply (or a batch) returns only once an fsync covers it. With
+    /// concurrent writers it is leader/follower group commit: each writer
+    /// appends under the shard lock, then the first waiter becomes the
+    /// leader and issues one fsync covering every append buffered so far;
+    /// the rest ride along. A lone writer pays one fsync an apply.
     Group,
 }
 
@@ -244,6 +248,14 @@ mod tests {
         assert!(LsmConfig { k0_blocks: 0, ..LsmConfig::default() }.validated().is_err());
         assert!(LsmConfig { payload_size: 5000, ..LsmConfig::default() }.validated().is_err());
         assert!(LsmConfig { cache_blocks: 0, ..LsmConfig::default() }.validated().is_err());
+        // What a manifest may carry: sizes past the address space.
+        assert!(LsmConfig { k0_blocks: usize::MAX / 2, ..LsmConfig::default() }
+            .validated()
+            .is_err());
+        assert!(LsmConfig { cache_blocks: 1 << 60, ..LsmConfig::default() }.validated().is_err());
+        assert!(LsmConfig { payload_size: usize::MAX, ..LsmConfig::default() }
+            .validated()
+            .is_err());
         assert!(LsmConfig::default().validated().is_ok());
     }
 

@@ -1,14 +1,13 @@
-//! Durability history checking for the concurrent write path.
+//! Durability history checking: the one judge of both crash-torture
+//! cycles ([`crate::torture`]), the single-writer one and the concurrent
+//! one.
 //!
-//! The crash-torture harness for the single-writer tree checks "the
-//! recovered state is some prefix of the requests". With concurrent
-//! writers and group commit the statement needs sharpening: each write has
-//! an *invocation* (the WAL append, under the shard lock — which fixes the
-//! per-shard order) and an *acknowledgement* (the fsync covering it
-//! completed: inline for [`CommitMode::PerRequest`](crate::CommitMode), at
-//! the group-commit rendezvous for [`CommitMode::Group`](crate::CommitMode)).
-//! A crash may land between the two. The checkable contract is **prefix
-//! durability per shard**:
+//! Each write has an *invocation* (the WAL append, under the shard lock —
+//! which fixes the per-shard order) and an *acknowledgement* (an fsync
+//! covering it completed: an explicit sync or a checkpoint, or its group
+//! commit under [`CommitMode::Group`](crate::CommitMode::Group)). A crash
+//! may land between the two. The checkable contract is **prefix
+//! durability per shard** (a single-writer tree is one shard):
 //!
 //! 1. the recovered shard equals the replay of some prefix `P` of the
 //!    shard's invocation-ordered history, and
@@ -22,9 +21,8 @@
 //!    same shard is lost.
 //!
 //! [`HistoryChecker::check`] verifies all three with one incremental
-//! diff-walk over the history (O(history + state), the same technique as
-//! [`crate::torture`]'s single-writer prefix check). The negative-test
-//! hook in the torture harness flips Group acks to "acked at append" —
+//! diff-walk over the history (O(history + state)). The negative-test
+//! hook in the concurrent harness flips Group acks to "acked at append" —
 //! an ack-before-fsync bug — and this checker is what must catch it.
 
 use std::collections::HashMap;

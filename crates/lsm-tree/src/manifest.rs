@@ -192,8 +192,10 @@ impl Manifest {
             bloom_bits_per_key: r.u64()? as usize,
         };
         let mem_rr_cursor = r.opt_key()?;
+        // A count is only a capacity hint up to what the bytes left can
+        // hold: 13 B a memtable record, 32 B a handle.
         let n_mem = r.u32()? as usize;
-        let mut memtable = Vec::with_capacity(n_mem.min(1 << 20));
+        let mut memtable = Vec::with_capacity(n_mem.min(r.left() / 13));
         for _ in 0..n_mem {
             let key = r.u64()?;
             let op = if r.u8()? == 1 { OpKind::Delete } else { OpKind::Put };
@@ -209,7 +211,7 @@ impl Manifest {
             let waste_delta = r.i64()?;
             let rr_cursor = r.opt_key()?;
             let n_handles = r.u32()? as usize;
-            let mut handles = Vec::with_capacity(n_handles.min(1 << 22));
+            let mut handles = Vec::with_capacity(n_handles.min(r.left() / 32));
             for _ in 0..n_handles {
                 handles.push(HandleSnapshot {
                     id: r.u64()?,
@@ -255,6 +257,9 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos
+    }
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.pos + n > self.buf.len() {
             return Err(LsmError::Codec("truncated manifest".into()));
@@ -339,13 +344,22 @@ impl LsmTree {
                 cfg.block_size
             )));
         }
-        let store = Store::with_allocated(
-            device,
-            cfg.cache_blocks,
-            cfg.bloom_bits_per_key,
-            manifest.used_block_ids(),
-        )
-        .with_retry(opts.retry);
+        // The allocator takes the ids on trust: one past the device would
+        // panic it, and one named twice would be freed from under the
+        // handle that still holds it.
+        let capacity = device.capacity();
+        let mut used = std::collections::HashSet::new();
+        for id in manifest.used_block_ids() {
+            if id >= capacity {
+                let msg = format!("manifest block {id} is past the device's {capacity} blocks");
+                return Err(LsmError::Codec(msg));
+            }
+            if !used.insert(id) {
+                return Err(LsmError::Codec(format!("manifest names block {id} twice")));
+            }
+        }
+        let store = Store::with_allocated(device, cfg.cache_blocks, cfg.bloom_bits_per_key, used)
+            .with_retry(opts.retry);
 
         let mut levels = Vec::with_capacity(manifest.levels.len().max(1));
         for (idx, snap) in manifest.levels.iter().enumerate() {
@@ -443,6 +457,44 @@ mod tests {
             assert!(Manifest::decode(&bad).is_err(), "corruption at {pos} accepted");
         }
         assert!(Manifest::decode(&bytes[..bytes.len() - 3]).is_err(), "truncation accepted");
+    }
+
+    /// Restore `bytes` as a manifest over a fresh device of `blocks` blocks.
+    fn restore_over(bytes: &[u8], blocks: u64, tag: &str) -> Result<LsmTree> {
+        let path =
+            std::env::temp_dir().join(format!("lsm-man-{tag}-{}.manifest", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let dev = std::sync::Arc::new(sim_ssd::MemDevice::with_block_size(blocks, 256));
+        let got = LsmTree::restore(&path, TreeOptions::default(), dev);
+        std::fs::remove_file(&path).ok();
+        got
+    }
+
+    #[test]
+    fn restore_refuses_block_ids_the_device_or_the_manifest_cannot_back() {
+        // Regression: the ids went straight to the allocator, which panicked
+        // on one past the device and silently merged one named twice — so
+        // the first free of either handle released a block the other held.
+        let mut t = build_tree();
+        let mut k = 0u64;
+        while Manifest::capture(&t).used_block_ids().max().unwrap() < 1 << 8 {
+            t.put(10_000 + k, vec![1u8; 4]).unwrap();
+            k += 1;
+        }
+        let m = Manifest::capture(&t);
+        assert!(restore_over(&m.encode(), 1 << 14, "fits").is_ok());
+        match restore_over(&m.encode(), 1 << 8, "small") {
+            Err(LsmError::Codec(msg)) => assert!(msg.contains("past the device"), "{msg}"),
+            other => panic!("a manifest past the device must be a codec error: {:?}", other.err()),
+        }
+        let mut twice = m.clone();
+        assert!(twice.levels.len() >= 2, "need two levels");
+        let id = twice.levels[0].handles[0].id;
+        twice.levels[1].handles[0].id = id;
+        match restore_over(&twice.encode(), 1 << 14, "twice") {
+            Err(LsmError::Codec(msg)) => assert!(msg.contains("twice"), "{msg}"),
+            other => panic!("a block named twice must be a codec error: {:?}", other.err()),
+        }
     }
 
     #[test]

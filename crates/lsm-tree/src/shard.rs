@@ -1,7 +1,8 @@
 //! One shard: a tree and its optional write-ahead log behind one lock,
 //! with the only copy of everything decided per shard — the write loop,
 //! the group-commit rendezvous, and the maintenance step the scheduler
-//! runs. [`crate::ShardedLsmTree`] is a router over a `Vec<Shard>`.
+//! runs. [`crate::ShardedLsmTree`] is a router over a `Vec<Shard>`, and
+//! [`crate::DurableLsmTree`] is one `Shard` beside a manifest path.
 //!
 //! The write path of one run of requests ([`Shard::apply`]: a batch's
 //! share of this shard, or a single put as a run of one), lock regions
@@ -15,10 +16,8 @@
 //!           │   │                 background: full memtable and backlog at the bound? ─ stall
 //!           │   │                 one WAL write of the segment's frames → memtable inserts
 //!           │   │                 → inline: cascade │ background: seal if room ─ unlock
-//!           │   │               PerRequest (chunks of one): flush and note the length
-//!           │   └─ unlock ───── notify the scheduler of a seal; stall: wait_for_room, retry;
-//!           │                   PerRequest: fsync, publish the noted length
-//!           └─ ack ──────────── caller's step: group-commit wait, or defer it
+//!           │   └─ unlock ───── notify the scheduler of a seal; stall: wait_for_room, retry
+//!           └─ ack ──────────── caller's step: group-commit wait, an fsync, or defer it
 //! ```
 //!
 //! of the group-commit leader ([`Shard::group_wait`]), which fsyncs beside
@@ -58,19 +57,19 @@
 use std::cell::Cell;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Weak;
 use std::time::Duration;
 
-use observe::{Json, SinkHandle, SpanOp};
+use observe::{Event, Json, SinkHandle, SpanOp};
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use sim_ssd::{BlockDevice, DeviceError};
+use sim_ssd::DeviceError;
 
-use crate::config::{CommitMode, LsmConfig};
+use crate::config::CommitMode;
 use crate::error::Result;
 use crate::lockorder::{self, TreeLockGuard};
 use crate::record::Request;
 use crate::scheduler::{self, MaintainTarget, SchedulerBackend};
-use crate::tree::{self, LsmTree, StepOutcome, TreeOptions};
+use crate::tree::{self, LsmTree, StepOutcome};
 use crate::wal::{PendingSync, WalFaultPlan, WriteAheadLog};
 
 /// The most requests one hold of the shard lock applies: a get or scan
@@ -170,30 +169,21 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Build shard `idx` over `device`; `opts.sink` is the user's handle,
-    /// which the shard and its tree report through tagged with `idx`.
-    pub(crate) fn new(
-        idx: usize,
-        cfg: LsmConfig,
-        mut opts: TreeOptions,
-        device: Arc<dyn BlockDevice>,
-        wal_path: Option<&Path>,
-    ) -> Result<Self> {
-        let sink = opts.sink.with_shard(idx);
-        opts.sink = sink.clone();
-        let commit = opts.commit;
-        let block_size = cfg.block_size;
-        let tree = LsmTree::new(cfg, opts, device)?;
+    /// Shard `idx` over a built `tree` (fresh, or restored from a
+    /// manifest), which it reports through, with a fresh log at `wal_path`
+    /// if one is given.
+    pub(crate) fn new(idx: usize, tree: LsmTree, wal_path: Option<&Path>) -> Result<Self> {
         let wal = wal_path.map(WriteAheadLog::create).transpose()?;
         Ok(Shard {
             idx,
             logged: wal.is_some(),
-            state: RwLock::new(ShardState { tree, wal, cascade_owed: false }),
+            sink: tree.sink().clone(),
+            commit: tree.commit_mode(),
+            block_size: tree.config().block_size,
+            // A restored tree may come with a level still to merge.
+            state: RwLock::new(ShardState { cascade_owed: tree.maintenance_pending(), tree, wal }),
             group: Mutex::new(GroupState::default()),
             group_cv: Condvar::new(),
-            sink,
-            commit,
-            block_size,
             readers_waiting: AtomicUsize::new(0),
             computed: Mutex::new(None),
             begun_sync: Mutex::new(None),
@@ -202,10 +192,9 @@ impl Shard {
         })
     }
 
-    /// Replay the intact prefix of the log at `path` into this (fresh, not
-    /// yet shared) shard and adopt the log. Returns the number of requests
-    /// replayed.
-    pub(crate) fn recover(&mut self, path: &Path) -> Result<u64> {
+    /// Replay the intact prefix of the log at `path` into this (not yet
+    /// shared) shard and adopt the log.
+    pub(crate) fn recover(&mut self, path: &Path) -> Result<()> {
         let (wal, requests) = WriteAheadLog::open_and_replay(path)?;
         let replayed = requests.len() as u64;
         let state = self.state.get_mut();
@@ -214,9 +203,15 @@ impl Shard {
             state.tree.apply(req)?;
         }
         drop(span);
+        self.sink.emit_with(|| Event::Recovery { replayed });
         state.wal = Some(wal);
         self.logged = true;
-        Ok(replayed)
+        Ok(())
+    }
+
+    /// What the shard lock protects, to its sole owner.
+    pub(crate) fn state_mut(&mut self) -> &mut ShardState {
+        self.state.get_mut()
     }
 
     /// The shard lock, shared: lookups, scans, probes.
@@ -267,7 +262,8 @@ impl Shard {
     /// while the sealed backlog sits at the bound. `ack` runs last, inside
     /// the put span and with the lock released, on the WAL offset the run
     /// must see durable before it may be acknowledged (`Some` only under
-    /// [`CommitMode::Group`]): [`Shard::group_wait`] on it, or hand it
+    /// [`CommitMode::Group`]): [`Shard::group_wait`] on it, fsync
+    /// ([`Shard::sync_wal`]: a lone owner needs no rendezvous), or hand it
     /// back (`Ok`) to wait once per batch.
     ///
     /// The run is validated whole, so a refused request fails the call
@@ -289,10 +285,6 @@ impl Shard {
         // would refuse it too and abort recovery.
         run.iter().try_for_each(|req| self.check(req))?;
         let background = sched.map(|s| (s, s.max_imm_memtables()));
-        // Under PerRequest every request has an fsync of its own, and no
-        // fsync runs under the lock: one request per hold.
-        let fsync_each = self.logged && self.commit == CommitMode::PerRequest;
-        let per_hold = if fsync_each { 1 } else { MAX_REQUESTS_PER_HOLD };
         let mut frames = Frames(if self.logged { FRAMES.take() } else { Vec::new() });
         let mut durable_at = None;
         let mut rest = run;
@@ -305,7 +297,7 @@ impl Shard {
                 if rest.is_empty() {
                     break;
                 }
-                let n = rest.len().min(per_hold);
+                let n = rest.len().min(MAX_REQUESTS_PER_HOLD);
                 (chunk, rest) = rest.split_at_mut(n);
                 frames.0.clear();
                 at = 0;
@@ -313,14 +305,15 @@ impl Shard {
                     chunk.iter().for_each(|req| WriteAheadLog::encode_frame(req, &mut frames.0));
                 }
             }
-            let (mut sealed_backlog, mut stalled_at, mut fsync) = (None, None, None);
+            let (mut sealed_backlog, mut stalled_at) = (None, None);
             {
                 let (mut guard, _held) = {
                     let _lock_wait = self.sink.span(SpanOp::lock_wait());
                     self.lock(background.is_none())
                 };
                 let ShardState { tree, wal, cascade_owed } = &mut *guard;
-                let mut applied = 0;
+                #[cfg(test)]
+                let hold = chunk.len();
                 while !chunk.is_empty() {
                     if let Some((_, max)) = background {
                         let backlog = tree.imm_count();
@@ -343,11 +336,10 @@ impl Shard {
                     if let Some(wal) = wal {
                         let len: usize = segment.iter().map(WriteAheadLog::frame_len).sum();
                         let bytes = &frames.0[at..at + len];
-                        durable_at = Some(wal.log_run(segment, bytes, fsync_each, &self.sink)?);
+                        durable_at = Some(wal.log_run(segment, bytes, &self.sink)?);
                         at += len;
                     }
                     tree.buffer_run(segment);
-                    applied += n;
                     if n < room && !*cascade_owed {
                         // Not full: nothing to decide (see `cascade_owed`).
                         debug_assert!(!tree.mem_at_capacity());
@@ -375,19 +367,12 @@ impl Shard {
                         }
                     }
                 }
-                if let (true, Some(wal)) = (fsync_each && applied > 0, wal) {
-                    fsync = Some(wal.begin_sync()?);
-                }
                 #[cfg(test)]
-                self.longest_hold.fetch_max(applied, Ordering::Relaxed);
+                self.longest_hold.fetch_max(hold - chunk.len(), Ordering::Relaxed);
             }
             // A hold ends at a seal or at a stall, never both.
             if let (Some((s, _)), Some(backlog)) = (background, sealed_backlog.or(stalled_at)) {
                 s.notify(self.idx, backlog);
-            }
-            if let Some(fsync) = fsync {
-                let _fsync = self.sink.span(SpanOp::wal_append());
-                fsync.finish()?;
             }
             if let (Some((s, _)), Some(_)) = (background, stalled_at) {
                 let _stall = self.sink.span(SpanOp::backpressure_wait());

@@ -86,10 +86,9 @@ fn mem_devices(cfg: &LsmConfig, shards: usize, blocks: u64) -> Vec<Arc<dyn Block
 /// writers stall only at the sealed-memtable backlog bound; with the
 /// default [`Scheduler::Inline`](crate::Scheduler::Inline) every shard
 /// behaves exactly like a bare [`LsmTree`] fed the same requests. With
-/// [`CommitMode::Group`](crate::CommitMode::Group) N concurrent writers to
-/// a WAL-backed shard share one fsync; with
-/// [`CommitMode::PerRequest`](crate::CommitMode::PerRequest) every apply
-/// fsyncs before returning.
+/// [`CommitMode::Group`](crate::CommitMode::Group) every apply returns
+/// once an fsync covers it, and N concurrent writers to a WAL-backed shard
+/// share one.
 #[derive(Clone)]
 pub struct ShardedLsmTree {
     // Declared before `shards` so the last clone drops (and drains) the
@@ -203,10 +202,12 @@ impl ShardedLsmTree {
                     Some((path, Wal::Create)) => Some(path.as_path()),
                     _ => None,
                 };
-                let mut shard = Shard::new(i, cfg.clone(), opts.clone(), device, create)?;
+                // The shard and its tree report through the user's handle
+                // tagged with the shard's index.
+                let opts = TreeOptions { sink: opts.sink.with_shard(i), ..opts.clone() };
+                let mut shard = Shard::new(i, LsmTree::new(cfg.clone(), opts, device)?, create)?;
                 if let Some((path, Wal::Replay)) = &log {
-                    let replayed = shard.recover(path)?;
-                    opts.sink.emit_with(|| Event::Recovery { replayed });
+                    shard.recover(path)?;
                 }
                 Ok(shard)
             })
@@ -805,7 +806,7 @@ mod tests {
         // after it. A batch is refused whole: one over-size record, and
         // none of it is logged or applied, on any shard.
         for shards in [1, 3] {
-            let (t, dir) = wal_tree("refused", CommitMode::PerRequest, shards);
+            let (t, dir) = wal_tree("refused", CommitMode::Group, shards);
             t.put(1, vec![1u8; 4]).unwrap();
             let logged = t.wal_lens();
             let err = t.put(2, vec![0u8; 4096]).unwrap_err();

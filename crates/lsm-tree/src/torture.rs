@@ -8,19 +8,24 @@
 //!    rates (absorbed by the store's retries) and a scheduled power cut at
 //!    a random device-op count — so the cut lands anywhere, including the
 //!    middle of a merge cascade or a checkpoint.
-//! 2. Run a random put/delete workload, fsyncing the WAL every few requests
-//!    and checkpointing occasionally, until the power cut surfaces (or the
-//!    workload ends, in which case the cut is forced).
+//! 2. Run a random put/delete workload, checkpointing occasionally, until
+//!    the power cut surfaces (or the workload ends, in which case the cut
+//!    is forced). A seed draws its commit mode: under
+//!    [`CommitMode::Buffered`] requests go one by one and the WAL is
+//!    fsynced every few; under [`CommitMode::Group`] they go in batches of
+//!    that many, each acknowledged by its own fsync — the same fsyncs.
 //! 3. Simulate the host dying at the same instant: the tree object is
 //!    leaked (no destructor, no final WAL flush) and the WAL file is
 //!    truncated to its last-fsynced length plus a random portion of the
 //!    flushed-but-unsynced tail — what a real page cache can leave behind.
 //! 4. Recover from the durable image (the fault decorator's inner device —
 //!    exactly the frames that were synced) and check the **durability
-//!    invariant**: the recovered state must equal the state after some
-//!    prefix `P` of the issued requests with `P ≥` the last fsync point.
-//!    Nothing durable may be lost, nothing may be resurrected, and no
-//!    "state" that never existed may appear.
+//!    invariant** with the [`HistoryChecker`] the concurrent cycle uses
+//!    too: the recovered state must equal the state after some prefix of
+//!    the issued requests that covers every acknowledged one (by a sync, a
+//!    checkpoint or its own group commit). Nothing durable may be lost,
+//!    nothing may be resurrected, and no "state" that never existed may
+//!    appear.
 //! 5. Apply a continuation workload to the recovered tree, then run the
 //!    deep structural verifier ([`crate::verify::check_tree`]).
 //!
@@ -28,7 +33,7 @@
 //! the same fault sequence, and the same verdict, which is what lets a
 //! failing seed from the torture suite be replayed under a debugger.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,13 +43,15 @@ use bytes::Bytes;
 use observe::{FlightRecorderSink, Json, SinkHandle, TickClock};
 use sim_ssd::{BlockDevice, FaultDevice, FaultPlan, MemDevice, SplitMix64};
 
-use crate::config::LsmConfig;
+use crate::api::{WriteApi, WriteBatch};
+use crate::config::{CommitMode, LsmConfig};
+use crate::history::{AckStatus, HistoryChecker, HistoryRecord};
 use crate::policy::ledger::DecisionLedger;
 use crate::policy::PolicySpec;
 use crate::postmortem::PostMortem;
-use crate::record::Request;
+use crate::record::{Key, Request};
 use crate::store::RetryPolicy;
-use crate::tree::TreeOptions;
+use crate::tree::{LsmTree, TreeOptions};
 use crate::wal::DurableLsmTree;
 
 /// Which device the crash cycle's [`FaultDevice`] wraps. The durable
@@ -72,7 +79,8 @@ pub struct TortureConfig {
     pub ops: u64,
     /// Keys are drawn uniformly from `0..key_space`.
     pub key_space: u64,
-    /// Fsync the WAL every this many requests.
+    /// Fsync the WAL every this many requests (under group commit: the
+    /// size of a batch).
     pub sync_every: u64,
     /// Checkpoint (manifest + WAL truncation) every this many requests.
     pub checkpoint_every: u64,
@@ -149,13 +157,14 @@ impl std::error::Error for TortureFailure {}
 pub struct TortureReport {
     /// The seed that produced this cycle.
     pub seed: u64,
-    /// Requests issued before the crash (including the one that failed).
+    /// Requests issued before the crash (including the ones that failed).
     pub issued: u64,
     /// The device-op count the power cut fired at.
     pub cut_device_op: u64,
     /// Whether the scheduled cut fired mid-workload (vs forced at the end).
     pub cut_mid_workload: bool,
-    /// Requests known durable at the crash (last successful fsync point).
+    /// Requests acknowledged durable at the crash: the prefix every
+    /// recovered state must cover.
     pub durable_floor: u64,
     /// The request prefix the recovered state matched.
     pub matched_prefix: u64,
@@ -189,14 +198,8 @@ fn scratch_path(stem: &str, seed: u64) -> PathBuf {
     std::env::temp_dir().join(format!("{stem}-{}-{seed}-{n}", std::process::id()))
 }
 
-fn temp_paths(seed: u64) -> (PathBuf, PathBuf, PathBuf) {
-    let base = scratch_path("lsm-torture", seed);
-    (base.with_extension("manifest"), base.with_extension("wal"), base.with_extension("dev"))
-}
-
 /// One logged request: key plus `Some(payload)` for a put, `None` for a
-/// delete. The workload keeps this log so the durability check can replay
-/// every possible crash prefix.
+/// delete — what a [`HistoryRecord`] holds.
 type LoggedOp = (u64, Option<Vec<u8>>);
 
 fn draw_op(rng: &mut SplitMix64, key_space: u64) -> LoggedOp {
@@ -216,6 +219,149 @@ fn to_request(op: &LoggedOp) -> Request {
     }
 }
 
+/// What both cycles carry and bundle: a deterministic handle ([`TickClock`],
+/// no wall-clock time) feeding a [`FlightRecorderSink`], a
+/// [`DecisionLedger`] on every tree, and the scratch files the cycle
+/// removes however it ends. Sinks cannot perturb a cycle (the
+/// observer-effect contract), so same-seed bundles are byte-identical.
+struct BlackBox {
+    seed: u64,
+    bundle_dir: Option<PathBuf>,
+    /// The command that replays the cycle.
+    repro: String,
+    /// What a failure bundle's reason starts with.
+    kind: &'static str,
+    recorder: Arc<FlightRecorderSink>,
+    ledger: Arc<DecisionLedger>,
+    sink: SinkHandle,
+    /// The single-writer cycle's device, for its I/O counters, and the
+    /// same device for its wear when it is in memory.
+    device: Option<Arc<dyn BlockDevice>>,
+    mem: Option<Arc<MemDevice>>,
+    scratch: Vec<PathBuf>,
+}
+
+impl BlackBox {
+    /// A black box for the cycle of `seed`, whose scratch paths are
+    /// removed first: a leftover of an earlier run is no part of this one.
+    fn new(
+        kind: &'static str,
+        seed: u64,
+        bundle_dir: Option<PathBuf>,
+        repro: String,
+        scratch: Vec<PathBuf>,
+    ) -> Self {
+        let recorder = Arc::new(FlightRecorderSink::new(512));
+        let sink =
+            SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&recorder) as _);
+        let ledger = Arc::new(DecisionLedger::new(256));
+        let bb = BlackBox {
+            seed,
+            bundle_dir,
+            repro,
+            kind,
+            recorder,
+            ledger,
+            sink,
+            device: None,
+            mem: None,
+            scratch,
+        };
+        bb.cleanup();
+        bb
+    }
+
+    /// The options of every tree a cycle runs before its crash: the black
+    /// box attached.
+    fn opts(&self, commit: CommitMode) -> TreeOptions {
+        TreeOptions::builder()
+            .policy(PolicySpec::ChooseBest)
+            .retry(RetryPolicy { max_attempts: 4, base_backoff_us: 0 })
+            .group_commit(commit)
+            .sink(self.sink.clone())
+            .ledger(Arc::clone(&self.ledger))
+            .build()
+    }
+
+    /// Remove the scratch files and directories.
+    fn cleanup(&self) {
+        for path in &self.scratch {
+            std::fs::remove_file(path).or_else(|_| std::fs::remove_dir_all(path)).ok();
+        }
+    }
+
+    /// Write a bundle if a directory is configured; returns its path.
+    fn dump(&self, reason: &str, error: Option<&str>, section: Section) -> Option<PathBuf> {
+        let path = bundle_path(self.bundle_dir.as_deref()?, self.seed);
+        let mut pm = PostMortem::new(reason)
+            .seed(self.seed)
+            .repro(&self.repro)
+            .flight(&self.recorder)
+            .ledger(&self.ledger);
+        if let Some(device) = &self.device {
+            pm = pm.device_io(device.io_snapshot());
+        }
+        if let Some(mem) = &self.mem {
+            pm = pm.wear(&mem.wear_snapshot(), 32);
+        }
+        if let Some(msg) = error {
+            pm = pm.error(msg);
+        }
+        if let Some((key, json)) = section {
+            pm = pm.section(key, json);
+        }
+        pm.write_to(&path).ok()?;
+        Some(path)
+    }
+
+    /// End the cycle at a failed step `what`: bundle, clean up, say why.
+    fn fail(&self, what: &str, message: String, section: Section) -> TortureFailure {
+        let bundle = self.dump(&format!("{} failure: {what}", self.kind), Some(&message), section);
+        self.cleanup();
+        TortureFailure { seed: self.seed, message, bundle }
+    }
+
+    /// End a cycle that passed: a bundle if asked for, and clean up.
+    fn pass(&self, always_dump: bool, section: Section) {
+        if always_dump {
+            self.dump("explicit dump", None, section);
+        }
+        self.cleanup();
+    }
+}
+
+/// A bundle's section beside the black box: the tree, or the scheduler.
+type Section = Option<(&'static str, Json)>;
+
+/// The host dies: the log at `path` keeps its first `synced` bytes and a
+/// seeded share of the flushed-but-unsynced tail after them — what a page
+/// cache can leave behind.
+fn cut_wal_tail(path: &Path, synced: u64, rng: &mut SplitMix64) -> std::io::Result<()> {
+    let on_disk = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+    let tail = on_disk.saturating_sub(synced);
+    let keep = synced + if tail > 0 { rng.gen_range(tail + 1) } else { 0 };
+    if keep < on_disk {
+        std::fs::OpenOptions::new().write(true).open(path)?.set_len(keep)?;
+    }
+    Ok(())
+}
+
+/// The one durability judgement of both cycles: what recovery kept of a
+/// tree (or shard) must be a prefix of its `history` that covers every
+/// acknowledged request. Returns that prefix and the live keys recovered.
+fn judge(history: &HistoryChecker, tree: &LsmTree) -> Result<(u64, u64), String> {
+    let contents: HashMap<Key, Vec<u8>> = tree
+        .scan(0, Key::MAX)
+        .map(|r| r.map(|(k, v)| (k, v.to_vec())))
+        .collect::<crate::error::Result<_>>()
+        .map_err(|e| format!("scan of the recovered tree failed: {e}"))?;
+    let keys = contents.len() as u64;
+    match history.check(&contents) {
+        Ok(prefix) => Ok((prefix as u64, keys)),
+        Err(v) => Err(format!("durability history violation: {v} ({keys} recovered keys)")),
+    }
+}
+
 /// Run one seeded crash cycle; `Err` carries the violated invariant, the
 /// seed for replay, and (when [`TortureConfig::bundle_dir`] is set) the
 /// path of the post-mortem bundle the failure wrote.
@@ -227,93 +373,37 @@ fn to_request(op: &LoggedOp) -> Request {
 /// bundle at [`bundle_path`]. Bundles are deterministic: two runs of the
 /// same seed produce byte-identical files.
 pub fn run_crash_cycle(cfg: &TortureConfig) -> Result<TortureReport, TortureFailure> {
-    let (man_path, wal_path, dev_path) = temp_paths(cfg.seed);
-    let cleanup = || {
-        std::fs::remove_file(&man_path).ok();
-        std::fs::remove_file(&wal_path).ok();
-        std::fs::remove_file(&dev_path).ok();
-    };
-    cleanup();
+    let base = scratch_path("lsm-torture", cfg.seed);
+    let (man_path, wal_path, dev_path) =
+        (base.with_extension("manifest"), base.with_extension("wal"), base.with_extension("dev"));
+    let file_arg = if cfg.backend == TortureBackend::File { " --backend=file" } else { "" };
+    let repro = format!(
+        "cargo run --release -p lsm-bench --bin lsm_crash -- --seeds=1 --seed-base={}{file_arg}",
+        cfg.seed
+    );
+    let scratch = vec![man_path.clone(), wal_path.clone(), dev_path.clone()];
+    let mut bb = BlackBox::new("torture", cfg.seed, cfg.bundle_dir.clone(), repro, scratch);
 
     let mut rng = SplitMix64::new(cfg.seed ^ 0xA5A5_5A5A_DEAD_BEEF);
-    // The wear section of a post-mortem bundle is MemDevice-only; the
-    // trait-object handle drives everything else.
-    let mut mem_for_wear: Option<Arc<MemDevice>> = None;
-    let inner: Arc<dyn BlockDevice> = match cfg.backend {
-        TortureBackend::Mem => {
-            let mem = Arc::new(MemDevice::with_block_size(1 << 14, 256));
-            mem_for_wear = Some(Arc::clone(&mem));
-            mem
-        }
-        TortureBackend::File => {
-            Arc::new(sim_ssd::FileDevice::create_with_block_size(&dev_path, 1 << 14, 256).map_err(
-                |e| TortureFailure {
-                    seed: cfg.seed,
-                    message: format!("file device create failed: {e}"),
-                    bundle: None,
-                },
-            )?)
-        }
+    // Group commit or not: a stream of its own, so that the draw moves
+    // nothing else the seed decides.
+    let group = SplitMix64::new(cfg.seed ^ 0x6C0C_0FFE).chance(0.5);
+    let mem = (cfg.backend == TortureBackend::Mem)
+        .then(|| Arc::new(MemDevice::with_block_size(1 << 14, 256)));
+    let inner: Arc<dyn BlockDevice> = match &mem {
+        Some(mem) => Arc::clone(mem) as _,
+        None => Arc::new(
+            sim_ssd::FileDevice::create_with_block_size(&dev_path, 1 << 14, 256)
+                .map_err(|e| bb.fail("device", format!("file device create failed: {e}"), None))?,
+        ),
     };
+    (bb.device, bb.mem) = (Some(Arc::clone(&inner)), mem);
     let fault = Arc::new(FaultDevice::new(Arc::clone(&inner), cfg.seed));
 
-    // The black box: tick-clock handle → flight recorder, and a
-    // decision ledger on the tree. Sinks cannot perturb the cycle (the
-    // observer-effect contract), and TickClock keeps the bundle free of
-    // wall-clock time, so determinism per seed is preserved.
-    let recorder = Arc::new(FlightRecorderSink::new(512));
-    let ledger = Arc::new(DecisionLedger::new(256));
-    let sink = SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&recorder) as _);
-
-    // Writes a bundle if a directory is configured; returns its path.
-    let dump = |reason: &str, error: Option<&str>, tree_json: Option<Json>| -> Option<PathBuf> {
-        let dir = cfg.bundle_dir.as_deref()?;
-        let path = bundle_path(dir, cfg.seed);
-        let mut pm = PostMortem::new(reason)
-            .seed(cfg.seed)
-            .repro(&format!(
-                "cargo run --release -p lsm-bench --bin lsm_crash -- --seeds=1 --seed-base={}",
-                cfg.seed
-            ))
-            .flight(&recorder)
-            .ledger(&ledger)
-            .device_io(inner.io_snapshot());
-        if let Some(mem) = &mem_for_wear {
-            pm = pm.wear(&mem.wear_snapshot(), 32);
-        }
-        if let Some(msg) = error {
-            pm = pm.error(msg);
-        }
-        if let Some(tree) = tree_json {
-            pm = pm.section("tree", tree);
-        }
-        pm.write_to(&path).ok()?;
-        Some(path)
-    };
-    let fail = |msg: String, bundle: Option<PathBuf>| TortureFailure {
-        seed: cfg.seed,
-        message: msg,
-        bundle,
-    };
-
-    let opts = TreeOptions::builder()
-        .policy(PolicySpec::ChooseBest)
-        .retry(RetryPolicy { max_attempts: 4, base_backoff_us: 0 })
-        .sink(sink)
-        .ledger(Arc::clone(&ledger))
-        .build();
-    let mut tree = DurableLsmTree::create(
-        tiny_cfg(),
-        opts.clone(),
-        Arc::clone(&fault) as Arc<dyn BlockDevice>,
-        &man_path,
-        &wal_path,
-    )
-    .map_err(|e| {
-        let msg = format!("create failed: {e}");
-        let bundle = dump("torture failure: create", Some(&msg), None);
-        fail(msg, bundle)
-    })?;
+    let opts = bb.opts(if group { CommitMode::Group } else { CommitMode::Buffered });
+    let dev = Arc::clone(&fault) as Arc<dyn BlockDevice>;
+    let mut tree = DurableLsmTree::create(tiny_cfg(), opts.clone(), dev, &man_path, &wal_path)
+        .map_err(|e| bb.fail("create", format!("create failed: {e}"), None))?;
 
     // Schedule the cut only now, so creation itself cannot be cut: an
     // index that never existed has no durability contract to check. The
@@ -332,40 +422,40 @@ pub fn run_crash_cycle(cfg: &TortureConfig) -> Result<TortureReport, TortureFail
     );
 
     // ------------------------------------------------------------------
-    // Phase 1: workload until the crash.
+    // Phase 1: workload until the crash. Every request enters the history
+    // before it is applied: WAL-first ordering means a request whose apply
+    // fails may still have reached the log.
     // ------------------------------------------------------------------
-    let mut log: Vec<LoggedOp> = Vec::with_capacity(cfg.ops as usize);
-    let mut durable_floor: u64 = 0; // requests covered by the last fsync
+    let mut history = HistoryChecker::new();
+    let mut durable_floor = 0; // requests covered by the last fsync
     let mut cut_mid_workload = false;
-
-    for i in 0..cfg.ops {
-        let op = draw_op(&mut rng, cfg.key_space);
-        // The request is logged before apply: WAL-first ordering means a
-        // request whose apply fails may still have reached the (synced or
-        // unsynced) log, so the durability window must include it.
-        log.push(op);
-        let req = to_request(log.last().expect("just pushed"));
-        if tree.apply(req).is_err() {
+    let run_len = if group { cfg.sync_every } else { 1 };
+    while (history.len() as u64) < cfg.ops {
+        let before = history.len() as u64;
+        let mut batch = WriteBatch::new();
+        for _ in 0..run_len.min(cfg.ops - before) {
+            let (key, value) = draw_op(&mut rng, cfg.key_space);
+            batch.push(to_request(&(key, value.clone())));
+            history.append(HistoryRecord { writer: 0, key, value, status: AckStatus::Pending });
+        }
+        let issued = history.len() as u64;
+        // Under group commit the batch's own fsync acknowledges it.
+        let sync = !group && issued.is_multiple_of(cfg.sync_every);
+        let checkpoint = issued / cfg.checkpoint_every > before / cfg.checkpoint_every;
+        let acked = tree
+            .write_batch(batch)
+            .and_then(|()| if sync { tree.sync() } else { Ok(()) })
+            .and_then(|()| if checkpoint { tree.checkpoint() } else { Ok(()) });
+        if acked.is_err() {
             cut_mid_workload = true;
             break;
         }
-        let issued = i + 1;
-        if issued % cfg.sync_every == 0 {
-            if tree.sync().is_err() {
-                cut_mid_workload = true;
-                break;
-            }
-            durable_floor = issued;
-        }
-        if issued % cfg.checkpoint_every == 0 {
-            if tree.checkpoint().is_err() {
-                cut_mid_workload = true;
-                break;
-            }
-            durable_floor = issued;
+        if group || sync || checkpoint {
+            durable_floor = history.len();
         }
     }
-    let issued = log.len() as u64;
+    (0..durable_floor).for_each(|i| history.set_status(i, AckStatus::Acked));
+    let issued = history.len() as u64;
     if !cut_mid_workload {
         fault.power_cut();
     }
@@ -374,148 +464,58 @@ pub fn run_crash_cycle(cfg: &TortureConfig) -> Result<TortureReport, TortureFail
     // ------------------------------------------------------------------
     // Phase 2: the host dies with the device. Leak the tree (no Drop, no
     // final WAL flush), then throw away a random portion of the WAL's
-    // flushed-but-unsynced tail.
+    // flushed-but-unsynced tail. Later bundles still say what the tree
+    // looked like before.
     // ------------------------------------------------------------------
     let wal_synced = tree.wal_synced_len();
-    // The tree is about to be leaked to simulate the host dying; snapshot
-    // its state first so bundles from later phases can still say what the
-    // pre-crash tree looked like.
     let pre_crash_tree = cfg.bundle_dir.is_some().then(|| PostMortem::tree_json(tree.tree()));
+    let pre_crash = || pre_crash_tree.clone().map(|tree| ("tree", tree));
     std::mem::forget(tree);
-    let on_disk = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
-    let tail = on_disk.saturating_sub(wal_synced);
-    let keep = wal_synced + if tail > 0 { rng.gen_range(tail + 1) } else { 0 };
-    if keep < on_disk {
-        let f = std::fs::OpenOptions::new().write(true).open(&wal_path).map_err(|e| {
-            let msg = format!("wal truncate open failed: {e}");
-            let bundle = dump("torture failure: wal truncate", Some(&msg), pre_crash_tree.clone());
-            fail(msg, bundle)
-        })?;
-        f.set_len(keep).map_err(|e| {
-            let msg = format!("wal truncate failed: {e}");
-            let bundle = dump("torture failure: wal truncate", Some(&msg), pre_crash_tree.clone());
-            fail(msg, bundle)
-        })?;
-    }
+    cut_wal_tail(&wal_path, wal_synced, &mut rng)
+        .map_err(|e| bb.fail("wal truncate", format!("wal truncate failed: {e}"), pre_crash()))?;
 
     // ------------------------------------------------------------------
-    // Phase 3: recover from the durable image. The fault decorator's inner
-    // device holds exactly the frames that were synced before the cut.
+    // Phase 3: recover from the durable image — the fault decorator's
+    // inner device holds exactly the frames that were synced before the
+    // cut — and judge it against the history.
     // ------------------------------------------------------------------
     let mut recovered = DurableLsmTree::recover(opts, fault.inner(), &man_path, &wal_path)
-        .map_err(|e| {
-            let msg = format!("recovery failed: {e}");
-            let bundle = dump("torture failure: recovery", Some(&msg), pre_crash_tree.clone());
-            cleanup();
-            fail(msg, bundle)
-        })?;
+        .map_err(|e| bb.fail("recovery", format!("recovery failed: {e}"), pre_crash()))?;
     let replayed = recovered.wal_backlog();
+    let now = |t: &mut DurableLsmTree| Some(("tree", PostMortem::tree_json(t.tree())));
+    let (matched_prefix, recovered_keys) = judge(&history, recovered.tree()).map_err(|msg| {
+        let msg = format!("{msg}; issued {issued}, replayed {replayed}");
+        bb.fail("durability history", msg, now(&mut recovered))
+    })?;
 
     // ------------------------------------------------------------------
-    // Phase 4: the durability invariant. Walk the request log once,
-    // maintaining the model state and a running count of keys where the
-    // model differs from the recovered tree; any prefix P ≥ durable_floor
-    // with zero differences satisfies the contract.
-    // ------------------------------------------------------------------
-    let recovered_map: BTreeMap<u64, Bytes> =
-        recovered.tree().scan(0, u64::MAX).collect::<crate::error::Result<_>>().map_err(|e| {
-            let msg = format!("scan of recovered tree failed: {e}");
-            let bundle = dump(
-                "torture failure: recovered scan",
-                Some(&msg),
-                Some(PostMortem::tree_json(recovered.tree())),
-            );
-            cleanup();
-            fail(msg, bundle)
-        })?;
-    let recovered_keys = recovered_map.len() as u64;
-
-    let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-    let mut diff = recovered_map.len() as i64; // empty model vs recovered
-    let mut matched: Option<u64> = if durable_floor == 0 && diff == 0 { Some(0) } else { None };
-    for (j, (key, value)) in log.iter().enumerate() {
-        let rec = recovered_map.get(key).map(|b| &b[..]);
-        let old_matches = model.get(key).map(|v| &v[..]) == rec;
-        match value {
-            Some(v) => {
-                let new_matches = rec == Some(&v[..]);
-                model.insert(*key, v.clone());
-                diff += i64::from(old_matches) - i64::from(new_matches);
-            }
-            None => {
-                let new_matches = rec.is_none();
-                model.remove(key);
-                diff += i64::from(old_matches) - i64::from(new_matches);
-            }
-        }
-        let p = j as u64 + 1;
-        if matched.is_none() && p >= durable_floor && diff == 0 {
-            matched = Some(p);
-        }
-    }
-    let Some(matched_prefix) = matched else {
-        let msg = format!(
-            "recovered state matches no request prefix in [{durable_floor}, {issued}] \
-             (issued {issued}, replayed {replayed}, {recovered_keys} live keys)"
-        );
-        let bundle = dump(
-            "torture failure: durability invariant",
-            Some(&msg),
-            Some(PostMortem::tree_json(recovered.tree())),
-        );
-        cleanup();
-        return Err(fail(msg, bundle));
-    };
-
-    // ------------------------------------------------------------------
-    // Phase 5: life goes on — the recovered tree must take new writes and
+    // Phase 4: life goes on — the recovered tree must take new writes and
     // pass the deep structural check.
     // ------------------------------------------------------------------
-    for i in 0..cfg.continue_ops {
-        let op = draw_op(&mut rng, cfg.key_space);
-        recovered.apply(to_request(&op)).map_err(|e| {
-            let msg = format!("continuation op {i} failed: {e}");
-            let bundle = dump(
-                "torture failure: continuation",
-                Some(&msg),
-                Some(PostMortem::tree_json(recovered.tree())),
-            );
-            cleanup();
-            fail(msg, bundle)
-        })?;
+    let life = (0..cfg.continue_ops)
+        .try_for_each(|i| {
+            let op = draw_op(&mut rng, cfg.key_space);
+            recovered.apply(to_request(&op)).map_err(|e| format!("continuation op {i} failed: {e}"))
+        })
+        .and_then(|()| {
+            recovered.checkpoint().map_err(|e| format!("post-recovery checkpoint failed: {e}"))
+        })
+        .and_then(|()| {
+            crate::verify::check_tree(recovered.tree(), true)
+                .map_err(|e| format!("deep check after recovery failed: {e}"))
+        });
+    if let Err(msg) = life {
+        return Err(bb.fail("after recovery", msg, now(&mut recovered)));
     }
-    recovered.checkpoint().map_err(|e| {
-        let msg = format!("post-recovery checkpoint failed: {e}");
-        let bundle = dump(
-            "torture failure: checkpoint",
-            Some(&msg),
-            Some(PostMortem::tree_json(recovered.tree())),
-        );
-        cleanup();
-        fail(msg, bundle)
-    })?;
-    crate::verify::check_tree(recovered.tree(), true).map_err(|e| {
-        let msg = format!("deep check after recovery failed: {e}");
-        let bundle = dump(
-            "torture failure: deep check",
-            Some(&msg),
-            Some(PostMortem::tree_json(recovered.tree())),
-        );
-        cleanup();
-        fail(msg, bundle)
-    })?;
-
-    if cfg.always_dump {
-        dump("explicit dump", None, Some(PostMortem::tree_json(recovered.tree())));
-    }
+    let last = cfg.always_dump.then(|| now(&mut recovered)).flatten();
     drop(recovered);
-    cleanup();
+    bb.pass(cfg.always_dump, last);
     Ok(TortureReport {
         seed: cfg.seed,
         issued,
         cut_device_op,
         cut_mid_workload,
-        durable_floor,
+        durable_floor: durable_floor as u64,
         matched_prefix,
         recovered_keys,
         replayed,
@@ -563,7 +563,7 @@ pub struct ConcurrentTortureConfig {
     /// Negative-test hook: mark group-commit writes as acknowledged at
     /// append time, *before* any fsync covers them — the classic
     /// ack-before-fsync bug. The history checker must reject cycles where
-    /// the crash eats an "acked" tail. Forces group-commit mode.
+    /// the crash eats an "acked" tail.
     pub inject_ack_bug: bool,
 }
 
@@ -613,8 +613,6 @@ pub struct ConcurrentTortureReport {
     /// Writes that ran while their shard had a group sync begun but not
     /// yet finished: logged after the length was noted, so not covered.
     pub writes_between_sync_halves: u64,
-    /// Whether this cycle drew group commit (vs per-request fsync).
-    pub group_commit: bool,
     /// Whether a fault ended the workload early (vs the forced cut).
     pub cut_mid_workload: bool,
     /// Per shard: the history prefix the recovered state matched.
@@ -630,7 +628,7 @@ pub struct ConcurrentTortureReport {
 /// flush and note the length, then fsync and publish it — over per-shard
 /// [`FaultDevice`]s and fsync-fault-armed WALs; then a power cut, WAL
 /// tail truncation, recovery, and the per-shard
-/// [`HistoryChecker`](crate::HistoryChecker) prefix-durability check plus
+/// [`HistoryChecker`] prefix-durability check plus
 /// the deep structural verifier. Writes, seals, reads, fsyncs, faults and
 /// the cut itself all land between a step's compute and its install, and
 /// writes between a sync's two halves.
@@ -643,8 +641,6 @@ pub struct ConcurrentTortureReport {
 pub fn run_concurrent_crash_cycle(
     cfg: &ConcurrentTortureConfig,
 ) -> Result<ConcurrentTortureReport, TortureFailure> {
-    use crate::config::CommitMode;
-    use crate::history::{AckStatus, HistoryChecker, HistoryRecord};
     use crate::scheduler::SchedulerBackend;
     use crate::sharded::ShardedLsmTree;
     use crate::sim::SimExecutor;
@@ -652,88 +648,44 @@ pub fn run_concurrent_crash_cycle(
 
     assert!(cfg.writers >= 1 && cfg.shards >= 1, "need at least one writer and shard");
     let wal_dir = scratch_path("lsm-ctorture", cfg.seed);
-    let cleanup = || {
-        std::fs::remove_dir_all(&wal_dir).ok();
-    };
-    cleanup();
+    let repro = format!(
+        "cargo run --release -p lsm-bench --bin lsm_crash -- \
+         --scheduler=background --writers={} --shards={} --seeds=1 --seed-base={}",
+        cfg.writers, cfg.shards, cfg.seed
+    );
+    let bb = BlackBox::new(
+        "concurrent torture",
+        cfg.seed,
+        cfg.bundle_dir.clone(),
+        repro,
+        vec![wal_dir.clone()],
+    );
     std::fs::create_dir_all(&wal_dir).ok();
 
     let mut rng = SplitMix64::new(cfg.seed ^ 0xC04C_0441_57EE_DEAD);
-    let group_commit = cfg.inject_ack_bug || rng.chance(0.7);
-
-    // The black box, as in the single-writer harness: tick-clock handle →
-    // flight recorder, decision ledger shared by every shard.
-    let recorder = Arc::new(FlightRecorderSink::new(512));
-    let ledger = Arc::new(DecisionLedger::new(256));
-    let sink = SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&recorder) as _);
-
-    let dump = |reason: &str, error: Option<&str>, scheduler: Option<&Json>| -> Option<PathBuf> {
-        let dir = cfg.bundle_dir.as_deref()?;
-        let path = bundle_path(dir, cfg.seed);
-        let mut pm = PostMortem::new(reason)
-            .seed(cfg.seed)
-            .repro(&format!(
-                "cargo run --release -p lsm-bench --bin lsm_crash -- \
-                 --scheduler=background --writers={} --shards={} --seeds=1 --seed-base={}",
-                cfg.writers, cfg.shards, cfg.seed
-            ))
-            .flight(&recorder)
-            .ledger(&ledger);
-        if let Some(msg) = error {
-            pm = pm.error(msg);
-        }
-        if let Some(section) = scheduler {
-            pm = pm.section("scheduler", section.clone());
-        }
-        pm.write_to(&path).ok()?;
-        Some(path)
-    };
-    let fail = |msg: String, bundle: Option<PathBuf>| TortureFailure {
-        seed: cfg.seed,
-        message: msg,
-        bundle,
-    };
 
     // Per-shard fault devices (seeded per shard) and the simulated
     // scheduler that will make every maintenance decision.
-    let inners: Vec<Arc<MemDevice>> =
-        (0..cfg.shards).map(|_| Arc::new(MemDevice::with_block_size(1 << 14, 256))).collect();
-    let faults: Vec<Arc<FaultDevice>> = inners
-        .iter()
-        .enumerate()
-        .map(|(i, inner)| {
-            Arc::new(FaultDevice::new(
-                Arc::clone(inner) as Arc<dyn BlockDevice>,
-                cfg.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ))
+    let faults: Vec<Arc<FaultDevice>> = (0..cfg.shards as u64)
+        .map(|i| {
+            let inner = Arc::new(MemDevice::with_block_size(1 << 14, 256));
+            Arc::new(FaultDevice::new(inner, cfg.seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
         })
         .collect();
-    let sim = Arc::new(SimExecutor::new(cfg.max_imm_memtables, cfg.seed, sink.clone()));
+    let sim = Arc::new(SimExecutor::new(cfg.max_imm_memtables, cfg.seed, bb.sink.clone()));
 
-    let opts = TreeOptions::builder()
-        .policy(PolicySpec::ChooseBest)
-        .retry(RetryPolicy { max_attempts: 4, base_backoff_us: 0 })
-        .group_commit(if group_commit { CommitMode::Group } else { CommitMode::PerRequest })
-        .sink(sink)
-        .ledger(Arc::clone(&ledger))
-        .build();
     // A one-block L0: a few dozen requests seal several memtables per
     // shard, so flushes, level merges and growth all happen — in halves —
     // before the cut.
     let tree_cfg = LsmConfig { k0_blocks: 1, ..tiny_cfg() };
     let tree = ShardedLsmTree::with_backend(
         tree_cfg.clone(),
-        opts,
+        bb.opts(CommitMode::Group),
         faults.iter().map(|f| Arc::clone(f) as Arc<dyn BlockDevice>).collect(),
         Some(&wal_dir),
         Some(Arc::clone(&sim) as Arc<dyn SchedulerBackend>),
     )
-    .map_err(|e| {
-        let msg = format!("create failed: {e}");
-        let bundle = dump("concurrent torture failure: create", Some(&msg), None);
-        cleanup();
-        fail(msg, bundle)
-    })?;
+    .map_err(|e| bb.fail("create", format!("create failed: {e}"), None))?;
 
     // Arm faults only now, so creation itself cannot be cut. One seeded
     // shard gets a scheduled device power cut (it fires inside a flush or
@@ -796,8 +748,7 @@ pub fn run_concurrent_crash_cycle(
             break;
         }
         let choice = rng.gen_range(cfg.writers as u64 + 4);
-        let half_step = (cfg.writers as u64..cfg.writers as u64 + 2).contains(&choice)
-            || (choice == cfg.writers as u64 + 2 && !group_commit);
+        let half_step = (cfg.writers as u64..cfg.writers as u64 + 2).contains(&choice);
         if !half_step && sim.awaiting_install() > 0 {
             ops_between_halves += 1;
         }
@@ -812,9 +763,8 @@ pub fn run_concurrent_crash_cycle(
             match tree.apply_unacked(idx, req) {
                 Ok(durable_at) => {
                     model.insert(key, value.clone());
-                    // PerRequest fsyncs inline before returning (nothing to
-                    // wait for); the injected bug acks group writes here,
-                    // unsynced.
+                    // Acked once a seeded sync covers it; the injected bug
+                    // acks it here, unsynced.
                     let pending = durable_at.filter(|_| !cfg.inject_ack_bug);
                     let status =
                         if pending.is_some() { AckStatus::Pending } else { AckStatus::Acked };
@@ -851,11 +801,8 @@ pub fn run_concurrent_crash_cycle(
                              {want:?} (after {issued} writes, {} half-steps)",
                             sim.steps_taken()
                         );
-                        let section = tree.scheduler_section_json();
-                        let bundle =
-                            dump("concurrent torture failure: read", Some(&msg), Some(&section));
-                        cleanup();
-                        return Err(fail(msg, bundle));
+                        let section = Some(("scheduler", tree.scheduler_section_json()));
+                        return Err(bb.fail("read", msg, section));
                     }
                 }
                 Err(_) => {
@@ -909,133 +856,61 @@ pub fn run_concurrent_crash_cycle(
     // ------------------------------------------------------------------
     // Phase 2: the host dies. Snapshot the scheduler section first (the
     // bundle's forensic view of the job queue and open rendezvous), then
-    // leak the tree and truncate each WAL to its synced length plus a
-    // seeded slice of the flushed-but-unsynced tail.
+    // leak the tree and cut each WAL's unsynced tail.
     // ------------------------------------------------------------------
     let sched_section = cfg.bundle_dir.is_some().then(|| tree.scheduler_section_json());
+    let sched = || sched_section.clone().map(|section| ("scheduler", section));
     let wal_synced = tree.wal_synced_lens();
     std::mem::forget(tree);
     for (i, &synced) in wal_synced.iter().enumerate() {
-        let path = ShardedLsmTree::wal_path(&wal_dir, i);
-        let on_disk = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let tail = on_disk.saturating_sub(synced);
-        let keep = synced + if tail > 0 { rng.gen_range(tail + 1) } else { 0 };
-        if keep < on_disk {
-            let truncate =
-                std::fs::OpenOptions::new().write(true).open(&path).and_then(|f| f.set_len(keep));
-            if let Err(e) = truncate {
-                let msg = format!("wal truncate failed for shard {i}: {e}");
-                let bundle = dump(
-                    "concurrent torture failure: wal truncate",
-                    Some(&msg),
-                    sched_section.as_ref(),
-                );
-                cleanup();
-                return Err(fail(msg, bundle));
-            }
-        }
+        cut_wal_tail(&ShardedLsmTree::wal_path(&wal_dir, i), synced, &mut rng).map_err(|e| {
+            bb.fail("wal truncate", format!("wal truncate failed for shard {i}: {e}"), sched())
+        })?;
     }
 
     // ------------------------------------------------------------------
     // Phase 3: recover (WAL-only: fresh shards, full replay of each
-    // intact prefix) and check per-shard prefix durability against the
-    // recorded histories.
+    // intact prefix) and judge every shard against its history.
     // ------------------------------------------------------------------
     let r_opts = TreeOptions::builder()
         .policy(PolicySpec::ChooseBest)
         .retry(RetryPolicy { max_attempts: 4, base_backoff_us: 0 })
         .build();
     let recovered =
-        ShardedLsmTree::recover_with_wal(tree_cfg, r_opts, cfg.shards, 1 << 14, &wal_dir).map_err(
-            |e| {
-                let msg = format!("recovery failed: {e}");
-                let bundle = dump(
-                    "concurrent torture failure: recovery",
-                    Some(&msg),
-                    sched_section.as_ref(),
-                );
-                cleanup();
-                fail(msg, bundle)
-            },
-        )?;
-
+        ShardedLsmTree::recover_with_wal(tree_cfg, r_opts, cfg.shards, 1 << 14, &wal_dir)
+            .map_err(|e| bb.fail("recovery", format!("recovery failed: {e}"), sched()))?;
     let mut matched_prefixes = Vec::with_capacity(cfg.shards);
     let mut recovered_keys = 0u64;
     for (i, history) in histories.iter().enumerate() {
-        let contents: HashMap<u64, Vec<u8>> = recovered
-            .with_shard_read(i, |t| {
-                t.scan(0, u64::MAX)
-                    .map(|r| r.map(|(k, v)| (k, v.to_vec())))
-                    .collect::<crate::error::Result<_>>()
-            })
-            .map_err(|e| {
-                let msg = format!("scan of recovered shard {i} failed: {e}");
-                let bundle = dump(
-                    "concurrent torture failure: recovered scan",
-                    Some(&msg),
-                    sched_section.as_ref(),
-                );
-                cleanup();
-                fail(msg, bundle)
+        let (prefix, keys) =
+            recovered.with_shard_read(i, |t| judge(history, t)).map_err(|msg| {
+                let msg = format!("shard {i}: {msg}; {acked} acked of {issued} issued");
+                bb.fail("durability history", msg, sched())
             })?;
-        recovered_keys += contents.len() as u64;
-        match history.check(&contents) {
-            Ok(prefix) => matched_prefixes.push(prefix as u64),
-            Err(violation) => {
-                let msg = format!(
-                    "durability history violation on shard {i}: {violation} \
-                     ({} recovered keys, {} acked of {} issued)",
-                    contents.len(),
-                    acked,
-                    issued
-                );
-                let bundle = dump(
-                    "concurrent torture failure: durability history",
-                    Some(&msg),
-                    sched_section.as_ref(),
-                );
-                cleanup();
-                return Err(fail(msg, bundle));
-            }
-        }
+        matched_prefixes.push(prefix);
+        recovered_keys += keys;
     }
 
     // ------------------------------------------------------------------
     // Phase 4: life goes on — the recovered tree takes new writes, then
     // passes the deep structural check on every shard.
     // ------------------------------------------------------------------
-    for i in 0..cfg.continue_ops {
-        let op = draw_op(&mut rng, cfg.key_space);
-        recovered.apply(to_request(&op)).map_err(|e| {
-            let msg = format!("continuation op {i} failed: {e}");
-            let bundle = dump(
-                "concurrent torture failure: continuation",
-                Some(&msg),
-                sched_section.as_ref(),
-            );
-            cleanup();
-            fail(msg, bundle)
-        })?;
-    }
-    if let Err(e) = recovered.flush() {
-        let msg = format!("post-recovery flush failed: {e}");
-        let bundle = dump("concurrent torture failure: flush", Some(&msg), sched_section.as_ref());
-        cleanup();
-        return Err(fail(msg, bundle));
-    }
-    if let Err(e) = recovered.deep_verify(true) {
-        let msg = format!("deep check after recovery failed: {e}");
-        let bundle =
-            dump("concurrent torture failure: deep check", Some(&msg), sched_section.as_ref());
-        cleanup();
-        return Err(fail(msg, bundle));
-    }
-
-    if cfg.always_dump {
-        dump("explicit dump", None, sched_section.as_ref());
+    let life = (0..cfg.continue_ops)
+        .try_for_each(|i| {
+            let op = draw_op(&mut rng, cfg.key_space);
+            recovered.apply(to_request(&op)).map_err(|e| format!("continuation op {i} failed: {e}"))
+        })
+        .and_then(|()| recovered.flush().map_err(|e| format!("post-recovery flush failed: {e}")))
+        .and_then(|()| {
+            recovered
+                .deep_verify(true)
+                .map_err(|e| format!("deep check after recovery failed: {e}"))
+        });
+    if let Err(msg) = life {
+        return Err(bb.fail("after recovery", msg, sched()));
     }
     drop(recovered);
-    cleanup();
+    bb.pass(cfg.always_dump, sched());
     Ok(ConcurrentTortureReport {
         seed: cfg.seed,
         issued,
@@ -1045,7 +920,6 @@ pub fn run_concurrent_crash_cycle(
         ops_between_halves,
         group_syncs,
         writes_between_sync_halves,
-        group_commit,
         cut_mid_workload,
         matched_prefixes,
         recovered_keys,

@@ -4,11 +4,13 @@
 //! lives in memory: modifications since the last checkpoint would vanish
 //! in a crash. [`WriteAheadLog`] is the standard fix — an append-only,
 //! checksummed record of every request, replayed on recovery and truncated
-//! at each checkpoint. [`DurableLsmTree`] glues the three pieces together:
+//! at each checkpoint. [`DurableLsmTree`] glues the three pieces together
+//! around one shard — a tree and its log, written through the write loop
+//! the sharded front-end uses:
 //!
 //! ```text
-//! apply(req):   WAL.append(req)  →  tree.apply(req)
-//! checkpoint(): device.sync → manifest.write → WAL.truncate
+//! apply(req):   shard write loop: validate → WAL append → memtable insert (→ fsync under Group)
+//! checkpoint(): WAL.sync → device.sync → manifest.write → WAL.truncate
 //! recover():    manifest.restore → WAL.replay (tolerating a torn tail)
 //! ```
 //!
@@ -43,9 +45,9 @@ use bytes::Bytes;
 use sim_ssd::{BlockDevice, DeviceError, FaultKind, SplitMix64};
 
 use crate::checksum;
-use crate::config::CommitMode;
 use crate::error::{LsmError, Result};
 use crate::record::{Key, Request};
+use crate::shard::Shard;
 use crate::tree::{LsmTree, TreeOptions};
 
 /// Seeded fault injection for [`WriteAheadLog::sync`], mirroring
@@ -135,7 +137,7 @@ pub struct WriteAheadLog {
     sync_attempts: u64,
     /// Injected-fault plan plus its seeded RNG, when installed.
     fault: Option<(WalFaultPlan, SplitMix64)>,
-    /// Reused by [`WriteAheadLog::log_one`] to encode its frame.
+    /// Reused by [`WriteAheadLog::append`] to encode its frame.
     frame: Vec<u8>,
 }
 
@@ -356,27 +358,15 @@ impl WriteAheadLog {
     }
 
     /// Append one request (buffered; call [`WriteAheadLog::sync`] to make
-    /// it crash-durable). Returns the number of bytes appended, framing
-    /// included.
+    /// it crash-durable), encoded into a buffer the log keeps. Returns the
+    /// number of bytes appended, framing included.
     pub fn append(&mut self, req: &Request) -> Result<usize> {
-        self.log_one(req, false, &observe::SinkHandle::none())?;
-        Ok(Self::frame_len(req))
-    }
-
-    /// [`WriteAheadLog::log_run`] for one request, encoded here into a
-    /// buffer the log keeps: the callers that have no run to encode ahead.
-    pub(crate) fn log_one(
-        &mut self,
-        req: &Request,
-        synced: bool,
-        sink: &observe::SinkHandle,
-    ) -> Result<u64> {
         let mut frame = std::mem::take(&mut self.frame);
         frame.clear();
         Self::encode_frame(req, &mut frame);
-        let res = self.log_run(std::slice::from_ref(req), &frame, synced, sink);
+        let res = self.append_frames(&frame, 1);
         self.frame = frame;
-        res
+        res.map(|()| Self::frame_len(req))
     }
 
     /// Append the already encoded frames of `requests` requests: one
@@ -434,22 +424,19 @@ impl WriteAheadLog {
         PendingSync { durable: Arc::clone(&self.durable), len: self.len, fsync }
     }
 
-    /// The log step of a run of requests, shared by every WAL-backed
-    /// front-end: append `frames` — the run's frames, from
+    /// The log step of a run of requests in the one write loop
+    /// (`Shard::apply`): append `frames` — the run's frames, from
     /// [`WriteAheadLog::encode_frame`] — in one write and report each
     /// request's append (one `wal_append` span, one
-    /// [`observe::Event::WalAppend`] per request; `synced` says whether
-    /// the caller fsyncs — under a `wal_append` span of its own — before
-    /// it acknowledges). Returns the log length after the run: the offset
-    /// its requests must see durable before they may be acknowledged. The
-    /// caller validates the run first: a request the tree would refuse
-    /// must never reach the log, or replay refuses it too and recovery
-    /// aborts.
+    /// [`observe::Event::WalAppend`] per request). Returns the log length
+    /// after the run: the offset its requests must see durable before they
+    /// may be acknowledged. The caller validates the run first: a request
+    /// the tree would refuse must never reach the log, or replay refuses it
+    /// too and recovery aborts.
     pub(crate) fn log_run(
         &mut self,
         run: &[Request],
         frames: &[u8],
-        synced: bool,
         sink: &observe::SinkHandle,
     ) -> Result<u64> {
         debug_assert_eq!(run.iter().map(Self::frame_len).sum::<usize>(), frames.len());
@@ -457,7 +444,7 @@ impl WriteAheadLog {
         self.append_frames(frames, run.len() as u64)?;
         if sink.is_enabled() {
             for req in run {
-                sink.emit(observe::Event::WalAppend { bytes: Self::frame_len(req) as u64, synced });
+                sink.emit(observe::Event::WalAppend { bytes: Self::frame_len(req) as u64 });
             }
         }
         Ok(self.len)
@@ -512,10 +499,10 @@ impl WriteAheadLog {
     }
 }
 
-/// A crash-durable index: LSM-tree + manifest checkpoints + WAL.
+/// A crash-durable index: one [`Shard`] — tree and WAL, written through
+/// the one write loop — beside the path of its checkpoint manifest.
 pub struct DurableLsmTree {
-    tree: LsmTree,
-    wal: WriteAheadLog,
+    shard: Shard,
     manifest_path: PathBuf,
 }
 
@@ -529,10 +516,9 @@ impl DurableLsmTree {
         wal_path: P,
     ) -> Result<Self> {
         let tree = LsmTree::new(cfg, opts, device)?;
-        let wal = WriteAheadLog::create(wal_path)?;
-        let durable =
-            DurableLsmTree { tree, wal, manifest_path: manifest_path.as_ref().to_path_buf() };
-        durable.tree.checkpoint(&durable.manifest_path)?;
+        let shard = Shard::new(0, tree, Some(wal_path.as_ref()))?;
+        let mut durable = DurableLsmTree { shard, manifest_path: manifest_path.as_ref().into() };
+        durable.shard.state_mut().tree.checkpoint(&durable.manifest_path)?;
         Ok(durable)
     }
 
@@ -544,31 +530,27 @@ impl DurableLsmTree {
         manifest_path: P,
         wal_path: P,
     ) -> Result<Self> {
-        let mut tree = LsmTree::restore(manifest_path.as_ref(), opts, device)?;
-        let _span = tree.sink().span(observe::SpanOp::recovery());
-        let (wal, requests) = WriteAheadLog::open_and_replay(wal_path)?;
-        let replayed = requests.len() as u64;
-        for req in requests {
-            tree.apply(req)?;
-        }
-        tree.sink().emit_with(|| observe::Event::Recovery { replayed });
-        Ok(DurableLsmTree { tree, wal, manifest_path: manifest_path.as_ref().to_path_buf() })
+        let tree = LsmTree::restore(manifest_path.as_ref(), opts, device)?;
+        let mut shard = Shard::new(0, tree, None)?;
+        shard.recover(wal_path.as_ref())?;
+        Ok(DurableLsmTree { shard, manifest_path: manifest_path.as_ref().into() })
     }
 
     /// Apply one request durably (validated, WAL first, then the index).
-    /// The log is fsynced per request under [`CommitMode::PerRequest`];
-    /// otherwise at [`DurableLsmTree::sync`], batch ends and checkpoints —
-    /// a crash may lose the most recent requests but never corrupts the
-    /// index.
+    /// Under [`CommitMode::Group`](crate::CommitMode::Group) it returns
+    /// once an fsync covers it; otherwise the log is fsynced at
+    /// [`DurableLsmTree::sync`] and checkpoints — a crash may lose the
+    /// most recent requests but never corrupts the index.
     pub fn apply(&mut self, req: Request) -> Result<()> {
-        self.tree.check_request(&req)?;
-        let synced = self.tree.commit_mode() == CommitMode::PerRequest;
-        self.wal.log_one(&req, synced, self.tree.sink())?;
-        if synced {
-            let _fsync = self.tree.sink().span(observe::SpanOp::wal_append());
-            self.wal.sync()?;
-        }
-        self.tree.apply(req)
+        self.commit(&mut [req])
+    }
+
+    /// A run of requests through the shard's write loop; under group
+    /// commit its acknowledgement is one fsync (a lone owner has no one
+    /// to share it with).
+    fn commit(&self, run: &mut [Request]) -> Result<()> {
+        let shard = &self.shard;
+        shard.apply(run, None, |durable_at| durable_at.map_or(Ok(()), |_| shard.sync_wal()))
     }
 
     /// Insert or update.
@@ -583,52 +565,50 @@ impl DurableLsmTree {
 
     /// Point lookup.
     pub fn get(&mut self, key: Key) -> Result<Option<Bytes>> {
-        self.tree.get(key)
+        self.tree().get(key)
     }
 
     /// Make every applied request crash-durable now (fsync the WAL).
-    /// Group-commit callers invoke this at transaction boundaries instead
-    /// of running under [`CommitMode::PerRequest`].
     pub fn sync(&mut self) -> Result<()> {
-        self.wal.sync()
+        self.shard.sync_wal()
     }
 
     /// Checkpoint: manifest snapshot, then WAL truncation. After this
     /// returns, recovery needs only the manifest.
     pub fn checkpoint(&mut self) -> Result<()> {
-        self.wal.sync()?;
-        self.tree.checkpoint(&self.manifest_path)?;
-        self.wal.truncate()?;
-        Ok(())
+        self.shard.sync_wal()?;
+        let state = self.shard.state_mut();
+        state.tree.checkpoint(&self.manifest_path)?;
+        state.wal.as_mut().map_or(Ok(()), WriteAheadLog::truncate)
     }
 
     /// The wrapped tree (scans, stats, verification).
-    pub fn tree(&self) -> &LsmTree {
-        &self.tree
+    pub fn tree(&mut self) -> &LsmTree {
+        &self.shard.state_mut().tree
     }
 
     /// Mutable access for maintenance (policy swaps etc.). Requests
     /// applied directly to the tree bypass the WAL — use
     /// [`DurableLsmTree::apply`] for data.
     pub fn tree_mut(&mut self) -> &mut LsmTree {
-        &mut self.tree
+        &mut self.shard.state_mut().tree
     }
 
     /// Requests logged since the last checkpoint.
     pub fn wal_backlog(&self) -> u64 {
-        self.wal.appended()
+        self.shard.wal(WriteAheadLog::appended).unwrap_or(0)
     }
 
     /// Bytes of the WAL known crash-durable (see
     /// [`WriteAheadLog::synced_len`]). Crash simulators truncate the WAL
     /// file anywhere at or beyond this offset.
     pub fn wal_synced_len(&self) -> u64 {
-        self.wal.synced_len()
+        self.shard.wal(WriteAheadLog::synced_len).unwrap_or(0)
     }
 
     /// Bytes appended to the WAL since the last checkpoint, durable or not.
     pub fn wal_len_bytes(&self) -> u64 {
-        self.wal.len_bytes()
+        self.shard.wal(WriteAheadLog::len_bytes).unwrap_or(0)
     }
 }
 
@@ -639,29 +619,22 @@ impl crate::api::WriteApi for DurableLsmTree {
 
     /// Fsync the WAL and drain pending maintenance.
     fn flush(&mut self) -> Result<()> {
-        self.wal.sync()?;
-        self.tree.drain_maintenance()
+        self.shard.sync_wal()?;
+        self.tree_mut().drain_maintenance()
     }
 
-    /// Apply the whole batch, then — under [`CommitMode::Group`] — make it
-    /// durable with a *single* fsync
-    /// (the single-writer form of group commit; the sharded front-end does
-    /// the multi-writer leader/follower form).
+    /// Apply the whole batch in one run of the write loop: validated
+    /// whole, logged in chunks, and under group commit made durable with a
+    /// *single* fsync.
     fn write_batch(&mut self, batch: crate::api::WriteBatch) -> Result<()> {
-        for req in batch {
-            DurableLsmTree::apply(self, req)?;
-        }
-        if self.tree.commit_mode() == CommitMode::Group {
-            self.wal.sync()?;
-        }
-        Ok(())
+        self.commit(&mut batch.into_requests())
     }
 }
 
 impl Drop for DurableLsmTree {
     fn drop(&mut self) {
         // Best-effort durability on clean shutdown.
-        let _ = self.wal.sync();
+        let _ = self.shard.sync_wal();
     }
 }
 
@@ -958,7 +931,7 @@ mod tests {
             for k in (0..100u64).step_by(2) {
                 t.delete(k).unwrap();
             }
-            t.wal.sync().unwrap();
+            t.sync().unwrap();
             assert!(t.wal_backlog() > 0);
             std::mem::forget(t); // crash: no clean shutdown, no checkpoint
         }
@@ -1006,6 +979,38 @@ mod tests {
         assert_eq!(r.get(1).unwrap().as_deref(), Some(&[1u8; 4][..]));
         assert_eq!(r.get(2).unwrap(), None);
         assert_eq!(r.get(3).unwrap().as_deref(), Some(&[3u8; 4][..]));
+        for p in [&man, &wal] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn a_group_apply_after_a_checkpoint_is_durable_by_its_own_fsync() {
+        // The log's truncation resets its offsets under the group-commit
+        // state: an apply after it must still lead an fsync of its own,
+        // not ride on an offset synced before the checkpoint.
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let (man, wal) =
+            (dir.join(format!("lsm-dur4-{pid}.manifest")), dir.join(format!("lsm-dur4-{pid}.wal")));
+        let cfg = LsmConfig { block_size: 256, payload_size: 4, ..LsmConfig::default() };
+        let opts = TreeOptions::builder().group_commit(crate::CommitMode::Group).build();
+        let dev = Arc::new(sim_ssd::MemDevice::with_block_size(1 << 13, 256));
+        let mut t = DurableLsmTree::create(cfg, opts.clone(), dev.clone(), &man, &wal).unwrap();
+        let syncs = |t: &DurableLsmTree| t.shard.wal(WriteAheadLog::syncs).unwrap();
+        for k in 0..20u64 {
+            t.put(k, vec![1u8; 4]).unwrap();
+        }
+        t.checkpoint().unwrap();
+        let before = syncs(&t);
+        t.put(99, vec![9u8; 4]).unwrap();
+        assert_eq!(syncs(&t), before + 1, "a group apply is acknowledged by one fsync");
+        assert_eq!(t.wal_synced_len(), t.wal_len_bytes());
+        std::mem::forget(t); // crash right after the ack
+        let mut r = DurableLsmTree::recover(opts, dev, &man, &wal).unwrap();
+        assert_eq!(r.get(99).unwrap().as_deref(), Some(&[9u8; 4][..]));
+        assert_eq!(r.get(3).unwrap().as_deref(), Some(&[1u8; 4][..]));
+        assert_eq!(r.wal_backlog(), 1, "only the request after the checkpoint is replayed");
         for p in [&man, &wal] {
             std::fs::remove_file(p).ok();
         }

@@ -198,7 +198,7 @@ fn file_backed_shards_hold_under_concurrent_writers_and_readers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Crash with merge jobs in flight: writers run under `PerRequest` commit
+/// Crash with merge jobs in flight: writers run under `Group` commit
 /// (durable by return), the host "dies" without draining the scheduler,
 /// and recovery from the WALs alone must reproduce every acknowledged
 /// request — whatever the background workers were doing at the cut.
@@ -211,7 +211,7 @@ fn power_cut_with_merge_job_in_flight_recovers_durable_image() {
         TreeOptions::builder()
             .policy(PolicySpec::ChooseBest)
             .scheduler(Scheduler::Background(BackgroundPolicy { workers: 2, max_imm_memtables: 2 }))
-            .group_commit(CommitMode::PerRequest)
+            .group_commit(CommitMode::Group)
             .build()
     };
     let ops = mixed_ops(0xCAFE, 8_000, 2_048);
@@ -221,8 +221,8 @@ fn power_cut_with_merge_job_in_flight_recovers_durable_image() {
     }
     // Power cut: leak the tree — scheduler threads, sealed memtables, and
     // any merge mid-step die with the host. No drain, no final sync; the
-    // WAL files on disk are the only survivors. (PerRequest commit means
-    // every acknowledged request is already fsynced.)
+    // WAL files on disk are the only survivors. (Group commit means every
+    // acknowledged request is already fsynced.)
     std::mem::forget(tree);
 
     let recovered =
@@ -239,9 +239,9 @@ fn power_cut_with_merge_job_in_flight_recovers_durable_image() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Group commit's acceptance contract: at 4 concurrent writers, batched
-/// group commit needs at most half the fsyncs of per-request commit, and
-/// both recover to identical state.
+/// Group commit's acceptance contract: one writer applying request by
+/// request pays one fsync a request; 4 concurrent writers committing
+/// batches need at most half as many, and both recover to identical state.
 #[test]
 fn group_commit_halves_fsyncs_at_4_writers_with_identical_recovery() {
     let base = std::env::temp_dir().join(format!("lsm-group-commit-{}", std::process::id()));
@@ -249,38 +249,49 @@ fn group_commit_halves_fsyncs_at_4_writers_with_identical_recovery() {
     let batches_per_writer = 25u64;
     let batch_size = 40u64;
     let shards = 2;
+    // Writer `w`'s batches: keys of its own range, so that the order in
+    // which writers interleave cannot change the final state.
+    let batches = |w: u64| -> Vec<WriteBatch> {
+        let base_key = 500_000 * (w + 1);
+        let mut x = w + 1;
+        (0..batches_per_writer)
+            .map(|_| {
+                let mut wb = WriteBatch::with_capacity(batch_size as usize);
+                for _ in 0..batch_size {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    wb.put(base_key + (x >> 22) % 5_000, vec![(x % 251) as u8; 4]);
+                }
+                wb
+            })
+            .collect()
+    };
 
-    let run = |mode: CommitMode, sub: &str| -> (u64, Vec<(Key, Bytes)>) {
+    let run = |batched: bool, sub: &str| -> (u64, Vec<(Key, Bytes)>) {
         let dir = base.join(sub);
         std::fs::create_dir_all(&dir).unwrap();
         let build_opts = || {
             TreeOptions::builder()
                 .policy(PolicySpec::ChooseBest)
                 .scheduler(Scheduler::background())
-                .group_commit(mode)
+                .group_commit(CommitMode::Group)
                 .build()
         };
         let tree =
             ShardedLsmTree::with_wal_dir(cfg(), build_opts(), shards, 1 << 16, &dir).unwrap();
-        std::thread::scope(|s| {
-            for w in 0..writers {
-                let tree = &tree;
-                s.spawn(move || {
-                    let base_key = 500_000 * (w + 1);
-                    let mut x = w + 1;
-                    for _ in 0..batches_per_writer {
-                        let mut wb = WriteBatch::with_capacity(batch_size as usize);
-                        for _ in 0..batch_size {
-                            x = x
-                                .wrapping_mul(6364136223846793005)
-                                .wrapping_add(1442695040888963407);
-                            wb.put(base_key + (x >> 22) % 5_000, vec![(x % 251) as u8; 4]);
-                        }
-                        tree.write_batch(wb).unwrap();
-                    }
-                });
+        if batched {
+            std::thread::scope(|s| {
+                for w in 0..writers {
+                    let tree = &tree;
+                    s.spawn(move || {
+                        batches(w).into_iter().for_each(|b| tree.write_batch(b).unwrap())
+                    });
+                }
+            });
+        } else {
+            for req in (0..writers).flat_map(batches).flatten() {
+                tree.apply(req).unwrap();
             }
-        });
+        }
         let fsyncs = tree.wal_fsyncs();
         tree.flush().unwrap(); // final durability point before "restart"
         drop(tree);
@@ -290,17 +301,17 @@ fn group_commit_halves_fsyncs_at_4_writers_with_identical_recovery() {
         (fsyncs, recovered.scan_collect(0, u64::MAX).unwrap())
     };
 
-    let (per_request_fsyncs, per_request_state) = run(CommitMode::PerRequest, "per-request");
-    let (group_fsyncs, group_state) = run(CommitMode::Group, "group");
+    let (single_fsyncs, single_state) = run(false, "one-by-one");
+    let (group_fsyncs, group_state) = run(true, "group");
 
-    // PerRequest fsyncs once per acknowledged request; batched group
-    // commit needs at most one rendezvous per touched shard per batch.
-    assert_eq!(per_request_fsyncs, writers * batches_per_writer * batch_size);
+    // Alone, every acknowledged request leads a sync of its own; batched
+    // group commit needs at most one rendezvous per touched shard per batch.
+    assert_eq!(single_fsyncs, writers * batches_per_writer * batch_size);
     assert!(
-        group_fsyncs * 2 <= per_request_fsyncs,
-        "group commit must at least halve fsyncs: {group_fsyncs} vs {per_request_fsyncs}"
+        group_fsyncs * 2 <= single_fsyncs,
+        "group commit must at least halve fsyncs: {group_fsyncs} vs {single_fsyncs}"
     );
-    assert_eq!(per_request_state, group_state, "commit modes must recover to identical state");
+    assert_eq!(single_state, group_state, "both must recover to identical state");
     assert!(!group_state.is_empty());
     std::fs::remove_dir_all(&base).ok();
 }

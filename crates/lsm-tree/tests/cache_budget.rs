@@ -1,6 +1,7 @@
 //! What a cached record really occupies, against what it is charged, and
 //! what the block layer asks of the allocator once it is warm: nothing the
-//! size of a frame.
+//! size of a frame. Also what a manifest decoder reserves on the word of a
+//! count the bytes cannot back: nothing near it.
 //!
 //! A binary of its own because it counts the process's live heap, and its
 //! frame-sized allocations, with a global allocator (so its tests take
@@ -14,8 +15,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use lsm_tree::manifest::LevelSnapshot;
 use lsm_tree::store::RECORD_ENTRY_OVERHEAD;
-use lsm_tree::{BlockHandle, Record, Store};
+use lsm_tree::{BlockHandle, LsmConfig, Manifest, Record, Store};
 use sim_ssd::{BlockDevice, FileDevice, MemDevice};
 
 /// Live heap bytes, each allocation counted as the chunk glibc's malloc
@@ -24,6 +26,9 @@ static LIVE: AtomicIsize = AtomicIsize::new(0);
 
 /// Allocations of a frame's size or more so far.
 static FRAME_SIZED: AtomicUsize = AtomicUsize::new(0);
+
+/// The largest allocation so far.
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
 /// One test at a time: the counters are the process's.
 static TURN: Mutex<()> = Mutex::new(());
@@ -40,6 +45,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(chunk(layout.size()), Ordering::Relaxed);
         FRAME_SIZED.fetch_add((layout.size() >= BLOCK_SIZE) as usize, Ordering::Relaxed);
+        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
         // SAFETY: the caller's contract for `alloc`, passed on as is.
         unsafe { System.alloc(layout) }
     }
@@ -162,4 +168,37 @@ fn a_cached_record_occupies_no_more_than_it_is_charged() {
         (0.85 * charged..=1.15 * charged).contains(&per_entry),
         "a record occupies {per_entry:.1} B and is charged {charged}: re-measure RECORD_ENTRY_OVERHEAD"
     );
+}
+
+#[test]
+fn a_manifest_count_the_bytes_cannot_hold_reserves_nothing() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    // A body ends with its last count: the memtable's when there is no
+    // level, else the last level's (here a level with no handle). Set to
+    // u32::MAX under a valid checksum, a handle count once reserved 128 MiB
+    // before the walk found the bytes missing.
+    let level = LevelSnapshot {
+        handles: vec![],
+        merges_since_compaction: 0,
+        slack_budget: 0.0,
+        waste_delta: 0,
+        rr_cursor: None,
+    };
+    for (levels, at) in [(vec![], 8), (vec![level], 4)] {
+        let m = Manifest {
+            config: LsmConfig::default(),
+            memtable: vec![],
+            mem_rr_cursor: None,
+            levels,
+        };
+        let mut bytes = m.encode();
+        let n = bytes.len();
+        bytes[n - at..n - at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let sum = lsm_tree::checksum::sum64(0, &bytes[16..]);
+        bytes[8..16].copy_from_slice(&sum.to_le_bytes());
+        LARGEST.store(0, Ordering::Relaxed);
+        assert!(Manifest::decode(&bytes).is_err());
+        let largest = LARGEST.load(Ordering::Relaxed);
+        assert!(largest <= n, "decoding {n} bytes allocated {largest} at once");
+    }
 }

@@ -977,7 +977,7 @@ mod tests {
             let (sink, handle) = attached(HealthSink::new(test_config()));
             for i in 0..40 {
                 put(&sink, Some(i % 2), if i % 7 == 0 { 5_000 } else { 100 });
-                handle.emit(Event::WalAppend { bytes: 48, synced: true });
+                handle.emit(Event::WalAppend { bytes: 48 });
                 handle.emit(Event::DeviceWrite { block: i as u64 });
                 handle.emit(Event::CacheHit);
                 if i % 3 == 0 {
@@ -1009,7 +1009,7 @@ mod tests {
         // A wal-append span on shard 1 containing a device write.
         {
             let _span = handle.span(SpanOp::wal_append().with_shard(1));
-            handle.emit(Event::WalAppend { bytes: 16, synced: true });
+            handle.emit(Event::WalAppend { bytes: 16 });
             handle.emit(Event::DeviceWrite { block: 7 });
         }
         {
@@ -1038,7 +1038,7 @@ mod tests {
         let (sink, handle) = attached(HealthSink::new(test_config()));
         put(&sink, Some(0), 500);
         handle.emit(Event::CacheHit);
-        handle.emit(Event::WalAppend { bytes: 8, synced: false });
+        handle.emit(Event::WalAppend { bytes: 8 });
         handle.emit(Event::DeviceWrite { block: 0 });
         ticks(&handle, 9);
         let metrics = Metrics::new();

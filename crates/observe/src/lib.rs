@@ -159,8 +159,6 @@ pub enum Event {
     WalAppend {
         /// Encoded bytes appended (header + payload).
         bytes: u64,
-        /// Whether the append was followed by an fsync.
-        synced: bool,
     },
     /// The tree state was checkpointed to a manifest.
     Checkpoint {
@@ -371,10 +369,7 @@ impl Event {
                 put("writes", Json::from(writes));
             }
             Event::LevelAdded { new_height } => put("new_height", Json::from(new_height)),
-            Event::WalAppend { bytes, synced } => {
-                put("bytes", Json::from(bytes));
-                put("synced", Json::from(synced));
-            }
+            Event::WalAppend { bytes } => put("bytes", Json::from(bytes)),
             Event::Checkpoint { live_blocks } => put("live_blocks", Json::from(live_blocks)),
             Event::Recovery { replayed } => put("replayed", Json::from(replayed)),
             Event::FaultInjected { kind, op } => {
@@ -890,16 +885,13 @@ mod tests {
         let buffer = Shared::default();
         let sink = Arc::new(StreamSink::new(buffer.clone()));
         let handle = SinkHandle::new(sink.clone());
-        handle.emit(Event::WalAppend { bytes: 21, synced: false });
+        handle.emit(Event::WalAppend { bytes: 21 });
         // Span begins and ends are not events: the stream skips them.
         drop(handle.span(SpanOp::lookup()));
         handle.emit(Event::CacheHit);
         sink.flush();
         let text = String::from_utf8(buffer.0.lock().unwrap().clone()).unwrap();
-        assert_eq!(
-            text,
-            "{\"type\":\"wal_append\",\"bytes\":21,\"synced\":false}\n{\"type\":\"cache_hit\"}\n"
-        );
+        assert_eq!(text, "{\"type\":\"wal_append\",\"bytes\":21}\n{\"type\":\"cache_hit\"}\n");
     }
 
     #[test]

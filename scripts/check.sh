@@ -132,6 +132,8 @@ gone="$gone"'|record_put|record_get|LatencyDevice|LatencyHistogram|TextExpositio
 gone="$gone"'|ShardMergeFinish|HealthTransition|emit_transitions_to'
 # One checksum function, one stored width (PR 24).
 gone="$gone"'|\bsum32\b'
+# Two commit modes and one write loop (PR 25).
+gone="$gone"'|PerRequest|\blog_one\b'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"
