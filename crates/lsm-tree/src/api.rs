@@ -1,9 +1,9 @@
 //! The unified write-path interface: [`WriteApi`] + [`WriteBatch`].
 //!
 //! Every front-end — [`LsmTree`](crate::LsmTree),
-//! [`ShardedLsmTree`](crate::ShardedLsmTree),
-//! [`SteppedMergeTree`](crate::SteppedMergeTree), and
-//! [`DurableLsmTree`](crate::DurableLsmTree) — speaks the same five-verb
+//! [`ShardedLsmTree`](crate::ShardedLsmTree) (the durable one, given a WAL
+//! directory), and [`SteppedMergeTree`](crate::SteppedMergeTree) — speaks
+//! the same five-verb
 //! vocabulary (`put` / `delete` / `apply` / `write_batch` / `flush`), so
 //! workload generators and benches drive any of them through one generic
 //! bound instead of accumulating per-type method drift. The historical

@@ -85,9 +85,6 @@ pub use sim::SimExecutor;
 pub use stats::{LevelStats, MergeKind, TreeStats};
 pub use stepped::SteppedMergeTree;
 pub use store::{RetryPolicy, Store};
-pub use torture::{
-    run_concurrent_crash_cycle, run_crash_cycle, ConcurrentTortureConfig, ConcurrentTortureReport,
-    TortureBackend, TortureConfig, TortureFailure, TortureReport,
-};
+pub use torture::{run_crash_cycle, TortureBackend, TortureConfig, TortureFailure, TortureReport};
 pub use tree::{LsmTree, TreeOptions, TreeOptionsBuilder};
-pub use wal::{DurableLsmTree, WalFaultPlan, WriteAheadLog};
+pub use wal::{WalFaultPlan, WriteAheadLog};

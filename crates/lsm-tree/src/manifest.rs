@@ -200,7 +200,7 @@ impl Manifest {
             let key = r.u64()?;
             let op = if r.u8()? == 1 { OpKind::Delete } else { OpKind::Put };
             let len = r.u32()? as usize;
-            let payload = bytes::Bytes::copy_from_slice(r.take(len)?);
+            let payload = bytes::Bytes::copy_from_slice(r.bytes(len)?);
             memtable.push(Record { key, op, payload });
         }
         let n_levels = r.u32()? as usize;
@@ -260,28 +260,33 @@ impl<'a> Reader<'a> {
     fn left(&self) -> usize {
         self.buf.len() - self.pos
     }
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(LsmError::Codec("truncated manifest".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
+        let rest = &self.buf[self.pos..];
+        let s = rest.get(..n).ok_or_else(|| LsmError::Codec("truncated manifest".into()))?;
         self.pos += n;
         Ok(s)
     }
+    fn take<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let (head, _) = self.buf[self.pos..]
+            .split_first_chunk::<N>()
+            .ok_or_else(|| LsmError::Codec("truncated manifest".into()))?;
+        self.pos += N;
+        Ok(*head)
+    }
     fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        Ok(self.take::<1>()?[0])
     }
     fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take()?))
     }
     fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take()?))
     }
     fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.take()?))
     }
     fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(f64::from_le_bytes(self.take()?))
     }
     fn opt_key(&mut self) -> Result<Option<Key>> {
         Ok(if self.u8()? == 1 { Some(self.u64()?) } else { None })

@@ -1,8 +1,8 @@
 //! One shard: a tree and its optional write-ahead log behind one lock,
 //! with the only copy of everything decided per shard — the write loop,
 //! the group-commit rendezvous, and the maintenance step the scheduler
-//! runs. [`crate::ShardedLsmTree`] is a router over a `Vec<Shard>`, and
-//! [`crate::DurableLsmTree`] is one `Shard` beside a manifest path.
+//! runs, and the checkpoint. [`crate::ShardedLsmTree`] is a router over a
+//! `Vec<Shard>`.
 //!
 //! The write path of one run of requests ([`Shard::apply`]: a batch's
 //! share of this shard, or a single put as a run of one), lock regions
@@ -39,14 +39,24 @@
 //!          └─ no lock ────── free the blocks the step replaced
 //! ```
 //!
-//! The shard lock is taken for writing by the write path (a chunk) and by
-//! the install, plus the few instructions in which a sync flushes the
-//! log's buffer and notes its length. It is never held across a scheduler
-//! call, the rendezvous or an fsync, and with a background scheduler
-//! nothing touches the device under it (only the inline cascade does) —
+//! and of a checkpoint ([`Shard::checkpoint`]), the one hold besides the
+//! inline cascade that does I/O:
+//!
+//! ```text
+//! checkpoint ─┬─ write lock ─── fsync the log → manifest (device sync, write, rename)
+//!             │                 → truncate the log (its position stays) ─ unlock
+//!             └─ group state ── publish the cut: every earlier position is covered
+//! ```
+//!
+//! The shard lock is taken for writing by the write path (a chunk), the
+//! install and the checkpoint, plus the few instructions in which a sync
+//! flushes the log's buffer and notes its length. It is never held across
+//! a scheduler call or the rendezvous, never across an fsync but the
+//! checkpoint's, and with a background scheduler nothing but the
+//! checkpoint touches the device under it (the inline cascade does too) —
 //! [`crate::lockorder`] asserts all three in debug builds. What a put or
-//! get can wait for is therefore one chunk or one install (a splice and a
-//! handful of map removals), not one commit, one fsync or one merge.
+//! get can wait for is therefore one chunk, one install (a splice and a
+//! handful of map removals) or one checkpoint, not one commit or one merge.
 //!
 //! Block lifetime: gets and scans hold the read lock for as long as they
 //! follow fences, so no reader outlives an install; the blocks an install
@@ -55,7 +65,7 @@
 //! [`Store::free_block`]: crate::Store::free_block
 
 use std::cell::Cell;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Weak;
 use std::time::Duration;
@@ -65,8 +75,8 @@ use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sim_ssd::DeviceError;
 
 use crate::config::CommitMode;
-use crate::error::Result;
-use crate::lockorder::{self, TreeLockGuard};
+use crate::error::{LsmError, Result};
+use crate::lockorder::{self, Hold, TreeLockGuard};
 use crate::record::Request;
 use crate::scheduler::{self, MaintainTarget, SchedulerBackend};
 use crate::tree::{self, LsmTree, StepOutcome};
@@ -128,7 +138,7 @@ pub(crate) struct ShardState {
 /// along on the leader's fsync.
 #[derive(Default)]
 struct GroupState {
-    /// WAL byte offset known crash-durable.
+    /// WAL position known crash-durable, or covered by a checkpoint.
     synced_seq: u64,
     /// A leader is currently fsyncing.
     leader_running: bool,
@@ -209,11 +219,6 @@ impl Shard {
         Ok(())
     }
 
-    /// What the shard lock protects, to its sole owner.
-    pub(crate) fn state_mut(&mut self) -> &mut ShardState {
-        self.state.get_mut()
-    }
-
     /// The shard lock, shared: lookups, scans, probes.
     pub(crate) fn read(&self) -> RwLockReadGuard<'_, ShardState> {
         if let Some(guard) = self.state.try_read() {
@@ -228,10 +233,10 @@ impl Shard {
         guard
     }
 
-    /// The shard lock, exclusive, marked for the lock-order assertions.
-    /// `device_io` says whether the section may touch the device: only the
-    /// inline cascade does.
-    fn lock(&self, device_io: bool) -> (RwLockWriteGuard<'_, ShardState>, TreeLockGuard) {
+    /// The shard lock, exclusive, marked for the lock-order assertions as
+    /// a section of kind `hold`: only the inline cascade and the checkpoint
+    /// touch the device, and only the checkpoint fsyncs.
+    fn lock(&self, hold: Hold) -> (RwLockWriteGuard<'_, ShardState>, TreeLockGuard) {
         // Let a reader that found the lock taken go first (see `read`): it
         // gets in as soon as no writer holds the lock or queues for it.
         // Bounded, so that readers can delay a writer but never stop it.
@@ -242,11 +247,7 @@ impl Shard {
             std::thread::yield_now();
         }
         let guard = self.state.write();
-        let held = match device_io {
-            true => lockorder::tree_lock_held(),
-            false => lockorder::tree_lock_held_no_io(),
-        };
-        (guard, held)
+        (guard, lockorder::tree_lock_held(hold))
     }
 
     /// Whether the shard's tree accepts `req`: its block size never changes,
@@ -309,7 +310,7 @@ impl Shard {
             {
                 let (mut guard, _held) = {
                     let _lock_wait = self.sink.span(SpanOp::lock_wait());
-                    self.lock(background.is_none())
+                    self.lock(if background.is_none() { Hold::Io } else { Hold::NoIo })
                 };
                 let ShardState { tree, wal, cascade_owed } = &mut *guard;
                 #[cfg(test)]
@@ -401,7 +402,7 @@ impl Shard {
     /// lock released. No-op when nothing was computed.
     pub(crate) fn install(&self) -> Result<()> {
         let Some(mut outcome) = self.computed.lock().take() else { return Ok(()) };
-        self.lock(false).0.tree.install(&mut outcome);
+        self.lock(Hold::NoIo).0.tree.install(&mut outcome);
         outcome.release()
     }
 
@@ -410,14 +411,15 @@ impl Shard {
     /// leaves it unsealed for the next put to stall on; `flush` must not
     /// leave it behind.
     pub(crate) fn seal_if_full(&self) -> Option<usize> {
-        let (mut state, _held) = self.lock(false);
+        let (mut state, _held) = self.lock(Hold::NoIo);
         let tree = &mut state.tree;
         (tree.mem_at_capacity() && tree.seal_memtable()).then(|| tree.imm_count())
     }
 
-    /// Wait until WAL offset `my_seq` is fsynced: become the leader (one
-    /// fsync covers every append made before it began) or ride on the
-    /// current leader's fsync. Never called with the shard lock held.
+    /// Wait until WAL position `my_seq` is durable: become the leader (one
+    /// fsync covers every append made before it began), ride on the
+    /// current leader's fsync, or find it covered by a checkpoint since.
+    /// Never called with the shard lock held.
     ///
     /// Failure contract: when a leader's fsync fails, *every* participant
     /// whose offset is not already durable errors out — the leader with
@@ -473,14 +475,15 @@ impl Shard {
     /// only part that needs the shard lock, and short — flush the log's
     /// buffer, note its length.
     fn begin_sync(&self) -> Result<Option<PendingSync>> {
-        self.lock(false).0.wal.as_mut().map(WriteAheadLog::begin_sync).transpose()
+        self.lock(Hold::NoIo).0.wal.as_mut().map(WriteAheadLog::begin_sync).transpose()
     }
 
     /// Second half, with the lock released: fsync, and publish to the
-    /// rendezvous the offset now durable — the length *noted* when the
-    /// sync began, whatever was appended since — or poison it, so every
-    /// waiting (and future) follower errors instead of retrying leadership
-    /// against a WAL that just poisoned itself. Wakes the followers.
+    /// rendezvous the position now durable — the length *noted* when the
+    /// sync began, whatever was appended since, and nothing if a checkpoint
+    /// cut the log in between — or poison it, so every waiting (and future)
+    /// follower errors instead of retrying leadership against a WAL that
+    /// just poisoned itself. Wakes the followers.
     fn finish_sync(&self, begun: Result<Option<PendingSync>>) -> Result<u64> {
         // No WAL: nothing to make durable.
         let res = begun.and_then(|wal| wal.map_or(Ok(u64::MAX), PendingSync::finish));
@@ -497,7 +500,7 @@ impl Shard {
     /// One half of a group sync per call (the torture harness's seeded
     /// sync step; whatever is applied between two calls lands between a
     /// leader's flush and its fsync): begin one and return `None`, or
-    /// finish the one begun and return the offset now durable.
+    /// finish the one begun and return the position now durable.
     pub(crate) fn group_sync_step(&self) -> Result<Option<u64>> {
         if self.group.lock().poisoned {
             return Err(DeviceError::Poisoned.into());
@@ -526,6 +529,28 @@ impl Shard {
         self.begin_sync()?.map_or(Ok(()), |sync| sync.finish().map(drop))
     }
 
+    /// Checkpoint (module docs draw it): under the write lock, held as a
+    /// [`Hold::Checkpoint`], fsync the log, write the tree's manifest
+    /// beside it (`shard-<i>.manifest`) and truncate the log; then publish
+    /// the cut to the rendezvous, so a writer waiting on a position from
+    /// before it is acked on the manifest's strength. A sync begun before
+    /// the cut publishes nothing after it (the log's positions only grow).
+    /// Afterwards recovery needs the manifest and what is logged since.
+    pub(crate) fn checkpoint(&self) -> Result<()> {
+        let (mut state, _held) = self.lock(Hold::Checkpoint);
+        let ShardState { tree, wal, .. } = &mut *state;
+        let Some(wal) = wal else {
+            return Err(LsmError::Config("a checkpoint needs a write-ahead log".into()));
+        };
+        wal.sync()?;
+        tree.checkpoint(manifest_path(wal.path()))?;
+        wal.truncate()?;
+        let mut s = self.group.lock();
+        s.synced_seq = s.synced_seq.max(wal.pos());
+        self.group_cv.notify_all();
+        Ok(())
+    }
+
     /// The most requests any one hold of the shard lock has applied.
     #[cfg(test)]
     pub(crate) fn longest_hold(&self) -> usize {
@@ -534,7 +559,7 @@ impl Shard {
 
     /// Arm fsync-fault injection on the WAL (no-op without one).
     pub(crate) fn set_wal_fault_plan(&self, plan: WalFaultPlan, seed: u64) {
-        if let Some(wal) = self.lock(false).0.wal.as_mut() {
+        if let Some(wal) = self.lock(Hold::NoIo).0.wal.as_mut() {
             wal.set_fault_plan(plan, seed);
         }
     }
@@ -551,6 +576,21 @@ impl Shard {
             ("wal_appended", Json::from(appended)),
             ("wal_synced", Json::from(synced)),
         ])
+    }
+}
+
+/// Where the shard whose log is at `log` checkpoints: beside the log
+/// (`shard-<i>.manifest` next to `shard-<i>.wal`).
+pub(crate) fn manifest_path(log: &Path) -> PathBuf {
+    log.with_extension("manifest")
+}
+
+impl Drop for Shard {
+    /// Best-effort durability on a clean shutdown.
+    fn drop(&mut self) {
+        if let Some(wal) = self.state.get_mut().wal.as_mut() {
+            let _ = wal.sync();
+        }
     }
 }
 

@@ -16,7 +16,16 @@
 //!
 //! [`ShardedLsmTree`] only routes, fans out and constructs; everything a
 //! shard decides for itself — the write loop, the group-commit rendezvous,
-//! the maintenance step — lives in `shard.rs`.
+//! the maintenance step, the checkpoint — lives in `shard.rs`.
+//!
+//! Durability: with a WAL directory every shard logs to `shard-<i>.wal`
+//! there. [`ShardedLsmTree::checkpoint`] writes each shard's levels and L0
+//! to `shard-<i>.manifest` beside its log and cuts the log, and
+//! [`ShardedLsmTree::recover_with_backend`] reopens the shards over their
+//! devices: the manifest restored, then the log's tail replayed — the
+//! paper's on-SSD levels recovered, not rebuilt (§V footnote).
+//! [`ShardedLsmTree::recover_with_wal`] is the log-only recovery into fresh
+//! in-memory devices, for a directory that was never checkpointed.
 //!
 //! Keys are routed with a fixed splittable hash (SplitMix64 finalizer), so
 //! the key→shard map is deterministic across restarts — a WAL written by
@@ -41,7 +50,7 @@ use sim_ssd::BlockDevice;
 
 use crate::api::WriteBatch;
 use crate::config::LsmConfig;
-use crate::error::Result;
+use crate::error::{LsmError, Result};
 use crate::iter::{Merge, RangeScan, Source};
 use crate::record::{Key, Request};
 use crate::scheduler::{MergeScheduler, SchedulerBackend};
@@ -61,13 +70,16 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// What a constructor does with the per-shard log files in its WAL directory.
-#[derive(Clone, Copy)]
+/// What a constructor does with the per-shard files in its WAL directory.
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Wal {
-    /// Start empty logs.
+    /// Remove a stale manifest, start an empty log.
     Create,
-    /// Replay each log's intact prefix into its shard, then append to it.
+    /// Refuse a manifest; replay each log's intact prefix into a fresh
+    /// shard, then append to it.
     Replay,
+    /// Restore each shard's manifest if it has one, then replay its log.
+    Restore,
 }
 
 /// One fresh in-memory simulated SSD per shard.
@@ -116,9 +128,8 @@ impl ShardedLsmTree {
     }
 
     /// Like [`ShardedLsmTree::with_mem_devices`], plus one write-ahead log
-    /// per shard (`shard-<i>.wal` under `wal_dir`). The logs are never
-    /// truncated by this handle — [`ShardedLsmTree::recover_with_wal`]
-    /// rebuilds every shard by replaying its log in full.
+    /// per shard (`shard-<i>.wal` under `wal_dir`), after removing any
+    /// `shard-<i>.manifest` an older tree left there.
     pub fn with_wal_dir(
         cfg: LsmConfig,
         opts: TreeOptions,
@@ -133,7 +144,9 @@ impl ShardedLsmTree {
     /// Recover a WAL-backed sharded tree: fresh shards, then replay each
     /// shard's log (its intact prefix) back into that same shard. Routing
     /// is deterministic, so every replayed request lands where it was
-    /// originally applied.
+    /// originally applied. A directory with a `shard-<i>.manifest` is
+    /// refused ([`LsmError::Config`]): its logs hold only what came after a
+    /// checkpoint, the rest is on devices this constructor does not have.
     pub fn recover_with_wal(
         cfg: LsmConfig,
         opts: TreeOptions,
@@ -170,7 +183,8 @@ impl ShardedLsmTree {
     /// `scheduler` falls back to a [`MergeScheduler`] worker pool when the
     /// tree options ask for one. An injected backend drives the write path
     /// exactly as a worker pool would (seal-and-return, backpressure at
-    /// the bound) regardless of `opts.scheduler`.
+    /// the bound) regardless of `opts.scheduler`. A WAL directory gets
+    /// fresh logs, as in [`ShardedLsmTree::with_wal_dir`].
     pub fn with_backend(
         cfg: LsmConfig,
         opts: TreeOptions,
@@ -179,6 +193,21 @@ impl ShardedLsmTree {
         scheduler: Option<Arc<dyn SchedulerBackend>>,
     ) -> Result<Self> {
         Self::build(cfg, opts, devices, wal_dir.map(|dir| (dir, Wal::Create)), scheduler)
+    }
+
+    /// Reopen what [`ShardedLsmTree::with_backend`] built over the same
+    /// devices and WAL directory: shard `i` restores `shard-<i>.manifest`
+    /// over `devices[i]` ([`LsmTree::restore`]) if there is one — else it
+    /// starts empty over the device, with `cfg` — then replays the intact
+    /// prefix of `shard-<i>.wal` and appends to it.
+    pub fn recover_with_backend(
+        cfg: LsmConfig,
+        opts: TreeOptions,
+        devices: Vec<Arc<dyn BlockDevice>>,
+        wal_dir: &Path,
+        scheduler: Option<Arc<dyn SchedulerBackend>>,
+    ) -> Result<Self> {
+        Self::build(cfg, opts, devices, Some((wal_dir, Wal::Restore)), scheduler)
     }
 
     /// Every constructor ends here. A shard's log is created or replayed
@@ -197,19 +226,37 @@ impl ShardedLsmTree {
             .into_iter()
             .enumerate()
             .map(|(i, device)| {
-                let log = wal.map(|(dir, what)| (Self::wal_path(dir, i), what));
-                let create = match &log {
-                    Some((path, Wal::Create)) => Some(path.as_path()),
-                    _ => None,
-                };
                 // The shard and its tree report through the user's handle
                 // tagged with the shard's index.
                 let opts = TreeOptions { sink: opts.sink.with_shard(i), ..opts.clone() };
-                let mut shard = Shard::new(i, LsmTree::new(cfg.clone(), opts, device)?, create)?;
-                if let Some((path, Wal::Replay)) = &log {
-                    shard.recover(path)?;
+                let Some((dir, what)) = wal else {
+                    return Shard::new(i, LsmTree::new(cfg.clone(), opts, device)?, None);
+                };
+                let log = Self::wal_path(dir, i);
+                let manifest = crate::shard::manifest_path(&log);
+                let tree = match what {
+                    Wal::Restore if manifest.exists() => LsmTree::restore(&manifest, opts, device)?,
+                    Wal::Replay if manifest.exists() => {
+                        return Err(LsmError::Config(format!(
+                            "{} holds the levels this log was cut to: recover over the \
+                             devices with recover_with_backend",
+                            manifest.display()
+                        )))
+                    }
+                    _ => LsmTree::new(cfg.clone(), opts, device)?,
+                };
+                if what != Wal::Create {
+                    let mut shard = Shard::new(i, tree, None)?;
+                    shard.recover(&log)?;
+                    return Ok(shard);
                 }
-                Ok(shard)
+                // A new tree must never recover an older tree's levels.
+                match std::fs::remove_file(&manifest) {
+                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                        Err(sim_ssd::DeviceError::Io(e).into())
+                    }
+                    _ => Shard::new(i, tree, Some(&log)),
+                }
             })
             .collect::<Result<Vec<_>>>()?;
         let shards = Arc::new(shards);
@@ -274,10 +321,10 @@ impl ShardedLsmTree {
     }
 
     /// Apply `req` on shard `idx` and return without waiting for its group
-    /// commit: the WAL offset that must be durable before the request may
+    /// commit: the WAL position that must be durable before the request may
     /// be acked (`Some` only under [`CommitMode::Group`](crate::CommitMode))
-    /// goes back to the caller — the concurrency-torture harness, which
-    /// acks from its own seeded sync steps.
+    /// goes back to the caller — the crash-torture harness, which acks
+    /// from its own seeded sync steps and checkpoints.
     pub(crate) fn apply_unacked(&self, idx: usize, req: Request) -> Result<Option<u64>> {
         self.shards[idx].apply(&mut [req], self.scheduler.as_deref(), Ok)
     }
@@ -332,16 +379,16 @@ impl ShardedLsmTree {
         Ok(())
     }
 
-    /// One seeded group-sync step for the concurrency-torture harness: one
+    /// One seeded group-sync step for the crash-torture harness: one
     /// *half* of a group-commit leader's work on shard `idx` per call.
     /// The first call flushes the log's buffer and notes its length
-    /// (`Ok(None)`); the second fsyncs, publishes the noted length as
+    /// (`Ok(None)`); the second fsyncs, publishes the noted position as
     /// durable, wakes any followers and returns it. Requests applied
     /// between the two land where a real leader's fsync leaves room for
     /// them, and are not covered by it. An fsync failure poisons the
     /// rendezvous exactly like a leader failure inside
     /// [`ShardedLsmTree::apply`] (it is the same code).
-    pub fn group_sync_step(&self, idx: usize) -> Result<Option<u64>> {
+    pub(crate) fn group_sync_step(&self, idx: usize) -> Result<Option<u64>> {
         self.shards[idx].group_sync_step()
     }
 
@@ -409,6 +456,16 @@ impl ShardedLsmTree {
     /// Fsync every shard's WAL (no-op for shards without one).
     pub fn sync_wals(&self) -> Result<()> {
         self.shards.iter().try_for_each(Shard::sync_wal)
+    }
+
+    /// Checkpoint every shard, one after another: under the shard's write
+    /// lock its log is fsynced, its levels and L0 are written to
+    /// `shard-<i>.manifest` beside the log, and the log is truncated.
+    /// Writers and readers of a shard wait for its checkpoint; a writer
+    /// waiting for a group commit the checkpoint covered is acked by it.
+    /// [`LsmError::Config`] on a handle without a WAL directory.
+    pub fn checkpoint(&self) -> Result<()> {
+        self.shards.iter().try_for_each(Shard::checkpoint)
     }
 
     /// Total fsyncs issued across every shard's WAL — the group-commit
@@ -791,11 +848,26 @@ mod tests {
     /// simulated scheduler is stepped: no threads, so every interleaving
     /// below is the one written down.
     fn sim_tree(dir: &Path, commit: CommitMode, shards: usize) -> ShardedLsmTree {
+        sim_tree_over(dir, commit, mem_devices(&small_cfg(), shards, 1 << 16))
+    }
+
+    fn sim_tree_over(
+        dir: &Path,
+        commit: CommitMode,
+        devices: Vec<Arc<dyn BlockDevice>>,
+    ) -> ShardedLsmTree {
         let sim = crate::sim::SimExecutor::new(2, 7, SinkHandle::none());
-        let devices = mem_devices(&small_cfg(), shards, 1 << 16);
         let opts = TreeOptions::builder().group_commit(commit).build();
         ShardedLsmTree::with_backend(small_cfg(), opts, devices, Some(dir), Some(Arc::new(sim)))
             .unwrap()
+    }
+
+    /// A run of puts of `keys` through shard 0's write loop, unacked: the
+    /// position it must see durable.
+    fn commit(t: &ShardedLsmTree, keys: std::ops::Range<u64>) -> u64 {
+        let mut run: Vec<Request> =
+            keys.map(|k| Request::Put(k, Bytes::from(vec![k as u8; 4]))).collect();
+        t.shards[0].apply(&mut run, t.scheduler.as_deref(), Ok).unwrap().unwrap()
     }
 
     #[test]
@@ -891,14 +963,9 @@ mod tests {
         // happened to carry to disk, and a power cut there keeps A alone.
         let dir = scratch_dir("split-sync");
         let t = sim_tree(&dir, CommitMode::Group, 1);
-        let commit = |keys: std::ops::Range<u64>| {
-            let mut run: Vec<Request> =
-                keys.map(|k| Request::Put(k, Bytes::from(vec![k as u8; 4]))).collect();
-            t.shards[0].apply(&mut run, t.scheduler.as_deref(), Ok).unwrap().unwrap()
-        };
-        let a = commit(0..3);
+        let a = commit(&t, 0..3);
         assert_eq!(t.group_sync_step(0).unwrap(), None);
-        let b = commit(10..12);
+        let b = commit(&t, 10..12);
         assert!(a < b);
         assert_eq!(
             t.wal_synced_lens(),
@@ -911,7 +978,8 @@ mod tests {
         assert_eq!(t.wal_fsyncs(), 1);
         // A's rendezvous is over; B's would have to lead a sync of its own.
         t.shards[0].group_wait(a, &|| Json::Null).unwrap();
-        assert!(t.scheduler_section_json().render().contains(&format!("\"synced_seq\":{a}")));
+        let synced_seq = format!("\"synced_seq\":{}", a);
+        assert!(t.scheduler_section_json().render().contains(&synced_seq));
         std::mem::forget(t); // power cut: only what is known synced survives
         let log = ShardedLsmTree::wal_path(&dir, 0);
         std::fs::OpenOptions::new().write(true).open(&log).unwrap().set_len(a).unwrap();
@@ -920,6 +988,114 @@ mod tests {
                 .unwrap();
         let keys: Vec<Key> = r.scan_collect(0, u64::MAX).unwrap().iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, [0, 1, 2], "exactly A's commit");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_writer_waiting_across_a_checkpoint_is_acked_by_it() {
+        // The checkpoint put the write in the manifest and cut the log: its
+        // pre-cut position is covered, and it never leads an fsync of the
+        // new log.
+        let dir = scratch_dir("ckpt-ack");
+        let t = sim_tree(&dir, CommitMode::Group, 1);
+        let at = commit(&t, 0..3);
+        t.checkpoint().unwrap();
+        let fsyncs = t.wal_fsyncs();
+        t.shards[0].group_wait(at, &|| Json::Null).unwrap();
+        assert_eq!(t.wal_fsyncs(), fsyncs, "acked on the manifest's strength, not an fsync");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_sync_begun_before_a_checkpoint_publishes_nothing_after_it() {
+        let dir = scratch_dir("ckpt-sync");
+        let devices = mem_devices(&small_cfg(), 1, 1 << 16);
+        let t = sim_tree_over(&dir, CommitMode::Group, devices.clone());
+        commit(&t, 0..3);
+        assert_eq!(t.group_sync_step(0).unwrap(), None, "begun before the cut");
+        t.checkpoint().unwrap();
+        let after = commit(&t, 10..12);
+        let finished = t.group_sync_step(0).unwrap().unwrap();
+        assert!(finished < after, "finished after the cut, it covers nothing after it");
+        assert_eq!(t.wal_synced_lens(), [WAL_HEADER_LEN], "nothing of the new log is published");
+        let fsyncs = t.wal_fsyncs();
+        // Acked only by a later sync that covers it.
+        assert_eq!(t.group_sync_step(0).unwrap(), None);
+        assert!(t.group_sync_step(0).unwrap().unwrap() >= after);
+        t.shards[0].group_wait(after, &|| Json::Null).unwrap();
+        assert_eq!(t.wal_fsyncs(), fsyncs + 1);
+        // A power cut right there: logged since, never synced, and cut.
+        let synced = t.wal_synced_lens()[0];
+        commit(&t, 20..22);
+        std::mem::forget(t);
+        let log = ShardedLsmTree::wal_path(&dir, 0);
+        std::fs::OpenOptions::new().write(true).open(&log).unwrap().set_len(synced).unwrap();
+        let r = ShardedLsmTree::recover_with_backend(
+            small_cfg(),
+            TreeOptions::default(),
+            devices,
+            &dir,
+            None,
+        )
+        .unwrap();
+        let keys: Vec<Key> = r.scan_collect(0, u64::MAX).unwrap().iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, [0, 1, 2, 10, 11], "the checkpointed writes and the covered tail");
+        r.deep_verify(true).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recover_with_wal_refuses_a_checkpointed_directory() {
+        // Its logs hold only the tail: a replay into fresh devices would
+        // lose everything before the checkpoint without a word.
+        let (t, dir) = wal_tree("refuse", CommitMode::Buffered, 2);
+        for k in 0..100u64 {
+            t.put(k, vec![1u8; 4]).unwrap();
+        }
+        t.checkpoint().unwrap();
+        drop(t);
+        let opts = TreeOptions::default();
+        match ShardedLsmTree::recover_with_wal(small_cfg(), opts, 2, 1 << 16, &dir) {
+            Err(LsmError::Config(msg)) => assert!(msg.contains("shard-0.manifest"), "{msg}"),
+            other => panic!("expected a config error, got {:?}", other.err()),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_new_tree_never_recovers_an_older_trees_levels() {
+        // Both creating constructors remove a stale manifest before they
+        // create the log, so a recovery over the directory sees only the
+        // new tree.
+        let dir = scratch_dir("stale");
+        let opts = || TreeOptions::default();
+        for with_backend in [false, true] {
+            let old = ShardedLsmTree::with_wal_dir(small_cfg(), opts(), 1, 1 << 16, &dir).unwrap();
+            old.put(1, vec![1u8; 4]).unwrap();
+            old.checkpoint().unwrap();
+            drop(old);
+            assert!(dir.join("shard-0.manifest").exists());
+            let devices = mem_devices(&small_cfg(), 1, 1 << 16);
+            let new = match with_backend {
+                true => ShardedLsmTree::with_backend(
+                    small_cfg(),
+                    opts(),
+                    devices.clone(),
+                    Some(&dir),
+                    None,
+                ),
+                false => ShardedLsmTree::with_wal_dir(small_cfg(), opts(), 1, 1 << 16, &dir),
+            }
+            .unwrap();
+            assert!(!dir.join("shard-0.manifest").exists(), "{with_backend}");
+            new.put(2, vec![2u8; 4]).unwrap();
+            drop(new);
+            let r = ShardedLsmTree::recover_with_backend(small_cfg(), opts(), devices, &dir, None)
+                .unwrap();
+            let keys: Vec<Key> =
+                r.scan_collect(0, u64::MAX).unwrap().iter().map(|(k, _)| *k).collect();
+            assert_eq!(keys, [2], "{with_backend}: the new tree alone");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,14 +8,14 @@
 //! executor: nothing runs until someone calls [`SimExecutor::step`], and
 //! each step performs exactly one *half* of a bounded maintenance step —
 //! the unlocked compute, or the install — on a shard chosen by a seeded
-//! RNG from the queue. The concurrency-torture harness
-//! ([`crate::torture::run_concurrent_crash_cycle`]) interleaves these
-//! steps with seeded writer operations, reads, group-commit fsyncs — in
-//! halves as well, [`crate::ShardedLsmTree::group_sync_step`]: note the
-//! log's length, then fsync and publish it — and injected faults. So
-//! whatever a real worker's unlocked compute can overlap with lands
-//! between a compute and its install here too, whatever a leader's
-//! unlocked fsync can overlap with lands between a sync's halves, and
+//! RNG from the queue. The crash-torture cycle
+//! ([`crate::torture::run_crash_cycle`]) interleaves these steps with
+//! seeded writer operations, reads, checkpoints, group-commit fsyncs — in
+//! halves as well: note the log's length, then fsync and publish it — and
+//! injected faults. So whatever a real worker's unlocked compute can
+//! overlap with lands between a compute and its install here too,
+//! whatever a leader's unlocked fsync can overlap with lands between a
+//! sync's halves, and
 //! every interleaving, including the failing ones, replays byte-for-byte
 //! from a single `u64` seed.
 //!

@@ -1,16 +1,15 @@
-//! Write-ahead logging for L0 and the durable-tree wrapper.
+//! Write-ahead logging for L0.
 //!
 //! The manifest ([`crate::manifest`]) checkpoints the on-SSD state, but L0
 //! lives in memory: modifications since the last checkpoint would vanish
 //! in a crash. [`WriteAheadLog`] is the standard fix — an append-only,
 //! checksummed record of every request, replayed on recovery and truncated
-//! at each checkpoint. [`DurableLsmTree`] glues the three pieces together
-//! around one shard — a tree and its log, written through the write loop
-//! the sharded front-end uses:
+//! at each checkpoint. A shard of [`crate::ShardedLsmTree`] owns one log
+//! beside its manifest:
 //!
 //! ```text
 //! apply(req):   shard write loop: validate → WAL append → memtable insert (→ fsync under Group)
-//! checkpoint(): WAL.sync → device.sync → manifest.write → WAL.truncate
+//! checkpoint(): WAL.sync → device.sync → manifest.write → WAL.truncate (under the shard lock)
 //! recover():    manifest.restore → WAL.replay (tolerating a torn tail)
 //! ```
 //!
@@ -33,6 +32,13 @@
 //! under that lock), `PendingSync::finish` fsyncs on a handle of its own
 //! — appends go on meanwhile — and publishes the noted length, never the
 //! length at completion. [`WriteAheadLog::sync`] is the two back to back.
+//!
+//! A *position* in the log only grows: it is a file offset plus the log's
+//! `base`, and a truncation moves the base so that the cut sits where the
+//! log ended. A position from before the cut is therefore at most the cut,
+//! and every one after it is beyond: a sync begun before a cut and
+//! finished after it publishes nothing new, and a writer holding a
+//! position from before the cut is covered by the checkpoint that made it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
@@ -42,13 +48,11 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use sim_ssd::{BlockDevice, DeviceError, FaultKind, SplitMix64};
+use sim_ssd::{DeviceError, FaultKind, SplitMix64};
 
 use crate::checksum;
 use crate::error::{LsmError, Result};
 use crate::record::{Key, Request};
-use crate::shard::Shard;
-use crate::tree::{LsmTree, TreeOptions};
 
 /// Seeded fault injection for [`WriteAheadLog::sync`], mirroring
 /// [`sim_ssd::FaultPlan`] for the one durability primitive the WAL owns:
@@ -91,10 +95,10 @@ struct Durable {
     /// A second handle on the log file (same open file description as the
     /// writer's), so an fsync needs no access to the writer.
     file: File,
-    /// Bytes known crash-durable (flushed *and* fsynced). Crash simulators
-    /// truncate the file anywhere in `[synced_len, len]` to model what a
-    /// host power cut can leave behind.
-    synced_len: AtomicU64,
+    /// The position known crash-durable (flushed *and* fsynced). Crash
+    /// simulators truncate the file anywhere in `[synced_len, len]` to
+    /// model what a host power cut can leave behind.
+    synced: AtomicU64,
     /// Fsyncs issued over the log's lifetime (not reset by truncation) —
     /// the denominator of the group-commit economy: N writers sharing one
     /// fsync show up here as 1, not N.
@@ -128,6 +132,8 @@ pub struct WriteAheadLog {
     durable: Arc<Durable>,
     path: PathBuf,
     appended: u64,
+    /// The position of file offset 0 (module docs): 0 until a truncation.
+    base: u64,
     /// Where the log ends, as a file offset — the header, then every
     /// frame appended since creation/truncation (some may still sit in
     /// the userspace buffer or the page cache).
@@ -148,8 +154,8 @@ pub struct WriteAheadLog {
 #[must_use = "a begun sync makes nothing durable until it is finished"]
 pub(crate) struct PendingSync {
     durable: Arc<Durable>,
-    /// The log's length when the sync began: what `finish` publishes.
-    len: u64,
+    /// Where the log ended when the sync began: what `finish` publishes.
+    at: u64,
     fsync: Fsync,
 }
 
@@ -164,21 +170,23 @@ enum Fsync {
 }
 
 impl PendingSync {
-    /// Fsync and publish the noted length as durable, or poison the log.
-    /// Returns the length now known durable. Never under a tree lock.
+    /// Fsync and publish the noted position as durable, or poison the log.
+    /// Returns the position now known durable. Never under a tree lock but
+    /// a checkpoint's.
     pub(crate) fn finish(self) -> Result<u64> {
         let d = &self.durable;
-        crate::lockorder::assert_no_tree_lock("WAL fsync");
+        crate::lockorder::assert_fsync_allowed("WAL fsync");
         let res = match self.fsync {
-            Fsync::NotNeeded => return Ok(d.synced_len.load(Ordering::SeqCst)),
+            Fsync::NotNeeded => return Ok(d.synced.load(Ordering::SeqCst)),
             Fsync::Injected(op) => Err(DeviceError::Injected { kind: FaultKind::Sync, op }),
             Fsync::Real => d.file.sync_data().map_err(DeviceError::Io),
         };
         match res {
             Ok(()) => {
                 d.syncs.fetch_add(1, Ordering::SeqCst);
-                // Syncs that overlap may finish in either order.
-                Ok(d.synced_len.fetch_max(self.len, Ordering::SeqCst).max(self.len))
+                // Syncs that overlap may finish in either order, and one
+                // begun before a truncation publishes nothing after it.
+                Ok(d.synced.fetch_max(self.at, Ordering::SeqCst).max(self.at))
             }
             Err(e) => {
                 d.poisoned.store(true, Ordering::SeqCst);
@@ -212,7 +220,7 @@ impl WriteAheadLog {
     fn over(file: File, path: &Path, appended: u64, len: u64, synced_len: u64) -> Result<Self> {
         let durable = Durable {
             file: file.try_clone().map_err(DeviceError::Io)?,
-            synced_len: AtomicU64::new(synced_len),
+            synced: AtomicU64::new(synced_len),
             syncs: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
         };
@@ -221,6 +229,7 @@ impl WriteAheadLog {
             durable: Arc::new(durable),
             path: path.to_path_buf(),
             appended,
+            base: 0,
             len,
             sync_attempts: 0,
             fault: None,
@@ -392,7 +401,7 @@ impl WriteAheadLog {
     /// syncs began, whatever order they finish in.
     pub(crate) fn begin_sync(&mut self) -> Result<PendingSync> {
         self.check_poisoned()?;
-        if self.synced_len() == self.len {
+        if self.durable.synced.load(Ordering::SeqCst) == self.pos() {
             return Ok(self.pending(Fsync::NotNeeded));
         }
         // Flush userspace buffers first: an injected fsync failure models
@@ -421,18 +430,23 @@ impl WriteAheadLog {
     }
 
     fn pending(&self, fsync: Fsync) -> PendingSync {
-        PendingSync { durable: Arc::clone(&self.durable), len: self.len, fsync }
+        PendingSync { durable: Arc::clone(&self.durable), at: self.pos(), fsync }
+    }
+
+    /// Where the log ends, as a position (module docs).
+    pub(crate) fn pos(&self) -> u64 {
+        self.base + self.len
     }
 
     /// The log step of a run of requests in the one write loop
     /// (`Shard::apply`): append `frames` — the run's frames, from
     /// [`WriteAheadLog::encode_frame`] — in one write and report each
     /// request's append (one `wal_append` span, one
-    /// [`observe::Event::WalAppend`] per request). Returns the log length
-    /// after the run: the offset its requests must see durable before they
-    /// may be acknowledged. The caller validates the run first: a request
-    /// the tree would refuse must never reach the log, or replay refuses it
-    /// too and recovery aborts.
+    /// [`observe::Event::WalAppend`] per request). Returns where the log
+    /// ends after the run: the position its requests must see durable
+    /// before they may be acknowledged. The caller validates the run first:
+    /// a request the tree would refuse must never reach the log, or replay
+    /// refuses it too and recovery aborts.
     pub(crate) fn log_run(
         &mut self,
         run: &[Request],
@@ -447,10 +461,11 @@ impl WriteAheadLog {
                 sink.emit(observe::Event::WalAppend { bytes: Self::frame_len(req) as u64 });
             }
         }
-        Ok(self.len)
+        Ok(self.pos())
     }
 
-    /// Discard every frame (after a checkpoint made them redundant).
+    /// Discard every frame (after a checkpoint made them redundant). The
+    /// log's position stays where it ended (module docs).
     pub fn truncate(&mut self) -> Result<()> {
         self.check_poisoned()?;
         self.writer.flush().map_err(DeviceError::Io)?;
@@ -466,8 +481,9 @@ impl WriteAheadLog {
         // hole.
         self.writer.seek(SeekFrom::Start(WAL_HEADER_LEN)).map_err(DeviceError::Io)?;
         self.appended = 0;
+        self.base += self.len - WAL_HEADER_LEN;
         self.len = WAL_HEADER_LEN;
-        self.durable.synced_len.store(WAL_HEADER_LEN, Ordering::SeqCst);
+        self.durable.synced.fetch_max(self.pos(), Ordering::SeqCst);
         Ok(())
     }
 
@@ -485,7 +501,7 @@ impl WriteAheadLog {
     /// Bytes of the log known crash-durable (appended before the last
     /// [`WriteAheadLog::sync`] began).
     pub fn synced_len(&self) -> u64 {
-        self.durable.synced_len.load(Ordering::SeqCst)
+        self.durable.synced.load(Ordering::SeqCst) - self.base
     }
 
     /// Fsyncs issued over the log's lifetime.
@@ -499,149 +515,13 @@ impl WriteAheadLog {
     }
 }
 
-/// A crash-durable index: one [`Shard`] — tree and WAL, written through
-/// the one write loop — beside the path of its checkpoint manifest.
-pub struct DurableLsmTree {
-    shard: Shard,
-    manifest_path: PathBuf,
-}
-
-impl DurableLsmTree {
-    /// Create a fresh durable index: empty tree, empty WAL.
-    pub fn create<P: AsRef<Path>>(
-        cfg: crate::config::LsmConfig,
-        opts: TreeOptions,
-        device: Arc<dyn BlockDevice>,
-        manifest_path: P,
-        wal_path: P,
-    ) -> Result<Self> {
-        let tree = LsmTree::new(cfg, opts, device)?;
-        let shard = Shard::new(0, tree, Some(wal_path.as_ref()))?;
-        let mut durable = DurableLsmTree { shard, manifest_path: manifest_path.as_ref().into() };
-        durable.shard.state_mut().tree.checkpoint(&durable.manifest_path)?;
-        Ok(durable)
-    }
-
-    /// Recover after a crash or restart: restore the manifest, then replay
-    /// the WAL's intact prefix.
-    pub fn recover<P: AsRef<Path>>(
-        opts: TreeOptions,
-        device: Arc<dyn BlockDevice>,
-        manifest_path: P,
-        wal_path: P,
-    ) -> Result<Self> {
-        let tree = LsmTree::restore(manifest_path.as_ref(), opts, device)?;
-        let mut shard = Shard::new(0, tree, None)?;
-        shard.recover(wal_path.as_ref())?;
-        Ok(DurableLsmTree { shard, manifest_path: manifest_path.as_ref().into() })
-    }
-
-    /// Apply one request durably (validated, WAL first, then the index).
-    /// Under [`CommitMode::Group`](crate::CommitMode::Group) it returns
-    /// once an fsync covers it; otherwise the log is fsynced at
-    /// [`DurableLsmTree::sync`] and checkpoints — a crash may lose the
-    /// most recent requests but never corrupts the index.
-    pub fn apply(&mut self, req: Request) -> Result<()> {
-        self.commit(&mut [req])
-    }
-
-    /// A run of requests through the shard's write loop; under group
-    /// commit its acknowledgement is one fsync (a lone owner has no one
-    /// to share it with).
-    fn commit(&self, run: &mut [Request]) -> Result<()> {
-        let shard = &self.shard;
-        shard.apply(run, None, |durable_at| durable_at.map_or(Ok(()), |_| shard.sync_wal()))
-    }
-
-    /// Insert or update.
-    pub fn put(&mut self, key: Key, payload: impl Into<Bytes>) -> Result<()> {
-        self.apply(Request::Put(key, payload.into()))
-    }
-
-    /// Delete.
-    pub fn delete(&mut self, key: Key) -> Result<()> {
-        self.apply(Request::Delete(key))
-    }
-
-    /// Point lookup.
-    pub fn get(&mut self, key: Key) -> Result<Option<Bytes>> {
-        self.tree().get(key)
-    }
-
-    /// Make every applied request crash-durable now (fsync the WAL).
-    pub fn sync(&mut self) -> Result<()> {
-        self.shard.sync_wal()
-    }
-
-    /// Checkpoint: manifest snapshot, then WAL truncation. After this
-    /// returns, recovery needs only the manifest.
-    pub fn checkpoint(&mut self) -> Result<()> {
-        self.shard.sync_wal()?;
-        let state = self.shard.state_mut();
-        state.tree.checkpoint(&self.manifest_path)?;
-        state.wal.as_mut().map_or(Ok(()), WriteAheadLog::truncate)
-    }
-
-    /// The wrapped tree (scans, stats, verification).
-    pub fn tree(&mut self) -> &LsmTree {
-        &self.shard.state_mut().tree
-    }
-
-    /// Mutable access for maintenance (policy swaps etc.). Requests
-    /// applied directly to the tree bypass the WAL — use
-    /// [`DurableLsmTree::apply`] for data.
-    pub fn tree_mut(&mut self) -> &mut LsmTree {
-        &mut self.shard.state_mut().tree
-    }
-
-    /// Requests logged since the last checkpoint.
-    pub fn wal_backlog(&self) -> u64 {
-        self.shard.wal(WriteAheadLog::appended).unwrap_or(0)
-    }
-
-    /// Bytes of the WAL known crash-durable (see
-    /// [`WriteAheadLog::synced_len`]). Crash simulators truncate the WAL
-    /// file anywhere at or beyond this offset.
-    pub fn wal_synced_len(&self) -> u64 {
-        self.shard.wal(WriteAheadLog::synced_len).unwrap_or(0)
-    }
-
-    /// Bytes appended to the WAL since the last checkpoint, durable or not.
-    pub fn wal_len_bytes(&self) -> u64 {
-        self.shard.wal(WriteAheadLog::len_bytes).unwrap_or(0)
-    }
-}
-
-impl crate::api::WriteApi for DurableLsmTree {
-    fn apply(&mut self, req: Request) -> Result<()> {
-        DurableLsmTree::apply(self, req)
-    }
-
-    /// Fsync the WAL and drain pending maintenance.
-    fn flush(&mut self) -> Result<()> {
-        self.shard.sync_wal()?;
-        self.tree_mut().drain_maintenance()
-    }
-
-    /// Apply the whole batch in one run of the write loop: validated
-    /// whole, logged in chunks, and under group commit made durable with a
-    /// *single* fsync.
-    fn write_batch(&mut self, batch: crate::api::WriteBatch) -> Result<()> {
-        self.commit(&mut batch.into_requests())
-    }
-}
-
-impl Drop for DurableLsmTree {
-    fn drop(&mut self) {
-        // Best-effort durability on clean shutdown.
-        let _ = self.shard.sync_wal();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::LsmConfig;
+    use crate::tree::TreeOptions;
+    use crate::ShardedLsmTree;
+    use sim_ssd::BlockDevice;
 
     fn wal_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("lsm-wal-{}-{tag}.wal", std::process::id()))
@@ -793,8 +673,8 @@ mod tests {
         let second = wal.begin_sync().unwrap();
         assert_eq!(wal.synced_len(), WAL_HEADER_LEN, "a sync only begun makes nothing durable");
         // Syncs that overlap may finish in either order.
-        assert_eq!(second.finish().unwrap(), wal.len_bytes());
-        assert_eq!(first.finish().unwrap(), wal.len_bytes(), "durable already, beyond its note");
+        assert_eq!(second.finish().unwrap(), wal.pos());
+        assert_eq!(first.finish().unwrap(), wal.pos(), "durable already, beyond its note");
         assert_eq!((wal.synced_len(), wal.syncs()), (wal.len_bytes(), 2));
         wal.append(&put(3, 3)).unwrap();
         let third = wal.begin_sync().unwrap();
@@ -805,6 +685,18 @@ mod tests {
         assert_eq!(wal.syncs(), 4);
         wal.sync().unwrap();
         assert_eq!(wal.syncs(), 4, "nothing new: no fsync");
+        // A truncation leaves the position where the log ended: a sync
+        // begun before it publishes nothing after it, and every position
+        // after the cut lies beyond every one before.
+        wal.append(&put(5, 5)).unwrap();
+        let stale = wal.begin_sync().unwrap();
+        wal.truncate().unwrap();
+        let cut = wal.pos();
+        assert_eq!((cut, wal.len_bytes()), (after(5), WAL_HEADER_LEN));
+        wal.append(&put(6, 6)).unwrap();
+        assert_eq!(wal.pos(), after(6));
+        assert_eq!(stale.finish().unwrap(), cut, "a stale sync publishes the cut, no more");
+        assert_eq!(wal.synced_len(), WAL_HEADER_LEN);
         std::fs::remove_file(&path).ok();
     }
 
@@ -897,14 +789,12 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn durable_tree_survives_a_crash() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let man = dir.join(format!("lsm-dur-{pid}.manifest"));
-        let wal = dir.join(format!("lsm-dur-{pid}.wal"));
-        let dev_path = dir.join(format!("lsm-dur-{pid}.dev"));
-        let cfg = LsmConfig {
+    // A crash-durable index is a one-shard `ShardedLsmTree` with a WAL
+    // directory: each shard checkpoints to `shard-<i>.manifest` beside its
+    // `shard-<i>.wal`, and recovery restores the manifest, then replays.
+
+    fn durable_cfg() -> LsmConfig {
+        LsmConfig {
             block_size: 256,
             payload_size: 4,
             k0_blocks: 4,
@@ -912,14 +802,38 @@ mod tests {
             cache_blocks: 64,
             merge_rate: 0.25,
             ..LsmConfig::default()
-        };
+        }
+    }
+
+    fn durable_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("lsm-dur-{}-{tag}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn create(dir: &Path, opts: TreeOptions, dev: Arc<dyn BlockDevice>) -> ShardedLsmTree {
+        ShardedLsmTree::with_backend(durable_cfg(), opts, vec![dev], Some(dir), None).unwrap()
+    }
+
+    fn recover(dir: &Path, opts: TreeOptions, dev: Arc<dyn BlockDevice>) -> ShardedLsmTree {
+        ShardedLsmTree::recover_with_backend(durable_cfg(), opts, vec![dev], dir, None).unwrap()
+    }
+
+    fn mem_dev() -> Arc<dyn BlockDevice> {
+        Arc::new(sim_ssd::MemDevice::with_block_size(1 << 13, 256))
+    }
+
+    /// Bytes a 4-byte put takes in the log.
+    const PUT_FRAME: u64 = FRAME_HEADER_LEN as u64 + 13 + 4;
+
+    #[test]
+    fn durable_tree_survives_a_crash() {
+        let dir = durable_dir("crash");
+        let dev_path = dir.join("shard-0.dev");
         {
-            let dev = Arc::new(
-                sim_ssd::FileDevice::create_with_block_size(&dev_path, 1 << 13, 256).unwrap(),
-            );
-            let mut t =
-                DurableLsmTree::create(cfg.clone(), TreeOptions::default(), dev, &man, &wal)
-                    .unwrap();
+            let dev = sim_ssd::FileDevice::create_with_block_size(&dev_path, 1 << 13, 256).unwrap();
+            let t = create(&dir, TreeOptions::default(), Arc::new(dev));
             for k in 0..800u64 {
                 t.put(k, vec![(k % 251) as u8; 4]).unwrap();
             }
@@ -931,12 +845,12 @@ mod tests {
             for k in (0..100u64).step_by(2) {
                 t.delete(k).unwrap();
             }
-            t.sync().unwrap();
-            assert!(t.wal_backlog() > 0);
+            t.sync_wals().unwrap();
+            assert!(t.wal_lens()[0] > WAL_HEADER_LEN);
             std::mem::forget(t); // crash: no clean shutdown, no checkpoint
         }
         let dev = Arc::new(sim_ssd::FileDevice::open(&dev_path, 256).unwrap());
-        let mut t = DurableLsmTree::recover(TreeOptions::default(), dev, &man, &wal).unwrap();
+        let t = recover(&dir, TreeOptions::default(), dev);
         for k in 0..1_000u64 {
             let got = t.get(k).unwrap();
             if k < 100 && k % 2 == 0 {
@@ -947,10 +861,8 @@ mod tests {
                 assert_eq!(got.as_deref(), Some(&[7u8; 4][..]), "post-checkpoint key {k}");
             }
         }
-        crate::verify::check_tree(t.tree(), true).unwrap();
-        for p in [&man, &wal, &dev_path] {
-            std::fs::remove_file(p).ok();
-        }
+        t.deep_verify(true).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -958,87 +870,60 @@ mod tests {
         // Regression: `apply` logged before the tree checked the record
         // size, so a refused put stayed in the WAL and recovery aborted on
         // it — losing every acked write after it.
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let man = dir.join(format!("lsm-dur3-{pid}.manifest"));
-        let wal = dir.join(format!("lsm-dur3-{pid}.wal"));
-        let cfg = LsmConfig { block_size: 256, payload_size: 4, ..LsmConfig::default() };
-        let dev = Arc::new(sim_ssd::MemDevice::with_block_size(1 << 13, 256));
-        let mut t =
-            DurableLsmTree::create(cfg, TreeOptions::default(), dev.clone(), &man, &wal).unwrap();
+        let dir = durable_dir("refused");
+        let dev = mem_dev();
+        let t = create(&dir, TreeOptions::default(), Arc::clone(&dev));
         t.put(1, vec![1u8; 4]).unwrap();
-        let logged = t.wal_len_bytes();
+        t.checkpoint().unwrap();
+        let logged = t.wal_lens();
         let err = t.put(2, vec![0u8; 4096]).unwrap_err();
         assert!(matches!(err, crate::LsmError::RecordTooLarge { .. }), "{err}");
-        assert_eq!(t.wal_len_bytes(), logged, "a refused request must not grow the log");
+        assert_eq!(t.wal_lens(), logged, "a refused request must not grow the log");
         t.put(3, vec![3u8; 4]).unwrap();
-        t.sync().unwrap();
+        t.sync_wals().unwrap();
         std::mem::forget(t); // crash
-        let mut r = DurableLsmTree::recover(TreeOptions::default(), dev, &man, &wal)
-            .expect("recovery must not trip over the refused put");
+        let r = recover(&dir, TreeOptions::default(), dev);
         assert_eq!(r.get(1).unwrap().as_deref(), Some(&[1u8; 4][..]));
         assert_eq!(r.get(2).unwrap(), None);
         assert_eq!(r.get(3).unwrap().as_deref(), Some(&[3u8; 4][..]));
-        for p in [&man, &wal] {
-            std::fs::remove_file(p).ok();
-        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn a_group_apply_after_a_checkpoint_is_durable_by_its_own_fsync() {
-        // The log's truncation resets its offsets under the group-commit
-        // state: an apply after it must still lead an fsync of its own,
-        // not ride on an offset synced before the checkpoint.
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let (man, wal) =
-            (dir.join(format!("lsm-dur4-{pid}.manifest")), dir.join(format!("lsm-dur4-{pid}.wal")));
-        let cfg = LsmConfig { block_size: 256, payload_size: 4, ..LsmConfig::default() };
+        // The log's truncation restarts its offsets: an apply after it must
+        // still lead an fsync of its own, not ride on an offset synced
+        // before the checkpoint.
+        let dir = durable_dir("group");
         let opts = TreeOptions::builder().group_commit(crate::CommitMode::Group).build();
-        let dev = Arc::new(sim_ssd::MemDevice::with_block_size(1 << 13, 256));
-        let mut t = DurableLsmTree::create(cfg, opts.clone(), dev.clone(), &man, &wal).unwrap();
-        let syncs = |t: &DurableLsmTree| t.shard.wal(WriteAheadLog::syncs).unwrap();
+        let dev = mem_dev();
+        let t = create(&dir, opts.clone(), Arc::clone(&dev));
         for k in 0..20u64 {
             t.put(k, vec![1u8; 4]).unwrap();
         }
         t.checkpoint().unwrap();
-        let before = syncs(&t);
+        let before = t.wal_fsyncs();
         t.put(99, vec![9u8; 4]).unwrap();
-        assert_eq!(syncs(&t), before + 1, "a group apply is acknowledged by one fsync");
-        assert_eq!(t.wal_synced_len(), t.wal_len_bytes());
+        assert_eq!(t.wal_fsyncs(), before + 1, "a group apply is acknowledged by one fsync");
+        assert_eq!(t.wal_synced_lens(), t.wal_lens());
         std::mem::forget(t); // crash right after the ack
-        let mut r = DurableLsmTree::recover(opts, dev, &man, &wal).unwrap();
+        let r = recover(&dir, opts, dev);
         assert_eq!(r.get(99).unwrap().as_deref(), Some(&[9u8; 4][..]));
         assert_eq!(r.get(3).unwrap().as_deref(), Some(&[1u8; 4][..]));
-        assert_eq!(r.wal_backlog(), 1, "only the request after the checkpoint is replayed");
-        for p in [&man, &wal] {
-            std::fs::remove_file(p).ok();
-        }
+        let replayed = r.wal_lens()[0] - WAL_HEADER_LEN;
+        assert_eq!(replayed, PUT_FRAME, "only the request after the checkpoint is replayed");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn checkpoint_empties_the_backlog() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let man = dir.join(format!("lsm-dur2-{pid}.manifest"));
-        let wal = dir.join(format!("lsm-dur2-{pid}.wal"));
-        let cfg = LsmConfig {
-            block_size: 256,
-            payload_size: 4,
-            k0_blocks: 4,
-            gamma: 4,
-            cache_blocks: 64,
-            merge_rate: 0.25,
-            ..LsmConfig::default()
-        };
-        let dev = Arc::new(sim_ssd::MemDevice::with_block_size(1 << 13, 256));
-        let mut t = DurableLsmTree::create(cfg, TreeOptions::default(), dev, &man, &wal).unwrap();
+        let dir = durable_dir("backlog");
+        let t = create(&dir, TreeOptions::default(), mem_dev());
         t.put(1, vec![1u8; 4]).unwrap();
-        assert_eq!(t.wal_backlog(), 1);
+        assert_eq!(t.wal_lens(), [WAL_HEADER_LEN + PUT_FRAME]);
         t.checkpoint().unwrap();
-        assert_eq!(t.wal_backlog(), 0);
-        for p in [&man, &wal] {
-            std::fs::remove_file(p).ok();
-        }
+        assert_eq!(t.wal_lens(), [WAL_HEADER_LEN]);
+        assert!(dir.join("shard-0.manifest").exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -239,6 +239,89 @@ fn power_cut_with_merge_job_in_flight_recovers_durable_image() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Restart from levels: two `FileDevice` shards under the background pool
+/// write ten checkpoint intervals with a checkpoint after each, then half
+/// an interval more, and crash. Recovery over the same files restores
+/// every shard's levels block for block from its manifest, replays at most
+/// one interval of log, and loses no acked key.
+#[test]
+fn a_restart_restores_the_levels_and_replays_one_interval() {
+    use lsm_tree::observe::MetricsSink;
+    use sim_ssd::{BlockDevice, FileDevice};
+    const INTERVAL: u64 = 100;
+    let dir = std::env::temp_dir().join(format!("lsm-bg-restart-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let devices = |create: bool| -> Vec<Arc<dyn BlockDevice>> {
+        (0..2)
+            .map(|i| {
+                let path = dir.join(format!("shard-{i}.dev"));
+                let dev = match create {
+                    true => FileDevice::create_with_block_size(path, 1 << 14, 256),
+                    false => FileDevice::open(path, 256),
+                };
+                Arc::new(dev.unwrap()) as Arc<dyn BlockDevice>
+            })
+            .collect()
+    };
+    let levels = |t: &ShardedLsmTree| -> Vec<Vec<usize>> {
+        (0..t.shard_count())
+            .map(|i| t.with_shard_read(i, |t| t.levels().iter().map(|l| l.num_blocks()).collect()))
+            .collect()
+    };
+    let value = |k: u64| vec![(k % 251) as u8; 4];
+    let bg = opts(Scheduler::background());
+    let tree = ShardedLsmTree::with_backend(cfg(), bg, devices(true), Some(&dir), None).unwrap();
+    let mut written = Vec::new();
+    let mut put = |k: u64| {
+        tree.put(k, value(k)).unwrap();
+        written.push(k);
+    };
+    let l0_holds = |i: usize| tree.with_shard_read(i, |t| !t.memtable().is_empty());
+    let mut keys = 0u64..;
+    for _ in 0..10 {
+        keys.by_ref().take(INTERVAL as usize).for_each(&mut put);
+        // Top every shard's memtable up until it seals, so that the
+        // checkpoint finds L0 empty once the flush has drained it: then
+        // no tail of under a memtable seals, and the levels stand still.
+        while (0..2).any(l0_holds) {
+            let k = keys.next().unwrap();
+            if l0_holds(tree.shard_of(k)) {
+                put(k);
+            }
+        }
+        tree.flush().unwrap();
+        tree.checkpoint().unwrap();
+    }
+    let checkpointed = levels(&tree);
+    keys.take(INTERVAL as usize / 2).for_each(&mut put);
+    tree.sync_wals().unwrap(); // every put acked
+    let before = levels(&tree);
+    assert_eq!(before, checkpointed, "the tail sealed no memtable");
+    assert!(before.iter().all(|shard| shard.len() >= 2), "levels to restore: {before:?}");
+    std::mem::forget(tree); // crash
+
+    let metrics = Arc::new(MetricsSink::new());
+    let counts = metrics.metrics();
+    let opts = TreeOptions::builder()
+        .policy(PolicySpec::ChooseBest)
+        .scheduler(Scheduler::background())
+        .sink(SinkHandle::new(metrics))
+        .build();
+    let r = ShardedLsmTree::recover_with_backend(cfg(), opts, devices(false), &dir, None).unwrap();
+    assert_eq!(counts.counter("durability.recoveries"), 2);
+    let replayed = counts.counter("durability.replayed_requests");
+    assert!(replayed <= INTERVAL, "replayed {replayed} requests, more than an interval");
+    assert_eq!(replayed, INTERVAL / 2);
+    assert_eq!(levels(&r), before, "recovered level shapes differ");
+    for k in written {
+        assert_eq!(r.get(k).unwrap().as_deref(), Some(&value(k)[..]), "acked key {k}");
+    }
+    r.deep_verify(true).unwrap();
+    drop(r);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Group commit's acceptance contract: one writer applying request by
 /// request pays one fsync a request; 4 concurrent writers committing
 /// batches need at most half as many, and both recover to identical state.

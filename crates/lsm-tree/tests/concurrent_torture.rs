@@ -1,9 +1,11 @@
 //! Deterministic torture for the concurrent write path (ISSUE 7).
 //!
-//! Every cycle here is driven by [`lsm_tree::run_concurrent_crash_cycle`]:
-//! M seeded writers interleaved with a [`lsm_tree::SimExecutor`]'s
-//! maintenance steps and seeded group-commit fsyncs over per-shard fault
-//! devices, then a power cut, WAL tail truncation, recovery, and the
+//! Every cycle here is [`lsm_tree::run_crash_cycle`] in its concurrent
+//! shape ([`lsm_tree::TortureConfig::concurrent`]): M seeded writers
+//! interleaved with a [`lsm_tree::SimExecutor`]'s maintenance steps,
+//! seeded group-commit fsyncs and checkpoints over per-shard fault
+//! devices, then a power cut, WAL tail truncation, recovery from the
+//! manifests and the devices' durable images, and the
 //! [`lsm_tree::HistoryChecker`] prefix-durability check. The interleaving
 //! itself comes from the seed, so a failing cycle replays byte-for-byte
 //! from the seed alone — no thread-timing lottery.
@@ -17,8 +19,8 @@ use std::sync::Arc;
 
 use lsm_tree::observe::Json;
 use lsm_tree::{
-    CommitMode, ConcurrentTortureConfig, LsmConfig, LsmError, PolicySpec, SchedulerBackend,
-    ShardedLsmTree, SimExecutor, TreeOptions, WalFaultPlan,
+    CommitMode, LsmConfig, LsmError, PolicySpec, SchedulerBackend, ShardedLsmTree, SimExecutor,
+    TortureConfig, TreeOptions, WalFaultPlan,
 };
 
 fn tiny_cfg() -> LsmConfig {
@@ -40,13 +42,22 @@ fn tiny_cfg() -> LsmConfig {
 fn two_hundred_concurrent_seeds_survive() {
     let mut failures = Vec::new();
     let (mut between_halves, mut between_sync_halves, mut reads) = (0, 0, 0);
+    let (mut checkpoints, mut ckpt_between_halves, mut ckpt_between_sync_halves) = (0, 0, 0);
+    let (mut batches_acked, mut cut_in_a_batch) = (0, 0);
     for seed in 0..200u64 {
-        let cfg = ConcurrentTortureConfig::for_seed(seed);
-        match lsm_tree::run_concurrent_crash_cycle(&cfg) {
+        let cfg = TortureConfig::concurrent(seed);
+        match lsm_tree::run_crash_cycle(&cfg) {
             Ok(report) => {
                 between_halves += report.ops_between_halves;
                 between_sync_halves += report.writes_between_sync_halves;
                 reads += report.reads;
+                batches_acked += report.batches_acked;
+                // The workload ended at a batch that failed: a prefix of
+                // some shard's run may be applied and logged.
+                cut_in_a_batch += u64::from(report.batches > report.batches_acked);
+                checkpoints += report.checkpoints;
+                ckpt_between_halves += report.checkpoints_between_halves;
+                ckpt_between_sync_halves += report.checkpoints_between_sync_halves;
             }
             Err(f) => failures.push(f.to_string()),
         }
@@ -65,6 +76,13 @@ fn two_hundred_concurrent_seeds_survive() {
         between_sync_halves >= 500,
         "only {between_sync_halves} writes ran between the halves of a group sync"
     );
+    // And checkpoints: the cut must land in both gaps too.
+    assert!(checkpoints >= 100, "only {checkpoints} checkpoints");
+    assert!(ckpt_between_halves >= 1, "no checkpoint between a compute and its install");
+    assert!(ckpt_between_sync_halves >= 1, "no checkpoint between a group sync's halves");
+    // And batches: acked by their per-shard commits, and failed part-way.
+    assert!(batches_acked >= 500, "only {batches_acked} batches acked by their own commit");
+    assert!(cut_in_a_batch >= 5, "only {cut_in_a_batch} cycles ended in a failed batch");
 }
 
 /// Replaying a seed reproduces the cycle exactly: issued/acked counts,
@@ -73,9 +91,9 @@ fn two_hundred_concurrent_seeds_survive() {
 #[test]
 fn same_seed_replays_identically() {
     for seed in [3u64, 41, 77, 1234] {
-        let cfg = ConcurrentTortureConfig::for_seed(seed);
-        let a = lsm_tree::run_concurrent_crash_cycle(&cfg).expect("first run");
-        let b = lsm_tree::run_concurrent_crash_cycle(&cfg).expect("replay");
+        let cfg = TortureConfig::concurrent(seed);
+        let a = lsm_tree::run_crash_cycle(&cfg).expect("first run");
+        let b = lsm_tree::run_crash_cycle(&cfg).expect("replay");
         assert_eq!(a, b, "seed {seed} diverged between runs");
     }
 }
@@ -89,10 +107,10 @@ fn same_seed_bundles_are_byte_identical_with_scheduler_section() {
     let seed = 77u64;
     for dir in &dirs {
         std::fs::remove_dir_all(dir).ok();
-        let mut cfg = ConcurrentTortureConfig::for_seed(seed);
+        let mut cfg = TortureConfig::concurrent(seed);
         cfg.bundle_dir = Some(dir.clone());
         cfg.always_dump = true;
-        lsm_tree::run_concurrent_crash_cycle(&cfg).expect("cycle");
+        lsm_tree::run_crash_cycle(&cfg).expect("cycle");
     }
     let path_a = lsm_tree::torture::bundle_path(&dirs[0], seed);
     let a = std::fs::read(&path_a).expect("first bundle written");
@@ -118,9 +136,9 @@ fn history_checker_rejects_ack_before_fsync_bug() {
     let mut caught = 0;
     let mut sample = String::new();
     for seed in 0..40u64 {
-        let mut cfg = ConcurrentTortureConfig::for_seed(seed);
+        let mut cfg = TortureConfig::concurrent(seed);
         cfg.inject_ack_bug = true;
-        if let Err(f) = lsm_tree::run_concurrent_crash_cycle(&cfg) {
+        if let Err(f) = lsm_tree::run_crash_cycle(&cfg) {
             assert!(
                 f.message.contains("durability history violation"),
                 "seed {seed} failed for the wrong reason: {f}"
@@ -301,12 +319,12 @@ fn shutdown_between_compute_and_install_frees_the_computed_blocks() {
 fn soak_more_seeds_longer_histories() {
     let mut failures = Vec::new();
     for seed in 1_000..1_400u64 {
-        let mut cfg = ConcurrentTortureConfig::for_seed(seed);
+        let mut cfg = TortureConfig::concurrent(seed);
         cfg.ops = 400;
         cfg.writers = 4;
         cfg.shards = 3;
         cfg.continue_ops = 80;
-        if let Err(f) = lsm_tree::run_concurrent_crash_cycle(&cfg) {
+        if let Err(f) = lsm_tree::run_crash_cycle(&cfg) {
             failures.push(f.to_string());
         }
     }

@@ -32,12 +32,12 @@ echo "== benchmark crate: unit tests + smoke run against the frozen engine surfa
 # that breaks that surface must fail here, not at the benchmark gate.
 cargo test -q --release --offline --manifest-path perf/Cargo.toml
 
-echo "== crash-torture smoke (64 seeded power cuts) =="
+echo "== crash-torture smoke (64 seeded power cuts, single writer) =="
 cargo run --release -q -p lsm-bench --bin lsm_crash -- --seeds=64
 # Full soak (thousands of seeds), not part of the gate:
 #   cargo test --release --test crash_torture -- --ignored
 
-echo "== concurrent crash-torture smoke (100 seeded writer/scheduler interleavings) =="
+echo "== crash-torture smoke, concurrent shape (100 seeded writer/scheduler interleavings) =="
 cargo run --release -q -p lsm-bench --bin lsm_crash -- --scheduler=background \
     --writers=3 --shards=2 --seeds=100
 # Longer soak (more seeds, longer histories), not part of the gate:
@@ -58,9 +58,13 @@ test -s "$bundle" || { echo "missing post-mortem bundle $bundle"; exit 1; }
 cargo run --release -q -p lsm-bench --bin lsm_postmortem -- "$bundle" > /dev/null
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- check "$bundle"
 
-echo "== file-backend crash torture (16 power cuts over a real backing file) =="
+echo "== file-backend crash torture (16 + 8 power cuts over real backing files) =="
 cargo run --release -q -p lsm-bench --bin lsm_crash -- --seeds=16 --seed-base=5000 \
     --backend=file
+# The concurrent shape over FileDevice shards: recovery restores each
+# shard's manifest over its file's durable image.
+cargo run --release -q -p lsm-bench --bin lsm_crash -- --scheduler=background \
+    --backend=file --seeds=8 --seed-base=5100
 
 echo "== doctor smoke: one traced run, all five exporters, one validator pass =="
 obs_dir="$work/obs"
@@ -134,6 +138,9 @@ gone="$gone"'|ShardMergeFinish|HealthTransition|emit_transitions_to'
 gone="$gone"'|\bsum32\b'
 # Two commit modes and one write loop (PR 25).
 gone="$gone"'|PerRequest|\blog_one\b'
+# One durable engine, one crash cycle (PR 26).
+gone="$gone"'|DurableLsmTree|run_concurrent_crash_cycle|ConcurrentTortureConfig'
+gone="$gone"'|ConcurrentTortureReport'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"

@@ -18,16 +18,17 @@ use lsm_ssd_repro::lsm_tree::{
 use lsm_ssd_repro::sim_ssd::{BlockDevice, FaultDevice, FaultPlan, MemDevice};
 
 fn torture_range(lo: u64, hi: u64) {
-    let mut mid_workload_cuts = 0u64;
+    let (mut mid_workload_cuts, mut batches_acked) = (0u64, 0u64);
     let mut failures = Vec::new();
     for seed in lo..hi {
         match run_crash_cycle(&TortureConfig::for_seed(seed)) {
             Ok(report) => {
-                assert!(report.matched_prefix >= report.durable_floor, "{report:?}");
+                assert!(report.matched_prefix >= report.acked, "{report:?}");
                 assert!(report.matched_prefix <= report.issued, "{report:?}");
                 if report.cut_mid_workload {
                     mid_workload_cuts += 1;
                 }
+                batches_acked += report.batches_acked;
             }
             Err(e) => failures.push(e.to_string()),
         }
@@ -46,6 +47,8 @@ fn torture_range(lo: u64, hi: u64) {
         mid_workload_cuts * 4 >= total,
         "only {mid_workload_cuts}/{total} cuts fired mid-workload"
     );
+    // Group-commit seeds submit batches, each acked by its own commit.
+    assert!(batches_acked >= total, "only {batches_acked} batches acked over {total} seeds");
 }
 
 /// Smoke: 200 seeds, each with one power cut at a random device op.
