@@ -31,11 +31,12 @@ pub struct LsmConfig {
     pub merge_rate: f64,
     /// The buffer cache's budget, stated in blocks: `cache_blocks ×
     /// block_size` bytes. Charged to it are a cached block's frame
-    /// (`block_size`; not its index of 16 B a record) and, for a record a
-    /// get kept instead of its block, the payload plus
+    /// (`block_size`; not its index of 16 B a record) and, for a row — the
+    /// record a get's level walk found, kept instead of its block — the
+    /// payload plus
     /// [`RECORD_ENTRY_OVERHEAD`](crate::store::RECORD_ENTRY_OVERHEAD) —
     /// so a cache the data does not fit in holds more than `cache_blocks`
-    /// entries, most of them records. Fence metadata (the "internal B+tree
+    /// entries, most of them rows. Fence metadata (the "internal B+tree
     /// nodes") is always memory-resident and is *not* charged against this
     /// budget, matching the paper's pinning setup.
     pub cache_blocks: usize,

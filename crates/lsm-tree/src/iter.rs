@@ -20,19 +20,29 @@ use crate::level::{BlockProbe, Level};
 use crate::memtable::{self, Memtable};
 use crate::record::{Key, Record};
 use crate::stats::TreeStats;
-use crate::store::Store;
+use crate::store::{CachedRow, Store, WalkCost};
 use crate::tree::LsmTree;
 
 /// What a reader sees of `key`: the value of its newest version — the
 /// first found in `memtables`, then `levels`, each listed newest first —
-/// unless that is a tombstone. At most one block a level is asked for the
-/// key's record, through the cache ([`Store::read_record`]): that is one
-/// block read whatever the cache answered from. Counted in `stats`, if
-/// given.
+/// unless that is a tombstone. Counted in `stats`, if given.
+///
+/// Caching contract: after the memtables, a row the store kept for `key`
+/// at `epoch` — the install count the levels stand at, which the caller's
+/// lock holds still for the whole call — answers for the levels with what
+/// the walk that kept it found ([`Store::cached_row`]). Only without one are
+/// the levels walked: at most one block a level is asked for the key's
+/// record through the cache ([`Store::read_record`]), where a row kept at
+/// an earlier epoch answers for the block it was read from if the walk
+/// reaches that block, and a walk that ends in a pressed miss keeps its
+/// row. Either way the lookup is charged the walk's blocks and Bloom skips,
+/// so what the cache held changes no count. Writes need nothing from this:
+/// they reach only the memtables, which are asked first.
 pub(crate) fn lookup<'a>(
     memtables: impl IntoIterator<Item = &'a Memtable>,
     store: &Store,
     levels: impl IntoIterator<Item = &'a Level>,
+    epoch: u64,
     key: Key,
     stats: Option<&TreeStats>,
 ) -> Result<Option<Bytes>> {
@@ -40,21 +50,32 @@ pub(crate) fn lookup<'a>(
     if let Some(r) = memtables.into_iter().find_map(|mem| mem.get(key)) {
         return Ok(r.clone().into_value());
     }
-    let (mut found, mut block_reads, mut bloom_skips) = (None, 0, 0);
+    let charge = |cost: WalkCost| {
+        stats.inspect(|s| s.note_lookup_costs(cost.block_reads.into(), cost.bloom_skips.into()));
+    };
+    let earlier = match store.cached_row(epoch, key) {
+        CachedRow::Current(record, cost) => {
+            charge(cost);
+            return Ok(record.into_value());
+        }
+        CachedRow::Earlier(block) => Some(block),
+        CachedRow::Absent => None,
+    };
+    let (mut found, mut cost) = (None, WalkCost::default());
     for level in levels {
         match level.probe(key) {
             BlockProbe::NoBlock => {}
-            BlockProbe::FilteredOut => bloom_skips += 1,
+            BlockProbe::FilteredOut => cost.bloom_skips += 1,
             BlockProbe::Candidate(handle) => {
-                found = store.read_record(handle, key)?;
-                block_reads += 1;
+                cost.block_reads += 1;
+                found = store.read_record(handle, key, epoch, cost, earlier)?;
                 if found.is_some() {
                     break;
                 }
             }
         }
     }
-    stats.inspect(|s| s.note_lookup_costs(block_reads, bloom_skips));
+    charge(cost);
     Ok(found.and_then(Record::into_value))
 }
 

@@ -43,6 +43,10 @@ pub struct SteppedMergeTree {
     /// is a [`Level`] built by `push`: sorted disjoint blocks and the
     /// packed search index a lookup probes.
     levels: Vec<Vec<Level>>,
+    /// Changes of `levels` so far: what the buffer cache dates the rows of
+    /// level walks by (`Store::cached_row`), so every change of the runs
+    /// moves it on.
+    epoch: u64,
     stats: TreeStats,
     sink: SinkHandle,
 }
@@ -76,6 +80,7 @@ impl SteppedMergeTree {
             store,
             mem: Memtable::new(),
             levels: Vec::new(),
+            epoch: 0,
             stats: TreeStats::default(),
             sink: SinkHandle::none(),
         };
@@ -145,6 +150,7 @@ impl SteppedMergeTree {
                 if !run.is_empty() {
                     self.levels[depth].push(run);
                 }
+                self.epoch += 1;
                 self.mem = Memtable::new();
                 self.store.free_all(&blocks.retired)
             }
@@ -208,7 +214,7 @@ impl SteppedMergeTree {
     pub fn get(&self, key: Key) -> Result<Option<Bytes>> {
         let _span = self.sink.span(SpanOp::lookup());
         let runs = self.levels.iter().flat_map(|level| level.iter().rev());
-        lookup([&self.mem], &self.store, runs, key, Some(&self.stats))
+        lookup([&self.mem], &self.store, runs, self.epoch, key, Some(&self.stats))
     }
 
     /// Cost counters (same shape as the LSM-tree's).
@@ -278,6 +284,7 @@ impl crate::api::WriteApi for SteppedMergeTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{CachedRow, RowHits};
 
     fn tiny() -> SteppedMergeTree {
         let cfg = LsmConfig {
@@ -449,10 +456,13 @@ mod tests {
 
     /// What a merge does to the block ids of its inputs, by hand so that
     /// the ids are known: the run that held key 2 is freed and the next run
-    /// written takes its id over, covering key 2 again. The record a get
-    /// cached for the old run's block must not answer for the new one's.
+    /// written takes its id over, covering key 2 again. Each swap of the
+    /// runs moves the epoch on, as every real change of them does, and the
+    /// freed id's generation moves on with it, so the row a get kept over
+    /// the old run answers no get over the new one — not for the runs, and
+    /// not for the block at that id.
     #[test]
-    fn a_get_is_not_answered_by_a_record_of_the_run_that_had_the_block_id_before() {
+    fn a_get_is_not_answered_by_a_row_of_the_runs_before() {
         let cfg = LsmConfig { block_size: 1024, cache_blocks: 3, ..tiny().cfg };
         let opts = TreeOptions::builder().stepped_fan_in(3).build();
         let mut t = SteppedMergeTree::with_mem_device(cfg, opts, 64).unwrap();
@@ -460,24 +470,29 @@ mod tests {
             let records = keys.iter().map(|&k| Record::put(k, vec![version; 4])).collect();
             t.store.write_block(records).unwrap()
         };
-        let run_of = |handle: &crate::BlockHandle| {
+        let swap_runs = |t: &mut SteppedMergeTree, handle: &crate::BlockHandle| {
             let mut run = Level::new();
             run.push(handle.clone());
-            vec![vec![run]]
+            t.levels = vec![vec![run]];
+            t.epoch += 1;
         };
         let old = block(&t, &[1, 2, 3], 1);
-        t.levels = run_of(&old);
+        swap_runs(&mut t, &old);
         // A cache of three blocks, full of other blocks: the get reads the
-        // device and keeps the record; the next get finds that.
+        // device and keeps the row; the next get finds that.
         (10..13).for_each(|k| drop(block(&t, &[k], 0)));
         assert_eq!(t.get(2).unwrap().as_deref(), Some(&[1u8; 4][..]));
         assert_eq!(t.get(2).unwrap().as_deref(), Some(&[1u8; 4][..]));
-        assert_eq!(t.store.io_snapshot().reads, 1);
+        assert_eq!((t.store.io_snapshot().reads, t.store.row_hits().current), (1, 1));
+        // A put to the key is answered from the memtable, over the row.
+        t.mem.apply(Request::Put(2, Bytes::from(vec![3u8; 4])));
+        assert_eq!(t.get(2).unwrap().as_deref(), Some(&[3u8; 4][..]));
+        t.mem = Memtable::new();
         t.store.free_block(&old).unwrap();
         let new = block(&t, &[2, 5], 2);
         assert_eq!(new.id, old.id);
-        t.levels = run_of(&new);
-        // The new block's cache seed is pushed out; the old run's record,
+        swap_runs(&mut t, &new);
+        // The new block's cache seed is pushed out; the old run's row,
         // visited, is still there (`store.rs` runs these steps with the
         // cache open and checks that it is).
         (20..22).for_each(|k| drop(block(&t, &[k], 0)));
@@ -485,7 +500,43 @@ mod tests {
         assert_eq!(t.get(3).unwrap(), None);
         assert_eq!(t.get(5).unwrap().as_deref(), Some(&[2u8; 4][..]));
         assert_eq!(t.store.io_snapshot().reads, 4, "one pressed miss a get");
-        assert_eq!(t.stats().lookup_block_reads(), 5, "a cached record is a block read too");
+        assert_eq!(t.store.row_hits(), RowHits { current: 1, earlier: 0 });
+        assert_eq!(t.stats().lookup_block_reads(), 5, "a row hit counts the block it saved");
+    }
+
+    /// The same through a real flush: it changes the runs, so it moves the
+    /// epoch on, and the row a get kept before it — still cached, and its
+    /// block still live — does not answer over the newer version the flush
+    /// wrote, which the walk meets first.
+    #[test]
+    fn a_flush_moves_the_epoch_on() {
+        let cfg = LsmConfig { block_size: 1024, cache_blocks: 8, ..tiny().cfg };
+        let opts = TreeOptions::builder().stepped_fan_in(3).build();
+        let mut t = SteppedMergeTree::with_mem_device(cfg, opts, 1 << 12).unwrap();
+        for k in 0..2_000 {
+            t.put(k, vec![1u8; 4]).unwrap();
+        }
+        // Two flushes leave the first level empty: the next flush merges
+        // nothing, so little of the cache is pushed out by it.
+        t.flush_memtable().unwrap();
+        t.put(1_999, vec![1u8; 4]).unwrap();
+        t.flush_memtable().unwrap();
+        assert_eq!(t.run_counts()[0], 0);
+        // Gets all over the keys fill the cache with blocks: from then on a
+        // get that reads the device keeps its row.
+        (100..2_000).step_by(60).for_each(|k| drop(t.get(k).unwrap()));
+        assert_eq!(t.get(7).unwrap().as_deref(), Some(&[1u8; 4][..]));
+        assert_eq!(t.get(7).unwrap().as_deref(), Some(&[1u8; 4][..]));
+        assert_eq!(t.store.row_hits(), RowHits { current: 1, earlier: 0 });
+        let epoch = t.epoch;
+        t.put(7, vec![2u8; 4]).unwrap();
+        t.flush_memtable().unwrap();
+        assert_eq!(t.get(7).unwrap().as_deref(), Some(&[2u8; 4][..]));
+        assert_eq!(t.store.row_hits(), RowHits { current: 1, earlier: 0 });
+        match t.store.cached_row(epoch, 7) {
+            CachedRow::Current(stale, _) => assert_eq!(stale.payload[..], [1u8; 4]),
+            other => panic!("the stale row is gone, {other:?}: no test"),
+        }
     }
 
     #[test]

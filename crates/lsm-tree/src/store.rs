@@ -7,14 +7,16 @@
 //! write counter is exactly the paper's cost metric. Reads come in three
 //! kinds: [`Store::read_block`] caches the block it fetches (scans),
 //! [`Store::read_record`] wants one record of a block and, when the cache
-//! has no room for the block, keeps only that (gets), and
-//! [`Store::read_blocks`] caches nothing (merge inputs, which the reading
-//! step frees).
+//! has no room for the block, keeps only that record as the row of the
+//! level walk that read it (gets), and [`Store::read_blocks`] caches
+//! nothing (merge inputs, which the reading step frees).
 //!
 //! The buffer cache is one [`SieveCache`] under one byte budget,
 //! `cache_blocks × block_size`, holding two kinds of entry: a whole block,
-//! charged its frame's `block_size`, and one record of a block, charged its
-//! payload plus [`RECORD_ENTRY_OVERHEAD`].
+//! charged its frame's `block_size`, and a row — what a level walk found of
+//! one key while the levels stood at one install count, and which block
+//! it found it in — charged its payload plus [`RECORD_ENTRY_OVERHEAD`]
+//! (DESIGN.md §17.1).
 //!
 //! The store is also where device failures are absorbed:
 //!
@@ -33,6 +35,7 @@
 //!   the old manifest.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -45,7 +48,7 @@ use crate::block::{BlockHandle, DataBlock, FrameBuilder};
 use crate::bloom::BloomFilter;
 use crate::error::{LsmError, Result};
 use crate::lockorder;
-use crate::record::{Key, Record};
+use crate::record::{Key, OpKind, Record};
 
 /// Bounded retry-with-backoff for transient device errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,49 +73,100 @@ impl RetryPolicy {
     }
 }
 
-/// What a cached record is charged on top of its payload: everything else
-/// the entry allocates, as measured by `tests/cache_budget.rs` — two caches
-/// of different budgets filled with records, the difference in live heap
+/// What a row is charged on top of its payload: everything else the entry
+/// allocates, as measured by `tests/cache_budget.rs` — two caches of
+/// different budgets filled with rows, the difference in live heap
 /// (counted in malloc chunks) over the difference in entries. With 100-byte
-/// payloads an entry occupies 301–405 B, depending on where the cache's two
-/// doubling containers stand: 96 B of slab entry at a fill of 0.5–1, a
-/// 33-byte bucket of the hash index at a load under 7/8, and 160 B for the
-/// payload's buffer and its count (`Bytes` is an `Arc` of a `Vec<u8>` in
-/// the frame pool's wrapper, a newtype that adds no byte: two allocations
-/// with their headers, as measured again in PR 24). 100 + 250 is the middle
-/// of that range: what the cache holds in records is its budget give or
-/// take 15 %. A cached block is charged its frame alone; its index of 16 B
-/// a record and its entry (a fifth more) are not.
+/// payloads an entry occupies 296–405 B (the middle 80 % of 408 budget
+/// pairs 3x apart or more), depending on where the cache's two doubling
+/// containers stand: a slab entry of 104 B at a fill of 0.5–1 (a 16-byte
+/// key; a 56-byte value: the record less its key, the walk's two `u32`
+/// costs, the epoch, the block's id and its generation), a 33-byte bucket
+/// of the hash index at a load under 7/8, and 160 B for the payload's
+/// buffer and its count (`Bytes` is an `Arc` of a `Vec<u8>` in the frame
+/// pool's wrapper, a newtype that adds no byte: two allocations with their
+/// headers). 100 + 250 is the middle of that range: what the cache holds in
+/// rows is its budget give or take 15 %. A cached block is charged its
+/// frame alone; its index of 16 B a record and its entry (a fifth more)
+/// are not.
 pub const RECORD_ENTRY_OVERHEAD: usize = 250;
+
+/// What a level walk charges a lookup in the tree's statistics — the
+/// blocks it asked and the Bloom filters that turned it away — kept with a
+/// row, so that a row hit charges the walk it saved.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalkCost {
+    /// Candidate blocks asked for the key, the one that held it included.
+    pub block_reads: u32,
+    /// Levels whose filter ruled the key out.
+    pub bloom_skips: u32,
+}
 
 /// What a buffer-cache entry is of.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum CacheKey {
     /// The whole block at this id.
     Block(BlockId),
-    /// One record of the block that held `id` at `generation`.
-    Record { id: BlockId, generation: u32, key: Key },
+    /// The row of the last level walk for this key that ended in a pressed
+    /// miss, or in an earlier row answering for its block.
+    Row(Key),
 }
 
 #[derive(Clone)]
 enum Cached {
     Block(Arc<DataBlock>),
-    /// A copy: it views no frame.
-    Record(Record),
+    /// The record the walk found, less its key (the row's) — a copy: it
+    /// views no frame — with two dates. While the levels stand at install
+    /// count `epoch` it answers for all of them, at the walk's `cost`. Past
+    /// that it still answers for the block it was read from, the one at
+    /// `block` in `generation` (that id's releases so far): a later walk
+    /// that reaches that block is spared the device read.
+    Row {
+        op: OpKind,
+        payload: Bytes,
+        cost: WalkCost,
+        epoch: u64,
+        block: BlockId,
+        generation: u32,
+    },
 }
 
-/// The buffer cache and what dates its record entries.
+/// Lookups rows answered, by how much of the walk they spared
+/// ([`Store::row_hits`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RowHits {
+    /// Answered at the epoch they were kept: no level was walked.
+    pub current: u64,
+    /// Kept at an earlier epoch, answered for their block at the end of a
+    /// walk: no device read.
+    pub earlier: u64,
+}
+
+/// What the buffer cache holds of a get's level walk ([`Store::cached_row`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CachedRow {
+    /// The row kept at the levels' epoch: the walk's record and its cost.
+    Current(Record, WalkCost),
+    /// A row kept at an earlier epoch from the block at this id, which is
+    /// still the block that held the key: it answers if the walk reaches
+    /// that block ([`Store::read_record`]).
+    Earlier(BlockId),
+    /// No row that can answer.
+    Absent,
+}
+
+/// The buffer cache, what dates its rows' blocks, what a block entry
+/// weighs in it, and how often a row answered.
 struct BufferCache {
     entries: SieveCache<CacheKey, Cached>,
     /// How often each id has gone back to the allocator (none yet for an
-    /// id past the end). A record entry is keyed by its block's id *and*
-    /// generation, so when an id is released every record cached under it
-    /// stops matching — it is valid exactly as long as the cached block
-    /// would have been — and ages out unvisited; the block that gets the
-    /// id next starts with none.
+    /// id past the end). A row names its block by id *and* generation, so
+    /// when an id is released no row read from the block that had it can
+    /// answer for the next block to get it.
     generations: Vec<u32>,
-    /// What a block entry weighs: the device's block size.
+    /// The device's block size.
     block_weight: usize,
+    row_hits: RowHits,
 }
 
 impl BufferCache {
@@ -121,9 +175,8 @@ impl BufferCache {
         self.entries.insert_weighted(CacheKey::Block(id), Cached::Block(block), self.block_weight);
     }
 
-    fn record_key(&self, id: BlockId, key: Key) -> CacheKey {
-        let generation = self.generations.get(id.raw() as usize).copied().unwrap_or(0);
-        CacheKey::Record { id, generation, key }
+    fn generation(&self, id: BlockId) -> u32 {
+        self.generations.get(id.raw() as usize).copied().unwrap_or(0)
     }
 }
 
@@ -132,6 +185,9 @@ pub struct Store {
     device: Arc<dyn BlockDevice>,
     alloc: BlockAllocator,
     cache: Mutex<BufferCache>,
+    /// Whether a row was ever kept: until then a lookup skips the row
+    /// probe, and with it the cache's lock.
+    holds_rows: AtomicBool,
     bloom_bits_per_key: usize,
     retry: RetryPolicy,
     /// Blocks that failed an integrity check: id → lost key range. Their
@@ -197,7 +253,9 @@ impl Store {
                 entries: SieveCache::new(cache_blocks.max(1) * block_weight),
                 generations: Vec::new(),
                 block_weight,
+                row_hits: RowHits::default(),
             }),
+            holds_rows: AtomicBool::new(false),
             bloom_bits_per_key,
             retry: RetryPolicy::default(),
             quarantined: Mutex::new(BTreeMap::new()),
@@ -326,9 +384,8 @@ impl Store {
 
     /// Read a block through the cache. Transient device errors are retried;
     /// corruption (device ECC or codec checksum) quarantines the block and
-    /// surfaces as [`LsmError::Degraded`] naming the lost key range. Only a
-    /// cached block is a hit — cached records of it are no use to a reader
-    /// of the whole — and a miss caches the block.
+    /// surfaces as [`LsmError::Degraded`] naming the lost key range. A
+    /// cached block is a hit, and a miss caches the block.
     pub fn read_block(&self, handle: &BlockHandle) -> Result<Arc<DataBlock>> {
         if let Some(Cached::Block(hit)) = self.cache.lock().entries.get(&CacheKey::Block(handle.id))
         {
@@ -339,43 +396,116 @@ impl Store {
         Ok(block)
     }
 
-    /// `key`'s record in the block at `handle`, if it has one: what a get
-    /// wants of a block. One cache lookup — a hit when the cached block
-    /// answers or, failing that, a cached record of it — and on a miss one
-    /// device read, decoded and checked like [`read_block`]'s. What the miss
-    /// leaves behind depends on room: while the whole block fits without
-    /// evicting anything it is cached, as `read_block` would; once the
-    /// cache is full only the record found is — a copy of its payload,
-    /// charged that plus [`RECORD_ENTRY_OVERHEAD`] — and the frame is
-    /// dropped, so the returned record pins nothing. A key the block does
-    /// not hold leaves nothing. (Where a record would be charged no less
-    /// than its block — blocks of a few hundred bytes, payloads that fill
-    /// one — the block is what a found key leaves, at any fill.)
+    /// What the cache holds of the level walk for `key` while the levels
+    /// stand at install count `epoch`: a row kept at that epoch answers for
+    /// all of them — a cache hit, the walk's record and its cost; a row
+    /// kept earlier, from a block that has not been released since, may
+    /// answer for that block at the end of the walk, and counts as nothing
+    /// here, as does no row. A store that has never kept a row answers at
+    /// once, without the cache's lock.
+    pub fn cached_row(&self, epoch: u64, key: Key) -> CachedRow {
+        if !self.holds_rows.load(Ordering::Relaxed) {
+            return CachedRow::Absent;
+        }
+        let mut cache = self.cache.lock();
+        let current = cache.entries.hit_if(&CacheKey::Row(key), |row| match row {
+            Cached::Row { op, payload, cost, epoch: kept, .. } if *kept == epoch => {
+                Some((Record { key, op: *op, payload: payload.clone() }, *cost))
+            }
+            _ => None,
+        });
+        if let Some((record, cost)) = current {
+            cache.row_hits.current += 1;
+            return CachedRow::Current(record, cost);
+        }
+        match cache.entries.peek(&CacheKey::Row(key)) {
+            Some(&Cached::Row { block, generation, .. })
+                if generation == cache.generation(block) =>
+            {
+                CachedRow::Earlier(block)
+            }
+            _ => CachedRow::Absent,
+        }
+    }
+
+    /// Lookups rows have answered so far ([`cached_row`] and
+    /// [`read_record`]); each of them is also one of the cache's hits.
+    ///
+    /// [`cached_row`]: Store::cached_row
+    /// [`read_record`]: Store::read_record
+    pub fn row_hits(&self) -> RowHits {
+        self.cache.lock().row_hits
+    }
+
+    /// `key`'s record in the block at `handle`, if it has one: what the
+    /// level walk of a get at `epoch` wants of a block. One cache lookup —
+    /// a hit when the cached block answers or, if `earlier` names this
+    /// block ([`CachedRow::Earlier`]), `key`'s row read from it — and on a
+    /// miss one device read, decoded and checked like [`read_block`]'s. A
+    /// row that answers is dated `epoch` and `cost`, the walk's cost up to
+    /// and including this block, from then on. What a miss leaves behind
+    /// depends on room: while the whole block fits without evicting
+    /// anything it is cached, as `read_block` would; once the cache is full
+    /// only the record found is, as the walk's row — a copy of its payload,
+    /// dated as above and by the block, charged the payload plus
+    /// [`RECORD_ENTRY_OVERHEAD`] — and the frame is dropped, so the
+    /// returned record pins nothing. A key the block does not hold leaves
+    /// nothing. (Where a row would be charged no less than its block —
+    /// blocks of a few hundred bytes, payloads that fill one — the block is
+    /// what a found key leaves, at any fill.)
     ///
     /// [`read_block`]: Store::read_block
-    pub fn read_record(&self, handle: &BlockHandle, key: Key) -> Result<Option<Record>> {
-        let record_key = {
+    pub fn read_record(
+        &self,
+        handle: &BlockHandle,
+        key: Key,
+        epoch: u64,
+        cost: WalkCost,
+        earlier: Option<BlockId>,
+    ) -> Result<Option<Record>> {
+        let generation = {
             let mut cache = self.cache.lock();
-            if let Some(Cached::Block(block)) = cache.entries.hit(&CacheKey::Block(handle.id)) {
+            let generation = cache.generation(handle.id);
+            if earlier == Some(handle.id) {
+                let answered = cache.entries.hit_if(&CacheKey::Row(key), |row| match row {
+                    Cached::Row { op, payload, cost: c, epoch: e, block, generation: g }
+                        if *block == handle.id && *g == generation =>
+                    {
+                        (*c, *e) = (cost, epoch);
+                        Some(Record { key, op: *op, payload: payload.clone() })
+                    }
+                    _ => None,
+                });
+                if let Some(record) = answered {
+                    cache.row_hits.earlier += 1;
+                    return Ok(Some(record));
+                }
+            }
+            if let Some(Cached::Block(block)) = cache.entries.get(&CacheKey::Block(handle.id)) {
                 drop(cache);
                 return Ok(block.find(key));
             }
-            let record_key = cache.record_key(handle.id, key);
-            if let Some(Cached::Record(record)) = cache.entries.get(&record_key) {
-                return Ok(Some(record));
-            }
-            record_key
+            generation
         };
         let block = self.adopt_frame(handle, self.with_retries(|| self.device.read(handle.id)))?;
         let found = block.find(key);
         let mut cache = self.cache.lock();
         let pressed = cache.entries.weight() + cache.block_weight > cache.entries.capacity();
-        let record_weight = |r: &Record| r.payload.len() + RECORD_ENTRY_OVERHEAD;
+        let row_weight = |r: &Record| r.payload.len() + RECORD_ENTRY_OVERHEAD;
         match found {
-            Some(record) if pressed && record_weight(&record) < cache.block_weight => {
+            Some(record) if pressed && row_weight(&record) < cache.block_weight => {
                 let copy = Record { payload: Bytes::copy_from_slice(&record.payload), ..record };
-                let entry = Cached::Record(copy.clone());
-                cache.entries.insert_weighted(record_key, entry, record_weight(&copy));
+                let weight = row_weight(&copy);
+                let row = Cached::Row {
+                    op: copy.op,
+                    payload: copy.payload.clone(),
+                    cost,
+                    epoch,
+                    block: handle.id,
+                    generation,
+                };
+                cache.entries.insert_weighted(CacheKey::Row(key), row, weight);
+                self.holds_rows.store(true, Ordering::Relaxed);
                 Ok(Some(copy))
             }
             None if pressed => Ok(None),
@@ -446,8 +576,8 @@ impl Store {
     }
 
     /// The one way an id goes back to the allocator: its generation moves
-    /// on first, so no record cached for the block that had the id can
-    /// answer for the next block to get it.
+    /// on first, so no row read from the block that had the id can answer
+    /// for the next block to get it.
     fn release(&self, id: BlockId) {
         {
             let generations = &mut self.cache.lock().generations;
@@ -883,8 +1013,8 @@ mod tests {
         assert_eq!((s.live_blocks(), s.io_snapshot().trims), (0, 4));
     }
 
-    /// 1 KiB blocks, so that a record entry (4-byte payloads) is the lighter
-    /// thing to keep, and a cache of three of them.
+    /// 1 KiB blocks, so that a row (4-byte payloads) is the lighter thing
+    /// to keep, and a cache of three of them.
     fn pressed_store() -> (Arc<FaultDevice>, Store) {
         let inner = Arc::new(MemDevice::with_block_size(64, 1024));
         let dev = Arc::new(FaultDevice::new(inner, 1));
@@ -897,8 +1027,11 @@ mod tests {
         keys.iter().map(|&k| Record::put(k, vec![version; 4])).collect()
     }
 
+    /// What a walk that asked one block and nothing else charges.
+    const ONE_READ: WalkCost = WalkCost { block_reads: 1, bloom_skips: 0 };
+
     #[test]
-    fn a_pressed_miss_keeps_the_record_and_a_miss_with_room_the_block() {
+    fn a_pressed_miss_keeps_the_row_and_a_miss_with_room_the_block() {
         let (_dev, s) = pressed_store();
         // Four blocks through a cache of three: the first is pushed out and
         // the cache is left full.
@@ -910,70 +1043,115 @@ mod tests {
         let (reads_before, before) = (s.io_snapshot().reads, s.cache_stats());
         let reads = || s.io_snapshot().reads - reads_before;
 
-        let found = s.read_record(&a, 2).unwrap().expect("present");
+        assert_eq!(s.cached_row(0, 2), CachedRow::Absent, "no row kept yet");
+        let cost = WalkCost { block_reads: 2, bloom_skips: 1 };
+        let found = s.read_record(&a, 2, 0, cost, None).unwrap().expect("present");
         assert_eq!((reads(), &found.payload[..]), (1, &[1u8; 4][..]));
         assert!(!lies_within(&found.payload, &frame_a), "a pressed miss returns a copy");
-        // What stayed is that record: it answers again, its neighbour does not.
-        assert_eq!(s.read_record(&a, 2).unwrap(), Some(found));
-        assert_eq!(reads(), 1);
-        assert_eq!(s.read_record(&a, 3).unwrap(), Some(Record::put(3, vec![1u8; 4])));
-        assert_eq!(reads(), 2);
+        // What stayed is that row, with the walk's cost: it answers for its
+        // key at its epoch; past it, only for its block; for no other key.
+        assert_eq!(s.cached_row(0, 2), CachedRow::Current(found, cost));
+        assert_eq!(s.cached_row(1, 2), CachedRow::Earlier(a.id));
+        assert_eq!(s.cached_row(0, 3), CachedRow::Absent);
+        assert_eq!(s.row_hits(), RowHits { current: 1, earlier: 0 });
+        // The block was not kept: its neighbour is read again.
+        let neighbour = s.read_record(&a, 3, 0, ONE_READ, None).unwrap();
+        assert_eq!((reads(), neighbour), (2, Some(Record::put(3, vec![1u8; 4]))));
         // A key the block does not hold leaves nothing behind.
         let resident = s.cache_stats().resident;
-        assert_eq!(s.read_record(&a, 7).unwrap(), None);
+        assert_eq!(s.read_record(&a, 7, 0, ONE_READ, None).unwrap(), None);
         assert_eq!((reads(), s.cache_stats().resident), (3, resident));
-        // One lookup a call, whatever answered it.
+        // A block asked and a row found are one lookup each; a row absent,
+        // or kept at an earlier epoch, is none.
         let after = s.cache_stats();
         assert_eq!((after.hits - before.hits, after.misses - before.misses), (1, 3));
         assert!(after.resident <= after.capacity);
-        // A whole-block reader gets nothing out of cached records.
+        // A whole-block reader gets nothing out of rows.
         assert_eq!(s.read_block(&a).unwrap().len(), 3);
         assert_eq!(reads(), 4);
 
         // Room again — three blocks freed: the next miss keeps its block,
-        // which then answers for every key, found or not.
+        // which then answers for every key, found or not, and no row.
         s.free_all(&others[..2]).unwrap();
         s.free_block(&a).unwrap();
         s.cache.lock().entries.remove(&CacheKey::Block(b.id));
-        let found = s.read_record(b, 12).unwrap().expect("present");
+        let found = s.read_record(b, 12, 0, ONE_READ, None).unwrap().expect("present");
         assert_eq!(reads(), 5);
         assert!(lies_within(&found.payload, &frame_b), "a view of the cached block's frame");
-        assert_eq!(s.read_record(b, 13).unwrap(), None);
+        assert_eq!(s.read_record(b, 13, 0, ONE_READ, None).unwrap(), None);
         assert_eq!(reads(), 5);
+        assert_eq!(s.cached_row(0, 12), CachedRow::Absent);
+        assert_eq!(s.row_hits(), RowHits { current: 1, earlier: 0 });
     }
 
-    /// The allocator reuses ids LIFO. A record cached for the block that
-    /// had an id must not answer for the block that has it next, although
-    /// nothing visits the cache's records when a block is freed.
+    /// Past the epoch it was kept at, a row still holds its block's record:
+    /// a walk at the next epoch that reaches that block — and only that
+    /// block — is answered by it without a device read, and from then on
+    /// the row is the new walk's, cost and epoch.
     #[test]
-    fn a_record_cached_for_a_freed_block_does_not_answer_for_the_next_block_at_its_id() {
+    fn a_row_of_an_earlier_epoch_answers_for_its_block_and_is_the_new_walks_from_then_on() {
+        let (_dev, s) = pressed_store();
+        let a = s.write_block(versioned(&[1, 2, 3], 1)).unwrap();
+        let newer = s.write_block(versioned(&[0, 4], 2)).unwrap();
+        for k in 10..12u64 {
+            s.write_block(versioned(&[k], 1)).unwrap();
+        }
+        let kept = s.read_record(&a, 2, 0, ONE_READ, None).unwrap().expect("present");
+        let reads = s.io_snapshot().reads;
+        // An install put `newer` above `a`: the walk for key 2 asks it
+        // first, which the row does not answer for.
+        assert_eq!(s.cached_row(1, 2), CachedRow::Earlier(a.id));
+        assert_eq!(s.read_record(&newer, 2, 1, ONE_READ, Some(a.id)).unwrap(), None);
+        assert_eq!(s.io_snapshot().reads, reads + 1);
+        let hits = s.cache_stats().hits;
+        let cost = WalkCost { block_reads: 2, bloom_skips: 0 };
+        assert_eq!(s.read_record(&a, 2, 1, cost, Some(a.id)).unwrap(), Some(kept.clone()));
+        assert_eq!(s.io_snapshot().reads, reads + 1, "the row answered for its block");
+        assert_eq!(s.cache_stats().hits, hits + 1);
+        assert_eq!(s.row_hits(), RowHits { current: 0, earlier: 1 });
+        assert_eq!(s.cached_row(1, 2), CachedRow::Current(kept, cost));
+        assert_eq!(s.cached_row(0, 2), CachedRow::Earlier(a.id));
+    }
+
+    /// The allocator reuses ids LIFO, and nothing visits the cache's rows
+    /// when a block is freed. A row names its block by id and generation:
+    /// the release of the id moves its generation on, so a row kept from
+    /// the old block answers for no walk that reaches the new one, even at
+    /// the same id.
+    #[test]
+    fn a_row_kept_from_a_freed_block_does_not_answer_for_the_next_block_at_its_id() {
         let (_dev, s) = pressed_store();
         let old = s.write_block(versioned(&[1, 2, 3], 1)).unwrap();
         for k in 10..13u64 {
             s.write_block(versioned(&[k], 1)).unwrap();
         }
-        assert_eq!(s.read_record(&old, 2).unwrap().unwrap().payload[..], [1u8; 4]);
-        assert_eq!(s.read_record(&old, 2).unwrap().unwrap().payload[..], [1u8; 4]);
-        assert_eq!(s.io_snapshot().reads, 1, "the second came from the cached record");
+        let kept = s.read_record(&old, 2, 0, ONE_READ, None).unwrap().unwrap();
+        assert_eq!(kept.payload[..], [1u8; 4]);
+        assert_eq!(s.cached_row(0, 2), CachedRow::Current(kept, ONE_READ));
         s.free_block(&old).unwrap();
         let new = s.write_block(versioned(&[2, 5], 2)).unwrap();
         assert_eq!(new.id, old.id, "the freed id is the next one handed out");
-        // Push the new block's seed out of the cache; the old block's
-        // record, visited, outlasts it.
+        // Push the new block's seed out of the cache; the old block's row,
+        // visited, outlasts it.
         for k in 20..22u64 {
             s.write_block(versioned(&[k], 1)).unwrap();
         }
-        let stale = CacheKey::Record { id: old.id, generation: 0, key: 2 };
         {
             let cache = s.cache.lock();
             assert!(cache.entries.peek(&CacheKey::Block(new.id)).is_none(), "seed still cached");
-            assert!(cache.entries.peek(&stale).is_some(), "the stale record is gone: no test");
+            assert!(
+                cache.entries.peek(&CacheKey::Row(2)).is_some(),
+                "the stale row is gone: no test"
+            );
         }
+        // The levels that hold the new block stand at the next epoch.
+        assert_eq!(s.cached_row(1, 2), CachedRow::Absent);
         let reads = s.io_snapshot().reads;
-        assert_eq!(s.read_record(&new, 2).unwrap().unwrap().payload[..], [2u8; 4]);
+        let got = s.read_record(&new, 2, 1, ONE_READ, Some(new.id)).unwrap().unwrap();
+        assert_eq!(got.payload[..], [2u8; 4]);
         assert_eq!(s.io_snapshot().reads, reads + 1, "answered by the device, not the cache");
-        assert_eq!(s.read_record(&new, 2).unwrap().unwrap().payload[..], [2u8; 4]);
-        assert_eq!(s.io_snapshot().reads, reads + 1, "and cached under the id's new generation");
+        assert_eq!(s.cached_row(1, 2), CachedRow::Current(got, ONE_READ));
+        assert_eq!(s.row_hits(), RowHits { current: 2, earlier: 0 });
     }
 
     /// A corrupt frame behind `read_record` is handled as behind
@@ -988,13 +1166,16 @@ mod tests {
         dev.set_plan(FaultPlan::none());
         let good: Vec<BlockHandle> =
             (0..3u64).map(|k| s.write_block(versioned(&[k], 1)).unwrap()).collect();
-        match s.read_record(&bad, 40) {
+        match s.read_record(&bad, 40, 0, ONE_READ, None) {
             Err(LsmError::Degraded { ranges }) => assert_eq!(ranges, vec![(40, 60)]),
             other => panic!("expected Degraded, got {other:?}"),
         }
         assert_eq!(s.quarantined_ids(), vec![bad.id.raw()]);
         assert!(sink.drain().iter().any(|e| matches!(e, Event::BlockQuarantined { .. })));
-        assert!(s.read_record(&good[0], 0).unwrap().is_some(), "healthy blocks unaffected");
+        assert!(
+            s.read_record(&good[0], 0, 0, ONE_READ, None).unwrap().is_some(),
+            "healthy blocks unaffected"
+        );
         let live = s.live_blocks();
         s.free_block(&bad).unwrap();
         assert_eq!(s.live_blocks(), live, "quarantined id must not be recycled");

@@ -248,6 +248,8 @@ pub struct LsmTree {
     commit: CommitMode,
     /// Step outcomes installed so far: a snapshot records it, and an
     /// outcome may only be installed on the state it was computed from.
+    /// Also the levels' epoch: they change only at an install, so the
+    /// buffer cache dates what a level walk found by it (`Store::cached_row`).
     installs: u64,
 }
 
@@ -386,17 +388,21 @@ impl LsmTree {
     /// (`Bytes::copy_from_slice`) to keep it long-term. A value read past a
     /// full cache is a copy of its own and pins nothing.
     ///
-    /// Caching contract: each level asked costs one buffer-cache lookup
-    /// ([`Store::read_record`]) — a hit if the cached block, or a cached
-    /// record of it, answers — and a miss reads the device. The miss leaves
-    /// the block in the cache while there is room for it without evicting
-    /// anything, and only the record found once the cache is full. Exactly
-    /// like [`LsmTree::peek`]. `get` additionally updates the tree's own
-    /// [`TreeStats`] lookup counters, where a block asked counts as a block
-    /// read whatever answered. Those counters are relaxed atomics, so `get`
-    /// takes `&self` and concurrent readers (e.g. through
-    /// [`crate::ShardedLsmTree`]) are all accounted rather than silently
-    /// dropped.
+    /// Caching contract: past the memtables, a row the buffer cache kept
+    /// for `key` at the tree's install count answers for every level at
+    /// once ([`Store::cached_row`]). Without one, each level asked costs one
+    /// buffer-cache lookup ([`Store::read_record`]) — a hit if the cached
+    /// block answers, or a row kept at an earlier install count from that
+    /// very block — and a miss reads the device. The miss leaves the
+    /// block in the cache while there is room for it without evicting
+    /// anything, and once the cache is full only the record found, as the
+    /// walk's row. Exactly like [`LsmTree::peek`]. `get` additionally
+    /// updates the tree's own [`TreeStats`] lookup counters, where a block
+    /// asked counts as a block read whatever answered, and a row hit counts
+    /// the blocks and Bloom skips of the walk that kept it. Those counters
+    /// are relaxed atomics, so `get` takes `&self` and concurrent readers
+    /// (e.g. through [`crate::ShardedLsmTree`]) are all accounted rather
+    /// than silently dropped.
     pub fn get(&self, key: Key) -> Result<Option<Bytes>> {
         let _span = self.env.sink.span(SpanOp::lookup());
         self.lookup(key, Some(&self.stats))
@@ -406,23 +412,25 @@ impl LsmTree {
     /// documented no-stats path for probes that must not perturb the
     /// measurement (doctors, verifiers, learner probes).
     ///
-    /// Caching contract: identical probing path as [`LsmTree::get`] (what
-    /// answers is marked visited in the buffer cache and counts in its
-    /// statistics, and a miss leaves the block or the record behind); only
-    /// the per-tree lookup counters are skipped.
+    /// Caching contract: identical probing path as [`LsmTree::get`] (a row
+    /// or a block that answers is marked visited in the buffer cache and
+    /// counts in its statistics, and a miss leaves the block or the row
+    /// behind); only the per-tree lookup counters are skipped.
     pub fn peek(&self, key: Key) -> Result<Option<Bytes>> {
         self.lookup(key, None)
     }
 
     /// The one lookup path behind [`LsmTree::get`] and [`LsmTree::peek`]:
     /// the live memtable, the sealed ones newest first (all of them newer
-    /// than any level), then the levels top-down. `get` has it counted in
-    /// the tree's statistics — through relaxed atomics, so concurrent
-    /// readers are all counted — and `peek` has not.
+    /// than any level), then the levels top-down, which stand at install
+    /// count `installs` for as long as `&self` is held. `get` has it
+    /// counted in the tree's statistics — through relaxed atomics, so
+    /// concurrent readers are all counted — and `peek` has not.
     fn lookup(&self, key: Key, stats: Option<&TreeStats>) -> Result<Option<Bytes>> {
         let memtables = std::iter::once(&self.mem).chain(self.imm.iter().rev());
         let levels = self.levels.iter().map(|level| &**level);
-        lookup(memtables.map(|mem| &**mem), &self.env.store, levels, key, stats)
+        let store = &self.env.store;
+        lookup(memtables.map(|mem| &**mem), store, levels, self.installs, key, stats)
     }
 
     // ------------------------------------------------------------------
@@ -1027,6 +1035,7 @@ impl crate::api::WriteApi for LsmTree {
 mod tests {
     use super::*;
     use crate::policy::MixedParams;
+    use crate::store::{CachedRow, RowHits};
 
     fn tiny_cfg() -> LsmConfig {
         // 256-byte blocks, 4-byte payloads → record 17 B, B = 14.
@@ -1048,6 +1057,40 @@ mod tests {
 
     fn payload(k: Key) -> Vec<u8> {
         vec![(k % 251) as u8; 4]
+    }
+
+    /// A get's row answers while the levels stand where they stood when it
+    /// was kept. A put to its key after that is answered from the memtable,
+    /// and once the put has reached the levels — through installs — the old
+    /// row, still cached, answers nothing.
+    #[test]
+    fn a_row_answers_until_an_install_and_never_over_a_newer_put() {
+        // 1 KiB blocks and a cache of eight, full from the first merges on,
+        // so a get that reads the device keeps its row.
+        let cfg = LsmConfig { block_size: 1024, cache_blocks: 8, ..tiny_cfg() };
+        let mut t = LsmTree::with_mem_device(cfg, TreeOptions::default(), 1 << 12).unwrap();
+        for k in 0..2_000 {
+            t.put(k, payload(k)).unwrap();
+        }
+        assert!(t.memtable().get(7).is_none(), "key 7 is in a level");
+        let (epoch, reads) = (t.installs, t.store().io_snapshot().reads);
+        assert_eq!(t.get(7).unwrap().as_deref(), Some(&payload(7)[..]));
+        assert_eq!(t.store().io_snapshot().reads, reads + 1);
+        assert_eq!(t.get(7).unwrap().as_deref(), Some(&payload(7)[..]));
+        assert_eq!(t.store().io_snapshot().reads, reads + 1, "the row answered");
+        assert_eq!(t.store().row_hits().current, 1);
+
+        t.apply_buffered(Request::Put(7, Bytes::from(vec![9u8; 4]))).unwrap();
+        assert_eq!(t.get(7).unwrap().as_deref(), Some(&[9u8; 4][..]), "the memtable answers");
+        assert!(t.seal_memtable());
+        t.drain_maintenance().unwrap();
+        assert!(t.installs > epoch && t.imm_count() == 0 && t.memtable().get(7).is_none());
+        assert_eq!(t.get(7).unwrap().as_deref(), Some(&[9u8; 4][..]), "the level answers");
+        assert_eq!(t.store().row_hits(), RowHits { current: 1, earlier: 0 });
+        match t.store().cached_row(epoch, 7) {
+            CachedRow::Current(stale, _) => assert_eq!(stale.payload[..], payload(7)[..]),
+            other => panic!("the stale row is gone, {other:?}: no test"),
+        }
     }
 
     #[test]

@@ -609,3 +609,84 @@ fn reads_stay_correct_across_hundreds_of_installs() {
         }
     }
 }
+
+/// Rows under concurrency: a cache of eight 1 KiB blocks, far too small
+/// for the data, so a get that reads the device keeps its row, and a
+/// reader that keeps asking for a few hot keys is answered by rows — while
+/// a writer rewrites those keys with increasing versions among puts to
+/// cold keys that keep the workers installing. Every version a get returns
+/// was written, and none is older than one this reader saw before or one
+/// acknowledged before the get began.
+#[test]
+fn rows_answer_hot_gets_with_no_stale_version_across_installs() {
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+
+    const HOT: u64 = 24;
+    const COLD: std::ops::Range<u64> = 1_000..3_000;
+    let version_of = |v: &Bytes| u32::from_le_bytes(v[..4].try_into().unwrap());
+    let cfg = LsmConfig { block_size: 1024, cache_blocks: 8, k0_blocks: 1, ..cfg() };
+    let tree =
+        ShardedLsmTree::with_mem_devices(cfg, opts(Scheduler::background()), 2, 1 << 14).unwrap();
+    for k in (0..HOT).chain(COLD) {
+        tree.put(k, 0u32.to_le_bytes().to_vec()).unwrap();
+    }
+    // Per hot key: the newest version a put was begun with, and the newest
+    // one acknowledged.
+    let issued: Vec<AtomicU32> = (0..HOT).map(|_| AtomicU32::new(0)).collect();
+    let acked: Vec<AtomicU32> = (0..HOT).map(|_| AtomicU32::new(0)).collect();
+    let done = AtomicBool::new(false);
+    let start = std::sync::Barrier::new(2);
+
+    std::thread::scope(|s| {
+        let (tree, issued, acked, done, start) = (&tree, &issued, &acked, &done, &start);
+        s.spawn(move || {
+            start.wait();
+            let mut x = 0x0DD5_u64;
+            for _ in 0..40_000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                if !(x >> 8).is_multiple_of(16) {
+                    let k = COLD.start + (x >> 24) % (COLD.end - COLD.start);
+                    tree.put(k, 0u32.to_le_bytes().to_vec()).unwrap();
+                    continue;
+                }
+                let k = ((x >> 24) % HOT) as usize;
+                let v = issued[k].load(Ordering::Relaxed) + 1;
+                issued[k].store(v, Ordering::Release);
+                tree.put(k as u64, v.to_le_bytes().to_vec()).unwrap();
+                acked[k].store(v, Ordering::Release);
+            }
+            done.store(true, Ordering::Release);
+        });
+        s.spawn(move || {
+            start.wait();
+            let mut seen = [0u32; HOT as usize];
+            let mut x = 0xF00D_u64;
+            while !done.load(Ordering::Acquire) {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let k = ((x >> 24) % HOT) as usize;
+                let floor = acked[k].load(Ordering::Acquire);
+                let got = tree.get(k as u64).unwrap().unwrap_or_else(|| panic!("key {k} missed"));
+                let v = version_of(&got);
+                let written = issued[k].load(Ordering::Acquire);
+                assert!(v <= written, "key {k}: read {v}, but only {written} were written");
+                assert!(v >= floor, "key {k}: read {v} after {floor} was acked");
+                assert!(v >= seen[k], "key {k}: read {v} after reading {}", seen[k]);
+                seen[k] = v;
+            }
+        });
+    });
+
+    tree.flush().unwrap();
+    tree.deep_verify(true).unwrap();
+    let installs: u64 =
+        tree.shard_stats().iter().flat_map(|s| &s.levels).map(|l| l.merges_in).sum();
+    let row_hits: u64 = (0..tree.shard_count())
+        .map(|i| tree.with_shard_read(i, |t| t.store().row_hits()))
+        .map(|hits| hits.current + hits.earlier)
+        .sum();
+    assert!(installs >= 200 && row_hits > 0, "{installs} installs, {row_hits} row hits");
+    for (k, acked) in acked.iter().enumerate() {
+        let got = tree.get(k as u64).unwrap().expect("hot key");
+        assert_eq!(version_of(&got), acked.load(Ordering::Relaxed), "key {k} final version");
+    }
+}

@@ -23,9 +23,9 @@
 //! had set).
 //!
 //! The index hashes with `MixHasher`, a fixed multiply–xorshift: a get
-//! looks its key up once or twice, and the keys — block ids, generations,
-//! user keys — are ones the engine already routes and Bloom-probes through
-//! unkeyed mixers. The standard library's keyed SipHash defends a table
+//! looks its key up once or twice, and the keys — block ids, user keys —
+//! are ones the engine already routes and Bloom-probes through unkeyed
+//! mixers. The standard library's keyed SipHash defends a table
 //! against keys chosen to collide; nothing outside the process chooses
 //! these, and a front-end that took keys from a network would want the
 //! keyed hash back.
@@ -277,11 +277,20 @@ impl<K: Eq + Hash + Clone, V: Clone> SieveCache<K, V> {
     /// its lookup is a miss: a resident `key` is a hit, an absent one
     /// counts as nothing.
     pub fn hit(&mut self, key: &K) -> Option<V> {
+        self.hit_if(key, |value| Some(value.clone()))
+    }
+
+    /// [`hit`](Self::hit) for an entry only `take` can tell is an answer:
+    /// it is handed the resident value — to read, or to update in place at
+    /// its weight — and what it takes (`Some`) is a hit, marked visited. An
+    /// entry it turns down, like an absent one, counts as nothing.
+    pub fn hit_if<T>(&mut self, key: &K, take: impl FnOnce(&mut V) -> Option<T>) -> Option<T> {
         let entry = &mut self.slab[*self.index.get(key)?];
+        let taken = take(&mut entry.value)?;
         entry.visited = true;
         self.stats.hits += 1;
         self.sink.emit_with(|| Event::CacheHit);
-        Some(entry.value.clone())
+        Some(taken)
     }
 
     /// Peek without affecting the visited bit or statistics.
@@ -383,6 +392,29 @@ mod tests {
         assert_eq!(c.peek(&3), None);
         assert_eq!((c.peek(&4), c.peek(&5), c.peek(&6)), (Some(&40), Some(&50), Some(&60)));
         assert_eq!(c.stats().evictions, 3);
+    }
+
+    /// An entry `hit_if` turns down is neither counted nor visited, so the
+    /// hand takes it first; one it takes is both, and keeps what `take`
+    /// wrote into it.
+    #[test]
+    fn hit_if_counts_and_visits_only_what_it_takes() {
+        let mut c: SieveCache<u32, u32> = SieveCache::new(2);
+        c.insert(1, 10);
+        c.insert(2, 20);
+        assert_eq!(c.hit_if(&1, |v| (*v == 11).then_some(*v)), None);
+        assert_eq!(c.hit_if(&3, |v| Some(*v)), None);
+        assert_eq!(
+            c.hit_if(&2, |v| {
+                *v += 1;
+                Some(*v)
+            }),
+            Some(21)
+        );
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses), (1, 0));
+        c.insert(3, 30);
+        assert_eq!((c.peek(&1), c.peek(&2)), (None, Some(&21)));
     }
 
     #[test]
@@ -533,8 +565,8 @@ mod tests {
     #[test]
     fn the_index_hash_spreads_dense_keys_over_buckets_and_tags() {
         // What the table uses of a hash: low bits for the bucket, the top
-        // seven for the tag. Keys as the store makes them — a variant, an
-        // id, a generation, a user key, each counting up from zero.
+        // seven for the tag. Keys as the store makes them — a variant, then
+        // an id or a user key, each counting up from zero.
         fn hash_of(key: &(impl Hash + ?Sized)) -> u64 {
             let mut h = MixHasher::default();
             key.hash(&mut h);
@@ -543,12 +575,12 @@ mod tests {
         #[derive(Hash)]
         enum Key {
             Block(u64),
-            Record { id: u64, generation: u32, key: u64 },
+            Row(u64),
         }
         const N: usize = 1 << 16;
         let keys = (0..N as u64).map(|i| match i % 2 {
             0 => Key::Block(i / 2),
-            _ => Key::Record { id: i / 512, generation: (i / 8 % 4) as u32, key: i * 3 },
+            _ => Key::Row(i * 3),
         });
         let (mut buckets, mut tags) = (vec![0u32; 1 << 10], vec![0u32; 1 << 7]);
         for key in keys {
