@@ -7,8 +7,8 @@
 //! cargo run --release --bin lsm_doctor -- [--policy=choosebest|full|rr|testmixed|aligned] \
 //!     [--size-mb=20] [--workload=uniform|normal|tpc] [--out=results/lsm_doctor.json] \
 //!     [--trace-out=t.json] [--prom-out=m.prom] [--series-out=s.csv] \
-//!     [--series-every=1000] [--tick-clock] [--ledger] [--health] \
-//!     [--tail] [--tail-out=tail.json] [--tail-stall]
+//!     [--tick-clock] [--ledger] [--health] [--health-out=health.json] \
+//!     [--health-window-ops=2000] [--tail] [--tail-out=tail.json] [--tail-stall]
 //! cargo run --release --bin lsm_doctor -- check <file>...
 //! ```
 //!
@@ -35,17 +35,18 @@
 //! `results/lsm_doctor.json`, a committed full-size run — smoke runs pass
 //! a scratch path).
 //!
-//! `--tail` and `--health` attach the tail-anatomy and windowed health
-//! engines beside the doctor's registry, print each report's text form
-//! after the workload, embed the `lsm-tail/v1` / `lsm-health/v1` report in
-//! the merged JSON report, and cross-check each engine's request counts
-//! against the tree's own put/delete/lookup counters *exactly* — every
-//! front-end request opens exactly one root span, so any disagreement is
-//! a bug and exits non-zero. The health engine's cumulative counters are
+//! `--tail` and `--health` attach the windowed engine beside the doctor's
+//! registry, print the text form of the report each asks for after the
+//! workload, embed the `lsm-tail/v1` / `lsm-health/v1` report in the
+//! merged JSON report, and cross-check the engine's request counts against
+//! the tree's own put/delete/lookup counters *exactly* — every front-end
+//! request opens exactly one root span, so any disagreement is a bug and
+//! exits non-zero. With `--health` the engine's cumulative counters are
 //! also reconciled exactly against the metrics registry (the same event
 //! stream through independent paths), and a health report that judged no
 //! window or counted no put exits non-zero too: lower
-//! `--health-window-ops` until the run rotates one.
+//! `--health-window-ops` until the run rotates one. `--series-out` prints
+//! a spaced subset of the engine's amplification rows (one a window).
 //!
 //! `--tail-stall` runs a seeded, deterministic backpressure-stall scenario
 //! instead of the doctor workload (a `SimExecutor`-backed sharded tree
@@ -66,7 +67,7 @@ use lsm_bench::report::{fmt_f, merged_json, render_health, render_ledger, render
 use lsm_bench::{Args, ObsPipeline, Table, WorkloadKind};
 use lsm_tree::observe::metrics::validate_prometheus;
 use lsm_tree::observe::{
-    validate_health, validate_tail, ExemplarConfig, ExemplarSink, Json, MetricsSink, SinkHandle,
+    validate_health, validate_tail, HealthConfig, HealthSink, Json, MetricsSink, SinkHandle,
     TickClock,
 };
 use lsm_tree::postmortem::validate_bundle;
@@ -203,20 +204,17 @@ fn run_check(paths: &[String]) -> ! {
 
 /// One seeded stall run for `--tail-stall`: a two-shard tree over a
 /// `max_imm = 1` simulated executor, traced through a tick clock into a
-/// fresh [`ExemplarSink`]. Every stalled seal parks the writer inside a
+/// fresh windowed engine. Every stalled seal parks the writer inside a
 /// `backpressure_wait` span while the executor runs the flush/merge
 /// backlog inline, so the stalled puts' critical path is dominated by the
 /// stall — deterministically, since every timestamp is a tick count.
-fn tail_stall_scenario(seed: u64) -> Arc<ExemplarSink> {
-    let exemplars = Arc::new(ExemplarSink::new(ExemplarConfig {
-        per_shard: 4,
-        windows: 4,
-        window_puts: 64,
-        percentile: 0.95,
-        min_samples: 16,
-    }));
-    let handle =
-        SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&exemplars) as _);
+/// Returns the engine's tail report.
+fn tail_stall_scenario(seed: u64) -> Json {
+    let engine = Arc::new(
+        HealthSink::new(HealthConfig { window_ops: 64, windows: 4, ..HealthConfig::default() })
+            .with_tail(),
+    );
+    let handle = SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&engine) as _);
     let sim = Arc::new(SimExecutor::new(1, seed, handle.clone()));
     let cfg = LsmConfig {
         block_size: 256,
@@ -242,7 +240,7 @@ fn tail_stall_scenario(seed: u64) -> Arc<ExemplarSink> {
     }
     drop(tree);
     sim.drain().expect("drain");
-    exemplars
+    engine.tail_report().expect("the engine keeps the tail")
 }
 
 /// The `--tail-stall` mode: never returns. Runs the seeded scenario
@@ -252,8 +250,8 @@ fn tail_stall_scenario(seed: u64) -> Arc<ExemplarSink> {
 fn run_tail_stall(args: &Args) -> ! {
     let seed: u64 = args.get_or("seed", 42);
     args.done();
-    let report = tail_stall_scenario(seed).report();
-    let replay = tail_stall_scenario(seed).report();
+    let report = tail_stall_scenario(seed);
+    let replay = tail_stall_scenario(seed);
     let mut failures = Vec::new();
     if report.render() != replay.render() {
         failures.push("replay with the same seed produced a different report".to_string());
@@ -458,8 +456,7 @@ fn main() {
     // Amplification over time: how write amplification, cache behaviour,
     // and wear accumulated as the device absorbed operations. Printed (a
     // spaced subset) whenever --series-out sampled the run.
-    if let Some(series) = obs.series() {
-        let samples = series.samples();
+    if let Some((samples, capacity)) = obs.series() {
         println!("\n=== amplification over time ({} samples) ===", samples.len());
         let mut t = Table::new([
             "device ops",
@@ -478,7 +475,7 @@ fn main() {
             t.row([
                 s.op.to_string(),
                 s.device_writes.to_string(),
-                fmt_f(s.write_amp, 2),
+                fmt_f(s.write_amp(capacity), 2),
                 fmt_f(100.0 * s.cache_hit_rate, 1),
                 s.max_wear.to_string(),
                 s.height.to_string(),
@@ -487,38 +484,38 @@ fn main() {
         }
         t.print();
     }
-    // Both engines fold the same span stream the tree's own counters
-    // describe: every front-end put/delete opens exactly one root `Put`
-    // span and every get one `Lookup` span, so each engine's request
-    // counts must equal the tree's to the unit.
-    let stats = tree.stats();
-    let requests = [("put", stats.puts + stats.deletes), ("lookup", stats.lookups())];
-    let reconcile = |engine: &str, counted: [u64; 2]| {
-        for ((what, expected), counted) in requests.into_iter().zip(counted) {
+    // The windowed engine folds the same span stream the tree's own
+    // counters describe: every front-end put/delete opens exactly one root
+    // `Put` span and every get one `Lookup` span, so its request counts
+    // must equal the tree's to the unit.
+    if let Some(engine) = obs.health().or(obs.tail()) {
+        let stats = tree.stats();
+        let requests = [("put", stats.puts + stats.deletes), ("lookup", stats.lookups())];
+        let completed = engine.report();
+        for ((what, expected), key) in requests.into_iter().zip(["puts", "gets"]) {
+            let counted = completed.get("cumulative").get(key).as_u64().unwrap_or(u64::MAX);
             if counted != expected {
                 println!(
-                    "{} MISMATCH: engine completed {counted} {what} spans, \
-                     tree counted {expected} requests",
-                    engine.to_uppercase()
+                    "ENGINE MISMATCH: engine completed {counted} {what} spans, \
+                     tree counted {expected} requests"
                 );
                 std::process::exit(1);
             }
         }
         println!(
-            "tree agrees with the {engine} engine: {} put spans, {} lookup spans (exact match).",
+            "tree agrees with the windowed engine: {} put spans, {} lookup spans (exact match).",
             requests[0].1, requests[1].1
         );
-    };
+    }
     // Windowed health: the rolling view of the run's tail, plus a second
-    // reconciliation — the health engine and the metrics registry consumed
-    // the same event stream through independent paths, so their cumulative
+    // reconciliation — the engine and the metrics registry consumed the
+    // same event stream through independent paths, so their cumulative
     // counters must agree to the unit.
     if let Some(health) = obs.health() {
         let report = health.report();
         print!("{}", render_health(&report));
         let cumulative = report.get("cumulative");
         let count = |key: &str| cumulative.get(key).as_u64().unwrap_or(u64::MAX);
-        reconcile("health", [count("puts"), count("gets")]);
         let checks = [
             ("device.writes", "device_writes"),
             ("cache.hits", "cache_hits"),
@@ -562,10 +559,8 @@ fn main() {
     }
     // Tail anatomy: the critical-path blame table over the slowest
     // captured puts.
-    if let Some(tail) = obs.tail() {
-        let report = tail.report();
+    if let Some(report) = obs.tail().and_then(|engine| engine.tail_report()) {
         print!("{}", render_tail(&report));
-        reconcile("tail", [tail.completed_puts(), tail.completed_lookups()]);
         if let Json::Obj(pairs) = &mut doc {
             pairs.push(("tail".into(), report));
         }

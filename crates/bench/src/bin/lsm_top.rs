@@ -22,12 +22,13 @@
 //! tables: one object with the `lsm-health/v1` and `lsm-tail/v1` reports
 //! embedded whole, for scripts that want the dashboard's numbers.
 //!
-//! The dashboard observes through one [`SinkHandle`] with two consumers:
-//! the [`HealthSink`] (rolling windows, detectors, SLO burn) and an
-//! [`ExemplarSink`] (tail anatomy — the blame table names the wait-state
-//! phase that dominates the slowest captured puts, globally and per
-//! shard). Nothing is fed by hand: puts, gets, and WAL appends arrive as
-//! `Put` / `Lookup` / `WalAppend` span trees through the handle.
+//! The dashboard observes through one [`SinkHandle`] with one consumer,
+//! the windowed engine ([`HealthSink`]): its health report (rolling
+//! windows, detectors, SLO burn) and its tail report (the blame table
+//! names the wait-state phase that dominates the slowest captured puts,
+//! globally and per shard) read the same windows. Nothing is fed by hand:
+//! puts, gets, and WAL appends arrive as `Put` / `Lookup` / `WalAppend`
+//! span trees through the handle.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -36,7 +37,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use lsm_bench::report::{render_health, render_tail};
 use lsm_bench::Args;
-use lsm_tree::observe::{ExemplarConfig, ExemplarSink, HealthConfig, HealthSink, Json, SinkHandle};
+use lsm_tree::observe::{HealthConfig, HealthSink, Json, SinkHandle};
 use lsm_tree::{LsmConfig, ShardedLsmTree, TreeOptions};
 use sim_ssd::SplitMix64;
 
@@ -45,13 +46,16 @@ use sim_ssd::SplitMix64;
 const KEYSPACE: u64 = 1 << 16;
 
 /// One dashboard frame: a header over the two reports' text forms.
-fn render(health: &HealthSink, tail: &ExemplarSink, elapsed: Duration, clear: bool) {
+fn render(engine: &HealthSink, elapsed: Duration, clear: bool) {
     if clear {
         // Clear screen, cursor home: the whole TUI.
         print!("\x1b[2J\x1b[H");
     }
     println!("lsm_top | elapsed {:.1}s", elapsed.as_secs_f64());
-    print!("{}{}", render_health(&health.report()), render_tail(&tail.report()));
+    print!("{}", render_health(&engine.report()));
+    if let Some(tail) = engine.tail_report() {
+        print!("{}", render_tail(&tail));
+    }
 }
 
 fn main() {
@@ -66,19 +70,16 @@ fn main() {
 
     let defaults = HealthConfig::default();
     let windows = args.get_or("windows", defaults.windows);
-    let health = Arc::new(HealthSink::new(HealthConfig {
-        window_ops: args.get_or("window-ops", 500),
-        windows,
-        ..defaults
-    }));
+    let health = Arc::new(
+        HealthSink::new(HealthConfig {
+            window_ops: args.get_or("window-ops", 500),
+            windows,
+            ..defaults
+        })
+        .with_tail(),
+    );
     args.done();
-    let tail_defaults = ExemplarConfig::default();
-    let exemplar = Arc::new(ExemplarSink::new(ExemplarConfig {
-        window_puts: args.get_or("window-ops", 500),
-        ..tail_defaults
-    }));
-    // Both analytics sinks consume the same stamped stream independently.
-    let sink = SinkHandle::new(Arc::clone(&health) as _).and(Arc::clone(&exemplar) as _);
+    let sink = SinkHandle::new(Arc::clone(&health) as _);
 
     let cfg = LsmConfig {
         block_size: 1024,
@@ -115,12 +116,12 @@ fn main() {
                 ("experiment".into(), Json::from("lsm_top")),
                 ("elapsed_s".into(), Json::from(start.elapsed().as_secs_f64())),
                 ("health".into(), health.report()),
-                ("tail".into(), exemplar.report()),
+                ("tail".into(), health.tail_report().unwrap_or(Json::Null)),
             ]);
             println!("{}", doc.render_pretty());
             return;
         }
-        render(&health, &exemplar, start.elapsed(), false);
+        render(&health, start.elapsed(), false);
         return;
     }
 
@@ -158,13 +159,13 @@ fn main() {
     let deadline = start + Duration::from_secs(duration_s);
     while Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(refresh_ms));
-        render(&health, &exemplar, start.elapsed(), true);
+        render(&health, start.elapsed(), true);
     }
     stop.store(true, Ordering::Relaxed);
     for h in handles {
         let _ = h.join();
     }
-    render(&health, &exemplar, start.elapsed(), true);
+    render(&health, start.elapsed(), true);
     println!(
         "\ndone: {} windows in {:.1}s",
         health.windows_completed(),

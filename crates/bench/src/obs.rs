@@ -6,25 +6,25 @@
 //!   `chrome://tracing`); spans carry their attributed device I/O.
 //! - `--prom-out=PATH` — Prometheus text exposition of the metrics
 //!   registry, including `span.*_us` duration histograms.
-//! - `--series-out=PATH` — amplification time series; `.json` extension
-//!   selects JSON, anything else CSV.
-//! - `--series-every=N` — device ops between samples (default 1000).
 //! - `--tick-clock` — deterministic tick timestamps (each clock reading is
 //!   the next integer) instead of wall-clock microseconds, for
 //!   byte-reproducible traces.
-//! - `--health-out=PATH` — windowed health report (`lsm-health/v1` JSON)
-//!   from a [`HealthSink`] attached to the same stream; validated before
-//!   it is written. `--health` attaches the sink without writing a file
-//!   (for binaries that render the report themselves).
+//!
+//! Three reports come from one windowed engine ([`HealthSink`]) attached
+//! to the same stream, which is attached when any of them is asked for and
+//! keeps the tail reservoir and the series only when they are:
+//!
+//! - `--health-out=PATH` — the windowed health report (`lsm-health/v1`
+//!   JSON), validated before it is written. `--health` attaches the engine
+//!   without writing a file (for binaries that render the report
+//!   themselves).
+//! - `--tail-out=PATH` — the tail-anatomy blame report (`lsm-tail/v1`
+//!   JSON), validated before it is written; `--tail` as `--health`.
+//! - `--series-out=PATH` — the amplification series, one row per window;
+//!   `.json` extension selects JSON, anything else CSV.
 //! - `--health-window-ops=N` / `--health-windows=K` — device ops per
-//!   health window and rolling ring depth (defaults 2000 / 8).
-//! - `--tail-out=PATH` — tail-anatomy blame report (`lsm-tail/v1` JSON)
-//!   from an [`ExemplarSink`] watching the same span stream; validated
-//!   before it is written. `--tail` attaches the sink without writing a
-//!   file (for binaries that render the blame table themselves).
-//! - `--tail-per-shard=K` / `--tail-window-puts=N` / `--tail-windows=W` —
-//!   exemplars kept per shard, puts per capture window, and rolling ring
-//!   depth (defaults 4 / 512 / 8).
+//!   window and rolling ring depth (defaults 2000 / 8), for all three;
+//!   `--tail-per-shard=K` — exemplars kept per shard (default 4).
 //!
 //! [`ObsPipeline::from_args`] attaches every requested consumer to one
 //! [`SinkHandle`] stamping from one clock, and [`ObsPipeline::finish`]
@@ -34,12 +34,16 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use observe::{
-    validate_health, validate_tail, ChromeTraceSink, Clock, EventSink, ExemplarConfig,
-    ExemplarSink, HealthConfig, HealthSink, Metrics, MetricsSink, SinkHandle, TickClock,
-    TimeseriesSink, WallClock,
+    series_csv, series_json, validate_health, validate_tail, ChromeTraceSink, Clock, EventSink,
+    HealthConfig, HealthSink, Json, Metrics, MetricsSink, SeriesRow, SinkHandle, TickClock,
+    WallClock,
 };
 
 use crate::Args;
+
+/// One of the windowed engine's reports: not asked for (`None`), shown by
+/// the binary (`Some(None)`), or written to a file.
+type Report = Option<Option<PathBuf>>;
 
 /// The assembled exporter stack. Inactive (all no-ops) when none of the
 /// observability flags were given.
@@ -50,16 +54,20 @@ pub struct ObsPipeline {
     /// `global_labels` stamped onto every sample.
     prom: Option<(Metrics, PathBuf)>,
     global_labels: Vec<(String, String)>,
-    series: Option<(Arc<TimeseriesSink>, PathBuf)>,
-    health: Option<(Arc<HealthSink>, Option<PathBuf>)>,
-    tail: Option<(Arc<ExemplarSink>, Option<PathBuf>)>,
+    /// The windowed engine, when any of its reports was asked for.
+    engine: Option<Arc<HealthSink>>,
+    health: Report,
+    tail: Report,
+    series: Option<PathBuf>,
+    /// Records per block: the unit of the series' write amplification.
+    block_capacity: u64,
 }
 
 impl ObsPipeline {
     /// Build the pipeline the flags ask for. `block_capacity` is records
-    /// per block (the time series expresses write amplification in
-    /// blocks); `global_labels` are stamped onto every Prometheus sample
-    /// (e.g. `[("policy", "choosebest")]`).
+    /// per block (the series states write amplification in blocks);
+    /// `global_labels` are stamped onto every Prometheus sample (e.g.
+    /// `[("policy", "choosebest")]`).
     pub fn from_args(
         args: &Args,
         block_capacity: u64,
@@ -68,33 +76,32 @@ impl ObsPipeline {
         // Every flag is read whether or not its exporter is on, so that
         // `Args::done` complains about typos only.
         let path = |key: &str| args.get(key).map(PathBuf::from);
+        let report = |key: &str| {
+            let (shown, out) = (args.flag(key), path(&format!("{key}-out")));
+            (shown || out.is_some()).then_some(out)
+        };
         let defaults = HealthConfig::default();
-        let health_config = HealthConfig {
+        let config = HealthConfig {
             window_ops: args.get_or("health-window-ops", defaults.window_ops),
             windows: args.get_or("health-windows", defaults.windows),
+            exemplars_per_shard: args.get_or("tail-per-shard", defaults.exemplars_per_shard),
             ..defaults
         };
-        let health_path = path("health-out");
-        let health = (args.flag("health") || health_path.is_some())
-            .then(|| (Arc::new(HealthSink::new(health_config)), health_path));
-
-        let defaults = ExemplarConfig::default();
-        let tail_config = ExemplarConfig {
-            per_shard: args.get_or("tail-per-shard", defaults.per_shard),
-            window_puts: args.get_or("tail-window-puts", defaults.window_puts),
-            windows: args.get_or("tail-windows", defaults.windows),
-            ..defaults
-        };
-        let tail_path = path("tail-out");
-        let tail = (args.flag("tail") || tail_path.is_some())
-            .then(|| (Arc::new(ExemplarSink::new(tail_config)), tail_path));
+        let (health, tail, series) = (report("health"), report("tail"), path("series-out"));
+        let engine = (health.is_some() || tail.is_some() || series.is_some()).then(|| {
+            let mut engine = HealthSink::new(config);
+            if tail.is_some() {
+                engine = engine.with_tail();
+            }
+            if series.is_some() {
+                engine = engine.with_series();
+            }
+            Arc::new(engine)
+        });
 
         let global_labels =
             global_labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
         let prom = path("prom-out").map(|p| (Metrics::new(), p));
-        let series_every: u64 = args.get_or("series-every", 1_000);
-        let series = path("series-out")
-            .map(|p| (Arc::new(TimeseriesSink::new(series_every, block_capacity)), p));
         let chrome = match path("trace-out") {
             Some(p) => Some((Arc::new(ChromeTraceSink::to_file(&p)?), p)),
             None => None,
@@ -104,10 +111,8 @@ impl ObsPipeline {
         // stream — spans included — whichever subset was asked for.
         let consumers: Vec<Arc<dyn EventSink>> = [
             chrome.as_ref().map(|(c, _)| Arc::clone(c) as _),
-            health.as_ref().map(|(h, _)| Arc::clone(h) as _),
-            tail.as_ref().map(|(t, _)| Arc::clone(t) as _),
+            engine.as_ref().map(|e| Arc::clone(e) as _),
             prom.as_ref().map(|(m, _)| Arc::new(MetricsSink::into_registry(m.clone())) as _),
-            series.as_ref().map(|(s, _)| Arc::clone(s) as _),
         ]
         .into_iter()
         .flatten()
@@ -127,7 +132,17 @@ impl ObsPipeline {
                 None => handle,
             }
         };
-        Ok(ObsPipeline { handle, chrome, prom, global_labels, series, health, tail })
+        Ok(ObsPipeline {
+            handle,
+            chrome,
+            prom,
+            global_labels,
+            engine,
+            health,
+            tail,
+            series,
+            block_capacity,
+        })
     }
 
     /// The sink to install into the tree (via
@@ -137,50 +152,67 @@ impl ObsPipeline {
         self.handle.clone()
     }
 
-    /// The amplification time series, when `--series-out` was given.
-    pub fn series(&self) -> Option<&TimeseriesSink> {
-        self.series.as_ref().map(|(series, _)| &**series)
+    /// The amplification series (`--series-out`), when it was asked for,
+    /// and the records per block its write amplification is stated in.
+    pub fn series(&self) -> Option<(Vec<SeriesRow>, u64)> {
+        Some((self.engine.as_ref()?.series()?, self.block_capacity))
     }
 
-    /// The windowed health engine, when `--health-out` or `--health` was
-    /// given. Like the tail engine it feeds itself entirely from the span
+    /// The windowed engine, when its health report (`--health-out` or
+    /// `--health`) was asked for. It feeds itself entirely from the span
     /// stream.
     pub fn health(&self) -> Option<&Arc<HealthSink>> {
-        self.health.as_ref().map(|(health, _)| health)
+        self.engine.as_ref().filter(|_| self.health.is_some())
     }
 
-    /// The tail-anatomy engine, when `--tail-out` or `--tail` was given.
-    pub fn tail(&self) -> Option<&Arc<ExemplarSink>> {
-        self.tail.as_ref().map(|(tail, _)| tail)
+    /// The windowed engine, when its tail report (`--tail-out` or
+    /// `--tail`) was asked for.
+    pub fn tail(&self) -> Option<&Arc<HealthSink>> {
+        self.engine.as_ref().filter(|_| self.tail.is_some())
     }
 
     /// Flush every exporter to disk and return the files written.
     pub fn finish(&self) -> std::io::Result<Vec<PathBuf>> {
         let mut written = Vec::new();
-        // Health gauges go into the registry before the Prometheus text
-        // is rendered, so every windowed series appears in the exposition.
-        if let Some((metrics, _)) = &self.prom {
-            if let Some(health) = self.health() {
-                health.export_gauges(metrics);
+        if let Some(engine) = &self.engine {
+            // The engine's gauges go into the registry before the
+            // Prometheus text is rendered, so every windowed series appears
+            // in the exposition.
+            if let Some((metrics, _)) = &self.prom {
+                engine.export_gauges(metrics);
             }
-            if let Some(tail) = self.tail() {
-                tail.export_gauges(metrics);
+            // Each report to a file: its name, where it goes, how it is
+            // rendered and how it is validated.
+            type Written<'a> =
+                (&'a str, &'a Report, fn(&HealthSink) -> Option<Json>, fn(&Json) -> Vec<String>);
+            let reports: [Written; 2] = [
+                ("health", &self.health, |engine| Some(engine.report()), validate_health),
+                ("tail", &self.tail, HealthSink::tail_report, validate_tail),
+            ];
+            for (name, report, render, validate) in reports {
+                let Some(Some(path)) = report else { continue };
+                let Some(doc) = render(engine) else { continue };
+                let problems = validate(&doc);
+                if !problems.is_empty() {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("{name} report failed validation: {}", problems.join("; ")),
+                    ));
+                }
+                std::fs::write(path, doc.render() + "\n")?;
+                written.push(path.clone());
             }
-        }
-        let health = self.health.as_ref().map(|(h, path)| ("health", h.report(), path));
-        let tail = self.tail.as_ref().map(|(t, path)| ("tail", t.report(), path));
-        for (name, doc, path) in [health, tail].into_iter().flatten() {
-            let Some(path) = path else { continue };
-            let problems =
-                if name == "health" { validate_health(&doc) } else { validate_tail(&doc) };
-            if !problems.is_empty() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("{name} report failed validation: {}", problems.join("; ")),
-                ));
+            if let (Some(path), Some(rows)) = (&self.series, engine.series()) {
+                let (json, capacity) =
+                    (path.extension().is_some_and(|e| e == "json"), self.block_capacity);
+                let text = if json {
+                    series_json(&rows, capacity).render_pretty()
+                } else {
+                    series_csv(&rows, capacity)
+                };
+                std::fs::write(path, text)?;
+                written.push(path.clone());
             }
-            std::fs::write(path, doc.render() + "\n")?;
-            written.push(path.clone());
         }
         if let Some((chrome, path)) = &self.chrome {
             chrome.finish();
@@ -190,12 +222,6 @@ impl ObsPipeline {
             let labels: Vec<(&str, &str)> =
                 self.global_labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
             std::fs::write(path, metrics.render_prometheus(&labels))?;
-            written.push(path.clone());
-        }
-        if let Some((series, path)) = &self.series {
-            let json = path.extension().is_some_and(|e| e == "json");
-            let text = if json { series.to_json().render_pretty() } else { series.to_csv() };
-            std::fs::write(path, text)?;
             written.push(path.clone());
         }
         Ok(written)
@@ -225,7 +251,7 @@ mod tests {
             format!("--trace-out={}", trace.display()),
             format!("--prom-out={}", prom.display()),
             format!("--series-out={}", series.display()),
-            "--series-every=1".into(),
+            "--health-window-ops=1".into(),
             "--tick-clock".into(),
         ]);
         let p = ObsPipeline::from_args(&args, 32, &[("policy", "test")]).unwrap();
@@ -288,11 +314,13 @@ mod tests {
             format!("--tail-out={}", tail_path.display()),
             format!("--prom-out={}", prom.display()),
             "--tail-per-shard=2".into(),
-            "--tail-window-puts=4".into(),
+            "--health-window-ops=4".into(),
             "--tick-clock".into(),
         ]);
         let p = ObsPipeline::from_args(&args, 32, &[]).unwrap();
-        let tail = Arc::clone(p.tail().expect("tail sink attached"));
+        let engine = Arc::clone(p.tail().expect("tail engine attached"));
+        assert!(p.health().is_none() && p.series().is_none(), "only the tail was asked for");
+        assert!(engine.series().is_none(), "an engine not asked for the series keeps none");
         let sink = p.sink();
         for i in 0..10u64 {
             let put = sink.span(observe::SpanOp::put().with_shard(0));
@@ -303,16 +331,46 @@ mod tests {
             drop(stall);
             drop(put);
         }
-        assert_eq!(tail.completed_puts(), 10);
-        assert!(tail.windows_completed() >= 2, "windows rotate every 4 puts");
-        assert_eq!(tail.dominant_phase(), Some("backpressure_wait"));
+        let report = engine.tail_report().expect("the tail was asked for");
+        assert_eq!(report.get("completed").get("put").as_u64(), Some(10));
+        assert!(engine.windows_completed() >= 2, "windows rotate every 4 device ops");
+        assert_eq!(report.get("dominant_phase").as_str(), Some("backpressure_wait"));
         let written = p.finish().unwrap();
         assert!(written.contains(&tail_path));
         let doc = observe::Json::parse(&std::fs::read_to_string(&tail_path).unwrap())
             .expect("tail report parses");
         assert!(observe::validate_tail(&doc).is_empty());
         let prom_doc = std::fs::read_to_string(&prom).unwrap();
-        assert!(prom_doc.contains("lsm_tail_windows_completed"), "tail gauges exported");
+        assert!(prom_doc.contains("lsm_tail_exemplars"), "tail gauges exported");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn one_engine_serves_all_three_reports() {
+        let dir = std::env::temp_dir().join("lsm_bench_obs_engine_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let series = dir.join("s.json");
+        let args = Args::parse_from(vec![
+            "--health".into(),
+            "--tail".into(),
+            format!("--series-out={}", series.display()),
+            "--health-window-ops=2".into(),
+        ]);
+        let p = ObsPipeline::from_args(&args, 32, &[]).unwrap();
+        let engine = Arc::clone(p.health().expect("health asked for"));
+        assert!(Arc::ptr_eq(&engine, p.tail().unwrap()));
+        for block in 0..5u64 {
+            p.sink().emit(observe::Event::DeviceWrite { block });
+        }
+        p.sink().emit(observe::Event::MemtableFlush { records: 64, full: true });
+        let (rows, capacity) = p.series().expect("the series was asked for");
+        assert_eq!((rows.len(), capacity), (3, 32));
+        // 5 blocks written for 64 records, two blocks of 32.
+        assert_eq!(rows[2].write_amp(capacity), 2.5);
+        assert!(engine.tail_report().is_some());
+        assert_eq!(p.finish().unwrap(), vec![series.clone()], "only the series goes to a file");
+        let rows = observe::Json::parse(&std::fs::read_to_string(&series).unwrap()).unwrap();
+        assert_eq!(rows.items().len(), 3, "a row at each of two windows, and the last counters");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

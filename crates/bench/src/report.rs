@@ -383,14 +383,15 @@ mod tests {
 
     #[test]
     fn reports_with_nothing_in_them_still_render() {
-        use lsm_tree::observe::{ExemplarConfig, ExemplarSink, HealthSink};
-        // Fresh engines: no shards, no exemplars, no transitions.
-        let health = render_health(&HealthSink::with_defaults().report());
+        use lsm_tree::observe::HealthSink;
+        // A fresh engine: no shards, no exemplars, no transitions.
+        let engine = HealthSink::with_defaults().with_tail();
+        let health = render_health(&engine.report());
         assert!(health.contains("0 completed, 0 device ops"), "{health}");
         assert!(health.contains("write_stall=healthy(0)"), "{health}");
         assert!(health.contains("0 detector transition(s)"), "{health}");
         assert_eq!(health.matches("shard ").count(), 0, "{health}");
-        let tail = render_tail(&ExemplarSink::new(ExemplarConfig::default()).report());
+        let tail = render_tail(&engine.tail_report().unwrap());
         assert!(tail.contains("(0 puts, 0 lookups, 0 windows completed)"), "{tail}");
         assert!(tail.ends_with("dominant phase: none\n"), "{tail}");
         // Not a report at all: every lookup defaults, nothing panics.

@@ -87,17 +87,18 @@ impl PostMortem {
         self.push("ledger", json)
     }
 
-    /// The windowed health engine's `lsm-health/v1` report (rolling
-    /// stats, detector states, transitions, SLO burn).
-    pub fn health(self, health: &observe::HealthSink) -> Self {
-        self.push("health", health.report())
-    }
-
-    /// The tail-anatomy engine's `lsm-tail/v1` report (slowest-put
-    /// exemplars, per-phase blame table, queue-delay histogram) — what
-    /// the write path was actually waiting on when the bundle was cut.
-    pub fn tail(self, exemplars: &observe::ExemplarSink) -> Self {
-        self.push("tail", exemplars.report())
+    /// The windowed engine's reports: `lsm-health/v1` as the `health`
+    /// section (rolling stats, detector states, transitions, SLO burn)
+    /// and, from an engine that keeps the tail, `lsm-tail/v1` as the
+    /// `tail` section (slowest-request exemplars, per-phase blame table,
+    /// queue-delay histogram) — what the write path was actually waiting
+    /// on when the bundle was cut.
+    pub fn health(self, engine: &observe::HealthSink) -> Self {
+        let pm = self.push("health", engine.report());
+        match engine.tail_report() {
+            Some(tail) => pm.push("tail", tail),
+            None => pm,
+        }
     }
 
     /// Device-level I/O counters.
@@ -328,8 +329,8 @@ mod tests {
     }
 
     #[test]
-    fn health_section_is_validated_when_present() {
-        let health = Arc::new(observe::HealthSink::with_defaults());
+    fn health_and_tail_sections_are_validated_when_present() {
+        let health = Arc::new(observe::HealthSink::with_defaults().with_tail());
         let handle = SinkHandle::new(health.clone());
         drop(handle.span(observe::SpanOp::put().with_shard(0)));
         handle.emit(Event::DeviceSync);
@@ -337,25 +338,21 @@ mod tests {
         let pm = PostMortem::new("health test").flight(&recorder).health(&health);
         let doc = Json::parse(&pm.to_json().render()).expect("bundle parses");
         assert!(validate_bundle(&doc).is_empty(), "{:?}", validate_bundle(&doc));
+        assert_eq!(doc.get("tail").get("completed").get("put").as_u64(), Some(1));
 
         // A malformed embedded report is reported with its section prefix.
-        let tampered = pm.to_json().render().replace("lsm-health/v1", "lsm-health/v0");
-        let doc = Json::parse(&tampered).unwrap();
-        assert!(validate_bundle(&doc).iter().any(|p| p.starts_with("health section:")));
-    }
-
-    #[test]
-    fn tail_section_is_validated_when_present() {
-        let exemplars = Arc::new(observe::ExemplarSink::new(observe::ExemplarConfig::default()));
-        drop(SinkHandle::new(exemplars.clone()).span(observe::SpanOp::put()));
-        let recorder = FlightRecorderSink::new(8);
-        let pm = PostMortem::new("tail test").flight(&recorder).tail(&exemplars);
+        for (schema, section) in [("lsm-health/v", "health"), ("lsm-tail/v", "tail")] {
+            let tampered =
+                pm.to_json().render().replace(&format!("{schema}1"), &format!("{schema}0"));
+            let doc = Json::parse(&tampered).unwrap();
+            let prefix = format!("{section} section:");
+            assert!(validate_bundle(&doc).iter().any(|p| p.starts_with(&prefix)), "{section}");
+        }
+        // An engine without the tail adds the health section alone.
+        let pm = PostMortem::new("health only").health(&observe::HealthSink::with_defaults());
         let doc = Json::parse(&pm.to_json().render()).expect("bundle parses");
-        assert!(validate_bundle(&doc).is_empty(), "{:?}", validate_bundle(&doc));
-
-        let tampered = pm.to_json().render().replace("lsm-tail/v1", "lsm-tail/v0");
-        let doc = Json::parse(&tampered).unwrap();
-        assert!(validate_bundle(&doc).iter().any(|p| p.starts_with("tail section:")));
+        assert!(doc.get("health").get("schema").as_str().is_some());
+        assert_eq!(doc.get("tail"), &Json::Null);
     }
 
     #[test]

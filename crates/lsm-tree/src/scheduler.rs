@@ -263,8 +263,8 @@ impl MergeScheduler {
     /// span: a front-end's [`Event::FlushEnqueued`] marks a sealed
     /// memtable entering the queue, and the matching [`Event::JobStart`]
     /// (FIFO per shard) marks a worker picking the shard up —
-    /// `observe::ExemplarSink` pairs the two into its `queue_delay`
-    /// histogram.
+    /// `observe::HealthSink` pairs the two into the tail report's
+    /// `queue_delay` histogram.
     pub fn new(policy: BackgroundPolicy, sink: SinkHandle) -> Self {
         let inner = Arc::new(SchedInner {
             state: Mutex::new(SchedState {

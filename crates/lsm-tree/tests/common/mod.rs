@@ -1,5 +1,5 @@
-//! The seeded backpressure-stall run the health and tail engines' tests
-//! share (and `lsm_doctor --tail-stall` repeats).
+//! The seeded backpressure-stall run the windowed engine's health and tail
+//! tests share (and `lsm_doctor --tail-stall` repeats).
 
 use std::sync::Arc;
 

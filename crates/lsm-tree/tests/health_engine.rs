@@ -42,6 +42,7 @@ fn scenario_config() -> HealthConfig {
         slo_target: 0.9,
         slo_objective: 32,
         slo_burn_limit: 1.0,
+        ..HealthConfig::default()
     }
 }
 

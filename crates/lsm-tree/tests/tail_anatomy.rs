@@ -1,7 +1,7 @@
-//! Deterministic end-to-end exercise of the tail-anatomy engine
-//! (ISSUE 10): a seeded [`SimExecutor`]-backed sharded tree is driven
-//! into backpressure through a tick-clock [`SinkHandle`], and the attached
-//! [`ExemplarSink`] must (a) capture the stalled puts as exemplars whose
+//! Deterministic end-to-end exercise of the tail reservoir: a seeded
+//! `SimExecutor`-backed sharded tree is driven into backpressure through
+//! a tick-clock [`SinkHandle`], and the windowed engine ([`HealthSink`])
+//! attached to it must (a) capture the stalled puts as exemplars whose
 //! wait-state phases sum *exactly* to the measured put duration, (b) name
 //! `backpressure_wait` as the dominant phase of the critical-path blame
 //! table — globally and on the stalled shards — and (c) render a
@@ -15,38 +15,32 @@ use std::sync::Arc;
 
 use lsm_tree::observe::trace::TraceEventKind;
 use lsm_tree::observe::{
-    validate_tail, ExemplarConfig, ExemplarSink, HealthConfig, HealthSink, SinkHandle, TickClock,
-    VecSink,
+    validate_tail, HealthConfig, HealthSink, Json, SinkHandle, TickClock, VecSink,
 };
 
-/// A tick-clock handle feeding a fresh tail engine.
-fn tail_engine() -> (Arc<ExemplarSink>, SinkHandle) {
-    let exemplars = Arc::new(ExemplarSink::new(ExemplarConfig {
-        per_shard: 4,
-        windows: 4,
-        window_puts: 64,
-        percentile: 0.95,
-        min_samples: 16,
-    }));
-    let handle =
-        SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&exemplars) as _);
-    (exemplars, handle)
+/// A tick-clock handle feeding a fresh windowed engine with the
+/// `lsm_doctor --tail-stall` scenario's ring of four windows.
+fn tail_engine(window_ops: u64) -> (Arc<HealthSink>, SinkHandle) {
+    let engine = Arc::new(
+        HealthSink::new(HealthConfig { window_ops, windows: 4, ..HealthConfig::default() })
+            .with_tail(),
+    );
+    let handle = SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&engine) as _);
+    (engine, handle)
 }
 
-/// One seeded stall run ([`common::stalled_tree`]) watched by the tail
-/// engine alone.
-fn run_scenario(seed: u64) -> Arc<ExemplarSink> {
-    let (exemplars, handle) = tail_engine();
+/// The tail report of one seeded stall run ([`common::stalled_tree`]).
+fn run_scenario(seed: u64) -> Json {
+    let (engine, handle) = tail_engine(64);
     let (tree, sim) = common::stalled_tree(seed, &handle);
     drop(tree);
     sim.drain().expect("drain");
-    exemplars
+    engine.tail_report().expect("the engine keeps the tail")
 }
 
 #[test]
 fn induced_stall_blames_backpressure_on_the_stalled_shards() {
-    let exemplars = run_scenario(42);
-    let report = exemplars.report();
+    let report = run_scenario(42);
 
     // The report passes its own validator (which already enforces the 1%
     // phase-sum bound per exemplar).
@@ -54,11 +48,9 @@ fn induced_stall_blames_backpressure_on_the_stalled_shards() {
 
     // Every front-end put completed exactly one root span.
     assert_eq!(report.get("completed").get("put").as_u64(), Some(600));
-    assert_eq!(exemplars.completed_puts(), 600);
 
     // The blame table names the induced stall, globally...
     assert_eq!(report.get("dominant_phase").as_str(), Some("backpressure_wait"));
-    assert_eq!(exemplars.dominant_phase(), Some("backpressure_wait"));
 
     // ...and on every shard that captured exemplars: both shards see the
     // round-robin key stream, so both stall.
@@ -88,37 +80,35 @@ fn induced_stall_blames_backpressure_on_the_stalled_shards() {
 
 #[test]
 fn reports_are_byte_identical_across_same_seed_replays() {
-    let a = run_scenario(7).report().render();
-    let b = run_scenario(7).report().render();
+    let a = run_scenario(7).render();
+    let b = run_scenario(7).render();
     assert_eq!(a, b, "same seed must replay to the same tail report, byte for byte");
 
     // A different seed still yields a valid report — the schema and the
     // phase-partition invariant hold for any interleaving, only the
     // numbers may move.
-    let other = run_scenario(8).report();
+    let other = run_scenario(8);
     assert!(validate_tail(&other).is_empty(), "{:?}", validate_tail(&other));
 }
 
 /// The stamped stream is the one source of request timing and shard
-/// attribution: both engines on one handle count the puts the front end
+/// attribution: both reports of the engine count the puts the front end
 /// was asked for — in total, per shard, and in the SLO — and every entry
 /// carries the shard and the begin time a consumer used to keep a table
 /// of open spans for.
 #[test]
-fn one_stream_feeds_both_engines_and_carries_what_their_tables_held() {
-    let (exemplars, handle) = tail_engine();
+fn one_stream_feeds_both_reports_and_carries_what_their_tables_held() {
     // No window ever closes, so the rolling per-shard counts are totals.
-    let health =
-        Arc::new(HealthSink::new(HealthConfig { window_ops: u64::MAX, ..HealthConfig::default() }));
+    let (engine, handle) = tail_engine(u64::MAX);
     let stream = Arc::new(VecSink::new());
-    let handle = handle.and(Arc::clone(&health) as _).and(Arc::clone(&stream) as _);
+    let handle = handle.and(Arc::clone(&stream) as _);
     let (tree, sim) = common::stalled_tree(42, &handle);
     let mut asked = [0u64; 2];
     (0..600u64).for_each(|k| asked[tree.shard_of(k)] += 1);
     drop(tree);
     sim.drain().expect("drain");
 
-    let (health, tail) = (health.report(), exemplars.report());
+    let (health, tail) = (engine.report(), engine.tail_report().unwrap());
     assert_eq!(tail.get("completed").get("put").as_u64(), Some(600));
     assert_eq!(health.get("cumulative").get("puts").as_u64(), Some(600));
     let slo = health.get("slo");

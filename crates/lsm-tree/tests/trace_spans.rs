@@ -3,7 +3,7 @@
 //! Three pillars:
 //!
 //! 1. **Observer effect** — attaching the full exporter pipeline (Chrome
-//!    trace, Prometheus registry, time series, …) must not change a
+//!    trace, Prometheus registry, the windowed engine, …) must not change a
 //!    single device frame or tree counter relative to an untraced run.
 //! 2. **Conservation** — every device write either carries a span
 //!    attribution or is explicitly unattributed, and the two buckets sum
@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use lsm_tree::observe::trace::TraceEventKind;
 use lsm_tree::observe::{
-    ChromeTraceSink, Event, ExemplarConfig, ExemplarSink, FlightEntry, FlightRecorderSink,
-    HealthSink, MetricsSink, NullSink, SinkHandle, SpanKind, TickClock, TimeseriesSink, VecSink,
+    validate_health, validate_tail, ChromeTraceSink, Event, FlightEntry, FlightRecorderSink,
+    HealthSink, Json, MetricsSink, NullSink, SinkHandle, SpanKind, TickClock, VecSink,
 };
 use lsm_tree::{LsmConfig, LsmTree, PolicySpec, ShardedLsmTree, TreeOptions};
 use sim_ssd::{BlockDevice, MemDevice};
@@ -65,19 +65,22 @@ fn build(device: Arc<MemDevice>, sink: SinkHandle) -> LsmTree {
 }
 
 /// Every consumer the crate ships, on one tick-clock handle.
-fn full_pipeline(
-    recorder: &Arc<FlightRecorderSink>,
-    health: &Arc<HealthSink>,
-    exemplars: &Arc<ExemplarSink>,
-) -> SinkHandle {
+fn full_pipeline(recorder: &Arc<FlightRecorderSink>, engine: &Arc<HealthSink>) -> SinkHandle {
     SinkHandle::with_clock(Arc::new(TickClock::new()))
         .and(Arc::new(VecSink::new()))
         .and(Arc::new(ChromeTraceSink::new(std::io::sink())))
         .and(Arc::clone(recorder) as _)
-        .and(Arc::clone(health) as _)
-        .and(Arc::clone(exemplars) as _)
-        .and(Arc::new(TimeseriesSink::new(64, 14)))
+        .and(Arc::clone(engine) as _)
         .and(Arc::new(MetricsSink::new()))
+}
+
+/// The windowed engine's tail report, checked: it validates (per-exemplar
+/// phase sums included). Returns the requests it completed.
+fn checked_tail(engine: &HealthSink) -> (u64, u64) {
+    let tail = engine.tail_report().expect("the engine keeps the tail");
+    assert!(validate_tail(&tail).is_empty(), "{:?}", validate_tail(&tail));
+    let completed = |kind| tail.get("completed").get(kind).as_u64().unwrap();
+    (completed("put"), completed("lookup"))
 }
 
 /// Satellite 1: no sink, a [`NullSink`], and the full exporter pipeline
@@ -95,40 +98,34 @@ fn exporters_have_no_observer_effect() {
     let bare = run(SinkHandle::none());
     let null = run(SinkHandle::of(NullSink));
     let recorder = Arc::new(FlightRecorderSink::new(256));
-    let health = Arc::new(HealthSink::with_defaults());
-    let exemplars = Arc::new(ExemplarSink::new(ExemplarConfig::default()));
-    let full = run(full_pipeline(&recorder, &health, &exemplars));
+    let health = Arc::new(HealthSink::with_defaults().with_tail().with_series());
+    let full = run(full_pipeline(&recorder, &health));
 
     assert_eq!(bare.0, null.0, "NullSink changed the device image");
     assert_eq!(bare.0, full.0, "exporter pipeline changed the device image");
     assert_eq!(bare.1, null.1, "NullSink changed TreeStats");
     assert_eq!(bare.1, full.1, "exporter pipeline changed TreeStats");
-    // The tail-anatomy engine rode along without observer effect, saw every
+    // The windowed engine rode along without observer effect, saw every
     // front-end request as exactly one root span, captured exemplars, and
-    // its report validates (per-exemplar phase sums included).
-    assert_eq!(
-        exemplars.completed_puts() + exemplars.completed_lookups(),
-        12_000,
-        "every request must complete exactly one root span"
-    );
-    assert!(exemplars.captured() > 0, "no tail exemplars captured");
-    let tail = exemplars.report();
-    assert!(
-        lsm_tree::observe::validate_tail(&tail).is_empty(),
-        "{:?}",
-        lsm_tree::observe::validate_tail(&tail)
-    );
+    // its tail report validates.
+    let (puts, lookups) = checked_tail(&health);
+    assert_eq!(puts + lookups, 12_000, "every request must complete exactly one root span");
+    let tail = health.tail_report().unwrap();
+    let scopes = tail.get("shards").items().iter().chain([tail.get("unsharded")]);
+    let captured: usize = scopes.map(|scope| scope.get("exemplars").items().len()).sum();
+    assert!(captured > 0, "no tail exemplars captured");
+    assert!(health.series().unwrap().len() > 1, "no amplification rows taken");
     // The flight recorder rode along without observer effect — and actually
     // recorded: the ring is full, the overflow is accounted exactly, and no
     // span is left open after the run.
     assert_eq!(recorder.len(), recorder.capacity(), "ring never filled");
     assert_eq!(recorder.dropped(), recorder.total() - recorder.capacity() as u64);
     assert!(recorder.open_spans().is_empty(), "spans leaked past the run");
-    // So did the health engine: windows rotated, and the report validates.
+    // Its windows rotated, and the health report validates.
     assert!(health.windows_completed() > 0, "health windows never rotated");
     let report = health.report().render();
-    let doc = lsm_tree::observe::Json::parse(&report).unwrap();
-    assert!(lsm_tree::observe::validate_health(&doc).is_empty(), "{report}");
+    let doc = Json::parse(&report).unwrap();
+    assert!(validate_health(&doc).is_empty(), "{report}");
 }
 
 /// The observer-effect contract with the background scheduler enabled.
@@ -172,9 +169,8 @@ fn exporters_have_no_observer_effect_with_scheduler() {
     let bare = run(SinkHandle::none());
     let null = run(SinkHandle::of(NullSink));
     let recorder = Arc::new(FlightRecorderSink::new(256));
-    let health = Arc::new(HealthSink::with_defaults());
-    let exemplars = Arc::new(ExemplarSink::new(ExemplarConfig::default()));
-    let full = run(full_pipeline(&recorder, &health, &exemplars));
+    let health = Arc::new(HealthSink::with_defaults().with_tail());
+    let full = run(full_pipeline(&recorder, &health));
 
     assert_eq!(bare, null, "NullSink changed the scheduled run");
     assert_eq!(bare, full, "exporter pipeline changed the scheduled run");
@@ -183,33 +179,23 @@ fn exporters_have_no_observer_effect_with_scheduler() {
     assert!(health.windows_completed() > 0, "health windows never rotated");
     // Wait-state instrumentation on the scheduled write path (lock waits,
     // backpressure stalls) must not change the logical outcome either —
-    // and the tail engine still sees one root span per request.
-    assert_eq!(
-        exemplars.completed_puts() + exemplars.completed_lookups(),
-        12_000,
-        "every scheduled request must complete exactly one root span"
-    );
-    assert!(
-        lsm_tree::observe::validate_tail(&exemplars.report()).is_empty(),
-        "{:?}",
-        lsm_tree::observe::validate_tail(&exemplars.report())
-    );
+    // and the engine still sees one root span per request.
+    let (puts, lookups) = checked_tail(&health);
+    assert_eq!(puts + lookups, 12_000, "every scheduled request must complete one root span");
 }
 
 /// One handle, several span consumers, nothing in front of them: the
-/// health engine, the exemplar engine and two recorders hang off the same
-/// handle, and each sees every begin, end and event exactly once — same
-/// ids, same stamps, same order. (A fan-out that hands spans to the first
-/// span-aware sink only would leave the engines behind it blind.)
+/// windowed engine sits between two recorders on the same handle, and
+/// each sees every begin, end and event exactly once — same ids, same
+/// stamps, same order. (A fan-out that hands spans to the first
+/// span-aware sink only would leave the consumers behind it blind.)
 #[test]
 fn every_consumer_of_one_handle_sees_the_whole_stream() {
     let (first, last) = (Arc::new(VecSink::new()), Arc::new(VecSink::new()));
-    let health = Arc::new(HealthSink::with_defaults());
-    let exemplars = Arc::new(ExemplarSink::new(ExemplarConfig::default()));
+    let health = Arc::new(HealthSink::with_defaults().with_tail());
     let sink = SinkHandle::with_clock(Arc::new(TickClock::new()))
         .and(Arc::clone(&first) as _)
         .and(Arc::clone(&health) as _)
-        .and(Arc::clone(&exemplars) as _)
         .and(Arc::clone(&last) as _);
     let device = Arc::new(MemDevice::with_block_size(1 << 16, cfg().block_size));
     let mut tree = build(device, sink);
@@ -240,9 +226,8 @@ fn every_consumer_of_one_handle_sees_the_whole_stream() {
     assert!(open.is_empty(), "spans leaked past the run");
     assert_eq!(put_roots + lookup_roots, 6_000);
 
-    // Both engines, sitting between the recorders, saw the same spans.
-    assert_eq!(exemplars.completed_puts(), put_roots);
-    assert_eq!(exemplars.completed_lookups(), lookup_roots);
+    // The engine, sitting between the recorders, saw the same spans.
+    assert_eq!(checked_tail(&health), (put_roots, lookup_roots));
     let report = health.report().render();
     assert!(
         report.contains(&format!("\"cumulative\":{{\"puts\":{put_roots},\"gets\":{lookup_roots},")),

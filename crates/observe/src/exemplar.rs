@@ -1,11 +1,11 @@
 //! Tail-latency exemplars: the slowest complete span trees, kept whole.
 //!
 //! Histograms ([`crate::windowed`]) say *how slow* the p99.9 put was;
-//! they cannot say *where the time went*. This module keeps the evidence:
-//! an [`ExemplarSink`] watches the span stream and retains a bounded
-//! top-K reservoir of the slowest *complete* `Put` / `Lookup` span trees
-//! per shard — Prometheus-exemplar style, except the exemplar is the whole
-//! causal tree, not just a trace id.
+//! they cannot say *where the time went*. This module is the tail half of
+//! the windowed engine ([`HealthSink`](crate::HealthSink)): it builds the
+//! span tree of every request and keeps a bounded top-K reservoir of the
+//! slowest *complete* `Put` / `Lookup` trees per shard — Prometheus-exemplar
+//! style, except the exemplar is the whole causal tree, not just a trace id.
 //!
 //! A completed root's direct children partition its latency into *phases*
 //! (`lock_wait`, `wal_append`, `group_commit_wait`, `backpressure_wait`,
@@ -15,77 +15,54 @@
 //! the root's duration *by construction* — exactly, under any monotonic
 //! clock.
 //!
-//! The capture threshold tracks the rolling percentile
-//! ([`ExemplarConfig::percentile`]) of a [`WindowedHistogram`] that
-//! rotates every [`ExemplarConfig::window_puts`] completed roots, so the
-//! reservoir chases the *current* tail rather than boot-time noise. Under
+//! The capture threshold is the rolling 95th percentile of the engine's
+//! own put or get latency window, so the reservoir chases the *current*
+//! tail rather than boot-time noise. Under
 //! [`TickClock`](crate::TickClock) the whole pipeline — thresholds,
 //! evictions, the rendered report — is deterministic and byte-identical
 //! across replays.
 //!
 //! Scheduler queue delay rides along: the flat event stream already
 //! carries `FlushEnqueued` (a memtable sealed) and `JobStart` (a worker
-//! picked the shard up), and the sink pairs them FIFO per shard into a
-//! `queue_delay` histogram.
+//! picked the shard up), and the engine pairs them FIFO per shard into a
+//! `queue_delay` histogram on the same windows.
 //!
-//! [`ExemplarSink::report`] renders everything as a versioned
-//! `lsm-tail/v1` JSON document with a critical-path *blame table*: per
-//! phase, its share of all captured put latency and of the p99/p99.9
-//! tail. [`validate_tail`] checks any such document, including that every
-//! exemplar's phases sum to within 1% of its duration.
+//! [`HealthSink::tail_report`](crate::HealthSink::tail_report) renders
+//! everything as a versioned `lsm-tail/v1` JSON document with a
+//! critical-path *blame table*: per phase, its share of all captured put
+//! latency and of the p99/p99.9 tail. [`validate_tail`] checks any such
+//! document, including that every exemplar's phases sum to within 1% of
+//! its duration.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::{Mutex, MutexGuard};
 
 use crate::json::{Json, Shape};
-use crate::metrics::Metrics;
 use crate::trace::{SpanKind, SpanOp, TraceEvent, TraceEventKind};
 use crate::windowed::WindowedHistogram;
-use crate::{Event, EventSink};
+use crate::Event;
 
 /// Schema identifier stamped into (and required from) tail reports.
 pub const TAIL_SCHEMA: &str = "lsm-tail/v1";
 
-/// Tuning for an [`ExemplarSink`].
-#[derive(Debug, Clone)]
-pub struct ExemplarConfig {
-    /// Reservoir capacity: slowest spans kept per shard *per kind*.
-    pub per_shard: usize,
-    /// Rolling ring depth for the latency/queue-delay histograms.
-    pub windows: usize,
-    /// Completed `Put`/`Lookup` roots per window (the rotation pace).
-    pub window_puts: u64,
-    /// Rolling percentile a root must reach to be considered for capture
-    /// once `min_samples` have been seen.
-    pub percentile: f64,
-    /// Capture unconditionally until this many roots of the kind have
-    /// completed (the threshold is noise before that).
-    pub min_samples: u64,
-}
+/// The rolling percentile of its kind's latency window a request must
+/// reach to be offered to the reservoir.
+pub(crate) const CAPTURE_PERCENTILE: f64 = 0.95;
 
-impl Default for ExemplarConfig {
-    fn default() -> Self {
-        ExemplarConfig {
-            per_shard: 4,
-            windows: 8,
-            window_puts: 512,
-            percentile: 0.95,
-            min_samples: 32,
-        }
-    }
-}
+/// Every request is offered until this many of its kind have completed:
+/// before that the percentile is noise.
+pub(crate) const COLD_START: u64 = 32;
 
 /// One completed span in a captured exemplar tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExemplarSpan {
+pub(crate) struct ExemplarSpan {
     /// What the span covered (kind, level, shard, …).
-    pub op: SpanOp,
+    pub(crate) op: SpanOp,
     /// Clock reading when the span opened.
-    pub start_us: u64,
+    start_us: u64,
     /// Closing reading minus opening reading.
-    pub duration_us: u64,
+    pub(crate) duration_us: u64,
     /// Completed direct children, in completion order.
-    pub children: Vec<ExemplarSpan>,
+    children: Vec<ExemplarSpan>,
 }
 
 impl ExemplarSpan {
@@ -93,7 +70,7 @@ impl ExemplarSpan {
     /// aggregated by kind, plus a residual phase for the time no child
     /// covers (`unattributed` for a put, the kind's own name otherwise).
     /// The phase values always sum to `duration_us` exactly.
-    pub fn phases(&self) -> Vec<(&'static str, u64)> {
+    fn phases(&self) -> Vec<(&'static str, u64)> {
         let mut by: BTreeMap<&'static str, u64> = BTreeMap::new();
         for child in &self.children {
             *by.entry(child.op.kind.name()).or_insert(0) += child.duration_us;
@@ -140,279 +117,146 @@ impl ExemplarSpan {
     }
 }
 
-struct Inner {
+/// Slowest root trees kept, per shard (`None` = unsharded).
+type Reservoir = BTreeMap<Option<usize>, Vec<ExemplarSpan>>;
+
+/// The tail half of the windowed engine's state: the trees being built,
+/// the reservoirs, and scheduler queue delay. The engine owns the latency
+/// windows the capture threshold is read from.
+#[derive(Debug)]
+pub(crate) struct Tail {
     /// Completed children of every span still open, by raw span id — the
     /// table trees are built in. What a span was and when it began comes
     /// back on its `End`.
     open: HashMap<u64, Vec<ExemplarSpan>>,
-    completed_put: u64,
-    completed_lookup: u64,
-    roots_in_window: u64,
-    windows_completed: u64,
-    put_latency: WindowedHistogram,
-    lookup_latency: WindowedHistogram,
-    queue_delay: WindowedHistogram,
     /// FIFO enqueue timestamps per shard, paired with `JobStart`.
     pending_jobs: BTreeMap<Option<usize>, VecDeque<u64>>,
-    /// Top-K slowest put roots per shard (`None` = unsharded).
-    puts: BTreeMap<Option<usize>, Vec<ExemplarSpan>>,
-    /// Top-K slowest lookup roots per shard.
-    lookups: BTreeMap<Option<usize>, Vec<ExemplarSpan>>,
+    pub(crate) queue_delay: WindowedHistogram,
+    puts: Reservoir,
+    lookups: Reservoir,
 }
 
-/// Captures the slowest complete `Put`/`Lookup` span trees per shard and
-/// renders them as an `lsm-tail/v1` blame report. See the module docs.
-pub struct ExemplarSink {
-    config: ExemplarConfig,
-    inner: Mutex<Inner>,
-}
-
-impl std::fmt::Debug for ExemplarSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExemplarSink").field("config", &self.config).finish()
-    }
-}
-
-impl ExemplarSink {
-    /// A sink with the given tuning and an empty reservoir.
-    pub fn new(config: ExemplarConfig) -> Self {
-        let windows = config.windows.max(1);
-        ExemplarSink {
-            config,
-            inner: Mutex::new(Inner {
-                open: HashMap::new(),
-                completed_put: 0,
-                completed_lookup: 0,
-                roots_in_window: 0,
-                windows_completed: 0,
-                put_latency: WindowedHistogram::new(windows),
-                lookup_latency: WindowedHistogram::new(windows),
-                queue_delay: WindowedHistogram::new(windows),
-                pending_jobs: BTreeMap::new(),
-                puts: BTreeMap::new(),
-                lookups: BTreeMap::new(),
-            }),
+impl Tail {
+    pub(crate) fn new(windows: usize) -> Self {
+        Tail {
+            open: HashMap::new(),
+            pending_jobs: BTreeMap::new(),
+            queue_delay: WindowedHistogram::new(windows),
+            puts: BTreeMap::new(),
+            lookups: BTreeMap::new(),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        // The sink only folds counters; a panic mid-update cannot corrupt
-        // invariants worth halting observability for.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Windows rotated so far (the rolling-threshold pace).
-    pub fn windows_completed(&self) -> u64 {
-        self.lock().windows_completed
-    }
-
-    /// Completed `Put` roots observed.
-    pub fn completed_puts(&self) -> u64 {
-        self.lock().completed_put
-    }
-
-    /// Completed `Lookup` roots observed.
-    pub fn completed_lookups(&self) -> u64 {
-        self.lock().completed_lookup
-    }
-
-    /// Exemplar trees currently held across all reservoirs.
-    pub fn captured(&self) -> usize {
-        let inner = self.lock();
-        inner.puts.values().chain(inner.lookups.values()).map(Vec::len).sum()
-    }
-
-    /// The phase with the largest share of captured put latency, if any
-    /// put exemplar has been captured.
-    pub fn dominant_phase(&self) -> Option<&'static str> {
-        let inner = self.lock();
-        let spans: Vec<&ExemplarSpan> = inner.puts.values().flatten().collect();
-        let (_, dominant) = blame(&spans, f64::MAX, f64::MAX);
-        dominant
-    }
-
-    /// A root span closed ([`TraceEvent::closes_root`]): count it, and keep
-    /// its tree if it is slow enough.
-    fn on_root(&self, inner: &mut Inner, span: ExemplarSpan) {
-        let kind = span.op.kind;
-        if !matches!(kind, SpanKind::Put | SpanKind::Lookup) {
-            return;
-        }
-        let duration = span.duration_us;
-        let is_put = kind == SpanKind::Put;
-        let (count, threshold) = {
-            let hist = if is_put { &mut inner.put_latency } else { &mut inner.lookup_latency };
-            hist.record(duration);
-            (hist.cumulative().count(), hist.rolling().percentile(self.config.percentile))
-        };
-        if is_put {
-            inner.completed_put += 1;
-        } else {
-            inner.completed_lookup += 1;
-        }
-        // Capture until the histogram can speak, then only the tail.
-        if count <= self.config.min_samples || duration as f64 >= threshold {
-            let reservoir = if is_put { &mut inner.puts } else { &mut inner.lookups };
-            let slot = reservoir.entry(span.op.shard).or_default();
-            if slot.len() < self.config.per_shard.max(1) {
-                slot.push(span);
-            } else {
-                let mut min_i = 0;
-                for (i, held) in slot.iter().enumerate() {
-                    if held.duration_us < slot[min_i].duration_us {
-                        min_i = i;
+    /// Fold one stamped entry into the trees and the queue-delay pairs.
+    /// Returns the span an `End` closed when it is a root
+    /// ([`TraceEvent::closes_root`]), tree and all.
+    pub(crate) fn on_entry(&mut self, entry: &TraceEvent) -> Option<ExemplarSpan> {
+        match entry.kind {
+            TraceEventKind::Begin { id, .. } => {
+                self.open.insert(id.as_u64(), Vec::new());
+                None
+            }
+            TraceEventKind::End { id, op, began_us } => {
+                let span = ExemplarSpan {
+                    op,
+                    start_us: began_us,
+                    duration_us: entry.at_us.saturating_sub(began_us),
+                    children: self.open.remove(&id.as_u64()).unwrap_or_default(),
+                };
+                // After a close the entry's span is the parent. A span whose
+                // parent began before the engine was attached is dropped.
+                match entry.span.and_then(|p| self.open.get_mut(&p.as_u64())) {
+                    Some(siblings) => {
+                        siblings.push(span);
+                        None
                     }
-                }
-                // Strict eviction: ties keep the earlier capture, so the
-                // reservoir is deterministic under a tick clock.
-                if duration > slot[min_i].duration_us {
-                    slot[min_i] = span;
+                    None => entry.closes_root().then_some(span),
                 }
             }
-        }
-        inner.roots_in_window += 1;
-        if inner.roots_in_window >= self.config.window_puts.max(1) {
-            inner.roots_in_window = 0;
-            inner.windows_completed += 1;
-            inner.put_latency.rotate();
-            inner.lookup_latency.rotate();
-            inner.queue_delay.rotate();
-        }
-    }
-
-    fn on_event(&self, inner: &mut Inner, event: &Event, shard: Option<usize>, at: u64) {
-        match *event {
-            Event::FlushEnqueued { .. } => {
-                inner.pending_jobs.entry(shard).or_default().push_back(at);
+            TraceEventKind::Emit(Event::FlushEnqueued { .. }) => {
+                self.pending_jobs.entry(entry.shard).or_default().push_back(entry.at_us);
+                None
             }
-            Event::JobStart { shard, .. } => {
+            TraceEventKind::Emit(Event::JobStart { shard, .. }) => {
                 // Prefer the shard's own queue; an unsharded front-end
                 // enqueues under `None` while its scheduler still names
                 // the registration id.
-                let enqueued =
-                    inner.pending_jobs.get_mut(&Some(shard)).and_then(VecDeque::pop_front).or_else(
-                        || inner.pending_jobs.get_mut(&None).and_then(VecDeque::pop_front),
-                    );
-                if let Some(t) = enqueued {
-                    inner.queue_delay.record(at.saturating_sub(t));
+                let mut pop = |key| self.pending_jobs.get_mut(&key).and_then(VecDeque::pop_front);
+                if let Some(t) = pop(Some(shard)).or_else(|| pop(None)) {
+                    self.queue_delay.record(entry.at_us.saturating_sub(t));
                 }
+                None
             }
-            _ => {}
+            TraceEventKind::Emit(_) => None,
         }
     }
 
-    /// Render the `lsm-tail/v1` report. Pure: same state, same bytes.
-    pub fn report(&self) -> Json {
-        let inner = self.lock();
-        let put_p99 = inner.put_latency.cumulative().percentile(0.99);
-        let put_p999 = inner.put_latency.cumulative().percentile(0.999);
+    /// Offer a completed `Put` or `Lookup` root to its shard's reservoir
+    /// of `per_shard`: it evicts the fastest held tree only if it is
+    /// strictly slower, so ties keep the earlier capture and the reservoir
+    /// is deterministic under a tick clock.
+    pub(crate) fn keep(&mut self, span: ExemplarSpan, per_shard: usize) {
+        let reservoir =
+            if span.op.kind == SpanKind::Put { &mut self.puts } else { &mut self.lookups };
+        let slot = reservoir.entry(span.op.shard).or_default();
+        if slot.len() < per_shard.max(1) {
+            slot.push(span);
+            return;
+        }
+        let mut min_i = 0;
+        for (i, held) in slot.iter().enumerate() {
+            if held.duration_us < slot[min_i].duration_us {
+                min_i = i;
+            }
+        }
+        if span.duration_us > slot[min_i].duration_us {
+            slot[min_i] = span;
+        }
+    }
 
-        let all_puts: Vec<&ExemplarSpan> = inner.puts.values().flatten().collect();
-        let (global_blame, global_dominant) = blame(&all_puts, put_p99, put_p999);
+    /// Exemplar trees currently held across all reservoirs.
+    pub(crate) fn captured(&self) -> usize {
+        self.puts.values().chain(self.lookups.values()).map(Vec::len).sum()
+    }
 
+    /// The report's blame sections — `blame`, `dominant_phase`, `shards`,
+    /// `unsharded` — with the tail shares cut at the put `p99` / `p999`.
+    pub(crate) fn blame_sections(&self, p99: f64, p999: f64) -> Vec<(String, Json)> {
+        let all_puts: Vec<&ExemplarSpan> = self.puts.values().flatten().collect();
+        let (global_blame, global_dominant) = blame(&all_puts, p99, p999);
         let mut shard_keys: Vec<usize> =
-            inner.puts.keys().chain(inner.lookups.keys()).filter_map(|k| *k).collect();
+            self.puts.keys().chain(self.lookups.keys()).filter_map(|k| *k).collect();
         shard_keys.sort_unstable();
         shard_keys.dedup();
         let shards = Json::arr(shard_keys.into_iter().map(|shard| {
-            let key = Some(shard);
             let mut pairs = vec![("shard".to_string(), Json::from(shard))];
-            pairs.extend(scope_json(&inner, &key, put_p99, put_p999));
+            pairs.extend(self.scope_json(Some(shard), p99, p999));
             Json::Obj(pairs)
         }));
-        let unsharded = Json::Obj(scope_json(&inner, &None, put_p99, put_p999));
-
-        Json::obj([
-            ("schema", Json::from(TAIL_SCHEMA)),
-            (
-                "config",
-                Json::obj([
-                    ("per_shard", Json::from(self.config.per_shard)),
-                    ("windows", Json::from(self.config.windows)),
-                    ("window_puts", Json::from(self.config.window_puts)),
-                    ("percentile", Json::from(self.config.percentile)),
-                    ("min_samples", Json::from(self.config.min_samples)),
-                ]),
-            ),
-            (
-                "completed",
-                Json::obj([
-                    ("put", Json::from(inner.completed_put)),
-                    ("lookup", Json::from(inner.completed_lookup)),
-                ]),
-            ),
-            ("windows_completed", Json::from(inner.windows_completed)),
-            (
-                "threshold",
-                Json::obj([
-                    (
-                        "put",
-                        Json::from(inner.put_latency.rolling().percentile(self.config.percentile)),
-                    ),
-                    (
-                        "lookup",
-                        Json::from(
-                            inner.lookup_latency.rolling().percentile(self.config.percentile),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "rolling",
-                Json::obj([
-                    ("put_latency", inner.put_latency.to_json()),
-                    ("lookup_latency", inner.lookup_latency.to_json()),
-                    ("queue_delay", inner.queue_delay.to_json()),
-                ]),
-            ),
-            (
-                "cumulative",
-                Json::obj([
-                    ("put_latency", inner.put_latency.cumulative().tail_json()),
-                    ("lookup_latency", inner.lookup_latency.cumulative().tail_json()),
-                    ("queue_delay", inner.queue_delay.cumulative().tail_json()),
-                ]),
-            ),
-            ("blame", global_blame),
-            ("dominant_phase", global_dominant.map_or(Json::Null, Json::from)),
-            ("shards", shards),
-            ("unsharded", unsharded),
-        ])
+        vec![
+            ("blame".to_string(), global_blame),
+            ("dominant_phase".to_string(), global_dominant.map_or(Json::Null, Json::from)),
+            ("shards".to_string(), shards),
+            ("unsharded".to_string(), Json::Obj(self.scope_json(None, p99, p999))),
+        ]
     }
 
-    /// Export headline gauges into `metrics` (`tail.*` →
-    /// `lsm_tail_*` in the Prometheus exposition).
-    pub fn export_gauges(&self, metrics: &Metrics) {
-        let inner = self.lock();
-        metrics.set_gauge("tail.windows_completed", inner.windows_completed as f64);
-        metrics.set_gauge("tail.completed.put", inner.completed_put as f64);
-        metrics.set_gauge("tail.completed.lookup", inner.completed_lookup as f64);
-        let captured: usize = inner.puts.values().chain(inner.lookups.values()).map(Vec::len).sum();
-        metrics.set_gauge("tail.exemplars", captured as f64);
-        metrics.set_gauge("tail.queue_delay.count", inner.queue_delay.cumulative().count() as f64);
+    /// One scope's (a shard's, or the unsharded bucket's) blame table,
+    /// dominant phase, and exemplar list.
+    fn scope_json(&self, key: Option<usize>, p99: f64, p999: f64) -> Vec<(String, Json)> {
+        let puts = self.puts.get(&key).map_or(&[][..], Vec::as_slice);
+        let lookups = self.lookups.get(&key).map_or(&[][..], Vec::as_slice);
+        let put_refs: Vec<&ExemplarSpan> = puts.iter().collect();
+        let (blame_table, dominant) = blame(&put_refs, p99, p999);
+        let mut exemplars: Vec<&ExemplarSpan> = puts.iter().chain(lookups).collect();
+        exemplars
+            .sort_by(|a, b| b.duration_us.cmp(&a.duration_us).then(a.start_us.cmp(&b.start_us)));
+        vec![
+            ("blame".to_string(), blame_table),
+            ("dominant_phase".to_string(), dominant.map_or(Json::Null, Json::from)),
+            ("exemplars".to_string(), Json::arr(exemplars.into_iter().map(ExemplarSpan::to_json))),
+        ]
     }
-}
-
-/// Render one scope's (a shard's, or the unsharded bucket's) blame table,
-/// dominant phase, and exemplar list.
-fn scope_json(
-    inner: &Inner,
-    key: &Option<usize>,
-    put_p99: f64,
-    put_p999: f64,
-) -> Vec<(String, Json)> {
-    static EMPTY: Vec<ExemplarSpan> = Vec::new();
-    let puts = inner.puts.get(key).unwrap_or(&EMPTY);
-    let lookups = inner.lookups.get(key).unwrap_or(&EMPTY);
-    let put_refs: Vec<&ExemplarSpan> = puts.iter().collect();
-    let (blame_table, dominant) = blame(&put_refs, put_p99, put_p999);
-    let mut exemplars: Vec<&ExemplarSpan> = puts.iter().chain(lookups.iter()).collect();
-    exemplars.sort_by(|a, b| b.duration_us.cmp(&a.duration_us).then(a.start_us.cmp(&b.start_us)));
-    vec![
-        ("blame".to_string(), blame_table),
-        ("dominant_phase".to_string(), dominant.map_or(Json::Null, Json::from)),
-        ("exemplars".to_string(), Json::arr(exemplars.into_iter().map(ExemplarSpan::to_json))),
-    ]
 }
 
 /// Aggregate put exemplars into a blame table sorted by total time,
@@ -465,32 +309,6 @@ fn blame(spans: &[&ExemplarSpan], p99: f64, p999: f64) -> (Json, Option<&'static
         ])
     }));
     (table, dominant)
-}
-
-impl EventSink for ExemplarSink {
-    fn accept(&self, entry: &TraceEvent) {
-        let mut inner = self.lock();
-        match entry.kind {
-            TraceEventKind::Begin { id, .. } => {
-                inner.open.insert(id.as_u64(), Vec::new());
-            }
-            TraceEventKind::End { id, op, began_us } => {
-                let Some(children) = inner.open.remove(&id.as_u64()) else { return };
-                let span = ExemplarSpan {
-                    op,
-                    start_us: began_us,
-                    duration_us: entry.at_us.saturating_sub(began_us),
-                    children,
-                };
-                // After a close the entry's span is the parent.
-                match entry.span.and_then(|p| inner.open.get_mut(&p.as_u64())) {
-                    Some(siblings) => siblings.push(span),
-                    None => self.on_root(&mut inner, span),
-                }
-            }
-            TraceEventKind::Emit(ev) => self.on_event(&mut inner, &ev, entry.shard, entry.at_us),
-        }
-    }
 }
 
 const BLAME: Shape = Shape::Arr(&Shape::Obj(&[
@@ -571,17 +389,37 @@ mod tests {
 
     use super::*;
     use crate::trace::TickClock;
-    use crate::SinkHandle;
+    use crate::{HealthConfig, HealthSink, Metrics, SinkHandle};
 
-    fn test_config() -> ExemplarConfig {
-        ExemplarConfig { per_shard: 2, windows: 2, window_puts: 8, percentile: 0.5, min_samples: 4 }
+    fn test_config() -> HealthConfig {
+        HealthConfig {
+            window_ops: 8,
+            windows: 2,
+            exemplars_per_shard: 2,
+            ..HealthConfig::default()
+        }
     }
 
-    /// An exemplar sink behind a tick-clock handle.
-    fn attached(config: ExemplarConfig) -> (Arc<ExemplarSink>, SinkHandle) {
-        let sink = Arc::new(ExemplarSink::new(config));
+    /// The windowed engine behind a tick-clock handle.
+    fn attached(config: HealthConfig) -> (Arc<HealthSink>, SinkHandle) {
+        let sink = Arc::new(HealthSink::new(config).with_tail());
         let handle = SinkHandle::with_clock(Arc::new(TickClock::new())).and(sink.clone());
         (sink, handle)
+    }
+
+    /// Durations of every exemplar a tail report holds, slowest first per
+    /// scope.
+    fn captured(report: &Json) -> Vec<u64> {
+        let scopes = report.get("shards").items().iter().chain([report.get("unsharded")]);
+        let exemplars = scopes.flat_map(|scope| scope.get("exemplars").items().iter());
+        exemplars.map(|x| x.get("duration_us").as_u64().unwrap()).collect()
+    }
+
+    /// One put on `shard` whose span encloses `writes` device writes: it
+    /// lasts `writes + 1` ticks.
+    fn put(handle: &SinkHandle, shard: usize, writes: u64) {
+        let _put = handle.span(SpanOp::put().with_shard(shard));
+        (0..writes).for_each(|block| handle.emit(Event::DeviceWrite { block }));
     }
 
     #[test]
@@ -591,17 +429,16 @@ mod tests {
             let _put = handle.span(SpanOp::put().with_shard(1));
             let _lw = handle.span(SpanOp::lock_wait().with_shard(1));
         }
-        assert_eq!(sink.completed_puts(), 1);
-        assert_eq!(sink.captured(), 1);
-        let doc = sink.report();
+        let doc = sink.tail_report().unwrap();
         assert!(validate_tail(&doc).is_empty(), "{:?}", validate_tail(&doc));
+        assert_eq!(doc.get("completed").get("put").as_u64(), Some(1));
+        assert_eq!(captured(&doc), [3]);
         // The tick clock advances once per reading: the put span covers 3
         // ticks (begin put, begin lw, end lw, end put ⇒ duration 3), the
         // lock wait 1; the residual is unattributed.
         let rendered = doc.render();
         assert!(rendered.contains("{\"phase\":\"lock_wait\",\"us\":1}"), "{rendered}");
         assert!(rendered.contains("{\"phase\":\"unattributed\",\"us\":2}"), "{rendered}");
-        assert!(!rendered.contains("memtable_insert"), "{rendered}");
     }
 
     #[test]
@@ -616,9 +453,9 @@ mod tests {
             }
             drop(bp);
         }
-        assert_eq!(sink.completed_puts(), 3);
-        assert_eq!(sink.dominant_phase(), Some("backpressure_wait"));
-        let doc = sink.report();
+        let doc = sink.tail_report().unwrap();
+        assert_eq!(doc.get("completed").get("put").as_u64(), Some(3));
+        assert_eq!(doc.get("dominant_phase").as_str(), Some("backpressure_wait"));
         assert!(validate_tail(&doc).is_empty(), "{:?}", validate_tail(&doc));
     }
 
@@ -627,36 +464,46 @@ mod tests {
         let (sink, handle) = attached(test_config());
         handle.emit(Event::FlushEnqueued { records: 10, backlog: 1 });
         handle.emit(Event::JobStart { shard: 0, queued: 0 });
-        let doc = sink.report();
+        let doc = sink.tail_report().unwrap();
         assert_eq!(doc.get("cumulative").get("queue_delay").get("count").as_u64(), Some(1));
+        let metrics = Metrics::new();
+        sink.export_gauges(&metrics);
+        assert_eq!(metrics.gauge("tail.queue_delay.count"), Some(1.0));
+        assert_eq!(metrics.gauge("tail.exemplars"), Some(0.0));
     }
 
     #[test]
-    fn reservoir_keeps_the_slowest_and_windows_rotate() {
-        let mut config = test_config();
-        config.per_shard = 2;
-        config.min_samples = 0;
-        config.percentile = 0.0;
-        let (sink, handle) = attached(config);
-        for spin in [1u64, 5, 3, 9, 2] {
-            let put = handle.span(SpanOp::put().with_shard(0));
-            for block in 0..spin {
-                handle.emit(Event::DeviceWrite { block });
-            }
-            drop(put);
+    fn the_reservoir_keeps_the_slowest_roots_per_shard() {
+        let (sink, handle) = attached(test_config());
+        // All inside the cold start, so every one is offered.
+        for writes in [1u64, 5, 3, 9, 2] {
+            put(&handle, 0, writes);
         }
-        assert_eq!(sink.completed_puts(), 5);
-        // K=2 reservoir holds the two slowest (spin 5 and spin 9).
-        let doc = sink.report();
-        let rendered = doc.render();
-        assert_eq!(sink.captured(), 2, "{rendered}");
-        assert!(sink.windows_completed() == 0, "5 roots < window_puts=8");
-        // Drive past a window boundary.
-        for _ in 0..8 {
-            let put = handle.span(SpanOp::put().with_shard(0));
-            drop(put);
-        }
-        assert!(sink.windows_completed() >= 1);
+        // Two a shard: the puts that spanned 9 and 5 writes.
+        assert_eq!(captured(&sink.tail_report().unwrap()), [10, 6]);
+    }
+
+    /// Past the cold start the capture threshold is the rolling percentile
+    /// of the engine's own put window, and the tail report counts the
+    /// engine's windows.
+    #[test]
+    fn the_threshold_reads_the_engines_put_window() {
+        let (sink, handle) = attached(HealthConfig { window_ops: 64, ..test_config() });
+        // The cold start, all slow: shard 0's reservoir of two keeps the
+        // first two.
+        (0..COLD_START).for_each(|_| put(&handle, 0, 6));
+        assert_eq!(captured(&sink.tail_report().unwrap()), [7, 7]);
+        // Past it a quick put on shard 1 falls under the rolling threshold
+        // of 7 and is not kept, though its shard's reservoir is empty.
+        put(&handle, 1, 0);
+        let doc = sink.tail_report().unwrap();
+        assert_eq!(captured(&doc), [7, 7]);
+        assert_eq!(doc.get("threshold").get("put").as_f64(), Some(7.0));
+        put(&handle, 1, 7);
+        assert_eq!(captured(&sink.tail_report().unwrap()), [7, 7, 8]);
+        // 199 device ops at window_ops = 64: three windows, counted once.
+        assert_eq!(sink.windows_completed(), 3);
+        assert_eq!(sink.tail_report().unwrap().get("windows_completed").as_u64(), Some(3));
     }
 
     #[test]
@@ -671,7 +518,7 @@ mod tests {
                 handle.emit(Event::JobStart { shard, queued: 0 });
                 drop(put);
             }
-            sink.report().render()
+            sink.tail_report().unwrap().render()
         };
         let a = run();
         assert_eq!(a, run());
@@ -692,19 +539,10 @@ mod tests {
             let _put = handle.span(SpanOp::put().with_shard(0));
             let _wait = handle.span(SpanOp::lock_wait().with_shard(0));
         }
-        let good = sink.report().render();
+        let good = sink.tail_report().unwrap().render();
         let bad = good.replacen("\"lock_wait\",\"us\":1}", "\"lock_wait\",\"us\":1000}", 1);
         assert_ne!(good, bad, "the exemplar's phase was not found: {good}");
         let problems = validate_tail(&Json::parse(&bad).unwrap());
         assert!(problems.iter().any(|p| p.contains("phases sum")), "{problems:?}");
-    }
-
-    #[test]
-    fn export_gauges_publishes_tail_series() {
-        let sink = ExemplarSink::new(test_config());
-        let metrics = Metrics::new();
-        sink.export_gauges(&metrics);
-        let doc = metrics.to_json().render();
-        assert!(doc.contains("tail.windows_completed"), "{doc}");
     }
 }

@@ -1,5 +1,5 @@
-//! The windowed health engine: rolling-window detectors, SLO tracking,
-//! and the versioned `lsm-health/v1` report.
+//! The windowed engine: rolling-window detectors, SLO tracking, the tail
+//! reservoir and the amplification series, on one set of windows.
 //!
 //! [`HealthSink`] consumes the stamped event/span stream the stack already
 //! emits — it adds **no new instrumentation call sites on hot paths** and
@@ -7,29 +7,43 @@
 //! [`SinkHandle`](crate::SinkHandle) like any other [`EventSink`]: every
 //! entry arrives stamped with its shard, so the sink buckets device/cache
 //! activity per shard, and every span's `End` carries its opening stamp,
-//! so request latency is read off the stream: a put is the `End` of a
-//! *root* `Put` span ([`TraceEvent::closes_root`] — the rule the tail engine
-//! counts requests by), a get the `End` of a `Lookup` span, an fsync the
-//! `End` of a `WalAppend` span. Latencies are in the handle's clock units
-//! like every other span: microseconds under the wall clock, ticks under
+//! so request latency is read off the stream: a request is the `End` of a
+//! *root* span ([`TraceEvent::closes_root`]) — a put of a `Put` span, a
+//! get of a `Lookup` span — and an fsync the `End` of a `WalAppend` span.
+//! Latencies are in the handle's clock units like every other span:
+//! microseconds under the wall clock, ticks under
 //! [`TickClock`](crate::TickClock).
 //!
 //! Windows rotate every [`HealthConfig::window_ops`] *device operations*
 //! (reads + writes + trims + syncs), not wall time, so rotation is a pure
 //! function of the workload and every windowed statistic is deterministic
 //! under [`TickClock`](crate::TickClock) — same seed, byte-identical
-//! report. At each boundary the sink evaluates five detectors with
+//! reports. At each boundary the engine evaluates five detectors with
 //! hysteresis ([`HealthConfig::trip_after`] breaching windows to alert,
 //! [`HealthConfig::clear_after`] healthy windows to clear), records every
 //! state change as a [`TransitionRecord`] ([`HealthSink::transitions`], the
-//! report's `transitions` array), and feeds the put-latency [`SloTracker`]
-//! (multi-window error-budget burn).
+//! report's `transitions` array), feeds the put-latency [`SloTracker`]
+//! (multi-window error-budget burn), and, when it keeps the series, takes
+//! one row of the amplification series ([`crate::series`]). The same put
+//! and get windows set the capture threshold of the tail reservoir
+//! ([`crate::exemplar`]).
+//!
+//! Three reports read the one state: [`HealthSink::report`]
+//! (`lsm-health/v1`), always; [`HealthSink::tail_report`] (`lsm-tail/v1`)
+//! from an engine built [`with_tail`](HealthSink::with_tail), and
+//! [`HealthSink::series`] from one built
+//! [`with_series`](HealthSink::with_series). The health state is a set of
+//! fixed rings; the tail builds every request's span tree and the series
+//! keeps a row per window, so an engine pays for each only when it was
+//! asked for.
 
 use std::sync::Mutex;
 
+use crate::exemplar::{Tail, CAPTURE_PERCENTILE, COLD_START, TAIL_SCHEMA};
 use crate::json::{Json, Shape};
 use crate::metrics::Metrics;
-use crate::trace::{SpanKind, TraceEvent, TraceEventKind};
+use crate::series::{Series, SeriesRow, Totals};
+use crate::trace::{SpanKind, SpanOp, TraceEvent, TraceEventKind};
 use crate::windowed::{RateWindow, WindowedHistogram};
 use crate::{Event, EventSink};
 
@@ -159,6 +173,8 @@ pub struct HealthConfig {
     /// SLO: burn rate (bad fraction ÷ error budget) above which both the
     /// short and long windows must sit for the SLO to alert.
     pub slo_burn_limit: f64,
+    /// Tail reservoir: slowest root spans kept per shard and kind.
+    pub exemplars_per_shard: usize,
 }
 
 impl Default for HealthConfig {
@@ -178,6 +194,7 @@ impl Default for HealthConfig {
             slo_target: 0.999,
             slo_objective: 10_000,
             slo_burn_limit: 2.0,
+            exemplars_per_shard: 4,
         }
     }
 }
@@ -270,9 +287,9 @@ impl SloTracker {
     }
 }
 
-/// Rolling series kept per scope (one global set plus one per shard).
+/// Rolling windows kept per scope (one global set plus one per shard).
 #[derive(Debug)]
-struct SeriesSet {
+struct ScopeWindows {
     put_latency: WindowedHistogram,
     device_writes: RateWindow,
     cache_hits: RateWindow,
@@ -284,9 +301,9 @@ struct SeriesSet {
     backpressure: RateWindow,
 }
 
-impl SeriesSet {
+impl ScopeWindows {
     fn new(windows: usize) -> Self {
-        SeriesSet {
+        ScopeWindows {
             put_latency: WindowedHistogram::new(windows),
             device_writes: RateWindow::new(windows),
             cache_hits: RateWindow::new(windows),
@@ -308,26 +325,19 @@ impl SeriesSet {
     }
 
     /// Rolling write amplification: device blocks written per record
-    /// flushed out of L0 (what `TimeseriesSink` divides by, short of the
-    /// block capacity, which a drift — a ratio of two of these — cancels).
+    /// flushed out of L0 (the series states it per block of records; a
+    /// drift, a ratio of two of these, is the same either way).
     fn rolling_write_amp(&self) -> f64 {
-        ratio(self.device_writes.rolling(), self.flushed_records.rolling())
+        write_amp(self.device_writes.rolling(), self.flushed_records.rolling())
     }
 
     /// All-time write amplification (the drift baseline).
     fn baseline_write_amp(&self) -> f64 {
-        ratio(self.device_writes.total(), self.flushed_records.total())
+        write_amp(self.device_writes.total(), self.flushed_records.total())
     }
 
-    /// Rolling cache hit rate, or 1.0 with no lookups (vacuously healthy).
     fn rolling_hit_rate(&self) -> f64 {
-        let hits = self.cache_hits.rolling();
-        let total = hits + self.cache_misses.rolling();
-        if total == 0 {
-            1.0
-        } else {
-            hits as f64 / total as f64
-        }
+        hit_rate(self.cache_hits.rolling(), self.cache_misses.rolling())
     }
 
     fn to_json(&self) -> Json {
@@ -343,11 +353,22 @@ impl SeriesSet {
     }
 }
 
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
+/// Device blocks written per record flushed out of L0, or 0 before the
+/// first flush.
+fn write_amp(device_writes: u64, flushed_records: u64) -> f64 {
+    if flushed_records == 0 {
         0.0
     } else {
-        num as f64 / den as f64
+        device_writes as f64 / flushed_records as f64
+    }
+}
+
+/// Cache hits per lookup, or 1.0 with no lookups (vacuously healthy).
+fn hit_rate(hits: u64, misses: u64) -> f64 {
+    if hits + misses == 0 {
+        1.0
+    } else {
+        hits as f64 / (hits + misses) as f64
     }
 }
 
@@ -363,17 +384,34 @@ struct DetectorSlot {
 struct Inner {
     device_ops: u64,
     windows_completed: u64,
-    global: SeriesSet,
+    global: ScopeWindows,
     get_latency: WindowedHistogram,
     fsync_latency: WindowedHistogram,
     ops: RateWindow,
-    shards: Vec<SeriesSet>,
+    shards: Vec<ScopeWindows>,
     detectors: Vec<DetectorSlot>,
     slo: SloTracker,
     transitions: Vec<TransitionRecord>,
+    /// The tail reservoir, when the engine was built with it.
+    tail: Option<Tail>,
+    /// The amplification series, when the engine was built with it.
+    series: Option<Series>,
 }
 
-/// The health engine. See the [module docs](self) for how to attach it.
+impl Inner {
+    /// The counters a series row shares with the health windows.
+    fn totals(&self) -> Totals {
+        let global = &self.global;
+        Totals {
+            device_ops: self.device_ops,
+            device_writes: global.device_writes.total(),
+            flushed_records: global.flushed_records.total(),
+            cache_hit_rate: hit_rate(global.cache_hits.total(), global.cache_misses.total()),
+        }
+    }
+}
+
+/// The windowed engine. See the [module docs](self) for how to attach it.
 pub struct HealthSink {
     config: HealthConfig,
     inner: Mutex<Inner>,
@@ -386,7 +424,9 @@ impl std::fmt::Debug for HealthSink {
 }
 
 impl HealthSink {
-    /// A health sink with the given tuning.
+    /// An engine with the given tuning that keeps the health report only;
+    /// [`with_tail`](Self::with_tail) and [`with_series`](Self::with_series)
+    /// add the other two.
     pub fn new(config: HealthConfig) -> Self {
         let windows = config.windows.max(1);
         let detectors = HealthDetector::all()
@@ -409,7 +449,7 @@ impl HealthSink {
             inner: Mutex::new(Inner {
                 device_ops: 0,
                 windows_completed: 0,
-                global: SeriesSet::new(windows),
+                global: ScopeWindows::new(windows),
                 get_latency: WindowedHistogram::new(windows),
                 fsync_latency: WindowedHistogram::new(windows),
                 ops: RateWindow::new(windows),
@@ -417,14 +457,32 @@ impl HealthSink {
                 detectors,
                 slo,
                 transitions: Vec::new(),
+                tail: None,
+                series: None,
             }),
             config,
         }
     }
 
-    /// Defaults.
+    /// Defaults, health report only.
     pub fn with_defaults() -> Self {
         Self::new(HealthConfig::default())
+    }
+
+    /// Also keep the tail reservoir, for [`tail_report`](Self::tail_report):
+    /// every request's span tree is built, and scheduler queue delay is
+    /// paired.
+    pub fn with_tail(mut self) -> Self {
+        let windows = self.config.windows;
+        self.inner.get_mut().unwrap_or_else(|e| e.into_inner()).tail = Some(Tail::new(windows));
+        self
+    }
+
+    /// Also keep the amplification series, for [`series`](Self::series):
+    /// one row per closed window, and the wear of every block written.
+    pub fn with_series(mut self) -> Self {
+        self.inner.get_mut().unwrap_or_else(|e| e.into_inner()).series = Some(Series::default());
+        self
     }
 
     /// Windows completed so far.
@@ -450,7 +508,7 @@ impl HealthSink {
     /// the events with a rolling counter bump it globally and for their
     /// shard — the entry's stamp, or the one a `Backpressure` names itself.
     fn on_event(&self, inner: &mut Inner, event: &Event, shard: Option<usize>) {
-        type Counter = fn(&mut SeriesSet) -> &mut RateWindow;
+        type Counter = fn(&mut ScopeWindows) -> &mut RateWindow;
         let amount = if let Event::MemtableFlush { records, .. } = *event { records } else { 1 };
         let (counter, shard): (Option<Counter>, _) = match *event {
             Event::DeviceWrite { .. } => (Some(|s| &mut s.device_writes), shard),
@@ -464,8 +522,11 @@ impl HealthSink {
         if let Some(counter) = counter {
             counter(&mut inner.global).add(amount);
             if let Some(shard) = shard {
-                counter(series(inner, shard, self.config.windows)).add(amount);
+                counter(shard_windows(inner, shard, self.config.windows)).add(amount);
             }
+        }
+        if let Some(series) = &mut inner.series {
+            series.fold(event);
         }
         let device_op = matches!(
             event,
@@ -482,8 +543,36 @@ impl HealthSink {
         }
     }
 
+    /// A root span closed: a request, if it is a `Put` or a `Lookup`. It
+    /// lands in its latency window (a put also in its shard's and the
+    /// SLO's). Returns whether its tree belongs in the tail reservoir: the
+    /// engine keeps one, and the root is among the first [`COLD_START`] of
+    /// its kind or at least the rolling [`CAPTURE_PERCENTILE`] of its
+    /// window.
+    fn on_root(&self, inner: &mut Inner, op: SpanOp, latency: u64) -> bool {
+        let tailing = inner.tail.is_some();
+        let window = match op.kind {
+            SpanKind::Put => {
+                inner.slo.record(latency);
+                if let Some(shard) = op.shard {
+                    shard_windows(inner, shard, self.config.windows).put_latency.record(latency);
+                }
+                &mut inner.global.put_latency
+            }
+            SpanKind::Lookup => &mut inner.get_latency,
+            _ => return false,
+        };
+        window.record(latency);
+        let keep = tailing
+            && (window.cumulative().count() <= COLD_START
+                || latency as f64 >= window.rolling().percentile(CAPTURE_PERCENTILE));
+        inner.ops.incr();
+        keep
+    }
+
     /// A window just filled: judge every detector on the pre-rotation
-    /// rolling view, record transitions, then rotate every ring.
+    /// rolling view, record transitions, take the series row if the series
+    /// is kept, then rotate every ring.
     fn close_window(&self, inner: &mut Inner) {
         let cfg = &self.config;
         let window = inner.windows_completed;
@@ -537,11 +626,18 @@ impl HealthSink {
             }
         }
 
+        let totals = inner.totals();
+        if let Some(series) = &mut inner.series {
+            series.push(&totals);
+        }
         inner.slo.rotate();
         inner.global.rotate();
         inner.get_latency.rotate();
         inner.fsync_latency.rotate();
         inner.ops.rotate();
+        if let Some(tail) = &mut inner.tail {
+            tail.queue_delay.rotate();
+        }
         for shard in &mut inner.shards {
             shard.rotate();
         }
@@ -621,8 +717,79 @@ impl HealthSink {
         ])
     }
 
+    /// The versioned `lsm-tail/v1` report of the tail reservoir: request
+    /// counts, capture thresholds, the latency and queue-delay windows,
+    /// and the blame table over the captured trees, globally and per
+    /// shard; `None` unless the engine was built
+    /// [`with_tail`](Self::with_tail). Pure: same state, same bytes.
+    pub fn tail_report(&self) -> Option<Json> {
+        let inner = self.lock();
+        let tail = inner.tail.as_ref()?;
+        let cfg = &self.config;
+        let (put, get, queue) = (&inner.global.put_latency, &inner.get_latency, &tail.queue_delay);
+        let threshold =
+            |w: &WindowedHistogram| Json::from(w.rolling().percentile(CAPTURE_PERCENTILE));
+        let cumulative = put.cumulative();
+        let mut doc = vec![
+            ("schema".to_string(), Json::from(TAIL_SCHEMA)),
+            (
+                "config".to_string(),
+                Json::obj([
+                    ("per_shard", Json::from(cfg.exemplars_per_shard)),
+                    ("window_ops", Json::from(cfg.window_ops)),
+                    ("windows", Json::from(cfg.windows)),
+                    ("percentile", Json::from(CAPTURE_PERCENTILE)),
+                    ("min_samples", Json::from(COLD_START)),
+                ]),
+            ),
+            (
+                "completed".to_string(),
+                Json::obj([
+                    ("put", Json::from(cumulative.count())),
+                    ("lookup", Json::from(get.cumulative().count())),
+                ]),
+            ),
+            ("windows_completed".to_string(), Json::from(inner.windows_completed)),
+            (
+                "threshold".to_string(),
+                Json::obj([("put", threshold(put)), ("lookup", threshold(get))]),
+            ),
+            (
+                "rolling".to_string(),
+                Json::obj([
+                    ("put_latency", put.to_json()),
+                    ("lookup_latency", get.to_json()),
+                    ("queue_delay", queue.to_json()),
+                ]),
+            ),
+            (
+                "cumulative".to_string(),
+                Json::obj([
+                    ("put_latency", cumulative.tail_json()),
+                    ("lookup_latency", get.cumulative().tail_json()),
+                    ("queue_delay", queue.cumulative().tail_json()),
+                ]),
+            ),
+        ];
+        doc.extend(tail.blame_sections(cumulative.percentile(0.99), cumulative.percentile(0.999)));
+        Some(Json::Obj(doc))
+    }
+
+    /// The amplification series: one row per closed window, plus one at
+    /// the counters as they stand (so a short run yields a row too);
+    /// `None` unless the engine was built [`with_series`](Self::with_series).
+    pub fn series(&self) -> Option<Vec<SeriesRow>> {
+        let inner = self.lock();
+        let series = inner.series.as_ref()?;
+        let mut rows = series.rows().to_vec();
+        rows.push(series.row(&inner.totals()));
+        Some(rows)
+    }
+
     /// Export every rolling series as gauges into `metrics` (rendered by
-    /// `render_prometheus` as `# TYPE ... gauge`).
+    /// `render_prometheus` as `# TYPE ... gauge`), and, when the engine
+    /// keeps the tail, the reservoir's size and queue-delay count as
+    /// `tail.*`.
     pub fn export_gauges(&self, metrics: &Metrics) {
         let inner = self.lock();
         let put = inner.global.put_latency.rolling();
@@ -657,45 +824,46 @@ impl HealthSink {
             metrics.set_gauge_with("health.shard.write_amp", &labels, set.rolling_write_amp());
             metrics.set_gauge_with("health.shard.cache_hit_rate", &labels, set.rolling_hit_rate());
         }
+        if let Some(tail) = &inner.tail {
+            metrics.set_gauge("tail.exemplars", tail.captured() as f64);
+            metrics
+                .set_gauge("tail.queue_delay.count", tail.queue_delay.cumulative().count() as f64);
+        }
     }
 }
 
-/// Fetch (growing on demand) the per-shard series set. Free function so
+/// Fetch (growing on demand) the per-shard windows. Free function so
 /// callers holding the `Inner` borrow can use it.
-fn series(inner: &mut Inner, shard: usize, windows: usize) -> &mut SeriesSet {
+fn shard_windows(inner: &mut Inner, shard: usize, windows: usize) -> &mut ScopeWindows {
     while inner.shards.len() <= shard {
-        inner.shards.push(SeriesSet::new(windows.max(1)));
+        inner.shards.push(ScopeWindows::new(windows.max(1)));
     }
     &mut inner.shards[shard]
 }
 
 impl EventSink for HealthSink {
-    /// Plain events go to [`HealthSink::on_event`]; a closing span is a
-    /// latency sample: a root `Put` is a served put (global and per-shard
-    /// windows, the SLO), a `Lookup` a served get, a `WalAppend` an fsync.
+    /// A kept tail folds every entry into its span trees first; then plain
+    /// events go to `on_event`, a closing root span to `on_root` (and, if
+    /// it qualifies, its tree to the reservoir), and a closing `WalAppend`
+    /// is an fsync.
     fn accept(&self, entry: &TraceEvent) {
-        let mut inner = self.lock();
-        let (kind, began_us) = match entry.kind {
-            TraceEventKind::Begin { .. } => return,
-            TraceEventKind::Emit(event) => return self.on_event(&mut inner, &event, entry.shard),
-            TraceEventKind::End { op, began_us, .. } => (op.kind, began_us),
-        };
-        let latency = entry.at_us.saturating_sub(began_us);
-        match kind {
-            SpanKind::Put if entry.closes_root() => {
-                inner.ops.incr();
-                inner.global.put_latency.record(latency);
-                inner.slo.record(latency);
-                if let Some(shard) = entry.shard {
-                    series(&mut inner, shard, self.config.windows).put_latency.record(latency);
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let tree = inner.tail.as_mut().and_then(|tail| tail.on_entry(entry));
+        match entry.kind {
+            TraceEventKind::Begin { .. } => {}
+            TraceEventKind::Emit(event) => self.on_event(inner, &event, entry.shard),
+            TraceEventKind::End { op, began_us, .. } => {
+                let latency = entry.at_us.saturating_sub(began_us);
+                if op.kind == SpanKind::WalAppend {
+                    inner.fsync_latency.record(latency);
+                }
+                if entry.closes_root() && self.on_root(inner, op, latency) {
+                    if let (Some(tail), Some(span)) = (&mut inner.tail, tree) {
+                        tail.keep(span, self.config.exemplars_per_shard);
+                    }
                 }
             }
-            SpanKind::Lookup => {
-                inner.ops.incr();
-                inner.get_latency.record(latency);
-            }
-            SpanKind::WalAppend => inner.fsync_latency.record(latency),
-            _ => {}
         }
     }
 }
@@ -1031,6 +1199,30 @@ mod tests {
         assert_eq!(inner.shards[1].wal_appends.total(), 1);
         assert_eq!(inner.shards[1].device_writes.total(), 1);
         assert_eq!(inner.shards[0].cache_hits.total(), 1);
+    }
+
+    /// An engine that keeps neither the tail nor the series holds fixed
+    /// rings however long it runs: no rows, no wear, no span trees.
+    #[test]
+    fn a_health_only_engine_keeps_no_history() {
+        let run = |sink: HealthSink| {
+            let (sink, handle) = attached(sink);
+            for block in 0..10_000u64 {
+                let _put = handle.span(SpanOp::put().with_shard(0));
+                handle.emit(Event::DeviceWrite { block });
+            }
+            assert_eq!(sink.windows_completed(), 1_000);
+            sink
+        };
+        let health = run(HealthSink::new(test_config()));
+        assert!(health.series().is_none() && health.tail_report().is_none());
+        let inner = health.lock();
+        assert!(inner.series.is_none() && inner.tail.is_none());
+        assert_eq!((inner.shards.len(), inner.transitions.len()), (1, 0));
+        drop(inner);
+        // Asked for, the series keeps a row a window (and the last one).
+        let series = run(HealthSink::new(test_config()).with_series());
+        assert_eq!(series.series().map(|rows| rows.len()), Some(1_001));
     }
 
     #[test]

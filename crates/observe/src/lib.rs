@@ -24,11 +24,11 @@
 //! - [`MetricsSink`] — folds events into a shared [`Metrics`] registry of
 //!   counters and histograms ([`Metrics::render_prometheus`] is its
 //!   Prometheus text form).
-//! - [`ChromeTraceSink`], [`TimeseriesSink`] — Chrome-trace and
-//!   amplification time-series exporters.
-//! - [`HealthSink`], [`ExemplarSink`], [`FlightRecorderSink`] — the
-//!   windowed health engine, tail-latency exemplars and the flight
-//!   recorder.
+//! - [`ChromeTraceSink`] — the Chrome-trace exporter.
+//! - [`HealthSink`] — the windowed engine: health detectors and SLO burn,
+//!   and, when it is built with them, the tail-latency exemplar reservoir
+//!   and the amplification series, all on one set of device-op windows.
+//! - [`FlightRecorderSink`] — the flight recorder.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -38,10 +38,11 @@ pub mod flight;
 pub mod health;
 pub mod json;
 pub mod metrics;
+pub mod series;
 pub mod trace;
 pub mod windowed;
 
-pub use exemplar::{validate_tail, ExemplarConfig, ExemplarSink, ExemplarSpan, TAIL_SCHEMA};
+pub use exemplar::{validate_tail, TAIL_SCHEMA};
 pub use flight::{FlightEntry, FlightRecorderSink, OpenSpan};
 pub use health::{
     validate_health, HealthConfig, HealthDetector, HealthSink, HealthState, SloTracker,
@@ -49,9 +50,10 @@ pub use health::{
 };
 pub use json::{Json, Shape};
 pub use metrics::{Histogram, Metrics};
+pub use series::{series_csv, series_json, SeriesRow};
 pub use trace::{
-    ChromeTraceSink, Clock, SpanGuard, SpanId, SpanKind, SpanOp, TickClock, TimeseriesSink,
-    TraceEvent, TraceEventKind, WallClock,
+    ChromeTraceSink, Clock, SpanGuard, SpanId, SpanKind, SpanOp, TickClock, TraceEvent,
+    TraceEventKind, WallClock,
 };
 pub use windowed::{RateWindow, WindowedHistogram};
 

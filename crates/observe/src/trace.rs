@@ -17,20 +17,17 @@
 //!   [`TickClock`] makes traces byte-identical across runs, so the
 //!   torture/twin tests can assert on them.
 //!
-//! Exporters defined here (both [`EventSink`]s):
-//!
-//! - [`ChromeTraceSink`] — Chrome `trace_event` JSON, loadable in
-//!   `chrome://tracing` or <https://ui.perfetto.dev> (one pid per shard,
-//!   one tid per operation class).
-//! - [`TimeseriesSink`] — samples cumulative write amplification, cache hit
-//!   rate, and max wear every N device ops.
+//! The exporter defined here, [`ChromeTraceSink`], writes Chrome
+//! `trace_event` JSON, loadable in `chrome://tracing` or
+//! <https://ui.perfetto.dev> (one pid per shard, one tid per operation
+//! class).
 //!
 //! Spans must begin and end on the same thread (the [`SpanGuard`] returned
 //! by [`SinkHandle::span`](crate::SinkHandle::span) enforces this by
 //! construction: it is used locally and dropped where it was created).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -703,214 +700,6 @@ impl Drop for ChromeTraceSink {
     }
 }
 
-/// One row of the amplification time-series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeseriesSample {
-    /// Device-op count (reads + writes + trims + syncs) at sampling time.
-    pub op: u64,
-    /// Cumulative device blocks written.
-    pub device_writes: u64,
-    /// Cumulative device blocks read.
-    pub device_reads: u64,
-    /// Cumulative device blocks trimmed.
-    pub device_trims: u64,
-    /// Cumulative records extracted from memtables.
-    pub flushed_records: u64,
-    /// Cumulative write amplification: device blocks written per block of
-    /// flushed user data (0 until the first flush).
-    pub write_amp: f64,
-    /// Cache hits / (hits + misses), 0 before any lookup.
-    pub cache_hit_rate: f64,
-    /// Highest per-block write count seen so far (wear proxy).
-    pub max_wear: u64,
-    /// On-device tree height (levels added so far).
-    pub height: u64,
-    /// Merges completed so far.
-    pub merges: u64,
-    /// Cumulative blocks written into each paper-numbered level by merges,
-    /// compactions, and pairwise fixes.
-    pub level_writes: BTreeMap<usize, u64>,
-}
-
-#[derive(Default)]
-struct TimeseriesState {
-    device_ops: u64,
-    device_writes: u64,
-    device_reads: u64,
-    device_trims: u64,
-    flushed_records: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    merges: u64,
-    height: u64,
-    wear: HashMap<u64, u64>,
-    max_wear: u64,
-    level_writes: BTreeMap<usize, u64>,
-    samples: Vec<TimeseriesSample>,
-}
-
-/// Samples cumulative amplification statistics every N device ops.
-///
-/// Consumes plain events only. Rows accumulate in memory; render them
-/// with [`TimeseriesSink::to_csv`] / [`TimeseriesSink::to_json`].
-///
-/// Write amplification is `device_writes / (flushed_records / block_capacity)`
-/// — device blocks written per block of user data reaching the tree, the
-/// quantity the paper's §III cost model bounds.
-pub struct TimeseriesSink {
-    every: u64,
-    block_capacity: u64,
-    state: Mutex<TimeseriesState>,
-}
-
-impl std::fmt::Debug for TimeseriesSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimeseriesSink").field("every", &self.every).finish()
-    }
-}
-
-impl TimeseriesSink {
-    /// Sample every `every` device ops; `block_capacity` is the number of
-    /// records one block holds (needed to express amplification in blocks).
-    pub fn new(every: u64, block_capacity: u64) -> Self {
-        TimeseriesSink {
-            every: every.max(1),
-            block_capacity: block_capacity.max(1),
-            state: Mutex::new(TimeseriesState::default()),
-        }
-    }
-
-    fn sample(&self, state: &mut TimeseriesState) {
-        let user_blocks = state.flushed_records as f64 / self.block_capacity as f64;
-        let write_amp =
-            if user_blocks > 0.0 { state.device_writes as f64 / user_blocks } else { 0.0 };
-        let lookups = state.cache_hits + state.cache_misses;
-        let cache_hit_rate =
-            if lookups > 0 { state.cache_hits as f64 / lookups as f64 } else { 0.0 };
-        state.samples.push(TimeseriesSample {
-            op: state.device_ops,
-            device_writes: state.device_writes,
-            device_reads: state.device_reads,
-            device_trims: state.device_trims,
-            flushed_records: state.flushed_records,
-            write_amp,
-            cache_hit_rate,
-            max_wear: state.max_wear,
-            height: state.height,
-            merges: state.merges,
-            level_writes: state.level_writes.clone(),
-        });
-    }
-
-    /// Copy of the rows sampled so far, plus one final row at the current
-    /// counters (so short runs always yield at least one row).
-    pub fn samples(&self) -> Vec<TimeseriesSample> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        self.sample(&mut state);
-        let rows = state.samples.clone();
-        state.samples.pop();
-        rows
-    }
-
-    /// Render as CSV with a header row.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "op,device_writes,device_reads,device_trims,flushed_records,write_amp,cache_hit_rate,max_wear,height,merges\n",
-        );
-        for s in self.samples() {
-            out.push_str(&format!(
-                "{},{},{},{},{},{:.4},{:.4},{},{},{}\n",
-                s.op,
-                s.device_writes,
-                s.device_reads,
-                s.device_trims,
-                s.flushed_records,
-                s.write_amp,
-                s.cache_hit_rate,
-                s.max_wear,
-                s.height,
-                s.merges
-            ));
-        }
-        out
-    }
-
-    /// Render as a JSON array of row objects (includes per-level writes).
-    pub fn to_json(&self) -> Json {
-        Json::arr(self.samples().into_iter().map(|s| {
-            Json::obj([
-                ("op", Json::from(s.op)),
-                ("device_writes", Json::from(s.device_writes)),
-                ("device_reads", Json::from(s.device_reads)),
-                ("device_trims", Json::from(s.device_trims)),
-                ("flushed_records", Json::from(s.flushed_records)),
-                ("write_amp", Json::from(s.write_amp)),
-                ("cache_hit_rate", Json::from(s.cache_hit_rate)),
-                ("max_wear", Json::from(s.max_wear)),
-                ("height", Json::from(s.height)),
-                ("merges", Json::from(s.merges)),
-                (
-                    "level_writes",
-                    Json::Obj(
-                        s.level_writes
-                            .iter()
-                            .map(|(l, w)| (format!("L{l}"), Json::from(*w)))
-                            .collect(),
-                    ),
-                ),
-            ])
-        }))
-    }
-}
-
-impl EventSink for TimeseriesSink {
-    fn accept(&self, entry: &TraceEvent) {
-        let TraceEventKind::Emit(event) = entry.kind else { return };
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut device_op = false;
-        match event {
-            Event::DeviceWrite { block } => {
-                device_op = true;
-                state.device_writes += 1;
-                let wear = state.wear.entry(block).or_insert(0);
-                *wear += 1;
-                let wear = *wear;
-                state.max_wear = state.max_wear.max(wear);
-            }
-            Event::DeviceRead { .. } => {
-                device_op = true;
-                state.device_reads += 1;
-            }
-            Event::DeviceTrim { .. } => {
-                device_op = true;
-                state.device_trims += 1;
-            }
-            Event::DeviceSync => device_op = true,
-            Event::MemtableFlush { records, .. } => state.flushed_records += records,
-            Event::CacheHit => state.cache_hits += 1,
-            Event::CacheMiss => state.cache_misses += 1,
-            Event::LevelAdded { new_height } => state.height = state.height.max(new_height as u64),
-            Event::MergeFinish { target_level, writes, .. } => {
-                state.merges += 1;
-                *state.level_writes.entry(target_level).or_insert(0) += writes;
-            }
-            Event::Compaction { level, writes } => {
-                *state.level_writes.entry(level).or_insert(0) += writes;
-            }
-            Event::PairwiseFix { level, writes, .. } => {
-                *state.level_writes.entry(level).or_insert(0) += writes;
-            }
-            _ => {}
-        }
-        if device_op {
-            state.device_ops += 1;
-            if state.device_ops.is_multiple_of(self.every) {
-                self.sample(&mut state);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1050,46 +839,6 @@ mod tests {
         assert_eq!((span.get("ts").as_u64(), span.get("dur").as_u64()), (Some(0), Some(3)));
         assert_eq!(span.get("args").get("writes").as_u64(), Some(1));
         assert_eq!(span.get("args").get("reads").as_u64(), Some(1));
-    }
-
-    #[test]
-    fn timeseries_samples_every_n_device_ops() {
-        let series = Arc::new(TimeseriesSink::new(2, 4));
-        let handle = SinkHandle::new(series.clone());
-        for block in 0..5 {
-            handle.emit(Event::DeviceWrite { block });
-        }
-        handle.emit(Event::MemtableFlush { records: 8, full: true });
-        handle.emit(Event::CacheHit);
-        handle.emit(Event::CacheMiss);
-
-        let rows = series.samples();
-        // 5 device ops at every=2 → samples at op 2 and 4, plus the final row.
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].op, 2);
-        assert_eq!(rows[1].op, 4);
-        let last = rows.last().unwrap();
-        assert_eq!(last.device_writes, 5);
-        assert_eq!(last.flushed_records, 8);
-        // 5 writes for 8/4 = 2 user blocks → amplification 2.5.
-        assert!((last.write_amp - 2.5).abs() < 1e-9);
-        assert!((last.cache_hit_rate - 0.5).abs() < 1e-9);
-        assert_eq!(last.max_wear, 1);
-
-        let csv = series.to_csv();
-        assert!(csv.starts_with("op,device_writes"));
-        assert_eq!(csv.lines().count(), 4, "{csv}");
-    }
-
-    #[test]
-    fn timeseries_wear_tracks_hottest_block() {
-        let series = Arc::new(TimeseriesSink::new(100, 1));
-        let handle = SinkHandle::new(series.clone());
-        for _ in 0..3 {
-            handle.emit(Event::DeviceWrite { block: 9 });
-        }
-        handle.emit(Event::DeviceWrite { block: 1 });
-        assert_eq!(series.samples().last().unwrap().max_wear, 3);
     }
 
     #[test]

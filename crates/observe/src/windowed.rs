@@ -1,12 +1,13 @@
-//! Rolling-window statistics: the signal plane behind the health engine.
+//! Rolling-window statistics: the signal plane behind the windowed engine.
 //!
 //! Everything else in this crate is cumulative-since-startup, which is the
 //! wrong shape for detecting a 30-second write stall or a cache hit-rate
 //! collapse mid-run — by the time a cumulative average moves, the incident
 //! is over. This module keeps a ring of K *epoch* sub-aggregates and
-//! rotates it on an externally supplied tick (the health engine rotates on
-//! device-op count, so rotation is deterministic under
-//! [`TickClock`](crate::TickClock) and identical across same-seed runs):
+//! rotates it on an externally supplied tick (the windowed engine,
+//! [`HealthSink`](crate::HealthSink), rotates on device-op count, so
+//! rotation is deterministic under [`TickClock`](crate::TickClock) and
+//! identical across same-seed runs):
 //!
 //! - [`WindowedHistogram`] — a ring of [`Histogram`]s. Samples land in the
 //!   current epoch; reads merge the whole ring into one rolling histogram
@@ -15,8 +16,8 @@
 //!   plus an all-time cumulative total (the health engine reconciles its
 //!   cumulative view exactly against the metrics registry).
 //!
-//! Both are single-writer values; the health engine wraps them in its own
-//! mutex alongside the rest of its state.
+//! Both are single-writer values; the engine wraps them in its own mutex
+//! alongside the rest of its state.
 
 use crate::json::Json;
 use crate::metrics::Histogram;
@@ -41,11 +42,6 @@ impl WindowedHistogram {
         }
     }
 
-    /// Number of epochs in the ring.
-    pub fn epochs(&self) -> usize {
-        self.epochs.len()
-    }
-
     /// Record one sample into the current epoch (and the all-time view).
     pub fn record(&mut self, value: u64) {
         self.epochs[self.head].record(value);
@@ -66,12 +62,6 @@ impl WindowedHistogram {
             merged.merge(epoch);
         }
         merged
-    }
-
-    /// The current (still-filling) epoch alone — the short window of a
-    /// multi-window burn-rate check.
-    pub fn current(&self) -> &Histogram {
-        &self.epochs[self.head]
     }
 
     /// The all-time histogram (never rotated) — the long-run baseline
@@ -101,11 +91,6 @@ impl RateWindow {
         RateWindow { epochs: vec![0; epochs.max(1)], head: 0, total: 0 }
     }
 
-    /// Number of epochs in the ring.
-    pub fn epochs(&self) -> usize {
-        self.epochs.len()
-    }
-
     /// Add `n` to the current epoch (and the all-time total).
     pub fn add(&mut self, n: u64) {
         self.epochs[self.head] += n;
@@ -131,13 +116,6 @@ impl RateWindow {
     /// The current (still-filling) epoch's count.
     pub fn current(&self) -> u64 {
         self.epochs[self.head]
-    }
-
-    /// The count in the most recently *completed* epoch (the one rotated
-    /// out of `current` last) — what per-window detectors evaluate.
-    pub fn last_completed(&self) -> u64 {
-        let len = self.epochs.len();
-        self.epochs[(self.head + len - 1) % len]
     }
 
     /// All-time total across every epoch ever, including rotated-out ones.
@@ -170,13 +148,12 @@ mod tests {
     }
 
     #[test]
-    fn windowed_histogram_current_vs_rolling() {
+    fn windowed_histogram_rolling_merges_the_ring() {
         let mut w = WindowedHistogram::new(4);
         w.record(10);
         w.rotate();
         w.record(20);
-        assert_eq!(w.current().count(), 1);
-        assert_eq!(w.current().max(), 20);
+        assert_eq!((w.rolling().min(), w.rolling().max()), (10, 20));
         assert_eq!(w.rolling().count(), 2);
         let doc = w.to_json().render();
         assert!(doc.contains("\"count\":2"), "{doc}");
@@ -189,11 +166,10 @@ mod tests {
         r.rotate();
         r.incr();
         assert_eq!(r.current(), 1);
-        assert_eq!(r.last_completed(), 5);
         assert_eq!(r.rolling(), 6);
         r.rotate(); // the 5-epoch is dropped
         assert_eq!(r.rolling(), 1);
-        assert_eq!(r.last_completed(), 1);
+        assert_eq!(r.current(), 0);
         r.rotate();
         assert_eq!(r.rolling(), 0);
         assert_eq!(r.total(), 6, "total survives every rotation");
@@ -202,13 +178,13 @@ mod tests {
     #[test]
     fn single_epoch_windows_degenerate_sanely() {
         let mut w = WindowedHistogram::new(0); // clamped to 1
-        assert_eq!(w.epochs(), 1);
         w.record(7);
+        assert_eq!(w.rolling().count(), 1);
         w.rotate();
         assert_eq!(w.rolling().count(), 0);
         let mut r = RateWindow::new(1);
         r.add(3);
-        assert_eq!(r.last_completed(), 3, "one epoch: last completed is current");
+        assert_eq!(r.rolling(), r.current(), "one epoch: the ring is the current epoch");
         r.rotate();
         assert_eq!(r.rolling(), 0);
     }

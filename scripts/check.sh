@@ -70,20 +70,21 @@ echo "== doctor smoke: one traced run, all five exporters, one validator pass ==
 obs_dir="$work/obs"
 mkdir "$obs_dir"
 # One tick-clock run writes the Chrome trace, the Prometheus exposition
-# (health and tail gauges included), the time series, a validated
-# lsm-health/v1 report and a validated lsm-tail/v1 report, beside its
-# merged report — all under $work: the committed results/lsm_doctor.json
-# is a full-size run. The doctor reconciles both engines' request counts
-# exactly against the tree's counters and the health engine's cumulative
-# counters against the metrics registry, and exits 1 on a mismatch or on
-# a health report that judged no window or counted no put — hence the
-# window small enough for a 2 MB run to close several.
+# (health and tail gauges included), and the windowed engine's three
+# reports — the amplification series, a validated lsm-health/v1 report and
+# a validated lsm-tail/v1 report — beside its merged report, all under
+# $work: the committed results/lsm_doctor.json is a full-size run. The
+# doctor reconciles the engine's request counts exactly against the tree's
+# counters and its cumulative counters against the metrics registry, and
+# exits 1 on a mismatch or on a health report that judged no window or
+# counted no put — hence the window small enough for a 2 MB run to close
+# several (it is also the series' row interval).
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- --size-mb=2 --tick-clock \
     --out="$obs_dir/doctor.json" --trace-out="$obs_dir/trace.json" \
     --prom-out="$obs_dir/metrics.prom" --series-out="$obs_dir/series.csv" \
     --health-out="$obs_dir/health.json" --health-window-ops=64 \
     --tail-out="$obs_dir/tail.json" > /dev/null
-for gauge in lsm_health_windows_completed lsm_tail_windows_completed; do
+for gauge in lsm_health_windows_completed lsm_tail_exemplars; do
     grep -q "$gauge" "$obs_dir/metrics.prom" \
         || { echo "$gauge missing from exposition"; exit 1; }
 done
@@ -143,6 +144,10 @@ gone="$gone"'|DurableLsmTree|run_concurrent_crash_cycle|ConcurrentTortureConfig'
 gone="$gone"'|ConcurrentTortureReport'
 # Rows dated by the levels' install epoch, not records dated by id generations.
 gone="$gone"'|CacheKey::Record|record_key'
+# One windowed engine: the tail reservoir and the amplification series
+# run on the health engine's windows.
+gone="$gone"'|ExemplarSink|ExemplarConfig|TimeseriesSink|TimeseriesSample|series-every'
+gone="$gone"'|tail-window-puts|tail-windows|window_puts'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"
