@@ -10,7 +10,7 @@
 //! One cycle, [`lsm_tree::run_crash_cycle`], in two shapes: by default the
 //! single-writer one (one shard, inline merges); `--scheduler=background`
 //! the concurrent one — M seeded writers over N shards interleaved with a
-//! simulated scheduler ([`lsm_tree::SimExecutor`]). The whole interleaving
+//! stepped scheduler ([`lsm_tree::MergeScheduler::simulated`]). The whole interleaving
 //! derives from the seed, so a failing cycle replays byte-for-byte, and
 //! recovery is judged by the one durability history checker
 //! ([`lsm_tree::HistoryChecker`]) per shard.

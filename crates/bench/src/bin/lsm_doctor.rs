@@ -49,7 +49,7 @@
 //! a spaced subset of the engine's amplification rows (one a window).
 //!
 //! `--tail-stall` runs a seeded, deterministic backpressure-stall scenario
-//! instead of the doctor workload (a `SimExecutor`-backed sharded tree
+//! instead of the doctor workload (a sharded tree over a stepped scheduler
 //! with a tick clock, one immutable-memtable slot, and enough puts to
 //! stall repeatedly), prints its blame table, and exits non-zero unless
 //! the report validates and names `backpressure_wait` as the dominant
@@ -72,8 +72,7 @@ use lsm_tree::observe::{
 };
 use lsm_tree::postmortem::validate_bundle;
 use lsm_tree::{
-    DecisionLedger, LsmConfig, LsmTree, PolicySpec, SchedulerBackend, ShardedLsmTree, SimExecutor,
-    TreeOptions,
+    DecisionLedger, LsmConfig, LsmTree, MergeScheduler, PolicySpec, ShardedLsmTree, TreeOptions,
 };
 use sim_ssd::{BlockDevice, CostModel, MemDevice};
 use workloads::{fill_to_bytes, reach_steady_state, InsertRatio};
@@ -203,9 +202,9 @@ fn run_check(paths: &[String]) -> ! {
 }
 
 /// One seeded stall run for `--tail-stall`: a two-shard tree over a
-/// `max_imm = 1` simulated executor, traced through a tick clock into a
+/// `max_imm = 1` stepped scheduler, traced through a tick clock into a
 /// fresh windowed engine. Every stalled seal parks the writer inside a
-/// `backpressure_wait` span while the executor runs the flush/merge
+/// `backpressure_wait` span while the scheduler runs the flush/merge
 /// backlog inline, so the stalled puts' critical path is dominated by the
 /// stall — deterministically, since every timestamp is a tick count.
 /// Returns the engine's tail report.
@@ -215,7 +214,7 @@ fn tail_stall_scenario(seed: u64) -> Json {
             .with_tail(),
     );
     let handle = SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&engine) as _);
-    let sim = Arc::new(SimExecutor::new(1, seed, handle.clone()));
+    let sim = Arc::new(MergeScheduler::simulated(1, seed, handle.clone()));
     let cfg = LsmConfig {
         block_size: 256,
         payload_size: 4,
@@ -227,14 +226,8 @@ fn tail_stall_scenario(seed: u64) -> Json {
     };
     let opts = TreeOptions::builder().policy(PolicySpec::ChooseBest).sink(handle.clone()).build();
     let devices = (0..2).map(|_| Arc::new(MemDevice::with_block_size(1 << 14, 256)) as _).collect();
-    let tree = ShardedLsmTree::with_backend(
-        cfg,
-        opts,
-        devices,
-        None,
-        Some(Arc::clone(&sim) as Arc<dyn SchedulerBackend>),
-    )
-    .expect("create sharded tree");
+    let tree = ShardedLsmTree::with_backend(cfg, opts, devices, None, Some(Arc::clone(&sim)))
+        .expect("create sharded tree");
     for k in 0..600u64 {
         tree.put(k, vec![(k % 251) as u8; 4]).expect("put");
     }

@@ -131,7 +131,7 @@ fn print_scheduler(sched: &Json) {
             println!("pending background error: {err}");
         }
         if let Some(steps) = sched.get("sim_steps").as_u64() {
-            println!("simulated executor: {steps} maintenance steps taken");
+            println!("stepped scheduler: {steps} maintenance half-steps taken");
         }
     }
     let rendezvous = sched.get("rendezvous").items();

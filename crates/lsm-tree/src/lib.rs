@@ -55,7 +55,6 @@ pub mod record;
 pub mod scheduler;
 mod shard;
 pub mod sharded;
-pub mod sim;
 pub mod stats;
 pub mod stepped;
 pub mod store;
@@ -79,9 +78,8 @@ pub use policy::ledger::{Candidate, DecisionLedger, DecisionRow, LedgerTotals};
 pub use policy::{MergeChoice, MergePolicy, MixedParams, PolicySpec};
 pub use postmortem::PostMortem;
 pub use record::{Key, OpKind, Record, Request, RequestSource};
-pub use scheduler::{set_watchdog_timeout_ms, MergeScheduler, SchedulerBackend, SchedulerSnapshot};
+pub use scheduler::{set_watchdog_timeout_ms, MergeScheduler, SchedulerSnapshot};
 pub use sharded::ShardedLsmTree;
-pub use sim::SimExecutor;
 pub use stats::{LevelStats, MergeKind, TreeStats};
 pub use stepped::SteppedMergeTree;
 pub use store::{RetryPolicy, Store};

@@ -78,7 +78,7 @@ use crate::config::CommitMode;
 use crate::error::{LsmError, Result};
 use crate::lockorder::{self, Hold, TreeLockGuard};
 use crate::record::Request;
-use crate::scheduler::{self, MaintainTarget, SchedulerBackend};
+use crate::scheduler::{self, MaintainTarget, MergeScheduler};
 use crate::tree::{self, LsmTree, StepOutcome};
 use crate::wal::{PendingSync, WalFaultPlan, WriteAheadLog};
 
@@ -278,7 +278,7 @@ impl Shard {
     pub(crate) fn apply<T>(
         &self,
         run: &mut [Request],
-        sched: Option<&dyn SchedulerBackend>,
+        sched: Option<&MergeScheduler>,
         ack: impl FnOnce(Option<u64>) -> Result<T>,
     ) -> Result<T> {
         let _put = self.sink.span(SpanOp::put());

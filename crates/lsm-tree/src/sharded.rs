@@ -53,7 +53,7 @@ use crate::config::LsmConfig;
 use crate::error::{LsmError, Result};
 use crate::iter::{Merge, RangeScan, Source};
 use crate::record::{Key, Request};
-use crate::scheduler::{MergeScheduler, SchedulerBackend};
+use crate::scheduler::MergeScheduler;
 use crate::shard::{Shard, ShardTarget};
 use crate::stats::TreeStats;
 use crate::tree::{LsmTree, TreeOptions};
@@ -105,7 +105,7 @@ fn mem_devices(cfg: &LsmConfig, shards: usize, blocks: u64) -> Vec<Arc<dyn Block
 pub struct ShardedLsmTree {
     // Declared before `shards` so the last clone drops (and drains) the
     // scheduler while the shard trees are still alive.
-    scheduler: Option<Arc<dyn SchedulerBackend>>,
+    scheduler: Option<Arc<MergeScheduler>>,
     shards: Arc<Vec<Shard>>,
     /// User sink: receives `ShardRouted` from the router (the per-shard
     /// trees report through shard-tagged derivations of it).
@@ -176,21 +176,21 @@ impl ShardedLsmTree {
     }
 
     /// The full-control constructor: explicit devices, an optional WAL
-    /// directory, and an optional externally built [`SchedulerBackend`].
+    /// directory, and an optional externally built [`MergeScheduler`].
     /// The concurrency-torture harness uses it to run shards over
-    /// [`sim_ssd::FaultDevice`]s with a [`crate::sim::SimExecutor`] making
-    /// every maintenance decision from a seed; passing `None` for
-    /// `scheduler` falls back to a [`MergeScheduler`] worker pool when the
-    /// tree options ask for one. An injected backend drives the write path
-    /// exactly as a worker pool would (seal-and-return, backpressure at
-    /// the bound) regardless of `opts.scheduler`. A WAL directory gets
+    /// [`sim_ssd::FaultDevice`]s with a [`MergeScheduler::simulated`]
+    /// scheduler making every maintenance decision from a seed; passing
+    /// `None` for `scheduler` falls back to a worker pool when the tree
+    /// options ask for one. An injected scheduler drives the write path
+    /// as background maintenance (seal-and-return, backpressure at the
+    /// bound) regardless of `opts.scheduler`. A WAL directory gets
     /// fresh logs, as in [`ShardedLsmTree::with_wal_dir`].
     pub fn with_backend(
         cfg: LsmConfig,
         opts: TreeOptions,
         devices: Vec<Arc<dyn BlockDevice>>,
         wal_dir: Option<&Path>,
-        scheduler: Option<Arc<dyn SchedulerBackend>>,
+        scheduler: Option<Arc<MergeScheduler>>,
     ) -> Result<Self> {
         Self::build(cfg, opts, devices, wal_dir.map(|dir| (dir, Wal::Create)), scheduler)
     }
@@ -205,7 +205,7 @@ impl ShardedLsmTree {
         opts: TreeOptions,
         devices: Vec<Arc<dyn BlockDevice>>,
         wal_dir: &Path,
-        scheduler: Option<Arc<dyn SchedulerBackend>>,
+        scheduler: Option<Arc<MergeScheduler>>,
     ) -> Result<Self> {
         Self::build(cfg, opts, devices, Some((wal_dir, Wal::Restore)), scheduler)
     }
@@ -218,7 +218,7 @@ impl ShardedLsmTree {
         opts: TreeOptions,
         devices: Vec<Arc<dyn BlockDevice>>,
         wal: Option<(&Path, Wal)>,
-        scheduler: Option<Arc<dyn SchedulerBackend>>,
+        scheduler: Option<Arc<MergeScheduler>>,
     ) -> Result<Self> {
         assert!(!devices.is_empty(), "need at least one shard");
         cfg.cache_blocks = (cfg.cache_blocks / devices.len()).max(1);
@@ -262,7 +262,7 @@ impl ShardedLsmTree {
         let shards = Arc::new(shards);
         let scheduler = scheduler.or_else(|| {
             let policy = opts.scheduler.background_policy()?;
-            Some(Arc::new(MergeScheduler::new(policy, opts.sink.clone())) as _)
+            Some(Arc::new(MergeScheduler::new(policy, opts.sink.clone())))
         });
         if let Some(sched) = &scheduler {
             for idx in 0..shards.len() {
@@ -496,7 +496,7 @@ impl ShardedLsmTree {
         self.shards[shard].set_wal_fault_plan(plan, seed);
     }
 
-    /// The post-mortem `scheduler` section: the backend's job-queue
+    /// The post-mortem `scheduler` section: the scheduler's job-queue
     /// snapshot (queued/running/backlogs/...) plus one `rendezvous` entry
     /// per shard describing the open group-commit state. Also what the
     /// group-commit watchdog dumps when a rendezvous hangs.
@@ -794,7 +794,7 @@ mod tests {
         assert_eq!(
             counts.counter("shard.merges"),
             counts.counter("merge.count"),
-            "every MergeFinish is followed by a shard-tagged twin"
+            "every MergeFinish carries its shard's tag"
         );
     }
 
@@ -856,7 +856,7 @@ mod tests {
         commit: CommitMode,
         devices: Vec<Arc<dyn BlockDevice>>,
     ) -> ShardedLsmTree {
-        let sim = crate::sim::SimExecutor::new(2, 7, SinkHandle::none());
+        let sim = MergeScheduler::simulated(2, 7, SinkHandle::none());
         let opts = TreeOptions::builder().group_commit(commit).build();
         ShardedLsmTree::with_backend(small_cfg(), opts, devices, Some(dir), Some(Arc::new(sim)))
             .unwrap()

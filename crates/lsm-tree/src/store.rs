@@ -197,8 +197,12 @@ pub struct Store {
     repaired: Mutex<BTreeSet<u64>>,
     /// Blocks referenced by the last durable manifest: trims deferred.
     protected: Mutex<HashSet<u64>>,
-    /// Logically freed blocks waiting for the next checkpoint to trim.
+    /// Logically freed blocks waiting for the next checkpoint to trim,
+    /// and freed blocks whose trim failed.
     deferred_free: Mutex<Vec<BlockId>>,
+    /// A trim failed since the deferred ids were last retried: some of
+    /// them may be protected by no manifest, for the next free to retry.
+    trim_failed: AtomicBool,
     sink: SinkCell,
 }
 
@@ -262,6 +266,7 @@ impl Store {
             repaired: Mutex::new(BTreeSet::new()),
             protected: Mutex::new(protected),
             deferred_free: Mutex::new(Vec::new()),
+            trim_failed: AtomicBool::new(false),
             sink: SinkCell::new(),
         }
     }
@@ -601,10 +606,13 @@ impl Store {
     /// frame risks silent aliasing); the structure letting go of one *is*
     /// its read repair, recorded here. Blocks the last durable manifest
     /// references are only released after the next checkpoint commits.
+    /// A block whose trim fails stays deferred: the next call or
+    /// checkpoint retries it, once no manifest protects it.
     ///
-    /// Each of the cache, the quarantine list and the protected set is
-    /// locked once per call, not once per block, and none is held across a
-    /// device call. Every block is attempted; the first error is returned.
+    /// Each of the cache, the quarantine list, the protected set and the
+    /// deferred list is locked once per call, not once per block, and none
+    /// is held across a device call. Every block is attempted; the first
+    /// error is returned.
     pub fn free_all(&self, handles: &[BlockHandle]) -> Result<()> {
         {
             let mut cache = self.cache.lock();
@@ -616,6 +624,7 @@ impl Store {
         {
             let quarantined = self.quarantined.lock();
             let protected = self.protected.lock();
+            let mut deferred = self.deferred_free.lock();
             for h in handles {
                 let id = h.id.raw();
                 if quarantined.contains_key(&id) {
@@ -623,17 +632,34 @@ impl Store {
                         self.sink.emit_with(|| Event::ReadRepair { block: id });
                     }
                 } else if protected.contains(&id) {
-                    self.deferred_free.lock().push(h.id);
+                    deferred.push(h.id);
                 } else {
                     trim.push(h.id);
                 }
             }
+            if self.trim_failed.swap(false, Ordering::Relaxed) {
+                trim.extend(unprotected(&mut deferred, &protected));
+            }
         }
+        self.trim_and_release(trim)
+    }
+
+    /// Trim each of `ids` and give it back to the allocator. An id whose
+    /// trim fails goes back on the deferred list for the next free or
+    /// checkpoint to retry. Every id is attempted; the first error is
+    /// returned.
+    fn trim_and_release(&self, ids: Vec<BlockId>) -> Result<()> {
         let mut first_err = Ok(());
-        for id in trim {
-            let freed = self.with_retries(|| self.device.trim(id)).map(|()| self.release(id));
-            if first_err.is_ok() {
-                first_err = freed.map_err(LsmError::from);
+        for id in ids {
+            match self.with_retries(|| self.device.trim(id)) {
+                Ok(()) => self.release(id),
+                Err(e) => {
+                    self.deferred_free.lock().push(id);
+                    self.trim_failed.store(true, Ordering::Relaxed);
+                    if first_err.is_ok() {
+                        first_err = Err(e.into());
+                    }
+                }
             }
         }
         first_err
@@ -657,31 +683,16 @@ impl Store {
     /// every deferred free whose block the new manifest no longer
     /// references can finally be trimmed and recycled. Every one of them
     /// is attempted; those whose trim failed stay deferred for the next
-    /// checkpoint, and the first error is returned.
+    /// free or checkpoint, and the first error is returned.
     pub fn finish_checkpoint<I: IntoIterator<Item = u64>>(&self, ids: I) -> Result<()> {
         let new_protected: HashSet<u64> = ids.into_iter().collect();
         let pending = {
             let mut protected = self.protected.lock();
             *protected = new_protected;
-            let mut deferred = self.deferred_free.lock();
-            let (free_now, keep): (Vec<BlockId>, Vec<BlockId>) =
-                deferred.drain(..).partition(|id| !protected.contains(&id.raw()));
-            *deferred = keep;
-            free_now
+            self.trim_failed.store(false, Ordering::Relaxed);
+            unprotected(&mut self.deferred_free.lock(), &protected)
         };
-        let mut first_err = Ok(());
-        for id in pending {
-            match self.with_retries(|| self.device.trim(id)) {
-                Ok(()) => self.release(id),
-                Err(e) => {
-                    self.deferred_free.lock().push(id);
-                    if first_err.is_ok() {
-                        first_err = Err(e.into());
-                    }
-                }
-            }
-        }
-        first_err
+        self.trim_and_release(pending)
     }
 
     /// Key ranges that may have been lost to quarantined blocks, in block
@@ -818,6 +829,13 @@ impl Drop for WriteBatch<'_> {
             self.store.discard(id);
         }
     }
+}
+
+/// Take the ids `protected` does not hold out of `deferred`.
+fn unprotected(deferred: &mut Vec<BlockId>, protected: &HashSet<u64>) -> Vec<BlockId> {
+    let (free_now, keep) = deferred.drain(..).partition(|id| !protected.contains(&id.raw()));
+    *deferred = keep;
+    free_now
 }
 
 #[cfg(test)]
@@ -1011,6 +1029,30 @@ mod tests {
         dev.set_plan(FaultPlan::none());
         s.finish_checkpoint([]).unwrap();
         assert_eq!((s.live_blocks(), s.io_snapshot().trims), (0, 4));
+    }
+
+    /// A block no manifest protects whose trim fails in `free_all` stays
+    /// deferred, and the next free or checkpoint retries it: once the
+    /// fault clears, the live count is what the index references again.
+    /// (It was neither released nor deferred: leaked for good.)
+    #[test]
+    fn a_failed_trim_in_free_all_is_retried_once_the_fault_clears() {
+        let (dev, s) = faulty_store(FaultPlan::none(), RetryPolicy::none());
+        let blocks: Vec<BlockHandle> =
+            (0..3u64).map(|k| s.write_block(recs(&[k])).unwrap()).collect();
+        dev.set_plan(FaultPlan::none().fail_trim_of(blocks[0].id.raw()));
+        let err = s.free_block(&blocks[0]).unwrap_err();
+        assert!(matches!(err, LsmError::Device(_)), "{err:?}");
+        assert_eq!(s.live_blocks(), 3, "the failed trim's id is still allocated");
+        dev.set_plan(FaultPlan::none());
+        s.free_block(&blocks[1]).unwrap();
+        assert_eq!(s.live_blocks(), 1, "the next free retried the failed trim");
+        // A checkpoint retries one just the same.
+        dev.set_plan(FaultPlan::none().fail_trim_of(blocks[2].id.raw()));
+        s.free_block(&blocks[2]).unwrap_err();
+        dev.set_plan(FaultPlan::none());
+        s.finish_checkpoint([]).unwrap();
+        assert_eq!((s.live_blocks(), s.io_snapshot().trims), (0, 3));
     }
 
     /// 1 KiB blocks, so that a row (4-byte payloads) is the lighter thing

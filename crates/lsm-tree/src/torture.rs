@@ -9,7 +9,8 @@
 //!    low transient read/write error rates (absorbed by the store's
 //!    retries), a WAL-fsync fault rate, and a power cut at a random
 //!    device-op count on one seeded shard. Maintenance runs inline, or on
-//!    a [`SimExecutor`] one half-step (a compute or an install) at a time.
+//!    a [`MergeScheduler::simulated`] one half-step (a compute or an
+//!    install) at a time.
 //! 2. Run the workload as seeded choices, one per tick: a request or a
 //!    batch of requests ([`ShardedLsmTree::write_batch`]) from one of the
 //!    writers, a read checked against a model of the applied writes, a
@@ -21,8 +22,9 @@
 //!    batch, and some single requests ([`ShardedLsmTree::apply`]), are
 //!    acknowledged by their own rendezvous. A request is otherwise
 //!    acknowledged once a sync that began after it, or a checkpoint,
-//!    returned `Ok`. The first fault — or a seeded soft cut — ends the
-//!    workload.
+//!    returned `Ok`. The first fault a call returns — a failed
+//!    maintenance step's reaches the next writer stalled on its shard —
+//!    or a seeded soft cut ends the workload.
 //! 3. The host dies at the same instant: the tree is leaked (no
 //!    destructor, no final WAL flush), every device loses what it did not
 //!    sync, and each WAL is cut to its last-fsynced length plus a random
@@ -40,7 +42,7 @@
 //!
 //! [`TortureConfig::for_seed`] is the single-writer shape (inline merges,
 //! one shard), [`TortureConfig::concurrent`] the 3-writer × 2-shard shape
-//! over a [`SimExecutor`]. The harness is pure `f(config)`: the same seed
+//! over a stepped [`MergeScheduler`]. The harness is pure `f(config)`: the same seed
 //! produces the same workload, the same interleaving, the same fault
 //! sequence and the same verdict, which is what lets a failing seed be
 //! replayed under a debugger.
@@ -61,9 +63,8 @@ use crate::policy::ledger::DecisionLedger;
 use crate::policy::PolicySpec;
 use crate::postmortem::PostMortem;
 use crate::record::{Key, Request};
-use crate::scheduler::SchedulerBackend;
+use crate::scheduler::MergeScheduler;
 use crate::sharded::ShardedLsmTree;
-use crate::sim::SimExecutor;
 use crate::store::RetryPolicy;
 use crate::tree::{LsmTree, TreeOptions};
 use crate::wal::WalFaultPlan;
@@ -92,7 +93,8 @@ pub struct TortureConfig {
     pub writers: usize,
     /// Shards of the tree under test.
     pub shards: usize,
-    /// `Some(bound)`: maintenance runs on a [`SimExecutor`] with this
+    /// `Some(bound)`: maintenance runs on a [`MergeScheduler::simulated`]
+    /// with this
     /// sealed-memtable bound, one seeded half-step at a time, over a
     /// one-block L0 (so flushes, merges and growth all happen in halves
     /// before the cut). `None`: every shard merges inline.
@@ -160,7 +162,7 @@ impl TortureConfig {
     }
 
     /// The concurrent shape for `seed`: 3 writers over 2 shards on a
-    /// [`SimExecutor`] (sealed-memtable bound 2), 120 requests over 128
+    /// stepped [`MergeScheduler`] (sealed-memtable bound 2), 120 requests over 128
     /// keys, group commit, a sync half-step one tick in 7 (and batches of up
     /// to 7), a checkpoint one in 60, 0.5% transient device errors, a 2%
     /// WAL-fsync fault rate.
@@ -260,7 +262,7 @@ pub struct TortureReport {
     pub replayed: u64,
     /// Seeded point reads checked against the model of applied writes.
     pub reads: u64,
-    /// Maintenance half-steps the simulated executor ran.
+    /// Maintenance half-steps the stepped scheduler ran.
     pub sim_steps: u64,
     /// Writes, reads, syncs and checkpoints that ran while some shard had
     /// a step computed but not yet installed.
@@ -499,15 +501,16 @@ pub fn run_crash_cycle(cfg: &TortureConfig) -> Result<TortureReport, TortureFail
         let seed = cfg.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         faults.push(Arc::new(FaultDevice::new(inner, seed)));
     }
-    let sim =
-        cfg.background.map(|bound| Arc::new(SimExecutor::new(bound, cfg.seed, bb.sink.clone())));
+    let sim = cfg
+        .background
+        .map(|bound| Arc::new(MergeScheduler::simulated(bound, cfg.seed, bb.sink.clone())));
     let tree_cfg = LsmConfig { k0_blocks: if sim.is_some() { 1 } else { 4 }, ..tiny_cfg() };
     let tree = ShardedLsmTree::with_backend(
         tree_cfg.clone(),
         bb.opts(commit),
         faults.iter().map(|f| Arc::clone(f) as Arc<dyn BlockDevice>).collect(),
         Some(&dir),
-        sim.clone().map(|sim| sim as Arc<dyn SchedulerBackend>),
+        sim.clone(),
     )
     .map_err(|e| bb.fail("create", format!("create failed: {e}"), vec![]))?;
 
@@ -559,7 +562,7 @@ pub fn run_crash_cycle(cfg: &TortureConfig) -> Result<TortureReport, TortureFail
             r.cut_mid_workload = true;
             break;
         }
-        let mid_step = sim.as_ref().is_some_and(|sim| sim.awaiting_install() > 0);
+        let mid_step = sim.as_ref().is_some_and(|sim| !sim.snapshot().running.is_empty());
         let mid_sync = sync_begun.iter().any(Option::is_some);
         let (checkpoint, sync) =
             (rng.gen_range(cfg.checkpoint_every) == 0, rng.gen_range(cfg.sync_every) == 0);
@@ -666,15 +669,19 @@ pub fn run_crash_cycle(cfg: &TortureConfig) -> Result<TortureReport, TortureFail
                 Err(_) => false,
             }
         } else {
-            // One half of a maintenance step.
-            sim.as_ref().is_some_and(|sim| sim.step().is_ok())
+            // One half of a maintenance step: a failed one parks its error
+            // on its shard, for the next writer stalled there to take.
+            if let Some(sim) = &sim {
+                sim.step();
+            }
+            true
         };
         if !ok {
             r.cut_mid_workload = true;
             break;
         }
     }
-    r.sim_steps = sim.as_ref().map_or(0, |sim| sim.steps_taken());
+    r.sim_steps = sim.as_ref().and_then(|sim| sim.snapshot().sim_steps).unwrap_or(0);
     r.acked =
         histories.iter().flat_map(|h| h.records()).filter(|h| h.status == AckStatus::Acked).count()
             as u64;

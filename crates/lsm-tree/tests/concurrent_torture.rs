@@ -2,7 +2,7 @@
 //!
 //! Every cycle here is [`lsm_tree::run_crash_cycle`] in its concurrent
 //! shape ([`lsm_tree::TortureConfig::concurrent`]): M seeded writers
-//! interleaved with a [`lsm_tree::SimExecutor`]'s maintenance steps,
+//! interleaved with the half-steps of a stepped [`lsm_tree::MergeScheduler`],
 //! seeded group-commit fsyncs and checkpoints over per-shard fault
 //! devices, then a power cut, WAL tail truncation, recovery from the
 //! manifests and the devices' durable images, and the
@@ -10,8 +10,8 @@
 //! itself comes from the seed, so a failing cycle replays byte-for-byte
 //! from the seed alone — no thread-timing lottery.
 //!
-//! Companion deterministic shutdown/backpressure tests live with the
-//! backends (`scheduler::tests`, `sim::tests`); the thread-shaped
+//! Companion shutdown/backpressure tests, run under both of the
+//! scheduler's drivers, live in `scheduler::tests`; the thread-shaped
 //! group-commit poison test is here because it needs the full sharded
 //! tree.
 
@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 use lsm_tree::observe::Json;
 use lsm_tree::{
-    CommitMode, LsmConfig, LsmError, PolicySpec, SchedulerBackend, ShardedLsmTree, SimExecutor,
-    TortureConfig, TreeOptions, WalFaultPlan,
+    CommitMode, LsmConfig, LsmError, MergeScheduler, PolicySpec, ShardedLsmTree, TortureConfig,
+    TreeOptions, WalFaultPlan,
 };
 
 fn tiny_cfg() -> LsmConfig {
@@ -212,19 +212,19 @@ fn group_fsync_failure_poisons_wal_and_fails_every_writer() {
 
 /// Satellite: a writer stalled at the `max_imm` backpressure bound while
 /// the scheduler shuts down must get an error, never hang. Driven through
-/// the simulated executor so the stall is deterministic: shutdown first,
+/// the stepped scheduler so the stall is deterministic: shutdown first,
 /// then write until a seal pushes the immutable count to the bound.
 #[test]
 fn stalled_writer_errors_instead_of_hanging_on_shutdown() {
-    let sim = Arc::new(SimExecutor::new(1, 7, lsm_tree::observe::SinkHandle::none()));
-    sim.request_shutdown();
+    let sim = Arc::new(MergeScheduler::simulated(1, 7, lsm_tree::observe::SinkHandle::none()));
+    sim.shutdown();
     let opts = TreeOptions::builder().policy(PolicySpec::ChooseBest).build();
     let tree = ShardedLsmTree::with_backend(
         tiny_cfg(),
         opts,
         vec![Arc::new(sim_ssd::MemDevice::with_block_size(1 << 14, 256)) as _],
         None,
-        Some(sim as Arc<dyn SchedulerBackend>),
+        Some(sim),
     )
     .expect("create");
     let mut shutdown_errors = 0;
@@ -247,29 +247,29 @@ fn stalled_writer_errors_instead_of_hanging_on_shutdown() {
 /// one too.
 #[test]
 fn flush_leaves_no_full_memtable_behind_a_full_backlog() {
-    let sim = Arc::new(SimExecutor::new(1, 7, lsm_tree::observe::SinkHandle::none()));
+    let sim = Arc::new(MergeScheduler::simulated(1, 7, lsm_tree::observe::SinkHandle::none()));
     let opts = TreeOptions::builder().policy(PolicySpec::ChooseBest).build();
     let tree = ShardedLsmTree::with_backend(
         tiny_cfg(),
         opts,
         vec![Arc::new(sim_ssd::MemDevice::with_block_size(1 << 14, 256)) as _],
         None,
-        Some(Arc::clone(&sim) as Arc<dyn SchedulerBackend>),
+        Some(Arc::clone(&sim)),
     )
     .expect("create");
-    // Nothing steps the executor: the first full memtable seals and fills
+    // Nothing steps the scheduler: the first full memtable seals and fills
     // the backlog (bound 1), the second fills up behind it.
     let cap = tiny_cfg().l0_capacity_records() as u64;
     for k in 0..2 * cap {
         tree.put(k, vec![(k % 251) as u8; 4]).unwrap();
     }
-    assert_eq!(sim.steps_taken(), 0, "no put stalled, so nothing was flushed yet");
+    assert_eq!(sim.snapshot().sim_steps, Some(0), "no put stalled, so nothing was flushed yet");
     tree.flush().unwrap();
     tree.deep_verify(true).expect("a quiescent tree has no full memtable");
     assert_eq!(tree.scan_collect(0, u64::MAX).unwrap().len() as u64, 2 * cap);
 }
 
-/// A step has two halves and the simulated executor runs one per step, so
+/// A step has two halves and the stepped scheduler runs one per step, so
 /// a shutdown (or a crash) can fall between them. The computed step then
 /// dies with its shard, and must take the blocks it wrote with it: after
 /// the tree is gone the device holds exactly the blocks it held before the
@@ -277,14 +277,14 @@ fn flush_leaves_no_full_memtable_behind_a_full_backlog() {
 #[test]
 fn shutdown_between_compute_and_install_frees_the_computed_blocks() {
     let dev = Arc::new(sim_ssd::MemDevice::with_block_size(1 << 14, 256));
-    let sim = Arc::new(SimExecutor::new(2, 11, lsm_tree::observe::SinkHandle::none()));
+    let sim = Arc::new(MergeScheduler::simulated(2, 11, lsm_tree::observe::SinkHandle::none()));
     let opts = TreeOptions::builder().policy(PolicySpec::ChooseBest).build();
     let tree = ShardedLsmTree::with_backend(
         tiny_cfg(),
         opts,
         vec![Arc::clone(&dev) as _],
         None,
-        Some(Arc::clone(&sim) as Arc<dyn SchedulerBackend>),
+        Some(Arc::clone(&sim)),
     )
     .expect("create");
     // Some installed levels first, then a freshly sealed memtable.
@@ -300,13 +300,13 @@ fn shutdown_between_compute_and_install_frees_the_computed_blocks() {
     let io = || sim_ssd::BlockDevice::io_snapshot(&*dev);
     let before = io();
 
-    assert!(sim.step().unwrap(), "the sealed memtable gives the compute half work");
+    assert!(sim.step(), "the sealed memtable gives the compute half work");
     let written = io().writes - before.writes;
     assert!(written > 0, "the compute half writes the step's output");
     assert_eq!(live(&tree), installed + written, "computed blocks are allocated, not installed");
     assert_eq!(tree.get(1).unwrap().as_deref(), Some(&[7u8; 4][..]), "reads see the old state");
 
-    sim.request_shutdown();
+    sim.shutdown();
     drop(tree);
     assert_eq!(io().trims - before.trims, written, "the computed step's blocks were not freed");
 }

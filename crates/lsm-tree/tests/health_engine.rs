@@ -1,5 +1,5 @@
 //! Deterministic end-to-end exercise of the windowed health engine
-//! (ISSUE 9): a seeded [`SimExecutor`]-backed sharded tree is driven into
+//! (ISSUE 9): a sharded tree over a seeded, stepped scheduler is driven into
 //! backpressure, so that the puts which stall breach the write-stall
 //! bound, and the [`HealthSink`] consuming the tree's ordinary span stream
 //! — nothing is fed by hand — must trip both detectors within one window
@@ -58,8 +58,8 @@ struct ScenarioResult {
     final_backpressure: HealthState,
 }
 
-/// One seeded run: a stall phase (puts against a `max_imm = 1` simulated
-/// executor — the `lsm_doctor --tail-stall` scenario — whose stalled puts
+/// One seeded run: a stall phase (puts against a `max_imm = 1` stepped
+/// scheduler — the `lsm_doctor --tail-stall` scenario — whose stalled puts
 /// run several times over the write-stall bound), then a quiet phase that
 /// keeps the window clock ticking with syncs while healthy one-tick puts
 /// drain the ring.
@@ -69,8 +69,8 @@ fn run_scenario(seed: u64) -> ScenarioResult {
 
     let windows_before_stall = health.windows_completed();
     // Stall phase: enough puts to seal memtables past the bound over and
-    // over; every stalled seal emits Event::Backpressure from the
-    // executor's wait-for-room loop, and the flush/merge work it runs
+    // over; every stall emits one Event::Backpressure from the
+    // scheduler's wait-for-room loop, and the flush/merge work it runs
     // inline emits the device ops that advance the window clock.
     let (tree, sim) = common::stalled_tree(seed, &handle);
     let windows_after_stall = health.windows_completed();
@@ -171,7 +171,7 @@ fn report_is_byte_identical_across_replays_and_validates() {
     assert!(problems.is_empty(), "health report invalid: {problems:?}");
     assert_eq!(doc.render(), a.report, "render(parse(render)) must be the identity");
 
-    // A different seed reshuffles the executor's maintenance
+    // A different seed reshuffles the scheduler's maintenance
     // interleaving; the engine still produces a valid report.
     let c = run_scenario(8);
     let doc_c = Json::parse(&c.report).expect("second seed parses");

@@ -13,7 +13,7 @@ use lsm_tree::observe::SinkHandle;
 use lsm_tree::policy::MixedParams;
 use lsm_tree::verify::check_tree;
 use lsm_tree::{
-    LsmConfig, LsmTree, PolicySpec, Record, Request, ShardedLsmTree, SimExecutor, TreeOptions,
+    LsmConfig, LsmTree, MergeScheduler, PolicySpec, Record, Request, ShardedLsmTree, TreeOptions,
 };
 use sim_ssd::{BlockDevice, MemDevice};
 
@@ -275,12 +275,12 @@ proptest! {
         }
 
         // The same tapes through three shards whose maintenance a seeded
-        // executor runs inside the writers' calls: sealed memtables come
+        // scheduler steps inside the writers' calls: sealed memtables come
         // and go, and every scan is merged across the shards.
         let devices = (0..3)
             .map(|_| Arc::new(MemDevice::with_block_size(1 << 14, 256)) as Arc<dyn BlockDevice>)
             .collect();
-        let sim = Arc::new(SimExecutor::new(2, seed, SinkHandle::none()));
+        let sim = Arc::new(MergeScheduler::simulated(2, seed, SinkHandle::none()));
         let sharded =
             ShardedLsmTree::with_backend(tiny_cfg(), TreeOptions::default(), devices, None, Some(sim))
                 .unwrap();

@@ -1,5 +1,5 @@
 //! Deterministic end-to-end exercise of the tail reservoir: a seeded
-//! `SimExecutor`-backed sharded tree is driven into backpressure through
+//! sharded tree over a stepped scheduler is driven into backpressure through
 //! a tick-clock [`SinkHandle`], and the windowed engine ([`HealthSink`])
 //! attached to it must (a) capture the stalled puts as exemplars whose
 //! wait-state phases sum *exactly* to the measured put duration, (b) name

@@ -148,6 +148,9 @@ gone="$gone"'|CacheKey::Record|record_key'
 # run on the health engine's windows.
 gone="$gone"'|ExemplarSink|ExemplarConfig|TimeseriesSink|TimeseriesSample|series-every'
 gone="$gone"'|tail-window-puts|tail-windows|window_puts'
+# One scheduler, two drivers: the stepped executor is the worker pool run
+# without threads.
+gone="$gone"'|SchedulerBackend|SimExecutor|\bSimState\b'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"
