@@ -16,12 +16,13 @@
 //! ([`lsm_tree::HistoryChecker`]) per shard.
 //!
 //! With `--bundle-dir` every failing cycle also drops a post-mortem
-//! bundle (`lsm_crash_seed_<seed>.postmortem.json`) capturing the flight
-//! recorder, decision ledger, the scheduler state (job queue, backlogs,
-//! open group-commit rendezvous) and shard 0's tree; `--always-dump`
-//! bundles surviving cycles too (smoke tests use it to exercise the dump
-//! path without needing a real failure). Inspect a bundle with
-//! `lsm_postmortem <bundle.json>`.
+//! bundle (`lsm_crash_seed_<seed>.postmortem.json`, an `lsm-report/v1`
+//! report) capturing the flight recorder, decision ledger, the scheduler
+//! state (job queue, backlogs, open group-commit rendezvous) and every
+//! shard's tree, device counters and wear, with the shard whose power was
+//! cut named in its reason; `--always-dump` bundles surviving cycles too
+//! (smoke tests use it to exercise the dump path without needing a real
+//! failure). Inspect a bundle with `lsm_doctor show <bundle.json>`.
 //!
 //! ```text
 //! cargo run --release --bin lsm_crash -- [--seeds=200] [--seed-base=0] \
@@ -103,7 +104,7 @@ fn main() {
                 if let Some(bundle) = &e.bundle {
                     eprintln!(
                         "  post-mortem bundle: {} (inspect with: cargo run --release \
-                         -p lsm-bench --bin lsm_postmortem -- {})",
+                         -p lsm-bench --bin lsm_doctor -- show {})",
                         bundle.display(),
                         bundle.display()
                     );

@@ -1,7 +1,8 @@
-//! `lsm_doctor` — introspection: build (or restore) an index, print its
-//! level shapes, waste accounting, wear distribution, and cache behaviour.
-//!
-//! Useful for eyeballing what a policy does to the physical layout:
+//! `lsm_doctor` — introspection: build an index, then print and write its
+//! `lsm-report/v1` report ([`lsm_tree::Report`]) — level shapes, waste
+//! accounting (`m_i`, `w_i`), per-level merge counters, device I/O, wear,
+//! cache behaviour and the metrics registry. Useful for eyeballing what a
+//! policy does to the physical layout:
 //!
 //! ```text
 //! cargo run --release --bin lsm_doctor -- [--policy=choosebest|full|rr|testmixed|aligned] \
@@ -10,43 +11,36 @@
 //!     [--tick-clock] [--ledger] [--health] [--health-out=health.json] \
 //!     [--health-window-ops=2000] [--tail] [--tail-out=tail.json] [--tail-stall]
 //! cargo run --release --bin lsm_doctor -- check <file>...
+//! cargo run --release --bin lsm_doctor -- show <report.json>
 //! ```
 //!
 //! An unknown `--policy` or `--workload` value, or a flag nothing reads,
-//! exits 2 naming what is accepted.
+//! exits 2 naming what is accepted. `--out=PATH` is where the report goes
+//! (default `results/lsm_doctor.json`, a committed full-size run — smoke
+//! runs pass a scratch path).
 //!
-//! `check <file>...` skips the doctor workload and is the one reader of
-//! everything the binaries export: each file is dispatched on what it is —
-//! a JSON object on its `schema` string (`lsm-health/v1` →
-//! [`observe::validate_health`], `lsm-tail/v1` → [`observe::validate_tail`],
-//! including the per-exemplar invariant that phases sum to within 1% of
-//! the measured put duration, `lsm-postmortem/v1` →
-//! [`lsm_tree::postmortem::validate_bundle`]), a top-level JSON array as a
-//! Chrome `trace_event` trace (objects carrying a `ph` phase, at least one
-//! complete `"X"` span with `name`/`pid`/`tid`/`ts`/`dur`), `*.prom` as a
-//! Prometheus text exposition (strict line validator, at least one
-//! sample), `*.csv` as an amplification time series (header row, constant
-//! width, monotone device-op counts), and a JSON object with an
-//! `experiment` string and no `schema` as the doctor's own merged report
-//! (the buffer cache's resident bytes within its capacity). Every problem
-//! of every file is printed; any problem exits non-zero.
-//!
-//! `--out=PATH` is where the merged JSON report goes (default
-//! `results/lsm_doctor.json`, a committed full-size run — smoke runs pass
-//! a scratch path).
+//! `check <file>...` is the one reader of everything the binaries export,
+//! each file dispatched on what it is: a JSON object on its `schema`
+//! (`lsm-health/v1` → [`observe::validate_health`], `lsm-tail/v1` →
+//! [`observe::validate_tail`], `lsm-report/v1` — the doctor's report, a
+//! torture bundle, an `lsm_top --json` frame — →
+//! [`lsm_tree::report::validate_report`]), a top-level array as a Chrome
+//! `trace_event` trace (a `ph` phase on every event, at least one complete
+//! `"X"` span with `name`/`pid`/`tid`/`ts`/`dur`), `*.prom` as a Prometheus
+//! exposition with at least one sample, and `*.csv` as an amplification
+//! series (header row, constant width, monotone device-op counts). Every
+//! problem of every file is printed; any problem exits non-zero. `show
+//! <report.json>` prints a report through the one renderer
+//! ([`lsm_bench::report::render_report`]) the doctor prints its own with.
 //!
 //! `--tail` and `--health` attach the windowed engine beside the doctor's
-//! registry, print the text form of the report each asks for after the
-//! workload, embed the `lsm-tail/v1` / `lsm-health/v1` report in the
-//! merged JSON report, and cross-check the engine's request counts against
-//! the tree's own put/delete/lookup counters *exactly* — every front-end
-//! request opens exactly one root span, so any disagreement is a bug and
-//! exits non-zero. With `--health` the engine's cumulative counters are
-//! also reconciled exactly against the metrics registry (the same event
-//! stream through independent paths), and a health report that judged no
-//! window or counted no put exits non-zero too: lower
-//! `--health-window-ops` until the run rotates one. `--series-out` prints
-//! a spaced subset of the engine's amplification rows (one a window).
+//! registry, put its reports in the doctor's, and cross-check its request
+//! counts against the tree's put/delete/lookup counters *exactly* — every
+//! front-end request opens exactly one root span. With `--health` its
+//! cumulative counters are also reconciled exactly against the metrics
+//! registry, and a health report that judged no window or counted no put
+//! exits non-zero: lower `--health-window-ops` until the run rotates one.
+//! `--series-out` prints a spaced subset of the amplification rows.
 //!
 //! `--tail-stall` runs a seeded, deterministic backpressure-stall scenario
 //! instead of the doctor workload (a sharded tree over a stepped scheduler
@@ -57,24 +51,26 @@
 //!
 //! `--ledger` attaches a [`DecisionLedger`] to the tree: every merge
 //! decision is recorded with its full candidate set and reconciled against
-//! the actual writes of the matching `MergeFinish`, and the doctor prints
-//! the per-level predicted-vs-actual table with the policy's cumulative
-//! regret against the best candidate in hindsight.
+//! the actual writes of the matching `MergeFinish`; the report's `ledger`
+//! section is the per-level predicted-vs-actual table with the policy's
+//! cumulative regret, and the ledger's registry counters are reconciled
+//! against it exactly.
 
 use std::sync::Arc;
 
-use lsm_bench::report::{fmt_f, merged_json, render_health, render_ledger, render_tail};
+use lsm_bench::report::{fmt_f, render_report, render_tail};
 use lsm_bench::{Args, ObsPipeline, Table, WorkloadKind};
 use lsm_tree::observe::metrics::validate_prometheus;
 use lsm_tree::observe::{
     validate_health, validate_tail, HealthConfig, HealthSink, Json, MetricsSink, SinkHandle,
     TickClock,
 };
-use lsm_tree::postmortem::validate_bundle;
+use lsm_tree::report::validate_report;
 use lsm_tree::{
-    DecisionLedger, LsmConfig, LsmTree, MergeScheduler, PolicySpec, ShardedLsmTree, TreeOptions,
+    DecisionLedger, LsmConfig, LsmTree, MergeScheduler, PolicySpec, Report, ShardedLsmTree,
+    TreeOptions,
 };
-use sim_ssd::{BlockDevice, CostModel, MemDevice};
+use sim_ssd::{BlockDevice, MemDevice};
 use workloads::{fill_to_bytes, reach_steady_state, InsertRatio};
 
 /// Problems of a Chrome `trace_event` document (a top-level array).
@@ -129,19 +125,6 @@ fn check_series(text: &str) -> Vec<String> {
     problems
 }
 
-/// Problems of a merged report ([`merged_json`]): the buffer cache states
-/// its budget and is within it.
-fn check_report(doc: &Json) -> Vec<String> {
-    let cache = |key| doc.get("cache").get(key).as_f64();
-    match (cache("resident_bytes"), cache("capacity_bytes")) {
-        (Some(resident), Some(capacity)) if resident <= capacity => Vec::new(),
-        (Some(resident), Some(capacity)) => {
-            vec![format!("cache holds {resident} bytes, over its capacity of {capacity}")]
-        }
-        _ => vec!["cache section lacks resident_bytes / capacity_bytes".into()],
-    }
-}
-
 /// What `path` holds and everything wrong with it, dispatching on the
 /// extension, then on the JSON document's shape and `schema` string.
 fn check_file(path: &str) -> (String, Vec<String>) {
@@ -167,15 +150,13 @@ fn check_file(path: &str) -> (String, Vec<String>) {
     if let Json::Arr(events) = &doc {
         return ("Chrome trace".into(), check_trace(events));
     }
-    let schema = match (doc.get("schema"), doc.get("experiment")) {
-        (Json::Str(s), _) => s.as_str(),
-        (Json::Null, Json::Str(_)) => return ("merged report".into(), check_report(&doc)),
-        _ => return ("JSON document".into(), vec!["no \"schema\" string to dispatch on".into()]),
+    let Some(schema) = doc.get("schema").as_str() else {
+        return ("JSON document".into(), vec!["no \"schema\" string to dispatch on".into()]);
     };
     let problems = match schema {
         "lsm-health/v1" => validate_health(&doc),
         "lsm-tail/v1" => validate_tail(&doc),
-        "lsm-postmortem/v1" => validate_bundle(&doc),
+        "lsm-report/v1" => validate_report(&doc),
         _ => vec!["no validator for this schema".into()],
     };
     (format!("{schema} report"), problems)
@@ -199,6 +180,23 @@ fn run_check(paths: &[String]) -> ! {
         }
     }
     std::process::exit(i32::from(failed));
+}
+
+/// The `show <report.json>` subcommand: never returns.
+fn run_show(paths: &[String]) -> ! {
+    let [path] = paths else {
+        eprintln!("usage: lsm_doctor show <report.json>");
+        std::process::exit(2);
+    };
+    match std::fs::read_to_string(path).map_err(|e| e.to_string()).and_then(|raw| Json::parse(&raw))
+    {
+        Ok(doc) => print!("{}", render_report(&doc)),
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            std::process::exit(1);
+        }
+    }
+    std::process::exit(0);
 }
 
 /// One seeded stall run for `--tail-stall`: a two-shard tree over a
@@ -305,9 +303,15 @@ fn policy_and_workload(args: &Args) -> Result<(PolicySpec, WorkloadKind), String
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().is_some_and(|a| a == "check") {
-        run_check(&argv[1..]);
+    match argv.first().map(String::as_str) {
+        Some("check") => run_check(&argv[1..]),
+        Some("show") => run_show(&argv[1..]),
+        _ => {}
     }
+    let repro = std::iter::once("cargo run --release -p lsm-bench --bin lsm_doctor --")
+        .chain(argv.iter().map(String::as_str))
+        .collect::<Vec<_>>()
+        .join(" ");
     let args = Args::parse_from(argv);
     if args.flag("tail-stall") {
         run_tail_stall(&args);
@@ -358,57 +362,29 @@ fn main() {
     fill_to_bytes(&mut tree, &mut *wl, size_mb * 1024 * 1024).unwrap();
     reach_steady_state(&mut tree, &mut *wl, 100_000_000).unwrap();
 
-    println!("\n=== index anatomy ({} policy, {} workload) ===", tree.policy_name(), kind.name());
-    println!(
-        "height h = {} (L0 + {} on-SSD levels) | ~{} records, ~{} MB logical",
-        tree.height(),
-        tree.levels().len(),
-        tree.record_count(),
-        tree.approx_bytes() / (1024 * 1024),
-    );
-
-    let b = cfg.block_capacity();
-    let mut table = Table::new([
-        "level",
-        "blocks",
-        "capacity",
-        "fill%",
-        "records",
-        "waste%",
-        "m_i",
-        "w_i",
-        "merges_in",
-        "writes",
-        "preserved",
-        "compactions",
-    ]);
-    for (i, lvl) in tree.levels().iter().enumerate() {
-        let paper = i + 1;
-        let cap = cfg.level_capacity_blocks(paper);
-        let stats = tree.stats().level(paper);
-        table.row([
-            format!("L{paper}"),
-            lvl.num_blocks().to_string(),
-            cap.to_string(),
-            fmt_f(100.0 * lvl.num_blocks() as f64 / cap as f64, 1),
-            lvl.records().to_string(),
-            fmt_f(100.0 * lvl.waste_factor(b), 2),
-            lvl.merges_since_compaction.to_string(),
-            lvl.waste_delta.to_string(),
-            stats.merges_in.to_string(),
-            stats.blocks_written.to_string(),
-            stats.blocks_preserved.to_string(),
-            stats.compactions.to_string(),
-        ]);
+    // The report, built before the deep check, which reads every block back
+    // and would otherwise pollute the device and cache numbers with
+    // verification traffic.
+    let mut report = Report::new("lsm_doctor run")
+        .seed(seed)
+        .repro(&repro)
+        .tree(&tree)
+        .wear(&[device.wear_snapshot()], 32);
+    if let Some(l) = &ledger {
+        report = report.ledger(l);
     }
-    table.print();
+    if let Some(engine) = obs.health().or(obs.tail()) {
+        report = report.health(engine);
+    }
+    let report = report.metrics(&metrics);
+    let doc = report.to_json();
+    print!("{}", render_report(&doc));
 
     if let Some(ledger) = &ledger {
-        let totals = ledger.totals();
-        print!("{}", render_ledger(&ledger.to_json()));
         // The ledger and the metrics registry hear about outcomes through
         // independent paths (the ledger's own mutex vs `LedgerOutcome`
         // events through the sink); the doctor cross-checks them exactly.
+        let totals = ledger.totals();
         let outcomes = metrics.counter("policy.ledger_outcomes");
         let regret = metrics.counter("policy.regret_blocks");
         if outcomes != totals.closed || regret != totals.regret {
@@ -420,30 +396,8 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "registry agrees: {outcomes} ledger outcomes, {regret} regret blocks (exact match)."
+            "\nregistry agrees: {outcomes} ledger outcomes, {regret} regret blocks (exact match)."
         );
-    }
-
-    let io = device.io_snapshot();
-    let wear = device.wear_summary();
-    let est = CostModel::default().estimate(&io);
-    println!(
-        "\ndevice: {} writes, {} reads, {} trims | wear: max {} programs on one block, {} blocks touched",
-        io.writes, io.reads, io.trims, wear.max_wear, wear.blocks_touched
-    );
-    println!(
-        "estimated device time {:.1} ms, energy {:.1} mJ | cache hit rate {:.1}%",
-        est.time_us / 1000.0,
-        est.energy_uj / 1000.0,
-        tree.store().cache_stats().hit_rate() * 100.0
-    );
-    // One merged document: device I/O ⊕ cache ⊕ tree counters ⊕ the event
-    // metrics the sink accumulated, written next to the CSVs. Built before
-    // the deep check, which reads every block back and would otherwise
-    // pollute the device/cache numbers with verification traffic.
-    let mut doc = merged_json("lsm_doctor", &tree, Some(&wear), Some(&metrics));
-    if let (Some(l), Json::Obj(pairs)) = (&ledger, &mut doc) {
-        pairs.push(("ledger".into(), l.to_json()));
     }
 
     // Amplification over time: how write amplification, cache behaviour,
@@ -481,12 +435,11 @@ fn main() {
     // counters describe: every front-end put/delete opens exactly one root
     // `Put` span and every get one `Lookup` span, so its request counts
     // must equal the tree's to the unit.
-    if let Some(engine) = obs.health().or(obs.tail()) {
+    if obs.health().or(obs.tail()).is_some() {
         let stats = tree.stats();
         let requests = [("put", stats.puts + stats.deletes), ("lookup", stats.lookups())];
-        let completed = engine.report();
         for ((what, expected), key) in requests.into_iter().zip(["puts", "gets"]) {
-            let counted = completed.get("cumulative").get(key).as_u64().unwrap_or(u64::MAX);
+            let counted = doc.get("health").get("cumulative").get(key).as_u64().unwrap_or(u64::MAX);
             if counted != expected {
                 println!(
                     "ENGINE MISMATCH: engine completed {counted} {what} spans, \
@@ -500,14 +453,11 @@ fn main() {
             requests[0].1, requests[1].1
         );
     }
-    // Windowed health: the rolling view of the run's tail, plus a second
-    // reconciliation — the engine and the metrics registry consumed the
-    // same event stream through independent paths, so their cumulative
-    // counters must agree to the unit.
+    // The engine and the metrics registry consumed the same event stream
+    // through independent paths, so their cumulative counters must agree
+    // to the unit.
     if let Some(health) = obs.health() {
-        let report = health.report();
-        print!("{}", render_health(&report));
-        let cumulative = report.get("cumulative");
+        let cumulative = doc.get("health").get("cumulative");
         let count = |key: &str| cumulative.get(key).as_u64().unwrap_or(u64::MAX);
         let checks = [
             ("device.writes", "device_writes"),
@@ -546,17 +496,6 @@ fn main() {
             );
             std::process::exit(1);
         }
-        if let Json::Obj(pairs) = &mut doc {
-            pairs.push(("health".into(), report));
-        }
-    }
-    // Tail anatomy: the critical-path blame table over the slowest
-    // captured puts.
-    if let Some(report) = obs.tail().and_then(|engine| engine.tail_report()) {
-        print!("{}", render_tail(&report));
-        if let Json::Obj(pairs) = &mut doc {
-            pairs.push(("tail".into(), report));
-        }
     }
 
     // Exporters close before the deep check so verification traffic stays
@@ -571,10 +510,7 @@ fn main() {
     }
     println!("all §II-B invariants verified (deep check).");
 
-    if let Some(dir) = out.parent() {
-        std::fs::create_dir_all(dir).expect("create report dir");
-    }
-    std::fs::write(&out, doc.render_pretty()).expect("write json report");
+    report.write_to(&out).expect("write json report");
     println!("wrote {}", out.display());
 }
 

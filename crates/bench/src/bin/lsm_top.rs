@@ -5,9 +5,9 @@
 //! [`HealthSink`]'s rolling windows: put/get/fsync latency percentiles,
 //! write amplification, cache hit rate, backpressure, detector states, and
 //! SLO burn — globally and per shard. No terminal library: each frame is an
-//! ANSI clear plus the two reports' one text form
-//! ([`render_health`], [`render_tail`]), which `lsm_doctor` and
-//! `lsm_postmortem` print too.
+//! ANSI clear plus an `lsm-report/v1` report whose `health` and `tail`
+//! sections are the engine's two reports, through the one renderer
+//! ([`render_report`]) `lsm_doctor` prints its reports with.
 //!
 //! ```text
 //! cargo run --release --bin lsm_top -- [--shards=2] [--writers=2]
@@ -18,9 +18,8 @@
 //! `--once` replaces the thread pool and refresh loop with a synchronous
 //! burst that runs until every window in the ring has rotated, renders a
 //! single frame (no screen clear), and exits 0 — the CI smoke mode.
-//! `--json` renders that frame as machine-readable JSON instead of
-//! tables: one object with the `lsm-health/v1` and `lsm-tail/v1` reports
-//! embedded whole, for scripts that want the dashboard's numbers.
+//! `--json` prints that frame's report as JSON instead, for scripts that
+//! want the dashboard's numbers (`lsm_doctor check` validates it).
 //!
 //! The dashboard observes through one [`SinkHandle`] with one consumer,
 //! the windowed engine ([`HealthSink`]): its health report (rolling
@@ -35,27 +34,28 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use lsm_bench::report::{render_health, render_tail};
+use lsm_bench::report::render_report;
 use lsm_bench::Args;
 use lsm_tree::observe::{HealthConfig, HealthSink, Json, SinkHandle};
-use lsm_tree::{LsmConfig, ShardedLsmTree, TreeOptions};
+use lsm_tree::{LsmConfig, Report, ShardedLsmTree, TreeOptions};
 use sim_ssd::SplitMix64;
 
 /// Keys cycle through a bounded space so a duration-bounded run reaches a
 /// steady state of updates instead of filling the device.
 const KEYSPACE: u64 = 1 << 16;
 
-/// One dashboard frame: a header over the two reports' text forms.
+/// One dashboard frame: the engine's health and tail reports as one
+/// report.
+fn frame(engine: &HealthSink, elapsed: Duration) -> Json {
+    let reason = format!("lsm_top, {:.1}s elapsed", elapsed.as_secs_f64());
+    Report::new(&reason).health(engine).to_json()
+}
+
+/// Print a frame, after an ANSI clear-screen-and-home (the whole TUI)
+/// when `clear`.
 fn render(engine: &HealthSink, elapsed: Duration, clear: bool) {
-    if clear {
-        // Clear screen, cursor home: the whole TUI.
-        print!("\x1b[2J\x1b[H");
-    }
-    println!("lsm_top | elapsed {:.1}s", elapsed.as_secs_f64());
-    print!("{}", render_health(&engine.report()));
-    if let Some(tail) = engine.tail_report() {
-        print!("{}", render_tail(&tail));
-    }
+    let clear = if clear { "\x1b[2J\x1b[H" } else { "" };
+    print!("{clear}{}", render_report(&frame(engine, elapsed)));
 }
 
 fn main() {
@@ -112,16 +112,10 @@ fn main() {
             i += 1;
         }
         if json {
-            let doc = Json::Obj(vec![
-                ("experiment".into(), Json::from("lsm_top")),
-                ("elapsed_s".into(), Json::from(start.elapsed().as_secs_f64())),
-                ("health".into(), health.report()),
-                ("tail".into(), health.tail_report().unwrap_or(Json::Null)),
-            ]);
-            println!("{}", doc.render_pretty());
-            return;
+            println!("{}", frame(&health, start.elapsed()).render_pretty());
+        } else {
+            render(&health, start.elapsed(), false);
         }
-        render(&health, start.elapsed(), false);
         return;
     }
 

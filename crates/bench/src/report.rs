@@ -1,12 +1,12 @@
-//! Aligned-table, CSV, and merged-JSON reporting for the figure binaries.
+//! Aligned tables and CSVs for the figure binaries, and the one text form
+//! of each JSON report the binaries write.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use lsm_tree::observe::{Json, Metrics};
-use lsm_tree::LsmTree;
+use lsm_tree::observe::Json;
 
 /// An aligned text table printed to stdout.
 #[derive(Debug, Default, Clone)]
@@ -103,7 +103,7 @@ pub fn fmt_f(value: f64, digits: usize) -> String {
 
 /// What a report printer shows for `v`: its value if it is a number of
 /// any JSON variant, 0 otherwise.
-pub fn number(v: &Json) -> f64 {
+fn number(v: &Json) -> f64 {
     v.as_f64().unwrap_or(0.0)
 }
 
@@ -248,106 +248,158 @@ pub fn render_ledger(ledger: &Json) -> String {
         number(totals.get("model_error")),
     );
     if let Json::Obj(levels) = ledger.get("per_level") {
-        let columns = ["decisions", "full_merges", "predicted", "actual", "regret", "model_error"];
-        let mut t = Table::new([
-            "level",
-            "decisions",
-            "full",
-            "predicted",
-            "actual",
-            "regret",
-            "model err",
-        ]);
-        for (level, tot) in levels {
-            let cells = columns.iter().map(|key| number(tot.get(key)).to_string());
-            t.row(std::iter::once(format!("L{level}")).chain(cells));
-        }
-        out.push_str(&t.render());
+        let row = |(level, totals): &(String, Json)| {
+            let level = ("level".to_string(), Json::from(format!("L{level}")));
+            let Json::Obj(totals) = totals else { return Json::Null };
+            Json::Obj(std::iter::once(level).chain(totals.iter().cloned()).collect())
+        };
+        out.push_str(&json_table(&levels.iter().map(row).collect::<Vec<_>>(), &[]));
     }
     out
 }
 
-/// One merged JSON document describing an experiment's end state: device
-/// I/O counters ⊕ buffer-cache statistics ⊕ per-level tree counters, plus
-/// an optional wear summary and an optional [`Metrics`] registry (as fed
-/// by an [`lsm_tree::observe::MetricsSink`]).
-pub fn merged_json(
-    experiment: &str,
-    tree: &LsmTree,
-    wear: Option<&sim_ssd::mem::WearSummary>,
-    metrics: Option<&Metrics>,
-) -> Json {
-    let io = tree.store().io_snapshot();
-    let mut device = vec![
-        ("reads".to_string(), Json::from(io.reads)),
-        ("writes".to_string(), Json::from(io.writes)),
-        ("trims".to_string(), Json::from(io.trims)),
-        ("syncs".to_string(), Json::from(io.syncs)),
-    ];
-    if let Some(w) = wear {
-        device.push((
-            "wear".to_string(),
-            Json::obj([
-                ("max_wear", Json::from(u64::from(w.max_wear))),
-                ("total_programs", Json::from(w.total_programs)),
-                ("blocks_touched", Json::from(w.blocks_touched)),
-            ]),
-        ));
+/// What a report table shows for a member: strings bare, fractions to
+/// three places, `-` for null or absent, anything else as its JSON.
+fn cell(v: &Json) -> String {
+    match v {
+        Json::Null => "-".into(),
+        Json::Str(s) => s.clone(),
+        Json::F64(f) => fmt_f(*f, 3),
+        v => v.render(),
     }
+}
 
-    let cache = tree.store().cache_stats();
-    let stats = tree.stats();
-    let levels: Vec<Json> = (1..=tree.levels().len())
-        .map(|paper| {
-            let l = stats.level(paper);
-            Json::obj([
-                ("level", Json::from(paper)),
-                ("merges_in", Json::from(l.merges_in)),
-                ("blocks_written", Json::from(l.blocks_written)),
-                ("blocks_read", Json::from(l.blocks_read)),
-                ("blocks_preserved", Json::from(l.blocks_preserved)),
-                ("records_in", Json::from(l.records_in)),
-                ("compactions", Json::from(l.compactions)),
-                ("pairwise_fixes", Json::from(l.pairwise_fixes)),
-            ])
-        })
-        .collect();
-
-    let mut doc = vec![
-        ("experiment".to_string(), Json::from(experiment)),
-        ("device".to_string(), Json::Obj(device)),
-        (
-            "cache".to_string(),
-            Json::obj([
-                ("hits", Json::from(cache.hits)),
-                ("misses", Json::from(cache.misses)),
-                ("evictions", Json::from(cache.evictions)),
-                ("hit_rate", Json::from(cache.hit_rate())),
-                ("resident_bytes", Json::from(cache.resident)),
-                ("capacity_bytes", Json::from(cache.capacity)),
-            ]),
-        ),
-        (
-            "tree".to_string(),
-            Json::obj([
-                ("height", Json::from(tree.height())),
-                ("records", Json::from(tree.record_count())),
-                ("puts", Json::from(stats.puts)),
-                ("deletes", Json::from(stats.deletes)),
-                ("lookups", Json::from(stats.lookups())),
-                ("lookup_block_reads", Json::from(stats.lookup_block_reads())),
-                ("bloom_skips", Json::from(stats.bloom_skips())),
-                ("total_blocks_written", Json::from(stats.total_blocks_written())),
-                ("total_blocks_read", Json::from(stats.total_blocks_read())),
-                ("total_blocks_preserved", Json::from(stats.total_blocks_preserved())),
-                ("levels", Json::Arr(levels)),
-            ]),
-        ),
-    ];
-    if let Some(m) = metrics {
-        doc.push(("metrics".to_string(), m.to_json()));
+/// A table of JSON objects: one row per item, one column per `(header,
+/// member)` — or, with no columns given, per scalar member of the first
+/// item, under its own name.
+fn json_table(items: &[Json], columns: &[(&str, &str)]) -> String {
+    let first = match items.first() {
+        None => return String::new(),
+        Some(Json::Obj(pairs)) if columns.is_empty() => pairs.as_slice(),
+        Some(_) => &[],
+    };
+    let scalars = first.iter().filter(|(_, v)| !matches!(v, Json::Arr(_) | Json::Obj(_)));
+    let columns: Vec<(&str, &str)> =
+        columns.iter().copied().chain(scalars.map(|(k, _)| (k.as_str(), k.as_str()))).collect();
+    let mut t = Table::new(columns.iter().map(|c| c.0));
+    for item in items {
+        t.row(columns.iter().map(|(_, key)| cell(item.get(key))));
     }
-    Json::Obj(doc)
+    t.render()
+}
+
+/// The columns of a level row: topology, capacity, waste, `m_i` / `w_i`,
+/// and the level's merge counters.
+const LEVEL_COLUMNS: &[(&str, &str)] = &[
+    ("level", "level"),
+    ("blocks", "blocks"),
+    ("capacity", "capacity_blocks"),
+    ("records", "records"),
+    ("waste", "waste"),
+    ("m_i", "m_i"),
+    ("w_i", "w_i"),
+    ("merges_in", "merges_in"),
+    ("writes", "blocks_written"),
+    ("reads", "blocks_read"),
+    ("preserved", "blocks_preserved"),
+    ("compactions", "compactions"),
+    ("fixes", "pairwise_fixes"),
+];
+
+/// Entries of a report's `flight` section that [`render_report`] prints.
+const FLIGHT_SHOWN: usize = 12;
+
+/// The one text form of an `lsm-report/v1` document
+/// ([`lsm_tree::Report`]) — what `lsm_doctor` prints after its run and
+/// `lsm_doctor show <file>` prints for a file: the head, then every
+/// section present, in the report's order; the ledger, health and tail
+/// sections through [`render_ledger`], [`render_health`] and
+/// [`render_tail`].
+pub fn render_report(report: &Json) -> String {
+    let mut out = format!("=== report: {} ===\n", cell(report.get("reason")));
+    for key in ["seed", "repro", "error"].into_iter().filter(|k| report.get(k) != &Json::Null) {
+        let _ = writeln!(out, "{key}: {}", cell(report.get(key)));
+    }
+    for shard in report.get("tree").items() {
+        let _ = write!(
+            out,
+            "\n=== tree, shard {} ===\n{}{}",
+            cell(shard.get("shard")),
+            json_table(std::slice::from_ref(shard), &[]),
+            json_table(shard.get("levels").items(), LEVEL_COLUMNS)
+        );
+        if let ranges @ [_, ..] = shard.get("degraded_ranges").items() {
+            let _ = writeln!(out, "degraded ranges: {}", Json::arr(ranges.to_vec()).render());
+        }
+    }
+    let present = |key: &str| Some(report.get(key)).filter(|section| *section != &Json::Null);
+    for key in ["device", "cache", "wear"] {
+        if let Some(section) = present(key) {
+            let _ = write!(out, "\n=== {key} ===\n{}", json_table(section.items(), &[]));
+        }
+    }
+    for wear in report.get("wear").items() {
+        let wear_of = |cell: &Json| cell.get("max").as_u64().unwrap_or(0);
+        let cells = wear.get("heatmap").items();
+        let peak = cells.iter().map(wear_of).max().unwrap_or(0).max(1);
+        let glyphs = [' ', '.', ':', '-', '=', '+', '*', '#', '@'];
+        let row: String = cells.iter().map(|c| glyphs[(wear_of(c) * 8 / peak) as usize]).collect();
+        let _ = writeln!(out, "shard {} wear heatmap, hottest @: [{row}]", cell(wear.get("shard")));
+    }
+    for (key, render) in [
+        ("ledger", render_ledger as fn(&Json) -> String),
+        ("health", render_health),
+        ("tail", render_tail),
+    ] {
+        if let Some(section) = present(key) {
+            out.push_str(&render(section));
+        }
+    }
+    if let Some(Json::Obj(pairs)) = present("scheduler") {
+        out.push_str("\n=== scheduler ===\n");
+        for (key, value) in pairs.iter().filter(|(key, _)| key != "rendezvous") {
+            let _ = writeln!(out, "{key}: {}", cell(value));
+        }
+        out.push_str(&json_table(report.get("scheduler").get("rendezvous").items(), &[]));
+    }
+    if let Some(flight) = present("flight") {
+        let (entries, open) = (flight.get("entries").items(), flight.get("open_spans").items());
+        let shown = &entries[entries.len().saturating_sub(FLIGHT_SHOWN)..];
+        let _ = writeln!(
+            out,
+            "\n=== flight recorder ===\n{}{} span(s) open at dump time\n{}last {} of {} retained \
+             entries:",
+            json_table(std::slice::from_ref(flight), &[]),
+            open.len(),
+            json_table(open, &[]),
+            shown.len(),
+            entries.len()
+        );
+        let mut t = Table::new(["seq", "tick", "span", "entry"]);
+        for entry in shown {
+            let what = match (entry.get("begin"), entry.get("end")) {
+                (Json::Null, Json::Null) => entry.get("event").render(),
+                (Json::Null, id) => format!("end span {}: {}", cell(id), cell(entry.get("op"))),
+                (id, _) => format!("begin span {}: {}", cell(id), cell(entry.get("op"))),
+            };
+            t.row([
+                cell(entry.get("seq")),
+                cell(entry.get("at_us")),
+                cell(entry.get("span")),
+                what,
+            ]);
+        }
+        out.push_str(&t.render());
+    }
+    if let Json::Obj(counters) = report.get("metrics").get("counters") {
+        let _ = writeln!(out, "\n=== metrics ({} counters) ===", counters.len());
+        let mut t = Table::new(["counter", "value"]);
+        for (name, value) in counters {
+            t.row([name.clone(), cell(value)]);
+        }
+        out.push_str(&t.render());
+    }
+    out
 }
 
 #[cfg(test)]
@@ -397,6 +449,118 @@ mod tests {
         // Not a report at all: every lookup defaults, nothing panics.
         assert!(render_health(&Json::Null).contains("0 detector transition(s)"));
         assert!(render_tail(&Json::from(3u64)).contains("dominant phase: none"));
+    }
+
+    /// A member of an object, for editing a parsed report.
+    fn member<'a>(json: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Obj(pairs) = json else { panic!("not an object: {key}") };
+        &mut pairs.iter_mut().find(|(k, _)| k == key).expect("member present").1
+    }
+
+    #[test]
+    fn one_report_with_every_section_renders_and_validates() {
+        use std::sync::Arc;
+
+        use lsm_tree::observe::{HealthSink, MetricsSink, SinkHandle, SpanOp, TickClock, VecSink};
+        use lsm_tree::report::validate_report;
+        use lsm_tree::{
+            DecisionLedger, LsmConfig, PolicySpec, Report, ShardedLsmTree, TreeOptions,
+        };
+        use sim_ssd::{BlockDevice, MemDevice};
+
+        let recorder = Arc::new(VecSink::bounded(16));
+        let health = Arc::new(HealthSink::with_defaults().with_tail());
+        let metrics = Arc::new(MetricsSink::new());
+        let handle = SinkHandle::with_clock(Arc::new(TickClock::new()))
+            .and(Arc::clone(&recorder) as _)
+            .and(Arc::clone(&health) as _)
+            .and(Arc::clone(&metrics) as _);
+        let ledger = Arc::new(DecisionLedger::new(64));
+        let cfg = LsmConfig {
+            block_size: 256,
+            payload_size: 4,
+            k0_blocks: 4,
+            gamma: 4,
+            cache_blocks: 64,
+            merge_rate: 0.25,
+            ..LsmConfig::default()
+        };
+        let mems: Vec<Arc<MemDevice>> =
+            (0..2).map(|_| Arc::new(MemDevice::with_block_size(1 << 14, 256))).collect();
+        let opts = TreeOptions::builder()
+            .policy(PolicySpec::ChooseBest)
+            .sink(handle.clone())
+            .ledger(Arc::clone(&ledger))
+            .build();
+        let devices = mems.iter().map(|m| Arc::clone(m) as Arc<dyn BlockDevice>).collect();
+        let tree = ShardedLsmTree::with_devices(cfg, opts, devices).unwrap();
+        for k in 0..2_000u64 {
+            tree.put(k * 7, vec![(k % 251) as u8; 4]).unwrap();
+        }
+        let _open = handle.span(SpanOp::cascade());
+        let report = Report::new("every section")
+            .seed(7)
+            .repro("cargo test -p lsm-bench")
+            .error("none")
+            .sharded(&tree)
+            .wear(&mems.iter().map(|m| m.wear_snapshot()).collect::<Vec<_>>(), 8)
+            .ledger(&ledger)
+            .health(&health)
+            .scheduler(tree.scheduler_section_json())
+            .flight(&recorder)
+            .metrics(&metrics.metrics());
+        let doc = Json::parse(&report.to_json().render()).unwrap();
+        assert_eq!(validate_report(&doc), Vec::<String>::new());
+        assert!(recorder.dropped() > 0, "the ring wrapped");
+
+        let text = render_report(&doc);
+        let titles = [
+            "=== report: every section ===",
+            "seed: 7",
+            "=== tree, shard 0 ===",
+            "=== tree, shard 1 ===",
+            "=== device ===",
+            "=== cache ===",
+            "=== wear ===",
+            "=== decision ledger ===",
+            "=== windowed health",
+            "=== tail anatomy",
+            "=== scheduler ===",
+            "=== flight recorder ===",
+            "1 span(s) open at dump time",
+            "begin span ",
+            "=== metrics (",
+        ];
+        for title in titles {
+            assert!(text.contains(title), "missing {title:?} in\n{text}");
+        }
+        // Every level row of every shard, in its shard's table.
+        for (i, shard) in doc.get("tree").items().iter().enumerate() {
+            let levels = shard.get("levels").items().len();
+            assert!(levels > 0, "shard {i} has levels");
+            let table = text.split(&format!("=== tree, shard {i} ")).nth(1).unwrap();
+            let rows: Vec<&str> = table.lines().skip(6).take_while(|l| !l.is_empty()).collect();
+            let numbers: Vec<String> =
+                rows.iter().map(|r| r.split_whitespace().next().unwrap().to_string()).collect();
+            let expected: Vec<String> = (1..=levels).map(|l| l.to_string()).collect();
+            assert_eq!(numbers, expected, "{table}");
+        }
+
+        // Three broken variants, each rejected for what it breaks.
+        let rejects = |doc: &Json, needle: &str| {
+            let problems = validate_report(doc);
+            assert!(problems.iter().any(|p| p.contains(needle)), "{needle}: {problems:?}");
+        };
+        let mut no_schema = doc.clone();
+        let Json::Obj(pairs) = &mut no_schema else { panic!() };
+        pairs.retain(|(k, _)| k != "schema");
+        rejects(&no_schema, "missing schema");
+        let no_writes = doc.render().replacen("\"blocks_written\":", "\"blocks_rewritten\":", 1);
+        rejects(&Json::parse(&no_writes).unwrap(), "levels[0]: missing blocks_written");
+        let mut overfull = doc.clone();
+        let Json::Arr(caches) = member(&mut overfull, "cache") else { panic!() };
+        *member(&mut caches[1], "resident_bytes") = Json::from(u64::MAX);
+        rejects(&overfull, "report.cache[1] holds");
     }
 
     #[test]

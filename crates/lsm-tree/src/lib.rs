@@ -50,8 +50,8 @@ pub mod manifest;
 pub mod memtable;
 pub mod merge;
 pub mod policy;
-pub mod postmortem;
 pub mod record;
+pub mod report;
 pub mod scheduler;
 mod shard;
 pub mod sharded;
@@ -76,8 +76,8 @@ pub use memtable::Memtable;
 pub use merge::{MergeEngine, MergeOutcome, MergeSource};
 pub use policy::ledger::{Candidate, DecisionLedger, DecisionRow, LedgerTotals};
 pub use policy::{MergeChoice, MergePolicy, MixedParams, PolicySpec};
-pub use postmortem::PostMortem;
 pub use record::{Key, OpKind, Record, Request, RequestSource};
+pub use report::Report;
 pub use scheduler::{set_watchdog_timeout_ms, MergeScheduler, SchedulerSnapshot};
 pub use sharded::ShardedLsmTree;
 pub use stats::{LevelStats, MergeKind, TreeStats};

@@ -85,9 +85,8 @@ use crate::lockorder;
 
 /// Watchdog budget for a hung [`MergeScheduler::drain`] or group-commit
 /// rendezvous, in milliseconds. When a wait exceeds it, the waiter panics
-/// with the scheduler's job queue in the message (and, when
-/// `LSM_WATCHDOG_BUNDLE_DIR` is set, in a post-mortem bundle) — a hang
-/// becomes a loud, debuggable failure instead of a stuck process.
+/// with the scheduler's job queue in the message — a hang becomes a loud,
+/// debuggable failure instead of a stuck process.
 static WATCHDOG_MS: AtomicU64 = AtomicU64::new(60_000);
 
 /// Override the hang watchdog (tests use tiny budgets; `0` disables it).
@@ -103,24 +102,12 @@ pub fn watchdog_timeout() -> Option<Duration> {
     }
 }
 
-/// Convert a hung wait into a panic: writes a post-mortem bundle with the
-/// scheduler section when `LSM_WATCHDOG_BUNDLE_DIR` is set, then panics
-/// with the job-queue dump inline so the hang is diagnosable either way.
+/// Convert a hung wait into a panic with the job-queue dump inline.
 pub(crate) fn watchdog_fire(context: &str, scheduler_section: Json) -> ! {
-    let rendered = scheduler_section.render();
-    if let Ok(dir) = std::env::var("LSM_WATCHDOG_BUNDLE_DIR") {
-        let path = std::path::Path::new(&dir).join("watchdog.postmortem.json");
-        let pm = crate::postmortem::PostMortem::new(&format!("watchdog: {context}"))
-            .error(&format!("{context} exceeded the hang watchdog"))
-            .section("scheduler", scheduler_section);
-        if pm.write_to(&path).is_ok() {
-            panic!("watchdog: {context} hung (scheduler state in {}): {rendered}", path.display());
-        }
-    }
-    panic!("watchdog: {context} hung; scheduler state: {rendered}");
+    panic!("watchdog: {context} hung; scheduler state: {}", scheduler_section.render());
 }
 
-/// A point-in-time dump of a scheduler's job queue — what the post-mortem
+/// A point-in-time dump of a scheduler's job queue — what a report's
 /// `scheduler` section and the watchdog panic message are built from.
 /// Produced by [`MergeScheduler::snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,7 +134,7 @@ pub struct SchedulerSnapshot {
 }
 
 impl SchedulerSnapshot {
-    /// Render as the post-mortem `scheduler` section body.
+    /// Render as a report's `scheduler` section body.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("queued", Json::arr(self.queued.iter().map(|&s| Json::from(s)))),
@@ -592,7 +579,7 @@ impl MergeScheduler {
         self.inner.policy.max_imm_memtables
     }
 
-    /// Dump the job queue for post-mortems and watchdog panics.
+    /// Dump the job queue for reports and watchdog panics.
     pub fn snapshot(&self) -> SchedulerSnapshot {
         lockorder::assert_no_tree_lock("MergeScheduler::snapshot");
         let s = self.inner.state.lock();
@@ -1041,7 +1028,7 @@ mod tests {
             assert!(!snap.shutdown);
             assert_eq!(snap.running, vec![id], "the job must show as in flight");
             assert_eq!(snap.sim_steps, stepped.then_some(1));
-            // The JSON section carries every key the bundle validator checks.
+            // The JSON section carries every key the report validator checks.
             let Json::Obj(pairs) = snap.to_json() else { panic!("snapshot not an object") };
             for key in ["queued", "running", "backlogs", "max_imm_memtables", "shutdown"] {
                 assert!(pairs.iter().any(|(k, _)| k == key), "snapshot JSON missing {key}");

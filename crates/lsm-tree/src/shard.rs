@@ -564,7 +564,7 @@ impl Shard {
         }
     }
 
-    /// This shard's entry of the post-mortem `rendezvous` array.
+    /// This shard's entry of a report's `rendezvous` array.
     pub(crate) fn rendezvous_json(&self) -> Json {
         let (appended, synced) = self.wal(|w| (w.len_bytes(), w.synced_len())).unwrap_or_default();
         let s = self.group.lock();

@@ -496,7 +496,7 @@ impl ShardedLsmTree {
         self.shards[shard].set_wal_fault_plan(plan, seed);
     }
 
-    /// The post-mortem `scheduler` section: the scheduler's job-queue
+    /// A report's `scheduler` section: the scheduler's job-queue
     /// snapshot (queued/running/backlogs/...) plus one `rendezvous` entry
     /// per shard describing the open group-commit state. Also what the
     /// group-commit watchdog dumps when a rendezvous hangs.

@@ -54,15 +54,15 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use observe::{FlightRecorderSink, Json, SinkHandle, TickClock};
-use sim_ssd::{BlockDevice, FaultDevice, FaultPlan, MemDevice, SplitMix64};
+use observe::{SinkHandle, TickClock, VecSink};
+use sim_ssd::{BlockDevice, FaultDevice, FaultPlan, MemDevice, SplitMix64, WearSnapshot};
 
 use crate::config::{CommitMode, LsmConfig};
 use crate::history::{AckStatus, HistoryChecker, HistoryRecord};
 use crate::policy::ledger::DecisionLedger;
 use crate::policy::PolicySpec;
-use crate::postmortem::PostMortem;
 use crate::record::{Key, Request};
+use crate::report::Report;
 use crate::scheduler::MergeScheduler;
 use crate::sharded::ShardedLsmTree;
 use crate::store::RetryPolicy;
@@ -325,27 +325,23 @@ fn to_request(op: &LoggedOp) -> Request {
     }
 }
 
-/// The sections a bundle carries beside the black box: the scheduler's
-/// (job queue, backlogs, open rendezvous) and shard 0's tree.
-type Sections = Vec<(&'static str, Json)>;
-
 /// What a cycle carries and bundles: a deterministic handle ([`TickClock`],
-/// no wall-clock time) feeding a [`FlightRecorderSink`], a
-/// [`DecisionLedger`] on every tree, and the scratch directory the cycle
-/// removes however it ends. Sinks cannot perturb a cycle (the
-/// observer-effect contract), so same-seed bundles are byte-identical.
+/// no wall-clock time) feeding a bounded [`VecSink`], a [`DecisionLedger`]
+/// on every tree, and the scratch directory the cycle removes however it
+/// ends. Sinks cannot perturb a cycle (the observer-effect contract), so
+/// same-seed bundles are byte-identical.
 struct BlackBox {
     seed: u64,
     bundle_dir: Option<PathBuf>,
     /// The command that replays the cycle.
     repro: String,
-    recorder: Arc<FlightRecorderSink>,
+    recorder: Arc<VecSink>,
     ledger: Arc<DecisionLedger>,
     sink: SinkHandle,
-    /// Shard 0's device, for its I/O counters, and the same device for its
-    /// wear when it is in memory.
-    device: Option<Arc<dyn BlockDevice>>,
-    mem: Option<Arc<MemDevice>>,
+    /// Every shard's in-memory device, for its wear.
+    mems: Vec<Arc<MemDevice>>,
+    /// The shard whose device has the power cut armed, once drawn.
+    cut_shard: Option<usize>,
     scratch: PathBuf,
 }
 
@@ -353,7 +349,7 @@ impl BlackBox {
     /// A black box for the cycle of `cfg`, whose scratch directory is
     /// emptied first: a leftover of an earlier run is no part of this one.
     fn new(cfg: &TortureConfig, scratch: PathBuf) -> Self {
-        let recorder = Arc::new(FlightRecorderSink::new(512));
+        let recorder = Arc::new(VecSink::bounded(512));
         let sink =
             SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&recorder) as _);
         let bb = BlackBox {
@@ -363,8 +359,8 @@ impl BlackBox {
             recorder,
             ledger: Arc::new(DecisionLedger::new(256)),
             sink,
-            device: None,
-            mem: None,
+            mems: Vec::new(),
+            cut_shard: None,
             scratch,
         };
         bb.cleanup();
@@ -387,41 +383,45 @@ impl BlackBox {
         std::fs::remove_dir_all(&self.scratch).ok();
     }
 
-    /// Write a bundle if a directory is configured; returns its path.
-    fn dump(&self, reason: &str, error: Option<&str>, sections: Sections) -> Option<PathBuf> {
+    /// What a bundle shows of `tree` as it stands now (nothing without a
+    /// bundle directory): the scheduler's section, every shard's tree,
+    /// device and cache entries, and every in-memory device's wear.
+    fn at_crash(&self, tree: &ShardedLsmTree) -> Report {
+        let report = Report::default();
+        if self.bundle_dir.is_none() {
+            return report;
+        }
+        let wear: Vec<WearSnapshot> = self.mems.iter().map(|mem| mem.wear_snapshot()).collect();
+        report.sharded(tree).wear(&wear, 32).scheduler(tree.scheduler_section_json())
+    }
+
+    /// Write a bundle — `at_crash` with the black box added — if a
+    /// directory is configured; returns its path.
+    fn dump(&self, reason: &str, error: Option<&str>, at_crash: Report) -> Option<PathBuf> {
         let path = bundle_path(self.bundle_dir.as_deref()?, self.seed);
-        let mut pm = PostMortem::new(reason)
-            .seed(self.seed)
-            .repro(&self.repro)
-            .flight(&self.recorder)
-            .ledger(&self.ledger);
-        if let Some(device) = &self.device {
-            pm = pm.device_io(device.io_snapshot());
-        }
-        if let Some(mem) = &self.mem {
-            pm = pm.wear(&mem.wear_snapshot(), 32);
-        }
+        let reason = match self.cut_shard {
+            Some(shard) => format!("{reason} (power cut armed on shard {shard})"),
+            None => reason.to_string(),
+        };
+        let mut report = at_crash.reason(&reason).seed(self.seed).repro(&self.repro);
         if let Some(msg) = error {
-            pm = pm.error(msg);
+            report = report.error(msg);
         }
-        for (key, json) in sections {
-            pm = pm.section(key, json);
-        }
-        pm.write_to(&path).ok()?;
+        report.ledger(&self.ledger).flight(&self.recorder).write_to(&path).ok()?;
         Some(path)
     }
 
     /// End the cycle at a failed step `what`: bundle, clean up, say why.
-    fn fail(&self, what: &str, message: String, sections: Sections) -> TortureFailure {
-        let bundle = self.dump(&format!("torture failure: {what}"), Some(&message), sections);
+    fn fail(&self, what: &str, message: String, at_crash: Report) -> TortureFailure {
+        let bundle = self.dump(&format!("torture failure: {what}"), Some(&message), at_crash);
         self.cleanup();
         TortureFailure { seed: self.seed, message, bundle }
     }
 
     /// End a cycle that passed: a bundle if asked for, and clean up.
-    fn pass(&self, always_dump: bool, sections: Sections) {
+    fn pass(&self, always_dump: bool, at_crash: Report) {
         if always_dump {
-            self.dump("explicit dump", None, sections);
+            self.dump("explicit dump", None, at_crash);
         }
         self.cleanup();
     }
@@ -462,18 +462,20 @@ fn judge(history: &HistoryChecker, tree: &LsmTree) -> Result<(u64, u64), String>
 /// bundle the failure wrote.
 ///
 /// Every cycle runs with a black box attached: a deterministic
-/// [`SinkHandle`] ([`TickClock`]) feeding a [`FlightRecorderSink`], plus a
+/// [`SinkHandle`] ([`TickClock`]) feeding a bounded [`VecSink`], plus a
 /// [`DecisionLedger`] on every tree. On failure — or on success with
 /// [`TortureConfig::always_dump`] — their contents, the scheduler section
-/// and shard 0's tree as it stood at the crash are serialized into a
-/// bundle at [`bundle_path`]. Two runs of the same seed produce
-/// byte-identical bundles.
+/// and every shard's tree, device and wear as they stood at the crash are
+/// written as an `lsm-report/v1` bundle at [`bundle_path`], whose reason
+/// names the shard the power cut was armed on. Two runs of the same seed
+/// produce byte-identical bundles.
 pub fn run_crash_cycle(cfg: &TortureConfig) -> Result<TortureReport, TortureFailure> {
     assert!(cfg.writers >= 1 && cfg.shards >= 1, "need at least one writer and shard");
     let dir = scratch_path("lsm-torture", cfg.seed);
     let mut bb = BlackBox::new(cfg, dir.clone());
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| bb.fail("scratch", format!("scratch dir create failed: {e}"), vec![]))?;
+    std::fs::create_dir_all(&dir).map_err(|e| {
+        bb.fail("scratch", format!("scratch dir create failed: {e}"), Report::default())
+    })?;
     let mut rng = SplitMix64::new(cfg.seed ^ 0xC04C_0441_57EE_DEAD);
     // The commit mode: a stream of its own, so that the draw moves nothing
     // else the seed decides.
@@ -481,23 +483,24 @@ pub fn run_crash_cycle(cfg: &TortureConfig) -> Result<TortureReport, TortureFail
     let commit = if group { CommitMode::Group } else { CommitMode::Buffered };
 
     // One fault decorator per shard, seeded per shard; the black box
-    // watches shard 0's device.
+    // keeps every in-memory device for its wear.
     let mut faults: Vec<Arc<FaultDevice>> = Vec::with_capacity(cfg.shards);
     for i in 0..cfg.shards {
         let inner: Arc<dyn BlockDevice> = match cfg.backend {
             TortureBackend::Mem => {
                 let mem = Arc::new(MemDevice::with_block_size(1 << 14, 256));
-                bb.mem = bb.mem.take().or(Some(Arc::clone(&mem)));
+                bb.mems.push(Arc::clone(&mem));
                 mem
             }
             TortureBackend::File => {
                 let path = dir.join(format!("shard-{i}.dev"));
                 let dev = sim_ssd::FileDevice::create_with_block_size(&path, 1 << 14, 256)
-                    .map_err(|e| bb.fail("device", format!("device create failed: {e}"), vec![]))?;
+                    .map_err(|e| {
+                        bb.fail("device", format!("device create failed: {e}"), Report::default())
+                    })?;
                 Arc::new(dev)
             }
         };
-        bb.device = bb.device.take().or(Some(Arc::clone(&inner)));
         let seed = cfg.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         faults.push(Arc::new(FaultDevice::new(inner, seed)));
     }
@@ -512,7 +515,7 @@ pub fn run_crash_cycle(cfg: &TortureConfig) -> Result<TortureReport, TortureFail
         Some(&dir),
         sim.clone(),
     )
-    .map_err(|e| bb.fail("create", format!("create failed: {e}"), vec![]))?;
+    .map_err(|e| bb.fail("create", format!("create failed: {e}"), Report::default()))?;
 
     // Arm faults only now, so creation itself cannot be cut: an index that
     // never existed has no durability contract to check. One seeded shard
@@ -524,6 +527,7 @@ pub fn run_crash_cycle(cfg: &TortureConfig) -> Result<TortureReport, TortureFail
     // seeded soft cut may end the workload between two ticks — the host
     // dying with the devices intact.
     let cut_shard = rng.gen_range(cfg.shards as u64) as usize;
+    bb.cut_shard = Some(cut_shard);
     let cut_at = faults[cut_shard].ops_issued() + 1 + rng.gen_range(cfg.ops / 3 + 1);
     for (i, fault) in faults.iter().enumerate() {
         let plan = FaultPlan::none()
@@ -662,7 +666,7 @@ pub fn run_crash_cycle(cfg: &TortureConfig) -> Result<TortureReport, TortureFail
                              {want:?} (after {} writes, {tick} ticks)",
                             r.issued
                         );
-                        return Err(bb.fail("read", msg, sections(cfg, &tree)));
+                        return Err(bb.fail("read", msg, bb.at_crash(&tree)));
                     }
                     true
                 }
@@ -688,10 +692,10 @@ pub fn run_crash_cycle(cfg: &TortureConfig) -> Result<TortureReport, TortureFail
 
     // ------------------------------------------------------------------
     // Phase 2: the host dies. Take the bundle's view of the scheduler and
-    // of shard 0 first, then leak the tree, power every device off (what
+    // of every shard first, then leak the tree, power every device off (what
     // it did not sync is gone) and cut each WAL's unsynced tail.
     // ------------------------------------------------------------------
-    let at_crash = sections(cfg, &tree);
+    let at_crash = bb.at_crash(&tree);
     let at_crash = || at_crash.clone();
     let wal_synced = tree.wal_synced_lens();
     std::mem::forget(tree);
@@ -757,19 +761,10 @@ pub fn run_crash_cycle(cfg: &TortureConfig) -> Result<TortureReport, TortureFail
     Ok(r)
 }
 
-/// A bundle's sections beside the black box (none without a bundle
-/// directory): the scheduler's, and shard 0's tree.
-fn sections(cfg: &TortureConfig, tree: &ShardedLsmTree) -> Sections {
-    if cfg.bundle_dir.is_none() {
-        return Vec::new();
-    }
-    let shard0 = tree.with_shard_read(0, PostMortem::tree_json);
-    vec![("scheduler", tree.scheduler_section_json()), ("tree", shard0)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use observe::Json;
 
     #[test]
     fn single_cycle_is_deterministic() {
@@ -834,17 +829,45 @@ mod tests {
 
         let text = String::from_utf8(a).expect("bundle is UTF-8");
         let doc = Json::parse(&text).expect("bundle parses");
-        let problems = crate::postmortem::validate_bundle(&doc);
+        let problems = crate::report::validate_report(&doc);
         assert!(problems.is_empty(), "invalid bundle: {problems:?}");
         // The bundle names its seed and an exact repro command, and carries
-        // the black box: flight events, ledger, wear, and the tree section.
+        // the black box: flight entries, ledger, wear, and the tree section.
         assert_eq!(doc.get("seed").as_u64(), Some(9001));
         let repro = doc.get("repro").as_str().expect("missing repro");
         assert!(repro.contains("--seed-base=9001"), "repro names the seed: {repro}");
-        for key in ["flight", "ledger", "wear", "device_io", "tree"] {
+        for key in ["flight", "ledger", "wear", "device", "tree"] {
             assert!(doc.get(key) != &Json::Null, "bundle missing {key} section");
         }
         std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn a_bundle_shows_the_shard_that_lost_power() {
+        // Seed 5 of the two-shard shape arms its power cut on shard 1.
+        let seed = 5;
+        let dir = scratch_path("lsm-bundle-cut", seed);
+        let mut cfg = TortureConfig::concurrent(seed);
+        cfg.always_dump = true;
+        cfg.bundle_dir = Some(dir.clone());
+        run_crash_cycle(&cfg).unwrap_or_else(|e| panic!("cycle failed: {e}"));
+        let text = std::fs::read_to_string(bundle_path(&dir, seed)).expect("bundle written");
+        std::fs::remove_dir_all(&dir).ok();
+        let doc = Json::parse(&text).expect("bundle parses");
+        let problems = crate::report::validate_report(&doc);
+        assert!(problems.is_empty(), "invalid bundle: {problems:?}");
+        let reason = doc.get("reason").as_str().unwrap_or_default();
+        assert!(reason.contains("power cut armed on shard 1"), "{reason}");
+        for section in ["tree", "device", "wear"] {
+            let shards: Vec<_> =
+                doc.get(section).items().iter().map(|e| e.get("shard").as_u64()).collect();
+            assert_eq!(shards, [Some(0), Some(1)], "{section} has one entry per shard");
+        }
+        let shard1 = &doc.get("tree").items()[1];
+        assert!(!shard1.get("levels").items().is_empty(), "shard 1's levels: {shard1:?}");
+        assert!(shard1.get("puts").as_u64() > Some(0), "shard 1's counters: {shard1:?}");
+        let device1 = &doc.get("device").items()[1];
+        assert!(device1.get("writes").as_u64() > Some(0), "shard 1's device: {device1:?}");
     }
 
     #[test]

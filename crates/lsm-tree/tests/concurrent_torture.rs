@@ -119,7 +119,7 @@ fn same_seed_bundles_are_byte_identical_with_scheduler_section() {
     assert_eq!(a, b, "same-seed bundles differ byte-for-byte");
 
     let doc = Json::parse(std::str::from_utf8(&a).unwrap()).expect("bundle parses");
-    let problems = lsm_tree::postmortem::validate_bundle(&doc);
+    let problems = lsm_tree::report::validate_report(&doc);
     assert!(problems.is_empty(), "bundle invalid: {problems:?}");
     let sched = doc.get("scheduler");
     for key in ["queued", "backlogs", "max_imm_memtables", "sim_steps", "rendezvous"] {

@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use lsm_tree::observe::trace::TraceEventKind;
 use lsm_tree::observe::{
-    validate_health, validate_tail, ChromeTraceSink, Event, FlightEntry, FlightRecorderSink,
-    HealthSink, Json, MetricsSink, NullSink, SinkHandle, SpanKind, TickClock, VecSink,
+    validate_health, validate_tail, ChromeTraceSink, Event, HealthSink, Json, MetricsSink,
+    NullSink, SinkHandle, SpanKind, TickClock, TraceEvent, VecSink,
 };
 use lsm_tree::{LsmConfig, LsmTree, PolicySpec, ShardedLsmTree, TreeOptions};
 use sim_ssd::{BlockDevice, MemDevice};
@@ -65,7 +65,7 @@ fn build(device: Arc<MemDevice>, sink: SinkHandle) -> LsmTree {
 }
 
 /// Every consumer the crate ships, on one tick-clock handle.
-fn full_pipeline(recorder: &Arc<FlightRecorderSink>, engine: &Arc<HealthSink>) -> SinkHandle {
+fn full_pipeline(recorder: &Arc<VecSink>, engine: &Arc<HealthSink>) -> SinkHandle {
     SinkHandle::with_clock(Arc::new(TickClock::new()))
         .and(Arc::new(VecSink::new()))
         .and(Arc::new(ChromeTraceSink::new(std::io::sink())))
@@ -97,7 +97,7 @@ fn exporters_have_no_observer_effect() {
 
     let bare = run(SinkHandle::none());
     let null = run(SinkHandle::of(NullSink));
-    let recorder = Arc::new(FlightRecorderSink::new(256));
+    let recorder = Arc::new(VecSink::bounded(256));
     let health = Arc::new(HealthSink::with_defaults().with_tail().with_series());
     let full = run(full_pipeline(&recorder, &health));
 
@@ -168,7 +168,7 @@ fn exporters_have_no_observer_effect_with_scheduler() {
 
     let bare = run(SinkHandle::none());
     let null = run(SinkHandle::of(NullSink));
-    let recorder = Arc::new(FlightRecorderSink::new(256));
+    let recorder = Arc::new(VecSink::bounded(256));
     let health = Arc::new(HealthSink::with_defaults().with_tail());
     let full = run(full_pipeline(&recorder, &health));
 
@@ -241,7 +241,7 @@ fn every_consumer_of_one_handle_sees_the_whole_stream() {
 #[test]
 fn flight_recorder_under_sharded_concurrent_writers() {
     let shards = 4usize;
-    let recorder = Arc::new(FlightRecorderSink::new(4_096));
+    let recorder = Arc::new(VecSink::bounded(4_096));
     let vec_sink = Arc::new(VecSink::new());
     let sink = SinkHandle::with_clock(Arc::new(TickClock::new()))
         .and(Arc::clone(&recorder) as _)
@@ -271,14 +271,13 @@ fn flight_recorder_under_sharded_concurrent_writers() {
         }
     });
 
-    // Exact drop accounting: the handle's full event stream (mirrored by
-    // the VecSink) dwarfs the ring, and every emitted event was either
+    // Exact drop accounting: the handle's full stream (mirrored by the
+    // unbounded VecSink) dwarfs the ring, and every entry was either
     // retained or counted as dropped — nothing lost, nothing double-counted.
     let events = vec_sink.entries();
-    let emitted =
-        events.iter().filter(|e| matches!(e.kind, TraceEventKind::Emit(_))).count() as u64;
+    let emitted = events.len() as u64;
     assert!(emitted > recorder.capacity() as u64, "workload too small to wrap the ring");
-    assert_eq!(recorder.total(), emitted, "recorder missed concurrent events");
+    assert_eq!(recorder.total(), emitted, "recorder missed concurrent entries");
     assert_eq!(recorder.len(), recorder.capacity(), "wrapped ring must stay full");
     assert_eq!(recorder.dropped(), emitted - recorder.capacity() as u64, "inexact drop count");
 
@@ -301,11 +300,12 @@ fn flight_recorder_under_sharded_concurrent_writers() {
     // increasing tick stamps) with merge starts and finishes alternating
     // on matching levels. The ring may open mid-merge, so alternation is
     // checked from the first retained MergeStart onward.
-    let entries = recorder.snapshot();
+    let entries = recorder.entries();
     let mut shards_retained = 0usize;
     for shard in 0..shards {
-        let mine: Vec<&FlightEntry> = entries
+        let mine: Vec<&TraceEvent> = entries
             .iter()
+            .filter(|e| matches!(e.kind, TraceEventKind::Emit(_)))
             .filter(|e| e.span.and_then(|id| op_of.get(&id)).and_then(|op| op.shard) == Some(shard))
             .collect();
         if mine.is_empty() {
@@ -319,13 +319,13 @@ fn flight_recorder_under_sharded_concurrent_writers() {
         let mut open: Option<usize> = None;
         let mut seen_start = false;
         for entry in &mine {
-            match entry.event {
-                Event::MergeStart { target_level, .. } => {
+            match entry.kind {
+                TraceEventKind::Emit(Event::MergeStart { target_level, .. }) => {
                     assert!(open.is_none(), "shard {shard}: merge started inside a merge");
                     open = Some(target_level);
                     seen_start = true;
                 }
-                Event::MergeFinish { target_level, .. } if seen_start => {
+                TraceEventKind::Emit(Event::MergeFinish { target_level, .. }) if seen_start => {
                     assert_eq!(
                         open,
                         Some(target_level),

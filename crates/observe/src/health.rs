@@ -897,7 +897,7 @@ const HEALTH_SHAPE: Shape = Shape::Obj(&[
 ]);
 
 /// Validate a parsed `lsm-health/v1` document. Returns every problem
-/// found (empty = valid), mirroring `validate_bundle`.
+/// found (empty = valid).
 pub fn validate_health(doc: &Json) -> Vec<String> {
     let mut problems = Vec::new();
     doc.check(&HEALTH_SHAPE, "health", &mut problems);

@@ -18,9 +18,8 @@
 //!
 //! - [`NullSink`] — discards everything (useful to prove the absence of
 //!   observer effects).
-//! - [`VecSink`] — buffers entries in order for tests and offline analysis.
-//! - [`StreamSink`] — one JSON object per event, one per line, to any
-//!   `Write` target.
+//! - [`VecSink`] — buffers entries in order: all of them for tests and
+//!   offline analysis, or, bounded, the last N as the flight recorder.
 //! - [`MetricsSink`] — folds events into a shared [`Metrics`] registry of
 //!   counters and histograms ([`Metrics::render_prometheus`] is its
 //!   Prometheus text form).
@@ -28,13 +27,11 @@
 //! - [`HealthSink`] — the windowed engine: health detectors and SLO burn,
 //!   and, when it is built with them, the tail-latency exemplar reservoir
 //!   and the amplification series, all on one set of device-op windows.
-//! - [`FlightRecorderSink`] — the flight recorder.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod exemplar;
-pub mod flight;
 pub mod health;
 pub mod json;
 pub mod metrics;
@@ -43,7 +40,6 @@ pub mod trace;
 pub mod windowed;
 
 pub use exemplar::{validate_tail, TAIL_SCHEMA};
-pub use flight::{FlightEntry, FlightRecorderSink, OpenSpan};
 pub use health::{
     validate_health, HealthConfig, HealthDetector, HealthSink, HealthState, SloTracker,
     TransitionRecord,
@@ -57,7 +53,7 @@ pub use trace::{
 };
 pub use windowed::{RateWindow, WindowedHistogram};
 
-use std::io::Write;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -614,50 +610,156 @@ impl EventSink for NullSink {
     fn accept(&self, _entry: &TraceEvent) {}
 }
 
-/// Buffers every entry in arrival order. Intended for tests and offline
-/// analysis; keep runs bounded, the buffer grows without limit.
-#[derive(Debug, Default)]
+/// Buffers entries in arrival order, span begins and ends included:
+/// every entry ([`VecSink::new`], for tests and offline analysis), or the
+/// last `n` ([`VecSink::bounded`]: the flight recorder whose
+/// [`to_json`](VecSink::to_json) is a report's `flight` section). Either
+/// way it counts the entries its ring dropped exactly and keeps the stack
+/// of spans still open — where everyone was when it happened. Each entry
+/// is sequenced under the lock that stores it, so per-thread order holds.
+#[derive(Debug)]
 pub struct VecSink {
-    entries: Mutex<Vec<TraceEvent>>,
+    capacity: usize,
+    state: Mutex<Recorded>,
+}
+
+#[derive(Debug, Default)]
+struct Recorded {
+    ring: VecDeque<TraceEvent>,
+    /// Entries offered since creation or the last [`VecSink::clear`].
+    total: u64,
+    dropped: u64,
+    open: Vec<OpenSpan>,
+}
+
+/// A span begun and not yet ended when a [`VecSink`] was read.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpenSpan {
+    /// The span's id.
+    pub id: SpanId,
+    /// Its parent span, if nested.
+    pub parent: Option<SpanId>,
+    /// What the span covers.
+    pub op: SpanOp,
+}
+
+impl Default for VecSink {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl VecSink {
-    /// An empty buffer.
+    /// A buffer that keeps every entry; keep runs bounded.
     pub fn new() -> Self {
-        Self::default()
+        Self::bounded(usize::MAX)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<TraceEvent>> {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner())
+    /// A ring that keeps the last `capacity` entries (at least 1).
+    pub fn bounded(capacity: usize) -> Self {
+        VecSink { capacity: capacity.max(1), state: Mutex::default() }
     }
 
-    /// Copy of the buffered entries — span begins and ends included.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Recorded> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Maximum number of retained entries.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Copy of the retained entries, oldest first.
     pub fn entries(&self) -> Vec<TraceEvent> {
-        self.lock().clone()
+        self.lock().ring.iter().copied().collect()
     }
 
-    /// Copy of the buffered plain events, without clearing them.
+    /// Copy of the retained plain events, without clearing them.
     pub fn events(&self) -> Vec<Event> {
-        plain_events(&self.lock())
+        plain_events(&self.lock().ring)
     }
 
-    /// Empty the buffer and return the plain events it held.
+    /// Empty the buffer and return the plain events it held (the counts and
+    /// the open spans stay).
     pub fn drain(&self) -> Vec<Event> {
-        plain_events(&std::mem::take(&mut *self.lock()))
+        plain_events(&std::mem::take(&mut self.lock().ring))
     }
 
-    /// Number of buffered entries.
+    /// Number of retained entries.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().ring.len()
     }
 
-    /// Whether the buffer is empty.
+    /// Whether nothing is retained.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Entries offered since creation or the last [`VecSink::clear`].
+    pub fn total(&self) -> u64 {
+        self.lock().total
+    }
+
+    /// Entries the ring evicted to stay within capacity.
+    pub fn dropped(&self) -> u64 {
+        self.lock().dropped
+    }
+
+    /// The spans currently open, outermost first.
+    pub fn open_spans(&self) -> Vec<OpenSpan> {
+        self.lock().open.clone()
+    }
+
+    /// Forget everything: entries, counts and open spans.
+    pub fn clear(&self) {
+        *self.lock() = Recorded::default();
+    }
+
+    /// `{capacity, total, dropped, open_spans, entries}`: an open span is
+    /// `{id, parent, op, shard}`; an entry is `{seq, at_us, span}` (`seq`
+    /// counts from the first entry offered, `span` is the innermost open
+    /// one) plus `event`, or `begin` / `end` with the span's id and `op`.
+    pub fn to_json(&self) -> Json {
+        let state = self.lock();
+        let id = |span: Option<SpanId>| span.map_or(Json::Null, |s| Json::from(s.as_u64()));
+        let first = state.total - state.ring.len() as u64;
+        let entry = |(i, e): (usize, &TraceEvent)| {
+            let mut pairs = vec![
+                ("seq", Json::from(first + i as u64)),
+                ("at_us", e.at_us.into()),
+                ("span", id(e.span)),
+            ];
+            match e.kind {
+                TraceEventKind::Emit(event) => pairs.push(("event", event.to_json())),
+                TraceEventKind::Begin { id: span, op, .. } => {
+                    pairs.extend([("begin", id(Some(span))), ("op", op.label().into())]);
+                }
+                TraceEventKind::End { id: span, op, .. } => {
+                    pairs.extend([("end", id(Some(span))), ("op", op.label().into())]);
+                }
+            }
+            Json::obj(pairs)
+        };
+        let open = state.open.iter().map(|s| {
+            let shard = s.op.shard.map_or(Json::Null, Json::from);
+            Json::obj([
+                ("id", id(Some(s.id))),
+                ("parent", id(s.parent)),
+                ("op", s.op.label().into()),
+                ("shard", shard),
+            ])
+        });
+        Json::obj([
+            ("capacity", Json::from(self.capacity)),
+            ("total", Json::from(state.total)),
+            ("dropped", Json::from(state.dropped)),
+            ("open_spans", Json::arr(open)),
+            ("entries", Json::arr(state.ring.iter().enumerate().map(entry))),
+        ])
+    }
 }
 
-fn plain_events(entries: &[TraceEvent]) -> Vec<Event> {
+fn plain_events(entries: &VecDeque<TraceEvent>) -> Vec<Event> {
     entries
         .iter()
         .filter_map(|e| match e.kind {
@@ -669,49 +771,20 @@ fn plain_events(entries: &[TraceEvent]) -> Vec<Event> {
 
 impl EventSink for VecSink {
     fn accept(&self, entry: &TraceEvent) {
-        self.lock().push(*entry);
-    }
-}
-
-/// Writes one JSON object per event, newline-delimited, to any `Write`
-/// target (a file, stderr, an in-memory buffer).
-pub struct StreamSink {
-    out: Mutex<Box<dyn Write + Send>>,
-}
-
-impl std::fmt::Debug for StreamSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("StreamSink")
-    }
-}
-
-impl StreamSink {
-    /// Stream to the given writer. Wrap slow targets in a `BufWriter`.
-    pub fn new(out: impl Write + Send + 'static) -> Self {
-        StreamSink { out: Mutex::new(Box::new(out)) }
-    }
-
-    /// Stream to a file at `path`, created or truncated, behind a
-    /// `BufWriter`.
-    pub fn to_file(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(Self::new(std::io::BufWriter::new(file)))
-    }
-
-    /// Flush buffered lines to the target (dropping the sink does too).
-    pub fn flush(&self) {
-        let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = out.flush();
-    }
-}
-
-impl EventSink for StreamSink {
-    fn accept(&self, entry: &TraceEvent) {
-        let TraceEventKind::Emit(event) = entry.kind else { return };
-        let mut line = event.to_json().render();
-        line.push('\n');
-        let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = out.write_all(line.as_bytes());
+        let mut state = self.lock();
+        match entry.kind {
+            TraceEventKind::Begin { id, parent, op } => {
+                state.open.push(OpenSpan { id, parent, op })
+            }
+            TraceEventKind::End { id, .. } => state.open.retain(|s| s.id != id),
+            TraceEventKind::Emit(_) => {}
+        }
+        state.total += 1;
+        if state.ring.len() == self.capacity {
+            state.ring.pop_front();
+            state.dropped += 1;
+        }
+        state.ring.push_back(*entry);
     }
 }
 
@@ -871,29 +944,96 @@ mod tests {
         assert!(sink.is_empty());
     }
 
+    /// A bounded recorder behind a tick-clock handle.
+    fn recorder(capacity: usize) -> (Arc<VecSink>, SinkHandle) {
+        let rec = Arc::new(VecSink::bounded(capacity));
+        let handle = SinkHandle::with_clock(Arc::new(TickClock::new())).and(rec.clone());
+        (rec, handle)
+    }
+
     #[test]
-    fn stream_sink_writes_json_lines() {
-        #[derive(Clone, Default)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
+    fn ring_retains_last_n_and_counts_drops_exactly() {
+        let (rec, handle) = recorder(3);
+        for block in 0..7u64 {
+            handle.emit(Event::DeviceWrite { block });
         }
-        let buffer = Shared::default();
-        let sink = Arc::new(StreamSink::new(buffer.clone()));
-        let handle = SinkHandle::new(sink.clone());
-        handle.emit(Event::WalAppend { bytes: 21 });
-        // Span begins and ends are not events: the stream skips them.
-        drop(handle.span(SpanOp::lookup()));
+        assert_eq!(rec.total(), 7);
+        assert_eq!(rec.len(), 3);
+        assert_eq!(rec.dropped(), 4);
+        let blocks: Vec<u64> = rec
+            .events()
+            .iter()
+            .map(|e| match e {
+                Event::DeviceWrite { block } => *block,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(blocks, vec![4, 5, 6]);
+        let entries = rec.entries();
+        assert_eq!((entries[0].at_us, entries[0].span), (4, None), "stamped, outside any span");
+        let first = rec.to_json().get("entries").items()[0].get("seq").as_u64();
+        assert_eq!(first, Some(4), "oldest seq equals the drop count");
+    }
+
+    #[test]
+    fn recorded_entries_carry_span_ids_and_open_stack_tracks_begin_end() {
+        let (rec, handle) = recorder(16);
+        let outer = handle.span(SpanOp::cascade());
+        let inner = handle.span(SpanOp::merge(2, false));
+        handle.emit(Event::DeviceWrite { block: 9 });
+
+        let open = rec.open_spans();
+        assert_eq!(open.len(), 2, "two spans open");
+        assert_eq!(open[0].op.label(), "cascade");
+        assert_eq!(open[1].op.label(), "merge L2 partial");
+        assert_eq!(open[1].parent, Some(open[0].id), "inner span parented to outer");
+
+        let entries = rec.entries();
+        assert_eq!(entries.len(), 3, "two begins and the event");
+        assert_eq!(entries[2].span, inner.id(), "event attributed to innermost span");
+        assert_eq!(entries[2].at_us, 2, "stamped after the two span begins");
+
+        drop(inner);
+        assert_eq!(rec.open_spans().len(), 1);
+        drop(outer);
+        assert!(rec.open_spans().is_empty());
+    }
+
+    #[test]
+    fn json_rendering_round_trips() {
+        let (rec, handle) = recorder(2);
         handle.emit(Event::CacheHit);
-        sink.flush();
-        let text = String::from_utf8(buffer.0.lock().unwrap().clone()).unwrap();
-        assert_eq!(text, "{\"type\":\"wal_append\",\"bytes\":21}\n{\"type\":\"cache_hit\"}\n");
+        handle.emit(Event::DeviceSync);
+        let _open = handle.span(SpanOp::lookup());
+        let doc = rec.to_json().render();
+        let parsed = Json::parse(&doc).expect("flight JSON parses");
+        assert_eq!(parsed.get("capacity").as_u64(), Some(2));
+        assert_eq!(parsed.get("total").as_u64(), Some(3));
+        assert_eq!(parsed.get("dropped").as_u64(), Some(1));
+        let entries = parsed.get("entries").items();
+        assert_eq!(entries.len(), 2);
+        assert_eq!(entries[0].get("event").get("type").as_str(), Some("device_sync"));
+        assert_eq!(entries[1].get("op").as_str(), Some("lookup"));
+        assert_eq!(parsed.get("open_spans").items()[0].get("op").as_str(), Some("lookup"));
+    }
+
+    #[test]
+    fn clear_resets_everything() {
+        let (rec, handle) = recorder(1);
+        let _open = handle.span(SpanOp::lookup());
+        handle.emit(Event::CacheHit);
+        assert_eq!(rec.dropped(), 1);
+        rec.clear();
+        assert_eq!((rec.total(), rec.len(), rec.dropped()), (0, 0, 0));
+        assert!(rec.open_spans().is_empty());
+    }
+
+    #[test]
+    fn capacity_is_at_least_one() {
+        let (rec, handle) = recorder(0);
+        handle.emit(Event::CacheHit);
+        assert_eq!(rec.capacity(), 1);
+        assert_eq!(rec.len(), 1);
     }
 
     #[test]

@@ -46,16 +46,17 @@ cargo run --release -q -p lsm-bench --bin lsm_crash -- --scheduler=background \
 echo "== observer-effect regression, inline and with the scheduler enabled =="
 cargo test -q -p lsm-tree --test trace_spans -- observer_effect
 
-echo "== post-mortem smoke (fault-injected torture cycle -> bundle -> reader -> validator) =="
+echo "== post-mortem smoke (fault-injected torture cycle -> bundle -> renderer -> validator) =="
 pm_dir="$work/pm"
 mkdir "$pm_dir"
 # One torture cycle (FaultDevice power cut mid-workload) with an
-# unconditional dump; the bundle must exist, render and validate.
+# unconditional dump; the bundle (an lsm-report/v1 report) must exist,
+# render through the doctor's one renderer and validate.
 cargo run --release -q -p lsm-bench --bin lsm_crash -- --seeds=1 --seed-base=9001 \
     --bundle-dir="$pm_dir" --always-dump
 bundle="$pm_dir/lsm_crash_seed_9001.postmortem.json"
 test -s "$bundle" || { echo "missing post-mortem bundle $bundle"; exit 1; }
-cargo run --release -q -p lsm-bench --bin lsm_postmortem -- "$bundle" > /dev/null
+cargo run --release -q -p lsm-bench --bin lsm_doctor -- show "$bundle" > /dev/null
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- check "$bundle"
 
 echo "== file-backend crash torture (16 + 8 power cuts over real backing files) =="
@@ -72,8 +73,8 @@ mkdir "$obs_dir"
 # One tick-clock run writes the Chrome trace, the Prometheus exposition
 # (health and tail gauges included), and the windowed engine's three
 # reports — the amplification series, a validated lsm-health/v1 report and
-# a validated lsm-tail/v1 report — beside its merged report, all under
-# $work: the committed results/lsm_doctor.json is a full-size run. The
+# a validated lsm-tail/v1 report — beside its own lsm-report/v1 report, all
+# under $work: the committed results/lsm_doctor.json is a full-size run. The
 # doctor reconciles the engine's request counts exactly against the tree's
 # counters and its cumulative counters against the metrics registry, and
 # exits 1 on a mismatch or on a health report that judged no window or
@@ -88,18 +89,22 @@ for gauge in lsm_health_windows_completed lsm_tail_exemplars; do
     grep -q "$gauge" "$obs_dir/metrics.prom" \
         || { echo "$gauge missing from exposition"; exit 1; }
 done
-# The reader re-validates every file, per-exemplar phase sums included.
+# The reader re-validates every file, per-exemplar phase sums included, and
+# the doctor's report must be read as lsm-report/v1.
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- check "$obs_dir/doctor.json" \
     "$obs_dir/trace.json" "$obs_dir/metrics.prom" "$obs_dir/series.csv" \
-    "$obs_dir/health.json" "$obs_dir/tail.json"
+    "$obs_dir/health.json" "$obs_dir/tail.json" | tee "$obs_dir/check.txt"
+grep -qxF "$obs_dir/doctor.json: valid lsm-report/v1 report." "$obs_dir/check.txt" \
+    || { echo "doctor.json was not validated as lsm-report/v1"; exit 1; }
 
 echo "== dashboard and stall smokes (lsm_top frame, lsm_top --json, --tail-stall) =="
 # One dashboard frame over a live sharded workload, as text and as JSON
-# (health + tail reports embedded).
+# (an lsm-report/v1 report with the health and tail sections), validated.
 cargo run --release -q -p lsm-bench --bin lsm_top -- --once --windows=4 --window-ops=200 \
     > /dev/null
 cargo run --release -q -p lsm-bench --bin lsm_top -- --once --json --windows=4 \
-    --window-ops=200 > /dev/null
+    --window-ops=200 > "$obs_dir/top.json"
+cargo run --release -q -p lsm-bench --bin lsm_doctor -- check "$obs_dir/top.json"
 # The seeded stall scenario: blame must name backpressure_wait, twice
 # over the same seed, byte-identically.
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- --tail-stall > /dev/null
@@ -151,6 +156,10 @@ gone="$gone"'|tail-window-puts|tail-windows|window_puts'
 # One scheduler, two drivers: the stepped executor is the worker pool run
 # without threads.
 gone="$gone"'|SchedulerBackend|SimExecutor|\bSimState\b'
+# One report, one recorder: the doctor's report and the post-mortem bundle
+# are one lsm-report/v1 document, and the flight recorder is a bounded VecSink.
+gone="$gone"'|FlightRecorderSink|FlightEntry|lsm_postmortem|lsm-postmortem/v1|merged_json'
+gone="$gone"'|StreamSink|LSM_WATCHDOG_BUNDLE_DIR|\bPostMortem\b'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"
