@@ -141,7 +141,7 @@ mod tests {
         assert_eq!(a.unread(), vec!["helth-out", "seed", "tick-clock"]);
         let _: u64 = a.get_or("seed", 1);
         assert!(a.flag("tick-clock"));
-        assert!(a.get("health-out").is_none(), "asking for an absent flag is not a complaint");
+        assert!(a.get("trace-out").is_none(), "asking for an absent flag is not a complaint");
         assert_eq!(a.unread(), vec!["helth-out"]);
     }
 

@@ -7,9 +7,8 @@
 //! ```text
 //! cargo run --release --bin lsm_doctor -- [--policy=choosebest|full|rr|testmixed|aligned] \
 //!     [--size-mb=20] [--workload=uniform|normal|tpc] [--out=results/lsm_doctor.json] \
-//!     [--trace-out=t.json] [--prom-out=m.prom] [--series-out=s.csv] \
-//!     [--tick-clock] [--ledger] [--health] [--health-out=health.json] \
-//!     [--health-window-ops=2000] [--tail] [--tail-out=tail.json] [--tail-stall]
+//!     [--trace-out=t.json] [--prom-out=m.prom] [--tick-clock] [--ledger] \
+//!     [--health] [--tail] [--health-window-ops=2000]
 //! cargo run --release --bin lsm_doctor -- check <file>...
 //! cargo run --release --bin lsm_doctor -- show <report.json>
 //! ```
@@ -17,37 +16,33 @@
 //! An unknown `--policy` or `--workload` value, or a flag nothing reads,
 //! exits 2 naming what is accepted. `--out=PATH` is where the report goes
 //! (default `results/lsm_doctor.json`, a committed full-size run — smoke
-//! runs pass a scratch path).
+//! runs pass a scratch path). The report is the one file a run writes
+//! besides what `--trace-out` (a Chrome `trace_event` trace, for Perfetto)
+//! and `--prom-out` (the Prometheus exposition, span durations and the
+//! windowed engine's gauges included) ask for; `--tick-clock` stamps every
+//! consumer with ticks instead of wall-clock microseconds.
 //!
-//! `check <file>...` is the one reader of everything the binaries export,
-//! each file dispatched on what it is: a JSON object on its `schema`
-//! (`lsm-health/v1` → [`observe::validate_health`], `lsm-tail/v1` →
-//! [`observe::validate_tail`], `lsm-report/v1` — the doctor's report, a
-//! torture bundle, an `lsm_top --json` frame — →
-//! [`lsm_tree::report::validate_report`]), a top-level array as a Chrome
-//! `trace_event` trace (a `ph` phase on every event, at least one complete
-//! `"X"` span with `name`/`pid`/`tid`/`ts`/`dur`), `*.prom` as a Prometheus
-//! exposition with at least one sample, and `*.csv` as an amplification
-//! series (header row, constant width, monotone device-op counts). Every
-//! problem of every file is printed; any problem exits non-zero. `show
-//! <report.json>` prints a report through the one renderer
-//! ([`lsm_bench::report::render_report`]) the doctor prints its own with.
+//! `check <file>...` is the one reader of everything the doctor exports,
+//! each file dispatched on what it is: a JSON object whose `schema` is
+//! `lsm-report/v1` — the doctor's report, a torture bundle, an `lsm_top
+//! --json` frame — through [`lsm_tree::report::validate_report`], a
+//! top-level array as a Chrome trace (a `ph` phase on every event, at least
+//! one complete `"X"` span with `name`/`pid`/`tid`/`ts`/`dur`), and
+//! `*.prom` as a Prometheus exposition with at least one sample. Anything
+//! else has no validator. Every problem of every file is printed; any
+//! problem exits non-zero. `show <report.json>` prints a report through
+//! the one renderer ([`lsm_bench::report::render_report`]) the doctor
+//! prints its own with.
 //!
-//! `--tail` and `--health` attach the windowed engine beside the doctor's
-//! registry, put its reports in the doctor's, and cross-check its request
-//! counts against the tree's put/delete/lookup counters *exactly* — every
-//! front-end request opens exactly one root span. With `--health` its
-//! cumulative counters are also reconciled exactly against the metrics
-//! registry, and a health report that judged no window or counted no put
-//! exits non-zero: lower `--health-window-ops` until the run rotates one.
-//! `--series-out` prints a spaced subset of the amplification rows.
-//!
-//! `--tail-stall` runs a seeded, deterministic backpressure-stall scenario
-//! instead of the doctor workload (a sharded tree over a stepped scheduler
-//! with a tick clock, one immutable-memtable slot, and enough puts to
-//! stall repeatedly), prints its blame table, and exits non-zero unless
-//! the report validates and names `backpressure_wait` as the dominant
-//! phase on a stalled shard.
+//! `--health` and `--tail` attach the windowed engine beside the doctor's
+//! registry and put its reports in the doctor's: the `health` section, the
+//! amplification `series` (one row per `--health-window-ops` device ops)
+//! and, under `--tail`, the `tail` section. The doctor cross-checks the
+//! engine's request counts against the tree's put/delete/lookup counters
+//! *exactly* — every front-end request opens exactly one root span — and
+//! its cumulative counters exactly against the metrics registry; a health
+//! report that judged no window or counted no put exits non-zero: lower
+//! `--health-window-ops` until the run rotates one.
 //!
 //! `--ledger` attaches a [`DecisionLedger`] to the tree: every merge
 //! decision is recorded with its full candidate set and reconciled against
@@ -56,20 +51,18 @@
 //! cumulative regret, and the ledger's registry counters are reconciled
 //! against it exactly.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
-use lsm_bench::report::{fmt_f, render_report, render_tail};
-use lsm_bench::{Args, ObsPipeline, Table, WorkloadKind};
+use lsm_bench::report::render_report;
+use lsm_bench::{Args, WorkloadKind};
 use lsm_tree::observe::metrics::validate_prometheus;
 use lsm_tree::observe::{
-    validate_health, validate_tail, HealthConfig, HealthSink, Json, MetricsSink, SinkHandle,
-    TickClock,
+    ChromeTraceSink, Clock, EventSink, HealthConfig, HealthSink, Json, Metrics, MetricsSink,
+    SinkHandle, TickClock, WallClock,
 };
-use lsm_tree::report::validate_report;
-use lsm_tree::{
-    DecisionLedger, LsmConfig, LsmTree, MergeScheduler, PolicySpec, Report, ShardedLsmTree,
-    TreeOptions,
-};
+use lsm_tree::report::{validate_report, SCHEMA};
+use lsm_tree::{DecisionLedger, LsmTree, PolicySpec, Report, TreeOptions};
 use sim_ssd::{BlockDevice, MemDevice};
 use workloads::{fill_to_bytes, reach_steady_state, InsertRatio};
 
@@ -97,34 +90,6 @@ fn check_trace(events: &[Json]) -> Vec<String> {
     problems
 }
 
-/// Problems of an amplification time-series CSV.
-fn check_series(text: &str) -> Vec<String> {
-    let mut lines = text.lines();
-    let Some(header) = lines.next().filter(|h| h.starts_with("op,")) else {
-        return vec!["header row does not start with \"op,\"".into()];
-    };
-    let width = header.split(',').count();
-    let mut problems = Vec::new();
-    let mut last_op = 0u64;
-    let mut rows = 0u64;
-    for (i, line) in lines.enumerate() {
-        rows += 1;
-        let cells: Vec<&str> = line.split(',').collect();
-        if cells.len() != width {
-            problems.push(format!("row {i} has {} cells, header has {width}", cells.len()));
-        }
-        match cells[0].parse::<u64>() {
-            Ok(op) if op >= last_op => last_op = op,
-            Ok(_) => problems.push(format!("row {i} device-op count went backwards")),
-            Err(_) => problems.push(format!("row {i} op is not a number: {}", cells[0])),
-        }
-    }
-    if rows == 0 {
-        problems.push("no data rows".into());
-    }
-    problems
-}
-
 /// What `path` holds and everything wrong with it, dispatching on the
 /// extension, then on the JSON document's shape and `schema` string.
 fn check_file(path: &str) -> (String, Vec<String>) {
@@ -140,26 +105,18 @@ fn check_file(path: &str) -> (String, Vec<String>) {
         };
         return ("Prometheus exposition".into(), problems);
     }
-    if path.ends_with(".csv") {
-        return ("amplification time series".into(), check_series(&raw));
-    }
     let doc = match Json::parse(&raw) {
         Ok(doc) => doc,
-        Err(e) => return ("JSON document".into(), vec![format!("invalid JSON: {e}")]),
+        Err(e) => return ("file".into(), vec![format!("no validator: not .prom, not JSON ({e})")]),
     };
     if let Json::Arr(events) = &doc {
         return ("Chrome trace".into(), check_trace(events));
     }
-    let Some(schema) = doc.get("schema").as_str() else {
-        return ("JSON document".into(), vec!["no \"schema\" string to dispatch on".into()]);
-    };
-    let problems = match schema {
-        "lsm-health/v1" => validate_health(&doc),
-        "lsm-tail/v1" => validate_tail(&doc),
-        "lsm-report/v1" => validate_report(&doc),
-        _ => vec!["no validator for this schema".into()],
-    };
-    (format!("{schema} report"), problems)
+    match doc.get("schema").as_str() {
+        Some(SCHEMA) => (format!("{SCHEMA} report"), validate_report(&doc)),
+        Some(schema) => (format!("{schema} document"), vec!["no validator for this schema".into()]),
+        None => ("JSON document".into(), vec!["no \"schema\" string to dispatch on".into()]),
+    }
 }
 
 /// The `check <file>...` subcommand: never returns.
@@ -199,84 +156,71 @@ fn run_show(paths: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// One seeded stall run for `--tail-stall`: a two-shard tree over a
-/// `max_imm = 1` stepped scheduler, traced through a tick clock into a
-/// fresh windowed engine. Every stalled seal parks the writer inside a
-/// `backpressure_wait` span while the scheduler runs the flush/merge
-/// backlog inline, so the stalled puts' critical path is dominated by the
-/// stall — deterministically, since every timestamp is a tick count.
-/// Returns the engine's tail report.
-fn tail_stall_scenario(seed: u64) -> Json {
-    let engine = Arc::new(
-        HealthSink::new(HealthConfig { window_ops: 64, windows: 4, ..HealthConfig::default() })
-            .with_tail(),
-    );
-    let handle = SinkHandle::with_clock(Arc::new(TickClock::new())).and(Arc::clone(&engine) as _);
-    let sim = Arc::new(MergeScheduler::simulated(1, seed, handle.clone()));
-    let cfg = LsmConfig {
-        block_size: 256,
-        payload_size: 4,
-        k0_blocks: 4,
-        gamma: 4,
-        cache_blocks: 16,
-        merge_rate: 0.25,
-        ..LsmConfig::default()
-    };
-    let opts = TreeOptions::builder().policy(PolicySpec::ChooseBest).sink(handle.clone()).build();
-    let devices = (0..2).map(|_| Arc::new(MemDevice::with_block_size(1 << 14, 256)) as _).collect();
-    let tree = ShardedLsmTree::with_backend(cfg, opts, devices, None, Some(Arc::clone(&sim)))
-        .expect("create sharded tree");
-    for k in 0..600u64 {
-        tree.put(k, vec![(k % 251) as u8; 4]).expect("put");
-    }
-    drop(tree);
-    sim.drain().expect("drain");
-    engine.tail_report().expect("the engine keeps the tail")
+/// What the exporter flags attach beside the doctor's own registry, on
+/// one handle stamping from one clock: `--trace-out`'s Chrome trace,
+/// `--prom-out`'s registry (span durations included) and, under
+/// `--health` or `--tail`, the windowed engine — keeping the series, and
+/// under `--tail` the tail.
+struct Exporters {
+    handle: SinkHandle,
+    chrome: Option<(Arc<ChromeTraceSink>, PathBuf)>,
+    prom: Option<(Metrics, PathBuf)>,
+    engine: Option<Arc<HealthSink>>,
 }
 
-/// The `--tail-stall` mode: never returns. Runs the seeded scenario
-/// twice to prove the report is byte-identical across replays, validates
-/// it, prints the blame table, and demands that `backpressure_wait` is
-/// the dominant phase globally and on at least one shard.
-fn run_tail_stall(args: &Args) -> ! {
-    let seed: u64 = args.get_or("seed", 42);
-    args.done();
-    let report = tail_stall_scenario(seed);
-    let replay = tail_stall_scenario(seed);
-    let mut failures = Vec::new();
-    if report.render() != replay.render() {
-        failures.push("replay with the same seed produced a different report".to_string());
+impl Exporters {
+    fn from_args(args: &Args) -> std::io::Result<Exporters> {
+        let tail = args.flag("tail");
+        let config = HealthConfig {
+            window_ops: args.get_or("health-window-ops", HealthConfig::default().window_ops),
+            ..HealthConfig::default()
+        };
+        let engine = (args.flag("health") || tail).then(|| {
+            let engine = HealthSink::new(config).with_series();
+            Arc::new(if tail { engine.with_tail() } else { engine })
+        });
+        let chrome = match args.get("trace-out").map(PathBuf::from) {
+            Some(path) => Some((Arc::new(ChromeTraceSink::to_file(&path)?), path)),
+            None => None,
+        };
+        let prom = args.get("prom-out").map(|path| (Metrics::new(), PathBuf::from(path)));
+        let clock: Arc<dyn Clock> = if args.flag("tick-clock") {
+            Arc::new(TickClock::new())
+        } else {
+            Arc::new(WallClock::new())
+        };
+        let consumers: [Option<Arc<dyn EventSink>>; 3] = [
+            chrome.as_ref().map(|(c, _)| Arc::clone(c) as _),
+            engine.as_ref().map(|e| Arc::clone(e) as _),
+            prom.as_ref().map(|(m, _)| Arc::new(MetricsSink::into_registry(m.clone())) as _),
+        ];
+        let handle =
+            consumers.into_iter().flatten().fold(SinkHandle::with_clock(clock), |h, c| h.and(c));
+        let handle = match &prom {
+            Some((metrics, _)) => handle.time_spans_into(metrics.clone()),
+            None => handle,
+        };
+        Ok(Exporters { handle, chrome, prom, engine })
     }
-    for p in validate_tail(&report) {
-        failures.push(format!("invalid report: {p}"));
+
+    /// Close the trace and write the Prometheus text, the engine's gauges
+    /// in it and every sample labelled with `labels`; returns the files
+    /// written.
+    fn finish(&self, labels: &[(&str, &str)]) -> std::io::Result<Vec<PathBuf>> {
+        let mut written = Vec::new();
+        if let Some((chrome, path)) = &self.chrome {
+            chrome.finish();
+            written.push(path.clone());
+        }
+        if let Some((metrics, path)) = &self.prom {
+            if let Some(engine) = &self.engine {
+                engine.export_gauges(metrics);
+            }
+            std::fs::write(path, metrics.render_prometheus(labels))?;
+            written.push(path.clone());
+        }
+        Ok(written)
     }
-    print!("{}", render_tail(&report));
-    let puts = report.get("completed").get("put").as_u64();
-    if puts != Some(600) {
-        failures.push(format!("expected 600 completed put spans, engine saw {puts:?}"));
-    }
-    let blames_stall =
-        |scope: &Json| scope.get("dominant_phase").as_str() == Some("backpressure_wait");
-    if !blames_stall(&report) {
-        failures.push(format!(
-            "dominant phase should be backpressure_wait for the induced stall, got {:?}",
-            report.get("dominant_phase")
-        ));
-    }
-    if !report.get("shards").items().iter().any(blames_stall) {
-        failures.push("no shard blames backpressure_wait for the induced stall".to_string());
-    }
-    if failures.is_empty() {
-        println!(
-            "TAIL STALL: report valid, byte-identical across replays, \
-             blame names backpressure_wait (seed {seed})."
-        );
-        std::process::exit(0);
-    }
-    for f in &failures {
-        eprintln!("TAIL STALL: {f}");
-    }
-    std::process::exit(1);
 }
 
 /// The `--policy` and `--workload` of a doctor run. An unknown name is an
@@ -313,9 +257,6 @@ fn main() {
         .collect::<Vec<_>>()
         .join(" ");
     let args = Args::parse_from(argv);
-    if args.flag("tail-stall") {
-        run_tail_stall(&args);
-    }
     let size_mb: u64 = args.get_or("size-mb", 20);
     let seed: u64 = args.get_or("seed", 1);
     let (policy, kind) = policy_and_workload(&args).unwrap_or_else(|e| {
@@ -333,16 +274,11 @@ fn main() {
     let device = Arc::new(MemDevice::with_block_size(device_blocks.max(8192), cfg.block_size));
     let metrics_sink = Arc::new(MetricsSink::new());
     let metrics = metrics_sink.metrics();
-    let obs = ObsPipeline::from_args(
-        &args,
-        cfg.block_capacity() as u64,
-        &[("policy", policy_label), ("workload", kind.name())],
-    )
-    .expect("open observability exporters");
+    let exporters = Exporters::from_args(&args).expect("open observability exporters");
     args.done();
-    // The doctor's own registry (merged into the JSON report) always runs,
-    // on the same handle as whatever exporters were requested.
-    let sink = obs.sink().and(metrics_sink);
+    // The doctor's own registry (the report's `metrics` section) always
+    // runs, on the same handle as whatever exporters were requested.
+    let sink = exporters.handle.and(metrics_sink);
     let mut opts_builder = TreeOptions::builder().policy(policy).preserve_blocks(true).sink(sink);
     if let Some(l) = &ledger {
         opts_builder = opts_builder.ledger(Arc::clone(l));
@@ -373,8 +309,8 @@ fn main() {
     if let Some(l) = &ledger {
         report = report.ledger(l);
     }
-    if let Some(engine) = obs.health().or(obs.tail()) {
-        report = report.health(engine);
+    if let Some(engine) = &exporters.engine {
+        report = report.health(engine).series(engine, cfg.block_capacity() as u64);
     }
     let report = report.metrics(&metrics);
     let doc = report.to_json();
@@ -400,98 +336,53 @@ fn main() {
         );
     }
 
-    // Amplification over time: how write amplification, cache behaviour,
-    // and wear accumulated as the device absorbed operations. Printed (a
-    // spaced subset) whenever --series-out sampled the run.
-    if let Some((samples, capacity)) = obs.series() {
-        println!("\n=== amplification over time ({} samples) ===", samples.len());
-        let mut t = Table::new([
-            "device ops",
-            "writes",
-            "write amp",
-            "cache hit%",
-            "max wear",
-            "height",
-            "merges",
-        ]);
-        let stride = (samples.len() / 12).max(1);
-        for (i, s) in samples.iter().enumerate() {
-            if i % stride != 0 && i + 1 != samples.len() {
-                continue;
-            }
-            t.row([
-                s.op.to_string(),
-                s.device_writes.to_string(),
-                fmt_f(s.write_amp(capacity), 2),
-                fmt_f(100.0 * s.cache_hit_rate, 1),
-                s.max_wear.to_string(),
-                s.height.to_string(),
-                s.merges.to_string(),
-            ]);
-        }
-        t.print();
-    }
-    // The windowed engine folds the same span stream the tree's own
-    // counters describe: every front-end put/delete opens exactly one root
-    // `Put` span and every get one `Lookup` span, so its request counts
-    // must equal the tree's to the unit.
-    if obs.health().or(obs.tail()).is_some() {
+    // The windowed engine folds the same stream the tree's counters and the
+    // metrics registry describe, through independent paths: every
+    // front-end put/delete opens exactly one root `Put` span and every get
+    // one `Lookup` span, so its counts must equal theirs to the unit.
+    if let Some(engine) = &exporters.engine {
         let stats = tree.stats();
-        let requests = [("put", stats.puts + stats.deletes), ("lookup", stats.lookups())];
-        for ((what, expected), key) in requests.into_iter().zip(["puts", "gets"]) {
-            let counted = doc.get("health").get("cumulative").get(key).as_u64().unwrap_or(u64::MAX);
-            if counted != expected {
-                println!(
-                    "ENGINE MISMATCH: engine completed {counted} {what} spans, \
-                     tree counted {expected} requests"
-                );
-                std::process::exit(1);
-            }
-        }
-        println!(
-            "tree agrees with the windowed engine: {} put spans, {} lookup spans (exact match).",
-            requests[0].1, requests[1].1
-        );
-    }
-    // The engine and the metrics registry consumed the same event stream
-    // through independent paths, so their cumulative counters must agree
-    // to the unit.
-    if let Some(health) = obs.health() {
+        let registry = |counter: &'static str| (counter, metrics.counter(counter));
+        let checks = [
+            ("puts", ("tree puts + deletes", stats.puts + stats.deletes)),
+            ("gets", ("tree lookups", stats.lookups())),
+            ("device_writes", registry("device.writes")),
+            ("cache_hits", registry("cache.hits")),
+            ("cache_misses", registry("cache.misses")),
+            ("wal_appends", registry("wal.appends")),
+            ("backpressure_stalls", registry("scheduler.backpressure_stalls")),
+        ];
         let cumulative = doc.get("health").get("cumulative");
         let count = |key: &str| cumulative.get(key).as_u64().unwrap_or(u64::MAX);
-        let checks = [
-            ("device.writes", "device_writes"),
-            ("cache.hits", "cache_hits"),
-            ("cache.misses", "cache_misses"),
-            ("wal.appends", "wal_appends"),
-            ("scheduler.backpressure_stalls", "backpressure_stalls"),
-        ];
-        let mut mismatch = false;
-        for (counter, key) in checks {
-            let (registry, engine) = (metrics.counter(counter), count(key));
-            if engine != registry {
-                println!(
-                    "HEALTH MISMATCH: engine counted {engine} {key}, registry {counter} = {registry}"
-                );
-                mismatch = true;
-            }
+        let mismatches: Vec<String> = checks
+            .iter()
+            .filter(|(key, (_, expected))| count(key) != *expected)
+            .map(|(key, (source, expected))| {
+                format!("engine counted {} {key}, {source} = {expected}", count(key))
+            })
+            .collect();
+        for m in &mismatches {
+            println!("ENGINE MISMATCH: {m}");
         }
-        if mismatch {
+        if !mismatches.is_empty() {
             std::process::exit(1);
         }
         println!(
-            "registry agrees: {} device writes, {} cache hits, {} stalls (exact match).",
-            metrics.counter("device.writes"),
-            metrics.counter("cache.hits"),
-            metrics.counter("scheduler.backpressure_stalls"),
+            "tree and registry agree with the windowed engine: {} puts, {} gets, {} device \
+             writes, {} cache hits, {} stalls (exact match).",
+            count("puts"),
+            count("gets"),
+            count("device_writes"),
+            count("cache_hits"),
+            count("backpressure_stalls"),
         );
         // A report that judged no window, or saw no put, says "healthy"
         // about a run it did not look at.
-        if health.windows_completed() == 0 || count("puts") == 0 {
+        if engine.windows_completed() == 0 || count("puts") == 0 {
             println!(
                 "HEALTH BLIND: {} windows completed, {} puts counted — \
                  lower --health-window-ops for a run this size",
-                health.windows_completed(),
+                engine.windows_completed(),
                 count("puts")
             );
             std::process::exit(1);
@@ -499,8 +390,9 @@ fn main() {
     }
 
     // Exporters close before the deep check so verification traffic stays
-    // out of the trace and the time series.
-    for path in obs.finish().expect("write observability outputs") {
+    // out of the trace and the Prometheus text.
+    let labels = [("policy", policy_label), ("workload", kind.name())];
+    for path in exporters.finish(&labels).expect("write observability outputs") {
         println!("wrote {}", path.display());
     }
 
@@ -516,6 +408,8 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
+    use lsm_tree::observe::{Event, SpanOp};
+
     use super::*;
 
     #[test]
@@ -531,5 +425,56 @@ mod tests {
         let err = parse(&["--policy=choose_best"]).unwrap_err();
         assert!(err.contains("choose_best") && err.contains("choosebest|full|rr"), "{err}");
         assert!(parse(&["--workload=unifrom"]).unwrap_err().contains("uniform|normal|tpc"));
+    }
+
+    fn exporters(flags: &[String]) -> Exporters {
+        Exporters::from_args(&Args::parse_from(flags.iter().cloned())).unwrap()
+    }
+
+    #[test]
+    fn a_run_with_no_flags_attaches_nothing() {
+        let none = exporters(&[]);
+        assert!(none.chrome.is_none() && none.prom.is_none() && none.engine.is_none());
+        assert!(none.finish(&[]).unwrap().is_empty());
+        // `--health` keeps the series beside the health report, not the tail.
+        let engine = exporters(&["--health".into()]).engine.expect("the engine is attached");
+        assert!(engine.series().is_some() && engine.tail_report().is_none());
+    }
+
+    #[test]
+    fn the_trace_parses_and_the_prometheus_text_carries_the_engines_gauges() {
+        let dir = std::env::temp_dir().join(format!("lsm_doctor_exporters_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (trace, prom) = (dir.join("trace.json"), dir.join("metrics.prom"));
+        let stack = exporters(&[
+            format!("--trace-out={}", trace.display()),
+            format!("--prom-out={}", prom.display()),
+            "--tail".into(),
+            "--health-window-ops=4".into(),
+            "--tick-clock".into(),
+        ]);
+        let engine = Arc::clone(stack.engine.as_ref().expect("the engine is attached"));
+        for i in 0..10u64 {
+            let _put = stack.handle.span(SpanOp::put().with_shard(0));
+            let _stall = stack.handle.span(SpanOp::backpressure_wait().with_shard(0));
+            (0..i).for_each(|block| stack.handle.emit(Event::DeviceWrite { block }));
+        }
+        assert!(engine.windows_completed() >= 2, "windows rotate every 4 device ops");
+        let tail = engine.tail_report().expect("--tail keeps the tail");
+        assert_eq!(tail.get("dominant_phase").as_str(), Some("backpressure_wait"));
+
+        let written = stack.finish(&[("policy", "test")]).unwrap();
+        assert_eq!(written, [trace.clone(), prom.clone()]);
+        let events = Json::parse(&std::fs::read_to_string(&trace).unwrap()).expect("trace parses");
+        assert_eq!(check_trace(events.items()), Vec::<String>::new());
+        let text = std::fs::read_to_string(&prom).unwrap();
+        validate_prometheus(&text).expect("the exposition validates");
+        for gauge in ["lsm_health_windows_completed", "lsm_tail_exemplars", "policy=\"test\""] {
+            assert!(text.contains(gauge), "{gauge} missing from\n{text}");
+        }
+        for path in [&trace, &prom] {
+            assert_eq!(check_file(path.to_str().unwrap()).1, Vec::<String>::new());
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

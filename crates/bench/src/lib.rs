@@ -9,12 +9,10 @@
 #![forbid(unsafe_code)]
 
 pub mod args;
-pub mod obs;
 pub mod report;
 pub mod setup;
 
 pub use args::Args;
-pub use obs::ObsPipeline;
 pub use report::{Csv, Table};
 pub use setup::{
     make_tree, policy_matrix, prepared_tree, ExperimentScale, PolicyCase, WorkloadKind,

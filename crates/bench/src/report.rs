@@ -184,15 +184,15 @@ pub fn render_health(report: &Json) -> String {
     out
 }
 
-/// The one text form of an `lsm-tail/v1` report: the critical-path blame
-/// table, the dominant phase, and the per-shard verdicts.
-pub fn render_tail(report: &Json) -> String {
-    let completed = report.get("completed");
+/// The one text form of an `lsm-tail/v2` report: the critical-path blame
+/// table, the dominant phase, and the per-shard verdicts, headed by the
+/// request counts of the `health` report beside it.
+pub fn render_tail(report: &Json, health: &Json) -> String {
+    let cumulative = health.get("cumulative");
     let mut out = format!(
-        "\n=== tail anatomy ({:.0} puts, {:.0} lookups, {:.0} windows completed) ===\n",
-        number(completed.get("put")),
-        number(completed.get("lookup")),
-        number(report.get("windows_completed")),
+        "\n=== tail anatomy ({:.0} puts, {:.0} lookups) ===\n",
+        number(cumulative.get("puts")),
+        number(cumulative.get("gets")),
     );
     let mut t = Table::new(["phase", "total us", "count", "share%", "p99 share%", "p99.9 share%"]);
     for row in report.get("blame").items() {
@@ -309,12 +309,27 @@ const LEVEL_COLUMNS: &[(&str, &str)] = &[
 /// Entries of a report's `flight` section that [`render_report`] prints.
 const FLIGHT_SHOWN: usize = 12;
 
+/// The columns of a `series` row.
+const SERIES_COLUMNS: &[(&str, &str)] = &[
+    ("device ops", "op"),
+    ("writes", "device_writes"),
+    ("write amp", "write_amp"),
+    ("cache hit", "cache_hit_rate"),
+    ("max wear", "max_wear"),
+    ("height", "height"),
+    ("merges", "merges"),
+];
+
+/// Rows of a report's `series` section that [`render_report`] prints at
+/// most (about): an evenly spaced subset, and always the last row.
+const SERIES_SHOWN: usize = 12;
+
 /// The one text form of an `lsm-report/v1` document
 /// ([`lsm_tree::Report`]) — what `lsm_doctor` prints after its run and
 /// `lsm_doctor show <file>` prints for a file: the head, then every
 /// section present, in the report's order; the ledger, health and tail
 /// sections through [`render_ledger`], [`render_health`] and
-/// [`render_tail`].
+/// [`render_tail`], and a spaced subset of the series' rows.
 pub fn render_report(report: &Json) -> String {
     let mut out = format!("=== report: {} ===\n", cell(report.get("reason")));
     for key in ["seed", "repro", "error"].into_iter().filter(|k| report.get(k) != &Json::Null) {
@@ -346,14 +361,29 @@ pub fn render_report(report: &Json) -> String {
         let row: String = cells.iter().map(|c| glyphs[(wear_of(c) * 8 / peak) as usize]).collect();
         let _ = writeln!(out, "shard {} wear heatmap, hottest @: [{row}]", cell(wear.get("shard")));
     }
-    for (key, render) in [
-        ("ledger", render_ledger as fn(&Json) -> String),
-        ("health", render_health),
-        ("tail", render_tail),
-    ] {
-        if let Some(section) = present(key) {
-            out.push_str(&render(section));
-        }
+    if let Some(ledger) = present("ledger") {
+        out.push_str(&render_ledger(ledger));
+    }
+    if let Some(health) = present("health") {
+        out.push_str(&render_health(health));
+    }
+    if let Some(tail) = present("tail") {
+        out.push_str(&render_tail(tail, report.get("health")));
+    }
+    if let Some(series) = present("series") {
+        let rows = series.items();
+        let stride = (rows.len() / SERIES_SHOWN).max(1);
+        let shown: Vec<Json> = (0..rows.len())
+            .filter(|i| i % stride == 0 || i + 1 == rows.len())
+            .map(|i| rows[i].clone())
+            .collect();
+        let _ = write!(
+            out,
+            "\n=== amplification over time ({} of {} rows) ===\n{}",
+            shown.len(),
+            rows.len(),
+            json_table(&shown, SERIES_COLUMNS)
+        );
     }
     if let Some(Json::Obj(pairs)) = present("scheduler") {
         out.push_str("\n=== scheduler ===\n");
@@ -443,12 +473,12 @@ mod tests {
         assert!(health.contains("write_stall=healthy(0)"), "{health}");
         assert!(health.contains("0 detector transition(s)"), "{health}");
         assert_eq!(health.matches("shard ").count(), 0, "{health}");
-        let tail = render_tail(&engine.tail_report().unwrap());
-        assert!(tail.contains("(0 puts, 0 lookups, 0 windows completed)"), "{tail}");
+        let tail = render_tail(&engine.tail_report().unwrap(), &engine.report());
+        assert!(tail.contains("(0 puts, 0 lookups)"), "{tail}");
         assert!(tail.ends_with("dominant phase: none\n"), "{tail}");
         // Not a report at all: every lookup defaults, nothing panics.
         assert!(render_health(&Json::Null).contains("0 detector transition(s)"));
-        assert!(render_tail(&Json::from(3u64)).contains("dominant phase: none"));
+        assert!(render_tail(&Json::from(3u64), &Json::Null).contains("dominant phase: none"));
     }
 
     /// A member of an object, for editing a parsed report.
@@ -461,7 +491,9 @@ mod tests {
     fn one_report_with_every_section_renders_and_validates() {
         use std::sync::Arc;
 
-        use lsm_tree::observe::{HealthSink, MetricsSink, SinkHandle, SpanOp, TickClock, VecSink};
+        use lsm_tree::observe::{
+            HealthConfig, HealthSink, MetricsSink, SinkHandle, SpanOp, TickClock, VecSink,
+        };
         use lsm_tree::report::validate_report;
         use lsm_tree::{
             DecisionLedger, LsmConfig, PolicySpec, Report, ShardedLsmTree, TreeOptions,
@@ -469,7 +501,8 @@ mod tests {
         use sim_ssd::{BlockDevice, MemDevice};
 
         let recorder = Arc::new(VecSink::bounded(16));
-        let health = Arc::new(HealthSink::with_defaults().with_tail());
+        let config = HealthConfig { window_ops: 4, ..HealthConfig::default() };
+        let health = Arc::new(HealthSink::new(config).with_tail().with_series());
         let metrics = Arc::new(MetricsSink::new());
         let handle = SinkHandle::with_clock(Arc::new(TickClock::new()))
             .and(Arc::clone(&recorder) as _)
@@ -493,6 +526,7 @@ mod tests {
             .ledger(Arc::clone(&ledger))
             .build();
         let devices = mems.iter().map(|m| Arc::clone(m) as Arc<dyn BlockDevice>).collect();
+        let block_capacity = cfg.block_capacity() as u64;
         let tree = ShardedLsmTree::with_devices(cfg, opts, devices).unwrap();
         for k in 0..2_000u64 {
             tree.put(k * 7, vec![(k % 251) as u8; 4]).unwrap();
@@ -506,6 +540,7 @@ mod tests {
             .wear(&mems.iter().map(|m| m.wear_snapshot()).collect::<Vec<_>>(), 8)
             .ledger(&ledger)
             .health(&health)
+            .series(&health, block_capacity)
             .scheduler(tree.scheduler_section_json())
             .flight(&recorder)
             .metrics(&metrics.metrics());
@@ -525,6 +560,7 @@ mod tests {
             "=== decision ledger ===",
             "=== windowed health",
             "=== tail anatomy",
+            "=== amplification over time (",
             "=== scheduler ===",
             "=== flight recorder ===",
             "1 span(s) open at dump time",
@@ -545,6 +581,20 @@ mod tests {
             let expected: Vec<String> = (1..=levels).map(|l| l.to_string()).collect();
             assert_eq!(numbers, expected, "{table}");
         }
+        // The series' rows, spaced, from the first to the last.
+        let ops: Vec<String> =
+            doc.get("series").items().iter().map(|row| cell(row.get("op"))).collect();
+        assert!(ops.len() > 1, "windows closed: {ops:?}");
+        let table = text.split("=== amplification over time (").nth(1).unwrap();
+        let printed: Vec<&str> = table.lines().skip(3).take_while(|l| !l.is_empty()).collect();
+        let printed: Vec<&str> =
+            printed.iter().map(|r| r.split_whitespace().next().unwrap()).collect();
+        assert!(table.starts_with(&format!("{} of {} rows", printed.len(), ops.len())), "{table}");
+        assert_eq!(
+            (printed[0], printed.last().copied()),
+            (ops[0].as_str(), ops.last().map(|o| o.as_str()))
+        );
+        assert!(printed.iter().all(|op| ops.iter().any(|o| o == op)), "{table}");
 
         // Three broken variants, each rejected for what it breaks.
         let rejects = |doc: &Json, needle: &str| {

@@ -7,8 +7,8 @@
 //! entry per shard, one row per level: topology, capacity, the
 //! [`LevelStats`](crate::LevelStats) counters, and the waste bookkeeping
 //! `m_i` and `w_i` of §II-B), `device` and `cache` (one entry per shard),
-//! `wear` (one entry per in-memory device), `ledger`, `health` and `tail`
-//! (the windowed engine's reports), `scheduler`, `flight` (a bounded
+//! `wear` (one entry per in-memory device), `ledger`, `health`, `tail` and
+//! `series` (the windowed engine's reports), `scheduler`, `flight` (a bounded
 //! [`VecSink`]) and `metrics`. Reports are deterministic — no wall-clock
 //! time, process ids or absolute paths — so two same-seed torture runs
 //! write byte-identical files. [`validate_report`] is the one check of the
@@ -18,7 +18,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 use observe::Shape::{Arr, Int, Num, Obj, OneOf, Str};
-use observe::{HealthSink, Json, Metrics, Shape, VecSink};
+use observe::{series_json, HealthSink, Json, Metrics, Shape, VecSink};
 use sim_ssd::WearSnapshot;
 
 use crate::policy::ledger::DecisionLedger;
@@ -182,13 +182,23 @@ impl Report {
     }
 
     /// The windowed engine's reports: `lsm-health/v1` as the `health`
-    /// section and, from an engine that keeps the tail, `lsm-tail/v1` as
+    /// section and, from an engine that keeps the tail, `lsm-tail/v2` as
     /// the `tail` section — what the write path was waiting on.
     pub fn health(self, engine: &HealthSink) -> Self {
         let report = self.push("health", engine.report());
         match engine.tail_report() {
             Some(tail) => report.push("tail", tail),
             None => report,
+        }
+    }
+
+    /// The windowed engine's amplification series as the `series` section,
+    /// one row per window, from an engine that keeps it; `block_capacity`
+    /// records fill a block, the unit of each row's `write_amp`.
+    pub fn series(self, engine: &HealthSink, block_capacity: u64) -> Self {
+        match engine.series() {
+            Some(rows) => self.push("series", series_json(&rows, block_capacity)),
+            None => self,
         }
     }
 
@@ -252,6 +262,7 @@ const CACHE: Shape = Obj(&[
 ]);
 const WEAR: Shape =
     Obj(&[("shard", Int), ("blocks", Int), ("max_wear", Int), ("total_programs", Int)]);
+const SERIES_ROW: Shape = Obj(&[("op", Int), ("device_writes", Int), ("write_amp", Num)]);
 const FLIGHT: Shape = Obj(&[
     ("capacity", Int),
     ("total", Int),
@@ -273,6 +284,7 @@ const SECTIONS: &[(&str, Shape)] = &[
     ("ledger", Obj(&[("keep", Int), ("totals", Obj(&[]))])),
     ("health", Obj(&[])),
     ("tail", Obj(&[])),
+    ("series", Arr(&SERIES_ROW)),
     ("scheduler", Obj(&[("rendezvous", Arr(&Obj(&[("shard", Int)])))])),
     ("flight", FLIGHT),
     ("metrics", Obj(&[("counters", Obj(&[])), ("histograms", Obj(&[]))])),
@@ -289,8 +301,9 @@ const QUEUE: Shape = Obj(&[
 
 /// Check a parsed document against `lsm-report/v1`: the head, the shape
 /// of every section present (at least one past `error`), embedded health
-/// and tail reports as reports of their own, and each buffer cache within
-/// its capacity. Returns the list of problems (empty means valid).
+/// and tail reports as reports of their own, a series of at least one row
+/// whose device-op count never goes backwards, and each buffer cache
+/// within its capacity. Returns the list of problems (empty means valid).
 pub fn validate_report(doc: &Json) -> Vec<String> {
     const HEAD: Shape = Obj(&[("schema", OneOf(&[SCHEMA])), ("reason", Str)]);
     let mut problems = Vec::new();
@@ -311,6 +324,15 @@ pub fn validate_report(doc: &Json) -> Vec<String> {
             problems.extend(
                 validate(doc.get(name)).into_iter().map(|p| format!("{name} section: {p}")),
             );
+        }
+    }
+    if let Json::Arr(rows) = doc.get("series") {
+        if rows.is_empty() {
+            problems.push("report.series has no rows".into());
+        }
+        let op = |i: usize| rows[i].get("op").as_u64().unwrap_or(0);
+        for i in (1..rows.len()).filter(|&i| op(i) < op(i - 1)) {
+            problems.push(format!("report.series[{i}] op went backwards"));
         }
     }
     for (i, cache) in doc.get("cache").items().iter().enumerate() {
@@ -397,12 +419,12 @@ mod tests {
         let report = Report::new("health test").health(&health);
         let doc = parsed(&report);
         assert!(validate_report(&doc).is_empty(), "{:?}", validate_report(&doc));
-        assert_eq!(doc.get("tail").get("completed").get("put").as_u64(), Some(1));
+        assert_eq!(doc.get("health").get("cumulative").get("puts").as_u64(), Some(1));
 
         // A malformed embedded report is reported with its section prefix.
-        for (schema, section) in [("lsm-health/v", "health"), ("lsm-tail/v", "tail")] {
-            let tampered =
-                report.to_json().render().replace(&format!("{schema}1"), &format!("{schema}0"));
+        let schemas = [(observe::health::HEALTH_SCHEMA, "health"), (observe::TAIL_SCHEMA, "tail")];
+        for (schema, section) in schemas {
+            let tampered = report.to_json().render().replace(schema, "lsm-unknown/v0");
             let doc = Json::parse(&tampered).unwrap();
             let prefix = format!("{section} section:");
             assert!(validate_report(&doc).iter().any(|p| p.starts_with(&prefix)), "{section}");
@@ -411,6 +433,34 @@ mod tests {
         let doc = parsed(&Report::new("health only").health(&observe::HealthSink::with_defaults()));
         assert!(doc.get("health").get("schema").as_str().is_some());
         assert_eq!(doc.get("tail"), &Json::Null);
+    }
+
+    #[test]
+    fn series_section_needs_rows_whose_op_never_goes_backwards() {
+        let config = observe::HealthConfig { window_ops: 2, ..observe::HealthConfig::default() };
+        let engine = Arc::new(observe::HealthSink::new(config).with_series());
+        let handle = SinkHandle::new(engine.clone());
+        (0..5).for_each(|block| handle.emit(Event::DeviceWrite { block }));
+        let doc = parsed(&Report::new("series").series(&engine, 4));
+        assert_eq!(validate_report(&doc), Vec::<String>::new());
+        let ops: Vec<_> = doc.get("series").items().iter().map(|r| r.get("op").as_u64()).collect();
+        assert_eq!(ops, [Some(2), Some(4), Some(5)], "a row a window, and the last counters");
+
+        let with_rows = |rows: Vec<Json>| {
+            let mut doc = doc.clone();
+            let Json::Obj(pairs) = &mut doc else { panic!() };
+            pairs.iter_mut().find(|(k, _)| k == "series").expect("series section").1 =
+                Json::Arr(rows);
+            validate_report(&doc)
+        };
+        assert_eq!(with_rows(Vec::new()), ["report.series has no rows"]);
+        let mut rows = doc.get("series").items().to_vec();
+        rows.swap(1, 2);
+        assert_eq!(with_rows(rows), ["report.series[2] op went backwards"]);
+        // An engine that keeps no series adds no section.
+        let doc =
+            parsed(&Report::new("no series").series(&observe::HealthSink::with_defaults(), 4));
+        assert_eq!(doc.get("series"), &Json::Null);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The seeded backpressure-stall run the windowed engine's health and tail
-//! tests share (and `lsm_doctor --tail-stall` repeats).
+//! tests share.
 
 use std::sync::Arc;
 

@@ -59,7 +59,7 @@ struct ScenarioResult {
 }
 
 /// One seeded run: a stall phase (puts against a `max_imm = 1` stepped
-/// scheduler — the `lsm_doctor --tail-stall` scenario — whose stalled puts
+/// scheduler — the scenario `tail_anatomy.rs` blames — whose stalled puts
 /// run several times over the write-stall bound), then a quiet phase that
 /// keeps the window clock ticking with syncs while healthy one-tick puts
 /// drain the ring.

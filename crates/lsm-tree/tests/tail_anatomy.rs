@@ -4,8 +4,8 @@
 //! attached to it must (a) capture the stalled puts as exemplars whose
 //! wait-state phases sum *exactly* to the measured put duration, (b) name
 //! `backpressure_wait` as the dominant phase of the critical-path blame
-//! table — globally and on the stalled shards — and (c) render a
-//! byte-identical `lsm-tail/v1` report across same-seed replays, since
+//! table — globally and on the stalled shards — and (c) render
+//! byte-identical health and tail reports across same-seed replays, since
 //! every timestamp is a tick count and every reservoir is ordered.
 
 mod common;
@@ -18,8 +18,8 @@ use lsm_tree::observe::{
     validate_tail, HealthConfig, HealthSink, Json, SinkHandle, TickClock, VecSink,
 };
 
-/// A tick-clock handle feeding a fresh windowed engine with the
-/// `lsm_doctor --tail-stall` scenario's ring of four windows.
+/// A tick-clock handle feeding a fresh windowed engine with a ring of
+/// four windows.
 fn tail_engine(window_ops: u64) -> (Arc<HealthSink>, SinkHandle) {
     let engine = Arc::new(
         HealthSink::new(HealthConfig { window_ops, windows: 4, ..HealthConfig::default() })
@@ -29,25 +29,26 @@ fn tail_engine(window_ops: u64) -> (Arc<HealthSink>, SinkHandle) {
     (engine, handle)
 }
 
-/// The tail report of one seeded stall run ([`common::stalled_tree`]).
-fn run_scenario(seed: u64) -> Json {
+/// The health and tail reports of one seeded stall run
+/// ([`common::stalled_tree`]).
+fn run_scenario(seed: u64) -> (Json, Json) {
     let (engine, handle) = tail_engine(64);
     let (tree, sim) = common::stalled_tree(seed, &handle);
     drop(tree);
     sim.drain().expect("drain");
-    engine.tail_report().expect("the engine keeps the tail")
+    (engine.report(), engine.tail_report().expect("the engine keeps the tail"))
 }
 
 #[test]
 fn induced_stall_blames_backpressure_on_the_stalled_shards() {
-    let report = run_scenario(42);
+    let (health, report) = run_scenario(42);
 
     // The report passes its own validator (which already enforces the 1%
     // phase-sum bound per exemplar).
     assert!(validate_tail(&report).is_empty(), "{:?}", validate_tail(&report));
 
     // Every front-end put completed exactly one root span.
-    assert_eq!(report.get("completed").get("put").as_u64(), Some(600));
+    assert_eq!(health.get("cumulative").get("puts").as_u64(), Some(600));
 
     // The blame table names the induced stall, globally...
     assert_eq!(report.get("dominant_phase").as_str(), Some("backpressure_wait"));
@@ -80,22 +81,22 @@ fn induced_stall_blames_backpressure_on_the_stalled_shards() {
 
 #[test]
 fn reports_are_byte_identical_across_same_seed_replays() {
-    let a = run_scenario(7).render();
-    let b = run_scenario(7).render();
-    assert_eq!(a, b, "same seed must replay to the same tail report, byte for byte");
+    let render = |(health, tail): (Json, Json)| (health.render(), tail.render());
+    let (a, b) = (render(run_scenario(7)), render(run_scenario(7)));
+    assert_eq!(a, b, "same seed must replay to the same reports, byte for byte");
 
     // A different seed still yields a valid report — the schema and the
     // phase-partition invariant hold for any interleaving, only the
     // numbers may move.
-    let other = run_scenario(8);
+    let (_, other) = run_scenario(8);
     assert!(validate_tail(&other).is_empty(), "{:?}", validate_tail(&other));
 }
 
 /// The stamped stream is the one source of request timing and shard
-/// attribution: both reports of the engine count the puts the front end
-/// was asked for — in total, per shard, and in the SLO — and every entry
-/// carries the shard and the begin time a consumer used to keep a table
-/// of open spans for.
+/// attribution: the health report counts the puts the front end was asked
+/// for — in total, per shard, and in the SLO — the tail report captures
+/// trees on both shards, and every entry carries the shard and the begin
+/// time a consumer used to keep a table of open spans for.
 #[test]
 fn one_stream_feeds_both_reports_and_carries_what_their_tables_held() {
     // No window ever closes, so the rolling per-shard counts are totals.
@@ -108,9 +109,9 @@ fn one_stream_feeds_both_reports_and_carries_what_their_tables_held() {
     drop(tree);
     sim.drain().expect("drain");
 
-    let (health, tail) = (engine.report(), engine.tail_report().unwrap());
-    assert_eq!(tail.get("completed").get("put").as_u64(), Some(600));
+    let health = engine.report();
     assert_eq!(health.get("cumulative").get("puts").as_u64(), Some(600));
+    assert_eq!(engine.tail_report().unwrap().get("shards").items().len(), 2);
     let slo = health.get("slo");
     assert_eq!(slo.get("good").as_u64().unwrap() + slo.get("bad").as_u64().unwrap(), 600);
     let shards = health.get("shards").items();

@@ -75,12 +75,14 @@ fn full_pipeline(recorder: &Arc<VecSink>, engine: &Arc<HealthSink>) -> SinkHandl
 }
 
 /// The windowed engine's tail report, checked: it validates (per-exemplar
-/// phase sums included). Returns the requests it completed.
+/// phase sums included). Returns the requests it completed, as the health
+/// report counts them.
 fn checked_tail(engine: &HealthSink) -> (u64, u64) {
     let tail = engine.tail_report().expect("the engine keeps the tail");
     assert!(validate_tail(&tail).is_empty(), "{:?}", validate_tail(&tail));
-    let completed = |kind| tail.get("completed").get(kind).as_u64().unwrap();
-    (completed("put"), completed("lookup"))
+    let cumulative = engine.report().get("cumulative").clone();
+    let completed = |kind| cumulative.get(kind).as_u64().unwrap();
+    (completed("puts"), completed("gets"))
 }
 
 /// Satellite 1: no sink, a [`NullSink`], and the full exporter pipeline

@@ -28,11 +28,12 @@
 //! `queue_delay` histogram on the same windows.
 //!
 //! [`HealthSink::tail_report`](crate::HealthSink::tail_report) renders
-//! everything as a versioned `lsm-tail/v1` JSON document with a
+//! everything as a versioned `lsm-tail/v2` JSON document with a
 //! critical-path *blame table*: per phase, its share of all captured put
-//! latency and of the p99/p99.9 tail. [`validate_tail`] checks any such
-//! document, including that every exemplar's phases sum to within 1% of
-//! its duration.
+//! latency and of the p99/p99.9 tail. Request counts, windows and put
+//! latency are the health report's, not repeated here. [`validate_tail`]
+//! checks any such document, including that every exemplar's phases sum
+//! to within 1% of its duration.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -42,7 +43,7 @@ use crate::windowed::WindowedHistogram;
 use crate::Event;
 
 /// Schema identifier stamped into (and required from) tail reports.
-pub const TAIL_SCHEMA: &str = "lsm-tail/v1";
+pub const TAIL_SCHEMA: &str = "lsm-tail/v2";
 
 /// The rolling percentile of its kind's latency window a request must
 /// reach to be offered to the reservoir.
@@ -324,12 +325,10 @@ const EXEMPLARS: Shape = Shape::Arr(&Shape::Obj(&[
     ("phases", Shape::Arr(&Shape::Obj(&[("us", Shape::Num)]))),
 ]));
 
-/// Members and types of an `lsm-tail/v1` document.
+/// Members and types of an `lsm-tail/v2` document.
 const TAIL_SHAPE: Shape = Shape::Obj(&[
     ("schema", Shape::OneOf(&[TAIL_SCHEMA])),
     ("config", Shape::Obj(&[])),
-    ("completed", Shape::Obj(&[("put", Shape::Num), ("lookup", Shape::Num)])),
-    ("windows_completed", Shape::Int),
     ("threshold", Shape::Obj(&[])),
     ("rolling", Shape::Obj(&[])),
     ("cumulative", Shape::Obj(&[])),
@@ -346,7 +345,7 @@ const TAIL_SHAPE: Shape = Shape::Obj(&[
     ("unsharded", Shape::Obj(&[("blame", BLAME), ("exemplars", EXEMPLARS)])),
 ]);
 
-/// Check an `lsm-tail/v1` document. Returns every problem found (empty =
+/// Check an `lsm-tail/v2` document. Returns every problem found (empty =
 /// valid): schema string, required sections, blame-table shape, and —
 /// the core invariant — each exemplar's phases summing to within 1% of
 /// its measured duration.
@@ -431,7 +430,7 @@ mod tests {
         }
         let doc = sink.tail_report().unwrap();
         assert!(validate_tail(&doc).is_empty(), "{:?}", validate_tail(&doc));
-        assert_eq!(doc.get("completed").get("put").as_u64(), Some(1));
+        assert_eq!(sink.report().get("cumulative").get("puts").as_u64(), Some(1));
         assert_eq!(captured(&doc), [3]);
         // The tick clock advances once per reading: the put span covers 3
         // ticks (begin put, begin lw, end lw, end put ⇒ duration 3), the
@@ -454,7 +453,7 @@ mod tests {
             drop(bp);
         }
         let doc = sink.tail_report().unwrap();
-        assert_eq!(doc.get("completed").get("put").as_u64(), Some(3));
+        assert_eq!(sink.report().get("cumulative").get("puts").as_u64(), Some(3));
         assert_eq!(doc.get("dominant_phase").as_str(), Some("backpressure_wait"));
         assert!(validate_tail(&doc).is_empty(), "{:?}", validate_tail(&doc));
     }
@@ -484,8 +483,8 @@ mod tests {
     }
 
     /// Past the cold start the capture threshold is the rolling percentile
-    /// of the engine's own put window, and the tail report counts the
-    /// engine's windows.
+    /// of the engine's own put window, on the windows the health report
+    /// counts.
     #[test]
     fn the_threshold_reads_the_engines_put_window() {
         let (sink, handle) = attached(HealthConfig { window_ops: 64, ..test_config() });
@@ -503,7 +502,7 @@ mod tests {
         assert_eq!(captured(&sink.tail_report().unwrap()), [7, 7, 8]);
         // 199 device ops at window_ops = 64: three windows, counted once.
         assert_eq!(sink.windows_completed(), 3);
-        assert_eq!(sink.tail_report().unwrap().get("windows_completed").as_u64(), Some(3));
+        assert_eq!(sink.report().get("windows_completed").as_u64(), Some(3));
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! ([`crate::exemplar`]).
 //!
 //! Three reports read the one state: [`HealthSink::report`]
-//! (`lsm-health/v1`), always; [`HealthSink::tail_report`] (`lsm-tail/v1`)
+//! (`lsm-health/v1`), always; [`HealthSink::tail_report`] (`lsm-tail/v2`)
 //! from an engine built [`with_tail`](HealthSink::with_tail), and
 //! [`HealthSink::series`] from one built
 //! [`with_series`](HealthSink::with_series). The health state is a set of
@@ -526,7 +526,7 @@ impl HealthSink {
             }
         }
         if let Some(series) = &mut inner.series {
-            series.fold(event);
+            series.fold(event, shard);
         }
         let device_op = matches!(
             event,
@@ -717,60 +717,42 @@ impl HealthSink {
         ])
     }
 
-    /// The versioned `lsm-tail/v1` report of the tail reservoir: request
-    /// counts, capture thresholds, the latency and queue-delay windows,
-    /// and the blame table over the captured trees, globally and per
-    /// shard; `None` unless the engine was built
-    /// [`with_tail`](Self::with_tail). Pure: same state, same bytes.
+    /// The versioned `lsm-tail/v2` report of the tail reservoir: capture
+    /// thresholds, the queue-delay windows, the lookup latency the health
+    /// report does not hold, and the blame table over the captured trees,
+    /// globally and per shard; `None` unless the engine was built
+    /// [`with_tail`](Self::with_tail). Request counts, windows and put
+    /// latency are the health report's. Pure: same state, same bytes.
     pub fn tail_report(&self) -> Option<Json> {
         let inner = self.lock();
         let tail = inner.tail.as_ref()?;
-        let cfg = &self.config;
         let (put, get, queue) = (&inner.global.put_latency, &inner.get_latency, &tail.queue_delay);
         let threshold =
             |w: &WindowedHistogram| Json::from(w.rolling().percentile(CAPTURE_PERCENTILE));
-        let cumulative = put.cumulative();
         let mut doc = vec![
             ("schema".to_string(), Json::from(TAIL_SCHEMA)),
             (
                 "config".to_string(),
                 Json::obj([
-                    ("per_shard", Json::from(cfg.exemplars_per_shard)),
-                    ("window_ops", Json::from(cfg.window_ops)),
-                    ("windows", Json::from(cfg.windows)),
+                    ("per_shard", Json::from(self.config.exemplars_per_shard)),
                     ("percentile", Json::from(CAPTURE_PERCENTILE)),
                     ("min_samples", Json::from(COLD_START)),
                 ]),
             ),
             (
-                "completed".to_string(),
-                Json::obj([
-                    ("put", Json::from(cumulative.count())),
-                    ("lookup", Json::from(get.cumulative().count())),
-                ]),
-            ),
-            ("windows_completed".to_string(), Json::from(inner.windows_completed)),
-            (
                 "threshold".to_string(),
                 Json::obj([("put", threshold(put)), ("lookup", threshold(get))]),
             ),
-            (
-                "rolling".to_string(),
-                Json::obj([
-                    ("put_latency", put.to_json()),
-                    ("lookup_latency", get.to_json()),
-                    ("queue_delay", queue.to_json()),
-                ]),
-            ),
+            ("rolling".to_string(), Json::obj([("queue_delay", queue.to_json())])),
             (
                 "cumulative".to_string(),
                 Json::obj([
-                    ("put_latency", cumulative.tail_json()),
                     ("lookup_latency", get.cumulative().tail_json()),
                     ("queue_delay", queue.cumulative().tail_json()),
                 ]),
             ),
         ];
+        let cumulative = put.cumulative();
         doc.extend(tail.blame_sections(cumulative.percentile(0.99), cumulative.percentile(0.999)));
         Some(Json::Obj(doc))
     }

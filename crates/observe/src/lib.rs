@@ -46,7 +46,7 @@ pub use health::{
 };
 pub use json::{Json, Shape};
 pub use metrics::{Histogram, Metrics};
-pub use series::{series_csv, series_json, SeriesRow};
+pub use series::{series_json, SeriesRow};
 pub use trace::{
     ChromeTraceSink, Clock, SpanGuard, SpanId, SpanKind, SpanOp, TickClock, TraceEvent,
     TraceEventKind, WallClock,

@@ -61,7 +61,9 @@ pub(crate) struct Totals {
 pub(crate) struct Series {
     device_reads: u64,
     device_trims: u64,
-    wear: HashMap<u64, u64>,
+    /// Writes per block, by shard: every shard's device numbers its
+    /// blocks from 0.
+    wear: HashMap<(Option<usize>, u64), u64>,
     max_wear: u64,
     height: u64,
     merges: u64,
@@ -70,11 +72,12 @@ pub(crate) struct Series {
 }
 
 impl Series {
-    /// Fold one plain event into the series' own counters.
-    pub(crate) fn fold(&mut self, event: &Event) {
+    /// Fold one plain event, stamped with `shard`, into the series' own
+    /// counters.
+    pub(crate) fn fold(&mut self, event: &Event, shard: Option<usize>) {
         match *event {
             Event::DeviceWrite { block } => {
-                let wear = self.wear.entry(block).or_insert(0);
+                let wear = self.wear.entry((shard, block)).or_insert(0);
                 *wear += 1;
                 self.max_wear = self.max_wear.max(*wear);
             }
@@ -132,32 +135,8 @@ impl SeriesRow {
     }
 }
 
-/// The series as CSV with a header row; `block_capacity` records fill a
-/// block (the unit of the `write_amp` column).
-pub fn series_csv(rows: &[SeriesRow], block_capacity: u64) -> String {
-    let mut out = String::from(
-        "op,device_writes,device_reads,device_trims,flushed_records,write_amp,cache_hit_rate,max_wear,height,merges\n",
-    );
-    for s in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{},{:.4},{:.4},{},{},{}\n",
-            s.op,
-            s.device_writes,
-            s.device_reads,
-            s.device_trims,
-            s.flushed_records,
-            s.write_amp(block_capacity),
-            s.cache_hit_rate,
-            s.max_wear,
-            s.height,
-            s.merges
-        ));
-    }
-    out
-}
-
 /// The series as a JSON array of row objects (per-level writes included);
-/// `block_capacity` as for [`series_csv`].
+/// `block_capacity` records fill a block (the unit of `write_amp`).
 pub fn series_json(rows: &[SeriesRow], block_capacity: u64) -> Json {
     Json::arr(rows.iter().map(|s| {
         Json::obj([
@@ -219,10 +198,6 @@ mod tests {
         let cumulative = engine.report().get("cumulative").get("write_amp").as_f64();
         assert_eq!(cumulative, Some(last.write_amp(1)));
 
-        let csv = series_csv(&rows, 4);
-        assert!(csv.starts_with("op,device_writes"));
-        assert_eq!(csv.lines().count(), 4, "{csv}");
-        assert!(csv.ends_with(",8,2.5000,0.5000,1,0,0\n"), "{csv}");
         let json = series_json(&rows, 4);
         assert_eq!(json.items().len(), 3);
         assert_eq!(json.items()[2].get("write_amp").as_f64(), Some(2.5));
@@ -236,5 +211,16 @@ mod tests {
         }
         handle.emit(Event::DeviceWrite { block: 1 });
         assert_eq!(engine.series().unwrap().last().unwrap().max_wear, 3);
+    }
+
+    /// Every shard's device numbers its blocks from 0: block 5 of shard 0
+    /// and block 5 of shard 1 are two blocks, each written once.
+    #[test]
+    fn wear_is_counted_per_shard() {
+        let (engine, handle) = engine(100);
+        for shard in [0, 1] {
+            handle.with_shard(shard).emit(Event::DeviceWrite { block: 5 });
+        }
+        assert_eq!(engine.series().unwrap().last().unwrap().max_wear, 1);
     }
 }

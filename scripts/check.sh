@@ -67,47 +67,45 @@ cargo run --release -q -p lsm-bench --bin lsm_crash -- --seeds=16 --seed-base=50
 cargo run --release -q -p lsm-bench --bin lsm_crash -- --scheduler=background \
     --backend=file --seeds=8 --seed-base=5100
 
-echo "== doctor smoke: one traced run, all five exporters, one validator pass =="
+echo "== doctor smoke: one traced run, one report and two exporters, one validator pass =="
 obs_dir="$work/obs"
 mkdir "$obs_dir"
-# One tick-clock run writes the Chrome trace, the Prometheus exposition
-# (health and tail gauges included), and the windowed engine's three
-# reports — the amplification series, a validated lsm-health/v1 report and
-# a validated lsm-tail/v1 report — beside its own lsm-report/v1 report, all
-# under $work: the committed results/lsm_doctor.json is a full-size run. The
-# doctor reconciles the engine's request counts exactly against the tree's
-# counters and its cumulative counters against the metrics registry, and
-# exits 1 on a mismatch or on a health report that judged no window or
-# counted no put — hence the window small enough for a 2 MB run to close
-# several (it is also the series' row interval).
+# One tick-clock run writes its lsm-report/v1 report — the windowed engine's
+# health, tail and series among its sections — plus the Chrome trace and the
+# Prometheus exposition (health and tail gauges included), all under $work:
+# the committed results/lsm_doctor.json is a full-size run. The doctor
+# reconciles the engine's counts exactly against the tree's counters and
+# the metrics registry, and exits 1 on a mismatch or on a health report
+# that judged no window or counted no put — hence the window small enough
+# for a 2 MB run to close several (it is also the series' row interval).
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- --size-mb=2 --tick-clock \
-    --out="$obs_dir/doctor.json" --trace-out="$obs_dir/trace.json" \
-    --prom-out="$obs_dir/metrics.prom" --series-out="$obs_dir/series.csv" \
-    --health-out="$obs_dir/health.json" --health-window-ops=64 \
-    --tail-out="$obs_dir/tail.json" > /dev/null
+    --health --tail --health-window-ops=64 --out="$obs_dir/doctor.json" \
+    --trace-out="$obs_dir/trace.json" --prom-out="$obs_dir/metrics.prom" > /dev/null
 for gauge in lsm_health_windows_completed lsm_tail_exemplars; do
     grep -q "$gauge" "$obs_dir/metrics.prom" \
         || { echo "$gauge missing from exposition"; exit 1; }
 done
+for section in health tail series; do
+    grep -q "^  \"$section\": " "$obs_dir/doctor.json" \
+        || { echo "doctor.json has no $section section"; exit 1; }
+done
 # The reader re-validates every file, per-exemplar phase sums included, and
 # the doctor's report must be read as lsm-report/v1.
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- check "$obs_dir/doctor.json" \
-    "$obs_dir/trace.json" "$obs_dir/metrics.prom" "$obs_dir/series.csv" \
-    "$obs_dir/health.json" "$obs_dir/tail.json" | tee "$obs_dir/check.txt"
+    "$obs_dir/trace.json" "$obs_dir/metrics.prom" | tee "$obs_dir/check.txt"
 grep -qxF "$obs_dir/doctor.json: valid lsm-report/v1 report." "$obs_dir/check.txt" \
     || { echo "doctor.json was not validated as lsm-report/v1"; exit 1; }
 
-echo "== dashboard and stall smokes (lsm_top frame, lsm_top --json, --tail-stall) =="
+echo "== dashboard smokes (lsm_top frame, lsm_top --json) =="
 # One dashboard frame over a live sharded workload, as text and as JSON
 # (an lsm-report/v1 report with the health and tail sections), validated.
+# The seeded stall scenario's blame and replay are tests
+# (crates/lsm-tree/tests/tail_anatomy.rs, run by the cargo test stage).
 cargo run --release -q -p lsm-bench --bin lsm_top -- --once --windows=4 --window-ops=200 \
     > /dev/null
 cargo run --release -q -p lsm-bench --bin lsm_top -- --once --json --windows=4 \
     --window-ops=200 > "$obs_dir/top.json"
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- check "$obs_dir/top.json"
-# The seeded stall scenario: blame must name backpressure_wait, twice
-# over the same seed, byte-identically.
-cargo run --release -q -p lsm-bench --bin lsm_doctor -- --tail-stall > /dev/null
 
 echo "== unwrap/expect outside tests: no more than the committed baseline =="
 # A panic inside a chunk or an install leaves a shard half-applied behind a
@@ -160,6 +158,11 @@ gone="$gone"'|SchedulerBackend|SimExecutor|\bSimState\b'
 # are one lsm-report/v1 document, and the flight recorder is a bounded VecSink.
 gone="$gone"'|FlightRecorderSink|FlightEntry|lsm_postmortem|lsm-postmortem/v1|merged_json'
 gone="$gone"'|StreamSink|LSM_WATCHDOG_BUNDLE_DIR|\bPostMortem\b'
+# One run, one file: the windowed engine's reports are sections of the
+# doctor's lsm-report/v1, and the tail section no longer repeats the health
+# section (lsm-tail/v2).
+gone="$gone"'|ObsPipeline|health-out|tail-out|series-out|series_csv|check_series|tail-stall'
+gone="$gone"'|tail_stall|health-windows|tail-per-shard|lsm-tail/v1'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"
