@@ -262,6 +262,7 @@ const CACHE: Shape = Obj(&[
 ]);
 const WEAR: Shape =
     Obj(&[("shard", Int), ("blocks", Int), ("max_wear", Int), ("total_programs", Int)]);
+const RENDEZVOUS: Shape = Obj(&[("shard", Int), ("write_holds", Int), ("write_yields", Int)]);
 const SERIES_ROW: Shape = Obj(&[("op", Int), ("device_writes", Int), ("write_amp", Num)]);
 const FLIGHT: Shape = Obj(&[
     ("capacity", Int),
@@ -285,7 +286,7 @@ const SECTIONS: &[(&str, Shape)] = &[
     ("health", Obj(&[])),
     ("tail", Obj(&[])),
     ("series", Arr(&SERIES_ROW)),
-    ("scheduler", Obj(&[("rendezvous", Arr(&Obj(&[("shard", Int)])))])),
+    ("scheduler", Obj(&[("rendezvous", Arr(&RENDEZVOUS))])),
     ("flight", FLIGHT),
     ("metrics", Obj(&[("counters", Obj(&[])), ("histograms", Obj(&[]))])),
 ];

@@ -9,15 +9,17 @@
 //! drawn once:
 //!
 //! ```text
-//! put span ─┬─ no lock ──────── validate the whole run (nothing is logged if any request is refused)
-//!           ├─ per chunk of at most MAX_REQUESTS_PER_HOLD requests:
-//!           │   ├─ no lock ──── encode the chunk's WAL frames, checksums included
-//!           │   ├─ lock ─────── per segment (ends where the memtable can first be full):
-//!           │   │                 background: full memtable and backlog at the bound? ─ stall
-//!           │   │                 one WAL write of the segment's frames → memtable inserts
-//!           │   │                 → inline: cascade │ background: seal if room ─ unlock
-//!           │   └─ unlock ───── notify the scheduler of a seal; stall: wait_for_room, retry
-//!           └─ ack ──────────── caller's step: group-commit wait, an fsync, or defer it
+//! put span ─┬─ no lock ──── validate the whole run (nothing is logged if any request is refused)
+//!           ├─ no lock ──── encode the run's WAL frames, checksums included
+//!           ├─ no lock ──── longer than a chunk: wait for the writers' turn
+//!           ├─ lock ─────── per segment (ends where the memtable can first be full):
+//!           │                 background: full memtable and backlog at the bound? ─ stall
+//!           │                 one WAL write of the segment's frames → memtable inserts
+//!           │                 → inline: cascade │ background: seal if room ─ unlock
+//!           │               every MAX_REQUESTS_PER_HOLD requests, a yield point:
+//!           │                 anyone but a writer waiting? ─ unlock, lock again
+//!           ├─ unlock ───── notify the scheduler of a seal; stall: wait_for_room; lock again
+//!           └─ ack ──────── caller's step: group-commit wait, an fsync, or defer it
 //! ```
 //!
 //! of the group-commit leader ([`Shard::group_wait`]), which fsyncs beside
@@ -48,15 +50,18 @@
 //!             └─ group state ── publish the cut: every earlier position is covered
 //! ```
 //!
-//! The shard lock is taken for writing by the write path (a chunk), the
-//! install and the checkpoint, plus the few instructions in which a sync
-//! flushes the log's buffer and notes its length. It is never held across
-//! a scheduler call or the rendezvous, never across an fsync but the
-//! checkpoint's, and with a background scheduler nothing but the
-//! checkpoint touches the device under it (the inline cascade does too) —
-//! [`crate::lockorder`] asserts all three in debug builds. What a put or
-//! get can wait for is therefore one chunk, one install (a splice and a
-//! handful of map removals) or one checkpoint, not one commit or one merge.
+//! The shard lock is taken for writing by the write path (a run, let go
+//! at a yield point whenever anyone but a writer waits), the install and
+//! the checkpoint, plus the few instructions in which a sync flushes the
+//! log's buffer and notes its length. It is never held across a scheduler
+//! call or the rendezvous, never across an fsync but the checkpoint's, and
+//! with a background scheduler nothing but the checkpoint touches the
+//! device under it (the inline cascade does too) — [`crate::lockorder`]
+//! asserts all three in debug builds. What a get, a sync or an install
+//! can wait for is therefore one chunk, one install (a splice and a
+//! handful of map removals) or one checkpoint, not one commit or one
+//! merge. A writer waits out the run ahead of it: a run that reaches a
+//! yield point takes its turn among writers first, outside the lock.
 //!
 //! Block lifetime: gets and scans hold the read lock for as long as they
 //! follow fences, so no reader outlives an install; the blocks an install
@@ -82,27 +87,32 @@ use crate::scheduler::{self, MaintainTarget, MergeScheduler};
 use crate::tree::{self, LsmTree, StepOutcome};
 use crate::wal::{PendingSync, WalFaultPlan, WriteAheadLog};
 
-/// The most requests one hold of the shard lock applies: a get or scan
-/// beside a commit of any size waits for one chunk, not for the commit.
+/// The yield interval of a writer's run: every this many requests the
+/// writer lets go of the shard lock if anyone but a writer waits for it
+/// (see `waiting`), so a get or scan beside a commit of any size waits for
+/// one chunk, not for the commit — while a writer nobody waits for keeps
+/// the lock (and the memtable's cache lines) for its whole run.
 ///
-/// A constant, not an option; no caller wants another value. Measured on
-/// the `durable` write phase (one shard, two writers × 8 192-put group
-/// commits, 121-byte frames, both cores up; the per-put lock of before
-/// read 325–381 kput/s): 16 → 455–577, 64 → 404–677, **256 → 582–708**,
-/// 1 024 → 631–725, 8 192 (a commit per hold) → 762–913 kput/s. A hold
-/// of 256 is 0.2–0.3 ms — under the ≈ 1 ms inline flush step that a get
-/// could already meet — and a get beside one writer waits 2.4–2.7 ms at
-/// p99 at 16 and at 256 alike, 8–9 ms at 8 192. Below 256 the lock
-/// changes hands (and the memtable changes cores) too often; above it
-/// the few percent gained are paid in what a get waits for.
+/// A constant, not an option; no caller wants another value. A chunk of
+/// 256 is 0.2–0.3 ms — under the ≈ 1 ms inline flush step that a get
+/// could already meet. When this was the longest hold (before yield
+/// points), two `durable` writers did 582–708 kput/s at 256 and 762–913
+/// at 8 192 (a commit per hold), and a get beside one writer waited
+/// 2.4–2.7 ms at p99 at 256 and 8–9 ms at 8 192; yielding only to
+/// whoever waits gives both (DESIGN.md §11).
 pub(crate) const MAX_REQUESTS_PER_HOLD: usize = 256;
 
-/// How many times a writer yields to readers waiting for the lock before it
+/// How many times a writer yields to whoever waits for the lock before it
 /// takes its turn regardless.
 const READER_TURN_YIELDS: usize = 1 << 10;
 
+/// The most capacity [`FRAMES`] keeps between runs: a run's frames are
+/// encoded whole, and a large batch must not leave its buffer behind for
+/// the thread's lifetime. A commit of 8 192 121-byte frames fits.
+const FRAMES_KEPT: usize = 1 << 20;
+
 thread_local! {
-    /// The calling writer's frame buffer — one chunk's WAL frames at a
+    /// The calling writer's frame buffer — one run's WAL frames at a
     /// time — kept between calls, so that a put allocates nothing.
     static FRAMES: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
@@ -114,8 +124,11 @@ struct Frames(Vec<u8>);
 impl Drop for Frames {
     fn drop(&mut self) {
         if self.0.capacity() > 0 {
+            let mut buf = std::mem::take(&mut self.0);
+            buf.clear();
+            buf.shrink_to(FRAMES_KEPT);
             // Not there while the thread is being torn down: drop the buffer.
-            let _ = FRAMES.try_with(|cell| cell.set(std::mem::take(&mut self.0)));
+            let _ = FRAMES.try_with(|cell| cell.set(buf));
         }
     }
 }
@@ -129,6 +142,12 @@ pub(crate) struct ShardState {
     /// memtable. Otherwise no level overflows outside a cascade, and only
     /// a request that fills the memtable can start one.
     cascade_owed: bool,
+    /// Write-path lock acquisitions: one per run, plus one after each
+    /// yield, seal and stall ([`Shard::apply`]). Counted under the lock,
+    /// so that a put pays for no atomic.
+    write_holds: u64,
+    /// Yield points at which a writer let go of the lock.
+    write_yields: u64,
 }
 
 /// Leader/follower group-commit state (only consulted under
@@ -166,16 +185,22 @@ pub(crate) struct Shard {
     logged: bool,
     /// The tree's block size, for validating a run without the lock.
     block_size: usize,
-    /// Readers that found the lock taken and wait for it ([`Shard::read`]).
-    readers_waiting: AtomicUsize,
+    /// Taken by a writer for a run that reaches a yield point: one such
+    /// writer at a time queues for the lock, the others wait here.
+    writers: Mutex<()>,
+    /// Everyone but a writer that found the lock taken and waits for it
+    /// ([`Shard::read`], [`Shard::lock_waiting`]): a writer's run lets go
+    /// at its next yield point while this is not zero.
+    waiting: AtomicUsize,
     /// A maintenance step between its halves: computed, not yet installed.
     /// The scheduler runs one maintainer per shard, so at most one.
     computed: Mutex<Option<StepOutcome>>,
     /// A seeded group sync between its halves ([`Shard::group_sync_step`]).
     begun_sync: Mutex<Option<PendingSync>>,
-    /// The most requests any one hold of the lock has applied.
+    /// The most requests a writer has applied under the lock between two
+    /// yield checks.
     #[cfg(test)]
-    longest_hold: AtomicUsize,
+    longest_stretch: AtomicUsize,
 }
 
 impl Shard {
@@ -191,14 +216,21 @@ impl Shard {
             commit: tree.commit_mode(),
             block_size: tree.config().block_size,
             // A restored tree may come with a level still to merge.
-            state: RwLock::new(ShardState { cascade_owed: tree.maintenance_pending(), tree, wal }),
+            state: RwLock::new(ShardState {
+                cascade_owed: tree.maintenance_pending(),
+                tree,
+                wal,
+                write_holds: 0,
+                write_yields: 0,
+            }),
             group: Mutex::new(GroupState::default()),
             group_cv: Condvar::new(),
-            readers_waiting: AtomicUsize::new(0),
+            writers: Mutex::new(()),
+            waiting: AtomicUsize::new(0),
             computed: Mutex::new(None),
             begun_sync: Mutex::new(None),
             #[cfg(test)]
-            longest_hold: AtomicUsize::new(0),
+            longest_stretch: AtomicUsize::new(0),
         })
     }
 
@@ -224,29 +256,46 @@ impl Shard {
         if let Some(guard) = self.state.try_read() {
             return guard;
         }
-        // Writers come back for the lock chunk after chunk, and the lock
-        // lets a waiting writer in before a waiting reader: say that a
-        // reader waits, and they stand back between two chunks.
-        self.readers_waiting.fetch_add(1, Ordering::SeqCst);
+        // A writer keeps the lock across its run, and the lock lets a
+        // waiting writer in before a waiting reader: say that someone
+        // waits, and writers let go at their next yield point.
+        self.waiting.fetch_add(1, Ordering::SeqCst);
         let guard = self.state.read();
-        self.readers_waiting.fetch_sub(1, Ordering::SeqCst);
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
         guard
     }
 
-    /// The shard lock, exclusive, marked for the lock-order assertions as
-    /// a section of kind `hold`: only the inline cascade and the checkpoint
-    /// touch the device, and only the checkpoint fsyncs.
+    /// The shard lock, exclusive, for a writer's run ([`Shard::apply`]),
+    /// marked for the lock-order assertions as a section of kind `hold`:
+    /// only the inline cascade and the checkpoint touch the device, and
+    /// only the checkpoint fsyncs. A writer does not count as waiting: it
+    /// waits out the run ahead of it (see `writers`).
     fn lock(&self, hold: Hold) -> (RwLockWriteGuard<'_, ShardState>, TreeLockGuard) {
-        // Let a reader that found the lock taken go first (see `read`): it
-        // gets in as soon as no writer holds the lock or queues for it.
-        // Bounded, so that readers can delay a writer but never stop it.
+        // Let whoever found the lock taken go first (see `waiting`): a
+        // reader gets in as soon as no writer holds the lock or queues for
+        // it. Bounded, so that they can delay a writer but never stop it.
         for _ in 0..READER_TURN_YIELDS {
-            if self.readers_waiting.load(Ordering::SeqCst) == 0 {
+            if self.waiting.load(Ordering::SeqCst) == 0 {
                 break;
             }
             std::thread::yield_now();
         }
-        let guard = self.state.write();
+        let mut guard = self.state.write();
+        guard.write_holds += 1;
+        (guard, lockorder::tree_lock_held(hold))
+    }
+
+    /// The shard lock, exclusive, for everyone but a writer's run — a
+    /// sync's first half, an install, a seal, a checkpoint: one that finds
+    /// it taken counts itself in `waiting`, as a reader does, so a writer
+    /// lets go at its next yield point instead of at the end of its run.
+    fn lock_waiting(&self, hold: Hold) -> (RwLockWriteGuard<'_, ShardState>, TreeLockGuard) {
+        let guard = self.state.try_write().unwrap_or_else(|| {
+            self.waiting.fetch_add(1, Ordering::SeqCst);
+            let guard = self.state.write();
+            self.waiting.fetch_sub(1, Ordering::SeqCst);
+            guard
+        });
         (guard, lockorder::tree_lock_held(hold))
     }
 
@@ -286,36 +335,51 @@ impl Shard {
         // would refuse it too and abort recovery.
         run.iter().try_for_each(|req| self.check(req))?;
         let background = sched.map(|s| (s, s.max_imm_memtables()));
+        let hold = if background.is_none() { Hold::Io } else { Hold::NoIo };
         let mut frames = Frames(if self.logged { FRAMES.take() } else { Vec::new() });
+        if self.logged {
+            run.iter().for_each(|req| WriteAheadLog::encode_frame(req, &mut frames.0));
+        }
         let mut durable_at = None;
-        let mut rest = run;
-        // The encoded chunk: its requests not yet applied, and where their
-        // frames start in `frames`.
-        let mut chunk: &mut [Request] = &mut [];
-        let mut at = 0;
-        loop {
-            if chunk.is_empty() {
-                if rest.is_empty() {
-                    break;
-                }
-                let n = rest.len().min(MAX_REQUESTS_PER_HOLD);
-                (chunk, rest) = rest.split_at_mut(n);
-                frames.0.clear();
-                at = 0;
-                if self.logged {
-                    chunk.iter().for_each(|req| WriteAheadLog::encode_frame(req, &mut frames.0));
-                }
-            }
+        // The requests not yet applied, and where their frames start in
+        // `frames`.
+        let (mut rest, mut at) = (run, 0);
+        // A run that reaches a yield point queues behind the one ahead of
+        // it here, outside the lock, so that a yield hands the lock to
+        // whoever waits for it and not to the next writer (the lock wakes
+        // a parked writer before a parked reader). A shorter run holds
+        // the lock for a chunk at most, and a put pays for no mutex.
+        let turn = (rest.len() > MAX_REQUESTS_PER_HOLD).then(|| {
+            let _lock_wait = self.sink.span(SpanOp::lock_wait());
+            self.writers.lock()
+        });
+        while !rest.is_empty() {
             let (mut sealed_backlog, mut stalled_at) = (None, None);
             {
                 let (mut guard, _held) = {
                     let _lock_wait = self.sink.span(SpanOp::lock_wait());
-                    self.lock(if background.is_none() { Hold::Io } else { Hold::NoIo })
+                    self.lock(hold)
                 };
-                let ShardState { tree, wal, cascade_owed } = &mut *guard;
+                let ShardState { tree, wal, cascade_owed, write_yields, .. } = &mut *guard;
+                // Requests to apply before the next yield point.
+                let mut to_yield = MAX_REQUESTS_PER_HOLD;
                 #[cfg(test)]
-                let hold = chunk.len();
-                while !chunk.is_empty() {
+                let mut stretch = 0;
+                while !rest.is_empty() {
+                    if to_yield == 0 {
+                        // A yield point: the lock goes to whoever waits for
+                        // it, if anyone does, and this writer queues again.
+                        #[cfg(test)]
+                        {
+                            self.longest_stretch.fetch_max(stretch, Ordering::Relaxed);
+                            stretch = 0;
+                        }
+                        if self.waiting.load(Ordering::SeqCst) > 0 {
+                            *write_yields += 1;
+                            break;
+                        }
+                        to_yield = MAX_REQUESTS_PER_HOLD;
+                    }
                     if let Some((_, max)) = background {
                         let backlog = tree.imm_count();
                         if tree.mem_at_capacity() && backlog >= max {
@@ -331,9 +395,14 @@ impl Shard {
                     // after the same request as when requests come one by
                     // one — and after a request both logged and inserted.
                     let room = tree.mem_room();
-                    let n = room.clamp(1, chunk.len());
+                    let n = room.clamp(1, rest.len().min(to_yield));
                     let segment;
-                    (segment, chunk) = chunk.split_at_mut(n);
+                    (segment, rest) = rest.split_at_mut(n);
+                    to_yield -= n;
+                    #[cfg(test)]
+                    {
+                        stretch += n;
+                    }
                     if let Some(wal) = wal {
                         let len: usize = segment.iter().map(WriteAheadLog::frame_len).sum();
                         let bytes = &frames.0[at..at + len];
@@ -369,9 +438,9 @@ impl Shard {
                     }
                 }
                 #[cfg(test)]
-                self.longest_hold.fetch_max(hold - chunk.len(), Ordering::Relaxed);
+                self.longest_stretch.fetch_max(stretch, Ordering::Relaxed);
             }
-            // A hold ends at a seal or at a stall, never both.
+            // A hold ends at a yield, a seal or a stall, never two of them.
             if let (Some((s, _)), Some(backlog)) = (background, sealed_backlog.or(stalled_at)) {
                 s.notify(self.idx, backlog);
             }
@@ -380,6 +449,7 @@ impl Shard {
                 s.wait_for_room(self.idx)?;
             }
         }
+        drop(turn);
         ack(durable_at.filter(|_| self.commit == CommitMode::Group))
     }
 
@@ -402,7 +472,7 @@ impl Shard {
     /// lock released. No-op when nothing was computed.
     pub(crate) fn install(&self) -> Result<()> {
         let Some(mut outcome) = self.computed.lock().take() else { return Ok(()) };
-        self.lock(Hold::NoIo).0.tree.install(&mut outcome);
+        self.lock_waiting(Hold::NoIo).0.tree.install(&mut outcome);
         outcome.release()
     }
 
@@ -411,7 +481,7 @@ impl Shard {
     /// leaves it unsealed for the next put to stall on; `flush` must not
     /// leave it behind.
     pub(crate) fn seal_if_full(&self) -> Option<usize> {
-        let (mut state, _held) = self.lock(Hold::NoIo);
+        let (mut state, _held) = self.lock_waiting(Hold::NoIo);
         let tree = &mut state.tree;
         (tree.mem_at_capacity() && tree.seal_memtable()).then(|| tree.imm_count())
     }
@@ -475,7 +545,7 @@ impl Shard {
     /// only part that needs the shard lock, and short — flush the log's
     /// buffer, note its length.
     fn begin_sync(&self) -> Result<Option<PendingSync>> {
-        self.lock(Hold::NoIo).0.wal.as_mut().map(WriteAheadLog::begin_sync).transpose()
+        self.lock_waiting(Hold::NoIo).0.wal.as_mut().map(WriteAheadLog::begin_sync).transpose()
     }
 
     /// Second half, with the lock released: fsync, and publish to the
@@ -537,7 +607,7 @@ impl Shard {
     /// the cut publishes nothing after it (the log's positions only grow).
     /// Afterwards recovery needs the manifest and what is logged since.
     pub(crate) fn checkpoint(&self) -> Result<()> {
-        let (mut state, _held) = self.lock(Hold::Checkpoint);
+        let (mut state, _held) = self.lock_waiting(Hold::Checkpoint);
         let ShardState { tree, wal, .. } = &mut *state;
         let Some(wal) = wal else {
             return Err(LsmError::Config("a checkpoint needs a write-ahead log".into()));
@@ -551,15 +621,22 @@ impl Shard {
         Ok(())
     }
 
-    /// The most requests any one hold of the shard lock has applied.
+    /// The most requests a writer has applied under the lock between two
+    /// yield checks.
     #[cfg(test)]
-    pub(crate) fn longest_hold(&self) -> usize {
-        self.longest_hold.load(Ordering::Relaxed)
+    pub(crate) fn longest_stretch(&self) -> usize {
+        self.longest_stretch.load(Ordering::Relaxed)
+    }
+
+    /// Write-path lock acquisitions, and the yields among their ends.
+    pub(crate) fn write_holds(&self) -> (u64, u64) {
+        let state = self.read();
+        (state.write_holds, state.write_yields)
     }
 
     /// Arm fsync-fault injection on the WAL (no-op without one).
     pub(crate) fn set_wal_fault_plan(&self, plan: WalFaultPlan, seed: u64) {
-        if let Some(wal) = self.lock(Hold::NoIo).0.wal.as_mut() {
+        if let Some(wal) = self.lock_waiting(Hold::NoIo).0.wal.as_mut() {
             wal.set_fault_plan(plan, seed);
         }
     }
@@ -567,6 +644,7 @@ impl Shard {
     /// This shard's entry of a report's `rendezvous` array.
     pub(crate) fn rendezvous_json(&self) -> Json {
         let (appended, synced) = self.wal(|w| (w.len_bytes(), w.synced_len())).unwrap_or_default();
+        let (holds, yields) = self.write_holds();
         let s = self.group.lock();
         Json::obj([
             ("shard", Json::from(self.idx)),
@@ -575,6 +653,8 @@ impl Shard {
             ("poisoned", Json::from(s.poisoned)),
             ("wal_appended", Json::from(appended)),
             ("wal_synced", Json::from(synced)),
+            ("write_holds", Json::from(holds)),
+            ("write_yields", Json::from(yields)),
         ])
     }
 }
@@ -616,5 +696,41 @@ impl MaintainTarget for ShardTarget {
 
     fn has_pending(&self) -> bool {
         self.shards.upgrade().is_some_and(|s| s[self.idx].read().tree.maintenance_pending())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{LsmConfig, ShardedLsmTree, TreeOptions};
+
+    #[test]
+    fn a_large_run_leaves_no_more_than_frames_kept_behind() {
+        let dir = std::env::temp_dir().join(format!("lsm-shard-frames-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let t = ShardedLsmTree::with_wal_dir(
+            LsmConfig::default(),
+            TreeOptions::default(),
+            1,
+            1 << 16,
+            &dir,
+        )
+        .unwrap();
+        // A thread of its own, so the buffer looked at is this run's.
+        let kept = std::thread::scope(|s| {
+            s.spawn(|| {
+                let batch = (0..20_000u64).map(|k| Request::Put(k, vec![k as u8; 100].into()));
+                t.write_batch(batch.collect()).unwrap();
+                let buf = FRAMES.take();
+                assert!(buf.is_empty());
+                buf.capacity()
+            })
+            .join()
+            .unwrap()
+        });
+        assert!(kept > 0 && kept <= FRAMES_KEPT, "kept {kept} bytes");
+        assert_eq!(t.stats().puts, 20_000);
+        drop(t);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

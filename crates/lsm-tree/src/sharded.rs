@@ -332,9 +332,11 @@ impl ShardedLsmTree {
     /// Apply the batch: each shard's share of it (its *run*: the batch's
     /// requests for that shard, in batch order) goes through that shard's
     /// write path in one pass — frames encoded and checksummed before the
-    /// shard lock is taken, the lock held for a bounded chunk of requests
-    /// at a time, so a get beside a large batch waits for a chunk, not for
-    /// the batch — and under [`CommitMode::Group`](crate::CommitMode::Group)
+    /// shard lock is taken, the lock then kept for the whole run but let
+    /// go every 256 requests whenever a get, a scan, a sync or a merge
+    /// install waits for it, so a get beside a large batch waits for a
+    /// chunk, not for the batch, while a batch nobody waits for takes the
+    /// lock once — and under [`CommitMode::Group`](crate::CommitMode::Group)
     /// the whole batch commits with one group-commit rendezvous per touched
     /// shard, on the offset its own last append to that shard returned,
     /// instead of one per request. `&self` so concurrent writer threads can
@@ -1214,32 +1216,124 @@ mod tests {
         assert!(left_a_level_overflowing > 10, "only {left_a_level_overflowing} such failures");
     }
 
+    /// Puts of `keys`, each value naming `tag`.
+    fn puts(keys: std::ops::Range<u64>, tag: [u8; 2]) -> WriteBatch {
+        keys.map(|k| Request::Put(k, Bytes::from(vec![tag[0], tag[1], k as u8, 0]))).collect()
+    }
+
     #[test]
-    fn a_lock_hold_is_bounded_and_a_get_does_not_wait_for_the_batch() {
+    fn a_writer_keeps_the_lock_unless_someone_waits_and_a_get_does_not_wait_for_the_batch() {
         use crate::shard::MAX_REQUESTS_PER_HOLD as CHUNK;
         use std::sync::atomic::{AtomicBool, Ordering};
         let t = sharded(1);
         t.put(u64::MAX, vec![9u8; 4]).unwrap();
-        let batch: WriteBatch =
-            (0..100_000u64).map(|k| Request::Put(k, Bytes::from(vec![k as u8; 4]))).collect();
+        // Nobody waits: the whole batch is one hold of the write lock.
+        let (holds, yields) = t.shards[0].write_holds();
+        t.write_batch(puts(0..100_000, [0, 0])).unwrap();
+        assert_eq!(t.shards[0].write_holds(), (holds + 1, yields), "one hold, no yield");
         let done = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
-                t.write_batch(batch).unwrap();
+                t.write_batch(puts(0..100_000, [0, 1])).unwrap();
                 done.store(true, Ordering::SeqCst);
             });
-            // Reads get the lock between two chunks: first to see that the
+            // Reads get the lock at a yield point: first to see that the
             // batch is under way, then the get itself — long before its end.
-            while t.stats().puts < 2 {
+            while t.stats().puts < 100_003 {
                 std::hint::spin_loop();
             }
             assert_eq!(t.get(u64::MAX).unwrap().as_deref(), Some(&[9u8; 4][..]));
             let applied = t.stats().puts;
             assert!(!done.load(Ordering::SeqCst), "the get waited for the whole batch");
-            assert!(applied < 100_000, "the get came back after {applied} puts");
+            assert!(applied < 200_001, "the get came back after {applied} puts");
         });
-        assert_eq!(t.stats().puts, 100_001);
-        assert_eq!(t.shards[0].longest_hold(), CHUNK, "a hold is a chunk, never more");
+        assert_eq!(t.stats().puts, 200_001);
+        assert!(t.shards[0].write_holds().1 > yields, "the reads took no yield point");
+        assert_eq!(t.shards[0].longest_stretch(), CHUNK, "a yield check every chunk");
+    }
+
+    #[test]
+    fn a_get_beside_two_writers_does_not_wait_for_either_batch() {
+        use crate::shard::MAX_REQUESTS_PER_HOLD as CHUNK;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let t = sharded(1);
+        t.put(u64::MAX, vec![9u8; 4]).unwrap();
+        let n = 40 * CHUNK as u64;
+        let done = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for w in 0..2u8 {
+                let (t, done, start) = (&t, &done, &start);
+                s.spawn(move || {
+                    start.wait();
+                    t.write_batch(puts(u64::from(w) * n..u64::from(w + 1) * n, [w, 0])).unwrap();
+                    done.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            start.wait();
+            while t.stats().puts < 3 {
+                std::hint::spin_loop();
+            }
+            assert_eq!(t.get(u64::MAX).unwrap().as_deref(), Some(&[9u8; 4][..]));
+            assert_eq!(done.load(Ordering::SeqCst), 0, "the get waited for a whole batch");
+        });
+        assert_eq!(t.stats().puts, 2 * n + 1);
+        assert_eq!(t.shards[0].longest_stretch(), CHUNK);
+    }
+
+    #[test]
+    fn wal_order_is_apply_order_across_yields() {
+        // Two writers rewrite the same keys, batch after batch of several
+        // chunks each, while a third thread's gets make them yield: the
+        // log must replay to exactly the state the live tree ended in,
+        // and hold each batch whole (runs that reach a yield point take
+        // turns, so a yield never lets the other writer in between).
+        use crate::shard::MAX_REQUESTS_PER_HOLD as CHUNK;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (t, dir) = wal_tree("yield-order", CommitMode::Group, 1);
+        let keys = 0..3 * CHUNK as u64 + 17;
+        let writing = AtomicUsize::new(2);
+        std::thread::scope(|s| {
+            for w in 0..2u8 {
+                let (t, keys, writing) = (&t, keys.clone(), &writing);
+                s.spawn(move || {
+                    for round in 0..24u8 {
+                        t.write_batch(puts(keys.clone(), [w, round])).unwrap();
+                    }
+                    writing.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            let mut k = 0;
+            while writing.load(Ordering::SeqCst) > 0 {
+                t.get(k % keys.end).unwrap();
+                k += 7;
+            }
+        });
+        let yields = t.scheduler_section_json().get("rendezvous").items()[0]
+            .get("write_yields")
+            .as_u64()
+            .unwrap();
+        assert!(yields > 0, "no writer yielded: the test never took the yield path");
+        let live: Vec<_> = keys.clone().map(|k| t.get(k).unwrap().unwrap()).collect();
+        assert!(live.iter().all(|v| v[1] == 23), "every key ends in a last round");
+        drop(t);
+        let (_, logged) =
+            WriteAheadLog::open_and_replay(ShardedLsmTree::wal_path(&dir, 0)).unwrap();
+        let tag = |req: &Request| match req {
+            Request::Put(_, v) => [v[0], v[1]],
+            Request::Delete(_) => unreachable!("the writers only put"),
+        };
+        assert_eq!(logged.len(), 2 * 24 * keys.end as usize);
+        for batch in logged.chunks(keys.end as usize) {
+            assert!(batch.iter().all(|r| tag(r) == tag(&batch[0])), "a batch is cut in the log");
+        }
+        let r =
+            ShardedLsmTree::recover_with_wal(small_cfg(), TreeOptions::default(), 1, 1 << 16, &dir)
+                .unwrap();
+        for (k, live) in keys.zip(&live) {
+            assert_eq!(r.get(k).unwrap().as_ref(), Some(live), "key {k}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

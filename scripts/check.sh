@@ -163,6 +163,9 @@ gone="$gone"'|StreamSink|LSM_WATCHDOG_BUNDLE_DIR|\bPostMortem\b'
 # section (lsm-tail/v2).
 gone="$gone"'|ObsPipeline|health-out|tail-out|series-out|series_csv|check_series|tail-stall'
 gone="$gone"'|tail_stall|health-windows|tail-per-shard|lsm-tail/v1'
+# A writer keeps the shard lock across its run and yields to whoever
+# waits: one `waiting` signal, no per-hold bound.
+gone="$gone"'|readers_waiting|longest_hold'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"
