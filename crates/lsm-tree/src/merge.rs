@@ -34,7 +34,6 @@
 //! released for everything but the install.
 
 use std::borrow::Borrow;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::block::{BlockHandle, DataBlock, FrameBuilder};
@@ -43,46 +42,8 @@ use crate::level::{Level, LevelDraft};
 use crate::record::{Key, Record};
 use crate::store::{Store, WriteBatch};
 
-/// Longest run of definitely-read blocks fetched by one batched store
-/// call. Bounds memory and cache turnover per fetch; a run longer than
-/// this simply costs another batched call.
-const PREFETCH_MAX: usize = 32;
-
-/// Blocks per batched read during compaction (compaction reads every
-/// block unconditionally, so batching is always safe there).
-const COMPACT_BATCH: usize = 64;
-
 /// Staged output blocks per coalesced device write.
 const WRITE_CHUNK: usize = 16;
-
-/// Fence-only lower bound on which of `handles` a merge must open.
-///
-/// A block is *definitely* read when the other input stream holds a known
-/// key inside the block's fence range: by the time the block reaches the
-/// head of its stream, that key is the other stream's next record, so the
-/// adoption test `h.max < other_next` fails and the block's records are
-/// streamed. `other_keys` must be sorted: it is the other side's record
-/// keys when known exactly (a memtable run), or its fence endpoints —
-/// which are real keys — when the other side is blocks. The bound is
-/// conservative: a `false` only means "maybe adopted", and those blocks
-/// keep the lazy one-at-a-time path so preservation still costs no I/O.
-fn mark_definite_reads(
-    handles: &[BlockHandle],
-    other_keys: &[Key],
-    always: bool,
-    is_bottom: bool,
-) -> Vec<bool> {
-    handles
-        .iter()
-        .map(|h| {
-            if always || (is_bottom && h.tombstones > 0) {
-                return true;
-            }
-            let i = other_keys.partition_point(|&k| k < h.min);
-            other_keys.get(i).is_some_and(|&k| k <= h.max)
-        })
-        .collect()
-}
 
 /// What a merge pushes down into the target level.
 #[derive(Debug)]
@@ -255,13 +216,6 @@ struct Stream {
     /// The open block, `handles[hpos]`, and the next record in it.
     current: Option<Arc<DataBlock>>,
     cpos: usize,
-    /// Per-handle definite-read flags (see [`mark_definite_reads`]); a
-    /// `true` run starting at the stream head may be fetched in one
-    /// batched store call without ever touching a preservable block.
-    definite: Vec<bool>,
-    /// Blocks already fetched by a batched read, queued ahead of `hpos`.
-    /// Front entry always belongs to `handles[hpos]`.
-    pending: VecDeque<Result<Arc<DataBlock>>>,
     /// Blocks that were opened (retired by the merge): the logical reads.
     opened: Vec<BlockHandle>,
     /// Blocks that failed their integrity check while being opened: their
@@ -271,10 +225,10 @@ struct Stream {
 }
 
 impl Stream {
-    fn new(src: MergeSource, definite: Vec<bool>) -> Self {
+    fn new(src: MergeSource) -> Self {
         match src {
             MergeSource::Records(recs) => Stream { recs, ..Stream::default() },
-            MergeSource::Blocks(handles) => Stream { handles, definite, ..Stream::default() },
+            MergeSource::Blocks(handles) => Stream { handles, ..Stream::default() },
         }
     }
 
@@ -291,13 +245,8 @@ impl Stream {
     }
 
     /// The upcoming unopened block, if the stream is exactly at its start.
-    /// A block already fetched by a batched read is no longer "unopened":
-    /// offering it for adoption would desynchronise the pending queue (and
-    /// a definitely-read block can never pass the adoption test anyway, so
-    /// the guard costs nothing when the definite-read bound is correct).
     fn block_at_start(&self) -> Option<&BlockHandle> {
-        let unopened = self.current.is_none() && self.pending.is_empty();
-        unopened.then(|| self.handles.get(self.hpos)).flatten()
+        self.handles.get(self.hpos).filter(|_| self.current.is_none())
     }
 
     /// Make the head record readable, opening the head block if the stream
@@ -308,27 +257,16 @@ impl Stream {
         if self.current.is_some() || self.handles.is_empty() {
             return Ok(true);
         }
-        if self.pending.is_empty() {
-            // Fetch the head block plus the run of definitely-read blocks
-            // behind it in one batched store call. Blocks whose flag is
-            // false might still be adopted, so the run stops there —
-            // preservation must keep costing zero reads.
-            let mut end = self.hpos + 1;
-            while end < self.handles.len() && end - self.hpos < PREFETCH_MAX && self.definite[end] {
-                end += 1;
-            }
-            self.pending.extend(store.read_blocks(&self.handles[self.hpos..end]));
-        }
-        let h = self.handles[self.hpos].clone();
-        match self.pending.pop_front().expect("queue was just filled") {
+        let h = &self.handles[self.hpos];
+        match store.read_retiring(h) {
             Ok(block) => {
-                self.opened.push(h);
+                self.opened.push(h.clone());
                 self.current = Some(block);
                 self.cpos = 0;
                 Ok(true)
             }
             Err(LsmError::Degraded { .. }) => {
-                self.lost.push(h);
+                self.lost.push(h.clone());
                 self.hpos += 1;
                 Ok(false)
             }
@@ -490,20 +428,10 @@ impl<'a> MergeEngine<'a> {
 
         let is_bottom = below.is_empty();
 
-        // Known key points of each side, for the definite-read bound: a
-        // record source exposes every key; a block source exposes its
-        // fence endpoints (which are real keys). Both are already sorted.
-        let (x_keys, x_handles): (Vec<Key>, &[BlockHandle]) = match &src {
-            MergeSource::Records(recs) => (recs.iter().map(|r| r.key).collect(), &[]),
-            MergeSource::Blocks(hs) => (hs.iter().flat_map(|h| [h.min, h.max]).collect(), hs),
-        };
-        let y_keys: Vec<Key> = y_handles.iter().flat_map(|h| [h.min, h.max]).collect();
         // Y's first block may start before X does.
-        let first_key = y_keys.first().map_or(kmin, |&k| k.min(kmin));
-        let x_definite = mark_definite_reads(x_handles, &y_keys, !self.preserve, is_bottom);
-        let y_definite = mark_definite_reads(&y_handles, &x_keys, !self.preserve, is_bottom);
-        let mut xs = Stream::new(src, x_definite);
-        let mut ys = Stream::new(MergeSource::Blocks(y_handles), y_definite);
+        let first_key = y_handles.first().map_or(kmin, |h| h.min.min(kmin));
+        let mut xs = Stream::new(src);
+        let mut ys = Stream::new(MergeSource::Blocks(y_handles));
 
         let mut outcome = MergeOutcome { max_key: kmax, ..MergeOutcome::default() };
         let mut w = target.edit.waste_delta;
@@ -782,20 +710,16 @@ impl<'a> MergeEngine<'a> {
         let old: Vec<BlockHandle> = level.iter().cloned().collect();
         let mut reads = 0;
         let mut out = Output::new(self.store, self.b, &mut blocks.created);
-        // Every block is read unconditionally, so reads batch freely;
-        // chunking bounds how much of the level is resident at once.
-        for chunk in old.chunks(COMPACT_BATCH) {
-            for result in self.store.read_blocks(chunk) {
-                match result {
-                    Ok(block) => {
-                        reads += 1;
-                        out.append(&block, 0..block.len())?;
-                    }
-                    // The block's records are lost; compaction drops it
-                    // from the level (read repair) and keeps going.
-                    Err(LsmError::Degraded { .. }) => {}
-                    Err(e) => return Err(e),
+        for h in &old {
+            match self.store.read_retiring(h) {
+                Ok(block) => {
+                    reads += 1;
+                    out.append(&block, 0..block.len())?;
                 }
+                // The block's records are lost; compaction drops it from
+                // the level (read repair) and keeps going.
+                Err(LsmError::Degraded { .. }) => {}
+                Err(e) => return Err(e),
             }
         }
         out.seal()?;
@@ -1002,7 +926,7 @@ mod tests {
         assert_eq!(
             io_after.reads - io_before.reads,
             0,
-            "preservation decided from fences alone: prefetch must not read the block"
+            "adoption is decided from fences alone: the adopted block is never read"
         );
         assert_eq!(target.num_blocks(), 3);
         assert_eq!(target.records(), 42);

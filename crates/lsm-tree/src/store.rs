@@ -8,8 +8,10 @@
 //! kinds: [`Store::read_block`] caches the block it fetches (scans),
 //! [`Store::read_record`] wants one record of a block and, when the cache
 //! has no room for the block, keeps only that record as the row of the
-//! level walk that read it (gets), and [`Store::read_blocks`] caches
-//! nothing (merge inputs, which the reading step frees).
+//! level walk that read it (gets), and [`Store::read_retiring`] caches
+//! nothing (merge and compaction inputs, which the reading step frees).
+//! Each of them reads one block: a merge opens an input block when its
+//! stream reaches it, never ahead, so adopting a block costs no read.
 //!
 //! The buffer cache is one [`SieveCache`] under one byte budget,
 //! `cache_blocks × block_size`, holding two kinds of entry: a whole block,
@@ -369,15 +371,10 @@ impl Store {
         self.admit(block, |id, frame| Ok(self.with_retries(|| self.device.write(id, &frame))?))
     }
 
-    /// Decode what a device read of `handle` returned: the block is that
-    /// frame — the device's buffer is the block's buffer. Device-level
-    /// corruption or a frame that fails its integrity check quarantines the
-    /// block.
-    fn adopt_frame(
-        &self,
-        handle: &BlockHandle,
-        frame: sim_ssd::Result<Bytes>,
-    ) -> Result<Arc<DataBlock>> {
+    /// One device read of `handle`, decoded: the block is the frame the
+    /// device returned — the device's buffer is the block's buffer.
+    fn read_device(&self, handle: &BlockHandle) -> Result<Arc<DataBlock>> {
+        let frame = self.with_retries(|| self.device.read(handle.id));
         match frame.map_err(LsmError::from).and_then(|frame| DataBlock::decode(&frame)) {
             Ok(block) => Ok(Arc::new(block)),
             Err(LsmError::Codec(_) | LsmError::Device(sim_ssd::DeviceError::Corrupt(_))) => {
@@ -387,18 +384,37 @@ impl Store {
         }
     }
 
+    /// The whole block `id`, if the cache holds it (a hit).
+    fn cached_block(&self, id: BlockId) -> Option<Arc<DataBlock>> {
+        match self.cache.lock().entries.get(&CacheKey::Block(id)) {
+            Some(Cached::Block(block)) => Some(block),
+            _ => None,
+        }
+    }
+
     /// Read a block through the cache. Transient device errors are retried;
     /// corruption (device ECC or codec checksum) quarantines the block and
     /// surfaces as [`LsmError::Degraded`] naming the lost key range. A
     /// cached block is a hit, and a miss caches the block.
     pub fn read_block(&self, handle: &BlockHandle) -> Result<Arc<DataBlock>> {
-        if let Some(Cached::Block(hit)) = self.cache.lock().entries.get(&CacheKey::Block(handle.id))
-        {
+        if let Some(hit) = self.cached_block(handle.id) {
             return Ok(hit);
         }
-        let block = self.adopt_frame(handle, self.with_retries(|| self.device.read(handle.id)))?;
+        let block = self.read_device(handle)?;
         self.cache.lock().insert_block(handle.id, Arc::clone(&block));
         Ok(block)
+    }
+
+    /// [`read_block`] of a block the reading step retires — a merge or
+    /// compaction input, opened when the merge reaches it — except that a
+    /// miss is *not* inserted into the cache. The step drops the block from
+    /// the cache when it frees it ([`free_all`](Store::free_all)); caching
+    /// it would only evict the output blocks the step seeds, which the next
+    /// merge and the next get do want.
+    ///
+    /// [`read_block`]: Store::read_block
+    pub fn read_retiring(&self, handle: &BlockHandle) -> Result<Arc<DataBlock>> {
+        self.cached_block(handle.id).map_or_else(|| self.read_device(handle), Ok)
     }
 
     /// What the cache holds of the level walk for `key` while the levels
@@ -492,7 +508,7 @@ impl Store {
             }
             generation
         };
-        let block = self.adopt_frame(handle, self.with_retries(|| self.device.read(handle.id)))?;
+        let block = self.read_device(handle)?;
         let found = block.find(key);
         let mut cache = self.cache.lock();
         let pressed = cache.entries.weight() + cache.block_weight > cache.entries.capacity();
@@ -521,46 +537,6 @@ impl Store {
                 Ok(found)
             }
         }
-    }
-
-    /// Batched read for the merge stream and compaction: fetch several
-    /// blocks with (at most) one coalesced device call for all cache
-    /// misses, returning one result per handle, in order.
-    ///
-    /// Per block this is [`read_block`] — whole cached blocks as hits,
-    /// transient-error retries, corruption quarantine, `Degraded` errors —
-    /// except that a miss is *not* inserted into the cache. Every block a merge or a
-    /// compaction decodes is retired by that same step and dropped from the
-    /// cache by [`free_all`](Store::free_all); caching it would only evict
-    /// the output blocks the step seeds, which the next merge and the next
-    /// get do want.
-    ///
-    /// [`read_block`]: Store::read_block
-    pub fn read_blocks(&self, handles: &[BlockHandle]) -> Vec<Result<Arc<DataBlock>>> {
-        let mut out: Vec<Option<Result<Arc<DataBlock>>>> = {
-            let mut cache = self.cache.lock();
-            let mut cached = |h: &BlockHandle| match cache.entries.get(&CacheKey::Block(h.id)) {
-                Some(Cached::Block(block)) => Some(Ok(block)),
-                _ => None,
-            };
-            handles.iter().map(&mut cached).collect()
-        };
-        let mut miss_idx: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_none()).collect();
-        if !miss_idx.is_empty() {
-            // Reads within a batch are mutually unordered, so issue the
-            // misses to the device sorted by id: handles arrive in key
-            // order, but physical adjacency (what `read_many` coalesces)
-            // follows allocation order, which key order scrambles.
-            miss_idx.sort_by_key(|&i| handles[i].id.raw());
-            let ids: Vec<BlockId> = miss_idx.iter().map(|&i| handles[i].id).collect();
-            lockorder::assert_io_allowed("a batched device read");
-            let frames = self.device.read_many(&ids);
-            for (&i, first) in miss_idx.iter().zip(frames) {
-                let frame = self.finish_retries(first, || self.device.read(handles[i].id));
-                out[i] = Some(self.adopt_frame(&handles[i], frame));
-            }
-        }
-        out.into_iter().map(|r| r.expect("every slot filled")).collect()
     }
 
     /// Start a write batch: stage several `write_block`s and land them
@@ -1224,38 +1200,69 @@ mod tests {
     }
 
     #[test]
-    fn read_blocks_mixes_hits_misses_and_degraded() {
-        let (dev, s) = faulty_store(FaultPlan::none(), RetryPolicy::none());
+    fn read_retiring_hits_the_cache_and_leaves_misses_out_of_it() {
+        let (_dev, s) = faulty_store(FaultPlan::none(), RetryPolicy::none());
         let a = s.write_block(recs(&[1, 2])).unwrap();
-        dev.set_plan(FaultPlan::none().bit_flip_rate(1.0));
-        let bad = s.write_block(recs(&[10, 20])).unwrap();
-        dev.set_plan(FaultPlan::none());
-        // Evict a and bad (cache of 4).
+        // Evict a (cache of 4).
         for k in 0..4u64 {
             s.write_block(recs(&[100 + k])).unwrap();
         }
         let c = s.write_block(recs(&[40])).unwrap(); // cached for sure
-        let (reads_before, cache_before) = (s.io_snapshot().reads, s.cache_stats());
-        let results = s.read_blocks(&[a.clone(), bad.clone(), c.clone()]);
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[0].as_ref().unwrap().min_key(), 1);
-        match &results[1] {
-            Err(LsmError::Degraded { ranges }) => assert_eq!(ranges, &vec![(10, 20)]),
+        let (reads, cache) = (s.io_snapshot().reads, s.cache_stats());
+        assert_eq!(s.read_retiring(&c).unwrap().min_key(), 40);
+        assert_eq!(s.io_snapshot().reads, reads, "a cached block is a hit");
+        assert_eq!(s.cache_stats().hits, cache.hits + 1);
+        assert_eq!(s.read_retiring(&a).unwrap().min_key(), 1);
+        assert_eq!(s.io_snapshot().reads, reads + 1, "a miss reads the device once");
+        // The cache is full: an insertion would have evicted something.
+        assert_eq!(s.cache_stats().evictions, cache.evictions, "a retiring miss was cached");
+        assert!(s.cache.lock().entries.peek(&CacheKey::Block(a.id)).is_none());
+        s.read_retiring(&a).unwrap();
+        assert_eq!(s.io_snapshot().reads, reads + 2, "and so a second read misses again");
+    }
+
+    #[test]
+    fn read_retiring_quarantines_a_corrupt_frame() {
+        let (dev, s) = faulty_store(FaultPlan::none(), RetryPolicy::none());
+        dev.set_plan(FaultPlan::none().bit_flip_rate(1.0));
+        let bad = s.write_block(recs(&[10, 20])).unwrap();
+        dev.set_plan(FaultPlan::none());
+        for k in 0..4u64 {
+            s.write_block(recs(&[100 + k])).unwrap();
+        }
+        match s.read_retiring(&bad) {
+            Err(LsmError::Degraded { ranges }) => assert_eq!(ranges, vec![(10, 20)]),
             other => panic!("expected Degraded, got {other:?}"),
         }
-        assert_eq!(results[2].as_ref().unwrap().min_key(), 40);
-        // c was a cache hit; a and bad went to the device, but the corrupt
-        // read errors out before the device counts it — only a's counts.
-        assert_eq!(s.io_snapshot().reads - reads_before, 1);
         assert_eq!(s.quarantined_ids(), vec![bad.id.raw()]);
-        // The hit was served by the cache; the misses were not put into it
-        // (the cache is full: an insertion would have evicted something),
-        // so reading a again goes to the device again.
-        let cache_after = s.cache_stats();
-        assert_eq!(cache_after.hits, cache_before.hits + 1);
-        assert_eq!(cache_after.evictions, cache_before.evictions, "a batched miss was cached");
-        assert!(s.read_block(&a).is_ok());
-        assert_eq!(s.io_snapshot().reads - reads_before, 2);
+    }
+
+    #[test]
+    fn read_retiring_retries_a_transient_fault_on_the_same_id() {
+        let sink = Arc::new(observe::VecSink::new());
+        let (dev, s) =
+            faulty_store(FaultPlan::none(), RetryPolicy { max_attempts: 4, base_backoff_us: 0 });
+        s.set_sink(SinkHandle::new(sink.clone()));
+        let a = s.write_block(recs(&[7, 8])).unwrap();
+        for k in 0..4u64 {
+            s.write_block(recs(&[100 + k])).unwrap();
+        }
+        let reads = s.io_snapshot().reads;
+        dev.set_plan(FaultPlan::none().fail_read_at(1));
+        sink.drain();
+        assert_eq!(s.read_retiring(&a).unwrap().min_key(), 7);
+        let events = sink.drain();
+        assert!(events.iter().any(|e| matches!(e, Event::RetryAttempt { attempt: 1 })));
+        let read: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::DeviceRead { block } => Some(*block),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(read, vec![a.id.raw()], "the retry read the same block");
+        assert_eq!(s.io_snapshot().reads, reads + 1);
+        assert!(s.quarantined_ids().is_empty());
     }
 
     #[test]

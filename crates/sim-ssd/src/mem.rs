@@ -256,23 +256,6 @@ impl BlockDevice for MemDevice {
         Ok(frame)
     }
 
-    /// The loop over [`read`](BlockDevice::read), then one pass over the
-    /// batch a cache line at a time *across* its frames. The frames are
-    /// this device's own buffers and cold; whoever checksums them next
-    /// would take their misses one frame, one line at a time, where this
-    /// pass has one miss per frame in flight.
-    fn read_many(&self, ids: &[BlockId]) -> Vec<Result<Bytes>> {
-        let frames: Vec<Result<Bytes>> = ids.iter().map(|&id| self.read(id)).collect();
-        let mut seen = 0;
-        for line in (0..self.block_size).step_by(64) {
-            for frame in frames.iter().flatten() {
-                seen |= frame[line];
-            }
-        }
-        std::hint::black_box(seen);
-        frames
-    }
-
     /// The copy is made in a recycled frame when the thread has one
     /// ([`bytes::pool`]), as the frame it overwrites becomes one.
     fn write(&self, id: BlockId, frame: &[u8]) -> Result<()> {
@@ -336,21 +319,18 @@ mod tests {
 
     #[test]
     fn read_many_is_the_loop_over_read() {
-        // Holes, an id out of range and a frame shorter than a cache line
-        // in the batch: per-block results and counters as from `read`.
-        for block_size in [16, 64, 200] {
-            let dev = MemDevice::with_block_size(4, block_size);
-            dev.write(BlockId(1), &frame(&dev, 1)).unwrap();
-            dev.write(BlockId(2), &frame(&dev, 2)).unwrap();
-            let reads = dev.io_snapshot().reads;
-            let got = dev.read_many(&[BlockId(0), BlockId(1), BlockId(2), BlockId(9)]);
-            assert!(matches!(got[0], Err(DeviceError::Unwritten(0))));
-            assert_eq!(&got[1].as_ref().unwrap()[..], &frame(&dev, 1)[..]);
-            assert_eq!(&got[2].as_ref().unwrap()[..], &frame(&dev, 2)[..]);
-            assert!(matches!(got[3], Err(DeviceError::OutOfRange { block: 9, .. })));
-            assert_eq!(dev.io_snapshot().reads, reads + 2);
-            assert!(dev.read_many(&[]).is_empty());
-        }
+        // Holes and an id out of range in the batch: per-block results and
+        // counters as from `read`.
+        let dev = MemDevice::with_block_size(4, 64);
+        dev.write(BlockId(1), &frame(&dev, 1)).unwrap();
+        dev.write(BlockId(2), &frame(&dev, 2)).unwrap();
+        let got = dev.read_many(&[BlockId(0), BlockId(1), BlockId(2), BlockId(9)]);
+        assert!(matches!(got[0], Err(DeviceError::Unwritten(0))));
+        assert_eq!(&got[1].as_ref().unwrap()[..], &frame(&dev, 1)[..]);
+        assert_eq!(&got[2].as_ref().unwrap()[..], &frame(&dev, 2)[..]);
+        assert!(matches!(got[3], Err(DeviceError::OutOfRange { block: 9, .. })));
+        assert_eq!(dev.io_snapshot().reads, 2);
+        assert!(dev.read_many(&[]).is_empty());
     }
 
     #[test]
