@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use crate::record::Key;
+use crate::record::{mix64, Key};
 
 /// A classic Bloom filter over `u64` keys using double hashing
 /// (Kirsch–Mitzenmacher) from one hash: `h_i(k) = h(k) + i · step(k)`, the
@@ -25,14 +25,11 @@ pub struct BloomFilter {
     words: Arc<[u64]>,
 }
 
-/// 64-bit finalizer from SplitMix64 — good avalanche, cheap, dependency-free.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+/// What a key is xored with before it is hashed for its bit positions.
+/// Shard routing takes the top bits of the unseeded hash; without the seed
+/// every key of a shard would put its first probe in the same slice of the
+/// bit array.
+const BLOOM_SEED: u64 = 0x5bd1_e995_c2b2_ae35;
 
 /// The probes per key sit in the geometry word's top byte, above the bit
 /// count.
@@ -50,7 +47,7 @@ fn bit_count(geometry: u64) -> u64 {
 #[inline]
 fn bit_positions(geometry: u64, key: Key) -> impl Iterator<Item = usize> {
     let num_bits = u128::from(bit_count(geometry));
-    let h = mix64(key);
+    let h = mix64(key ^ BLOOM_SEED);
     let step = h.rotate_left(32) | 1;
     (0..geometry >> HASHES_SHIFT).map(move |i| {
         let x = h.wrapping_add(i.wrapping_mul(step));
@@ -220,6 +217,35 @@ mod tests {
         assert!(
             (rate - rate_modulo).abs() <= 0.15 * rate_modulo,
             "false-positive rate {rate}, with `%` positions {rate_modulo}"
+        );
+    }
+
+    #[test]
+    fn keys_of_one_shard_see_the_false_positive_rate_of_any_keys() {
+        // Block-sized filters (36 keys, 360 bits, 7 probes) over keys that
+        // route to shard 0 of 4, probed with absent keys of that shard,
+        // against the same over keys of any shard.
+        let rate = |shard: Option<usize>| {
+            let mut next = stream(4);
+            let mut draw = || loop {
+                let k = next();
+                if shard.is_none_or(|s| crate::sharded::shard_index(k, 4) == s) {
+                    return k;
+                }
+            };
+            let (filters, probes) = (2_000, 250);
+            let mut fp = 0u32;
+            for _ in 0..filters {
+                let keys: Vec<Key> = (0..36).map(|_| draw()).collect();
+                let f = BloomFilter::build(&keys, 10);
+                fp += (0..probes).map(|_| u32::from(f.may_contain(draw()))).sum::<u32>();
+            }
+            f64::from(fp) / f64::from(filters * probes)
+        };
+        let (routed, any) = (rate(Some(0)), rate(None));
+        assert!(
+            (routed - any).abs() <= 0.1 * any,
+            "false-positive rate {routed} over one shard's keys, {any} over any keys"
         );
     }
 

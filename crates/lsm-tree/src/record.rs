@@ -11,6 +11,18 @@ use bytes::Bytes;
 /// `u64` is strictly more general and keeps the arithmetic simple.
 pub type Key = u64;
 
+/// SplitMix64's finalizer — a fixed 64→64-bit mixer with good avalanche,
+/// cheap and dependency-free. Shard routing hashes a key with it as it is;
+/// a Bloom filter hashes the key under a seed of its own, so that a filter's
+/// bit positions are independent of the shard the key was routed to.
+#[inline]
+pub(crate) fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// The kind of modification a record logs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {

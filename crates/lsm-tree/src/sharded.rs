@@ -52,22 +52,20 @@ use crate::api::WriteBatch;
 use crate::config::LsmConfig;
 use crate::error::{LsmError, Result};
 use crate::iter::{Merge, RangeScan, Source};
-use crate::record::{Key, Request};
+use crate::record::{mix64, Key, Request};
 use crate::scheduler::MergeScheduler;
 use crate::shard::{Shard, ShardTarget};
 use crate::stats::TreeStats;
 use crate::tree::{LsmTree, TreeOptions};
 use crate::wal::{WalFaultPlan, WriteAheadLog};
 
-/// SplitMix64 finalizer — a fixed, high-quality 64→64 bit mixer. Routing
-/// must be deterministic across runs (WAL replay depends on it), so no
-/// per-process seeding.
+/// Which of `shards` shards serves `key`: the key's hash mapped onto
+/// `[0, shards)` by multiply-shift, which has no modulo bias. Routing must
+/// be deterministic across runs (WAL replay depends on it), so the hash is
+/// unseeded.
 #[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+pub(crate) fn shard_index(key: Key, shards: usize) -> usize {
+    ((u128::from(mix64(key)) * shards as u128) >> 64) as usize
 }
 
 /// What a constructor does with the per-shard files in its WAL directory.
@@ -282,10 +280,7 @@ impl ShardedLsmTree {
     /// Which shard serves `key`. Deterministic across processes — WAL
     /// replay and the equivalence tests rely on it.
     pub fn shard_of(&self, key: Key) -> usize {
-        // Multiply-shift maps the hash uniformly onto [0, n) without the
-        // modulo bias of `hash % n`.
-        let h = splitmix64(key);
-        ((u128::from(h) * self.shards.len() as u128) >> 64) as usize
+        shard_index(key, self.shards.len())
     }
 
     /// [`ShardedLsmTree::shard_of`], announced on the user sink.

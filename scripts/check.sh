@@ -166,6 +166,10 @@ gone="$gone"'|tail_stall|health-windows|tail-per-shard|lsm-tail/v1'
 # A writer keeps the shard lock across its run and yields to whoever
 # waits: one `waiting` signal, no per-hold bound.
 gone="$gone"'|readers_waiting|longest_hold'
+# A merge opens an input block when it reaches it: no definite-read
+# prefetch, no batched store read (`\b` keeps `read_blocks_per_get`), and
+# one experiment runner.
+gone="$gone"'|\bread_blocks\b|mark_definite_reads|PREFETCH_MAX|COMPACT_BATCH|run_remaining'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"
