@@ -71,6 +71,15 @@ impl Args {
         }
     }
 
+    /// The value a flag parser returned, or its message on stderr and
+    /// exit 2, as [`Args::done`] does for a flag nothing reads.
+    pub fn or_exit<T>(parsed: Result<T, String>) -> T {
+        parsed.unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
     /// Boolean flag: present (or `=true`) means true.
     pub fn flag(&self, key: &str) -> bool {
         matches!(self.get(key), Some("true") | Some("1") | Some("yes"))

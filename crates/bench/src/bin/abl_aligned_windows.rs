@@ -12,63 +12,39 @@
 //! cargo run --release --bin abl_aligned_windows -- [--size-mb=40] [--measure-mb=60]
 //! ```
 
-use lsm_bench::report::fmt_f;
-use lsm_bench::{Args, Csv, Table, WorkloadKind};
-use lsm_tree::{LsmConfig, LsmTree, PolicySpec, TreeOptions};
-use workloads::{
-    fill_to_bytes, reach_steady_state, run_requests, volume_requests, CostMeter, InsertRatio,
-};
+use lsm_bench::{make_tree, measure, steady_state, Args, Table, WorkloadKind};
+use lsm_tree::{LsmConfig, PolicySpec, TreeOptions};
+use workloads::volume_requests;
 
 fn main() {
     let args = Args::from_env();
     let size_mb: u64 = args.get_or("size-mb", 40);
     let measure_mb: f64 = args.get_or("measure-mb", 60.0);
     let seed: u64 = args.get_or("seed", 1);
+    args.done();
 
     let policies = [
         ("RR", PolicySpec::RoundRobin),
         ("ChooseBestAligned", PolicySpec::ChooseBestAligned),
         ("ChooseBest", PolicySpec::ChooseBest),
     ];
-    let workloads_under_test = [WorkloadKind::Uniform, WorkloadKind::normal_default()];
+    let cfg =
+        LsmConfig { k0_blocks: 250, cache_blocks: 256, merge_rate: 0.05, ..LsmConfig::default() };
+    let bytes = size_mb * 1024 * 1024;
+    let requests = volume_requests(measure_mb, cfg.record_size());
 
     println!("\n== Ablation: window-selection granularity ({size_mb} MB) ==");
-    let mut table = Table::new(["workload", "RR", "ChooseBestAligned", "ChooseBest"]);
-    let mut csv = Csv::new("abl_aligned_windows", &["workload", "policy", "writes_per_mb"]);
-
-    for kind in &workloads_under_test {
-        let mut row = vec![kind.name().to_string()];
+    let mut table = Table::new(["workload", "policy", "writes_per_mb"]);
+    for kind in [WorkloadKind::Uniform, WorkloadKind::normal_default()] {
         for (name, spec) in &policies {
-            let cfg = LsmConfig {
-                k0_blocks: 250,
-                cache_blocks: 256,
-                merge_rate: 0.05,
-                ..LsmConfig::default()
-            };
-            let mut tree = LsmTree::with_mem_device(
-                cfg.clone(),
-                TreeOptions::builder().policy(spec.clone()).build(),
-                (size_mb * 1024 * 1024 / cfg.block_size as u64) * 6,
-            )
-            .unwrap();
-            let mut wl = kind.build(seed, cfg.payload_size, InsertRatio::INSERT_ONLY);
-            fill_to_bytes(&mut tree, &mut *wl, size_mb * 1024 * 1024).unwrap();
-            reach_steady_state(&mut tree, &mut *wl, 100_000_000).unwrap();
-            let meter = CostMeter::start(&tree);
-            run_requests(&mut tree, &mut *wl, volume_requests(measure_mb, cfg.record_size()))
-                .unwrap();
-            let r = meter.read(&tree);
-            row.push(fmt_f(r.writes_per_mb, 0));
-            csv.row(&[
-                kind.name().to_string(),
-                name.to_string(),
-                format!("{:.2}", r.writes_per_mb),
-            ]);
+            let mut tree =
+                make_tree(&cfg, TreeOptions::builder().policy(spec.clone()).build(), bytes);
+            let mut wl = steady_state(&mut tree, kind, seed, bytes);
+            let r = measure(&mut tree, &mut *wl, requests, false);
+            table.row([kind.name(), *name, &format!("{:.2}", r.writes_per_mb)]);
             eprintln!("  [{}] {name}: {:.0} writes/MB", kind.name(), r.writes_per_mb);
         }
-        table.row(row);
     }
-    table.print();
-    let path = csv.write().expect("write csv");
-    println!("\nwrote {}", path.display());
+    table.grid(&["workload"], "policy", "writes_per_mb").print();
+    table.save("abl_aligned_windows");
 }

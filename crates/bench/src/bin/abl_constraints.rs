@@ -11,103 +11,61 @@
 //! cargo run --release --bin abl_constraints -- [--size-mb=40] [--measure-mb=60]
 //! ```
 
-use lsm_bench::report::fmt_f;
-use lsm_bench::{Args, Csv, Table, WorkloadKind};
-use lsm_tree::{LsmConfig, LsmTree, PolicySpec, TreeOptions};
-use workloads::{
-    fill_to_bytes, reach_steady_state, run_requests, volume_requests, CostMeter, InsertRatio,
-};
-
-fn run(enforce: bool, size_mb: u64, measure_mb: f64, seed: u64) -> (f64, f64, f64, u32, u64) {
-    let cfg =
-        LsmConfig { k0_blocks: 250, cache_blocks: 256, merge_rate: 0.05, ..LsmConfig::default() };
-    let mut tree = LsmTree::with_mem_device(
-        cfg.clone(),
-        TreeOptions::builder()
-            .policy(PolicySpec::ChooseBest)
-            .enforce_pairwise(enforce)
-            .enforce_level_waste(enforce)
-            .build(),
-        (size_mb * 1024 * 1024 / cfg.block_size as u64) * 6,
-    )
-    .unwrap();
-    let mut wl =
-        WorkloadKind::normal_default().build(seed, cfg.payload_size, InsertRatio::INSERT_ONLY);
-    fill_to_bytes(&mut tree, &mut *wl, size_mb * 1024 * 1024).unwrap();
-    reach_steady_state(&mut tree, &mut *wl, 100_000_000).unwrap();
-    let meter = CostMeter::start(&tree);
-    run_requests(&mut tree, &mut *wl, volume_requests(measure_mb, cfg.record_size())).unwrap();
-    let r = meter.read(&tree);
-
-    let b = cfg.block_capacity();
-    let blocks: usize = tree.levels().iter().map(|l| l.num_blocks()).sum();
-    let records: u64 = tree.levels().iter().map(|l| l.records()).sum();
-    let minimal = (records as usize).div_ceil(b);
-    let space_blowup = blocks as f64 / minimal.max(1) as f64;
-    let worst_waste = tree
-        .levels()
-        .iter()
-        .filter(|l| l.num_blocks() >= 2)
-        .map(|l| l.waste_factor(b))
-        .fold(0.0f64, f64::max);
-    let sparsest_pair = tree
-        .levels()
-        .iter()
-        .flat_map(|l| l.handles().windows(2))
-        .map(|w| w[0].count + w[1].count)
-        .min()
-        .unwrap_or(0);
-    let compactions: u64 =
-        (1..=tree.levels().len()).map(|i| tree.stats().level(i).compactions).sum();
-    (r.writes_per_mb, space_blowup, worst_waste, sparsest_pair, compactions)
-}
+use lsm_bench::{make_tree, measure, space_overhead, steady_state, Args, Table, WorkloadKind};
+use lsm_tree::{LsmConfig, PolicySpec, TreeOptions};
+use workloads::volume_requests;
 
 fn main() {
     let args = Args::from_env();
     let size_mb: u64 = args.get_or("size-mb", 40);
     let measure_mb: f64 = args.get_or("measure-mb", 60.0);
     let seed: u64 = args.get_or("seed", 1);
+    args.done();
 
+    let cfg =
+        LsmConfig { k0_blocks: 250, cache_blocks: 256, merge_rate: 0.05, ..LsmConfig::default() };
+    let bytes = size_mb * 1024 * 1024;
     println!("\n== Ablation: §II-B waste constraints on/off (ChooseBest, Normal, {size_mb} MB) ==");
     let mut table = Table::new([
         "constraints",
-        "writes/MB",
+        "writes_per_mb",
         "space_blowup",
         "worst_level_waste",
-        "sparsest_pair(B=36)",
+        "sparsest_pair",
         "compactions",
     ]);
-    let mut csv = Csv::new(
-        "abl_constraints",
-        &[
-            "constraints",
-            "writes_per_mb",
-            "space_blowup",
-            "worst_level_waste",
-            "sparsest_pair",
-            "compactions",
-        ],
-    );
     for (label, enforce) in [("enforced", true), ("disabled", false)] {
-        let (w, blowup, waste, pair, compactions) = run(enforce, size_mb, measure_mb, seed);
+        let opts = TreeOptions::builder()
+            .policy(PolicySpec::ChooseBest)
+            .enforce_pairwise(enforce)
+            .enforce_level_waste(enforce)
+            .build();
+        let mut tree = make_tree(&cfg, opts, bytes);
+        let mut wl = steady_state(&mut tree, WorkloadKind::normal_default(), seed, bytes);
+        let r = measure(&mut tree, &mut *wl, volume_requests(measure_mb, cfg.record_size()), false);
+
+        let levels = tree.levels();
+        let worst_waste = levels
+            .iter()
+            .filter(|l| l.num_blocks() >= 2)
+            .map(|l| l.waste_factor(cfg.block_capacity()))
+            .fold(0.0f64, f64::max);
+        let sparsest_pair = levels
+            .iter()
+            .flat_map(|l| l.handles().windows(2))
+            .map(|w| w[0].count + w[1].count)
+            .min()
+            .unwrap_or(0);
+        let compactions: u64 = (1..=levels.len()).map(|i| tree.stats().level(i).compactions).sum();
         table.row([
             label.to_string(),
-            fmt_f(w, 0),
-            fmt_f(blowup, 3),
-            fmt_f(waste, 3),
-            pair.to_string(),
-            compactions.to_string(),
-        ]);
-        csv.row(&[
-            label.to_string(),
-            format!("{w:.2}"),
-            format!("{blowup:.4}"),
-            format!("{waste:.4}"),
-            pair.to_string(),
+            format!("{:.2}", r.writes_per_mb),
+            format!("{:.4}", space_overhead(&tree)),
+            format!("{worst_waste:.4}"),
+            sparsest_pair.to_string(),
             compactions.to_string(),
         ]);
     }
     table.print();
-    let path = csv.write().expect("write csv");
-    println!("\nwrote {}", path.display());
+    table.save("abl_constraints");
 }

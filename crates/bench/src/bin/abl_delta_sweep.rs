@@ -12,13 +12,10 @@
 
 use std::sync::Arc;
 
-use lsm_bench::report::fmt_f;
-use lsm_bench::{Args, Csv, Table, WorkloadKind};
+use lsm_bench::{make_tree, measure, steady_state, Args, Table, WorkloadKind};
 use lsm_tree::observe::{Event, SinkHandle, VecSink};
-use lsm_tree::{LsmConfig, LsmTree, PolicySpec, TreeOptions};
-use workloads::{
-    fill_to_bytes, reach_steady_state, run_requests, volume_requests, CostMeter, InsertRatio,
-};
+use lsm_tree::{LsmConfig, PolicySpec, TreeOptions};
+use workloads::volume_requests;
 
 fn main() {
     let args = Args::from_env();
@@ -26,15 +23,11 @@ fn main() {
     let size_mb: u64 = args.get_or("size-mb", 40);
     let measure_mb: f64 = args.get_or("measure-mb", 60.0);
     let seed: u64 = args.get_or("seed", 1);
+    args.done();
 
+    let bytes = size_mb * 1024 * 1024;
     println!("\n== Ablation: merge rate δ (ChooseBest, Uniform, {size_mb} MB) ==");
-    let mut table =
-        Table::new(["delta", "writes/MB", "max_single_merge_writes", "mean_merge_writes"]);
-    let mut csv = Csv::new(
-        "abl_delta_sweep",
-        &["delta", "writes_per_mb", "max_merge_writes", "mean_merge_writes"],
-    );
-
+    let mut table = Table::new(["delta", "writes_per_mb", "max_merge_writes", "mean_merge_writes"]);
     for &delta in &deltas {
         let cfg = LsmConfig {
             k0_blocks: 250,
@@ -43,22 +36,14 @@ fn main() {
             ..LsmConfig::default()
         };
         let probe = Arc::new(VecSink::new());
-        let mut tree = LsmTree::with_mem_device(
-            cfg.clone(),
-            TreeOptions::builder()
-                .policy(PolicySpec::ChooseBest)
-                .sink(SinkHandle::new(Arc::clone(&probe) as _))
-                .build(),
-            (size_mb * 1024 * 1024 / cfg.block_size as u64) * 6,
-        )
-        .unwrap();
-        let mut wl = WorkloadKind::Uniform.build(seed, cfg.payload_size, InsertRatio::INSERT_ONLY);
-        fill_to_bytes(&mut tree, &mut *wl, size_mb * 1024 * 1024).unwrap();
-        reach_steady_state(&mut tree, &mut *wl, 100_000_000).unwrap();
+        let opts = TreeOptions::builder()
+            .policy(PolicySpec::ChooseBest)
+            .sink(SinkHandle::new(Arc::clone(&probe) as _))
+            .build();
+        let mut tree = make_tree(&cfg, opts, bytes);
+        let mut wl = steady_state(&mut tree, WorkloadKind::Uniform, seed, bytes);
         probe.drain();
-        let meter = CostMeter::start(&tree);
-        run_requests(&mut tree, &mut *wl, volume_requests(measure_mb, cfg.record_size())).unwrap();
-        let r = meter.read(&tree);
+        let r = measure(&mut tree, &mut *wl, volume_requests(measure_mb, cfg.record_size()), false);
 
         let merge_writes: Vec<u64> = probe
             .drain()
@@ -70,8 +55,7 @@ fn main() {
             .collect();
         let max = merge_writes.iter().copied().max().unwrap_or(0);
         let mean = merge_writes.iter().sum::<u64>() as f64 / merge_writes.len().max(1) as f64;
-        table.row([fmt_f(delta, 2), fmt_f(r.writes_per_mb, 0), max.to_string(), fmt_f(mean, 1)]);
-        csv.row(&[
+        table.row([
             format!("{delta}"),
             format!("{:.2}", r.writes_per_mb),
             max.to_string(),
@@ -80,6 +64,5 @@ fn main() {
         eprintln!("  δ={delta}: {:.0} writes/MB, worst merge {max} blocks", r.writes_per_mb);
     }
     table.print();
-    let path = csv.write().expect("write csv");
-    println!("\nwrote {}", path.display());
+    table.save("abl_delta_sweep");
 }

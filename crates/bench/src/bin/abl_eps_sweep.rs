@@ -10,12 +10,9 @@
 //!     [--size-mb=40] [--measure-mb=60]
 //! ```
 
-use lsm_bench::report::fmt_f;
-use lsm_bench::{Args, Csv, Table, WorkloadKind};
-use lsm_tree::{LsmConfig, LsmTree, PolicySpec, TreeOptions};
-use workloads::{
-    fill_to_bytes, reach_steady_state, run_requests, volume_requests, CostMeter, InsertRatio,
-};
+use lsm_bench::{make_tree, measure, space_overhead, steady_state, Args, Table, WorkloadKind};
+use lsm_tree::{LsmConfig, PolicySpec, TreeOptions};
+use workloads::volume_requests;
 
 fn main() {
     let args = Args::from_env();
@@ -23,15 +20,12 @@ fn main() {
     let size_mb: u64 = args.get_or("size-mb", 40);
     let measure_mb: f64 = args.get_or("measure-mb", 60.0);
     let seed: u64 = args.get_or("seed", 1);
+    args.done();
 
+    let bytes = size_mb * 1024 * 1024;
     println!("\n== Ablation: waste factor ε (ChooseBest, Normal, {size_mb} MB) ==");
     let mut table =
-        Table::new(["eps", "writes/MB", "preserved/MB", "compactions", "space_overhead"]);
-    let mut csv = Csv::new(
-        "abl_eps_sweep",
-        &["eps", "writes_per_mb", "preserved_per_mb", "compactions", "space_overhead"],
-    );
-
+        Table::new(["eps", "writes_per_mb", "preserved_per_mb", "compactions", "space_overhead"]);
     for &eps in &eps_values {
         let cfg = LsmConfig {
             k0_blocks: 250,
@@ -40,44 +34,21 @@ fn main() {
             waste_eps: eps,
             ..LsmConfig::default()
         };
-        let mut tree = LsmTree::with_mem_device(
-            cfg.clone(),
-            TreeOptions::builder().policy(PolicySpec::ChooseBest).build(),
-            (size_mb * 1024 * 1024 / cfg.block_size as u64) * 6,
-        )
-        .unwrap();
-        let mut wl =
-            WorkloadKind::normal_default().build(seed, cfg.payload_size, InsertRatio::INSERT_ONLY);
-        fill_to_bytes(&mut tree, &mut *wl, size_mb * 1024 * 1024).unwrap();
-        reach_steady_state(&mut tree, &mut *wl, 100_000_000).unwrap();
-        let meter = CostMeter::start(&tree);
-        run_requests(&mut tree, &mut *wl, volume_requests(measure_mb, cfg.record_size())).unwrap();
-        let r = meter.read(&tree);
-
-        let b = cfg.block_capacity();
-        let blocks: usize = tree.levels().iter().map(|l| l.num_blocks()).sum();
-        let records: u64 = tree.levels().iter().map(|l| l.records()).sum();
-        let minimal = (records as usize).div_ceil(b).max(1);
-        let overhead = blocks as f64 / minimal as f64;
+        let opts = TreeOptions::builder().policy(PolicySpec::ChooseBest).build();
+        let mut tree = make_tree(&cfg, opts, bytes);
+        let mut wl = steady_state(&mut tree, WorkloadKind::normal_default(), seed, bytes);
+        let r = measure(&mut tree, &mut *wl, volume_requests(measure_mb, cfg.record_size()), false);
         let compactions: u64 =
             (1..=tree.levels().len()).map(|i| tree.stats().level(i).compactions).sum();
         table.row([
-            fmt_f(eps, 2),
-            fmt_f(r.writes_per_mb, 0),
-            fmt_f(r.blocks_preserved as f64 / r.volume_mb.max(1e-9), 1),
-            compactions.to_string(),
-            fmt_f(overhead, 3),
-        ]);
-        csv.row(&[
             format!("{eps}"),
             format!("{:.2}", r.writes_per_mb),
             format!("{:.2}", r.blocks_preserved as f64 / r.volume_mb.max(1e-9)),
             compactions.to_string(),
-            format!("{overhead:.4}"),
+            format!("{:.4}", space_overhead(&tree)),
         ]);
         eprintln!("  ε={eps}: {:.0} writes/MB, {compactions} compactions", r.writes_per_mb);
     }
     table.print();
-    let path = csv.write().expect("write csv");
-    println!("\nwrote {}", path.display());
+    table.save("abl_eps_sweep");
 }

@@ -11,17 +11,16 @@
 //! cargo run --release --bin abl_learning_search -- [--size-mb=60] [--k0-blocks=100]
 //! ```
 
-use lsm_bench::report::fmt_f;
-use lsm_bench::{Args, Csv, PolicyCase, Table, WorkloadKind};
+use lsm_bench::{make_tree, steady_state, Args, PolicyCase, Table, WorkloadKind};
 use lsm_tree::policy::learn::{learn_mixed_params, LearnOptions};
 use lsm_tree::{LsmConfig, PolicySpec};
-use workloads::InsertRatio;
 
 fn main() {
     let args = Args::from_env();
     let size_mb: u64 = args.get_or("size-mb", 60);
     let k0_blocks: usize = args.get_or("k0-blocks", 100);
     let seed: u64 = args.get_or("seed", 1);
+    args.done();
 
     let cfg = LsmConfig {
         k0_blocks,
@@ -29,23 +28,15 @@ fn main() {
         merge_rate: 1.0 / 20.0,
         ..LsmConfig::default()
     };
+    let bytes = size_mb * 1024 * 1024;
 
     println!("\n== Ablation: threshold search strategy (4-level tree, Uniform, {size_mb} MB) ==");
-    let mut table = Table::new(["strategy", "tau2*", "beta*", "measurements", "requests_spent"]);
-    let mut csv =
-        Csv::new("abl_learning_search", &["strategy", "tau2", "beta", "measurements", "requests"]);
-
+    let mut table = Table::new(["strategy", "tau2", "beta", "measurements", "requests"]);
     for (name, golden) in [("golden_section", true), ("linear_scan", false)] {
         let case = PolicyCase { name: "Mixed", spec: PolicySpec::TestMixed, preserve: true };
-        let (mut tree, mut wl) = lsm_bench::prepared_tree(
-            &cfg,
-            &case,
-            WorkloadKind::Uniform,
-            seed,
-            size_mb * 1024 * 1024,
-        );
+        let mut tree = make_tree(&cfg, case.options(), bytes);
+        let mut wl = steady_state(&mut tree, WorkloadKind::Uniform, seed, bytes);
         assert_eq!(tree.height(), 4, "this ablation needs h = 4; got {}", tree.height());
-        wl.set_ratio(InsertRatio::HALF);
         let requests_before = tree.stats().total_requests();
         let opts = LearnOptions {
             golden_section: golden,
@@ -58,13 +49,6 @@ fn main() {
         let tau2 = report.params.thresholds.get(&2).copied().unwrap_or(f64::NAN);
         table.row([
             name.to_string(),
-            fmt_f(tau2, 1),
-            report.params.beta.to_string(),
-            report.measurements.len().to_string(),
-            spent.to_string(),
-        ]);
-        csv.row(&[
-            name.to_string(),
             format!("{tau2:.1}"),
             report.params.beta.to_string(),
             report.measurements.len().to_string(),
@@ -76,6 +60,5 @@ fn main() {
         );
     }
     table.print();
-    let path = csv.write().expect("write csv");
-    println!("\nwrote {}", path.display());
+    table.save("abl_learning_search");
 }

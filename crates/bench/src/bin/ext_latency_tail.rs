@@ -14,8 +14,7 @@
 
 use std::time::Instant;
 
-use lsm_bench::report::fmt_f;
-use lsm_bench::{prepared_tree, Args, Csv, ExperimentScale, PolicyCase, Table, WorkloadKind};
+use lsm_bench::{make_tree, steady_state, Args, ExperimentScale, PolicyCase, Table, WorkloadKind};
 use lsm_tree::observe::Histogram;
 use lsm_tree::PolicySpec;
 use workloads::volume_requests;
@@ -25,9 +24,11 @@ fn main() {
     let size_mb: u64 = args.get_or("size-mb", 40);
     let measure_mb: f64 = args.get_or("measure-mb", 60.0);
     let seed: u64 = args.get_or("seed", 1);
+    args.done();
 
     let scale = ExperimentScale::small();
     let cfg = scale.config(100);
+    let bytes = scale.dataset_bytes(size_mb);
     let requests = volume_requests(measure_mb, cfg.record_size());
     let cases = [
         PolicyCase { name: "Full", spec: PolicySpec::Full, preserve: true },
@@ -41,15 +42,10 @@ fn main() {
     );
     println!("(micro-seconds per request; the paper's availability argument for partial merges)");
     let mut table =
-        Table::new(["policy", "mean", "p50", "p99", "p99.9", "p99.99", "max", "max/mean"]);
-    let mut csv = Csv::new(
-        "ext_latency_tail",
-        &["policy", "mean_us", "p50_us", "p99_us", "p999_us", "p9999_us", "max_us"],
-    );
-
+        Table::new(["policy", "mean_us", "p50_us", "p99_us", "p999_us", "p9999_us", "max_us"]);
     for case in &cases {
-        let (mut tree, mut wl) =
-            prepared_tree(&cfg, case, WorkloadKind::Uniform, seed, scale.dataset_bytes(size_mb));
+        let mut tree = make_tree(&cfg, case.options(), bytes);
+        let mut wl = steady_state(&mut tree, WorkloadKind::Uniform, seed, bytes);
         let mut hist = Histogram::new();
         for _ in 0..requests {
             let req = wl.next_request();
@@ -57,36 +53,20 @@ fn main() {
             tree.apply(req).expect("apply");
             hist.record(t0.elapsed().as_nanos() as u64);
         }
-        let us = |v: u64| v as f64 / 1_000.0;
-        let mean = hist.mean() / 1_000.0;
+        let us = |q: f64| format!("{:.2}", hist.quantile(q) as f64 / 1_000.0);
+        let (mean, max) = (hist.mean() / 1_000.0, hist.max() as f64 / 1_000.0);
         table.row([
             case.name.to_string(),
-            fmt_f(mean, 2),
-            fmt_f(us(hist.quantile(0.50)), 1),
-            fmt_f(us(hist.quantile(0.99)), 1),
-            fmt_f(us(hist.quantile(0.999)), 1),
-            fmt_f(us(hist.quantile(0.9999)), 1),
-            fmt_f(us(hist.max()), 0),
-            fmt_f(us(hist.max()) / mean.max(1e-9), 0),
-        ]);
-        csv.row(&[
-            case.name.to_string(),
             format!("{mean:.3}"),
-            format!("{:.2}", us(hist.quantile(0.50))),
-            format!("{:.2}", us(hist.quantile(0.99))),
-            format!("{:.2}", us(hist.quantile(0.999))),
-            format!("{:.2}", us(hist.quantile(0.9999))),
-            format!("{:.1}", us(hist.max())),
+            us(0.50),
+            us(0.99),
+            us(0.999),
+            us(0.9999),
+            format!("{max:.1}"),
         ]);
-        eprintln!(
-            "  {}: mean {mean:.2} µs, p99.9 {:.0} µs, max {:.0} µs",
-            case.name,
-            us(hist.quantile(0.999)),
-            us(hist.max())
-        );
+        eprintln!("  {}: mean {mean:.2} µs, p99.9 {} µs, max {max:.0} µs", case.name, us(0.999));
     }
     table.print();
     println!("\n(Full's max latency is a whole-level rewrite; ChooseBest's is Theorem-2-bounded.)");
-    let path = csv.write().expect("write csv");
-    println!("wrote {}", path.display());
+    table.save("ext_latency_tail");
 }

@@ -16,23 +16,12 @@
 //! cargo run --release --bin ext_query_costs -- [--size-mb=40] [--probes=20000]
 //! ```
 
-use lsm_bench::report::fmt_f;
-use lsm_bench::{policy_matrix, Args, Csv, ExperimentScale, Table, WorkloadKind};
-use lsm_tree::{LsmConfig, LsmTree, TreeOptions};
-use workloads::{fill_to_bytes, reach_steady_state, InsertRatio};
-
-fn build(cfg: &LsmConfig, case: &lsm_bench::PolicyCase, size_mb: u64, seed: u64) -> LsmTree {
-    let mut tree = LsmTree::with_mem_device(
-        cfg.clone(),
-        TreeOptions::builder().policy(case.spec.clone()).preserve_blocks(case.preserve).build(),
-        (size_mb * 1024 * 1024 / cfg.block_size as u64) * 6,
-    )
-    .unwrap();
-    let mut wl = WorkloadKind::Uniform.build(seed, cfg.payload_size, InsertRatio::INSERT_ONLY);
-    fill_to_bytes(&mut tree, &mut *wl, size_mb * 1024 * 1024).unwrap();
-    reach_steady_state(&mut tree, &mut *wl, 100_000_000).unwrap();
-    tree
-}
+use lsm_bench::setup::KEY_DOMAIN;
+use lsm_bench::{
+    make_tree, policy_matrix, space_overhead, steady_state, Args, ExperimentScale, Table,
+    WorkloadKind,
+};
+use lsm_tree::LsmTree;
 
 fn main() {
     let args = Args::from_env();
@@ -40,46 +29,35 @@ fn main() {
     let probes: u64 = args.get_or("probes", 20_000);
     let seed: u64 = args.get_or("seed", 1);
     let bloom_bits: usize = args.get_or("bloom-bits", 10);
+    args.done();
 
     let scale = ExperimentScale::laptop_large();
-    let mut csv = Csv::new(
-        "ext_query_costs",
-        &[
-            "policy",
-            "bloom",
-            "reads_per_present",
-            "reads_per_absent",
-            "scan_reads_per_1k",
-            "space_overhead",
-            "scan_blocks_per_1k",
-        ],
-    );
+    let bytes = size_mb * 1024 * 1024;
     println!("\n== Extension: query costs across policies (Uniform, {size_mb} MB steady state) ==");
     let mut table = Table::new([
         "policy",
         "bloom",
-        "reads/present",
-        "reads/absent",
-        "scan device reads/1k recs",
-        "space overhead",
-        "scan blocks/1k recs",
+        "reads_per_present",
+        "reads_per_absent",
+        "scan_reads_per_1k",
+        "space_overhead",
+        "scan_blocks_per_1k",
     ]);
-
     for bloom in [false, true] {
         for case in policy_matrix() {
             let mut cfg = scale.config(100);
             cfg.bloom_bits_per_key = if bloom { bloom_bits } else { 0 };
-            let tree = build(&cfg, &case, size_mb, seed);
+            let mut tree = make_tree(&cfg, case.options(), bytes);
+            steady_state(&mut tree, WorkloadKind::Uniform, seed, bytes);
 
             // Point lookups: alternate present-ish and absent keys drawn
             // deterministically from the key domain.
-            let domain = lsm_bench::setup::KEY_DOMAIN;
             let before = tree.stats().clone();
             let mut present = 0u64;
             let mut x = 0x12345u64;
             for _ in 0..probes {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                if tree.get((x >> 16) % domain).unwrap().is_some() {
+                if tree.get((x >> 16) % KEY_DOMAIN).unwrap().is_some() {
                     present += 1;
                 }
             }
@@ -101,8 +79,8 @@ fn main() {
             let (io_before, opened_before) = (tree.store().io_snapshot(), opened(&tree));
             let mut returned = 0u64;
             for s in 0..50u64 {
-                let lo = (s * 1_000_000_007) % domain;
-                let width = domain / 2_000; // ≈ live_keys/2000 records
+                let lo = (s * 1_000_000_007) % KEY_DOMAIN;
+                let width = KEY_DOMAIN / 2_000; // ≈ live_keys/2000 records
                 for kv in tree.scan(lo, lo.saturating_add(width)) {
                     kv.unwrap();
                     returned += 1;
@@ -111,22 +89,9 @@ fn main() {
             let per_1k = |count: u64| count as f64 * 1000.0 / returned.max(1) as f64;
             let scan_reads_per_1k = per_1k(tree.store().io_snapshot().reads - io_before.reads);
             let scan_blocks_per_1k = per_1k(opened(&tree) - opened_before);
-
-            let b = cfg.block_capacity();
-            let blocks: usize = tree.levels().iter().map(|l| l.num_blocks()).sum();
-            let records: u64 = tree.levels().iter().map(|l| l.records()).sum();
-            let overhead = blocks as f64 / ((records as usize).div_ceil(b).max(1)) as f64;
+            let overhead = space_overhead(&tree);
 
             table.row([
-                case.name.to_string(),
-                bloom.to_string(),
-                fmt_f(reads_per_present, 2),
-                fmt_f(reads_per_absent, 3),
-                fmt_f(scan_reads_per_1k, 1),
-                fmt_f(overhead, 3),
-                fmt_f(scan_blocks_per_1k, 1),
-            ]);
-            csv.row(&[
                 case.name.to_string(),
                 bloom.to_string(),
                 format!("{reads_per_present:.3}"),
@@ -142,6 +107,5 @@ fn main() {
         }
     }
     table.print();
-    let path = csv.write().expect("write csv");
-    println!("\nwrote {}", path.display());
+    table.save("ext_query_costs");
 }

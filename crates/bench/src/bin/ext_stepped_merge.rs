@@ -11,10 +11,40 @@
 //!     [--fan-in=4] [--measure-mb=60] [--probes=20000]
 //! ```
 
-use lsm_bench::report::fmt_f;
-use lsm_bench::{Args, Csv, ExperimentScale, Table, WorkloadKind};
-use lsm_tree::{LsmTree, PolicySpec, RequestSource, SteppedMergeTree, TreeOptions};
+use bytes::Bytes;
+use lsm_bench::setup::KEY_DOMAIN;
+use lsm_bench::{make_tree, Args, ExperimentScale, Table, WorkloadKind};
+use lsm_tree::{Key, LsmTree, PolicySpec, SteppedMergeTree, TreeOptions, TreeStats, WriteApi};
 use workloads::{volume_requests, InsertRatio};
+
+/// Fill `tree` with `fill` inserts, measure blocks written per MB over
+/// `measure` requests of the 50/50 mix, then the block reads of `probes`
+/// point lookups: `(writes_per_mb, reads_per_query)`.
+fn fill_measure_probe<T: WriteApi>(
+    tree: &mut T,
+    stats: fn(&T) -> &TreeStats,
+    get: fn(&T, Key) -> lsm_tree::Result<Option<Bytes>>,
+    [fill, measure, probes]: [u64; 3],
+    measure_mb: f64,
+    wl: &mut dyn workloads::Workload,
+) -> (f64, f64) {
+    for _ in 0..fill {
+        tree.apply(wl.next_request()).unwrap();
+    }
+    wl.set_ratio(InsertRatio::HALF);
+    let writes0 = stats(tree).total_blocks_written();
+    for _ in 0..measure {
+        tree.apply(wl.next_request()).unwrap();
+    }
+    let writes_per_mb = (stats(tree).total_blocks_written() - writes0) as f64 / measure_mb;
+    let reads0 = stats(tree).lookup_block_reads();
+    let mut x = 0x5555u64;
+    for _ in 0..probes {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        get(tree, (x >> 16) % KEY_DOMAIN).unwrap();
+    }
+    (writes_per_mb, (stats(tree).lookup_block_reads() - reads0) as f64 / probes as f64)
+}
 
 fn main() {
     let args = Args::from_env();
@@ -23,113 +53,49 @@ fn main() {
     let measure_mb: f64 = args.get_or("measure-mb", 60.0);
     let probes: u64 = args.get_or("probes", 20_000);
     let seed: u64 = args.get_or("seed", 1);
+    args.done();
 
     let scale = ExperimentScale::small();
     let cfg = scale.config(100);
-    let device_blocks = (size_mb * 1024 * 1024 / cfg.block_size as u64) * 8;
-    let fill = volume_requests(size_mb as f64, cfg.record_size());
-    let measure = volume_requests(measure_mb, cfg.record_size());
-    let domain = lsm_bench::setup::KEY_DOMAIN;
+    let bytes = size_mb * 1024 * 1024;
+    let counts = [
+        volume_requests(size_mb as f64, cfg.record_size()),
+        volume_requests(measure_mb, cfg.record_size()),
+        probes,
+    ];
+    let workload = || WorkloadKind::Uniform.build(seed, cfg.payload_size, InsertRatio::INSERT_ONLY);
 
     println!(
         "\n== Extension: Stepped-Merge (fan-in {fan_in}) vs leveled LSM, Uniform {size_mb} MB =="
     );
     let mut table =
-        Table::new(["design", "writes/MB (steady)", "lookup reads/query", "max runs probed"]);
-    let mut csv = Csv::new(
-        "ext_stepped_merge",
-        &["design", "writes_per_mb", "lookup_reads_per_query", "lookup_fanout"],
-    );
-
-    // --- Stepped-Merge ------------------------------------------------
-    {
-        let mut wl = WorkloadKind::Uniform.build(seed, cfg.payload_size, InsertRatio::INSERT_ONLY);
-        let mut sm = SteppedMergeTree::with_mem_device(
-            cfg.clone(),
-            TreeOptions::builder().stepped_fan_in(fan_in).build(),
-            device_blocks,
-        )
-        .unwrap();
-        for _ in 0..fill {
-            sm.apply(wl.next_request()).unwrap();
-        }
-        wl.set_ratio(InsertRatio::HALF);
-        let before = sm.stats().clone();
-        for _ in 0..measure {
-            sm.apply(wl.next_request()).unwrap();
-        }
-        let writes = sm.stats().total_blocks_written() - before.total_blocks_written();
-        let writes_per_mb = writes as f64 / measure_mb;
-
-        let reads0 = sm.stats().lookup_block_reads();
-        let mut x = 0x5555u64;
-        for _ in 0..probes {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            sm.get((x >> 16) % domain).unwrap();
-        }
-        let reads_per_q = (sm.stats().lookup_block_reads() - reads0) as f64 / probes as f64;
-        let fanout = sm.lookup_fanout();
+        Table::new(["design", "writes_per_mb", "lookup_reads_per_query", "lookup_fanout"]);
+    let mut row = |design: String, (writes_per_mb, reads_per_q): (f64, f64), fanout: usize| {
         table.row([
-            format!("SteppedMerge(k={fan_in})"),
-            fmt_f(writes_per_mb, 0),
-            fmt_f(reads_per_q, 3),
-            fanout.to_string(),
-        ]);
-        csv.row(&[
-            format!("stepped_k{fan_in}"),
+            design,
             format!("{writes_per_mb:.2}"),
             format!("{reads_per_q:.4}"),
             fanout.to_string(),
-        ]);
-    }
+        ])
+    };
+    let opts = TreeOptions::builder().stepped_fan_in(fan_in).build();
+    let device_blocks = bytes / cfg.block_size as u64 * 8;
+    let mut sm = SteppedMergeTree::with_mem_device(cfg.clone(), opts, device_blocks).unwrap();
+    let (stats, get) = (SteppedMergeTree::stats, SteppedMergeTree::get);
+    let cost = fill_measure_probe(&mut sm, stats, get, counts, measure_mb, &mut *workload());
+    row(format!("stepped_k{fan_in}"), cost, sm.lookup_fanout());
 
-    // --- Leveled LSM (ChooseBest and Full) ----------------------------
     for (name, policy) in
         [("LSM/ChooseBest", PolicySpec::ChooseBest), ("LSM/Full", PolicySpec::Full)]
     {
-        let mut wl = WorkloadKind::Uniform.build(seed, cfg.payload_size, InsertRatio::INSERT_ONLY);
-        let mut tree = LsmTree::with_mem_device(
-            cfg.clone(),
-            TreeOptions::builder().policy(policy).build(),
-            device_blocks,
-        )
-        .unwrap();
-        for _ in 0..fill {
-            tree.apply(wl.next_request()).unwrap();
-        }
-        wl.set_ratio(InsertRatio::HALF);
-        let before = tree.stats().clone();
-        for _ in 0..measure {
-            tree.apply(wl.next_request()).unwrap();
-        }
-        let writes = tree.stats().total_blocks_written() - before.total_blocks_written();
-        let writes_per_mb = writes as f64 / measure_mb;
-
-        let reads0 = tree.stats().lookup_block_reads();
-        let mut x = 0x5555u64;
-        for _ in 0..probes {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            tree.get((x >> 16) % domain).unwrap();
-        }
-        let reads_per_q = (tree.stats().lookup_block_reads() - reads0) as f64 / probes as f64;
+        let mut tree = make_tree(&cfg, TreeOptions::builder().policy(policy).build(), bytes);
+        let (stats, get) = (LsmTree::stats, LsmTree::get);
+        let cost = fill_measure_probe(&mut tree, stats, get, counts, measure_mb, &mut *workload());
         // Leveled LSM probes at most one run per level.
-        let fanout = tree.levels().len();
-        table.row([
-            name.to_string(),
-            fmt_f(writes_per_mb, 0),
-            fmt_f(reads_per_q, 3),
-            fanout.to_string(),
-        ]);
-        csv.row(&[
-            name.to_string(),
-            format!("{writes_per_mb:.2}"),
-            format!("{reads_per_q:.4}"),
-            fanout.to_string(),
-        ]);
+        row(name.to_string(), cost, tree.levels().len());
     }
     table.print();
     println!("\n(§VI: Stepped-Merge cuts writes but multiplies the runs a lookup probes;");
     println!(" partial merges cut writes without that penalty — the paper's philosophy.)");
-    let path = csv.write().expect("write csv");
-    println!("wrote {}", path.display());
+    table.save("ext_stepped_merge");
 }

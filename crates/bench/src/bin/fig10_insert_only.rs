@@ -13,8 +13,7 @@
 //!     [--points=10] [--paper-scale] [--seed=1]
 //! ```
 
-use lsm_bench::report::fmt_f;
-use lsm_bench::{make_tree, policy_matrix, Args, Csv, ExperimentScale, Table, WorkloadKind};
+use lsm_bench::{make_tree, policy_matrix, Args, ExperimentScale, Table, WorkloadKind};
 use workloads::{CostMeter, InsertRatio};
 
 fn main() {
@@ -23,55 +22,43 @@ fn main() {
     let seed: u64 = args.get_or("seed", 1);
     let grow_to_mb: u64 = args.get_or("grow-to-mb", 2000);
     let points: u64 = args.get_or("points", 10);
+    args.done();
 
     let kind = WorkloadKind::normal_default();
-    let cases = policy_matrix();
     let cfg = scale.config(100);
     let target_bytes = scale.dataset_bytes(grow_to_mb);
     let checkpoint = target_bytes / points;
-
-    let mut csv = Csv::new(
-        "fig10_insert_only",
-        &["paper_size_mb", "policy", "avg_writes_per_mb_since_start", "preserved_per_mb"],
-    );
 
     println!(
         "\n== Figure 10 (insert-only Normal, scale {}) — average writes per 1MB since start ==",
         scale.name
     );
-    let mut table = Table::new(
-        std::iter::once("size_mb".to_string()).chain(cases.iter().map(|c| c.name.to_string())),
-    );
-    // rows[point][case]
-    let mut rows: Vec<Vec<String>> =
-        (1..=points).map(|p| vec![(grow_to_mb * p / points).to_string()]).collect();
-
-    for case in &cases {
+    let mut table = Table::new([
+        "paper_size_mb",
+        "policy",
+        "avg_writes_per_mb_since_start",
+        "preserved_per_mb",
+    ]);
+    for case in &policy_matrix() {
         eprintln!("running {} ...", case.name);
-        let mut tree = make_tree(&cfg, case, target_bytes);
+        let mut tree = make_tree(&cfg, case.options(), target_bytes);
         // Mixed runs with its defaults (the paper reuses thresholds learned
         // for the steady state; TestMixed parameters are those defaults).
         let mut wl = kind.build(seed, cfg.payload_size, InsertRatio::INSERT_ONLY);
         let meter = CostMeter::start(&tree);
-        for (p, row) in rows.iter_mut().enumerate() {
-            let next_target = checkpoint * (p as u64 + 1);
-            while tree.approx_bytes() < next_target {
+        for p in 1..=points {
+            while tree.approx_bytes() < checkpoint * p {
                 tree.apply(wl.next_request()).expect("insert");
             }
             let r = meter.read(&tree);
-            row.push(fmt_f(r.writes_per_mb, 0));
-            csv.row(&[
-                (grow_to_mb * (p as u64 + 1) / points).to_string(),
+            table.row([
+                (grow_to_mb * p / points).to_string(),
                 case.name.to_string(),
                 format!("{:.2}", r.writes_per_mb),
                 format!("{:.2}", r.blocks_preserved as f64 / r.volume_mb.max(1e-9)),
             ]);
         }
     }
-    for row in rows {
-        table.row(row);
-    }
-    table.print();
-    let path = csv.write().expect("write csv");
-    println!("\nwrote {}", path.display());
+    table.grid(&["paper_size_mb"], "policy", "avg_writes_per_mb_since_start").print();
+    table.save("fig10_insert_only");
 }

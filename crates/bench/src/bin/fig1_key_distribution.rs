@@ -12,8 +12,7 @@
 //!     [--buckets=100] [--policy=rr|choosebest] [--seed=1]
 //! ```
 
-use lsm_bench::report::fmt_f;
-use lsm_bench::{prepared_tree, Args, Csv, ExperimentScale, PolicyCase, Table, WorkloadKind};
+use lsm_bench::{make_tree, steady_state, Args, ExperimentScale, PolicyCase, Table, WorkloadKind};
 use lsm_tree::{LsmTree, PolicySpec};
 use workloads::{run_requests, volume_requests};
 
@@ -56,17 +55,16 @@ fn main() {
     let size_mb: u64 = args.get_or("size-mb", 20);
     let buckets: usize = args.get_or("buckets", 100);
     let seed: u64 = args.get_or("seed", 1);
-    let policy = policy_case(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let policy = Args::or_exit(policy_case(&args));
+    args.done();
 
     let scale = ExperimentScale::small();
     let cfg = scale.config(100);
     let domain = lsm_bench::setup::KEY_DOMAIN;
 
-    let (mut tree, mut wl) =
-        prepared_tree(&cfg, &policy, WorkloadKind::Uniform, seed, scale.dataset_bytes(size_mb));
+    let bytes = scale.dataset_bytes(size_mb);
+    let mut tree = make_tree(&cfg, policy.options(), bytes);
+    let mut wl = steady_state(&mut tree, WorkloadKind::Uniform, seed, bytes);
     // Run to "a random time instant" well into the steady state.
     let extra = volume_requests(25.0, cfg.record_size());
     run_requests(&mut tree, &mut *wl, extra).expect("steady run");
@@ -87,14 +85,10 @@ fn main() {
         size_mb,
         tree.height()
     );
-    println!("next merge from L1 starts after bucket {cursor_bucket} (marked ->)\n");
-    let mut table = Table::new(["bucket", "L1_freq", "L2_freq", "mark"]);
-    let mut csv =
-        Csv::new("fig1_key_distribution", &["bucket", "l1_freq", "l2_freq", "next_merge_marker"]);
+    println!("next merge from L1 starts after bucket {cursor_bucket} (marker 1)\n");
+    let mut table = Table::new(["bucket", "l1_freq", "l2_freq", "next_merge_marker"]);
     for b in 0..buckets {
-        let mark = if b == cursor_bucket { "->" } else { "" };
-        table.row([b.to_string(), fmt_f(l1[b], 4), fmt_f(l2[b], 4), mark.to_string()]);
-        csv.row(&[
+        table.row([
             b.to_string(),
             format!("{:.6}", l1[b]),
             format!("{:.6}", l2[b]),
@@ -112,8 +106,7 @@ fn main() {
     };
     println!("\nL1 max/mean bucket frequency: {:.2}  (skewed under partial merges)", spread(&l1));
     println!("L2 max/mean bucket frequency: {:.2}  (≈1 — uniform, like the workload)", spread(&l2));
-    let path = csv.write().expect("write csv");
-    println!("wrote {}", path.display());
+    table.save("fig1_key_distribution");
 }
 
 #[cfg(test)]

@@ -10,17 +10,19 @@
 //!     [--workload=uniform|normal|both] [--measure-mb=50] [--seed=1]
 //! ```
 
-use lsm_bench::report::fmt_f;
-use lsm_bench::{prepared_tree, Args, Csv, ExperimentScale, PolicyCase, Table, WorkloadKind};
+use lsm_bench::{
+    make_tree, measure, steady_state, workloads_flag, Args, ExperimentScale, PolicyCase, Table,
+};
 use lsm_tree::PolicySpec;
-use workloads::{run_requests, volume_requests, CostMeter};
+use workloads::volume_requests;
 
 fn main() {
     let args = Args::from_env();
     let sizes: Vec<u64> = args.list_or("sizes", &[20, 40, 60, 80, 100]);
     let measure_mb: f64 = args.get_or("measure-mb", 100.0);
     let seed: u64 = args.get_or("seed", 1);
-    let which = args.get("workload").unwrap_or("both").to_string();
+    let workloads = Args::or_exit(workloads_flag(&args, 2, "both"));
+    args.done();
 
     let scale = ExperimentScale::small();
     let cases = [
@@ -28,42 +30,27 @@ fn main() {
         PolicyCase { name: "ChooseBest", spec: PolicySpec::ChooseBest, preserve: true },
         PolicyCase { name: "TestMixed", spec: PolicySpec::TestMixed, preserve: true },
     ];
-    let workloads: Vec<WorkloadKind> = match which.as_str() {
-        "uniform" => vec![WorkloadKind::Uniform],
-        "normal" => vec![WorkloadKind::normal_default()],
-        _ => vec![WorkloadKind::Uniform, WorkloadKind::normal_default()],
-    };
-
     let cfg = scale.config(100);
     let requests = volume_requests(measure_mb, cfg.record_size());
-    let mut csv =
-        Csv::new("fig2_amortized_small", &["workload", "size_mb", "policy", "writes_per_mb"]);
 
-    for kind in &workloads {
-        println!("\n== Figure 2 ({}) — blocks written per 1MB of requests ==", kind.name());
-        let mut table = Table::new(
-            std::iter::once("size_mb".to_string()).chain(cases.iter().map(|c| c.name.to_string())),
-        );
+    let mut table = Table::new(["workload", "size_mb", "policy", "writes_per_mb"]);
+    for kind in workloads {
         for &size in &sizes {
-            let mut row = vec![size.to_string()];
             for case in &cases {
                 let bytes = scale.dataset_bytes(size);
-                let (mut tree, mut wl) = prepared_tree(&cfg, case, *kind, seed, bytes);
-                let meter = CostMeter::start(&tree);
-                run_requests(&mut tree, &mut *wl, requests).expect("measurement run");
-                let r = meter.read(&tree);
-                row.push(fmt_f(r.writes_per_mb, 1));
-                csv.row(&[
+                let mut tree = make_tree(&cfg, case.options(), bytes);
+                let mut wl = steady_state(&mut tree, kind, seed, bytes);
+                let r = measure(&mut tree, &mut *wl, requests, false);
+                table.row([
                     kind.name().to_string(),
                     size.to_string(),
                     case.name.to_string(),
                     format!("{:.2}", r.writes_per_mb),
                 ]);
             }
-            table.row(row);
         }
-        table.print();
     }
-    let path = csv.write().expect("write csv");
-    println!("\nwrote {}", path.display());
+    println!("\n== Figure 2 — blocks written per 1MB of requests ==");
+    table.grid(&["workload", "size_mb"], "policy", "writes_per_mb").print();
+    table.save("fig2_amortized_small");
 }

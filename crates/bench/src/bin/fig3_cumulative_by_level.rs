@@ -13,7 +13,7 @@
 //!     [--total-mb=250] [--step-mb=2.5] [--with-testmixed] [--seed=1]
 //! ```
 
-use lsm_bench::{prepared_tree, Args, Csv, ExperimentScale, PolicyCase, Table, WorkloadKind};
+use lsm_bench::{make_tree, steady_state, Args, ExperimentScale, PolicyCase, Table, WorkloadKind};
 use lsm_tree::PolicySpec;
 use workloads::{run_requests, volume_requests, CostMeter};
 
@@ -24,6 +24,7 @@ fn main() {
     let step_mb: f64 = args.get_or("step-mb", 2.5);
     let seed: u64 = args.get_or("seed", 1);
     let with_testmixed = args.flag("with-testmixed") || args.get("with-testmixed").is_none();
+    args.done();
 
     let scale = ExperimentScale::small();
     let cfg = scale.config(100);
@@ -38,18 +39,16 @@ fn main() {
     let steps = (total_mb / step_mb).ceil() as usize;
     let step_requests = volume_requests(step_mb, cfg.record_size());
 
-    let mut csv = Csv::new(
-        "fig3_cumulative_by_level",
-        &["policy", "timeline_mb", "level", "cumulative_writes"],
-    );
-    // series[case][level] = Vec<cumulative writes at each step>
-    let mut series: Vec<Vec<Vec<u64>>> = Vec::new();
-    let mut level_counts: Vec<usize> = Vec::new();
-
+    let mut timeline = Table::new(["policy", "timeline_mb", "level", "cumulative_writes"]);
+    // The end of each level's series, and how its second half compares
+    // with its first.
+    let mut summary =
+        Table::new(["policy", "level", "cumulative_writes", "slope(last/first half)"]);
     for case in &cases {
         eprintln!("running {} ...", case.name);
-        let (mut tree, mut wl) =
-            prepared_tree(&cfg, case, WorkloadKind::Uniform, seed, scale.dataset_bytes(size_mb));
+        let bytes = scale.dataset_bytes(size_mb);
+        let mut tree = make_tree(&cfg, case.options(), bytes);
+        let mut wl = steady_state(&mut tree, WorkloadKind::Uniform, seed, bytes);
         let meter = CostMeter::start(&tree);
         let mut per_level: Vec<Vec<u64>> = vec![Vec::new(); tree.levels().len()];
         for _ in 0..steps {
@@ -63,39 +62,30 @@ fn main() {
         }
         for (lvl, cums) in per_level.iter().enumerate() {
             for (i, cum) in cums.iter().enumerate() {
-                csv.row(&[
+                timeline.row([
                     case.name.to_string(),
                     format!("{:.1}", (i + 1) as f64 * step_mb),
                     format!("L{}", lvl + 1),
                     cum.to_string(),
                 ]);
             }
-        }
-        level_counts.push(per_level.len());
-        series.push(per_level);
-    }
-
-    // Summary table at the end of the timeline.
-    println!("\n== Figures 3/4 — cumulative blocks written by level after {total_mb} MB ==");
-    let mut table = Table::new(["policy", "level", "cumulative_writes", "slope(last/first half)"]);
-    for (ci, case) in cases.iter().enumerate() {
-        for (lvl, cums) in series[ci].iter().enumerate() {
-            if cums.is_empty() || *cums.last().unwrap() == 0 {
+            let last = cums.last().copied().unwrap_or(0);
+            if last == 0 {
                 continue;
             }
-            let half = (cums.len() / 2).max(1);
-            let first_half = cums[half - 1] as f64;
-            let second_half = (*cums.last().unwrap() - cums[half - 1]) as f64;
-            let ratio = if first_half > 0.0 { second_half / first_half } else { 0.0 };
-            table.row([
+            let half = cums[(cums.len() / 2).max(1) - 1] as f64;
+            let ratio = if half > 0.0 { (last as f64 - half) / half } else { 0.0 };
+            summary.row([
                 case.name.to_string(),
                 format!("L{}", lvl + 1),
-                cums.last().unwrap().to_string(),
+                last.to_string(),
                 format!("{ratio:.2}"),
             ]);
         }
     }
-    table.print();
-    let path = csv.write().expect("write csv");
-    println!("\nwrote {} (plot timeline_mb vs cumulative_writes per policy/level)", path.display());
+
+    println!("\n== Figures 3/4 — cumulative blocks written by level after {total_mb} MB ==");
+    summary.print();
+    timeline.save("fig3_cumulative_by_level");
+    println!("(plot timeline_mb vs cumulative_writes per policy/level)");
 }

@@ -17,12 +17,10 @@
 //!     [--size-mb=60] [--workload=uniform|normal|both] [--cycles=2] [--seed=1]
 //! ```
 
-use lsm_bench::report::fmt_f;
-use lsm_bench::{Args, Csv, PolicyCase, Table, WorkloadKind};
+use lsm_bench::{make_tree, steady_state, workloads_flag, Args, PolicyCase, Table};
 use lsm_tree::policy::learn::{measure_threshold_cost, LearnOptions};
 use lsm_tree::policy::MixedParams;
 use lsm_tree::{LsmConfig, PolicySpec};
-use workloads::InsertRatio;
 
 fn main() {
     let args = Args::from_env();
@@ -31,7 +29,8 @@ fn main() {
     let size_mb: u64 = args.get_or("size-mb", if paper { 150 } else { 60 });
     let cycles: usize = args.get_or("cycles", 2);
     let seed: u64 = args.get_or("seed", 1);
-    let which = args.get("workload").unwrap_or("both").to_string();
+    let workloads = Args::or_exit(workloads_flag(&args, 2, "both"));
+    args.done();
 
     let cfg = LsmConfig {
         payload_size: 100,
@@ -40,30 +39,20 @@ fn main() {
         merge_rate: 1.0 / 20.0,
         ..LsmConfig::default()
     };
-    let workloads: Vec<WorkloadKind> = match which.as_str() {
-        "uniform" => vec![WorkloadKind::Uniform],
-        "normal" => vec![WorkloadKind::normal_default()],
-        _ => vec![WorkloadKind::Uniform, WorkloadKind::normal_default()],
-    };
-
+    let bytes = size_mb * 1024 * 1024;
     let opts = LearnOptions { cycles_per_measurement: cycles, ..LearnOptions::default() };
-    let mut csv = Csv::new("fig5_threshold_curve", &["workload", "tau", "cost_per_block_to_l1"]);
-
-    for kind in &workloads {
+    let mut table = Table::new(["workload", "tau", "cost_per_block_to_l1"]);
+    for kind in workloads {
         // Fresh steady-state 4-level tree per workload.
         let case = PolicyCase { name: "Mixed", spec: PolicySpec::TestMixed, preserve: true };
-        let (mut tree, mut wl) =
-            lsm_bench::prepared_tree(&cfg, &case, *kind, seed, size_mb * 1024 * 1024);
+        let mut tree = make_tree(&cfg, case.options(), bytes);
+        let mut wl = steady_state(&mut tree, kind, seed, bytes);
         assert_eq!(
             tree.height(),
             4,
             "Figure 5 needs a 4-level tree; got h={} — adjust --size-mb / --k0-blocks",
             tree.height()
         );
-        wl.set_ratio(InsertRatio::HALF);
-
-        println!("\n== Figure 5 ({}) — C(τ2), cost per block merged into L1 ==", kind.name());
-        let mut table = Table::new(["tau2", "C(tau2)"]);
         let prefix = MixedParams::default();
         let mut best = (0.0f64, f64::INFINITY);
         for i in 0..=10 {
@@ -71,15 +60,14 @@ fn main() {
             let m = measure_threshold_cost(&mut tree, &mut wl, &opts, 2, &prefix, tau)
                 .expect("measurement")
                 .expect("cycle completed");
-            table.row([fmt_f(tau, 1), fmt_f(m.cost, 3)]);
-            csv.row(&[kind.name().to_string(), format!("{tau:.1}"), format!("{:.4}", m.cost)]);
+            table.row([kind.name().to_string(), format!("{tau:.1}"), format!("{:.4}", m.cost)]);
             if m.cost < best.1 {
                 best = (tau, m.cost);
             }
         }
-        table.print();
-        println!("minimum at τ2 = {:.1} (C = {:.3})", best.0, best.1);
+        println!("{}: minimum at τ2 = {:.1} (C = {:.3})", kind.name(), best.0, best.1);
     }
-    let path = csv.write().expect("write csv");
-    println!("\nwrote {}", path.display());
+    println!("\n== Figure 5 — C(τ2), cost per block merged into L1 ==");
+    table.grid(&["tau"], "workload", "cost_per_block_to_l1").print();
+    table.save("fig5_threshold_curve");
 }

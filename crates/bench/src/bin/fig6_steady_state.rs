@@ -18,11 +18,11 @@
 //!     [--no-learn]
 //! ```
 
-use lsm_bench::report::fmt_f;
-use lsm_bench::{policy_matrix, prepared_tree, Args, Csv, ExperimentScale, Table, WorkloadKind};
-use lsm_tree::policy::learn::{learn_mixed_params, LearnOptions};
-use lsm_tree::PolicySpec;
-use workloads::{run_requests, volume_requests, CostMeter, InsertRatio};
+use lsm_bench::{
+    make_tree, measure, policy_matrix, steady_state, workloads_flag, Args, ExperimentScale, Table,
+    WorkloadKind,
+};
+use workloads::volume_requests;
 
 fn main() {
     let args = Args::from_env();
@@ -30,76 +30,42 @@ fn main() {
     let seed: u64 = args.get_or("seed", 1);
     let measure_mb: f64 = args.get_or("measure-mb", 120.0);
     let learn = !args.flag("no-learn");
-    let which = args.get("workload").unwrap_or("all").to_string();
-    let tag = args.get("tag").map(|t| format!("_{t}")).unwrap_or_default();
-
+    let kinds = Args::or_exit(workloads_flag(&args, 3, "all"));
+    let name = format!(
+        "fig6_steady_state{}",
+        args.get("tag").map(|t| format!("_{t}")).unwrap_or_default()
+    );
     let default_sizes: &[u64] = &[200, 400, 800, 1200, 1600, 2000];
     let tpc_sizes: &[u64] = &[200, 800, 1600, 3200];
-    let cases = policy_matrix();
+    let runs: Vec<(WorkloadKind, Vec<u64>)> = kinds
+        .into_iter()
+        .map(|kind| {
+            let sizes = if kind == WorkloadKind::Tpc { tpc_sizes } else { default_sizes };
+            (kind, args.list_or("sizes", sizes))
+        })
+        .collect();
+    args.done();
+
     let cfg = scale.config(100);
     let requests = volume_requests(measure_mb, cfg.record_size());
-
-    let runs: Vec<(WorkloadKind, Vec<u64>)> = match which.as_str() {
-        "uniform" => vec![(WorkloadKind::Uniform, args.list_or("sizes", default_sizes))],
-        "normal" => vec![(WorkloadKind::normal_default(), args.list_or("sizes", default_sizes))],
-        "tpc" => vec![(WorkloadKind::Tpc, args.list_or("sizes", tpc_sizes))],
-        _ => vec![
-            (WorkloadKind::Uniform, args.list_or("sizes", default_sizes)),
-            (WorkloadKind::normal_default(), args.list_or("sizes", default_sizes)),
-            (WorkloadKind::Tpc, args.list_or("sizes", tpc_sizes)),
-        ],
-    };
-
-    let mut csv = Csv::new(
-        &format!("fig6_steady_state{tag}"),
-        &[
-            "workload",
-            "paper_size_mb",
-            "policy",
-            "writes_per_mb",
-            "reads_per_mb",
-            "preserved_per_mb",
-            "seconds_per_mb",
-            "height",
-        ],
-    );
-
+    let mut table = Table::new([
+        "workload",
+        "paper_size_mb",
+        "policy",
+        "writes_per_mb",
+        "reads_per_mb",
+        "preserved_per_mb",
+        "seconds_per_mb",
+        "height",
+    ]);
     for (kind, sizes) in &runs {
-        println!(
-            "\n== Figure 6 ({}, scale {}) — blocks written per 1MB of requests ==",
-            kind.name(),
-            scale.name
-        );
-        let mut table = Table::new(
-            std::iter::once("size_mb".to_string()).chain(cases.iter().map(|c| c.name.to_string())),
-        );
         for &size in sizes {
-            let mut row = vec![size.to_string()];
-            for case in &cases {
+            for case in &policy_matrix() {
                 let bytes = scale.dataset_bytes(size);
-                let (mut tree, mut wl) = prepared_tree(&cfg, case, *kind, seed, bytes);
-                if learn && matches!(case.spec, PolicySpec::Mixed(_)) {
-                    let opts = LearnOptions {
-                        cycles_per_measurement: 1,
-                        max_requests_per_measurement: requests * 40,
-                        ..LearnOptions::default()
-                    };
-                    let report =
-                        learn_mixed_params(&mut tree, &mut wl, &opts).expect("learning failed");
-                    eprintln!(
-                        "  [{} {}MB] learned Mixed params: thresholds {:?}, beta {}",
-                        kind.name(),
-                        size,
-                        report.params.thresholds,
-                        report.params.beta
-                    );
-                    wl.set_ratio(InsertRatio::HALF);
-                }
-                let meter = CostMeter::start(&tree);
-                run_requests(&mut tree, &mut *wl, requests).expect("measurement run");
-                let r = meter.read(&tree);
-                row.push(fmt_f(r.writes_per_mb, 0));
-                csv.row(&[
+                let mut tree = make_tree(&cfg, case.options(), bytes);
+                let mut wl = steady_state(&mut tree, *kind, seed, bytes);
+                let r = measure(&mut tree, &mut *wl, requests, learn && case.learns());
+                table.row([
                     kind.name().to_string(),
                     size.to_string(),
                     case.name.to_string(),
@@ -110,19 +76,18 @@ fn main() {
                     tree.height().to_string(),
                 ]);
                 eprintln!(
-                    "  [{} {}MB] {}: {:.0} writes/MB (h={})",
+                    "  [{} {size}MB] {}: {:.0} writes/MB (h={})",
                     kind.name(),
-                    size,
                     case.name,
                     r.writes_per_mb,
                     tree.height()
                 );
-                csv.write().expect("write csv");
+                // A long sweep keeps every finished cell on disk.
+                table.write(&name).expect("write csv");
             }
-            table.row(row);
         }
-        table.print();
     }
-    let path = csv.write().expect("write csv");
-    println!("\nwrote {}", path.display());
+    println!("\n== Figure 6 (scale {}) — blocks written per 1MB of requests ==", scale.name);
+    table.grid(&["workload", "paper_size_mb"], "policy", "writes_per_mb").print();
+    table.save(&name);
 }

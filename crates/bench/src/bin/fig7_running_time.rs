@@ -12,11 +12,10 @@
 //!     [--measure-mb=60] [--paper-scale] [--seed=1]
 //! ```
 
-use lsm_bench::report::fmt_f;
-use lsm_bench::{policy_matrix, prepared_tree, Args, Csv, ExperimentScale, Table, WorkloadKind};
-use lsm_tree::policy::learn::{learn_mixed_params, LearnOptions};
-use lsm_tree::PolicySpec;
-use workloads::{run_requests, volume_requests, CostMeter, InsertRatio};
+use lsm_bench::{
+    make_tree, measure, policy_matrix, steady_state, Args, ExperimentScale, Table, WorkloadKind,
+};
+use workloads::volume_requests;
 
 fn main() {
     let args = Args::from_env();
@@ -24,38 +23,18 @@ fn main() {
     let seed: u64 = args.get_or("seed", 1);
     let measure_mb: f64 = args.get_or("measure-mb", 120.0);
     let sizes: Vec<u64> = args.list_or("sizes", &[200, 800, 1600, 2000]);
+    args.done();
 
-    let kind = WorkloadKind::normal_default();
-    let cases = policy_matrix();
     let cfg = scale.config(100);
     let requests = volume_requests(measure_mb, cfg.record_size());
-    let mut csv = Csv::new(
-        "fig7_running_time",
-        &["paper_size_mb", "policy", "seconds_per_mb", "writes_per_mb"],
-    );
-
-    println!("\n== Figure 7 (Normal, scale {}) — seconds per 1MB of requests ==", scale.name);
-    let mut table = Table::new(
-        std::iter::once("size_mb".to_string()).chain(cases.iter().map(|c| c.name.to_string())),
-    );
+    let mut table = Table::new(["paper_size_mb", "policy", "seconds_per_mb", "writes_per_mb"]);
     for &size in &sizes {
-        let mut row = vec![size.to_string()];
-        for case in &cases {
+        for case in &policy_matrix() {
             let bytes = scale.dataset_bytes(size);
-            let (mut tree, mut wl) = prepared_tree(&cfg, case, kind, seed, bytes);
-            if matches!(case.spec, PolicySpec::Mixed(_)) {
-                let opts = LearnOptions {
-                    max_requests_per_measurement: requests * 40,
-                    ..LearnOptions::default()
-                };
-                learn_mixed_params(&mut tree, &mut wl, &opts).expect("learning failed");
-                wl.set_ratio(InsertRatio::HALF);
-            }
-            let meter = CostMeter::start(&tree);
-            run_requests(&mut tree, &mut *wl, requests).expect("measurement run");
-            let r = meter.read(&tree);
-            row.push(fmt_f(r.seconds_per_mb(), 4));
-            csv.row(&[
+            let mut tree = make_tree(&cfg, case.options(), bytes);
+            let mut wl = steady_state(&mut tree, WorkloadKind::normal_default(), seed, bytes);
+            let r = measure(&mut tree, &mut *wl, requests, case.learns());
+            table.row([
                 size.to_string(),
                 case.name.to_string(),
                 format!("{:.5}", r.seconds_per_mb()),
@@ -63,9 +42,8 @@ fn main() {
             ]);
             eprintln!("  [{size}MB] {}: {:.4} s/MB", case.name, r.seconds_per_mb());
         }
-        table.row(row);
     }
-    table.print();
-    let path = csv.write().expect("write csv");
-    println!("\nwrote {}", path.display());
+    println!("\n== Figure 7 (Normal, scale {}) — seconds per 1MB of requests ==", scale.name);
+    table.grid(&["paper_size_mb"], "policy", "seconds_per_mb").print();
+    table.save("fig7_running_time");
 }

@@ -13,11 +13,10 @@
 //!     [--two-sigma-pct=0.005,0.05,1,5,20] [--measure-mb=60] [--seed=1]
 //! ```
 
-use lsm_bench::report::fmt_f;
-use lsm_bench::{policy_matrix, prepared_tree, Args, Csv, ExperimentScale, Table, WorkloadKind};
-use lsm_tree::policy::learn::{learn_mixed_params, LearnOptions};
-use lsm_tree::PolicySpec;
-use workloads::{run_requests, volume_requests, CostMeter, InsertRatio};
+use lsm_bench::{
+    make_tree, measure, policy_matrix, steady_state, Args, ExperimentScale, Table, WorkloadKind,
+};
+use workloads::volume_requests;
 
 fn main() {
     let args = Args::from_env();
@@ -26,42 +25,20 @@ fn main() {
     let size_mb: u64 = args.get_or("size-mb", 300);
     let measure_mb: f64 = args.get_or("measure-mb", 120.0);
     let two_sigma_pct: Vec<f64> = args.list_or("two-sigma-pct", &[0.005, 0.05, 1.0, 5.0, 20.0]);
+    args.done();
 
-    let cases = policy_matrix();
     let cfg = scale.config(100);
+    let bytes = scale.dataset_bytes(size_mb);
     let requests = volume_requests(measure_mb, cfg.record_size());
-    let mut csv = Csv::new(
-        "fig8_skew_sweep",
-        &["two_sigma_pct", "policy", "writes_per_mb", "preserved_per_mb"],
-    );
-
-    println!(
-        "\n== Figure 8 (Normal, {size_mb} MB paper-size, scale {}) — writes per 1MB vs skew ==",
-        scale.name
-    );
-    let mut table = Table::new(
-        std::iter::once("2sigma_%".to_string()).chain(cases.iter().map(|c| c.name.to_string())),
-    );
+    let mut table = Table::new(["two_sigma_pct", "policy", "writes_per_mb", "preserved_per_mb"]);
     for &pct in &two_sigma_pct {
-        let sigma_frac = pct / 100.0 / 2.0; // 2σ as a percentage → σ fraction
-        let kind = WorkloadKind::Normal { sigma: sigma_frac, omega: 10_000 };
-        let mut row = vec![format!("{pct}")];
-        for case in &cases {
-            let bytes = scale.dataset_bytes(size_mb);
-            let (mut tree, mut wl) = prepared_tree(&cfg, case, kind, seed, bytes);
-            if matches!(case.spec, PolicySpec::Mixed(_)) {
-                let opts = LearnOptions {
-                    max_requests_per_measurement: requests * 40,
-                    ..LearnOptions::default()
-                };
-                learn_mixed_params(&mut tree, &mut wl, &opts).expect("learning failed");
-                wl.set_ratio(InsertRatio::HALF);
-            }
-            let meter = CostMeter::start(&tree);
-            run_requests(&mut tree, &mut *wl, requests).expect("measurement run");
-            let r = meter.read(&tree);
-            row.push(fmt_f(r.writes_per_mb, 0));
-            csv.row(&[
+        let sigma = pct / 100.0 / 2.0; // 2σ as a percentage → σ fraction
+        let kind = WorkloadKind::Normal { sigma, omega: 10_000 };
+        for case in &policy_matrix() {
+            let mut tree = make_tree(&cfg, case.options(), bytes);
+            let mut wl = steady_state(&mut tree, kind, seed, bytes);
+            let r = measure(&mut tree, &mut *wl, requests, case.learns());
+            table.row([
                 format!("{pct}"),
                 case.name.to_string(),
                 format!("{:.2}", r.writes_per_mb),
@@ -69,9 +46,11 @@ fn main() {
             ]);
             eprintln!("  [2σ={pct}%] {}: {:.0} writes/MB", case.name, r.writes_per_mb);
         }
-        table.row(row);
     }
-    table.print();
-    let path = csv.write().expect("write csv");
-    println!("\nwrote {}", path.display());
+    println!(
+        "\n== Figure 8 (Normal, {size_mb} MB paper-size, scale {}) — writes per 1MB vs skew ==",
+        scale.name
+    );
+    table.grid(&["two_sigma_pct"], "policy", "writes_per_mb").print();
+    table.save("fig8_skew_sweep");
 }

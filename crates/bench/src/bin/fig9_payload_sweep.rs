@@ -14,11 +14,10 @@
 //!     [--payloads=25,100,250,1000,4000] [--measure-mb=60] [--seed=1]
 //! ```
 
-use lsm_bench::report::fmt_f;
-use lsm_bench::{policy_matrix, prepared_tree, Args, Csv, ExperimentScale, Table, WorkloadKind};
-use lsm_tree::policy::learn::{learn_mixed_params, LearnOptions};
-use lsm_tree::PolicySpec;
-use workloads::{run_requests, volume_requests, CostMeter, InsertRatio};
+use lsm_bench::{
+    make_tree, measure, policy_matrix, steady_state, Args, ExperimentScale, Table, WorkloadKind,
+};
+use workloads::volume_requests;
 
 fn main() {
     let args = Args::from_env();
@@ -27,41 +26,25 @@ fn main() {
     let size_mb: u64 = args.get_or("size-mb", 300);
     let measure_mb: f64 = args.get_or("measure-mb", 120.0);
     let payloads: Vec<usize> = args.list_or("payloads", &[25, 100, 250, 1000, 4000]);
+    args.done();
 
-    let cases = policy_matrix();
-    let mut csv = Csv::new(
-        "fig9_payload_sweep",
-        &["payload_bytes", "policy", "writes_per_mb", "preserved_per_mb", "records_per_block"],
-    );
-
-    println!(
-        "\n== Figure 9 (Uniform, {size_mb} MB paper-size, scale {}) — writes per 1MB vs payload ==",
-        scale.name
-    );
-    let mut table = Table::new(
-        std::iter::once("payload_B".to_string()).chain(cases.iter().map(|c| c.name.to_string())),
-    );
+    let bytes = scale.dataset_bytes(size_mb);
+    let mut table = Table::new([
+        "payload_bytes",
+        "policy",
+        "writes_per_mb",
+        "preserved_per_mb",
+        "records_per_block",
+    ]);
     for &payload in &payloads {
         let cfg = scale.config(payload);
         let b = cfg.block_capacity();
         let requests = volume_requests(measure_mb, cfg.record_size());
-        let mut row = vec![payload.to_string()];
-        for case in &cases {
-            let bytes = scale.dataset_bytes(size_mb);
-            let (mut tree, mut wl) = prepared_tree(&cfg, case, WorkloadKind::Uniform, seed, bytes);
-            if matches!(case.spec, PolicySpec::Mixed(_)) {
-                let opts = LearnOptions {
-                    max_requests_per_measurement: requests * 40,
-                    ..LearnOptions::default()
-                };
-                learn_mixed_params(&mut tree, &mut wl, &opts).expect("learning failed");
-                wl.set_ratio(InsertRatio::HALF);
-            }
-            let meter = CostMeter::start(&tree);
-            run_requests(&mut tree, &mut *wl, requests).expect("measurement run");
-            let r = meter.read(&tree);
-            row.push(fmt_f(r.writes_per_mb, 0));
-            csv.row(&[
+        for case in &policy_matrix() {
+            let mut tree = make_tree(&cfg, case.options(), bytes);
+            let mut wl = steady_state(&mut tree, WorkloadKind::Uniform, seed, bytes);
+            let r = measure(&mut tree, &mut *wl, requests, case.learns());
+            table.row([
                 payload.to_string(),
                 case.name.to_string(),
                 format!("{:.2}", r.writes_per_mb),
@@ -70,9 +53,11 @@ fn main() {
             ]);
             eprintln!("  [{payload}B, B={b}] {}: {:.0} writes/MB", case.name, r.writes_per_mb);
         }
-        table.row(row);
     }
-    table.print();
-    let path = csv.write().expect("write csv");
-    println!("\nwrote {}", path.display());
+    println!(
+        "\n== Figure 9 (Uniform, {size_mb} MB paper-size, scale {}) — writes per 1MB vs payload ==",
+        scale.name
+    );
+    table.grid(&["payload_bytes"], "policy", "writes_per_mb").print();
+    table.save("fig9_payload_sweep");
 }

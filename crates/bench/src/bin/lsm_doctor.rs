@@ -55,7 +55,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use lsm_bench::report::render_report;
-use lsm_bench::{Args, WorkloadKind};
+use lsm_bench::setup::workload_names;
+use lsm_bench::{device_blocks, steady_state, Args, ExperimentScale, WorkloadKind};
 use lsm_tree::observe::metrics::validate_prometheus;
 use lsm_tree::observe::{
     ChromeTraceSink, Clock, EventSink, HealthConfig, HealthSink, Json, Metrics, MetricsSink,
@@ -64,7 +65,6 @@ use lsm_tree::observe::{
 use lsm_tree::report::{validate_report, SCHEMA};
 use lsm_tree::{DecisionLedger, LsmTree, PolicySpec, Report, TreeOptions};
 use sim_ssd::{BlockDevice, MemDevice};
-use workloads::{fill_to_bytes, reach_steady_state, InsertRatio};
 
 /// Problems of a Chrome `trace_event` document (a top-level array).
 fn check_trace(events: &[Json]) -> Vec<String> {
@@ -234,14 +234,9 @@ fn policy_and_workload(args: &Args) -> Result<(PolicySpec, WorkloadKind), String
         ("testmixed", PolicySpec::TestMixed),
         ("aligned", PolicySpec::ChooseBestAligned),
     ];
-    let workloads = [
-        ("uniform", WorkloadKind::Uniform),
-        ("normal", WorkloadKind::normal_default()),
-        ("tpc", WorkloadKind::Tpc),
-    ];
     Ok((
         args.one_of("policy", "choosebest", &policies)?,
-        args.one_of("workload", "uniform", &workloads)?,
+        args.one_of("workload", "uniform", &workload_names())?,
     ))
 }
 
@@ -259,19 +254,14 @@ fn main() {
     let args = Args::parse_from(argv);
     let size_mb: u64 = args.get_or("size-mb", 20);
     let seed: u64 = args.get_or("seed", 1);
-    let (policy, kind) = policy_and_workload(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let (policy, kind) = Args::or_exit(policy_and_workload(&args));
     let policy_label = args.get("policy").unwrap_or("choosebest");
     let out = std::path::PathBuf::from(args.get("out").unwrap_or("results/lsm_doctor.json"));
     let ledger = args.flag("ledger").then(|| Arc::new(DecisionLedger::new(1024)));
 
-    let scale = lsm_bench::ExperimentScale::small();
-    let cfg = scale.config(100);
-
-    let device_blocks = (size_mb * 1024 * 1024 / cfg.block_size as u64) * 6;
-    let device = Arc::new(MemDevice::with_block_size(device_blocks.max(8192), cfg.block_size));
+    let cfg = ExperimentScale::small().config(100);
+    let bytes = size_mb * 1024 * 1024;
+    let device = Arc::new(MemDevice::with_block_size(device_blocks(&cfg, bytes), cfg.block_size));
     let metrics_sink = Arc::new(MetricsSink::new());
     let metrics = metrics_sink.metrics();
     let exporters = Exporters::from_args(&args).expect("open observability exporters");
@@ -289,14 +279,12 @@ fn main() {
         Arc::clone(&device) as Arc<dyn BlockDevice>,
     )
     .unwrap();
-    let mut wl = kind.build(seed, cfg.payload_size, InsertRatio::INSERT_ONLY);
     eprintln!(
         "building {size_mb} MB steady state under {} / {} ...",
         tree.policy_name(),
         kind.name()
     );
-    fill_to_bytes(&mut tree, &mut *wl, size_mb * 1024 * 1024).unwrap();
-    reach_steady_state(&mut tree, &mut *wl, 100_000_000).unwrap();
+    steady_state(&mut tree, kind, seed, bytes);
 
     // The report, built before the deep check, which reads every block back
     // and would otherwise pollute the device and cache numbers with

@@ -1,14 +1,17 @@
-//! Aligned tables and CSVs for the figure binaries, and the one text form
-//! of each JSON report the binaries write.
+//! The experiment binaries' results — one set of rows, printed as an
+//! aligned table or a grid and written as a CSV — and the one text form of
+//! each JSON report the binaries write.
 
 use std::fmt::Write as _;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use lsm_tree::observe::Json;
 
-/// An aligned text table printed to stdout.
+/// Rows of cells under one header. Each cell is formatted once: the same
+/// strings make the aligned text table ([`Table::render`], or
+/// [`Table::grid`] for one column across another) and the CSV
+/// ([`Table::csv`], [`Table::write`]).
 #[derive(Debug, Default, Clone)]
 pub struct Table {
     header: Vec<String>,
@@ -60,39 +63,62 @@ impl Table {
     pub fn print(&self) {
         print!("{}", self.render());
     }
-}
 
-/// A CSV file accumulated row by row and written under `results/`.
-#[derive(Debug)]
-pub struct Csv {
-    path: PathBuf,
-    lines: Vec<String>,
-}
-
-impl Csv {
-    /// CSV named `results/<name>.csv` (directory created on write) with
-    /// the given header.
-    pub fn new<S: AsRef<str>>(name: &str, header: &[S]) -> Self {
-        let mut lines = Vec::new();
-        lines.push(header.iter().map(AsRef::as_ref).collect::<Vec<_>>().join(","));
-        Csv { path: Path::new("results").join(format!("{name}.csv")), lines }
+    /// The `value` column laid out across the `across` column: one row per
+    /// distinct tuple of the `keys` columns, one column per distinct
+    /// `across` value, both in the order they first appear; `-` where no
+    /// row has the pair.
+    pub fn grid(&self, keys: &[&str], across: &str, value: &str) -> Table {
+        let col = |name: &str| {
+            self.header.iter().position(|h| h == name).unwrap_or_else(|| panic!("no column {name}"))
+        };
+        let (keys, across, value): (Vec<usize>, _, _) =
+            (keys.iter().map(|k| col(k)).collect(), col(across), col(value));
+        let mut names: Vec<&String> = Vec::new();
+        let mut lines: Vec<(Vec<&String>, Vec<&Vec<String>>)> = Vec::new();
+        for row in &self.rows {
+            if !names.contains(&&row[across]) {
+                names.push(&row[across]);
+            }
+            let key: Vec<&String> = keys.iter().map(|&k| &row[k]).collect();
+            match lines.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, rows)) => rows.push(row),
+                None => lines.push((key, vec![row])),
+            }
+        }
+        let mut grid = Table::new(keys.iter().map(|&k| &self.header[k]).chain(names.clone()));
+        for (key, rows) in lines {
+            let cell =
+                |name: &&String| rows.iter().find(|r| &r[across] == *name).map(|r| &r[value]);
+            grid.row(
+                key.into_iter()
+                    .cloned()
+                    .chain(names.iter().map(|n| cell(n).map_or("-".into(), String::clone))),
+            );
+        }
+        grid
     }
 
-    /// Append a data row.
-    pub fn row<S: AsRef<str>>(&mut self, cells: &[S]) {
-        self.lines.push(cells.iter().map(AsRef::as_ref).collect::<Vec<_>>().join(","));
+    /// The rows as CSV text, header first, cells as given.
+    pub fn csv(&self) -> String {
+        let lines = std::iter::once(&self.header).chain(&self.rows);
+        lines.map(|cells| cells.join(",") + "\n").collect()
     }
 
-    /// Write the file; returns the path.
-    pub fn write(&self) -> std::io::Result<&Path> {
-        if let Some(dir) = self.path.parent() {
-            fs::create_dir_all(dir)?;
-        }
-        let mut f = fs::File::create(&self.path)?;
-        for line in &self.lines {
-            writeln!(f, "{line}")?;
-        }
-        Ok(&self.path)
+    /// Write [`Table::csv`] to `results/<name>.csv` (directory created);
+    /// returns the path.
+    pub fn write(&self, name: &str) -> std::io::Result<PathBuf> {
+        let path = Path::new("results").join(format!("{name}.csv"));
+        fs::create_dir_all("results")?;
+        fs::write(&path, self.csv())?;
+        Ok(path)
+    }
+
+    /// [`Table::write`], then say where; an experiment that cannot keep its
+    /// result panics.
+    pub fn save(&self, name: &str) {
+        let path = self.write(name).expect("write csv");
+        println!("\nwrote {}", path.display());
     }
 }
 
@@ -437,7 +463,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_alignment() {
+    fn rows_print_aligned_and_write_as_given() {
         let mut t = Table::new(["name", "value"]);
         t.row(["a", "1"]);
         t.row(["long-name", "123456"]);
@@ -447,6 +473,7 @@ mod tests {
         assert!(lines[0].contains("name"));
         assert!(lines[2].ends_with('1'));
         assert!(lines[3].starts_with("long-name"));
+        assert_eq!(t.csv(), "name,value\na,1\nlong-name,123456\n");
     }
 
     #[test]
@@ -457,10 +484,42 @@ mod tests {
     }
 
     #[test]
-    fn csv_accumulates() {
-        let mut c = Csv::new("test-tmp", &["x", "y"]);
-        c.row(&["1", "2"]);
-        assert_eq!(c.lines, vec!["x,y".to_string(), "1,2".to_string()]);
+    fn the_grid_and_the_csv_come_from_one_set_of_rows() {
+        let mut t = Table::new(["size_mb", "policy", "writes_per_mb", "height"]);
+        let policies = ["Full", "RR", "Mixed"];
+        for size in ["200", "40", "800"] {
+            for (i, policy) in policies.iter().enumerate() {
+                t.row([size.to_string(), policy.to_string(), format!("{size}.{i}5"), "3".into()]);
+            }
+        }
+        let rows: Vec<Vec<String>> =
+            t.csv().lines().skip(1).map(|l| l.split(',').map(str::to_string).collect()).collect();
+        // Rows come out in the order they were pushed.
+        let order: Vec<(&str, &str)> = rows.iter().map(|r| (&*r[0], &*r[1])).collect();
+        assert_eq!(order[..4], [("200", "Full"), ("200", "RR"), ("200", "Mixed"), ("40", "Full")]);
+        let grid = t.grid(&["size_mb"], "policy", "writes_per_mb");
+        let text = grid.render();
+        let lines: Vec<Vec<&str>> = text.lines().map(|l| l.split_whitespace().collect()).collect();
+        assert_eq!(lines[0], ["size_mb", "Full", "RR", "Mixed"]);
+        assert_eq!(lines.len(), 2 + 3, "{text}");
+        // Every grid cell is the CSV cell of the row with its size and policy.
+        for line in &lines[2..] {
+            for (policy, cell) in policies.iter().zip(&line[1..]) {
+                let row = rows.iter().find(|r| r[0] == line[0] && r[1] == *policy).unwrap();
+                assert_eq!(*cell, row[2]);
+            }
+        }
+        let sizes: Vec<&str> = lines[2..].iter().map(|l| l[0]).collect();
+        assert_eq!(sizes, ["200", "40", "800"]);
+        // A pair no row has shows as `-`.
+        let mut ragged = Table::new(["workload", "policy", "w"]);
+        ragged.row(["Uniform", "RR", "1"]);
+        ragged.row(["Normal", "Full", "2"]);
+        let text = ragged.grid(&["workload"], "policy", "w").render();
+        assert_eq!(
+            text.lines().nth(3).unwrap().split_whitespace().collect::<Vec<_>>(),
+            ["Normal", "-", "2"]
+        );
     }
 
     #[test]

@@ -1,9 +1,20 @@
-//! Standard experiment setup shared by the figure binaries.
+//! The §V protocol every figure and ablation measures with, in three
+//! steps: [`make_tree`] builds a tree on a simulated device sized for the
+//! dataset, [`steady_state`] fills it with inserts and runs the 50/50 mix
+//! until the §V-A criterion holds, and [`measure`] learns `Mixed`'s
+//! parameters when asked, then counts what `n` requests cost. Beside them:
+//! the geometry presets, the seven-policy matrix and the workload names.
 
+use lsm_tree::policy::learn::{learn_mixed_params, LearnOptions};
 use lsm_tree::policy::MixedParams;
 use lsm_tree::{LsmConfig, LsmTree, PolicySpec, TreeOptions};
 use workloads::driver::Workload;
-use workloads::{InsertRatio, Normal, Tpc, Uniform};
+use workloads::{
+    fill_to_bytes, reach_steady_state, run_requests, CostMeter, CostReading, InsertRatio, Normal,
+    Tpc, Uniform,
+};
+
+use crate::Args;
 
 /// Geometry preset. The paper's two setups are
 ///
@@ -103,6 +114,18 @@ pub struct PolicyCase {
     pub preserve: bool,
 }
 
+impl PolicyCase {
+    /// Tree options running this case.
+    pub fn options(&self) -> TreeOptions {
+        TreeOptions::builder().policy(self.spec.clone()).preserve_blocks(self.preserve).build()
+    }
+
+    /// Does [`measure`] learn this case's parameters first (`Mixed`)?
+    pub fn learns(&self) -> bool {
+        matches!(self.spec, PolicySpec::Mixed(_))
+    }
+}
+
 /// The seven-policy matrix of Figure 6. `Mixed` is created with TestMixed
 /// parameters; callers that learn parameters replace them afterwards.
 pub fn policy_matrix() -> Vec<PolicyCase> {
@@ -167,40 +190,91 @@ impl WorkloadKind {
     }
 }
 
-/// Build a tree for `dataset_bytes` of data: the device is provisioned
-/// with comfortable headroom over the dataset plus all level capacities.
-pub fn make_tree(cfg: &LsmConfig, case: &PolicyCase, dataset_bytes: u64) -> LsmTree {
-    // Peak usage happens when a full merge holds both the old and the new
-    // copy of the two largest levels at once (just after a level-count
-    // transition): ~4× the dataset. Capacity is cheap on the simulated
-    // device (frames allocate lazily), so provision 6× plus slack.
-    let blocks_needed = dataset_bytes / cfg.block_size as u64;
-    let device_blocks = (blocks_needed * 6).max(8192);
-    LsmTree::with_mem_device(
-        cfg.clone(),
-        TreeOptions::builder().policy(case.spec.clone()).preserve_blocks(case.preserve).build(),
-        device_blocks,
-    )
-    .expect("valid experiment configuration")
+/// The paper's three workloads under the names `--workload` takes.
+pub fn workload_names() -> [(&'static str, WorkloadKind); 3] {
+    [
+        ("uniform", WorkloadKind::Uniform),
+        ("normal", WorkloadKind::normal_default()),
+        ("tpc", WorkloadKind::Tpc),
+    ]
 }
 
-/// Build a tree, fill it to `dataset_bytes` with inserts, then run the
+/// The workloads `--workload` names out of the first `n` of
+/// [`workload_names`]: one by its name, or all `n` under `all` (the
+/// default). Any other name is an error listing the accepted ones.
+pub fn workloads_flag(args: &Args, n: usize, all: &str) -> Result<Vec<WorkloadKind>, String> {
+    let named = &workload_names()[..n];
+    let mut choices: Vec<(&str, Vec<WorkloadKind>)> =
+        named.iter().map(|(name, kind)| (*name, vec![*kind])).collect();
+    choices.push((all, named.iter().map(|(_, kind)| *kind).collect()));
+    args.one_of("workload", all, &choices)
+}
+
+/// Blocks of simulated device for `dataset_bytes` of data. Peak usage
+/// happens when a full merge holds both the old and the new copy of the
+/// two largest levels at once (just after a level-count transition): ~4×
+/// the dataset. Capacity is cheap on the simulated device (frames allocate
+/// lazily), so it gets 6× the dataset, and at least 8 192 blocks.
+pub fn device_blocks(cfg: &LsmConfig, dataset_bytes: u64) -> u64 {
+    (dataset_bytes / cfg.block_size as u64 * 6).max(8192)
+}
+
+/// Build a tree for `dataset_bytes` of data on a fresh simulated device of
+/// [`device_blocks`].
+pub fn make_tree(cfg: &LsmConfig, opts: TreeOptions, dataset_bytes: u64) -> LsmTree {
+    LsmTree::with_mem_device(cfg.clone(), opts, device_blocks(cfg, dataset_bytes))
+        .expect("valid experiment configuration")
+}
+
+/// Requests [`steady_state`] spends at most in the 50/50 mix; the §V-A
+/// criterion holds long before this at every size the binaries run.
+const STEADY_STATE_CAP: u64 = 200_000_000;
+
+/// Fill `tree` to `dataset_bytes` with inserts of `kind`, then run the
 /// 50/50 mix until the §V-A steady-state criterion holds. Returns the
-/// prepared tree and the workload positioned at the steady mix.
-pub fn prepared_tree(
-    cfg: &LsmConfig,
-    case: &PolicyCase,
+/// workload, positioned at the steady mix.
+pub fn steady_state(
+    tree: &mut LsmTree,
     kind: WorkloadKind,
     seed: u64,
     dataset_bytes: u64,
-) -> (LsmTree, Box<dyn Workload>) {
-    let mut tree = make_tree(cfg, case, dataset_bytes);
-    let mut wl = kind.build(seed, cfg.payload_size, InsertRatio::INSERT_ONLY);
-    workloads::driver::fill_to_bytes(&mut tree, &mut *wl, dataset_bytes)
-        .expect("fill phase failed");
-    workloads::driver::reach_steady_state(&mut tree, &mut *wl, 200_000_000)
-        .expect("steady-state phase failed");
-    (tree, wl)
+) -> Box<dyn Workload> {
+    let mut wl = kind.build(seed, tree.config().payload_size, InsertRatio::INSERT_ONLY);
+    fill_to_bytes(tree, &mut *wl, dataset_bytes).expect("fill phase failed");
+    reach_steady_state(tree, &mut *wl, STEADY_STATE_CAP).expect("steady-state phase failed");
+    wl
+}
+
+/// Measure `requests` requests of `wl` on `tree`. Under `learn`, the
+/// Mixed learner first fits the tree's thresholds and β on the same
+/// stream (each measurement capped at 40× the measured volume).
+pub fn measure(
+    tree: &mut LsmTree,
+    wl: &mut dyn Workload,
+    requests: u64,
+    learn: bool,
+) -> CostReading {
+    if learn {
+        let opts =
+            LearnOptions { max_requests_per_measurement: requests * 40, ..LearnOptions::default() };
+        let report = learn_mixed_params(tree, wl, &opts).expect("learning failed");
+        eprintln!(
+            "  learned Mixed params: thresholds {:?}, beta {}",
+            report.params.thresholds, report.params.beta
+        );
+        wl.set_ratio(InsertRatio::HALF);
+    }
+    let meter = CostMeter::start(tree);
+    run_requests(tree, wl, requests).expect("measurement run");
+    meter.read(tree)
+}
+
+/// Blocks the levels occupy over the fewest that would hold their
+/// records: the space the relaxed layout costs.
+pub fn space_overhead(tree: &LsmTree) -> f64 {
+    let blocks: usize = tree.levels().iter().map(|l| l.num_blocks()).sum();
+    let records: u64 = tree.levels().iter().map(|l| l.records()).sum();
+    blocks as f64 / (records as usize).div_ceil(tree.config().block_capacity()).max(1) as f64
 }
 
 #[cfg(test)]
@@ -237,6 +311,9 @@ mod tests {
     fn policy_matrix_is_the_papers_seven() {
         let names: Vec<&str> = policy_matrix().iter().map(|c| c.name).collect();
         assert_eq!(names, ["Full-P", "Full", "RR-P", "RR", "ChooseBest-P", "ChooseBest", "Mixed"]);
+        let learners: Vec<&str> =
+            policy_matrix().iter().filter(|c| c.learns()).map(|c| c.name).collect();
+        assert_eq!(learners, ["Mixed"]);
     }
 
     #[test]
@@ -254,8 +331,23 @@ mod tests {
     fn make_tree_provisions_headroom() {
         let cfg = ExperimentScale::small().config(100);
         let case = PolicyCase { name: "t", spec: PolicySpec::Full, preserve: true };
-        let tree = make_tree(&cfg, &case, 8 * 1024 * 1024);
+        let tree = make_tree(&cfg, case.options(), 8 * 1024 * 1024);
         // 6× the dataset in blocks, at least.
         assert!(tree.store().free_blocks() >= 6 * (8 * 1024 * 1024) / 4096 - 1);
+    }
+
+    #[test]
+    fn an_unknown_workload_is_an_error_listing_the_names() {
+        let parse = |flags: &[&str], n, all| {
+            workloads_flag(&Args::parse_from(flags.iter().map(|f| f.to_string())), n, all)
+        };
+        let every = [WorkloadKind::Uniform, WorkloadKind::normal_default(), WorkloadKind::Tpc];
+        assert_eq!(parse(&[], 3, "all"), Ok(every.to_vec()));
+        assert_eq!(parse(&[], 2, "both"), Ok(every[..2].to_vec()));
+        assert_eq!(parse(&["--workload=tpc"], 3, "all"), Ok(vec![WorkloadKind::Tpc]));
+        let err = parse(&["--workload=normals"], 3, "all").unwrap_err();
+        assert_eq!(err, "unknown --workload=normals (expected uniform|normal|tpc|all)");
+        let err = parse(&["--workload=tpc"], 2, "both").unwrap_err();
+        assert_eq!(err, "unknown --workload=tpc (expected uniform|normal|both)");
     }
 }

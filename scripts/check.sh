@@ -107,6 +107,50 @@ cargo run --release -q -p lsm-bench --bin lsm_top -- --once --json --windows=4 \
     --window-ops=200 > "$obs_dir/top.json"
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- check "$obs_dir/top.json"
 
+echo "== experiment binaries: a small run of each writes its CSV; a misspelled flag exits 2 =="
+# Each figure, ablation and extension binary runs from $work at sizes that
+# finish in seconds, so a panic or a failed assert (fig5's and
+# abl_learning_search's 4-level tree, fig1's 3) shows here rather than in a
+# regeneration that takes hours. Its CSV lands in $work/results/ and must
+# start with its header. The same binary given one misspelled flag must
+# exit 2 before it writes anything.
+cargo build --release -q -p lsm-bench
+bin="$PWD/target/release"
+while read -r name header args; do
+    [ -n "$name" ] || continue
+    dir="$work/exp/$name"
+    mkdir -p "$dir/typo"
+    # shellcheck disable=SC2086 # $args is a list of flags
+    (cd "$dir" && "$bin/$name" $args > out.txt 2>&1) \
+        || { cat "$dir/out.txt"; echo "$name $args failed"; exit 1; }
+    csv="$dir/results/$name.csv"
+    [ "$(head -n 1 "$csv")" = "$header" ] && [ "$(wc -l < "$csv")" -gt 1 ] \
+        || { echo "$csv: missing, no rows, or header is not $header"; exit 1; }
+    rc=0
+    # shellcheck disable=SC2086
+    (cd "$dir/typo" && "$bin/$name" $args --seeed=1 > /dev/null 2>&1) || rc=$?
+    [ "$rc" -eq 2 ] && [ ! -e "$dir/typo/results" ] \
+        || { echo "$name --seeed=1: exit $rc (want 2), or it wrote results/"; exit 1; }
+done <<'EOF'
+fig1_key_distribution bucket,l1_freq,l2_freq,next_merge_marker --size-mb=20
+fig2_amortized_small workload,size_mb,policy,writes_per_mb --sizes=2 --measure-mb=2 --workload=uniform
+fig3_cumulative_by_level policy,timeline_mb,level,cumulative_writes --size-mb=2 --total-mb=5
+fig5_threshold_curve workload,tau,cost_per_block_to_l1 --k0-blocks=8 --size-mb=4 --cycles=1 --workload=uniform
+fig6_steady_state workload,paper_size_mb,policy,writes_per_mb,reads_per_mb,preserved_per_mb,seconds_per_mb,height --workload=uniform --sizes=64 --measure-mb=2
+fig7_running_time paper_size_mb,policy,seconds_per_mb,writes_per_mb --sizes=64 --measure-mb=2
+fig8_skew_sweep two_sigma_pct,policy,writes_per_mb,preserved_per_mb --size-mb=64 --two-sigma-pct=5 --measure-mb=2
+fig9_payload_sweep payload_bytes,policy,writes_per_mb,preserved_per_mb,records_per_block --size-mb=64 --payloads=1000 --measure-mb=2
+fig10_insert_only paper_size_mb,policy,avg_writes_per_mb_since_start,preserved_per_mb --grow-to-mb=64 --points=2
+abl_aligned_windows workload,policy,writes_per_mb --size-mb=2 --measure-mb=2
+abl_constraints constraints,writes_per_mb,space_blowup,worst_level_waste,sparsest_pair,compactions --size-mb=2 --measure-mb=2
+abl_delta_sweep delta,writes_per_mb,max_merge_writes,mean_merge_writes --deltas=0.1 --size-mb=2 --measure-mb=2
+abl_eps_sweep eps,writes_per_mb,preserved_per_mb,compactions,space_overhead --eps=0.1 --size-mb=2 --measure-mb=2
+abl_learning_search strategy,tau2,beta,measurements,requests --k0-blocks=8 --size-mb=4
+ext_query_costs policy,bloom,reads_per_present,reads_per_absent,scan_reads_per_1k,space_overhead,scan_blocks_per_1k --size-mb=2 --probes=1000
+ext_stepped_merge design,writes_per_mb,lookup_reads_per_query,lookup_fanout --size-mb=2 --measure-mb=2 --probes=1000
+ext_latency_tail policy,mean_us,p50_us,p99_us,p999_us,p9999_us,max_us --size-mb=2 --measure-mb=2
+EOF
+
 echo "== unwrap/expect outside tests: no more than the committed baseline =="
 # A panic inside a chunk or an install leaves a shard half-applied behind a
 # lock that never poisons (ROADMAP item 10c): the count of `.unwrap(` and
@@ -170,6 +214,9 @@ gone="$gone"'|readers_waiting|longest_hold'
 # prefetch, no batched store read (`\b` keeps `read_blocks_per_get`), and
 # one experiment runner.
 gone="$gone"'|\bread_blocks\b|mark_definite_reads|PREFETCH_MAX|COMPACT_BATCH|run_remaining'
+# One §V protocol (`make_tree`, `steady_state`, `measure`) and one set of
+# rows per result (`Table`, printed and written as CSV).
+gone="$gone"'|prepared_tree[(`]|\bCsv\b'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"
