@@ -7,7 +7,8 @@
 //! steady state:
 //!
 //! * point-lookup block reads per present and per absent key (also with
-//!   per-block Bloom filters enabled);
+//!   per-block Bloom filters enabled): the blocks each lookup asks for,
+//!   cache hits included, split by its answer;
 //! * range-scan device reads (cache misses) and blocks opened (cache hits
 //!   and misses) per 1000 records returned;
 //! * the space overhead of the relaxed layout (blocks vs minimal).
@@ -21,7 +22,7 @@ use lsm_bench::{
     make_tree, policy_matrix, space_overhead, steady_state, Args, ExperimentScale, Table,
     WorkloadKind,
 };
-use lsm_tree::LsmTree;
+use lsm_tree::{Key, LsmTree};
 
 fn main() {
     let args = Args::from_env();
@@ -50,24 +51,21 @@ fn main() {
             let mut tree = make_tree(&cfg, case.options(), bytes);
             steady_state(&mut tree, WorkloadKind::Uniform, seed, bytes);
 
-            // Point lookups: alternate present-ish and absent keys drawn
-            // deterministically from the key domain.
-            let before = tree.stats().clone();
-            let mut present = 0u64;
+            // Point lookups, each charged the blocks it asked for (cached or
+            // not) by its answer: probes spread over the key domain, nearly
+            // all absent, and — after the scans, which they would otherwise
+            // warm — as many keys the tree holds.
+            let mut cost = [(0u64, 0u64); 2]; // [absent, present]: (reads, probes)
+            let mut probe = |key: Key| {
+                let reads0 = tree.stats().lookup_block_reads();
+                let answer = &mut cost[usize::from(tree.get(key).unwrap().is_some())];
+                *answer = (answer.0 + tree.stats().lookup_block_reads() - reads0, answer.1 + 1);
+            };
             let mut x = 0x12345u64;
             for _ in 0..probes {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                if tree.get((x >> 16) % KEY_DOMAIN).unwrap().is_some() {
-                    present += 1;
-                }
+                probe((x >> 16) % KEY_DOMAIN);
             }
-            let after = tree.stats().clone();
-            let reads = (after.lookup_block_reads() - before.lookup_block_reads()) as f64;
-            let absent = (probes - present).max(1) as f64;
-            // Present keys nearly always cost exactly one read; attribute
-            // the remainder to absent probes.
-            let reads_per_present = if present > 0 { 1.0 } else { 0.0 };
-            let reads_per_absent = (reads - present as f64).max(0.0) / absent;
 
             // Range scans: 50 scans of ~1000 records each. Every block a
             // scan opens goes through the cache: the device reads are its
@@ -91,6 +89,12 @@ fn main() {
             let scan_blocks_per_1k = per_1k(opened(&tree) - opened_before);
             let overhead = space_overhead(&tree);
 
+            let held: Vec<Key> = tree.scan(0, KEY_DOMAIN).map(|kv| kv.unwrap().0).collect();
+            let stride = (held.len() / probes.max(1) as usize).max(1);
+            held.iter().step_by(stride).take(probes as usize).for_each(|&key| probe(key));
+            let [reads_per_absent, reads_per_present] =
+                cost.map(|(reads, n)| reads as f64 / n.max(1) as f64);
+
             table.row([
                 case.name.to_string(),
                 bloom.to_string(),
@@ -101,7 +105,7 @@ fn main() {
                 format!("{scan_blocks_per_1k:.2}"),
             ]);
             eprintln!(
-                "  [{} bloom={bloom}] absent lookup reads {reads_per_absent:.3}, scan {scan_reads_per_1k:.1} device reads and {scan_blocks_per_1k:.1} blocks /1k, space {overhead:.3}x",
+                "  [{} bloom={bloom}] lookup reads {reads_per_present:.3} present, {reads_per_absent:.3} absent; scan {scan_reads_per_1k:.1} device reads and {scan_blocks_per_1k:.1} blocks /1k, space {overhead:.3}x",
                 case.name
             );
         }
