@@ -543,7 +543,7 @@ impl<'a> MergeEngine<'a> {
                 out.flush()?;
                 let prev = out.handles.pop().expect("checked non-empty");
                 w -= prev.empty_slots(self.b) as i64;
-                match self.store.read_block(&prev) {
+                match self.store.read_retiring(&prev) {
                     Ok(prev_block) => {
                         outcome.reads += 1;
                         out.frame.prepend(&prev_block)?;
@@ -669,7 +669,7 @@ impl<'a> MergeEngine<'a> {
         // stays valid.
         let mut fused = self.store.frame_builder(self.b);
         for (at, h) in [(idx - 1, &a), (idx, &b)] {
-            match self.store.read_block(h) {
+            match self.store.read_retiring(h) {
                 Ok(block) => fused.extend(&block, 0..block.len())?,
                 Err(LsmError::Degraded { .. }) => {
                     level.replace(at..at + 1, Vec::new());
@@ -814,9 +814,10 @@ mod tests {
     #[test]
     fn merged_blocks_in_cache_do_not_pin_the_input_frames() {
         // Zero-copy decode makes every record read from an input block a
-        // view into that block's frame. The output blocks a merge seeds the
-        // cache with must own their own frames: an input frame is freed
-        // with its block, not kept alive by the cache.
+        // view into that block's frame. The output blocks a merge caches
+        // (a cache of 64 has room for them all) must own their own frames:
+        // an input frame is freed with its block, not kept alive by the
+        // cache.
         let dev = Arc::new(MemDevice::with_block_size(4096, BS));
         let s = Store::new(Arc::clone(&dev) as Arc<dyn BlockDevice>, 64, 0);
         let eng = MergeEngine::new(&s, B, EPS, false);

@@ -18,7 +18,15 @@
 //! charged its frame's `block_size`, and a row — what a level walk found of
 //! one key while the levels stood at one install count, and which block
 //! it found it in — charged its payload plus [`RECORD_ENTRY_OVERHEAD`]
-//! (DESIGN.md §17.1).
+//! (DESIGN.md §17.1). It is the readers' cache (paper §V): who inserts
+//! what, and how —
+//!
+//! | who                                   | inserts          | how                               |
+//! |---------------------------------------|------------------|-----------------------------------|
+//! | a flush or merge (`admit`)            | the block        | into room only                    |
+//! | a scan (`read_block`)                 | the block missed | by eviction                       |
+//! | a get (`read_record`)                 | the block missed | into room; else its row, evicting |
+//! | merge inputs, seams (`read_retiring`) | nothing          | —                                 |
 //!
 //! The store is also where device failures are absorbed:
 //!
@@ -177,6 +185,13 @@ impl BufferCache {
         self.entries.insert_weighted(CacheKey::Block(id), Cached::Block(block), self.block_weight);
     }
 
+    /// Whether one more block fits without evicting anything: what a
+    /// written block needs to be cached at all, and a get's missed block
+    /// to be cached whole rather than as the get's row.
+    fn has_room_for_block(&self) -> bool {
+        self.entries.weight() + self.block_weight <= self.entries.capacity()
+    }
+
     fn generation(&self, id: BlockId) -> u32 {
         self.generations.get(id.raw() as usize).copied().unwrap_or(0)
     }
@@ -329,15 +344,17 @@ impl Store {
     }
 
     /// The one place a finished frame becomes an on-device block: allocate
-    /// an id → `land` the frame → Bloom filter → fence handle → cache seed.
-    /// [`write_frame`](Store::write_frame) lands the frame on the device at
-    /// once, [`WriteBatch::stage_frame`] queues it for a batched write; if
-    /// `land` fails the id is released and nothing is published.
+    /// an id → `land` the frame → Bloom filter → fence handle → cache
+    /// admission. [`write_frame`](Store::write_frame) lands the frame on the
+    /// device at once, [`WriteBatch::stage_frame`] queues it for a batched
+    /// write; if `land` fails the id is released and nothing is published.
     ///
-    /// The cache is seeded with the block itself — the frame that lands and
-    /// its offsets — charged `block_size`. A block is one buffer by
-    /// construction: a cached block can pin nothing of the merge inputs its
-    /// bytes were copied from.
+    /// The block itself — the frame that lands and its offsets, charged
+    /// `block_size` — enters the cache only while it fits without evicting
+    /// anything: no reader asked for it, so it never displaces what one
+    /// did. Past a full cache the block is dropped here and the next reader
+    /// of it misses. A block is one buffer by construction: a cached block
+    /// can pin nothing of the merge inputs its bytes were copied from.
     fn admit(
         &self,
         block: DataBlock,
@@ -352,7 +369,10 @@ impl Store {
         let bloom = (self.bloom_bits_per_key > 0)
             .then(|| BloomFilter::from_keys(block.keys(), self.bloom_bits_per_key));
         let handle = BlockHandle::describe(id, &block, bloom);
-        self.cache.lock().insert_block(id, Arc::new(block));
+        let mut cache = self.cache.lock();
+        if cache.has_room_for_block() {
+            cache.insert_block(id, Arc::new(block));
+        }
         Ok(handle)
     }
 
@@ -406,11 +426,11 @@ impl Store {
     }
 
     /// [`read_block`] of a block the reading step retires — a merge or
-    /// compaction input, opened when the merge reaches it — except that a
-    /// miss is *not* inserted into the cache. The step drops the block from
-    /// the cache when it frees it ([`free_all`](Store::free_all)); caching
-    /// it would only evict the output blocks the step seeds, which the next
-    /// merge and the next get do want.
+    /// compaction input, opened when the merge reaches it, or a block a
+    /// seam fix fuses — except that a miss is *not* inserted into the
+    /// cache. The step drops the block from the cache when it frees it
+    /// ([`free_all`](Store::free_all)); caching it would only evict, for
+    /// the microseconds until then, blocks a reader asked for.
     ///
     /// [`read_block`]: Store::read_block
     pub fn read_retiring(&self, handle: &BlockHandle) -> Result<Arc<DataBlock>> {
@@ -511,7 +531,7 @@ impl Store {
         let block = self.read_device(handle)?;
         let found = block.find(key);
         let mut cache = self.cache.lock();
-        let pressed = cache.entries.weight() + cache.block_weight > cache.entries.capacity();
+        let pressed = !cache.has_room_for_block();
         let row_weight = |r: &Record| r.payload.len() + RECORD_ENTRY_OVERHEAD;
         match found {
             Some(record) if pressed && row_weight(&record) < cache.block_weight => {
@@ -641,8 +661,8 @@ impl Store {
         first_err
     }
 
-    /// Take back a block that was admitted but is not to be: its cache seed
-    /// and its id.
+    /// Take back a block that was admitted but is not to be: its cache
+    /// entry, if it got one, and its id.
     fn discard(&self, id: BlockId) {
         self.cache.lock().entries.remove(&CacheKey::Block(id));
         self.release(id);
@@ -719,11 +739,13 @@ impl Store {
 /// exactly like `write_block`.
 ///
 /// **Discipline:** a staged block's frame does not exist on the device
-/// until `flush`. Callers must flush before (a) freeing a staged block,
-/// (b) reading one back when it may have been evicted from the cache, or
-/// (c) publishing the handles into the tree. A batch dropped with staged
-/// blocks (an error-path abort) releases their ids and cache entries —
-/// the frames never reached the device, so the handles must die with it.
+/// until `flush`, and a block staged past a full cache is not cached
+/// either ([`Store::admit`] caches a written block into room only): until
+/// `flush` it exists nowhere a read can find it. Callers must flush before
+/// (a) freeing a staged block, (b) reading one back, or (c) publishing the
+/// handles into the tree. A batch dropped with staged blocks (an
+/// error-path abort) releases their ids and cache entries — the frames
+/// never reached the device, so the handles must die with it.
 pub struct WriteBatch<'a> {
     store: &'a Store,
     staged: Vec<(BlockId, Bytes)>,
@@ -738,8 +760,8 @@ impl WriteBatch<'_> {
     }
 
     /// Stage one finished frame, returning its fence handle immediately.
-    /// The id is allocated and the cache seeded now; the device write lands
-    /// at [`flush`](WriteBatch::flush).
+    /// The id is allocated and the block cached (into room only) now; the
+    /// device write lands at [`flush`](WriteBatch::flush).
     pub fn stage_frame(&mut self, block: DataBlock) -> Result<BlockHandle> {
         let staged = &mut self.staged;
         self.store.admit(block, |id, frame| {
@@ -815,6 +837,33 @@ fn unprotected(deferred: &mut Vec<BlockId>, protected: &HashSet<u64>) -> Vec<Blo
 }
 
 #[cfg(test)]
+impl Store {
+    /// Push the blocks at `ids` out of the cache the way readers do: write
+    /// filler blocks and read each through [`read_block`], which inserts
+    /// by eviction, until none of `ids` is resident. (A write into a full
+    /// cache evicts nothing, and neither does a get that misses past it.)
+    /// The fillers stay live and cached; a test that wants the room back
+    /// frees them.
+    ///
+    /// [`read_block`]: Store::read_block
+    pub(crate) fn evict_by_reading(&self, ids: &[BlockId]) -> Vec<BlockHandle> {
+        let resident = || {
+            let cache = self.cache.lock();
+            ids.iter().any(|&id| cache.entries.peek(&CacheKey::Block(id)).is_some())
+        };
+        let mut fillers = Vec::new();
+        while resident() {
+            assert!(fillers.len() < 32, "32 fillers read and a block is still cached");
+            let key = (1 << 40) + fillers.len() as Key;
+            let filler = self.write_block(vec![Record::put(key, vec![0u8; 4])]).unwrap();
+            self.read_block(&filler).unwrap();
+            fillers.push(filler);
+        }
+        fillers
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::lies_within;
@@ -855,12 +904,17 @@ mod tests {
     fn reads_served_from_cache_do_not_touch_device() {
         let s = store();
         let h = s.write_block(recs(&[1, 2])).unwrap();
+        let mut batch = s.write_batch();
+        let staged = batch.stage(recs(&[5])).unwrap();
+        batch.flush().unwrap();
         for _ in 0..5 {
             s.read_block(&h).unwrap();
+            s.read_block(&staged).unwrap();
         }
-        // write_block seeds the cache, so no device read at all.
+        // A block written or staged into room is cached, so no device read
+        // at all.
         assert_eq!(s.io_snapshot().reads, 0);
-        assert!(s.cache_stats().hits >= 5);
+        assert_eq!((s.cache_stats().hits, s.cache_stats().misses), (10, 0));
     }
 
     #[test]
@@ -868,9 +922,33 @@ mod tests {
         let dev = Arc::new(MemDevice::with_block_size(64, 256));
         let s = Store::new(dev, 1, 0); // cache of one block
         let h1 = s.write_block(recs(&[1])).unwrap();
-        let _h2 = s.write_block(recs(&[2])).unwrap(); // evicts h1
+        let _h2 = s.write_block(recs(&[2])).unwrap(); // no room: not cached
+        s.evict_by_reading(&[h1.id]);
+        let reads = s.io_snapshot().reads;
         s.read_block(&h1).unwrap();
-        assert_eq!(s.io_snapshot().reads, 1);
+        assert_eq!(s.io_snapshot().reads, reads + 1);
+    }
+
+    /// A written block enters the cache only into room: into a full cache
+    /// a `write_block` or a staged block evicts nothing and caches nothing.
+    #[test]
+    fn a_write_into_a_full_cache_evicts_nothing_and_is_not_cached() {
+        let s = Store::in_memory(64, 256, 4);
+        let resident: Vec<BlockHandle> =
+            (0..4u64).map(|k| s.write_block(recs(&[k])).unwrap()).collect();
+        let before = s.cache_stats();
+        assert_eq!(before.resident, before.capacity, "four blocks fill a cache of four");
+        let written = s.write_block(recs(&[10])).unwrap();
+        let mut batch = s.write_batch();
+        let staged = batch.stage(recs(&[20])).unwrap();
+        batch.flush().unwrap();
+        let after = s.cache_stats();
+        assert_eq!((after.resident, after.evictions), (before.resident, before.evictions));
+        let cache = s.cache.lock();
+        for h in [&written, &staged] {
+            assert!(cache.entries.peek(&CacheKey::Block(h.id)).is_none(), "{:?} cached", h.id);
+        }
+        assert!(resident.iter().all(|h| cache.entries.peek(&CacheKey::Block(h.id)).is_some()));
     }
 
     #[test]
@@ -929,11 +1007,9 @@ mod tests {
         let (dev, s) =
             faulty_store(FaultPlan::none(), RetryPolicy { max_attempts: 4, base_backoff_us: 0 });
         let h = s.write_block(recs(&[3])).unwrap();
+        // Evict the block so the read really hits the device.
+        s.evict_by_reading(&[h.id]);
         dev.set_plan(FaultPlan::none().fail_read_at(1));
-        // Evict the cache so the read really hits the device.
-        for k in 0..8u64 {
-            s.write_block(recs(&[100 + k])).unwrap();
-        }
         let b = s.read_block(&h).unwrap();
         assert_eq!(b.len(), 1);
     }
@@ -948,9 +1024,7 @@ mod tests {
         let bad = s.write_block(recs(&[40, 60])).unwrap();
         dev.set_plan(FaultPlan::none());
         // Evict both from cache.
-        for k in 0..8u64 {
-            s.write_block(recs(&[100 + k])).unwrap();
-        }
+        s.evict_by_reading(&[good.id, bad.id]);
         match s.read_block(&bad) {
             Err(LsmError::Degraded { ranges }) => assert_eq!(ranges, vec![(40, 60)]),
             other => panic!("expected Degraded, got {other:?}"),
@@ -1051,12 +1125,13 @@ mod tests {
     #[test]
     fn a_pressed_miss_keeps_the_row_and_a_miss_with_room_the_block() {
         let (_dev, s) = pressed_store();
-        // Four blocks through a cache of three: the first is pushed out and
-        // the cache is left full.
+        // Four blocks written through a cache of three, then readers push
+        // the first out: the cache is left full.
         let a = s.write_block(versioned(&[1, 2, 3], 1)).unwrap();
         let others: Vec<BlockHandle> =
             (10..13u64).map(|k| s.write_block(versioned(&[k], 1)).unwrap()).collect();
         let b = &others[2];
+        let fillers = s.evict_by_reading(&[a.id]);
         let (frame_a, frame_b) = (s.device.read(a.id).unwrap(), s.device.read(b.id).unwrap());
         let (reads_before, before) = (s.io_snapshot().reads, s.cache_stats());
         let reads = || s.io_snapshot().reads - reads_before;
@@ -1088,9 +1163,10 @@ mod tests {
         assert_eq!(s.read_block(&a).unwrap().len(), 3);
         assert_eq!(reads(), 4);
 
-        // Room again — three blocks freed: the next miss keeps its block,
-        // which then answers for every key, found or not, and no row.
+        // Room again — every other block freed: the next miss keeps its
+        // block, which then answers for every key, found or not, and no row.
         s.free_all(&others[..2]).unwrap();
+        s.free_all(&fillers).unwrap();
         s.free_block(&a).unwrap();
         s.cache.lock().entries.remove(&CacheKey::Block(b.id));
         let found = s.read_record(b, 12, 0, ONE_READ, None).unwrap().expect("present");
@@ -1114,6 +1190,7 @@ mod tests {
         for k in 10..12u64 {
             s.write_block(versioned(&[k], 1)).unwrap();
         }
+        s.evict_by_reading(&[a.id, newer.id]);
         let kept = s.read_record(&a, 2, 0, ONE_READ, None).unwrap().expect("present");
         let reads = s.io_snapshot().reads;
         // An install put `newer` above `a`: the walk for key 2 asks it
@@ -1143,20 +1220,19 @@ mod tests {
         for k in 10..13u64 {
             s.write_block(versioned(&[k], 1)).unwrap();
         }
+        s.evict_by_reading(&[old.id]);
         let kept = s.read_record(&old, 2, 0, ONE_READ, None).unwrap().unwrap();
         assert_eq!(kept.payload[..], [1u8; 4]);
         assert_eq!(s.cached_row(0, 2), CachedRow::Current(kept, ONE_READ));
         s.free_block(&old).unwrap();
         let new = s.write_block(versioned(&[2, 5], 2)).unwrap();
         assert_eq!(new.id, old.id, "the freed id is the next one handed out");
-        // Push the new block's seed out of the cache; the old block's row,
-        // visited, outlasts it.
-        for k in 20..22u64 {
-            s.write_block(versioned(&[k], 1)).unwrap();
-        }
+        // Push the new block out of the cache, if a write into room cached
+        // it; the old block's row, visited, outlasts it.
+        s.evict_by_reading(&[new.id]);
         {
             let cache = s.cache.lock();
-            assert!(cache.entries.peek(&CacheKey::Block(new.id)).is_none(), "seed still cached");
+            assert!(cache.entries.peek(&CacheKey::Block(new.id)).is_none(), "new block cached");
             assert!(
                 cache.entries.peek(&CacheKey::Row(2)).is_some(),
                 "the stale row is gone: no test"
@@ -1184,6 +1260,7 @@ mod tests {
         dev.set_plan(FaultPlan::none());
         let good: Vec<BlockHandle> =
             (0..3u64).map(|k| s.write_block(versioned(&[k], 1)).unwrap()).collect();
+        s.evict_by_reading(&[bad.id]);
         match s.read_record(&bad, 40, 0, ONE_READ, None) {
             Err(LsmError::Degraded { ranges }) => assert_eq!(ranges, vec![(40, 60)]),
             other => panic!("expected Degraded, got {other:?}"),
@@ -1203,11 +1280,10 @@ mod tests {
     fn read_retiring_hits_the_cache_and_leaves_misses_out_of_it() {
         let (_dev, s) = faulty_store(FaultPlan::none(), RetryPolicy::none());
         let a = s.write_block(recs(&[1, 2])).unwrap();
-        // Evict a (cache of 4).
-        for k in 0..4u64 {
-            s.write_block(recs(&[100 + k])).unwrap();
-        }
-        let c = s.write_block(recs(&[40])).unwrap(); // cached for sure
+        // Evict a (cache of 4), then have a reader cache c.
+        s.evict_by_reading(&[a.id]);
+        let c = s.write_block(recs(&[40])).unwrap();
+        s.read_block(&c).unwrap(); // cached for sure
         let (reads, cache) = (s.io_snapshot().reads, s.cache_stats());
         assert_eq!(s.read_retiring(&c).unwrap().min_key(), 40);
         assert_eq!(s.io_snapshot().reads, reads, "a cached block is a hit");
@@ -1227,9 +1303,7 @@ mod tests {
         dev.set_plan(FaultPlan::none().bit_flip_rate(1.0));
         let bad = s.write_block(recs(&[10, 20])).unwrap();
         dev.set_plan(FaultPlan::none());
-        for k in 0..4u64 {
-            s.write_block(recs(&[100 + k])).unwrap();
-        }
+        s.evict_by_reading(&[bad.id]);
         match s.read_retiring(&bad) {
             Err(LsmError::Degraded { ranges }) => assert_eq!(ranges, vec![(10, 20)]),
             other => panic!("expected Degraded, got {other:?}"),
@@ -1244,9 +1318,7 @@ mod tests {
             faulty_store(FaultPlan::none(), RetryPolicy { max_attempts: 4, base_backoff_us: 0 });
         s.set_sink(SinkHandle::new(sink.clone()));
         let a = s.write_block(recs(&[7, 8])).unwrap();
-        for k in 0..4u64 {
-            s.write_block(recs(&[100 + k])).unwrap();
-        }
+        s.evict_by_reading(&[a.id]);
         let reads = s.io_snapshot().reads;
         dev.set_plan(FaultPlan::none().fail_read_at(1));
         sink.drain();
@@ -1350,7 +1422,7 @@ mod tests {
         let dev = Arc::new(MemDevice::with_block_size(64, 256));
         let s = Store::new(Arc::clone(&dev) as Arc<dyn BlockDevice>, 2, 0);
         // Payloads that come in as views of one big foreign buffer: the
-        // seeded block must not keep viewing it.
+        // cached block must not keep viewing it.
         let foreign = Bytes::from(vec![7u8; 1024]);
         let records = |base: u64| -> Vec<Record> {
             (0..10)
@@ -1358,13 +1430,13 @@ mod tests {
                 .collect()
         };
 
-        // Seeded by write_block.
+        // Cached by write_block, into room.
         let h1 = s.write_block(records(0)).unwrap();
-        let seeded = s.read_block(&h1).unwrap();
-        assert_backed_by_one_frame(&seeded, 256);
-        assert!(seeded.iter().all(|r| !lies_within(&r.payload, &foreign)));
+        let written = s.read_block(&h1).unwrap();
+        assert_backed_by_one_frame(&written, 256);
+        assert!(written.iter().all(|r| !lies_within(&r.payload, &foreign)));
 
-        // Seeded by stage: after the flush the MemDevice holds the very
+        // Cached by stage, into room: after the flush the MemDevice holds the very
         // buffer the cached block views — one buffer for image and cache.
         let mut batch = s.write_batch();
         let h2 = batch.stage(records(100)).unwrap();
@@ -1375,17 +1447,17 @@ mod tests {
         let image = dev.read(h2.id).unwrap();
         assert!(staged.iter().all(|r| lies_within(&r.payload, &image)));
 
-        // Read back through a cache miss: h1 was evicted by now (capacity
-        // 2, and h2 plus one more block are newer). The decoded block views
-        // the frame the device returned, nothing else.
-        let _h3 = s.write_block(records(200)).unwrap();
+        // Read back through a cache miss once readers have pushed h1 out.
+        // The decoded block views the frame the device returned, nothing
+        // else.
+        s.evict_by_reading(&[h1.id]);
         let reads = s.io_snapshot().reads;
         let missed = s.read_block(&h1).unwrap();
         assert_eq!(s.io_snapshot().reads, reads + 1, "expected a cache miss");
         assert_backed_by_one_frame(&missed, 256);
         let image = dev.read(h1.id).unwrap();
         assert!(missed.iter().all(|r| lies_within(&r.payload, &image)));
-        assert!(missed.iter().eq(seeded.iter()));
+        assert!(missed.iter().eq(written.iter()));
     }
 
     #[test]
@@ -1393,9 +1465,7 @@ mod tests {
         let (dev, s) = faulty_store(FaultPlan::none().bit_flip_rate(1.0), RetryPolicy::none());
         let bad = s.write_block(recs(&[5, 9])).unwrap();
         dev.set_plan(FaultPlan::none());
-        for k in 0..8u64 {
-            s.write_block(recs(&[100 + k])).unwrap();
-        }
+        s.evict_by_reading(&[bad.id]);
         assert!(s.read_block(&bad).is_err());
         s.free_block(&bad).unwrap();
         assert_eq!(s.repaired_ids(), vec![bad.id.raw()]);

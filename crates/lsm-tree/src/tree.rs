@@ -1065,14 +1065,16 @@ mod tests {
     /// row, still cached, answers nothing.
     #[test]
     fn a_row_answers_until_an_install_and_never_over_a_newer_put() {
-        // 1 KiB blocks and a cache of eight, full from the first merges on,
-        // so a get that reads the device keeps its row.
+        // 1 KiB blocks and a cache of eight, which readers fill with other
+        // blocks, so a get that reads the device keeps its row.
         let cfg = LsmConfig { block_size: 1024, cache_blocks: 8, ..tiny_cfg() };
         let mut t = LsmTree::with_mem_device(cfg, TreeOptions::default(), 1 << 12).unwrap();
         for k in 0..2_000 {
             t.put(k, payload(k)).unwrap();
         }
         assert!(t.memtable().get(7).is_none(), "key 7 is in a level");
+        let live: Vec<_> = t.levels().iter().flat_map(|l| l.handles()).map(|h| h.id).collect();
+        t.store().evict_by_reading(&live);
         let (epoch, reads) = (t.installs, t.store().io_snapshot().reads);
         assert_eq!(t.get(7).unwrap().as_deref(), Some(&payload(7)[..]));
         assert_eq!(t.store().io_snapshot().reads, reads + 1);
@@ -1085,12 +1087,53 @@ mod tests {
         assert!(t.seal_memtable());
         t.drain_maintenance().unwrap();
         assert!(t.installs > epoch && t.imm_count() == 0 && t.memtable().get(7).is_none());
-        assert_eq!(t.get(7).unwrap().as_deref(), Some(&[9u8; 4][..]), "the level answers");
-        assert_eq!(t.store().row_hits(), RowHits { current: 1, earlier: 0 });
+        // The stale row is still cached when the walk runs (asking for it
+        // is one more row hit); the walk, which keeps its own row, takes
+        // none.
         match t.store().cached_row(epoch, 7) {
             CachedRow::Current(stale, _) => assert_eq!(stale.payload[..], payload(7)[..]),
             other => panic!("the stale row is gone, {other:?}: no test"),
         }
+        assert_eq!(t.get(7).unwrap().as_deref(), Some(&[9u8; 4][..]), "the level answers");
+        assert_eq!(t.store().row_hits(), RowHits { current: 2, earlier: 0 });
+    }
+
+    /// A write-only run evicts nothing from a full cache: written blocks
+    /// enter it only into room, and merge inputs and the blocks a seam fix
+    /// fuses are read past it. Puts and deletes cascade merges and pairwise
+    /// fixes through a cache of four blocks.
+    #[test]
+    fn a_write_only_run_evicts_nothing_from_a_full_cache() {
+        let cfg = LsmConfig { cache_blocks: 4, ..tiny_cfg() };
+        let opts = TreeOptions::builder().policy(PolicySpec::RoundRobin).build();
+        let mut t = LsmTree::with_mem_device(cfg, opts, 1 << 16).unwrap();
+        let full = |t: &LsmTree| {
+            let cache = t.store().cache_stats();
+            cache.resident + 256 > cache.capacity
+        };
+        // Seeded puts and deletes over 20 000 keys: round-robin windows cut
+        // the levels at arbitrary seams, some of which leave two small
+        // neighbours to fuse.
+        let mut x = 0x5EED_u64;
+        let mut request = |t: &mut LsmTree| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let key = (x >> 20) % 20_000;
+            match x % 10 < 3 {
+                true => t.delete(key).unwrap(),
+                false => t.put(key, payload(key)).unwrap(),
+            }
+        };
+        while !full(&t) {
+            request(&mut t);
+        }
+        let evictions = t.store().cache_stats().evictions;
+        for _ in 0..40_000 {
+            request(&mut t);
+        }
+        assert_eq!(t.store().cache_stats().evictions, evictions);
+        let fixes: u64 = t.stats().levels.iter().map(|l| l.pairwise_fixes).sum();
+        assert!(fixes > 0, "no pairwise fix: no test");
+        assert!(t.store().io_snapshot().reads > 0, "no merge read past the cache: no test");
     }
 
     #[test]

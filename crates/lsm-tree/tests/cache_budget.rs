@@ -119,7 +119,8 @@ fn a_warm_block_layer_allocates_no_frame() {
     let store = Store::new(Arc::clone(&device) as Arc<dyn BlockDevice>, 8, 0);
 
     // 1 000 sealed merge outputs: built the way a merge builds them, landed
-    // on the device, cached, and let go when the cache moves on.
+    // on the device, and cached while there is room; past it each is let
+    // go at once.
     let mut handles = Vec::with_capacity((WARM_UP + COUNTED) as usize);
     let mut counted_from = 0;
     for b in 0..WARM_UP + COUNTED {
