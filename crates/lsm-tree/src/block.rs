@@ -27,7 +27,7 @@ use crate::record::{Key, OpKind, Record};
 pub const BLOCK_HEADER_LEN: usize = 16;
 
 /// Bytes of per-record header: key (8) + op (1) + payload length (4).
-const RECORD_HEADER_LEN: usize = 13;
+pub(crate) const RECORD_HEADER_LEN: usize = 13;
 
 /// "LSB2": frames of the second format, whose header carries a 64-bit sum.
 /// The first format's ("LSMB": a 32-bit sum, then a reserved zero word) is

@@ -4,7 +4,7 @@
 //! 4-byte keys + 100-byte payloads, order Γ = 10, top-level capacity K₀,
 //! maximum waste factor ε = 0.2, merge rate δ = 0.07.
 
-use crate::block::BLOCK_HEADER_LEN;
+use crate::block::{BLOCK_HEADER_LEN, RECORD_HEADER_LEN};
 use crate::error::{LsmError, Result};
 
 /// Static configuration of an LSM index.
@@ -104,7 +104,7 @@ impl LsmConfig {
     /// Serialized size of one record with the configured payload.
     #[inline]
     pub fn record_size(&self) -> usize {
-        (8 + 1 + 4usize).saturating_add(self.payload_size)
+        RECORD_HEADER_LEN.saturating_add(self.payload_size)
     }
 
     /// `B` — the number of records per block (§II-A).

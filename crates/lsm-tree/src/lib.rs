@@ -75,7 +75,7 @@ pub use manifest::Manifest;
 pub use memtable::Memtable;
 pub use merge::{MergeEngine, MergeOutcome, MergeSource};
 pub use policy::ledger::{Candidate, DecisionLedger, DecisionRow, LedgerTotals};
-pub use policy::{MergeChoice, MergePolicy, MixedParams, PolicySpec};
+pub use policy::{MergeChoice, MixedParams, PolicySpec};
 pub use record::{Key, OpKind, Record, Request, RequestSource};
 pub use report::Report;
 pub use scheduler::{set_watchdog_timeout_ms, MergeScheduler, SchedulerSnapshot};

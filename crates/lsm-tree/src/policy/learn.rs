@@ -31,7 +31,7 @@ use std::sync::Arc;
 use observe::{Event, VecSink};
 
 use crate::error::Result;
-use crate::policy::{ForcedMode, MixedParams, MixedPolicy};
+use crate::policy::{ForcedMode, MixedParams, PolicySpec};
 use crate::record::RequestSource;
 use crate::stats::TreeStats;
 use crate::tree::LsmTree;
@@ -96,17 +96,11 @@ pub fn learn_mixed_params<S: RequestSource + ?Sized>(
     assert!(!opts.tau_grid.is_empty(), "tau grid must be non-empty");
     let h = tree.height();
     let bottom = h - 1; // paper index of the bottom level
-    let mut report = LearnReport {
-        params: MixedParams { thresholds: BTreeMap::new(), default_tau: 0.0, beta: true },
-        measurements: Vec::new(),
-        requests_spent: 0,
-    };
+    let mut report =
+        LearnReport { params: MixedParams::default(), measurements: Vec::new(), requests_spent: 0 };
 
     // Internal levels 2 ..= h-2, top-down.
     for target in 2..=bottom.saturating_sub(1) {
-        if target < 2 {
-            continue;
-        }
         let prefix = report.params.clone();
         let best = learn_one_threshold(tree, source, opts, target, &prefix, &mut report)?;
         report.params.thresholds.insert(target, best);
@@ -119,7 +113,7 @@ pub fn learn_mixed_params<S: RequestSource + ?Sized>(
     report.params.beta = beta;
 
     // Leave the tree running the fitted policy.
-    tree.set_policy(Box::new(MixedPolicy::new(report.params.clone())));
+    tree.set_policy(PolicySpec::Mixed(report.params.clone()));
     Ok(report)
 }
 
@@ -136,14 +130,13 @@ pub fn measure_threshold_cost<S: RequestSource + ?Sized>(
     let h = tree.height();
     let mut params = prefix.clone();
     params.thresholds.insert(target, tau);
-    let mut policy = MixedPolicy::new(params);
     // Definition 1: full merges from L_target into L_{target+1}; ChooseBest
     // into everything deeper.
-    policy.overrides.insert(target + 1, ForcedMode::Full);
+    params.forced.insert(target + 1, ForcedMode::Full);
     for lvl in (target + 2)..h {
-        policy.overrides.insert(lvl, ForcedMode::Partial);
+        params.forced.insert(lvl, ForcedMode::Partial);
     }
-    tree.set_policy(Box::new(policy));
+    tree.set_policy(PolicySpec::Mixed(params));
     let cost = measure_cycles(
         tree,
         source,
@@ -233,7 +226,7 @@ fn learn_beta<S: RequestSource + ?Sized>(
     // β = true: cycles are delimited by full merges into the bottom level.
     let mut params_true = prefix.clone();
     params_true.beta = true;
-    tree.set_policy(Box::new(MixedPolicy::new(params_true)));
+    tree.set_policy(PolicySpec::Mixed(params_true));
     let full_result = measure_cycles(
         tree,
         source,
@@ -257,7 +250,7 @@ fn learn_beta<S: RequestSource + ?Sized>(
     // the measurement reflects β = false's own steady state (levels full).
     let mut params_false = prefix.clone();
     params_false.beta = false;
-    tree.set_policy(Box::new(MixedPolicy::new(params_false)));
+    tree.set_policy(PolicySpec::Mixed(params_false));
     for _ in 0..requests_full.max(1) {
         tree.apply(source.next_request())?;
     }
@@ -373,7 +366,6 @@ fn measure_volume<S: RequestSource + ?Sized>(
 mod tests {
     use super::*;
     use crate::config::LsmConfig;
-    use crate::policy::PolicySpec;
     use crate::record::Request;
     use crate::tree::TreeOptions;
     use bytes::Bytes;
@@ -508,8 +500,9 @@ mod tests {
             ledger.decisions() > before,
             "the ledger must keep recording across the learner's set_policy swaps"
         );
+        let probes: Vec<_> = ledger.rows().into_iter().filter(|r| r.id >= before).collect();
         assert!(
-            ledger.rows().iter().any(|r| r.policy == "Mixed"),
+            !probes.is_empty() && probes.iter().all(|r| r.policy == "Mixed"),
             "probe decisions are tagged with the policy that made them"
         );
     }

@@ -10,9 +10,10 @@
 //! of the world right, and how much did its choices cost versus the best
 //! candidate in hindsight?".
 //!
-//! **Predicted cost** mirrors `predicted_writes` in `tree.rs`: a window of
-//! `w` blocks overlapping `v` target blocks rewrites `w + v` blocks; a
-//! full merge of `n` source over `m` target blocks rewrites `n + m`.
+//! **Predicted cost** is the one cost model, [`predicted_writes`]: a
+//! window of `w` blocks overlapping `v` target blocks rewrites `w + v`
+//! blocks; a full merge of `n` source over `m` target blocks rewrites
+//! `n + m`.
 //! **Regret** of one decision is `predicted(chosen) − min over candidates
 //! of predicted`, i.e. hindsight is measured inside the same cost model
 //! the policy uses (the model's own error is tracked separately as
@@ -35,7 +36,7 @@ use observe::Json;
 use crate::block::BlockHandle;
 use crate::memtable::RunMeta;
 use crate::policy::window::scan_window_candidates;
-use crate::policy::MergeChoice;
+use crate::policy::{predicted_writes, MergeChoice};
 
 /// One candidate the policy could have chosen, with its predicted write
 /// cost in blocks.
@@ -63,27 +64,23 @@ impl Candidate {
 }
 
 /// Enumerate the candidate set for one merge decision: every `window`-sized
-/// source window (predicted cost `len + overlap`, via the same two-pointer
-/// scan ChooseBest runs) plus the full merge (predicted cost
-/// `n_src + n_target`), in that order. Only called when a ledger is
-/// attached.
+/// source window (overlaps counted by the same fence scan ChooseBest runs)
+/// then the full merge, each with its predicted cost. Only called when a
+/// ledger is attached.
 pub fn enumerate_candidates(
     src_runs: &[RunMeta],
     target: &[BlockHandle],
     window: usize,
 ) -> Vec<Candidate> {
-    let mut out: Vec<Candidate> = scan_window_candidates(src_runs, target, window)
-        .into_iter()
-        .map(|(w, overlap)| Candidate {
-            choice: MergeChoice::Window(w),
-            predicted: (w.len + overlap) as u64,
+    let windows = scan_window_candidates(src_runs, target, window)
+        .map(|(w, overlap)| (MergeChoice::Window(w), Some(overlap)));
+    windows
+        .chain([(MergeChoice::Full, None)])
+        .map(|(choice, overlap)| Candidate {
+            choice,
+            predicted: predicted_writes(src_runs, target, choice, overlap),
         })
-        .collect();
-    out.push(Candidate {
-        choice: MergeChoice::Full,
-        predicted: (src_runs.len() + target.len()) as u64,
-    });
-    out
+        .collect()
 }
 
 /// One recorded merge decision. `actual` is `None` between the decision

@@ -1,28 +1,25 @@
 //! Merge policies (§III–§IV).
 //!
-//! When a level overflows, a *merge policy* decides which blocks leave it:
-//!
-//! * [`FullPolicy`] — the original LSM behaviour: merge the whole level.
-//! * [`RrPolicy`] — round-robin partial merges of rate δ (≈ LevelDB).
-//! * [`ChooseBestPolicy`] — partial merges that pick the window overlapping
-//!   the fewest target blocks (a strictly stronger HyperLevelDB).
-//! * [`MixedPolicy`] — the paper's contribution: ChooseBest by default,
-//!   switching to Full merges into a level while that level is small
-//!   (below its threshold τ), and into the bottom level when β is set.
-//!
-//! Policies see only fence metadata through a [`MergeCtx`]; selection never
-//! reads data blocks.
+//! When a level overflows, a *merge policy* decides which blocks leave it.
+//! A policy is a value, [`PolicySpec`] (Full, RR, ChooseBest, Mixed, …),
+//! and [`PolicySpec::choose`] is the decision. Policies see only fence
+//! metadata through a [`MergeCtx`]; selection never reads data blocks.
+//! [`predicted_writes`] is the cost model decisions are judged by,
+//! [`window`] holds the window selections, [`ledger`] records decisions
+//! with their candidate tables and [`learn`] fits Mixed's parameters.
 
 pub mod learn;
 pub mod ledger;
 pub mod window;
 
 use std::collections::BTreeMap;
+use std::iter;
 
+use crate::block::BlockHandle;
 use crate::level::Level;
 use crate::memtable::RunMeta;
 use crate::record::Key;
-use window::{choose_best_aligned_window, choose_best_window, rr_window, Window};
+use window::{choose_best_aligned_window, choose_best_window, fence_scan, rr_window, Window};
 
 /// What the policy decided to merge out of the overflowing source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,6 +30,26 @@ pub enum MergeChoice {
     /// run list — physical blocks for on-SSD levels, virtual blocks of `B`
     /// records for L0).
     Window(Window),
+}
+
+/// The cost model, in blocks written, none preserved: a window of `w`
+/// blocks whose key span overlaps `v` target blocks costs `w + v`; a full
+/// merge of `n` source over `m` target blocks, `n + m`. `overlap` is `v`
+/// when the caller has it from a fence scan; `None` counts it.
+pub fn predicted_writes(
+    src: &[RunMeta],
+    target: &[BlockHandle],
+    choice: MergeChoice,
+    overlap: Option<usize>,
+) -> u64 {
+    let (taken, rewritten) = match choice {
+        MergeChoice::Full => (src.len(), target.len()),
+        MergeChoice::Window(w) => (
+            w.len,
+            overlap.unwrap_or_else(|| fence_scan(src, target, iter::once(w)).map(|(_, v)| v).sum()),
+        ),
+    };
+    (taken + rewritten) as u64
 }
 
 /// Everything a policy may consult when choosing a merge.
@@ -54,81 +71,6 @@ pub struct MergeCtx<'a> {
     pub src_rr_cursor: Option<Key>,
 }
 
-/// A merge policy. Implementations must be deterministic functions of the
-/// context — all cross-merge state (RR cursors) lives in the tree so that
-/// it survives level relabelling. That is also why `choose` takes `&self`:
-/// a maintenance step consults the policy from its unlocked half, sharing
-/// it with the tree by `Arc`, with no lock of the policy's own.
-pub trait MergePolicy: Send + Sync {
-    /// Short name for reports ("Full", "RR", "ChooseBest", "Mixed", …).
-    fn name(&self) -> &'static str;
-    /// Choose what to merge out of the overflowing source.
-    fn choose(&self, ctx: &MergeCtx<'_>) -> MergeChoice;
-}
-
-/// The original LSM policy: always merge the whole level (§III-A).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FullPolicy;
-
-impl MergePolicy for FullPolicy {
-    fn name(&self) -> &'static str {
-        "Full"
-    }
-    fn choose(&self, _ctx: &MergeCtx<'_>) -> MergeChoice {
-        MergeChoice::Full
-    }
-}
-
-/// Round-robin partial merges (§III-B), LevelDB-style.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RrPolicy;
-
-impl MergePolicy for RrPolicy {
-    fn name(&self) -> &'static str {
-        "RR"
-    }
-    fn choose(&self, ctx: &MergeCtx<'_>) -> MergeChoice {
-        MergeChoice::Window(rr_window(ctx.src_runs, ctx.src_rr_cursor, ctx.window_blocks))
-    }
-}
-
-/// Minimum-overlap partial merges restricted to pre-partitioned, aligned
-/// windows — the HyperLevelDB-granularity variant discussed in §VI. Used
-/// by the ablation harness to quantify what arbitrary-range selection
-/// buys over SSTable-granularity selection.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ChooseBestAlignedPolicy;
-
-impl MergePolicy for ChooseBestAlignedPolicy {
-    fn name(&self) -> &'static str {
-        "ChooseBestAligned"
-    }
-    fn choose(&self, ctx: &MergeCtx<'_>) -> MergeChoice {
-        MergeChoice::Window(choose_best_aligned_window(
-            ctx.src_runs,
-            ctx.target.handles(),
-            ctx.window_blocks,
-        ))
-    }
-}
-
-/// Minimum-overlap partial merges (§III-C).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ChooseBestPolicy;
-
-impl MergePolicy for ChooseBestPolicy {
-    fn name(&self) -> &'static str {
-        "ChooseBest"
-    }
-    fn choose(&self, ctx: &MergeCtx<'_>) -> MergeChoice {
-        MergeChoice::Window(choose_best_window(
-            ctx.src_runs,
-            ctx.target.handles(),
-            ctx.window_blocks,
-        ))
-    }
-}
-
 /// Parameters of the Mixed policy (§IV-B): per-level thresholds
 /// `τ_i` for internal levels `2 ≤ i ≤ h−2` and the Boolean decision β for
 /// the bottom level.
@@ -141,21 +83,25 @@ pub struct MixedParams {
     pub default_tau: f64,
     /// Whether merges into the bottom level are full.
     pub beta: bool,
+    /// Per-target-level behaviour forced while *learning* (§IV-C), ahead
+    /// of every rule; empty outside learning.
+    pub forced: BTreeMap<usize, ForcedMode>,
 }
 
+/// The TestMixed setting of §IV-A: ChooseBest everywhere except full
+/// merges into the bottom level.
 impl Default for MixedParams {
     fn default() -> Self {
-        MixedParams { thresholds: BTreeMap::new(), default_tau: 0.0, beta: true }
+        MixedParams {
+            thresholds: BTreeMap::new(),
+            default_tau: 0.0,
+            beta: true,
+            forced: BTreeMap::new(),
+        }
     }
 }
 
 impl MixedParams {
-    /// The TestMixed configuration of §IV-A: ChooseBest everywhere except
-    /// full merges into the bottom level.
-    pub fn test_mixed() -> Self {
-        MixedParams::default()
-    }
-
     /// τ for merges into `target_paper_level`.
     pub fn tau(&self, target_paper_level: usize) -> f64 {
         self.thresholds.get(&target_paper_level).copied().unwrap_or(self.default_tau)
@@ -173,70 +119,17 @@ pub enum ForcedMode {
     Partial,
 }
 
-/// The Mixed policy (§IV-B).
-#[derive(Debug, Clone, Default)]
-pub struct MixedPolicy {
-    /// Operating parameters.
-    pub params: MixedParams,
-    /// Temporary per-target-level overrides used by the learner.
-    pub overrides: BTreeMap<usize, ForcedMode>,
-}
-
-impl MixedPolicy {
-    /// A Mixed policy with the given parameters.
-    pub fn new(params: MixedParams) -> Self {
-        MixedPolicy { params, overrides: BTreeMap::new() }
-    }
-}
-
-impl MergePolicy for MixedPolicy {
-    fn name(&self) -> &'static str {
-        "Mixed"
-    }
-
-    fn choose(&self, ctx: &MergeCtx<'_>) -> MergeChoice {
-        let partial = || {
-            MergeChoice::Window(choose_best_window(
-                ctx.src_runs,
-                ctx.target.handles(),
-                ctx.window_blocks,
-            ))
-        };
-        if let Some(mode) = self.overrides.get(&ctx.target_paper_level) {
-            return match mode {
-                ForcedMode::Full => MergeChoice::Full,
-                ForcedMode::Partial => partial(),
-            };
-        }
-        // Rule 1: merges from L0 into L1 are always partial — emptying L0
-        // buys nothing since L0 lives in memory (§IV-B).
-        if ctx.target_paper_level == 1 {
-            return partial();
-        }
-        // Rule 3: the bottom level is governed by β.
-        if ctx.target_is_bottom {
-            return if self.params.beta { MergeChoice::Full } else { partial() };
-        }
-        // Rule 2: full merges into an internal level while it is below its
-        // threshold fraction of capacity.
-        let tau = self.params.tau(ctx.target_paper_level);
-        let s = ctx.target.num_blocks() as f64;
-        if s < tau * ctx.target_capacity as f64 {
-            MergeChoice::Full
-        } else {
-            partial()
-        }
-    }
-}
-
-/// Which policy to run — the unit of comparison in the paper's evaluation.
+/// A merge policy — the unit of comparison in the paper's evaluation.
+/// [`choose`](Self::choose) is a deterministic function of the context:
+/// cross-merge state (RR cursors) lives in the tree, so a maintenance step
+/// consults the policy from its unlocked half by `Arc`, with no lock.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PolicySpec {
-    /// Original LSM full merges.
+    /// Original LSM full merges (§III-A).
     Full,
-    /// Round-robin partial merges (≈ LevelDB).
+    /// Round-robin partial merges (≈ LevelDB, §III-B).
     RoundRobin,
-    /// Minimum-overlap partial merges (≥ HyperLevelDB).
+    /// Minimum-overlap partial merges (≥ HyperLevelDB, §III-C).
     ChooseBest,
     /// ChooseBest at SSTable granularity (≈ HyperLevelDB, §VI).
     ChooseBestAligned,
@@ -247,35 +140,71 @@ pub enum PolicySpec {
 }
 
 impl PolicySpec {
-    /// Instantiate the policy.
-    pub fn build(&self) -> Box<dyn MergePolicy> {
+    /// Choose what to merge out of the overflowing source.
+    pub fn choose(&self, ctx: &MergeCtx<'_>) -> MergeChoice {
         match self {
-            PolicySpec::Full => Box::new(FullPolicy),
-            PolicySpec::RoundRobin => Box::new(RrPolicy),
-            PolicySpec::ChooseBest => Box::new(ChooseBestPolicy),
-            PolicySpec::ChooseBestAligned => Box::new(ChooseBestAlignedPolicy),
-            PolicySpec::TestMixed => Box::new(MixedPolicy::new(MixedParams::test_mixed())),
-            PolicySpec::Mixed(params) => Box::new(MixedPolicy::new(params.clone())),
+            PolicySpec::Full => MergeChoice::Full,
+            PolicySpec::RoundRobin => {
+                MergeChoice::Window(rr_window(ctx.src_runs, ctx.src_rr_cursor, ctx.window_blocks))
+            }
+            PolicySpec::ChooseBest => choose_best(ctx),
+            PolicySpec::ChooseBestAligned => MergeChoice::Window(choose_best_aligned_window(
+                ctx.src_runs,
+                ctx.target.handles(),
+                ctx.window_blocks,
+            )),
+            PolicySpec::TestMixed => mixed(&MixedParams::default(), ctx),
+            PolicySpec::Mixed(params) => mixed(params, ctx),
         }
     }
 
-    /// Display name matching the paper's figures.
+    /// Short name for reports, matching the paper's figures. TestMixed is
+    /// Mixed with its §IV-A parameters and reports as "Mixed".
     pub fn name(&self) -> &'static str {
         match self {
             PolicySpec::Full => "Full",
             PolicySpec::RoundRobin => "RR",
             PolicySpec::ChooseBest => "ChooseBest",
             PolicySpec::ChooseBestAligned => "ChooseBestAligned",
-            PolicySpec::TestMixed => "TestMixed",
-            PolicySpec::Mixed(_) => "Mixed",
+            PolicySpec::TestMixed | PolicySpec::Mixed(_) => "Mixed",
         }
+    }
+}
+
+fn choose_best(ctx: &MergeCtx<'_>) -> MergeChoice {
+    MergeChoice::Window(choose_best_window(ctx.src_runs, ctx.target.handles(), ctx.window_blocks))
+}
+
+/// The Mixed policy's rules (§IV-B), after any forced mode of learning.
+fn mixed(params: &MixedParams, ctx: &MergeCtx<'_>) -> MergeChoice {
+    if let Some(mode) = params.forced.get(&ctx.target_paper_level) {
+        return match mode {
+            ForcedMode::Full => MergeChoice::Full,
+            ForcedMode::Partial => choose_best(ctx),
+        };
+    }
+    // Rule 1: merges from L0 into L1 are always partial — emptying L0
+    // buys nothing since L0 lives in memory (§IV-B).
+    if ctx.target_paper_level == 1 {
+        return choose_best(ctx);
+    }
+    // Rule 3: the bottom level is governed by β.
+    if ctx.target_is_bottom {
+        return if params.beta { MergeChoice::Full } else { choose_best(ctx) };
+    }
+    // Rule 2: full merges into an internal level while it is below its
+    // threshold fraction of capacity.
+    let tau = params.tau(ctx.target_paper_level);
+    if (ctx.target.num_blocks() as f64) < tau * ctx.target_capacity as f64 {
+        MergeChoice::Full
+    } else {
+        choose_best(ctx)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockHandle;
     use sim_ssd::BlockId;
 
     fn runs(ranges: &[(Key, Key)]) -> Vec<RunMeta> {
@@ -320,7 +249,7 @@ mod tests {
     fn full_policy_always_full() {
         let src = runs(&[(0, 9), (10, 19)]);
         let t = level(&[(0, 50)]);
-        assert_eq!(FullPolicy.choose(&ctx(&src, &t, 1, 2, 100, false)), MergeChoice::Full);
+        assert_eq!(PolicySpec::Full.choose(&ctx(&src, &t, 1, 2, 100, false)), MergeChoice::Full);
     }
 
     #[test]
@@ -329,7 +258,7 @@ mod tests {
         let t = level(&[]);
         let mut c = ctx(&src, &t, 1, 2, 100, false);
         c.src_rr_cursor = Some(9);
-        let choice = RrPolicy.choose(&c);
+        let choice = PolicySpec::RoundRobin.choose(&c);
         assert_eq!(choice, MergeChoice::Window(Window { start: 1, len: 1 }));
     }
 
@@ -337,7 +266,7 @@ mod tests {
     fn choose_best_policy_picks_gap() {
         let src = runs(&[(0, 9), (40, 45), (100, 109)]);
         let t = level(&[(0, 20), (95, 120)]);
-        let choice = ChooseBestPolicy.choose(&ctx(&src, &t, 1, 2, 100, false));
+        let choice = PolicySpec::ChooseBest.choose(&ctx(&src, &t, 1, 2, 100, false));
         assert_eq!(choice, MergeChoice::Window(Window { start: 1, len: 1 }));
     }
 
@@ -345,10 +274,9 @@ mod tests {
     fn mixed_always_partial_into_l1() {
         let src = runs(&[(0, 9), (10, 19)]);
         let t = level(&[]);
-        let m = MixedPolicy::new(MixedParams {
-            thresholds: BTreeMap::new(),
+        let m = PolicySpec::Mixed(MixedParams {
             default_tau: 1.0, // would force Full anywhere else
-            beta: true,
+            ..MixedParams::default()
         });
         let choice = m.choose(&ctx(&src, &t, 1, 1, 100, false));
         assert!(matches!(choice, MergeChoice::Window(_)));
@@ -358,9 +286,9 @@ mod tests {
     fn mixed_beta_controls_bottom() {
         let src = runs(&[(0, 9), (10, 19)]);
         let t = level(&[(0, 50)]);
-        let on = MixedPolicy::new(MixedParams { beta: true, ..MixedParams::default() });
+        let on = PolicySpec::Mixed(MixedParams { beta: true, ..MixedParams::default() });
         assert_eq!(on.choose(&ctx(&src, &t, 1, 3, 100, true)), MergeChoice::Full);
-        let off = MixedPolicy::new(MixedParams { beta: false, ..MixedParams::default() });
+        let off = PolicySpec::Mixed(MixedParams { beta: false, ..MixedParams::default() });
         assert!(matches!(off.choose(&ctx(&src, &t, 1, 3, 100, true)), MergeChoice::Window(_)));
     }
 
@@ -369,7 +297,7 @@ mod tests {
         let src = runs(&[(0, 9), (10, 19)]);
         let mut params = MixedParams::default();
         params.thresholds.insert(2, 0.5);
-        let m = MixedPolicy::new(params);
+        let m = PolicySpec::Mixed(params);
         // Target has 1 block, capacity 10 → S < τK (1 < 5) → Full.
         let small = level(&[(0, 50)]);
         assert_eq!(m.choose(&ctx(&src, &small, 1, 2, 10, false)), MergeChoice::Full);
@@ -379,13 +307,15 @@ mod tests {
     }
 
     #[test]
-    fn overrides_beat_everything() {
+    fn forced_modes_beat_everything() {
         let src = runs(&[(0, 9), (10, 19)]);
         let t = level(&[(0, 50)]);
-        let mut m = MixedPolicy::new(MixedParams { beta: false, ..MixedParams::default() });
-        m.overrides.insert(3, ForcedMode::Full);
+        let mut params = MixedParams { beta: false, ..MixedParams::default() };
+        params.forced.insert(3, ForcedMode::Full);
+        let m = PolicySpec::Mixed(params.clone());
         assert_eq!(m.choose(&ctx(&src, &t, 1, 3, 100, true)), MergeChoice::Full);
-        m.overrides.insert(3, ForcedMode::Partial);
+        params.forced.insert(3, ForcedMode::Partial);
+        let m = PolicySpec::Mixed(params);
         assert!(matches!(m.choose(&ctx(&src, &t, 1, 3, 100, true)), MergeChoice::Window(_)));
     }
 
@@ -393,7 +323,7 @@ mod tests {
     fn test_mixed_is_choosebest_plus_full_bottom() {
         let src = runs(&[(0, 9), (10, 19)]);
         let t = level(&[(0, 50)]);
-        let m = MixedPolicy::new(MixedParams::test_mixed());
+        let m = PolicySpec::TestMixed;
         // Internal level with τ=0: S < 0 never holds → partial.
         assert!(matches!(m.choose(&ctx(&src, &t, 1, 2, 100, false)), MergeChoice::Window(_)));
         // Bottom: β = true → Full.
@@ -401,17 +331,26 @@ mod tests {
     }
 
     #[test]
-    fn spec_builds_named_policies() {
+    fn spec_names_match_the_figures() {
         for (spec, name) in [
             (PolicySpec::Full, "Full"),
             (PolicySpec::RoundRobin, "RR"),
             (PolicySpec::ChooseBest, "ChooseBest"),
+            (PolicySpec::ChooseBestAligned, "ChooseBestAligned"),
             (PolicySpec::TestMixed, "Mixed"),
             (PolicySpec::Mixed(MixedParams::default()), "Mixed"),
         ] {
-            let p = spec.build();
-            assert_eq!(p.name(), name);
+            assert_eq!(spec.name(), name);
         }
-        assert_eq!(PolicySpec::TestMixed.name(), "TestMixed");
+    }
+
+    #[test]
+    fn predicted_writes_is_taken_plus_rewritten() {
+        let src = runs(&[(0, 9), (10, 19), (20, 29)]);
+        let t = level(&[(5, 12), (40, 50)]);
+        let w = MergeChoice::Window(Window { start: 1, len: 2 });
+        assert_eq!(predicted_writes(&src, t.handles(), w, None), 2 + 1);
+        assert_eq!(predicted_writes(&src, t.handles(), w, Some(0)), 2, "a given count is used");
+        assert_eq!(predicted_writes(&src, t.handles(), MergeChoice::Full, None), 3 + 2);
     }
 }

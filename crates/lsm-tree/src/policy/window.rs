@@ -6,6 +6,9 @@
 //! `ChooseBest` scan is the paper's single simultaneous pass over the two
 //! sorted lists of key ranges, maintaining the enclosed target subsequence
 //! with two monotone pointers: O(n + m) for n source and m target blocks.
+//! It is written once, `fence_scan`, and prices the windows of
+//! ChooseBest, of its aligned variant and of the decision ledger's
+//! candidate table.
 
 use crate::block::BlockHandle;
 use crate::memtable::RunMeta;
@@ -27,19 +30,50 @@ pub struct Window {
 /// remains, the first `window` blocks.
 pub fn rr_window(src: &[RunMeta], cursor: Option<Key>, window: usize) -> Window {
     debug_assert!(!src.is_empty());
-    let start = match cursor {
-        Some(k) => {
-            let idx = src.partition_point(|r| r.min <= k);
-            if idx >= src.len() {
-                0
-            } else {
-                idx
-            }
-        }
-        None => 0,
-    };
+    let start = cursor.map_or(0, |k| src.partition_point(|r| r.min <= k));
+    let start = if start < src.len() { start } else { 0 };
     let len = window.min(src.len() - start);
     Window { start, len }
+}
+
+/// The §III-C fence scan: each of `windows`, whose starts and ends must
+/// never decrease, paired with the number of target blocks its key span
+/// overlaps — `hi - lo` for `lo` the first block with `max >= span.min`
+/// and `hi` the first with `min > span.max`, pointers that only move
+/// forward over the sorted, disjoint target.
+pub(crate) fn fence_scan<'a>(
+    src: &'a [RunMeta],
+    target: &'a [BlockHandle],
+    windows: impl Iterator<Item = Window> + 'a,
+) -> impl Iterator<Item = (Window, usize)> + 'a {
+    let (mut lo, mut hi) = (0usize, 0usize);
+    windows.map(move |w| {
+        let kmin = src[w.start].min;
+        let kmax = src[w.start + w.len - 1].max;
+        while lo < target.len() && target[lo].max < kmin {
+            lo += 1;
+        }
+        hi = hi.max(lo);
+        while hi < target.len() && target[hi].min <= kmax {
+            hi += 1;
+        }
+        (w, hi - lo)
+    })
+}
+
+/// The leftmost window of least overlap. Zero overlap is a global minimum,
+/// so the scan stops at the first one.
+fn leftmost_min(priced: impl Iterator<Item = (Window, usize)>) -> Window {
+    let mut best = (Window { start: 0, len: 0 }, usize::MAX);
+    for (w, overlap) in priced {
+        if overlap < best.1 {
+            best = (w, overlap);
+            if overlap == 0 {
+                break;
+            }
+        }
+    }
+    best.0
 }
 
 /// ChooseBest selection (§III-C): among all runs of `window` consecutive
@@ -47,50 +81,16 @@ pub fn rr_window(src: &[RunMeta], cursor: Option<Key>, window: usize) -> Window 
 /// blocks; leftmost on ties. When the source has at most `window` blocks,
 /// the whole source is selected.
 pub fn choose_best_window(src: &[RunMeta], target: &[BlockHandle], window: usize) -> Window {
-    debug_assert!(!src.is_empty());
-    let n = src.len();
-    if n <= window {
-        return Window { start: 0, len: n };
-    }
-    let mut best_start = 0usize;
-    let mut best_overlap = usize::MAX;
-    // lo: first target block with max >= span.min (monotone in start).
-    // hi: first target block with min > span.max (monotone in start).
-    let mut lo = 0usize;
-    let mut hi = 0usize;
-    for start in 0..=(n - window) {
-        let kmin = src[start].min;
-        let kmax = src[start + window - 1].max;
-        while lo < target.len() && target[lo].max < kmin {
-            lo += 1;
-        }
-        if hi < lo {
-            hi = lo;
-        }
-        while hi < target.len() && target[hi].min <= kmax {
-            hi += 1;
-        }
-        let overlap = hi - lo;
-        if overlap < best_overlap {
-            best_overlap = overlap;
-            best_start = start;
-            if overlap == 0 {
-                // Cannot do better; the paper's scan would continue, but
-                // zero overlap is a global minimum and we take the
-                // leftmost one, preserving the tie-break rule.
-                break;
-            }
-        }
-    }
-    Window { start: best_start, len: window }
+    leftmost_min(scan_window_candidates(src, target, window))
 }
 
 /// ChooseBest restricted to *aligned* windows — the selection granularity
 /// of systems that pre-partition each level into fixed SSTables and pick
 /// the best one (HyperLevelDB, §VI). Candidate windows start only at
-/// multiples of the window size, so there are ~1/δ candidates instead of
-/// n − δn. Strictly weaker than [`choose_best_window`]; the ablation
-/// harness quantifies the gap.
+/// multiples of the window size (the last one shorter when `window` does
+/// not divide n), so there are ~1/δ candidates instead of n − δn.
+/// Strictly weaker than [`choose_best_window`]; the ablation harness
+/// quantifies the gap.
 pub fn choose_best_aligned_window(
     src: &[RunMeta],
     target: &[BlockHandle],
@@ -98,66 +98,29 @@ pub fn choose_best_aligned_window(
 ) -> Window {
     debug_assert!(!src.is_empty());
     let n = src.len();
-    if n <= window {
-        return Window { start: 0, len: n };
-    }
-    let mut best = Window { start: 0, len: window.min(n) };
-    let mut best_overlap = usize::MAX;
-    let mut start = 0;
-    while start < n {
-        let len = window.min(n - start);
-        let w = Window { start, len };
-        let overlap = window_overlap(src, target, w);
-        if overlap < best_overlap {
-            best_overlap = overlap;
-            best = w;
-        }
-        start += window;
-    }
-    best
+    let aligned =
+        (0..n).step_by(window).map(move |start| Window { start, len: window.min(n - start) });
+    leftmost_min(fence_scan(src, target, aligned))
 }
 
-/// Enumerate every window of `window` consecutive source blocks together
-/// with its target-overlap count — the full candidate set that
-/// [`choose_best_window`] scans. Unlike the selection scan this never
-/// early-exits on zero overlap, because its consumer (the decision
-/// ledger) wants the complete table of predicted costs, not just the
-/// winner. Same two-pointer O(n + m) pass; when the source has at most
-/// `window` blocks the single whole-source window is the only candidate.
-pub fn scan_window_candidates(
-    src: &[RunMeta],
-    target: &[BlockHandle],
+/// Every window of `window` consecutive source blocks, left to right, with
+/// its target-overlap count: the candidates [`choose_best_window`] scans
+/// and the decision ledger tabulates. When the source has at most `window`
+/// blocks the whole source is the only candidate.
+pub fn scan_window_candidates<'a>(
+    src: &'a [RunMeta],
+    target: &'a [BlockHandle],
     window: usize,
-) -> Vec<(Window, usize)> {
+) -> impl Iterator<Item = (Window, usize)> + 'a {
     debug_assert!(!src.is_empty());
-    let n = src.len();
-    if n <= window {
-        let w = Window { start: 0, len: n };
-        return vec![(w, window_overlap(src, target, w))];
-    }
-    let mut out = Vec::with_capacity(n - window + 1);
-    let mut lo = 0usize;
-    let mut hi = 0usize;
-    for start in 0..=(n - window) {
-        let kmin = src[start].min;
-        let kmax = src[start + window - 1].max;
-        while lo < target.len() && target[lo].max < kmin {
-            lo += 1;
-        }
-        if hi < lo {
-            hi = lo;
-        }
-        while hi < target.len() && target[hi].min <= kmax {
-            hi += 1;
-        }
-        out.push((Window { start, len: window }, hi - lo));
-    }
-    out
+    let len = window.min(src.len());
+    fence_scan(src, target, (0..=src.len() - len).map(move |start| Window { start, len }))
 }
 
 /// Number of target blocks overlapping the key span of
-/// `src[window.start .. window.start + window.len]` — used by tests and
-/// by brute-force verification.
+/// `src[window.start .. window.start + window.len]`, counted block by
+/// block: the brute-force reference the tests check the fence scan
+/// against.
 pub fn window_overlap(src: &[RunMeta], target: &[BlockHandle], window: Window) -> usize {
     let kmin = src[window.start].min;
     let kmax = src[window.start + window.len - 1].max;
@@ -292,7 +255,7 @@ mod tests {
                 continue;
             }
             let window = 3;
-            let cands = scan_window_candidates(&src, &target, window);
+            let cands: Vec<_> = scan_window_candidates(&src, &target, window).collect();
             assert_eq!(cands.len(), src.len() - window + 1, "one candidate per start");
             for &(w, ov) in &cands {
                 assert_eq!(
@@ -316,7 +279,7 @@ mod tests {
     fn candidate_scan_small_source_is_single_whole_window() {
         let src = vec![run(0, 9), run(10, 19)];
         let target = vec![th(5, 12)];
-        let cands = scan_window_candidates(&src, &target, 5);
+        let cands: Vec<_> = scan_window_candidates(&src, &target, 5).collect();
         assert_eq!(cands, vec![(Window { start: 0, len: 2 }, 1)]);
     }
 

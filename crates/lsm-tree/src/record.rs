@@ -7,6 +7,8 @@
 
 use bytes::Bytes;
 
+use crate::block::RECORD_HEADER_LEN;
+
 /// Key type. The paper uses 4-byte unsigned integers in `[0, 10^9]`;
 /// `u64` is strictly more general and keeps the arithmetic simple.
 pub type Key = u64;
@@ -74,7 +76,7 @@ impl Record {
     /// `key (8) + op (1) + payload_len (4) + payload`.
     #[inline]
     pub fn encoded_len(&self) -> usize {
-        8 + 1 + 4 + self.payload.len()
+        RECORD_HEADER_LEN + self.payload.len()
     }
 }
 

@@ -908,6 +908,36 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_record_that_fills_the_block_is_logged_one_byte_more_is_not() {
+        // The pre-log check and the block codec agree on the record
+        // header, to the byte: a record that exactly fills a block's
+        // payload is accepted and recovered; one byte more is refused
+        // before it reaches the log.
+        let room = small_cfg().block_size - crate::block::BLOCK_HEADER_LEN;
+        let fits = room - crate::block::RECORD_HEADER_LEN;
+        let (t, dir) = wal_tree("block_edge", CommitMode::Group, 1);
+        t.put(1, vec![1u8; fits]).unwrap();
+        let logged = t.wal_lens();
+        let err = t.put(2, vec![2u8; fits + 1]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                LsmError::RecordTooLarge { record_bytes, block_payload_bytes }
+                    if record_bytes == room + 1 && block_payload_bytes == room
+            ),
+            "{err}"
+        );
+        assert_eq!(t.wal_lens(), logged, "a refused request must not grow the log");
+        std::mem::forget(t); // crash
+        let r =
+            ShardedLsmTree::recover_with_wal(small_cfg(), TreeOptions::default(), 1, 1 << 16, &dir)
+                .expect("recovery replays the record that fills the block");
+        assert_eq!(r.get(1).unwrap().as_deref(), Some(&vec![1u8; fits][..]));
+        assert_eq!(r.get(2).unwrap(), None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     fn is(e: &LsmError, want: fn(&DeviceError) -> bool) -> bool {
         matches!(e, LsmError::Device(d) if want(d))
     }

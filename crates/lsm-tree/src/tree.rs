@@ -8,7 +8,7 @@ use observe::{Event, SinkHandle, SpanGuard, SpanOp};
 
 use sim_ssd::BlockDevice;
 
-use crate::block::BLOCK_HEADER_LEN;
+use crate::block::{BLOCK_HEADER_LEN, RECORD_HEADER_LEN};
 use crate::config::{CommitMode, LsmConfig, Scheduler};
 use crate::error::{LsmError, Result};
 use crate::iter::lookup;
@@ -16,8 +16,8 @@ use crate::level::{Level, LevelDraft, LevelEdit};
 use crate::memtable::{Memtable, RunMeta};
 use crate::merge::{MergeEngine, MergeSource, StepBlocks};
 use crate::policy::ledger::{enumerate_candidates, DecisionLedger};
-use crate::policy::window::{runs_of_handles, window_overlap};
-use crate::policy::{MergeChoice, MergeCtx, MergePolicy, PolicySpec};
+use crate::policy::window::runs_of_handles;
+use crate::policy::{predicted_writes, MergeChoice, MergeCtx, PolicySpec};
 use crate::record::{Key, Request};
 use crate::stats::{LevelStats, MergeKind, TreeStats};
 use crate::store::{RetryPolicy, Store};
@@ -199,8 +199,7 @@ struct StepEnv {
     enforce_pairwise: bool,
     enforce_level_waste: bool,
     store: Arc<Store>,
-    policy: Arc<dyn MergePolicy>,
-    policy_name: &'static str,
+    policy: Arc<PolicySpec>,
     sink: SinkHandle,
     ledger: Option<Arc<DecisionLedger>>,
 }
@@ -208,15 +207,13 @@ struct StepEnv {
 impl StepEnv {
     fn new(cfg: LsmConfig, opts: TreeOptions, store: Store) -> Self {
         store.set_sink(opts.sink.clone());
-        let policy: Arc<dyn MergePolicy> = Arc::from(opts.policy.build());
         StepEnv {
             cfg,
             preserve_blocks: opts.preserve_blocks,
             enforce_pairwise: opts.enforce_pairwise,
             enforce_level_waste: opts.enforce_level_waste,
             store: Arc::new(store),
-            policy_name: policy.name(),
-            policy,
+            policy: Arc::new(opts.policy),
             sink: opts.sink,
             ledger: opts.ledger,
         }
@@ -259,7 +256,7 @@ pub struct LsmTree {
 /// and abort recovery, losing every acknowledged write after it.
 pub(crate) fn check_request(block_size: usize, req: &Request) -> Result<()> {
     if let Request::Put(_, payload) = req {
-        let record_bytes = 13 + payload.len();
+        let record_bytes = RECORD_HEADER_LEN + payload.len();
         let room = block_size - BLOCK_HEADER_LEN;
         if record_bytes > room {
             return Err(LsmError::RecordTooLarge { record_bytes, block_payload_bytes: room });
@@ -469,7 +466,7 @@ impl LsmTree {
 
     /// Name of the active policy.
     pub fn policy_name(&self) -> &'static str {
-        self.env.policy_name
+        self.env.policy.name()
     }
 
     /// Total records in the index (upper bound: shadowed versions and
@@ -487,9 +484,8 @@ impl LsmTree {
 
     /// Replace the merge policy (the Mixed learner uses this between
     /// measurements; data and statistics are unaffected).
-    pub fn set_policy(&mut self, policy: Box<dyn MergePolicy>) {
-        self.env.policy_name = policy.name();
-        self.env.policy = Arc::from(policy);
+    pub fn set_policy(&mut self, policy: PolicySpec) {
+        self.env.policy = Arc::new(policy);
     }
 
     /// Register (or detach, with [`SinkHandle::none`]) the event sink. The
@@ -701,17 +697,6 @@ fn overflowing_level(cfg: &LsmConfig, levels: &[Arc<Level>]) -> Option<usize> {
     (0..levels.len()).find(|&i| levels[i].num_blocks() >= cfg.level_capacity_blocks(i + 1))
 }
 
-/// Blocks the policy's choice is expected to write: the selected source
-/// blocks plus every overlapping target block (none are preserved in
-/// the pessimistic prediction). Compared to the actual `writes` of the
-/// matching merge, this evaluates the policy's cost model.
-fn predicted_writes(runs: &[RunMeta], target: &Level, choice: MergeChoice) -> u64 {
-    match choice {
-        MergeChoice::Full => (runs.len() + target.num_blocks()) as u64,
-        MergeChoice::Window(w) => (w.len + window_overlap(runs, target.handles(), w)) as u64,
-    }
-}
-
 /// What one maintenance step works from: the tree's levels and the
 /// memtable it flushes, shared by `Arc`, plus the step environment.
 /// Consumed by [`compute`](StepSnapshot::compute), so the `Arc`s are gone
@@ -845,19 +830,21 @@ impl StepSnapshot {
     }
 
     /// Announce `choice` (event, ledger row with its candidate table);
-    /// returns the ledger token the merge closes.
+    /// returns the ledger token the merge closes. Its predicted cost is
+    /// counted only for a consumer: the event's closure runs only with a
+    /// sink attached.
     fn announce(&self, runs: &[RunMeta], target_idx: usize, choice: MergeChoice) -> Option<u64> {
-        let (env, target) = (&self.env, &*self.levels[target_idx]);
-        let predicted = predicted_writes(runs, target, choice);
+        let (env, target) = (&self.env, self.levels[target_idx].handles());
+        let predicted = || predicted_writes(runs, target, choice, None);
         env.sink.emit_with(|| Event::PolicyDecision {
             target_level: target_idx + 1,
             full: choice == MergeChoice::Full,
-            predicted_writes: predicted,
+            predicted_writes: predicted(),
         });
         env.ledger.as_ref().map(|l| {
             let window_blocks = env.cfg.merge_window_blocks(target_idx);
-            let cands = enumerate_candidates(runs, target.handles(), window_blocks);
-            l.open(env.policy_name, target_idx + 1, cands, choice, predicted)
+            let cands = enumerate_candidates(runs, target, window_blocks);
+            l.open(env.policy.name(), target_idx + 1, cands, choice, predicted())
         })
     }
 
@@ -1307,6 +1294,31 @@ mod tests {
         assert!(bare.ledger().is_none());
     }
 
+    #[test]
+    fn every_policy_reports_its_name_to_the_tree_and_the_ledger() {
+        for (spec, name) in [
+            (PolicySpec::Full, "Full"),
+            (PolicySpec::RoundRobin, "RR"),
+            (PolicySpec::ChooseBest, "ChooseBest"),
+            (PolicySpec::ChooseBestAligned, "ChooseBestAligned"),
+            (PolicySpec::TestMixed, "Mixed"),
+            (PolicySpec::Mixed(MixedParams::default()), "Mixed"),
+        ] {
+            let ledger = Arc::new(DecisionLedger::new(4096));
+            let mut t = LsmTree::with_mem_device(
+                tiny_cfg(),
+                TreeOptions::builder().policy(spec).ledger(Arc::clone(&ledger)).build(),
+                1 << 16,
+            )
+            .unwrap();
+            assert_eq!(t.policy_name(), name);
+            fill(&mut t, 2000, 13);
+            let rows = ledger.rows();
+            assert!(!rows.is_empty(), "{name}: sustained inserts must have merged");
+            assert!(rows.iter().all(|r| r.policy == name), "{name}: a row names another policy");
+        }
+    }
+
     /// A computed step owns its blocks until it is released, installed or
     /// not: dropped between the halves (shutdown, crash) it gives back what
     /// it wrote; installed, what it replaced. Never both, never neither.
@@ -1401,7 +1413,7 @@ mod tests {
     fn policy_swap_preserves_data() {
         let mut t = tree_with(PolicySpec::Full);
         fill(&mut t, 1000, 9);
-        t.set_policy(PolicySpec::ChooseBest.build());
+        t.set_policy(PolicySpec::ChooseBest);
         assert_eq!(t.policy_name(), "ChooseBest");
         fill(&mut t, 1000, 9); // overwrite same keys
         for k in (0..1000u64).step_by(97) {

@@ -7,7 +7,9 @@ use proptest::prelude::*;
 
 use lsm_tree::block::{BlockHandle, FrameBuilder};
 use lsm_tree::memtable::{Memtable, RunMeta};
-use lsm_tree::policy::window::{choose_best_window, window_overlap, Window};
+use lsm_tree::policy::window::{
+    choose_best_aligned_window, choose_best_window, scan_window_candidates, window_overlap, Window,
+};
 use lsm_tree::{BloomFilter, DataBlock, MergeEngine, MergeSource, OpKind, Record, Request, Store};
 
 fn arb_record() -> impl Strategy<Value = Record> {
@@ -254,6 +256,24 @@ proptest! {
             .min()
             .unwrap();
         prop_assert_eq!(window_overlap(&src, &target, got), best);
+
+        // The ledger's candidate table: every window, each with the
+        // overlap the brute force counts.
+        let cands: Vec<(Window, usize)> = scan_window_candidates(&src, &target, window).collect();
+        prop_assert_eq!(cands.len(), src.len() - window + 1);
+        for (s, &(w, overlap)) in cands.iter().enumerate() {
+            prop_assert_eq!(w, Window { start: s, len: window });
+            prop_assert_eq!(overlap, window_overlap(&src, &target, w));
+        }
+
+        // The aligned variant: the leftmost brute-force minimum over the
+        // windows starting at multiples of `window`, the tail one shorter.
+        let aligned = (0..src.len())
+            .step_by(window)
+            .map(|start| Window { start, len: window.min(src.len() - start) })
+            .min_by_key(|&w| window_overlap(&src, &target, w))
+            .unwrap();
+        prop_assert_eq!(choose_best_aligned_window(&src, &target, window), aligned);
     }
 
     #[test]

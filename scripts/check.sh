@@ -43,9 +43,6 @@ cargo run --release -q -p lsm-bench --bin lsm_crash -- --scheduler=background \
 # Longer soak (more seeds, longer histories), not part of the gate:
 #   cargo test --release -p lsm-tree --test concurrent_torture -- --ignored
 
-echo "== observer-effect regression, inline and with the scheduler enabled =="
-cargo test -q -p lsm-tree --test trace_spans -- observer_effect
-
 echo "== post-mortem smoke (fault-injected torture cycle -> bundle -> renderer -> validator) =="
 pm_dir="$work/pm"
 mkdir "$pm_dir"
@@ -217,6 +214,10 @@ gone="$gone"'|\bread_blocks\b|mark_definite_reads|PREFETCH_MAX|COMPACT_BATCH|run
 # One §V protocol (`make_tree`, `steady_state`, `measure`) and one set of
 # rows per result (`Table`, printed and written as CSV).
 gone="$gone"'|prepared_tree[(`]|\bCsv\b'
+# A merge policy is a `PolicySpec` value with one `choose`: no policy trait,
+# no policy type per variant.
+gone="$gone"'|\bMergePolicy\b|\bFullPolicy\b|\bRrPolicy\b|\bChooseBestPolicy\b'
+gone="$gone"'|\bChooseBestAlignedPolicy\b|\bMixedPolicy\b'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"
