@@ -5,8 +5,10 @@
 //! concurrency control and Bloom filters"). We provide per-block filters
 //! built when a block is written; they live in the in-memory fence entry
 //! ([`crate::block::BlockHandle`]) and let point lookups skip reading
-//! blocks that cannot contain the key. Filters never touch the device and
-//! therefore never affect the write counts the paper measures.
+//! blocks that cannot contain the key. A checkpoint's manifest stores each
+//! filter's bits, so a restored fence entry has its filter back. Filters
+//! never touch the device and therefore never affect the write counts the
+//! paper measures.
 
 use std::sync::Arc;
 
@@ -44,6 +46,8 @@ fn bit_count(geometry: u64) -> u64 {
 /// The positions `key` sets or tests in a filter of this geometry. Each
 /// 64-bit value is brought into `[0, num_bits)` by taking the high word of
 /// its product with `num_bits` — a multiplication where `%` is a division.
+/// A manifest stores the bits these positions set: changing them, the seed
+/// or [`geometry`] changes the manifest's format.
 #[inline]
 fn bit_positions(geometry: u64, key: Key) -> impl Iterator<Item = usize> {
     let num_bits = u128::from(bit_count(geometry));
@@ -69,10 +73,22 @@ pub(crate) fn probe(words: &[u64], key: Key) -> bool {
     bit_positions(words[0], key).all(|bit| bits[bit / 64] & (1u64 << (bit % 64)) != 0)
 }
 
+/// The geometry word of the filter `keys` keys get at `bits_per_key` bits
+/// a key: every bit of the 64-bit words that many bits round up to, probed
+/// `k ≈ bits_per_key · ln 2` times a key, `k` clamped to `[1, 30]`. A
+/// block's filter is built, and restored from a manifest, at the geometry
+/// this says for its record count, so the two cannot disagree. `None` if
+/// the bit count does not fit the word.
+pub(crate) fn geometry(keys: usize, bits_per_key: usize) -> Option<u64> {
+    let bits_per_key = bits_per_key.max(1);
+    let num_bits = keys.max(1).checked_mul(bits_per_key)?.checked_next_multiple_of(64)? as u64;
+    let num_hashes = ((bits_per_key as f64 * std::f64::consts::LN_2).round() as u64).clamp(1, 30);
+    (num_bits < 1 << HASHES_SHIFT).then_some(num_hashes << HASHES_SHIFT | num_bits)
+}
+
 impl BloomFilter {
-    /// Build a filter for `keys` at roughly `bits_per_key` bits per key.
-    /// The number of hash functions is the standard optimum
-    /// `k ≈ bits_per_key · ln 2`, clamped to `[1, 30]`.
+    /// Build a filter for `keys` at roughly `bits_per_key` bits a key,
+    /// rounded up to whole words: every bit it occupies is probed.
     pub fn build(keys: &[Key], bits_per_key: usize) -> Self {
         Self::from_keys(keys.iter().copied(), bits_per_key)
     }
@@ -80,22 +96,34 @@ impl BloomFilter {
     /// [`build`](BloomFilter::build) over keys read straight out of
     /// whatever holds them (a block's records), with no key vector between.
     pub fn from_keys(keys: impl ExactSizeIterator<Item = Key>, bits_per_key: usize) -> Self {
-        let bits_per_key = bits_per_key.max(1);
-        let num_bits = (keys.len().max(1) * bits_per_key).max(64);
-        assert!((num_bits as u64) < 1 << HASHES_SHIFT, "filter of {num_bits} bits");
-        let num_hashes =
-            ((bits_per_key as f64 * std::f64::consts::LN_2).round() as u64).clamp(1, 30);
-        let geometry = num_hashes << HASHES_SHIFT | num_bits as u64;
+        let Some(geometry) = geometry(keys.len(), bits_per_key) else {
+            panic!("a filter of {} keys at {bits_per_key} bits a key", keys.len());
+        };
         // Collected from an iterator of known length: allocated once, in place.
-        let mut words: Arc<[u64]> = std::iter::repeat_n(0, 1 + num_bits.div_ceil(64)).collect();
+        let mut words: Arc<[u64]> = std::iter::once(geometry)
+            .chain(std::iter::repeat_n(0, len_in_words(geometry) - 1))
+            .collect();
         let filter = Arc::get_mut(&mut words).expect("not shared yet");
-        filter[0] = geometry;
         for key in keys {
             for bit in bit_positions(geometry, key) {
                 filter[1 + bit / 64] |= 1u64 << (bit % 64);
             }
         }
         BloomFilter { words }
+    }
+
+    /// The filter [`from_keys`](BloomFilter::from_keys) built over `keys`
+    /// keys at `bits_per_key`, given back its [`bits`](BloomFilter::bits):
+    /// how a manifest restores one. `None` unless `bits` holds exactly the
+    /// words that geometry has.
+    pub fn from_bits(
+        keys: usize,
+        bits_per_key: usize,
+        bits: impl ExactSizeIterator<Item = u64>,
+    ) -> Option<Self> {
+        let geometry = geometry(keys, bits_per_key)?;
+        (1 + bits.len() == len_in_words(geometry))
+            .then(|| BloomFilter { words: std::iter::once(geometry).chain(bits).collect() })
     }
 
     /// May `key` be in the set? False negatives never occur.
@@ -106,6 +134,11 @@ impl BloomFilter {
     /// The filter as a level's index stores it: geometry word, then bits.
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// The bit array's words: what a manifest stores of the filter.
+    pub fn bits(&self) -> &[u64] {
+        &self.words[1..]
     }
 
     /// Size of the bit array in bits.
@@ -184,8 +217,9 @@ mod tests {
 
     #[test]
     fn false_positive_rate_at_block_geometry_matches_the_modulo_positions() {
-        // The filter a 36-record block gets (360 bits, 7 probes), against
-        // the positions this filter took before: two hashes, reduced by `%`.
+        // The filter a 36-record block gets (384 bits: the six words that
+        // 360 round up to; 7 probes), against the positions this filter
+        // took before — two hashes, reduced by `%` — over the same bits.
         let modulo_positions = |num_bits: u64, key: Key| {
             let h1 = mix64(key);
             let h2 = mix64(key ^ 0xdead_beef_cafe_f00d) | 1;
@@ -197,16 +231,16 @@ mod tests {
         for _ in 0..filters {
             let keys: Vec<Key> = (0..36).map(|_| next()).collect();
             let f = BloomFilter::build(&keys, 10);
-            assert_eq!((f.num_bits(), f.num_hashes()), (360, 7));
+            assert_eq!((f.num_bits(), f.num_hashes()), (384, 7));
             let mut reference = [0u64; 6];
             for &k in &keys {
-                modulo_positions(360, k).for_each(|bit| reference[bit / 64] |= 1 << (bit % 64));
+                modulo_positions(384, k).for_each(|bit| reference[bit / 64] |= 1 << (bit % 64));
             }
             for _ in 0..probes {
                 let absent = next(); // one of 2^64: not among the 36
                 fp += u32::from(f.may_contain(absent));
                 fp_modulo += u32::from(
-                    modulo_positions(360, absent)
+                    modulo_positions(384, absent)
                         .all(|bit| reference[bit / 64] >> (bit % 64) & 1 == 1),
                 );
             }
@@ -222,7 +256,7 @@ mod tests {
 
     #[test]
     fn keys_of_one_shard_see_the_false_positive_rate_of_any_keys() {
-        // Block-sized filters (36 keys, 360 bits, 7 probes) over keys that
+        // Block-sized filters (36 keys, 384 bits, 7 probes) over keys that
         // route to shard 0 of 4, probed with absent keys of that shard,
         // against the same over keys of any shard.
         let rate = |shard: Option<usize>| {
@@ -266,6 +300,38 @@ mod tests {
         for &k in &keys {
             assert!(f.may_contain(k));
         }
+    }
+
+    #[test]
+    fn a_filter_probes_every_bit_of_the_words_it_occupies() {
+        let mut next = stream(5);
+        for (n, bits_per_key) in [(0, 10), (1, 10), (6, 10), (36, 10), (37, 10), (36, 1), (36, 16)]
+        {
+            let keys: Vec<Key> = (0..n).map(|_| next()).collect();
+            let f = BloomFilter::build(&keys, bits_per_key);
+            assert_eq!(f.num_bits(), 64 * f.bits().len(), "{n} keys at {bits_per_key}");
+            assert_eq!(f.num_bits(), (n.max(1) * bits_per_key).next_multiple_of(64));
+        }
+        assert_eq!(geometry(usize::MAX, 2), None, "a bit count that overflows");
+        assert_eq!(geometry(1 << 50, 64), None, "a bit count past the geometry word");
+    }
+
+    #[test]
+    fn a_filter_comes_back_from_its_bits_at_its_geometry_only() {
+        let mut next = stream(6);
+        let keys: Vec<Key> = (0..36).map(|_| next()).collect();
+        let f = BloomFilter::build(&keys, 10);
+        let back = |n, bits_per_key, bits: &[u64]| {
+            BloomFilter::from_bits(n, bits_per_key, bits.iter().copied())
+        };
+        assert_eq!(back(36, 10, f.bits()), Some(f.clone()));
+        // 38 keys still take six words; the seven probes of 10 bits a key
+        // too — the geometry word is derived, not stored.
+        assert_eq!(back(38, 10, f.bits()).map(|g| g.num_bits()), Some(384));
+        assert_eq!(back(36, 10, &f.bits()[1..]), None, "a word short");
+        assert_eq!(back(36, 10, &[f.bits(), &[0]].concat()), None, "a word over");
+        assert_eq!(back(36, 12, f.bits()), None, "another bits per key, another length");
+        assert_eq!(back(usize::MAX, 2, f.bits()), None, "a geometry that overflows");
     }
 
     #[test]

@@ -12,10 +12,12 @@ use crate::error::{LsmError, Result};
 pub struct LsmConfig {
     /// Device block (frame) size in bytes. Paper: 4096.
     pub block_size: usize,
-    /// Fixed payload size in bytes used for capacity math. Paper default:
-    /// 100-byte payloads next to 4-byte keys. Records with other payload
-    /// sizes are accepted as long as they fit a block, but `B` (records
-    /// per block) is computed from this value.
+    /// The largest payload a put may carry, in bytes: the paper's
+    /// fixed-size record, 100-byte payloads next to 4-byte keys by
+    /// default. `B` (records per block) is computed from it, and with `B`
+    /// every merge's packing and waste bound; a smaller payload is
+    /// accepted, a larger one refused
+    /// ([`LsmError::PayloadTooLarge`]).
     pub payload_size: usize,
     /// Capacity of the memory-resident top level L0, in blocks. Paper:
     /// 250 blocks (1 MB) for the small experiments, 4000 (16 MB) for §V.

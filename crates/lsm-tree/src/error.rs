@@ -24,6 +24,16 @@ pub enum LsmError {
         /// Usable bytes per block.
         block_payload_bytes: usize,
     },
+    /// A put's payload is larger than the configured
+    /// [`payload_size`](crate::LsmConfig::payload_size): records a block
+    /// holds, and with them every merge's packing and waste bound, are
+    /// counted at that size.
+    PayloadTooLarge {
+        /// The payload's size.
+        payload_bytes: usize,
+        /// The configured payload size.
+        payload_size: usize,
+    },
     /// Configuration rejected at construction time.
     Config(String),
     /// An internal invariant was violated (a bug; surfaced instead of UB).
@@ -49,6 +59,10 @@ impl fmt::Display for LsmError {
             LsmError::RecordTooLarge { record_bytes, block_payload_bytes } => write!(
                 f,
                 "record of {record_bytes} bytes exceeds block payload capacity {block_payload_bytes}"
+            ),
+            LsmError::PayloadTooLarge { payload_bytes, payload_size } => write!(
+                f,
+                "payload of {payload_bytes} bytes exceeds the configured payload size {payload_size}"
             ),
             LsmError::Config(m) => write!(f, "invalid configuration: {m}"),
             LsmError::Invariant(m) => write!(f, "invariant violation: {m}"),

@@ -12,9 +12,11 @@
 //! `LsmTree::restore` reopens a device against one. The format is a
 //! hand-rolled little-endian binary layout (no serialization-format
 //! dependency), guarded by a magic, a version, and a 64-bit
-//! [`crate::checksum`] over the entire body (version 3; version 2 summed
-//! with 32-bit lanes folded twice, version 1 with a byte-at-a-time FNV-1a,
-//! and neither is read: the version is checked before the sum is).
+//! [`crate::checksum`] over the entire body (version 4, whose fence
+//! entries carry their Bloom filters' bits; version 3 had none, version 2
+//! summed with 32-bit lanes folded twice, version 1 with a byte-at-a-time
+//! FNV-1a, and none of them is read: the version is checked before the
+//! sum is).
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -25,6 +27,7 @@ use bytes::{BufMut, BytesMut};
 use sim_ssd::{BlockDevice, BlockId};
 
 use crate::block::BlockHandle;
+use crate::bloom::BloomFilter;
 use crate::checksum;
 use crate::config::LsmConfig;
 use crate::error::{LsmError, Result};
@@ -35,7 +38,7 @@ use crate::store::Store;
 use crate::tree::{LsmTree, TreeOptions};
 
 const MANIFEST_MAGIC: u32 = 0x4C_53_4D_4D; // "LSMM"
-const MANIFEST_VERSION: u32 = 3;
+const MANIFEST_VERSION: u32 = 4;
 
 /// Everything needed to reopen an index: geometry, level fence tables,
 /// waste bookkeeping, cursors, and the L0 contents.
@@ -54,8 +57,7 @@ pub struct Manifest {
 /// Snapshot of one on-SSD level.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LevelSnapshot {
-    /// Fence entries (block id, key range, counts); Bloom filters are not
-    /// persisted — they regenerate as blocks are rewritten.
+    /// Fence entries (block id, key range, counts, Bloom filter).
     pub handles: Vec<HandleSnapshot>,
     /// `m_i` — merges since the last compaction.
     pub merges_since_compaction: u64,
@@ -68,7 +70,7 @@ pub struct LevelSnapshot {
 }
 
 /// Persistable fence entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HandleSnapshot {
     /// Physical block id.
     pub id: u64,
@@ -80,6 +82,10 @@ pub struct HandleSnapshot {
     pub count: u32,
     /// Tombstones among them.
     pub tombstones: u32,
+    /// The block's filter, if the index builds them: stored as its bits
+    /// alone, its geometry being what `count` and the config's
+    /// `bloom_bits_per_key` say.
+    pub bloom: Option<BloomFilter>,
 }
 
 impl Manifest {
@@ -111,6 +117,7 @@ impl Manifest {
                             max: h.max,
                             count: h.count,
                             tombstones: h.tombstones,
+                            bloom: h.bloom.clone(),
                         })
                         .collect(),
                     merges_since_compaction: lvl.merges_since_compaction,
@@ -155,6 +162,9 @@ impl Manifest {
                 body.put_u64_le(h.max);
                 body.put_u32_le(h.count);
                 body.put_u32_le(h.tombstones);
+                let bits = h.bloom.as_ref().map_or(&[][..], BloomFilter::bits);
+                body.put_u32_le(bits.len() as u32);
+                bits.iter().for_each(|&w| body.put_u64_le(w));
             }
         }
 
@@ -193,7 +203,7 @@ impl Manifest {
         };
         let mem_rr_cursor = r.opt_key()?;
         // A count is only a capacity hint up to what the bytes left can
-        // hold: 13 B a memtable record, 32 B a handle.
+        // hold: 13 B a memtable record, 36 B a handle.
         let n_mem = r.u32()? as usize;
         let mut memtable = Vec::with_capacity(n_mem.min(r.left() / 13));
         for _ in 0..n_mem {
@@ -211,15 +221,13 @@ impl Manifest {
             let waste_delta = r.i64()?;
             let rr_cursor = r.opt_key()?;
             let n_handles = r.u32()? as usize;
-            let mut handles = Vec::with_capacity(n_handles.min(r.left() / 32));
+            let mut handles = Vec::with_capacity(n_handles.min(r.left() / 36));
             for _ in 0..n_handles {
-                handles.push(HandleSnapshot {
-                    id: r.u64()?,
-                    min: r.u64()?,
-                    max: r.u64()?,
-                    count: r.u32()?,
-                    tombstones: r.u32()?,
-                });
+                let (id, min, max, count, tombstones) =
+                    (r.u64()?, r.u64()?, r.u64()?, r.u32()?, r.u32()?);
+                let words = r.u32()? as usize;
+                let bloom = filter_of(id, count, config.bloom_bits_per_key, r.words(words)?)?;
+                handles.push(HandleSnapshot { id, min, max, count, tombstones, bloom });
             }
             levels.push(LevelSnapshot {
                 handles,
@@ -239,6 +247,28 @@ impl Manifest {
     pub fn used_block_ids(&self) -> impl Iterator<Item = u64> + '_ {
         self.levels.iter().flat_map(|l| l.handles.iter().map(|h| h.id))
     }
+}
+
+/// The filter of block `id`, `count` records at `bits_per_key` (none at
+/// 0), from its stored bits: refused unless they are as many as that
+/// filter has.
+fn filter_of(
+    id: u64,
+    count: u32,
+    bits_per_key: usize,
+    bits: impl ExactSizeIterator<Item = u64>,
+) -> Result<Option<BloomFilter>> {
+    let words = bits.len();
+    let filter = match bits_per_key {
+        0 => (words == 0).then_some(None),
+        _ => BloomFilter::from_bits(count as usize, bits_per_key, bits).map(Some),
+    };
+    filter.ok_or_else(|| {
+        LsmError::Codec(format!(
+            "manifest block {id}: {words} filter words do not fit {count} records at \
+             {bits_per_key} bits a key"
+        ))
+    })
 }
 
 fn put_opt_key(body: &mut BytesMut, k: Option<Key>) {
@@ -287,6 +317,11 @@ impl<'a> Reader<'a> {
     }
     fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_le_bytes(self.take()?))
+    }
+    /// `n` little-endian words.
+    fn words(&mut self, n: usize) -> Result<impl ExactSizeIterator<Item = u64> + 'a> {
+        let (words, _) = self.bytes(n * 8)?.as_chunks::<8>();
+        Ok(words.iter().map(|w| u64::from_le_bytes(*w)))
     }
     fn opt_key(&mut self) -> Result<Option<Key>> {
         Ok(if self.u8()? == 1 { Some(self.u64()?) } else { None })
@@ -386,7 +421,7 @@ impl LsmTree {
                     max: h.max,
                     count: h.count,
                     tombstones: h.tombstones,
-                    bloom: None,
+                    bloom: h.bloom.clone(),
                 });
             }
             level.merges_since_compaction = snap.merges_since_compaction;
@@ -418,6 +453,10 @@ mod tests {
     use crate::policy::PolicySpec;
 
     fn build_tree() -> LsmTree {
+        build_tree_with_filters(0)
+    }
+
+    fn build_tree_with_filters(bloom_bits_per_key: usize) -> LsmTree {
         let cfg = LsmConfig {
             block_size: 256,
             payload_size: 4,
@@ -425,6 +464,7 @@ mod tests {
             gamma: 4,
             cache_blocks: 64,
             merge_rate: 0.25,
+            bloom_bits_per_key,
             ..LsmConfig::default()
         };
         let mut t = LsmTree::with_mem_device(
@@ -444,12 +484,28 @@ mod tests {
 
     #[test]
     fn manifest_round_trips() {
-        let tree = build_tree();
-        let m = Manifest::capture(&tree);
-        let bytes = m.encode();
-        let back = Manifest::decode(&bytes).unwrap();
-        assert_eq!(back, m);
-        assert!(m.used_block_ids().count() > 0);
+        // Without filters and with them: a restored level packs the filter
+        // words the checkpointed one held. (The device holds nothing the
+        // manifest names, so only the fence tables are compared.)
+        for bloom_bits_per_key in [0, 10] {
+            let tree = build_tree_with_filters(bloom_bits_per_key);
+            let m = Manifest::capture(&tree);
+            let bytes = m.encode();
+            let back = Manifest::decode(&bytes).unwrap();
+            assert_eq!(back, m);
+            assert!(m.used_block_ids().count() > 0);
+            let mut handles = m.levels.iter().flat_map(|l| &l.handles);
+            assert!(handles.all(|h| h.bloom.is_some() == (bloom_bits_per_key > 0)));
+            let restored = restore_over(&bytes, 1 << 14, "round-trip").unwrap();
+            for (live, back) in tree.levels().iter().zip(restored.levels()) {
+                let words = |l: &Level| -> Vec<Option<Vec<u64>>> {
+                    let bits = |h: &BlockHandle| h.bloom.as_ref().map(|f| f.bits().to_vec());
+                    l.handles().iter().map(bits).collect()
+                };
+                assert_eq!(words(back), words(live));
+                back.validate(tree.config().block_capacity(), tree.config().waste_eps).unwrap();
+            }
+        }
     }
 
     #[test]
@@ -543,9 +599,10 @@ mod tests {
         let mut bytes = Manifest::capture(&tree).encode();
         bytes[0] ^= 0xFF;
         assert!(Manifest::decode(&bytes).is_err());
-        // A version-2 manifest (the same layout under the old sum): refused
-        // by its version, not reported as a checksum mismatch.
-        for version in [2, 99] {
+        // A version-2 manifest (the version-3 layout under the old sum) and
+        // a version-3 one (no filter words): refused by their version, not
+        // reported as a checksum mismatch or misread.
+        for version in [2, 3, 99] {
             let mut bytes = Manifest::capture(&tree).encode();
             bytes[4] = version;
             match Manifest::decode(&bytes) {

@@ -35,7 +35,7 @@ use observe::Json;
 
 use crate::block::BlockHandle;
 use crate::memtable::RunMeta;
-use crate::policy::window::scan_window_candidates;
+use crate::policy::window::{fence_scan, Window};
 use crate::policy::{predicted_writes, MergeChoice};
 
 /// One candidate the policy could have chosen, with its predicted write
@@ -63,16 +63,20 @@ impl Candidate {
     }
 }
 
-/// Enumerate the candidate set for one merge decision: every `window`-sized
-/// source window (overlaps counted by the same fence scan ChooseBest runs)
-/// then the full merge, each with its predicted cost. Only called when a
-/// ledger is attached.
+/// Enumerate the candidate set for one merge decision: every window a
+/// policy can choose — each `window`-sized run of source blocks, then the
+/// tail windows shorter than it that RR and the aligned variant choose at
+/// the end of the source, overlaps counted by the one fence scan — then
+/// the full merge, each with its predicted cost. Only called when a ledger
+/// is attached.
 pub fn enumerate_candidates(
     src_runs: &[RunMeta],
     target: &[BlockHandle],
     window: usize,
 ) -> Vec<Candidate> {
-    let windows = scan_window_candidates(src_runs, target, window)
+    let n = src_runs.len();
+    let every = (0..n).map(|start| Window { start, len: window.min(n - start) });
+    let windows = fence_scan(src_runs, target, every)
         .map(|(w, overlap)| (MergeChoice::Window(w), Some(overlap)));
     windows
         .chain([(MergeChoice::Full, None)])
@@ -249,10 +253,19 @@ impl DecisionLedger {
             "chosen candidate must appear in the candidate table"
         );
         // First-on-ties keeps "best" deterministic: windows are generated
-        // left-to-right with Full last, matching ChooseBest's tie-break.
+        // left-to-right with Full last, matching ChooseBest's tie-break. A
+        // tail window, narrower than the table's widest, takes less and so
+        // costs less for that alone: it is listed, so that a choice of it
+        // has its row, but it is no rival.
+        let width = |c: &Candidate| match c.choice {
+            MergeChoice::Window(w) => Some(w.len),
+            MergeChoice::Full => None,
+        };
+        let widest = candidates.iter().filter_map(width).max();
         let best = candidates
             .iter()
             .copied()
+            .filter(|c| width(c).is_none() || width(c) == widest)
             .min_by_key(|c| c.predicted)
             .expect("candidates is non-empty");
         let mut state = self.lock();
@@ -487,12 +500,28 @@ mod tests {
             bloom: None,
         }];
         let cands = enumerate_candidates(&src, &target, 2);
-        // Two windows (starts 0 and 1) then the full merge.
-        assert_eq!(cands.len(), 3);
+        // Two windows (starts 0 and 1), the tail window RR takes from a
+        // cursor past block 1, then the full merge.
+        assert_eq!(cands.len(), 4);
         assert_eq!(cands[0].choice, MergeChoice::Window(Window { start: 0, len: 2 }));
         assert_eq!(cands[0].predicted, 2 + 1, "window [0,19] overlaps the one target");
         assert_eq!(cands[1].predicted, 2 + 1, "window [10,29] also overlaps it");
-        assert_eq!(cands[2].choice, MergeChoice::Full);
-        assert_eq!(cands[2].predicted, 3 + 1, "n_src + n_target");
+        assert_eq!(cands[2].choice, MergeChoice::Window(Window { start: 2, len: 1 }));
+        assert_eq!(cands[2].predicted, 1, "the tail [20,29] overlaps nothing");
+        assert_eq!(cands[3].choice, MergeChoice::Full);
+        assert_eq!(cands[3].predicted, 3 + 1, "n_src + n_target");
+        let rr = crate::policy::window::rr_window(&src, Some(19), 2);
+        assert_eq!(MergeChoice::Window(rr), cands[2].choice);
+    }
+
+    #[test]
+    fn a_tail_window_is_listed_but_is_no_rival() {
+        let ledger = DecisionLedger::new(8);
+        let cands = vec![win(0, 2, 5), win(1, 2, 3), win(2, 1, 1), full(10)];
+        ledger.open("ChooseBest", 1, cands.clone(), cands[1].choice, 3);
+        ledger.open("RR", 1, cands.clone(), cands[2].choice, 1);
+        let rows = ledger.rows();
+        assert_eq!(rows[0].best, cands[1], "the cheapest window of full width");
+        assert_eq!(rows.iter().map(DecisionRow::regret).collect::<Vec<_>>(), [0, 0]);
     }
 }

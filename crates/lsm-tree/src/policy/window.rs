@@ -104,9 +104,9 @@ pub fn choose_best_aligned_window(
 }
 
 /// Every window of `window` consecutive source blocks, left to right, with
-/// its target-overlap count: the candidates [`choose_best_window`] scans
-/// and the decision ledger tabulates. When the source has at most `window`
-/// blocks the whole source is the only candidate.
+/// its target-overlap count: the candidates [`choose_best_window`] scans,
+/// and the first the decision ledger tabulates. When the source has at
+/// most `window` blocks the whole source is the only candidate.
 pub fn scan_window_candidates<'a>(
     src: &'a [RunMeta],
     target: &'a [BlockHandle],

@@ -183,8 +183,8 @@ pub(crate) struct Shard {
     /// Whether the shard has a WAL: fixed before the shard is shared, so
     /// the write path knows without the lock whether to encode frames.
     logged: bool,
-    /// The tree's block size, for validating a run without the lock.
-    block_size: usize,
+    /// The tree's payload size, for validating a run without the lock.
+    payload_size: usize,
     /// Taken by a writer for a run that reaches a yield point: one such
     /// writer at a time queues for the lock, the others wait here.
     writers: Mutex<()>,
@@ -214,7 +214,7 @@ impl Shard {
             logged: wal.is_some(),
             sink: tree.sink().clone(),
             commit: tree.commit_mode(),
-            block_size: tree.config().block_size,
+            payload_size: tree.config().payload_size,
             // A restored tree may come with a level still to merge.
             state: RwLock::new(ShardState {
                 cascade_owed: tree.maintenance_pending(),
@@ -299,10 +299,10 @@ impl Shard {
         (guard, lockorder::tree_lock_held(hold))
     }
 
-    /// Whether the shard's tree accepts `req`: its block size never changes,
+    /// Whether the shard's tree accepts `req`: its payload size never changes,
     /// so no lock is needed to say.
     pub(crate) fn check(&self, req: &Request) -> Result<()> {
-        tree::check_request(self.block_size, req)
+        tree::check_request(self.payload_size, req)
     }
 
     /// The write path of a run of requests (module docs draw it); a single

@@ -120,8 +120,10 @@ impl SteppedMergeTree {
         self.apply(Request::Delete(key))
     }
 
-    /// Apply one request.
+    /// Apply one request: a put whose payload is larger than the
+    /// configured `payload_size` is refused, as the leveled tree refuses it.
     pub fn apply(&mut self, req: Request) -> Result<()> {
+        crate::tree::check_request(self.cfg.payload_size, &req)?;
         match &req {
             Request::Put(..) => self.stats.puts += 1,
             Request::Delete(_) => self.stats.deletes += 1,
@@ -321,6 +323,20 @@ mod tests {
                 assert_eq!(got.as_deref(), Some(&vec![(k % 251) as u8; 4][..]), "key {k}");
             }
         }
+    }
+
+    #[test]
+    fn a_payload_over_payload_size_is_refused_and_later_flushes_run() {
+        // It was taken into L0, and every flush after it failed on the
+        // record that did not fit a block.
+        let mut t = tiny();
+        let err = t.put(1_000, vec![7u8; 1_000]).unwrap_err();
+        assert!(matches!(err, LsmError::PayloadTooLarge { .. }), "{err}");
+        for k in 0..200u64 {
+            t.put(k, vec![k as u8; 4]).unwrap();
+        }
+        assert_eq!(t.get(1_000).unwrap(), None);
+        assert_eq!(t.stats().puts, 200);
     }
 
     #[test]

@@ -506,8 +506,8 @@ impl Store {
     ) -> Result<Option<Record>> {
         let generation = {
             let mut cache = self.cache.lock();
-            let generation = cache.generation(handle.id);
             if earlier == Some(handle.id) {
+                let generation = cache.generation(handle.id);
                 let answered = cache.entries.hit_if(&CacheKey::Row(key), |row| match row {
                     Cached::Row { op, payload, cost: c, epoch: e, block, generation: g }
                         if *block == handle.id && *g == generation =>
@@ -522,11 +522,18 @@ impl Store {
                     return Ok(Some(record));
                 }
             }
-            if let Some(Cached::Block(block)) = cache.entries.get(&CacheKey::Block(handle.id)) {
-                drop(cache);
-                return Ok(block.find(key));
+            // A cached block is searched where it lies, under the lock: no
+            // count on its `Arc` to take and give back.
+            let hit = cache.entries.get_with(&CacheKey::Block(handle.id), |entry| match entry {
+                Cached::Block(block) => Some(block.find(key)),
+                Cached::Row { .. } => None,
+            });
+            if let Some(Some(found)) = hit {
+                return Ok(found);
             }
-            generation
+            // Dated before the device read: a release of the id while it
+            // runs leaves the row this miss keeps out of date.
+            cache.generation(handle.id)
         };
         let block = self.read_device(handle)?;
         let found = block.find(key);

@@ -8,7 +8,6 @@ use observe::{Event, SinkHandle, SpanGuard, SpanOp};
 
 use sim_ssd::BlockDevice;
 
-use crate::block::{BLOCK_HEADER_LEN, RECORD_HEADER_LEN};
 use crate::config::{CommitMode, LsmConfig, Scheduler};
 use crate::error::{LsmError, Result};
 use crate::iter::lookup;
@@ -250,19 +249,20 @@ pub struct LsmTree {
     installs: u64,
 }
 
-/// Whether a tree of `block_size`-byte blocks accepts `req` (a put's record
-/// must fit one block). WAL-backed front-ends ask *before* logging: a
-/// refused request that reached the log would be refused again by replay
-/// and abort recovery, losing every acknowledged write after it.
-pub(crate) fn check_request(block_size: usize, req: &Request) -> Result<()> {
-    if let Request::Put(_, payload) = req {
-        let record_bytes = RECORD_HEADER_LEN + payload.len();
-        let room = block_size - BLOCK_HEADER_LEN;
-        if record_bytes > room {
-            return Err(LsmError::RecordTooLarge { record_bytes, block_payload_bytes: room });
+/// Whether a tree configured for `payload_size`-byte payloads accepts `req`:
+/// a put's payload may be no larger. Every count of records a block holds —
+/// merge output, the waste bound, the pairwise constraint — is taken at
+/// that size, and a validated configuration fits one such record in a
+/// block. WAL-backed front-ends ask *before* logging: a refused request
+/// that reached the log would be refused again by replay and abort
+/// recovery, losing every acknowledged write after it.
+pub(crate) fn check_request(payload_size: usize, req: &Request) -> Result<()> {
+    match req {
+        Request::Put(_, payload) if payload.len() > payload_size => {
+            Err(LsmError::PayloadTooLarge { payload_bytes: payload.len(), payload_size })
         }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 impl LsmTree {
@@ -344,7 +344,7 @@ impl LsmTree {
 
     /// Whether the tree would accept `req`; see [`check_request`].
     pub(crate) fn check_request(&self, req: &Request) -> Result<()> {
-        check_request(self.env.cfg.block_size, req)
+        check_request(self.env.cfg.payload_size, req)
     }
 
     /// Apply one request to the active memtable *without* running merges —
@@ -1022,6 +1022,7 @@ impl crate::api::WriteApi for LsmTree {
 mod tests {
     use super::*;
     use crate::policy::MixedParams;
+    use crate::record::mix64;
     use crate::store::{CachedRow, RowHits};
 
     fn tiny_cfg() -> LsmConfig {
@@ -1274,6 +1275,39 @@ mod tests {
     }
 
     #[test]
+    fn every_window_a_policy_chooses_is_in_the_ledgers_table() {
+        // RR and the aligned variant choose a tail window shorter than δ·K
+        // at the end of the source; the table listed full-width windows
+        // only, and `DecisionLedger::open`'s debug check that the choice is
+        // in the table failed on the first such choice.
+        for policy in [PolicySpec::RoundRobin, PolicySpec::ChooseBestAligned] {
+            let ledger = Arc::new(DecisionLedger::new(1 << 16));
+            let opts =
+                TreeOptions::builder().policy(policy.clone()).ledger(Arc::clone(&ledger)).build();
+            let mut t = LsmTree::with_mem_device(tiny_cfg(), opts, 1 << 16).unwrap();
+            let mut x = 7u64;
+            for _ in 0..20_000 {
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                t.put(mix64(x), payload(x)).unwrap();
+            }
+            let rows = ledger.rows();
+            assert_eq!(rows.len() as u64, ledger.decisions(), "no row evicted");
+            let tails = rows
+                .iter()
+                .filter(|r| {
+                    assert!(r.candidates.iter().any(|c| c.choice == r.chosen), "row {}", r.id);
+                    let widest = r.candidates.iter().filter_map(|c| match c.choice {
+                        MergeChoice::Window(w) => Some(w.len),
+                        MergeChoice::Full => None,
+                    });
+                    matches!(r.chosen, MergeChoice::Window(w) if Some(w.len) < widest.max())
+                })
+                .count();
+            assert!(tails > 0, "{}: no tail window chosen in {} merges", policy.name(), rows.len());
+        }
+    }
+
+    #[test]
     fn full_policy_accrues_regret_in_ledger() {
         let ledger = Arc::new(DecisionLedger::new(4096));
         let mut t = LsmTree::with_mem_device(
@@ -1384,7 +1418,7 @@ mod tests {
     fn oversized_record_rejected() {
         let mut t = tree_with(PolicySpec::Full);
         let err = t.put(1, vec![0u8; 1000]).unwrap_err();
-        assert!(matches!(err, LsmError::RecordTooLarge { .. }));
+        assert!(matches!(err, LsmError::PayloadTooLarge { .. }));
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::tree::LsmTree;
 /// * L0 strictly under its record capacity;
 /// * the bottom level holds no tombstones;
 /// * with `deep`, every data block is read back and compared against its
-///   fence entry (count, key range, tombstones, sortedness — the block
-///   codec checksum runs implicitly).
+///   fence entry (count, key range, tombstones, sortedness, a filter that
+///   admits every key — the block codec checksum runs implicitly).
 ///
 /// Returns a description of the first violation found.
 pub fn check_tree(tree: &LsmTree, deep: bool) -> std::result::Result<(), String> {
@@ -103,6 +103,9 @@ fn deep_check_level(tree: &LsmTree, vec_idx: usize) -> std::result::Result<(), S
         }
         if !block.keys().zip(block.keys().skip(1)).all(|(a, b)| a < b) {
             return Err(format!("block {i}: records not strictly sorted"));
+        }
+        if let Some(k) = h.bloom.as_ref().and_then(|f| block.keys().find(|&k| !f.may_contain(k))) {
+            return Err(format!("block {i}: its filter turns away key {k}"));
         }
     }
     Ok(())

@@ -877,7 +877,7 @@ mod tests {
         t.checkpoint().unwrap();
         let logged = t.wal_lens();
         let err = t.put(2, vec![0u8; 4096]).unwrap_err();
-        assert!(matches!(err, crate::LsmError::RecordTooLarge { .. }), "{err}");
+        assert!(matches!(err, crate::LsmError::PayloadTooLarge { .. }), "{err}");
         assert_eq!(t.wal_lens(), logged, "a refused request must not grow the log");
         t.put(3, vec![3u8; 4]).unwrap();
         t.sync_wals().unwrap();

@@ -265,7 +265,14 @@ impl<K: Eq + Hash + Clone, V: Clone> SieveCache<K, V> {
 
     /// Look up `key`; a hit marks the entry visited and moves nothing.
     pub fn get(&mut self, key: &K) -> Option<V> {
-        let found = self.hit(key);
+        self.get_with(key, V::clone)
+    }
+
+    /// [`get`](Self::get) for a caller that wants something read out of
+    /// the value, not a copy of it: `read` is handed the resident value in
+    /// place. Hits, misses and their events count exactly as `get`'s do.
+    pub fn get_with<T>(&mut self, key: &K, read: impl FnOnce(&V) -> T) -> Option<T> {
+        let found = self.hit_if(key, |value| Some(read(value)));
         if found.is_none() {
             self.stats.misses += 1;
             self.sink.emit_with(|| Event::CacheMiss);

@@ -7,8 +7,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use lsm_ssd_repro::lsm_tree::verify::check_tree;
-use lsm_ssd_repro::lsm_tree::{LsmConfig, LsmTree, PolicySpec, TreeOptions};
-use lsm_ssd_repro::sim_ssd::FileDevice;
+use lsm_ssd_repro::lsm_tree::{LsmConfig, LsmTree, PolicySpec, ShardedLsmTree, TreeOptions};
+use lsm_ssd_repro::sim_ssd::{BlockDevice, FileDevice, MemDevice};
 use lsm_ssd_repro::workloads::payload_for;
 
 fn cfg() -> LsmConfig {
@@ -155,4 +155,81 @@ fn restored_allocator_does_not_clobber_live_blocks() {
     check_tree(&tree, true).unwrap();
     std::fs::remove_file(&dev_path).ok();
     std::fs::remove_file(&man_path).ok();
+}
+
+/// SplitMix64 as a stream: the test's seeded keys.
+fn stream(seed: u64) -> impl FnMut() -> u64 {
+    let mut x = seed;
+    move || {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+#[test]
+fn a_restored_tree_asks_for_the_blocks_its_checkpointed_self_asked_for() {
+    // One WAL-backed shard with filters is loaded, checkpointed, dropped
+    // and reopened from its manifest and log. A seeded tape of gets, one
+    // in ten for a key never written, costs the restored tree exactly the
+    // block reads and filter skips it cost the live tree: the manifest
+    // carries every block's filter. (Without them a restored get asked for
+    // a block at every level whose fences cover its key.)
+    let dir = std::env::temp_dir().join(format!("lsm-ckpt-{}-filters", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = LsmConfig { bloom_bits_per_key: 10, ..cfg() };
+    let device = Arc::new(MemDevice::with_block_size(1 << 15, 512));
+    let open = |recover: bool| {
+        let devices = vec![Arc::clone(&device) as Arc<dyn BlockDevice>];
+        let opts = TreeOptions::default();
+        match recover {
+            false => ShardedLsmTree::with_backend(cfg.clone(), opts, devices, Some(&dir), None),
+            true => ShardedLsmTree::recover_with_backend(cfg.clone(), opts, devices, &dir, None),
+        }
+        .unwrap()
+    };
+    // Written keys are odd, the absent ones even.
+    let (puts, gets) = (20_000u64, 4_000);
+    let mut next = stream(7);
+    let written: Vec<u64> = (0..puts).map(|_| next() | 1).collect();
+    let tape: Vec<u64> = (0..gets)
+        .map(|i| match i % 10 {
+            0 => next() & !1,
+            _ => written[(next() % puts) as usize],
+        })
+        .collect();
+    let cost = |t: &ShardedLsmTree| {
+        let before = t.stats();
+        for &key in &tape {
+            assert_eq!(t.get(key).unwrap().is_some(), key & 1 == 1, "key {key}");
+        }
+        let after = t.stats();
+        (
+            after.lookup_block_reads() - before.lookup_block_reads(),
+            after.bloom_skips() - before.bloom_skips(),
+        )
+    };
+
+    let live = open(false);
+    for &key in &written {
+        live.put(key, payload_for(key, 20)).unwrap();
+    }
+    live.checkpoint().unwrap();
+    let live_cost = cost(&live);
+    drop(live);
+    let restored = open(true);
+    let restored_cost = cost(&restored);
+    eprintln!(
+        "blocks a get: live {:.4}, restored {:.4}; filter skips {} and {}",
+        live_cost.0 as f64 / gets as f64,
+        restored_cost.0 as f64 / gets as f64,
+        live_cost.1,
+        restored_cost.1
+    );
+    assert!(live_cost.1 > 0, "the tape never met a filter");
+    assert_eq!(restored_cost, live_cost, "(block reads, filter skips) after the restart");
+    drop(restored);
+    std::fs::remove_dir_all(&dir).ok();
 }
