@@ -10,13 +10,15 @@
 //!
 //! ```text
 //! put span ─┬─ no lock ──── validate the whole run (nothing is logged if any request is refused)
-//!           ├─ no lock ──── encode the run's WAL frames, checksums included
+//!           ├─ no lock ──── encode the run's WAL frames, checksums included, one buffer
+//!           │               (a chunk) per MAX_REQUESTS_PER_HOLD requests from the run's start
 //!           ├─ no lock ──── longer than a chunk: wait for the writers' turn
-//!           ├─ lock ─────── per segment (ends where the memtable can first be full):
+//!           ├─ lock ─────── per segment (ends where the memtable can first be full, or its chunk):
 //!           │                 background: full memtable and backlog at the bound? ─ stall
 //!           │                 one WAL write of the segment's frames → memtable inserts
-//!           │                 → inline: cascade │ background: seal if room ─ unlock
-//!           │               every MAX_REQUESTS_PER_HOLD requests, a yield point:
+//!           │                 (logged: views of the frames' payloads) → inline: cascade
+//!           │                 │ background: seal if room ─ unlock
+//!           │               at every chunk's start, a yield point:
 //!           │                 anyone but a writer waiting? ─ unlock, lock again
 //!           ├─ unlock ───── notify the scheduler of a seal; stall: wait_for_room; lock again
 //!           └─ ack ──────── caller's step: group-commit wait, an fsync, or defer it
@@ -69,12 +71,12 @@
 //!
 //! [`Store::free_block`]: crate::Store::free_block
 
-use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Weak;
 use std::time::Duration;
 
+use bytes::Bytes;
 use observe::{Event, Json, SinkHandle, SpanOp};
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sim_ssd::DeviceError;
@@ -87,11 +89,13 @@ use crate::scheduler::{self, MaintainTarget, MergeScheduler};
 use crate::tree::{self, LsmTree, StepOutcome};
 use crate::wal::{PendingSync, WalFaultPlan, WriteAheadLog};
 
-/// The yield interval of a writer's run: every this many requests the
-/// writer lets go of the shard lock if anyone but a writer waits for it
-/// (see `waiting`), so a get or scan beside a commit of any size waits for
-/// one chunk, not for the commit — while a writer nobody waits for keeps
-/// the lock (and the memtable's cache lines) for its whole run.
+/// The yield interval of a writer's run: every this many requests from
+/// the run's start the writer lets go of the shard lock if anyone but a
+/// writer waits for it (see `waiting`), so a get or scan beside a commit
+/// of any size waits for one chunk, not for the commit — while a writer
+/// nobody waits for keeps the lock (and the memtable's cache lines) for
+/// its whole run. Also the number of frames in one of a logged run's
+/// frame buffers, and in one of recovery's ([`WriteAheadLog::view_frames`]).
 ///
 /// A constant, not an option; no caller wants another value. A chunk of
 /// 256 is 0.2–0.3 ms — under the ≈ 1 ms inline flush step that a get
@@ -105,33 +109,6 @@ pub(crate) const MAX_REQUESTS_PER_HOLD: usize = 256;
 /// How many times a writer yields to whoever waits for the lock before it
 /// takes its turn regardless.
 const READER_TURN_YIELDS: usize = 1 << 10;
-
-/// The most capacity [`FRAMES`] keeps between runs: a run's frames are
-/// encoded whole, and a large batch must not leave its buffer behind for
-/// the thread's lifetime. A commit of 8 192 121-byte frames fits.
-const FRAMES_KEPT: usize = 1 << 20;
-
-thread_local! {
-    /// The calling writer's frame buffer — one run's WAL frames at a
-    /// time — kept between calls, so that a put allocates nothing.
-    static FRAMES: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
-}
-
-/// [`FRAMES`], taken for the length of one [`Shard::apply`] (empty, and
-/// not put back, on a shard that does not log).
-struct Frames(Vec<u8>);
-
-impl Drop for Frames {
-    fn drop(&mut self) {
-        if self.0.capacity() > 0 {
-            let mut buf = std::mem::take(&mut self.0);
-            buf.clear();
-            buf.shrink_to(FRAMES_KEPT);
-            // Not there while the thread is being torn down: drop the buffer.
-            let _ = FRAMES.try_with(|cell| cell.set(buf));
-        }
-    }
-}
 
 /// What the shard lock protects.
 pub(crate) struct ShardState {
@@ -306,7 +283,10 @@ impl Shard {
     }
 
     /// The write path of a run of requests (module docs draw it); a single
-    /// put is a run of one. The requests are moved out of `run`. `sched` is
+    /// put is a run of one. On a logged shard L0 takes views of the run's
+    /// WAL frames and `run` is left as it was, to drop with the caller's
+    /// batch after the lock and the rendezvous; an unlogged shard moves the
+    /// requests out of `run`. `sched` is
     /// the background scheduler, if any: with one a full memtable is sealed
     /// and handed over instead of merged inline, and the writer stalls only
     /// while the sealed backlog sits at the bound. `ack` runs last, inside
@@ -322,8 +302,8 @@ impl Shard {
     /// applied, and exactly that prefix logged.
     ///
     /// The whole call is one root `put` span whose children partition it:
-    /// `lock_wait`, `backpressure_wait`, `wal_append`, `cascade`, whatever
-    /// `ack` opens; uncovered time is frame encoding and memtable inserts.
+    /// `lock_wait`, `backpressure_wait`, `wal_append`, `memtable_insert`,
+    /// `cascade`, whatever `ack` opens; uncovered time is frame encoding.
     pub(crate) fn apply<T>(
         &self,
         run: &mut [Request],
@@ -336,14 +316,17 @@ impl Shard {
         run.iter().try_for_each(|req| self.check(req))?;
         let background = sched.map(|s| (s, s.max_imm_memtables()));
         let hold = if background.is_none() { Hold::Io } else { Hold::NoIo };
-        let mut frames = Frames(if self.logged { FRAMES.take() } else { Vec::new() });
-        if self.logged {
-            run.iter().for_each(|req| WriteAheadLog::encode_frame(req, &mut frames.0));
-        }
+        // A logged run's frames, one chunk per `MAX_REQUESTS_PER_HOLD`
+        // requests counted from the run's start: L0 keeps views of them.
+        let chunks: Vec<Bytes> = if self.logged {
+            run.chunks(MAX_REQUESTS_PER_HOLD).map(WriteAheadLog::encode_chunk).collect()
+        } else {
+            Vec::new()
+        };
         let mut durable_at = None;
-        // The requests not yet applied, and where their frames start in
-        // `frames`.
-        let (mut rest, mut at) = (run, 0);
+        // The requests not yet applied, how many came before them, and
+        // where their frames start in their chunk.
+        let (mut rest, mut done, mut at) = (run, 0, 0);
         // A run that reaches a yield point queues behind the one ahead of
         // it here, outside the lock, so that a yield hands the lock to
         // whoever waits for it and not to the next writer (the lock wakes
@@ -361,8 +344,10 @@ impl Shard {
                     self.lock(hold)
                 };
                 let ShardState { tree, wal, cascade_owed, write_yields, .. } = &mut *guard;
-                // Requests to apply before the next yield point.
-                let mut to_yield = MAX_REQUESTS_PER_HOLD;
+                // Requests to apply before the next yield point, which is
+                // the next chunk's start: a hold that a seal or a stall
+                // ended mid-chunk goes on in the same chunk.
+                let mut to_yield = MAX_REQUESTS_PER_HOLD - done % MAX_REQUESTS_PER_HOLD;
                 #[cfg(test)]
                 let mut stretch = 0;
                 while !rest.is_empty() {
@@ -403,13 +388,32 @@ impl Shard {
                     {
                         stretch += n;
                     }
-                    if let Some(wal) = wal {
-                        let len: usize = segment.iter().map(WriteAheadLog::frame_len).sum();
-                        let bytes = &frames.0[at..at + len];
-                        durable_at = Some(wal.log_run(segment, bytes, &self.sink)?);
-                        at += len;
+                    let first = done;
+                    done += n;
+                    match wal {
+                        Some(wal) => {
+                            // A chunk starts at every yield point, so the
+                            // segment's frames lie in one.
+                            let chunk = &chunks[first / MAX_REQUESTS_PER_HOLD];
+                            if first.is_multiple_of(MAX_REQUESTS_PER_HOLD) {
+                                at = 0;
+                            }
+                            let len: usize = segment.iter().map(WriteAheadLog::frame_len).sum();
+                            let frames = at..at + len;
+                            at += len;
+                            durable_at =
+                                Some(wal.log_run(segment, &chunk[frames.clone()], &self.sink)?);
+                            let _insert = self.sink.span(SpanOp::memtable_insert());
+                            tree.buffer_run(WriteAheadLog::view_frames(chunk, frames));
+                        }
+                        None => {
+                            let _insert = self.sink.span(SpanOp::memtable_insert());
+                            let moved = segment.iter_mut();
+                            tree.buffer_run(
+                                moved.map(|req| std::mem::replace(req, Request::Delete(0))),
+                            );
+                        }
                     }
-                    tree.buffer_run(segment);
                     if n < room && !*cascade_owed {
                         // Not full: nothing to decide (see `cascade_owed`).
                         debug_assert!(!tree.mem_at_capacity());
@@ -696,41 +700,5 @@ impl MaintainTarget for ShardTarget {
 
     fn has_pending(&self) -> bool {
         self.shards.upgrade().is_some_and(|s| s[self.idx].read().tree.maintenance_pending())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{LsmConfig, ShardedLsmTree, TreeOptions};
-
-    #[test]
-    fn a_large_run_leaves_no_more_than_frames_kept_behind() {
-        let dir = std::env::temp_dir().join(format!("lsm-shard-frames-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let t = ShardedLsmTree::with_wal_dir(
-            LsmConfig::default(),
-            TreeOptions::default(),
-            1,
-            1 << 16,
-            &dir,
-        )
-        .unwrap();
-        // A thread of its own, so the buffer looked at is this run's.
-        let kept = std::thread::scope(|s| {
-            s.spawn(|| {
-                let batch = (0..20_000u64).map(|k| Request::Put(k, vec![k as u8; 100].into()));
-                t.write_batch(batch.collect()).unwrap();
-                let buf = FRAMES.take();
-                assert!(buf.is_empty());
-                buf.capacity()
-            })
-            .join()
-            .unwrap()
-        });
-        assert!(kept > 0 && kept <= FRAMES_KEPT, "kept {kept} bytes");
-        assert_eq!(t.stats().puts, 20_000);
-        drop(t);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

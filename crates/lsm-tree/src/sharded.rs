@@ -1408,6 +1408,112 @@ mod tests {
     }
 
     #[test]
+    fn chunk_edges_change_nothing_a_logged_shard_applies() {
+        // Runs on either side of the frame chunk's size (a logged run's
+        // puts keep views of one buffer per chunk), with deletes and a key
+        // written twice in a run, to a logged and an unlogged shard while a
+        // reader makes the writer yield: the two must end alike, and the
+        // log must replay to what the logged one holds.
+        use crate::shard::MAX_REQUESTS_PER_HOLD as CHUNK;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let opts = TreeOptions::builder().group_commit(CommitMode::Group).build();
+        let (logged, dir) = wal_tree("chunk-edges", CommitMode::Group, 1);
+        let unlogged =
+            ShardedLsmTree::with_mem_devices(small_cfg(), opts.clone(), 1, 1 << 16).unwrap();
+        let run = |n: usize, round: u8| -> WriteBatch {
+            let key = |j: usize| (j as u64 * 7919 + u64::from(round) * 13) % 5_000;
+            let mut run: Vec<Request> = (0..n)
+                .map(|j| match j % 7 {
+                    3 => Request::Delete(key(j)),
+                    _ => Request::Put(key(j), Bytes::from(vec![round, j as u8, 1, 2])),
+                })
+                .collect();
+            if n > 1 {
+                run[n - 1] = Request::Put(key(0), Bytes::from(vec![round, 0xFF, 3, 4]));
+            }
+            run.into_iter().collect()
+        };
+        let sizes = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 32 * CHUNK];
+        let writing = AtomicBool::new(true);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for round in 0..3u8 {
+                    for (i, &n) in sizes.iter().enumerate() {
+                        let round = round * 8 + i as u8;
+                        logged.write_batch(run(n, round)).unwrap();
+                        unlogged.write_batch(run(n, round)).unwrap();
+                    }
+                }
+                writing.store(false, Ordering::SeqCst);
+            });
+            let mut k = 0;
+            while writing.load(Ordering::SeqCst) {
+                logged.peek(k % 5_000).unwrap();
+                unlogged.peek(k % 5_000).unwrap();
+                k += 11;
+            }
+        });
+        let (_, yields) = logged.shards[0].write_holds();
+        assert!(yields > 0, "no writer yielded: the test never took the yield path");
+        let writes =
+            |t: &ShardedLsmTree| t.with_shard_read(0, |t| t.store().device().io_snapshot());
+        let live = logged.scan_collect(0, u64::MAX).unwrap();
+        assert_eq!(live, unlogged.scan_collect(0, u64::MAX).unwrap());
+        assert_eq!(logged.stats(), unlogged.stats());
+        assert_eq!(writes(&logged).writes, writes(&unlogged).writes);
+        assert!(logged.stats().deletes > 0 && !live.is_empty());
+        drop(logged);
+        let r = ShardedLsmTree::recover_with_wal(small_cfg(), opts, 1, 1 << 16, &dir).unwrap();
+        assert_eq!(r.scan_collect(0, u64::MAX).unwrap(), live);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_hold_a_seal_ends_mid_chunk_goes_on_in_the_same_chunk() {
+        // An L0 of 300 records under a stepped scheduler: a run of 800
+        // seals after its 300th and 600th put, mid-chunk. The next hold
+        // goes on in the chunk the seal left: the values of puts 299 and
+        // 300 are neighbouring frames of one buffer, and no segment runs
+        // past a chunk's end (it would view the next chunk's frames).
+        use crate::shard::MAX_REQUESTS_PER_HOLD as CHUNK;
+        let cfg = LsmConfig { k0_blocks: 20, ..small_cfg() };
+        let capacity = cfg.l0_capacity_records();
+        assert!(!capacity.is_multiple_of(CHUNK) && capacity < 2 * CHUNK && 800 < 3 * capacity);
+        let dir = scratch_dir("seal-mid-chunk");
+        let sim = MergeScheduler::simulated(2, 7, SinkHandle::none());
+        let devices = mem_devices(&cfg, 1, 1 << 16);
+        let t = ShardedLsmTree::with_backend(
+            cfg.clone(),
+            TreeOptions::default(),
+            devices,
+            Some(&dir),
+            Some(Arc::new(sim)),
+        )
+        .unwrap();
+        let value = |k: u64| vec![k as u8, (k >> 8) as u8, 7, 7];
+        t.write_batch((0..800).map(|k| Request::Put(k, value(k).into())).collect()).unwrap();
+        assert_eq!(t.with_shard_read(0, LsmTree::imm_count), 2, "two seals, both mid-chunk");
+        let at = |k: u64| t.get(k).unwrap().unwrap().as_ptr() as usize;
+        let frame = WriteAheadLog::frame_len(&Request::Put(0, value(0).into()));
+        for seal in [capacity as u64, 2 * capacity as u64] {
+            assert_eq!(at(seal) - at(seal - 1), frame, "puts {} and {seal}", seal - 1);
+        }
+        for k in 0..800 {
+            assert_eq!(t.get(k).unwrap().as_deref(), Some(&value(k)[..]), "key {k}");
+        }
+        t.flush().unwrap();
+        drop(t);
+        let (_, logged) =
+            WriteAheadLog::open_and_replay(ShardedLsmTree::wal_path(&dir, 0)).unwrap();
+        assert!(logged
+            .iter()
+            .enumerate()
+            .all(|(k, r)| *r == Request::Put(k as u64, value(k as u64).into())));
+        assert_eq!(logged.len(), 800);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn shard_results_interleave_through_the_one_merge() {
         let owned = |keys: &[Key]| {
             let pairs: Vec<_> = keys.iter().map(|&k| (k, Bytes::from(vec![k as u8]))).collect();

@@ -355,20 +355,19 @@ impl LsmTree {
     /// from its worker pool.
     pub fn apply_buffered(&mut self, req: Request) -> Result<()> {
         self.check_request(&req)?;
-        self.buffer_run(&mut [req]);
+        self.buffer_run(std::iter::once(req));
         Ok(())
     }
 
-    /// [`LsmTree::apply_buffered`] for a run the caller has validated. The
-    /// requests are moved out of `run`; what stays behind are placeholders.
-    pub(crate) fn buffer_run(&mut self, run: &mut [Request]) {
+    /// [`LsmTree::apply_buffered`] for a run the caller has validated.
+    pub(crate) fn buffer_run(&mut self, run: impl Iterator<Item = Request>) {
         let mem = Arc::make_mut(&mut self.mem);
         for req in run {
             match req {
                 Request::Put(..) => self.stats.puts += 1,
                 Request::Delete(_) => self.stats.deletes += 1,
             }
-            mem.apply(std::mem::replace(req, Request::Delete(0)));
+            mem.apply(req);
         }
     }
 
@@ -382,8 +381,11 @@ impl LsmTree {
     /// holds (or had room for) is a zero-copy *view* of that block's frame
     /// and keeps the whole frame (`block_size` bytes) alive while held — as
     /// does every `Bytes` a range scan yields; copy it out
-    /// (`Bytes::copy_from_slice`) to keep it long-term. A value read past a
-    /// full cache is a copy of its own and pins nothing.
+    /// (`Bytes::copy_from_slice`) to keep it long-term. So does a value a
+    /// logged shard's memtable serves: a view of the WAL frame chunk its
+    /// run was encoded into (up to 256 frames; DESIGN.md §11), which it
+    /// keeps alive. A value read past a full cache is a copy of its own and
+    /// pins nothing.
     ///
     /// Caching contract: past the memtables, a row the buffer cache kept
     /// for `key` at the tree's install count answers for every level at

@@ -26,6 +26,14 @@
 //! typed error instead; one cut short inside the header holds no frame and
 //! is a fresh log.
 //!
+//! What L0 keeps of a logged request is its frame: a put's payload is a
+//! view of the frame's payload bytes, in a buffer shared by the frames of
+//! up to 256 requests (the write path's yield interval) — a *chunk*. The
+//! write path encodes a run into chunks before it takes the shard lock,
+//! and recovery copies the log's validated prefix into chunks as it
+//! replays it, so neither keeps a payload buffer per request nor pins the
+//! whole file.
+//!
 //! A sync comes in two halves so that a concurrent front-end never fsyncs
 //! under the lock that guards the log: `WriteAheadLog::begin_sync`
 //! flushes the userspace buffer and *notes* the length (`&mut self`, so
@@ -42,6 +50,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,6 +62,7 @@ use sim_ssd::{DeviceError, FaultKind, SplitMix64};
 use crate::checksum;
 use crate::error::{LsmError, Result};
 use crate::record::{Key, Request};
+use crate::shard::MAX_REQUESTS_PER_HOLD;
 
 /// Seeded fault injection for [`WriteAheadLog::sync`], mirroring
 /// [`sim_ssd::FaultPlan`] for the one durability primitive the WAL owns:
@@ -283,21 +293,27 @@ impl WriteAheadLog {
                 path.display()
             )));
         }
+        // Frames are checked one at a time and copied a chunk at a time
+        // (`view_frames`): a replayed put's payload is a view of its
+        // chunk, and the file's buffer is let go when recovery returns.
         let mut requests = Vec::new();
-        let mut rest = frames;
-        while let Some((head, tail)) = rest.split_first_chunk::<FRAME_HEADER_LEN>() {
-            let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-            let Some(payload) = tail.get(..len) else {
-                break; // torn tail
-            };
-            if checksum::sum64(0, payload).to_le_bytes() != head[4..] {
-                break; // corrupt tail
+        // `rest` starts at the first frame not yet checked, `unviewed` at
+        // the first one checked but not yet copied.
+        let (mut rest, mut unviewed, mut checked) = (frames, frames, 0);
+        loop {
+            let next = Self::checked_frame(rest);
+            if let Some(len) = next {
+                rest = &rest[len..];
+                checked += 1;
             }
-            match Self::decode_request(payload) {
-                Some(req) => requests.push(req),
-                None => break,
+            if checked == MAX_REQUESTS_PER_HOLD || (next.is_none() && checked > 0) {
+                let chunk = Bytes::copy_from_slice(&unviewed[..unviewed.len() - rest.len()]);
+                requests.extend(Self::view_frames(&chunk, 0..chunk.len()));
+                (unviewed, checked) = (rest, 0);
             }
-            rest = &tail[len..];
+            if next.is_none() {
+                break; // torn or corrupt tail, or the end
+            }
         }
         let pos = bytes.len() - rest.len();
         let mut file = OpenOptions::new().write(true).open(path).map_err(DeviceError::Io)?;
@@ -349,19 +365,64 @@ impl WriteAheadLog {
         out[frame + 4..payload].copy_from_slice(&sum.to_le_bytes());
     }
 
-    fn decode_request(payload: &[u8]) -> Option<Request> {
+    /// The frames of `run` (at most [`MAX_REQUESTS_PER_HOLD`] requests)
+    /// in one buffer of their exact length: a chunk, which the requests'
+    /// views ([`WriteAheadLog::view_frames`]) share.
+    pub(crate) fn encode_chunk(run: &[Request]) -> Bytes {
+        debug_assert!(run.len() <= MAX_REQUESTS_PER_HOLD);
+        let mut chunk = Vec::with_capacity(run.iter().map(Self::frame_len).sum());
+        run.iter().for_each(|req| Self::encode_frame(req, &mut chunk));
+        Bytes::from(chunk)
+    }
+
+    /// The requests that the whole frames in `chunk[frames]` log, in
+    /// order, each put's payload a view of its frame's payload bytes: what
+    /// L0 holds of a logged request, on the write path and in recovery
+    /// alike. The frames were checked (encoded by this process, or passed
+    /// [`WriteAheadLog::checked_frame`]); the checksums are not read.
+    pub(crate) fn view_frames(
+        chunk: &Bytes,
+        frames: Range<usize>,
+    ) -> impl Iterator<Item = Request> + '_ {
+        let mut at = frames.start;
+        std::iter::from_fn(move || {
+            let head = chunk.get(at..frames.end)?.first_chunk::<FRAME_HEADER_LEN>()?;
+            let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+            let payload = at + FRAME_HEADER_LEN;
+            let (key, body) = Self::decode_payload(chunk.get(payload..payload + len)?)?;
+            at = payload + len;
+            Some(match body {
+                Some(body) => {
+                    Request::Put(key, chunk.slice(payload + body.start..payload + body.end))
+                }
+                None => Request::Delete(key),
+            })
+        })
+    }
+
+    /// The length of the intact frame `frames` starts with: a whole
+    /// header and payload, the checksum matching, a payload that decodes.
+    /// `None` at a torn or corrupt frame, or at the end.
+    fn checked_frame(frames: &[u8]) -> Option<usize> {
+        let (head, tail) = frames.split_first_chunk::<FRAME_HEADER_LEN>()?;
+        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+        let payload = tail.get(..len)?;
+        (checksum::sum64(0, payload).to_le_bytes() == head[4..]).then_some(())?;
+        Self::decode_payload(payload)?;
+        Some(FRAME_HEADER_LEN + len)
+    }
+
+    /// A frame payload's key, and for a put where its payload bytes lie
+    /// in it (`None`: a delete). `None` if it is neither.
+    fn decode_payload(payload: &[u8]) -> Option<(Key, Option<Range<usize>>)> {
         let op = *payload.first()?;
         let key = Key::from_le_bytes(payload.get(1..9)?.try_into().ok()?);
         match op {
             0 => {
                 let plen = u32::from_le_bytes(payload.get(9..13)?.try_into().ok()?) as usize;
-                let body = payload.get(13..13 + plen)?;
-                if payload.len() != 13 + plen {
-                    return None;
-                }
-                Some(Request::Put(key, Bytes::copy_from_slice(body)))
+                (payload.len() == 13 + plen).then_some((key, Some(13..13 + plen)))
             }
-            1 if payload.len() == 9 => Some(Request::Delete(key)),
+            1 if payload.len() == 9 => Some((key, None)),
             _ => None,
         }
     }

@@ -8,10 +8,10 @@
 //! style, except the exemplar is the whole causal tree, not just a trace id.
 //!
 //! A completed root's direct children partition its latency into *phases*
-//! (`lock_wait`, `wal_append`, `group_commit_wait`, `backpressure_wait`,
-//! `cascade`, …); whatever the children leave uncovered is `unattributed`
-//! for a put (frame encoding, memtable inserts, anything no child span
-//! covers) and the operation's own name otherwise. Phases therefore sum to
+//! (`lock_wait`, `wal_append`, `memtable_insert`, `group_commit_wait`,
+//! `backpressure_wait`, `cascade`, …); whatever the children leave
+//! uncovered is `unattributed` for a put (frame encoding, anything no child
+//! span covers) and the operation's own name otherwise. Phases therefore sum to
 //! the root's duration *by construction* — exactly, under any monotonic
 //! clock.
 //!

@@ -183,8 +183,9 @@ span_kinds! {
     Scan => ("scan", 10),
     /// One front-end write, lock wait to ack. Its children partition the
     /// latency into the wait states below plus WAL append and (inline
-    /// mode) cascade time; whatever they leave uncovered is reported as
-    /// `unattributed` (frame encoding, memtable inserts, anything else).
+    /// mode) cascade time and memtable inserts; whatever they leave
+    /// uncovered is reported as `unattributed` (frame encoding, anything
+    /// else).
     Put => ("put", 11),
     /// Time parked on the tree / shard write lock.
     LockWait => ("lock_wait", 12),
@@ -194,6 +195,8 @@ span_kinds! {
     /// Time stalled on backpressure: the sealed-memtable backlog at its
     /// bound, waiting for the scheduler to flush room free.
     BackpressureWait => ("backpressure_wait", 14),
+    /// One segment of a write run inserted into the memtable.
+    MemtableInsert => ("memtable_insert", 15),
 }
 
 /// Description of one span: its kind plus the attributes that name it.
@@ -287,6 +290,11 @@ impl SpanOp {
     /// A backpressure stall (sealed-memtable backlog at the bound).
     pub fn backpressure_wait() -> Self {
         Self::new(SpanKind::BackpressureWait)
+    }
+
+    /// A run's segment going into the memtable.
+    pub fn memtable_insert() -> Self {
+        Self::new(SpanKind::MemtableInsert)
     }
 
     /// The same op stamped with a shard index.

@@ -37,15 +37,18 @@
 # extraction. Needs python3 for the JSON and the statistics.
 # $AB_LAYERS lists per-layer metric names (default: "device.reads
 # cache.hit_rate cache.evictions bloom.skip_rate bloom.readback_skip_rate
-# store.block_reads_per_get device.model_s"; set it empty to skip): after the
-# pairs, each side makes one `--trace 1` run, and those metrics' values from
-# it are printed and go on the session's line under "layers" — the mechanism
-# on file next to the medians of every session: what the device read, how
-# the cache hit and churned, how often a filter spared the read-back gets
-# (the gets `read_blocks_per_get` counts) a block, and the modelled SSD
-# time. One run a side: counts repeat exactly,
-# timings do not, so name counts and ratios of counts (`device.model_s` is
-# one: the device model's cost of the run's counted operations).
+# store.block_reads_per_get device.model_s proc.peak_rss_mb wal.recover_s";
+# set it empty to skip): after the pairs, each side makes one `--trace 1`
+# run, and those metrics' values from it are printed and go on the session's
+# line under "layers" — the mechanism on file next to the medians of every
+# session: what the device read, how the cache hit and churned, how often a
+# filter spared the read-back gets (the gets `read_blocks_per_get` counts) a
+# block, the modelled SSD time, the process's peak resident memory (what L0
+# pins, buffers included) and how long the log's replay took. One run a
+# side: counts repeat exactly, timings do not, so name counts and ratios of
+# counts (`device.model_s` is one: the device model's cost of the run's
+# counted operations); the last two are a single reading each, a size and a
+# time, to be read as such.
 set -euo pipefail
 
 if [ "$#" -lt 2 ]; then
@@ -56,7 +59,7 @@ ref="$1"
 workload="$2"
 pairs="${3:-10}"
 seed="${4:-7}"
-layers="${AB_LAYERS-device.reads cache.hit_rate cache.evictions bloom.skip_rate bloom.readback_skip_rate store.block_reads_per_get device.model_s}"
+layers="${AB_LAYERS-device.reads cache.hit_rate cache.evictions bloom.skip_rate bloom.readback_skip_rate store.block_reads_per_get device.model_s proc.peak_rss_mb wal.recover_s}"
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"

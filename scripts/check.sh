@@ -218,6 +218,9 @@ gone="$gone"'|prepared_tree[(`]|\bCsv\b'
 # no policy type per variant.
 gone="$gone"'|\bMergePolicy\b|\bFullPolicy\b|\bRrPolicy\b|\bChooseBestPolicy\b'
 gone="$gone"'|\bChooseBestAlignedPolicy\b|\bMixedPolicy\b'
+# A logged run's frames are encoded into chunks that L0 keeps views of: no
+# thread-local frame buffer.
+gone="$gone"'|\bFRAMES\b|FRAMES_KEPT|struct Frames\b|Frames\('
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"
