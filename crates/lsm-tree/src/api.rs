@@ -5,10 +5,10 @@
 //! directory), and [`SteppedMergeTree`](crate::SteppedMergeTree) — speaks
 //! the same five-verb
 //! vocabulary (`put` / `delete` / `apply` / `write_batch` / `flush`), so
-//! workload generators and benches drive any of them through one generic
-//! bound instead of accumulating per-type method drift. The historical
-//! inherent methods remain (concrete callers see no change); the trait
-//! routes through them.
+//! one generic bound drives any of them: the model oracle (`oracle.rs`,
+//! DESIGN.md §6) writes every subject through one `write<W: WriteApi>`,
+//! `ext_stepped_merge` fills both trees through one loop. The inherent
+//! methods remain; the trait routes through them.
 //!
 //! `flush` is the quiescence point: it drains whatever the front-end has
 //! buffered — sealed memtables, pending merge jobs, unsynced WAL bytes — so
@@ -172,34 +172,6 @@ mod tests {
         t.write_batch(b).unwrap();
         assert_eq!(t.get(1).unwrap(), None, "later delete shadows the put");
         assert_eq!(t.get(2).unwrap().as_deref(), Some(&[9u8; 4][..]), "last write wins");
-    }
-
-    #[test]
-    fn generic_driver_works_over_any_front_end() {
-        fn drive<W: WriteApi>(w: &mut W) {
-            for k in 0..300u64 {
-                w.put(k, vec![(k % 251) as u8; 4]).unwrap();
-            }
-            w.delete(7).unwrap();
-            w.flush().unwrap();
-        }
-        let mut plain =
-            LsmTree::with_mem_device(tiny_cfg(), TreeOptions::default(), 1 << 16).unwrap();
-        drive(&mut plain);
-        assert_eq!(plain.get(7).unwrap(), None);
-        assert_eq!(plain.get(8).unwrap().as_deref(), Some(&[8u8; 4][..]));
-
-        let mut stepped =
-            crate::SteppedMergeTree::with_mem_device(tiny_cfg(), TreeOptions::default(), 1 << 16)
-                .unwrap();
-        drive(&mut stepped);
-        assert_eq!(stepped.get(7).unwrap(), None);
-
-        let opts = TreeOptions::default();
-        let mut one_shard =
-            crate::ShardedLsmTree::with_mem_devices(tiny_cfg(), opts, 1, 1 << 16).unwrap();
-        drive(&mut one_shard);
-        assert_eq!(one_shard.get(7).unwrap(), None);
     }
 
     #[test]

@@ -222,97 +222,7 @@ impl LsmTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LsmConfig;
-    use crate::policy::PolicySpec;
     use crate::record::Request;
-    use crate::tree::TreeOptions;
-
-    fn small_tree(policy: PolicySpec) -> LsmTree {
-        let cfg = LsmConfig {
-            block_size: 256,
-            payload_size: 4,
-            k0_blocks: 4,
-            gamma: 4,
-            cache_blocks: 64,
-            merge_rate: 0.25,
-            ..LsmConfig::default()
-        };
-        LsmTree::with_mem_device(cfg, TreeOptions::builder().policy(policy).build(), 1 << 16)
-            .unwrap()
-    }
-
-    fn collect(scan: RangeScan<'_>) -> Vec<Key> {
-        scan.map(|r| r.unwrap().0).collect()
-    }
-
-    #[test]
-    fn scan_within_memtable_only() {
-        let mut t = small_tree(PolicySpec::ChooseBest);
-        for k in [5u64, 1, 9, 3] {
-            t.put(k, vec![k as u8; 4]).unwrap();
-        }
-        assert_eq!(collect(t.scan(2, 8)), vec![3, 5]);
-        assert_eq!(collect(t.scan(0, 100)), vec![1, 3, 5, 9]);
-        assert_eq!(collect(t.scan(6, 8)), Vec::<Key>::new());
-    }
-
-    #[test]
-    fn scan_across_levels_with_shadowing() {
-        let mut t = small_tree(PolicySpec::ChooseBest);
-        // Force data into levels.
-        for k in 0..1000u64 {
-            t.put(k * 3, vec![1; 4]).unwrap();
-        }
-        // Newer versions for a slice of keys (may still be in memtable).
-        for k in 100..110u64 {
-            t.put(k * 3, vec![2; 4]).unwrap();
-        }
-        let got: Vec<(Key, Bytes)> = t.scan(300, 327).map(|r| r.unwrap()).collect();
-        assert_eq!(got.len(), 10);
-        for (k, v) in got {
-            assert_eq!(v[0], 2, "key {k} must show the newer version");
-        }
-    }
-
-    #[test]
-    fn scan_hides_deleted_keys() {
-        let mut t = small_tree(PolicySpec::RoundRobin);
-        for k in 0..500u64 {
-            t.put(k, vec![0; 4]).unwrap();
-        }
-        for k in (0..500u64).step_by(2) {
-            t.delete(k).unwrap();
-        }
-        let keys = collect(t.scan(0, 20));
-        assert_eq!(keys, vec![1, 3, 5, 7, 9, 11, 13, 15, 17, 19]);
-    }
-
-    #[test]
-    fn full_scan_matches_model() {
-        let mut t = small_tree(PolicySpec::Full);
-        let mut model = std::collections::BTreeSet::new();
-        let mut state = 99u64;
-        for _ in 0..3000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let k = (state >> 33) % 2000;
-            if state.is_multiple_of(3) {
-                t.delete(k).unwrap();
-                model.remove(&k);
-            } else {
-                t.put(k, vec![7; 4]).unwrap();
-                model.insert(k);
-            }
-        }
-        let got = collect(t.scan(0, u64::MAX));
-        let want: Vec<Key> = model.into_iter().collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn empty_tree_scan() {
-        let t = small_tree(PolicySpec::Full);
-        assert_eq!(collect(t.scan(0, u64::MAX)), Vec::<Key>::new());
-    }
 
     fn mem_of(reqs: &[Request]) -> Memtable {
         let mut mem = Memtable::new();
@@ -373,48 +283,5 @@ mod tests {
         let before = lookups(&store);
         assert_eq!(keys(0, 15), (10..16).collect::<Vec<_>>());
         assert_eq!(lookups(&store) - before, 2, "the third block is past `hi`");
-    }
-
-    #[test]
-    fn sealed_memtables_shadow_levels_and_each_other() {
-        // Key k's versions: v1 in a level, then (k even) a delete or (k odd)
-        // v2 in the older sealed memtable, then (k % 3 == 0) v3 in the newer
-        // one, then (k % 5 == 0) a delete in the live one.
-        let mut t = small_tree(PolicySpec::ChooseBest);
-        let buffer = |t: &mut LsmTree, req: Request| t.apply_buffered(req).unwrap();
-        for k in 0..300u64 {
-            t.put(k, vec![1; 4]).unwrap();
-        }
-        assert!(t.levels().iter().any(|l| !l.is_empty()));
-        for k in 100..130u64 {
-            buffer(&mut t, if k % 2 == 0 { Request::Delete(k) } else { put(k, 2) });
-        }
-        assert!(t.seal_memtable());
-        (100..130u64).filter(|k| k % 3 == 0).for_each(|k| buffer(&mut t, put(k, 3)));
-        assert!(t.seal_memtable());
-        (100..130u64).filter(|k| k % 5 == 0).for_each(|k| buffer(&mut t, Request::Delete(k)));
-        assert_eq!(t.imm_count(), 2);
-        let version = |k: Key| match k {
-            k if k % 5 == 0 => None,
-            k if k % 3 == 0 => Some(3),
-            k if k % 2 == 0 => None,
-            _ => Some(2),
-        };
-        let want: Vec<(Key, u8)> =
-            (100..130).filter_map(|k| version(k).map(|v| (k, v))).chain([(130, 1)]).collect();
-        let got: Vec<(Key, u8)> =
-            t.scan(100, 130).map(|kv| kv.unwrap()).map(|(k, v)| (k, v[0])).collect();
-        assert_eq!(got, want);
-        for k in 100..130 {
-            assert_eq!(t.get(k).unwrap().map(|v| v[0]), version(k), "get({k})");
-        }
-    }
-
-    #[test]
-    fn inverted_range_is_empty_not_panic() {
-        let mut t = small_tree(PolicySpec::Full);
-        t.put(5, vec![0; 4]).unwrap();
-        assert_eq!(collect(t.scan(10, 2)), Vec::<Key>::new());
-        assert_eq!(collect(t.scan(5, 5)), vec![5]);
     }
 }

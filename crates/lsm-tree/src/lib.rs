@@ -49,6 +49,8 @@ pub mod lockorder;
 pub mod manifest;
 pub mod memtable;
 pub mod merge;
+#[cfg(test)]
+mod oracle;
 pub mod policy;
 pub mod record;
 pub mod report;

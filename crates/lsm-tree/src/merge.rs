@@ -732,15 +732,10 @@ impl<'a> MergeEngine<'a> {
         Ok(CompactOutcome { writes, reads })
     }
 
-    /// Does `level` currently need a compaction? True when its waste factor
-    /// exceeds ε *and* compaction would actually reduce its block count.
-    pub fn needs_compaction(&self, level: &Level) -> bool {
-        self.wasteful(level.num_blocks(), level.records())
-    }
-
-    /// [`needs_compaction`](MergeEngine::needs_compaction) of a level of
-    /// `num_blocks` blocks holding `records` records.
-    pub(crate) fn wasteful(&self, num_blocks: usize, records: u64) -> bool {
+    /// Does a level of `num_blocks` blocks holding `records` records need a
+    /// compaction? True when its waste factor exceeds ε *and* compaction
+    /// would actually reduce its block count (§II-B case 4).
+    pub fn wasteful(&self, num_blocks: usize, records: u64) -> bool {
         if num_blocks < 2 {
             return false;
         }
@@ -1052,15 +1047,15 @@ mod tests {
         let s = store();
         let eng = MergeEngine::new(&s, B, EPS, true);
         let level = level_of(&s, &[puts(0..14u64), puts(20..34u64)]);
-        assert!(!eng.needs_compaction(&level), "full blocks, no waste");
+        assert!(!eng.wasteful(level.num_blocks(), level.records()), "full blocks, no waste");
         // Wasteful but minimal-block-count level: 2 blocks, 16 records.
         let sparse = level_of(&s, &[puts(0..8u64), puts(20..28u64)]);
-        assert!(!eng.needs_compaction(&sparse), "ceil(16/14)=2 is minimal");
+        assert!(!eng.wasteful(sparse.num_blocks(), sparse.records()), "ceil(16/14)=2 is minimal");
         // Wasteful and fusible: 3 blocks of 8 → minimal is 2.
         let fusible = level_of(&s, &[puts(0..8u64), puts(20..28u64), puts(40..48u64)]);
-        assert!(eng.needs_compaction(&fusible));
+        assert!(eng.wasteful(fusible.num_blocks(), fusible.records()));
         let single = level_of(&s, &[puts(0..2u64)]);
-        assert!(!eng.needs_compaction(&single), "single block exempt");
+        assert!(!eng.wasteful(single.num_blocks(), single.records()), "single block exempt");
     }
 
     #[test]

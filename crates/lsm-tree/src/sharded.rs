@@ -617,87 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn basic_ops_and_merged_scans() {
-        let t = sharded(4);
-        for k in 0..3_000u64 {
-            t.put(k, vec![(k % 251) as u8; 4]).unwrap();
-        }
-        for k in (0..3_000u64).step_by(3) {
-            t.delete(k).unwrap();
-        }
-        for k in 0..3_000u64 {
-            let got = t.get(k).unwrap();
-            if k % 3 == 0 {
-                assert_eq!(got, None, "deleted key {k}");
-            } else {
-                assert_eq!(got.as_deref(), Some(&vec![(k % 251) as u8; 4][..]), "key {k}");
-            }
-        }
-        // The merged scan is ordered, complete, and tombstone-free.
-        let scan = t.scan_collect(0, 2_999).unwrap();
-        assert_eq!(scan.len(), 2_000);
-        assert!(scan.windows(2).all(|w| w[0].0 < w[1].0), "scan must be ordered");
-        assert!(scan.iter().all(|(k, _)| k % 3 != 0));
-        // Aggregated stats see every routed request.
-        let s = t.stats();
-        assert_eq!(s.puts, 3_000);
-        assert_eq!(s.deletes, 1_000);
-        assert_eq!(s.lookups(), 3_000);
-        // Physical records: live keys plus not-yet-compacted tombstones.
-        assert!(t.record_count() >= 2_000);
-        t.deep_verify(true).unwrap();
-    }
-
-    #[test]
-    fn equivalent_to_independent_trees_on_the_same_routing() {
-        // A sharded tree under `Scheduler::Inline` must behave exactly like
-        // N independent trees fed the same routed requests — same per-shard
-        // stats, same device traffic, same contents — down to N = 1, where
-        // the whole front-end is one bare `LsmTree` behind a lock.
-        for n in [1, 4] {
-            let t = sharded(n);
-            let mut solo: Vec<LsmTree> = (0..n)
-                .map(|_| {
-                    let mut cfg = small_cfg();
-                    cfg.cache_blocks = (cfg.cache_blocks / n).max(1);
-                    LsmTree::with_mem_device(
-                        cfg,
-                        TreeOptions::builder().policy(PolicySpec::ChooseBest).build(),
-                        1 << 16,
-                    )
-                    .unwrap()
-                })
-                .collect();
-            let mut x = 0xdead_beefu64;
-            for _ in 0..4_000 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let k = (x >> 16) % 1_500;
-                let req = if x.is_multiple_of(5) {
-                    Request::Delete(k)
-                } else {
-                    Request::Put(k, Bytes::from(vec![(k % 251) as u8; 4]))
-                };
-                solo[t.shard_of(k)].apply(req.clone()).unwrap();
-                t.apply(req).unwrap();
-            }
-            t.flush().unwrap(); // a no-op inline: nothing may be left pending
-            for (i, solo_tree) in solo.iter().enumerate() {
-                t.with_shard_read(i, |tree| {
-                    assert_eq!(tree.stats(), solo_tree.stats(), "{n} shards: shard {i} stats");
-                    assert_eq!(
-                        tree.store().io_snapshot(),
-                        solo_tree.store().io_snapshot(),
-                        "{n} shards: shard {i} device counts"
-                    );
-                    let scan =
-                        |t: &LsmTree| t.scan(0, u64::MAX).collect::<Result<Vec<_>>>().unwrap();
-                    assert_eq!(scan(tree), scan(solo_tree), "{n} shards: shard {i} contents");
-                });
-            }
-        }
-    }
-
-    #[test]
     fn one_shard_is_the_shared_access_wrapper() {
         // Concurrent readers / serialized writers over one tree: `peek` is
         // the no-stats path and clones share the index.
@@ -873,10 +792,19 @@ mod tests {
         // checked its size, so a put refused to the caller stayed in the
         // log and replay aborted recovery on it — losing every acked write
         // after it. A batch is refused whole: one over-size record, and
-        // none of it is logged or applied, on any shard.
-        for shards in [1, 3] {
-            let (t, dir) = wal_tree("refused", CommitMode::Group, shards);
+        // none of it is logged or applied, on any shard. After a
+        // checkpoint the log replays over the levels on the devices.
+        for (shards, checkpoint) in [(1, false), (3, false), (1, true)] {
+            let dir = scratch_dir("refused");
+            let devices = mem_devices(&small_cfg(), shards, 1 << 16);
+            let opts = TreeOptions::builder().group_commit(CommitMode::Group).build();
+            let t =
+                ShardedLsmTree::with_backend(small_cfg(), opts, devices.clone(), Some(&dir), None)
+                    .unwrap();
             t.put(1, vec![1u8; 4]).unwrap();
+            if checkpoint {
+                t.checkpoint().unwrap();
+            }
             let logged = t.wal_lens();
             let err = t.put(2, vec![0u8; 4096]).unwrap_err();
             assert!(matches!(err, LsmError::PayloadTooLarge { .. }), "{err}");
@@ -892,13 +820,13 @@ mod tests {
             assert_eq!(t.scan_collect(0, u64::MAX).unwrap().len(), 1);
             t.put(3, vec![3u8; 4]).unwrap();
             std::mem::forget(t); // crash
-            let r = ShardedLsmTree::recover_with_wal(
-                small_cfg(),
-                TreeOptions::default(),
-                shards,
-                1 << 16,
-                &dir,
-            )
+            let opts = TreeOptions::default();
+            let r = match checkpoint {
+                false => ShardedLsmTree::recover_with_wal(small_cfg(), opts, shards, 1 << 16, &dir),
+                true => {
+                    ShardedLsmTree::recover_with_backend(small_cfg(), opts, devices, &dir, None)
+                }
+            }
             .expect("recovery must not trip over the refused put");
             assert_eq!(r.get(1).unwrap().as_deref(), Some(&[1u8; 4][..]));
             assert_eq!(r.get(2).unwrap(), None);
@@ -934,37 +862,6 @@ mod tests {
                 .expect("recovery replays the payload of payload_size");
         assert_eq!(r.get(1).unwrap().as_deref(), Some(&vec![1u8; size][..]));
         assert_eq!(r.get(2).unwrap(), None);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn a_payload_that_fills_a_block_alone_is_refused_and_later_flushes_run() {
-        // A 227-byte payload fills a 256-byte block to the byte, but merges
-        // pack blocks by the record count of 4-byte payloads: once logged,
-        // it broke the flush of every memtable it was in (the 55th put
-        // after it failed). It is refused now, and the four-byte puts after
-        // it — 54, then enough for flushes and merges into two levels —
-        // all land.
-        let (t, dir) = wal_tree("fills_a_block", CommitMode::Group, 1);
-        let room = small_cfg().block_size - crate::block::BLOCK_HEADER_LEN;
-        let fills = room - crate::block::RECORD_HEADER_LEN;
-        assert_eq!(fills, 227);
-        let err = t.put(1_000, vec![7u8; fills]).unwrap_err();
-        assert!(matches!(err, LsmError::PayloadTooLarge { .. }), "{err}");
-        let n = 54 + 500;
-        for k in 0..n {
-            t.put(k, vec![k as u8; 4]).unwrap();
-        }
-        t.flush().unwrap();
-        assert_eq!(t.get(1_000).unwrap(), None);
-        assert_eq!(t.scan_collect(0, u64::MAX).unwrap().len(), n as usize);
-        assert!(t.stats().levels.len() >= 2, "the puts reached a second level");
-        drop(t);
-        let r =
-            ShardedLsmTree::recover_with_wal(small_cfg(), TreeOptions::default(), 1, 1 << 16, &dir)
-                .unwrap();
-        assert_eq!(r.scan_collect(0, u64::MAX).unwrap().len(), n as usize);
-        r.flush().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1170,73 +1067,6 @@ mod tests {
                 }
             })
             .collect()
-    }
-
-    #[test]
-    fn a_batch_is_its_requests_one_by_one() {
-        // One write path: whatever way a tape is cut into batches, every
-        // shard logs the same bytes, seals, stalls and merges after the same
-        // requests, and ends in the same state as when each request is a
-        // run of its own. The simulated scheduler makes the background side
-        // repeat exactly: it only ever runs inside a writer's call.
-        use crate::shard::MAX_REQUESTS_PER_HOLD as CHUNK;
-        let tape = tape(10 * CHUNK + 77);
-        let state = |t: &ShardedLsmTree, dir: &Path| {
-            t.flush().unwrap();
-            t.deep_verify(true).unwrap();
-            let logs: Vec<Vec<u8>> = (0..t.shard_count())
-                .map(|i| std::fs::read(ShardedLsmTree::wal_path(dir, i)).unwrap())
-                .collect();
-            let io: Vec<_> = (0..t.shard_count())
-                .map(|i| t.with_shard_read(i, |tree| tree.store().io_snapshot()))
-                .collect();
-            (logs, t.shard_stats(), io, t.scan_collect(0, u64::MAX).unwrap())
-        };
-        for shards in [1, 4] {
-            for background in [false, true] {
-                let build = |dir: &Path| match background {
-                    true => sim_tree(dir, CommitMode::Group, shards),
-                    false => {
-                        let opts = TreeOptions::builder().group_commit(CommitMode::Group).build();
-                        ShardedLsmTree::with_wal_dir(small_cfg(), opts, shards, 1 << 16, dir)
-                            .unwrap()
-                    }
-                };
-                for size in [1, CHUNK - 1, CHUNK, CHUNK + 1, 10 * CHUNK] {
-                    // The reference takes each batch shard by shard, as
-                    // `write_batch` does: shards are independent, but the
-                    // simulated scheduler draws from one seed for all.
-                    let ref_dir = scratch_dir("one-by-one");
-                    let t = build(&ref_dir);
-                    for batch in tape.chunks(size) {
-                        for shard in 0..shards {
-                            for req in batch.iter().filter(|r| t.shard_of(r.key()) == shard) {
-                                t.apply_unacked(shard, req.clone()).unwrap();
-                            }
-                        }
-                    }
-                    let one_by_one = state(&t, &ref_dir);
-                    assert!(
-                        one_by_one.1.iter().all(|s| s.level(1).merges_in > 10),
-                        "L0 must fill many times"
-                    );
-                    let dir = scratch_dir("batched");
-                    let t = build(&dir);
-                    for batch in tape.chunks(size) {
-                        t.write_batch(batch.iter().cloned().collect()).unwrap();
-                    }
-                    let what =
-                        format!("{shards} shards, background {background}, batches of {size}");
-                    let batched = state(&t, &dir);
-                    assert!(batched.0 == one_by_one.0, "{what}: WAL bytes differ");
-                    assert_eq!(batched.1, one_by_one.1, "{what}: stats");
-                    assert_eq!(batched.2, one_by_one.2, "{what}: device counts");
-                    assert_eq!(batched.3, one_by_one.3, "{what}: contents");
-                    std::fs::remove_dir_all(&dir).ok();
-                    std::fs::remove_dir_all(&ref_dir).ok();
-                }
-            }
-        }
     }
 
     #[test]

@@ -307,67 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn put_get_delete_round_trip() {
-        let mut t = tiny();
-        for k in 0..500u64 {
-            t.put(k * 3, vec![(k % 251) as u8; 4]).unwrap();
-        }
-        for k in (0..500u64).step_by(2) {
-            t.delete(k * 3).unwrap();
-        }
-        for k in 0..500u64 {
-            let got = t.get(k * 3).unwrap();
-            if k % 2 == 0 {
-                assert_eq!(got, None, "key {k}");
-            } else {
-                assert_eq!(got.as_deref(), Some(&vec![(k % 251) as u8; 4][..]), "key {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn a_payload_over_payload_size_is_refused_and_later_flushes_run() {
-        // It was taken into L0, and every flush after it failed on the
-        // record that did not fit a block.
-        let mut t = tiny();
-        let err = t.put(1_000, vec![7u8; 1_000]).unwrap_err();
-        assert!(matches!(err, LsmError::PayloadTooLarge { .. }), "{err}");
-        for k in 0..200u64 {
-            t.put(k, vec![k as u8; 4]).unwrap();
-        }
-        assert_eq!(t.get(1_000).unwrap(), None);
-        assert_eq!(t.stats().puts, 200);
-    }
-
-    #[test]
-    fn levels_accumulate_up_to_k_runs() {
-        let mut t = tiny();
-        for k in 0..10_000u64 {
-            t.put(k.wrapping_mul(2_654_435_761) % 100_000, vec![1u8; 4]).unwrap();
-        }
-        for (i, &count) in t.run_counts().iter().enumerate() {
-            assert!(count < 3, "level {i} holds {count} runs, fan-in is 3");
-        }
-        assert!(t.lookup_fanout() >= 1);
-    }
-
-    #[test]
-    fn newest_version_wins_across_runs() {
-        let mut t = tiny();
-        // Fill enough that key 42's old version lands in a run, then
-        // overwrite it; the merge and lookups must prefer the new one.
-        t.put(42, vec![1u8; 4]).unwrap();
-        for k in 1_000..1_200u64 {
-            t.put(k, vec![0u8; 4]).unwrap();
-        }
-        t.put(42, vec![2u8; 4]).unwrap();
-        for k in 2_000..2_200u64 {
-            t.put(k, vec![0u8; 4]).unwrap();
-        }
-        assert_eq!(t.get(42).unwrap().as_deref(), Some(&[2u8; 4][..]));
-    }
-
-    #[test]
     fn stepped_merge_writes_less_than_leveled_lsm() {
         // The §VI trade: stepped-merge writes each record ~once per level;
         // leveled LSM rewrites the next level repeatedly.

@@ -207,20 +207,36 @@ pub struct Store {
     holds_rows: AtomicBool,
     bloom_bits_per_key: usize,
     retry: RetryPolicy,
+    lifecycle: Mutex<Lifecycle>,
+    sink: SinkCell,
+}
+
+/// Where block ids stand beyond the allocator's free/used: lost, let go
+/// of after being lost, pinned by the durable manifest, or waiting for a
+/// trim. One lock over all of it, never held across a device call.
+#[derive(Default)]
+struct Lifecycle {
     /// Blocks that failed an integrity check: id → lost key range. Their
     /// ids are never freed or reused.
-    quarantined: Mutex<BTreeMap<u64, (Key, Key)>>,
+    quarantined: BTreeMap<u64, (Key, Key)>,
     /// Quarantined blocks a merge has since dropped from the structure.
-    repaired: Mutex<BTreeSet<u64>>,
+    repaired: BTreeSet<u64>,
     /// Blocks referenced by the last durable manifest: trims deferred.
-    protected: Mutex<HashSet<u64>>,
+    protected: HashSet<u64>,
     /// Logically freed blocks waiting for the next checkpoint to trim,
     /// and freed blocks whose trim failed.
-    deferred_free: Mutex<Vec<BlockId>>,
+    deferred_free: Vec<BlockId>,
     /// A trim failed since the deferred ids were last retried: some of
     /// them may be protected by no manifest, for the next free to retry.
-    trim_failed: AtomicBool,
-    sink: SinkCell,
+    trim_failed: bool,
+}
+
+impl Lifecycle {
+    /// Take the deferred ids no manifest protects.
+    fn unprotected(&mut self) -> Vec<BlockId> {
+        let protected = &self.protected;
+        self.deferred_free.extract_if(.., |id| !protected.contains(&id.raw())).collect()
+    }
 }
 
 impl Store {
@@ -279,11 +295,7 @@ impl Store {
             holds_rows: AtomicBool::new(false),
             bloom_bits_per_key,
             retry: RetryPolicy::default(),
-            quarantined: Mutex::new(BTreeMap::new()),
-            repaired: Mutex::new(BTreeSet::new()),
-            protected: Mutex::new(protected),
-            deferred_free: Mutex::new(Vec::new()),
-            trim_failed: AtomicBool::new(false),
+            lifecycle: Mutex::new(Lifecycle { protected, ..Lifecycle::default() }),
             sink: SinkCell::new(),
         }
     }
@@ -574,8 +586,8 @@ impl Store {
 
     /// Record `handle` as lost and build the `Degraded` error for it.
     fn quarantine(&self, handle: &BlockHandle) -> LsmError {
-        let fresh =
-            self.quarantined.lock().insert(handle.id.raw(), (handle.min, handle.max)).is_none();
+        let range = (handle.min, handle.max);
+        let fresh = self.lifecycle.lock().quarantined.insert(handle.id.raw(), range).is_none();
         if fresh {
             let block = handle.id.raw();
             self.sink.emit_with(|| Event::BlockQuarantined { block });
@@ -612,10 +624,9 @@ impl Store {
     /// A block whose trim fails stays deferred: the next call or
     /// checkpoint retries it, once no manifest protects it.
     ///
-    /// Each of the cache, the quarantine list, the protected set and the
-    /// deferred list is locked once per call, not once per block, and none
-    /// is held across a device call. Every block is attempted; the first
-    /// error is returned.
+    /// The cache and the block lifecycle are each locked once per call, not
+    /// once per block, and neither is held across a device call. Every
+    /// block is attempted; the first error is returned.
     pub fn free_all(&self, handles: &[BlockHandle]) -> Result<()> {
         {
             let mut cache = self.cache.lock();
@@ -625,23 +636,21 @@ impl Store {
         }
         let mut trim: Vec<BlockId> = Vec::with_capacity(handles.len());
         {
-            let quarantined = self.quarantined.lock();
-            let protected = self.protected.lock();
-            let mut deferred = self.deferred_free.lock();
+            let mut life = self.lifecycle.lock();
             for h in handles {
                 let id = h.id.raw();
-                if quarantined.contains_key(&id) {
-                    if self.repaired.lock().insert(id) {
+                if life.quarantined.contains_key(&id) {
+                    if life.repaired.insert(id) {
                         self.sink.emit_with(|| Event::ReadRepair { block: id });
                     }
-                } else if protected.contains(&id) {
-                    deferred.push(h.id);
+                } else if life.protected.contains(&id) {
+                    life.deferred_free.push(h.id);
                 } else {
                     trim.push(h.id);
                 }
             }
-            if self.trim_failed.swap(false, Ordering::Relaxed) {
-                trim.extend(unprotected(&mut deferred, &protected));
+            if std::mem::take(&mut life.trim_failed) {
+                trim.extend(life.unprotected());
             }
         }
         self.trim_and_release(trim)
@@ -653,18 +662,21 @@ impl Store {
     /// returned.
     fn trim_and_release(&self, ids: Vec<BlockId>) -> Result<()> {
         let mut first_err = Ok(());
+        let mut failed = Vec::new();
         for id in ids {
             match self.with_retries(|| self.device.trim(id)) {
                 Ok(()) => self.release(id),
                 Err(e) => {
-                    self.deferred_free.lock().push(id);
-                    self.trim_failed.store(true, Ordering::Relaxed);
+                    failed.push(id);
                     if first_err.is_ok() {
                         first_err = Err(e.into());
                     }
                 }
             }
         }
+        let mut life = self.lifecycle.lock();
+        life.trim_failed |= !failed.is_empty();
+        life.deferred_free.extend(failed);
         first_err
     }
 
@@ -688,12 +700,12 @@ impl Store {
     /// is attempted; those whose trim failed stay deferred for the next
     /// free or checkpoint, and the first error is returned.
     pub fn finish_checkpoint<I: IntoIterator<Item = u64>>(&self, ids: I) -> Result<()> {
-        let new_protected: HashSet<u64> = ids.into_iter().collect();
+        let protected: HashSet<u64> = ids.into_iter().collect();
         let pending = {
-            let mut protected = self.protected.lock();
-            *protected = new_protected;
-            self.trim_failed.store(false, Ordering::Relaxed);
-            unprotected(&mut self.deferred_free.lock(), &protected)
+            let mut life = self.lifecycle.lock();
+            life.protected = protected;
+            life.trim_failed = false;
+            life.unprotected()
         };
         self.trim_and_release(pending)
     }
@@ -701,18 +713,18 @@ impl Store {
     /// Key ranges that may have been lost to quarantined blocks, in block
     /// order. Empty on a healthy tree.
     pub fn degraded_ranges(&self) -> Vec<(Key, Key)> {
-        self.quarantined.lock().values().copied().collect()
+        self.lifecycle.lock().quarantined.values().copied().collect()
     }
 
     /// Ids of quarantined blocks (never reused).
     pub fn quarantined_ids(&self) -> Vec<u64> {
-        self.quarantined.lock().keys().copied().collect()
+        self.lifecycle.lock().quarantined.keys().copied().collect()
     }
 
     /// Ids of quarantined blocks already dropped from the structure by a
     /// merge. A level referencing one of these is an invariant violation.
     pub fn repaired_ids(&self) -> Vec<u64> {
-        self.repaired.lock().iter().copied().collect()
+        self.lifecycle.lock().repaired.iter().copied().collect()
     }
 
     /// Device I/O counters (reads/writes/trims so far).
@@ -834,13 +846,6 @@ impl Drop for WriteBatch<'_> {
             self.store.discard(id);
         }
     }
-}
-
-/// Take the ids `protected` does not hold out of `deferred`.
-fn unprotected(deferred: &mut Vec<BlockId>, protected: &HashSet<u64>) -> Vec<BlockId> {
-    let (free_now, keep) = deferred.drain(..).partition(|id| !protected.contains(&id.raw()));
-    *deferred = keep;
-    free_now
 }
 
 #[cfg(test)]

@@ -342,11 +342,6 @@ impl LsmTree {
         self.run_cascade()
     }
 
-    /// Whether the tree would accept `req`; see [`check_request`].
-    pub(crate) fn check_request(&self, req: &Request) -> Result<()> {
-        check_request(self.env.cfg.payload_size, req)
-    }
-
     /// Apply one request to the active memtable *without* running merges —
     /// the foreground half of the background write path. The caller (a
     /// concurrent front-end running [`Scheduler::Background`]) is
@@ -354,7 +349,7 @@ impl LsmTree {
     /// [`LsmTree::mem_at_capacity`] and driving [`LsmTree::maintenance_step`]
     /// from its worker pool.
     pub fn apply_buffered(&mut self, req: Request) -> Result<()> {
-        self.check_request(&req)?;
+        check_request(self.env.cfg.payload_size, &req)?;
         self.buffer_run(std::iter::once(req));
         Ok(())
     }
@@ -1186,38 +1181,6 @@ mod tests {
     }
 
     #[test]
-    fn deletes_flow_down_and_disappear() {
-        let mut t = tree_with(PolicySpec::ChooseBest);
-        fill(&mut t, 2000, 11);
-        for k in 0..1000u64 {
-            t.delete(k * 11).unwrap();
-        }
-        for k in 0..1000u64 {
-            assert_eq!(t.get(k * 11).unwrap(), None, "key {k} must be deleted");
-        }
-        for k in 1000..2000u64 {
-            assert!(t.get(k * 11).unwrap().is_some(), "key {k} must survive");
-        }
-        // The bottom level never stores tombstones.
-        let bottom = t.levels().last().unwrap();
-        for h in bottom.handles() {
-            assert_eq!(h.tombstones, 0, "tombstone reached the bottom level");
-        }
-    }
-
-    #[test]
-    fn updates_replace_payloads() {
-        let mut t = tree_with(PolicySpec::RoundRobin);
-        fill(&mut t, 1500, 7);
-        for k in 0..500u64 {
-            t.put(k * 7, vec![0xEE; 4]).unwrap();
-        }
-        for k in 0..500u64 {
-            assert_eq!(t.get(k * 7).unwrap().as_deref(), Some(&[0xEE; 4][..]));
-        }
-    }
-
-    #[test]
     fn sink_receives_merge_events() {
         let sink = Arc::new(observe::VecSink::new());
         let mut t = LsmTree::with_mem_device(
@@ -1402,25 +1365,6 @@ mod tests {
         t.drain_maintenance().unwrap();
         crate::verify::check_tree(&t, true).unwrap();
         assert_eq!(t.store().live_blocks(), referenced(&t));
-    }
-
-    #[test]
-    fn stats_track_requests() {
-        let mut t = tree_with(PolicySpec::ChooseBest);
-        t.put(1, payload(1)).unwrap();
-        t.put(2, payload(2)).unwrap();
-        t.delete(1).unwrap();
-        t.get(2).unwrap();
-        let s = t.stats();
-        assert_eq!((s.puts, s.deletes, s.lookups()), (2, 1, 1));
-        assert_eq!(s.total_requests(), 3);
-    }
-
-    #[test]
-    fn oversized_record_rejected() {
-        let mut t = tree_with(PolicySpec::Full);
-        let err = t.put(1, vec![0u8; 1000]).unwrap_err();
-        assert!(matches!(err, LsmError::PayloadTooLarge { .. }));
     }
 
     #[test]

@@ -927,30 +927,6 @@ mod tests {
     }
 
     #[test]
-    fn refused_put_never_reaches_the_log() {
-        // Regression: `apply` logged before the tree checked the record
-        // size, so a refused put stayed in the WAL and recovery aborted on
-        // it — losing every acked write after it.
-        let dir = durable_dir("refused");
-        let dev = mem_dev();
-        let t = create(&dir, TreeOptions::default(), Arc::clone(&dev));
-        t.put(1, vec![1u8; 4]).unwrap();
-        t.checkpoint().unwrap();
-        let logged = t.wal_lens();
-        let err = t.put(2, vec![0u8; 4096]).unwrap_err();
-        assert!(matches!(err, crate::LsmError::PayloadTooLarge { .. }), "{err}");
-        assert_eq!(t.wal_lens(), logged, "a refused request must not grow the log");
-        t.put(3, vec![3u8; 4]).unwrap();
-        t.sync_wals().unwrap();
-        std::mem::forget(t); // crash
-        let r = recover(&dir, TreeOptions::default(), dev);
-        assert_eq!(r.get(1).unwrap().as_deref(), Some(&[1u8; 4][..]));
-        assert_eq!(r.get(2).unwrap(), None);
-        assert_eq!(r.get(3).unwrap().as_deref(), Some(&[3u8; 4][..]));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn a_group_apply_after_a_checkpoint_is_durable_by_its_own_fsync() {
         // The log's truncation restarts its offsets: an apply after it must
         // still lead an fsync of its own, not ride on an offset synced

@@ -65,31 +65,6 @@ fn model_of(ops: &[Request]) -> BTreeMap<Key, Bytes> {
     m
 }
 
-/// Tentpole invariant: background scheduling changes *when* merges run,
-/// never *what* the index contains. Same ops, inline vs background, same
-/// scan — on one shard, i.e. one tree behind one lock.
-#[test]
-fn one_shard_background_matches_inline_content() {
-    let ops = mixed_ops(0xBEEF, 20_000, 4_096);
-    let run = |sched: Scheduler| {
-        let tree = ShardedLsmTree::with_mem_devices(cfg(), opts(sched), 1, 1 << 16).unwrap();
-        for op in &ops {
-            tree.apply(op.clone()).unwrap();
-        }
-        tree.flush().unwrap(); // drain pending background jobs
-        tree.scan_collect(0, u64::MAX).unwrap()
-    };
-    let inline = run(Scheduler::Inline);
-    let background = run(Scheduler::background());
-    assert_eq!(inline.len(), background.len(), "scan lengths diverge");
-    assert_eq!(inline, background, "inline and background trees diverge");
-    let model = model_of(&ops);
-    assert_eq!(background.len(), model.len());
-    for (k, v) in &background {
-        assert_eq!(model.get(k), Some(v), "key {k} diverged from the model");
-    }
-}
-
 /// Shard equivalence under the background pool: concurrent writers on
 /// disjoint key ranges, drained, must equal the single-threaded model —
 /// and the same workload under `Scheduler::Inline`.

@@ -153,7 +153,7 @@ proptest! {
         prop_assert_eq!(store.live_blocks(), others + target.num_blocks() as u64, "a block leaked");
         prop_assert!(preserve || outcome.preserved == 0);
 
-        if engine.needs_compaction(&target) {
+        if engine.wasteful(target.num_blocks(), target.records()) {
             engine.compact_level(&mut target).unwrap();
         }
         if pairwise {
@@ -213,7 +213,7 @@ fn engine_tape(preserve: bool) -> (Vec<MergeOutcome>, Level, Level) {
                 .merge_into(&mut l1, std::slice::from_ref(&l2), MergeSource::Records(run))
                 .unwrap(),
         );
-        if engine.needs_compaction(&l1) {
+        if engine.wasteful(l1.num_blocks(), l1.records()) {
             engine.compact_level(&mut l1).unwrap();
         }
         if l1.num_blocks() > 10 {
@@ -231,7 +231,7 @@ fn engine_tape(preserve: bool) -> (Vec<MergeOutcome>, Level, Level) {
             rest.waste_delta = l1.waste_delta;
             l1 = rest;
             outcomes.push(engine.merge_into(&mut l2, &[], MergeSource::Blocks(x)).unwrap());
-            if engine.needs_compaction(&l2) {
+            if engine.wasteful(l2.num_blocks(), l2.records()) {
                 engine.compact_level(&mut l2).unwrap();
             }
         }

@@ -350,7 +350,7 @@ proptest! {
         engine.merge_into(&mut target, &[], MergeSource::Records(upper)).unwrap();
         // The level-wise waste check (§II-B case 4) is the caller's job,
         // exactly as in `LsmTree::do_merge`.
-        if engine.needs_compaction(&target) {
+        if engine.wasteful(target.num_blocks(), target.records()) {
             engine.compact_level(&mut target).unwrap();
         }
         target.validate(B, 0.2).unwrap();

@@ -64,10 +64,10 @@ pub trait BlockDevice: Send + Sync {
     /// override must stay **observably identical** to that loop: same
     /// per-block results, same per-block events, same I/O-counter deltas.
     /// What an override may change is how many *syscalls* (or inner
-    /// batched calls) the batch costs — [`crate::FileDevice`] coalesces
-    /// runs of adjacent ids into a single large pread per run. Decorators
-    /// that make per-op decisions (fault injection) keep the default so
-    /// their per-op semantics are untouched.
+    /// batched calls) the batch costs. No device overrides it: no engine
+    /// path reads several blocks at once (a merge opens an input block
+    /// when its stream reaches it), so [`crate::FileDevice`] reads one
+    /// block per pread.
     ///
     /// [`read`]: BlockDevice::read
     fn read_many(&self, ids: &[BlockId]) -> Vec<Result<Bytes>> {

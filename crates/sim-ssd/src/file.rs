@@ -65,13 +65,14 @@ const O_DIRECT: i32 = 0o200000;
 /// logical-block-size requirement Linux enforces).
 const DIRECT_ALIGN: usize = 4096;
 
-/// Longest run of adjacent blocks moved by a single coalesced syscall:
+/// Longest run of adjacent blocks moved by a single coalesced pwrite:
 /// 16 × 4 KiB = 64 KiB. That already divides the per-syscall cost by 16,
 /// and it keeps every transfer buffer under the allocator's 128 KiB
-/// mmap/trim thresholds. Measured in a live heap, 128 KiB and larger
-/// extents cost 1.3–1.5 µs per block read against 0.8–0.9 µs at 64 KiB
-/// (a single-block read: 0.9 µs) — the "fewer syscalls, slower wall-clock"
-/// of the first batched-I/O baseline.
+/// mmap/trim thresholds. Measured in a live heap when reads coalesced too,
+/// 128 KiB and larger extents cost 1.3–1.5 µs per block against 0.8–0.9 µs
+/// at 64 KiB — the "fewer syscalls, slower wall-clock" of the first
+/// batched-I/O baseline. Reads are one pread a block: no engine path asks
+/// for several at once.
 const MAX_EXTENT_BLOCKS: usize = 16;
 
 /// Options for creating or opening a [`FileDevice`].
@@ -310,8 +311,7 @@ impl FileDevice {
 
     /// Run `f` over a `len`-byte window (aligned in O_DIRECT mode) of the
     /// device's reusable transfer buffer. A buffer per call would cost an
-    /// allocation and a zero-fill of the whole extent every time; this one
-    /// grows to the largest extent seen and stays.
+    /// allocation and a zero-fill every time; this one stays.
     fn with_scratch<T>(&self, len: usize, f: impl FnOnce(&mut [u8]) -> T) -> T {
         let align = if self.direct { DIRECT_ALIGN.max(self.block_size) } else { 1 };
         let mut buf = self.scratch.lock();
@@ -340,27 +340,6 @@ impl FileDevice {
         frame.resize(self.block_size, 0);
         self.pread_at(id, &mut frame)?;
         Ok(Bytes::from(frame))
-    }
-
-    /// One pread for the adjacent, already validated `ids`, one result per
-    /// id into `out`. Each block is copied *out* of the extent into a buffer
-    /// of its own: a cached block must never keep a whole extent alive.
-    fn read_extent(
-        &self,
-        ids: &[BlockId],
-        out: &mut [Option<Result<Bytes>>],
-    ) -> std::io::Result<()> {
-        self.with_scratch(ids.len() * self.block_size, |window| {
-            self.pread_at(ids[0], window)?;
-            for ((slot, id), frame) in
-                out.iter_mut().zip(ids).zip(window.chunks_exact(self.block_size))
-            {
-                self.stats.record_read();
-                self.sink.emit_with(|| Event::DeviceRead { block: id.0 });
-                *slot = Some(Ok(bytes::pool::copy(frame)));
-            }
-            Ok(())
-        })
     }
 
     /// One pwrite of `data` (any whole number of frames) starting at
@@ -444,49 +423,6 @@ impl BlockDevice for FileDevice {
         self.stats.record_write();
         self.sink.emit_with(|| Event::DeviceWrite { block: id.0 });
         Ok(())
-    }
-
-    fn read_many(&self, ids: &[BlockId]) -> Vec<Result<Bytes>> {
-        // Pre-validate each id exactly like `read` so per-block results
-        // match the single-op loop; only ids that reach the medium are
-        // candidates for coalescing.
-        let mut out: Vec<Option<Result<Bytes>>> = Vec::with_capacity(ids.len());
-        {
-            let valid = self.valid.lock();
-            for &id in ids {
-                out.push(match self.check_range(id) {
-                    Err(e) => Some(Err(e)),
-                    Ok(idx) if !valid[idx] => Some(Err(DeviceError::Unwritten(id.0))),
-                    Ok(_) => None,
-                });
-            }
-        }
-        let mut i = 0;
-        while i < ids.len() {
-            if out[i].is_some() {
-                i += 1;
-                continue;
-            }
-            let mut j = i + 1;
-            while j < ids.len()
-                && out[j].is_none()
-                && ids[j].0 == ids[j - 1].0 + 1
-                && j - i < MAX_EXTENT_BLOCKS
-            {
-                j += 1;
-            }
-            let coalesced = j - i > 1 && self.read_extent(&ids[i..j], &mut out[i..j]).is_ok();
-            if !coalesced {
-                // A run of one, or a torn extent read (EINTR and friends):
-                // block-at-a-time, so each block gets the outcome the
-                // single-op loop would have produced.
-                for k in i..j {
-                    out[k] = Some(self.read(ids[k]));
-                }
-            }
-            i = j;
-        }
-        out.into_iter().map(|r| r.expect("every slot filled")).collect()
     }
 
     fn write_many(&self, batch: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
@@ -726,49 +662,6 @@ mod tests {
             dir_syncs() > before,
             "create must fsync the parent directory to commit the file's name"
         );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn read_many_coalesces_adjacent_blocks_into_one_pread() {
-        let path = temp_path("coalesce-read");
-        {
-            let dev = FileDevice::create_with_block_size(&path, 16, 128).unwrap();
-            for i in 0..10u64 {
-                dev.write(BlockId(i), &[i as u8; 128]).unwrap();
-            }
-            let base = dev.syscalls();
-            // 0..5 adjacent, then a gap, then 8..10 adjacent: 2 extents.
-            let ids: Vec<BlockId> = (0..5).chain(8..10).map(BlockId).collect();
-            let frames = dev.read_many(&ids);
-            for (k, f) in frames.iter().enumerate() {
-                assert_eq!(&f.as_ref().unwrap()[..], &[ids[k].0 as u8; 128][..]);
-            }
-            let now = dev.syscalls();
-            assert_eq!(now.preads - base.preads, 2, "two extents, two preads");
-            // The block-level counters still count every block.
-            assert_eq!(dev.io_snapshot().reads, 7);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn read_many_matches_single_op_loop_on_errors() {
-        let path = temp_path("coalesce-errors");
-        {
-            let dev = FileDevice::create_with_block_size(&path, 8, 128).unwrap();
-            dev.write(BlockId(1), &[1u8; 128]).unwrap();
-            dev.write(BlockId(2), &[2u8; 128]).unwrap();
-            // Unwritten hole at 0 and 3, out-of-range at 99: per-block
-            // results must match what a loop over read() returns.
-            let ids = [BlockId(0), BlockId(1), BlockId(2), BlockId(3), BlockId(99)];
-            let got = dev.read_many(&ids);
-            assert!(matches!(got[0], Err(DeviceError::Unwritten(0))));
-            assert_eq!(&got[1].as_ref().unwrap()[..], &[1u8; 128][..]);
-            assert_eq!(&got[2].as_ref().unwrap()[..], &[2u8; 128][..]);
-            assert!(matches!(got[3], Err(DeviceError::Unwritten(3))));
-            assert!(matches!(got[4], Err(DeviceError::OutOfRange { block: 99, .. })));
-        }
         std::fs::remove_file(&path).ok();
     }
 

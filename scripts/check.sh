@@ -221,6 +221,9 @@ gone="$gone"'|\bChooseBestAlignedPolicy\b|\bMixedPolicy\b'
 # A logged run's frames are encoded into chunks that L0 keeps views of: no
 # thread-local frame buffer.
 gone="$gone"'|\bFRAMES\b|FRAMES_KEPT|struct Frames\b|Frames\('
+# One model oracle for every front-end (`src/oracle.rs`); reads are one
+# pread a block; a level's waste check is `MergeEngine::wasteful`.
+gone="$gone"'|run_against_model|read_extent|\bneeds_compaction\b'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"
