@@ -1,14 +1,13 @@
 //! The unified write-path interface: [`WriteApi`] + [`WriteBatch`].
 //!
-//! Every front-end — [`LsmTree`](crate::LsmTree),
+//! Both front-ends — [`LsmTree`](crate::LsmTree) and
 //! [`ShardedLsmTree`](crate::ShardedLsmTree) (the durable one, given a WAL
-//! directory), and [`SteppedMergeTree`](crate::SteppedMergeTree) — speaks
-//! the same five-verb
-//! vocabulary (`put` / `delete` / `apply` / `write_batch` / `flush`), so
-//! one generic bound drives any of them: the model oracle (`oracle.rs`,
-//! DESIGN.md §6) writes every subject through one `write<W: WriteApi>`,
-//! `ext_stepped_merge` fills both trees through one loop. The inherent
-//! methods remain; the trait routes through them.
+//! directory), under any [`PolicySpec`](crate::PolicySpec), Stepped-Merge
+//! included — speak the same five-verb vocabulary (`put` / `delete` /
+//! `apply` / `write_batch` / `flush`), so one generic bound drives either:
+//! the model oracle (`oracle.rs`, DESIGN.md §6) writes every subject
+//! through one `write<W: WriteApi>`. The inherent methods remain; the
+//! trait routes through them.
 //!
 //! `flush` is the quiescence point: it drains whatever the front-end has
 //! buffered — sealed memtables, pending merge jobs, unsynced WAL bytes — so

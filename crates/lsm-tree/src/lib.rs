@@ -10,7 +10,8 @@
 //!   of a level down into the next, with **block preservation** — reusing
 //!   input blocks unmodified whenever the waste checks allow (§II-B);
 //! * the merge **policies** `Full`, `RR`, `ChooseBest`, and `Mixed`, each
-//!   with or without block preservation (§III–IV);
+//!   with or without block preservation (§III–IV), and the §VI baseline
+//!   Stepped-Merge, whose levels hold several runs;
 //! * the **threshold learner** that fits `Mixed`'s per-level parameters
 //!   top-down with golden-section search (§IV-C).
 //!
@@ -58,7 +59,6 @@ pub mod scheduler;
 mod shard;
 pub mod sharded;
 pub mod stats;
-pub mod stepped;
 pub mod store;
 pub mod torture;
 pub mod tree;
@@ -80,10 +80,9 @@ pub use policy::ledger::{Candidate, DecisionLedger, DecisionRow, LedgerTotals};
 pub use policy::{MergeChoice, MixedParams, PolicySpec};
 pub use record::{Key, OpKind, Record, Request, RequestSource};
 pub use report::Report;
-pub use scheduler::{set_watchdog_timeout_ms, MergeScheduler, SchedulerSnapshot};
+pub use scheduler::{MergeScheduler, SchedulerSnapshot};
 pub use sharded::ShardedLsmTree;
 pub use stats::{LevelStats, MergeKind, TreeStats};
-pub use stepped::SteppedMergeTree;
 pub use store::{RetryPolicy, Store};
 pub use torture::{run_crash_cycle, TortureBackend, TortureConfig, TortureFailure, TortureReport};
 pub use tree::{LsmTree, TreeOptions, TreeOptionsBuilder};

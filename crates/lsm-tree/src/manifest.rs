@@ -5,18 +5,20 @@
 //! (§V, footnote). A production index still wants a cheap way to reopen
 //! without scanning the whole device, so this module provides a
 //! LevelDB-style **manifest**: a checksummed snapshot of the fence tables,
-//! per-level merge bookkeeping, policy cursors, and the memory-resident L0
-//! (which would otherwise need a write-ahead log).
+//! per-level merge bookkeeping, policy cursors, the runs each level holds,
+//! the tree's counters, and the memory-resident L0 (which would otherwise
+//! need a write-ahead log).
 //!
 //! `LsmTree::checkpoint` writes the manifest to a sidecar file;
 //! `LsmTree::restore` reopens a device against one. The format is a
 //! hand-rolled little-endian binary layout (no serialization-format
 //! dependency), guarded by a magic, a version, and a 64-bit
-//! [`crate::checksum`] over the entire body (version 4, whose fence
-//! entries carry their Bloom filters' bits; version 3 had none, version 2
-//! summed with 32-bit lanes folded twice, version 1 with a byte-at-a-time
-//! FNV-1a, and none of them is read: the version is checked before the
-//! sum is).
+//! [`crate::checksum`] over the entire body (version 5, which carries the
+//! runs a level holds and the [`TreeStats`] a reopened tree counts on
+//! from; version 4 had neither, version 3 no Bloom filter bits in its fence
+//! entries, version 2 summed with 32-bit lanes folded twice, version 1 with
+//! a byte-at-a-time FNV-1a, and none of them is read: the version is
+//! checked before the sum is).
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -34,14 +36,16 @@ use crate::error::{LsmError, Result};
 use crate::level::Level;
 use crate::memtable::Memtable;
 use crate::record::{Key, OpKind, Record, Request};
+use crate::stats::{LevelStats, TreeStats};
 use crate::store::Store;
 use crate::tree::{LsmTree, TreeOptions};
 
 const MANIFEST_MAGIC: u32 = 0x4C_53_4D_4D; // "LSMM"
-const MANIFEST_VERSION: u32 = 4;
+const MANIFEST_VERSION: u32 = 5;
 
-/// Everything needed to reopen an index: geometry, level fence tables,
-/// waste bookkeeping, cursors, and the L0 contents.
+/// Everything needed to reopen an index: geometry, run fence tables,
+/// waste bookkeeping, cursors, the runs a level holds, the counters, and
+/// the L0 contents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
     /// The index geometry the manifest was taken under.
@@ -50,11 +54,16 @@ pub struct Manifest {
     pub memtable: Vec<Record>,
     /// L0's round-robin cursor.
     pub mem_rr_cursor: Option<Key>,
-    /// Per-level snapshots, top to bottom (`[0]` = L1).
+    /// Per-run snapshots in lookup order ([`LsmTree::levels`]): under a
+    /// leveled policy one a level, top to bottom (`[0]` = L1).
     pub levels: Vec<LevelSnapshot>,
+    /// Runs each level holds, top down ([`LsmTree::run_counts`]).
+    pub runs: Vec<usize>,
+    /// The tree's counters, which a restored tree counts on from.
+    pub stats: TreeStats,
 }
 
-/// Snapshot of one on-SSD level.
+/// Snapshot of one on-SSD run (under a leveled policy, a level).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LevelSnapshot {
     /// Fence entries (block id, key range, counts, Bloom filter).
@@ -126,6 +135,8 @@ impl Manifest {
                     rr_cursor: lvl.rr_cursor,
                 })
                 .collect(),
+            runs: tree.run_counts().to_vec(),
+            stats: tree.stats().clone(),
         }
     }
 
@@ -142,6 +153,27 @@ impl Manifest {
         body.put_u64_le(c.cache_blocks as u64);
         body.put_u64_le(c.bloom_bits_per_key as u64);
         put_opt_key(&mut body, self.mem_rr_cursor);
+        body.put_u32_le(self.runs.len() as u32);
+        self.runs.iter().for_each(|&n| body.put_u32_le(n as u32));
+        let s = &self.stats;
+        for n in [s.puts, s.deletes, s.lookups(), s.lookup_block_reads(), s.bloom_skips()] {
+            body.put_u64_le(n);
+        }
+        body.put_u32_le(s.levels.len() as u32);
+        for l in &s.levels {
+            for n in [
+                l.merges_in,
+                l.blocks_written,
+                l.blocks_read,
+                l.blocks_preserved,
+                l.records_in,
+                l.compactions,
+                l.compaction_writes,
+                l.pairwise_fixes,
+            ] {
+                body.put_u64_le(n);
+            }
+        }
         body.put_u32_le(self.memtable.len() as u32);
         for r in &self.memtable {
             body.put_u64_le(r.key);
@@ -167,7 +199,6 @@ impl Manifest {
                 bits.iter().for_each(|&w| body.put_u64_le(w));
             }
         }
-
         let mut out = Vec::with_capacity(body.len() + 16);
         out.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
         out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
@@ -203,7 +234,31 @@ impl Manifest {
         };
         let mem_rr_cursor = r.opt_key()?;
         // A count is only a capacity hint up to what the bytes left can
-        // hold: 13 B a memtable record, 36 B a handle.
+        // hold: 4 B a run count, 64 B a level's counters, 13 B a memtable
+        // record, 36 B a handle.
+        let n_counts = r.u32()? as usize;
+        let mut runs = Vec::with_capacity(n_counts.min(r.left() / 4));
+        for _ in 0..n_counts {
+            runs.push(r.u32()?);
+        }
+        let runs = runs.into_iter().map(|n| n as usize).collect();
+        let (puts, deletes) = (r.u64()?, r.u64()?);
+        let lookups = [r.u64()?, r.u64()?, r.u64()?];
+        let n_stats = r.u32()? as usize;
+        let mut level_stats = Vec::with_capacity(n_stats.min(r.left() / 64));
+        for _ in 0..n_stats {
+            level_stats.push(LevelStats {
+                merges_in: r.u64()?,
+                blocks_written: r.u64()?,
+                blocks_read: r.u64()?,
+                blocks_preserved: r.u64()?,
+                records_in: r.u64()?,
+                compactions: r.u64()?,
+                compaction_writes: r.u64()?,
+                pairwise_fixes: r.u64()?,
+            });
+        }
+        let stats = TreeStats::restored(level_stats, puts, deletes, lookups);
         let n_mem = r.u32()? as usize;
         let mut memtable = Vec::with_capacity(n_mem.min(r.left() / 13));
         for _ in 0..n_mem {
@@ -240,7 +295,7 @@ impl Manifest {
         if r.pos != bytes.len() {
             return Err(LsmError::Codec("trailing bytes after manifest".into()));
         }
-        Ok(Manifest { config, memtable, mem_rr_cursor, levels })
+        Ok(Manifest { config, memtable, mem_rr_cursor, levels, runs, stats })
     }
 
     /// Every block id the manifest references.
@@ -363,9 +418,12 @@ impl LsmTree {
     }
 
     /// Reopen an index from a checkpoint manifest and the device it
-    /// references. `opts` chooses the policy for the new incarnation (the
-    /// manifest stores data layout, not policy). Fails if the manifest is
-    /// corrupt or its geometry does not match the device.
+    /// references, counting on from the counters it recorded. `opts`
+    /// chooses the policy for the new incarnation (the manifest stores data
+    /// layout, not policy). Fails if the manifest is corrupt or its
+    /// geometry does not match the device ([`LsmError::Codec`]), or if the
+    /// policy cannot hold the runs its levels hold ([`LsmError::Config`],
+    /// see [`crate::PolicySpec::admit`]).
     pub fn restore<P: AsRef<Path>>(
         path: P,
         opts: TreeOptions,
@@ -377,6 +435,11 @@ impl LsmTree {
             .map_err(sim_ssd::DeviceError::Io)?;
         let manifest = Manifest::decode(&bytes)?;
         let cfg = manifest.config.clone().validated()?;
+        if manifest.runs.iter().sum::<usize>() != manifest.levels.len() {
+            let (runs, n) = (&manifest.runs, manifest.levels.len());
+            return Err(LsmError::Codec(format!("manifest run counts {runs:?} do not sum to {n}")));
+        }
+        opts.policy.admit(&manifest.runs)?;
         if device.block_size() != cfg.block_size {
             return Err(LsmError::Config(format!(
                 "device block size {} != manifest {}",
@@ -410,8 +473,8 @@ impl LsmTree {
                 // corrupt manifest: handles must be ordered and disjoint.
                 if h.min > h.max || prev_max.is_some_and(|pm| pm >= h.min) {
                     return Err(LsmError::Codec(format!(
-                        "manifest level L{} has unordered/overlapping handles",
-                        idx + 1
+                        "manifest run {} has unordered/overlapping handles",
+                        idx
                     )));
                 }
                 prev_max = Some(h.max);
@@ -430,9 +493,6 @@ impl LsmTree {
             level.rr_cursor = snap.rr_cursor;
             levels.push(level);
         }
-        if levels.is_empty() {
-            levels.push(Level::new());
-        }
 
         let mut mem = Memtable::new();
         for r in manifest.memtable {
@@ -443,7 +503,8 @@ impl LsmTree {
             mem.apply(req);
         }
 
-        Ok(LsmTree::assemble(cfg, opts, store, mem, levels, manifest.mem_rr_cursor))
+        let runs = (levels, manifest.runs);
+        Ok(LsmTree::assemble(cfg, opts, store, mem, runs, manifest.mem_rr_cursor, manifest.stats))
     }
 }
 
@@ -505,6 +566,58 @@ mod tests {
                 assert_eq!(words(back), words(live));
                 back.validate(tree.config().block_capacity(), tree.config().waste_eps).unwrap();
             }
+        }
+    }
+
+    /// A checkpoint restored over the same device gives back the runs, the
+    /// runs each level holds and the counters — of a leveled tree and of a
+    /// stepped one — and the restored tree answers as the live one does. A
+    /// policy that cannot hold the stepped runs is refused.
+    #[test]
+    fn a_restored_tree_has_the_runs_and_counters_it_checkpointed() {
+        let stepped = PolicySpec::SteppedMerge { fan_in: 3 };
+        for policy in [PolicySpec::ChooseBest, stepped.clone()] {
+            let cfg = build_tree().config().clone();
+            let dev = Arc::new(sim_ssd::MemDevice::with_block_size(1 << 14, 256));
+            let opts = |policy: &PolicySpec| TreeOptions::builder().policy(policy.clone()).build();
+            let mut t = LsmTree::new(cfg, opts(&policy), dev.clone()).unwrap();
+            for k in 0..1500u64 {
+                t.put(k * 13 % 9973, vec![(k % 251) as u8; 4]).unwrap();
+                if k % 3 == 0 {
+                    t.delete(k * 7 % 9973).unwrap();
+                    t.get(k * 11 % 9973).unwrap();
+                }
+            }
+            let path = std::env::temp_dir().join(format!(
+                "lsm-man-runs-{}-{}.manifest",
+                policy.name(),
+                std::process::id()
+            ));
+            t.checkpoint(&path).unwrap();
+            let back = LsmTree::restore(&path, opts(&policy), dev.clone()).unwrap();
+            let ids = |t: &LsmTree| -> Vec<Vec<u64>> {
+                t.levels()
+                    .iter()
+                    .map(|l| l.handles().iter().map(|h| h.id.raw()).collect())
+                    .collect()
+            };
+            assert_eq!((ids(&back), back.run_counts()), (ids(&t), t.run_counts()), "{policy:?}");
+            assert!(back.stats() == t.stats(), "{policy:?}: {:?} != {:?}", back.stats(), t.stats());
+            assert!(t.stats().lookups() > 0 && t.stats().total_blocks_written() > 0);
+            for k in (0..10_000).step_by(7) {
+                assert_eq!(back.get(k).unwrap(), t.peek(k).unwrap(), "{policy:?}: key {k}");
+            }
+            crate::verify::check_tree(&back, true).unwrap();
+            if policy == stepped {
+                assert!(t.run_counts().iter().any(|&n| n > 1), "runs {:?}", t.run_counts());
+                for policy in [PolicySpec::ChooseBest, PolicySpec::SteppedMerge { fan_in: 1 }] {
+                    match LsmTree::restore(&path, opts(&policy), dev.clone()) {
+                        Err(LsmError::Config(_)) => {}
+                        other => panic!("{policy:?} over {:?}: {:?}", t.run_counts(), other.err()),
+                    }
+                }
+            }
+            std::fs::remove_file(&path).ok();
         }
     }
 
@@ -599,10 +712,11 @@ mod tests {
         let mut bytes = Manifest::capture(&tree).encode();
         bytes[0] ^= 0xFF;
         assert!(Manifest::decode(&bytes).is_err());
-        // A version-2 manifest (the version-3 layout under the old sum) and
-        // a version-3 one (no filter words): refused by their version, not
-        // reported as a checksum mismatch or misread.
-        for version in [2, 3, 99] {
+        // A version-2 manifest (the version-3 layout under the old sum), a
+        // version-3 one (no filter words) and a version-4 one (no run
+        // counts, no counters): refused by their version, not reported as a
+        // checksum mismatch or misread.
+        for version in [2, 3, 4, 99] {
             let mut bytes = Manifest::capture(&tree).encode();
             bytes[4] = version;
             match Manifest::decode(&bytes) {

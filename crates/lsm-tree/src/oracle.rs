@@ -31,8 +31,7 @@ mod tests {
     use crate::verify::check_tree;
     use crate::{
         Key, LsmConfig, LsmError, LsmTree, MergeScheduler, MixedParams, PolicySpec, Record,
-        Request, Result, Scheduler, ShardedLsmTree, SteppedMergeTree, TreeOptions, TreeStats,
-        WriteApi,
+        Request, Result, Scheduler, ShardedLsmTree, TreeOptions, TreeStats, WriteApi,
     };
 
     /// One tape a seed, of key shape `seed % 3`.
@@ -174,11 +173,9 @@ mod tests {
         /// background front-end does.
         Tree { policy: PolicySpec, preserve: bool, driven: bool, dev: Dev },
         /// A `cut` one takes a batch shard by shard, a request at a time.
-        Sharded { shards: usize, sched: Sched, wal: bool, cut: bool, dev: Dev },
+        Sharded { shards: usize, sched: Sched, wal: bool, cut: bool, dev: Dev, policy: PolicySpec },
         /// Bare `LsmTree`s fed the sub-tapes the sharded router sends.
         Routed { shards: usize, dev: Dev },
-        /// Gets only: no scan and no reopen.
-        Stepped { fan_in: usize, dev: Dev },
     }
 
     impl Subject {
@@ -186,8 +183,7 @@ mod tests {
             match self {
                 Subject::Tree { dev, .. }
                 | Subject::Sharded { dev, .. }
-                | Subject::Routed { dev, .. }
-                | Subject::Stepped { dev, .. } => dev,
+                | Subject::Routed { dev, .. } => dev,
             }
         }
 
@@ -203,7 +199,8 @@ mod tests {
         fn twin_key(&self) -> Subject {
             let mut key = self.clone();
             if let Subject::Routed { shards, dev } = key {
-                key = Subject::Sharded { shards, sched: Sched::Inline, wal: true, cut: false, dev };
+                let (sched, policy) = (Sched::Inline, PolicySpec::ChooseBest);
+                key = Subject::Sharded { shards, sched, wal: true, cut: false, dev, policy };
             }
             if let Subject::Sharded { sched, wal, cut, .. } = &mut key {
                 (*wal, *cut) = (*wal && *sched != Sched::Inline, false);
@@ -224,7 +221,8 @@ mod tests {
 
     /// Every policy with and without preservation; a driven tree; the
     /// sharded router inline and simulated, logged or not, and on the pool;
-    /// Stepped-Merge; and each other axis at `ChooseBest` with preservation.
+    /// Stepped-Merge at three fan-ins, bare and as a logged router; and
+    /// each other axis at `ChooseBest` with preservation.
     fn subjects() -> Vec<Subject> {
         let mut mixed = MixedParams { beta: false, default_tau: 0.5, ..MixedParams::default() };
         mixed.thresholds.extend([(2, 0.3), (3, 0.7)]);
@@ -232,7 +230,10 @@ mod tests {
         let policies =
             [PolicySpec::Full, PolicySpec::RoundRobin, best, aligned, PolicySpec::TestMixed];
         let tree = |policy, preserve, driven, dev| Subject::Tree { policy, preserve, driven, dev };
-        let sharded = |n, s, wal, cut, dev| Subject::Sharded { shards: n, sched: s, wal, cut, dev };
+        let sharded = |n, s, wal, cut, dev| {
+            let policy = PolicySpec::ChooseBest;
+            Subject::Sharded { shards: n, sched: s, wal, cut, dev, policy }
+        };
         let axes = [(Backend::Mem, 1), (Backend::File, DEV.cache), (Backend::Fault, DEV.cache)]
             .map(|(backend, cache)| Dev { backend, cache, ..DEV });
         let mut all: Vec<Subject> = (policies.into_iter().chain([PolicySpec::Mixed(mixed)]))
@@ -251,7 +252,10 @@ mod tests {
         all.push(sharded(1, Sched::Pool, false, false, DEV));
         all.extend(axes.map(|dev| sharded(3, Sched::Inline, true, false, dev)));
         let stepped = [(4, DEV), (2, DEV), (3, DEV)].into_iter().chain(axes.map(|dev| (3, dev)));
-        all.extend(stepped.map(|(fan_in, dev)| Subject::Stepped { fan_in, dev }));
+        let stepped = stepped.map(|(fan_in, dev)| (PolicySpec::SteppedMerge { fan_in }, dev));
+        all.extend(stepped.map(|(policy, dev)| tree(policy, true, false, dev)));
+        let (sched, policy) = (Sched::Simulated, PolicySpec::SteppedMerge { fan_in: 3 });
+        all.push(Subject::Sharded { shards: 2, sched, wal: true, cut: false, dev: DEV, policy });
         all
     }
 
@@ -304,8 +308,6 @@ mod tests {
         /// A sharded tree, its simulated scheduler, whether it is cut.
         Sharded(ShardedLsmTree, Option<Arc<MergeScheduler>>, bool),
         Routed(Vec<LsmTree>),
-        /// A Stepped-Merge tree and its fan-in.
-        Stepped(Box<SteppedMergeTree>, usize),
     }
 
     impl Front {
@@ -321,7 +323,6 @@ mod tests {
                 }
                 (Front::Sharded(t, ..), _) => write(t, op),
                 (Front::Routed(ts), _) => write(&mut Routed(ts), op),
-                (Front::Stepped(t, _), _) => write(&mut **t, op),
             }
         }
 
@@ -330,21 +331,19 @@ mod tests {
                 Front::Tree(t, _) => t.get(key),
                 Front::Sharded(t, ..) => t.get(key),
                 Front::Routed(ts) => ts[shard_index(key, ts.len())].get(key),
-                Front::Stepped(t, _) => t.get(key),
             }
             .unwrap()
         }
 
-        fn scan(&self, lo: Key, hi: Key) -> Option<Vec<(Key, Bytes)>> {
-            Some(match self {
+        fn scan(&self, lo: Key, hi: Key) -> Vec<(Key, Bytes)> {
+            match self {
                 Front::Tree(t, _) => t.scan(lo, hi).collect::<Result<_>>().unwrap(),
                 Front::Sharded(t, ..) => t.scan_collect(lo, hi).unwrap(),
                 Front::Routed(ts) => {
                     let all: Result<Model> = ts.iter().flat_map(|t| t.scan(lo, hi)).collect();
                     all.unwrap().into_iter().collect()
                 }
-                Front::Stepped(..) => return None,
-            })
+            }
         }
 
         /// `f` of every `LsmTree` of the front-end, shard by shard.
@@ -355,15 +354,11 @@ mod tests {
                     (0..t.shard_count()).map(|i| t.with_shard_read(i, &f)).collect()
                 }
                 Front::Routed(ts) => ts.iter().map(f).collect(),
-                Front::Stepped(..) => Vec::new(),
             }
         }
 
         fn stats(&self) -> Vec<TreeStats> {
-            match self {
-                Front::Stepped(t, _) => vec![t.stats().clone()],
-                _ => self.trees(|t| t.stats().clone()),
-            }
+            self.trees(|t| t.stats().clone())
         }
 
         /// The logs' lengths and, synced, their bytes.
@@ -464,13 +459,8 @@ mod tests {
                 let trees = (0..shards).map(|i| tree(i, cfg.clone(), Default::default()));
                 Front::Routed(trees.collect())
             }
-            Subject::Stepped { fan_in, .. } => {
-                let opts = TreeOptions::builder().stepped_fan_in(fan_in).build();
-                let tree = SteppedMergeTree::new(cfg, opts, device(0)).unwrap();
-                Front::Stepped(Box::new(tree), fan_in)
-            }
-            Subject::Sharded { sched, wal, cut, .. } => {
-                let mut opts = TreeOptions::default();
+            Subject::Sharded { sched, wal, cut, policy, .. } => {
+                let mut opts = TreeOptions::builder().policy(policy).build();
                 if sched == Sched::Pool {
                     opts.scheduler = Scheduler::background();
                 }
@@ -509,8 +499,6 @@ mod tests {
         dir: PathBuf,
         seed: u64,
         incarnation: u64,
-        /// Per shard, the counters of the incarnations reopens retired.
-        retired: Vec<TreeStats>,
         reach: Reach,
     }
 
@@ -524,19 +512,17 @@ mod tests {
             };
             let devices =
                 (0..shards).map(|i| device(subject.dev().backend, &dir, seed, i)).collect();
-            let (front, retired) = (Front::Routed(Vec::new()), Vec::new());
-            let mut run =
-                Live { subject, front, devices, dir, seed, incarnation: 0, retired, reach };
+            let front = Front::Routed(Vec::new());
+            let mut run = Live { subject, front, devices, dir, seed, incarnation: 0, reach };
             run.front = open(&run);
-            assert!(run.front.scan(0, Key::MAX).unwrap_or_default().is_empty(), "a new tree");
+            assert!(run.front.scan(0, Key::MAX).is_empty(), "a new tree");
             run
         }
 
-        /// Per shard, every counter since the tape began.
+        /// Per shard, every counter since the tape began: a reopened tree
+        /// counts on from its checkpoint's.
         fn counters(&self) -> Vec<TreeStats> {
-            let mut live = self.front.stats();
-            live.iter_mut().zip(&self.retired).for_each(|(now, then)| now.absorb(then));
-            live
+            self.front.stats()
         }
 
         /// Per device, its counts; or its writes alone.
@@ -561,22 +547,19 @@ mod tests {
                     ts.iter().enumerate().try_for_each(|(i, t)| t.checkpoint(manifest(i)))
                 }
                 Front::Sharded(t, ..) => t.checkpoint(),
-                Front::Stepped(..) => unreachable!(),
             }
             .unwrap();
-            self.retired = self.counters();
+            let counters = self.counters();
             self.retire_rows();
             self.incarnation += 1;
             drop(std::mem::replace(&mut self.front, Front::Routed(Vec::new())));
             self.front = open(self);
+            assert!(self.counters() == counters, "the counters across a reopen");
         }
 
         /// Relation 2 on every tree with no maintenance pending (`deep`:
-        /// every block re-read); Stepped-Merge keeps under `fan_in` runs.
+        /// every block re-read).
         fn check(&self, deep: bool) {
-            if let Front::Stepped(t, fan_in) = &self.front {
-                assert!(t.run_counts().iter().all(|n| n < fan_in), "runs {:?}", t.run_counts());
-            }
             let quiet = |t: &LsmTree| t.maintenance_pending().then_some(Ok(()));
             self.front.trees(|t| quiet(t).unwrap_or_else(|| check_tree(t, deep)).unwrap());
         }
@@ -594,7 +577,7 @@ mod tests {
                     let bounds =
                         [(a, b), (a.max(b), a.min(b)), (a, a), (a, Key::MAX), (fa, fa.max(fb))];
                     let (lo, hi) = bounds.get(kind as usize).copied().unwrap_or((a.min(fb), fb));
-                    let Some(got) = front.scan(lo, hi) else { return };
+                    let got = front.scan(lo, hi);
                     let want = model.range(lo..=hi.max(lo)).filter(|_| lo <= hi);
                     let want: Vec<(Key, Bytes)> = want.map(|(k, v)| (*k, v.clone())).collect();
                     assert!(got == want, "scan({lo}, {hi}) {}/{}", got.len(), want.len());
@@ -633,20 +616,13 @@ mod tests {
                 t.deep_verify(true).unwrap();
             }
             let want: Vec<(Key, Bytes)> = model.iter().map(|(k, v)| (*k, v.clone())).collect();
-            if let Some(got) = self.front.scan(0, Key::MAX) {
-                assert!(got == want, "full scan: {} keys, the model {}", got.len(), want.len());
-            }
+            let got = self.front.scan(0, Key::MAX);
+            assert!(got == want, "full scan: {} keys, the model {}", got.len(), want.len());
             let shards =
                 self.front.trees(|t| t.scan(0, Key::MAX).collect::<Result<Vec<_>>>().unwrap());
             for (i, got) in shards.iter().enumerate() {
                 let mine = want.iter().filter(|(k, _)| shard_index(*k, shards.len()) == i);
                 assert!(got.iter().eq(mine), "shard {i} holds keys another shard should");
-            }
-            if let Front::Stepped(t, _) = &self.front {
-                assert!(t.lookup_fanout() >= 1, "no run");
-                for k in model.keys().flat_map(|&k| [k, k + 1]) {
-                    assert_eq!(t.get(k).unwrap().as_ref(), model.get(&k), "get({k})");
-                }
             }
             // Below the first block, at and beside every fence, above the last.
             if let Front::Tree(t, _) = &self.front {

@@ -113,7 +113,7 @@ pub fn learn_mixed_params<S: RequestSource + ?Sized>(
     report.params.beta = beta;
 
     // Leave the tree running the fitted policy.
-    tree.set_policy(PolicySpec::Mixed(report.params.clone()));
+    tree.set_policy(PolicySpec::Mixed(report.params.clone()))?;
     Ok(report)
 }
 
@@ -136,7 +136,7 @@ pub fn measure_threshold_cost<S: RequestSource + ?Sized>(
     for lvl in (target + 2)..h {
         params.forced.insert(lvl, ForcedMode::Partial);
     }
-    tree.set_policy(PolicySpec::Mixed(params));
+    tree.set_policy(PolicySpec::Mixed(params))?;
     let cost = measure_cycles(
         tree,
         source,
@@ -226,7 +226,7 @@ fn learn_beta<S: RequestSource + ?Sized>(
     // β = true: cycles are delimited by full merges into the bottom level.
     let mut params_true = prefix.clone();
     params_true.beta = true;
-    tree.set_policy(PolicySpec::Mixed(params_true));
+    tree.set_policy(PolicySpec::Mixed(params_true))?;
     let full_result = measure_cycles(
         tree,
         source,
@@ -250,7 +250,7 @@ fn learn_beta<S: RequestSource + ?Sized>(
     // the measurement reflects β = false's own steady state (levels full).
     let mut params_false = prefix.clone();
     params_false.beta = false;
-    tree.set_policy(PolicySpec::Mixed(params_false));
+    tree.set_policy(PolicySpec::Mixed(params_false))?;
     for _ in 0..requests_full.max(1) {
         tree.apply(source.next_request())?;
     }

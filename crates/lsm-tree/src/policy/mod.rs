@@ -2,7 +2,10 @@
 //!
 //! When a level overflows, a *merge policy* decides which blocks leave it.
 //! A policy is a value, [`PolicySpec`] (Full, RR, ChooseBest, Mixed, …),
-//! and [`PolicySpec::choose`] is the decision. Policies see only fence
+//! and [`PolicySpec::choose`] is the decision. It also fixes how many runs
+//! a level holds ([`PolicySpec::fan_in`]): one under every leveled policy,
+//! up to `fan_in` under Stepped-Merge (§VI), whose merges are always of a
+//! whole level's runs and decide nothing. Policies see only fence
 //! metadata through a [`MergeCtx`]; selection never reads data blocks.
 //! [`predicted_writes`] is the cost model decisions are judged by,
 //! [`window`] holds the window selections, [`ledger`] records decisions
@@ -16,6 +19,7 @@ use std::collections::BTreeMap;
 use std::iter;
 
 use crate::block::BlockHandle;
+use crate::error::{LsmError, Result};
 use crate::level::Level;
 use crate::memtable::RunMeta;
 use crate::record::Key;
@@ -137,6 +141,16 @@ pub enum PolicySpec {
     TestMixed,
     /// The threshold-based Mixed policy (§IV-B).
     Mixed(MixedParams),
+    /// Stepped-Merge (Jagadish et al., VLDB 1997; the paper's §VI
+    /// baseline, Cassandra's and HBase's default shape): a flush writes
+    /// the memtable as a new run of L1, and a level holding `fan_in` runs
+    /// merges all of them into one run at the front of the next level.
+    /// Each record is written once a level, but a lookup probes up to
+    /// `fan_in - 1` runs a level. `fan_in ≥ 2`.
+    SteppedMerge {
+        /// Runs a level accumulates before they merge one level down.
+        fan_in: usize,
+    },
 }
 
 impl PolicySpec {
@@ -155,7 +169,33 @@ impl PolicySpec {
             )),
             PolicySpec::TestMixed => mixed(&MixedParams::default(), ctx),
             PolicySpec::Mixed(params) => mixed(params, ctx),
+            // A stepped merge takes every run of its level.
+            PolicySpec::SteppedMerge { .. } => MergeChoice::Full,
         }
+    }
+
+    /// Stepped-Merge's fan-in; `None` for a leveled policy, under which
+    /// every level is one run.
+    pub fn fan_in(&self) -> Option<usize> {
+        match *self {
+            PolicySpec::SteppedMerge { fan_in } => Some(fan_in),
+            _ => None,
+        }
+    }
+
+    /// Whether this policy can run a tree whose levels hold `runs` runs
+    /// each, top down: a leveled policy one run in every level (and at
+    /// least one level), Stepped-Merge at most `fan_in` a level — `fan_in`
+    /// being a merge still to run. Else, or for a fan-in under 2, an
+    /// [`LsmError::Config`].
+    pub fn admit(&self, runs: &[usize]) -> Result<()> {
+        let fits = match self.fan_in() {
+            Some(fan_in) if fan_in < 2 => return Err(LsmError::Config("fan-in under 2".into())),
+            Some(fan_in) => runs.iter().all(|&n| n <= fan_in),
+            None => !runs.is_empty() && runs.iter().all(|&n| n == 1),
+        };
+        let misfit = || LsmError::Config(format!("{self:?} cannot hold levels of {runs:?} runs"));
+        fits.then_some(()).ok_or_else(misfit)
     }
 
     /// Short name for reports, matching the paper's figures. TestMixed is
@@ -167,6 +207,7 @@ impl PolicySpec {
             PolicySpec::ChooseBest => "ChooseBest",
             PolicySpec::ChooseBestAligned => "ChooseBestAligned",
             PolicySpec::TestMixed | PolicySpec::Mixed(_) => "Mixed",
+            PolicySpec::SteppedMerge { .. } => "SteppedMerge",
         }
     }
 }
@@ -339,8 +380,30 @@ mod tests {
             (PolicySpec::ChooseBestAligned, "ChooseBestAligned"),
             (PolicySpec::TestMixed, "Mixed"),
             (PolicySpec::Mixed(MixedParams::default()), "Mixed"),
+            (PolicySpec::SteppedMerge { fan_in: 3 }, "SteppedMerge"),
         ] {
             assert_eq!(spec.name(), name);
+        }
+    }
+
+    #[test]
+    fn a_policy_admits_the_run_shapes_it_can_hold() {
+        let stepped = |fan_in| PolicySpec::SteppedMerge { fan_in };
+        assert!(PolicySpec::ChooseBest.admit(&[1, 1, 1]).is_ok());
+        assert!(stepped(3).admit(&[1, 1, 1]).is_ok(), "a leveled shape is a stepped one");
+        assert!(stepped(3).admit(&[]).is_ok() && stepped(3).admit(&[3, 0, 2]).is_ok());
+        for (spec, runs) in [
+            (PolicySpec::ChooseBest, &[1, 2][..]),
+            (PolicySpec::Full, &[1, 0]),
+            (PolicySpec::RoundRobin, &[]),
+            (stepped(2), &[1, 3]),
+            (stepped(1), &[]),
+            (stepped(0), &[1]),
+        ] {
+            match spec.admit(runs) {
+                Err(LsmError::Config(_)) => {}
+                other => panic!("{spec:?} admitted {runs:?}: {other:?}"),
+            }
         }
     }
 

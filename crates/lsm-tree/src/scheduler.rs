@@ -70,7 +70,7 @@
 //! deadlock-freedom argument.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -84,22 +84,25 @@ use crate::error::{LsmError, Result};
 use crate::lockorder;
 
 /// Watchdog budget for a hung [`MergeScheduler::drain`] or group-commit
-/// rendezvous, in milliseconds. When a wait exceeds it, the waiter panics
-/// with the scheduler's job queue in the message — a hang becomes a loud,
-/// debuggable failure instead of a stuck process.
-static WATCHDOG_MS: AtomicU64 = AtomicU64::new(60_000);
+/// rendezvous. When a wait makes no progress for this long, the waiter
+/// panics with the scheduler's job queue in the message — a hang becomes a
+/// loud, debuggable failure instead of a stuck process.
+const WATCHDOG: Duration = Duration::from_secs(60);
 
-/// Override the hang watchdog (tests use tiny budgets; `0` disables it).
-pub fn set_watchdog_timeout_ms(ms: u64) {
-    WATCHDOG_MS.store(ms, Ordering::Relaxed);
+#[cfg(test)]
+std::thread_local! {
+    /// A test's own budget, read only by the waits of the thread that set
+    /// it: the crate's other tests run on threads of their own meanwhile.
+    static THREAD_WATCHDOG: std::cell::Cell<Option<Duration>> = const { std::cell::Cell::new(None) };
 }
 
-/// The current hang-watchdog budget, if enabled.
-pub fn watchdog_timeout() -> Option<Duration> {
-    match WATCHDOG_MS.load(Ordering::Relaxed) {
-        0 => None,
-        ms => Some(Duration::from_millis(ms)),
+/// The hang-watchdog budget of the calling thread's waits.
+pub(crate) fn watchdog_timeout() -> Duration {
+    #[cfg(test)]
+    if let Some(budget) = THREAD_WATCHDOG.with(std::cell::Cell::get) {
+        return budget;
     }
+    WATCHDOG
 }
 
 /// Convert a hung wait into a panic with the job-queue dump inline.
@@ -522,10 +525,9 @@ impl MergeScheduler {
     /// fault lasts. Foreground writers should be paused while draining, or
     /// this may lawfully chase a moving target.
     ///
-    /// A worker pool's drain that makes no progress for the
-    /// [`watchdog_timeout`] budget panics with the job-queue dump (see
-    /// [`set_watchdog_timeout_ms`]) — the hung-rendezvous guardrail. The
-    /// stepped driver runs the steps itself.
+    /// A worker pool's drain that makes no progress for a minute panics
+    /// with the job-queue dump — the hung-rendezvous guardrail. The stepped
+    /// driver runs the steps itself.
     pub fn drain(&self) -> Result<()> {
         lockorder::assert_no_tree_lock("MergeScheduler::drain");
         let mut waited = Duration::ZERO;
@@ -557,19 +559,13 @@ impl MergeScheduler {
                 self.step();
                 continue;
             }
-            match watchdog_timeout() {
-                None => {
-                    let _s = self.inner.idle_cv.wait(s);
-                }
-                Some(budget) => {
-                    let slice = budget.min(Duration::from_millis(50)).max(Duration::from_millis(1));
-                    let (s, res) = self.inner.idle_cv.wait_timeout(s, slice);
-                    drop(s);
-                    waited = if res.timed_out() { waited + slice } else { Duration::ZERO };
-                    if waited >= budget {
-                        watchdog_fire("MergeScheduler::drain", self.snapshot().to_json());
-                    }
-                }
+            let budget = watchdog_timeout();
+            let slice = budget.min(Duration::from_millis(50)).max(Duration::from_millis(1));
+            let (s, res) = self.inner.idle_cv.wait_timeout(s, slice);
+            drop(s);
+            waited = if res.timed_out() { waited + slice } else { Duration::ZERO };
+            if waited >= budget {
+                watchdog_fire("MergeScheduler::drain", self.snapshot().to_json());
             }
         }
     }
@@ -608,7 +604,7 @@ impl Drop for MergeScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicU64, AtomicUsize};
 
     use observe::VecSink;
 
@@ -1047,12 +1043,13 @@ mod tests {
         let t = GatedTarget::new(1);
         let id = sched.register(Arc::clone(&t) as Arc<dyn MaintainTarget>);
         sched.notify(id, 1);
-        set_watchdog_timeout_ms(100);
+        // This thread's budget only: the drain runs on it.
+        THREAD_WATCHDOG.with(|budget| budget.set(Some(Duration::from_millis(100))));
         let caught = {
             let sched = Arc::clone(&sched);
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || sched.drain()))
         };
-        set_watchdog_timeout_ms(60_000);
+        THREAD_WATCHDOG.with(|budget| budget.set(None));
         let msg = match caught {
             Err(payload) => payload
                 .downcast_ref::<String>()

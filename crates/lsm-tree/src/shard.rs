@@ -503,9 +503,9 @@ impl Shard {
     /// success-after-the-fact; instead the rendezvous stays poisoned until
     /// recovery builds a fresh handle.
     ///
-    /// A follower stuck past the watchdog budget means the rendezvous
-    /// hung: it panics with `hang_dump()` rather than wait forever (see
-    /// [`scheduler::set_watchdog_timeout_ms`]).
+    /// A follower stuck past the watchdog budget (a minute) means the
+    /// rendezvous hung: it panics with `hang_dump()` rather than wait
+    /// forever.
     pub(crate) fn group_wait(&self, my_seq: u64, hang_dump: &dyn Fn() -> Json) -> Result<()> {
         lockorder::assert_no_tree_lock("Shard::group_wait");
         // Covers the whole rendezvous — follower waits and the leader's
@@ -529,18 +529,14 @@ impl Shard {
                 s = self.group.lock();
                 continue;
             }
-            match scheduler::watchdog_timeout() {
-                None => s = self.group_cv.wait(s),
-                Some(budget) => {
-                    let slice = budget.min(Duration::from_millis(50)).max(Duration::from_millis(1));
-                    let (guard, res) = self.group_cv.wait_timeout(s, slice);
-                    s = guard;
-                    waited = if res.timed_out() { waited + slice } else { Duration::ZERO };
-                    if waited >= budget {
-                        drop(s);
-                        scheduler::watchdog_fire("group-commit rendezvous", hang_dump());
-                    }
-                }
+            let budget = scheduler::watchdog_timeout();
+            let slice = budget.min(Duration::from_millis(50)).max(Duration::from_millis(1));
+            let (guard, res) = self.group_cv.wait_timeout(s, slice);
+            s = guard;
+            waited = if res.timed_out() { waited + slice } else { Duration::ZERO };
+            if waited >= budget {
+                drop(s);
+                scheduler::watchdog_fire("group-commit rendezvous", hang_dump());
             }
         }
     }

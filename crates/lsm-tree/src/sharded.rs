@@ -998,6 +998,61 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A logged Stepped-Merge router reopened from its checkpoint over the
+    /// same devices: every shard has the runs, the runs a level holds and
+    /// the counters it had, and so has the router; the writes after the
+    /// checkpoint come back from the logs and are counted once.
+    #[test]
+    fn a_stepped_router_recovers_its_runs_and_counters() {
+        let dir = scratch_dir("stepped");
+        let opts = || TreeOptions::builder().policy(PolicySpec::SteppedMerge { fan_in: 3 }).build();
+        let devices = mem_devices(&small_cfg(), 2, 1 << 14);
+        let t =
+            ShardedLsmTree::with_backend(small_cfg(), opts(), devices.clone(), Some(&dir), None)
+                .unwrap();
+        for k in 0..3_000u64 {
+            t.put(k * 13 % 4_001, vec![(k % 251) as u8; 4]).unwrap();
+            if k % 4 == 0 {
+                t.delete(k * 7 % 4_001).unwrap();
+                t.get(k).unwrap();
+            }
+        }
+        let shape = |t: &ShardedLsmTree| -> Vec<(Vec<usize>, Vec<Vec<u64>>, TreeStats)> {
+            (0..t.shard_count())
+                .map(|i| {
+                    t.with_shard_read(i, |s| {
+                        let ids = s.levels().iter().map(|l| l.handles().iter().map(|h| h.id.raw()));
+                        (
+                            s.run_counts().to_vec(),
+                            ids.map(Iterator::collect).collect(),
+                            s.stats().clone(),
+                        )
+                    })
+                })
+                .collect()
+        };
+        t.checkpoint().unwrap();
+        let checkpointed = shape(&t);
+        assert!(
+            checkpointed.iter().any(|(runs, ..)| runs.iter().any(|&n| n > 1)),
+            "one run a level"
+        );
+        t.put(5_000, vec![5u8; 4]).unwrap();
+        t.sync_wals().unwrap();
+        let (live, stats) = (t.scan_collect(0, u64::MAX).unwrap(), t.stats());
+        drop(t);
+        let r =
+            ShardedLsmTree::recover_with_backend(small_cfg(), opts(), devices, &dir, None).unwrap();
+        let recovered = shape(&r);
+        for (i, (was, now)) in checkpointed.iter().zip(&recovered).enumerate() {
+            assert_eq!((&was.0, &was.1), (&now.0, &now.1), "shard {i}: runs");
+        }
+        assert!(r.stats() == stats, "the router's counters: {:?} != {stats:?}", r.stats());
+        assert_eq!(r.scan_collect(0, u64::MAX).unwrap(), live);
+        r.deep_verify(true).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn recover_with_wal_refuses_a_checkpointed_directory() {
         // Its logs hold only the tail: a replay into fresh devices would

@@ -123,6 +123,18 @@ impl TreeStats {
         self.levels.get(paper_level - 1).copied().unwrap_or_default()
     }
 
+    /// Counters as a checkpoint recorded them, the lookup counters being
+    /// `[lookups, lookup_block_reads, bloom_skips]`.
+    pub(crate) fn restored(
+        levels: Vec<LevelStats>,
+        puts: u64,
+        deletes: u64,
+        lookups: [u64; 3],
+    ) -> Self {
+        let [lookups, lookup_block_reads, bloom_skips] = lookups.map(AtomicU64::new);
+        TreeStats { levels, puts, deletes, lookups, lookup_block_reads, bloom_skips }
+    }
+
     /// Point lookups served (counted by `get`; `peek` stays invisible).
     pub fn lookups(&self) -> u64 {
         self.lookups.load(Ordering::Relaxed)

@@ -10,14 +10,14 @@ use sim_ssd::BlockDevice;
 
 use crate::config::{CommitMode, LsmConfig, Scheduler};
 use crate::error::{LsmError, Result};
-use crate::iter::lookup;
+use crate::iter::{lookup, Merge, Source};
 use crate::level::{Level, LevelDraft, LevelEdit};
 use crate::memtable::{Memtable, RunMeta};
 use crate::merge::{MergeEngine, MergeSource, StepBlocks};
 use crate::policy::ledger::{enumerate_candidates, DecisionLedger};
 use crate::policy::window::runs_of_handles;
 use crate::policy::{predicted_writes, MergeChoice, MergeCtx, PolicySpec};
-use crate::record::{Key, Request};
+use crate::record::{Key, Record, Request};
 use crate::stats::{LevelStats, MergeKind, TreeStats};
 use crate::store::{RetryPolicy, Store};
 
@@ -67,10 +67,6 @@ pub struct TreeOptions {
     pub scheduler: Scheduler,
     /// WAL commit discipline for WAL-backed front-ends. See [`CommitMode`].
     pub commit: CommitMode,
-    /// Stepped-merge fan-in `k` — runs accumulated per level before they
-    /// are merge-sorted one level down. Used only by
-    /// [`crate::SteppedMergeTree`]; must be ≥ 2. Default 4.
-    pub stepped_fan_in: usize,
 }
 
 impl Default for TreeOptions {
@@ -85,7 +81,6 @@ impl Default for TreeOptions {
             ledger: None,
             scheduler: Scheduler::Inline,
             commit: CommitMode::Buffered,
-            stepped_fan_in: 4,
         }
     }
 }
@@ -165,13 +160,6 @@ impl TreeOptionsBuilder {
         self
     }
 
-    /// Stepped-merge fan-in `k ≥ 2` (default 4). Only
-    /// [`crate::SteppedMergeTree`] reads it.
-    pub fn stepped_fan_in(mut self, k: usize) -> Self {
-        self.opts.stepped_fan_in = k;
-        self
-    }
-
     /// Finish, yielding the options.
     pub fn build(self) -> TreeOptions {
         self.opts
@@ -235,8 +223,13 @@ pub struct LsmTree {
     /// an empty one. Always empty under [`Scheduler::Inline`] (the inline
     /// cascade never seals).
     imm: VecDeque<Arc<Memtable>>,
-    /// On-SSD levels; `levels[i]` is paper-level `L_{i+1}`.
+    /// Every on-SSD run, in the order a lookup probes them: the runs of
+    /// L1 newest first, then those of L2, and so on. Under a leveled policy
+    /// a level is one run, so `levels[i]` is paper-level `L_{i+1}`.
     levels: Vec<Arc<Level>>,
+    /// Runs each paper level holds, top down (`runs[0]` is L1's); they sum
+    /// to `levels.len()`. All ones under a leveled policy.
+    runs: Vec<usize>,
     /// RR cursor for merges out of L0 (cursors of on-SSD levels live in
     /// the levels themselves).
     mem_rr_cursor: Option<Key>,
@@ -276,9 +269,14 @@ impl LsmTree {
                 cfg.block_size
             )));
         }
+        // A leveled tree starts with an empty L1; a stepped one with no run.
+        let levels = vec![Level::new(); usize::from(opts.policy.fan_in().is_none())];
+        let runs = vec![1; levels.len()];
+        opts.policy.admit(&runs)?;
         let store =
             Store::new(device, cfg.cache_blocks, cfg.bloom_bits_per_key).with_retry(opts.retry);
-        Ok(Self::assemble(cfg, opts, store, Memtable::new(), vec![Level::new()], None))
+        let (mem, stats) = (Memtable::new(), TreeStats::default());
+        Ok(Self::assemble(cfg, opts, store, mem, (levels, runs), None, stats))
     }
 
     /// Create a tree over a fresh in-memory simulated SSD of
@@ -288,16 +286,18 @@ impl LsmTree {
         Self::new(cfg, opts, dev)
     }
 
-    /// Assemble a tree from recovered parts (the manifest restore path).
+    /// Assemble a tree from recovered parts (the manifest restore path):
+    /// its runs and the runs each level holds, which the policy admits.
     pub(crate) fn assemble(
         cfg: LsmConfig,
         opts: TreeOptions,
         store: Store,
         mem: Memtable,
-        levels: Vec<Level>,
+        (levels, runs): (Vec<Level>, Vec<usize>),
         mem_rr_cursor: Option<Key>,
+        stats: TreeStats,
     ) -> Self {
-        debug_assert!(!levels.is_empty());
+        debug_assert_eq!(runs.iter().sum::<usize>(), levels.len());
         let commit = opts.commit;
         LsmTree {
             l0_capacity: cfg.l0_capacity_records(),
@@ -305,8 +305,9 @@ impl LsmTree {
             mem: Arc::new(mem),
             imm: VecDeque::new(),
             levels: levels.into_iter().map(Arc::new).collect(),
+            runs,
             mem_rr_cursor,
-            stats: TreeStats::default(),
+            stats,
             commit,
             installs: 0,
         }
@@ -438,12 +439,20 @@ impl LsmTree {
 
     /// Height `h` — number of levels including L0.
     pub fn height(&self) -> usize {
-        self.levels.len() + 1
+        self.runs.len() + 1
     }
 
-    /// The on-SSD levels; index `i` is paper-level `L_{i+1}`.
+    /// Every on-SSD run in lookup order; under a leveled policy index `i`
+    /// is paper-level `L_{i+1}`, under Stepped-Merge the runs of each level
+    /// come newest first, level after level ([`LsmTree::run_counts`]).
     pub fn levels(&self) -> &[Arc<Level>] {
         &self.levels
+    }
+
+    /// Runs each on-SSD level holds, top down; they sum to
+    /// `levels().len()`.
+    pub fn run_counts(&self) -> &[usize] {
+        &self.runs
     }
 
     /// The memory-resident L0.
@@ -459,6 +468,11 @@ impl LsmTree {
     /// Cost counters.
     pub fn stats(&self) -> &TreeStats {
         &self.stats
+    }
+
+    /// The active policy.
+    pub fn policy(&self) -> &PolicySpec {
+        &self.env.policy
     }
 
     /// Name of the active policy.
@@ -480,9 +494,13 @@ impl LsmTree {
     }
 
     /// Replace the merge policy (the Mixed learner uses this between
-    /// measurements; data and statistics are unaffected).
-    pub fn set_policy(&mut self, policy: PolicySpec) {
+    /// measurements; data and statistics are unaffected). A policy that
+    /// cannot hold the runs the levels hold now ([`PolicySpec::admit`]) is
+    /// refused with [`LsmError::Config`], and the tree keeps its policy.
+    pub fn set_policy(&mut self, policy: PolicySpec) -> Result<()> {
+        policy.admit(&self.runs)?;
         self.env.policy = Arc::new(policy);
+        Ok(())
     }
 
     /// Register (or detach, with [`SinkHandle::none`]) the event sink. The
@@ -562,7 +580,17 @@ impl LsmTree {
     /// Whether any maintenance is pending: a sealed memtable to flush or
     /// an overflowing level to merge.
     pub fn maintenance_pending(&self) -> bool {
-        !self.imm.is_empty() || overflowing_level(&self.env.cfg, &self.levels).is_some()
+        !self.imm.is_empty() || self.pending_level().is_some()
+    }
+
+    /// The shallowest level due a merge, as an index into `runs`: over
+    /// capacity under a leveled policy (§II-A), at `fan_in` runs under
+    /// Stepped-Merge.
+    fn pending_level(&self) -> Option<usize> {
+        match self.env.policy.fan_in() {
+            None => overflowing_level(&self.env.cfg, &self.levels),
+            Some(fan_in) => self.runs.iter().position(|&n| n >= fan_in),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -635,17 +663,24 @@ impl LsmTree {
     }
 
     fn snapshot(&self, slot: MemSlot) -> Option<StepSnapshot> {
+        let level = self.pending_level();
+        // A stepped level at `fan_in` runs merges before another flush
+        // could add a run to it.
+        let stepped_merge = level.is_some() && self.env.policy.fan_in().is_some();
         let flush = match slot {
+            _ if stepped_merge => None,
             MemSlot::Active => self.mem_at_capacity().then(|| Arc::clone(&self.mem)),
             MemSlot::ImmOldest => self.imm.front().cloned(),
         };
-        if flush.is_none() && overflowing_level(&self.env.cfg, &self.levels).is_none() {
+        if flush.is_none() && level.is_none() {
             return None;
         }
         Some(StepSnapshot {
             env: self.env.clone(),
             levels: self.levels.clone(),
+            runs: self.runs.clone(),
             flush: flush.map(|mem| (slot, mem)),
+            level,
             mem_rr_cursor: self.mem_rr_cursor,
             base: self.installs,
         })
@@ -662,6 +697,19 @@ impl LsmTree {
         self.installs += 1;
         if outcome.grow {
             self.levels.insert(self.levels.len() - 1, Arc::new(Level::new()));
+            self.runs.push(1);
+        }
+        if let Some((into, run)) = outcome.splice.take() {
+            // The runs merged are the whole level above `into`: they end
+            // where its runs begin, and the merged run takes their place.
+            let front: usize = self.runs.iter().take(into).sum();
+            let taken =
+                into.checked_sub(1).map_or(0, |above| std::mem::take(&mut self.runs[above]));
+            if run.is_some() {
+                self.runs.resize(self.runs.len().max(into + 1), 0);
+                self.runs[into] += 1;
+            }
+            self.levels.splice(front - taken..front, run.map(Arc::new));
         }
         if let Some((slot, keys)) = outcome.flushed.take() {
             match slot {
@@ -701,9 +749,12 @@ fn overflowing_level(cfg: &LsmConfig, levels: &[Arc<Level>]) -> Option<usize> {
 pub(crate) struct StepSnapshot {
     env: StepEnv,
     levels: Vec<Arc<Level>>,
+    runs: Vec<usize>,
     /// The memtable to flush a window of; `None` when the step relieves
     /// an overflowing level instead.
     flush: Option<(MemSlot, Arc<Memtable>)>,
+    /// The level due a merge, if any (an index into `runs`).
+    level: Option<usize>,
     mem_rr_cursor: Option<Key>,
     base: u64,
 }
@@ -726,6 +777,10 @@ pub(crate) struct StepOutcome {
     mem_rr_cursor: Option<Key>,
     /// Per touched level (index into `levels`): the splice and bookkeeping.
     edits: Vec<(usize, LevelEdit)>,
+    /// A Stepped-Merge step's change of the runs: level `.0` gains run `.1`
+    /// (unless the merge left nothing) at its front, and the level above
+    /// it — none for a flush, into L1 — gives up every run.
+    splice: Option<(usize, Option<Level>)>,
     /// Per paper level: counter deltas.
     stats: Vec<(usize, LevelStats)>,
     blocks: StepBlocks,
@@ -772,15 +827,18 @@ impl StepSnapshot {
             flushed: None,
             mem_rr_cursor: None,
             edits: Vec::new(),
+            splice: None,
             stats: Vec::new(),
             blocks: StepBlocks::default(),
             installed: false,
         };
-        match &self.flush {
-            Some((slot, mem)) => self.flush_window(*slot, mem, &mut out)?,
-            None => {
-                let vec_idx = overflowing_level(&self.env.cfg, &self.levels)
-                    .expect("a snapshot is only taken with work pending");
+        let stepped = self.env.policy.fan_in().is_some();
+        match (&self.flush, self.level) {
+            (Some((slot, mem)), _) if stepped => self.flush_run(*slot, mem, &mut out)?,
+            (Some((slot, mem)), _) => self.flush_window(*slot, mem, &mut out)?,
+            (None, None) => unreachable!("a snapshot is only taken with work pending"),
+            (None, Some(level)) if stepped => self.fold_runs(level, &mut out)?,
+            (None, Some(vec_idx)) => {
                 if vec_idx + 1 == self.levels.len() {
                     // The overflowing bottom level `L_{h-1}` becomes `L_h`;
                     // an empty level takes its place (§II-A).
@@ -793,6 +851,75 @@ impl StepSnapshot {
             }
         }
         Ok(out)
+    }
+
+    /// Stepped-Merge's flush: the whole of `mem` as a new run of L1.
+    fn flush_run(&self, slot: MemSlot, mem: &Memtable, out: &mut StepOutcome) -> Result<()> {
+        let _span = self.env.sink.span(SpanOp::flush(true));
+        let records = mem.len() as u64;
+        self.env.sink.emit_with(|| Event::MemtableFlush { records, full: true });
+        out.flushed = Some((slot, mem.iter().map(|r| r.key).collect()));
+        let run = self.write_run(1, mem.iter().cloned().map(Ok), out)?;
+        out.splice = Some((0, Some(run)));
+        Ok(())
+    }
+
+    /// Stepped-Merge's merge: every run of `runs[level]`, newest first,
+    /// into one run at the front of the next level. Tombstones go when
+    /// nothing lies below to cancel; reads count at the level merged out.
+    fn fold_runs(&self, level: usize, out: &mut StepOutcome) -> Result<()> {
+        let (sink, target_paper) = (&self.env.sink, level + 2);
+        let start: usize = self.runs[..level].iter().sum();
+        let (inputs, below) = self.levels[start..].split_at(self.runs[level]);
+        let _span = sink.span(SpanOp::merge(target_paper, true));
+        sink.emit_with(|| Event::MergeStart { target_level: target_paper, full: true });
+        let src_records: u64 = inputs.iter().map(|r| r.records()).sum();
+        let reads: u64 = inputs.iter().map(|r| r.num_blocks() as u64).sum();
+        let deepest = below.iter().all(|r| r.is_empty());
+        let sources =
+            inputs.iter().map(|r| Source::blocks(&self.env.store, r.handles(), 0, Key::MAX));
+        let merged = Merge::new(sources.collect())
+            .filter(|r| !matches!(r, Ok(r) if deepest && r.is_tombstone()));
+        let run = self.write_run(target_paper, merged, out)?;
+        out.stats(level + 1).blocks_read += reads;
+        out.blocks.retired.extend(inputs.iter().flat_map(|r| r.handles()).cloned());
+        sink.emit_with(|| Event::MergeFinish {
+            target_level: target_paper,
+            full: true,
+            src_records,
+            writes: run.num_blocks() as u64,
+            reads,
+            preserved: 0,
+            max_key: run.max_key().unwrap_or(0),
+        });
+        out.splice = Some((level + 1, (!run.is_empty()).then_some(run)));
+        Ok(())
+    }
+
+    /// Write `records` — ordered, keys unique — `B` to a block as one run
+    /// of `paper_level`, and count it there as a merge into it.
+    fn write_run(
+        &self,
+        paper_level: usize,
+        mut records: impl Iterator<Item = Result<Record>>,
+        out: &mut StepOutcome,
+    ) -> Result<Level> {
+        let mut run = Level::new();
+        loop {
+            let chunk: Vec<Record> =
+                records.by_ref().take(self.env.cfg.block_capacity()).collect::<Result<_>>()?;
+            if chunk.is_empty() {
+                break;
+            }
+            let handle = self.env.store.write_block(chunk)?;
+            out.blocks.created.push(handle.clone());
+            run.push(handle);
+        }
+        let ls = out.stats(paper_level);
+        ls.blocks_written += run.num_blocks() as u64;
+        ls.merges_in += 1;
+        ls.records_in += run.records();
+        Ok(run)
     }
 
     fn engine(&self) -> MergeEngine<'_> {
@@ -1047,19 +1174,38 @@ mod tests {
     /// A get's row answers while the levels stand where they stood when it
     /// was kept. A put to its key after that is answered from the memtable,
     /// and once the put has reached the levels — through installs — the old
-    /// row, still cached, answers nothing.
+    /// row, still cached, answers nothing: under a leveled policy, and
+    /// under Stepped-Merge, where the flush writes the newer version into a
+    /// new run that the walk meets first.
     #[test]
     fn a_row_answers_until_an_install_and_never_over_a_newer_put() {
+        for policy in [PolicySpec::ChooseBest, PolicySpec::SteppedMerge { fan_in: 3 }] {
+            a_row_answers_until_an_install_under(policy);
+        }
+    }
+
+    fn a_row_answers_until_an_install_under(policy: PolicySpec) {
         // 1 KiB blocks and a cache of eight, which readers fill with other
         // blocks, so a get that reads the device keeps its row.
         let cfg = LsmConfig { block_size: 1024, cache_blocks: 8, ..tiny_cfg() };
-        let mut t = LsmTree::with_mem_device(cfg, TreeOptions::default(), 1 << 12).unwrap();
+        let opts = TreeOptions::builder().policy(policy).build();
+        let mut t = LsmTree::with_mem_device(cfg, opts, 1 << 12).unwrap();
         for k in 0..2_000 {
             t.put(k, payload(k)).unwrap();
         }
+        // Under Stepped-Merge, flushes of one record until L1 holds no run:
+        // the flush below then merges nothing, freeing no block read here.
+        while t.policy().fan_in().is_some() && t.run_counts()[0] > 0 {
+            t.apply_buffered(Request::Put(1_999, Bytes::from(payload(1_999)))).unwrap();
+            assert!(t.seal_memtable());
+            t.drain_maintenance().unwrap();
+        }
         assert!(t.memtable().get(7).is_none(), "key 7 is in a level");
-        let live: Vec<_> = t.levels().iter().flat_map(|l| l.handles()).map(|h| h.id).collect();
-        t.store().evict_by_reading(&live);
+        // Every live block read, then pushed out: the cache is full of
+        // fillers, whatever room the merges' frees left in it.
+        let live: Vec<_> = t.levels().iter().flat_map(|l| l.handles()).cloned().collect();
+        live.iter().for_each(|h| drop(t.store().read_block(h).unwrap()));
+        t.store().evict_by_reading(&live.iter().map(|h| h.id).collect::<Vec<_>>());
         let (epoch, reads) = (t.installs, t.store().io_snapshot().reads);
         assert_eq!(t.get(7).unwrap().as_deref(), Some(&payload(7)[..]));
         assert_eq!(t.store().io_snapshot().reads, reads + 1);
@@ -1367,6 +1513,72 @@ mod tests {
         assert_eq!(t.store().live_blocks(), referenced(&t));
     }
 
+    /// The §VI trade: Stepped-Merge writes each record about once a
+    /// level, where a leveled tree rewrites the next level again and again;
+    /// the price is more runs for a lookup to probe.
+    #[test]
+    fn stepped_merge_writes_less_than_leveled_lsm() {
+        let cfg = LsmConfig { k0_blocks: 2, ..tiny_cfg() };
+        let stepped = TreeOptions::builder().policy(PolicySpec::SteppedMerge { fan_in: 4 });
+        let mut sm = LsmTree::with_mem_device(cfg.clone(), stepped.build(), 1 << 16).unwrap();
+        let mut lsm = LsmTree::with_mem_device(cfg, TreeOptions::default(), 1 << 16).unwrap();
+        for k in 0..8_000u64 {
+            let key = k.wrapping_mul(2_654_435_761) % 1_000_000;
+            sm.put(key, vec![1u8; 4]).unwrap();
+            lsm.put(key, vec![1u8; 4]).unwrap();
+        }
+        let (w_sm, w_lsm) = (sm.stats().total_blocks_written(), lsm.stats().total_blocks_written());
+        assert!(w_sm < w_lsm, "stepped-merge {w_sm} should write less than leveled {w_lsm}");
+        assert!(sm.run_counts().iter().any(|&n| n >= 2), "runs {:?}", sm.run_counts());
+        assert!(sm.levels().len() > sm.height() - 1, "more runs than levels");
+        crate::verify::check_tree(&sm, true).unwrap();
+    }
+
+    #[test]
+    fn rejects_bad_fan_in() {
+        for fan_in in [0, 1] {
+            let opts = TreeOptions::builder().policy(PolicySpec::SteppedMerge { fan_in }).build();
+            match LsmTree::with_mem_device(tiny_cfg(), opts, 1 << 10) {
+                Err(LsmError::Config(_)) => {}
+                other => panic!("fan-in {fan_in}: {:?}", other.err()),
+            }
+        }
+    }
+
+    /// A policy swap that the runs the levels hold cannot take is refused,
+    /// and the tree keeps its policy: a leveled policy over a level of two
+    /// runs, or a fan-in under the runs a level holds. Across the line and
+    /// back is fine while every level is one run.
+    #[test]
+    fn set_policy_refuses_a_policy_that_cannot_hold_the_runs() {
+        let mut t = tree_with(PolicySpec::ChooseBest);
+        fill(&mut t, 600, 7);
+        assert!(t.run_counts().iter().all(|&n| n == 1) && t.height() >= 2);
+        t.set_policy(PolicySpec::SteppedMerge { fan_in: 3 }).unwrap();
+        t.set_policy(PolicySpec::Full).unwrap();
+        let mut t = tree_with(PolicySpec::SteppedMerge { fan_in: 4 });
+        let cap = t.config().l0_capacity_records() as u64;
+        fill(&mut t, 3 * cap, 7);
+        assert_eq!(t.run_counts()[0], 3);
+        for policy in [
+            PolicySpec::ChooseBest,
+            PolicySpec::TestMixed,
+            PolicySpec::SteppedMerge { fan_in: 2 },
+            PolicySpec::SteppedMerge { fan_in: 1 },
+        ] {
+            match t.set_policy(policy.clone()) {
+                Err(LsmError::Config(_)) => assert_eq!(t.policy_name(), "SteppedMerge"),
+                other => panic!("{policy:?} over runs {:?}: {other:?}", t.run_counts()),
+            }
+        }
+        // Three runs are a merge still to run at a fan-in of three.
+        t.set_policy(PolicySpec::SteppedMerge { fan_in: 3 }).unwrap();
+        assert!(t.maintenance_pending());
+        t.put(0, payload(0)).unwrap();
+        assert_eq!(t.run_counts(), [0, 1]);
+        crate::verify::check_tree(&t, true).unwrap();
+    }
+
     #[test]
     fn mismatched_device_block_size_rejected() {
         let dev = Arc::new(sim_ssd::MemDevice::with_block_size(16, 512));
@@ -1393,7 +1605,7 @@ mod tests {
     fn policy_swap_preserves_data() {
         let mut t = tree_with(PolicySpec::Full);
         fill(&mut t, 1000, 9);
-        t.set_policy(PolicySpec::ChooseBest);
+        t.set_policy(PolicySpec::ChooseBest).unwrap();
         assert_eq!(t.policy_name(), "ChooseBest");
         fill(&mut t, 1000, 9); // overwrite same keys
         for k in (0..1000u64).step_by(97) {

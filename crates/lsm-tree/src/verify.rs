@@ -6,11 +6,14 @@ use crate::tree::LsmTree;
 
 /// Check every structural invariant of `tree`:
 ///
-/// * per level: handles sorted and disjoint, no empty or overfull blocks,
-///   pairwise and level-wise waste constraints, record-count consistency;
-/// * every non-bottom level strictly under its capacity after a cascade;
+/// * per run (under a leveled policy, per level): handles sorted and
+///   disjoint, no empty or overfull blocks, pairwise and level-wise waste
+///   constraints, record-count consistency;
+/// * the runs each level holds are a shape the policy admits, and under
+///   Stepped-Merge every level holds fewer than `fan_in` after a cascade;
+/// * under a leveled policy, every non-bottom level strictly under its
+///   capacity after a cascade, and the bottom level holds no tombstones;
 /// * L0 strictly under its record capacity;
-/// * the bottom level holds no tombstones;
 /// * with `deep`, every data block is read back and compared against its
 ///   fence entry (count, key range, tombstones, sortedness, a filter that
 ///   admits every key — the block codec checksum runs implicitly).
@@ -29,31 +32,29 @@ pub fn check_tree(tree: &LsmTree, deep: bool) -> std::result::Result<(), String>
         ));
     }
 
-    let levels = tree.levels();
-    for (vec_idx, level) in levels.iter().enumerate() {
-        let paper = vec_idx + 1;
-        level.validate(b, eps).map_err(|e| format!("L{paper}: {e}"))?;
-        if level.num_blocks() >= cfg.level_capacity_blocks(paper) {
-            return Err(format!(
-                "L{paper} holds {} blocks, at/over capacity {}",
-                level.num_blocks(),
-                cfg.level_capacity_blocks(paper)
-            ));
+    let (levels, runs) = (tree.levels(), tree.run_counts());
+    if runs.iter().sum::<usize>() != levels.len() {
+        return Err(format!("run counts {runs:?} for {} runs", levels.len()));
+    }
+    tree.policy().admit(runs).map_err(|e| e.to_string())?;
+    let fan_in = tree.policy().fan_in();
+    let mut first = 0;
+    for (level, &n) in runs.iter().enumerate() {
+        let paper = level + 1;
+        match fan_in {
+            Some(fan_in) if n >= fan_in => return Err(format!("L{paper} holds {n} runs")),
+            Some(_) => {}
+            None => check_leveled(tree, level)?,
         }
-        let is_bottom = vec_idx + 1 == levels.len();
-        if is_bottom {
-            for (i, h) in level.handles().iter().enumerate() {
-                if h.tombstones > 0 {
-                    return Err(format!(
-                        "bottom L{paper} block {i} holds {} tombstones",
-                        h.tombstones
-                    ));
-                }
+        for (j, run) in levels[first..first + n].iter().enumerate() {
+            let name =
+                if fan_in.is_some() { format!("L{paper} run {j}") } else { format!("L{paper}") };
+            run.validate(b, eps).map_err(|e| format!("{name}: {e}"))?;
+            if deep {
+                deep_check_level(tree, first + j).map_err(|e| format!("{name} deep check: {e}"))?;
             }
         }
-        if deep {
-            deep_check_level(tree, vec_idx).map_err(|e| format!("L{paper} deep check: {e}"))?;
-        }
+        first += n;
     }
 
     // No level may still reference a quarantined block that a merge already
@@ -73,6 +74,24 @@ pub fn check_tree(tree: &LsmTree, deep: bool) -> std::result::Result<(), String>
                     ));
                 }
             }
+        }
+    }
+    Ok(())
+}
+
+/// A leveled tree's `levels[vec_idx]`: under its capacity, and no tombstone
+/// left if it is the bottom.
+fn check_leveled(tree: &LsmTree, vec_idx: usize) -> std::result::Result<(), String> {
+    let (levels, paper) = (tree.levels(), vec_idx + 1);
+    let level = &levels[vec_idx];
+    let capacity = tree.config().level_capacity_blocks(paper);
+    if level.num_blocks() >= capacity {
+        let n = level.num_blocks();
+        return Err(format!("L{paper} holds {n} blocks, at/over capacity {capacity}"));
+    }
+    if vec_idx + 1 == levels.len() {
+        if let Some((i, h)) = level.handles().iter().enumerate().find(|(_, h)| h.tombstones > 0) {
+            return Err(format!("bottom L{paper} block {i} holds {} tombstones", h.tombstones));
         }
     }
     Ok(())
@@ -157,6 +176,8 @@ mod tests {
             PolicySpec::RoundRobin,
             PolicySpec::ChooseBest,
             PolicySpec::TestMixed,
+            PolicySpec::SteppedMerge { fan_in: 2 },
+            PolicySpec::SteppedMerge { fan_in: 4 },
         ] {
             let t = build(policy.clone(), 3000);
             check_tree(&t, true).unwrap_or_else(|e| panic!("{policy:?}: {e}"));

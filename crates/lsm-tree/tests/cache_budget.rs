@@ -185,7 +185,9 @@ fn a_cached_row_occupies_no_more_than_it_is_charged() {
 fn a_manifest_count_the_bytes_cannot_hold_reserves_nothing() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     // A body ends with its last count: the memtable's when there is no
-    // level, else the last level's (here a level with no handle). Set to
+    // level, else the last level's (here a level with no handle). The run
+    // counts' and the per-level counters' count come after the config and
+    // L0's cursor (the second after the five request counters). Set to
     // u32::MAX under a valid checksum, a handle count once reserved 128 MiB
     // before the walk found the bytes missing.
     let level = LevelSnapshot {
@@ -195,16 +197,23 @@ fn a_manifest_count_the_bytes_cannot_hold_reserves_nothing() {
         waste_delta: 0,
         rr_cursor: None,
     };
-    for (levels, at) in [(vec![], 8), (vec![level], 4)] {
+    let head = 16 + 8 * 8 + 1;
+    let (runs_at, stats_at) = (Some(head), Some(head + 4 + 5 * 8));
+    for (levels, from_start, from_end) in
+        [(vec![], None, 8), (vec![level], None, 4), (vec![], runs_at, 0), (vec![], stats_at, 0)]
+    {
         let m = Manifest {
             config: LsmConfig::default(),
             memtable: vec![],
             mem_rr_cursor: None,
             levels,
+            runs: vec![],
+            stats: Default::default(),
         };
         let mut bytes = m.encode();
         let n = bytes.len();
-        bytes[n - at..n - at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let at = from_start.unwrap_or(n - from_end);
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let sum = lsm_tree::checksum::sum64(0, &bytes[16..]);
         bytes[8..16].copy_from_slice(&sum.to_le_bytes());
         LARGEST.store(0, Ordering::Relaxed);

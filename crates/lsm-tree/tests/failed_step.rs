@@ -13,7 +13,9 @@
 //! opens, so the failure lands inside that phase whatever the interleaving:
 //! inline on a bare `LsmTree` (the error surfaces from the put that
 //! triggered the cascade) and under a background `ShardedLsmTree` (it
-//! surfaces from `flush()`).
+//! surfaces from `flush()`). Flushes and level merges fail under a leveled
+//! policy and under Stepped-Merge, whose flush writes a whole run and
+//! whose merge takes every run of a level.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -281,17 +283,29 @@ fn fails_both_ways(case: Case) {
     fails_in_background(&case);
 }
 
+/// A leveled policy and Stepped-Merge.
+fn both_shapes() -> [PolicySpec; 2] {
+    [PolicySpec::ChooseBest, PolicySpec::SteppedMerge { fan_in: 3 }]
+}
+
 #[test]
 fn failed_flush_installs_nothing() {
-    for nth in [1, 2] {
-        fails_both_ways(Case::new(SpanKind::MemtableFlush, 0, nth));
+    for policy in both_shapes() {
+        for nth in [1, 2] {
+            fails_both_ways(Case {
+                policy: policy.clone(),
+                ..Case::new(SpanKind::MemtableFlush, 0, nth)
+            });
+        }
     }
 }
 
 #[test]
 fn failed_level_merge_installs_nothing() {
-    for nth in [1, 2] {
-        fails_both_ways(Case::new(SpanKind::Merge, 2, nth));
+    for policy in both_shapes() {
+        for nth in [1, 2] {
+            fails_both_ways(Case { policy: policy.clone(), ..Case::new(SpanKind::Merge, 2, nth) });
+        }
     }
 }
 

@@ -1,11 +1,11 @@
-//! Property test for the Stepped-Merge baseline: the §VI write/lookup
-//! trade against the leveled tree on identical inputs. (Its answers and
-//! run structure are held against the one model oracle, `src/oracle.rs`.)
+//! Property test for the Stepped-Merge policy: the §VI write/lookup trade
+//! against a leveled tree on identical inputs. (Its answers and run
+//! structure are held against the one model oracle, `src/oracle.rs`.)
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use lsm_tree::{LsmConfig, LsmTree, Request, SteppedMergeTree, TreeOptions};
+use lsm_tree::{LsmConfig, LsmTree, PolicySpec, Request, TreeOptions};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -44,12 +44,8 @@ proptest! {
         // On identical inputs it must not write more blocks than the
         // leveled tree (it writes each record once per level; leveled LSM
         // rewrites overlapping regions repeatedly).
-        let mut sm = SteppedMergeTree::with_mem_device(
-            cfg(),
-            TreeOptions::builder().stepped_fan_in(4).build(),
-            1 << 16,
-        )
-        .unwrap();
+        let stepped = TreeOptions::builder().policy(PolicySpec::SteppedMerge { fan_in: 4 });
+        let mut sm = LsmTree::with_mem_device(cfg(), stepped.build(), 1 << 16).unwrap();
         let mut lsm = LsmTree::with_mem_device(cfg(), TreeOptions::default(), 1 << 16).unwrap();
         for op in &ops {
             let req = match *op {

@@ -148,6 +148,15 @@ ext_stepped_merge design,writes_per_mb,lookup_reads_per_query,lookup_fanout --si
 ext_latency_tail policy,mean_us,p50_us,p99_us,p999_us,p9999_us,max_us --size-mb=2 --measure-mb=2
 EOF
 
+echo "== §VI numbers: ext_stepped_merge at its defaults reproduces its committed CSV (~4 s) =="
+# The committed results/ext_stepped_merge.csv is a gate, not just a file:
+# Stepped-Merge and both leveled rows, counts only, byte for byte.
+mkdir "$work/stepped"
+(cd "$work/stepped" && "$bin/ext_stepped_merge" > out.txt 2>&1) \
+    || { cat "$work/stepped/out.txt"; echo "ext_stepped_merge failed"; exit 1; }
+cmp "$work/stepped/results/ext_stepped_merge.csv" results/ext_stepped_merge.csv \
+    || { echo "ext_stepped_merge no longer reproduces results/ext_stepped_merge.csv"; exit 1; }
+
 echo "== unwrap/expect outside tests: no more than the committed baseline =="
 # A panic inside a chunk or an install leaves a shard half-applied behind a
 # lock that never poisons (ROADMAP item 10c): the count of `.unwrap(` and
@@ -224,6 +233,9 @@ gone="$gone"'|\bFRAMES\b|FRAMES_KEPT|struct Frames\b|Frames\('
 # One model oracle for every front-end (`src/oracle.rs`); reads are one
 # pread a block; a level's waste check is `MergeEngine::wasteful`.
 gone="$gone"'|run_against_model|read_extent|\bneeds_compaction\b'
+# Runs per level is a policy (`PolicySpec::SteppedMerge`) of the one tree,
+# and the hang watchdog a constant no caller lowers for its neighbours.
+gone="$gone"'|SteppedMergeTree|stepped_fan_in|set_watchdog_timeout_ms|WATCHDOG_MS'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"

@@ -48,7 +48,7 @@ fn million_op_soak_with_restart() {
 
     for phase in 0..10u64 {
         // Rotate the policy every phase: data must survive policy churn.
-        tree.set_policy(policies[(phase as usize) % policies.len()].clone());
+        tree.set_policy(policies[(phase as usize) % policies.len()].clone()).unwrap();
         for _ in 0..100_000u64 {
             let r = lcg(&mut state);
             let k = lcg(&mut state) % key_space;
