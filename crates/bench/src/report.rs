@@ -318,6 +318,7 @@ fn json_table(items: &[Json], columns: &[(&str, &str)]) -> String {
 /// and the level's merge counters.
 const LEVEL_COLUMNS: &[(&str, &str)] = &[
     ("level", "level"),
+    ("runs", "runs"),
     ("blocks", "blocks"),
     ("capacity", "capacity_blocks"),
     ("records", "records"),

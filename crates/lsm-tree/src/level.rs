@@ -113,6 +113,11 @@ impl Level {
         self.records
     }
 
+    /// Tombstones its blocks hold.
+    pub(crate) fn tombstones(&self) -> u64 {
+        self.handles.iter().map(|h| u64::from(h.tombstones)).sum()
+    }
+
     /// True when the level holds no blocks.
     #[inline]
     pub fn is_empty(&self) -> bool {

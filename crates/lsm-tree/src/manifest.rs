@@ -439,7 +439,8 @@ impl LsmTree {
             let (runs, n) = (&manifest.runs, manifest.levels.len());
             return Err(LsmError::Codec(format!("manifest run counts {runs:?} do not sum to {n}")));
         }
-        opts.policy.admit(&manifest.runs)?;
+        let bottom = manifest.levels.last().map_or(&[][..], |l| &l.handles[..]);
+        opts.policy.admit(&manifest.runs, bottom.iter().map(|h| u64::from(h.tombstones)).sum())?;
         if device.block_size() != cfg.block_size {
             return Err(LsmError::Config(format!(
                 "device block size {} != manifest {}",
@@ -619,6 +620,25 @@ mod tests {
             }
             std::fs::remove_file(&path).ok();
         }
+        // One flush of puts and deletes under Stepped-Merge: levels of one
+        // run each, but a bottom with tombstones, which a leveled policy
+        // cannot hold.
+        let dev = Arc::new(sim_ssd::MemDevice::with_block_size(1 << 14, 256));
+        let opts = |policy| TreeOptions::builder().policy(policy).build();
+        let mut t =
+            LsmTree::new(build_tree().config().clone(), opts(stepped), dev.clone()).unwrap();
+        for k in 0..t.config().l0_capacity_records() as u64 {
+            if k % 2 == 0 { t.put(k, vec![1; 4]) } else { t.delete(k) }.unwrap();
+        }
+        assert_eq!(t.run_counts(), [1]);
+        let path =
+            std::env::temp_dir().join(format!("lsm-man-tomb-{}.manifest", std::process::id()));
+        t.checkpoint(&path).unwrap();
+        match LsmTree::restore(&path, opts(PolicySpec::ChooseBest), dev) {
+            Err(LsmError::Config(_)) => {}
+            other => panic!("ChooseBest over a bottom with tombstones: {:?}", other.err()),
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

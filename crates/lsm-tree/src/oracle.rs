@@ -483,10 +483,12 @@ mod tests {
     }
 
     /// What a subject reached over every tape: merges into L1 (each L0 fill
-    /// is one or more), rows hit, scans of a sealed memtable and two levels.
+    /// is one or more), the most levels a tree grew, rows hit, scans of a
+    /// sealed memtable and two levels.
     #[derive(Default)]
     struct Reach {
         l0_fills: u64,
+        height: usize,
         rows: Vec<RowHits>,
         sealed_scans: u64,
     }
@@ -632,6 +634,8 @@ mod tests {
             self.retire_rows();
             self.reach.l0_fills +=
                 self.counters().iter().map(|s| s.level(1).merges_in).sum::<u64>();
+            let heights = self.front.trees(LsmTree::height).into_iter();
+            self.reach.height = heights.chain([self.reach.height]).max().unwrap_or(0);
             drop(self.front);
             std::fs::remove_dir_all(&self.dir).ok();
             self.reach
@@ -733,6 +737,7 @@ mod tests {
         for (subject, reach) in subjects.iter().zip(&reach) {
             assert!(reach.l0_fills >= 10, "{subject:?}: L0 filled {} times", reach.l0_fills);
             let Subject::Tree { dev, .. } = subject else { continue };
+            assert!(reach.height >= 3, "{subject:?}: grew {} levels", reach.height);
             let rows = reach.rows.iter().fold((0, 0), |(c, e), r| (c + r.current, e + r.earlier));
             let ok = if dev.cache == 4_096 { rows == (0, 0) } else { rows.0 > 0 };
             assert!(ok, "{subject:?}: rows answered {rows:?}, at their epoch and earlier");

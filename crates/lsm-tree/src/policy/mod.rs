@@ -184,14 +184,20 @@ impl PolicySpec {
     }
 
     /// Whether this policy can run a tree whose levels hold `runs` runs
-    /// each, top down: a leveled policy one run in every level (and at
-    /// least one level), Stepped-Merge at most `fan_in` a level — `fan_in`
-    /// being a merge still to run. Else, or for a fan-in under 2, an
-    /// [`LsmError::Config`].
-    pub fn admit(&self, runs: &[usize]) -> Result<()> {
+    /// each, top down, the last run holding `bottom_tombstones` tombstones:
+    /// a leveled policy one run in every level (and at least one level) and
+    /// a bottom with no tombstone, which no leveled merge leaves and none
+    /// to come would drop; Stepped-Merge at most `fan_in` a level —
+    /// `fan_in` being a merge still to run. Else, or for a fan-in under 2,
+    /// an [`LsmError::Config`].
+    pub fn admit(&self, runs: &[usize], bottom_tombstones: u64) -> Result<()> {
         let fits = match self.fan_in() {
             Some(fan_in) if fan_in < 2 => return Err(LsmError::Config("fan-in under 2".into())),
             Some(fan_in) => runs.iter().all(|&n| n <= fan_in),
+            None if bottom_tombstones > 0 => {
+                let msg = format!("{self:?} cannot hold {bottom_tombstones} bottom tombstones");
+                return Err(LsmError::Config(msg));
+            }
             None => !runs.is_empty() && runs.iter().all(|&n| n == 1),
         };
         let misfit = || LsmError::Config(format!("{self:?} cannot hold levels of {runs:?} runs"));
@@ -389,20 +395,22 @@ mod tests {
     #[test]
     fn a_policy_admits_the_run_shapes_it_can_hold() {
         let stepped = |fan_in| PolicySpec::SteppedMerge { fan_in };
-        assert!(PolicySpec::ChooseBest.admit(&[1, 1, 1]).is_ok());
-        assert!(stepped(3).admit(&[1, 1, 1]).is_ok(), "a leveled shape is a stepped one");
-        assert!(stepped(3).admit(&[]).is_ok() && stepped(3).admit(&[3, 0, 2]).is_ok());
-        for (spec, runs) in [
-            (PolicySpec::ChooseBest, &[1, 2][..]),
-            (PolicySpec::Full, &[1, 0]),
-            (PolicySpec::RoundRobin, &[]),
-            (stepped(2), &[1, 3]),
-            (stepped(1), &[]),
-            (stepped(0), &[1]),
+        assert!(PolicySpec::ChooseBest.admit(&[1, 1, 1], 0).is_ok());
+        assert!(stepped(3).admit(&[1, 1, 1], 0).is_ok(), "a leveled shape is a stepped one");
+        assert!(stepped(3).admit(&[1], 5).is_ok(), "a stepped bottom may hold tombstones");
+        assert!(stepped(3).admit(&[], 0).is_ok() && stepped(3).admit(&[3, 0, 2], 0).is_ok());
+        for (spec, runs, bottom_tombstones) in [
+            (PolicySpec::ChooseBest, &[1, 2][..], 0),
+            (PolicySpec::Full, &[1, 0], 0),
+            (PolicySpec::RoundRobin, &[], 0),
+            (PolicySpec::ChooseBest, &[1, 1], 1),
+            (stepped(2), &[1, 3], 0),
+            (stepped(1), &[], 0),
+            (stepped(0), &[1], 0),
         ] {
-            match spec.admit(runs) {
+            match spec.admit(runs, bottom_tombstones) {
                 Err(LsmError::Config(_)) => {}
-                other => panic!("{spec:?} admitted {runs:?}: {other:?}"),
+                other => panic!("{spec:?} admitted {runs:?}, {bottom_tombstones}: {other:?}"),
             }
         }
     }

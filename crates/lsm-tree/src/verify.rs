@@ -36,7 +36,8 @@ pub fn check_tree(tree: &LsmTree, deep: bool) -> std::result::Result<(), String>
     if runs.iter().sum::<usize>() != levels.len() {
         return Err(format!("run counts {runs:?} for {} runs", levels.len()));
     }
-    tree.policy().admit(runs).map_err(|e| e.to_string())?;
+    let bottom_tombstones = levels.last().map_or(0, |l| l.tombstones());
+    tree.policy().admit(runs, bottom_tombstones).map_err(|e| e.to_string())?;
     let fan_in = tree.policy().fan_in();
     let mut first = 0;
     for (level, &n) in runs.iter().enumerate() {

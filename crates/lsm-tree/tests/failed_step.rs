@@ -9,8 +9,10 @@
 //! memtable — and a level merge its blocks out of the source level, a
 //! compaction the whole level — *before* the I/O that could fail.
 //!
-//! Each case arms a one-shot write fault when a span of the wanted kind
-//! opens, so the failure lands inside that phase whatever the interleaving:
+//! Each case arms a one-shot write fault — or, for level merges, a read
+//! fault under a one-block cache, so that the merge reads its inputs from
+//! the device — when a span of the wanted kind opens, so the failure lands
+//! inside that phase whatever the interleaving:
 //! inline on a bare `LsmTree` (the error surfaces from the put that
 //! triggered the cascade) and under a background `ShardedLsmTree` (it
 //! surfaces from `flush()`). Flushes and level merges fail under a leveled
@@ -38,6 +40,8 @@ struct Case {
     /// Fail the `nth` write after the span opens; 2 = a block of the same
     /// step has already landed.
     nth: u64,
+    /// Fail the `nth` read instead, with a cache of one block.
+    reads: bool,
     /// Let this many such spans pass first, so the tree has some depth.
     skip: u64,
     policy: PolicySpec,
@@ -54,6 +58,7 @@ impl Case {
             kind,
             min_level,
             nth,
+            reads: false,
             skip: 5,
             policy: PolicySpec::ChooseBest,
             waste_eps: 0.2,
@@ -69,7 +74,7 @@ impl Case {
             payload_size: 4,
             k0_blocks: 4,
             gamma: 4,
-            cache_blocks: 16,
+            cache_blocks: if self.reads { 1 } else { 16 },
             merge_rate: 0.25,
             waste_eps: self.waste_eps,
             ..LsmConfig::default()
@@ -94,13 +99,14 @@ impl Case {
     }
 }
 
-/// Fails the `nth` device write after a span of `kind` (at paper level
-/// `min_level` or deeper, when the span names one) opens, once, after
+/// Fails the `nth` device write (or read) after a span of `kind` (at paper
+/// level `min_level` or deeper, when the span names one) opens, once, after
 /// letting `skip` such spans pass.
 struct FailIn {
     kind: SpanKind,
     min_level: usize,
     nth: u64,
+    reads: bool,
     dev: Arc<FaultDevice>,
     skip: AtomicU64,
     armed: AtomicBool,
@@ -123,7 +129,9 @@ impl EventSink for FailIn {
                 self.skip.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
             if skipped.is_err() {
                 self.armed.store(true, Ordering::SeqCst);
-                self.dev.set_plan(FaultPlan::none().fail_write_at(self.nth));
+                let fail =
+                    if self.reads { FaultPlan::fail_read_at } else { FaultPlan::fail_write_at };
+                self.dev.set_plan(fail(FaultPlan::none(), self.nth));
             }
         } else if self.kind == SpanKind::PairwiseFix && self.armed.swap(false, Ordering::SeqCst) {
             // A seam that needed no fix wrote nothing, and the fault must
@@ -144,6 +152,7 @@ fn harness(case: &Case, scheduler: Scheduler) -> Harness {
         kind: case.kind,
         min_level: case.min_level,
         nth: case.nth,
+        reads: case.reads,
         dev: Arc::clone(&dev),
         skip: AtomicU64::new(case.skip),
         armed: AtomicBool::new(false),
@@ -303,8 +312,9 @@ fn failed_flush_installs_nothing() {
 #[test]
 fn failed_level_merge_installs_nothing() {
     for policy in both_shapes() {
-        for nth in [1, 2] {
-            fails_both_ways(Case { policy: policy.clone(), ..Case::new(SpanKind::Merge, 2, nth) });
+        for (nth, reads) in [(1, false), (2, false), (1, true), (3, true)] {
+            let case = Case::new(SpanKind::Merge, 2, nth);
+            fails_both_ways(Case { policy: policy.clone(), reads, ..case });
         }
     }
 }

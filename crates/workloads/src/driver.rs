@@ -131,7 +131,7 @@ impl CostMeter {
         let blocks_written = now.total_blocks_written() - self.stats.total_blocks_written();
         let blocks_read = now.total_blocks_read() - self.stats.total_blocks_read();
         let preserved = now.total_blocks_preserved() - self.stats.total_blocks_preserved();
-        let per_level: Vec<u64> = (1..=tree.levels().len())
+        let per_level: Vec<u64> = (1..=tree.run_counts().len())
             .map(|l| now.level(l).blocks_written - self.stats.level(l).blocks_written)
             .collect();
         CostReading {
@@ -280,18 +280,21 @@ mod tests {
 
     #[test]
     fn cost_meter_windows_are_differences() {
-        let mut t = tiny_tree(PolicySpec::Full);
-        let mut w = Uniform::new(7, 1 << 24, 4, InsertRatio::HALF);
-        run_requests(&mut t, &mut w, 2_000).unwrap();
-        let meter = CostMeter::start(&t);
-        run_requests(&mut t, &mut w, 2_000).unwrap();
-        let r = meter.read(&t);
-        assert_eq!(r.requests, 2_000);
-        assert!(r.volume_mb > 0.0);
-        assert!(r.blocks_written > 0);
-        assert!(r.writes_per_mb > 0.0);
-        assert_eq!(r.per_level_writes.len(), t.levels().len());
-        assert_eq!(r.per_level_writes.iter().sum::<u64>(), r.blocks_written);
-        assert!(r.seconds_per_mb() >= 0.0);
+        for policy in [PolicySpec::Full, PolicySpec::SteppedMerge { fan_in: 3 }] {
+            let mut t = tiny_tree(policy);
+            let mut w = Uniform::new(7, 1 << 24, 4, InsertRatio::HALF);
+            run_requests(&mut t, &mut w, 2_000).unwrap();
+            let meter = CostMeter::start(&t);
+            run_requests(&mut t, &mut w, 2_000).unwrap();
+            let r = meter.read(&t);
+            assert_eq!(r.requests, 2_000);
+            assert!(r.volume_mb > 0.0);
+            assert!(r.blocks_written > 0);
+            assert!(r.writes_per_mb > 0.0);
+            // One entry per paper level, however many runs each holds.
+            assert_eq!(r.per_level_writes.len(), t.run_counts().len());
+            assert_eq!(r.per_level_writes.iter().sum::<u64>(), r.blocks_written);
+            assert!(r.seconds_per_mb() >= 0.0);
+        }
     }
 }
