@@ -7,7 +7,7 @@
 //! ```text
 //! cargo run --release --bin lsm_doctor -- [--policy=choosebest|full|rr|testmixed|aligned] \
 //!     [--size-mb=20] [--workload=uniform|normal|tpc] [--out=results/lsm_doctor.json] \
-//!     [--trace-out=t.json] [--prom-out=m.prom] [--tick-clock] [--ledger] \
+//!     [--trace-out=t.json] [--tick-clock] [--ledger] \
 //!     [--health] [--tail] [--health-window-ops=2000]
 //! cargo run --release --bin lsm_doctor -- check <file>...
 //! cargo run --release --bin lsm_doctor -- show <report.json>
@@ -15,20 +15,19 @@
 //!
 //! An unknown `--policy` or `--workload` value, or a flag nothing reads,
 //! exits 2 naming what is accepted. `--out=PATH` is where the report goes
-//! (default `results/lsm_doctor.json`, a committed full-size run — smoke
-//! runs pass a scratch path). The report is the one file a run writes
-//! besides what `--trace-out` (a Chrome `trace_event` trace, for Perfetto)
-//! and `--prom-out` (the Prometheus exposition, span durations and the
-//! windowed engine's gauges included) ask for; `--tick-clock` stamps every
-//! consumer with ticks instead of wall-clock microseconds.
+//! (default `results/lsm_doctor.json`, a committed full-size run that
+//! `scripts/check.sh` reproduces byte for byte — smoke runs pass a scratch
+//! path). The report is the one file a run writes besides the Chrome
+//! `trace_event` trace (for Perfetto) that `--trace-out` asks for;
+//! `--tick-clock` stamps every consumer with ticks instead of wall-clock
+//! microseconds.
 //!
 //! `check <file>...` is the one reader of everything the doctor exports,
 //! each file dispatched on what it is: a JSON object whose `schema` is
 //! `lsm-report/v1` — the doctor's report, a torture bundle, an `lsm_top
 //! --json` frame — through [`lsm_tree::report::validate_report`], a
 //! top-level array as a Chrome trace (a `ph` phase on every event, at least
-//! one complete `"X"` span with `name`/`pid`/`tid`/`ts`/`dur`), and
-//! `*.prom` as a Prometheus exposition with at least one sample. Anything
+//! one complete `"X"` span with `name`/`pid`/`tid`/`ts`/`dur`). Anything
 //! else has no validator. Every problem of every file is printed; any
 //! problem exits non-zero. `show <report.json>` prints a report through
 //! the one renderer ([`lsm_bench::report::render_report`]) the doctor
@@ -57,10 +56,9 @@ use std::sync::Arc;
 use lsm_bench::report::render_report;
 use lsm_bench::setup::workload_names;
 use lsm_bench::{device_blocks, steady_state, Args, ExperimentScale, WorkloadKind};
-use lsm_tree::observe::metrics::validate_prometheus;
 use lsm_tree::observe::{
-    ChromeTraceSink, Clock, EventSink, HealthConfig, HealthSink, Json, Metrics, MetricsSink,
-    SinkHandle, TickClock, WallClock,
+    ChromeTraceSink, Clock, EventSink, HealthConfig, HealthSink, Json, MetricsSink, SinkHandle,
+    TickClock, WallClock,
 };
 use lsm_tree::report::{validate_report, SCHEMA};
 use lsm_tree::{DecisionLedger, LsmTree, PolicySpec, Report, TreeOptions};
@@ -90,24 +88,16 @@ fn check_trace(events: &[Json]) -> Vec<String> {
     problems
 }
 
-/// What `path` holds and everything wrong with it, dispatching on the
-/// extension, then on the JSON document's shape and `schema` string.
+/// What `path` holds and everything wrong with it, dispatching on the JSON
+/// document's shape and `schema` string.
 fn check_file(path: &str) -> (String, Vec<String>) {
     let raw = match std::fs::read_to_string(path) {
         Ok(raw) => raw,
         Err(e) => return ("unreadable file".into(), vec![e.to_string()]),
     };
-    if path.ends_with(".prom") {
-        let problems = match validate_prometheus(&raw) {
-            Ok(0) => vec!["no samples".into()],
-            Ok(_) => Vec::new(),
-            Err(e) => vec![e],
-        };
-        return ("Prometheus exposition".into(), problems);
-    }
     let doc = match Json::parse(&raw) {
         Ok(doc) => doc,
-        Err(e) => return ("file".into(), vec![format!("no validator: not .prom, not JSON ({e})")]),
+        Err(e) => return ("file".into(), vec![format!("no validator: not JSON ({e})")]),
     };
     if let Json::Arr(events) = &doc {
         return ("Chrome trace".into(), check_trace(events));
@@ -157,14 +147,12 @@ fn run_show(paths: &[String]) -> ! {
 }
 
 /// What the exporter flags attach beside the doctor's own registry, on
-/// one handle stamping from one clock: `--trace-out`'s Chrome trace,
-/// `--prom-out`'s registry (span durations included) and, under
-/// `--health` or `--tail`, the windowed engine — keeping the series, and
-/// under `--tail` the tail.
+/// one handle stamping from one clock: `--trace-out`'s Chrome trace and,
+/// under `--health` or `--tail`, the windowed engine — keeping the series,
+/// and under `--tail` the tail.
 struct Exporters {
     handle: SinkHandle,
     chrome: Option<(Arc<ChromeTraceSink>, PathBuf)>,
-    prom: Option<(Metrics, PathBuf)>,
     engine: Option<Arc<HealthSink>>,
 }
 
@@ -183,49 +171,31 @@ impl Exporters {
             Some(path) => Some((Arc::new(ChromeTraceSink::to_file(&path)?), path)),
             None => None,
         };
-        let prom = args.get("prom-out").map(|path| (Metrics::new(), PathBuf::from(path)));
         let clock: Arc<dyn Clock> = if args.flag("tick-clock") {
             Arc::new(TickClock::new())
         } else {
             Arc::new(WallClock::new())
         };
-        let consumers: [Option<Arc<dyn EventSink>>; 3] = [
+        let consumers: [Option<Arc<dyn EventSink>>; 2] = [
             chrome.as_ref().map(|(c, _)| Arc::clone(c) as _),
             engine.as_ref().map(|e| Arc::clone(e) as _),
-            prom.as_ref().map(|(m, _)| Arc::new(MetricsSink::into_registry(m.clone())) as _),
         ];
         let handle =
             consumers.into_iter().flatten().fold(SinkHandle::with_clock(clock), |h, c| h.and(c));
-        let handle = match &prom {
-            Some((metrics, _)) => handle.time_spans_into(metrics.clone()),
-            None => handle,
-        };
-        Ok(Exporters { handle, chrome, prom, engine })
+        Ok(Exporters { handle, chrome, engine })
     }
 
-    /// Close the trace and write the Prometheus text, the engine's gauges
-    /// in it and every sample labelled with `labels`; returns the files
-    /// written.
-    fn finish(&self, labels: &[(&str, &str)]) -> std::io::Result<Vec<PathBuf>> {
-        let mut written = Vec::new();
-        if let Some((chrome, path)) = &self.chrome {
-            chrome.finish();
-            written.push(path.clone());
-        }
-        if let Some((metrics, path)) = &self.prom {
-            if let Some(engine) = &self.engine {
-                engine.export_gauges(metrics);
-            }
-            std::fs::write(path, metrics.render_prometheus(labels))?;
-            written.push(path.clone());
-        }
-        Ok(written)
+    /// Close the trace; returns the file it wrote, if any.
+    fn finish(&self) -> Option<PathBuf> {
+        let (chrome, path) = self.chrome.as_ref()?;
+        chrome.finish();
+        Some(path.clone())
     }
 }
 
 /// The `--policy` and `--workload` of a doctor run. An unknown name is an
-/// error naming the accepted ones: the typed strings label every
-/// Prometheus sample, so a silent default would mislabel the run.
+/// error naming the accepted ones: a silent default would report a run
+/// that is not the one asked for.
 fn policy_and_workload(args: &Args) -> Result<(PolicySpec, WorkloadKind), String> {
     let policies = [
         ("choosebest", PolicySpec::ChooseBest),
@@ -255,7 +225,6 @@ fn main() {
     let size_mb: u64 = args.get_or("size-mb", 20);
     let seed: u64 = args.get_or("seed", 1);
     let (policy, kind) = Args::or_exit(policy_and_workload(&args));
-    let policy_label = args.get("policy").unwrap_or("choosebest");
     let out = std::path::PathBuf::from(args.get("out").unwrap_or("results/lsm_doctor.json"));
     let ledger = args.flag("ledger").then(|| Arc::new(DecisionLedger::new(1024)));
 
@@ -377,10 +346,9 @@ fn main() {
         }
     }
 
-    // Exporters close before the deep check so verification traffic stays
-    // out of the trace and the Prometheus text.
-    let labels = [("policy", policy_label), ("workload", kind.name())];
-    for path in exporters.finish(&labels).expect("write observability outputs") {
+    // The trace closes before the deep check so verification traffic stays
+    // out of it.
+    if let Some(path) = exporters.finish() {
         println!("wrote {}", path.display());
     }
 
@@ -422,21 +390,20 @@ mod tests {
     #[test]
     fn a_run_with_no_flags_attaches_nothing() {
         let none = exporters(&[]);
-        assert!(none.chrome.is_none() && none.prom.is_none() && none.engine.is_none());
-        assert!(none.finish(&[]).unwrap().is_empty());
+        assert!(none.chrome.is_none() && none.engine.is_none());
+        assert_eq!(none.finish(), None);
         // `--health` keeps the series beside the health report, not the tail.
         let engine = exporters(&["--health".into()]).engine.expect("the engine is attached");
         assert!(engine.series().is_some() && engine.tail_report().is_none());
     }
 
     #[test]
-    fn the_trace_parses_and_the_prometheus_text_carries_the_engines_gauges() {
+    fn the_trace_parses_and_the_engine_keeps_the_tail() {
         let dir = std::env::temp_dir().join(format!("lsm_doctor_exporters_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let (trace, prom) = (dir.join("trace.json"), dir.join("metrics.prom"));
+        let trace = dir.join("trace.json");
         let stack = exporters(&[
             format!("--trace-out={}", trace.display()),
-            format!("--prom-out={}", prom.display()),
             "--tail".into(),
             "--health-window-ops=4".into(),
             "--tick-clock".into(),
@@ -451,17 +418,30 @@ mod tests {
         let tail = engine.tail_report().expect("--tail keeps the tail");
         assert_eq!(tail.get("dominant_phase").as_str(), Some("backpressure_wait"));
 
-        let written = stack.finish(&[("policy", "test")]).unwrap();
-        assert_eq!(written, [trace.clone(), prom.clone()]);
+        assert_eq!(stack.finish().as_ref(), Some(&trace));
         let events = Json::parse(&std::fs::read_to_string(&trace).unwrap()).expect("trace parses");
         assert_eq!(check_trace(events.items()), Vec::<String>::new());
-        let text = std::fs::read_to_string(&prom).unwrap();
-        validate_prometheus(&text).expect("the exposition validates");
-        for gauge in ["lsm_health_windows_completed", "lsm_tail_exemplars", "policy=\"test\""] {
-            assert!(text.contains(gauge), "{gauge} missing from\n{text}");
-        }
-        for path in [&trace, &prom] {
-            assert_eq!(check_file(path.to_str().unwrap()).1, Vec::<String>::new());
+        assert_eq!(check_file(trace.to_str().unwrap()).1, Vec::<String>::new());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn check_refuses_what_it_cannot_validate() {
+        let dir = std::env::temp_dir().join(format!("lsm_doctor_check_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, body, problem) in [
+            (
+                "metrics.prom",
+                "# TYPE lsm_device_writes counter\nlsm_device_writes 42\n",
+                "not JSON",
+            ),
+            ("other.json", r#"{"schema": "lsm-unknown/v1"}"#, "no validator for this schema"),
+            ("bare.json", r#"{"device": []}"#, "no \"schema\" string"),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, body).unwrap();
+            let (_, problems) = check_file(path.to_str().unwrap());
+            assert!(problems.iter().any(|p| p.contains(problem)), "{name}: {problems:?}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -33,7 +33,8 @@ pub struct LevelStats {
     pub merges_in: u64,
     /// Data blocks written in this level by merges (the paper's metric).
     pub blocks_written: u64,
-    /// Data blocks of this level read by merges.
+    /// Blocks read by merges into this level, plus those this level's
+    /// pairwise fixes and compactions read.
     pub blocks_read: u64,
     /// Input blocks preserved (re-linked without rewriting).
     pub blocks_preserved: u64,

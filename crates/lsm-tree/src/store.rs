@@ -849,39 +849,38 @@ impl Drop for WriteBatch<'_> {
 }
 
 #[cfg(test)]
-impl Store {
-    /// Push the blocks at `ids` out of the cache the way readers do: write
-    /// filler blocks and read each through [`read_block`], which inserts
-    /// by eviction, until none of `ids` is resident. (A write into a full
-    /// cache evicts nothing, and neither does a get that misses past it.)
-    /// The fillers stay live and cached; a test that wants the room back
-    /// frees them.
-    ///
-    /// [`read_block`]: Store::read_block
-    pub(crate) fn evict_by_reading(&self, ids: &[BlockId]) -> Vec<BlockHandle> {
-        let resident = || {
-            let cache = self.cache.lock();
-            ids.iter().any(|&id| cache.entries.peek(&CacheKey::Block(id)).is_some())
-        };
-        let mut fillers = Vec::new();
-        while resident() {
-            assert!(fillers.len() < 32, "32 fillers read and a block is still cached");
-            let key = (1 << 40) + fillers.len() as Key;
-            let filler = self.write_block(vec![Record::put(key, vec![0u8; 4])]).unwrap();
-            self.read_block(&filler).unwrap();
-            fillers.push(filler);
-        }
-        fillers
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::lies_within;
     use crate::record::Record;
     use observe::SinkHandle;
     use sim_ssd::{FaultDevice, FaultPlan};
+
+    impl Store {
+        /// Push the blocks at `ids` out of the cache the way readers do: write
+        /// filler blocks and read each through [`read_block`], which inserts
+        /// by eviction, until none of `ids` is resident. (A write into a full
+        /// cache evicts nothing, and neither does a get that misses past it.)
+        /// The fillers stay live and cached; a test that wants the room back
+        /// frees them.
+        ///
+        /// [`read_block`]: Store::read_block
+        pub(crate) fn evict_by_reading(&self, ids: &[BlockId]) -> Vec<BlockHandle> {
+            let resident = || {
+                let cache = self.cache.lock();
+                ids.iter().any(|&id| cache.entries.peek(&CacheKey::Block(id)).is_some())
+            };
+            let mut fillers = Vec::new();
+            while resident() {
+                assert!(fillers.len() < 32, "32 fillers read and a block is still cached");
+                let key = (1 << 40) + fillers.len() as Key;
+                let filler = self.write_block(vec![Record::put(key, vec![0u8; 4])]).unwrap();
+                self.read_block(&filler).unwrap();
+                fillers.push(filler);
+            }
+            fillers
+        }
+    }
 
     fn store() -> Store {
         Store::in_memory(64, 256, 8)

@@ -881,7 +881,7 @@ impl StepSnapshot {
         let merged = Merge::new(sources.collect())
             .filter(|r| !matches!(r, Ok(r) if deepest && r.is_tombstone()));
         let run = self.write_run(target_paper, merged, out)?;
-        out.stats(level + 1).blocks_read += reads;
+        out.stats(target_paper).blocks_read += reads;
         out.blocks.retired.extend(inputs.iter().flat_map(|r| r.handles()).cloned());
         sink.emit_with(|| Event::MergeFinish {
             target_level: target_paper,
@@ -1478,6 +1478,18 @@ mod tests {
         assert!(w_sm < w_lsm, "stepped-merge {w_sm} should write less than leveled {w_lsm}");
         assert!(sm.run_counts().iter().any(|&n| n >= 2), "runs {:?}", sm.run_counts());
         assert!(sm.levels().len() > sm.height() - 1, "more runs than levels");
+        // A merge's reads count at the level it merges into, as a leveled
+        // merge's do: each level read every block the one above wrote and
+        // no longer holds (none into L1), and the bottom merged nothing out.
+        let (stats, mut runs, mut merged_out, mut reads) = (sm.stats(), sm.levels().iter(), 0, 0);
+        for (i, &n) in sm.run_counts().iter().enumerate() {
+            let held: u64 = runs.by_ref().take(n).map(|r| r.num_blocks() as u64).sum();
+            assert_eq!(stats.level(i + 1).blocks_read, merged_out, "L{}", i + 1);
+            reads += merged_out;
+            merged_out = stats.level(i + 1).blocks_written - held;
+        }
+        assert_eq!((merged_out, stats.total_blocks_read()), (0, reads));
+        assert!(reads > 0);
         crate::verify::check_tree(&sm, true).unwrap();
     }
 

@@ -3,7 +3,7 @@
 //! Three pillars:
 //!
 //! 1. **Observer effect** — attaching the full exporter pipeline (Chrome
-//!    trace, Prometheus registry, the windowed engine, …) must not change a
+//!    trace, metrics registry, the windowed engine, …) must not change a
 //!    single device frame or tree counter relative to an untraced run.
 //! 2. **Conservation** — every device write either carries a span
 //!    attribution or is explicitly unattributed, and the two buckets sum

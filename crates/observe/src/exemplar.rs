@@ -215,11 +215,6 @@ impl Tail {
         }
     }
 
-    /// Exemplar trees currently held across all reservoirs.
-    pub(crate) fn captured(&self) -> usize {
-        self.puts.values().chain(self.lookups.values()).map(Vec::len).sum()
-    }
-
     /// The report's blame sections — `blame`, `dominant_phase`, `shards`,
     /// `unsharded` — with the tail shares cut at the put `p99` / `p999`.
     pub(crate) fn blame_sections(&self, p99: f64, p999: f64) -> Vec<(String, Json)> {
@@ -388,7 +383,7 @@ mod tests {
 
     use super::*;
     use crate::trace::TickClock;
-    use crate::{HealthConfig, HealthSink, Metrics, SinkHandle};
+    use crate::{HealthConfig, HealthSink, SinkHandle};
 
     fn test_config() -> HealthConfig {
         HealthConfig {
@@ -465,10 +460,6 @@ mod tests {
         handle.emit(Event::JobStart { shard: 0, queued: 0 });
         let doc = sink.tail_report().unwrap();
         assert_eq!(doc.get("cumulative").get("queue_delay").get("count").as_u64(), Some(1));
-        let metrics = Metrics::new();
-        sink.export_gauges(&metrics);
-        assert_eq!(metrics.gauge("tail.queue_delay.count"), Some(1.0));
-        assert_eq!(metrics.gauge("tail.exemplars"), Some(0.0));
     }
 
     #[test]

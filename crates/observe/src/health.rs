@@ -41,7 +41,6 @@ use std::sync::Mutex;
 
 use crate::exemplar::{Tail, CAPTURE_PERCENTILE, COLD_START, TAIL_SCHEMA};
 use crate::json::{Json, Shape};
-use crate::metrics::Metrics;
 use crate::series::{Series, SeriesRow, Totals};
 use crate::trace::{SpanKind, SpanOp, TraceEvent, TraceEventKind};
 use crate::windowed::{RateWindow, WindowedHistogram};
@@ -767,51 +766,6 @@ impl HealthSink {
         rows.push(series.row(&inner.totals()));
         Some(rows)
     }
-
-    /// Export every rolling series as gauges into `metrics` (rendered by
-    /// `render_prometheus` as `# TYPE ... gauge`), and, when the engine
-    /// keeps the tail, the reservoir's size and queue-delay count as
-    /// `tail.*`.
-    pub fn export_gauges(&self, metrics: &Metrics) {
-        let inner = self.lock();
-        let put = inner.global.put_latency.rolling();
-        metrics.set_gauge("health.windows_completed", inner.windows_completed as f64);
-        metrics.set_gauge("health.window.ops", inner.ops.rolling() as f64);
-        metrics.set_gauge("health.window.put_p50", put.percentile(0.50));
-        metrics.set_gauge("health.window.put_p99", put.percentile(0.99));
-        metrics.set_gauge("health.window.put_p999", put.percentile(0.999));
-        metrics.set_gauge("health.window.get_p99", inner.get_latency.rolling().percentile(0.99));
-        metrics
-            .set_gauge("health.window.fsync_p99", inner.fsync_latency.rolling().percentile(0.99));
-        metrics.set_gauge("health.window.write_amp", inner.global.rolling_write_amp());
-        metrics.set_gauge("health.window.cache_hit_rate", inner.global.rolling_hit_rate());
-        metrics.set_gauge("health.window.backpressure", inner.global.backpressure.rolling() as f64);
-        metrics.set_gauge("health.slo.short_burn", inner.slo.short_burn());
-        metrics.set_gauge("health.slo.long_burn", inner.slo.long_burn());
-        for slot in &inner.detectors {
-            metrics.set_gauge_with(
-                "health.detector.alerting",
-                &[("detector", slot.detector.name())],
-                if slot.state.is_alerting() { 1.0 } else { 0.0 },
-            );
-        }
-        for (i, set) in inner.shards.iter().enumerate() {
-            let shard = i.to_string();
-            let labels: [(&str, &str); 1] = [("shard", &shard)];
-            metrics.set_gauge_with(
-                "health.shard.put_p999",
-                &labels,
-                set.put_latency.rolling().percentile(0.999),
-            );
-            metrics.set_gauge_with("health.shard.write_amp", &labels, set.rolling_write_amp());
-            metrics.set_gauge_with("health.shard.cache_hit_rate", &labels, set.rolling_hit_rate());
-        }
-        if let Some(tail) = &inner.tail {
-            metrics.set_gauge("tail.exemplars", tail.captured() as f64);
-            metrics
-                .set_gauge("tail.queue_delay.count", tail.queue_delay.cumulative().count() as f64);
-        }
-    }
 }
 
 /// Fetch (growing on demand) the per-shard windows. Free function so
@@ -908,7 +862,6 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::metrics::validate_prometheus;
     use crate::trace::{SpanId, SpanOp, TickClock};
     use crate::SinkHandle;
 
@@ -1205,23 +1158,5 @@ mod tests {
         // Asked for, the series keeps a row a window (and the last one).
         let series = run(HealthSink::new(test_config()).with_series());
         assert_eq!(series.series().map(|rows| rows.len()), Some(1_001));
-    }
-
-    #[test]
-    fn gauges_export_and_render() {
-        let (sink, handle) = attached(HealthSink::new(test_config()));
-        put(&sink, Some(0), 500);
-        handle.emit(Event::CacheHit);
-        handle.emit(Event::WalAppend { bytes: 8 });
-        handle.emit(Event::DeviceWrite { block: 0 });
-        ticks(&handle, 9);
-        let metrics = Metrics::new();
-        sink.export_gauges(&metrics);
-        assert_eq!(metrics.gauge("health.windows_completed"), Some(1.0));
-        assert_eq!(metrics.gauge("health.window.cache_hit_rate"), Some(1.0));
-        assert_eq!(metrics.gauge("health.detector.alerting{detector=\"write_stall\"}"), Some(0.0));
-        let text = metrics.render_prometheus(&[]);
-        assert!(text.contains("# TYPE lsm_health_window_write_amp gauge"), "{text}");
-        validate_prometheus(&text).expect("gauge exposition validates");
     }
 }

@@ -21,8 +21,7 @@
 //! - [`VecSink`] — buffers entries in order: all of them for tests and
 //!   offline analysis, or, bounded, the last N as the flight recorder.
 //! - [`MetricsSink`] — folds events into a shared [`Metrics`] registry of
-//!   counters and histograms ([`Metrics::render_prometheus`] is its
-//!   Prometheus text form).
+//!   counters and histograms ([`Metrics::to_json`] is its one rendering).
 //! - [`ChromeTraceSink`] — the Chrome-trace exporter.
 //! - [`HealthSink`] — the windowed engine: health detectors and SLO burn,
 //!   and, when it is built with them, the tail-latency exemplar reservoir
@@ -447,9 +446,8 @@ pub trait EventSink: Send + Sync {
 ///
 /// An attached handle owns the span-id counter, the clock and the
 /// per-thread stack of open spans for everything reported through it, its
-/// clones, and the handles derived from it with [`SinkHandle::and`],
-/// [`SinkHandle::with_shard`] and [`SinkHandle::time_spans_into`]: a span
-/// opened on one of them is the parent of whatever another reports on the
+/// clones, and the handles derived from it with [`SinkHandle::and`] and
+/// [`SinkHandle::with_shard`]: a span opened on one of them is the parent of whatever another reports on the
 /// same thread.
 #[derive(Clone, Default)]
 pub struct SinkHandle {
@@ -495,28 +493,17 @@ impl SinkHandle {
         SinkHandle { core: Some(Arc::new(core)) }
     }
 
-    /// A handle sharing this one's stamper with one field of its core
-    /// changed; a disabled handle stays disabled.
-    fn derive(&self, change: impl FnOnce(&mut trace::Core)) -> Self {
+    /// This handle for shard `shard` of a sharded front-end: every span
+    /// opened through it is stamped with the shard index, and so is every
+    /// event it reports outside any span ([`TraceEvent::shard`]). It shares
+    /// this handle's stamper; a disabled handle stays disabled.
+    pub fn with_shard(&self, shard: usize) -> Self {
         let core = self.core.as_ref().map(|shared| {
             let mut core = trace::Core::clone(shared);
-            change(&mut core);
+            core.shard = Some(shard);
             Arc::new(core)
         });
         SinkHandle { core }
-    }
-
-    /// This handle, also recording every span's duration as a histogram
-    /// (`"span.merge_us"`, …) into `metrics`.
-    pub fn time_spans_into(&self, metrics: Metrics) -> Self {
-        self.derive(|core| core.span_metrics = Some(metrics))
-    }
-
-    /// This handle for shard `shard` of a sharded front-end: every span
-    /// opened through it is stamped with the shard index, and so is every
-    /// event it reports outside any span ([`TraceEvent::shard`]).
-    pub fn with_shard(&self, shard: usize) -> Self {
-        self.derive(|core| core.shard = Some(shard))
     }
 
     /// Whether anything is attached.
@@ -800,11 +787,6 @@ impl MetricsSink {
     /// A sink feeding a fresh registry (retrieve it via [`MetricsSink::metrics`]).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A sink feeding an existing registry.
-    pub fn into_registry(metrics: Metrics) -> Self {
-        MetricsSink { metrics }
     }
 
     /// Handle on the registry this sink feeds.

@@ -4,8 +4,7 @@
 //! drivers use for latencies, so block counts and nanoseconds share one
 //! implementation). Cloning a [`Metrics`] shares the underlying registry,
 //! so one instance can be handed to several layers and read once, and the
-//! whole registry renders to Prometheus text exposition format via
-//! [`Metrics::render_prometheus`].
+//! whole registry renders to one JSON object via [`Metrics::to_json`].
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -206,17 +205,6 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Occupied buckets as `(upper_bound, count)` pairs, in increasing
-    /// bound order — the raw material for Prometheus `_bucket` lines.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(idx, &n)| (bucket_upper_bound(idx), n))
-            .collect()
-    }
-
     /// The summary the windowed reports carry: count, interpolated
     /// p50/p99/p999, exact max.
     pub fn tail_json(&self) -> Json {
@@ -248,15 +236,11 @@ impl Histogram {
 #[derive(Default)]
 struct Registry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
 /// Build a registry key carrying Prometheus-style labels:
 /// `labeled("merge.writes", &[("level", "2")])` → `merge.writes{level="2"}`.
-///
-/// [`Metrics::render_prometheus`] splits such keys back into base name and
-/// label set; plain keys render unlabeled.
 pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
         return name.to_string();
@@ -283,55 +267,6 @@ pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
     out
 }
 
-/// Sanitize a dotted metric name into a Prometheus metric name.
-fn prom_name(base: &str) -> String {
-    let mut out = String::with_capacity(base.len() + 4);
-    out.push_str("lsm_");
-    for (i, c) in base.chars().enumerate() {
-        let ok = c.is_ascii_alphanumeric() || c == '_' || c == ':';
-        let ok = ok && !(i == 0 && c.is_ascii_digit());
-        out.push(if ok { c } else { '_' });
-    }
-    out
-}
-
-/// Split a registry key into `(base, labels)` where `labels` keeps its
-/// surrounding braces (or is empty).
-fn split_key(key: &str) -> (&str, &str) {
-    match key.find('{') {
-        Some(at) => (&key[..at], &key[at..]),
-        None => (key, ""),
-    }
-}
-
-/// Merge global labels into a key's own label block, returning the full
-/// `{...}` suffix (or an empty string when there are no labels at all).
-fn merged_labels(own: &str, global: &[(String, String)]) -> String {
-    let own_inner = own.trim_start_matches('{').trim_end_matches('}');
-    let mut parts: Vec<String> = Vec::new();
-    for (k, v) in global {
-        parts.push(format!("{k}=\"{v}\""));
-    }
-    if !own_inner.is_empty() {
-        parts.push(own_inner.to_string());
-    }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", parts.join(","))
-    }
-}
-
-/// Like [`merged_labels`] but appends one extra label (used for `le`).
-fn merged_labels_plus(own: &str, global: &[(String, String)], extra: &str) -> String {
-    let base = merged_labels(own, global);
-    if base.is_empty() {
-        format!("{{{extra}}}")
-    } else {
-        format!("{},{extra}}}", &base[..base.len() - 1])
-    }
-}
-
 /// Shared registry of named counters and histograms.
 ///
 /// `Metrics` is cheap to clone (an `Arc` around the registry); all clones
@@ -348,7 +283,6 @@ impl std::fmt::Debug for Metrics {
         let reg = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         f.debug_struct("Metrics")
             .field("counters", &reg.counters.len())
-            .field("gauges", &reg.gauges.len())
             .field("histograms", &reg.histograms.len())
             .finish()
     }
@@ -382,34 +316,6 @@ impl Metrics {
         self.add(&labeled(name, labels), delta);
     }
 
-    /// Set the gauge `name` to `value` (last write wins). Gauges carry
-    /// instantaneous readings — rolling-window statistics, queue depths,
-    /// drop counts — where a monotonic counter would be a lie. Non-finite
-    /// values are ignored so the Prometheus rendering stays parseable.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        self.with_registry(|reg| {
-            reg.gauges.insert(name.to_string(), value);
-        });
-    }
-
-    /// Set the labeled gauge `name{labels}` to `value`.
-    pub fn set_gauge_with(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.set_gauge(&labeled(name, labels), value);
-    }
-
-    /// Current value of the gauge `name`, if it was ever set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.with_registry(|reg| reg.gauges.get(name).copied())
-    }
-
-    /// Copy of all gauges.
-    pub fn gauges(&self) -> BTreeMap<String, f64> {
-        self.with_registry(|reg| reg.gauges.clone())
-    }
-
     /// Record `value` into the histogram `name`.
     pub fn observe(&self, name: &str, value: u64) {
         self.with_registry(|reg| {
@@ -438,123 +344,11 @@ impl Metrics {
         self.with_registry(|reg| {
             let counters =
                 Json::Obj(reg.counters.iter().map(|(k, v)| (k.clone(), Json::from(*v))).collect());
-            let gauges =
-                Json::Obj(reg.gauges.iter().map(|(k, v)| (k.clone(), Json::from(*v))).collect());
             let histograms =
                 Json::Obj(reg.histograms.iter().map(|(k, h)| (k.clone(), h.to_json())).collect());
-            if reg.gauges.is_empty() {
-                Json::obj([("counters", counters), ("histograms", histograms)])
-            } else {
-                Json::obj([("counters", counters), ("gauges", gauges), ("histograms", histograms)])
-            }
+            Json::obj([("counters", counters), ("histograms", histograms)])
         })
     }
-
-    /// Render every counter and histogram in Prometheus text exposition
-    /// format. Dotted names become `lsm_`-prefixed underscore names;
-    /// label blocks built with [`labeled`] are preserved, and
-    /// `global_labels` (e.g. `policy="choose_best"`) are stamped onto
-    /// every sample. Histograms render as cumulative `_bucket`/`_sum`/
-    /// `_count` families over their occupied buckets.
-    pub fn render_prometheus(&self, global_labels: &[(&str, &str)]) -> String {
-        let global: Vec<(String, String)> =
-            global_labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
-        self.with_registry(|reg| {
-            let mut out = String::new();
-            let mut typed: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-            for (key, value) in &reg.counters {
-                let (base, own) = split_key(key);
-                let name = prom_name(base);
-                if typed.insert(name.clone()) {
-                    out.push_str(&format!("# TYPE {name} counter\n"));
-                }
-                out.push_str(&format!("{name}{} {value}\n", merged_labels(own, &global)));
-            }
-            for (key, value) in &reg.gauges {
-                let (base, own) = split_key(key);
-                let name = prom_name(base);
-                if typed.insert(name.clone()) {
-                    out.push_str(&format!("# TYPE {name} gauge\n"));
-                }
-                out.push_str(&format!("{name}{} {value}\n", merged_labels(own, &global)));
-            }
-            for (key, hist) in &reg.histograms {
-                let (base, own) = split_key(key);
-                let name = prom_name(base);
-                if typed.insert(name.clone()) {
-                    out.push_str(&format!("# TYPE {name} histogram\n"));
-                }
-                let mut cumulative = 0u64;
-                for (bound, count) in hist.nonzero_buckets() {
-                    cumulative += count;
-                    let labels = merged_labels_plus(own, &global, &format!("le=\"{bound}\""));
-                    out.push_str(&format!("{name}_bucket{labels} {cumulative}\n"));
-                }
-                let labels = merged_labels_plus(own, &global, "le=\"+Inf\"");
-                out.push_str(&format!("{name}_bucket{labels} {}\n", hist.count()));
-                let plain = merged_labels(own, &global);
-                out.push_str(&format!("{name}_sum{plain} {}\n", hist.sum()));
-                out.push_str(&format!("{name}_count{plain} {}\n", hist.count()));
-            }
-            out
-        })
-    }
-}
-
-/// Check that `text` is well-formed Prometheus text exposition format.
-///
-/// Returns the number of sample lines on success, or a description of the
-/// first malformed line. Used by the trace-smoke CI step; intentionally
-/// strict about the subset this crate emits (comments, `name{labels} value`).
-pub fn validate_prometheus(text: &str) -> Result<usize, String> {
-    let mut samples = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        let lineno = lineno + 1;
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('#') {
-            let rest = rest.trim_start();
-            if !(rest.starts_with("TYPE ") || rest.starts_with("HELP ") || rest.is_empty()) {
-                return Err(format!("line {lineno}: unknown comment form: {line}"));
-            }
-            continue;
-        }
-        let (name_part, value_part) = match line.rfind(' ') {
-            Some(at) => (&line[..at], &line[at + 1..]),
-            None => return Err(format!("line {lineno}: no value: {line}")),
-        };
-        if value_part.parse::<f64>().is_err() {
-            return Err(format!("line {lineno}: bad value {value_part:?}"));
-        }
-        let (name, labels) = split_key(name_part);
-        if name.is_empty()
-            || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-            || name.starts_with(|c: char| c.is_ascii_digit())
-        {
-            return Err(format!("line {lineno}: bad metric name {name:?}"));
-        }
-        if !labels.is_empty() {
-            let inner = labels
-                .strip_prefix('{')
-                .and_then(|l| l.strip_suffix('}'))
-                .ok_or_else(|| format!("line {lineno}: unbalanced label braces: {line}"))?;
-            for pair in inner.split(',') {
-                let (k, v) = pair
-                    .split_once('=')
-                    .ok_or_else(|| format!("line {lineno}: label without '=': {pair:?}"))?;
-                if k.is_empty() || !k.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-                    return Err(format!("line {lineno}: bad label name {k:?}"));
-                }
-                if !(v.starts_with('"') && v.ends_with('"') && v.len() >= 2) {
-                    return Err(format!("line {lineno}: unquoted label value {v:?}"));
-                }
-            }
-        }
-        samples += 1;
-    }
-    Ok(samples)
 }
 
 #[cfg(test)]
@@ -631,7 +425,6 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.quantile(0.9), 0);
         assert_eq!(h.mean(), 0.0);
-        assert!(h.nonzero_buckets().is_empty());
     }
 
     #[test]
@@ -667,7 +460,10 @@ mod tests {
         h.record(1);
         assert_eq!(h.p50(), 0, "majority-zero distribution has a zero median");
         assert_eq!(h.quantile(1.0), 1);
-        assert_eq!(h.nonzero_buckets(), vec![(0, 3), (1, 1)]);
+        // Three samples in 0's own bucket, one in 1's: the 0.75 rank is
+        // still 0, the next one up is 1.
+        assert_eq!(h.quantile(0.75), 0);
+        assert_eq!(h.quantile(0.76), 1);
     }
 
     #[test]
@@ -729,34 +525,15 @@ mod tests {
     }
 
     #[test]
-    fn gauges_set_read_and_render() {
-        let m = Metrics::new();
-        m.set_gauge("health.window.write_amp", 2.75);
-        m.set_gauge("health.window.write_amp", 3.25); // last write wins
-        m.set_gauge_with("health.window.hit_rate", &[("shard", "0")], 0.5);
-        m.set_gauge("bad", f64::NAN); // ignored: would break the exposition
-        assert_eq!(m.gauge("health.window.write_amp"), Some(3.25));
-        assert_eq!(m.gauge("health.window.hit_rate{shard=\"0\"}"), Some(0.5));
-        assert_eq!(m.gauge("bad"), None);
-        assert_eq!(m.gauges().len(), 2);
-
-        let text = m.render_prometheus(&[("bench", "t")]);
-        assert!(text.contains("# TYPE lsm_health_window_write_amp gauge"), "{text}");
-        assert!(text.contains("lsm_health_window_write_amp{bench=\"t\"} 3.25"), "{text}");
-        assert!(text.contains("lsm_health_window_hit_rate{bench=\"t\",shard=\"0\"} 0.5"), "{text}");
-        validate_prometheus(&text).expect("gauge rendering validates");
-
-        let doc = m.to_json().render();
-        assert!(doc.contains(r#""gauges""#), "{doc}");
-    }
-
-    #[test]
     fn metrics_render_to_json() {
         let m = Metrics::new();
         m.add("device.reads", 7);
+        m.add_with("merge.level_writes", &[("level", "2")], 7);
+        m.add_with("merge.level_writes", &[("level", "2")], 9);
         m.observe("merge.writes", 8);
         let doc = m.to_json().render();
         assert!(doc.contains(r#""device.reads":7"#), "{doc}");
+        assert!(doc.contains(r#""merge.level_writes{level=\"2\"}":16"#), "{doc}");
         assert!(doc.contains(r#""merge.writes":{"count":1"#), "{doc}");
     }
 
@@ -776,52 +553,5 @@ mod tests {
         assert_eq!(labeled("merge.writes", &[("level", "2")]), "merge.writes{level=\"2\"}");
         assert_eq!(labeled("a", &[]), "a");
         assert_eq!(labeled("a", &[("k", "x\"y")]), "a{k=\"x\\\"y\"}");
-    }
-
-    #[test]
-    fn prometheus_rendering_is_valid_and_labeled() {
-        let m = Metrics::new();
-        m.add("device.writes", 42);
-        m.add_with("merge.level_writes", &[("level", "2")], 7);
-        m.add_with("merge.level_writes", &[("level", "3")], 9);
-        m.observe("merge.writes", 5);
-        m.observe("merge.writes", 500);
-        let text = m.render_prometheus(&[("policy", "choose_best")]);
-
-        assert!(text.contains("# TYPE lsm_device_writes counter"), "{text}");
-        assert!(text.contains("lsm_device_writes{policy=\"choose_best\"} 42"), "{text}");
-        assert!(
-            text.contains("lsm_merge_level_writes{policy=\"choose_best\",level=\"2\"} 7"),
-            "{text}"
-        );
-        assert!(text.contains("# TYPE lsm_merge_writes histogram"), "{text}");
-        assert!(text.contains("le=\"+Inf\"} 2"), "{text}");
-        assert!(text.contains("lsm_merge_writes_sum{policy=\"choose_best\"} 505"), "{text}");
-
-        let samples = validate_prometheus(&text).expect("rendering validates");
-        assert!(samples >= 8, "{samples} samples in:\n{text}");
-    }
-
-    #[test]
-    fn prometheus_histogram_buckets_are_cumulative() {
-        let m = Metrics::new();
-        for v in [1u64, 1, 2, 100] {
-            m.observe("h", v);
-        }
-        let text = m.render_prometheus(&[]);
-        assert!(text.contains("lsm_h_bucket{le=\"1\"} 2"), "{text}");
-        assert!(text.contains("lsm_h_bucket{le=\"2\"} 3"), "{text}");
-        assert!(text.contains("lsm_h_bucket{le=\"+Inf\"} 4"), "{text}");
-        assert!(text.contains("lsm_h_count 4"), "{text}");
-        validate_prometheus(&text).unwrap();
-    }
-
-    #[test]
-    fn validator_rejects_malformed_lines() {
-        assert!(validate_prometheus("lsm_ok 1\n").is_ok());
-        assert!(validate_prometheus("bad name 1\n").is_err());
-        assert!(validate_prometheus("lsm_x{le=3} 1\n").is_err(), "unquoted label value");
-        assert!(validate_prometheus("lsm_x{} nope\n").is_err(), "non-numeric value");
-        assert!(validate_prometheus("9leading 1\n").is_err());
     }
 }

@@ -34,7 +34,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::json::Json;
-use crate::metrics::Metrics;
 use crate::{Event, EventSink};
 
 /// Identifier of one span, unique among the handles that share a stamper
@@ -401,14 +400,13 @@ impl Stamper {
 }
 
 /// The attached state behind a [`SinkHandle`](crate::SinkHandle): the
-/// shared stamper plus what this particular handle adds — its consumers,
-/// its shard tag, its span-duration registry.
+/// shared stamper plus what this particular handle adds — its consumers
+/// and its shard tag.
 #[derive(Clone)]
 pub(crate) struct Core {
     stamper: Arc<Stamper>,
     pub(crate) consumers: Vec<Arc<dyn EventSink>>,
     pub(crate) shard: Option<usize>,
-    pub(crate) span_metrics: Option<Metrics>,
 }
 
 impl Core {
@@ -418,7 +416,6 @@ impl Core {
             stamper: Arc::new(Stamper { tag, clock, next_id: AtomicU64::new(0) }),
             consumers: Vec::new(),
             shard: None,
-            span_metrics: None,
         }
     }
 
@@ -473,9 +470,6 @@ impl Core {
             stamper.current_span(&stack).map(|(id, _)| id)
         });
         let at_us = stamper.clock.now_us();
-        if let Some(metrics) = &self.span_metrics {
-            metrics.observe(&format!("span.{}_us", op.kind.name()), at_us.saturating_sub(began_us));
-        }
         let kind = TraceEventKind::End { id, op, began_us };
         self.dispatch(TraceEvent { at_us, span, shard: op.shard, kind });
     }
@@ -798,20 +792,6 @@ mod tests {
             .map(|e| e.span)
             .collect();
         assert_eq!(spans, vec![inner_id, None]);
-    }
-
-    #[test]
-    fn span_durations_feed_metrics() {
-        let metrics = Metrics::new();
-        let handle = SinkHandle::with_clock(Arc::new(TickClock::new()))
-            .and(Arc::new(crate::NullSink))
-            .time_spans_into(metrics.clone());
-        let guard = handle.span(SpanOp::merge(3, true));
-        handle.emit(Event::DeviceWrite { block: 1 });
-        drop(guard);
-        let h = metrics.histogram("span.merge_us").unwrap();
-        assert_eq!(h.count(), 1);
-        assert!(h.max() >= 1, "tick clock advances inside the span");
     }
 
     #[test]

@@ -64,24 +64,19 @@ cargo run --release -q -p lsm-bench --bin lsm_crash -- --seeds=16 --seed-base=50
 cargo run --release -q -p lsm-bench --bin lsm_crash -- --scheduler=background \
     --backend=file --seeds=8 --seed-base=5100
 
-echo "== doctor smoke: one traced run, one report and two exporters, one validator pass =="
+echo "== doctor smoke: one traced run, one report and one exporter, one validator pass =="
 obs_dir="$work/obs"
 mkdir "$obs_dir"
 # One tick-clock run writes its lsm-report/v1 report — the windowed engine's
-# health, tail and series among its sections — plus the Chrome trace and the
-# Prometheus exposition (health and tail gauges included), all under $work:
-# the committed results/lsm_doctor.json is a full-size run. The doctor
+# health, tail and series among its sections — plus the Chrome trace, both
+# under $work: the committed results/lsm_doctor.json is a full-size run. The doctor
 # reconciles the engine's counts exactly against the tree's counters and
 # the metrics registry, and exits 1 on a mismatch or on a health report
 # that judged no window or counted no put — hence the window small enough
 # for a 2 MB run to close several (it is also the series' row interval).
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- --size-mb=2 --tick-clock \
     --health --tail --health-window-ops=64 --out="$obs_dir/doctor.json" \
-    --trace-out="$obs_dir/trace.json" --prom-out="$obs_dir/metrics.prom" > /dev/null
-for gauge in lsm_health_windows_completed lsm_tail_exemplars; do
-    grep -q "$gauge" "$obs_dir/metrics.prom" \
-        || { echo "$gauge missing from exposition"; exit 1; }
-done
+    --trace-out="$obs_dir/trace.json" > /dev/null
 for section in health tail series; do
     grep -q "^  \"$section\": " "$obs_dir/doctor.json" \
         || { echo "doctor.json has no $section section"; exit 1; }
@@ -89,7 +84,7 @@ done
 # The reader re-validates every file, per-exemplar phase sums included, and
 # the doctor's report must be read as lsm-report/v1.
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- check "$obs_dir/doctor.json" \
-    "$obs_dir/trace.json" "$obs_dir/metrics.prom" | tee "$obs_dir/check.txt"
+    "$obs_dir/trace.json" | tee "$obs_dir/check.txt"
 grep -qxF "$obs_dir/doctor.json: valid lsm-report/v1 report." "$obs_dir/check.txt" \
     || { echo "doctor.json was not validated as lsm-report/v1"; exit 1; }
 
@@ -156,6 +151,16 @@ mkdir "$work/stepped"
     || { cat "$work/stepped/out.txt"; echo "ext_stepped_merge failed"; exit 1; }
 cmp "$work/stepped/results/ext_stepped_merge.csv" results/ext_stepped_merge.csv \
     || { echo "ext_stepped_merge no longer reproduces results/ext_stepped_merge.csv"; exit 1; }
+
+echo "== doctor report: lsm_doctor with no flags reproduces its committed report (~1 s) =="
+# The committed results/lsm_doctor.json is a gate too: with no exporter
+# flag the report carries no wall-clock value, so every count repeats
+# byte for byte.
+mkdir "$work/doctor"
+(cd "$work/doctor" && "$bin/lsm_doctor" > out.txt 2>&1) \
+    || { cat "$work/doctor/out.txt"; echo "lsm_doctor failed"; exit 1; }
+cmp "$work/doctor/results/lsm_doctor.json" results/lsm_doctor.json \
+    || { echo "lsm_doctor no longer reproduces results/lsm_doctor.json"; exit 1; }
 
 echo "== unwrap/expect outside tests: no more than the committed baseline =="
 # A panic inside a chunk or an install leaves a shard half-applied behind a
@@ -236,6 +241,10 @@ gone="$gone"'|run_against_model|read_extent|\bneeds_compaction\b'
 # Runs per level is a policy (`PolicySpec::SteppedMerge`) of the one tree,
 # and the hang watchdog a constant no caller lowers for its neighbours.
 gone="$gone"'|SteppedMergeTree|stepped_fan_in|set_watchdog_timeout_ms|WATCHDOG_MS'
+# The doctor's one export is its lsm-report/v1 report (and the Chrome trace
+# for Perfetto): no Prometheus exposition, gauge half or span-timing hook.
+gone="$gone"'|render_prometheus|validate_prometheus|prom-out|export_gauges|time_spans_into'
+gone="$gone"'|set_gauge|into_registry|span_metrics'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"
