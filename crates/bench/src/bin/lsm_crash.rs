@@ -7,13 +7,13 @@
 //! invariant, printing the seed so the cycle can be replayed under a
 //! debugger.
 //!
-//! One cycle, [`lsm_tree::run_crash_cycle`], in two shapes: by default the
-//! single-writer one (one shard, inline merges); `--scheduler=background`
-//! the concurrent one — M seeded writers over N shards interleaved with a
-//! stepped scheduler ([`lsm_tree::MergeScheduler::simulated`]). The whole interleaving
+//! One cycle, [`lsm_tree::run_crash_cycle`], of the concurrent shape: M
+//! seeded writers over N shards interleaved with a stepped scheduler
+//! ([`lsm_tree::MergeScheduler::simulated`]). The whole interleaving
 //! derives from the seed, so a failing cycle replays byte-for-byte, and
 //! recovery is judged by the one durability history checker
-//! ([`lsm_tree::HistoryChecker`]) per shard.
+//! ([`lsm_tree::HistoryChecker`]) per shard. One writer merging inline is
+//! the model oracle's crash op, a test of `lsm-tree` (DESIGN.md §6).
 //!
 //! With `--bundle-dir` every failing cycle also drops a post-mortem
 //! bundle (`lsm_crash_seed_<seed>.postmortem.json`, an `lsm-report/v1`
@@ -27,7 +27,7 @@
 //! ```text
 //! cargo run --release --bin lsm_crash -- [--seeds=200] [--seed-base=0] \
 //!     [--ops=N] [--verbose] [--bundle-dir=DIR] [--always-dump] \
-//!     [--backend=mem|file] [--scheduler=inline|background] [--writers=N] [--shards=N]
+//!     [--backend=mem|file] [--writers=N] [--shards=N]
 //! ```
 //!
 //! `--backend=file` runs every cycle over fault-wrapped
@@ -41,42 +41,29 @@ use lsm_bench::report::fmt_f;
 use lsm_bench::{Args, Table};
 use lsm_tree::{run_crash_cycle, TortureBackend, TortureConfig, TortureReport};
 
+const BACKENDS: [(&str, TortureBackend); 2] =
+    [("mem", TortureBackend::Mem), ("file", TortureBackend::File)];
+
 fn main() {
     let args = Args::from_env();
     let seeds: u64 = args.get_or("seeds", 200);
     let seed_base: u64 = args.get_or("seed-base", 0);
-    let verbose = args.get("verbose").is_some();
+    let verbose = args.flag("verbose");
     let bundle_dir = args.get("bundle-dir").map(PathBuf::from);
     let always_dump = args.flag("always-dump");
     if always_dump && bundle_dir.is_none() {
         eprintln!("--always-dump needs --bundle-dir=DIR to say where bundles go");
         std::process::exit(2);
     }
-    let shape: fn(u64) -> TortureConfig = match args.get("scheduler").unwrap_or("inline") {
-        "inline" => TortureConfig::for_seed,
-        "background" => TortureConfig::concurrent,
-        other => {
-            eprintln!("unknown --scheduler={other} (expected inline or background)");
-            std::process::exit(2);
-        }
-    };
-    let backend = match args.get_or::<String>("backend", "mem".into()).as_str() {
-        "mem" => TortureBackend::Mem,
-        "file" => TortureBackend::File,
-        other => {
-            eprintln!("unknown --backend={other} (expected mem|file)");
-            std::process::exit(2);
-        }
-    };
-    let defaults = shape(0);
+    let backend = Args::or_exit(args.one_of("backend", "mem", &BACKENDS));
+    let defaults = TortureConfig::concurrent(0);
     let ops: u64 = args.get_or("ops", defaults.ops);
     let writers: usize = args.get_or("writers", defaults.writers);
     let shards: usize = args.get_or("shards", defaults.shards);
     args.done();
     eprintln!(
         "crash torture: {seeds} seeds from {seed_base}, {writers} writer(s) over {shards} \
-         shard(s), {} merges, {} backend, up to {ops} requests each ...",
-        if defaults.background.is_some() { "simulated background" } else { "inline" },
+         shard(s), simulated background merges, {} backend, up to {ops} requests each ...",
         if backend == TortureBackend::File { "file" } else { "mem" },
     );
 
@@ -90,7 +77,7 @@ fn main() {
             backend,
             bundle_dir: bundle_dir.clone(),
             always_dump,
-            ..shape(seed)
+            ..TortureConfig::concurrent(seed)
         };
         match run_crash_cycle(&cfg) {
             Ok(report) => {

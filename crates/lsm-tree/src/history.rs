@@ -1,13 +1,15 @@
-//! Durability history checking: the one judge of both crash-torture
-//! cycles ([`crate::torture`]), the single-writer one and the concurrent
-//! one.
+//! Durability history checking and the one crash rule of both crash
+//! harnesses: the concurrent torture ([`crate::torture`]) and the model
+//! oracle's crash op (`oracle.rs`, DESIGN.md §6). `cut_wal_tail` is what
+//! a power cut leaves of a log, `judge` what recovery may keep of a
+//! shard's history.
 //!
 //! Each write has an *invocation* (the WAL append, under the shard lock —
 //! which fixes the per-shard order) and an *acknowledgement* (an fsync
 //! covering it completed: an explicit sync or a checkpoint, or its group
 //! commit under [`CommitMode::Group`](crate::CommitMode::Group)). A crash
 //! may land between the two. The checkable contract is **prefix
-//! durability per shard** (a single-writer tree is one shard):
+//! durability per shard**:
 //!
 //! 1. the recovered shard equals the replay of some prefix `P` of the
 //!    shard's invocation-ordered history, and
@@ -21,14 +23,19 @@
 //!    same shard is lost.
 //!
 //! [`HistoryChecker::check`] verifies all three with one incremental
-//! diff-walk over the history (O(history + state)). The negative-test
-//! hook in the concurrent harness flips Group acks to "acked at append" —
-//! an ack-before-fsync bug — and this checker is what must catch it.
+//! diff-walk over the history (O(history + state)). Both harnesses also
+//! mark pending writes acked at append — an ack-before-fsync bug — and
+//! this checker is what must catch it.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::path::{Path, PathBuf};
+
+use sim_ssd::SplitMix64;
 
 use crate::record::Key;
+use crate::sharded::ShardedLsmTree;
+use crate::tree::LsmTree;
 
 /// Where a recorded write stands in the invocation→acknowledgement
 /// lifecycle at crash time.
@@ -204,6 +211,53 @@ impl HistoryChecker {
     }
 }
 
+/// Every log of `tree` (logging under `dir`) as a power cut finds it: its
+/// path, its synced length and the bytes its file holds — noted at that
+/// instant, before the tree is dropped.
+pub(crate) fn logs_at_cut(tree: &ShardedLsmTree, dir: &Path) -> Vec<(PathBuf, u64, u64)> {
+    let synced = tree.wal_synced_lens().into_iter().enumerate();
+    let noted = |(i, synced)| {
+        let path = ShardedLsmTree::wal_path(dir, i);
+        let on_disk = std::fs::metadata(&path).map_or(0, |m| m.len());
+        (path, synced, on_disk)
+    };
+    synced.map(noted).collect()
+}
+
+/// The host died: the log at `path` keeps its first `synced` bytes and a
+/// seeded share of the tail its file held beyond them when the power went
+/// (`on_disk` bytes in all) — what a page cache can leave behind. Nothing
+/// the log's user-space buffer or a destructor wrote since survives.
+/// Returns the bytes kept.
+pub(crate) fn cut_wal_tail(
+    path: &Path,
+    synced: u64,
+    on_disk: u64,
+    rng: &mut SplitMix64,
+) -> std::io::Result<u64> {
+    let synced = synced.min(on_disk);
+    let tail = on_disk - synced;
+    let keep = synced + if tail > 0 { rng.gen_range(tail + 1) } else { 0 };
+    std::fs::OpenOptions::new().write(true).open(path)?.set_len(keep)?;
+    Ok(keep)
+}
+
+/// The durability judgement: what recovery kept of a shard must be a
+/// prefix of its `history` that covers every acknowledged request.
+/// Returns that prefix and the live keys recovered.
+pub(crate) fn judge(history: &HistoryChecker, tree: &LsmTree) -> Result<(u64, u64), String> {
+    let contents: HashMap<Key, Vec<u8>> = tree
+        .scan(0, Key::MAX)
+        .map(|r| r.map(|(k, v)| (k, v.to_vec())))
+        .collect::<crate::error::Result<_>>()
+        .map_err(|e| format!("scan of the recovered tree failed: {e}"))?;
+    let keys = contents.len() as u64;
+    match history.check(&contents) {
+        Ok(prefix) => Ok((prefix as u64, keys)),
+        Err(v) => Err(format!("durability history violation: {v} ({keys} recovered keys)")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,5 +342,24 @@ mod tests {
         let h = HistoryChecker::new();
         assert_eq!(h.check(&HashMap::new()), Ok(0));
         assert!(h.check(&state(&[(1, 1)])).is_err());
+    }
+
+    #[test]
+    fn a_cut_keeps_the_synced_bytes_and_nothing_past_the_noted_length() {
+        let path = std::env::temp_dir().join(format!("lsm-cut-tail-{}", std::process::id()));
+        let (mut rng, mut kept) = (SplitMix64::new(5), std::collections::BTreeSet::new());
+        for _ in 0..40 {
+            // 100 bytes on disk at the cut, 20 more that a destructor flushed.
+            std::fs::write(&path, [7u8; 120]).unwrap();
+            let keep = cut_wal_tail(&path, 30, 100, &mut rng).unwrap();
+            assert!((30..=100).contains(&keep), "kept {keep}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), keep);
+            kept.insert(keep);
+        }
+        assert!(kept.len() > 10, "a seeded share of the tail: {kept:?}");
+        std::fs::write(&path, [7u8; 64]).unwrap();
+        assert_eq!(cut_wal_tail(&path, 64, 64, &mut rng).unwrap(), 64, "no tail: the whole file");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 64);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -9,7 +9,10 @@
 //!    batch cut — count and write the same; over one store, reopened alike,
 //!    they read, trim and sync the same;
 //! 4. a sharded tree inline is, shard for shard, bare trees fed its routing;
-//! 5. a get of a bare tree reads and skips what a walk over its handles does.
+//! 5. a get of a bare tree reads and skips what a walk over its handles does;
+//! 6. a crash subject, power-cut inside a burst of writes, recovers a prefix
+//!    of every shard's history that covers what it acked, and once sent what
+//!    it lost rejoins the model.
 //!
 //! Reach counters fail a tape too weak to show these. A failure names the
 //! seed, the op and the subject; a tape is a function of its seed alone.
@@ -22,10 +25,12 @@ mod tests {
     use std::sync::Arc;
 
     use bytes::Bytes;
-    use observe::SinkHandle;
+    use observe::{Event, EventSink, FaultEventKind, SinkHandle, TraceEvent, TraceEventKind};
     use sim_ssd::{BlockDevice, FaultDevice, FaultPlan, FileDevice, MemDevice, SplitMix64};
 
     use crate::block::{BLOCK_HEADER_LEN, RECORD_HEADER_LEN};
+    use crate::history::HistoryRecord;
+    use crate::history::{cut_wal_tail, judge, logs_at_cut, AckStatus, HistoryChecker};
     use crate::sharded::shard_index;
     use crate::store::RowHits;
     use crate::verify::check_tree;
@@ -65,6 +70,18 @@ mod tests {
         Step,
         Flush,
         Reopen,
+        /// A burst of writes, a power cut armed this many device ops ahead.
+        Crash(Vec<Request>, u64),
+    }
+
+    impl Op {
+        fn writes(&self) -> &[Request] {
+            match self {
+                Op::Write(req) => std::slice::from_ref(req),
+                Op::Batch(reqs) | Op::Crash(reqs, _) => reqs,
+                _ => &[],
+            }
+        }
     }
 
     /// The key shapes of the per-policy proptests — uniform; two clusters;
@@ -127,6 +144,12 @@ mod tests {
                     let n = BATCHES[self.rng.gen_range(5) as usize];
                     Op::Batch((0..n).map(|_| self.write(late)).collect())
                 }
+                972..=976 => {
+                    // One in six spills the logs' user-space buffers.
+                    let n = 30 + self.rng.gen_range(100) + 600 * u64::from(self.rng.chance(0.17));
+                    let burst = (0..n).map(|_| self.write(late)).collect();
+                    Op::Crash(burst, 1 + self.rng.gen_range(8))
+                }
                 _ => Op::Get(self.probe()),
             }
         }
@@ -172,8 +195,18 @@ mod tests {
         /// and leaves flushes and merges to the tape's steps, as a
         /// background front-end does.
         Tree { policy: PolicySpec, preserve: bool, driven: bool, dev: Dev },
-        /// A `cut` one takes a batch shard by shard, a request at a time.
-        Sharded { shards: usize, sched: Sched, wal: bool, cut: bool, dev: Dev, policy: PolicySpec },
+        /// A `cut` one takes a batch shard by shard, a request at a time; a
+        /// `crash` one (logged, its devices under `FaultDevice`s) loses
+        /// power at every `Op::Crash`.
+        Sharded {
+            shards: usize,
+            sched: Sched,
+            wal: bool,
+            cut: bool,
+            dev: Dev,
+            policy: PolicySpec,
+            crash: bool,
+        },
         /// Bare `LsmTree`s fed the sub-tapes the sharded router sends.
         Routed { shards: usize, dev: Dev },
     }
@@ -195,12 +228,17 @@ mod tests {
         /// at its default: subjects with one key are twins, bare trees fed
         /// a router's sub-tapes among the router's. Not the log under a
         /// simulated scheduler: a reopen, which only a logged tree has,
-        /// moves the scheduler's seed on.
+        /// moves the scheduler's seed on. A crash subject is a class of
+        /// its own.
         fn twin_key(&self) -> Subject {
             let mut key = self.clone();
+            if self.crashes() {
+                return key;
+            }
             if let Subject::Routed { shards, dev } = key {
                 let (sched, policy) = (Sched::Inline, PolicySpec::ChooseBest);
-                key = Subject::Sharded { shards, sched, wal: true, cut: false, dev, policy };
+                let crash = false;
+                key = Subject::Sharded { shards, sched, wal: true, cut: false, dev, policy, crash };
             }
             if let Subject::Sharded { sched, wal, cut, .. } = &mut key {
                 (*wal, *cut) = (*wal && *sched != Sched::Inline, false);
@@ -213,6 +251,10 @@ mod tests {
             matches!(self, Subject::Sharded { wal: true, .. })
         }
 
+        fn crashes(&self) -> bool {
+            matches!(self, Subject::Sharded { crash: true, .. })
+        }
+
         /// Whether a reopen checkpoints and reopens the subject.
         fn reopens(&self) -> bool {
             self.logged() || matches!(self, Subject::Tree { .. } | Subject::Routed { .. })
@@ -221,8 +263,10 @@ mod tests {
 
     /// Every policy with and without preservation; a driven tree; the
     /// sharded router inline and simulated, logged or not, and on the pool;
-    /// Stepped-Merge at three fan-ins, bare and as a logged router; and
-    /// each other axis at `ChooseBest` with preservation.
+    /// Stepped-Merge bare at three fan-ins; each other axis at `ChooseBest`
+    /// with preservation; and the crash subjects: every policy as a
+    /// simulated 2-shard router, and `ChooseBest` inline on one shard over
+    /// each backend.
     fn subjects() -> Vec<Subject> {
         let mut mixed = MixedParams { beta: false, default_tau: 0.5, ..MixedParams::default() };
         mixed.thresholds.extend([(2, 0.3), (3, 0.7)]);
@@ -232,11 +276,21 @@ mod tests {
         let tree = |policy, preserve, driven, dev| Subject::Tree { policy, preserve, driven, dev };
         let sharded = |n, s, wal, cut, dev| {
             let policy = PolicySpec::ChooseBest;
-            Subject::Sharded { shards: n, sched: s, wal, cut, dev, policy }
+            Subject::Sharded { shards: n, sched: s, wal, cut, dev, policy, crash: false }
+        };
+        let crash = |shards, sched, dev, policy| Subject::Sharded {
+            shards,
+            sched,
+            wal: true,
+            cut: false,
+            dev,
+            policy,
+            crash: true,
         };
         let axes = [(Backend::Mem, 1), (Backend::File, DEV.cache), (Backend::Fault, DEV.cache)]
             .map(|(backend, cache)| Dev { backend, cache, ..DEV });
-        let mut all: Vec<Subject> = (policies.into_iter().chain([PolicySpec::Mixed(mixed)]))
+        let policies = policies.into_iter().chain([PolicySpec::Mixed(mixed)]);
+        let mut all: Vec<Subject> = (policies.clone())
             .flat_map(|p| [true, false].map(|preserve| tree(p.clone(), preserve, false, DEV)))
             .collect();
         let others = axes.into_iter().chain([Dev { cache: 8, ..DEV }, Dev { bloom: 0, ..DEV }]);
@@ -254,8 +308,9 @@ mod tests {
         let stepped = [(4, DEV), (2, DEV), (3, DEV)].into_iter().chain(axes.map(|dev| (3, dev)));
         let stepped = stepped.map(|(fan_in, dev)| (PolicySpec::SteppedMerge { fan_in }, dev));
         all.extend(stepped.map(|(policy, dev)| tree(policy, true, false, dev)));
-        let (sched, policy) = (Sched::Simulated, PolicySpec::SteppedMerge { fan_in: 3 });
-        all.push(Subject::Sharded { shards: 2, sched, wal: true, cut: false, dev: DEV, policy });
+        let policies = policies.chain([PolicySpec::SteppedMerge { fan_in: 3 }]);
+        all.extend(policies.map(|p| crash(2, Sched::Simulated, DEV, p)));
+        all.extend(axes.map(|dev| crash(1, Sched::Inline, dev, PolicySpec::ChooseBest)));
         all
     }
 
@@ -416,17 +471,33 @@ mod tests {
         assert_eq!(counts(), (before.0 + 1, before.1 + reads, before.2 + skips), "get({key})");
     }
 
-    /// Device `i` of a subject: in memory, in a file, or in memory with
-    /// transient read and write errors the default `RetryPolicy` absorbs.
-    fn device(backend: Backend, dir: &Path, seed: u64, i: usize) -> Arc<dyn BlockDevice> {
-        let mem = Arc::new(MemDevice::with_block_size(1 << 12, BLOCK));
-        let faults = FaultPlan::none().read_error_rate(0.02).write_error_rate(0.02);
+    /// The fault plan of a device: transient read and write errors the
+    /// default `RetryPolicy` absorbs on the fault backend, none on another.
+    fn faults(backend: Backend) -> FaultPlan {
+        let rate = if backend == Backend::Fault { 0.02 } else { 0.0 };
+        FaultPlan::none().read_error_rate(rate).write_error_rate(rate)
+    }
+
+    /// Device `i` of a subject, in memory or in a file — under a
+    /// `FaultDevice`, returned too, on the fault backend and on a crash
+    /// subject.
+    fn device(
+        s: &Subject,
+        dir: &Path,
+        seed: u64,
+        i: usize,
+    ) -> (Arc<dyn BlockDevice>, Option<Fault>) {
+        let backend = s.dev().backend;
         let file = || FileDevice::create_with_block_size(dir.join(i.to_string()), 1 << 12, BLOCK);
-        match backend {
-            Backend::Mem => mem,
+        let inner: Arc<dyn BlockDevice> = match backend {
             Backend::File => Arc::new(file().unwrap()),
-            Backend::Fault => Arc::new(FaultDevice::with_plan(mem, seed ^ i as u64, faults)),
+            _ => Arc::new(MemDevice::with_block_size(1 << 12, BLOCK)),
+        };
+        if backend != Backend::Fault && !s.crashes() {
+            return (inner, None);
         }
+        let fault = Arc::new(FaultDevice::with_plan(inner, seed ^ i as u64, faults(backend)));
+        (Arc::clone(&fault) as _, Some(fault))
     }
 
     /// Build a run's subject over its devices: new at incarnation 0, else
@@ -459,8 +530,10 @@ mod tests {
                 let trees = (0..shards).map(|i| tree(i, cfg.clone(), Default::default()));
                 Front::Routed(trees.collect())
             }
-            Subject::Sharded { sched, wal, cut, policy, .. } => {
-                let mut opts = TreeOptions::builder().policy(policy).build();
+            Subject::Sharded { sched, wal, cut, policy, crash, .. } => {
+                let sink = crash.then(|| SinkHandle::new(Arc::clone(&run.sink) as _));
+                let opts = TreeOptions::builder().policy(policy);
+                let mut opts = opts.sink(sink.unwrap_or_else(SinkHandle::none)).build();
                 if sched == Sched::Pool {
                     opts.scheduler = Scheduler::background();
                 }
@@ -482,22 +555,59 @@ mod tests {
         stats.iter().fold([0; 3], |n, s| [n[0] + s.puts, n[1] + s.deletes, n[2] + s.lookups()])
     }
 
+    type Fault = Arc<FaultDevice>;
+
+    /// A crash subject's sink: whether a merge has begun and not finished,
+    /// and, once the power went in a burst, whether one had then.
+    #[derive(Default)]
+    struct Cuts(std::sync::Mutex<(bool, Option<bool>)>);
+
+    impl EventSink for Cuts {
+        fn accept(&self, entry: &TraceEvent) {
+            let TraceEventKind::Emit(event) = entry.kind else { return };
+            let mut cuts = self.0.lock().unwrap();
+            match event {
+                Event::MergeStart { .. } => cuts.0 = true,
+                Event::MergeFinish { .. } | Event::MemtableFlush { .. } => cuts.0 = false,
+                Event::FaultInjected { kind: FaultEventKind::PowerCut, .. } => {
+                    cuts.1 = cuts.1.or(Some(cuts.0))
+                }
+                _ => {}
+            }
+        }
+    }
+
     /// What a subject reached over every tape: merges into L1 (each L0 fill
     /// is one or more), the most levels a tree grew, rows hit, scans of a
-    /// sealed memtable and two levels.
+    /// sealed memtable and two levels; and of a crash subject, its crashes,
+    /// the cuts that failed a maintenance step and those inside a merge,
+    /// the logs cut inside their unsynced tails, and the recoveries the
+    /// ack-before-fsync mutation is caught on.
     #[derive(Default)]
     struct Reach {
         l0_fills: u64,
         height: usize,
         rows: Vec<RowHits>,
         sealed_scans: u64,
+        crashes: u64,
+        step_cuts: u64,
+        merge_cuts: u64,
+        torn_tails: u64,
+        ack_bugs: u64,
     }
 
-    /// One subject's live front-end and what the oracle keeps beside it.
+    /// One subject's live front-end and what the oracle keeps beside it:
+    /// of a crash subject, its `FaultDevice`s, the events since its last
+    /// burst began, and per shard every request sent, of which the first
+    /// `acked` an `Ok` flush, checkpoint or recovery covered.
     struct Live {
         subject: Subject,
         front: Front,
         devices: Vec<Arc<dyn BlockDevice>>,
+        faults: Vec<Fault>,
+        sink: Arc<Cuts>,
+        sent: Vec<Vec<Request>>,
+        acked: Vec<usize>,
         dir: PathBuf,
         seed: u64,
         incarnation: u64,
@@ -512,10 +622,25 @@ mod tests {
                 Subject::Sharded { shards, .. } | Subject::Routed { shards, .. } => shards,
                 _ => 1,
             };
-            let devices =
-                (0..shards).map(|i| device(subject.dev().backend, &dir, seed, i)).collect();
-            let front = Front::Routed(Vec::new());
-            let mut run = Live { subject, front, devices, dir, seed, incarnation: 0, reach };
+            let (devices, faults): (_, Vec<_>) =
+                (0..shards).map(|i| device(&subject, &dir, seed, i)).unzip();
+            let (front, sink) = (Front::Routed(Vec::new()), Arc::<Cuts>::default());
+            let (faults, sent, acked) = (faults.into_iter().flatten().collect(), vec![], vec![]);
+            let mut run = Live {
+                subject,
+                front,
+                devices,
+                faults,
+                sink,
+                sent,
+                acked,
+                dir,
+                seed,
+                incarnation: 0,
+                reach,
+            };
+            run.sent.resize(shards, Vec::new());
+            run.acked.resize(shards, 0);
             run.front = open(&run);
             assert!(run.front.scan(0, Key::MAX).is_empty(), "a new tree");
             run
@@ -551,6 +676,7 @@ mod tests {
                 Front::Sharded(t, ..) => t.checkpoint(),
             }
             .unwrap();
+            self.ack();
             let counters = self.counters();
             self.retire_rows();
             self.incarnation += 1;
@@ -566,8 +692,107 @@ mod tests {
             self.front.trees(|t| quiet(t).unwrap_or_else(|| check_tree(t, deep)).unwrap());
         }
 
+        /// An `Ok` flush, checkpoint or recovery: what was sent is durable;
+        /// a shard's history keeps of it the last put of each live key.
+        fn ack(&mut self) {
+            for sent in &mut self.sent {
+                let last: BTreeMap<Key, Request> = sent.drain(..).map(|r| (r.key(), r)).collect();
+                sent.extend(last.into_values().filter(|r| matches!(r, Request::Put(..))));
+            }
+            self.acked = self.sent.iter().map(Vec::len).collect();
+        }
+
+        /// Note `req` in a crash subject's history of its shard.
+        fn note(&mut self, req: &Request) {
+            let shards = self.sent.len();
+            self.sent[shard_index(req.key(), shards)].push(req.clone());
+        }
+
+        /// Send `req` to a crash subject, noted first: a call that fails
+        /// may have reached the log.
+        fn send(&mut self, req: &Request) -> Result<()> {
+            self.note(req);
+            self.front.write(&Op::Write(req.clone()))
+        }
+
+        /// Relation 6 at an `Op::Crash`: the burst, each write followed by
+        /// a half-step of a simulated scheduler, until a call fails; the
+        /// host's death; recovery judged shard by shard; and what recovery
+        /// lost and the burst never sent, sent again.
+        fn crash(&mut self, burst: &[Request], ahead: u64) {
+            let backend = self.subject.dev().backend;
+            for f in &self.faults {
+                f.set_plan(faults(backend).power_cut_at(f.ops_issued() + ahead));
+            }
+            *self.sink.0.lock().unwrap() = Default::default();
+            let sim = match &self.front {
+                Front::Sharded(_, sim, _) => sim.clone(),
+                _ => None,
+            };
+            let mut unsent = burst.iter();
+            for req in unsent.by_ref() {
+                if self.send(req).is_err() {
+                    break;
+                }
+                sim.iter().for_each(|sim| _ = sim.step());
+            }
+            // The devices lose power, and what each log's file held at that
+            // instant is all a cut may keep: the destructors flush past it.
+            let cut = self.sink.0.lock().unwrap().1;
+            self.faults.iter().for_each(|f| f.power_cut());
+            let Front::Sharded(t, ..) = &self.front else { unreachable!("a crash subject routes") };
+            let logs = logs_at_cut(t, &self.dir);
+            drop(std::mem::replace(&mut self.front, Front::Routed(Vec::new())));
+            let mut rng = SplitMix64::new(self.seed ^ self.incarnation);
+            for (path, synced, on_disk) in logs {
+                let kept = cut_wal_tail(&path, synced, on_disk, &mut rng).unwrap();
+                self.reach.torn_tails += u64::from(kept > synced);
+            }
+            self.reach.step_cuts += u64::from(cut.is_some());
+            self.reach.merge_cuts += u64::from(cut == Some(true));
+            self.reach.crashes += 1;
+            self.faults.iter().for_each(|f| f.restore_power());
+            self.incarnation += 1;
+            self.front = open(self);
+            let Front::Sharded(t, ..) = &self.front else { unreachable!("a crash subject routes") };
+            let mut again = Vec::new();
+            for (i, sent) in self.sent.iter_mut().enumerate() {
+                let history = |acked: usize| {
+                    let mut history = HistoryChecker::new();
+                    for (j, req) in sent.iter().enumerate() {
+                        let value = match req {
+                            Request::Put(_, v) => Some(v.to_vec()),
+                            Request::Delete(_) => None,
+                        };
+                        let status = if j < acked { AckStatus::Acked } else { AckStatus::Pending };
+                        history.append(HistoryRecord { writer: 0, key: req.key(), value, status });
+                    }
+                    history
+                };
+                let judged = |acked| t.with_shard_read(i, |tree| judge(&history(acked), tree));
+                let (prefix, _) =
+                    judged(self.acked[i]).unwrap_or_else(|e| panic!("shard {i}: {e}"));
+                // Nothing lost: every record marked acked judges the same.
+                let lost = (prefix as usize) < sent.len();
+                self.reach.ack_bugs += u64::from(lost && judged(sent.len()).is_err());
+                again.extend(sent.split_off(prefix as usize));
+            }
+            self.ack();
+            again.extend(unsent.cloned());
+            again.iter().for_each(|req| self.send(req).unwrap());
+            self.check(false);
+        }
+
         /// `op`, its answers held against `model`, which holds `op` already.
         fn apply(&mut self, op: &Op, model: &Model) {
+            let crashes = self.subject.crashes();
+            match op {
+                Op::Crash(burst, ahead) if crashes => return self.crash(burst, *ahead),
+                Op::Write(_) | Op::Batch(_) if crashes => {
+                    op.writes().iter().for_each(|r| self.note(r))
+                }
+                _ => {}
+            }
             match (op, &mut self.front) {
                 (Op::Get(k), Front::Tree(t, _)) => check_get(t, *k, model.get(k)),
                 (Op::Get(k), front) => assert_eq!(front.get(*k).as_ref(), model.get(k), "get({k})"),
@@ -601,7 +826,13 @@ mod tests {
                 }
                 (Op::Step, Front::Tree(t, true)) => _ = t.maintenance_step().unwrap(),
                 (Op::Step, Front::Sharded(_, Some(sim), _)) => _ = sim.step(),
+                (Op::Crash(burst, _), front) => {
+                    burst.iter().for_each(|req| front.write(&Op::Write(req.clone())).unwrap())
+                }
                 (_, front) => front.write(op).unwrap(),
+            }
+            if let Op::Flush = op {
+                self.ack();
             }
         }
 
@@ -611,7 +842,9 @@ mod tests {
         fn finish(mut self, model: &Model, asked: [u64; 3]) -> Reach {
             self.front.write(&Op::Flush).unwrap();
             self.check(true);
-            assert_eq!(requests(&self.counters()), asked, "puts, deletes, gets");
+            // A crash subject counts again what it replays and re-sends.
+            let counted = requests(&self.counters());
+            assert!(self.subject.crashes() || counted == asked, "puts, deletes, gets {counted:?}");
             if let Front::Sharded(t, ..) = &self.front {
                 let totals = requests(&[t.stats()]) == requests(&self.front.stats());
                 assert!(totals && t.record_count() >= model.len() as u64, "the router's totals");
@@ -665,6 +898,13 @@ mod tests {
         }
     }
 
+    fn subject_policy(subject: &Subject) -> &PolicySpec {
+        match subject {
+            Subject::Tree { policy, .. } | Subject::Sharded { policy, .. } => policy,
+            Subject::Routed { .. } => &PolicySpec::ChooseBest,
+        }
+    }
+
     /// `f` of every run, naming the run's subject if it panics.
     fn each(runs: &mut [Live], f: impl Fn(&mut Live)) {
         for run in runs {
@@ -705,19 +945,12 @@ mod tests {
             let (mut model, mut asked) = (Model::new(), [0; 3]);
             for (i, op) in tape(seed).iter().enumerate() {
                 asked[2] += u64::from(matches!(op, Op::Get(_) | Op::Refused(..)));
-                let writes = match op {
-                    Op::Write(req) => std::slice::from_ref(req),
-                    Op::Batch(reqs) => {
-                        batches.insert(reqs.len());
-                        reqs
-                    }
-                    Op::Refused(_, len) => {
-                        refused.insert(*len);
-                        &[]
-                    }
-                    _ => &[],
-                };
-                for req in writes {
+                match op {
+                    Op::Batch(reqs) => _ = batches.insert(reqs.len()),
+                    Op::Refused(_, len) => _ = refused.insert(*len),
+                    _ => {}
+                }
+                for req in op.writes() {
                     asked[usize::from(matches!(req, Request::Delete(_)))] += 1;
                     match req {
                         Request::Put(k, v) => model.insert(*k, v.clone()),
@@ -727,6 +960,9 @@ mod tests {
                 let at = || format!("seed {seed:#x}, op {i} {:.80}", format!("{op:?}"));
                 named(at, || step(&mut runs, i, op, &model));
             }
+            // Synced, as at a reopen: unsynced, a log's file holds what its
+            // buffer happened to spill.
+            each(&mut runs, |run| run.front.write(&Op::Flush).unwrap());
             named(|| format!("seed {seed:#x}, at the end"), || compare(&runs, true));
             for (run, reach) in runs.into_iter().zip(&mut reach) {
                 let at = format!("seed {seed:#x}, at the end, {:?}", run.subject);
@@ -734,8 +970,22 @@ mod tests {
             }
         }
         // What a weaker tape would stop showing.
-        for (subject, reach) in subjects.iter().zip(&reach) {
+        let reaches = &reach;
+        for (subject, reach) in subjects.iter().zip(reaches) {
             assert!(reach.l0_fills >= 10, "{subject:?}: L0 filled {} times", reach.l0_fills);
+            if subject.crashes() {
+                // Per policy, over its crash subjects.
+                let policy = subject_policy(subject);
+                let mine = subjects.iter().zip(reaches);
+                let mine = mine.filter(|(s, _)| s.crashes() && subject_policy(s) == policy);
+                let sum = |f: fn(&Reach) -> u64| mine.clone().map(|(_, r)| f(r)).sum::<u64>();
+                let counts = [sum(|r| r.crashes), sum(|r| r.step_cuts), sum(|r| r.torn_tails)];
+                let caught = sum(|r| r.ack_bugs);
+                let ok = counts[0] >= 5 && counts[1] >= 1 && counts[2] >= 1 && caught >= 1;
+                assert!(ok, "{subject:?}: crashes, step cuts, torn tails {counts:?}; {caught}");
+                let folds = reach.merge_cuts >= 1 || policy.fan_in().is_none();
+                assert!(folds, "{subject:?}: no cut inside a fold");
+            }
             let Subject::Tree { dev, .. } = subject else { continue };
             assert!(reach.height >= 3, "{subject:?}: grew {} levels", reach.height);
             let rows = reach.rows.iter().fold((0, 0), |(c, e), r| (c + r.current, e + r.earlier));

@@ -32,16 +32,12 @@ echo "== benchmark crate: unit tests + smoke run against the frozen engine surfa
 # that breaks that surface must fail here, not at the benchmark gate.
 cargo test -q --release --offline --manifest-path perf/Cargo.toml
 
-echo "== crash-torture smoke (64 seeded power cuts, single writer) =="
-cargo run --release -q -p lsm-bench --bin lsm_crash -- --seeds=64
-# Full soak (thousands of seeds), not part of the gate:
-#   cargo test --release --test crash_torture -- --ignored
-
-echo "== crash-torture smoke, concurrent shape (100 seeded writer/scheduler interleavings) =="
-cargo run --release -q -p lsm-bench --bin lsm_crash -- --scheduler=background \
-    --writers=3 --shards=2 --seeds=100
+echo "== crash-torture smoke (100 seeded writer/scheduler interleavings) =="
+# One writer merging inline is power-cut under every policy by the model
+# oracle (the cargo test stage).
+cargo run --release -q -p lsm-bench --bin lsm_crash -- --writers=3 --shards=2 --seeds=100
 # Longer soak (more seeds, longer histories), not part of the gate:
-#   cargo test --release -p lsm-tree --test concurrent_torture -- --ignored
+#   cargo test --release --test crash_torture -- --ignored
 
 echo "== post-mortem smoke (fault-injected torture cycle -> bundle -> renderer -> validator) =="
 pm_dir="$work/pm"
@@ -56,13 +52,10 @@ test -s "$bundle" || { echo "missing post-mortem bundle $bundle"; exit 1; }
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- show "$bundle" > /dev/null
 cargo run --release -q -p lsm-bench --bin lsm_doctor -- check "$bundle"
 
-echo "== file-backend crash torture (16 + 8 power cuts over real backing files) =="
-cargo run --release -q -p lsm-bench --bin lsm_crash -- --seeds=16 --seed-base=5000 \
-    --backend=file
-# The concurrent shape over FileDevice shards: recovery restores each
-# shard's manifest over its file's durable image.
-cargo run --release -q -p lsm-bench --bin lsm_crash -- --scheduler=background \
-    --backend=file --seeds=8 --seed-base=5100
+echo "== file-backend crash torture (8 power cuts over real backing files) =="
+# FileDevice shards: recovery restores each shard's manifest over its
+# file's durable image.
+cargo run --release -q -p lsm-bench --bin lsm_crash -- --backend=file --seeds=8 --seed-base=5100
 
 echo "== doctor smoke: one traced run, one report and one exporter, one validator pass =="
 obs_dir="$work/obs"
@@ -245,6 +238,11 @@ gone="$gone"'|SteppedMergeTree|stepped_fan_in|set_watchdog_timeout_ms|WATCHDOG_M
 # for Perfetto): no Prometheus exposition, gauge half or span-timing hook.
 gone="$gone"'|render_prometheus|validate_prometheus|prom-out|export_gauges|time_spans_into'
 gone="$gone"'|set_gauge|into_registry|span_metrics'
+# One crash harness: the model oracle power-cuts every policy, and the
+# torture keeps only its concurrent shape (`for_seed` alone is a vendored
+# test's name).
+gone="$gone"'|TortureConfig::for_seed|sync_every|checkpoint_every|device_error_rate'
+gone="$gone"'|wal_sync_error_rate|scheduler=inline|scheduler=background'
 if git grep -nE "$gone" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
     ':!BENCH_history.jsonl' ':!perf' ':!scripts/check.sh'; then
     echo "deleted names are back (see above)"

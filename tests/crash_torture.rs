@@ -1,9 +1,11 @@
-//! Crash-torture suite: randomized workloads over a fault-injecting device,
-//! power cuts at random device-op counts across hundreds of seeds, recovery,
-//! and the durability invariant (see `lsm_tree::torture`).
+//! Crash-torture suite: seeded writers interleaved with a stepped
+//! scheduler over fault-injecting devices, power cuts at random device-op
+//! counts across hundreds of seeds, recovery, and the durability invariant
+//! (see `lsm_tree::torture`). One writer merging inline is power-cut under
+//! every policy by the model oracle (`crates/lsm-tree/src/oracle.rs`).
 //!
-//! The smoke test runs on every `cargo test`; the soak (thousands of seeds)
-//! is `#[ignore]`d and run explicitly:
+//! The 200-seed sweep runs on every `cargo test`; the soak (more seeds,
+//! longer histories) is `#[ignore]`d and run explicitly:
 //!
 //! ```sh
 //! cargo test --release --test crash_torture -- --ignored
@@ -17,51 +19,77 @@ use lsm_ssd_repro::lsm_tree::{
 };
 use lsm_ssd_repro::sim_ssd::{BlockDevice, FaultDevice, FaultPlan, MemDevice};
 
-fn torture_range(lo: u64, hi: u64) {
-    let (mut mid_workload_cuts, mut batches_acked) = (0u64, 0u64);
-    let mut failures = Vec::new();
-    for seed in lo..hi {
-        match run_crash_cycle(&TortureConfig::for_seed(seed)) {
-            Ok(report) => {
-                assert!(report.matched_prefix >= report.acked, "{report:?}");
-                assert!(report.matched_prefix <= report.issued, "{report:?}");
-                if report.cut_mid_workload {
-                    mid_workload_cuts += 1;
-                }
-                batches_acked += report.batches_acked;
-            }
-            Err(e) => failures.push(e.to_string()),
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} cycles violated durability:\n{}",
-        failures.len(),
-        failures.join("\n")
-    );
-    // The cut window is sized so most cuts land mid-workload; if almost
-    // none do, the test is quietly exercising only the forced end-of-run
-    // cut and has lost its value.
-    let total = hi - lo;
-    assert!(
-        mid_workload_cuts * 4 >= total,
-        "only {mid_workload_cuts}/{total} cuts fired mid-workload"
-    );
-    // Group-commit seeds submit batches, each acked by its own commit.
-    assert!(batches_acked >= total, "only {batches_acked} batches acked over {total} seeds");
-}
-
-/// Smoke: 200 seeds, each with one power cut at a random device op.
+/// 200 seeded crash cycles. Each failure prints its seed; replay with
+/// `lsm_crash --seeds=1 --seed-base=<seed>`.
 #[test]
 fn two_hundred_seeded_power_cuts_recover() {
-    torture_range(0, 200);
+    let mut failures = Vec::new();
+    let (mut between_halves, mut between_sync_halves, mut reads) = (0, 0, 0);
+    let (mut checkpoints, mut ckpt_between_halves, mut ckpt_between_sync_halves) = (0, 0, 0);
+    let (mut batches_acked, mut cut_in_a_batch, mut cut_mid_workload) = (0, 0, 0);
+    for seed in 0..200u64 {
+        match run_crash_cycle(&TortureConfig::concurrent(seed)) {
+            Ok(report) => {
+                between_halves += report.ops_between_halves;
+                between_sync_halves += report.writes_between_sync_halves;
+                reads += report.reads;
+                batches_acked += report.batches_acked;
+                // The workload ended at a batch that failed: a prefix of
+                // some shard's run may be applied and logged.
+                cut_in_a_batch += u64::from(report.batches > report.batches_acked);
+                cut_mid_workload += u64::from(report.cut_mid_workload);
+                checkpoints += report.checkpoints;
+                ckpt_between_halves += report.checkpoints_between_halves;
+                ckpt_between_sync_halves += report.checkpoints_between_sync_halves;
+            }
+            Err(f) => failures.push(f.to_string()),
+        }
+    }
+    assert!(failures.is_empty(), "{} failing seeds:\n{}", failures.len(), failures.join("\n"));
+    // The cut window is sized so most cuts land mid-workload; if almost
+    // none do, the sweep only exercises the forced end-of-run cut.
+    assert!(cut_mid_workload >= 50, "only {cut_mid_workload}/200 cuts fired mid-workload");
+    // The sweep is only worth its name if requests really do land between
+    // a step's compute and its install, and reads really are checked.
+    assert!(
+        between_halves >= 1_000,
+        "only {between_halves} requests ran between a compute and its install"
+    );
+    assert!(reads >= 1_000, "only {reads} reads were checked against the model");
+    // Likewise for the fsync off the lock: writes must land between a group
+    // sync's flush and its fsync, where only the noted length may be acked.
+    assert!(
+        between_sync_halves >= 500,
+        "only {between_sync_halves} writes ran between the halves of a group sync"
+    );
+    // And checkpoints: the cut must land in both gaps too.
+    assert!(checkpoints >= 100, "only {checkpoints} checkpoints");
+    assert!(ckpt_between_halves >= 1, "no checkpoint between a compute and its install");
+    assert!(ckpt_between_sync_halves >= 1, "no checkpoint between a group sync's halves");
+    // And batches: acked by their per-shard commits, and failed part-way.
+    assert!(batches_acked >= 500, "only {batches_acked} batches acked by their own commit");
+    assert!(cut_in_a_batch >= 5, "only {cut_in_a_batch} cycles ended in a failed batch");
 }
 
-/// Soak: thousands of seeds. Run explicitly with `-- --ignored`.
+/// Soak: more seeds, more writers and shards, longer histories. Run
+/// explicitly with `-- --ignored`.
 #[test]
-#[ignore = "multi-minute soak; run with -- --ignored"]
-fn soak_thousands_of_seeded_power_cuts() {
-    torture_range(200, 3200);
+#[ignore = "soak: hundreds more seeds with longer histories"]
+fn soak_more_seeds_longer_histories() {
+    let mut failures = Vec::new();
+    for seed in 1_000..1_400u64 {
+        let cfg = TortureConfig {
+            ops: 400,
+            writers: 4,
+            shards: 3,
+            continue_ops: 80,
+            ..TortureConfig::concurrent(seed)
+        };
+        if let Err(f) = run_crash_cycle(&cfg) {
+            failures.push(f.to_string());
+        }
+    }
+    assert!(failures.is_empty(), "{} failing seeds:\n{}", failures.len(), failures.join("\n"));
 }
 
 fn small_cfg() -> LsmConfig {
